@@ -9,7 +9,9 @@ Checks, in order:
 3. every ``python -m repro.<module>`` command mentioned in the README
    names a module that actually imports;
 4. the experiment CLIs answer ``--help`` (smoke-run, subprocess per
-   module — catches argparse regressions and import-time crashes).
+   module — catches argparse regressions and import-time crashes);
+5. the ``documents`` schema table and the ``SCHEMA_VERSION`` quoted in
+   ``docs/ARCHITECTURE.md`` match the store's ``_SCHEMA_STATEMENTS``.
 
 Run from the repository root (CI runs it in the ``docs`` job)::
 
@@ -67,6 +69,43 @@ def fail(message: str) -> None:
     sys.exit(1)
 
 
+def documented_columns(architecture: str, table: str) -> list[tuple[str, ...]]:
+    """``(column, type, constraints)`` rows of the markdown table under
+    the ``### `table``` heading of the architecture document."""
+    _, found, section = architecture.partition(f"### `{table}`\n")
+    if not found:
+        fail(f"docs/ARCHITECTURE.md has no ### `{table}` schema section")
+    rows = []
+    for line in section.split("\n## ")[0].split("\n### ")[0].splitlines():
+        cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+        if line.startswith("| `") and len(cells) >= 3:
+            rows.append((cells[0].strip("`"), cells[1], cells[2]))
+    return rows
+
+
+def check_store_schema(architecture: str) -> None:
+    """The documented ``documents`` columns are the created ones."""
+    from repro.retrieval import store
+
+    (statement,) = [
+        s for s in store._SCHEMA_STATEMENTS if s.startswith("CREATE TABLE documents")
+    ]
+    body = statement[statement.index("(") + 1:statement.rindex(")")]
+    created = []
+    for column in body.split(","):
+        name, kind, *constraints = column.split()
+        created.append((name, kind, " ".join(constraints)))
+    documented = documented_columns(architecture, "documents")
+    if documented != created:
+        fail(
+            "docs/ARCHITECTURE.md `documents` table drifted from "
+            f"_SCHEMA_STATEMENTS:\n  documented {documented}\n  created    {created}"
+        )
+    version = f"`SCHEMA_VERSION = {store.SCHEMA_VERSION}`"
+    if version not in architecture:
+        fail(f"docs/ARCHITECTURE.md does not state {version}")
+
+
 def main() -> None:
     readme = ROOT / "README.md"
     architecture = ROOT / "docs" / "ARCHITECTURE.md"
@@ -105,9 +144,12 @@ def main() -> None:
                 f"{proc.returncode}:\n{proc.stderr.strip()}"
             )
 
+    check_store_schema(architecture.read_text(encoding="utf-8"))
+
     print(
         f"check_docs: OK — {len(modules)} documented commands import "
-        f"and answer --help: {', '.join(modules)}"
+        f"and answer --help: {', '.join(modules)}; store schema table "
+        "matches _SCHEMA_STATEMENTS"
     )
 
 

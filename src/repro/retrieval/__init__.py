@@ -24,7 +24,7 @@ limit with LRU whole-partition eviction.
 from repro.retrieval.analysis import ENGLISH_STOPWORDS, Analyzer, PorterStemmer, tokenize
 from repro.retrieval.documents import Document, DocumentCollection
 from repro.retrieval.engine import ResultList, SearchEngine, SearchResult
-from repro.retrieval.index import InvertedIndex, Posting, PostingList
+from repro.retrieval.index import DocumentIndex, InvertedIndex, Posting, PostingList
 from repro.retrieval.models import BM25, DPH, TFIDF, WeightingModel, get_model
 from repro.retrieval.persistence import (
     dump_collection,
@@ -40,7 +40,7 @@ from repro.retrieval.sharding import (
     stable_shard,
 )
 from repro.retrieval.similarity import TermVector, cosine, delta
-from repro.retrieval.snippets import Snippet, SnippetExtractor
+from repro.retrieval.snippets import ForwardRow, Snippet, SnippetExtractor
 from repro.retrieval.store import (
     IndexStore,
     PageCacheStats,
@@ -59,6 +59,7 @@ __all__ = [
     "ResultList",
     "SearchEngine",
     "SearchResult",
+    "DocumentIndex",
     "InvertedIndex",
     "Posting",
     "PostingList",
@@ -79,6 +80,7 @@ __all__ = [
     "TermVector",
     "cosine",
     "delta",
+    "ForwardRow",
     "Snippet",
     "SnippetExtractor",
     "IndexStore",

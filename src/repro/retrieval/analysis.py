@@ -30,6 +30,13 @@ __all__ = [
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+")
 
+#: Entries the stem memo holds before it is dropped and refilled.  The
+#: distinct tokens of web text are unbounded (numbers, typos, ids), so an
+#: unbounded memo is a leak in a long-lived server; 64k entries (~10 MB at
+#: worst) hold the Zipfian head of any collection, and refilling after a
+#: clear costs one stemmer run per distinct token.
+_STEM_MEMO_CAP = 1 << 16
+
 # The classic SMART-derived English stopword list trimmed to the terms that
 # actually occur in web-scale text with high frequency.  Terrier's standard
 # list is a superset; for retrieval behaviour only the high-frequency terms
@@ -63,6 +70,28 @@ def tokenize(text: str) -> list[str]:
     return _TOKEN_RE.findall(text.lower())
 
 
+def _original_offsets(text: str, lowered_offsets: list[int]) -> list[int]:
+    """Map increasing offsets into ``text.lower()`` back into *text*.
+
+    Lower-casing can lengthen a string (``"İ".lower()`` is two
+    characters), so a token end found in the lowered text is not an
+    offset into the original.  Each offset maps to the end of the
+    original character whose lowering covers it.
+    """
+    out: list[int] = []
+    pending = iter(lowered_offsets)
+    target = next(pending)
+    covered = 0
+    for position, char in enumerate(text, 1):
+        covered += len(char.lower())
+        while covered >= target:
+            out.append(position)
+            target = next(pending, None)
+            if target is None:
+                return out
+    return out
+
+
 class PorterStemmer:
     """M.F. Porter's 1980 suffix-stripping algorithm.
 
@@ -77,6 +106,10 @@ class PorterStemmer:
 
     _VOWELS = frozenset("aeiou")
 
+    # The algorithm is a pure function of the word, so one memo serves
+    # every instance in the process.
+    _memo: dict[str, str] = {}
+
     def __call__(self, word: str) -> str:
         return self.stem(word)
 
@@ -84,6 +117,15 @@ class PorterStemmer:
 
     def stem(self, word: str) -> str:
         """Return the Porter stem of *word* (assumed lower-case)."""
+        memo = self._memo
+        stemmed = memo.get(word)
+        if stemmed is None:
+            if len(memo) >= _STEM_MEMO_CAP:
+                memo.clear()
+            stemmed = memo[word] = self._stem(word)
+        return stemmed
+
+    def _stem(self, word: str) -> str:
         if len(word) <= 2:
             return word
         word = self._step1a(word)
@@ -315,6 +357,29 @@ class Analyzer:
             if self.stemmer is not None:
                 token = self.stemmer.stem(token)
             yield token
+
+    def analyze_with_ends(self, text: str) -> tuple[list[str], list[int]]:
+        """``analyze(text)`` plus, per term, where its token ends in *text*.
+
+        ``analyze(text[:n])`` is then the terms whose end is ``<= n``
+        followed by ``analyze(text[end_of_the_last_such_term:n])`` — what
+        lets the forward index answer for a truncated surrogate without
+        re-analysing the text before the cut.
+        """
+        lowered = text.lower()
+        stopwords = self.stopwords
+        stem = self.stemmer.stem if self.stemmer is not None else None
+        terms: list[str] = []
+        ends: list[int] = []
+        for match in _TOKEN_RE.finditer(lowered):
+            token = match.group()
+            if token in stopwords:
+                continue
+            terms.append(stem(token) if stem is not None else token)
+            ends.append(match.end())
+        if ends and len(lowered) != len(text):
+            ends = _original_offsets(text, ends)
+        return terms, ends
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

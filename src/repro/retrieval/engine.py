@@ -14,16 +14,16 @@ paper's ``rank(d', R_q')`` of Equation (1).
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterable, Iterator, Mapping
+from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
 from repro.core.cache import LRUCache
 from repro.retrieval.analysis import Analyzer
 from repro.retrieval.documents import Document, DocumentCollection
-from repro.retrieval.index import InvertedIndex
+from repro.retrieval.index import DocumentIndex
 from repro.retrieval.models import DPH, WeightingModel
 from repro.retrieval.similarity import TermVector
-from repro.retrieval.snippets import Snippet, SnippetExtractor
+from repro.retrieval.snippets import ForwardRow, Snippet, SnippetExtractor
 
 __all__ = ["SearchResult", "ResultList", "SearchEngine"]
 
@@ -97,6 +97,26 @@ class ResultList:
         return f"ResultList(query={self.query!r}, n={len(self)})"
 
 
+def shared_analysis(
+    analyzer: Analyzer | None, snippet_extractor: SnippetExtractor | None
+) -> tuple[Analyzer, SnippetExtractor]:
+    """The one ``(analyzer, extractor)`` pair an engine analyses with.
+
+    The forward index analyses each window once for the postings *and*
+    the surrogates, and queries must land in the same term space, so the
+    extractor and the engine cannot hold different analyzers.
+    """
+    if snippet_extractor is None:
+        analyzer = analyzer or Analyzer()
+        return analyzer, SnippetExtractor(analyzer=analyzer)
+    if analyzer is not None and snippet_extractor.analyzer is not analyzer:
+        raise ValueError(
+            "snippet_extractor.analyzer must be the engine's analyzer: "
+            "documents are analysed once, for postings and surrogates alike"
+        )
+    return snippet_extractor.analyzer, snippet_extractor
+
+
 class SearchEngine:
     """Index a collection once, then serve ranked queries and snippets.
 
@@ -134,10 +154,9 @@ class SearchEngine:
         vector_cache_size: int = 0,
     ) -> None:
         self.collection = collection
-        self.analyzer = analyzer or Analyzer()
+        self.analyzer, self.snippets = shared_analysis(analyzer, snippet_extractor)
         self.model = model or DPH()
-        self.index = InvertedIndex.from_collection(collection, self.analyzer)
-        self.snippets = snippet_extractor or SnippetExtractor(analyzer=self.analyzer)
+        self.index = DocumentIndex.from_collection(collection, self.snippets)
         self._vector_cache: LRUCache[tuple[str, str], TermVector] | None = (
             LRUCache(vector_cache_size) if vector_cache_size > 0 else None
         )
@@ -212,14 +231,19 @@ class SearchEngine:
     # -- surrogates -------------------------------------------------------------
 
     def snippet(self, query: str, doc_id: str) -> Snippet:
-        """Query-biased surrogate for one retrieved document."""
+        """Query-biased surrogate text for one retrieved document."""
         document = self.collection[doc_id]
         return self.snippets.extract(query, doc_id, document.text, document.title)
 
-    def _snippet_vector(self, query: str, doc_id: str) -> TermVector:
-        return TermVector.from_terms(
-            self.analyzer.analyze(self.snippet(query, doc_id).text)
-        )
+    def _forward_lookup(self) -> Callable[[str], tuple[ForwardRow, Document]]:
+        """A ``doc_id -> (forward row, document)`` lookup over one
+        consistent view of the collection."""
+        rows, collection = self.index.forward_row, self.collection
+        return lambda doc_id: (rows(doc_id), collection[doc_id])
+
+    def forward_row(self, doc_id: str) -> ForwardRow:
+        """The forward-index row of *doc_id* (its text, analysed once)."""
+        return self._forward_lookup()(doc_id)[0]
 
     def snippet_vectors(
         self, query: str, results: ResultList
@@ -228,22 +252,27 @@ class SearchEngine:
 
         These vectors feed the cosine of Equation (2); the paper computes
         the utility on snippets rather than whole documents (Section 5).
+        Each vector equals ``TermVector.from_terms(analyze(snippet(query,
+        doc_id).text))`` but is built from the forward index: the query
+        is analysed once per call and document text is not re-analysed.
         With ``vector_cache_size > 0`` each ``(query, doc_id)`` vector is
         computed at most once across calls.
         """
+        query_terms = set(self.analyzer.analyze(query))
+        lookup = self._forward_lookup()
+        surrogate_terms = self.snippets.surrogate_terms
         cache = self._vector_cache
-        if cache is None:
-            return {
-                r.doc_id: self._snippet_vector(query, r.doc_id) for r in results
-            }
         out: dict[str, TermVector] = {}
         for r in results:
-            key = (query, r.doc_id)
-            vector = cache.get(key)
+            doc_id = r.doc_id
+            vector = cache.get((query, doc_id)) if cache is not None else None
             if vector is None:
-                vector = self._snippet_vector(query, r.doc_id)
-                cache.put(key, vector)
-            out[r.doc_id] = vector
+                vector = TermVector.from_terms(
+                    surrogate_terms(query_terms, *lookup(doc_id))
+                )
+                if cache is not None:
+                    cache.put((query, doc_id), vector)
+            out[doc_id] = vector
         return out
 
     def snippet_vectors_batch(

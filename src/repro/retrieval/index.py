@@ -16,15 +16,17 @@ hundred thousand documents.
 
 from __future__ import annotations
 
+import copy
 import sys
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 
 from repro.retrieval.analysis import Analyzer
 from repro.retrieval.documents import Document, DocumentCollection
+from repro.retrieval.snippets import ForwardRow, SnippetExtractor
 
-__all__ = ["Posting", "PostingList", "InvertedIndex"]
+__all__ = ["Posting", "PostingList", "InvertedIndex", "DocumentIndex"]
 
 #: Estimated bytes of one boxed CPython ``int`` (64-bit build).  Small
 #: interned ints are cheaper in reality; the estimate deliberately prices
@@ -96,12 +98,17 @@ class InvertedIndex:
 
     def index_document(self, document: Document) -> int:
         """Analyse and add *document*; returns its ordinal."""
-        if document.doc_id in self._ordinal_by_id:
-            raise ValueError(f"doc_id already indexed: {document.doc_id!r}")
-        terms = self.analyzer.analyze(document.full_text)
+        return self.index_terms(
+            document.doc_id, self.analyzer.analyze(document.full_text)
+        )
+
+    def index_terms(self, doc_id: str, terms: Sequence[str]) -> int:
+        """Add a document from its already analysed *terms*."""
+        if doc_id in self._ordinal_by_id:
+            raise ValueError(f"doc_id already indexed: {doc_id!r}")
         ordinal = len(self._doc_ids)
-        self._doc_ids.append(document.doc_id)
-        self._ordinal_by_id[document.doc_id] = ordinal
+        self._doc_ids.append(doc_id)
+        self._ordinal_by_id[doc_id] = ordinal
         self._doc_lengths.append(len(terms))
         self._total_tokens += len(terms)
         for term, tf in Counter(terms).items():
@@ -160,11 +167,11 @@ class InvertedIndex:
         the published snapshot keeps serving the original, so the copy
         must share no mutable structure with its source.
         """
-        clone = InvertedIndex(self.analyzer)
+        clone = copy.copy(self)
         clone._doc_lengths = list(self._doc_lengths)
         clone._doc_ids = list(self._doc_ids)
         clone._ordinal_by_id = dict(self._ordinal_by_id)
-        clone._total_tokens = self._total_tokens
+        clone._postings = {}
         for term, postings in self._postings.items():
             copied = PostingList()
             copied.ordinals = list(postings.ordinals)
@@ -174,10 +181,10 @@ class InvertedIndex:
         return clone
 
     @classmethod
-    def from_collection(
-        cls, collection: DocumentCollection, analyzer: Analyzer | None = None
-    ) -> "InvertedIndex":
-        index = cls(analyzer)
+    def from_collection(cls, collection: DocumentCollection, *args) -> "InvertedIndex":
+        """Index *collection* into ``cls(*args)`` — the analyzer here, the
+        extractor for a :class:`DocumentIndex`."""
+        index = cls(*args)
         index.index_collection(collection)
         return index
 
@@ -275,6 +282,56 @@ class InvertedIndex:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"InvertedIndex(docs={self.num_documents}, "
+            f"{type(self).__name__}(docs={self.num_documents}, "
             f"terms={self.num_terms}, tokens={self._total_tokens})"
         )
+
+
+class DocumentIndex(InvertedIndex):
+    """An inverted index that also keeps each document's forward row.
+
+    The search engines' index: a document is split into the extractor's
+    windows and analysed **once**
+    (:meth:`~repro.retrieval.snippets.SnippetExtractor.analyse_document`);
+    the postings are counted from the row's terms and the row is kept by
+    ordinal, so surrogates are built at query time without re-analysing
+    document text.  Rows follow ordinals through :meth:`remove_document`
+    and :meth:`copy` — an incrementally maintained index holds the rows a
+    from-scratch build would.
+    """
+
+    def __init__(self, extractor: SnippetExtractor | None = None) -> None:
+        self.extractor = extractor or SnippetExtractor()
+        super().__init__(self.extractor.analyzer)
+        self._rows: list[ForwardRow] = []
+
+    def index_document(self, document: Document) -> int:
+        row = self.extractor.analyse_document(document)
+        ordinal = self.index_terms(document.doc_id, row.terms)
+        self._rows.append(row)
+        return ordinal
+
+    def remove_document(self, doc_id: str) -> int:
+        ordinal = super().remove_document(doc_id)
+        del self._rows[ordinal]
+        return ordinal
+
+    def copy(self) -> "DocumentIndex":
+        clone = super().copy()
+        clone._rows = list(self._rows)  # rows are immutable: shared
+        return clone
+
+    def forward_row(self, doc_id: str) -> ForwardRow:
+        return self._rows[self._ordinal_by_id[doc_id]]
+
+    def memory_estimate(self) -> dict[str, int]:
+        """As :meth:`InvertedIndex.memory_estimate`, with the forward rows
+        priced into ``documents_bytes`` (their term strings are the
+        vocabulary's, already counted there)."""
+        estimate = super().memory_estimate()
+        forward_bytes = sys.getsizeof(self._rows) + sum(
+            row.memory_bytes() for row in self._rows
+        )
+        estimate["documents_bytes"] += forward_bytes
+        estimate["total_bytes"] += forward_bytes
+        return estimate

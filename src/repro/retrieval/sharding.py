@@ -45,10 +45,9 @@ from collections.abc import Iterable, Sequence
 from repro.core.cache import LRUCache
 from repro.retrieval.analysis import Analyzer
 from repro.retrieval.documents import Document, DocumentCollection
-from repro.retrieval.engine import ResultList, SearchEngine
-from repro.retrieval.index import InvertedIndex
+from repro.retrieval.engine import ResultList, SearchEngine, shared_analysis
+from repro.retrieval.index import DocumentIndex, InvertedIndex
 from repro.retrieval.models import DPH, WeightingModel
-from repro.retrieval.snippets import SnippetExtractor
 
 __all__ = [
     "stable_shard",
@@ -315,9 +314,8 @@ class PartitionedSearchEngine(SearchEngine):
     merged ranking — scores included — is identical to a single engine
     over the undivided collection.
 
-    Snippet extraction and surrogate vectorisation are inherited
-    unchanged: they read the full collection, which every shard of the
-    serving layer can reach.
+    Surrogate vectorisation is inherited: only the forward-row lookup
+    differs, reading the partition a document hashes to.
 
     ``partition_indexes`` (keyword-only, together with
     ``partition_collections``) injects *pre-built* partition indexes —
@@ -326,7 +324,10 @@ class PartitionedSearchEngine(SearchEngine):
     on an execution backend and assembles the engine here.  The injected
     indexes are validated document-for-document against their partition
     collections, so an assembled engine is exactly the engine the serial
-    constructor would have built.
+    constructor would have built.  They must be
+    :class:`~repro.retrieval.index.DocumentIndex` instances built with
+    this engine's ``window_terms``: the forward rows that serve the
+    surrogates travel inside them.
     """
 
     def __init__(
@@ -348,7 +349,7 @@ class PartitionedSearchEngine(SearchEngine):
         self.seed = seed
         # Deliberately not calling super().__init__: it would build the
         # single global index this class exists to avoid holding.
-        self.analyzer = analyzer or Analyzer()
+        self.analyzer, self.snippets = shared_analysis(analyzer, snippet_extractor)
         self.model = model or DPH()
         if partition_collections is None:
             partition_collections = partition_collection(
@@ -379,7 +380,7 @@ class PartitionedSearchEngine(SearchEngine):
                 )
         if partition_indexes is None:
             partition_indexes = [
-                InvertedIndex.from_collection(part, self.analyzer)
+                DocumentIndex.from_collection(part, self.snippets)
                 for part in partition_collections
             ]
         else:
@@ -400,9 +401,17 @@ class PartitionedSearchEngine(SearchEngine):
                         "partition collection (documents or their order "
                         "differ)"
                     )
-        self.snippets = snippet_extractor or SnippetExtractor(
-            analyzer=self.analyzer
-        )
+                extractor = getattr(index, "extractor", None)
+                if (
+                    extractor is None
+                    or extractor.window_terms != self.snippets.window_terms
+                ):
+                    raise ValueError(
+                        f"partition index {shard} must be a DocumentIndex "
+                        "built with this engine's window_terms "
+                        f"({self.snippets.window_terms}): its forward rows "
+                        "serve the surrogates"
+                    )
         self._vector_cache = (
             LRUCache(vector_cache_size) if vector_cache_size > 0 else None
         )
@@ -559,14 +568,6 @@ class PartitionedSearchEngine(SearchEngine):
                 raise ValueError(f"duplicate doc_id: {document.doc_id!r}")
             fresh.add(document.doc_id)
 
-        changed_terms: set[str] = set()
-        for doc_id in removes:
-            changed_terms.update(
-                self.analyzer.analyze(current.collection[doc_id].full_text)
-            )
-        for document in adds:
-            changed_terms.update(self.analyzer.analyze(document.full_text))
-
         adds_by_shard: dict[int, list[Document]] = {}
         for document in adds:
             shard = stable_shard(document.doc_id, self.num_partitions, self.seed)
@@ -581,12 +582,16 @@ class PartitionedSearchEngine(SearchEngine):
         )
         partitions = list(current.partitions)
         parts = list(current.partition_collections)
+        # Every term a changed document holds, read off the forward rows.
+        changed_terms: set[str] = set()
         for shard in sorted(set(adds_by_shard) | set(removes_by_shard)):
             index = partitions[shard].copy()
             for doc_id in removes_by_shard.get(shard, ()):
+                changed_terms.update(index.forward_row(doc_id).terms)
                 index.remove_document(doc_id)
             for document in adds_by_shard.get(shard, ()):
                 index.index_document(document)
+                changed_terms.update(index.forward_row(document.doc_id).terms)
             partitions[shard] = index
             parts[shard] = DocumentCollection(
                 [d for d in parts[shard] if d.doc_id not in removed]
@@ -654,6 +659,18 @@ class PartitionedSearchEngine(SearchEngine):
             )
             self.publish(prepared)
         return prepared
+
+    def _forward_lookup(self):
+        # One snapshot for the whole lookup: rows and documents of one epoch.
+        snapshot = self._pinned_snapshot()
+        partitions, collection = snapshot.partitions, snapshot.collection
+        num_partitions, seed = self.num_partitions, self.seed
+
+        def lookup(doc_id: str):
+            shard = stable_shard(doc_id, num_partitions, seed)
+            return partitions[shard].forward_row(doc_id), collection[doc_id]
+
+        return lookup
 
     def search(self, query: str, k: int = 1000) -> ResultList:
         """Scatter the query over every partition, gather the global top-k.

@@ -51,6 +51,7 @@ from pathlib import Path
 from repro.core.cache import LRUCache
 from repro.retrieval.analysis import Analyzer
 from repro.retrieval.documents import Document, DocumentCollection
+from repro.retrieval.engine import shared_analysis
 from repro.retrieval.index import _INT_BYTES, InvertedIndex, PostingList
 from repro.retrieval.models import DPH, WeightingModel
 from repro.retrieval.sharding import (
@@ -59,7 +60,7 @@ from repro.retrieval.sharding import (
     PartitionedSearchEngine,
     stable_shard,
 )
-from repro.retrieval.snippets import SnippetExtractor
+from repro.retrieval.snippets import ForwardRow, SnippetExtractor
 
 __all__ = [
     "SCHEMA_VERSION",
@@ -82,7 +83,11 @@ __all__ = [
 #: per-partition ``epoch`` column recording the last epoch that touched
 #: each partition (what lets :meth:`StoreBackedSearchEngine.refresh`
 #: re-page only the partitions an append actually changed).
-SCHEMA_VERSION = 2
+#: v3: the forward index — a ``forward`` blob per ``documents`` row (the
+#: document analysed once into title and window terms, see
+#: :class:`~repro.retrieval.snippets.ForwardRow`) plus ``window_terms``
+#: in ``meta``, the window size those rows were split with.
+SCHEMA_VERSION = 3
 
 #: Default byte capacity of the shared postings page cache (per engine).
 DEFAULT_PAGE_CACHE_BYTES = 64 * 1024 * 1024
@@ -166,7 +171,8 @@ _SCHEMA_STATEMENTS = (
         doc_id   TEXT NOT NULL UNIQUE,
         title    TEXT NOT NULL,
         text     TEXT NOT NULL,
-        metadata TEXT NOT NULL
+        metadata TEXT NOT NULL,
+        forward  BLOB NOT NULL
     )""",
     """CREATE TABLE postings (
         partition INTEGER NOT NULL,
@@ -183,6 +189,12 @@ _SCHEMA_STATEMENTS = (
         payload    TEXT NOT NULL,
         PRIMARY KEY (shard, spec_query)
     ) WITHOUT ROWID""",
+)
+
+
+_INSERT_DOCUMENT = (
+    "INSERT INTO documents (ordinal, doc_id, title, text, metadata, forward)"
+    " VALUES (?, ?, ?, ?, ?, ?)"
 )
 
 
@@ -227,14 +239,15 @@ def write_store(
             "total_tokens": sum(p.total_tokens for p in engine.partitions),
             "model": engine.model.name,
             "store_epoch": store_epoch,
+            "window_terms": engine.snippets.window_terms,
         }
         connection.executemany(
             "INSERT INTO meta (key, value) VALUES (?, ?)",
             [(key, str(value)) for key, value in meta.items()],
         )
+        forward_row = engine.forward_row
         connection.executemany(
-            "INSERT INTO documents (ordinal, doc_id, title, text, metadata)"
-            " VALUES (?, ?, ?, ?, ?)",
+            _INSERT_DOCUMENT,
             (
                 (
                     ordinal,
@@ -242,6 +255,7 @@ def write_store(
                     doc.title,
                     doc.text,
                     json.dumps(doc.metadata, ensure_ascii=False),
+                    forward_row(doc.doc_id).encode(),
                 )
                 for ordinal, doc in enumerate(collection)
             ),
@@ -338,8 +352,10 @@ def append_epoch(
     intersect the change.
 
     *analyzer* must be the pipeline the serving engines use (defaults to
-    the stock :class:`Analyzer`) — postings for rebuilt partitions are
-    re-analysed here.
+    the stock :class:`Analyzer`): the added documents are analysed here,
+    into forward rows split with the store's own ``window_terms``.
+    Postings of rebuilt partitions are re-counted from the stored rows,
+    not re-analysed.
     """
     path = Path(path)
     adds = list(add_documents)
@@ -362,9 +378,12 @@ def append_epoch(
         seed = int(meta["seed"])
         epoch = int(meta.get("store_epoch", "0"))
         new_epoch = epoch + 1
+        extractor = SnippetExtractor(
+            window_terms=int(meta["window_terms"]), analyzer=analyzer
+        )
         old_rows = connection.execute(
-            "SELECT ordinal, doc_id, title, text, metadata FROM documents"
-            " ORDER BY ordinal"
+            "SELECT ordinal, doc_id, title, text, metadata, forward"
+            " FROM documents ORDER BY ordinal"
         ).fetchall()
         known = {row[1] for row in old_rows}
         removed: set[str] = set()
@@ -382,25 +401,19 @@ def append_epoch(
                 raise StoreError(f"doc_id already stored: {doc.doc_id!r}")
             added.add(doc.doc_id)
 
-        old_documents = {
-            row[1]: Document(
-                doc_id=row[1],
-                text=row[3],
-                title=row[2],
-                metadata=json.loads(row[4]),
-            )
-            for row in old_rows
-            if row[1] in removed
+        # The only text analysed here is the added documents'; survivors
+        # of a rebuilt partition are re-counted from their stored rows.
+        added_rows = {
+            doc.doc_id: extractor.analyse_document(doc) for doc in adds
         }
         survivors = [row for row in old_rows if row[1] not in removed]
-        new_docs: list[tuple[str, str, str, str]] = [
-            (row[1], row[2], row[3], row[4]) for row in survivors
-        ] + [
+        new_docs: list[tuple] = [row[1:] for row in survivors] + [
             (
                 doc.doc_id,
                 doc.title,
                 doc.text,
                 json.dumps(doc.metadata, ensure_ascii=False),
+                added_rows[doc.doc_id].encode(),
             )
             for doc in adds
         ]
@@ -408,17 +421,22 @@ def append_epoch(
             fields[0]: ordinal for ordinal, fields in enumerate(new_docs)
         }
         changed_ids = removed | added
-        affected = {
-            stable_shard(doc_id, num_partitions, seed)
+        # Every partition a changed document hashes to is rebuilt from
+        # the rows of the documents it now holds.
+        members: dict[int, list[tuple]] = {
+            stable_shard(doc_id, num_partitions, seed): []
             for doc_id in changed_ids
         }
+        for fields in new_docs:
+            shard = stable_shard(fields[0], num_partitions, seed)
+            if shard in members:
+                members[shard].append(fields)
 
         connection.execute("BEGIN IMMEDIATE")
         if removes:
             connection.execute("DELETE FROM documents")
             connection.executemany(
-                "INSERT INTO documents (ordinal, doc_id, title, text,"
-                " metadata) VALUES (?, ?, ?, ?, ?)",
+                _INSERT_DOCUMENT,
                 (
                     (ordinal, *fields)
                     for ordinal, fields in enumerate(new_docs)
@@ -427,26 +445,20 @@ def append_epoch(
         else:
             base = len(survivors)
             connection.executemany(
-                "INSERT INTO documents (ordinal, doc_id, title, text,"
-                " metadata) VALUES (?, ?, ?, ?, ?)",
+                _INSERT_DOCUMENT,
                 (
                     (base + offset, *fields)
                     for offset, fields in enumerate(new_docs[base:])
                 ),
             )
         for shard in range(num_partitions):
-            if shard in affected:
-                part_docs = DocumentCollection(
-                    Document(
-                        doc_id=doc_id,
-                        text=text,
-                        title=title,
-                        metadata=json.loads(metadata),
-                    )
-                    for doc_id, title, text, metadata in new_docs
-                    if stable_shard(doc_id, num_partitions, seed) == shard
-                )
-                index = InvertedIndex.from_collection(part_docs, analyzer)
+            if shard in members:
+                index = InvertedIndex(analyzer)
+                for doc_id, _title, _text, _metadata, forward in members[shard]:
+                    row = added_rows.get(doc_id)
+                    if row is None:
+                        row = ForwardRow.decode(forward)
+                    index.index_terms(doc_id, row.terms)
                 lengths = [
                     index.document_length(o)
                     for o in range(index.num_documents)
@@ -527,10 +539,11 @@ def append_epoch(
             connection.execute("DELETE FROM warm_artifacts")
         else:
             changed_terms = set()
-            for doc in adds:
-                changed_terms.update(analyzer.analyze(doc.full_text))
-            for doc in old_documents.values():
-                changed_terms.update(analyzer.analyze(doc.full_text))
+            for row in added_rows.values():
+                changed_terms.update(row.terms)
+            for row in old_rows:
+                if row[1] in removed:
+                    changed_terms.update(ForwardRow.decode(row[5]).terms)
             doomed = []
             for shard_key, spec_query, payload in connection.execute(
                 "SELECT shard, spec_query, payload FROM warm_artifacts"
@@ -679,6 +692,13 @@ class IndexStore:
         """The last epoch published into this store (0 for a fresh build)."""
         return int(self._meta.get("store_epoch", "0"))
 
+    @property
+    def window_terms(self) -> int:
+        """The extractor window size the stored forward rows were split
+        with; an engine attaching with another would serve different
+        surrogates than the rows describe."""
+        return int(self._meta["window_terms"])
+
     def reload(self) -> None:
         """Re-read the ``meta`` table — how a live engine observes an
         epoch another process appended after this attachment opened."""
@@ -764,7 +784,7 @@ class IndexStore:
 
     def document_row(self, ordinal: int) -> tuple | None:
         return self._fetchone(
-            "SELECT doc_id, title, text, metadata FROM documents"
+            "SELECT doc_id, title, text, metadata, forward FROM documents"
             " WHERE ordinal = ?",
             (ordinal,),
         )
@@ -1067,7 +1087,8 @@ class StoreBackedCollection:
 
     Nothing loads at attach time: document rows fetch lazily (behind a
     small LRU) when snippets or result mapping need them — the bulk of
-    why attach is O(1) in collection size.
+    why attach is O(1) in collection size.  A row's forward-index blob
+    is decoded with it and shares its LRU entry.
     """
 
     def __init__(
@@ -1077,13 +1098,14 @@ class StoreBackedCollection:
     ) -> None:
         self._store = store
         self._num_documents = store.num_documents
-        self._documents = LRUCache(cache_size)  # global ordinal -> Document
+        # global ordinal -> (ForwardRow, Document)
+        self._documents = LRUCache(cache_size)
         self._ordinals = LRUCache(cache_size)  # doc_id -> global ordinal
 
-    def by_ordinal(self, ordinal: int) -> Document:
-        document = self._documents.get(ordinal)
-        if document is not None:
-            return document
+    def _entry(self, ordinal: int) -> tuple[ForwardRow, Document]:
+        entry = self._documents.get(ordinal)
+        if entry is not None:
+            return entry
         row = self._store.document_row(ordinal)
         if row is None:
             raise IndexError(f"ordinal out of range: {ordinal}")
@@ -1093,8 +1115,16 @@ class StoreBackedCollection:
             title=row[1],
             metadata=json.loads(row[3]),
         )
-        self._documents.put(ordinal, document)
-        return document
+        entry = (ForwardRow.decode(row[4]), document)
+        self._documents.put(ordinal, entry)
+        return entry
+
+    def by_ordinal(self, ordinal: int) -> Document:
+        return self._entry(ordinal)[1]
+
+    def forward_entry(self, doc_id: str) -> tuple[ForwardRow, Document]:
+        """``(forward row, document)`` of *doc_id* — one cache lookup."""
+        return self._entry(self.ordinal(doc_id))
 
     def ordinal(self, doc_id: str) -> int:
         ordinal = self._ordinals.get(doc_id)
@@ -1184,12 +1214,17 @@ class StoreBackedSearchEngine(PartitionedSearchEngine):
         self.store = store
         self.num_partitions = store.num_partitions
         self.seed = store.seed
-        self.analyzer = analyzer or Analyzer()
+        self.analyzer, self.snippets = shared_analysis(analyzer, snippet_extractor)
+        if store.window_terms != self.snippets.window_terms:
+            store.close()
+            raise StoreError(
+                f"{store.path}: forward rows were split with window_terms="
+                f"{store.window_terms}, this engine's extractor uses "
+                f"{self.snippets.window_terms}; attach with the store's "
+                "window size or rebuild the store"
+            )
         self.model = model or DPH()
         self.page_cache = PostingPageCache(page_cache_bytes)
-        self.snippets = snippet_extractor or SnippetExtractor(
-            analyzer=self.analyzer
-        )
         self._vector_cache = (
             LRUCache(vector_cache_size) if vector_cache_size > 0 else None
         )
@@ -1249,6 +1284,9 @@ class StoreBackedSearchEngine(PartitionedSearchEngine):
                 total_tokens / num_documents if num_documents else 0.0
             ),
         )
+
+    def _forward_lookup(self):
+        return self._pinned_snapshot().collection.forward_entry
 
     def refresh(self) -> int:
         """Re-attach to the latest epoch published into the store.

@@ -98,6 +98,11 @@ __all__ = [
 DEFAULT_PAGE_LIMIT = 50
 MAX_PAGE_LIMIT = 200
 
+#: Largest request body a ``POST`` may declare.  The biggest legitimate
+#: body is an ingest batch of documents; 8 MiB holds thousands of them and
+#: bounds what one request can make a handler thread allocate.
+MAX_BODY_BYTES = 8 * 1024 * 1024
+
 
 class ApiError(Exception):
     """One HTTP error response: status code, machine code, message.
@@ -730,6 +735,8 @@ def _make_handler(api: DiversificationHTTPServer):
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
+            if self.close_connection:
+                self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
 
@@ -744,11 +751,24 @@ def _make_handler(api: DiversificationHTTPServer):
             if length is None:
                 raise ApiError(400, "missing_body", "a JSON body is required")
             try:
-                raw = self.rfile.read(int(length))
+                size = int(length)
             except ValueError:
+                size = -1
+            if 0 <= size <= MAX_BODY_BYTES:
+                raw = self.rfile.read(size)
+            else:
+                # The declared body stays unread, so the connection
+                # cannot be reused for a next request.
+                self.close_connection = True
+                if size < 0:
+                    raise ApiError(
+                        400, "bad_length",
+                        "Content-Length must be a non-negative integer",
+                    )
                 raise ApiError(
-                    400, "bad_length", "Content-Length must be an integer"
-                ) from None
+                    413, "body_too_large",
+                    f"body of {size} bytes exceeds the {MAX_BODY_BYTES}-byte limit",
+                )
             try:
                 return json.loads(raw.decode("utf-8"))
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:

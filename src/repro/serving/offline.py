@@ -8,8 +8,8 @@ path out (hash-routed shards over inline/thread/process backends); this
 module scales the offline phase the same way, with the same substrate:
 
 * :func:`build_partitioned_engine` hash-partitions the collection once,
-  then builds the N :class:`~repro.retrieval.index.InvertedIndex`
-  partitions of a
+  then builds the N :class:`~repro.retrieval.index.DocumentIndex`
+  partitions (postings plus forward rows, one analysis pass) of a
   :class:`~repro.retrieval.sharding.PartitionedSearchEngine` *wherever
   the chosen* :class:`~repro.serving.backends.ExecutionBackend` *places
   them* — the calling thread, a thread pool, or real OS worker
@@ -47,12 +47,14 @@ import time
 
 from repro.retrieval.analysis import Analyzer
 from repro.retrieval.documents import DocumentCollection
-from repro.retrieval.index import InvertedIndex
+from repro.retrieval.engine import shared_analysis
+from repro.retrieval.index import DocumentIndex
 from repro.retrieval.sharding import (
     BuildReport,
     PartitionedSearchEngine,
     partition_collection,
 )
+from repro.retrieval.snippets import SnippetExtractor
 from repro.serving.backends import ExecutionBackend, make_backend
 
 __all__ = [
@@ -75,15 +77,15 @@ class _PartitionBuilder:
     """
 
     def __init__(
-        self, part: DocumentCollection, shard: int, analyzer: Analyzer
+        self, part: DocumentCollection, shard: int, extractor: SnippetExtractor
     ) -> None:
         self._part = part
         self._shard = shard
-        self._analyzer = analyzer
+        self._extractor = extractor
 
-    def build(self) -> tuple[InvertedIndex, BuildReport]:
+    def build(self) -> tuple[DocumentIndex, BuildReport]:
         start = time.perf_counter()
-        index = InvertedIndex.from_collection(self._part, self._analyzer)
+        index = DocumentIndex.from_collection(self._part, self._extractor)
         seconds = time.perf_counter() - start
         return index, BuildReport.from_index(
             index, seconds, name=f"partition{self._shard}"
@@ -100,14 +102,19 @@ class PartitionBuildFactory:
     indexes exactly the documents the parent's router placed, and the
     assembled engine is *provably* the serial engine.  The dataclass and
     everything it holds pickle, so the factory travels under ``spawn``
-    and ``forkserver`` as well as ``fork``.
+    and ``forkserver`` as well as ``fork``.  *snippet_extractor* is the
+    engine's (its ``window_terms`` shapes the forward rows the workers
+    build); without one the workers use the stock extractor over
+    *analyzer*.
     """
 
     partitions: tuple[DocumentCollection, ...]
     analyzer: Analyzer
+    snippet_extractor: SnippetExtractor | None = None
 
     def __call__(self, shard: int) -> _PartitionBuilder:
-        return _PartitionBuilder(self.partitions[shard], shard, self.analyzer)
+        _, extractor = shared_analysis(self.analyzer, self.snippet_extractor)
+        return _PartitionBuilder(self.partitions[shard], shard, extractor)
 
 
 def build_partitioned_engine(
@@ -151,7 +158,7 @@ def build_partitioned_engine(
     """
     if num_partitions <= 0:
         raise ValueError("num_partitions must be positive")
-    analyzer = analyzer or Analyzer()
+    analyzer, snippet_extractor = shared_analysis(analyzer, snippet_extractor)
     start = time.perf_counter()
     parts = partition_collection(collection, num_partitions, seed)
     resolved = make_backend(
@@ -159,12 +166,13 @@ def build_partitioned_engine(
     )
     try:
         resolved.start(
-            PartitionBuildFactory(tuple(parts), analyzer), num_partitions
+            PartitionBuildFactory(tuple(parts), analyzer, snippet_extractor),
+            num_partitions,
         )
         done = resolved.broadcast("build")
     finally:
         resolved.close()
-    indexes: list[InvertedIndex] = []
+    indexes: list[DocumentIndex] = []
     reports: list[BuildReport] = []
     for shard in range(num_partitions):
         index, report = done[shard]

@@ -164,6 +164,17 @@ class TestPorterStemmer:
         # 'y' after consonant acts as vowel: "syzygy" has vowels.
         assert stem("crying") == "cry"
 
+    def test_memo_is_bounded_and_never_changes_a_stem(self, stem, monkeypatch):
+        from repro.retrieval import analysis
+
+        monkeypatch.setattr(analysis, "_STEM_MEMO_CAP", 8)
+        monkeypatch.setattr(PorterStemmer, "_memo", {})
+        words = [f"relational{i}s" for i in range(40)] + ["ponies", "caresses"]
+        for word in words * 2:  # second lap: hits, clears and refills
+            assert stem(word) == stem._stem(word)
+            assert len(PorterStemmer._memo) <= 8
+        assert PorterStemmer._memo  # in use, not bypassed
+
 
 class TestAnalyzer:
     def test_default_pipeline(self):

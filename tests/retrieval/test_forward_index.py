@@ -1,0 +1,322 @@
+"""The forward index under mutation and transport.
+
+The rows that serve the surrogates are built once per document and then
+travel: through ``remove_document`` and epoch copies, into pickles, into
+the store's ``documents.forward`` column and back.  Wherever they end up,
+they must be the rows a from-scratch build of the final collection holds
+— and the surrogate vectors served from them must be the vectors of the
+re-analysed snippet text (``SnippetExtractor.extract``, the oracle).
+"""
+
+from __future__ import annotations
+
+import pickle
+import sqlite3
+
+import pytest
+
+from repro.retrieval.analysis import Analyzer
+from repro.retrieval.documents import Document, DocumentCollection
+from repro.retrieval.engine import SearchEngine
+from repro.retrieval.index import DocumentIndex
+from repro.retrieval.sharding import PartitionedSearchEngine
+from repro.retrieval.similarity import TermVector
+from repro.retrieval.snippets import SnippetExtractor
+from repro.retrieval.store import (
+    SCHEMA_VERSION,
+    StoreBackedSearchEngine,
+    StoreError,
+    append_epoch,
+    write_store,
+)
+
+PARTITIONS = 3
+PROBES = ["apple running", "banana fig relational", "cherry", "the of"]
+
+
+def make_docs(n: int, prefix: str = "d") -> list[Document]:
+    """Documents long enough that ``max_chars`` cuts most surrogates, in
+    both window modes (every third one has sentence punctuation)."""
+    vocab = [
+        "apple", "banana", "cherry", "running", "relational", "fig", "the",
+        "there", "leopards", "İstanbul",
+    ]
+    docs = []
+    for i in range(n):
+        words = [vocab[(i * 3 + j * j) % len(vocab)] for j in range(30 + i % 25)]
+        joiner = ". " if i % 3 == 0 else " "
+        text = joiner.join(
+            " ".join(words[k:k + 6]) for k in range(0, len(words), 6)
+        )
+        docs.append(Document(f"{prefix}{i}", text, title=f"{vocab[i % 7]} t{i}"))
+    return docs
+
+
+def rows_of(engine) -> dict:
+    return {
+        doc_id: engine.forward_row(doc_id) for doc_id in engine.collection.doc_ids
+    }
+
+
+def vectors_of(engine) -> dict:
+    """Every probe's surrogate vectors, as order-preserving item lists."""
+    out = {}
+    for query in PROBES:
+        results = engine.search(query, k=40)
+        out[query] = {
+            doc_id: list(vector.weights.items())
+            for doc_id, vector in engine.snippet_vectors(query, results).items()
+        }
+    return out
+
+
+def oracle_vectors_of(engine) -> dict:
+    out = {}
+    for query in PROBES:
+        results = engine.search(query, k=40)
+        out[query] = {
+            r.doc_id: list(
+                TermVector.from_terms(
+                    engine.analyzer.analyze(engine.snippet(query, r.doc_id).text)
+                ).weights.items()
+            )
+            for r in results
+        }
+    return out
+
+
+class CountingAnalyzer(Analyzer):
+    def __init__(self):
+        super().__init__()
+        self.analysed: list[str] = []
+
+    def analyze(self, text):
+        self.analysed.append(text)
+        return super().analyze(text)
+
+
+class TestEngineServesTheOracle:
+    @pytest.mark.parametrize("flavour", ["single", "partitioned", "store"])
+    def test_snippet_vectors_equal_reanalysed_snippets(self, flavour, tmp_path):
+        collection = DocumentCollection(make_docs(40))
+        if flavour == "single":
+            engine = SearchEngine(collection)
+        else:
+            engine = PartitionedSearchEngine(collection, num_partitions=PARTITIONS)
+            if flavour == "store":
+                write_store(tmp_path / "s.sqlite3", engine)
+                engine = StoreBackedSearchEngine(tmp_path / "s.sqlite3")
+        served = vectors_of(engine)
+        assert served == oracle_vectors_of(engine)
+        assert any(vectors for vectors in served.values())
+
+    def test_query_path_analyses_the_query_and_cut_tails_only(self):
+        analyzer = CountingAnalyzer()
+        engine = SearchEngine(DocumentCollection(make_docs(40)), analyzer=analyzer)
+        results = engine.search("apple running", k=40)
+        analyzer.analysed.clear()
+        engine.snippet_vectors("apple running", results)
+        assert analyzer.analysed[0] == "apple running"
+        tails = analyzer.analysed[1:]
+        # At most one stretch per cut piece (two pieces can be cut: the
+        # window the budget ran out in and, with a title, the last
+        # character of the surrogate), each shorter than a token or two.
+        assert len(tails) <= 2 * len(results)
+        assert sum(len(analyzer.analyze(t)) for t in tails) <= len(tails)
+        assert "apple running" not in tails
+
+    def test_extractor_must_share_the_engine_analyzer(self):
+        collection = DocumentCollection(make_docs(3))
+        with pytest.raises(ValueError, match="analyzer"):
+            SearchEngine(
+                collection,
+                analyzer=Analyzer(),
+                snippet_extractor=SnippetExtractor(analyzer=Analyzer()),
+            )
+        extractor = SnippetExtractor(max_chars=50, window_terms=4)
+        engine = SearchEngine(collection, snippet_extractor=extractor)
+        assert engine.analyzer is extractor.analyzer
+        assert engine.index.extractor is extractor
+
+
+class TestRowsFollowMutation:
+    def test_index_and_remove_document_match_a_rebuild(self):
+        docs = make_docs(12)
+        index = DocumentIndex.from_collection(DocumentCollection(docs[:9]))
+        snapshot = index.copy()
+        index.remove_document("d2")
+        index.index_document(docs[9])
+        index.remove_document("d0")
+        index.index_document(docs[2])  # re-ingest: moves to the end
+        index.index_document(docs[10])
+        final = [d for d in docs[:9] if d.doc_id not in {"d2", "d0"}]
+        final += [docs[9], docs[2], docs[10]]
+        rebuilt = DocumentIndex.from_collection(DocumentCollection(final))
+        for document in final:
+            assert index.forward_row(document.doc_id) == rebuilt.forward_row(
+                document.doc_id
+            )
+            assert index.ordinal(document.doc_id) == rebuilt.ordinal(
+                document.doc_id
+            )
+        # The copy taken before the mutations still holds the old rows.
+        assert snapshot.num_documents == 9
+        assert snapshot.forward_row("d2") == DocumentIndex.from_collection(
+            DocumentCollection([docs[2]])
+        ).forward_row("d2")
+
+    def test_prepare_and_publish_match_a_rebuild(self):
+        docs = make_docs(30)
+        engine = PartitionedSearchEngine(
+            DocumentCollection(docs[:24]), num_partitions=PARTITIONS
+        )
+        before = engine.snapshot()
+        prepared = engine.prepare_epoch(docs[24:27], ["d1", "d7"])
+        engine.publish(prepared)
+        engine.apply_updates(docs[27:] + [docs[1]], ["d24"])
+        final = [d for d in docs[:24] if d.doc_id not in {"d1", "d7"}]
+        final += docs[25:27] + docs[27:] + [docs[1]]
+        rebuilt = PartitionedSearchEngine(
+            DocumentCollection(final), num_partitions=PARTITIONS
+        )
+        assert engine.collection.doc_ids == rebuilt.collection.doc_ids
+        assert rows_of(engine) == rows_of(rebuilt)
+        assert vectors_of(engine) == vectors_of(rebuilt)
+        # The delta's terms are read off the rows: every term of every
+        # changed document.
+        assert prepared.delta.terms == {
+            term
+            for document in docs[24:27] + [docs[1], docs[7]]
+            for term in engine.analyzer.analyze(document.full_text)
+        }
+        # A reader pinned to the old epoch still reads the old rows.
+        with engine.pinned(before):
+            assert engine.forward_row("d7") == rows_of(
+                SearchEngine(DocumentCollection([docs[7]]))
+            )["d7"]
+
+    def test_append_epoch_and_refresh_match_a_rebuild(self, tmp_path):
+        docs = make_docs(30)
+        path = tmp_path / "live.sqlite3"
+        write_store(
+            path,
+            PartitionedSearchEngine(
+                DocumentCollection(docs[:24]), num_partitions=PARTITIONS
+            ),
+        )
+        live = StoreBackedSearchEngine(path)
+        warmed = vectors_of(live)  # fill the document LRU before the appends
+        append_epoch(path, docs[24:27], ["d1", "d7"])
+        append_epoch(path, docs[27:] + [docs[1]], ["d24"])
+        assert live.refresh() == 2
+        final = [d for d in docs[:24] if d.doc_id not in {"d1", "d7"}]
+        final += docs[25:27] + docs[27:] + [docs[1]]
+        rebuilt = PartitionedSearchEngine(
+            DocumentCollection(final), num_partitions=PARTITIONS
+        )
+        assert live.collection.doc_ids == rebuilt.collection.doc_ids
+        assert rows_of(live) == rows_of(rebuilt)
+        assert vectors_of(live) == vectors_of(rebuilt) != warmed
+        assert vectors_of(live) == oracle_vectors_of(live)
+
+
+class TestRowsSurviveTransport:
+    def test_pickled_partitioned_engine_serves_identical_vectors(self):
+        engine = PartitionedSearchEngine(
+            DocumentCollection(make_docs(30)), num_partitions=PARTITIONS
+        )
+        clone = pickle.loads(pickle.dumps(engine))
+        assert rows_of(clone) == rows_of(engine)
+        assert vectors_of(clone) == vectors_of(engine)
+
+    def test_reattached_store_engine_serves_identical_vectors(self, tmp_path):
+        built = PartitionedSearchEngine(
+            DocumentCollection(make_docs(30)), num_partitions=PARTITIONS
+        )
+        path = write_store(tmp_path / "s.sqlite3", built)
+        attached = StoreBackedSearchEngine(path)
+        reattached = pickle.loads(pickle.dumps(attached))
+        assert rows_of(attached) == rows_of(built)
+        assert vectors_of(attached) == vectors_of(built)
+        assert vectors_of(reattached) == vectors_of(built)
+
+    def test_rows_share_one_string_per_term(self, tmp_path):
+        built = PartitionedSearchEngine(
+            DocumentCollection(make_docs(12)), num_partitions=PARTITIONS
+        )
+        attached = StoreBackedSearchEngine(
+            write_store(tmp_path / "s.sqlite3", built)
+        )
+        seen: dict[str, str] = {}
+        for row in rows_of(attached).values():
+            for term in row.terms:
+                assert seen.setdefault(term, term) is term
+
+
+class TestStoreSchema:
+    def _downgrade_to_v2(self, path) -> None:
+        """Turn a fresh store into what the previous commit wrote."""
+        connection = sqlite3.connect(path)
+        connection.execute("ALTER TABLE documents DROP COLUMN forward")
+        connection.execute("DELETE FROM meta WHERE key = 'window_terms'")
+        connection.execute(
+            "UPDATE meta SET value = '2' WHERE key = 'schema_version'"
+        )
+        connection.commit()
+        connection.close()
+
+    def test_v2_store_is_rejected_naming_both_versions(self, tmp_path):
+        path = write_store(
+            tmp_path / "old.sqlite3",
+            PartitionedSearchEngine(
+                DocumentCollection(make_docs(6)), num_partitions=PARTITIONS
+            ),
+        )
+        self._downgrade_to_v2(path)
+        assert SCHEMA_VERSION == 3
+        for attempt in (
+            lambda: StoreBackedSearchEngine(path),
+            lambda: append_epoch(path, make_docs(1, prefix="n")),
+        ):
+            with pytest.raises(StoreError) as exc_info:
+                attempt()
+            message = str(exc_info.value)
+            assert "old.sqlite3" in message
+            assert "version 2" in message and "version 3" in message
+
+    def test_window_terms_mismatch_is_a_typed_error(self, tmp_path):
+        built = PartitionedSearchEngine(
+            DocumentCollection(make_docs(12)),
+            num_partitions=PARTITIONS,
+            snippet_extractor=SnippetExtractor(window_terms=5),
+        )
+        path = write_store(tmp_path / "w5.sqlite3", built)
+        with pytest.raises(StoreError) as exc_info:
+            StoreBackedSearchEngine(path)  # stock extractor: window_terms=24
+        message = str(exc_info.value)
+        assert "w5.sqlite3" in message
+        assert "window_terms=5" in message and "24" in message
+        attached = StoreBackedSearchEngine(
+            path, snippet_extractor=SnippetExtractor(window_terms=5)
+        )
+        assert vectors_of(attached) == vectors_of(built)
+
+    def test_append_epoch_windows_new_documents_like_the_store(self, tmp_path):
+        docs = make_docs(16)
+        extractor = SnippetExtractor(window_terms=5)
+        path = write_store(
+            tmp_path / "w5.sqlite3",
+            PartitionedSearchEngine(
+                DocumentCollection(docs[:12]),
+                num_partitions=PARTITIONS,
+                snippet_extractor=extractor,
+            ),
+        )
+        append_epoch(path, docs[12:], analyzer=extractor.analyzer)
+        live = StoreBackedSearchEngine(path, snippet_extractor=extractor)
+        rebuilt = PartitionedSearchEngine(
+            DocumentCollection(docs),
+            num_partitions=PARTITIONS,
+            snippet_extractor=SnippetExtractor(window_terms=5),
+        )
+        assert rows_of(live) == rows_of(rebuilt)

@@ -9,13 +9,14 @@ import pytest
 
 from repro.retrieval.documents import Document, DocumentCollection
 from repro.retrieval.engine import SearchEngine
-from repro.retrieval.index import InvertedIndex
+from repro.retrieval.index import DocumentIndex, InvertedIndex
 from repro.retrieval.sharding import (
     BuildReport,
     PartitionedSearchEngine,
     partition_collection,
     stable_shard,
 )
+from repro.retrieval.snippets import SnippetExtractor
 
 
 class TestStableShard:
@@ -208,8 +209,9 @@ class TestPrebuiltPartitionIndexes:
 
     def _parts_and_indexes(self, collection, num_partitions, analyzer):
         parts = partition_collection(collection, num_partitions)
+        extractor = SnippetExtractor(analyzer=analyzer)
         indexes = [
-            InvertedIndex.from_collection(part, analyzer) for part in parts
+            DocumentIndex.from_collection(part, extractor) for part in parts
         ]
         return parts, indexes
 
@@ -231,6 +233,26 @@ class TestPrebuiltPartitionIndexes:
             got = assembled.search(topic.query, 30)
             assert want.doc_ids == got.doc_ids
             assert want.scores == got.scores
+
+    def test_indexes_without_matching_forward_rows_rejected(
+        self, tiny_collection
+    ):
+        """The forward rows travel inside the injected indexes: a plain
+        inverted index has none, and rows windowed differently would
+        serve different surrogates than a serial build."""
+        parts = partition_collection(tiny_collection, 2)
+        plain = [InvertedIndex.from_collection(part) for part in parts]
+        rewindowed = [
+            DocumentIndex.from_collection(part, SnippetExtractor(window_terms=5))
+            for part in parts
+        ]
+        for indexes in (plain, rewindowed):
+            with pytest.raises(ValueError, match="window_terms"):
+                PartitionedSearchEngine(
+                    tiny_collection, 2,
+                    partition_collections=parts,
+                    partition_indexes=indexes,
+                )
 
     def test_partition_count_mismatch_rejected(self, tiny_collection):
         parts, indexes = self._parts_and_indexes(tiny_collection, 2, None)

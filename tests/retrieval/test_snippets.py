@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.retrieval.snippets import SnippetExtractor
+from repro.retrieval.documents import Document
+from repro.retrieval.similarity import TermVector
+from repro.retrieval.snippets import ForwardRow, SnippetExtractor
 
 
 @pytest.fixture()
@@ -70,3 +72,130 @@ class TestSnippetExtractor:
     def test_len_protocol(self, extractor):
         snippet = extractor.extract("q", "d", "abc def")
         assert len(snippet) == len(snippet.text)
+
+
+# -- forward index ---------------------------------------------------------------
+
+
+def surrogate_pair(extractor, query, text, title=""):
+    """(oracle, forward) surrogate vectors of one document: the text path
+    re-analysing the extracted snippet vs the forward row."""
+    analyzer = extractor.analyzer
+    document = Document("d", text, title)
+    oracle = TermVector.from_terms(
+        analyzer.analyze(extractor.extract(query, "d", text, title).text)
+    )
+    forward = TermVector.from_terms(
+        extractor.surrogate_terms(
+            set(analyzer.analyze(query)),
+            extractor.analyse_document(document),
+            document,
+        )
+    )
+    return oracle, forward
+
+
+def assert_same_vector(oracle, forward):
+    # Same keys in the same insertion order (it fixes the summation order
+    # of every later dot product) and the same floats.
+    assert list(forward.weights.items()) == list(oracle.weights.items())
+
+
+class TestForwardIndexOracle:
+    """``surrogate_terms`` over a forward row must equal re-analysing the
+    text ``extract`` returns, on every truncation edge."""
+
+    TEXT = "leopards are running fast. the tank division is relational. ponies graze."
+
+    @pytest.mark.parametrize("max_chars", range(1, 90))
+    def test_every_cut_position_with_and_without_title(self, max_chars):
+        # Sweeps the cut through token middles, token ends, separators,
+        # the title, and the one-over-budget final cut.
+        extractor = SnippetExtractor(max_chars=max_chars)
+        for title in ("", "Leopard tanks", " "):
+            assert_same_vector(
+                *surrogate_pair(extractor, "tank ponies", self.TEXT, title)
+            )
+
+    def test_cut_mid_token_keeps_the_stemmed_prefix(self):
+        extractor = SnippetExtractor(max_chars=12)
+        oracle, forward = surrogate_pair(extractor, "", "alpha relational beta")
+        assert_same_vector(oracle, forward)
+        assert "relat" not in forward.weights  # "alpha relati" -> "relati"
+        assert set(forward.weights) == {"alpha", "relati"}
+
+    def test_cut_exactly_on_a_token_end(self):
+        extractor = SnippetExtractor(max_chars=len("alpha relational"))
+        oracle, forward = surrogate_pair(extractor, "", "alpha relational beta")
+        assert_same_vector(oracle, forward)
+        assert set(forward.weights) == {"alpha", "relat"}
+
+    def test_cut_inside_the_title_and_title_longer_than_budget(self):
+        extractor = SnippetExtractor(max_chars=10)
+        oracle, forward = surrogate_pair(
+            extractor, "body", "body text here", title="Relational databases"
+        )
+        assert_same_vector(oracle, forward)
+        assert set(forward.weights) == {"relat"}  # "Relational"[:10], no body
+
+    def test_single_sentence_uses_the_window_terms_fallback(self):
+        extractor = SnippetExtractor(max_chars=40, window_terms=3)
+        text = "one two three four five six seven needle nine ten."
+        oracle, forward = surrogate_pair(extractor, "needle", text)
+        assert_same_vector(oracle, forward)
+        assert "needl" in forward.weights
+        row = extractor.analyse_document(Document("d", text))
+        assert len(row.lengths) == 1 + 4  # title piece + ceil(10 / 3) windows
+
+    def test_sentences_are_the_windows_when_there_are_several(self):
+        extractor = SnippetExtractor(max_chars=40, window_terms=3)
+        text = "one two three four. five six seven needle nine ten."
+        row = extractor.analyse_document(Document("d", text))
+        assert len(row.lengths) == 1 + 2
+        assert_same_vector(*surrogate_pair(extractor, "needle", text))
+
+    def test_empty_text_and_empty_everything(self, extractor):
+        for text, title in (("", ""), ("", "Title only"), ("   ", " ")):
+            oracle, forward = surrogate_pair(extractor, "query", text, title)
+            assert_same_vector(oracle, forward)
+
+    def test_all_stopword_windows_score_zero_but_still_fill_the_budget(self):
+        extractor = SnippetExtractor(max_chars=30)
+        text = "the of and to. is it was. apple pie."
+        assert_same_vector(*surrogate_pair(extractor, "apple", text))
+        assert_same_vector(*surrogate_pair(extractor, "the", text))
+
+    def test_cut_token_that_becomes_a_stopword_is_dropped(self):
+        extractor = SnippetExtractor(max_chars=len("apple the"))
+        oracle, forward = surrogate_pair(extractor, "", "apple there pie")
+        assert_same_vector(oracle, forward)
+        assert set(forward.weights) == {"appl"}  # "there" cut to "the"
+
+    def test_cut_stopword_that_becomes_a_term_is_kept(self):
+        extractor = SnippetExtractor(max_chars=len("apple thei"))
+        oracle, forward = surrogate_pair(extractor, "", "apple their pie")
+        assert_same_vector(oracle, forward)
+        assert set(forward.weights) == {"appl", "thei"}
+
+    @pytest.mark.parametrize("max_chars", range(1, 40))
+    def test_text_whose_lowercasing_changes_length(self, max_chars):
+        # "İ".lower() is two characters: offsets into the lowered text
+        # are not offsets into the text the budget cuts.
+        extractor = SnippetExtractor(max_chars=max_chars, window_terms=4)
+        text = "İstanbul aİb İİ KELVİN runningİK. second İ sentence here"
+        for title in ("", "İzmir İ"):
+            assert_same_vector(*surrogate_pair(extractor, "istanbul", text, title))
+
+    def test_row_terms_are_the_indexed_terms_in_order(self, extractor):
+        # The postings are counted from the row, so it must hold exactly
+        # what indexing the full text would have analysed.
+        for text, title in (
+            (self.TEXT, "Leopard tanks"),
+            ("no punctuation here at all " * 9, ""),
+            ("İstanbul. aİb!", "İ"),
+            ("", ""),
+        ):
+            document = Document("d", text, title)
+            row = extractor.analyse_document(document)
+            assert list(row.terms) == extractor.analyzer.analyze(document.full_text)
+            assert ForwardRow.decode(row.encode()) == row

@@ -10,6 +10,7 @@ until the test opens it, so no scenario depends on scheduler luck.
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import urllib.error
@@ -23,7 +24,7 @@ from repro.serving import (
     ShardedDiversificationService,
     result_payload,
 )
-from repro.serving.http import DEFAULT_PAGE_LIMIT, MAX_PAGE_LIMIT
+from repro.serving.http import DEFAULT_PAGE_LIMIT, MAX_BODY_BYTES, MAX_PAGE_LIMIT
 
 
 # -- HTTP helpers ----------------------------------------------------------------
@@ -174,6 +175,50 @@ class TestDiversify:
         assert error_code(body) == "method_not_allowed"
         status, body = post(server.base_url + "/health")
         assert status == 405
+
+
+class TestBodyLimits:
+    """``Content-Length`` is outside input: it is checked before a byte
+    of the body is read or allocated."""
+
+    def _declare(self, server, length: str, body: bytes = b""):
+        host, port = server.address
+        connection = http.client.HTTPConnection(host, port, timeout=10)
+        try:
+            connection.putrequest("POST", "/diversify")
+            connection.putheader("Content-Type", "application/json")
+            connection.putheader("Content-Length", length)
+            connection.endheaders(body)
+            response = connection.getresponse()
+            return response.status, json.load(response), response.getheader(
+                "Connection"
+            )
+        finally:
+            connection.close()
+
+    def test_declared_body_over_limit_is_413_without_reading_it(self, server):
+        # No body follows the headers: the refusal cannot have waited for one.
+        status, body, connection = self._declare(server, str(MAX_BODY_BYTES + 1))
+        assert status == 413
+        assert error_code(body) == "body_too_large"
+        assert str(MAX_BODY_BYTES) in body["error"]["message"]
+        assert connection == "close"
+
+    @pytest.mark.parametrize("length", ["-1", "-9999999999", "ten"])
+    def test_negative_or_garbled_length_is_400(self, server, length):
+        status, body, connection = self._declare(server, length)
+        assert status == 400
+        assert error_code(body) == "bad_length"
+        assert connection == "close"
+
+    def test_body_exactly_at_limit_is_served(
+        self, server, reference, topic_queries
+    ):
+        payload = json.dumps({"query": topic_queries[0]}).encode("utf-8")
+        padded = payload + b" " * (MAX_BODY_BYTES - len(payload))
+        status, body, _ = self._declare(server, str(len(padded)), padded)
+        assert status == 200
+        assert body == reference[topic_queries[0]]
 
 
 # -- GET /results ----------------------------------------------------------------

@@ -21,9 +21,11 @@ from repro.core.xquad import XQuAD
 from repro.evaluation.metrics import alpha_ndcg, intent_aware_precision
 from repro.corpus.trec import DiversityQrels
 from repro.evaluation.significance import wilcoxon_signed_rank
-from repro.retrieval.analysis import PorterStemmer, tokenize
+from repro.retrieval.analysis import Analyzer, PorterStemmer, tokenize
+from repro.retrieval.documents import Document
 from repro.retrieval.engine import ResultList
 from repro.retrieval.similarity import TermVector, cosine, delta
+from repro.retrieval.snippets import ForwardRow, SnippetExtractor
 
 # ---------------------------------------------------------------------------
 # strategies
@@ -98,6 +100,71 @@ class TestAnalysisProperties:
     @given(words)
     def test_stemmer_nonempty(self, word):
         assert PorterStemmer()(word)
+
+
+# ---------------------------------------------------------------------------
+# forward index
+# ---------------------------------------------------------------------------
+
+# Few distinct letters so query terms recur in documents; stopwords and
+# near-stopwords so cuts turn one into the other; sentence punctuation and
+# every kind of whitespace so both window modes occur; characters whose
+# lower-casing is longer (İ), context dependent (Σ) or ASCII from
+# non-ASCII (K, the Kelvin sign).
+document_text = st.text(
+    alphabet=st.sampled_from(
+        list("abeinrst") * 2 + list("THE") + list("  \t\n") + list(".!?,-")
+        + list("09") + ["İ", "Σ", "\u212a", "ß", "é"]
+    ),
+    max_size=160,
+)
+extractors = st.builds(
+    SnippetExtractor,
+    max_chars=st.integers(min_value=1, max_value=120),
+    window_terms=st.integers(min_value=1, max_value=12),
+    analyzer=st.just(Analyzer()),
+)
+
+
+class TestForwardIndexProperties:
+    @settings(max_examples=400, deadline=None)
+    @given(extractors, document_text, document_text, document_text)
+    def test_forward_surrogate_equals_reanalysed_snippet(
+        self, extractor, query, text, title
+    ):
+        """The served vector (from the forward row) is the vector of the
+        re-analysed snippet text: same keys, same order, same floats."""
+        analyzer = extractor.analyzer
+        document = Document("d", text, title)
+        row = extractor.analyse_document(document)
+        served = TermVector.from_terms(
+            extractor.surrogate_terms(set(analyzer.analyze(query)), row, document)
+        )
+        oracle = TermVector.from_terms(
+            analyzer.analyze(extractor.extract(query, "d", text, title).text)
+        )
+        assert list(served.weights.items()) == list(oracle.weights.items())
+
+    @settings(max_examples=200, deadline=None)
+    @given(extractors, document_text, document_text)
+    def test_row_terms_are_the_postings_terms(self, extractor, text, title):
+        """Postings are counted from the row's terms: they must be the
+        analysis of the indexed text, and survive the store's blob."""
+        document = Document("d", text, title)
+        row = extractor.analyse_document(document)
+        assert list(row.terms) == extractor.analyzer.analyze(document.full_text)
+        assert list(row.bounds) == sorted(row.bounds)
+        assert row.bounds[-1] == len(row.terms) == len(row.ends)
+        assert ForwardRow.decode(row.encode()) == row
+
+    @given(document_text)
+    def test_ends_locate_each_term_in_the_original_text(self, text):
+        analyzer = Analyzer()
+        terms, ends = analyzer.analyze_with_ends(text)
+        assert terms == analyzer.analyze(text)
+        for count, end in enumerate(ends, 1):
+            # Everything up to a term's end analyses to the terms so far.
+            assert analyzer.analyze(text[:end]) == terms[:count]
 
 
 # ---------------------------------------------------------------------------
