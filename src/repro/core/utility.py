@@ -21,12 +21,14 @@ threshold ``c`` — the knob swept in Table 3.
 pair once; every diversification algorithm then reads it in O(1), so the
 algorithms' measured complexity (Table 2) reflects selection work, not
 similarity computation — matching the paper's setting where utilities
-come from precomputed specialization lists (Section 4.1).
+come from precomputed specialization lists (Section 4.1).  It evaluates
+Eq. (1) by algebra (see :meth:`UtilityMatrix.build`); :func:`utility` and
+:func:`normalized_utility` evaluate it pair by pair and are the reference
+oracle the tests hold ``build`` to — nothing on the request path calls them.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Iterable, Mapping
 
 from repro.retrieval.engine import ResultList
@@ -137,33 +139,44 @@ class UtilityMatrix:
 
         *vectors* holds surrogate vectors for both the candidates and the
         specialization results (one shared vector space).
+
+        Ũ is linear in the candidate's unit vector d̂, so Eq. (1) is one
+        dot product against a rank-weighted centroid per specialization::
+
+            Ũ(d | R_q') = d̂ · c_q',   c_q' = Σ_{d' ∈ R_q'} d̂' / (rank(d') · H_n)
+
+        — O(Σ nnz(R_q') + |R_q|·|S_q|·nnz(d)) instead of |R_q|·Σ|R_q'|
+        cosines.  Weights are non-negative (:class:`TermVector` rejects
+        others), so the non-zero cells are exactly those of the pairwise
+        :func:`normalized_utility` and values agree to a few ULP.
         """
+        cand_weights = [
+            (c.doc_id, vectors[c.doc_id].weights)
+            for c in candidates
+            if c.doc_id in vectors
+        ]
+        # Summation order (rank order, then each vector's term insertion
+        # order) fixes the last bits: docs/ARCHITECTURE.md, "floating-point
+        # contract".  Changing it means regenerating the golden file.
         values: dict[str, dict[str, float]] = {}
         for spec, results in spec_results.items():
-            row: dict[str, float] = {}
-            n = len(results)
-            if n == 0:
-                values[spec] = row
-                continue
-            h = harmonic_number(n)
-            spec_vectors = [
-                (r.rank, vectors.get(r.doc_id)) for r in results
-            ]
-            for candidate in candidates:
-                cand_vector = vectors.get(candidate.doc_id)
-                if cand_vector is None:
+            h = harmonic_number(len(results))
+            centroid: dict[str, float] = {}
+            for result in results:
+                spec_vector = vectors.get(result.doc_id)
+                if spec_vector is None:
                     continue
+                scale = 1.0 / (result.rank * h)
+                for term, weight in spec_vector.weights.items():
+                    centroid[term] = centroid.get(term, 0.0) + weight * scale
+            row = values[spec] = {}
+            for doc_id, weights in cand_weights:
                 total = 0.0
-                for rank, spec_vector in spec_vectors:
-                    if spec_vector is None:
-                        continue
-                    sim = cosine(cand_vector, spec_vector)
-                    if sim > 0.0:
-                        total += sim / rank
-                value = min(1.0, total / h)
-                if value > 0:
-                    row[candidate.doc_id] = value
-            values[spec] = row
+                for term, weight in weights.items():
+                    if term in centroid:
+                        total += weight * centroid[term]
+                if total > 0:
+                    row[doc_id] = min(1.0, total)
         return cls(values, candidates.doc_ids, threshold=threshold)
 
     # -- access ------------------------------------------------------------------
@@ -194,7 +207,7 @@ class UtilityMatrix:
     def with_threshold(self, threshold: float) -> "UtilityMatrix":
         """A re-thresholded copy (cheap: values are already computed).
 
-        Table 3 sweeps ``c`` over nine values; recomputing cosines each
+        Table 3 sweeps ``c`` over nine values; recomputing utilities each
         time would dominate, so experiments build the matrix once at
         ``c = 0`` and re-threshold.
         """
@@ -204,7 +217,7 @@ class UtilityMatrix:
         """Fraction of non-zero cells — a workload statistic for benches."""
         cells = len(self.candidates) * max(1, len(self._by_spec))
         nonzero = sum(len(v) for v in self._by_spec.values())
-        return nonzero / cells
+        return nonzero / cells if cells else 0.0
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -29,8 +29,8 @@ __all__ = ["TermVector", "cosine", "delta"]
 class TermVector:
     """An L2-normalised sparse term-weight vector.
 
-    The constructor accepts raw (term → weight) mappings; weights are
-    normalised so that ``||v|| == 1`` unless the vector is empty.
+    The constructor accepts raw non-negative (term → weight) mappings;
+    weights are normalised so that ``||v|| == 1`` unless the vector is empty.
 
     >>> v = TermVector({"apple": 2.0, "fruit": 1.0})
     >>> round(v.norm, 6)
@@ -40,6 +40,10 @@ class TermVector:
     __slots__ = ("weights", "norm")
 
     def __init__(self, weights: Mapping[str, float]) -> None:
+        _require_non_negative(weights)
+        self._normalize(weights)
+
+    def _normalize(self, weights: Mapping[str, float]) -> None:
         norm = math.sqrt(sum(w * w for w in weights.values()))
         if norm > 0:
             self.weights = {t: w / norm for t, w in weights.items() if w != 0}
@@ -53,7 +57,9 @@ class TermVector:
     @classmethod
     def from_terms(cls, terms: Iterable[str]) -> "TermVector":
         """Build a term-frequency vector from pre-analysed terms."""
-        return cls(Counter(terms))
+        vector = cls.__new__(cls)
+        vector._normalize(Counter(terms))  # counts are >= 1: no sign check
+        return vector
 
     @classmethod
     def from_text(cls, text: str, analyzer: Analyzer | None = None) -> "TermVector":
@@ -71,6 +77,7 @@ class TermVector:
         Persistence (``repro.retrieval.persistence``) therefore restores
         vectors through here, byte-identical to what was saved.
         """
+        _require_non_negative(weights)
         vector = cls.__new__(cls)
         vector.weights = {t: w for t, w in weights.items() if w != 0}
         vector.norm = 1.0 if vector.weights else 0.0
@@ -108,6 +115,11 @@ class TermVector:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TermVector(terms={len(self.weights)})"
+
+
+def _require_non_negative(weights: Mapping[str, float]) -> None:
+    if any(w < 0 for w in weights.values()):
+        raise ValueError("term weights must be non-negative")
 
 
 def cosine(v1: TermVector, v2: TermVector) -> float:

@@ -3,13 +3,20 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.core.ambiguity import SpecializationSet
+from repro.core.iaselect import IASelect
+from repro.core.optselect import OptSelect
+from repro.core.task import DiversificationTask
 from repro.core.utility import (
     UtilityMatrix,
     harmonic_number,
     normalized_utility,
     utility,
 )
+from repro.core.xquad import XQuAD
 from repro.retrieval.engine import ResultList
 from repro.retrieval.similarity import TermVector
 
@@ -155,6 +162,10 @@ class TestUtilityMatrix:
         assert 0.0 < matrix.density() <= 1.0
         assert matrix.with_threshold(0.999).density() < matrix.density()
 
+    def test_density_of_empty_matrix_is_zero(self):
+        assert UtilityMatrix({}, []).density() == 0.0
+        assert UtilityMatrix({"q x": {}}, []).density() == 0.0
+
     def test_out_of_range_value_rejected(self):
         with pytest.raises(ValueError):
             UtilityMatrix({"s": {"d": 1.5}}, ["d"])
@@ -168,3 +179,230 @@ class TestUtilityMatrix:
             candidates, {"q x": ResultList("q x", [])}, {}
         )
         assert matrix.useful_docs("q x") == {}
+
+
+# ---------------------------------------------------------------------------
+# The centroid identity: ``build`` against the pairwise oracle (Eq. 1)
+# ---------------------------------------------------------------------------
+
+EPS = 2.0 ** -52  # one ULP, relative to a value at the bottom of its binade
+
+
+def oracle_values(candidates, spec_results, vectors):
+    """Eq. (1) cell by cell through the pairwise ``normalized_utility``."""
+    return {
+        spec: {
+            c.doc_id: value
+            for c in candidates
+            if c.doc_id in vectors
+            and (value := normalized_utility(vectors[c.doc_id], results, vectors))
+            > 0
+        }
+        for spec, results in spec_results.items()
+    }
+
+
+def ulp_bound(doc_id, results, vectors):
+    """Roundings that separate the two evaluations of one cell.
+
+    Pairwise: nnz(d) per dot, one division by the rank, |R_q'| additions,
+    one division by H_n.  Centroid: three for ``1 / (rank * H_n)`` times
+    the weight, |R_q'| additions per centroid term, nnz(d) for the final
+    dot.  Every term is non-negative, so nothing cancels and the relative
+    errors (each <= 2**-53) only add: 2 * (nnz(d) + |R_q'| + 3) half-ULPs.
+    """
+    return len(vectors[doc_id]) + len(results) + 3
+
+
+def assert_build_matches_oracle(candidates, spec_results, vectors):
+    matrix = UtilityMatrix.build(candidates, spec_results, vectors)
+    expected = oracle_values(candidates, spec_results, vectors)
+    assert matrix.specializations == list(spec_results)
+    for spec, results in spec_results.items():
+        got = matrix.useful_docs(spec)
+        assert set(got) == set(expected[spec])  # R_q ⋈ q' exactly
+        for doc_id, value in got.items():
+            want = expected[spec][doc_id]
+            assert abs(value - want) <= (
+                ulp_bound(doc_id, results, vectors) * EPS * max(value, want)
+            )
+    return matrix, UtilityMatrix(expected, candidates.doc_ids)
+
+
+class TestPaperOracle:
+    """A hand-computed Eq. (1) instance with exactly representable parts."""
+
+    # TermVector({"x": 3, "y": 4}) normalises by exactly 5.
+    vectors = {
+        "d": TermVector({"x": 3.0, "y": 4.0}),      # (0.6, 0.8)
+        "s1": TermVector({"x": 1.0}),               # cos = 0.6
+        "s2": TermVector({"y": 1.0}),               # cos = 0.8
+        "s3": TermVector({"x": 4.0, "y": 3.0}),     # cos = 0.48 + 0.48
+        "other": TermVector({"z": 1.0}),
+    }
+    spec = ResultList("q'", [("s1", 3.0), ("s2", 2.0), ("s3", 1.0)])
+    # U = 0.6/1 + 0.8/2 + 0.96/3 = 1.32;  H_3 = 11/6;  Ũ = 1.32 · 6/11 = 0.72
+    expected = 0.72
+
+    def test_weights_are_the_3_4_5_triangle(self):
+        assert self.vectors["d"].weights == {"x": 0.6, "y": 0.8}
+        assert self.vectors["s3"].weights == {"x": 0.8, "y": 0.6}
+
+    def test_pairwise_reference(self):
+        assert utility(self.vectors["d"], self.spec, self.vectors) == (
+            pytest.approx(1.32, rel=1e-15)
+        )
+        assert normalized_utility(
+            self.vectors["d"], self.spec, self.vectors
+        ) == pytest.approx(self.expected, rel=1e-15)
+
+    def test_build(self):
+        candidates = ResultList("q", [("d", 2.0), ("other", 1.0)])
+        matrix = UtilityMatrix.build(
+            candidates, {"q'": self.spec}, self.vectors
+        )
+        assert matrix.value("d", "q'") == pytest.approx(self.expected, rel=1e-15)
+        assert matrix.useful_docs("q'").keys() == {"d"}
+
+
+class TestCentroidIdentity:
+    def test_edge_cases_in_one_instance(self):
+        vectors = {
+            "c1": TermVector({"a": 2.0, "b": 1.0}),
+            "c2": TermVector({"b": 1.0, "c": 3.0}),
+            "c-empty": TermVector({}),
+            # "c-missing" has no vector at all
+            "s1": TermVector({"a": 1.0, "c": 1.0}),
+            "s-empty": TermVector({}),
+            "shared": TermVector({"b": 5.0, "a": 0.5}),
+        }
+        candidates = ResultList(
+            "q",
+            [("c1", 5.0), ("c-missing", 4.0), ("c2", 3.0), ("c-empty", 2.0),
+             ("shared", 1.0)],
+        )
+        spec_results = {
+            "q one": ResultList(
+                "q one",
+                [("s1", 4.0), ("s-missing", 3.0), ("shared", 2.0), ("s-empty", 1.0)],
+            ),
+            "q two": ResultList("q two", [("shared", 2.0), ("c2", 1.0)]),
+            "q none": ResultList("q none", []),
+            "q blind": ResultList("q blind", [("s-missing", 1.0), ("s-empty", 0.5)]),
+        }
+        matrix, _ = assert_build_matches_oracle(candidates, spec_results, vectors)
+        assert matrix.useful_docs("q one").keys() == {"c1", "c2", "shared"}
+        assert matrix.useful_docs("q none") == {}
+        assert matrix.useful_docs("q blind") == {}
+        assert matrix.candidates == candidates.doc_ids
+
+    def test_identical_surrogates_clamp_to_one(self):
+        vector = {"a": 1.0, "b": 2.0, "c": 3.0, "d": 5.0, "e": 7.0}
+        vectors = {name: TermVector(vector) for name in ("c", "s1", "s2", "s3")}
+        matrix, _ = assert_build_matches_oracle(
+            ResultList("q", [("c", 1.0)]),
+            {"q'": ResultList("q'", [("s1", 3.0), ("s2", 2.0), ("s3", 1.0)])},
+            vectors,
+        )
+        assert matrix.value("c", "q'") <= 1.0
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_build_agrees_with_pairwise_oracle(self, data):
+        pool = [f"d{i}" for i in range(10)]
+        weight = st.one_of(
+            st.integers(min_value=1, max_value=5).map(float),
+            st.floats(min_value=0.01, max_value=10.0),
+        )
+        # Absent from the map = no surrogate; min_size=0 = empty surrogate.
+        vectors = {
+            doc_id: TermVector(weights)
+            for doc_id, weights in data.draw(
+                st.dictionaries(
+                    st.sampled_from(pool),
+                    st.dictionaries(st.sampled_from("abcdefgh"), weight, max_size=6),
+                )
+            ).items()
+        }
+        doc_lists = st.lists(st.sampled_from(pool), unique=True, max_size=6)
+        cand_ids = data.draw(doc_lists.filter(bool))
+        candidates = ResultList(
+            "q", [(d, float(len(cand_ids) - i)) for i, d in enumerate(cand_ids)]
+        )
+        # One small pool: lists share documents with each other and with R_q.
+        spec_results = {
+            f"q s{j}": ResultList(
+                f"q s{j}", [(d, float(len(ids) - i)) for i, d in enumerate(ids)]
+            )
+            for j, ids in enumerate(
+                data.draw(st.lists(doc_lists, min_size=1, max_size=3))
+            )
+        }
+        matrix, oracle = assert_build_matches_oracle(
+            candidates, spec_results, vectors
+        )
+
+        # The two evaluations may order two candidates differently only
+        # where their utilities are within the bound of each other (a
+        # mathematical tie rounded two ways); everywhere else every
+        # algorithm must pick the same documents in the same order.
+        for spec in spec_results:
+            ours, theirs = matrix.useful_docs(spec), oracle.useful_docs(spec)
+            if not all(
+                (ours[a] < ours[b]) == (theirs[a] < theirs[b])
+                for a in ours
+                for b in ours
+            ):
+                return
+        specializations = SpecializationSet.from_frequencies(
+            "q", {spec: j + 1 for j, spec in enumerate(spec_results)}
+        )
+        for algorithm in (OptSelect(), XQuAD(), IASelect()):
+            rankings = [
+                algorithm.diversify(
+                    DiversificationTask.create(
+                        query="q",
+                        candidates=candidates,
+                        specializations=specializations,
+                        utilities=utilities,
+                    ),
+                    k=3,
+                )
+                for utilities in (matrix, oracle)
+            ]
+            assert rankings[0] == rankings[1]
+
+
+class TestMergedVectorMap:
+    """What ``build`` is handed today, written down (ROADMAP item 1b)."""
+
+    def test_framework_keeps_the_candidates_vector(
+        self, small_framework, small_engine, ambiguous_topic
+    ):
+        """``build_task`` merges with ``setdefault``: a document of R_q' that
+        is also in R_q keeps its *q*-biased surrogate, not its q'-biased one —
+        so a centroid cached per specialization would rank differently."""
+        query = ambiguous_topic.query
+        task = small_framework.build_task(query, small_framework.detect(query))
+        own = small_engine.snippet_vectors(query, task.candidates)
+        differing = 0
+        for spec in task.utilities.specializations:
+            _, spec_vectors = small_framework._spec_results(spec)
+            for doc_id, spec_vector in spec_vectors.items():
+                if doc_id in own:
+                    assert task.vectors[doc_id].weights == own[doc_id].weights
+                    differing += spec_vector.weights != own[doc_id].weights
+                else:
+                    assert task.vectors[doc_id] is spec_vector
+        assert differing, "no shared document with differing surrogates in the fixture"
+        rebuilt = UtilityMatrix.build(
+            task.candidates,
+            {
+                spec: small_framework._spec_results(spec)[0]
+                for spec in task.utilities.specializations
+            },
+            task.vectors,
+            threshold=small_framework.config.threshold,
+        )
+        for spec in rebuilt.specializations:
+            assert rebuilt.useful_docs(spec) == task.utilities.useful_docs(spec)

@@ -8,7 +8,13 @@ top-20 with scores, and the diversified top-20 with every document's
 overall utility — so the identity claim rests on frozen output, not on a
 sibling code path that could drift together with it.
 
-Regenerate only after an intended semantic change::
+The ``diversified`` utilities (not their order) were regenerated once
+since, when ``UtilityMatrix.build`` moved from pairwise cosines to one
+centroid per specialization: 36 of the 100 values moved, by at most 2 ULP.
+
+Regenerate only after an intended semantic change, and for a change that
+should move nothing but the last bits of utilities only when
+``scripts/golden_drift.py OLD NEW`` passes against the replaced file::
 
     REPRO_UPDATE_GOLDEN=1 PYTHONPATH=src python -m pytest \
         tests/retrieval/test_golden_surrogates.py

@@ -22,9 +22,27 @@ class TestTermVector:
         v = TermVector({"a": 1.0, "b": 0.0})
         assert "b" not in v.weights
 
+    def test_negative_weights_rejected(self):
+        # Eq. (1)'s centroid form (UtilityMatrix.build) and cosine's [0, 1]
+        # range both rest on non-negative weights.
+        with pytest.raises(ValueError, match="non-negative"):
+            TermVector({"a": 1.0, "b": -0.5})
+        with pytest.raises(ValueError, match="non-negative"):
+            TermVector.from_normalized({"a": 0.6, "b": -0.8})
+        with pytest.raises(ValueError, match="non-negative"):
+            TermVector.from_text_idf("apple fruit", {"appl": -1.0, "fruit": 1.0})
+
     def test_from_terms_counts(self):
         v = TermVector.from_terms(["a", "a", "b"])
         assert v.weights["a"] > v.weights["b"]
+
+    def test_from_terms_equals_constructor_on_counts(self):
+        terms = ["a", "b", "a", "c", "a", "b"]
+        built = TermVector.from_terms(terms)
+        assert built.weights == TermVector({"a": 3, "b": 2, "c": 1}).weights
+        assert list(built.weights) == ["a", "b", "c"]
+        assert built.norm == 1.0
+        assert TermVector.from_terms([]).norm == 0.0
 
     def test_from_text_uses_analyzer(self):
         v = TermVector.from_text("the running leopards")
