@@ -78,8 +78,8 @@ class LRUCache(Generic[K, V]):
     distorting its own statistics.
 
     Individual operations are atomic (an internal lock), so a cache
-    shared across threads — e.g. one engine-level vector cache behind
-    several serving shards — cannot be structurally corrupted or crash
+    shared across threads — e.g. one store-backed engine's document cache
+    behind several serving shards — cannot be structurally corrupted or crash
     mid-``get`` when another thread evicts.  Compound check-then-act
     sequences remain the caller's responsibility to synchronise.
 

@@ -17,7 +17,6 @@ import heapq
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from dataclasses import dataclass
 
-from repro.core.cache import LRUCache
 from repro.retrieval.analysis import Analyzer
 from repro.retrieval.documents import Document, DocumentCollection
 from repro.retrieval.index import DocumentIndex
@@ -128,13 +127,6 @@ class SearchEngine:
         Weighting model; DPH (the paper's choice) by default.
     analyzer:
         Shared analysis pipeline (stemming + stopwords by default).
-    vector_cache_size:
-        When positive, snippet surrogate vectors are memoized per
-        ``(query, doc_id)`` in a bounded LRU, so repeated vectorisation
-        of the same results — the common case once the serving layer
-        batches queries sharing specializations — is served from memory.
-        0 (the default) disables the cache and preserves the seed's
-        compute-every-time behaviour.
 
     >>> coll = DocumentCollection([
     ...     Document("d1", "apple iphone store prices"),
@@ -151,15 +143,11 @@ class SearchEngine:
         model: WeightingModel | None = None,
         analyzer: Analyzer | None = None,
         snippet_extractor: SnippetExtractor | None = None,
-        vector_cache_size: int = 0,
     ) -> None:
         self.collection = collection
         self.analyzer, self.snippets = shared_analysis(analyzer, snippet_extractor)
         self.model = model or DPH()
         self.index = DocumentIndex.from_collection(collection, self.snippets)
-        self._vector_cache: LRUCache[tuple[str, str], TermVector] | None = (
-            LRUCache(vector_cache_size) if vector_cache_size > 0 else None
-        )
 
     # -- retrieval -------------------------------------------------------------
 
@@ -255,25 +243,16 @@ class SearchEngine:
         Each vector equals ``TermVector.from_terms(analyze(snippet(query,
         doc_id).text))`` but is built from the forward index: the query
         is analysed once per call and document text is not re-analysed.
-        With ``vector_cache_size > 0`` each ``(query, doc_id)`` vector is
-        computed at most once across calls.
+        A document whose surrogate is the whole document gets the same
+        shared vector on every call.
         """
         query_terms = set(self.analyzer.analyze(query))
         lookup = self._forward_lookup()
-        surrogate_terms = self.snippets.surrogate_terms
-        cache = self._vector_cache
-        out: dict[str, TermVector] = {}
-        for r in results:
-            doc_id = r.doc_id
-            vector = cache.get((query, doc_id)) if cache is not None else None
-            if vector is None:
-                vector = TermVector.from_terms(
-                    surrogate_terms(query_terms, *lookup(doc_id))
-                )
-                if cache is not None:
-                    cache.put((query, doc_id), vector)
-            out[doc_id] = vector
-        return out
+        surrogate_vector = self.snippets.surrogate_vector
+        return {
+            r.doc_id: surrogate_vector(query_terms, *lookup(r.doc_id))
+            for r in results
+        }
 
     def snippet_vectors_batch(
         self, batch: Mapping[str, ResultList]
@@ -282,8 +261,7 @@ class SearchEngine:
 
         The batched counterpart of :meth:`snippet_vectors` — the serving
         layer vectorises every specialization list of a query batch in
-        one call so the per-``(query, doc_id)`` cache (when enabled) is
-        shared across the whole batch.
+        one call.
         """
         return {
             query: self.snippet_vectors(query, results)

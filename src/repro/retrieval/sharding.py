@@ -42,7 +42,6 @@ import threading
 from collections import Counter
 from collections.abc import Iterable, Sequence
 
-from repro.core.cache import LRUCache
 from repro.retrieval.analysis import Analyzer
 from repro.retrieval.documents import Document, DocumentCollection
 from repro.retrieval.engine import ResultList, SearchEngine, shared_analysis
@@ -337,7 +336,6 @@ class PartitionedSearchEngine(SearchEngine):
         model: WeightingModel | None = None,
         analyzer: Analyzer | None = None,
         snippet_extractor=None,
-        vector_cache_size: int = 0,
         seed: int = 0,
         *,
         partition_collections: Sequence[DocumentCollection] | None = None,
@@ -412,9 +410,6 @@ class PartitionedSearchEngine(SearchEngine):
                         f"({self.snippets.window_terms}): its forward rows "
                         "serve the surrogates"
                     )
-        self._vector_cache = (
-            LRUCache(vector_cache_size) if vector_cache_size > 0 else None
-        )
         self.memory_budget: MemoryBudget | None = None
         self._partition_clock = 0
         self._partition_touched = [0] * num_partitions
@@ -621,9 +616,7 @@ class PartitionedSearchEngine(SearchEngine):
         the previous snapshot finish on it untouched, queries arriving
         after this line see the new epoch in full — there is no state in
         between.  Refuses a stale preparation (another publish won the
-        race).  Snippet-vector cache entries of changed documents are
-        dropped here, since their content may differ under the new
-        epoch.  Returns the published epoch id.
+        race).  Returns the published epoch id.
         """
         with self._epoch_lock:
             if prepared.epoch != self._snapshot.epoch + 1:
@@ -633,12 +626,6 @@ class PartitionedSearchEngine(SearchEngine):
                     f"{self._snapshot.epoch}"
                 )
             self._snapshot = prepared
-        cache = self._vector_cache
-        if cache is not None and prepared.delta.changed_ids:
-            changed = prepared.delta.changed_ids
-            for key in cache:
-                if key[1] in changed:
-                    cache.delete(key)
         return prepared.epoch
 
     def apply_updates(

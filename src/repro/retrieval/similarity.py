@@ -32,6 +32,10 @@ class TermVector:
     The constructor accepts raw non-negative (term → weight) mappings;
     weights are normalised so that ``||v|| == 1`` unless the vector is empty.
 
+    Vectors are immutable by contract: nothing writes ``weights`` after
+    construction, and the engines hand one object to many requests (a
+    document that fits its surrogate budget whole has a single vector).
+
     >>> v = TermVector({"apple": 2.0, "fruit": 1.0})
     >>> round(v.norm, 6)
     1.0
@@ -57,8 +61,14 @@ class TermVector:
     @classmethod
     def from_terms(cls, terms: Iterable[str]) -> "TermVector":
         """Build a term-frequency vector from pre-analysed terms."""
+        return cls.from_counts(Counter(terms))
+
+    @classmethod
+    def from_counts(cls, counts: Mapping[str, int]) -> "TermVector":
+        """Build a term-frequency vector from ``{term: count >= 1}``,
+        trusted: no sign check, and *counts* fixes the term order."""
         vector = cls.__new__(cls)
-        vector._normalize(Counter(terms))  # counts are >= 1: no sign check
+        vector._normalize(counts)
         return vector
 
     @classmethod

@@ -17,9 +17,10 @@ The extractor has two halves.  :meth:`SnippetExtractor.extract` is the
 text API: it analyses every window of the text it is given.
 :meth:`SnippetExtractor.analyse_document` does that analysis once, at
 index time, into a :class:`ForwardRow`;
-:meth:`SnippetExtractor.surrogate_terms` then answers
-``analyze(extract(...).text)`` for any query from the row alone, which is
-the path the search engines serve (``extract`` is its reference oracle).
+:meth:`SnippetExtractor.surrogate_vector` then answers
+``TermVector.from_terms(analyze(extract(...).text))`` for any query from
+the row, which is the path the search engines serve (``extract`` is its
+reference oracle).
 """
 
 from __future__ import annotations
@@ -33,6 +34,7 @@ from dataclasses import dataclass
 
 from repro.retrieval.analysis import Analyzer
 from repro.retrieval.documents import Document
+from repro.retrieval.similarity import TermVector
 
 __all__ = ["Snippet", "ForwardRow", "SnippetExtractor"]
 
@@ -65,21 +67,39 @@ class ForwardRow:
       piece (what a ``max_chars`` cut is compared against).
     * ``bounds`` — piece *i* owns ``terms[bounds[i]:bounds[i + 1]]``.
     * ``lengths`` — the character length of each piece.
+    * ``starts`` — where each piece begins in its source string (the
+      title for piece 0, the text for the windows), so a cut piece is
+      sliced out of the document instead of re-split from it; ``-1`` for
+      a window that is not a verbatim substring of the text (its tokens
+      were re-joined across tabs or repeated spaces).
     """
 
-    __slots__ = ("terms", "ends", "bounds", "lengths")
+    __slots__ = ("terms", "ends", "bounds", "lengths", "starts", "_whole")
 
-    def __init__(self, terms, ends, bounds, lengths) -> None:
+    def __init__(self, terms, ends, bounds, lengths, starts) -> None:
         self.terms: tuple[str, ...] = tuple(map(sys.intern, terms))
         self.ends = array("I", ends)
         self.bounds = array("I", bounds)
         self.lengths = array("I", lengths)
+        self.starts = array("i", starts)
+        self._whole: TermVector | None = None
+
+    def _lists(self) -> tuple:
+        return self.terms, self.ends, self.bounds, self.lengths, self.starts
+
+    def whole_vector(self) -> TermVector:
+        """The vector of all the row's terms: the surrogate, for any query,
+        of a document that fits ``max_chars`` whole.  Built on first use and
+        shared from then on (derived: not stored, pickled or compared)."""
+        vector = self._whole
+        if vector is None:
+            vector = self._whole = TermVector.from_terms(self.terms)
+        return vector
 
     def encode(self) -> bytes:
         """The row as the store's ``documents.forward`` blob."""
         return json.dumps(
-            [self.terms, self.ends.tolist(), self.bounds.tolist(),
-             self.lengths.tolist()],
+            [list(column) for column in self._lists()],
             ensure_ascii=False,
             separators=(",", ":"),
         ).encode("utf-8")
@@ -90,26 +110,22 @@ class ForwardRow:
 
     def memory_bytes(self) -> int:
         """Resident bytes of the row's own containers (not its shared,
-        interned term strings)."""
-        return (
-            sys.getsizeof(self.terms)
-            + sys.getsizeof(self.ends)
-            + sys.getsizeof(self.bounds)
-            + sys.getsizeof(self.lengths)
-            + 64  # the row object and its four slots
-        )
+        interned term strings), plus the whole vector once it is built."""
+        size = sum(map(sys.getsizeof, self._lists())) + 80  # + object, six slots
+        if self._whole is not None:  # the vector, its dict and boxed floats
+            weights = self._whole.weights
+            size += 48 + sys.getsizeof(weights) + 24 * len(weights)
+        return size
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ForwardRow):
             return NotImplemented
-        return (self.terms, self.ends, self.bounds, self.lengths) == (
-            other.terms, other.ends, other.bounds, other.lengths
-        )
+        return self._lists() == other._lists()
 
     # Unpickling goes through __init__ so the terms are interned again:
     # a worker process shares one string per term like its parent did.
     def __getstate__(self) -> tuple:
-        return self.terms, self.ends, self.bounds, self.lengths
+        return self._lists()
 
     def __setstate__(self, state: tuple) -> None:
         self.__init__(*state)
@@ -159,14 +175,14 @@ class SnippetExtractor:
         """
         query_terms = set(self.analyzer.analyze(query))
         windows = self._windows(text)
-        scored = [
-            (
-                self._score(self.analyzer.analyze(window), query_terms, position),
-                position,
-                window,
+        scored = []
+        for position, window in enumerate(windows):
+            terms = self.analyzer.analyze(window)
+            coverage = len(query_terms.intersection(terms))
+            matches = sum(1 for t in terms if t in query_terms)
+            scored.append(
+                (self._score(coverage, matches, len(terms), position), position, window)
             )
-            for position, window in enumerate(windows)
-        ]
         scored.sort(key=lambda item: (-item[0], item[1]))
 
         pieces: list[str] = []
@@ -195,7 +211,8 @@ class SnippetExtractor:
 
     def analyse_document(self, document: Document) -> ForwardRow:
         """Split *document* into title and windows and analyse each once."""
-        pieces = [document.title.strip(), *self._windows(document.text)]
+        title, text = document.title, document.text
+        pieces = [title.strip(), *self._windows(text)]
         terms: list[str] = []
         ends: list[int] = []
         bounds = [0]
@@ -204,34 +221,53 @@ class SnippetExtractor:
             terms += piece_terms
             ends += piece_ends
             bounds.append(len(terms))
-        return ForwardRow(terms, ends, bounds, map(len, pieces))
+        starts = [len(title) - len(title.lstrip())]
+        cursor = 0
+        for window in pieces[1:]:
+            # Any verbatim occurrence serves: only its characters are read.
+            start = text.find(window, cursor)
+            starts.append(start)
+            if start >= 0:
+                cursor = start + len(window)
+        return ForwardRow(terms, ends, bounds, map(len, pieces), starts)
 
-    def surrogate_terms(
+    def surrogate_vector(
         self, query_terms: set[str], row: ForwardRow, document: Document
-    ) -> list[str]:
-        """The analysed terms of *document*'s surrogate, from its *row*.
+    ) -> TermVector:
+        """The term vector of *document*'s surrogate, from its *row*.
 
-        Equals ``analyze(extract(query, doc_id, text, title).text)`` for
+        Equals ``TermVector.from_terms(analyze(extract(query, doc_id,
+        text, title).text))`` — same terms, same order, same floats — for
         ``query_terms = set(analyze(query))`` and ``row =
-        analyse_document(document)``.  Windows are scored, budgeted and
-        ordered by the rules of :meth:`extract`, over the stored terms
-        and piece lengths; text is only touched for a piece that
-        ``max_chars`` cuts, and only the stretch between its last whole
-        kept term and the cut is analysed.
+        analyse_document(document)``.  A document that fits ``max_chars``
+        whole gets the row's shared :meth:`~ForwardRow.whole_vector`.
+        Otherwise windows are scored, budgeted and ordered by the rules
+        of :meth:`extract` over the stored terms and lengths, and the
+        only text read is the stretch of a cut piece between its last
+        whole kept term and the cut, sliced at the piece's stored offset.
         """
         terms, bounds, lengths = row.terms, row.bounds, row.lengths
-        scored = sorted(
-            (
-                -self._score(
-                    terms[bounds[position + 1]:bounds[position + 2]],
-                    query_terms,
-                    position,
-                ),
-                position,
-            )
-            for position in range(len(lengths) - 1)
-        )
         title = document.title
+        windows = len(lengths) - 1
+        # Title, windows and one joining space each (none leads a
+        # surrogate without a title): every score order takes them whole.
+        if sum(lengths) + windows - (not title) <= self.max_chars:
+            return row.whole_vector()
+
+        scored = []
+        high = bounds[1]
+        for position in range(windows):
+            low, high = high, bounds[position + 2]
+            window = terms[low:high]
+            coverage = matches = 0
+            for term in query_terms:
+                occurrences = window.count(term)
+                if occurrences:
+                    coverage += 1
+                    matches += occurrences
+            score = self._score(coverage, matches, high - low, position)
+            scored.append((-score, position))
+        scored.sort()
         title_take = min(lengths[0], self.max_chars) if title else 0
         budget = self.max_chars - title_take
         chosen: list[tuple[int, int]] = []  # (piece, characters of it kept)
@@ -249,26 +285,23 @@ class SnippetExtractor:
             piece, take = chosen[-1]
             chosen[-1] = (piece, take - 1)
 
-        out: list[str] = []
-        windows: list[str] | None = None
-        ends = row.ends
+        counts: dict[str, int] = {}
+        count, ends = counts.get, row.ends
         for piece, take in [(0, title_take), *chosen]:
             low, high = bounds[piece], bounds[piece + 1]
-            if take >= lengths[piece]:
-                out += terms[low:high]
-                continue
-            whole = bisect_right(ends, take, low, high)
-            out += terms[low:whole]
-            resume = ends[whole - 1] if whole > low else 0
-            if take > resume:
-                if piece == 0:
-                    source = title.strip()
-                else:
-                    if windows is None:
-                        windows = self._windows(document.text)
-                    source = windows[piece - 1]
-                out += self.analyzer.analyze(source[resume:take])
-        return out
+            cut: list[str] = []  # terms of the token the cut splits, if any
+            if take < lengths[piece]:
+                high = bisect_right(ends, take, low, high)  # whole terms kept
+                resume = ends[high - 1] if high > low else 0
+                if take > resume:
+                    start = row.starts[piece]
+                    source = document.text if piece else title
+                    if start < 0:  # not verbatim in the text: re-split for it
+                        source, start = self._windows(source)[piece - 1], 0
+                    cut = self.analyzer.analyze(source[start + resume:start + take])
+            for term in (*terms[low:high], *cut):
+                counts[term] = count(term, 0) + 1
+        return TermVector.from_counts(counts)
 
     # -- internals ------------------------------------------------------------
 
@@ -285,13 +318,12 @@ class SnippetExtractor:
         ]
 
     @staticmethod
-    def _score(terms, query_terms: set[str], position: int) -> float:
-        """Score a window from its analysed *terms*."""
-        if not terms:
+    def _score(coverage: int, matches: int, size: int, position: int) -> float:
+        """Score a window of *size* terms holding *matches* occurrences
+        of *coverage* distinct query terms."""
+        if not size:
             return 0.0
-        coverage = len(query_terms.intersection(terms))
-        matches = sum(1 for t in terms if t in query_terms) if coverage else 0
-        density = matches / len(terms)
+        density = matches / size
         # Earlier windows win ties: web pages front-load their topic.
         position_bonus = 1.0 / (1.0 + position)
         return 2.0 * coverage + density + 0.1 * position_bonus

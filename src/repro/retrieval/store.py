@@ -87,7 +87,9 @@ __all__ = [
 #: document analysed once into title and window terms, see
 #: :class:`~repro.retrieval.snippets.ForwardRow`) plus ``window_terms``
 #: in ``meta``, the window size those rows were split with.
-SCHEMA_VERSION = 3
+#: v4: forward rows carry ``starts``, each piece's offset in its source
+#: string, so a surrogate cut is sliced out of the text, never re-split.
+SCHEMA_VERSION = 4
 
 #: Default byte capacity of the shared postings page cache (per engine).
 DEFAULT_PAGE_CACHE_BYTES = 64 * 1024 * 1024
@@ -1198,7 +1200,6 @@ class StoreBackedSearchEngine(PartitionedSearchEngine):
         model: WeightingModel | None = None,
         analyzer: Analyzer | None = None,
         snippet_extractor=None,
-        vector_cache_size: int = 0,
         page_cache_bytes: int = DEFAULT_PAGE_CACHE_BYTES,
         document_cache_size: int = DEFAULT_DOCUMENT_CACHE_SIZE,
         memory_budget: MemoryBudget | int | None = None,
@@ -1207,7 +1208,6 @@ class StoreBackedSearchEngine(PartitionedSearchEngine):
         # Deliberately not calling super().__init__ (which would build
         # in-memory partitions); this constructor attaches instead.
         self.store_path = str(store_path)
-        self._vector_cache_size = vector_cache_size
         self._page_cache_bytes = page_cache_bytes
         self._document_cache_size = document_cache_size
         store = IndexStore(self.store_path, expected_epoch=expected_epoch)
@@ -1225,9 +1225,6 @@ class StoreBackedSearchEngine(PartitionedSearchEngine):
             )
         self.model = model or DPH()
         self.page_cache = PostingPageCache(page_cache_bytes)
-        self._vector_cache = (
-            LRUCache(vector_cache_size) if vector_cache_size > 0 else None
-        )
         self.memory_budget = None
         self._partition_clock = 0
         self._partition_touched = [0] * self.num_partitions
@@ -1316,7 +1313,6 @@ class StoreBackedSearchEngine(PartitionedSearchEngine):
             "model": self.model,
             "analyzer": self.analyzer,
             "snippet_extractor": self.snippets,
-            "vector_cache_size": self._vector_cache_size,
             "page_cache_bytes": self._page_cache_bytes,
             "document_cache_size": self._document_cache_size,
             "memory_budget": (
@@ -1331,7 +1327,6 @@ class StoreBackedSearchEngine(PartitionedSearchEngine):
             model=state["model"],
             analyzer=state["analyzer"],
             snippet_extractor=state["snippet_extractor"],
-            vector_cache_size=state["vector_cache_size"],
             page_cache_bytes=state["page_cache_bytes"],
             document_cache_size=state["document_cache_size"],
             memory_budget=state["memory_budget"],

@@ -127,7 +127,6 @@ def build_partitioned_engine(
     model=None,
     analyzer: Analyzer | None = None,
     snippet_extractor=None,
-    vector_cache_size: int = 0,
     seed: int = 0,
 ) -> tuple[PartitionedSearchEngine, BuildReport]:
     """Build a :class:`PartitionedSearchEngine` partition-parallel.
@@ -184,7 +183,6 @@ def build_partitioned_engine(
         model=model,
         analyzer=analyzer,
         snippet_extractor=snippet_extractor,
-        vector_cache_size=vector_cache_size,
         seed=seed,
         partition_collections=parts,
         partition_indexes=indexes,

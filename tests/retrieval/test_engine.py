@@ -4,8 +4,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.retrieval.documents import Document, DocumentCollection
 from repro.retrieval.engine import ResultList, SearchEngine
 from repro.retrieval.models import BM25
+from repro.retrieval.similarity import TermVector
+from repro.retrieval.snippets import SnippetExtractor
 
 
 class TestResultList:
@@ -116,23 +119,48 @@ class TestBatchAPIs:
     def test_search_batch_empty(self, engine):
         assert engine.search_batch([], k=3) == {}
 
-    def test_snippet_vector_cache_reuses_vectors(self, tiny_collection):
-        engine = SearchEngine(tiny_collection, vector_cache_size=64)
-        results = engine.search("apple")
-        first = engine.snippet_vectors("apple", results)
-        second = engine.snippet_vectors("apple", results)
-        for doc_id, vector in first.items():
-            assert second[doc_id] is vector
-
-    def test_uncached_engine_rebuilds_vectors(self, tiny_collection):
+    def test_whole_fit_documents_share_one_vector(self, tiny_collection):
+        # A document that fits max_chars has one surrogate whatever the
+        # query: the engine hands out the row's vector, not a rebuilt copy.
         engine = SearchEngine(tiny_collection)
-        results = engine.search("apple")
-        first = engine.snippet_vectors("apple", results)
-        second = engine.snippet_vectors("apple", results)
-        assert all(first[d] is not second[d] for d in first)
+        by_query = {
+            query: engine.snippet_vectors(query, engine.search(query))
+            for query in ("apple", "fruit")
+        }
+        shared = set(by_query["apple"]) & set(by_query["fruit"])
+        assert shared
+        for doc_id in shared:
+            document = tiny_collection[doc_id]
+            assert len(document.full_text) <= engine.snippets.max_chars
+            vector = by_query["apple"][doc_id]
+            assert by_query["fruit"][doc_id] is vector
+            assert list(vector.weights.items()) == list(
+                TermVector.from_terms(
+                    engine.forward_row(doc_id).terms
+                ).weights.items()
+            )
+
+    def test_cut_documents_get_query_biased_vectors(self):
+        text = (
+            "apple orchards ripen early. filler words pad this sentence out. "
+            "banana plantations flood late."
+        )
+        engine = SearchEngine(
+            DocumentCollection([Document("d", text)]),
+            snippet_extractor=SnippetExtractor(max_chars=40),
+        )
+        assert len(text) > engine.snippets.max_chars
+        vectors = {
+            query: engine.snippet_vectors(query, engine.search(query))["d"]
+            for query in ("apple", "banana")
+        }
+        assert "appl" in vectors["apple"].weights
+        assert "banana" in vectors["banana"].weights
+        assert vectors["apple"].weights != vectors["banana"].weights
+        assert vectors["apple"] is not engine.forward_row("d").whole_vector()
 
     def test_snippet_vectors_batch(self, tiny_collection):
-        engine = SearchEngine(tiny_collection, vector_cache_size=64)
+        engine = SearchEngine(tiny_collection)
         batch = engine.search_batch(["apple", "fruit"], k=4)
         vectors = engine.snippet_vectors_batch(batch)
         assert set(vectors) == {"apple", "fruit"}

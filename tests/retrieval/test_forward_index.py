@@ -10,6 +10,7 @@ re-analysed snippet text (``SnippetExtractor.extract``, the oracle).
 
 from __future__ import annotations
 
+import json
 import pickle
 import sqlite3
 
@@ -21,7 +22,7 @@ from repro.retrieval.engine import SearchEngine
 from repro.retrieval.index import DocumentIndex
 from repro.retrieval.sharding import PartitionedSearchEngine
 from repro.retrieval.similarity import TermVector
-from repro.retrieval.snippets import SnippetExtractor
+from repro.retrieval.snippets import ForwardRow, SnippetExtractor
 from repro.retrieval.store import (
     SCHEMA_VERSION,
     StoreBackedSearchEngine,
@@ -56,6 +57,22 @@ def rows_of(engine) -> dict:
     return {
         doc_id: engine.forward_row(doc_id) for doc_id in engine.collection.doc_ids
     }
+
+
+def starts_of(engine) -> dict:
+    """Every row's piece offsets (``ForwardRow.__eq__`` compares them too;
+    this names them, and checks each one locates its piece verbatim)."""
+    out = {}
+    for doc_id, row in rows_of(engine).items():
+        document = engine.collection[doc_id]
+        pieces = [document.title.strip(), *engine.snippets._windows(document.text)]
+        sources = [document.title] + [document.text] * (len(pieces) - 1)
+        assert [
+            source[start:start + len(piece)]
+            for piece, start, source in zip(pieces, row.starts, sources)
+        ] == pieces  # make_docs is single-spaced: no -1 fallbacks
+        out[doc_id] = list(row.starts)
+    return out
 
 
 def vectors_of(engine) -> dict:
@@ -159,6 +176,9 @@ class TestRowsFollowMutation:
             assert index.ordinal(document.doc_id) == rebuilt.ordinal(
                 document.doc_id
             )
+            assert index.forward_row(document.doc_id).starts == (
+                rebuilt.forward_row(document.doc_id).starts
+            )
         # The copy taken before the mutations still holds the old rows.
         assert snapshot.num_documents == 9
         assert snapshot.forward_row("d2") == DocumentIndex.from_collection(
@@ -181,6 +201,7 @@ class TestRowsFollowMutation:
         )
         assert engine.collection.doc_ids == rebuilt.collection.doc_ids
         assert rows_of(engine) == rows_of(rebuilt)
+        assert starts_of(engine) == starts_of(rebuilt)
         assert vectors_of(engine) == vectors_of(rebuilt)
         # The delta's terms are read off the rows: every term of every
         # changed document.
@@ -216,6 +237,7 @@ class TestRowsFollowMutation:
         )
         assert live.collection.doc_ids == rebuilt.collection.doc_ids
         assert rows_of(live) == rows_of(rebuilt)
+        assert starts_of(live) == starts_of(rebuilt)
         assert vectors_of(live) == vectors_of(rebuilt) != warmed
         assert vectors_of(live) == oracle_vectors_of(live)
 
@@ -227,6 +249,7 @@ class TestRowsSurviveTransport:
         )
         clone = pickle.loads(pickle.dumps(engine))
         assert rows_of(clone) == rows_of(engine)
+        assert starts_of(clone) == starts_of(engine)
         assert vectors_of(clone) == vectors_of(engine)
 
     def test_reattached_store_engine_serves_identical_vectors(self, tmp_path):
@@ -237,8 +260,33 @@ class TestRowsSurviveTransport:
         attached = StoreBackedSearchEngine(path)
         reattached = pickle.loads(pickle.dumps(attached))
         assert rows_of(attached) == rows_of(built)
+        assert starts_of(attached) == starts_of(built) == starts_of(reattached)
         assert vectors_of(attached) == vectors_of(built)
         assert vectors_of(reattached) == vectors_of(built)
+
+    def test_rows_differing_only_in_starts_are_not_equal(self):
+        document = make_docs(1)[0]
+        row = SnippetExtractor().analyse_document(document)
+        terms, ends, bounds, lengths, starts = row.__getstate__()
+        assert ForwardRow(terms, ends, bounds, lengths, starts) == row
+        moved = [starts[0] + 1, *starts[1:]]
+        assert ForwardRow(terms, ends, bounds, lengths, moved) != row
+
+    def test_the_whole_vector_is_derived_state(self):
+        # Built lazily, shared, priced — and not part of the row's identity
+        # or of what travels.
+        row = SnippetExtractor().analyse_document(make_docs(1)[0])
+        fresh = ForwardRow.decode(row.encode())
+        before = row.memory_bytes()
+        vector = row.whole_vector()
+        assert row.whole_vector() is vector
+        assert list(vector.weights.items()) == list(
+            TermVector.from_terms(row.terms).weights.items()
+        )
+        assert row.memory_bytes() - before > 24 * len(vector)
+        assert row == fresh and row.encode() == fresh.encode()
+        clone = pickle.loads(pickle.dumps(row))
+        assert clone == row and clone.memory_bytes() == fresh.memory_bytes()
 
     def test_rows_share_one_string_per_term(self, tmp_path):
         built = PartitionedSearchEngine(
@@ -273,7 +321,7 @@ class TestStoreSchema:
             ),
         )
         self._downgrade_to_v2(path)
-        assert SCHEMA_VERSION == 3
+        assert SCHEMA_VERSION == 4
         for attempt in (
             lambda: StoreBackedSearchEngine(path),
             lambda: append_epoch(path, make_docs(1, prefix="n")),
@@ -282,7 +330,40 @@ class TestStoreSchema:
                 attempt()
             message = str(exc_info.value)
             assert "old.sqlite3" in message
-            assert "version 2" in message and "version 3" in message
+            assert "version 2" in message and "version 4" in message
+
+    def test_v3_store_is_rejected_naming_both_versions(self, tmp_path):
+        path = write_store(
+            tmp_path / "v3.sqlite3",
+            PartitionedSearchEngine(
+                DocumentCollection(make_docs(6)), num_partitions=PARTITIONS
+            ),
+        )
+        # What the previous commit wrote: four lists per forward blob.
+        connection = sqlite3.connect(path)
+        for ordinal, blob in connection.execute(
+            "SELECT ordinal, forward FROM documents"
+        ).fetchall():
+            lists = json.loads(blob)
+            assert len(lists) == 5
+            connection.execute(
+                "UPDATE documents SET forward = ? WHERE ordinal = ?",
+                (json.dumps(lists[:4]).encode("utf-8"), ordinal),
+            )
+        connection.execute(
+            "UPDATE meta SET value = '3' WHERE key = 'schema_version'"
+        )
+        connection.commit()
+        connection.close()
+        for attempt in (
+            lambda: StoreBackedSearchEngine(path),
+            lambda: append_epoch(path, make_docs(1, prefix="n")),
+        ):
+            with pytest.raises(StoreError) as exc_info:
+                attempt()
+            message = str(exc_info.value)
+            assert "v3.sqlite3" in message
+            assert "version 3" in message and "version 4" in message
 
     def test_window_terms_mismatch_is_a_typed_error(self, tmp_path):
         built = PartitionedSearchEngine(

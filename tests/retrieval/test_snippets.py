@@ -4,7 +4,8 @@ from __future__ import annotations
 
 import pytest
 
-from repro.retrieval.documents import Document
+from repro.retrieval.documents import Document, DocumentCollection
+from repro.retrieval.engine import SearchEngine
 from repro.retrieval.similarity import TermVector
 from repro.retrieval.snippets import ForwardRow, SnippetExtractor
 
@@ -85,12 +86,10 @@ def surrogate_pair(extractor, query, text, title=""):
     oracle = TermVector.from_terms(
         analyzer.analyze(extractor.extract(query, "d", text, title).text)
     )
-    forward = TermVector.from_terms(
-        extractor.surrogate_terms(
-            set(analyzer.analyze(query)),
-            extractor.analyse_document(document),
-            document,
-        )
+    forward = extractor.surrogate_vector(
+        set(analyzer.analyze(query)),
+        extractor.analyse_document(document),
+        document,
     )
     return oracle, forward
 
@@ -102,7 +101,7 @@ def assert_same_vector(oracle, forward):
 
 
 class TestForwardIndexOracle:
-    """``surrogate_terms`` over a forward row must equal re-analysing the
+    """``surrogate_vector`` over a forward row must equal re-analysing the
     text ``extract`` returns, on every truncation edge."""
 
     TEXT = "leopards are running fast. the tank division is relational. ponies graze."
@@ -199,3 +198,102 @@ class TestForwardIndexOracle:
             row = extractor.analyse_document(document)
             assert list(row.terms) == extractor.analyzer.analyze(document.full_text)
             assert ForwardRow.decode(row.encode()) == row
+
+
+class TestPieceOffsets:
+    """``starts`` lets a cut read the document; the vector never changes."""
+
+    def test_windows_rejoined_across_odd_whitespace_fall_back(self):
+        extractor = SnippetExtractor(max_chars=30, window_terms=3)
+        text = "alpha\tbeta  gamma delta epsilon zeta eta theta relational iota"
+        row = extractor.analyse_document(Document("d", text))
+        # "alpha beta gamma" is not in the text; "delta epsilon zeta" is.
+        assert list(row.starts) == [
+            0, -1, text.index("delta"), text.index("eta theta"), text.index("iota")
+        ]
+        for max_chars in range(1, len(text) + 2):
+            extractor = SnippetExtractor(max_chars=max_chars, window_terms=3)
+            for query in ("", "alpha", "relational iota", "zeta beta"):
+                assert_same_vector(*surrogate_pair(extractor, query, text))
+
+    def test_a_rejoined_window_may_point_at_a_later_verbatim_copy(self):
+        # Only the characters are read, so any copy serves; the search
+        # moves forward only, so the window it jumped over falls back.
+        text = "apple\tpie apple pie relational"
+        row = SnippetExtractor(window_terms=2).analyse_document(Document("d", text))
+        assert list(row.starts) == [0, 10, -1, text.index("relational")]
+        for max_chars in range(1, len(text) + 2):
+            extractor = SnippetExtractor(max_chars=max_chars, window_terms=2)
+            assert_same_vector(*surrogate_pair(extractor, "pie", text))
+
+    @pytest.mark.parametrize("max_chars", range(1, 40))
+    def test_padded_title_is_cut_inside_its_stripped_text(self, max_chars):
+        extractor = SnippetExtractor(max_chars=max_chars)
+        title = "  Leopard tanks "
+        text = "relational ponies graze. tanks roll."
+        row = extractor.analyse_document(Document("d", text, title))
+        assert row.starts[0] == 2 and row.lengths[0] == len("Leopard tanks")
+        assert_same_vector(*surrogate_pair(extractor, "ponies", text, title))
+
+    @pytest.mark.parametrize("title", ["", "Leopard tanks", "  padded  ", " "])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "ponies graze. tanks roll on. leopards are running",
+            "one two three four five six seven eight nine relational",
+            "",
+        ],
+    )
+    def test_the_fit_boundary(self, title, text):
+        # fit: the length of the whole surrogate.  At fit and above every
+        # query gets the row's one shared vector; at fit - 1 (with a title
+        # that is the one-over final cut) something is dropped.
+        whole = SnippetExtractor(max_chars=10_000, window_terms=4)
+        fit = len(whole.extract("", "d", text, title).text)
+        document = Document("d", text, title)
+        for max_chars in (fit - 1, fit, fit + 1):
+            if max_chars < 1:
+                continue
+            extractor = SnippetExtractor(max_chars=max_chars, window_terms=4)
+            row = extractor.analyse_document(document)
+            for query in ("relational", "tanks ponies", ""):
+                oracle, forward = surrogate_pair(extractor, query, text, title)
+                assert_same_vector(oracle, forward)
+                served = extractor.surrogate_vector(
+                    set(extractor.analyzer.analyze(query)), row, document
+                )
+                assert (served is row.whole_vector()) == (max_chars >= fit)
+
+    def test_the_query_path_never_re_splits_single_spaced_text(self, monkeypatch):
+        words = "apple banana cherry relational running fig leopards ponies".split()
+        documents = [
+            Document(
+                f"d{i}",
+                " ".join(words[(i + j * j) % len(words)] for j in range(20 + 7 * i)),
+                title=f"{words[i % len(words)]} report" if i % 2 else "",
+            )
+            for i in range(12)
+        ]
+        engine = SearchEngine(DocumentCollection(documents))
+        queries = ("apple", "relational ponies", "fig running leopards")
+        expected = {
+            query: {
+                d.doc_id: surrogate_pair(engine.snippets, query, d.text, d.title)[0]
+                for d in documents
+            }
+            for query in queries
+        }
+
+        def no_splitting(self, text):
+            raise AssertionError("the query path re-split a document")
+
+        monkeypatch.setattr(SnippetExtractor, "_windows", no_splitting)
+        everything = engine.search(" ".join(words), k=100)
+        assert len(everything) == len(documents)
+        cut = 0
+        for query in queries:
+            served = engine.snippet_vectors(query, everything)
+            for doc_id, vector in served.items():
+                assert_same_vector(expected[query][doc_id], vector)
+                cut += vector is not engine.forward_row(doc_id).whole_vector()
+        assert cut  # the test would be vacuous if every document fit

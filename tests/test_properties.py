@@ -137,13 +137,21 @@ class TestForwardIndexProperties:
         analyzer = extractor.analyzer
         document = Document("d", text, title)
         row = extractor.analyse_document(document)
-        served = TermVector.from_terms(
-            extractor.surrogate_terms(set(analyzer.analyze(query)), row, document)
+        served = extractor.surrogate_vector(
+            set(analyzer.analyze(query)), row, document
         )
         oracle = TermVector.from_terms(
             analyzer.analyze(extractor.extract(query, "d", text, title).text)
         )
         assert list(served.weights.items()) == list(oracle.weights.items())
+        # starts point at verbatim copies of their pieces and survive the blob.
+        pieces = [title.strip(), *extractor._windows(text)]
+        for piece, start, source in zip(
+            pieces, row.starts, [title] + [text] * len(pieces)
+        ):
+            assert start == -1 or source[start:start + len(piece)] == piece
+        assert row.starts[0] >= 0
+        assert ForwardRow.decode(row.encode()) == row
 
     @settings(max_examples=200, deadline=None)
     @given(extractors, document_text, document_text)
