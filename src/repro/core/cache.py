@@ -97,11 +97,13 @@ class LRUCache(Generic[K, V]):
 
     __slots__ = ("maxsize", "_data", "hits", "misses", "evictions", "_lock")
 
-    def __init__(self, maxsize: int) -> None:
+    def __init__(self, maxsize: int, items: Iterable[tuple[K, V]] = ()) -> None:
         if maxsize <= 0:
             raise ValueError("maxsize must be positive")
         self.maxsize = maxsize
-        self._data: OrderedDict[K, V] = OrderedDict()
+        self._data: OrderedDict[K, V] = OrderedDict(items)  # stalest first
+        while len(self._data) > maxsize:
+            self._data.popitem(last=False)
         self.hits = 0
         self.misses = 0
         self.evictions = 0

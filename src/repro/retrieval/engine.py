@@ -14,12 +14,14 @@ paper's ``rank(d', R_q')`` of Equation (1).
 from __future__ import annotations
 
 import heapq
-from collections.abc import Callable, Iterable, Iterator, Mapping
+from array import array
+from collections import Counter
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
 from repro.retrieval.analysis import Analyzer
 from repro.retrieval.documents import Document, DocumentCollection
-from repro.retrieval.index import DocumentIndex
+from repro.retrieval.index import DocumentIndex, ImpactMemo
 from repro.retrieval.models import DPH, WeightingModel
 from repro.retrieval.similarity import TermVector
 from repro.retrieval.snippets import ForwardRow, Snippet, SnippetExtractor
@@ -148,57 +150,76 @@ class SearchEngine:
         self.analyzer, self.snippets = shared_analysis(analyzer, snippet_extractor)
         self.model = model or DPH()
         self.index = DocumentIndex.from_collection(collection, self.snippets)
+        self._impacts: tuple[object, ImpactMemo] = (None, ImpactMemo())
 
     # -- retrieval -------------------------------------------------------------
 
     def search(self, query: str, k: int = 1000) -> ResultList:
         """Rank the top-*k* documents for *query* with the weighting model.
 
-        Scoring is term-at-a-time with an accumulator map, then a heap
-        selects the top-k — the standard document-at-a-time-free layout
-        for in-memory indexes.
+        Term-at-a-time over memoised impact lists (:class:`ImpactMemo`):
+        each document's contributions are summed in query-term order,
+        then a heap selects the top-k.  This is the only search loop;
+        subclasses say where an impact list comes from and how ordinals
+        become doc_ids.
         """
         if k <= 0:
             raise ValueError("k must be positive")
         terms = self.analyzer.analyze(query)
         if not terms:
             return ResultList(query, [])
-        weights: dict[str, int] = {}
-        for term in terms:
-            weights[term] = weights.get(term, 0) + 1
-
+        state, memo = self._index_state()
         accumulators: dict[int, float] = {}
-        index = self.index
-        n_docs = index.num_documents
-        avg_dl = index.average_document_length
-        for term, qtf in weights.items():
-            postings = index.postings(term)
-            if postings is None:
-                continue
-            df = postings.document_frequency
-            cf = postings.collection_frequency
-            for ordinal, tf in zip(postings.ordinals, postings.tfs):
-                contribution = self.model.score(
-                    tf,
-                    index.document_length(ordinal),
-                    df,
-                    cf,
-                    n_docs,
-                    avg_dl,
-                    key_frequency=float(qtf),
-                )
+        for key in Counter(terms).items():
+            impact_list = memo.lists.get(key)
+            if impact_list is None:
+                impact_list = memo.add(key, self._impact_list(state, *key))
+            for ordinal, impact in zip(*impact_list):
                 if ordinal in accumulators:
-                    accumulators[ordinal] += contribution
+                    accumulators[ordinal] += impact
                 else:
-                    accumulators[ordinal] = contribution
+                    accumulators[ordinal] = impact
 
         # Deterministic top-k: score desc, ordinal asc for ties.
         top = heapq.nsmallest(
             k, accumulators.items(), key=lambda item: (-item[1], item[0])
         )
-        return ResultList(
-            query, [(index.doc_id(ordinal), score) for ordinal, score in top]
+        ordinals, scores = zip(*top) if top else ((), ())
+        return ResultList(query, zip(self._doc_ids(state, ordinals), scores))
+
+    def _index_state(self) -> tuple[object, ImpactMemo]:
+        """The index state one search reads, and that state's memo (a new
+        one whenever the index, its contents or the model changed)."""
+        index = self.index
+        stamp = (index, index.version, self.model)
+        if self._impacts[0] != stamp:
+            self._impacts = (stamp, ImpactMemo())
+        return index, self._impacts[1]
+
+    def _impact_list(self, index, term: str, qtf: int) -> tuple[Sequence[int], array]:
+        """``(ordinals, impacts)`` of a term occurring *qtf* times in the query."""
+        impacts, postings = array("d"), index.postings(term)
+        if postings is None:
+            return (), impacts
+        df, cf = postings.document_frequency, postings.collection_frequency
+        n_docs, avg_dl = index.num_documents, index.average_document_length
+        self._score_postings(impacts, index, postings, qtf, df, cf, n_docs, avg_dl)
+        return postings.ordinals, impacts
+
+    def _score_postings(self, impacts, index, postings, qtf, df, cf, n_docs, avg_dl):
+        """Append the model's contribution of every posting in *postings*
+        to *impacts* — the only place a contribution is computed."""
+        score, length, kf = self.model.score, index.document_length, float(qtf)
+        impacts.extend(
+            [
+                score(tf, length(ordinal), df, cf, n_docs, avg_dl, key_frequency=kf)
+                for ordinal, tf in zip(postings.ordinals, postings.tfs)
+            ]
         )
+
+    def _doc_ids(self, index, ordinals: Sequence[int]) -> Iterable[str]:
+        """The doc_ids at *ordinals* in the state a search read."""
+        return map(index.doc_id, ordinals)
 
     def search_batch(
         self, queries: Iterable[str], k: int = 1000
@@ -270,16 +291,24 @@ class SearchEngine:
 
     # -- accounting -------------------------------------------------------------
 
-    def memory_estimate(self) -> dict[str, int]:
-        """Estimated resident bytes of the engine's index, by component.
+    @property
+    def partitions(self) -> tuple:
+        """The index partitions — here the one undivided index."""
+        return (self.index,)
 
-        Delegates to
-        :meth:`~repro.retrieval.index.InvertedIndex.memory_estimate`;
-        :class:`~repro.retrieval.sharding.PartitionedSearchEngine`
-        overrides this to sum its partitions, so the offline pipeline's
-        memory accounting reads the same for both layouts.
-        """
-        return self.index.memory_estimate()
+    def memory_estimate(self) -> dict[str, int]:
+        """Estimated resident bytes of the engine, by component:
+        :meth:`~repro.retrieval.index.InvertedIndex.memory_estimate`
+        summed over the partitions (a term indexed in several is priced
+        in each: each really holds its own posting list and vocabulary
+        entry), with the impact memo priced into ``postings_bytes``."""
+        totals: Counter[str] = Counter()
+        for partition in self.partitions:
+            totals.update(partition.memory_estimate())
+        memo_bytes = self._index_state()[1].memory_bytes()
+        totals["postings_bytes"] += memo_bytes
+        totals["total_bytes"] += memo_bytes
+        return dict(totals)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import copy
 import sys
+import threading
+from array import array
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
@@ -26,7 +28,11 @@ from repro.retrieval.analysis import Analyzer
 from repro.retrieval.documents import Document, DocumentCollection
 from repro.retrieval.snippets import ForwardRow, SnippetExtractor
 
-__all__ = ["Posting", "PostingList", "InvertedIndex", "DocumentIndex"]
+__all__ = ["Posting", "PostingList", "ImpactMemo", "InvertedIndex", "DocumentIndex"]
+
+#: Postings one :class:`ImpactMemo` may hold (~16 bytes each); like the
+#: stem memo it is cleared and refilled when full.
+_IMPACT_MEMO_CAP = 1 << 18
 
 #: Estimated bytes of one boxed CPython ``int`` (64-bit build).  Small
 #: interned ints are cheaper in reality; the estimate deliberately prices
@@ -70,6 +76,46 @@ class PostingList:
         return len(self.ordinals)
 
 
+class ImpactMemo:
+    """``(term, qtf) -> (ordinals, impacts)`` for one state of an index.
+
+    An impact is ``model.score(...)`` of one posting: a pure function of
+    the posting and the collection statistics, so it is computed once
+    per index state, and every search naming the term — a query and each
+    of its specializations — sums the same floats in the same order.
+    Derived state: bounded, priced, droppable, and pickled empty.
+    """
+
+    __slots__ = ("lists", "postings", "_lock")
+
+    def __init__(self) -> None:
+        self._lock = threading.Lock()
+        self.clear()
+
+    def clear(self) -> None:
+        with self._lock:
+            self.lists: dict[tuple[str, int], tuple[Sequence[int], array]] = {}
+            self.postings = 0
+
+    def add(self, key: tuple[str, int], impact_list: tuple[Sequence[int], array]):
+        held = len(impact_list[1])
+        with self._lock:  # two searches may have gathered the same list
+            if key not in self.lists:
+                if self.postings + held > _IMPACT_MEMO_CAP:
+                    self.lists, self.postings = {}, 0
+                self.lists[key] = impact_list
+                self.postings += held
+        return impact_list
+
+    def memory_bytes(self) -> int:
+        # Per posting a double and an ordinal reference; per list its
+        # key, the pair and two sequence headers.
+        return 16 * self.postings + 256 * len(self.lists)
+
+    def __reduce__(self):
+        return ImpactMemo, ()
+
+
 class InvertedIndex:
     """A term → postings map with collection statistics.
 
@@ -93,6 +139,8 @@ class InvertedIndex:
         self._doc_ids: list[str] = []
         self._ordinal_by_id: dict[str, int] = {}
         self._total_tokens = 0
+        #: Bumped by every mutation; state derived from the index keys on it.
+        self.version = 0
 
     # -- construction ---------------------------------------------------------
 
@@ -107,6 +155,7 @@ class InvertedIndex:
         if doc_id in self._ordinal_by_id:
             raise ValueError(f"doc_id already indexed: {doc_id!r}")
         ordinal = len(self._doc_ids)
+        self.version += 1
         self._doc_ids.append(doc_id)
         self._ordinal_by_id[doc_id] = ordinal
         self._doc_lengths.append(len(terms))
@@ -137,6 +186,7 @@ class InvertedIndex:
         ordinal = self._ordinal_by_id.get(doc_id)
         if ordinal is None:
             raise ValueError(f"doc_id not indexed: {doc_id!r}")
+        self.version += 1
         del self._doc_ids[ordinal]
         self._total_tokens -= self._doc_lengths.pop(ordinal)
         del self._ordinal_by_id[doc_id]

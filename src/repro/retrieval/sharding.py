@@ -37,15 +37,14 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import hashlib
-import heapq
 import threading
-from collections import Counter
+from array import array
 from collections.abc import Iterable, Sequence
 
 from repro.retrieval.analysis import Analyzer
 from repro.retrieval.documents import Document, DocumentCollection
-from repro.retrieval.engine import ResultList, SearchEngine, shared_analysis
-from repro.retrieval.index import DocumentIndex, InvertedIndex
+from repro.retrieval.engine import SearchEngine, shared_analysis
+from repro.retrieval.index import DocumentIndex, ImpactMemo, InvertedIndex
 from repro.retrieval.models import DPH, WeightingModel
 
 __all__ = [
@@ -64,9 +63,10 @@ class MemoryBudget:
 
     PR 5 made memory *observable* (``memory_estimate()``); this makes it
     *enforced*: attach a budget with
-    :meth:`PartitionedSearchEngine.set_memory_budget` and, after every
-    search, partitions are evicted least-recently-touched first until
-    the summed partition-resident estimate fits under ``limit_bytes``.
+    :meth:`PartitionedSearchEngine.set_memory_budget` and, whenever a
+    search gathers a term's postings, the impact memo is dropped and
+    partitions are evicted least-recently-touched first until the summed
+    resident estimate fits under ``limit_bytes``.
     Eviction requires partitions that can page their data back in on
     demand (the store-backed partitions of
     :mod:`repro.retrieval.store`), so enforcement trades latency on the
@@ -285,7 +285,9 @@ class EngineSnapshot:
 
     ``delta`` describes the change that produced this snapshot (empty
     for epoch 0 / a fresh build), which is what the serving layer's
-    per-affected-specialization warm invalidation reads.
+    per-affected-specialization warm invalidation reads.  ``impacts`` is
+    the snapshot's own impact memo: a query pinned to an older epoch
+    reads that epoch's impacts, and a publish starts with none.
     """
 
     epoch: int
@@ -297,6 +299,9 @@ class EngineSnapshot:
     total_tokens: int
     average_document_length: float
     delta: EpochDelta = EpochDelta((), (), frozenset(), False)
+    impacts: ImpactMemo = dataclasses.field(
+        default_factory=ImpactMemo, compare=False, repr=False
+    )
 
 
 class PartitionedSearchEngine(SearchEngine):
@@ -659,71 +664,38 @@ class PartitionedSearchEngine(SearchEngine):
 
         return lookup
 
-    def search(self, query: str, k: int = 1000) -> ResultList:
-        """Scatter the query over every partition, gather the global top-k.
-
-        Identical to :meth:`SearchEngine.search` on the undivided
-        collection: same per-document float contributions (global df/cf/
-        N/avgdl), same accumulation order per document (query-term
-        order), same ``(score desc, ordinal asc)`` selection.
-        """
-        if k <= 0:
-            raise ValueError("k must be positive")
-        terms = self.analyzer.analyze(query)
-        if not terms:
-            return ResultList(query, [])
-        weights = Counter(terms)
-
-        # One snapshot read for the whole scatter/gather: a publish that
-        # lands mid-query cannot hand this call a half-new epoch.
+    def _index_state(self):
+        # One snapshot read for the whole search: a publish that lands
+        # mid-query cannot hand this call a half-new epoch.
         snapshot = self._pinned_snapshot()
-        n_docs = snapshot.num_documents
-        avg_dl = snapshot.average_document_length
-        budget = self.memory_budget
-        touched: set[int] = set()
-        accumulators: dict[int, float] = {}
-        for term, qtf in weights.items():
-            per_partition = [p.postings(term) for p in snapshot.partitions]
-            df = sum(pl.document_frequency for pl in per_partition if pl)
-            cf = sum(pl.collection_frequency for pl in per_partition if pl)
-            if df == 0:
-                continue
-            for shard, (index, postings, to_global) in enumerate(
-                zip(snapshot.partitions, per_partition, snapshot.global_ordinals)
-            ):
-                if postings is None:
-                    continue
-                if budget is not None:
-                    touched.add(shard)
-                for ordinal, tf in zip(postings.ordinals, postings.tfs):
-                    contribution = self.model.score(
-                        tf,
-                        index.document_length(ordinal),
-                        df,
-                        cf,
-                        n_docs,
-                        avg_dl,
-                        key_frequency=float(qtf),
-                    )
-                    global_ordinal = to_global[ordinal]
-                    if global_ordinal in accumulators:
-                        accumulators[global_ordinal] += contribution
-                    else:
-                        accumulators[global_ordinal] = contribution
+        return snapshot, snapshot.impacts
 
-        top = heapq.nsmallest(
-            k, accumulators.items(), key=lambda item: (-item[1], item[0])
-        )
+    def _impact_list(self, snapshot: EngineSnapshot, term: str, qtf: int):
+        """Gather *term*'s impacts from every partition of *snapshot* —
+        what one engine over the undivided collection computes: df/cf
+        summed across partitions, the global N and avg_dl, partition
+        ordinals mapped to collection ordinals."""
+        per_partition = [p.postings(term) for p in snapshot.partitions]
+        df = sum(pl.document_frequency for pl in per_partition if pl)
+        cf = sum(pl.collection_frequency for pl in per_partition if pl)
+        n_docs, avg_dl = snapshot.num_documents, snapshot.average_document_length
+        ordinals: list[int] = []
+        impacts = array("d")
+        self._partition_clock += 1
+        for shard, postings in enumerate(per_partition):
+            if postings is None:
+                continue
+            self._partition_touched[shard] = self._partition_clock
+            to_global = snapshot.global_ordinals[shard]
+            ordinals.extend([to_global[ordinal] for ordinal in postings.ordinals])
+            index = snapshot.partitions[shard]
+            self._score_postings(impacts, index, postings, qtf, df, cf, n_docs, avg_dl)
+        self._enforce_memory_budget()
+        return ordinals, impacts
+
+    def _doc_ids(self, snapshot: EngineSnapshot, ordinals):
         by_ordinal = snapshot.collection.by_ordinal
-        results = ResultList(
-            query, [(by_ordinal(ordinal).doc_id, score) for ordinal, score in top]
-        )
-        if budget is not None:
-            self._partition_clock += 1
-            for shard in touched:
-                self._partition_touched[shard] = self._partition_clock
-            self._enforce_memory_budget()
-        return results
+        return [by_ordinal(ordinal).doc_id for ordinal in ordinals]
 
     def set_memory_budget(
         self, budget: "MemoryBudget | int | None"
@@ -757,15 +729,17 @@ class PartitionedSearchEngine(SearchEngine):
         return budget
 
     def _enforce_memory_budget(self) -> None:
-        """Evict least-recently-touched partitions until under budget."""
+        """Drop the impact memo (derived, recomputable), then evict
+        least-recently-touched partitions, until under budget."""
         budget = self.memory_budget
         if budget is None:
             return
-        resident = [p.resident_bytes() for p in self.partitions]
-        total = sum(resident)
-        if total <= budget.limit_bytes:
+        memo = self._pinned_snapshot().impacts
+        total = sum(p.resident_bytes() for p in self.partitions)
+        if total + memo.memory_bytes() <= budget.limit_bytes:
             return
         budget.enforcements += 1
+        memo.clear()
         order = sorted(
             range(len(self.partitions)),
             key=lambda shard: self._partition_touched[shard],
@@ -778,26 +752,6 @@ class PartitionedSearchEngine(SearchEngine):
                 budget.partitions_evicted += 1
                 budget.bytes_evicted += freed
                 total -= freed
-
-    def memory_estimate(self) -> dict[str, int]:
-        """Estimated resident bytes summed across the partition indexes.
-
-        Component-wise sums of each partition's
-        :meth:`~repro.retrieval.index.InvertedIndex.memory_estimate` —
-        terms indexed in several partitions are priced once per
-        partition, because each partition really holds its own posting
-        lists and vocabulary entry for them.
-        """
-        totals = {
-            "postings_bytes": 0,
-            "vocabulary_bytes": 0,
-            "documents_bytes": 0,
-            "total_bytes": 0,
-        }
-        for partition in self.partitions:
-            for key, value in partition.memory_estimate().items():
-                totals[key] += value
-        return totals
 
     def build_reports(self) -> list[BuildReport]:
         """Per-partition :class:`BuildReport` snapshots of the held indexes.

@@ -24,8 +24,8 @@ On top of the store sit three pieces:
 * :class:`StoreBackedSearchEngine` — a
   :class:`~repro.retrieval.sharding.PartitionedSearchEngine` whose
   partitions are store-backed.  It inherits the identity-critical
-  ``search()`` **unchanged**, and the store round-trips every statistic
-  as exact integers (tf, document lengths, df, cf, N, total tokens), so
+  ``search()`` and partition gather, and the store round-trips every
+  statistic as exact integers (tf, document lengths, df, cf, N, tokens), so
   rankings *and scores* are byte-identical to the in-memory build.  The
   engine pickles as just its store path plus configuration: process
   workers and respawned replicas rehydrate in O(attach), not O(rebuild).
@@ -44,7 +44,7 @@ import sqlite3
 import sys
 import threading
 from array import array
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -152,6 +152,9 @@ def _page_bytes(postings: PostingList) -> int:
         + 64
     )
 
+
+#: The page of a term its partition does not hold.
+_ABSENT = PostingList()
 
 _SCHEMA_STATEMENTS = (
     """CREATE TABLE meta (
@@ -453,6 +456,7 @@ def append_epoch(
                     for offset, fields in enumerate(new_docs[base:])
                 ),
             )
+        old_by_ordinal = {r[0]: r[1] for r in old_rows} if removes else {}
         for shard in range(num_partitions):
             if shard in members:
                 index = InvertedIndex(analyzer)
@@ -519,7 +523,6 @@ def append_epoch(
                     " WHERE partition = ?",
                     (shard,),
                 ).fetchone()
-                old_by_ordinal = {r[0]: r[1] for r in old_rows}
                 remapped = [
                     new_ordinal_by_id[old_by_ordinal[g]]
                     for g in _unpack_ints(row[0])
@@ -708,21 +711,6 @@ class IndexStore:
         with self._lock:
             self._meta = dict(rows)
 
-    def partition_stats(self, partition: int) -> dict[str, int]:
-        row = self._fetchone(
-            "SELECT num_documents, num_terms, num_postings, total_tokens"
-            " FROM partitions WHERE partition = ?",
-            (partition,),
-        )
-        if row is None:
-            raise StoreError(f"{self.path}: no partition {partition}")
-        return {
-            "num_documents": row[0],
-            "num_terms": row[1],
-            "num_postings": row[2],
-            "total_tokens": row[3],
-        }
-
     def partition_epoch(self, partition: int) -> int:
         """The epoch that last rewrote *partition*'s rows."""
         row = self._fetchone(
@@ -731,6 +719,18 @@ class IndexStore:
         if row is None:
             raise StoreError(f"{self.path}: no partition {partition}")
         return int(row[0])
+
+    def partition_table(self) -> list[tuple]:
+        """Per partition, in partition order: ``(epoch, global ordinals,
+        num_documents, num_terms, num_postings, total_tokens)`` — all an
+        attach or a refresh reads of them, in one statement."""
+        return [
+            (row[0], _unpack_ints(row[1]), *row[2:])
+            for row in self._fetchall(
+                "SELECT epoch, global_ordinals, num_documents, num_terms,"
+                " num_postings, total_tokens FROM partitions ORDER BY partition"
+            )
+        ]
 
     def lengths(self, partition: int) -> list[int]:
         row = self._fetchone(
@@ -784,12 +784,18 @@ class IndexStore:
 
     # -- documents ----------------------------------------------------------
 
-    def document_row(self, ordinal: int) -> tuple | None:
+    def document_row(self, doc_id: str) -> tuple | None:
         return self._fetchone(
-            "SELECT doc_id, title, text, metadata, forward FROM documents"
-            " WHERE ordinal = ?",
-            (ordinal,),
+            "SELECT ordinal, title, text, metadata, forward FROM documents"
+            " WHERE doc_id = ?",
+            (doc_id,),
         )
+
+    def doc_id_at(self, ordinal: int) -> str | None:
+        row = self._fetchone(
+            "SELECT doc_id FROM documents WHERE ordinal = ?", (ordinal,)
+        )
+        return row[0] if row is not None else None
 
     def ordinal_of(self, doc_id: str) -> int | None:
         row = self._fetchone(
@@ -904,10 +910,10 @@ class PostingPageCache:
                 self._resident -= freed
                 self._evictions += 1
 
-    def evict_partition(self, partition: int) -> int:
-        """Drop every page of *partition*; returns the bytes freed."""
+    def evict_partitions(self, partitions: Collection[int]) -> int:
+        """Drop every page of *partitions*; returns the bytes freed."""
         with self._lock:
-            doomed = [key for key in self._pages if key[0] == partition]
+            doomed = [key for key in self._pages if key[0] in partitions]
             freed = 0
             for key in doomed:
                 _, nbytes = self._pages.pop(key)
@@ -952,16 +958,22 @@ class StoreBackedInvertedIndex:
     """
 
     def __init__(
-        self, store: IndexStore, partition: int, page_cache: PostingPageCache
+        self,
+        store: IndexStore,
+        partition: int,
+        page_cache: PostingPageCache,
+        stats: Sequence[int],
     ) -> None:
         self._store = store
         self.partition = partition
         self._page_cache = page_cache
-        stats = store.partition_stats(partition)
-        self._num_documents = stats["num_documents"]
-        self._num_terms = stats["num_terms"]
-        self._num_postings = stats["num_postings"]
-        self._total_tokens = stats["total_tokens"]
+        # (documents, terms, postings, tokens) of IndexStore.partition_table
+        (
+            self._num_documents,
+            self._num_terms,
+            self._num_postings,
+            self._total_tokens,
+        ) = stats
         self._lengths: list[int] | None = None
 
     # -- statistics (exact ints, straight from the partitions table) -------
@@ -1003,23 +1015,22 @@ class StoreBackedInvertedIndex:
 
     def doc_id(self, ordinal: int) -> str:
         global_ordinal = self._store.global_ordinals(self.partition)[ordinal]
-        row = self._store.document_row(global_ordinal)
-        if row is None:
+        doc_id = self._store.doc_id_at(global_ordinal)
+        if doc_id is None:
             raise IndexError(f"no document at partition ordinal {ordinal}")
-        return row[0]
+        return doc_id
 
     # -- postings -----------------------------------------------------------
 
     def postings(self, term: str) -> PostingList | None:
         key = (self.partition, term)
         page = self._page_cache.get(key)
-        if page is not None:
-            return page
-        postings = self._store.postings(self.partition, term)
-        if postings is None:
-            return None
-        self._page_cache.put(key, postings, _page_bytes(postings))
-        return postings
+        if page is None:
+            # A term the partition lacks is remembered too, as the empty
+            # page: one probe per partition epoch, evicted with the rest.
+            page = self._store.postings(self.partition, term) or _ABSENT
+            self._page_cache.put(key, page, _page_bytes(page))
+        return page or None
 
     def document_frequency(self, term: str) -> int:
         stats = self._store.term_stats(self.partition, term)
@@ -1052,7 +1063,7 @@ class StoreBackedInvertedIndex:
         Everything pages back in from the store on the next touch, so
         eviction trades next-query latency for memory — never results.
         """
-        freed = self._page_cache.evict_partition(self.partition)
+        freed = self._page_cache.evict_partitions((self.partition,))
         if self._lengths is not None:
             freed += (
                 sys.getsizeof(self._lengths) + len(self._lengths) * _INT_BYTES
@@ -1090,56 +1101,69 @@ class StoreBackedCollection:
     Nothing loads at attach time: document rows fetch lazily (behind a
     small LRU) when snippets or result mapping need them — the bulk of
     why attach is O(1) in collection size.  A row's forward-index blob
-    is decoded with it and shares its LRU entry.
+    is decoded with it and shares its LRU entry.  Entries are keyed by
+    doc_id, which an epoch does not move (ordinals it does), and carry
+    their partition so a refresh can keep those it did not rewrite:
+    *carried* is ``(doc_id, entry)`` pairs copied from the previous
+    epoch's collection.
     """
 
     def __init__(
         self,
         store: IndexStore,
         cache_size: int = DEFAULT_DOCUMENT_CACHE_SIZE,
+        carried: Iterable[tuple] = (),
     ) -> None:
         self._store = store
         self._num_documents = store.num_documents
-        # global ordinal -> (ForwardRow, Document)
-        self._documents = LRUCache(cache_size)
-        self._ordinals = LRUCache(cache_size)  # doc_id -> global ordinal
+        # doc_id -> ((ForwardRow, Document), partition)
+        self._entries = LRUCache(cache_size, carried)
+        self._doc_ids = LRUCache(cache_size)  # this epoch's ordinal -> doc_id
 
-    def _entry(self, ordinal: int) -> tuple[ForwardRow, Document]:
-        entry = self._documents.get(ordinal)
-        if entry is not None:
-            return entry
-        row = self._store.document_row(ordinal)
-        if row is None:
-            raise IndexError(f"ordinal out of range: {ordinal}")
-        document = Document(
-            doc_id=row[0],
-            text=row[2],
-            title=row[1],
-            metadata=json.loads(row[3]),
-        )
-        entry = (ForwardRow.decode(row[4]), document)
-        self._documents.put(ordinal, entry)
-        return entry
-
-    def by_ordinal(self, ordinal: int) -> Document:
-        return self._entry(ordinal)[1]
+    def cached_entries(self, partitions: Collection[int]) -> list[tuple]:
+        """The cached ``(doc_id, entry)`` pairs of documents in
+        *partitions*, least recently used first."""
+        return [
+            pair for pair in self._entries.snapshot() if pair[1][1] in partitions
+        ]
 
     def forward_entry(self, doc_id: str) -> tuple[ForwardRow, Document]:
         """``(forward row, document)`` of *doc_id* — one cache lookup."""
-        return self._entry(self.ordinal(doc_id))
+        entry = self._entries.get(doc_id)
+        if entry is None:
+            row = self._store.document_row(doc_id)
+            if row is None:
+                raise KeyError(doc_id)
+            document = Document(
+                doc_id=doc_id,
+                text=row[2],
+                title=row[1],
+                metadata=json.loads(row[3]),
+            )
+            store = self._store
+            shard = stable_shard(doc_id, store.num_partitions, store.seed)
+            entry = ((ForwardRow.decode(row[4]), document), shard)
+            self._entries.put(doc_id, entry)
+            self._doc_ids.put(row[0], doc_id)
+        return entry[0]
+
+    def by_ordinal(self, ordinal: int) -> Document:
+        doc_id = self._doc_ids.get(ordinal)
+        if doc_id is None:
+            doc_id = self._store.doc_id_at(ordinal)
+            if doc_id is None:
+                raise IndexError(f"ordinal out of range: {ordinal}")
+            self._doc_ids.put(ordinal, doc_id)
+        return self[doc_id]
 
     def ordinal(self, doc_id: str) -> int:
-        ordinal = self._ordinals.get(doc_id)
-        if ordinal is not None:
-            return ordinal
         ordinal = self._store.ordinal_of(doc_id)
         if ordinal is None:
             raise KeyError(doc_id)
-        self._ordinals.put(doc_id, ordinal)
         return ordinal
 
     def __getitem__(self, doc_id: str) -> Document:
-        return self.by_ordinal(self.ordinal(doc_id))
+        return self.forward_entry(doc_id)[1]
 
     def get(self, doc_id: str, default: Document | None = None):
         try:
@@ -1148,18 +1172,13 @@ class StoreBackedCollection:
             return default
 
     def __contains__(self, doc_id: str) -> bool:
-        try:
-            self.ordinal(doc_id)
-        except KeyError:
-            return False
-        return True
+        return doc_id in self._entries or self._store.ordinal_of(doc_id) is not None
 
     def __len__(self) -> int:
         return self._num_documents
 
     def __iter__(self) -> Iterator[Document]:
-        for ordinal in range(self._num_documents):
-            yield self.by_ordinal(ordinal)
+        return map(self.__getitem__, self.doc_ids)
 
     @property
     def doc_ids(self) -> list[str]:
@@ -1243,38 +1262,40 @@ class StoreBackedSearchEngine(PartitionedSearchEngine):
         advanced past the previous snapshot keep their wrapper (resident
         lengths and postings pages stay valid — an append never edits an
         untouched partition's rows); rewritten partitions get a fresh
-        wrapper and their pages evicted.  The document collection view is
-        always rebuilt: removals shift global ordinals, and the row
-        caches are keyed by them.
+        wrapper and their pages evicted.  Cached document rows live by
+        the same rule: any added, removed or replaced document forces
+        its partition's tag forward, so the new collection view starts
+        with a *copy* of the previous one's entries in kept partitions
+        (a copy: a query still pinned to *previous* cannot write into
+        this epoch's cache).  Ordinals are re-read; removals shift them.
         """
         store = self.store
-        partitions = []
-        for p in range(self.num_partitions):
-            reusable = (
-                previous is not None
-                and store.partition_epoch(p) <= previous.epoch
-            )
-            if reusable:
-                partitions.append(previous.partitions[p])
-            else:
-                if previous is not None:
-                    self.page_cache.evict_partition(p)
-                partitions.append(
-                    StoreBackedInvertedIndex(store, p, self.page_cache)
-                )
+        table = store.partition_table()
+        if len(table) != self.num_partitions:
+            raise StoreError(f"{store.path}: partition rows are missing")
+        shards = range(self.num_partitions)
+        kept = set()
+        if previous is not None:
+            kept = {p for p in shards if table[p][0] <= previous.epoch}
+        self.page_cache.evict_partitions(set(shards) - kept)
+        partitions = [
+            previous.partitions[p]
+            if p in kept
+            else StoreBackedInvertedIndex(store, p, self.page_cache, table[p][2:])
+            for p in shards
+        ]
         num_documents = store.num_documents
         total_tokens = store.total_tokens
         return EngineSnapshot(
             epoch=store.store_epoch,
             collection=StoreBackedCollection(
-                store, self._document_cache_size
+                store,
+                self._document_cache_size,
+                previous.collection.cached_entries(kept) if kept else (),
             ),
             partition_collections=(),
             partitions=tuple(partitions),
-            global_ordinals=tuple(
-                tuple(store.global_ordinals(p))
-                for p in range(self.num_partitions)
-            ),
+            global_ordinals=tuple(tuple(row[1]) for row in table),
             num_documents=num_documents,
             total_tokens=total_tokens,
             average_document_length=(
@@ -1344,15 +1365,7 @@ class StoreBackedSearchEngine(PartitionedSearchEngine):
         the always-resident ordinal maps — in the same shape as the
         in-memory engine, so rebuild-vs-attach footprints compare
         directly."""
-        totals = {
-            "postings_bytes": 0,
-            "vocabulary_bytes": 0,
-            "documents_bytes": 0,
-            "total_bytes": 0,
-        }
-        for partition in self.partitions:
-            for key, value in partition.memory_estimate().items():
-                totals[key] += value
+        totals = super().memory_estimate()
         ordinal_bytes = sum(
             sys.getsizeof(mapping) + len(mapping) * _INT_BYTES
             for mapping in self._global_ordinals

@@ -16,7 +16,11 @@ from repro.retrieval.persistence import (
     decode_warm_artifact,
     encode_warm_artifact,
 )
-from repro.retrieval.sharding import MemoryBudget, PartitionedSearchEngine
+from repro.retrieval.sharding import (
+    MemoryBudget,
+    PartitionedSearchEngine,
+    stable_shard,
+)
 from repro.retrieval.store import (
     SCHEMA_VERSION,
     IndexStore,
@@ -24,6 +28,7 @@ from repro.retrieval.store import (
     StoreBackedCollection,
     StoreBackedSearchEngine,
     StoreError,
+    append_epoch,
     read_warm_payloads,
     write_store,
 )
@@ -146,15 +151,43 @@ class TestPageCache:
         finally:
             engine.close()
 
-    def test_hits_on_repeated_query(self, store_path, topic_queries):
-        engine = StoreBackedSearchEngine(store_path)
+    def test_hits_on_repeated_query(
+        self, built_engine, tmp_path, topic_queries, monkeypatch
+    ):
+        """A repeated query is served from the impact memo — neither the
+        store nor the page cache is touched; once an epoch rewrites one
+        partition the impacts are re-derived, from pages still resident
+        everywhere else."""
+        path = write_store(tmp_path / "index.sqlite3", built_engine)
+        engine = StoreBackedSearchEngine(path)
+        probes = []
+        fetch = IndexStore.postings
+        monkeypatch.setattr(
+            IndexStore,
+            "postings",
+            lambda store, p, term: probes.append((p, term)) or fetch(store, p, term),
+        )
         try:
-            engine.search(topic_queries[0], K)
-            misses = engine.page_cache_info().misses
-            engine.search(topic_queries[0], K)
+            query = topic_queries[0]
+            terms = set(engine.analyzer.analyze(query))
+            first = engine.search(query, K)
+            assert sorted(probes) == sorted((p, t) for p in range(3) for t in terms)
+            before = engine.page_cache_info()
+            assert_identical(first, engine.search(query, K), query)
+            assert len(probes) == 3 * len(terms)
             stats = engine.page_cache_info()
-            assert stats.misses == misses
-            assert stats.hits > 0
+            assert (stats.hits, stats.misses) == (before.hits, before.misses)
+
+            fresh = Document("fresh-doc", "entirely unrelated filler words")
+            rewritten = stable_shard(fresh.doc_id, 3, built_engine.seed)
+            append_epoch(path, [fresh])
+            engine.refresh()
+            del probes[:]
+            engine.search(query, K)
+            assert sorted(probes) == sorted((rewritten, t) for t in terms)
+            after = engine.page_cache_info()
+            assert after.misses - stats.misses == len(terms)
+            assert after.hits - stats.hits == 2 * len(terms) > 0
         finally:
             engine.close()
 

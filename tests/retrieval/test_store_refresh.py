@@ -1,0 +1,206 @@
+"""What a store-backed engine keeps across ``refresh()``: cached document
+rows and remembered-absent terms of partitions the epochs did not
+rewrite survive; everything in a rewritten partition is re-read.  Store
+access is counted by wrapping the ``IndexStore`` methods."""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.retrieval.documents import Document, DocumentCollection
+from repro.retrieval.sharding import PartitionedSearchEngine, stable_shard
+from repro.retrieval.snippets import SnippetExtractor
+from repro.retrieval.store import (
+    IndexStore,
+    StoreBackedSearchEngine,
+    append_epoch,
+    write_store,
+)
+
+PARTITIONS = 4
+WORDS = ["apple", "banana", "cherry", "durian", "elder", "fig", "grape"]
+
+
+def shard_of(doc_id: str) -> int:
+    return stable_shard(doc_id, PARTITIONS, 0)
+
+
+def make_docs(n: int) -> list[Document]:
+    return [
+        Document(
+            f"d{i}",
+            " ".join(WORDS[(i + j) % len(WORDS)] for j in range(3 + i % 4)),
+            title=f"title {i}",
+        )
+        for i in range(n)
+    ]
+
+
+def doc_for(shard: int, text: str, prefix: str = "new") -> Document:
+    """A fresh document that hashes to partition *shard*."""
+    for i in range(1000):
+        if shard_of(f"{prefix}{i}") == shard:
+            return Document(f"{prefix}{i}", text)
+    raise AssertionError("no id found")
+
+
+@pytest.fixture
+def docs():
+    return make_docs(24)
+
+
+@pytest.fixture
+def store_path(tmp_path, docs):
+    path = tmp_path / "index.sqlite3"
+    write_store(path, PartitionedSearchEngine(DocumentCollection(docs), PARTITIONS))
+    return path
+
+
+@pytest.fixture
+def engine(store_path):
+    engine = StoreBackedSearchEngine(store_path)
+    yield engine
+    engine.close()
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Arguments of every ``IndexStore.document_row`` / ``doc_id_at`` /
+    ``postings`` call, by method name."""
+    seen = {"document_row": [], "doc_id_at": [], "postings": []}
+    for name, log in seen.items():
+        original = getattr(IndexStore, name)
+
+        def counted(store, *args, _original=original, _log=log):
+            _log.append(args)
+            return _original(store, *args)
+
+        monkeypatch.setattr(IndexStore, name, counted)
+    return seen
+
+
+def forward_of(document: Document):
+    return SnippetExtractor().analyse_document(document)
+
+
+class TestRowsAcrossRefresh:
+    def test_rows_outside_the_rewritten_partition_are_not_fetched_again(
+        self, engine, store_path, docs, calls
+    ):
+        lookup = engine._forward_lookup()
+        for document in docs:
+            assert lookup(document.doc_id) == (forward_of(document), document)
+        assert len(calls["document_row"]) == len(docs)
+        append_epoch(store_path, [doc_for(2, "apple fig")])
+        engine.refresh()
+        del calls["document_row"][:]
+        lookup = engine._forward_lookup()
+        for document in docs:
+            assert lookup(document.doc_id) == (forward_of(document), document)
+        refetched = [doc_id for (doc_id,) in calls["document_row"]]
+        assert refetched == [d.doc_id for d in docs if shard_of(d.doc_id) == 2]
+        assert refetched  # the partition was not empty
+
+    def test_search_results_map_through_this_epochs_ordinals(
+        self, engine, store_path, docs, calls
+    ):
+        """A removal shifts every later ordinal; doc_ids are resolved
+        against the refreshed epoch, rows still come from the cache."""
+        before = engine.search("apple banana", 50)
+        engine.snippet_vectors("apple banana", before)
+        victim = docs[0].doc_id
+        append_epoch(store_path, (), [victim])
+        engine.refresh()
+        for log in calls.values():
+            del log[:]
+        after = engine.search("apple banana", 50)
+        assert victim in before and victim not in after
+        assert set(after.doc_ids) == set(before.doc_ids) - {victim}
+        assert calls["doc_id_at"]  # ordinals are this epoch's
+        engine.snippet_vectors("apple banana", after)
+        assert {doc_id for (doc_id,) in calls["document_row"]} == {
+            d for d in after.doc_ids if shard_of(d) == shard_of(victim)
+        }
+
+    @pytest.mark.parametrize("refresh_each_epoch", [True, False])
+    def test_removed_then_readded_serves_the_new_text(
+        self, engine, store_path, docs, refresh_each_epoch
+    ):
+        old = docs[3]
+        collection = engine.collection
+        assert collection[old.doc_id].text == old.text
+        append_epoch(store_path, (), [old.doc_id])
+        if refresh_each_epoch:
+            engine.refresh()
+            assert old.doc_id not in engine.collection
+            with pytest.raises(KeyError):
+                engine.collection[old.doc_id]
+            with pytest.raises(KeyError):
+                engine.forward_row(old.doc_id)
+        new = Document(old.doc_id, "grape grape elder", title="rewritten")
+        append_epoch(store_path, [new])
+        engine.refresh()
+        assert engine.epoch == 2
+        assert engine.collection[old.doc_id] == new
+        assert engine.forward_row(old.doc_id) == forward_of(new)
+        assert engine.collection.by_ordinal(len(docs) - 1) == new
+        # The view attached before the epochs still serves what it cached.
+        assert collection[old.doc_id].text == old.text
+
+    def test_older_view_cannot_write_into_the_new_cache(
+        self, engine, store_path, docs, calls
+    ):
+        old_view = engine.collection
+        elsewhere = next(d for d in docs if shard_of(d.doc_id) != 1)
+        append_epoch(store_path, [doc_for(1, "cherry")])
+        engine.refresh()
+        new_view = engine.collection
+        assert new_view is not old_view
+        assert old_view[elsewhere.doc_id] == elsewhere  # fetched by the old view
+        assert len(calls["document_row"]) == 1
+        assert new_view[elsewhere.doc_id] == elsewhere  # ... and again by the new
+        assert len(calls["document_row"]) == 2
+        assert new_view[elsewhere.doc_id] == elsewhere
+        assert len(calls["document_row"]) == 2
+
+
+class TestAbsentTerms:
+    def test_one_probe_per_partition_until_an_epoch_adds_the_term(
+        self, engine, store_path, calls
+    ):
+        assert len(engine.search("zebra", 5)) == 0
+        assert sorted(calls["postings"]) == [(p, "zebra") for p in range(PARTITIONS)]
+        # Another qtf is another impact list, so the partitions are asked
+        # again — and answer from the page cache.
+        assert len(engine.search("zebra zebra", 5)) == 0
+        assert len(calls["postings"]) == PARTITIONS
+        stats = engine.page_cache_info()
+        assert (stats.hits, stats.misses) == (PARTITIONS, PARTITIONS)
+        assert stats.pages == PARTITIONS
+
+        arrival = doc_for(3, "zebra crossing")
+        append_epoch(store_path, [arrival])
+        engine.refresh()
+        assert engine.page_cache_info().pages == PARTITIONS - 1
+        assert engine.search("zebra", 5).doc_ids == [arrival.doc_id]
+        assert calls["postings"][PARTITIONS:] == [(3, "zebra")]
+
+    def test_page_cache_counters_stay_consistent(self, engine, store_path):
+        for query in ("apple", "zebra", "apple zebra", "banana apple apple"):
+            engine.search(query, 5)
+        append_epoch(store_path, [doc_for(0, "apple zebra")])
+        engine.refresh()
+        for query in ("apple", "zebra", "fig zebra"):
+            engine.search(query, 5)
+        # 4 distinct (term, qtf) gathered before the epoch, 3 after it.
+        stats = engine.page_cache_info()
+        assert stats.hits + stats.misses == (4 + 3) * PARTITIONS
+        cache = engine.page_cache
+        assert stats.pages == len(cache._pages)
+        assert stats.resident_bytes == sum(n for _, n in cache._pages.values())
+        assert stats.resident_bytes == sum(
+            cache.partition_bytes(p) for p in range(PARTITIONS)
+        )
+        absent = [key for key, (page, _) in cache._pages.items() if not page]
+        assert {term for _, term in absent} == {"zebra"}
+        assert all(n > 0 for _, n in cache._pages.values())
