@@ -144,7 +144,7 @@ def main() -> None:
     if "fork" not in multiprocessing.get_all_start_methods():
         # Without fork the closure factory below cannot reach spawn'd
         # workers; a picklable factory object would be needed instead
-        # (see repro.experiments.throughput.WorkloadFrameworkFactory).
+        # (see repro.experiments.offline.PartitionedFrameworkFactory).
         print("   (skipped: no fork start method on this platform)")
     else:
         with tempfile.TemporaryDirectory(prefix="repro-warm-") as warm_dir:

@@ -5,7 +5,7 @@ Checks, in order:
 
 1. ``README.md`` and ``docs/ARCHITECTURE.md`` exist;
 2. the README still references the load-bearing commands (tier-1 pytest
-   line, the throughput benchmark and its ``--shards`` mode);
+   line, the ``bench/`` benchmark, the offline pipeline and its store);
 3. every ``python -m repro.<module>`` command mentioned in the README
    names a module that actually imports;
 4. the experiment CLIs answer ``--help`` (smoke-run, subprocess per
@@ -34,27 +34,15 @@ SRC = ROOT / "src"
 #: told to run; losing one silently orphans a documented workflow.
 REQUIRED_SNIPPETS = [
     "python -m pytest -x -q",
-    "python -m repro.experiments.throughput",
+    "python3 bench/run.py --all",
+    "python3 bench/compare.py",
     "python -m repro.experiments.offline",
-    "--shards 4",
-    "--mode async",
     "--backend process",
-    "--fused",
     "--partitions 4",
     "--start-method spawn",
-    "--save-stats",
-    "--replicas 2",
-    "--kill-shard",
-    "--mode http",
-    "--mode coldstart",
-    "--mode ingest",
-    "/documents",
-    "BENCH_ingest_live.json",
+    "--warm-dir",
     "--store",
-    "--memory-budget",
-    "BENCH_http_e2e.json",
-    "BENCH_store_coldstart.json",
-    "/drain",
+    "/documents",
     "REPRO_SPAWN_LANE=1",
     "REPRO_KILL_LANE=1",
     "docs/ARCHITECTURE.md",

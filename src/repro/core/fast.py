@@ -218,8 +218,8 @@ class FastOptSelect(OptSelect):
 #
 # The selection-identity contract extends unchanged: for every task in
 # the group, the fused ranking equals ``diversifier.diversify(task, k)``
-# including tie breaks.  The ``timer`` hooks feed the ``--profile`` mode
-# of ``repro.experiments.throughput``.
+# including tie breaks.  The ``timer`` hooks receive the service's
+# ``profiler`` (a :class:`~repro.core.profiling.StageTimer` when set).
 
 
 def _record_stats(diversifier, arrays: TaskArrays, picks) -> None:

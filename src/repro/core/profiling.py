@@ -14,9 +14,9 @@ registry those code paths thread through::
 
 A timer is cheap (one ``perf_counter`` pair per stage entry) but not
 free, so the serving layer only passes one when profiling is requested
-(``--profile`` on ``repro.experiments.throughput``); everywhere else the
-module-level :data:`NULL_TIMER` no-op stands in, keeping the hot path
-unconditional-branch free.
+(a timer assigned to ``DiversificationService.profiler``); everywhere
+else the module-level :data:`NULL_TIMER` no-op stands in, keeping the
+hot path unconditional-branch free.
 
 Stages nest and repeat: entering the same stage name again accumulates
 into its total.  Timers are not thread-safe — profile one service at a
@@ -53,8 +53,8 @@ class StageTimer:
         return self.totals.get(name, 0.0)
 
     def snapshot(self) -> dict[str, dict[str, float]]:
-        """``{stage: {seconds, entries}}`` — JSON-friendly, for BENCH
-        records and assertions."""
+        """``{stage: {seconds, entries}}`` — JSON-friendly, for reports
+        and assertions."""
         return {
             name: {"seconds": self.totals[name], "entries": self.counts[name]}
             for name in self.totals

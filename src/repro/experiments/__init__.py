@@ -6,7 +6,6 @@ Paper artefact      Module                                      CLI
 Table 1             :mod:`repro.experiments.table1`             ``python -m repro.experiments.table1``
 Table 2             :mod:`repro.experiments.table2`             ``python -m repro.experiments.table2 [--full] [--fast]``
 Table 3             :mod:`repro.experiments.table3`             ``python -m repro.experiments.table3 [--paper-scale]``
-Serving throughput  :mod:`repro.experiments.throughput`         ``python -m repro.experiments.throughput``
 Offline pipeline    :mod:`repro.experiments.offline`            ``python -m repro.experiments.offline``
 Figure 1            :mod:`repro.experiments.figure1`            ``python -m repro.experiments.figure1``
 Recall (App. C)     :mod:`repro.experiments.recall`             ``python -m repro.experiments.recall``

@@ -31,16 +31,21 @@ paper's feasibility argument rests on, end to end:
    hydrates them in parallel through the backend; re-warming the
    hydrated cluster must fetch **zero** artifacts.
 
+4. **Index store** (``--store``) — the engine and every shard's warm
+   artifacts persist into one SQLite file, which is attached, asserted
+   byte-identical to the undivided engine, and re-warmed by a
+   store-hydrated cluster that must fetch **zero** artifacts.
+
 On a single-core host the parallel arms read as parity (the identity
 check is the load-bearing result there); on an N-core host the process
-backend is the arm that scales.  ``--save-stats`` writes the run as a
-JSON benchmark record in the repo's ``BENCH_*.json`` trajectory.
+backend is the arm that scales.
 
 Run as a script::
 
     python -m repro.experiments.offline
     python -m repro.experiments.offline --partitions 4 --backend process
-    python -m repro.experiments.offline --paper-scale --save-stats BENCH_offline.json
+    python -m repro.experiments.offline --partitions 3 --shards 2 \\
+        --backend process --warm-dir warm --store index.sqlite3
     python -m repro.experiments.offline --backend process --start-method spawn
 """
 
@@ -53,12 +58,12 @@ from dataclasses import dataclass
 
 from repro.core.framework import DiversificationFramework, FrameworkConfig
 from repro.experiments.reporting import render_table
-from repro.experiments.throughput import save_stats_record, zipf_workload
 from repro.experiments.workloads import (
     PAPER_SCALE,
     SMALL_SCALE,
     TrecWorkload,
     build_trec_workload,
+    zipf_workload,
 )
 from repro.querylog.specializations import SpecializationMiner
 from repro.retrieval.engine import SearchEngine
@@ -107,9 +112,6 @@ class OfflineBuildResult:
     partitions: int
     shards: int
     backend: str
-    start_method: str | None
-    queries: int
-    distinct: int
     serial_build_seconds: float
     build_report: BuildReport      #: merged; per-partition in ``.shards``
     serial_warm: WarmReport        #: unsharded service over the serial engine
@@ -124,10 +126,6 @@ class OfflineBuildResult:
     store_attach_seconds: float | None = None
     #: re-warm fetches on a store-hydrated cluster (0 = warm rows hit in full)
     store_warm_fetched: int | None = None
-
-    @property
-    def parallel_build_seconds(self) -> float:
-        return self.build_report.seconds
 
     @property
     def build_speedup(self) -> float:
@@ -318,9 +316,6 @@ def run_offline_build(
         partitions=partitions,
         shards=shards,
         backend=backend,
-        start_method=start_method,
-        queries=len(queries),
-        distinct=len(set(queries)),
         serial_build_seconds=serial_build_seconds,
         build_report=build_report,
         serial_warm=serial_warm,
@@ -432,13 +427,6 @@ def main(argv: list[str] | None = None) -> None:
         "index store at PATH, then attach-verify it (byte-identical "
         "rankings/scores, store-hydrated cluster re-warm fetches 0)",
     )
-    parser.add_argument(
-        "--save-stats",
-        metavar="PATH",
-        default=None,
-        help="write this run's benchmark record (build + warm timings, "
-        "per-partition memory) as JSON to PATH",
-    )
     args = parser.parse_args(argv)
     scale = PAPER_SCALE if args.paper_scale else SMALL_SCALE
     workload = build_trec_workload(scale, logs=(args.log,))
@@ -513,66 +501,6 @@ def main(argv: list[str] | None = None) -> None:
         "partitioned == parallel partitioned; unsharded service == "
         f"{result.shards}-shard cluster ({result.backend} backend)."
     )
-    if args.save_stats:
-        path = save_stats_record(
-            args.save_stats,
-            {
-                "mode": "offline",
-                "backend": result.backend,
-                "start_method": result.start_method,
-                "partitions": result.partitions,
-                "shards": result.shards,
-                "queries": result.queries,
-                "distinct": result.distinct,
-                "serial_build_seconds": round(result.serial_build_seconds, 5),
-                "build_seconds": round(build.seconds, 5),
-                "build_busy_seconds": round(build.busy_seconds, 5),
-                "build_speedup": round(result.build_speedup, 3),
-                "warm_seconds": round(warm.seconds, 5),
-                "warm_busy_seconds": round(warm.busy_seconds, 5),
-                "serial_warm_seconds": round(result.serial_warm.seconds, 5),
-                "warm_fetched": warm.fetched,
-                "memory": {
-                    "index_total_bytes": build.total_bytes,
-                    "postings_bytes": build.postings_bytes,
-                    "vocabulary_bytes": build.vocabulary_bytes,
-                    "documents_bytes": build.documents_bytes,
-                    "warm_total_bytes": memory["total_bytes"],
-                    "warm_vector_bytes": memory["vector_bytes"],
-                    "warm_specializations": memory["specializations"],
-                    "warm_vectors": memory["vectors"],
-                },
-                "per_partition": [
-                    {
-                        "name": r.name,
-                        "documents": r.documents,
-                        "terms": r.terms,
-                        "postings": r.postings,
-                        "seconds": round(r.seconds, 5),
-                        "total_bytes": r.total_bytes,
-                    }
-                    for r in build.shards
-                ],
-                "hydrate_fetched": result.hydrate_fetched,
-                "store": args.store,
-                "store_bytes": result.store_bytes,
-                "store_write_seconds": (
-                    round(result.store_write_seconds, 5)
-                    if result.store_write_seconds is not None
-                    else None
-                ),
-                "store_attach_seconds": (
-                    round(result.store_attach_seconds, 5)
-                    if result.store_attach_seconds is not None
-                    else None
-                ),
-                "store_warm_fetched": result.store_warm_fetched,
-                "hardware_limited": result.hardware_limited,
-                "identity_checked": result.identity_checked,
-                "scale": scale.name,
-            },
-        )
-        print(f"benchmark record written to {path}")
 
 
 if __name__ == "__main__":

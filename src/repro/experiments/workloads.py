@@ -13,7 +13,8 @@ Two kinds of workload:
   (corpus → engine → logs → miner → testbed) behind the effectiveness
   experiments (Table 3, Figure 1, the Appendix C recall measure).  Built
   once and shared: constructing it is the expensive part of those
-  experiments.
+  experiments.  :func:`zipf_workload` draws a repeating query stream
+  over its topics for the offline pipeline's warm phase.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ __all__ = [
     "ExternalWebEngine",
     "TrecWorkload",
     "build_trec_workload",
+    "zipf_workload",
     "SMALL_SCALE",
     "PAPER_SCALE",
 ]
@@ -294,6 +296,21 @@ def build_trec_workload(
         logs=logs_built,
         miners=miners,
     )
+
+
+def zipf_workload(
+    workload: TrecWorkload, num_queries: int, seed: int = 13
+) -> list[str]:
+    """A Zipf-repeating query stream over the testbed's topic queries.
+
+    Web traffic repeats: the head query dominates, the tail is long.
+    Weighting topic i by 1/(i+1) reproduces that shape, which is exactly
+    the regime batching and result caching are built for.
+    """
+    rng = random.Random(seed)
+    queries = [topic.query for topic in workload.testbed.topics]
+    weights = [1.0 / (i + 1) for i in range(len(queries))]
+    return rng.choices(queries, weights=weights, k=num_queries)
 
 
 def empty_collection() -> DocumentCollection:

@@ -61,9 +61,8 @@ kernel default: selection-identical numpy kernels when numpy is present,
 the pure-Python references otherwise (see
 :func:`repro.core.framework.default_diversifier`).
 
-See ``examples/quickstart.py`` for the end-to-end flow and
-``repro.experiments.throughput`` for the batch-vs-loop and 1-vs-N-shard
-measurements.
+See ``examples/quickstart.py`` for the end-to-end flow and ``bench/``
+(``python3 bench/run.py --all``) for the end-to-end measurements.
 """
 
 from repro.core.cache import CacheStats, LRUCache

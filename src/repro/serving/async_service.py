@@ -27,9 +27,8 @@ Timing is injected through a small clock protocol (:class:`LoopClock`)
 so the admission window can be driven by a *manual* clock in tests —
 every window/backpressure/cancellation behaviour is asserted
 deterministically in ``tests/serving/test_async_service.py`` without a
-single real sleep.  ``python -m repro.experiments.throughput --mode
-async`` drives the front-end under open-loop Zipf arrivals and verifies
-result identity against the sequential batched path end to end.
+single real sleep, including open-loop traffic whose every result must
+equal the sequential batched path's.
 """
 
 from __future__ import annotations

@@ -7,9 +7,9 @@ Paper-Scanner API reference (SNIPPETS.md): a documented base URL,
 offset+cursor pagination, and explicit JSON error codes.  It is built
 entirely from the standard library (``http.server`` + ``json``): no
 framework dependency, which keeps the repo's no-new-deps constraint and
-makes the server a faithful measurement harness — what
-``repro.experiments.throughput --mode http`` times through a real socket
-is this code and the serving stack, nothing else.
+makes the server a faithful measurement harness — what the
+``serve_hot_http`` workload of ``bench/`` times through a real socket is
+this code and the serving stack, nothing else.
 
 Architecture: a :class:`~http.server.ThreadingHTTPServer` accepts
 connections (one handler thread per in-flight request) and bridges into
@@ -27,8 +27,8 @@ Endpoints (base URL ``http://<host>:<port>``):
 ``POST /diversify``
     Body ``{"query": "..."}`` or ``{"queries": ["...", ...]}``, optional
     ``"timeout_ms"``.  Responses are field-identical to a direct
-    ``diversify_batch`` on the same backend (asserted end-to-end by the
-    ``--mode http`` harness).  Errors: ``400`` malformed body, ``422``
+    ``diversify_batch`` on the same backend (asserted end-to-end by
+    ``tests/serving/test_http.py``).  Errors: ``400`` malformed body, ``422``
     validation, ``429`` over the in-flight bound, ``503`` draining /
     stopped / timed out.
 ``GET /results``
@@ -126,7 +126,7 @@ def result_payload(result: DiversifiedResult) -> dict:
     Everything the serving contract promises is included — ranking,
     diversification flag, algorithm, specializations with their
     probabilities, and the baseline ranking *with scores* — so the
-    ``--mode http`` identity check can compare HTTP responses
+    HTTP identity tests can compare responses
     field-for-field against direct ``diversify_batch`` results.  Floats
     survive the JSON round-trip exactly (``json`` serialises via
     ``repr`` and parses back to the same double).

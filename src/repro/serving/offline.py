@@ -31,7 +31,7 @@ persists per-partition
 → ``warm_artifacts_dir`` hydration, in parallel, on restart);
 ``python -m repro.experiments.offline`` drives the whole pipeline —
 parallel build, parallel warm, persistence round-trip — end to end with
-an identity check and a ``--save-stats`` benchmark record.
+an identity check.
 
 Every travelling type here pickles (collections, analyzers, indexes,
 reports), so the pipeline is spawn-safe: a

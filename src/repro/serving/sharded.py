@@ -30,8 +30,7 @@ index itself may be document-partitioned via
 :class:`~repro.retrieval.sharding.PartitionedSearchEngine`, which is
 ranking-identical), the cluster serves **exactly** the rankings the
 unsharded service serves — under *any* backend — asserted by the test
-suite and re-checked by ``python -m repro.experiments.throughput
---shards N [--backend process]``.
+suite (``tests/serving/test_sharded.py``, ``test_backends.py``).
 """
 
 from __future__ import annotations

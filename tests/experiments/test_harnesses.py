@@ -215,141 +215,104 @@ class TestAblations:
         assert utilities == sorted(utilities, reverse=True)
 
 
-class TestThroughputBackendsAndRecords:
-    def test_backend_throughput_inline_vs_thread(self, workload, tmp_path):
-        from repro.experiments.throughput import (
-            run_backend_throughput,
-            save_stats_record,
-        )
+def _framework_factory(workload):
+    from repro.core.framework import FrameworkConfig
+    from repro.experiments.offline import PartitionedFrameworkFactory
 
-        result = run_backend_throughput(
-            workload, num_queries=20, shards=2, backend="inline", repeats=1
-        )
-        assert result.identity_checked
-        assert result.baseline == "thread"
-        assert result.queries == 20
-        assert result.backend_qps > 0
-        assert 0 < result.speedup
-
-        path = save_stats_record(
-            tmp_path / "BENCH_test.json",
-            {
-                "mode": "backend",
-                "backend": result.backend,
-                "shards": result.shards,
-                "qps": result.backend_qps,
-            },
-        )
-        import json
-
-        record = json.loads(path.read_text())
-        assert record["schema"].startswith("repro.experiments.throughput/")
-        assert record["backend"] == "inline"
-        assert record["shards"] == 2
-        assert record["cores"] >= 1
-        assert record["qps"] > 0
-
-    def test_backend_throughput_validates_arguments(self, workload):
-        from repro.experiments.throughput import run_backend_throughput
-
-        with pytest.raises(ValueError):
-            run_backend_throughput(workload, shards=0)
-        with pytest.raises(ValueError):
-            run_backend_throughput(workload, backend="gpu")
-        with pytest.raises(ValueError):
-            run_backend_throughput(workload, baseline="gpu")
-
-    #: Keys every --save-stats record must carry regardless of mode, so
-    #: BENCH trajectory tooling can compare records across modes.
-    CORE_RECORD_KEYS = frozenset(
-        {
-            "mode", "backend", "policy", "shards", "replicas", "zipf_s",
-            "queries", "distinct", "qps", "seconds", "latency",
-            "identity_checked", "hardware_limited", "scale",
-            "store", "memory_budget",
-        }
+    scale = workload.scale
+    return PartitionedFrameworkFactory(
+        workload.engine,
+        workload.miner("AOL"),
+        FrameworkConfig(
+            k=scale.k, candidates=scale.candidates, spec_results=scale.spec_results
+        ),
     )
 
-    def test_build_stats_record_core_schema_is_mode_invariant(self):
-        from repro.experiments.throughput import build_stats_record
 
-        latency = {"mean_ms": 1.0, "p50_ms": 1.0, "p95_ms": 2.0, "p99_ms": 3.0}
-        minimal = build_stats_record(
-            "batch",
-            backend="inline",
-            shards=0,
-            queries=10,
-            distinct=5,
-            qps=100.0,
-            seconds=0.1,
-            latency=latency,
-            scale="tiny",
-        )
-        assert self.CORE_RECORD_KEYS <= set(minimal)
-        assert minimal["policy"] is None
-        assert minimal["replicas"] == 1
-        assert minimal["zipf_s"] == 1.0
-        assert minimal["hardware_limited"] is False
-        # Fully in-memory, unbounded runs carry explicit nulls.
-        assert minimal["store"] is None
-        assert minimal["memory_budget"] is None
+class TestThroughputBackendsAndRecords:
+    """Execution backends and the HTTP front-end over the experiment
+    workload's Zipf stream: each serves what the in-process service
+    serves."""
 
-        rich = build_stats_record(
-            "replicated",
-            backend="process",
-            shards=2,
-            replicas=3,
-            policy="least-outstanding",
-            zipf_s=1.4,
-            queries=10,
-            distinct=5,
-            qps=100.0,
-            seconds=0.1,
-            latency=latency,
-            scale="tiny",
-            identity_checked=True,
-            respawns=1,
-        )
-        assert self.CORE_RECORD_KEYS <= set(rich)
-        assert rich["respawns"] == 1  # extras ride along
-        # two shards on this host: limited exactly when cores < 2
-        import os
+    def test_backend_throughput_inline_vs_thread(self, workload):
+        from repro.experiments.workloads import zipf_workload
+        from repro.serving import ShardedDiversificationService
 
-        assert rich["hardware_limited"] == ((os.cpu_count() or 1) < 2)
-        assert build_stats_record(
-            "backend",
-            backend="process",
-            shards=2,
-            queries=1,
-            distinct=1,
-            qps=1.0,
-            seconds=1.0,
-            latency=latency,
-            scale="tiny",
-            hardware_limited=True,
-        )["hardware_limited"] is True
+        queries = zipf_workload(workload, 20)
+        served = {}
+        for backend in ("inline", "thread"):
+            cluster = ShardedDiversificationService.from_factory(
+                _framework_factory(workload), 2, backend=backend
+            )
+            try:
+                cluster.warm(queries)
+                served[backend] = [
+                    (r.query, r.ranking) for r in cluster.diversify_batch(queries)
+                ]
+                stats = cluster.cluster_stats()
+            finally:
+                cluster.close()
+            assert stats.served == 20
+            assert stats.ranked == len(set(queries))
+        assert served["inline"] == served["thread"]
+        assert [q for q, _ in served["inline"]] == queries
 
-    def test_http_throughput_end_to_end(self, workload, tmp_path):
-        from repro.experiments.throughput import (
-            run_http_throughput,
-            summarize_http,
+    def test_backend_throughput_validates_arguments(self, workload):
+        from repro.serving import ShardedDiversificationService, make_backend
+
+        factory = _framework_factory(workload)
+        with pytest.raises(ValueError):
+            ShardedDiversificationService.from_factory(factory, 0)
+        with pytest.raises(ValueError):
+            ShardedDiversificationService.from_factory(factory, 2, backend="gpu")
+        with pytest.raises(ValueError):
+            make_backend("thread", start_method="spawn")
+
+    def test_http_throughput_end_to_end(self, workload):
+        import json
+        import urllib.request
+
+        from repro.experiments.workloads import zipf_workload
+        from repro.serving import (
+            DiversificationHTTPServer,
+            DiversificationService,
+            result_payload,
         )
 
-        result = run_http_throughput(
-            workload, num_queries=12, offered_qps=2000.0
-        )
-        assert result.identity_checked
-        assert result.ok == 12
-        assert result.errors == {}
-        assert result.drain_report["served_total"] == 12
-        assert result.health["status"] == "ok"
-        assert len(result.client_latencies_ms) == 12
-        assert (
-            result.client_percentile_ms(0.50)
-            <= result.client_percentile_ms(0.95)
-            <= result.client_percentile_ms(0.99)
-        )
-        assert "HTTP end-to-end" in summarize_http(result)
+        queries = zipf_workload(workload, 12)
+        reference = [
+            result_payload(r)
+            for r in DiversificationService(
+                _framework_factory(workload)(0)
+            ).diversify_batch(queries)
+        ]
+        service = DiversificationService(_framework_factory(workload)(0))
+        service.warm(queries)
+        with DiversificationHTTPServer(service) as server:
+            bodies = []
+            for query in queries:
+                request = urllib.request.Request(
+                    server.base_url + "/diversify",
+                    data=json.dumps({"query": query}).encode("utf-8"),
+                    headers={"Content-Type": "application/json"},
+                    method="POST",
+                )
+                with urllib.request.urlopen(request, timeout=30) as rsp:
+                    assert rsp.status == 200
+                    bodies.append(json.load(rsp))
+            with urllib.request.urlopen(
+                server.base_url + "/health", timeout=30
+            ) as rsp:
+                health = json.load(rsp)
+            drain = urllib.request.Request(
+                server.base_url + "/drain", data=b"", method="POST"
+            )
+            with urllib.request.urlopen(drain, timeout=30) as rsp:
+                drain_report = json.load(rsp)
+        assert bodies == reference
+        assert health["status"] == "ok"
+        assert drain_report["served_total"] == 12
+        assert service.stats.ranked == len(set(queries))
 
 
 class TestOfflinePipelineHarness:
@@ -394,66 +357,91 @@ class TestOfflinePipelineHarness:
             run_offline_build(workload, backend="gpu")
 
     def test_workload_framework_factory_pickles(self, workload):
-        """The harness's per-shard factory must pickle whole (workload
+        """The per-shard factory must pickle whole (engine and miner
         included) — the spawn-safe half of the process-backend contract."""
         import pickle
 
-        from repro.experiments.throughput import WorkloadFrameworkFactory
-
-        factory = pickle.loads(
-            pickle.dumps(WorkloadFrameworkFactory(workload, "AOL"))
-        )
+        factory = pickle.loads(pickle.dumps(_framework_factory(workload)))
         framework = factory(0)
         queries = [t.query for t in workload.testbed.topics]
-        want = WorkloadFrameworkFactory(workload, "AOL")(0)
+        want = _framework_factory(workload)(0)
         assert [
             framework.diversify_query(q).ranking for q in queries[:2]
         ] == [want.diversify_query(q).ranking for q in queries[:2]]
 
+    def test_cli_store_and_warm_dir(self, monkeypatch, tmp_path, capsys):
+        from repro.experiments import offline
+
+        monkeypatch.setattr(offline, "SMALL_SCALE", TINY)
+        offline.main(
+            [
+                "--queries", "10", "--partitions", "3", "--shards", "2",
+                "--backend", "inline",
+                "--warm-dir", str(tmp_path / "warm"),
+                "--store", str(tmp_path / "index.sqlite3"),
+            ]
+        )
+        out = capsys.readouterr().out
+        assert "re-warm fetched 0 (hit in full)" in out
+        assert "store-hydrated cluster re-warm fetched 0 (hit in full)" in out
+        assert "rankings and scores verified identical" in out
+        assert (tmp_path / "index.sqlite3").stat().st_size > 0
+
+    def test_cli_rejects_save_stats(self, tmp_path):
+        from repro.experiments.offline import main
+
+        with pytest.raises(SystemExit):
+            main(["--save-stats", str(tmp_path / "record.json")])
+
 
 class TestColdstartHarness:
-    def test_rebuild_vs_attach_with_identity(self, tmp_path):
-        from repro.experiments.throughput import (
-            run_store_coldstart,
-            summarize_coldstart,
-        )
+    """The cold-start path a serving process takes today: attach the
+    SQLite store the offline pipeline writes instead of rebuilding."""
 
-        result = run_store_coldstart(
-            tmp_path / "cold.sqlite3", scale=TINY, partitions=2
-        )
-        assert result.identity_checked
-        assert result.documents > 0
-        assert result.probe_queries == TINY.num_topics
-        assert result.rebuild_seconds > 0
-        assert result.attach_seconds > 0
-        assert result.store_bytes > 0
-        # Attaching skips tokenising/indexing entirely; even at tiny
-        # scale it must be far cheaper than the rebuild.
-        assert result.attach_speedup > 5
-        assert result.attach_resident_cold_bytes < result.rebuild_resident_bytes
-        assert (
-            result.attach_resident_warm_bytes
-            >= result.attach_resident_cold_bytes
-        )
-        assert len(result.probe_latencies_ms) == result.probe_queries
-        table = summarize_coldstart(result)
-        assert "rebuild from documents" in table
-        assert "attach store (cold)" in table
+    def test_rebuild_vs_attach_with_identity(self, workload, tmp_path):
+        from repro.experiments.offline import run_offline_build
 
-    def test_memory_budget_arm(self, tmp_path):
-        from repro.experiments.throughput import run_store_coldstart
-
-        result = run_store_coldstart(
-            tmp_path / "cold.sqlite3",
-            scale=TINY,
+        store = tmp_path / "cold.sqlite3"
+        result = run_offline_build(
+            workload,
+            num_queries=15,
             partitions=2,
-            memory_budget=5_000,
+            shards=2,
+            backend="inline",
+            store_path=store,
         )
-        assert result.memory_budget == 5_000
+        # Store-backed engine == undivided engine, and the store-hydrated
+        # cluster served the reference rankings without fetching.
         assert result.identity_checked
+        assert result.store_bytes == store.stat().st_size > 0
+        assert result.store_write_seconds > 0
+        assert result.store_attach_seconds > 0
+        assert result.store_warm_fetched == 0
+        assert result.hydrate_fetched is None  # no --warm-dir given
 
-    def test_scale_factor_validated(self, tmp_path):
-        from repro.experiments.throughput import run_store_coldstart
+    def test_memory_budget_arm(self, workload, tmp_path):
+        """A budgeted store engine behind the full pipeline: eviction
+        happens and never changes a diversified ranking."""
+        from repro.retrieval.sharding import PartitionedSearchEngine
+        from repro.retrieval.store import StoreBackedSearchEngine, write_store
+        from repro.serving import DiversificationService
 
-        with pytest.raises(ValueError):
-            run_store_coldstart(tmp_path / "x.sqlite3", scale_factor=0)
+        path = write_store(
+            tmp_path / "cold.sqlite3",
+            PartitionedSearchEngine(workload.corpus.collection, 2),
+        )
+        queries = [t.query for t in workload.testbed.topics]
+        factory = _framework_factory(workload)
+        want = DiversificationService(factory(0)).diversify_batch(queries)
+        engine = StoreBackedSearchEngine(path, memory_budget=5_000)
+        try:
+            budgeted = type(factory)(engine, factory.miner, factory.config)
+            got = DiversificationService(budgeted(0)).diversify_batch(queries)
+            assert engine.memory_budget.limit_bytes == 5_000
+            assert engine.memory_budget.partitions_evicted > 0
+        finally:
+            engine.close()
+        assert [r.ranking for r in got] == [r.ranking for r in want]
+        assert [r.baseline.scores for r in got] == [
+            r.baseline.scores for r in want
+        ]

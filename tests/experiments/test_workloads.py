@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 
 from repro.experiments.workloads import (
@@ -11,6 +13,7 @@ from repro.experiments.workloads import (
     WorkloadScale,
     build_trec_workload,
     synthetic_task,
+    zipf_workload,
 )
 
 
@@ -102,6 +105,13 @@ class TestTrecWorkload:
         assert external.search(query, 20).doc_ids != internal.search(
             query, 20
         ).doc_ids
+
+    def test_zipf_stream_is_seeded_and_head_heavy(self, workload):
+        stream = zipf_workload(workload, 300, seed=5)
+        assert stream == zipf_workload(workload, 300, seed=5)
+        assert len(stream) == 300
+        head = workload.testbed.topics[0].query
+        assert Counter(stream).most_common(1)[0][0] == head
 
 
 class TestExternalWebEngine:

@@ -60,10 +60,19 @@ class TestWriteAttachIdentity:
     ):
         engine = StoreBackedSearchEngine(store_path)
         try:
+            # Attach reads no postings: nothing paged in, nothing missed.
+            assert engine.memory_estimate()["postings_bytes"] == 0
+            info = engine.page_cache_info()
+            assert (info.pages, info.misses) == (0, 0)
             for query in topic_queries:
                 assert_identical(
                     built_engine.search(query, K), engine.search(query, K), query
                 )
+            # Only what the probes touched is resident.
+            assert (
+                engine.memory_estimate()["total_bytes"]
+                < built_engine.memory_estimate()["total_bytes"]
+            )
         finally:
             engine.close()
 
