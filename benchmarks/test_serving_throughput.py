@@ -1,9 +1,9 @@
 """Serving-layer checks on a realistic Zipf-repeating query stream.
 
 Every serving strategy — the batched service, sharded clusters, the
-process and replicated backends, the async and HTTP front-ends, the
-fused kernels — may change *how* a stream is served, never *what* is
-served.  Each test below drives one strategy over the same 60–100-query
+process and replicated backends, the async and HTTP front-ends, each
+kernel-backed diversifier — may change *how* a stream is served, never
+*what* is served.  Each test below drives one strategy over the same 60–100-query
 Zipf stream and asserts its results identical to the per-query or
 sequential-batch reference, plus the accounting that proves the strategy
 really ran.  Wall-clock comparisons live in ``bench/`` (``python3
@@ -24,8 +24,12 @@ import urllib.request
 
 import pytest
 
-from repro.core.framework import FrameworkConfig
-from repro.core.profiling import StageTimer
+from repro.core.fast import FastIASelect, FastMMR, FastOptSelect, FastXQuAD
+from repro.core.framework import DiversificationFramework, FrameworkConfig
+from repro.core.iaselect import IASelect
+from repro.core.mmr import MMR
+from repro.core.optselect import OptSelect
+from repro.core.xquad import XQuAD
 from repro.experiments.offline import PartitionedFrameworkFactory
 from repro.experiments.workloads import zipf_workload
 from repro.serving import (
@@ -281,30 +285,45 @@ def test_http_front_end_socket_identity(trec_workload):
     assert drain_report["served_total"] == len(queries)
 
 
-def test_fused_kernel_identity_and_accounting(trec_workload):
-    """The cross-query fused path serves the looped service's results
-    field for field; every diversified query is accounted to exactly one
-    of the fused or fallback counters, and a profiler sees the kernels."""
+@pytest.mark.parametrize(
+    ("fast_cls", "reference_cls"),
+    [
+        (FastOptSelect, OptSelect),
+        (FastXQuAD, XQuAD),
+        (FastIASelect, IASelect),
+        (FastMMR, MMR),
+    ],
+    ids=["OptSelect", "XQuAD", "IASelect", "MMR"],
+)
+def test_kernel_diversifier_stream_identity(
+    trec_workload, fast_cls, reference_cls
+):
+    """Under each kernel-backed diversifier the batch service serves
+    field for field what the pure-Python reference serves one query at
+    a time, and ranks every distinct query of the stream exactly once."""
     queries = zipf_workload(trec_workload, 60)
     distinct = len(set(queries))
-    fused = DiversificationService(make_framework(trec_workload), fused=True)
-    fused.profiler = StageTimer()
-    looped = DiversificationService(make_framework(trec_workload), fused=False)
-    fused.warm(queries)
-    looped.warm(queries)
-    for got, want in zip(
-        fused.diversify_batch(queries), looped.diversify_batch(queries)
-    ):
-        assert got.ranking == want.ranking, want.query
+    factory = framework_factory(trec_workload)
+
+    def framework(diversifier):
+        return DiversificationFramework(
+            factory.engine, factory.miner, diversifier, factory.config
+        )
+
+    service = DiversificationService(framework(fast_cls()))
+    service.warm(queries)
+    reference = framework(reference_cls())
+    for got, query in zip(service.diversify_batch(queries), queries):
+        want = reference.diversify_query(query)
+        assert got.ranking == want.ranking, query
         assert got.diversified == want.diversified
-        assert got.algorithm == want.algorithm
         assert got.baseline.doc_ids == want.baseline.doc_ids
-    stats = fused.stats
-    assert stats.ranked == distinct
-    assert stats.fused_queries + stats.fallback_queries == stats.diversified
-    assert 0.0 < stats.pad_fill_ratio <= 1.0
-    if stats.fusion_groups:
-        assert "select" in fused.profiler.snapshot()
+        assert got.specializations == want.specializations
+        if want.diversified:
+            assert got.algorithm == fast_cls.name
+    assert service.stats.served == len(queries)
+    assert service.stats.ranked == distinct
+    assert service.stats.diversified > 0
 
 
 def test_hot_query_latency(benchmark, trec_workload):

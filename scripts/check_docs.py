@@ -11,7 +11,11 @@ Checks, in order:
 4. the experiment CLIs answer ``--help`` (smoke-run, subprocess per
    module — catches argparse regressions and import-time crashes);
 5. the ``documents`` schema table and the ``SCHEMA_VERSION`` quoted in
-   ``docs/ARCHITECTURE.md`` match the store's ``_SCHEMA_STATEMENTS``.
+   ``docs/ARCHITECTURE.md`` match the store's ``_SCHEMA_STATEMENTS``;
+6. every backticked dotted path (```repro.core.fast```,
+   ```repro.retrieval.index.ImpactMemo```) in either document resolves
+   by import plus ``getattr`` — a deleted symbol cannot outlive its code
+   in the docs.
 
 Run from the repository root (CI runs it in the ``docs`` job)::
 
@@ -50,6 +54,8 @@ REQUIRED_SNIPPETS = [
 ]
 
 COMMAND_PATTERN = re.compile(r"python -m (repro(?:\.\w+)+)")
+
+DOTTED_PATTERN = re.compile(r"`(repro(?:\.\w+)+)`")
 
 
 def fail(message: str) -> None:
@@ -94,6 +100,39 @@ def check_store_schema(architecture: str) -> None:
         fail(f"docs/ARCHITECTURE.md does not state {version}")
 
 
+def resolves(path: str) -> bool:
+    """Whether *path* names a module, or an attribute chain under the
+    longest importable module prefix."""
+    parts = path.split(".")
+    for cut in range(len(parts), 0, -1):
+        name = ".".join(parts[:cut])
+        try:
+            obj = importlib.import_module(name)
+        except ModuleNotFoundError as exc:
+            if exc.name != name:
+                raise
+            continue
+        for attr in parts[cut:]:
+            if not hasattr(obj, attr):
+                return False
+            obj = getattr(obj, attr)
+        return True
+    return False
+
+
+def check_dotted_paths(documents: dict[str, str]) -> int:
+    """Every backticked ``repro.…`` path in *documents* resolves."""
+    paths = {
+        (path, name)
+        for name, text in documents.items()
+        for path in DOTTED_PATTERN.findall(text)
+    }
+    dead = sorted(f"{name}: `{path}`" for path, name in paths if not resolves(path))
+    if dead:
+        fail("dotted paths that no longer resolve:\n  " + "\n  ".join(dead))
+    return len({path for path, _ in paths})
+
+
 def main() -> None:
     readme = ROOT / "README.md"
     architecture = ROOT / "docs" / "ARCHITECTURE.md"
@@ -132,12 +171,16 @@ def main() -> None:
                 f"{proc.returncode}:\n{proc.stderr.strip()}"
             )
 
-    check_store_schema(architecture.read_text(encoding="utf-8"))
+    architecture_text = architecture.read_text(encoding="utf-8")
+    check_store_schema(architecture_text)
+    dotted = check_dotted_paths(
+        {"README.md": text, "docs/ARCHITECTURE.md": architecture_text}
+    )
 
     print(
         f"check_docs: OK — {len(modules)} documented commands import "
         f"and answer --help: {', '.join(modules)}; store schema table "
-        "matches _SCHEMA_STATEMENTS"
+        f"matches _SCHEMA_STATEMENTS; {dotted} dotted paths resolve"
     )
 
 

@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.task import DiversificationTask
 
-__all__ = ["TaskArrays", "BatchArrays", "stacked_similarity"]
+__all__ = ["TaskArrays"]
 
 
 class TaskArrays:
@@ -148,31 +148,6 @@ class TaskArrays:
 
     # -- candidate-candidate similarity (MMR) -----------------------------------
 
-    def _vector_rows(self, vectors, term_index: dict[str, int]):
-        """Per-candidate sparse weight rows, extending *term_index* in place.
-
-        One shared ``term_index`` can span several tasks (the fused batch
-        path builds a whole MMR group against a single index instead of
-        rebuilding one per task); the cosine values do not depend on the
-        column order, only the build cost does.
-        """
-        rows: list[dict[str, float]] = []
-        for doc_id in self.doc_ids:
-            vector = vectors.get(doc_id)
-            weights = vector.weights if vector is not None else {}
-            for term in weights:
-                if term not in term_index:
-                    term_index[term] = len(term_index)
-            rows.append(weights)
-        return rows
-
-    def _densify_rows(self, rows, term_index: dict[str, int]) -> "_np.ndarray":
-        dense = _np.zeros((self.n, max(1, len(term_index))))
-        for i, weights in enumerate(rows):
-            for term, w in weights.items():
-                dense[i, term_index[term]] = w
-        return dense
-
     def similarity_matrix(self, vectors) -> "_np.ndarray":
         """Dense ``n × n`` cosine matrix of the candidate surrogates.
 
@@ -191,135 +166,22 @@ class TaskArrays:
         """
         token = tuple(vectors.get(doc_id) for doc_id in self.doc_ids)
         if self._vector_matrix is None or self._vector_token != token:
+            present = [
+                (i, vector.weights)
+                for i, vector in enumerate(token)
+                if vector is not None
+            ]
             term_index: dict[str, int] = {}
-            rows = self._vector_rows(vectors, term_index)
-            dense = self._densify_rows(rows, term_index)
+            for _i, weights in present:
+                for term in weights:
+                    term_index.setdefault(term, len(term_index))
+            dense = _np.zeros((self.n, max(1, len(term_index))))
+            for i, weights in present:
+                for term, w in weights.items():
+                    dense[i, term_index[term]] = w
             self._vector_matrix = _np.clip(dense @ dense.T, 0.0, 1.0)
             self._vector_token = token
         return self._vector_matrix
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"TaskArrays(n={self.n}, m={self.m})"
-
-
-class BatchArrays:
-    """B :class:`TaskArrays` stacked into padded 3-D tensors.
-
-    The cross-query fused kernels (:mod:`repro.core.kernels`'s
-    ``*_batch`` functions) consume one of these instead of looping over
-    B separate dense views: the per-query ``n_b × m_b`` matrices are
-    right/bottom-padded with zeros into one ``B × n_pad × m_pad`` tensor
-    so a whole query group advances through a single numpy call per
-    greedy step.
-
-    Padding is *inert by construction*: padded probability entries are
-    zero (they contribute exact ``0.0`` terms to every coverage sum) and
-    ``valid`` masks padded candidate rows out of every argmax, always
-    *after* the real candidates — so the first-maximiser tie rule sees
-    candidates in exactly the per-query order.  ``ns``/``ms`` keep each
-    query's true shape (Eq. 9 scales by the true |S_q|, not the padded
-    width).
-
-    ``fill_ratio`` is the fraction of the stacked utility tensor holding
-    real data; the serving planner refuses groups that would pad too
-    wastefully (see ``repro.serving.service``).
-    """
-
-    __slots__ = (
-        "sources",
-        "utilities",
-        "probabilities",
-        "relevance",
-        "valid",
-        "ns",
-        "ms",
-    )
-
-    def __init__(self, sources: list[TaskArrays]) -> None:
-        if not sources:
-            raise ValueError("cannot stack an empty batch")
-        self.sources = list(sources)
-        n_pad = max(a.n for a in self.sources)
-        m_pad = max(1, max(a.m for a in self.sources))
-        batch = len(self.sources)
-        self.utilities = _np.zeros((batch, n_pad, m_pad), dtype=_np.float64)
-        self.probabilities = _np.zeros((batch, m_pad), dtype=_np.float64)
-        self.relevance = _np.zeros((batch, n_pad), dtype=_np.float64)
-        self.valid = _np.zeros((batch, n_pad), dtype=bool)
-        self.ns = _np.array([a.n for a in self.sources], dtype=_np.int64)
-        self.ms = _np.array([a.m for a in self.sources], dtype=_np.int64)
-        for b, a in enumerate(self.sources):
-            self.utilities[b, : a.n, : a.m] = a.utilities
-            self.probabilities[b, : a.m] = a.probabilities
-            self.relevance[b, : a.n] = a.relevance
-            self.valid[b, : a.n] = True
-
-    @classmethod
-    def stack(cls, sources) -> "BatchArrays":
-        """Stack an iterable of :class:`TaskArrays` (any shapes)."""
-        return cls(list(sources))
-
-    # -- shape ----------------------------------------------------------------
-
-    @property
-    def batch(self) -> int:
-        """B — number of stacked queries."""
-        return len(self.sources)
-
-    @property
-    def n_pad(self) -> int:
-        return self.utilities.shape[1]
-
-    @property
-    def m_pad(self) -> int:
-        return self.utilities.shape[2]
-
-    @property
-    def filled_cells(self) -> int:
-        """Σ n_b·m_b — utility cells holding real (unpadded) data."""
-        return int((self.ns * self.ms).sum())
-
-    @property
-    def padded_cells(self) -> int:
-        """B·n_pad·m_pad — total cells of the stacked utility tensor."""
-        return self.batch * self.n_pad * self.m_pad
-
-    @property
-    def fill_ratio(self) -> float:
-        """Real-data fraction of the stacked tensor (1.0 = no padding)."""
-        return self.filled_cells / self.padded_cells if self.padded_cells else 1.0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"BatchArrays(batch={self.batch}, n_pad={self.n_pad}, "
-            f"m_pad={self.m_pad}, fill={self.fill_ratio:.2f})"
-        )
-
-
-def stacked_similarity(batch: BatchArrays, vectors_list) -> "_np.ndarray":
-    """``B × n_pad × n_pad`` candidate-cosine tensor for a fused MMR group.
-
-    ``vectors_list`` aligns with ``batch.sources``: one doc_id →
-    :class:`~repro.retrieval.similarity.TermVector` mapping per stacked
-    task.  One *shared* term index spans the whole group — the fused
-    batch path used to rebuild an index per task; the cosine values are
-    independent of column order, so sharing the index only removes
-    redundant dict building.  Padded rows/columns stay zero (similarity
-    0 with everything), which the batched MMR kernel masks out anyway.
-    """
-    if len(vectors_list) != batch.batch:
-        raise ValueError("vectors_list must align with the stacked tasks")
-    term_index: dict[str, int] = {}
-    all_rows = [
-        arrays._vector_rows(vectors, term_index)
-        for arrays, vectors in zip(batch.sources, vectors_list)
-    ]
-    similarity = _np.zeros(
-        (batch.batch, batch.n_pad, batch.n_pad), dtype=_np.float64
-    )
-    for b, (arrays, rows) in enumerate(zip(batch.sources, all_rows)):
-        dense = arrays._densify_rows(rows, term_index)
-        similarity[b, : arrays.n, : arrays.n] = _np.clip(
-            dense @ dense.T, 0.0, 1.0
-        )
-    return similarity

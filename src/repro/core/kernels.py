@@ -4,8 +4,7 @@ Every kernel consumes a :class:`~repro.core.arrays.TaskArrays` (plus
 scalars) and returns **candidate indices** in selection order; mapping
 back to doc_ids, stats bookkeeping and the pure-Python fallbacks live in
 :mod:`repro.core.fast`.  Keeping the kernels free of task/Diversifier
-types makes them unit-testable on raw arrays and reusable by the serving
-layer's batch ranking path.
+types makes them unit-testable on raw arrays.
 
 Selection-equivalence contract (asserted in the test suite): each kernel
 reproduces its reference implementation's ranking exactly, including tie
@@ -29,7 +28,7 @@ except ImportError as _exc:  # pragma: no cover - environment dependent
         "pure-Python algorithms in repro.core"
     ) from _exc
 
-from repro.core.arrays import BatchArrays, TaskArrays
+from repro.core.arrays import TaskArrays
 
 __all__ = [
     "overall_utilities",
@@ -37,10 +36,6 @@ __all__ = [
     "iaselect_select",
     "mmr_select",
     "bounded_retention",
-    "overall_utilities_batch",
-    "xquad_select_batch",
-    "iaselect_select_batch",
-    "mmr_select_batch",
 ]
 
 #: ``bounded_retention`` switches from a full stable sort to an
@@ -163,167 +158,3 @@ def bounded_retention(
             order = _np.argsort(-vals, kind="stable")
             offered = _np.sort(offered[order[:capacity]])
     return offered
-
-
-# ---------------------------------------------------------------------------
-# Cross-query fused kernels
-# ---------------------------------------------------------------------------
-#
-# The batched variants below advance a whole query group through one numpy
-# call per greedy step instead of looping the per-query kernels in Python.
-# They consume a :class:`~repro.core.arrays.BatchArrays` (padded 3-D
-# stacking with validity masks) and uphold the same selection-equivalence
-# contract as the per-query kernels: for every stacked query, the returned
-# index sequence equals what the per-query kernel returns on that query's
-# own ``TaskArrays`` — including tie breaks.  Two properties make that
-# hold:
-#
-# * padding is arithmetically inert — padded probability entries are zero
-#   (exact ``0.0`` terms in every coverage/novelty sum) and padded
-#   candidate rows are masked to ``-inf`` before every argmax;
-# * padded candidates sit *after* the real ones along the candidate axis,
-#   so ``argmax``'s first-maximiser rule scans candidates in exactly the
-#   per-query order.
-#
-# The batched reductions run through numpy's stacked ``matmul`` rather
-# than B separate mat-vecs; as with every kernel in this module, scores
-# that are mathematically tied are computed exactly in the regimes the
-# identity sweep pins (sums of exactly-representable terms), so the
-# tie-break contract survives the change of reduction order.
-
-
-def _lambda_column(lambda_) -> "_np.ndarray":
-    """λ broadcastable across a batch's rows.
-
-    Accepts a scalar shared by the whole group or a ``(B,)`` vector of
-    per-query trade-offs.  Either way the arithmetic stays elementwise
-    per row, so each query sees exactly the scalar expression of its
-    per-query kernel.
-    """
-    lam = _np.asarray(lambda_, dtype=float)
-    return lam[:, None] if lam.ndim == 1 else lam
-
-
-def overall_utilities_batch(batch: BatchArrays, lambda_) -> "_np.ndarray":
-    """Equation (9) for every candidate of every stacked query at once.
-
-    One stacked matrix-vector product over the ``B × n_pad × m_pad``
-    utility tensor replaces B kernel launches.  ``lambda_`` may be a
-    scalar or a ``(B,)`` per-query vector.  The relevance term scales
-    by each query's *true* |S_q| (``batch.ms``), not the padded width.
-    Rows beyond a query's true n hold meaningless zeros — consumers index
-    ``[:n_b]`` per query.
-    """
-    lam = _lambda_column(lambda_)
-    coverage = _np.matmul(
-        batch.utilities, batch.probabilities[:, :, None]
-    )[:, :, 0]
-    return (
-        (1.0 - lam) * batch.ms[:, None] * batch.relevance
-        + lam * coverage
-    )
-
-
-def _greedy_limits(batch: BatchArrays, k: int) -> "_np.ndarray":
-    """Per-query greedy step budget: ``min(k, n_b)``, like the kernels."""
-    return _np.minimum(k, batch.ns)
-
-
-def xquad_select_batch(
-    batch: BatchArrays, lambda_, k: int
-) -> list[list[int]]:
-    """Batched greedy xQuAD: all stacked queries advance one pick per
-    vectorised argmax.  ``lambda_`` may be a scalar or a ``(B,)``
-    per-query vector.  Per query, identical to :func:`xquad_select`."""
-    lam = _lambda_column(lambda_)
-    rows = _np.arange(batch.batch)
-    coverage = _np.ones((batch.batch, batch.m_pad))
-    taken = ~batch.valid
-    limits = _greedy_limits(batch, k)
-    steps = _np.zeros(batch.batch, dtype=_np.int64)
-    selected: list[list[int]] = [[] for _ in range(batch.batch)]
-    active = steps < limits
-    while active.any():
-        weighted = batch.probabilities * coverage
-        novelty = _np.matmul(batch.utilities, weighted[:, :, None])[:, :, 0]
-        scores = (1.0 - lam) * batch.relevance + lam * novelty
-        scores[taken] = -_np.inf
-        best = _np.argmax(scores, axis=1)
-        advancing = active & (scores[rows, best] != -_np.inf)
-        if not advancing.any():
-            break
-        picked = best[advancing]
-        for b, i in zip(_np.nonzero(advancing)[0], picked):
-            selected[b].append(int(i))
-        taken[advancing, picked] = True
-        coverage[advancing] *= 1.0 - batch.utilities[advancing, picked]
-        steps[advancing] += 1
-        active = steps < limits
-    return selected
-
-
-def iaselect_select_batch(batch: BatchArrays, k: int) -> list[list[int]]:
-    """Batched greedy IASelect; per query identical to
-    :func:`iaselect_select`."""
-    rows = _np.arange(batch.batch)
-    residual = batch.probabilities.copy()
-    taken = ~batch.valid
-    limits = _greedy_limits(batch, k)
-    steps = _np.zeros(batch.batch, dtype=_np.int64)
-    selected: list[list[int]] = [[] for _ in range(batch.batch)]
-    active = steps < limits
-    while active.any():
-        gains = _np.matmul(batch.utilities, residual[:, :, None])[:, :, 0]
-        gains[taken] = -_np.inf
-        best = _np.argmax(gains, axis=1)
-        advancing = active & (gains[rows, best] != -_np.inf)
-        if not advancing.any():
-            break
-        picked = best[advancing]
-        for b, i in zip(_np.nonzero(advancing)[0], picked):
-            selected[b].append(int(i))
-        taken[advancing, picked] = True
-        residual[advancing] *= 1.0 - batch.utilities[advancing, picked]
-        steps[advancing] += 1
-        active = steps < limits
-    return selected
-
-
-def mmr_select_batch(
-    similarity: "_np.ndarray",
-    relevance: "_np.ndarray",
-    valid: "_np.ndarray",
-    lambda_: float,
-    k: int,
-) -> list[list[int]]:
-    """Batched greedy MMR over stacked cosine matrices.
-
-    ``similarity`` is ``B × n_pad × n_pad`` (see
-    :func:`~repro.core.arrays.stacked_similarity`), ``relevance`` and the
-    boolean ``valid`` mask are ``B × n_pad``.  Per query identical to
-    :func:`mmr_select`.
-    """
-    rows = _np.arange(len(relevance))
-    redundancy = _np.zeros_like(relevance)
-    taken = ~valid
-    limits = _np.minimum(k, valid.sum(axis=1))
-    steps = _np.zeros(len(relevance), dtype=_np.int64)
-    selected: list[list[int]] = [[] for _ in range(len(relevance))]
-    active = steps < limits
-    while active.any():
-        scores = lambda_ * relevance - (1.0 - lambda_) * redundancy
-        scores[taken] = -_np.inf
-        best = _np.argmax(scores, axis=1)
-        advancing = active & (scores[rows, best] != -_np.inf)
-        if not advancing.any():
-            break
-        picked = best[advancing]
-        for b, i in zip(_np.nonzero(advancing)[0], picked):
-            selected[b].append(int(i))
-        taken[advancing, picked] = True
-        redundancy[advancing] = _np.maximum(
-            redundancy[advancing], similarity[advancing, picked]
-        )
-        steps[advancing] += 1
-        active = steps < limits
-    return selected

@@ -72,23 +72,6 @@ class OptSelect(Diversifier):
             specializations = specializations.top(k)
 
         overall = self._overall_utilities(task, specializations, stats)
-        return self._select(task, specializations, overall, k, stats)
-
-    def _select(
-        self,
-        task: DiversificationTask,
-        specializations,
-        overall: dict[str, float],
-        k: int,
-        stats: DiversifierStats,
-    ) -> list[str]:
-        """Algorithm 2 given the Eq. 9 scores: pools + selection phases.
-
-        Split out of :meth:`diversify` so the fused batch path
-        (:mod:`repro.core.fast`) can compute ``overall`` for a whole
-        query group in one stacked matmul and still run the selection
-        machinery — and hence the ranking — unchanged per query.
-        """
         spec_pools, general_pool = self._build_pools(
             task, specializations, overall, k, stats
         )

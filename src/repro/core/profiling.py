@@ -1,22 +1,19 @@
-"""Lightweight per-stage wall-clock profiling for the serving hot path.
+"""Lightweight per-stage wall-clock profiling.
 
-The fused batch pipeline runs in distinct stages — densify (stack
-``TaskArrays`` into padded tensors), score (stacked matmuls), select
-(vectorised greedy steps), map-back (indices → doc_ids) — and the
-fused-vs-looped split is only meaningful if each stage's share is
-*measured*, not guessed.  :class:`StageTimer` is a context-manager timer
-registry those code paths thread through::
+A request runs in distinct stages — analyse, retrieve, surrogate,
+utility, select — and a split between them is only meaningful if each
+stage's share is *measured*, not guessed.  :class:`StageTimer` is a
+context-manager timer registry a code path threads through::
 
     timer = StageTimer()
     with timer.stage("densify"):
-        batch = BatchArrays(arrays_list)
+        arrays = task.arrays()
     print(timer.report())
 
 A timer is cheap (one ``perf_counter`` pair per stage entry) but not
-free, so the serving layer only passes one when profiling is requested
-(a timer assigned to ``DiversificationService.profiler``); everywhere
-else the module-level :data:`NULL_TIMER` no-op stands in, keeping the
-hot path unconditional-branch free.
+free, so a caller passes one only when profiling is requested;
+everywhere else the module-level :data:`NULL_TIMER` no-op stands in,
+keeping the hot path unconditional-branch free.
 
 Stages nest and repeat: entering the same stage name again accumulates
 into its total.  Timers are not thread-safe — profile one service at a

@@ -95,11 +95,10 @@ class DiversificationTask:
     def arrays(self):
         """The dense numpy view of this task, built once and memoized.
 
-        Every kernel-backed diversifier (:mod:`repro.core.fast`) and the
-        serving layer's batch ranking path consume the same
-        :class:`~repro.core.arrays.TaskArrays`, so densification happens
-        a single time per task regardless of how many algorithms run on
-        it.  Requires numpy; raises ``ImportError`` otherwise.
+        Every kernel-backed diversifier (:mod:`repro.core.fast`) consumes
+        the same :class:`~repro.core.arrays.TaskArrays`, so densification
+        happens a single time per task regardless of how many algorithms
+        run on it.  Requires numpy; raises ``ImportError`` otherwise.
         """
         if self._arrays is None:
             from repro.core.arrays import TaskArrays

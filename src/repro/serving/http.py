@@ -52,7 +52,7 @@ Endpoints (base URL ``http://<host>:<port>``):
     :class:`~repro.serving.replication.ReplicatedBackend`.
 ``GET /stats``
     Merged :class:`~repro.serving.service.ServiceStats` /
-    :class:`~repro.core.cache.CacheStats` / fusion + replication
+    :class:`~repro.core.cache.CacheStats` / replication + ingest
     counters as JSON.
 ``POST /drain``
     Graceful rolling-restart shutdown: stop admitting, flush the
@@ -177,12 +177,6 @@ def stats_payload(stats: ServiceStats) -> dict:
             "wait_mean_ms": stats.mean_wait_ms,
             "wait_p95_ms": stats.wait_percentile_ms(0.95),
             "queue_depth_peak": stats.queue_depth_peak,
-        },
-        "fusion": {
-            "fused_queries": stats.fused_queries,
-            "fallback_queries": stats.fallback_queries,
-            "fusion_groups": stats.fusion_groups,
-            "pad_fill_ratio": stats.pad_fill_ratio,
         },
         "replication": {
             "hedges_fired": stats.hedges_fired,

@@ -31,80 +31,14 @@ from dataclasses import dataclass, field
 from repro.core.ambiguity import SpecializationSet
 from repro.core.cache import CacheStats, LRUCache
 from repro.core.framework import DiversificationFramework, DiversifiedResult
-from repro.core.profiling import NULL_TIMER
 from repro.core.task import DiversificationTask
-from repro.retrieval.engine import ResultList
-
-try:  # numpy is optional; without it the per-query loop is the only path
-    from repro.core import fast as _fast
-except ImportError:  # pragma: no cover - environment dependent
-    _fast = None
 
 __all__ = [
     "PreparedQuery",
     "WarmReport",
     "ServiceStats",
     "DiversificationService",
-    "plan_fusion_groups",
-    "MIN_FILL_RATIO",
-    "MIN_GROUP_SIZE",
 ]
-
-#: A fused group must keep at least this fraction of its stacked tensor
-#: holding real data.  Below 0.5 the padding more than doubles the
-#: arithmetic, at which point per-query kernels are the better deal.
-MIN_FILL_RATIO = 0.5
-
-#: Stacking fewer queries than this cannot amortise the padding and
-#: stacking overhead — singletons run the plain per-query kernel.
-MIN_GROUP_SIZE = 2
-
-
-def plan_fusion_groups(
-    shapes: Sequence[tuple[int, int]],
-    min_fill_ratio: float = MIN_FILL_RATIO,
-) -> list[list[int]]:
-    """Bucket task indices into pad-efficient stacking groups.
-
-    ``shapes`` holds, per task, the (rows, cols) of the dominant tensor
-    it would contribute to a fused stack
-    (:func:`repro.core.fast.fused_shape`).  Greedy policy: visit tasks
-    in descending tensor-area order (stable on the original index for
-    equal areas) and keep appending to the current group while its fill
-    ratio — Σ real cells over B·rows_pad·cols_pad — stays at or above
-    *min_fill_ratio*; a task that would dilute the group below the floor
-    starts a new group.  Descending area makes the padded envelope
-    monotone-ish, so similar shapes cluster and ragged outliers end up
-    isolated instead of inflating everyone's padding.
-
-    Returns groups of task indices covering every input exactly once.
-    Groups smaller than :data:`MIN_GROUP_SIZE` are not worth a stacked
-    kernel launch; the caller serves those per-query.
-    """
-    order = sorted(
-        range(len(shapes)), key=lambda i: (-shapes[i][0] * shapes[i][1], i)
-    )
-    groups: list[list[int]] = []
-    current: list[int] = []
-    rows_pad = cols_pad = filled = 0
-    for i in order:
-        rows, cols = shapes[i]
-        if current:
-            new_rows = max(rows_pad, rows)
-            new_cols = max(cols_pad, cols)
-            new_filled = filled + rows * cols
-            padded = (len(current) + 1) * new_rows * new_cols
-            if padded and new_filled / padded >= min_fill_ratio:
-                current.append(i)
-                rows_pad, cols_pad, filled = new_rows, new_cols, new_filled
-                continue
-            groups.append(current)
-        current = [i]
-        rows_pad, cols_pad, filled = rows, cols, rows * cols
-    if current:
-        groups.append(current)
-    return groups
-
 
 @dataclass
 class PreparedQuery:
@@ -266,18 +200,6 @@ class ServiceStats:
         default_factory=lambda: deque(maxlen=LATENCY_SAMPLE_SIZE)
     )
     queue_depth_peak: int = 0  #: deepest the admission queue ever ran
-    #: -- fused batch execution (zero when the fused path never ran) -----
-    #: queries ranked through the cross-query fused kernels
-    fused_queries: int = 0
-    #: ambiguous queries a fused-enabled service still ranked per-query
-    #: (singleton groups, pad-wasteful shapes)
-    fallback_queries: int = 0
-    #: fused groups formed — one stacked kernel dispatch each
-    fusion_groups: int = 0
-    #: real cells stacked across all fused groups (Σ rows·cols per task)
-    fused_filled_cells: int = 0
-    #: total stacked cells including padding (Σ B·rows_pad·cols_pad)
-    fused_padded_cells: int = 0
     #: -- replicated serving (zero without a ReplicatedBackend) ----------
     #: hedge copies of a request this replica received
     hedges_fired: int = 0
@@ -361,14 +283,6 @@ class ServiceStats:
         """Served queries per second of service wall-clock."""
         return self.served / self.seconds if self.seconds > 0 else 0.0
 
-    @property
-    def pad_fill_ratio(self) -> float:
-        """Real-data fraction of everything the fused path stacked
-        (1.0 = no padding; 1.0 also when nothing was ever fused)."""
-        if not self.fused_padded_cells:
-            return 1.0
-        return self.fused_filled_cells / self.fused_padded_cells
-
     @classmethod
     def merge(
         cls, stats: Iterable["ServiceStats"], name: str = "cluster"
@@ -404,11 +318,6 @@ class ServiceStats:
             busy_seconds=sum(s.busy_seconds or s.seconds for s in stats),
             name=name,
             queue_depth_peak=max((s.queue_depth_peak for s in stats), default=0),
-            fused_queries=sum(s.fused_queries for s in stats),
-            fallback_queries=sum(s.fallback_queries for s in stats),
-            fusion_groups=sum(s.fusion_groups for s in stats),
-            fused_filled_cells=sum(s.fused_filled_cells for s in stats),
-            fused_padded_cells=sum(s.fused_padded_cells for s in stats),
             hedges_fired=sum(s.hedges_fired for s in stats),
             hedges_won=sum(s.hedges_won for s in stats),
             respawns=sum(s.respawns for s in stats),
@@ -478,13 +387,6 @@ class ServiceStats:
                 f"wait p95={self.wait_percentile_ms(0.95):.2f}ms "
                 f"depth peak={self.queue_depth_peak}"
             )
-        if self.fusion_groups or self.fused_queries or self.fallback_queries:
-            text += (
-                f" fused={self.fused_queries} "
-                f"fallback={self.fallback_queries} "
-                f"groups={self.fusion_groups} "
-                f"fill={self.pad_fill_ratio:.2f}"
-            )
         if self.page_hits or self.page_misses or self.page_evictions:
             text += (
                 f" pages={self.page_hits}/{self.page_misses} "
@@ -535,17 +437,6 @@ class DiversificationService:
         :class:`WarmReport` summaries.  The sharded serving layer sets
         it to the shard id (``"shard3"``) so per-shard reports stay
         attributable.
-    fused:
-        Whether :meth:`diversify_batch` may rank same-algorithm query
-        groups through the cross-query fused kernels
-        (:func:`repro.core.fast.diversify_fused`).  ``None`` (default)
-        and ``True`` enable fusion whenever numpy is importable and the
-        diversifier has a fused executor; ``False`` pins the per-query
-        loop.  Either way every served ranking is identical — the fused
-        kernels are selection-identical by contract — so this flag
-        trades nothing but latency.  Fusion accounting (groups formed,
-        pad fill, fused vs fallback query counts) lands in
-        :class:`ServiceStats`.
 
     >>> service = DiversificationService(framework)     # doctest: +SKIP
     >>> service.warm(expected_queries)                  # doctest: +SKIP
@@ -557,14 +448,9 @@ class DiversificationService:
         framework: DiversificationFramework,
         result_cache_size: int = 2048,
         name: str = "",
-        fused: bool | None = None,
     ) -> None:
         self.framework = framework
         self.name = name
-        self.fused = fused
-        #: Stage timer threaded into the fused kernels; swap in a
-        #: :class:`repro.core.profiling.StageTimer` to profile.
-        self.profiler = NULL_TIMER
         self._result_cache: LRUCache[str, DiversifiedResult] = LRUCache(
             result_cache_size
         )
@@ -665,11 +551,7 @@ class DiversificationService:
         Duplicate queries in the batch (and queries cached from earlier
         calls) share one :class:`DiversifiedResult` instance; only the
         distinct uncached queries run the pipeline, after a single
-        batched specialization prefetch.  When fusion is enabled (the
-        default with numpy and a kernel-backed diversifier), the
-        uncached ambiguous queries are grouped by stacked-tensor shape
-        and ranked through the cross-query fused kernels — rankings are
-        identical to the per-query loop either way.
+        batched specialization prefetch.
         """
         start = time.perf_counter()
         queries = list(queries)
@@ -692,38 +574,23 @@ class DiversificationService:
                 for specializations in detected.values()
                 for spec, _ in specializations
             )
-            if self._use_fused():
-                self._rank_fused(to_rank, detected, by_query)
-            else:
-                for query in to_rank:
-                    ranked_at = time.perf_counter()
-                    result = self.framework.diversify_detected(
-                        query, detected[query]
-                    )
-                    self._finish(
-                        query,
-                        result,
-                        (time.perf_counter() - ranked_at) * 1000.0,
-                        by_query,
-                    )
+            for query in to_rank:
+                ranked_at = time.perf_counter()
+                result = self.framework.diversify_detected(
+                    query, detected[query]
+                )
+                self.stats.record(
+                    (time.perf_counter() - ranked_at) * 1000.0,
+                    result.diversified,
+                )
+                self._cache_result(query, result)
+                by_query[query] = result
 
         results = [by_query[query] for query in queries]
         self.stats.batches += 1
         self.stats.served += len(queries)
         self.stats.seconds += time.perf_counter() - start
         return results
-
-    def _finish(
-        self,
-        query: str,
-        result: DiversifiedResult,
-        latency_ms: float,
-        by_query: dict[str, DiversifiedResult],
-    ) -> None:
-        """Shared tail of ranking one query: stats, cache, batch map."""
-        self.stats.record(latency_ms, result.diversified)
-        self._cache_result(query, result)
-        by_query[query] = result
 
     def _cache_result(self, query: str, result: DiversifiedResult) -> None:
         """Insert into the result cache unless the engine has moved past
@@ -744,142 +611,6 @@ class DiversificationService:
         with lock:
             if engine.epoch == computed_at:
                 self._result_cache.put(query, result)
-
-    def _use_fused(self) -> bool:
-        """Fusion policy: enabled unless pinned off, and only when the
-        kernels are importable and the diversifier has a fused executor."""
-        if self.fused is False or _fast is None:
-            return False
-        return _fast.fused_capable(self.framework.diversifier)
-
-    def _rank_fused(
-        self,
-        to_rank: list[str],
-        detected: dict[str, SpecializationSet],
-        by_query: dict[str, DiversifiedResult],
-    ) -> None:
-        """Rank a batch's uncached queries through the fused kernels.
-
-        Per query this produces the exact :class:`DiversifiedResult` the
-        per-query loop (``framework.diversify_detected``) would:
-        unambiguous and empty-retrieval queries take the same baseline
-        branches, and ambiguous tasks are grouped by
-        :func:`plan_fusion_groups` over their stacked-tensor shapes —
-        groups run one fused kernel dispatch, singletons and
-        pad-wasteful leftovers fall back to the per-query kernel.  A
-        fused query's recorded latency is its own detection + task-build
-        time plus an equal share of its group's kernel time.
-        """
-        framework = self.framework
-        k = framework.config.k
-        pending: list[
-            tuple[str, DiversificationTask, SpecializationSet, float]
-        ] = []
-        for query in to_rank:
-            ranked_at = time.perf_counter()
-            specializations = detected[query]
-            if not specializations:
-                result = framework.diversify_detected(query, specializations)
-                self._finish(
-                    query,
-                    result,
-                    (time.perf_counter() - ranked_at) * 1000.0,
-                    by_query,
-                )
-                continue
-            task = framework.build_task(query, specializations)
-            if task is None:
-                result = DiversifiedResult(
-                    query=query,
-                    ranking=[],
-                    diversified=False,
-                    baseline=ResultList(query, []),
-                    specializations=specializations,
-                )
-                self._finish(
-                    query,
-                    result,
-                    (time.perf_counter() - ranked_at) * 1000.0,
-                    by_query,
-                )
-                continue
-            build_ms = (time.perf_counter() - ranked_at) * 1000.0
-            pending.append((query, task, specializations, build_ms))
-
-        if not pending:
-            return
-        diversifier = framework.diversifier
-        shapes = [
-            _fast.fused_shape(diversifier, task, k)
-            for _query, task, _specs, _ms in pending
-        ]
-        for group in plan_fusion_groups(shapes):
-            if len(group) >= MIN_GROUP_SIZE:
-                self._rank_group(group, pending, shapes, k, by_query)
-            else:
-                for i in group:
-                    query, task, specializations, build_ms = pending[i]
-                    ranked_at = time.perf_counter()
-                    ranking = diversifier.diversify(task, k)
-                    kernel_ms = (time.perf_counter() - ranked_at) * 1000.0
-                    self.stats.fallback_queries += 1
-                    self._finish(
-                        query,
-                        self._diversified(query, ranking, task, specializations),
-                        build_ms + kernel_ms,
-                        by_query,
-                    )
-
-    def _rank_group(
-        self,
-        group: list[int],
-        pending: list,
-        shapes: list[tuple[int, int]],
-        k: int,
-        by_query: dict[str, DiversifiedResult],
-    ) -> None:
-        """One fused kernel dispatch for a planned query group."""
-        group_start = time.perf_counter()
-        tasks = [pending[i][1] for i in group]
-        rankings = _fast.diversify_fused(
-            self.framework.diversifier, tasks, k, timer=self.profiler
-        )
-        share_ms = (time.perf_counter() - group_start) * 1000.0 / len(group)
-        rows_pad = max(shapes[i][0] for i in group)
-        cols_pad = max(shapes[i][1] for i in group)
-        self.stats.fusion_groups += 1
-        self.stats.fused_queries += len(group)
-        self.stats.fused_filled_cells += sum(
-            shapes[i][0] * shapes[i][1] for i in group
-        )
-        self.stats.fused_padded_cells += len(group) * rows_pad * cols_pad
-        for i, ranking in zip(group, rankings):
-            query, task, specializations, build_ms = pending[i]
-            self._finish(
-                query,
-                self._diversified(query, ranking, task, specializations),
-                build_ms + share_ms,
-                by_query,
-            )
-
-    def _diversified(
-        self,
-        query: str,
-        ranking: list[str],
-        task: DiversificationTask,
-        specializations: SpecializationSet,
-    ) -> DiversifiedResult:
-        """The ambiguous-branch result, field-for-field what
-        ``framework.diversify_detected`` constructs."""
-        return DiversifiedResult(
-            query=query,
-            ranking=ranking,
-            diversified=True,
-            baseline=task.candidates,
-            specializations=specializations,
-            task=task,
-            algorithm=self.framework.diversifier.name,
-        )
 
     # -- warm-state persistence ---------------------------------------------------
 

@@ -72,23 +72,19 @@ class ShardServiceFactory:
     offline pipeline — the shard hydrates from its rows (same payload
     bytes as the JSONL files, so rankings are identical), which is how
     process workers and respawned replicas cold-start in O(attach)
-    without a JSONL re-read.  ``fused`` is the shard services'
-    fused-kernel policy (see :class:`DiversificationService`); rankings
-    are identical either way.
+    without a JSONL re-read.
     """
 
     framework_factory: Callable[[int], DiversificationFramework]
     result_cache_size: int = 2048
     warm_artifacts_dir: str | None = None
     warm_store: str | None = None
-    fused: bool | None = None
 
     def __call__(self, shard: int) -> DiversificationService:
         service = DiversificationService(
             self.framework_factory(shard),
             result_cache_size=self.result_cache_size,
             name=f"shard{shard}",
-            fused=self.fused,
         )
         if self.warm_artifacts_dir is not None:
             path = _warm_path(self.warm_artifacts_dir, shard)
@@ -191,7 +187,6 @@ class ShardedDiversificationService:
         backend: "str | ExecutionBackend | None" = None,
         warm_artifacts_dir: "str | Path | None" = None,
         warm_store: "str | Path | None" = None,
-        fused: bool | None = None,
         replicas: int = 1,
         policy: str = "round-robin",
         hedge_after_ms: float | None = None,
@@ -211,8 +206,7 @@ class ShardedDiversificationService:
         store instead (see :func:`repro.retrieval.store.write_store`):
         shards — and replicas respawned after a crash — hydrate their
         warm artifacts by attaching the store read-only, byte-identical
-        to the JSONL path.  ``fused`` sets every shard's fused-kernel
-        policy (default: auto).
+        to the JSONL path.
 
         ``replicas=R`` (with a ``None``/``"process"`` backend spec)
         builds a fault-tolerant cluster instead: R process workers per
@@ -246,7 +240,6 @@ class ShardedDiversificationService:
                 warm_store=(
                     str(warm_store) if warm_store is not None else None
                 ),
-                fused=fused,
             ),
             num_shards,
         )

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core.arrays import BatchArrays, TaskArrays, stacked_similarity
+from repro.core.arrays import TaskArrays
 from repro.experiments.workloads import synthetic_task
 from repro.retrieval.similarity import TermVector
 
@@ -99,6 +99,19 @@ class TestSimilarityMatrix:
                 expected = cosine(task.vectors[a], task.vectors[b])
                 assert similarity[i, j] == pytest.approx(expected, abs=1e-12)
 
+    @pytest.mark.parametrize("seed", range(100, 103))
+    def test_random_vectors_match_pairwise_cosine(self, seed):
+        """Random surrogates, some with no terms at all."""
+        from repro.retrieval.similarity import cosine
+
+        task, _ = random_task(seed)
+        arrays = task.arrays()
+        similarity = arrays.similarity_matrix(task.vectors)
+        for i, a in enumerate(arrays.doc_ids):
+            for j, b in enumerate(arrays.doc_ids):
+                expected = cosine(task.vectors[a], task.vectors[b])
+                assert similarity[i, j] == pytest.approx(expected, abs=1e-12)
+
     def test_missing_vectors_are_zero_rows(self):
         task = synthetic_task(8, num_specs=2, seed=6, with_vectors=True)
         missing = task.candidates.doc_ids[0]
@@ -133,94 +146,3 @@ class TestSimilarityMatrix:
         assert second is not first
         assert not np.array_equal(second[0], first[0])
 
-
-class TestBatchArrays:
-    def test_padded_shapes_and_masks(self):
-        tasks = [
-            synthetic_task(10, num_specs=2, seed=1),
-            synthetic_task(25, num_specs=6, seed=2),
-            synthetic_task(4, num_specs=4, seed=3),
-        ]
-        batch = BatchArrays([task.arrays() for task in tasks])
-        assert batch.batch == 3
-        assert batch.n_pad == 25 and batch.m_pad == 6
-        assert batch.utilities.shape == (3, 25, 6)
-        assert batch.probabilities.shape == (3, 6)
-        assert batch.relevance.shape == (3, 25)
-        assert batch.ns.tolist() == [10, 25, 4]
-        assert batch.ms.tolist() == [2, 6, 4]
-        for b, task in enumerate(tasks):
-            arrays = task.arrays()
-            assert np.array_equal(
-                batch.utilities[b, : arrays.n, : arrays.m], arrays.utilities
-            )
-            assert batch.valid[b, : arrays.n].all()
-            assert not batch.valid[b, arrays.n :].any()
-            # padding must be arithmetically inert: exact zeros everywhere
-            assert not batch.utilities[b, arrays.n :, :].any()
-            assert not batch.utilities[b, :, arrays.m :].any()
-            assert not batch.probabilities[b, arrays.m :].any()
-            assert not batch.relevance[b, arrays.n :].any()
-
-    def test_fill_accounting(self):
-        tasks = [
-            synthetic_task(10, num_specs=2, seed=1),
-            synthetic_task(25, num_specs=6, seed=2),
-        ]
-        batch = BatchArrays([task.arrays() for task in tasks])
-        assert batch.filled_cells == 10 * 2 + 25 * 6
-        assert batch.padded_cells == 2 * 25 * 6
-        assert batch.fill_ratio == pytest.approx(170 / 300)
-
-    def test_identical_shapes_have_no_padding(self):
-        arrays = [
-            synthetic_task(12, num_specs=3, seed=s).arrays() for s in (1, 2)
-        ]
-        batch = BatchArrays.stack(arrays)
-        assert batch.fill_ratio == 1.0
-        assert batch.valid.all()
-
-    def test_zero_spec_member_pads_to_one_column(self):
-        ambiguous = synthetic_task(6, num_specs=2, seed=4).arrays()
-        lone = TaskArrays(
-            doc_ids=["d1", "d2"],
-            spec_queries=[],
-            probabilities=[],
-            utilities=np.zeros((2, 0)),
-            relevance=np.array([1.0, 0.5]),
-        )
-        batch = BatchArrays([lone, ambiguous])
-        assert batch.m_pad == 2
-        assert batch.ms.tolist() == [0, 2]
-        assert not batch.probabilities[0].any()
-
-    def test_empty_batch_rejected(self):
-        with pytest.raises(ValueError, match="empty batch"):
-            BatchArrays([])
-
-
-class TestStackedSimilarity:
-    def test_matches_per_task_matrices(self):
-        draws = [random_task(100 + j) for j in range(3)]
-        tasks = [task for task, _ in draws]
-        arrays_list = [task.arrays() for task in tasks]
-        batch = BatchArrays(arrays_list)
-        stacked = stacked_similarity(
-            batch, [task.vectors for task in tasks]
-        )
-        assert stacked.shape == (3, batch.n_pad, batch.n_pad)
-        for b, (task, arrays) in enumerate(zip(tasks, arrays_list)):
-            single = arrays.similarity_matrix(task.vectors)
-            # One shared term index reorders the cosine dot products, so
-            # values agree to ULP precision, not bitwise.
-            assert np.allclose(
-                stacked[b, : arrays.n, : arrays.n], single, atol=1e-12
-            )
-            assert not stacked[b, arrays.n :, :].any()
-            assert not stacked[b, :, arrays.n :].any()
-
-    def test_misaligned_vectors_rejected(self):
-        task, _ = random_task(5)
-        batch = BatchArrays([task.arrays()])
-        with pytest.raises(ValueError, match="align"):
-            stacked_similarity(batch, [task.vectors, task.vectors])

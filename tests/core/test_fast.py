@@ -4,14 +4,25 @@ The identity suite is property-style: :func:`tests.core.helpers.random_task`
 draws seeded random tasks sweeping sizes, λ, thresholds and the
 score/probability/utility distributions (ties included), and every
 ``Fast*`` kernel must reproduce its pure-Python reference's selection
-exactly on each of them.  A failing seed is fully reproducible — rerun
-``random_task(seed)``.
+exactly on each of them.  Besides each task at its own k, the sweep
+ranks ragged *groups* of random tasks at one shared k (the largest any
+member drew), so smaller members cross the k ≥ n and |S_q| > k
+boundaries, plus four edge cases: an empty specialization set, a
+hand-built exact tie, k above every n, and one task ranked three times
+in a row by the same instance.  A failing case is fully reproducible
+from its id — ``task<seed>`` is ``random_task(seed)``, ``group<seed>``
+is ``_group(seed)``.
 """
 
 from __future__ import annotations
 
+import functools
+import random
+
+import numpy as np
 import pytest
 
+from repro.core import kernels
 from repro.core.fast import (
     FastIASelect,
     FastMMR,
@@ -19,17 +30,25 @@ from repro.core.fast import (
     FastXQuAD,
     get_fast_diversifier,
 )
+from repro.core.heaps import BoundedMaxHeap
 from repro.core.iaselect import IASelect
 from repro.core.mmr import MMR
 from repro.core.optselect import OptSelect
 from repro.core.xquad import XQuAD
 from repro.experiments.workloads import synthetic_task
+from repro.retrieval.similarity import TermVector
 
-from .helpers import random_task, two_intent_task
+from .helpers import build_task, random_task, two_intent_task
 
 #: Seeded random sweep width.  Each seed is a different (task, k) draw;
 #: together they cover every distribution shape the generator knows.
 SWEEP_SEEDS = range(40)
+
+#: Each seed draws one ragged group of independently-random tasks.
+GROUP_SEEDS = range(52)
+
+#: Tasks per group — enough for a spread of sizes under one shared k.
+GROUP_SIZE = 4
 
 PAIRS = [
     (FastOptSelect, OptSelect),
@@ -39,18 +58,119 @@ PAIRS = [
 ]
 
 
+def _exactness_safe(task, k: int) -> bool:
+    """Whether *task* keeps the exact-arithmetic tie guarantee under *k*.
+
+    ``random_task``'s binary regime guarantees bitwise-reproducible ties
+    only while every u·p term stays exactly representable.  Truncating
+    the specialization set (when ``min(k, n)`` < |S_q|) renormalizes the
+    uniform powers-of-two probabilities to values like 1/7, after which
+    mathematically tied scores are summation-order noise — a regime no
+    two reduction orders can agree on (see the contract note in
+    ``repro.core.kernels``).  A group shares one k, so a member drawn for
+    a smaller k may cross that line; such members are redrawn.
+    """
+    arrays = task.arrays()
+    binary = set(np.unique(arrays.utilities)) <= {0.0, 0.5}
+    return not binary or arrays.m <= min(k, arrays.n)
+
+
+def _own_k(seed: int):
+    task, k = random_task(seed)
+    return [task], k
+
+
+def _group(base_seed: int):
+    """A ragged group: independent random tasks under one shared k."""
+    draws = [random_task(1000 * base_seed + j) for j in range(GROUP_SIZE)]
+    k = max(k for _, k in draws)
+    tasks = []
+    for j, (task, _) in enumerate(draws):
+        bump = 0
+        while not _exactness_safe(task, k):
+            bump += 1
+            task, _ = random_task(1000 * base_seed + j + 101 * bump)
+        tasks.append(task)
+    return tasks, k
+
+
+def _empty_spec_task(n: int = 8):
+    """A task whose specialization set is empty (unambiguous query)."""
+    scores = [(f"d{i:03d}", 1.0 / (i + 1)) for i in range(n)]
+    task = build_task({}, {}, scores)
+    task.vectors = {
+        doc_id: TermVector({"t0": 1.0, f"t{i % 3}": 0.5})
+        for i, (doc_id, _) in enumerate(scores)
+    }
+    return task
+
+
+def _empty_specs():
+    empty, (full, k) = _empty_spec_task(), random_task(3)
+    return [empty, full, empty], k
+
+
+def _exact_tie():
+    """Hand-built exact-arithmetic ties: broken by baseline rank only."""
+    scores = [(f"d{i}", float(8 - i)) for i in range(8)]
+    utilities = {
+        "q s0": {"d0": 0.5, "d2": 0.5, "d4": 0.5},
+        "q s1": {"d1": 0.5, "d3": 0.5, "d5": 0.5},
+    }
+    probabilities = {"q s0": 1.0, "q s1": 1.0}
+    tied = build_task(utilities, probabilities, scores, lambda_=0.5)
+    tied.vectors = {doc_id: TermVector({"shared": 1.0}) for doc_id, _ in scores}
+    other, _ = random_task(11)
+    return [tied, other, tied], 6
+
+
+def _k_above_every_n():
+    tasks = [
+        synthetic_task(6, num_specs=2, seed=s, with_vectors=True)
+        for s in (1, 2, 3)
+    ]
+    return tasks, 50
+
+
+def _repeated():
+    task, k = random_task(7)
+    return [task, task, task], k
+
+
+CASES = [
+    *(
+        pytest.param(functools.partial(_own_k, s), id=f"task{s}")
+        for s in SWEEP_SEEDS
+    ),
+    *(
+        pytest.param(functools.partial(_group, s), id=f"group{s}")
+        for s in GROUP_SEEDS
+    ),
+    pytest.param(_empty_specs, id="empty-specs"),
+    pytest.param(_exact_tie, id="exact-tie"),
+    pytest.param(_k_above_every_n, id="k-above-n"),
+    pytest.param(_repeated, id="repeated"),
+]
+
+
 class TestRandomizedEquivalence:
     """Kernel selections must equal the references on random tasks."""
 
-    @pytest.mark.parametrize("seed", SWEEP_SEEDS)
-    def test_all_fast_variants_match_references(self, seed):
-        task, k = random_task(seed)
-        for fast_cls, reference_cls in PAIRS:
-            fast = fast_cls().diversify(task, k)
-            reference = reference_cls().diversify(task, k)
-            assert fast == reference, (
-                f"{reference_cls.__name__} diverged on random_task({seed}), "
-                f"k={k}, n={len(task.candidates)}, "
+    @pytest.mark.parametrize(
+        ("fast_cls", "reference_cls"),
+        PAIRS,
+        ids=[reference.__name__ for _, reference in PAIRS],
+    )
+    @pytest.mark.parametrize("case", CASES)
+    def test_fast_matches_reference(self, case, fast_cls, reference_cls):
+        tasks, k = case()
+        fast = fast_cls()  # one instance ranks every member in a row
+        for j, task in enumerate(tasks):
+            got = fast.diversify(task, k)
+            want = reference_cls().diversify(task, k)
+            assert got == want, (
+                f"{fast_cls.__name__} diverged on member {j}: k={k}, "
+                f"n={len(task.candidates)}, "
                 f"|S_q|={len(task.specializations)}, λ={task.lambda_}"
             )
 
@@ -144,3 +264,47 @@ class TestGetFastDiversifier:
     def test_unknown_name(self):
         with pytest.raises(ValueError):
             get_fast_diversifier("nope")
+
+
+def _heap_retained(values, capacity, offered=None):
+    """What a BoundedMaxHeap keeps, as ascending indices."""
+    heap: BoundedMaxHeap[int] = BoundedMaxHeap(capacity)
+    indices = range(len(values)) if offered is None else offered
+    for i in indices:
+        heap.push(int(i), float(values[i]))
+    return sorted(item for item, _ in heap.drain())
+
+
+class TestBoundedRetention:
+    """The argpartition partial top-k must equal the heap, ties included."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    @pytest.mark.parametrize("capacity", [1, 5, 16])
+    def test_partial_topk_matches_heap_on_ties(self, seed, capacity):
+        rng = random.Random(seed)
+        levels = [0.0, 0.25, 0.5, 0.75, 1.0]
+        values = np.array([rng.choice(levels) for _ in range(64)])
+        assert len(values) >= kernels.PARTIAL_TOPK_FACTOR * capacity
+        retained = kernels.bounded_retention(values, capacity)
+        assert retained.tolist() == _heap_retained(values, capacity)
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_stable_sort_path_matches_heap(self, seed):
+        rng = random.Random(seed + 300)
+        values = np.array([rng.choice((0.5, 1.0)) for _ in range(64)])
+        capacity = 20  # 64 < 4 * 20: takes the stable-argsort branch
+        assert len(values) < kernels.PARTIAL_TOPK_FACTOR * capacity
+        retained = kernels.bounded_retention(values, capacity)
+        assert retained.tolist() == _heap_retained(values, capacity)
+
+    def test_offered_subset(self):
+        values = np.array([0.1, 0.9, 0.9, 0.2, 0.9, 0.3, 0.9, 0.4])
+        offered = np.array([0, 2, 4, 6])
+        retained = kernels.bounded_retention(values, 2, offered)
+        assert retained.tolist() == _heap_retained(values, 2, offered)
+
+    def test_degenerate_capacities(self):
+        values = np.array([0.3, 0.1, 0.2])
+        assert kernels.bounded_retention(values, 0).tolist() == []
+        assert kernels.bounded_retention(values, 3).tolist() == [0, 1, 2]
+        assert kernels.bounded_retention(values, 10).tolist() == [0, 1, 2]

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.ambiguity import SpecializationSet
+from repro.core.base import DiversifierStats
 from repro.core.iaselect import IASelect
 from repro.core.optselect import OptSelect
 from repro.core.task import DiversificationTask
@@ -263,6 +264,65 @@ class TestPaperOracle:
         )
         assert matrix.value("d", "q'") == pytest.approx(self.expected, rel=1e-15)
         assert matrix.useful_docs("q'").keys() == {"d"}
+
+
+class TestEq9Oracle:
+    """A hand-computed Eq. (9) instance on top of the Eq. (1) one above.
+
+    Ũ(d|q) = (1−λ)·|S_q|·P(d|q) + λ·Σ_{q'} P(q'|q)·Ũ(d|R_q'), with
+    S_q = {q' (P = 3/4, the 3-4-5 list: Ũ(d) = 0.72),
+           q'' (P = 1/4, R = [s2]: Ũ(d) = cos(d, s2) / H_1 = 0.8)},
+    P(d|q) = 0.5 and P(other|q) = 0.25; "other" is useful for neither.
+
+    d:     (1−λ)·2·0.5 + λ·(0.75·0.72 + 0.25·0.8) = (1−λ) + 0.74·λ
+    other: (1−λ)·2·0.25                           = 0.5·(1−λ)
+    """
+
+    expected = {
+        0.0: [1.0, 0.5],
+        0.5: [0.87, 0.25],
+        1.0: [0.74, 0.0],
+    }
+
+    def task(self, lambda_):
+        candidates = ResultList("q", [("d", 2.0), ("other", 1.0)])
+        spec_results = {
+            "q'": TestPaperOracle.spec,
+            "q''": ResultList("q''", [("s2", 1.0)]),
+        }
+        return DiversificationTask(
+            query="q",
+            candidates=candidates,
+            specializations=SpecializationSet.from_frequencies(
+                "q", {"q'": 3.0, "q''": 1.0}
+            ),
+            utilities=UtilityMatrix.build(
+                candidates, spec_results, TestPaperOracle.vectors
+            ),
+            relevance={"d": 0.5, "other": 0.25},
+            lambda_=lambda_,
+        )
+
+    @pytest.mark.parametrize("lambda_", [0.0, 0.5, 1.0])
+    def test_pure_python_optselect(self, lambda_):
+        task = self.task(lambda_)
+        overall = OptSelect()._overall_utilities(
+            task, task.specializations, DiversifierStats()
+        )
+        assert [overall["d"], overall["other"]] == pytest.approx(
+            self.expected[lambda_], rel=1e-15, abs=1e-15
+        )
+
+    @pytest.mark.parametrize("lambda_", [0.0, 0.5, 1.0])
+    def test_kernel(self, lambda_):
+        from repro.core import kernels
+
+        task = self.task(lambda_)
+        overall = kernels.overall_utilities(task.arrays(), lambda_)
+        assert task.arrays().doc_ids == ["d", "other"]
+        assert overall.tolist() == pytest.approx(
+            self.expected[lambda_], rel=1e-15, abs=1e-15
+        )
 
 
 class TestCentroidIdentity:

@@ -347,6 +347,21 @@ class TestHealthAndStats:
         latency = body["backend"]["latency"]
         assert latency["p50_ms"] <= latency["p95_ms"] <= latency["p99_ms"]
 
+    def test_stats_key_sets_are_pinned(self, server, topic_queries):
+        """The `/stats` contract: a block added or removed is a change a
+        client can see, so it has to show up here first."""
+        post(server.base_url + "/diversify", {"queries": topic_queries[:1]})
+        _, body = get(server.base_url + "/stats")
+        assert set(body) == {
+            "front", "backend", "caches", "ring", "inflight", "draining",
+        }
+        for stats in (body["front"], body["backend"]):
+            assert set(stats) == {
+                "name", "served", "ranked", "diversified", "batches",
+                "seconds", "busy_seconds", "throughput_qps", "latency",
+                "formation", "replication", "page_cache", "ingest",
+            }
+
 
 # -- concurrency, shedding, drain ------------------------------------------------
 

@@ -7,6 +7,8 @@ import statistics
 
 import pytest
 
+from repro.core.fast import FastIASelect, FastMMR, FastOptSelect, FastXQuAD
+from repro.core.optselect import OptSelect
 from repro.serving import DiversificationService, ServiceStats
 
 
@@ -50,13 +52,30 @@ class TestDiversifyBatch:
         assert service.stats.ranked == 1
         assert service.stats.served == 3
 
+    @pytest.mark.parametrize(
+        "diversifier_cls",
+        [OptSelect, FastOptSelect, FastXQuAD, FastIASelect, FastMMR],
+    )
     def test_matches_per_query_pipeline(
-        self, service, framework_factory, topic_queries
+        self, framework_factory, topic_queries, diversifier_cls
     ):
-        reference = framework_factory()
-        batch = service.diversify_batch(topic_queries)
-        for query, result in zip(topic_queries, batch):
-            assert reference.diversify_query(query).ranking == result.ranking
+        service = DiversificationService(
+            framework_factory(diversifier=diversifier_cls())
+        )
+        reference = framework_factory(diversifier=diversifier_cls())
+        queries = topic_queries + list(reversed(topic_queries))
+        batch = service.diversify_batch(queries)
+        hits = service.diversify_batch(queries)  # every query cached
+        assert service.stats.ranked == len(set(queries))
+        for query, result, hit in zip(queries, batch, hits):
+            want = reference.diversify_query(query)
+            assert hit is result
+            assert result.query == want.query
+            assert result.ranking == want.ranking
+            assert result.diversified == want.diversified
+            assert result.algorithm == want.algorithm
+            assert result.baseline.doc_ids == want.baseline.doc_ids
+            assert result.specializations == want.specializations
 
     def test_result_cache_hits_across_batches(self, service, topic_queries):
         service.diversify_batch(topic_queries)
