@@ -120,6 +120,21 @@ class LRUCache(Generic[K, V]):
             self._data.move_to_end(key)
             return value
 
+    def hit(self, key: K) -> V | None:
+        """``get`` for a caller that falls back to ``get`` on a miss.
+
+        A hit is counted and refreshes recency exactly as in ``get``; a
+        miss returns ``None`` uncounted, so the later ``get`` counts it
+        once.
+        """
+        with self._lock:
+            value = self._data.get(key, _MISSING)
+            if value is _MISSING:
+                return None
+            self.hits += 1
+            self._data.move_to_end(key)
+            return value
+
     def put(self, key: K, value: V) -> None:
         """Insert/update *key*, evicting the LRU entry when full."""
         with self._lock:

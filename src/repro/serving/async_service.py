@@ -10,8 +10,11 @@ layer:
 * callers ``await submit(query)`` — one awaitable per request, resolved
   with exactly the :class:`~repro.core.framework.DiversifiedResult` a
   direct ``diversify_batch`` call would have produced;
-* requests land in a **bounded** queue (full queue = backpressure: the
-  submit blocks, or fails fast once the service is stopping);
+* a result-cache hit (``backend.cached(query)``) is answered at once:
+  the window exists to batch misses, and a hit has nothing to batch;
+* the other requests land in a **bounded** queue (full queue =
+  backpressure: the submit blocks, or fails fast once the service is
+  stopping);
 * a single batcher task coalesces requests under a two-sided window —
   close when ``max_batch_size`` requests have gathered or ``max_wait_s``
   has passed since the first one arrived, whichever comes first;
@@ -21,7 +24,10 @@ layer:
 * per-request futures resolve in request order within the batch, and
   batch-formation accounting (batch-size histogram, queue-wait sample,
   queue depth peak) lands in :class:`~repro.serving.service.ServiceStats`
-  next to the usual counters.
+  next to the usual counters.  ``stats.served`` counts every request;
+  the histogram (like the backend's own ``served``) counts only those
+  that reached ``diversify_batch``, so ``served`` minus the histogram's
+  request total is the number of hits answered before the window.
 
 Timing is injected through a small clock protocol (:class:`LoopClock`)
 so the admission window can be driven by a *manual* clock in tests —
@@ -86,8 +92,9 @@ class AsyncDiversificationService:
     Parameters
     ----------
     backend:
-        Anything with ``diversify_batch(queries) -> list[DiversifiedResult]``
-        and ``warm(queries)`` — a
+        Anything with ``diversify_batch(queries) -> list[DiversifiedResult]``,
+        ``cached(query) -> DiversifiedResult | None``, ``warm(queries)``
+        and ``get_stats()`` — a
         :class:`~repro.serving.service.DiversificationService` or a
         :class:`~repro.serving.sharded.ShardedDiversificationService`
         (running on any execution backend, including
@@ -262,6 +269,11 @@ class AsyncDiversificationService:
                                 "or call start() first")
         if self._closing.is_set():
             raise ServiceClosed("service is stopping")
+        # The window exists to batch misses; a hit has nothing to wait for.
+        result = self.backend.cached(query)
+        if result is not None:
+            self.stats.served += 1
+            return result
         loop = asyncio.get_running_loop()
         item = _Pending(query, loop.create_future(), self._clock.now())
         if not self._queue.full():
@@ -435,9 +447,7 @@ class AsyncDiversificationService:
 
     def backend_stats(self) -> ServiceStats:
         """The backend's own serving stats (cluster-merged when sharded)."""
-        if hasattr(self.backend, "cluster_stats"):
-            return self.backend.cluster_stats()
-        return self.backend.stats
+        return self.backend.get_stats()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "running" if self.running else "stopped"

@@ -22,6 +22,13 @@ the async service accepts — a single
 :class:`~repro.serving.sharded.ShardedDiversificationService` on any
 execution backend, including the replicated one.
 
+A reply leaves in one flush of a buffered writer, on a socket with
+``TCP_NODELAY`` set, so a keep-alive round trip costs its work rather
+than a delayed-ACK timer.  Every reply carries an ``X-Request-Id`` (the
+client's, when it is 1-64 characters of ``[A-Za-z0-9._-]``, else one
+the server numbers), and the ``repro.serving.http`` logger gets one INFO
+record per request: method, path, status, bytes, ms and request id.
+
 Endpoints (base URL ``http://<host>:<port>``):
 
 ``POST /diversify``
@@ -63,8 +70,12 @@ Endpoints (base URL ``http://<host>:<port>``):
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
+import logging
+import re
 import threading
+import time
 from collections import deque
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -72,15 +83,6 @@ from urllib.parse import parse_qs, unquote, urlsplit
 
 from repro.core.framework import DiversifiedResult
 from repro.retrieval.documents import Document
-
-
-class _Listener(ThreadingHTTPServer):
-    """ThreadingHTTPServer with a backlog sized for bursty open-loop
-    load — the stdlib default of 5 pending connections refuses clients
-    under any realistic arrival burst."""
-
-    request_queue_size = 128
-    daemon_threads = True
 from repro.serving.async_service import AsyncDiversificationService, ServiceClosed
 from repro.serving.service import ServiceStats
 
@@ -102,6 +104,27 @@ MAX_PAGE_LIMIT = 200
 #: body is an ingest batch of documents; 8 MiB holds thousands of them and
 #: bounds what one request can make a handler thread allocate.
 MAX_BODY_BYTES = 8 * 1024 * 1024
+
+#: Largest ``timeout_ms`` a body may name: the longest wait a thread can
+#: block for (a larger one would make the wait itself raise).
+MAX_TIMEOUT_MS = threading.TIMEOUT_MAX * 1000.0
+
+#: A client's ``X-Request-Id`` is echoed only when it matches this; any
+#: other value (too long, spaces, header syntax) is replaced.
+_REQUEST_ID = re.compile(r"[A-Za-z0-9._-]{1,64}")
+
+#: The access log: one INFO record per request, off at the default
+#: WARNING level.
+_LOG = logging.getLogger("repro.serving.http")
+
+
+class _Listener(ThreadingHTTPServer):
+    """ThreadingHTTPServer with a backlog sized for bursty open-loop
+    load — the stdlib default of 5 pending connections refuses clients
+    under any realistic arrival burst."""
+
+    request_queue_size = 128
+    daemon_threads = True
 
 
 class ApiError(Exception):
@@ -284,6 +307,8 @@ class DiversificationHTTPServer:
         self._ring: deque[dict] = deque(maxlen=ring_size)
         self._ring_lock = threading.Lock()
         self._seq = 0
+        # next() on a count is one C call, atomic across handler threads.
+        self._request_ids = itertools.count(1)
         self._inflight = 0
         self._inflight_lock = threading.Lock()
         self._drain_lock = threading.Lock()
@@ -411,6 +436,13 @@ class DiversificationHTTPServer:
                         "algorithm": result.algorithm,
                     }
                 )
+
+    def request_id(self, offered: str | None) -> str:
+        """The client's ``X-Request-Id`` when well-formed, else the next
+        number of this server's counter."""
+        if offered is not None and _REQUEST_ID.fullmatch(offered):
+            return offered
+        return str(next(self._request_ids))
 
     def acquire_slots(self, count: int) -> bool:
         """Reserve *count* in-flight query slots; False = shed (429)."""
@@ -687,10 +719,12 @@ def _validate_timeout(body: dict, default_s: float) -> float:
     timeout_ms = body.get("timeout_ms")
     if timeout_ms is None:
         return default_s
+    # The range test also rejects NaN, which compares false either way.
     if not isinstance(timeout_ms, (int, float)) or isinstance(timeout_ms, bool) \
-            or timeout_ms <= 0:
+            or not 0 < timeout_ms <= MAX_TIMEOUT_MS:
         raise ApiError(
-            422, "invalid_timeout", "'timeout_ms' must be a positive number"
+            422, "invalid_timeout",
+            f"'timeout_ms' must be a positive number of at most {MAX_TIMEOUT_MS:g}",
         )
     return float(timeout_ms) / 1000.0
 
@@ -718,9 +752,28 @@ def _make_handler(api: DiversificationHTTPServer):
     class Handler(BaseHTTPRequestHandler):
         server_version = "repro-serving/1"
         protocol_version = "HTTP/1.1"
+        #: Buffer the reply: status line, headers and body leave in the
+        #: one flush ``handle_one_request`` ends with.
+        wbufsize = -1
+        #: TCP_NODELAY.  A reply over the 8 KiB buffer still leaves in
+        #: two sends, and Nagle's algorithm would hold the second until
+        #: the client's delayed ACK, ~40 ms later.
+        disable_nagle_algorithm = True
+
+        def handle_expect_100(self) -> bool:
+            # The interim reply must reach the client now: it is waiting
+            # for it before sending the body.
+            super().handle_expect_100()
+            self.wfile.flush()
+            return True
+
+        def log_request(self, code="-", size="-") -> None:
+            pass  # _reply logs each request once, with its bytes and ms
 
         def log_message(self, format, *args):  # noqa: A002 - stdlib name
-            pass  # measurement harness: no per-request stderr chatter
+            # Only the stdlib's own errors (an unparseable request line, a
+            # read timeout) still arrive here.
+            _LOG.info("%s " + format, self.address_string(), *args)
 
         # -- plumbing ------------------------------------------------------------
 
@@ -729,10 +782,26 @@ def _make_handler(api: DiversificationHTTPServer):
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
+            self.send_header("X-Request-Id", self._request_id)
             if self.close_connection:
                 self.send_header("Connection", "close")
             self.end_headers()
             self.wfile.write(body)
+            if _LOG.isEnabledFor(logging.INFO):
+                ms = (time.perf_counter() - self._started) * 1000.0
+                _LOG.info(
+                    "%s %s %d %dB %.3fms id=%s",
+                    self.command, self.path, status, len(body), ms,
+                    self._request_id,
+                    extra={
+                        "method": self.command,
+                        "path": self.path,
+                        "status": status,
+                        "bytes": len(body),
+                        "ms": ms,
+                        "request_id": self._request_id,
+                    },
+                )
 
         def _error(self, error: ApiError) -> None:
             self._reply(
@@ -768,8 +837,13 @@ def _make_handler(api: DiversificationHTTPServer):
             except (UnicodeDecodeError, json.JSONDecodeError) as exc:
                 raise ApiError(400, "bad_json", f"body is not valid JSON: {exc}") \
                     from None
+            except RecursionError:
+                raise ApiError(400, "bad_json", "body is nested too deeply") \
+                    from None
 
         def _dispatch(self, method: str) -> None:
+            self._started = time.perf_counter()
+            self._request_id = api.request_id(self.headers.get("X-Request-Id"))
             url = urlsplit(self.path)
             params = parse_qs(url.query)
             try:

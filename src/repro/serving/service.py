@@ -541,6 +541,16 @@ class DiversificationService:
 
     # -- online phase ------------------------------------------------------------
 
+    def cached(self, query: str) -> DiversifiedResult | None:
+        """The result-cache entry for *query*, or ``None``; runs nothing.
+
+        A hit counts in the result LRU's ``hits``; a miss is left for the
+        ``diversify_batch`` that follows to count.  :attr:`stats` is not
+        touched.  The async front-end answers hits with this before its
+        admission window.
+        """
+        return self._result_cache.hit(query)
+
     def diversify(self, query: str) -> DiversifiedResult:
         """Serve one query (cache → pipeline)."""
         return self.diversify_batch([query])[0]

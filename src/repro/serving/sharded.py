@@ -420,6 +420,19 @@ class ShardedDiversificationService:
 
     # -- online phase ------------------------------------------------------------
 
+    def cached(self, query: str) -> DiversifiedResult | None:
+        """The owning shard's result-cache entry for *query*, or ``None``.
+
+        Only in-process shards are probed.  On a process or replicated
+        backend a probe would cost a pipe round trip, and every miss a
+        second one, so it answers ``None`` and the query takes the batched
+        path.
+        """
+        local = self._backend.local_services
+        if local is None:
+            return None
+        return local[self.route(query)].cached(query)
+
     def diversify(self, query: str) -> DiversifiedResult:
         """Serve one query on its owning shard."""
         start = time.perf_counter()
@@ -600,6 +613,11 @@ class ShardedDiversificationService:
         merged = ServiceStats.merge(self.shard_stats())
         merged.seconds = self._online_seconds
         return merged
+
+    def get_stats(self) -> ServiceStats:
+        """:meth:`cluster_stats` under the name the front-ends read from
+        every backend (a single service's :meth:`DiversificationService.get_stats`)."""
+        return self.cluster_stats()
 
     def warm_memory_estimate(self) -> dict[str, int]:
         """Cluster-summed warm-artifact memory estimate.

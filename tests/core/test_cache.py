@@ -54,6 +54,17 @@ class TestLRUCache:
         assert (stats.hits, stats.misses, stats.size) == (2, 1, 1)
         assert stats.hit_rate == pytest.approx(2 / 3)
 
+    def test_hit_counts_hits_and_leaves_misses_to_get(self):
+        cache = LRUCache(2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert cache.hit("a") == 1  # refresh "a"; "b" is now stalest
+        assert cache.hit("nope") is None
+        stats = cache.stats()
+        assert (stats.hits, stats.misses) == (1, 0)
+        cache.put("c", 3)
+        assert "b" not in cache and "a" in cache
+
     def test_contains_is_a_pure_probe(self):
         cache = LRUCache(2)
         cache.put("a", 1)

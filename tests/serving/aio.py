@@ -101,6 +101,9 @@ class RecordingBackend:
         self.batches.append(list(queries))
         return self.inner.diversify_batch(queries)
 
+    def cached(self, query):
+        return None  # every request reaches diversify_batch, and is recorded
+
     def warm(self, queries):
         return self.inner.warm(queries)
 
@@ -123,6 +126,9 @@ class FailingBackend:
     def diversify_batch(self, queries):
         self.calls += 1
         raise self.exc
+
+    def cached(self, query):
+        return None
 
     def warm(self, queries):  # pragma: no cover - not exercised
         raise self.exc

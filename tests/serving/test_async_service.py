@@ -9,6 +9,7 @@ integration test at the end exercises the real clock + executor path.
 from __future__ import annotations
 
 import asyncio
+import multiprocessing
 import random
 import threading
 
@@ -26,6 +27,11 @@ from .aio import FailingBackend, ManualClock, RecordingBackend, run, settle
 #: Admission window used by the manual-clock scenarios (value is
 #: arbitrary: the clock only moves when a test advances it).
 WINDOW = 0.005
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="the process cluster inherits the test fixtures through fork",
+)
 
 
 @pytest.fixture()
@@ -206,6 +212,85 @@ class TestIdentity:
         assert [r.query for r in results] == workload
 
 
+class TestCacheHits:
+    """``submit`` answers a result-cache hit itself: the window exists to
+    batch misses, and a hit has nothing to batch."""
+
+    @pytest.fixture(params=["single", "sharded"])
+    def in_process(self, request, framework_factory):
+        if request.param == "single":
+            return DiversificationService(framework_factory())
+        return ShardedDiversificationService.from_factory(
+            lambda shard: framework_factory(), num_shards=2, backend="inline"
+        )
+
+    def test_hit_resolves_while_a_window_is_open(
+        self, in_process, topic_queries
+    ):
+        hot, cold = topic_queries[0], topic_queries[1]
+        primed = in_process.diversify_batch([hot])[0]
+
+        async def scenario():
+            clock = ManualClock()
+            async with make_front(in_process, clock) as front:
+                miss = asyncio.create_task(front.submit(cold))
+                await settle()
+                assert not miss.done()  # its window is open
+                hit = asyncio.create_task(front.submit(hot))
+                await settle()
+                assert hit.done() and not miss.done()
+                assert clock.now() == 0.0
+                await clock.advance(WINDOW)
+                assert miss.done()
+                return hit.result(), front.stats
+
+        result, front = run(scenario())
+        assert result is primed
+        # The front counts both requests, its histogram only the batched miss.
+        assert front.served == 2
+        assert front.batch_sizes == {1: 1}
+        # The backend served the priming batch and the miss; the LRU counted
+        # the hit once and each miss once.
+        assert in_process.get_stats().served == 2
+        info = in_process.result_cache_info()
+        assert (info.hits, info.misses) == (1, 2)
+
+    @needs_fork
+    def test_process_cluster_hits_cross_the_window(
+        self, framework_factory, topic_queries
+    ):
+        """A probe of a worker's cache would cost a pipe round trip, so a
+        process-backed cluster reports no hits and batches every request."""
+        queries = topic_queries[:3]
+        reference = DiversificationService(framework_factory()).diversify_batch(
+            queries
+        )
+        cluster = ShardedDiversificationService.from_factory(
+            lambda shard: framework_factory(), num_shards=2, backend="process"
+        )
+        try:
+            cluster.diversify_batch(queries)  # every query is cached now
+            assert cluster.cached(queries[0]) is None
+
+            async def scenario():
+                clock = ManualClock()
+                async with make_front(cluster, clock) as front:
+                    tasks = [
+                        asyncio.create_task(front.submit(q)) for q in queries
+                    ]
+                    await settle()
+                    assert not any(task.done() for task in tasks)
+                    await clock.advance(WINDOW)
+                    return [task.result() for task in tasks], front.stats
+
+            results, front = run(scenario())
+            assert cluster.result_cache_info().hits == len(queries)
+        finally:
+            cluster.close()
+        assert [r.ranking for r in results] == [r.ranking for r in reference]
+        assert front.batch_sizes == {len(queries): 1}
+
+
 class GatedBackend:
     """Delegate whose dispatch blocks on a controllable event — lets a
     test hold the batcher mid-dispatch while the queue backs up."""
@@ -217,6 +302,9 @@ class GatedBackend:
     def diversify_batch(self, queries):
         assert self.gate.wait(timeout=15.0), "test never opened the gate"
         return self.inner.diversify_batch(queries)
+
+    def cached(self, query):
+        return None
 
     def warm(self, queries):
         return self.inner.warm(queries)
@@ -377,6 +465,9 @@ class TestErrors:
                 if self.calls == 1:
                     raise RuntimeError("transient")
                 return service.diversify_batch(queries)
+
+            def cached(self, query):
+                return None
 
         flaky = FlakyBackend()
 

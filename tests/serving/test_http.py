@@ -12,11 +12,18 @@ from __future__ import annotations
 
 import http.client
 import json
+import logging
+import re
+import socket
+import statistics
 import threading
+import time
 import urllib.error
 import urllib.request
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.serving import (
     DiversificationHTTPServer,
@@ -24,7 +31,12 @@ from repro.serving import (
     ShardedDiversificationService,
     result_payload,
 )
-from repro.serving.http import DEFAULT_PAGE_LIMIT, MAX_BODY_BYTES, MAX_PAGE_LIMIT
+from repro.serving.http import (
+    DEFAULT_PAGE_LIMIT,
+    MAX_BODY_BYTES,
+    MAX_PAGE_LIMIT,
+    MAX_TIMEOUT_MS,
+)
 
 
 # -- HTTP helpers ----------------------------------------------------------------
@@ -157,12 +169,24 @@ class TestDiversify:
             ({"query": "a", "timeout_ms": 0}, "invalid_timeout"),
             ({"query": "a", "timeout_ms": True}, "invalid_timeout"),
             ({"query": "a", "timeout_ms": "soon"}, "invalid_timeout"),
+            # Waits no thread can block for; json emits and reads NaN and
+            # Infinity, and the wait itself would raise on each.
+            ({"query": "a", "timeout_ms": MAX_TIMEOUT_MS * 2}, "invalid_timeout"),
+            ({"query": "a", "timeout_ms": float("inf")}, "invalid_timeout"),
+            ({"query": "a", "timeout_ms": float("nan")}, "invalid_timeout"),
         ],
     )
     def test_validation_errors_are_422(self, server, body, code):
         status, got = post(server.base_url + "/diversify", body)
         assert status == 422
         assert error_code(got) == code
+
+    def test_deeply_nested_body_is_400(self, server):
+        # Well under MAX_BODY_BYTES, but deeper than the JSON decoder can
+        # recurse (it raises RecursionError, not JSONDecodeError).
+        status, body = post(server.base_url + "/diversify", b"[" * 200_000)
+        assert status == 400
+        assert error_code(body) == "bad_json"
 
     def test_unknown_path_is_404(self, server):
         status, body = get(server.base_url + "/nope")
@@ -219,6 +243,66 @@ class TestBodyLimits:
         status, body, _ = self._declare(server, str(len(padded)), padded)
         assert status == 200
         assert body == reference[topic_queries[0]]
+
+
+class TestKeepAlive:
+    """A reply leaves in one flush on a TCP_NODELAY socket.  Sent as
+    headers then body, or past the 8 KiB write buffer with Nagle's
+    algorithm on, its last segment waits for the client's delayed ACK:
+    a round trip of >= 40 ms on a reused connection."""
+
+    ROUNDS = 20
+    LIMIT_MS = 20.0
+
+    def _median_ms(self, connection, body: bytes) -> tuple[float, int]:
+        times, size = [], 0
+        for _ in range(self.ROUNDS):
+            start = time.perf_counter()
+            connection.request(
+                "POST", "/diversify", body=body,
+                headers={"Content-Type": "application/json"},
+            )
+            response = connection.getresponse()
+            payload = response.read()
+            times.append((time.perf_counter() - start) * 1000.0)
+            assert response.status == 200
+            size = len(payload)
+        return statistics.median(times), size
+
+    def test_hits_on_a_reused_connection_cost_no_ack_timer(
+        self, server, topic_queries
+    ):
+        single = json.dumps({"query": topic_queries[0]}).encode("utf-8")
+        batch = json.dumps({"queries": (topic_queries * 4)[:24]}).encode("utf-8")
+        connection = http.client.HTTPConnection(*server.address, timeout=10)
+        try:
+            self._median_ms(connection, batch)  # prime the result cache
+            single_ms, _ = self._median_ms(connection, single)
+            batch_ms, batch_bytes = self._median_ms(connection, batch)
+        finally:
+            connection.close()
+        assert batch_bytes > 8192  # over the write buffer: two sends
+        assert single_ms < self.LIMIT_MS
+        assert batch_ms < self.LIMIT_MS
+
+    def test_expect_100_continue_is_answered_before_the_body(
+        self, server, reference, topic_queries
+    ):
+        body = json.dumps({"query": topic_queries[0]}).encode("utf-8")
+        with socket.create_connection(server.address, timeout=10) as sock:
+            sock.sendall(
+                b"POST /diversify HTTP/1.1\r\nHost: test\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: %d\r\nExpect: 100-continue\r\n\r\n" % len(body)
+            )
+            # The client holds the body back until the interim reply
+            # arrives; a buffered one left unflushed would stall here.
+            assert sock.recv(1024).startswith(b"HTTP/1.1 100")
+            sock.sendall(body)
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            assert response.status == 200
+            assert json.loads(response.read()) == reference[topic_queries[0]]
 
 
 # -- GET /results ----------------------------------------------------------------
@@ -485,3 +569,153 @@ class TestConcurrencyAndDrain:
             assert status == 200
             assert second["already_drained"] is True
             assert second["served_total"] == report["served_total"]
+
+
+# -- request ids and the access log ----------------------------------------------
+
+
+REQUEST_ID = re.compile(r"[A-Za-z0-9._-]{1,64}")
+
+
+def request(server, method: str, path: str, body=None, headers=None):
+    """One request on its own connection: (status, X-Request-Id, body)."""
+    connection = http.client.HTTPConnection(*server.address, timeout=30)
+    try:
+        connection.request(
+            method, path,
+            body=None if body is None else json.dumps(body),
+            headers={"Content-Type": "application/json", **(headers or {})},
+        )
+        response = connection.getresponse()
+        payload = json.loads(response.read())
+        return response.status, response.getheader("X-Request-Id"), payload
+    finally:
+        connection.close()
+
+
+class TestRequestIds:
+    def test_client_id_is_echoed_on_success_and_error(self, server, topic_queries):
+        headers = {"X-Request-Id": "trace-42.a_B"}
+        status, rid, _ = request(
+            server, "POST", "/diversify", {"query": topic_queries[0]}, headers
+        )
+        assert (status, rid) == (200, "trace-42.a_B")
+        status, rid, _ = request(server, "GET", "/nope", headers=headers)
+        assert (status, rid) == (404, "trace-42.a_B")
+
+    def test_missing_id_is_generated_per_request(self, server):
+        first = request(server, "GET", "/health")[1]
+        second = request(server, "GET", "/health")[1]
+        assert REQUEST_ID.fullmatch(first) and REQUEST_ID.fullmatch(second)
+        assert first != second
+
+    @pytest.mark.parametrize(
+        "hostile", ["x" * 65, "has space", "semi;colon", "über", ""]
+    )
+    def test_hostile_id_is_replaced(self, server, hostile):
+        status, rid, _ = request(
+            server, "GET", "/health", headers={"X-Request-Id": hostile}
+        )
+        assert status == 200
+        assert rid != hostile and REQUEST_ID.fullmatch(rid)
+
+    def test_one_access_record_per_request(self, server, topic_queries, caplog):
+        with caplog.at_level(logging.INFO, logger="repro.serving.http"):
+            _, _, body = request(
+                server, "POST", "/diversify", {"query": topic_queries[0]},
+                {"X-Request-Id": "log-me"},
+            )
+        records = [r for r in caplog.records if r.name == "repro.serving.http"]
+        assert len(records) == 1
+        record = records[0]
+        assert record.levelno == logging.INFO
+        assert (record.method, record.path, record.status) == (
+            "POST", "/diversify", 200,
+        )
+        assert record.request_id == "log-me"
+        assert record.bytes == len(json.dumps(body))
+        assert record.ms >= 0.0
+        assert "log-me" in record.getMessage()
+
+    def test_access_log_is_off_at_the_default_level(self, server, caplog):
+        request(server, "GET", "/health")
+        assert not [r for r in caplog.records if r.name == "repro.serving.http"]
+
+
+# -- hostile bodies: 4xx or the direct answer, never a 5xx -----------------------
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=6), children, max_size=3),
+    max_leaves=8,
+)
+#: timeout_ms values the server must refuse; valid ones are long enough
+#: that no request can time out.
+bad_timeouts = (
+    st.floats(max_value=0)
+    | st.sampled_from([float("nan"), float("inf"), MAX_TIMEOUT_MS * 2, 10**20])
+    | st.booleans()
+    | st.text(max_size=4)
+    | st.lists(st.integers(), max_size=2)
+)
+timeouts = st.none() | st.integers(30_000, 60_000) | bad_timeouts
+
+
+def _bodies(queries: list[str]):
+    text = st.sampled_from(queries) | st.text(min_size=1, max_size=12)
+    well_formed = st.fixed_dictionaries(
+        {"query": text}, optional={"timeout_ms": timeouts}
+    ) | st.fixed_dictionaries(
+        {"queries": st.lists(text, min_size=1, max_size=4)},
+        optional={"timeout_ms": timeouts},
+    )
+    anything = text | json_values
+    mixed = st.fixed_dictionaries(
+        {},
+        optional={
+            "query": anything,
+            "queries": st.lists(anything, max_size=4) | json_values,
+            "timeout_ms": timeouts,
+            "extra": json_values,
+        },
+    )
+    as_json = (well_formed | mixed | json_values).map(
+        lambda body: json.dumps(body).encode("utf-8")
+    )
+    depth = st.integers(1_000, 100_000)
+    return st.one_of(
+        as_json,
+        st.binary(max_size=40),  # mostly invalid UTF-8 or invalid JSON
+        st.binary(min_size=1, max_size=8).map(  # invalid UTF-8 in a string
+            lambda raw: b'{"query": "' + b"\xff" + raw + b'"}'
+        ),
+        depth.map(lambda n: b"[" * n),
+        depth.map(lambda n: b'{"queries": ' + b"[" * n),
+    )
+
+
+def test_fuzzed_diversify_bodies_never_5xx(
+    server, framework_factory, topic_queries
+):
+    direct = DiversificationService(framework_factory())
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(raw=_bodies(topic_queries))
+    def check(raw: bytes) -> None:
+        status, body = post(server.base_url + "/diversify", raw)
+        assert status < 500, (raw[:200], body)
+        if status != 200:
+            assert 400 <= status < 500 and error_code(body)
+            return
+        sent = json.loads(raw)
+        queries = [sent["query"]] if "query" in sent else sent["queries"]
+        want = [result_payload(r) for r in direct.diversify_batch(queries)]
+        assert body == (want[0] if "query" in sent else {"results": want})
+
+    check()
