@@ -86,7 +86,7 @@ def main() -> None:
             print(f"  δ({a}, {b}) = {d:.3f}")
 
     print("\nindex statistics:")
-    index = dph_engine.index
+    (index,) = dph_engine.partitions  # a default engine has one partition
     print(f"  documents            : {index.num_documents}")
     print(f"  distinct terms       : {index.num_terms}")
     print(f"  avg document length  : {index.average_document_length:.1f} terms")

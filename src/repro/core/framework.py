@@ -24,7 +24,6 @@ then serve queries that only read them.
 
 from __future__ import annotations
 
-import contextlib
 from dataclasses import dataclass, field
 
 from repro.core.ambiguity import SpecializationSet
@@ -219,21 +218,6 @@ class DiversificationFramework:
             return self.detector.mine(query)
         return self.detector.detect(query)
 
-    def _pin_engine(self):
-        """Pin the engine to one epoch for the duration of a pipeline pass.
-
-        Epoch-versioned engines
-        (:class:`~repro.retrieval.sharding.PartitionedSearchEngine`)
-        expose ``pinned()``; a query's several engine touches — candidate
-        retrieval, specialization fetches, vectorisation — then all read
-        the same snapshot even when a publish lands mid-query.  Plain
-        engines need no pin.
-        """
-        pin = getattr(self.engine, "pinned", None)
-        if pin is None:
-            return contextlib.nullcontext()
-        return pin()
-
     def _cache_spec(self, spec_query: str, cached: tuple) -> None:
         """Insert a freshly computed artifact unless its epoch is gone.
 
@@ -246,12 +230,8 @@ class DiversificationFramework:
         artifact is discarded.
         """
         engine = self.engine
-        lock = getattr(engine, "_epoch_lock", None)
-        if lock is None:
-            self._spec_cache.put(spec_query, cached)
-            return
         computed_at = engine._pinned_snapshot().epoch
-        with lock:
+        with engine._epoch_lock:
             if engine.epoch == computed_at:
                 self._spec_cache.put(spec_query, cached)
 
@@ -277,7 +257,7 @@ class DiversificationFramework:
         missing = [q for q in dict.fromkeys(spec_queries) if q not in self._spec_cache]
         if not missing:
             return 0
-        with self._pin_engine():
+        with self.engine.pinned():
             fetched = self.engine.search_batch(
                 missing, self.config.spec_results
             )
@@ -308,11 +288,7 @@ class DiversificationFramework:
         changed_ids = delta.changed_ids
         if not changed_terms and not changed_ids:
             return 0
-        analyzer = getattr(self.engine, "analyzer", None)
-        if analyzer is None:
-            dropped = len(self._spec_cache)
-            self._spec_cache.clear()
-            return dropped
+        analyzer = self.engine.analyzer
         dropped = 0
         for spec_query, (results, vectors) in self._spec_cache.snapshot():
             touched = bool(set(analyzer.analyze(spec_query)) & changed_terms)
@@ -411,7 +387,7 @@ class DiversificationFramework:
         engine snapshot, so a concurrent epoch publish cannot leave the
         result straddling two collections.
         """
-        with self._pin_engine():
+        with self.engine.pinned():
             return self._diversify_pinned(query, specializations)
 
     def _diversify_pinned(

@@ -2,14 +2,15 @@
 
 Provides text analysis (tokenizer, stopwords, Porter stemmer), an inverted
 index, DFR/BM25 weighting models, query-biased snippet extraction, cosine
-similarity, and the :class:`SearchEngine` facade producing the ranked
-result lists ``R_q`` that the diversification algorithms re-rank.
+similarity, and the :class:`SearchEngine` producing the ranked result
+lists ``R_q`` that the diversification algorithms re-rank.
 
-:mod:`repro.retrieval.sharding` partitions that substrate for scale-out:
-:func:`stable_shard` (the hash router shared with the sharded serving
-layer), :func:`partition_collection`, and
-:class:`PartitionedSearchEngine`, whose document-sharded scatter/gather
-search is ranking-identical to a single engine.
+The engine holds its index as ``num_partitions`` hash-placed partitions
+(one by default) with collection-global statistics, so its rankings do
+not depend on the partition count; :mod:`repro.retrieval.sharding`
+names the scale-out pieces: :func:`stable_shard` (the hash router shared
+with the sharded serving layer), :func:`partition_collection`, and
+:class:`PartitionedSearchEngine` (the same class as :class:`SearchEngine`).
 
 :mod:`repro.retrieval.store` makes the substrate durable:
 :func:`write_store` persists a built engine (postings, documents,

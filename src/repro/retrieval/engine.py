@@ -9,27 +9,52 @@ document surrogates for the utility computation.
 The ranked-list data model (:class:`SearchResult` / :class:`ResultList`)
 is shared with the diversification core: ``rank`` is 1-based, as in the
 paper's ``rank(d', R_q')`` of Equation (1).
+
+There is one engine, :class:`SearchEngine`.  It holds its index as N
+hash-placed partitions (one by default) scored with *collection-global*
+statistics, so its rankings — scores included — do not depend on N; a
+single node is simply the one-partition case.  Everything a query reads
+lives in one immutable, epoch-versioned :class:`EngineSnapshot`, which
+is what makes live ingest (:meth:`SearchEngine.apply_updates`) and
+snapshot-pinned serving (:meth:`SearchEngine.pinned`) available on
+every engine.  Beside it live the placement function
+(:func:`stable_shard`, :func:`partition_collection`), the per-partition
+build record (:class:`BuildReport`) and the enforced memory limit
+(:class:`MemoryBudget`); :mod:`repro.retrieval.sharding` re-exports them.
 """
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
+import hashlib
 import heapq
+import threading
 from array import array
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
-from dataclasses import dataclass
 
 from repro.retrieval.analysis import Analyzer
 from repro.retrieval.documents import Document, DocumentCollection
-from repro.retrieval.index import DocumentIndex, ImpactMemo
+from repro.retrieval.index import DocumentIndex, ImpactMemo, InvertedIndex
 from repro.retrieval.models import DPH, WeightingModel
 from repro.retrieval.similarity import TermVector
 from repro.retrieval.snippets import ForwardRow, Snippet, SnippetExtractor
 
-__all__ = ["SearchResult", "ResultList", "SearchEngine"]
+__all__ = [
+    "SearchResult",
+    "ResultList",
+    "stable_shard",
+    "partition_collection",
+    "BuildReport",
+    "EpochDelta",
+    "EngineSnapshot",
+    "MemoryBudget",
+    "SearchEngine",
+]
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class SearchResult:
     """One ranked retrieval result (rank is 1-based)."""
 
@@ -118,17 +143,311 @@ def shared_analysis(
     return snippet_extractor.analyzer, snippet_extractor
 
 
+# -- placement ---------------------------------------------------------------------
+
+
+def stable_shard(key: str, num_shards: int, seed: int = 0) -> int:
+    """Deterministic shard for *key*, uniform over ``range(num_shards)``.
+
+    Process-stable (blake2b, not the salted built-in ``hash``), so the
+    same key always lands on the same shard across restarts — the
+    property both the partitioned index (placement of documents) and the
+    sharded serving layer (routing of queries) rely on.
+
+    >>> stable_shard("apple", 4) == stable_shard("apple", 4)
+    True
+    """
+    if num_shards <= 0:
+        raise ValueError("num_shards must be positive")
+    if num_shards == 1:
+        return 0
+    digest = hashlib.blake2b(
+        f"{seed}:{key}".encode("utf-8"), digest_size=8
+    ).digest()
+    return int.from_bytes(digest, "big") % num_shards
+
+
+def partition_collection(
+    collection: DocumentCollection, num_shards: int, seed: int = 0
+) -> list[DocumentCollection]:
+    """Hash-partition *collection* into *num_shards* sub-collections.
+
+    Every document lands in exactly one partition
+    (``stable_shard(doc_id, num_shards, seed)``), and partitions preserve
+    the collection's relative document order — which is what lets the
+    engine reconstruct the single-index tie-break exactly.
+    """
+    if num_shards <= 0:
+        raise ValueError("num_shards must be positive")
+    partitions: list[list] = [[] for _ in range(num_shards)]
+    for document in collection:
+        partitions[stable_shard(document.doc_id, num_shards, seed)].append(
+            document
+        )
+    return [DocumentCollection(docs) for docs in partitions]
+
+
+# -- accounting --------------------------------------------------------------------
+
+
+class MemoryBudget:
+    """An enforced resident-bytes limit for an engine.
+
+    Attach a budget with :meth:`SearchEngine.set_memory_budget` and,
+    whenever a search gathers a term's postings, the impact memo is
+    dropped and partitions are evicted least-recently-touched first until
+    the summed resident estimate fits under ``limit_bytes``.  Eviction
+    requires partitions that can page their data back in on demand (the
+    store-backed partitions of :mod:`repro.retrieval.store`), so
+    enforcement trades latency on the next touch for bounded residency —
+    never changing a single result.
+
+    The instance accumulates enforcement counters; they surface through
+    the engine's page-cache stats path into ``ServiceStats.summary()``.
+    """
+
+    def __init__(self, limit_bytes: int) -> None:
+        if limit_bytes <= 0:
+            raise ValueError("limit_bytes must be positive")
+        self.limit_bytes = int(limit_bytes)
+        #: Times an enforcement pass found the engine over budget.
+        self.enforcements = 0
+        #: Whole partitions evicted across all enforcement passes.
+        self.partitions_evicted = 0
+        #: Estimated bytes released across all enforcement passes.
+        self.bytes_evicted = 0
+
+    def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        return (
+            f"MemoryBudget(limit_bytes={self.limit_bytes}, "
+            f"evicted={self.partitions_evicted})"
+        )
+
+
+@dataclasses.dataclass(frozen=True)
+class BuildReport:
+    """What building one index partition produced and what it costs to hold.
+
+    ``seconds`` is the build wall-clock of this partition (of the whole
+    scatter/gather, on a merged report — then ``busy_seconds`` keeps the
+    summed per-partition build time, which can exceed the wall-clock
+    when partitions build concurrently).  The byte fields are the
+    *estimated* resident footprint of the partition's index
+    (:meth:`~repro.retrieval.index.InvertedIndex.memory_estimate`);
+    ``vector_count``/``vector_bytes`` account the snippet-vector warm
+    artifacts once the offline pipeline's warm stage has run (zero at
+    build time).  A zero-document partition — the degenerate
+    ``num_partitions > len(collection)`` regime — contributes a
+    well-formed all-zero report carrying its name, exactly like a
+    zero-query shard in a merged :class:`ServiceStats`.
+    """
+
+    documents: int
+    terms: int
+    postings: int
+    tokens: int
+    seconds: float
+    postings_bytes: int = 0
+    vocabulary_bytes: int = 0
+    documents_bytes: int = 0
+    vector_count: int = 0
+    vector_bytes: int = 0
+    name: str = ""
+    busy_seconds: float = 0.0
+    shards: tuple["BuildReport", ...] = ()
+
+    @property
+    def total_bytes(self) -> int:
+        """Estimated resident bytes: index components plus warm vectors."""
+        return (
+            self.postings_bytes
+            + self.vocabulary_bytes
+            + self.documents_bytes
+            + self.vector_bytes
+        )
+
+    @classmethod
+    def from_index(
+        cls, index: InvertedIndex, seconds: float, name: str = ""
+    ) -> "BuildReport":
+        """Report for one freshly built partition index."""
+        memory = index.memory_estimate()
+        return cls(
+            documents=index.num_documents,
+            terms=index.num_terms,
+            postings=index.num_postings,
+            tokens=index.total_tokens,
+            seconds=seconds,
+            postings_bytes=memory["postings_bytes"],
+            vocabulary_bytes=memory["vocabulary_bytes"],
+            documents_bytes=memory["documents_bytes"],
+            name=name,
+        )
+
+    @classmethod
+    def merge(
+        cls, reports: Iterable["BuildReport"], name: str = "total"
+    ) -> "BuildReport":
+        """Collection-level view of per-partition builds.
+
+        Counters and byte estimates sum (partitions hold disjoint
+        documents; overlapping vocabularies are priced per partition,
+        which is what each one actually holds resident).  ``seconds``
+        sums to total build-busy time and ``busy_seconds`` records the
+        same sum explicitly — a caller that measured the scatter/gather
+        wall-clock (the parallel build pipeline does) overwrites
+        ``seconds`` with it, so both times stay readable.  The inputs
+        are kept in ``shards`` for per-partition reporting; an empty
+        input yields a valid zeroed report.
+        """
+        reports = list(reports)
+        busy = sum(r.busy_seconds or r.seconds for r in reports)
+        return cls(
+            documents=sum(r.documents for r in reports),
+            terms=sum(r.terms for r in reports),
+            postings=sum(r.postings for r in reports),
+            tokens=sum(r.tokens for r in reports),
+            seconds=sum(r.seconds for r in reports),
+            postings_bytes=sum(r.postings_bytes for r in reports),
+            vocabulary_bytes=sum(r.vocabulary_bytes for r in reports),
+            documents_bytes=sum(r.documents_bytes for r in reports),
+            vector_count=sum(r.vector_count for r in reports),
+            vector_bytes=sum(r.vector_bytes for r in reports),
+            name=name,
+            busy_seconds=busy,
+            shards=tuple(reports),
+        )
+
+    def summary(self) -> str:
+        label = f"[{self.name}] " if self.name else ""
+        text = (
+            f"{label}documents={self.documents} terms={self.terms} "
+            f"postings={self.postings} seconds={self.seconds:.3f}"
+        )
+        if self.busy_seconds and abs(self.busy_seconds - self.seconds) > 1e-9:
+            text += f" busy={self.busy_seconds:.3f}"
+        text += f" est_memory={self.total_bytes / 1e6:.2f}MB"
+        if self.vector_count:
+            text += f" vectors={self.vector_count}"
+        return text
+
+
+# -- epochs ------------------------------------------------------------------------
+
+
+@dataclasses.dataclass(frozen=True)
+class EpochDelta:
+    """What changed between an epoch and its predecessor.
+
+    Carried by the :class:`EngineSnapshot` the change produced, so every
+    consumer of a publish (warm caches, result caches, stores) can
+    decide *surgically* what it must invalidate instead of flushing
+    wholesale:
+
+    * ``added`` / ``removed`` — the doc_ids the epoch ingested/dropped
+      (a re-ingested id appears in both);
+    * ``terms`` — the union of analysed terms of every changed document,
+      i.e. every term whose df/cf could differ from the previous epoch;
+    * ``stats_changed`` — whether the collection-global scalars (N,
+      total tokens, hence avg_dl) moved.  When they did, *every* cached
+      score is stale — DFR/BM25 contributions read them — and consumers
+      must invalidate everything.
+    """
+
+    added: tuple[str, ...] = ()
+    removed: tuple[str, ...] = ()
+    terms: frozenset[str] = frozenset()
+    stats_changed: bool = True
+
+    @property
+    def changed_ids(self) -> frozenset[str]:
+        return frozenset(self.added) | frozenset(self.removed)
+
+
+@dataclasses.dataclass(frozen=True)
+class EngineSnapshot:
+    """One immutable, epoch-versioned view of the engine's index.
+
+    Everything a query touches — partitions, the ordinal maps, the
+    collection-global statistics, the document collection itself — lives
+    here, so a query that pins a snapshot at entry sees exactly one
+    epoch no matter how many publishes happen while it runs.  Publishing
+    the next epoch is a single reference assignment on the engine; the
+    previous snapshot keeps serving every query already pinned to it.
+
+    ``delta`` describes the change that produced this snapshot (empty
+    for epoch 0 / a fresh build), which is what the serving layer's
+    per-affected-specialization warm invalidation reads.  ``impacts`` is
+    the snapshot's own impact memo: a query pinned to an older epoch
+    reads that epoch's impacts, and a publish starts with none.
+    """
+
+    epoch: int
+    collection: DocumentCollection
+    partition_collections: tuple[DocumentCollection, ...]
+    partitions: tuple[InvertedIndex, ...]
+    global_ordinals: tuple[tuple[int, ...], ...]
+    num_documents: int
+    total_tokens: int
+    average_document_length: float
+    delta: EpochDelta = EpochDelta((), (), frozenset(), False)
+    impacts: ImpactMemo = dataclasses.field(
+        default_factory=ImpactMemo, compare=False, repr=False
+    )
+
+
+# -- the engine --------------------------------------------------------------------
+
+
+class _Pin(threading.local):
+    """The snapshot this thread's reads are pinned to, if any.  A class
+    default, so an unpinned read is an attribute hit, not a miss."""
+
+    snapshot: EngineSnapshot | None = None
+
+
 class SearchEngine:
     """Index a collection once, then serve ranked queries and snippets.
+
+    Documents are hash-partitioned into ``num_partitions`` independent
+    :class:`~repro.retrieval.index.DocumentIndex` instances (one by
+    default; each buildable on its own worker), but scoring is
+    *collection-global*: per-term document/collection frequencies are
+    summed across partitions, document count and average length are
+    global, and every posting is accumulated under the global ``(score
+    desc, collection ordinal asc)`` tie-break.  Because DFR/BM25
+    contributions depend only on per-document counts plus those global
+    statistics, the ranking — scores included — is the same for every
+    partition count.
+
+    Every read goes through one published :class:`EngineSnapshot`;
+    :meth:`apply_updates` (or :meth:`prepare_epoch` + :meth:`publish`)
+    ingests a batch as the next epoch, and :meth:`pinned` keeps a
+    thread's reads on one epoch while a publish lands.
 
     Parameters
     ----------
     collection:
         The documents to index.
+    num_partitions / seed:
+        How many partitions to place the documents in, and the seed of
+        the :func:`stable_shard` placement.
     model:
-        Weighting model; DPH (the paper's choice) by default.
-    analyzer:
-        Shared analysis pipeline (stemming + stopwords by default).
+        Weighting model; DPH (the paper's choice) by default.  Fixed at
+        construction: the impact memo holds its scores.
+    analyzer / snippet_extractor:
+        Shared analysis pipeline (stemming + stopwords by default) and
+        the surrogate extractor built over it.
+    partition_collections / partition_indexes:
+        Pre-built partitions (keyword-only) — the partition-parallel
+        offline pipeline (:func:`repro.serving.offline.build_partitioned_engine`)
+        builds them on an execution backend and assembles the engine
+        here.  They are validated document-for-document against the
+        placement, so an assembled engine is exactly the engine this
+        constructor would have built.  The indexes must be
+        :class:`~repro.retrieval.index.DocumentIndex` instances built
+        with this engine's ``window_terms``: the forward rows that serve
+        the surrogates travel inside them.
 
     >>> coll = DocumentCollection([
     ...     Document("d1", "apple iphone store prices"),
@@ -142,15 +461,186 @@ class SearchEngine:
     def __init__(
         self,
         collection: DocumentCollection,
+        num_partitions: int = 1,
         model: WeightingModel | None = None,
         analyzer: Analyzer | None = None,
         snippet_extractor: SnippetExtractor | None = None,
+        seed: int = 0,
+        *,
+        partition_collections: Sequence[DocumentCollection] | None = None,
+        partition_indexes: Sequence[InvertedIndex] | None = None,
     ) -> None:
-        self.collection = collection
+        self._configure(num_partitions, seed, model, analyzer, snippet_extractor)
+        if partition_collections is None:
+            partition_collections = partition_collection(
+                collection, num_partitions, seed
+            )
+        else:
+            partition_collections = list(partition_collections)
+            if len(partition_collections) != num_partitions:
+                raise ValueError(
+                    f"expected {num_partitions} partition collections, "
+                    f"got {len(partition_collections)}"
+                )
+            # Global statistics are summed from the partitions, so an
+            # injection that does not cover the collection exactly once
+            # (stale snapshot, subset, duplicate placement) would serve
+            # silently wrong scores — refuse it here instead.
+            covered = [
+                document.doc_id
+                for part in partition_collections
+                for document in part
+            ]
+            if len(covered) != len(collection) or set(covered) != set(
+                collection.doc_ids
+            ):
+                raise ValueError(
+                    "partition collections do not cover the collection "
+                    "exactly once (missing, extra or duplicated documents)"
+                )
+        if partition_indexes is None:
+            partition_indexes = [
+                DocumentIndex.from_collection(part, self.snippets)
+                for part in partition_collections
+            ]
+        else:
+            partition_indexes = list(partition_indexes)
+            if len(partition_indexes) != num_partitions:
+                raise ValueError(
+                    f"expected {num_partitions} partition indexes, "
+                    f"got {len(partition_indexes)}"
+                )
+            for shard, (part, index) in enumerate(
+                zip(partition_collections, partition_indexes)
+            ):
+                if [
+                    index.doc_id(o) for o in range(index.num_documents)
+                ] != part.doc_ids:
+                    raise ValueError(
+                        f"partition index {shard} does not match its "
+                        "partition collection (documents or their order "
+                        "differ)"
+                    )
+                extractor = getattr(index, "extractor", None)
+                if (
+                    extractor is None
+                    or extractor.window_terms != self.snippets.window_terms
+                ):
+                    raise ValueError(
+                        f"partition index {shard} must be a DocumentIndex "
+                        "built with this engine's window_terms "
+                        f"({self.snippets.window_terms}): its forward rows "
+                        "serve the surrogates"
+                    )
+        self._snapshot = self._assemble_snapshot(
+            0, collection, partition_collections, partition_indexes
+        )
+
+    def _configure(
+        self,
+        num_partitions: int,
+        seed: int,
+        model: WeightingModel | None,
+        analyzer: Analyzer | None,
+        snippet_extractor: SnippetExtractor | None,
+    ) -> None:
+        """The state an engine holds besides its published snapshot."""
+        if num_partitions <= 0:
+            raise ValueError("num_partitions must be positive")
+        self.num_partitions = num_partitions
+        self.seed = seed
         self.analyzer, self.snippets = shared_analysis(analyzer, snippet_extractor)
-        self.model = model or DPH()
-        self.index = DocumentIndex.from_collection(collection, self.snippets)
-        self._impacts: tuple[object, ImpactMemo] = (None, ImpactMemo())
+        self._model = model or DPH()
+        self.memory_budget: MemoryBudget | None = None
+        self._partition_clock = 0
+        self._partition_touched = [0] * num_partitions
+        self._pin = _Pin()
+        self._epoch_lock = threading.RLock()
+
+    @staticmethod
+    def _assemble_snapshot(
+        epoch: int,
+        collection: DocumentCollection,
+        partition_collections: Sequence[DocumentCollection],
+        partition_indexes: Sequence[InvertedIndex],
+        delta: EpochDelta | None = None,
+    ) -> EngineSnapshot:
+        """Freeze one epoch's views plus its collection-global statistics."""
+        num_documents = sum(p.num_documents for p in partition_indexes)
+        total_tokens = sum(p.total_tokens for p in partition_indexes)
+        return EngineSnapshot(
+            epoch=epoch,
+            collection=collection,
+            partition_collections=tuple(partition_collections),
+            partitions=tuple(partition_indexes),
+            global_ordinals=tuple(
+                tuple(
+                    collection.ordinal(index.doc_id(o))
+                    for o in range(index.num_documents)
+                )
+                for index in partition_indexes
+            ),
+            num_documents=num_documents,
+            total_tokens=total_tokens,
+            average_document_length=(
+                total_tokens / num_documents if num_documents else 0.0
+            ),
+            delta=delta or EpochDelta((), (), frozenset(), False),
+        )
+
+    @property
+    def model(self) -> WeightingModel:
+        """The weighting model every impact is scored with (read-only:
+        the memoised impacts of the published snapshot embed it)."""
+        return self._model
+
+    # -- epoch-versioned snapshots ------------------------------------------------
+
+    def snapshot(self) -> EngineSnapshot:
+        """The currently published :class:`EngineSnapshot`."""
+        return self._snapshot
+
+    @property
+    def epoch(self) -> int:
+        """Epoch id of the currently published snapshot."""
+        return self._snapshot.epoch
+
+    def _pinned_snapshot(self) -> EngineSnapshot:
+        return self._pin.snapshot or self._snapshot
+
+    @contextlib.contextmanager
+    def pinned(self, snapshot: EngineSnapshot | None = None):
+        """Pin every read on this thread to one snapshot.
+
+        The framework wraps each query (and each warm pass) in this, so
+        a query whose pipeline touches the engine several times —
+        candidate retrieval, specialization fetches, snippet
+        vectorisation — sees exactly one epoch even when a publish lands
+        halfway through.  Re-entrant: an inner pin restores the outer
+        one on exit.
+        """
+        # An inner unnamed pin inherits the outer one (not the published
+        # snapshot!) — a publish landing between the two must stay
+        # invisible for the rest of the outer pin's scope.
+        pinned = snapshot or self._pinned_snapshot()
+        previous = self._pin.snapshot
+        self._pin.snapshot = pinned
+        try:
+            yield pinned
+        finally:
+            self._pin.snapshot = previous
+
+    @property
+    def collection(self) -> DocumentCollection:
+        return self._pinned_snapshot().collection
+
+    @property
+    def partitions(self) -> tuple[InvertedIndex, ...]:
+        return self._pinned_snapshot().partitions
+
+    @property
+    def _global_ordinals(self) -> tuple[tuple[int, ...], ...]:
+        return self._pinned_snapshot().global_ordinals
 
     # -- retrieval -------------------------------------------------------------
 
@@ -159,9 +649,7 @@ class SearchEngine:
 
         Term-at-a-time over memoised impact lists (:class:`ImpactMemo`):
         each document's contributions are summed in query-term order,
-        then a heap selects the top-k.  This is the only search loop;
-        subclasses say where an impact list comes from and how ordinals
-        become doc_ids.
+        then a heap selects the top-k.  This is the only search loop.
         """
         if k <= 0:
             raise ValueError("k must be positive")
@@ -187,39 +675,51 @@ class SearchEngine:
         ordinals, scores = zip(*top) if top else ((), ())
         return ResultList(query, zip(self._doc_ids(state, ordinals), scores))
 
-    def _index_state(self) -> tuple[object, ImpactMemo]:
-        """The index state one search reads, and that state's memo (a new
-        one whenever the index, its contents or the model changed)."""
-        index = self.index
-        stamp = (index, index.version, self.model)
-        if self._impacts[0] != stamp:
-            self._impacts = (stamp, ImpactMemo())
-        return index, self._impacts[1]
+    def _index_state(self) -> tuple[EngineSnapshot, ImpactMemo]:
+        """The snapshot one search reads, and that snapshot's memo.
 
-    def _impact_list(self, index, term: str, qtf: int) -> tuple[Sequence[int], array]:
-        """``(ordinals, impacts)`` of a term occurring *qtf* times in the query."""
-        impacts, postings = array("d"), index.postings(term)
-        if postings is None:
-            return (), impacts
-        df, cf = postings.document_frequency, postings.collection_frequency
-        n_docs, avg_dl = index.num_documents, index.average_document_length
-        self._score_postings(impacts, index, postings, qtf, df, cf, n_docs, avg_dl)
-        return postings.ordinals, impacts
+        One snapshot read for the whole search: a publish that lands
+        mid-query cannot hand this call a half-new epoch.
+        """
+        snapshot = self._pinned_snapshot()
+        return snapshot, snapshot.impacts
 
-    def _score_postings(self, impacts, index, postings, qtf, df, cf, n_docs, avg_dl):
-        """Append the model's contribution of every posting in *postings*
-        to *impacts* — the only place a contribution is computed."""
-        score, length, kf = self.model.score, index.document_length, float(qtf)
-        impacts.extend(
-            [
-                score(tf, length(ordinal), df, cf, n_docs, avg_dl, key_frequency=kf)
-                for ordinal, tf in zip(postings.ordinals, postings.tfs)
-            ]
-        )
+    def _impact_list(
+        self, snapshot: EngineSnapshot, term: str, qtf: int
+    ) -> tuple[Sequence[int], array]:
+        """``(ordinals, impacts)`` of a term occurring *qtf* times in the
+        query, gathered from every partition of *snapshot* with df/cf
+        summed across partitions, the global N and avg_dl, and partition
+        ordinals mapped to collection ordinals — the only place a
+        contribution is computed."""
+        per_partition = [p.postings(term) for p in snapshot.partitions]
+        df = sum(pl.document_frequency for pl in per_partition if pl)
+        cf = sum(pl.collection_frequency for pl in per_partition if pl)
+        n_docs, avg_dl = snapshot.num_documents, snapshot.average_document_length
+        score, kf = self._model.score, float(qtf)
+        ordinals: list[int] = []
+        impacts = array("d")
+        self._partition_clock += 1
+        for shard, postings in enumerate(per_partition):
+            if postings is None:
+                continue
+            self._partition_touched[shard] = self._partition_clock
+            to_global = snapshot.global_ordinals[shard]
+            ordinals.extend([to_global[ordinal] for ordinal in postings.ordinals])
+            length = snapshot.partitions[shard].document_length
+            impacts.extend(
+                [
+                    score(tf, length(ordinal), df, cf, n_docs, avg_dl, key_frequency=kf)
+                    for ordinal, tf in zip(postings.ordinals, postings.tfs)
+                ]
+            )
+        self._enforce_memory_budget()
+        return ordinals, impacts
 
-    def _doc_ids(self, index, ordinals: Sequence[int]) -> Iterable[str]:
-        """The doc_ids at *ordinals* in the state a search read."""
-        return map(index.doc_id, ordinals)
+    def _doc_ids(self, snapshot: EngineSnapshot, ordinals: Sequence[int]) -> list[str]:
+        """The doc_ids at collection *ordinals* in the snapshot a search read."""
+        by_ordinal = snapshot.collection.by_ordinal
+        return [by_ordinal(ordinal).doc_id for ordinal in ordinals]
 
     def search_batch(
         self, queries: Iterable[str], k: int = 1000
@@ -246,9 +746,17 @@ class SearchEngine:
 
     def _forward_lookup(self) -> Callable[[str], tuple[ForwardRow, Document]]:
         """A ``doc_id -> (forward row, document)`` lookup over one
-        consistent view of the collection."""
-        rows, collection = self.index.forward_row, self.collection
-        return lambda doc_id: (rows(doc_id), collection[doc_id])
+        snapshot: rows and documents of one epoch, each row read from
+        the partition its document hashes to."""
+        snapshot = self._pinned_snapshot()
+        partitions, collection = snapshot.partitions, snapshot.collection
+        num_partitions, seed = self.num_partitions, self.seed
+
+        def lookup(doc_id: str) -> tuple[ForwardRow, Document]:
+            shard = stable_shard(doc_id, num_partitions, seed)
+            return partitions[shard].forward_row(doc_id), collection[doc_id]
+
+        return lookup
 
     def forward_row(self, doc_id: str) -> ForwardRow:
         """The forward-index row of *doc_id* (its text, analysed once)."""
@@ -289,12 +797,198 @@ class SearchEngine:
             for query, results in batch.items()
         }
 
+    # -- live ingest ---------------------------------------------------------------
+
+    def prepare_epoch(
+        self,
+        add_documents: Sequence[Document] = (),
+        remove_doc_ids: Sequence[str] = (),
+    ) -> EngineSnapshot:
+        """Build — off to the side — the snapshot the next epoch publishes.
+
+        Pure with respect to the published snapshot: only the partitions
+        actually touched by the batch are copied and mutated
+        (:meth:`~repro.retrieval.index.InvertedIndex.remove_document` /
+        :meth:`~repro.retrieval.index.InvertedIndex.index_document`);
+        untouched partitions are shared structurally with the current
+        epoch.  The resulting snapshot is *identical* — ordinals, global
+        statistics, scores — to a from-scratch build over the final
+        collection (survivors in their original order, added documents
+        appended in batch order), which is the identity gate every
+        ingest test asserts.  Runs on any thread; serving is undisturbed
+        until :meth:`publish`.
+        """
+        with self._epoch_lock:
+            return self._prepare_epoch_locked(add_documents, remove_doc_ids)
+
+    def _prepare_epoch_locked(
+        self,
+        add_documents: Sequence[Document],
+        remove_doc_ids: Sequence[str],
+    ) -> EngineSnapshot:
+        current = self._snapshot
+        adds = list(add_documents)
+        removes = list(remove_doc_ids)
+        if not adds and not removes:
+            raise ValueError("an epoch must change the collection")
+        removed: set[str] = set()
+        for doc_id in removes:
+            if doc_id in removed:
+                raise ValueError(f"duplicate removal: {doc_id!r}")
+            if doc_id not in current.collection:
+                raise ValueError(f"cannot remove unknown doc_id: {doc_id!r}")
+            removed.add(doc_id)
+        fresh: set[str] = set()
+        for document in adds:
+            if document.doc_id in fresh:
+                raise ValueError(f"duplicate doc_id in batch: {document.doc_id!r}")
+            if document.doc_id in current.collection and (
+                document.doc_id not in removed
+            ):
+                raise ValueError(f"duplicate doc_id: {document.doc_id!r}")
+            fresh.add(document.doc_id)
+
+        adds_by_shard: dict[int, list[Document]] = {}
+        for document in adds:
+            shard = stable_shard(document.doc_id, self.num_partitions, self.seed)
+            adds_by_shard.setdefault(shard, []).append(document)
+        removes_by_shard: dict[int, list[str]] = {}
+        for doc_id in removes:
+            shard = stable_shard(doc_id, self.num_partitions, self.seed)
+            removes_by_shard.setdefault(shard, []).append(doc_id)
+
+        collection = DocumentCollection(
+            [d for d in current.collection if d.doc_id not in removed] + adds
+        )
+        partitions = list(current.partitions)
+        parts = list(current.partition_collections)
+        # Every term a changed document holds, read off the forward rows.
+        changed_terms: set[str] = set()
+        for shard in sorted(set(adds_by_shard) | set(removes_by_shard)):
+            index = partitions[shard].copy()
+            for doc_id in removes_by_shard.get(shard, ()):
+                changed_terms.update(index.forward_row(doc_id).terms)
+                index.remove_document(doc_id)
+            for document in adds_by_shard.get(shard, ()):
+                index.index_document(document)
+                changed_terms.update(index.forward_row(document.doc_id).terms)
+            partitions[shard] = index
+            parts[shard] = DocumentCollection(
+                [d for d in parts[shard] if d.doc_id not in removed]
+                + adds_by_shard.get(shard, [])
+            )
+        prepared = self._assemble_snapshot(
+            current.epoch + 1, collection, parts, partitions
+        )
+        stats_changed = (
+            prepared.num_documents != current.num_documents
+            or prepared.total_tokens != current.total_tokens
+        )
+        return dataclasses.replace(
+            prepared,
+            delta=EpochDelta(
+                added=tuple(d.doc_id for d in adds),
+                removed=tuple(removes),
+                terms=frozenset(changed_terms),
+                stats_changed=stats_changed,
+            ),
+        )
+
+    def publish(self, prepared: EngineSnapshot) -> int:
+        """Atomically publish *prepared* as the current epoch.
+
+        One reference assignment under the epoch lock: queries pinned to
+        the previous snapshot finish on it untouched, queries arriving
+        after this line see the new epoch in full — there is no state in
+        between.  Refuses a stale preparation (another publish won the
+        race).  Returns the published epoch id.
+        """
+        with self._epoch_lock:
+            if prepared.epoch != self._snapshot.epoch + 1:
+                raise ValueError(
+                    f"stale epoch preparation: prepared epoch "
+                    f"{prepared.epoch} cannot follow published epoch "
+                    f"{self._snapshot.epoch}"
+                )
+            self._snapshot = prepared
+        return prepared.epoch
+
+    def apply_updates(
+        self,
+        add_documents: Sequence[Document] = (),
+        remove_doc_ids: Sequence[str] = (),
+    ) -> EngineSnapshot:
+        """Prepare and publish the next epoch in one call.
+
+        The convenience path for callers without a separate background
+        preparer; serialised against concurrent updates by the epoch
+        lock.  Returns the published snapshot (its ``delta`` drives the
+        serving layer's surgical warm invalidation).
+        """
+        with self._epoch_lock:
+            prepared = self._prepare_epoch_locked(
+                add_documents, remove_doc_ids
+            )
+            self.publish(prepared)
+        return prepared
+
     # -- accounting -------------------------------------------------------------
 
-    @property
-    def partitions(self) -> tuple:
-        """The index partitions — here the one undivided index."""
-        return (self.index,)
+    def set_memory_budget(
+        self, budget: "MemoryBudget | int | None"
+    ) -> "MemoryBudget | None":
+        """Attach (or detach, with ``None``) an enforced memory budget.
+
+        Enforcement evicts whole partitions, so every partition must be
+        able to page its data back in: each needs callable ``evict()``
+        and ``resident_bytes()`` (the store-backed partitions of
+        :mod:`repro.retrieval.store` have both; the plain in-memory
+        :class:`~repro.retrieval.index.InvertedIndex` deliberately does
+        not — evicting it would lose the only copy).  Accepts a byte
+        limit or a :class:`MemoryBudget`; returns the attached budget.
+        """
+        if budget is None:
+            self.memory_budget = None
+            return None
+        if isinstance(budget, int):
+            budget = MemoryBudget(budget)
+        for shard, partition in enumerate(self.partitions):
+            if not callable(getattr(partition, "evict", None)) or not callable(
+                getattr(partition, "resident_bytes", None)
+            ):
+                raise ValueError(
+                    f"partition {shard} ({type(partition).__name__}) is not "
+                    "evictable: a memory budget needs store-backed "
+                    "partitions that can page their postings back in "
+                    "(build the engine from an IndexStore)"
+                )
+        self.memory_budget = budget
+        return budget
+
+    def _enforce_memory_budget(self) -> None:
+        """Drop the impact memo (derived, recomputable), then evict
+        least-recently-touched partitions, until under budget."""
+        budget = self.memory_budget
+        if budget is None:
+            return
+        memo = self._pinned_snapshot().impacts
+        total = sum(p.resident_bytes() for p in self.partitions)
+        if total + memo.memory_bytes() <= budget.limit_bytes:
+            return
+        budget.enforcements += 1
+        memo.clear()
+        order = sorted(
+            range(len(self.partitions)),
+            key=lambda shard: self._partition_touched[shard],
+        )
+        for shard in order:
+            if total <= budget.limit_bytes:
+                break
+            freed = self.partitions[shard].evict()
+            if freed:
+                budget.partitions_evicted += 1
+                budget.bytes_evicted += freed
+                total -= freed
 
     def memory_estimate(self) -> dict[str, int]:
         """Estimated resident bytes of the engine, by component:
@@ -310,8 +1004,34 @@ class SearchEngine:
         totals["total_bytes"] += memo_bytes
         return dict(totals)
 
+    def build_reports(self) -> list[BuildReport]:
+        """Per-partition :class:`BuildReport` snapshots of the held indexes.
+
+        Build *seconds* are zero — this probes an already-built engine;
+        the parallel build pipeline times each partition where it builds
+        and reports through the same type.
+        """
+        return [
+            BuildReport.from_index(index, 0.0, name=f"partition{shard}")
+            for shard, index in enumerate(self.partitions)
+        ]
+
+    def __getstate__(self) -> dict:
+        # The pin is thread-local and the epoch lock process-local;
+        # everything else (including the published snapshot) travels.
+        state = self.__dict__.copy()
+        state.pop("_pin", None)
+        state.pop("_epoch_lock", None)
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._pin = _Pin()
+        self._epoch_lock = threading.RLock()
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
+        sizes = "+".join(str(p.num_documents) for p in self.partitions)
         return (
-            f"SearchEngine(docs={self.index.num_documents}, "
+            f"{type(self).__name__}(docs={len(self.collection)} [{sizes}], "
             f"model={self.model.name})"
         )

@@ -139,8 +139,6 @@ class InvertedIndex:
         self._doc_ids: list[str] = []
         self._ordinal_by_id: dict[str, int] = {}
         self._total_tokens = 0
-        #: Bumped by every mutation; state derived from the index keys on it.
-        self.version = 0
 
     # -- construction ---------------------------------------------------------
 
@@ -155,7 +153,6 @@ class InvertedIndex:
         if doc_id in self._ordinal_by_id:
             raise ValueError(f"doc_id already indexed: {doc_id!r}")
         ordinal = len(self._doc_ids)
-        self.version += 1
         self._doc_ids.append(doc_id)
         self._ordinal_by_id[doc_id] = ordinal
         self._doc_lengths.append(len(terms))
@@ -186,7 +183,6 @@ class InvertedIndex:
         ordinal = self._ordinal_by_id.get(doc_id)
         if ordinal is None:
             raise ValueError(f"doc_id not indexed: {doc_id!r}")
-        self.version += 1
         del self._doc_ids[ordinal]
         self._total_tokens -= self._doc_lengths.pop(ordinal)
         del self._ordinal_by_id[doc_id]

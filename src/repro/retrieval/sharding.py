@@ -3,49 +3,46 @@
 The paper's feasibility argument (Section 4.1) holds per machine; growing
 past one worker needs the storage layer split the way the partitioned
 designs surveyed in PAPERS.md split theirs — deterministic placement and
-results that merge back losslessly.  This module provides both halves:
+results that merge back losslessly.  Both halves live beside the engine
+in :mod:`repro.retrieval.engine`, where a single node is simply the
+one-partition case; this module names them for scale-out callers:
 
 * :func:`stable_shard` — the placement function.  A seeded blake2b hash
   of the key modulo the shard count, stable across processes and Python
   versions (unlike the built-in ``hash``, which is salted per process).
   The serving layer (:mod:`repro.serving.sharded`) routes *queries* with
-  the same function this module uses for *documents*, so one router
+  the same function the engine uses for *documents*, so one router
   underlies both levels of sharding.
 * :func:`partition_collection` — split a
   :class:`~repro.retrieval.documents.DocumentCollection` into N
   sub-collections by doc_id hash, preserving relative document order.
-* :class:`PartitionedSearchEngine` — a document-partitioned
-  :class:`~repro.retrieval.engine.SearchEngine`: N independent inverted
-  indexes scored with *global* collection statistics and merged with the
-  global tie-break, which makes its rankings **identical** (scores
-  included) to a single engine over the whole collection.  That identity
-  is what lets the index be partitioned underneath the diversification
-  pipeline without changing a single served ranking; the test suite
-  asserts it exactly.
+* :class:`PartitionedSearchEngine` — the
+  :class:`~repro.retrieval.engine.SearchEngine` class itself (the same
+  object, not a subclass), which takes ``num_partitions``: N independent
+  inverted indexes scored with *global* collection statistics, so its
+  rankings are **identical** (scores included) for every N.
 * :class:`BuildReport` — the accounting record of building one index
-  partition (documents, vocabulary, postings, build wall-clock and an
-  estimated resident-memory footprint), with a ``merge()`` that rolls
-  per-partition reports into a collection-level summary the same way
-  :class:`~repro.serving.service.WarmReport` rolls up warm passes.  The
-  partition-parallel offline pipeline
+  partition, with a ``merge()`` that rolls per-partition reports into a
+  collection-level summary.  The partition-parallel offline pipeline
   (:func:`repro.serving.offline.build_partitioned_engine`) emits one per
   partition, wherever that partition was built.
 """
 
 from __future__ import annotations
 
-import contextlib
-import dataclasses
-import hashlib
-import threading
-from array import array
-from collections.abc import Iterable, Sequence
+from repro.retrieval.engine import (
+    BuildReport,
+    EngineSnapshot,
+    EpochDelta,
+    MemoryBudget,
+    SearchEngine,
+    partition_collection,
+    stable_shard,
+)
 
-from repro.retrieval.analysis import Analyzer
-from repro.retrieval.documents import Document, DocumentCollection
-from repro.retrieval.engine import SearchEngine, shared_analysis
-from repro.retrieval.index import DocumentIndex, ImpactMemo, InvertedIndex
-from repro.retrieval.models import DPH, WeightingModel
+#: The engine under the name scale-out callers use; ``num_partitions``
+#: is the only thing that makes an engine "partitioned".
+PartitionedSearchEngine = SearchEngine
 
 __all__ = [
     "stable_shard",
@@ -56,731 +53,3 @@ __all__ = [
     "MemoryBudget",
     "PartitionedSearchEngine",
 ]
-
-
-class MemoryBudget:
-    """An enforced resident-bytes limit for a partitioned engine.
-
-    PR 5 made memory *observable* (``memory_estimate()``); this makes it
-    *enforced*: attach a budget with
-    :meth:`PartitionedSearchEngine.set_memory_budget` and, whenever a
-    search gathers a term's postings, the impact memo is dropped and
-    partitions are evicted least-recently-touched first until the summed
-    resident estimate fits under ``limit_bytes``.
-    Eviction requires partitions that can page their data back in on
-    demand (the store-backed partitions of
-    :mod:`repro.retrieval.store`), so enforcement trades latency on the
-    next touch for bounded residency — never changing a single result.
-
-    The instance accumulates enforcement counters; they surface through
-    the engine's page-cache stats path into ``ServiceStats.summary()``.
-    """
-
-    def __init__(self, limit_bytes: int) -> None:
-        if limit_bytes <= 0:
-            raise ValueError("limit_bytes must be positive")
-        self.limit_bytes = int(limit_bytes)
-        #: Times an enforcement pass found the engine over budget.
-        self.enforcements = 0
-        #: Whole partitions evicted across all enforcement passes.
-        self.partitions_evicted = 0
-        #: Estimated bytes released across all enforcement passes.
-        self.bytes_evicted = 0
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"MemoryBudget(limit_bytes={self.limit_bytes}, "
-            f"evicted={self.partitions_evicted})"
-        )
-
-
-def stable_shard(key: str, num_shards: int, seed: int = 0) -> int:
-    """Deterministic shard for *key*, uniform over ``range(num_shards)``.
-
-    Process-stable (blake2b, not the salted built-in ``hash``), so the
-    same key always lands on the same shard across restarts — the
-    property both the partitioned index (placement of documents) and the
-    sharded serving layer (routing of queries) rely on.
-
-    >>> stable_shard("apple", 4) == stable_shard("apple", 4)
-    True
-    """
-    if num_shards <= 0:
-        raise ValueError("num_shards must be positive")
-    if num_shards == 1:
-        return 0
-    digest = hashlib.blake2b(
-        f"{seed}:{key}".encode("utf-8"), digest_size=8
-    ).digest()
-    return int.from_bytes(digest, "big") % num_shards
-
-
-def partition_collection(
-    collection: DocumentCollection, num_shards: int, seed: int = 0
-) -> list[DocumentCollection]:
-    """Hash-partition *collection* into *num_shards* sub-collections.
-
-    Every document lands in exactly one partition
-    (``stable_shard(doc_id, num_shards, seed)``), and partitions preserve
-    the collection's relative document order — which is what lets the
-    partitioned engine reconstruct the single-index tie-break exactly.
-    """
-    if num_shards <= 0:
-        raise ValueError("num_shards must be positive")
-    partitions: list[list] = [[] for _ in range(num_shards)]
-    for document in collection:
-        partitions[stable_shard(document.doc_id, num_shards, seed)].append(
-            document
-        )
-    return [DocumentCollection(docs) for docs in partitions]
-
-
-@dataclasses.dataclass(frozen=True)
-class BuildReport:
-    """What building one index partition produced and what it costs to hold.
-
-    ``seconds`` is the build wall-clock of this partition (of the whole
-    scatter/gather, on a merged report — then ``busy_seconds`` keeps the
-    summed per-partition build time, which can exceed the wall-clock
-    when partitions build concurrently).  The byte fields are the
-    *estimated* resident footprint of the partition's index
-    (:meth:`~repro.retrieval.index.InvertedIndex.memory_estimate`);
-    ``vector_count``/``vector_bytes`` account the snippet-vector warm
-    artifacts once the offline pipeline's warm stage has run (zero at
-    build time).  A zero-document partition — the degenerate
-    ``num_partitions > len(collection)`` regime — contributes a
-    well-formed all-zero report carrying its name, exactly like a
-    zero-query shard in a merged :class:`ServiceStats`.
-    """
-
-    documents: int
-    terms: int
-    postings: int
-    tokens: int
-    seconds: float
-    postings_bytes: int = 0
-    vocabulary_bytes: int = 0
-    documents_bytes: int = 0
-    vector_count: int = 0
-    vector_bytes: int = 0
-    name: str = ""
-    busy_seconds: float = 0.0
-    shards: tuple["BuildReport", ...] = ()
-
-    @property
-    def total_bytes(self) -> int:
-        """Estimated resident bytes: index components plus warm vectors."""
-        return (
-            self.postings_bytes
-            + self.vocabulary_bytes
-            + self.documents_bytes
-            + self.vector_bytes
-        )
-
-    @classmethod
-    def from_index(
-        cls, index: InvertedIndex, seconds: float, name: str = ""
-    ) -> "BuildReport":
-        """Report for one freshly built partition index."""
-        memory = index.memory_estimate()
-        return cls(
-            documents=index.num_documents,
-            terms=index.num_terms,
-            postings=index.num_postings,
-            tokens=index.total_tokens,
-            seconds=seconds,
-            postings_bytes=memory["postings_bytes"],
-            vocabulary_bytes=memory["vocabulary_bytes"],
-            documents_bytes=memory["documents_bytes"],
-            name=name,
-        )
-
-    @classmethod
-    def merge(
-        cls, reports: Iterable["BuildReport"], name: str = "total"
-    ) -> "BuildReport":
-        """Collection-level view of per-partition builds.
-
-        Counters and byte estimates sum (partitions hold disjoint
-        documents; overlapping vocabularies are priced per partition,
-        which is what each one actually holds resident).  ``seconds``
-        sums to total build-busy time and ``busy_seconds`` records the
-        same sum explicitly — a caller that measured the scatter/gather
-        wall-clock (the parallel build pipeline does) overwrites
-        ``seconds`` with it, so both times stay readable.  The inputs
-        are kept in ``shards`` for per-partition reporting; an empty
-        input yields a valid zeroed report.
-        """
-        reports = list(reports)
-        busy = sum(r.busy_seconds or r.seconds for r in reports)
-        return cls(
-            documents=sum(r.documents for r in reports),
-            terms=sum(r.terms for r in reports),
-            postings=sum(r.postings for r in reports),
-            tokens=sum(r.tokens for r in reports),
-            seconds=sum(r.seconds for r in reports),
-            postings_bytes=sum(r.postings_bytes for r in reports),
-            vocabulary_bytes=sum(r.vocabulary_bytes for r in reports),
-            documents_bytes=sum(r.documents_bytes for r in reports),
-            vector_count=sum(r.vector_count for r in reports),
-            vector_bytes=sum(r.vector_bytes for r in reports),
-            name=name,
-            busy_seconds=busy,
-            shards=tuple(reports),
-        )
-
-    def summary(self) -> str:
-        label = f"[{self.name}] " if self.name else ""
-        text = (
-            f"{label}documents={self.documents} terms={self.terms} "
-            f"postings={self.postings} seconds={self.seconds:.3f}"
-        )
-        if self.busy_seconds and abs(self.busy_seconds - self.seconds) > 1e-9:
-            text += f" busy={self.busy_seconds:.3f}"
-        text += f" est_memory={self.total_bytes / 1e6:.2f}MB"
-        if self.vector_count:
-            text += f" vectors={self.vector_count}"
-        return text
-
-
-@dataclasses.dataclass(frozen=True)
-class EpochDelta:
-    """What changed between an epoch and its predecessor.
-
-    Carried by the :class:`EngineSnapshot` the change produced, so every
-    consumer of a publish (warm caches, result caches, stores) can
-    decide *surgically* what it must invalidate instead of flushing
-    wholesale:
-
-    * ``added`` / ``removed`` — the doc_ids the epoch ingested/dropped
-      (a re-ingested id appears in both);
-    * ``terms`` — the union of analysed terms of every changed document,
-      i.e. every term whose df/cf could differ from the previous epoch;
-    * ``stats_changed`` — whether the collection-global scalars (N,
-      total tokens, hence avg_dl) moved.  When they did, *every* cached
-      score is stale — DFR/BM25 contributions read them — and consumers
-      must invalidate everything.
-    """
-
-    added: tuple[str, ...] = ()
-    removed: tuple[str, ...] = ()
-    terms: frozenset[str] = frozenset()
-    stats_changed: bool = True
-
-    @property
-    def changed_ids(self) -> frozenset[str]:
-        return frozenset(self.added) | frozenset(self.removed)
-
-
-@dataclasses.dataclass(frozen=True)
-class EngineSnapshot:
-    """One immutable, epoch-versioned view of the partitioned index.
-
-    Everything a query touches — partitions, the ordinal maps, the
-    collection-global statistics, the document collection itself — lives
-    here, so a query that pins a snapshot at entry sees exactly one
-    epoch no matter how many publishes happen while it runs.  Publishing
-    the next epoch is a single reference assignment on the engine; the
-    previous snapshot keeps serving every query already pinned to it.
-
-    ``delta`` describes the change that produced this snapshot (empty
-    for epoch 0 / a fresh build), which is what the serving layer's
-    per-affected-specialization warm invalidation reads.  ``impacts`` is
-    the snapshot's own impact memo: a query pinned to an older epoch
-    reads that epoch's impacts, and a publish starts with none.
-    """
-
-    epoch: int
-    collection: DocumentCollection
-    partition_collections: tuple[DocumentCollection, ...]
-    partitions: tuple[InvertedIndex, ...]
-    global_ordinals: tuple[tuple[int, ...], ...]
-    num_documents: int
-    total_tokens: int
-    average_document_length: float
-    delta: EpochDelta = EpochDelta((), (), frozenset(), False)
-    impacts: ImpactMemo = dataclasses.field(
-        default_factory=ImpactMemo, compare=False, repr=False
-    )
-
-
-class PartitionedSearchEngine(SearchEngine):
-    """A :class:`SearchEngine` whose inverted index is split into shards.
-
-    Documents are hash-partitioned into ``num_partitions`` independent
-    :class:`~repro.retrieval.index.InvertedIndex` instances (each
-    buildable on its own worker), but scoring stays *collection-global*:
-    per-term document/collection frequencies are summed across
-    partitions, document count and average length are global, and the
-    per-partition accumulators merge under the global ``(score desc,
-    collection ordinal asc)`` tie-break.  Because DFR/BM25 contributions
-    depend only on per-document counts plus those global statistics, the
-    merged ranking — scores included — is identical to a single engine
-    over the undivided collection.
-
-    Surrogate vectorisation is inherited: only the forward-row lookup
-    differs, reading the partition a document hashes to.
-
-    ``partition_indexes`` (keyword-only, together with
-    ``partition_collections``) injects *pre-built* partition indexes —
-    the partition-parallel offline pipeline
-    (:func:`repro.serving.offline.build_partitioned_engine`) builds them
-    on an execution backend and assembles the engine here.  The injected
-    indexes are validated document-for-document against their partition
-    collections, so an assembled engine is exactly the engine the serial
-    constructor would have built.  They must be
-    :class:`~repro.retrieval.index.DocumentIndex` instances built with
-    this engine's ``window_terms``: the forward rows that serve the
-    surrogates travel inside them.
-    """
-
-    def __init__(
-        self,
-        collection: DocumentCollection,
-        num_partitions: int = 2,
-        model: WeightingModel | None = None,
-        analyzer: Analyzer | None = None,
-        snippet_extractor=None,
-        seed: int = 0,
-        *,
-        partition_collections: Sequence[DocumentCollection] | None = None,
-        partition_indexes: Sequence[InvertedIndex] | None = None,
-    ) -> None:
-        if num_partitions <= 0:
-            raise ValueError("num_partitions must be positive")
-        self.num_partitions = num_partitions
-        self.seed = seed
-        # Deliberately not calling super().__init__: it would build the
-        # single global index this class exists to avoid holding.
-        self.analyzer, self.snippets = shared_analysis(analyzer, snippet_extractor)
-        self.model = model or DPH()
-        if partition_collections is None:
-            partition_collections = partition_collection(
-                collection, num_partitions, seed
-            )
-        else:
-            partition_collections = list(partition_collections)
-            if len(partition_collections) != num_partitions:
-                raise ValueError(
-                    f"expected {num_partitions} partition collections, "
-                    f"got {len(partition_collections)}"
-                )
-            # Global statistics are summed from the partitions, so an
-            # injection that does not cover the collection exactly once
-            # (stale snapshot, subset, duplicate placement) would serve
-            # silently wrong scores — refuse it here instead.
-            covered = [
-                document.doc_id
-                for part in partition_collections
-                for document in part
-            ]
-            if len(covered) != len(collection) or set(covered) != set(
-                collection.doc_ids
-            ):
-                raise ValueError(
-                    "partition collections do not cover the collection "
-                    "exactly once (missing, extra or duplicated documents)"
-                )
-        if partition_indexes is None:
-            partition_indexes = [
-                DocumentIndex.from_collection(part, self.snippets)
-                for part in partition_collections
-            ]
-        else:
-            partition_indexes = list(partition_indexes)
-            if len(partition_indexes) != num_partitions:
-                raise ValueError(
-                    f"expected {num_partitions} partition indexes, "
-                    f"got {len(partition_indexes)}"
-                )
-            for shard, (part, index) in enumerate(
-                zip(partition_collections, partition_indexes)
-            ):
-                if [
-                    index.doc_id(o) for o in range(index.num_documents)
-                ] != part.doc_ids:
-                    raise ValueError(
-                        f"partition index {shard} does not match its "
-                        "partition collection (documents or their order "
-                        "differ)"
-                    )
-                extractor = getattr(index, "extractor", None)
-                if (
-                    extractor is None
-                    or extractor.window_terms != self.snippets.window_terms
-                ):
-                    raise ValueError(
-                        f"partition index {shard} must be a DocumentIndex "
-                        "built with this engine's window_terms "
-                        f"({self.snippets.window_terms}): its forward rows "
-                        "serve the surrogates"
-                    )
-        self.memory_budget: MemoryBudget | None = None
-        self._partition_clock = 0
-        self._partition_touched = [0] * num_partitions
-        self._pin = threading.local()
-        self._epoch_lock = threading.RLock()
-        self._snapshot = self._assemble_snapshot(
-            0, collection, partition_collections, partition_indexes
-        )
-        # ``self.index`` intentionally left unset: there is no single
-        # index, and anything reaching for one should fail loudly.
-
-    @staticmethod
-    def _assemble_snapshot(
-        epoch: int,
-        collection: DocumentCollection,
-        partition_collections: Sequence[DocumentCollection],
-        partition_indexes: Sequence[InvertedIndex],
-        delta: EpochDelta | None = None,
-    ) -> EngineSnapshot:
-        """Freeze one epoch's views plus its collection-global statistics."""
-        num_documents = sum(p.num_documents for p in partition_indexes)
-        total_tokens = sum(p.total_tokens for p in partition_indexes)
-        return EngineSnapshot(
-            epoch=epoch,
-            collection=collection,
-            partition_collections=tuple(partition_collections),
-            partitions=tuple(partition_indexes),
-            global_ordinals=tuple(
-                tuple(
-                    collection.ordinal(index.doc_id(o))
-                    for o in range(index.num_documents)
-                )
-                for index in partition_indexes
-            ),
-            num_documents=num_documents,
-            total_tokens=total_tokens,
-            average_document_length=(
-                total_tokens / num_documents if num_documents else 0.0
-            ),
-            delta=delta or EpochDelta((), (), frozenset(), False),
-        )
-
-    # -- epoch-versioned snapshots ------------------------------------------------
-
-    def snapshot(self) -> EngineSnapshot:
-        """The currently published :class:`EngineSnapshot`."""
-        return self._snapshot
-
-    @property
-    def epoch(self) -> int:
-        """Epoch id of the currently published snapshot."""
-        return self._snapshot.epoch
-
-    def _pinned_snapshot(self) -> EngineSnapshot:
-        return getattr(self._pin, "snapshot", None) or self._snapshot
-
-    @contextlib.contextmanager
-    def pinned(self, snapshot: EngineSnapshot | None = None):
-        """Pin every read on this thread to one snapshot.
-
-        The framework wraps each query (and each warm pass) in this, so
-        a query whose pipeline touches the engine several times —
-        candidate retrieval, specialization fetches, snippet
-        vectorisation — sees exactly one epoch even when a publish lands
-        halfway through.  Re-entrant: an inner pin restores the outer
-        one on exit.
-        """
-        # An inner unnamed pin inherits the outer one (not the published
-        # snapshot!) — a publish landing between the two must stay
-        # invisible for the rest of the outer pin's scope.
-        pinned = snapshot or self._pinned_snapshot()
-        previous = getattr(self._pin, "snapshot", None)
-        self._pin.snapshot = pinned
-        try:
-            yield pinned
-        finally:
-            self._pin.snapshot = previous
-
-    @property
-    def collection(self) -> DocumentCollection:
-        return self._pinned_snapshot().collection
-
-    @property
-    def partitions(self) -> tuple[InvertedIndex, ...]:
-        return self._pinned_snapshot().partitions
-
-    @property
-    def partition_collections(self) -> tuple[DocumentCollection, ...]:
-        return self._pinned_snapshot().partition_collections
-
-    @property
-    def _global_ordinals(self) -> tuple[tuple[int, ...], ...]:
-        return self._pinned_snapshot().global_ordinals
-
-    @property
-    def _num_documents(self) -> int:
-        return self._pinned_snapshot().num_documents
-
-    @property
-    def _average_document_length(self) -> float:
-        return self._pinned_snapshot().average_document_length
-
-    # -- live ingest ---------------------------------------------------------------
-
-    def prepare_epoch(
-        self,
-        add_documents: Sequence[Document] = (),
-        remove_doc_ids: Sequence[str] = (),
-    ) -> EngineSnapshot:
-        """Build — off to the side — the snapshot the next epoch publishes.
-
-        Pure with respect to the published snapshot: only the partitions
-        actually touched by the batch are copied and mutated
-        (:meth:`~repro.retrieval.index.InvertedIndex.remove_document` /
-        :meth:`~repro.retrieval.index.InvertedIndex.index_document`);
-        untouched partitions are shared structurally with the current
-        epoch.  The resulting snapshot is *identical* — ordinals, global
-        statistics, scores — to a from-scratch build over the final
-        collection (survivors in their original order, added documents
-        appended in batch order), which is the identity gate every
-        ingest test asserts.  Runs on any thread; serving is undisturbed
-        until :meth:`publish`.
-        """
-        with self._epoch_lock:
-            return self._prepare_epoch_locked(add_documents, remove_doc_ids)
-
-    def _prepare_epoch_locked(
-        self,
-        add_documents: Sequence[Document],
-        remove_doc_ids: Sequence[str],
-    ) -> EngineSnapshot:
-        current = self._snapshot
-        adds = list(add_documents)
-        removes = list(remove_doc_ids)
-        if not adds and not removes:
-            raise ValueError("an epoch must change the collection")
-        removed: set[str] = set()
-        for doc_id in removes:
-            if doc_id in removed:
-                raise ValueError(f"duplicate removal: {doc_id!r}")
-            if doc_id not in current.collection:
-                raise ValueError(f"cannot remove unknown doc_id: {doc_id!r}")
-            removed.add(doc_id)
-        fresh: set[str] = set()
-        for document in adds:
-            if document.doc_id in fresh:
-                raise ValueError(f"duplicate doc_id in batch: {document.doc_id!r}")
-            if document.doc_id in current.collection and (
-                document.doc_id not in removed
-            ):
-                raise ValueError(f"duplicate doc_id: {document.doc_id!r}")
-            fresh.add(document.doc_id)
-
-        adds_by_shard: dict[int, list[Document]] = {}
-        for document in adds:
-            shard = stable_shard(document.doc_id, self.num_partitions, self.seed)
-            adds_by_shard.setdefault(shard, []).append(document)
-        removes_by_shard: dict[int, list[str]] = {}
-        for doc_id in removes:
-            shard = stable_shard(doc_id, self.num_partitions, self.seed)
-            removes_by_shard.setdefault(shard, []).append(doc_id)
-
-        collection = DocumentCollection(
-            [d for d in current.collection if d.doc_id not in removed] + adds
-        )
-        partitions = list(current.partitions)
-        parts = list(current.partition_collections)
-        # Every term a changed document holds, read off the forward rows.
-        changed_terms: set[str] = set()
-        for shard in sorted(set(adds_by_shard) | set(removes_by_shard)):
-            index = partitions[shard].copy()
-            for doc_id in removes_by_shard.get(shard, ()):
-                changed_terms.update(index.forward_row(doc_id).terms)
-                index.remove_document(doc_id)
-            for document in adds_by_shard.get(shard, ()):
-                index.index_document(document)
-                changed_terms.update(index.forward_row(document.doc_id).terms)
-            partitions[shard] = index
-            parts[shard] = DocumentCollection(
-                [d for d in parts[shard] if d.doc_id not in removed]
-                + adds_by_shard.get(shard, [])
-            )
-        prepared = self._assemble_snapshot(
-            current.epoch + 1, collection, parts, partitions
-        )
-        stats_changed = (
-            prepared.num_documents != current.num_documents
-            or prepared.total_tokens != current.total_tokens
-        )
-        return dataclasses.replace(
-            prepared,
-            delta=EpochDelta(
-                added=tuple(d.doc_id for d in adds),
-                removed=tuple(removes),
-                terms=frozenset(changed_terms),
-                stats_changed=stats_changed,
-            ),
-        )
-
-    def publish(self, prepared: EngineSnapshot) -> int:
-        """Atomically publish *prepared* as the current epoch.
-
-        One reference assignment under the epoch lock: queries pinned to
-        the previous snapshot finish on it untouched, queries arriving
-        after this line see the new epoch in full — there is no state in
-        between.  Refuses a stale preparation (another publish won the
-        race).  Returns the published epoch id.
-        """
-        with self._epoch_lock:
-            if prepared.epoch != self._snapshot.epoch + 1:
-                raise ValueError(
-                    f"stale epoch preparation: prepared epoch "
-                    f"{prepared.epoch} cannot follow published epoch "
-                    f"{self._snapshot.epoch}"
-                )
-            self._snapshot = prepared
-        return prepared.epoch
-
-    def apply_updates(
-        self,
-        add_documents: Sequence[Document] = (),
-        remove_doc_ids: Sequence[str] = (),
-    ) -> EngineSnapshot:
-        """Prepare and publish the next epoch in one call.
-
-        The convenience path for callers without a separate background
-        preparer; serialised against concurrent updates by the epoch
-        lock.  Returns the published snapshot (its ``delta`` drives the
-        serving layer's surgical warm invalidation).
-        """
-        with self._epoch_lock:
-            prepared = self._prepare_epoch_locked(
-                add_documents, remove_doc_ids
-            )
-            self.publish(prepared)
-        return prepared
-
-    def _forward_lookup(self):
-        # One snapshot for the whole lookup: rows and documents of one epoch.
-        snapshot = self._pinned_snapshot()
-        partitions, collection = snapshot.partitions, snapshot.collection
-        num_partitions, seed = self.num_partitions, self.seed
-
-        def lookup(doc_id: str):
-            shard = stable_shard(doc_id, num_partitions, seed)
-            return partitions[shard].forward_row(doc_id), collection[doc_id]
-
-        return lookup
-
-    def _index_state(self):
-        # One snapshot read for the whole search: a publish that lands
-        # mid-query cannot hand this call a half-new epoch.
-        snapshot = self._pinned_snapshot()
-        return snapshot, snapshot.impacts
-
-    def _impact_list(self, snapshot: EngineSnapshot, term: str, qtf: int):
-        """Gather *term*'s impacts from every partition of *snapshot* —
-        what one engine over the undivided collection computes: df/cf
-        summed across partitions, the global N and avg_dl, partition
-        ordinals mapped to collection ordinals."""
-        per_partition = [p.postings(term) for p in snapshot.partitions]
-        df = sum(pl.document_frequency for pl in per_partition if pl)
-        cf = sum(pl.collection_frequency for pl in per_partition if pl)
-        n_docs, avg_dl = snapshot.num_documents, snapshot.average_document_length
-        ordinals: list[int] = []
-        impacts = array("d")
-        self._partition_clock += 1
-        for shard, postings in enumerate(per_partition):
-            if postings is None:
-                continue
-            self._partition_touched[shard] = self._partition_clock
-            to_global = snapshot.global_ordinals[shard]
-            ordinals.extend([to_global[ordinal] for ordinal in postings.ordinals])
-            index = snapshot.partitions[shard]
-            self._score_postings(impacts, index, postings, qtf, df, cf, n_docs, avg_dl)
-        self._enforce_memory_budget()
-        return ordinals, impacts
-
-    def _doc_ids(self, snapshot: EngineSnapshot, ordinals):
-        by_ordinal = snapshot.collection.by_ordinal
-        return [by_ordinal(ordinal).doc_id for ordinal in ordinals]
-
-    def set_memory_budget(
-        self, budget: "MemoryBudget | int | None"
-    ) -> "MemoryBudget | None":
-        """Attach (or detach, with ``None``) an enforced memory budget.
-
-        Enforcement evicts whole partitions, so every partition must be
-        able to page its data back in: each needs callable ``evict()``
-        and ``resident_bytes()`` (the store-backed partitions of
-        :mod:`repro.retrieval.store` have both; the plain in-memory
-        :class:`~repro.retrieval.index.InvertedIndex` deliberately does
-        not — evicting it would lose the only copy).  Accepts a byte
-        limit or a :class:`MemoryBudget`; returns the attached budget.
-        """
-        if budget is None:
-            self.memory_budget = None
-            return None
-        if isinstance(budget, int):
-            budget = MemoryBudget(budget)
-        for shard, partition in enumerate(self.partitions):
-            if not callable(getattr(partition, "evict", None)) or not callable(
-                getattr(partition, "resident_bytes", None)
-            ):
-                raise ValueError(
-                    f"partition {shard} ({type(partition).__name__}) is not "
-                    "evictable: a memory budget needs store-backed "
-                    "partitions that can page their postings back in "
-                    "(build the engine from an IndexStore)"
-                )
-        self.memory_budget = budget
-        return budget
-
-    def _enforce_memory_budget(self) -> None:
-        """Drop the impact memo (derived, recomputable), then evict
-        least-recently-touched partitions, until under budget."""
-        budget = self.memory_budget
-        if budget is None:
-            return
-        memo = self._pinned_snapshot().impacts
-        total = sum(p.resident_bytes() for p in self.partitions)
-        if total + memo.memory_bytes() <= budget.limit_bytes:
-            return
-        budget.enforcements += 1
-        memo.clear()
-        order = sorted(
-            range(len(self.partitions)),
-            key=lambda shard: self._partition_touched[shard],
-        )
-        for shard in order:
-            if total <= budget.limit_bytes:
-                break
-            freed = self.partitions[shard].evict()
-            if freed:
-                budget.partitions_evicted += 1
-                budget.bytes_evicted += freed
-                total -= freed
-
-    def build_reports(self) -> list[BuildReport]:
-        """Per-partition :class:`BuildReport` snapshots of the held indexes.
-
-        Build *seconds* are zero — this probes an already-built engine;
-        the parallel build pipeline times each partition where it builds
-        and reports through the same type.
-        """
-        return [
-            BuildReport.from_index(index, 0.0, name=f"partition{shard}")
-            for shard, index in enumerate(self.partitions)
-        ]
-
-    def __getstate__(self) -> dict:
-        # The pin is thread-local and the epoch lock process-local;
-        # everything else (including the published snapshot) travels.
-        state = self.__dict__.copy()
-        state.pop("_pin", None)
-        state.pop("_epoch_lock", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._pin = threading.local()
-        self._epoch_lock = threading.RLock()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        sizes = "+".join(str(p.num_documents) for p in self.partitions)
-        return (
-            f"PartitionedSearchEngine(docs={self._num_documents} [{sizes}], "
-            f"model={self.model.name})"
-        )

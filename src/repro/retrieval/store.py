@@ -22,15 +22,15 @@ On top of the store sit three pieces:
   :class:`~repro.retrieval.documents.DocumentCollection` surface with
   fully lazy document rows behind a small LRU.
 * :class:`StoreBackedSearchEngine` — a
-  :class:`~repro.retrieval.sharding.PartitionedSearchEngine` whose
-  partitions are store-backed.  It inherits the identity-critical
-  ``search()`` and partition gather, and the store round-trips every
+  :class:`~repro.retrieval.engine.SearchEngine` whose partitions are
+  store-backed.  It inherits the identity-critical ``search()`` and
+  partition gather, and the store round-trips every
   statistic as exact integers (tf, document lengths, df, cf, N, tokens), so
   rankings *and scores* are byte-identical to the in-memory build.  The
   engine pickles as just its store path plus configuration: process
   workers and respawned replicas rehydrate in O(attach), not O(rebuild).
 
-Combined with :class:`~repro.retrieval.sharding.MemoryBudget`, the
+Combined with :class:`~repro.retrieval.engine.MemoryBudget`, the
 store-backed engine turns ``memory_estimate()`` into an *enforced*
 limit: whole partitions are evicted least-recently-touched first and
 page back in transparently on the next query.
@@ -51,15 +51,14 @@ from pathlib import Path
 from repro.core.cache import LRUCache
 from repro.retrieval.analysis import Analyzer
 from repro.retrieval.documents import Document, DocumentCollection
-from repro.retrieval.engine import shared_analysis
-from repro.retrieval.index import _INT_BYTES, InvertedIndex, PostingList
-from repro.retrieval.models import DPH, WeightingModel
-from repro.retrieval.sharding import (
+from repro.retrieval.engine import (
     EngineSnapshot,
     MemoryBudget,
-    PartitionedSearchEngine,
+    SearchEngine,
     stable_shard,
 )
+from repro.retrieval.index import _INT_BYTES, InvertedIndex, PostingList
+from repro.retrieval.models import WeightingModel
 from repro.retrieval.snippets import ForwardRow, SnippetExtractor
 
 __all__ = [
@@ -205,11 +204,11 @@ _INSERT_DOCUMENT = (
 
 def write_store(
     path: str | Path,
-    engine: PartitionedSearchEngine,
+    engine: SearchEngine,
     warm_payloads: Mapping[int, Mapping[str, str]] | None = None,
 ) -> Path:
-    """Write *engine* (a built :class:`PartitionedSearchEngine`) as a
-    durable store at *path*, atomically.
+    """Write *engine* (a built :class:`~repro.retrieval.engine.SearchEngine`)
+    as a durable store at *path*, atomically.
 
     The database is assembled in a sibling tmp file under the recipe
     pragmas (WAL, ``synchronous=NORMAL``, ``busy_timeout``), the
@@ -235,7 +234,7 @@ def write_store(
         for statement in _SCHEMA_STATEMENTS:
             connection.execute(statement)
         collection = engine.collection
-        store_epoch = getattr(engine, "epoch", 0)
+        store_epoch = engine.epoch
         meta = {
             "schema_version": SCHEMA_VERSION,
             "num_partitions": engine.num_partitions,
@@ -1187,13 +1186,13 @@ class StoreBackedCollection:
         return self._store.doc_ids()
 
 
-class StoreBackedSearchEngine(PartitionedSearchEngine):
-    """A partitioned engine attached to an :class:`IndexStore`.
+class StoreBackedSearchEngine(SearchEngine):
+    """An engine attached to an :class:`IndexStore`.
 
     Construction is O(attach): open the store read-only, read the
     per-partition statistics rows and the (small) local→global ordinal
     maps — no documents, no postings.  The identity-critical
-    :meth:`~repro.retrieval.sharding.PartitionedSearchEngine.search` is
+    :meth:`~repro.retrieval.engine.SearchEngine.search` is
     inherited unchanged; because every statistic round-trips as exact
     integers and ``avg_dl`` is the same ``total_tokens / num_documents``
     division, scores are byte-identical to the in-memory build.
@@ -1224,16 +1223,16 @@ class StoreBackedSearchEngine(PartitionedSearchEngine):
         memory_budget: MemoryBudget | int | None = None,
         expected_epoch: int | None = None,
     ) -> None:
-        # Deliberately not calling super().__init__ (which would build
-        # in-memory partitions); this constructor attaches instead.
+        # Attaches instead of building: the in-memory partitions that
+        # SearchEngine.__init__ indexes are the store's to page in.
         self.store_path = str(store_path)
         self._page_cache_bytes = page_cache_bytes
         self._document_cache_size = document_cache_size
         store = IndexStore(self.store_path, expected_epoch=expected_epoch)
         self.store = store
-        self.num_partitions = store.num_partitions
-        self.seed = store.seed
-        self.analyzer, self.snippets = shared_analysis(analyzer, snippet_extractor)
+        self._configure(
+            store.num_partitions, store.seed, model, analyzer, snippet_extractor
+        )
         if store.window_terms != self.snippets.window_terms:
             store.close()
             raise StoreError(
@@ -1242,13 +1241,7 @@ class StoreBackedSearchEngine(PartitionedSearchEngine):
                 f"{self.snippets.window_terms}; attach with the store's "
                 "window size or rebuild the store"
             )
-        self.model = model or DPH()
         self.page_cache = PostingPageCache(page_cache_bytes)
-        self.memory_budget = None
-        self._partition_clock = 0
-        self._partition_touched = [0] * self.num_partitions
-        self._pin = threading.local()
-        self._epoch_lock = threading.RLock()
         self._snapshot = self._attach_snapshot(previous=None)
         if memory_budget is not None:
             self.set_memory_budget(memory_budget)
@@ -1377,12 +1370,6 @@ class StoreBackedSearchEngine(PartitionedSearchEngine):
     def close(self) -> None:
         self.page_cache.clear()
         self.store.close()
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"StoreBackedSearchEngine(store={self.store_path!r}, "
-            f"partitions={self.num_partitions}, docs={self._num_documents})"
-        )
 
 
 def read_warm_payloads(

@@ -49,7 +49,7 @@ Endpoints (base URL ``http://<host>:<port>``):
     response names the epoch that includes the change, and every query
     served afterwards sees either the previous epoch or this one, never
     a half-applied batch.  Errors: ``404`` removing an unknown doc_id,
-    ``409`` duplicate doc_id or an engine without live-ingest support.
+    ``409`` duplicate doc_id.
 ``DELETE /documents/{id}``
     Remove one document (an epoch of its own); responds with the epoch
     that excludes it.
@@ -108,6 +108,12 @@ MAX_BODY_BYTES = 8 * 1024 * 1024
 #: Largest ``timeout_ms`` a body may name: the longest wait a thread can
 #: block for (a larger one would make the wait itself raise).
 MAX_TIMEOUT_MS = threading.TIMEOUT_MAX * 1000.0
+
+#: Longest a connection may sit in one socket read — a request line,
+#: headers, a declared body, or the idle gap before a keep-alive
+#: client's next request.  A client slower than this (slow-loris) has its
+#: connection closed unanswered, freeing the handler thread.
+READ_TIMEOUT_S = 60.0
 
 #: A client's ``X-Request-Id`` is echoed only when it matches this; any
 #: other value (too long, spaces, header syntax) is replaced.
@@ -708,8 +714,6 @@ def _ingest_error(exc: ValueError) -> ApiError:
     message = str(exc)
     if "unknown doc_id" in message:
         return ApiError(404, "unknown_document", message)
-    if "does not support live ingest" in message:
-        return ApiError(409, "ingest_unsupported", message)
     if "duplicate" in message or "already stored" in message:
         return ApiError(409, "conflict", message)
     return ApiError(400, "invalid_ingest", message)
@@ -759,6 +763,9 @@ def _make_handler(api: DiversificationHTTPServer):
         #: two sends, and Nagle's algorithm would hold the second until
         #: the client's delayed ACK, ~40 ms later.
         disable_nagle_algorithm = True
+        #: Socket timeout of every read; the stdlib's handle_one_request
+        #: closes a connection whose read times out.
+        timeout = READ_TIMEOUT_S
 
         def handle_expect_100(self) -> bool:
             # The interim reply must reach the client now: it is waiting
@@ -869,6 +876,11 @@ def _make_handler(api: DiversificationHTTPServer):
                 self._reply(200, route(self, params))
             except ApiError as error:
                 self._error(error)
+            except TimeoutError:
+                # The client stalled inside its body (_read_body): there
+                # is no request to answer, so handle_one_request closes
+                # the connection.  A serving timeout is a 503 by now.
+                raise
             except Exception as exc:  # pragma: no cover - defensive surface
                 self._error(ApiError(500, "internal", f"{type(exc).__name__}: {exc}"))
 

@@ -32,6 +32,7 @@ from repro.core.ambiguity import SpecializationSet
 from repro.core.cache import CacheStats, LRUCache
 from repro.core.framework import DiversificationFramework, DiversifiedResult
 from repro.core.task import DiversificationTask
+from repro.retrieval.engine import EpochDelta
 
 __all__ = [
     "PreparedQuery",
@@ -578,7 +579,7 @@ class DiversificationService:
         # One engine pin around the whole compute phase: every uncached
         # query in the batch reads the same epoch even when an ingest
         # publishes mid-batch (inner pins inherit this one).
-        with self.framework._pin_engine():
+        with self.framework.engine.pinned():
             self.framework.prefetch_specializations(
                 spec
                 for specializations in detected.values()
@@ -613,12 +614,8 @@ class DiversificationService:
         lock so no publish can slip between the comparison and the put.
         """
         engine = self.framework.engine
-        lock = getattr(engine, "_epoch_lock", None)
-        if lock is None:
-            self._result_cache.put(query, result)
-            return
         computed_at = engine._pinned_snapshot().epoch
-        with lock:
+        with engine._epoch_lock:
             if engine.epoch == computed_at:
                 self._result_cache.put(query, result)
 
@@ -708,7 +705,7 @@ class DiversificationService:
         """Apply one ingest batch and publish the next epoch.
 
         In-memory engines prepare-and-publish the epoch here
-        (:meth:`~repro.retrieval.sharding.PartitionedSearchEngine.apply_updates`);
+        (:meth:`~repro.retrieval.engine.SearchEngine.apply_updates`);
         store-backed engines re-attach to the epoch a coordinator already
         appended to the store file
         (:meth:`~repro.retrieval.store.StoreBackedSearchEngine.refresh`)
@@ -732,8 +729,6 @@ class DiversificationService:
         shard services *share* one engine object can advance it once and
         still run every shard's cache sweep (:meth:`_after_epoch`).
         """
-        from repro.retrieval.sharding import EpochDelta
-
         engine = self.framework.engine
         refresh = getattr(engine, "refresh", None)
         if callable(refresh):
@@ -750,14 +745,7 @@ class DiversificationService:
                 stats_changed=True,
             )
             return epoch, delta
-        apply = getattr(engine, "apply_updates", None)
-        if not callable(apply):
-            raise ValueError(
-                "engine does not support live ingest: it has neither "
-                "apply_updates (epoch-versioned in-memory engine) nor "
-                "refresh (store-backed engine)"
-            )
-        snapshot = apply(adds, removes)
+        snapshot = engine.apply_updates(adds, removes)
         return snapshot.epoch, snapshot.delta
 
     def _after_epoch(
@@ -795,7 +783,7 @@ class DiversificationService:
                 store_path,
                 add_documents,
                 remove_doc_ids,
-                analyzer=getattr(self.framework.engine, "analyzer", None),
+                analyzer=self.framework.engine.analyzer,
             )
         return self.apply_updates(add_documents, remove_doc_ids)
 
@@ -803,15 +791,12 @@ class DiversificationService:
         """The engine's backing store file, or ``None`` when in-memory —
         how a coordinator decides whether an ingest batch needs a
         durable append before the apply broadcast."""
-        engine = self.framework.engine
-        if callable(getattr(engine, "refresh", None)):
-            return getattr(engine, "store_path", None)
-        return None
+        return getattr(self.framework.engine, "store_path", None)
 
     def current_epoch(self) -> int:
         """Epoch of the engine's currently published snapshot (0 for
         engines that never ingested)."""
-        return int(getattr(self.framework.engine, "epoch", 0))
+        return self.framework.engine.epoch
 
     def _sweep_results(self, delta) -> None:
         """Drop cached end-to-end results an epoch's delta stales.
@@ -833,10 +818,7 @@ class DiversificationService:
         changed_ids = delta.changed_ids
         if not changed_terms and not changed_ids:
             return
-        analyzer = getattr(self.framework.engine, "analyzer", None)
-        if analyzer is None:
-            self._result_cache.clear()
-            return
+        analyzer = self.framework.engine.analyzer
         for query, result in self._result_cache.snapshot():
             terms = set(analyzer.analyze(query))
             for spec_query, _p in result.specializations:

@@ -187,8 +187,13 @@ class TestStatsDataclasses:
         )
         engine = SearchEngine(small_corpus.collection)
         donor_results = engine.search(small_corpus.topics[0].query, 20)
-        engine.index = loaded
-        clone_results = engine.search(small_corpus.topics[0].query, 20)
+        shipped = pickle.loads(pickle.dumps(engine.partitions[0]))
+        assembled = SearchEngine(
+            small_corpus.collection,
+            snippet_extractor=engine.snippets,
+            partition_indexes=[shipped],
+        )
+        clone_results = assembled.search(small_corpus.topics[0].query, 20)
         assert donor_results.doc_ids == clone_results.doc_ids
         assert donor_results.scores == clone_results.scores
 

@@ -70,7 +70,7 @@ class TestScales:
         )
         workload = build_trec_workload(scale)
         assert len(workload.testbed.topics) == 2
-        assert workload.engine.index.num_documents == len(
+        assert workload.engine.partitions[0].num_documents == len(
             workload.corpus.collection
         )
 

@@ -1,7 +1,8 @@
 """The per-posting search loop the engines ran before impacts were
-memoised, kept as the oracle of ``test_impact_memo.py``: a from-scratch
-inverted index over the documents, one ``model.score`` per posting per
-search, nothing remembered between calls."""
+memoised, kept as the independent reference the engine tests compare
+against: a from-scratch inverted index over the documents, one
+``model.score`` per posting per search, nothing remembered between
+calls."""
 
 from __future__ import annotations
 
@@ -12,8 +13,13 @@ from repro.retrieval.documents import DocumentCollection
 from repro.retrieval.index import InvertedIndex
 
 
+def oracle_index(documents, analyzer=None) -> InvertedIndex:
+    """The from-scratch, undivided index :func:`oracle_search` scores over."""
+    return InvertedIndex.from_collection(DocumentCollection(documents), analyzer)
+
+
 def oracle_search(documents, query, k, model, analyzer):
-    index = InvertedIndex.from_collection(DocumentCollection(documents), analyzer)
+    index = oracle_index(documents, analyzer)
     n_docs, avg_dl = index.num_documents, index.average_document_length
     accumulators: dict[int, float] = {}
     for term, qtf in Counter(analyzer.analyze(query)).items():
@@ -34,3 +40,12 @@ def oracle_search(documents, query, k, model, analyzer):
         k, accumulators.items(), key=lambda item: (-item[1], item[0])
     )
     return [(index.doc_id(ordinal), score) for ordinal, score in top]
+
+
+def assert_oracle(engine, documents, query, k):
+    """*engine* ranks *query* exactly as the oracle over *documents* with
+    the engine's model and analyzer: same doc_ids, same score floats."""
+    __tracebackhide__ = True
+    got = [(r.doc_id, r.score) for r in engine.search(query, k)]
+    want = oracle_search(documents, query, k, engine.model, engine.analyzer)
+    assert got == want, (query, got, want)

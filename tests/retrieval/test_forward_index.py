@@ -153,7 +153,7 @@ class TestEngineServesTheOracle:
         extractor = SnippetExtractor(max_chars=50, window_terms=4)
         engine = SearchEngine(collection, snippet_extractor=extractor)
         assert engine.analyzer is extractor.analyzer
-        assert engine.index.extractor is extractor
+        assert engine.partitions[0].extractor is extractor
 
 
 class TestRowsFollowMutation:

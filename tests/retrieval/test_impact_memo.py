@@ -1,8 +1,8 @@
 """Identity tests for the impact memo: every engine flavour, under DPH and
 BM25, must return the doc_ids and the score floats of the per-posting
 oracle (``search_oracle.py``) — on a first search, a repeated one, a
-specialization sharing the query's terms, across epochs, under a pin,
-and after the index behind a plain engine is mutated."""
+specialization sharing the query's terms, across epochs and under a pin.
+The model an engine scores with is fixed at construction."""
 
 from __future__ import annotations
 
@@ -28,7 +28,7 @@ from repro.retrieval.store import (
     append_epoch,
     write_store,
 )
-from tests.retrieval.search_oracle import oracle_search
+from tests.retrieval.search_oracle import assert_oracle, oracle_search
 
 ANALYZER = Analyzer()
 #: Content words, two stop words and (never in a document) "zebra".
@@ -72,13 +72,6 @@ def memo_of(engine):
     return engine._index_state()[1]
 
 
-def assert_oracle(engine, documents, query, k):
-    __tracebackhide__ = True
-    got = engine.search(query, k)
-    want = oracle_search(documents, query, k, engine.model, ANALYZER)
-    assert [(r.doc_id, r.score) for r in got] == want, query
-
-
 @pytest.mark.parametrize("model_name", MODELS)
 @pytest.mark.parametrize("flavour", FLAVOURS)
 class TestSearchEqualsOracle:
@@ -97,7 +90,7 @@ class TestSearchEqualsOracle:
 
 
 @pytest.mark.parametrize("model_name", MODELS)
-@pytest.mark.parametrize("flavour", FLAVOURS[1:])  # a plain engine has no epochs
+@pytest.mark.parametrize("flavour", FLAVOURS)
 class TestSearchEqualsOracleAcrossEpochs:
     @given(collections, collections, queries, cutoffs)
     @settings(max_examples=15, deadline=None)
@@ -139,21 +132,6 @@ class TestSnapshotsAndMutation:
             assert memo_of(engine) is before.impacts
         assert_oracle(engine, documents + adds, query, k)
 
-    @given(collections, texts, queries, cutoffs)
-    @settings(max_examples=15, deadline=None)
-    def test_index_mutation_starts_a_new_memo(
-        self, model_name, documents, text, query, k
-    ):
-        engine = SearchEngine(DocumentCollection(documents), model=MODELS[model_name]())
-        assert_oracle(engine, documents, query, k)
-        added = Document("late", text)
-        engine.index.index_document(added)
-        assert_oracle(engine, documents + [added], query, k)
-        engine.index.remove_document(documents[0].doc_id)
-        assert_oracle(engine, documents[1:] + [added], query, k)
-        engine.model = BM25(k1=2.0)
-        assert_oracle(engine, documents[1:] + [added], query, k)
-
 
 DOCUMENTS = [
     Document("d0", "apple banana apple"),
@@ -161,6 +139,18 @@ DOCUMENTS = [
     Document("d2", "cherry durian elder apple"),
     Document("d3", "fig"),
 ]
+
+
+@pytest.mark.parametrize("flavour", FLAVOURS)
+def test_model_is_fixed_at_construction(flavour):
+    """The memoised impacts embed the model's scores, so a model swapped
+    in afterwards would serve the old model's floats: refused."""
+    with engine_of(flavour, DOCUMENTS, DPH()) as engine:
+        engine.search("apple", 3)
+        with pytest.raises(AttributeError):
+            engine.model = BM25()
+        assert engine.model.name == "DPH"
+        assert_oracle(engine, DOCUMENTS, "apple", 3)
 
 
 @pytest.mark.parametrize("flavour", FLAVOURS)

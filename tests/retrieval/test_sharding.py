@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.retrieval.documents import Document, DocumentCollection
+from repro.retrieval.documents import DocumentCollection
 from repro.retrieval.engine import SearchEngine
 from repro.retrieval.index import DocumentIndex, InvertedIndex
 from repro.retrieval.sharding import (
@@ -17,6 +17,11 @@ from repro.retrieval.sharding import (
     stable_shard,
 )
 from repro.retrieval.snippets import SnippetExtractor
+from tests.retrieval.search_oracle import assert_oracle, oracle_index
+
+
+def test_partitioned_engine_is_the_engine():
+    assert PartitionedSearchEngine is SearchEngine
 
 
 class TestStableShard:
@@ -82,26 +87,20 @@ def partitioned_engine(small_corpus):
 
 class TestPartitionedSearchEngine:
     def test_rankings_identical_to_single_engine(
-        self, small_corpus, small_engine, partitioned_engine
+        self, small_corpus, partitioned_engine
     ):
         """The load-bearing guarantee: document partitioning with global
-        statistics must not change one score or one rank."""
+        statistics must not change one score or one rank of the undivided
+        index's ranking."""
         for topic in small_corpus.topics:
-            single = small_engine.search(topic.query, 50)
-            sharded = partitioned_engine.search(topic.query, 50)
-            assert single.doc_ids == sharded.doc_ids
-            assert single.scores == sharded.scores
+            assert_oracle(partitioned_engine, small_corpus.collection, topic.query, 50)
 
     @pytest.mark.parametrize("num_partitions", [1, 2, 5])
-    def test_identity_across_partition_counts(
-        self, small_corpus, small_engine, num_partitions
-    ):
+    def test_identity_across_partition_counts(self, small_corpus, num_partitions):
         engine = PartitionedSearchEngine(
             small_corpus.collection, num_partitions=num_partitions
         )
-        query = small_corpus.topics[0].query
-        single = small_engine.search(query, 30)
-        assert engine.search(query, 30).doc_ids == single.doc_ids
+        assert_oracle(engine, small_corpus.collection, small_corpus.topics[0].query, 30)
 
     def test_empty_query(self, partitioned_engine):
         assert len(partitioned_engine.search("", 10)) == 0
@@ -151,27 +150,22 @@ class TestDegeneratePartitioning:
     def test_engine_identity_with_more_partitions_than_documents(
         self, tiny_collection
     ):
-        single = SearchEngine(tiny_collection)
         engine = PartitionedSearchEngine(
             tiny_collection, num_partitions=len(tiny_collection) + 4
         )
         for query in ("apple", "apple fruit", "banana tropical", "computer"):
-            want = single.search(query, 10)
-            got = engine.search(query, 10)
-            assert want.doc_ids == got.doc_ids
-            assert want.scores == got.scores
+            assert_oracle(engine, tiny_collection, query, 10)
 
     def test_global_statistics_match_single_index(self, tiny_collection):
-        single = SearchEngine(tiny_collection)
+        single = oracle_index(tiny_collection)
         engine = PartitionedSearchEngine(
             tiny_collection, num_partitions=len(tiny_collection) + 4
         )
-        assert engine._num_documents == single.index.num_documents
-        assert engine._average_document_length == pytest.approx(
-            single.index.average_document_length
-        )
+        snapshot = engine.snapshot()
+        assert snapshot.num_documents == single.num_documents
+        assert snapshot.average_document_length == single.average_document_length
         total_tokens = sum(p.total_tokens for p in engine.partitions)
-        assert total_tokens == single.index.total_tokens
+        assert total_tokens == single.total_tokens
 
     def test_empty_partition_indexes_are_wellformed(self, tiny_collection):
         engine = PartitionedSearchEngine(

@@ -104,8 +104,8 @@ class TestWriteAttachIdentity:
             # The DFR model's avg_dl must come out as the *same float*,
             # or scores drift — exact ints in, exact division out.
             assert (
-                engine._average_document_length
-                == built_engine._average_document_length
+                engine.snapshot().average_document_length
+                == built_engine.snapshot().average_document_length
             )
         finally:
             engine.close()

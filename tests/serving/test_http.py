@@ -31,6 +31,7 @@ from repro.serving import (
     ShardedDiversificationService,
     result_payload,
 )
+from repro.serving import http as http_module
 from repro.serving.http import (
     DEFAULT_PAGE_LIMIT,
     MAX_BODY_BYTES,
@@ -303,6 +304,41 @@ class TestKeepAlive:
             response.begin()
             assert response.status == 200
             assert json.loads(response.read()) == reference[topic_queries[0]]
+
+
+class TestSlowClients:
+    """A client that stops sending mid-request (slow-loris) is cut off
+    after ``READ_TIMEOUT_S`` without a reply, and the server goes on
+    serving everyone else."""
+
+    @pytest.fixture()
+    def impatient_server(self, framework_factory, monkeypatch):
+        monkeypatch.setattr(http_module, "READ_TIMEOUT_S", 0.2)
+        with DiversificationHTTPServer(
+            DiversificationService(framework_factory())
+        ) as srv:
+            yield srv
+
+    @pytest.mark.parametrize(
+        "partial",
+        [
+            b"GET /hea",
+            b"POST /diversify HTTP/1.1\r\nHost: test\r\n"
+            b"Content-Type: application/json\r\nContent-Length: 100\r\n\r\n"
+            b'{"query": "app',
+        ],
+        ids=["half_request_line", "half_declared_body"],
+    )
+    def test_stalled_client_is_closed_unanswered(self, impatient_server, partial):
+        with socket.create_connection(impatient_server.address, timeout=10) as sock:
+            sock.sendall(partial)
+            started = time.perf_counter()
+            # End of stream, not a status line: no 500 for a body that
+            # never came, and no wait anywhere near the client's timeout.
+            assert sock.recv(1024) == b""
+            assert time.perf_counter() - started < 5
+        status, body = get(impatient_server.base_url + "/health")
+        assert (status, body["status"]) == (200, "ok")
 
 
 # -- GET /results ----------------------------------------------------------------

@@ -94,16 +94,16 @@ def apply_to_docs(docs, batches):
     return docs
 
 
-def make_engine(docs):
+def make_engine(docs, num_partitions=PARTITIONS):
     return PartitionedSearchEngine(
-        DocumentCollection(docs), num_partitions=PARTITIONS
+        DocumentCollection(docs), num_partitions=num_partitions
     )
 
 
-def make_service(miner, docs):
+def make_service(miner, docs, num_partitions=PARTITIONS):
     return DiversificationService(
         DiversificationFramework(
-            make_engine(docs), miner, config=STANDARD_CONFIG
+            make_engine(docs, num_partitions), miner, config=STANDARD_CONFIG
         )
     )
 
@@ -138,10 +138,12 @@ def assert_results_equal(got, want):
 
 
 class TestServiceIngest:
+    @pytest.mark.parametrize("num_partitions", [PARTITIONS, 1])
     def test_ingest_identical_to_cold_rebuild(
-        self, small_miner, initial_docs, batches, workload, reference
+        self, small_miner, initial_docs, batches, workload, reference,
+        num_partitions,
     ):
-        service = make_service(small_miner, initial_docs)
+        service = make_service(small_miner, initial_docs, num_partitions)
         service.warm(set(workload))
         service.diversify_batch(workload)  # serve (and cache) epoch 0
         for index, (adds, removes) in enumerate(batches):
@@ -155,12 +157,6 @@ class TestServiceIngest:
         assert stats.epochs_published == len(batches)
         assert stats.documents_ingested == sum(len(a) for a, _ in batches)
         assert stats.documents_removed == sum(len(r) for _, r in batches)
-
-    def test_plain_engine_rejects_ingest(self, framework_factory):
-        service = DiversificationService(framework_factory())
-        with pytest.raises(ValueError, match="does not support live ingest"):
-            service.ingest(add_documents=[Document("x", "apple")])
-        assert service.get_stats().epochs_published == 0
 
     def test_balanced_alien_swap_keeps_warm_state(
         self, small_miner, initial_docs, workload
@@ -469,14 +465,3 @@ class TestHTTPIngest:
         assert (status, error_code(body)) == (422, "invalid_document")
         status, body = get(f"{url}/documents")
         assert status == 405
-
-    def test_plain_engine_reports_unsupported(self, framework_factory):
-        service = DiversificationService(framework_factory())
-        with DiversificationHTTPServer(service) as srv:
-            status, body = post(
-                f"{srv.base_url}/documents", {"doc_id": "x", "text": "apple"}
-            )
-            assert (status, error_code(body)) == (409, "ingest_unsupported")
-            status, health = get(f"{srv.base_url}/health")
-            assert status == 200
-            assert health["epoch"] == 0

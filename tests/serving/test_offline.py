@@ -3,8 +3,8 @@
 The load-bearing property mirrors the serving layer's: the execution
 backends may change *where* partitions build, never *what* gets built —
 the assembled engine's rankings and scores equal the serially
-constructed `PartitionedSearchEngine`'s (itself identical to a single
-undivided engine) under every backend, and the build accounting
+constructed `PartitionedSearchEngine`'s and the undivided per-posting
+oracle's under every backend, and the build accounting
 (`BuildReport`) reports both clocks plus per-partition memory estimates,
 degenerate empty partitions included.
 """
@@ -26,6 +26,7 @@ from repro.serving import (
     build_partitioned_engine,
 )
 from repro.serving.offline import PartitionBuildFactory
+from tests.retrieval.search_oracle import assert_oracle
 
 NUM_PARTITIONS = 3
 
@@ -56,13 +57,9 @@ class TestBuildIdentity:
         engine, report = build_partitioned_engine(
             collection, NUM_PARTITIONS, backend=backend
         )
-        single = SearchEngine(collection)
         for topic in small_corpus.topics:
-            want = single.search(topic.query, 30)
-            serial = serial_engine.search(topic.query, 30)
-            got = engine.search(topic.query, 30)
-            assert want.doc_ids == serial.doc_ids == got.doc_ids
-            assert want.scores == serial.scores == got.scores
+            assert_oracle(serial_engine, collection, topic.query, 30)
+            assert_oracle(engine, collection, topic.query, 30)
         assert report.documents == len(collection)
 
     def test_snippets_work_on_assembled_engine(
@@ -128,11 +125,7 @@ class TestBuildReportAccounting:
             assert empty.postings == 0
             assert empty.postings_bytes == 0
             assert empty.summary().startswith(f"[{empty.name}]")
-        single = SearchEngine(tiny_collection)
-        got = engine.search("apple fruit", 10)
-        want = single.search("apple fruit", 10)
-        assert want.doc_ids == got.doc_ids
-        assert want.scores == got.scores
+        assert_oracle(engine, tiny_collection, "apple fruit", 10)
 
     def test_invalid_partition_count(self, collection):
         with pytest.raises(ValueError):

@@ -25,7 +25,6 @@ import pytest
 from repro.core.framework import DiversificationFramework, FrameworkConfig
 from repro.experiments.offline import PartitionedFrameworkFactory
 from repro.experiments.workloads import WorkloadScale, build_trec_workload
-from repro.retrieval.engine import SearchEngine
 from repro.retrieval.sharding import PartitionedSearchEngine
 from repro.serving import (
     DiversificationService,
@@ -33,6 +32,7 @@ from repro.serving import (
     ShardedDiversificationService,
     build_partitioned_engine,
 )
+from tests.retrieval.search_oracle import assert_oracle
 
 pytestmark = [
     pytest.mark.skipif(
@@ -91,13 +91,9 @@ def test_partition_parallel_build_under_spawn(workload):
         backend="process",
         start_method="spawn",
     )
-    single = SearchEngine(collection)
     for topic in workload.testbed.topics:
-        want = single.search(topic.query, 20)
-        assert serial.search(topic.query, 20).scores == want.scores
-        got = engine.search(topic.query, 20)
-        assert got.doc_ids == want.doc_ids
-        assert got.scores == want.scores
+        assert_oracle(serial, collection, topic.query, 20)
+        assert_oracle(engine, collection, topic.query, 20)
     assert report.documents == len(collection)
     assert all(r.seconds > 0 for r in report.shards)
 
