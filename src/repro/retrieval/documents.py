@@ -106,9 +106,6 @@ class DocumentCollection:
         """Internal ordinal of *doc_id* (used by the inverted index)."""
         return self._by_id[doc_id]
 
-    def by_ordinal(self, ordinal: int) -> Document:
-        return self._documents[ordinal]
-
     def __contains__(self, doc_id: str) -> bool:
         return doc_id in self._by_id
 

@@ -13,8 +13,10 @@ paper's ``rank(d', R_q')`` of Equation (1).
 There is one engine, :class:`SearchEngine`.  It holds its index as N
 hash-placed partitions (one by default) scored with *collection-global*
 statistics, so its rankings — scores included — do not depend on N; a
-single node is simply the one-partition case.  Everything a query reads
-lives in one immutable, epoch-versioned :class:`EngineSnapshot`, which
+single node is simply the one-partition case.  Every posting carries its
+document's collection-wide *sequence number*, assigned at indexing and
+never moved, so an epoch edits only what it changed.  Everything a query
+reads lives in one immutable, epoch-versioned :class:`EngineSnapshot`, which
 is what makes live ingest (:meth:`SearchEngine.apply_updates`) and
 snapshot-pinned serving (:meth:`SearchEngine.pinned`) available on
 every engine.  Beside it live the placement function
@@ -185,6 +187,13 @@ def partition_collection(
             document
         )
     return [DocumentCollection(docs) for docs in partitions]
+
+
+def partition_seqs(
+    collection: DocumentCollection, parts: Sequence[DocumentCollection]
+) -> tuple[tuple[int, ...], ...]:
+    """Each partition member's seq in a fresh build: its collection position."""
+    return tuple(tuple(map(collection.ordinal, part.doc_ids)) for part in parts)
 
 
 # -- accounting --------------------------------------------------------------------
@@ -368,7 +377,7 @@ class EpochDelta:
 class EngineSnapshot:
     """One immutable, epoch-versioned view of the engine's index.
 
-    Everything a query touches — partitions, the ordinal maps, the
+    Everything a query touches — partitions, the seq → doc_id map, the
     collection-global statistics, the document collection itself — lives
     here, so a query that pins a snapshot at entry sees exactly one
     epoch no matter how many publishes happen while it runs.  Publishing
@@ -380,13 +389,16 @@ class EngineSnapshot:
     per-affected-specialization warm invalidation reads.  ``impacts`` is
     the snapshot's own impact memo: a query pinned to an older epoch
     reads that epoch's impacts, and a publish starts with none.
+
+    Partitions post *sequence numbers*: ``doc_ids`` resolves one to its
+    doc_id, and ``next_seq`` is the number the next added document gets.
     """
 
     epoch: int
     collection: DocumentCollection
-    partition_collections: tuple[DocumentCollection, ...]
     partitions: tuple[InvertedIndex, ...]
-    global_ordinals: tuple[tuple[int, ...], ...]
+    doc_ids: Mapping[int, str]
+    next_seq: int
     num_documents: int
     total_tokens: int
     average_document_length: float
@@ -415,7 +427,9 @@ class SearchEngine:
     *collection-global*: per-term document/collection frequencies are
     summed across partitions, document count and average length are
     global, and every posting is accumulated under the global ``(score
-    desc, collection ordinal asc)`` tie-break.  Because DFR/BM25
+    desc, sequence number asc)`` tie-break.  A fresh build numbers the
+    documents by collection position; an epoch appends its added
+    documents after every live one.  Because DFR/BM25
     contributions depend only on per-document counts plus those global
     statistics, the ranking — scores included — is the same for every
     partition count.
@@ -498,10 +512,11 @@ class SearchEngine:
                     "partition collections do not cover the collection "
                     "exactly once (missing, extra or duplicated documents)"
                 )
+        seqs = partition_seqs(collection, partition_collections)
         if partition_indexes is None:
             partition_indexes = [
-                DocumentIndex.from_collection(part, self.snippets)
-                for part in partition_collections
+                DocumentIndex.from_collection(part, self.snippets, seqs=part_seqs)
+                for part, part_seqs in zip(partition_collections, seqs)
             ]
         else:
             partition_indexes = list(partition_indexes)
@@ -510,16 +525,14 @@ class SearchEngine:
                     f"expected {num_partitions} partition indexes, "
                     f"got {len(partition_indexes)}"
                 )
-            for shard, (part, index) in enumerate(
-                zip(partition_collections, partition_indexes)
+            for shard, (part, part_seqs, index) in enumerate(
+                zip(partition_collections, seqs, partition_indexes)
             ):
-                if [
-                    index.doc_id(o) for o in range(index.num_documents)
-                ] != part.doc_ids:
+                if list(index.members()) != list(zip(part_seqs, part.doc_ids)):
                     raise ValueError(
                         f"partition index {shard} does not match its "
-                        "partition collection (documents or their order "
-                        "differ)"
+                        "partition collection (documents, their order or "
+                        "their seqs, the collection positions, differ)"
                     )
                 extractor = getattr(index, "extractor", None)
                 if (
@@ -533,7 +546,11 @@ class SearchEngine:
                         "serve the surrogates"
                     )
         self._snapshot = self._assemble_snapshot(
-            0, collection, partition_collections, partition_indexes
+            0,
+            collection,
+            partition_indexes,
+            {seq: doc.doc_id for seq, doc in enumerate(collection)},
+            len(collection),
         )
 
     def _configure(
@@ -561,8 +578,9 @@ class SearchEngine:
     def _assemble_snapshot(
         epoch: int,
         collection: DocumentCollection,
-        partition_collections: Sequence[DocumentCollection],
         partition_indexes: Sequence[InvertedIndex],
+        doc_ids: dict[int, str],
+        next_seq: int,
         delta: EpochDelta | None = None,
     ) -> EngineSnapshot:
         """Freeze one epoch's views plus its collection-global statistics."""
@@ -571,15 +589,9 @@ class SearchEngine:
         return EngineSnapshot(
             epoch=epoch,
             collection=collection,
-            partition_collections=tuple(partition_collections),
             partitions=tuple(partition_indexes),
-            global_ordinals=tuple(
-                tuple(
-                    collection.ordinal(index.doc_id(o))
-                    for o in range(index.num_documents)
-                )
-                for index in partition_indexes
-            ),
+            doc_ids=doc_ids,
+            next_seq=next_seq,
             num_documents=num_documents,
             total_tokens=total_tokens,
             average_document_length=(
@@ -638,10 +650,6 @@ class SearchEngine:
     def partitions(self) -> tuple[InvertedIndex, ...]:
         return self._pinned_snapshot().partitions
 
-    @property
-    def _global_ordinals(self) -> tuple[tuple[int, ...], ...]:
-        return self._pinned_snapshot().global_ordinals
-
     # -- retrieval -------------------------------------------------------------
 
     def search(self, query: str, k: int = 1000) -> ResultList:
@@ -662,18 +670,18 @@ class SearchEngine:
             impact_list = memo.lists.get(key)
             if impact_list is None:
                 impact_list = memo.add(key, self._impact_list(state, *key))
-            for ordinal, impact in zip(*impact_list):
-                if ordinal in accumulators:
-                    accumulators[ordinal] += impact
+            for seq, impact in zip(*impact_list):
+                if seq in accumulators:
+                    accumulators[seq] += impact
                 else:
-                    accumulators[ordinal] = impact
+                    accumulators[seq] = impact
 
-        # Deterministic top-k: score desc, ordinal asc for ties.
+        # Deterministic top-k: score desc, sequence number asc for ties.
         top = heapq.nsmallest(
             k, accumulators.items(), key=lambda item: (-item[1], item[0])
         )
-        ordinals, scores = zip(*top) if top else ((), ())
-        return ResultList(query, zip(self._doc_ids(state, ordinals), scores))
+        doc_ids = state.doc_ids
+        return ResultList(query, [(doc_ids[seq], score) for seq, score in top])
 
     def _index_state(self) -> tuple[EngineSnapshot, ImpactMemo]:
         """The snapshot one search reads, and that snapshot's memo.
@@ -687,39 +695,33 @@ class SearchEngine:
     def _impact_list(
         self, snapshot: EngineSnapshot, term: str, qtf: int
     ) -> tuple[Sequence[int], array]:
-        """``(ordinals, impacts)`` of a term occurring *qtf* times in the
+        """``(seqs, impacts)`` of a term occurring *qtf* times in the
         query, gathered from every partition of *snapshot* with df/cf
-        summed across partitions, the global N and avg_dl, and partition
-        ordinals mapped to collection ordinals — the only place a
-        contribution is computed."""
+        summed across partitions and the global N and avg_dl — the only
+        place a contribution is computed.  Partitions post collection-wide
+        sequence numbers, so their postings concatenate as they are."""
         per_partition = [p.postings(term) for p in snapshot.partitions]
         df = sum(pl.document_frequency for pl in per_partition if pl)
         cf = sum(pl.collection_frequency for pl in per_partition if pl)
         n_docs, avg_dl = snapshot.num_documents, snapshot.average_document_length
         score, kf = self._model.score, float(qtf)
-        ordinals: list[int] = []
+        seqs: list[int] = []
         impacts = array("d")
         self._partition_clock += 1
         for shard, postings in enumerate(per_partition):
             if postings is None:
                 continue
             self._partition_touched[shard] = self._partition_clock
-            to_global = snapshot.global_ordinals[shard]
-            ordinals.extend([to_global[ordinal] for ordinal in postings.ordinals])
+            seqs.extend(postings.ordinals)
             length = snapshot.partitions[shard].document_length
             impacts.extend(
                 [
-                    score(tf, length(ordinal), df, cf, n_docs, avg_dl, key_frequency=kf)
-                    for ordinal, tf in zip(postings.ordinals, postings.tfs)
+                    score(tf, length(seq), df, cf, n_docs, avg_dl, key_frequency=kf)
+                    for seq, tf in zip(postings.ordinals, postings.tfs)
                 ]
             )
         self._enforce_memory_budget()
-        return ordinals, impacts
-
-    def _doc_ids(self, snapshot: EngineSnapshot, ordinals: Sequence[int]) -> list[str]:
-        """The doc_ids at collection *ordinals* in the snapshot a search read."""
-        by_ordinal = snapshot.collection.by_ordinal
-        return [by_ordinal(ordinal).doc_id for ordinal in ordinals]
+        return seqs, impacts
 
     def search_batch(
         self, queries: Iterable[str], k: int = 1000
@@ -811,10 +813,13 @@ class SearchEngine:
         (:meth:`~repro.retrieval.index.InvertedIndex.remove_document` /
         :meth:`~repro.retrieval.index.InvertedIndex.index_document`);
         untouched partitions are shared structurally with the current
-        epoch.  The resulting snapshot is *identical* — ordinals, global
-        statistics, scores — to a from-scratch build over the final
-        collection (survivors in their original order, added documents
-        appended in batch order), which is the identity gate every
+        epoch.  Added documents take the next sequence numbers in batch
+        order; no other document's number moves.  The resulting snapshot
+        is identical — global statistics, rankings, scores — to a
+        from-scratch build over the final collection (survivors in their
+        original order, added documents appended in batch order), and its
+        sequence numbers are that build's ordinals up to an
+        order-preserving relabelling, which is the identity gate every
         ingest test asserts.  Runs on any thread; serving is undisturbed
         until :meth:`publish`.
         """
@@ -861,24 +866,29 @@ class SearchEngine:
             [d for d in current.collection if d.doc_id not in removed] + adds
         )
         partitions = list(current.partitions)
-        parts = list(current.partition_collections)
+        seq_of = {
+            document.doc_id: current.next_seq + offset
+            for offset, document in enumerate(adds)
+        }
+        doc_ids = dict(current.doc_ids)
         # Every term a changed document holds, read off the forward rows.
         changed_terms: set[str] = set()
         for shard in sorted(set(adds_by_shard) | set(removes_by_shard)):
             index = partitions[shard].copy()
             for doc_id in removes_by_shard.get(shard, ()):
                 changed_terms.update(index.forward_row(doc_id).terms)
-                index.remove_document(doc_id)
+                del doc_ids[index.remove_document(doc_id)]
             for document in adds_by_shard.get(shard, ()):
-                index.index_document(document)
+                seq = index.index_document(document, seq_of[document.doc_id])
+                doc_ids[seq] = document.doc_id
                 changed_terms.update(index.forward_row(document.doc_id).terms)
             partitions[shard] = index
-            parts[shard] = DocumentCollection(
-                [d for d in parts[shard] if d.doc_id not in removed]
-                + adds_by_shard.get(shard, [])
-            )
         prepared = self._assemble_snapshot(
-            current.epoch + 1, collection, parts, partitions
+            current.epoch + 1,
+            collection,
+            partitions,
+            doc_ids,
+            current.next_seq + len(adds),
         )
         stats_changed = (
             prepared.num_documents != current.num_documents

@@ -16,7 +16,9 @@ hundred thousand documents.
 
 from __future__ import annotations
 
+import bisect
 import copy
+import itertools
 import sys
 import threading
 from array import array
@@ -119,6 +121,13 @@ class ImpactMemo:
 class InvertedIndex:
     """A term → postings map with collection statistics.
 
+    Documents are keyed by **sequence number** (the ordinal of a
+    posting): assigned once when a document is indexed, never shifted,
+    never reused.  Removal leaves a hole instead of renumbering, so it
+    touches only the removed document's own postings, and a document
+    indexed later always sorts after every live one — the same relative
+    order a from-scratch build over the survivors would give.
+
     Parameters
     ----------
     analyzer:
@@ -127,7 +136,9 @@ class InvertedIndex:
 
     >>> index = InvertedIndex()
     >>> index.index_document(Document("d1", "apple iphone store"))
+    0
     >>> index.index_document(Document("d2", "apple fruit orchard"))
+    1
     >>> index.document_frequency("appl")
     2
     """
@@ -135,76 +146,77 @@ class InvertedIndex:
     def __init__(self, analyzer: Analyzer | None = None) -> None:
         self.analyzer = analyzer or Analyzer()
         self._postings: dict[str, PostingList] = {}
-        self._doc_lengths: list[int] = []
-        self._doc_ids: list[str] = []
+        # seq -> length / doc_id; insertion order is seq order.
+        self._doc_lengths: dict[int, int] = {}
+        self._doc_ids: dict[int, str] = {}
         self._ordinal_by_id: dict[str, int] = {}
+        self._next_seq = 0
         self._total_tokens = 0
 
     # -- construction ---------------------------------------------------------
 
-    def index_document(self, document: Document) -> int:
-        """Analyse and add *document*; returns its ordinal."""
+    def index_document(self, document: Document, seq: int | None = None) -> int:
+        """Analyse and add *document*; returns its sequence number."""
         return self.index_terms(
-            document.doc_id, self.analyzer.analyze(document.full_text)
+            document.doc_id, self.analyzer.analyze(document.full_text), seq
         )
 
-    def index_terms(self, doc_id: str, terms: Sequence[str]) -> int:
-        """Add a document from its already analysed *terms*."""
+    def index_terms(
+        self, doc_id: str, terms: Sequence[str], seq: int | None = None
+    ) -> int:
+        """Add a document from its already analysed *terms*.
+
+        *seq* defaults to the number after the last one assigned; a given
+        one must be at least that, so postings stay in seq order.
+        """
         if doc_id in self._ordinal_by_id:
             raise ValueError(f"doc_id already indexed: {doc_id!r}")
-        ordinal = len(self._doc_ids)
-        self._doc_ids.append(doc_id)
-        self._ordinal_by_id[doc_id] = ordinal
-        self._doc_lengths.append(len(terms))
+        if seq is None:
+            seq = self._next_seq
+        elif seq < self._next_seq:
+            raise ValueError(
+                f"seq {seq} is below the next sequence number {self._next_seq}"
+            )
+        self._next_seq = seq + 1
+        self._doc_ids[seq] = doc_id
+        self._ordinal_by_id[doc_id] = seq
+        self._doc_lengths[seq] = len(terms)
         self._total_tokens += len(terms)
         for term, tf in Counter(terms).items():
             postings = self._postings.get(term)
             if postings is None:
                 postings = self._postings[term] = PostingList()
-            postings.append(ordinal, tf)
-        return ordinal
+            postings.append(seq, tf)
+        return seq
 
-    def index_collection(self, collection: DocumentCollection) -> None:
-        for document in collection:
-            self.index_document(document)
+    def _terms_of(self, doc_id: str) -> Iterable[str]:
+        """Terms whose postings may hold *doc_id* (all, without rows)."""
+        return list(self._postings)
 
     def remove_document(self, doc_id: str) -> int:
         """Remove *doc_id* and refresh every derived statistic.
 
-        Ordinals are dense (they double as positions in the length and
-        id tables), so removal *shifts every later document down by
-        one* — exactly the ordinal assignment a from-scratch index over
-        the surviving documents would produce, which is what keeps the
-        epoch-swap's incremental partitions byte-identical to a rebuild.
-        Posting lists are rewritten in one pass per term; terms whose
-        last posting was the removed document leave the vocabulary.
-        Returns the removed document's former ordinal.
+        Only posting lists holding the document are edited; every other
+        document keeps its sequence number.  Terms whose last posting was
+        the removed document leave the vocabulary.  Returns the removed
+        document's sequence number, which is never assigned again.
         """
-        ordinal = self._ordinal_by_id.get(doc_id)
-        if ordinal is None:
+        seq = self._ordinal_by_id.pop(doc_id, None)
+        if seq is None:
             raise ValueError(f"doc_id not indexed: {doc_id!r}")
-        del self._doc_ids[ordinal]
-        self._total_tokens -= self._doc_lengths.pop(ordinal)
-        del self._ordinal_by_id[doc_id]
-        for later_id, later_ordinal in self._ordinal_by_id.items():
-            if later_ordinal > ordinal:
-                self._ordinal_by_id[later_id] = later_ordinal - 1
-        emptied = []
-        for term, postings in self._postings.items():
-            if postings.ordinals[-1] < ordinal:
+        for term in self._terms_of(doc_id):
+            postings = self._postings[term]
+            at = bisect.bisect_left(postings.ordinals, seq)
+            if at == len(postings.ordinals) or postings.ordinals[at] != seq:
                 continue
-            kept = PostingList()
-            for o, tf in zip(postings.ordinals, postings.tfs):
-                if o == ordinal:
-                    continue
-                kept.append(o - 1 if o > ordinal else o, tf)
-            if kept.ordinals:
-                self._postings[term] = kept
-            else:
-                emptied.append(term)
-        for term in emptied:
-            del self._postings[term]
-        return ordinal
+            if len(postings.ordinals) == 1:
+                del self._postings[term]
+                continue
+            del postings.ordinals[at]
+            postings.collection_frequency -= postings.tfs.pop(at)
+        del self._doc_ids[seq]
+        self._total_tokens -= self._doc_lengths.pop(seq)
+        return seq
 
     def copy(self) -> "InvertedIndex":
         """An independent deep copy (shared analyzer, copied postings).
@@ -214,8 +226,8 @@ class InvertedIndex:
         must share no mutable structure with its source.
         """
         clone = copy.copy(self)
-        clone._doc_lengths = list(self._doc_lengths)
-        clone._doc_ids = list(self._doc_ids)
+        clone._doc_lengths = dict(self._doc_lengths)
+        clone._doc_ids = dict(self._doc_ids)
         clone._ordinal_by_id = dict(self._ordinal_by_id)
         clone._postings = {}
         for term, postings in self._postings.items():
@@ -227,11 +239,18 @@ class InvertedIndex:
         return clone
 
     @classmethod
-    def from_collection(cls, collection: DocumentCollection, *args) -> "InvertedIndex":
+    def from_collection(
+        cls,
+        collection: DocumentCollection,
+        *args,
+        seqs: Iterable[int] | None = None,
+    ) -> "InvertedIndex":
         """Index *collection* into ``cls(*args)`` — the analyzer here, the
-        extractor for a :class:`DocumentIndex`."""
+        extractor for a :class:`DocumentIndex` — with the ascending
+        sequence numbers *seqs* (default ``0, 1, …``)."""
         index = cls(*args)
-        index.index_collection(collection)
+        for document, seq in zip(collection, seqs or itertools.repeat(None)):
+            index.index_document(document, seq)
         return index
 
     # -- statistics -------------------------------------------------------------
@@ -255,14 +274,19 @@ class InvertedIndex:
             return 0.0
         return self._total_tokens / len(self._doc_ids)
 
-    def document_length(self, ordinal: int) -> int:
-        return self._doc_lengths[ordinal]
+    def document_length(self, seq: int) -> int:
+        return self._doc_lengths[seq]
 
-    def doc_id(self, ordinal: int) -> str:
-        return self._doc_ids[ordinal]
+    def doc_id(self, seq: int) -> str:
+        return self._doc_ids[seq]
 
     def ordinal(self, doc_id: str) -> int:
+        """The sequence number of *doc_id*."""
         return self._ordinal_by_id[doc_id]
+
+    def members(self) -> Iterable[tuple[int, str]]:
+        """``(seq, doc_id)`` of every indexed document, in seq order."""
+        return self._doc_ids.items()
 
     def __contains__(self, term: str) -> bool:
         return term in self._postings
@@ -316,7 +340,7 @@ class InvertedIndex:
             sys.getsizeof(self._doc_ids)
             + sys.getsizeof(self._doc_lengths)
             + sys.getsizeof(self._ordinal_by_id)
-            + sum(sys.getsizeof(doc_id) for doc_id in self._doc_ids)
+            + sum(sys.getsizeof(doc_id) for doc_id in self._ordinal_by_id)
             + 2 * len(self._doc_ids) * _INT_BYTES
         )
         return {
@@ -340,35 +364,39 @@ class DocumentIndex(InvertedIndex):
     windows and analysed **once**
     (:meth:`~repro.retrieval.snippets.SnippetExtractor.analyse_document`);
     the postings are counted from the row's terms and the row is kept by
-    ordinal, so surrogates are built at query time without re-analysing
-    document text.  Rows follow ordinals through :meth:`remove_document`
-    and :meth:`copy` — an incrementally maintained index holds the rows a
+    doc_id, so surrogates are built at query time without re-analysing
+    document text, and a removal reads the removed document's terms off
+    its row.  Rows follow documents through :meth:`remove_document` and
+    :meth:`copy` — an incrementally maintained index holds the rows a
     from-scratch build would.
     """
 
     def __init__(self, extractor: SnippetExtractor | None = None) -> None:
         self.extractor = extractor or SnippetExtractor()
         super().__init__(self.extractor.analyzer)
-        self._rows: list[ForwardRow] = []
+        self._rows: dict[str, ForwardRow] = {}
 
-    def index_document(self, document: Document) -> int:
+    def index_document(self, document: Document, seq: int | None = None) -> int:
         row = self.extractor.analyse_document(document)
-        ordinal = self.index_terms(document.doc_id, row.terms)
-        self._rows.append(row)
-        return ordinal
+        seq = self.index_terms(document.doc_id, row.terms, seq)
+        self._rows[document.doc_id] = row
+        return seq
+
+    def _terms_of(self, doc_id: str) -> Iterable[str]:
+        return set(self._rows[doc_id].terms)
 
     def remove_document(self, doc_id: str) -> int:
-        ordinal = super().remove_document(doc_id)
-        del self._rows[ordinal]
-        return ordinal
+        seq = super().remove_document(doc_id)
+        del self._rows[doc_id]
+        return seq
 
     def copy(self) -> "DocumentIndex":
         clone = super().copy()
-        clone._rows = list(self._rows)  # rows are immutable: shared
+        clone._rows = dict(self._rows)  # rows are immutable: shared
         return clone
 
     def forward_row(self, doc_id: str) -> ForwardRow:
-        return self._rows[self._ordinal_by_id[doc_id]]
+        return self._rows[doc_id]
 
     def memory_estimate(self) -> dict[str, int]:
         """As :meth:`InvertedIndex.memory_estimate`, with the forward rows
@@ -376,7 +404,7 @@ class DocumentIndex(InvertedIndex):
         vocabulary's, already counted there)."""
         estimate = super().memory_estimate()
         forward_bytes = sys.getsizeof(self._rows) + sum(
-            row.memory_bytes() for row in self._rows
+            row.memory_bytes() for row in self._rows.values()
         )
         estimate["documents_bytes"] += forward_bytes
         estimate["total_bytes"] += forward_bytes

@@ -44,6 +44,7 @@ import sqlite3
 import sys
 import threading
 from array import array
+from collections import Counter
 from collections.abc import Collection, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,7 +58,7 @@ from repro.retrieval.engine import (
     SearchEngine,
     stable_shard,
 )
-from repro.retrieval.index import _INT_BYTES, InvertedIndex, PostingList
+from repro.retrieval.index import _INT_BYTES, PostingList
 from repro.retrieval.models import WeightingModel
 from repro.retrieval.snippets import ForwardRow, SnippetExtractor
 
@@ -88,7 +89,10 @@ __all__ = [
 #: in ``meta``, the window size those rows were split with.
 #: v4: forward rows carry ``starts``, each piece's offset in its source
 #: string, so a surrogate cut is sliced out of the text, never re-split.
-SCHEMA_VERSION = 4
+#: v5: documents are keyed by a never-reused sequence number (``seq``,
+#: with ``next_seq`` in ``meta``); postings and each partition's member
+#: list carry seqs, so an epoch edits only the rows its batch touches.
+SCHEMA_VERSION = 5
 
 #: Default byte capacity of the shared postings page cache (per engine).
 DEFAULT_PAGE_CACHE_BYTES = 64 * 1024 * 1024
@@ -97,6 +101,7 @@ DEFAULT_PAGE_CACHE_BYTES = 64 * 1024 * 1024
 DEFAULT_DOCUMENT_CACHE_SIZE = 8192
 
 _BUSY_TIMEOUT_MS = 5000
+_IN_CHUNK = 500  # ids bound per ``IN (?, …)``, under SQLite's 999 floor
 
 
 class StoreError(ValueError):
@@ -161,17 +166,17 @@ _SCHEMA_STATEMENTS = (
         value TEXT NOT NULL
     )""",
     """CREATE TABLE partitions (
-        partition       INTEGER PRIMARY KEY,
-        num_documents   INTEGER NOT NULL,
-        num_terms       INTEGER NOT NULL,
-        num_postings    INTEGER NOT NULL,
-        total_tokens    INTEGER NOT NULL,
-        lengths         BLOB NOT NULL,
-        global_ordinals BLOB NOT NULL,
-        epoch           INTEGER NOT NULL DEFAULT 0
+        partition     INTEGER PRIMARY KEY,
+        num_documents INTEGER NOT NULL,
+        num_terms     INTEGER NOT NULL,
+        num_postings  INTEGER NOT NULL,
+        total_tokens  INTEGER NOT NULL,
+        seqs          BLOB NOT NULL,
+        lengths       BLOB NOT NULL,
+        epoch         INTEGER NOT NULL DEFAULT 0
     )""",
     """CREATE TABLE documents (
-        ordinal  INTEGER PRIMARY KEY,
+        seq      INTEGER PRIMARY KEY,
         doc_id   TEXT NOT NULL UNIQUE,
         title    TEXT NOT NULL,
         text     TEXT NOT NULL,
@@ -183,7 +188,7 @@ _SCHEMA_STATEMENTS = (
         term      TEXT NOT NULL,
         df        INTEGER NOT NULL,
         cf        INTEGER NOT NULL,
-        ordinals  BLOB NOT NULL,
+        seqs      BLOB NOT NULL,
         tfs       BLOB NOT NULL,
         PRIMARY KEY (partition, term)
     ) WITHOUT ROWID""",
@@ -197,9 +202,45 @@ _SCHEMA_STATEMENTS = (
 
 
 _INSERT_DOCUMENT = (
-    "INSERT INTO documents (ordinal, doc_id, title, text, metadata, forward)"
+    "INSERT INTO documents (seq, doc_id, title, text, metadata, forward)"
     " VALUES (?, ?, ?, ?, ?, ?)"
 )
+
+_WRITE_POSTINGS = (
+    "INSERT OR REPLACE INTO postings (partition, term, df, cf, seqs, tfs)"
+    " VALUES (?, ?, ?, ?, ?, ?)"
+)
+
+
+def _edited(seqs_blob, values_blob, leaving, arriving) -> tuple[tuple, tuple]:
+    """Parallel ``(seqs, values)`` blobs as tuples, without the *leaving*
+    seqs and with the *arriving* ``(seq, value)`` pairs appended — still
+    in seq order, since an arriving seq is new and so the largest."""
+    pairs = [
+        pair
+        for pair in zip(_unpack_ints(seqs_blob), _unpack_ints(values_blob))
+        if pair[0] not in leaving
+    ]
+    return tuple(zip(*(pairs + arriving))) or ((), ())
+
+
+def _postings_row(partition: int, term: str, seqs, tfs) -> tuple:
+    return (partition, term, len(seqs), sum(tfs), _pack_ints(seqs), _pack_ints(tfs))
+
+
+def _check_schema(path, meta: Mapping[str, str]) -> None:
+    """Refuse a store written under another schema, naming both versions."""
+    raw = meta.get("schema_version")
+    if raw is None:
+        raise StoreError(
+            f"{path}: store has no schema_version (expected {SCHEMA_VERSION})"
+        )
+    if int(raw) != SCHEMA_VERSION:
+        raise StoreError(
+            f"{path}: store schema version {raw} does not match the "
+            f"supported version {SCHEMA_VERSION}; rebuild the store with "
+            "the current offline pipeline"
+        )
 
 
 def write_store(
@@ -233,74 +274,66 @@ def write_store(
         connection.execute(f"PRAGMA busy_timeout={_BUSY_TIMEOUT_MS}")
         for statement in _SCHEMA_STATEMENTS:
             connection.execute(statement)
-        collection = engine.collection
-        store_epoch = engine.epoch
-        meta = {
-            "schema_version": SCHEMA_VERSION,
-            "num_partitions": engine.num_partitions,
-            "seed": engine.seed,
-            "num_documents": len(collection),
-            "total_tokens": sum(p.total_tokens for p in engine.partitions),
-            "model": engine.model.name,
-            "store_epoch": store_epoch,
-            "window_terms": engine.snippets.window_terms,
-        }
-        connection.executemany(
-            "INSERT INTO meta (key, value) VALUES (?, ?)",
-            [(key, str(value)) for key, value in meta.items()],
-        )
-        forward_row = engine.forward_row
-        connection.executemany(
-            _INSERT_DOCUMENT,
-            (
-                (
-                    ordinal,
-                    doc.doc_id,
-                    doc.title,
-                    doc.text,
-                    json.dumps(doc.metadata, ensure_ascii=False),
-                    forward_row(doc.doc_id).encode(),
-                )
-                for ordinal, doc in enumerate(collection)
-            ),
-        )
-        for shard, index in enumerate(engine.partitions):
-            lengths = [
-                index.document_length(o) for o in range(index.num_documents)
-            ]
-            connection.execute(
-                "INSERT INTO partitions (partition, num_documents, num_terms,"
-                " num_postings, total_tokens, lengths, global_ordinals, epoch)"
-                " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                (
-                    shard,
-                    index.num_documents,
-                    index.num_terms,
-                    index.num_postings,
-                    index.total_tokens,
-                    _pack_ints(lengths),
-                    _pack_ints(engine._global_ordinals[shard]),
-                    store_epoch,
-                ),
-            )
+        with engine.pinned() as snapshot:
+            collection = snapshot.collection
+            meta = {
+                "schema_version": SCHEMA_VERSION,
+                "num_partitions": engine.num_partitions,
+                "seed": engine.seed,
+                "num_documents": len(collection),
+                "total_tokens": snapshot.total_tokens,
+                "model": engine.model.name,
+                "store_epoch": snapshot.epoch,
+                "window_terms": engine.snippets.window_terms,
+                "next_seq": snapshot.next_seq,
+            }
             connection.executemany(
-                "INSERT INTO postings (partition, term, df, cf, ordinals, tfs)"
-                " VALUES (?, ?, ?, ?, ?, ?)",
+                "INSERT INTO meta (key, value) VALUES (?, ?)",
+                [(key, str(value)) for key, value in meta.items()],
+            )
+            seq_of = {doc_id: seq for seq, doc_id in snapshot.doc_ids.items()}
+            forward_row = engine.forward_row
+            connection.executemany(
+                _INSERT_DOCUMENT,
                 (
                     (
-                        shard,
-                        term,
-                        postings.document_frequency,
-                        postings.collection_frequency,
-                        _pack_ints(postings.ordinals),
-                        _pack_ints(postings.tfs),
+                        seq_of[doc.doc_id],
+                        doc.doc_id,
+                        doc.title,
+                        doc.text,
+                        json.dumps(doc.metadata, ensure_ascii=False),
+                        forward_row(doc.doc_id).encode(),
                     )
-                    for term, postings in (
-                        (term, index.postings(term))
-                        for term in index.vocabulary()
-                    )
+                    for doc in collection
                 ),
             )
+            for shard, index in enumerate(snapshot.partitions):
+                seqs = [seq for seq, _ in index.members()]
+                connection.execute(
+                    "INSERT INTO partitions (partition, num_documents, num_terms,"
+                    " num_postings, total_tokens, seqs, lengths, epoch)"
+                    " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                    (
+                        shard,
+                        index.num_documents,
+                        index.num_terms,
+                        index.num_postings,
+                        index.total_tokens,
+                        _pack_ints(seqs),
+                        _pack_ints([index.document_length(seq) for seq in seqs]),
+                        snapshot.epoch,
+                    ),
+                )
+                connection.executemany(
+                    _WRITE_POSTINGS,
+                    (
+                        _postings_row(shard, term, postings.ordinals, postings.tfs)
+                        for term, postings in (
+                            (term, index.postings(term))
+                            for term in index.vocabulary()
+                        )
+                    ),
+                )
         if warm_payloads:
             connection.executemany(
                 "INSERT INTO warm_artifacts (shard, spec_query, payload)"
@@ -337,16 +370,22 @@ def append_epoch(
 ) -> int:
     """Apply one ingest batch to an existing store; returns the new epoch.
 
-    The incremental counterpart of :func:`write_store`: added documents
-    take tail ordinals in batch order, removals compact the ordinal
-    space exactly like a from-scratch build over the survivors, and only
-    the partitions that ``stable_shard`` routes a changed document to
-    have their statistics and postings rows rewritten (tagged with the
-    new epoch, which is what lets a refreshing reader keep the pages of
-    untouched partitions).  ``meta.store_epoch`` advances by one inside
-    the same transaction, so a reader attaching mid-append sees either
-    the old epoch complete or the new epoch complete — never a half-
-    applied batch.
+    The incremental counterpart of :func:`write_store`, in O(the batch):
+    added documents take the next sequence numbers in batch order, a
+    removal deletes its own ``documents`` row, and each ``postings`` row
+    a changed document holds is edited in place — an added document's
+    ``(seq, tf)`` is appended (its seq is the largest, so the row stays
+    sorted), a removed one's entry dropped, an emptied row deleted.  The
+    partitions a changed document hashes to (``stable_shard``) get their
+    member list and statistics rewritten and are tagged with the new
+    epoch, which is what lets a refreshing reader keep the pages of
+    untouched partitions.  Nothing else is read or written.
+
+    The whole append — validation included — is one ``BEGIN IMMEDIATE``
+    transaction, so concurrent writers serialise on the store's write
+    lock and each plans against the epoch it replaces; and a reader
+    attaching mid-append sees either the old epoch complete or the new
+    epoch complete — never a half-applied batch.
 
     Stored warm artifacts are pruned by the same soundness rule the
     serving layer applies: a batch that changes the collection's
@@ -357,9 +396,8 @@ def append_epoch(
 
     *analyzer* must be the pipeline the serving engines use (defaults to
     the stock :class:`Analyzer`): the added documents are analysed here,
-    into forward rows split with the store's own ``window_terms``.
-    Postings of rebuilt partitions are re-counted from the stored rows,
-    not re-analysed.
+    into forward rows split with the store's own ``window_terms``.  A
+    removed document's terms are read off its stored forward row.
     """
     path = Path(path)
     adds = list(add_documents)
@@ -370,184 +408,139 @@ def append_epoch(
     connection = sqlite3.connect(path)
     try:
         connection.execute(f"PRAGMA busy_timeout={_BUSY_TIMEOUT_MS}")
+        # The write lock before the first read: a plan made against an
+        # epoch another writer is replacing would publish a stale batch.
+        connection.execute("BEGIN IMMEDIATE")
         meta = dict(connection.execute("SELECT key, value FROM meta"))
-        version = int(meta.get("schema_version", -1))
-        if version != SCHEMA_VERSION:
-            raise StoreError(
-                f"{path}: store schema version {version} does not match "
-                f"the supported version {SCHEMA_VERSION}; rebuild the "
-                "store with the current offline pipeline"
-            )
+        _check_schema(path, meta)
         num_partitions = int(meta["num_partitions"])
         seed = int(meta["seed"])
-        epoch = int(meta.get("store_epoch", "0"))
-        new_epoch = epoch + 1
-        extractor = SnippetExtractor(
-            window_terms=int(meta["window_terms"]), analyzer=analyzer
-        )
-        old_rows = connection.execute(
-            "SELECT ordinal, doc_id, title, text, metadata, forward"
-            " FROM documents ORDER BY ordinal"
-        ).fetchall()
-        known = {row[1] for row in old_rows}
+        new_epoch = int(meta["store_epoch"]) + 1
+        next_seq = int(meta["next_seq"])
+        wanted = removes + [doc.doc_id for doc in adds]
+        stored: dict[str, tuple[int, bytes]] = {}
+        for at in range(0, len(wanted), _IN_CHUNK):
+            chunk = wanted[at : at + _IN_CHUNK]
+            for seq, doc_id, forward in connection.execute(
+                "SELECT seq, doc_id, forward FROM documents"
+                f" WHERE doc_id IN ({', '.join('?' * len(chunk))})",
+                chunk,
+            ):
+                stored[doc_id] = (seq, forward)
         removed: set[str] = set()
         for doc_id in removes:
             if doc_id in removed:
                 raise StoreError(f"duplicate removal in batch: {doc_id!r}")
-            if doc_id not in known:
+            if doc_id not in stored:
                 raise StoreError(f"cannot remove unknown doc_id: {doc_id!r}")
             removed.add(doc_id)
         added: set[str] = set()
         for doc in adds:
             if doc.doc_id in added:
                 raise StoreError(f"duplicate doc_id in batch: {doc.doc_id!r}")
-            if doc.doc_id in known and doc.doc_id not in removed:
+            if doc.doc_id in stored and doc.doc_id not in removed:
                 raise StoreError(f"doc_id already stored: {doc.doc_id!r}")
             added.add(doc.doc_id)
 
-        # The only text analysed here is the added documents'; survivors
-        # of a rebuilt partition are re-counted from their stored rows.
-        added_rows = {
-            doc.doc_id: extractor.analyse_document(doc) for doc in adds
-        }
-        survivors = [row for row in old_rows if row[1] not in removed]
-        new_docs: list[tuple] = [row[1:] for row in survivors] + [
-            (
-                doc.doc_id,
-                doc.title,
-                doc.text,
-                json.dumps(doc.metadata, ensure_ascii=False),
-                added_rows[doc.doc_id].encode(),
-            )
-            for doc in adds
-        ]
-        new_ordinal_by_id = {
-            fields[0]: ordinal for ordinal, fields in enumerate(new_docs)
-        }
-        changed_ids = removed | added
-        # Every partition a changed document hashes to is rebuilt from
-        # the rows of the documents it now holds.
-        members: dict[int, list[tuple]] = {
-            stable_shard(doc_id, num_partitions, seed): []
-            for doc_id in changed_ids
-        }
-        for fields in new_docs:
-            shard = stable_shard(fields[0], num_partitions, seed)
-            if shard in members:
-                members[shard].append(fields)
-
-        connection.execute("BEGIN IMMEDIATE")
-        if removes:
-            connection.execute("DELETE FROM documents")
-            connection.executemany(
-                _INSERT_DOCUMENT,
-                (
-                    (ordinal, *fields)
-                    for ordinal, fields in enumerate(new_docs)
-                ),
-            )
-        else:
-            base = len(survivors)
-            connection.executemany(
-                _INSERT_DOCUMENT,
-                (
-                    (base + offset, *fields)
-                    for offset, fields in enumerate(new_docs[base:])
-                ),
-            )
-        old_by_ordinal = {r[0]: r[1] for r in old_rows} if removes else {}
-        for shard in range(num_partitions):
-            if shard in members:
-                index = InvertedIndex(analyzer)
-                for doc_id, _title, _text, _metadata, forward in members[shard]:
-                    row = added_rows.get(doc_id)
-                    if row is None:
-                        row = ForwardRow.decode(forward)
-                    index.index_terms(doc_id, row.terms)
-                lengths = [
-                    index.document_length(o)
-                    for o in range(index.num_documents)
-                ]
-                ordinals = [
-                    new_ordinal_by_id[index.doc_id(o)]
-                    for o in range(index.num_documents)
-                ]
-                connection.execute(
-                    "DELETE FROM partitions WHERE partition = ?", (shard,)
-                )
-                connection.execute(
-                    "DELETE FROM postings WHERE partition = ?", (shard,)
-                )
-                connection.execute(
-                    "INSERT INTO partitions (partition, num_documents,"
-                    " num_terms, num_postings, total_tokens, lengths,"
-                    " global_ordinals, epoch)"
-                    " VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                    (
-                        shard,
-                        index.num_documents,
-                        index.num_terms,
-                        index.num_postings,
-                        index.total_tokens,
-                        _pack_ints(lengths),
-                        _pack_ints(ordinals),
-                        new_epoch,
-                    ),
-                )
-                connection.executemany(
-                    "INSERT INTO postings (partition, term, df, cf,"
-                    " ordinals, tfs) VALUES (?, ?, ?, ?, ?, ?)",
-                    (
-                        (
-                            shard,
-                            term,
-                            postings.document_frequency,
-                            postings.collection_frequency,
-                            _pack_ints(postings.ordinals),
-                            _pack_ints(postings.tfs),
-                        )
-                        for term, postings in (
-                            (term, index.postings(term))
-                            for term in index.vocabulary()
-                        )
-                    ),
-                )
-            elif removes:
-                # Untouched postings, but removals shifted the global
-                # ordinal space — remap this partition's blob through the
-                # old ordinal → doc_id → new ordinal chain.  Lengths,
-                # postings pages and the epoch tag stay valid.
-                row = connection.execute(
-                    "SELECT global_ordinals FROM partitions"
-                    " WHERE partition = ?",
-                    (shard,),
-                ).fetchone()
-                remapped = [
-                    new_ordinal_by_id[old_by_ordinal[g]]
-                    for g in _unpack_ints(row[0])
-                ]
-                connection.execute(
-                    "UPDATE partitions SET global_ordinals = ?"
-                    " WHERE partition = ?",
-                    (_pack_ints(remapped), shard),
-                )
-
-        old_tokens = int(meta["total_tokens"])
-        total_tokens = connection.execute(
-            "SELECT SUM(total_tokens) FROM partitions"
-        ).fetchone()[0]
-        stats_changed = (
-            len(new_docs) != len(old_rows) or total_tokens != old_tokens
+        extractor = SnippetExtractor(
+            window_terms=int(meta["window_terms"]), analyzer=analyzer
         )
-        if stats_changed:
+        gone = [
+            (doc_id, stored[doc_id][0], ForwardRow.decode(stored[doc_id][1]))
+            for doc_id in removes
+        ]
+        new = [
+            (doc, next_seq + offset, extractor.analyse_document(doc))
+            for offset, doc in enumerate(adds)
+        ]
+        # Per touched partition (its members' lengths) and per (partition,
+        # term) (its postings' tfs): the seqs leaving, the pairs arriving.
+        members: dict[int, tuple[set[int], list]] = {}
+        postings: dict[tuple[int, str], tuple[set[int], list]] = {}
+        for doc_id, seq, row, arrives in [(*g, False) for g in gone] + [
+            (doc.doc_id, seq, row, True) for doc, seq, row in new
+        ]:
+            shard = stable_shard(doc_id, num_partitions, seed)
+            edits = [(members, shard, len(row.terms))] + [
+                (postings, (shard, term), tf)
+                for term, tf in Counter(row.terms).items()
+            ]
+            for table, key, value in edits:
+                leaving, arriving = table.setdefault(key, (set(), []))
+                if arrives:
+                    arriving.append((seq, value))
+                else:
+                    leaving.add(seq)
+
+        connection.executemany(
+            "DELETE FROM documents WHERE seq = ?", [(seq,) for _, seq, _ in gone]
+        )
+        connection.executemany(
+            _INSERT_DOCUMENT,
+            [
+                (
+                    seq,
+                    doc.doc_id,
+                    doc.title,
+                    doc.text,
+                    json.dumps(doc.metadata, ensure_ascii=False),
+                    row.encode(),
+                )
+                for doc, seq, row in new
+            ],
+        )
+        terms_delta: Counter[int] = Counter()
+        postings_delta: Counter[int] = Counter()
+        for (shard, term), edit in postings.items():
+            df, old_seqs, old_tfs = connection.execute(
+                "SELECT df, seqs, tfs FROM postings WHERE partition = ? AND term = ?",
+                (shard, term),
+            ).fetchone() or (0, b"", b"")
+            seqs, tfs = _edited(old_seqs, old_tfs, *edit)
+            postings_delta[shard] += len(seqs) - df
+            terms_delta[shard] += bool(seqs) - bool(df)
+            if seqs:
+                connection.execute(
+                    _WRITE_POSTINGS, _postings_row(shard, term, seqs, tfs)
+                )
+            else:
+                connection.execute(
+                    "DELETE FROM postings WHERE partition = ? AND term = ?",
+                    (shard, term),
+                )
+        for shard, edit in members.items():
+            old_seqs, old_lengths, num_terms, num_postings = connection.execute(
+                "SELECT seqs, lengths, num_terms, num_postings FROM partitions"
+                " WHERE partition = ?",
+                (shard,),
+            ).fetchone()
+            seqs, lengths = _edited(old_seqs, old_lengths, *edit)
+            connection.execute(
+                "UPDATE partitions SET num_documents = ?, num_terms = ?,"
+                " num_postings = ?, total_tokens = ?, seqs = ?, lengths = ?,"
+                " epoch = ? WHERE partition = ?",
+                (
+                    len(seqs),
+                    num_terms + terms_delta[shard],
+                    num_postings + postings_delta[shard],
+                    sum(lengths),
+                    _pack_ints(seqs),
+                    _pack_ints(lengths),
+                    new_epoch,
+                    shard,
+                ),
+            )
+
+        tokens_delta = sum(len(r.terms) for _, _, r in new) - sum(
+            len(r.terms) for _, _, r in gone
+        )
+        if len(adds) != len(removes) or tokens_delta:  # N or avg_dl moved
             connection.execute("DELETE FROM warm_artifacts")
         else:
-            changed_terms = set()
-            for row in added_rows.values():
-                changed_terms.update(row.terms)
-            for row in old_rows:
-                if row[1] in removed:
-                    changed_terms.update(ForwardRow.decode(row[5]).terms)
+            changed_terms = {
+                term for _, _, row in gone + new for term in row.terms
+            }
+            changed_ids = removed | added
             doomed = []
             for shard_key, spec_query, payload in connection.execute(
                 "SELECT shard, spec_query, payload FROM warm_artifacts"
@@ -563,12 +556,14 @@ def append_epoch(
                 doomed,
             )
 
+        num_documents = int(meta["num_documents"]) + len(adds) - len(removes)
         connection.executemany(
             "UPDATE meta SET value = ? WHERE key = ?",
             (
-                (str(len(new_docs)), "num_documents"),
-                (str(int(total_tokens or 0)), "total_tokens"),
+                (str(num_documents), "num_documents"),
+                (str(int(meta["total_tokens"]) + tokens_delta), "total_tokens"),
                 (str(new_epoch), "store_epoch"),
+                (str(next_seq + len(adds)), "next_seq"),
             ),
         )
         connection.commit()
@@ -642,21 +637,11 @@ class IndexStore:
                 f"{self.path}: not a repro index store ({exc})"
             ) from exc
         self._meta = dict(rows)
-        raw = self._meta.get("schema_version")
-        if raw is None:
+        try:
+            _check_schema(self.path, self._meta)
+        except StoreError:
             self.close()
-            raise StoreError(
-                f"{self.path}: store has no schema_version "
-                f"(expected {SCHEMA_VERSION})"
-            )
-        version = int(raw)
-        if version != SCHEMA_VERSION:
-            self.close()
-            raise StoreError(
-                f"{self.path}: store schema version {version} does not "
-                f"match the supported version {SCHEMA_VERSION}; rebuild "
-                "the store with the current offline pipeline"
-            )
+            raise
 
     def close(self) -> None:
         with self._lock:
@@ -697,6 +682,11 @@ class IndexStore:
         return int(self._meta.get("store_epoch", "0"))
 
     @property
+    def next_seq(self) -> int:
+        """The sequence number the next added document will get."""
+        return int(self._meta["next_seq"])
+
+    @property
     def window_terms(self) -> int:
         """The extractor window size the stored forward rows were split
         with; an engine attaching with another would serve different
@@ -720,39 +710,29 @@ class IndexStore:
         return int(row[0])
 
     def partition_table(self) -> list[tuple]:
-        """Per partition, in partition order: ``(epoch, global ordinals,
-        num_documents, num_terms, num_postings, total_tokens)`` — all an
-        attach or a refresh reads of them, in one statement."""
-        return [
-            (row[0], _unpack_ints(row[1]), *row[2:])
-            for row in self._fetchall(
-                "SELECT epoch, global_ordinals, num_documents, num_terms,"
-                " num_postings, total_tokens FROM partitions ORDER BY partition"
-            )
-        ]
-
-    def lengths(self, partition: int) -> list[int]:
-        row = self._fetchone(
-            "SELECT lengths FROM partitions WHERE partition = ?", (partition,)
+        """Per partition, in partition order: ``(epoch, num_documents,
+        num_terms, num_postings, total_tokens)`` — all an attach or a
+        refresh reads of them, in one statement."""
+        return self._fetchall(
+            "SELECT epoch, num_documents, num_terms, num_postings,"
+            " total_tokens FROM partitions ORDER BY partition"
         )
-        if row is None:
-            raise StoreError(f"{self.path}: no partition {partition}")
-        return _unpack_ints(row[0])
 
-    def global_ordinals(self, partition: int) -> list[int]:
+    def lengths(self, partition: int) -> dict[int, int]:
+        """``seq -> document length`` of *partition*'s members."""
         row = self._fetchone(
-            "SELECT global_ordinals FROM partitions WHERE partition = ?",
+            "SELECT seqs, lengths FROM partitions WHERE partition = ?",
             (partition,),
         )
         if row is None:
             raise StoreError(f"{self.path}: no partition {partition}")
-        return _unpack_ints(row[0])
+        return dict(zip(_unpack_ints(row[0]), _unpack_ints(row[1])))
 
     # -- postings -----------------------------------------------------------
 
     def postings(self, partition: int, term: str) -> PostingList | None:
         row = self._fetchone(
-            "SELECT cf, ordinals, tfs FROM postings"
+            "SELECT cf, seqs, tfs FROM postings"
             " WHERE partition = ? AND term = ?",
             (partition, term),
         )
@@ -785,29 +765,25 @@ class IndexStore:
 
     def document_row(self, doc_id: str) -> tuple | None:
         return self._fetchone(
-            "SELECT ordinal, title, text, metadata, forward FROM documents"
+            "SELECT seq, title, text, metadata, forward FROM documents"
             " WHERE doc_id = ?",
             (doc_id,),
         )
 
-    def doc_id_at(self, ordinal: int) -> str | None:
-        row = self._fetchone(
-            "SELECT doc_id FROM documents WHERE ordinal = ?", (ordinal,)
-        )
+    def doc_id_at(self, seq: int) -> str | None:
+        row = self._fetchone("SELECT doc_id FROM documents WHERE seq = ?", (seq,))
         return row[0] if row is not None else None
 
-    def ordinal_of(self, doc_id: str) -> int | None:
+    def seq_of(self, doc_id: str) -> int | None:
         row = self._fetchone(
-            "SELECT ordinal FROM documents WHERE doc_id = ?", (doc_id,)
+            "SELECT seq FROM documents WHERE doc_id = ?", (doc_id,)
         )
         return row[0] if row is not None else None
 
     def doc_ids(self) -> list[str]:
         return [
             row[0]
-            for row in self._fetchall(
-                "SELECT doc_id FROM documents ORDER BY ordinal"
-            )
+            for row in self._fetchall("SELECT doc_id FROM documents ORDER BY seq")
         ]
 
     # -- warm artifacts ------------------------------------------------------
@@ -950,8 +926,8 @@ class StoreBackedInvertedIndex:
     """One stored partition behind the ``InvertedIndex`` read surface.
 
     Postings page in on demand through the shared
-    :class:`PostingPageCache`; document lengths and identifiers load
-    lazily and can be dropped again by :meth:`evict` (the
+    :class:`PostingPageCache`; document lengths load lazily and can be
+    dropped again by :meth:`evict` (the
     :class:`~repro.retrieval.sharding.MemoryBudget` hook) — everything
     pages back in transparently, so eviction never changes a result.
     """
@@ -973,7 +949,7 @@ class StoreBackedInvertedIndex:
             self._num_postings,
             self._total_tokens,
         ) = stats
-        self._lengths: list[int] | None = None
+        self._lengths: dict[int, int] | None = None
 
     # -- statistics (exact ints, straight from the partitions table) -------
 
@@ -1001,7 +977,7 @@ class StoreBackedInvertedIndex:
 
     # -- documents ----------------------------------------------------------
 
-    def _doc_lengths(self) -> list[int]:
+    def _doc_lengths(self) -> dict[int, int]:
         lengths = self._lengths
         if lengths is None:
             # Benign race under threads: both loaders read identical data.
@@ -1009,15 +985,13 @@ class StoreBackedInvertedIndex:
             self._lengths = lengths
         return lengths
 
-    def document_length(self, ordinal: int) -> int:
-        return self._doc_lengths()[ordinal]
+    def _lengths_bytes(self) -> int:
+        if self._lengths is None:
+            return 0
+        return sys.getsizeof(self._lengths) + 2 * len(self._lengths) * _INT_BYTES
 
-    def doc_id(self, ordinal: int) -> str:
-        global_ordinal = self._store.global_ordinals(self.partition)[ordinal]
-        doc_id = self._store.doc_id_at(global_ordinal)
-        if doc_id is None:
-            raise IndexError(f"no document at partition ordinal {ordinal}")
-        return doc_id
+    def document_length(self, seq: int) -> int:
+        return self._doc_lengths()[seq]
 
     # -- postings -----------------------------------------------------------
 
@@ -1049,12 +1023,7 @@ class StoreBackedInvertedIndex:
 
     def resident_bytes(self) -> int:
         """Estimated bytes this partition holds in RAM right now."""
-        total = self._page_cache.partition_bytes(self.partition)
-        if self._lengths is not None:
-            total += (
-                sys.getsizeof(self._lengths) + len(self._lengths) * _INT_BYTES
-            )
-        return total
+        return self._page_cache.partition_bytes(self.partition) + self._lengths_bytes()
 
     def evict(self) -> int:
         """Drop this partition's resident state; returns bytes freed.
@@ -1063,11 +1032,8 @@ class StoreBackedInvertedIndex:
         eviction trades next-query latency for memory — never results.
         """
         freed = self._page_cache.evict_partitions((self.partition,))
-        if self._lengths is not None:
-            freed += (
-                sys.getsizeof(self._lengths) + len(self._lengths) * _INT_BYTES
-            )
-            self._lengths = None
+        freed += self._lengths_bytes()
+        self._lengths = None
         return freed
 
     def memory_estimate(self) -> dict[str, int]:
@@ -1075,11 +1041,7 @@ class StoreBackedInvertedIndex:
         shape.  Vocabulary stays on disk (never paged in wholesale), so
         its resident price is zero."""
         postings_bytes = self._page_cache.partition_bytes(self.partition)
-        documents_bytes = 0
-        if self._lengths is not None:
-            documents_bytes += (
-                sys.getsizeof(self._lengths) + len(self._lengths) * _INT_BYTES
-            )
+        documents_bytes = self._lengths_bytes()
         return {
             "postings_bytes": postings_bytes,
             "vocabulary_bytes": 0,
@@ -1101,8 +1063,8 @@ class StoreBackedCollection:
     small LRU) when snippets or result mapping need them — the bulk of
     why attach is O(1) in collection size.  A row's forward-index blob
     is decoded with it and shares its LRU entry.  Entries are keyed by
-    doc_id, which an epoch does not move (ordinals it does), and carry
-    their partition so a refresh can keep those it did not rewrite:
+    doc_id and carry their partition so a refresh can keep those it did
+    not rewrite:
     *carried* is ``(doc_id, entry)`` pairs copied from the previous
     epoch's collection.
     """
@@ -1117,7 +1079,6 @@ class StoreBackedCollection:
         self._num_documents = store.num_documents
         # doc_id -> ((ForwardRow, Document), partition)
         self._entries = LRUCache(cache_size, carried)
-        self._doc_ids = LRUCache(cache_size)  # this epoch's ordinal -> doc_id
 
     def cached_entries(self, partitions: Collection[int]) -> list[tuple]:
         """The cached ``(doc_id, entry)`` pairs of documents in
@@ -1143,23 +1104,7 @@ class StoreBackedCollection:
             shard = stable_shard(doc_id, store.num_partitions, store.seed)
             entry = ((ForwardRow.decode(row[4]), document), shard)
             self._entries.put(doc_id, entry)
-            self._doc_ids.put(row[0], doc_id)
         return entry[0]
-
-    def by_ordinal(self, ordinal: int) -> Document:
-        doc_id = self._doc_ids.get(ordinal)
-        if doc_id is None:
-            doc_id = self._store.doc_id_at(ordinal)
-            if doc_id is None:
-                raise IndexError(f"ordinal out of range: {ordinal}")
-            self._doc_ids.put(ordinal, doc_id)
-        return self[doc_id]
-
-    def ordinal(self, doc_id: str) -> int:
-        ordinal = self._store.ordinal_of(doc_id)
-        if ordinal is None:
-            raise KeyError(doc_id)
-        return ordinal
 
     def __getitem__(self, doc_id: str) -> Document:
         return self.forward_entry(doc_id)[1]
@@ -1171,7 +1116,7 @@ class StoreBackedCollection:
             return default
 
     def __contains__(self, doc_id: str) -> bool:
-        return doc_id in self._entries or self._store.ordinal_of(doc_id) is not None
+        return doc_id in self._entries or self._store.seq_of(doc_id) is not None
 
     def __len__(self) -> int:
         return self._num_documents
@@ -1181,19 +1126,40 @@ class StoreBackedCollection:
 
     @property
     def doc_ids(self) -> list[str]:
-        """Every doc_id in ordinal order — a full store scan; meant for
+        """Every doc_id in sequence order — a full store scan; meant for
         validation and tests, not the serving path."""
         return self._store.doc_ids()
+
+
+class StoredDocIds:
+    """``seq -> doc_id`` of a store, through an LRU.
+
+    One instance serves every snapshot of an engine: a seq is never
+    reused, so a cached entry stays true across ``refresh()`` and a
+    repeated query after an unrelated epoch resolves without a probe.
+    """
+
+    def __init__(self, store: IndexStore, cache_size: int) -> None:
+        self._store = store
+        self._cache = LRUCache(cache_size)
+
+    def __getitem__(self, seq: int) -> str:
+        doc_id = self._cache.get(seq)
+        if doc_id is None:
+            doc_id = self._store.doc_id_at(seq)
+            if doc_id is None:
+                raise KeyError(seq)
+            self._cache.put(seq, doc_id)
+        return doc_id
 
 
 class StoreBackedSearchEngine(SearchEngine):
     """An engine attached to an :class:`IndexStore`.
 
-    Construction is O(attach): open the store read-only, read the
-    per-partition statistics rows and the (small) local→global ordinal
-    maps — no documents, no postings.  The identity-critical
-    :meth:`~repro.retrieval.engine.SearchEngine.search` is
-    inherited unchanged; because every statistic round-trips as exact
+    Construction is O(attach): open the store read-only and read the
+    per-partition statistics rows — no documents, no postings, no ids.
+    The identity-critical :meth:`~repro.retrieval.engine.SearchEngine.search`
+    is inherited unchanged; because every statistic round-trips as exact
     integers and ``avg_dl`` is the same ``total_tokens / num_documents``
     division, scores are byte-identical to the in-memory build.
 
@@ -1242,6 +1208,7 @@ class StoreBackedSearchEngine(SearchEngine):
                 "window size or rebuild the store"
             )
         self.page_cache = PostingPageCache(page_cache_bytes)
+        self._doc_ids = StoredDocIds(store, document_cache_size)
         self._snapshot = self._attach_snapshot(previous=None)
         if memory_budget is not None:
             self.set_memory_budget(memory_budget)
@@ -1260,7 +1227,8 @@ class StoreBackedSearchEngine(SearchEngine):
         its partition's tag forward, so the new collection view starts
         with a *copy* of the previous one's entries in kept partitions
         (a copy: a query still pinned to *previous* cannot write into
-        this epoch's cache).  Ordinals are re-read; removals shift them.
+        this epoch's cache).  The seq → doc_id lookup is shared by
+        every snapshot: seqs never move.
         """
         store = self.store
         table = store.partition_table()
@@ -1274,7 +1242,7 @@ class StoreBackedSearchEngine(SearchEngine):
         partitions = [
             previous.partitions[p]
             if p in kept
-            else StoreBackedInvertedIndex(store, p, self.page_cache, table[p][2:])
+            else StoreBackedInvertedIndex(store, p, self.page_cache, table[p][1:])
             for p in shards
         ]
         num_documents = store.num_documents
@@ -1286,9 +1254,9 @@ class StoreBackedSearchEngine(SearchEngine):
                 self._document_cache_size,
                 previous.collection.cached_entries(kept) if kept else (),
             ),
-            partition_collections=(),
             partitions=tuple(partitions),
-            global_ordinals=tuple(tuple(row[1]) for row in table),
+            doc_ids=self._doc_ids,
+            next_seq=store.next_seq,
             num_documents=num_documents,
             total_tokens=total_tokens,
             average_document_length=(
@@ -1352,20 +1320,6 @@ class StoreBackedSearchEngine(SearchEngine):
     def page_cache_info(self) -> PageCacheStats:
         """Live counters of the shared postings page cache."""
         return self.page_cache.stats()
-
-    def memory_estimate(self) -> dict[str, int]:
-        """Estimated *resident* bytes — what is paged in right now, plus
-        the always-resident ordinal maps — in the same shape as the
-        in-memory engine, so rebuild-vs-attach footprints compare
-        directly."""
-        totals = super().memory_estimate()
-        ordinal_bytes = sum(
-            sys.getsizeof(mapping) + len(mapping) * _INT_BYTES
-            for mapping in self._global_ordinals
-        )
-        totals["documents_bytes"] += ordinal_bytes
-        totals["total_bytes"] += ordinal_bytes
-        return totals
 
     def close(self) -> None:
         self.page_cache.clear()

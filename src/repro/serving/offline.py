@@ -44,10 +44,11 @@ from __future__ import annotations
 
 import dataclasses
 import time
+from collections.abc import Sequence
 
 from repro.retrieval.analysis import Analyzer
 from repro.retrieval.documents import DocumentCollection
-from repro.retrieval.engine import shared_analysis
+from repro.retrieval.engine import partition_seqs, shared_analysis
 from repro.retrieval.index import DocumentIndex
 from repro.retrieval.sharding import (
     BuildReport,
@@ -77,15 +78,22 @@ class _PartitionBuilder:
     """
 
     def __init__(
-        self, part: DocumentCollection, shard: int, extractor: SnippetExtractor
+        self,
+        part: DocumentCollection,
+        seqs: Sequence[int],
+        shard: int,
+        extractor: SnippetExtractor,
     ) -> None:
         self._part = part
+        self._seqs = seqs
         self._shard = shard
         self._extractor = extractor
 
     def build(self) -> tuple[DocumentIndex, BuildReport]:
         start = time.perf_counter()
-        index = DocumentIndex.from_collection(self._part, self._extractor)
+        index = DocumentIndex.from_collection(
+            self._part, self._extractor, seqs=self._seqs
+        )
         seconds = time.perf_counter() - start
         return index, BuildReport.from_index(
             index, seconds, name=f"partition{self._shard}"
@@ -98,9 +106,11 @@ class PartitionBuildFactory:
     phase's counterpart of
     :class:`~repro.serving.sharded.ShardServiceFactory`.
 
-    Holds the already-partitioned sub-collections so every worker
-    indexes exactly the documents the parent's router placed, and the
-    assembled engine is *provably* the serial engine.  The dataclass and
+    Holds the already-partitioned sub-collections, and each document's
+    collection position as its sequence number, so every worker indexes
+    exactly the documents the parent's router placed, numbered as the
+    serial build numbers them, and the assembled engine is *provably*
+    the serial engine.  The dataclass and
     everything it holds pickle, so the factory travels under ``spawn``
     and ``forkserver`` as well as ``fork``.  *snippet_extractor* is the
     engine's (its ``window_terms`` shapes the forward rows the workers
@@ -109,12 +119,15 @@ class PartitionBuildFactory:
     """
 
     partitions: tuple[DocumentCollection, ...]
+    seqs: tuple[tuple[int, ...], ...]
     analyzer: Analyzer
     snippet_extractor: SnippetExtractor | None = None
 
     def __call__(self, shard: int) -> _PartitionBuilder:
         _, extractor = shared_analysis(self.analyzer, self.snippet_extractor)
-        return _PartitionBuilder(self.partitions[shard], shard, extractor)
+        return _PartitionBuilder(
+            self.partitions[shard], self.seqs[shard], shard, extractor
+        )
 
 
 def build_partitioned_engine(
@@ -160,12 +173,13 @@ def build_partitioned_engine(
     analyzer, snippet_extractor = shared_analysis(analyzer, snippet_extractor)
     start = time.perf_counter()
     parts = partition_collection(collection, num_partitions, seed)
+    seqs = partition_seqs(collection, parts)
     resolved = make_backend(
         backend, max_workers=max_workers, start_method=start_method
     )
     try:
         resolved.start(
-            PartitionBuildFactory(tuple(parts), analyzer, snippet_extractor),
+            PartitionBuildFactory(tuple(parts), seqs, analyzer, snippet_extractor),
             num_partitions,
         )
         done = resolved.broadcast("build")

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter
+from collections.abc import Mapping
 
 from repro.retrieval.documents import DocumentCollection
 from repro.retrieval.index import InvertedIndex
@@ -49,3 +50,15 @@ def assert_oracle(engine, documents, query, k):
     got = [(r.doc_id, r.score) for r in engine.search(query, k)]
     want = oracle_search(documents, query, k, engine.model, engine.analyzer)
     assert got == want, (query, got, want)
+
+
+def assert_same_order(got: Mapping[str, int], want: Mapping[str, int]):
+    """Two ordinal assignments (``doc_id -> ordinal``) over the same
+    documents induce the same order: one is the other up to an
+    order-preserving relabelling.  That is all a ranking reads of
+    ordinals — posting order and the ``(score desc, ordinal asc)``
+    tie-break — so a never-reused sequence number may stand in for a
+    from-scratch build's dense position."""
+    __tracebackhide__ = True
+    assert set(got) == set(want)
+    assert sorted(got, key=got.__getitem__) == sorted(want, key=want.__getitem__)

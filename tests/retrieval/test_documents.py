@@ -52,7 +52,6 @@ class TestDocumentCollection:
         coll = DocumentCollection([Document("a", "x"), Document("b", "y")])
         assert coll.ordinal("a") == 0
         assert coll.ordinal("b") == 1
-        assert coll.by_ordinal(1).doc_id == "b"
 
     def test_contains(self):
         coll = DocumentCollection([Document("a", "x")])

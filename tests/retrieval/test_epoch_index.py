@@ -1,10 +1,11 @@
 """Tests for epoch-versioned live updates at the index and engine layer.
 
 The identity contract is byte-level: after any sequence of
-``apply_updates`` batches, the engine must be indistinguishable —
-ordinals, global statistics, rankings AND scores — from a from-scratch
-build over the final collection (survivors in their original insertion
-order, added documents appended in batch order).  The snapshot side of
+``apply_updates`` batches, the engine must be indistinguishable — global
+statistics, rankings AND scores — from a from-scratch build over the
+final collection (survivors in their original insertion order, added
+documents appended in batch order), and its sequence numbers must be
+that build's ordinals up to an order-preserving relabelling.  The snapshot side of
 the contract is isolation: a query pinned to epoch N never observes any
 part of epoch N+1, even when the publish lands mid-query.
 """
@@ -21,6 +22,8 @@ from repro.retrieval.documents import Document, DocumentCollection
 from repro.retrieval.index import InvertedIndex
 from repro.retrieval.sharding import PartitionedSearchEngine
 
+from tests.retrieval.search_oracle import assert_same_order
+
 
 def make_docs(n: int, prefix: str = "d") -> list[Document]:
     vocab = ["apple", "banana", "cherry", "durian", "elder", "fig", "grape"]
@@ -31,20 +34,24 @@ def make_docs(n: int, prefix: str = "d") -> list[Document]:
     return docs
 
 
+def seqs_of(index: InvertedIndex) -> dict[str, int]:
+    return {doc_id: seq for seq, doc_id in index.members()}
+
+
 def assert_indexes_identical(got: InvertedIndex, want: InvertedIndex):
-    """Full structural equality — ids, ordinals, lengths, postings."""
+    """Full structural equality — ids, lengths, postings — with ordinals
+    compared up to an order-preserving relabelling."""
     assert got.num_documents == want.num_documents
     assert got.total_tokens == want.total_tokens
-    assert [got.doc_id(o) for o in range(got.num_documents)] == [
-        want.doc_id(o) for o in range(want.num_documents)
-    ]
-    assert [got.document_length(o) for o in range(got.num_documents)] == [
-        want.document_length(o) for o in range(want.num_documents)
-    ]
+    got_seqs, want_seqs = seqs_of(got), seqs_of(want)
+    assert_same_order(got_seqs, want_seqs)
+    relabel = {got_seqs[doc_id]: want_seqs[doc_id] for doc_id in got_seqs}
+    for seq, doc_id in got.members():
+        assert got.document_length(seq) == want.document_length(relabel[seq])
     assert sorted(got.vocabulary()) == sorted(want.vocabulary())
     for term in want.vocabulary():
         g, w = got.postings(term), want.postings(term)
-        assert g.ordinals == w.ordinals, term
+        assert [relabel[seq] for seq in g.ordinals] == w.ordinals, term
         assert g.tfs == w.tfs, term
         assert g.collection_frequency == w.collection_frequency, term
 
@@ -101,8 +108,35 @@ class TestIndexRemoval:
         clone.index_document(Document("extra", "apple zebra"))
         assert index.num_documents == 6
         assert "zebra" not in index
-        assert index.ordinal("d3") == 3
-        assert clone.ordinal("d3") == 2
+        # Removal renumbers nothing: d3 keeps its seq in both.
+        assert index.ordinal("d3") == clone.ordinal("d3") == 3
+        survivors = [d for d in make_docs(6) if d.doc_id != "d2"]
+        rebuilt = InvertedIndex.from_collection(
+            DocumentCollection(survivors + [Document("extra", "apple zebra")])
+        )
+        assert_same_order(seqs_of(clone), seqs_of(rebuilt))
+
+    def test_removed_seq_is_never_reissued(self):
+        index = InvertedIndex.from_collection(DocumentCollection(make_docs(4)))
+        last = index.remove_document("d3")
+        assert last == 3
+        assert index.index_document(Document("n0", "apple")) == 4
+        assert index.remove_document("n0") == 4
+        assert index.index_document(Document("d3", "fig")) == 5
+        assert sorted(seqs_of(index).values()) == [0, 1, 2, 5]
+
+    def test_reingested_document_gets_a_seq_above_every_live_one(self):
+        index = InvertedIndex.from_collection(DocumentCollection(make_docs(5)))
+        index.remove_document("d1")
+        seq = index.index_document(make_docs(5)[1])
+        assert seq > max(s for d, s in seqs_of(index).items() if d != "d1")
+
+    def test_explicit_seq_below_the_next_is_refused(self):
+        index = InvertedIndex.from_collection(DocumentCollection(make_docs(3)))
+        with pytest.raises(ValueError, match="below the next"):
+            index.index_document(Document("n0", "apple"), seq=2)
+        assert index.index_document(Document("n0", "apple"), seq=10) == 10
+        assert index.index_document(Document("n1", "apple")) == 11
 
 
 @pytest.fixture()

@@ -30,6 +30,7 @@ from repro.retrieval.store import (
     append_epoch,
     write_store,
 )
+from tests.retrieval.search_oracle import assert_same_order
 
 PARTITIONS = 3
 PROBES = ["apple running", "banana fig relational", "cherry", "the of"]
@@ -173,12 +174,13 @@ class TestRowsFollowMutation:
             assert index.forward_row(document.doc_id) == rebuilt.forward_row(
                 document.doc_id
             )
-            assert index.ordinal(document.doc_id) == rebuilt.ordinal(
-                document.doc_id
-            )
             assert index.forward_row(document.doc_id).starts == (
                 rebuilt.forward_row(document.doc_id).starts
             )
+        assert_same_order(
+            {d.doc_id: index.ordinal(d.doc_id) for d in final},
+            {d.doc_id: rebuilt.ordinal(d.doc_id) for d in final},
+        )
         # The copy taken before the mutations still holds the old rows.
         assert snapshot.num_documents == 9
         assert snapshot.forward_row("d2") == DocumentIndex.from_collection(
@@ -321,7 +323,7 @@ class TestStoreSchema:
             ),
         )
         self._downgrade_to_v2(path)
-        assert SCHEMA_VERSION == 4
+        assert SCHEMA_VERSION == 5
         for attempt in (
             lambda: StoreBackedSearchEngine(path),
             lambda: append_epoch(path, make_docs(1, prefix="n")),
@@ -330,7 +332,7 @@ class TestStoreSchema:
                 attempt()
             message = str(exc_info.value)
             assert "old.sqlite3" in message
-            assert "version 2" in message and "version 4" in message
+            assert "version 2" in message and "version 5" in message
 
     def test_v3_store_is_rejected_naming_both_versions(self, tmp_path):
         path = write_store(
@@ -339,16 +341,16 @@ class TestStoreSchema:
                 DocumentCollection(make_docs(6)), num_partitions=PARTITIONS
             ),
         )
-        # What the previous commit wrote: four lists per forward blob.
+        # What a v3 writer wrote: four lists per forward blob.
         connection = sqlite3.connect(path)
-        for ordinal, blob in connection.execute(
-            "SELECT ordinal, forward FROM documents"
+        for seq, blob in connection.execute(
+            "SELECT seq, forward FROM documents"
         ).fetchall():
             lists = json.loads(blob)
             assert len(lists) == 5
             connection.execute(
-                "UPDATE documents SET forward = ? WHERE ordinal = ?",
-                (json.dumps(lists[:4]).encode("utf-8"), ordinal),
+                "UPDATE documents SET forward = ? WHERE seq = ?",
+                (json.dumps(lists[:4]).encode("utf-8"), seq),
             )
         connection.execute(
             "UPDATE meta SET value = '3' WHERE key = 'schema_version'"
@@ -363,7 +365,7 @@ class TestStoreSchema:
                 attempt()
             message = str(exc_info.value)
             assert "v3.sqlite3" in message
-            assert "version 3" in message and "version 4" in message
+            assert "version 3" in message and "version 5" in message
 
     def test_window_terms_mismatch_is_a_typed_error(self, tmp_path):
         built = PartitionedSearchEngine(

@@ -205,7 +205,12 @@ class TestPrebuiltPartitionIndexes:
         parts = partition_collection(collection, num_partitions)
         extractor = SnippetExtractor(analyzer=analyzer)
         indexes = [
-            DocumentIndex.from_collection(part, extractor) for part in parts
+            DocumentIndex.from_collection(
+                part,
+                extractor,
+                seqs=[collection.ordinal(d.doc_id) for d in part],
+            )
+            for part in parts
         ]
         return parts, indexes
 
@@ -235,10 +240,16 @@ class TestPrebuiltPartitionIndexes:
         inverted index has none, and rows windowed differently would
         serve different surrogates than a serial build."""
         parts = partition_collection(tiny_collection, 2)
-        plain = [InvertedIndex.from_collection(part) for part in parts]
+        seqs = [[tiny_collection.ordinal(d.doc_id) for d in p] for p in parts]
+        plain = [
+            InvertedIndex.from_collection(part, seqs=part_seqs)
+            for part, part_seqs in zip(parts, seqs)
+        ]
         rewindowed = [
-            DocumentIndex.from_collection(part, SnippetExtractor(window_terms=5))
-            for part in parts
+            DocumentIndex.from_collection(
+                part, SnippetExtractor(window_terms=5), seqs=part_seqs
+            )
+            for part, part_seqs in zip(parts, seqs)
         ]
         for indexes in (plain, rewindowed):
             with pytest.raises(ValueError, match="window_terms"):
@@ -247,6 +258,20 @@ class TestPrebuiltPartitionIndexes:
                     partition_collections=parts,
                     partition_indexes=indexes,
                 )
+
+    def test_indexes_numbered_apart_from_the_collection_rejected(
+        self, tiny_collection
+    ):
+        """Partitions post collection-wide sequence numbers: an index
+        numbered from 0 on its own would collide with its neighbours."""
+        parts = partition_collection(tiny_collection, 2)
+        local = [DocumentIndex.from_collection(part) for part in parts]
+        with pytest.raises(ValueError, match="collection positions"):
+            PartitionedSearchEngine(
+                tiny_collection, 2,
+                partition_collections=parts,
+                partition_indexes=local,
+            )
 
     def test_partition_count_mismatch_rejected(self, tiny_collection):
         parts, indexes = self._parts_and_indexes(tiny_collection, 2, None)

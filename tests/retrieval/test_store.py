@@ -288,6 +288,35 @@ class TestSchemaValidation:
         assert "0" in message
         assert str(SCHEMA_VERSION) in message
 
+    def test_v4_store_refused_by_reader_and_writer_unmodified(
+        self, tmp_path, tiny_collection
+    ):
+        path = write_store(
+            tmp_path / "v4.sqlite3", PartitionedSearchEngine(tiny_collection, 2)
+        )
+        # What a v4 writer left: dense ordinals, global-ordinal maps, no
+        # next_seq.
+        conn = sqlite3.connect(path)
+        conn.execute("ALTER TABLE documents RENAME COLUMN seq TO ordinal")
+        conn.execute("ALTER TABLE partitions RENAME COLUMN seqs TO global_ordinals")
+        conn.execute("DELETE FROM meta WHERE key = 'next_seq'")
+        conn.execute("UPDATE meta SET value = '4' WHERE key = 'schema_version'")
+        conn.commit()
+        conn.close()
+        before = path.read_bytes()
+        assert SCHEMA_VERSION == 5
+        for attempt in (
+            lambda: IndexStore(path),
+            lambda: append_epoch(path, [Document("n0", "apple")], ["banana"]),
+        ):
+            with pytest.raises(StoreError) as excinfo:
+                attempt()
+            message = str(excinfo.value)
+            assert "v4.sqlite3" in message
+            assert "version 4" in message and "version 5" in message
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["v4.sqlite3"]
+
     def test_missing_file_fails(self, tmp_path):
         with pytest.raises(StoreError):
             IndexStore(tmp_path / "missing.sqlite3")

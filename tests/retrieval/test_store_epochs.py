@@ -12,11 +12,14 @@ been rolled back behind the epoch it needs.
 from __future__ import annotations
 
 import pickle
+import sqlite3
+import threading
 
 import pytest
 
+from repro.retrieval.analysis import Analyzer
 from repro.retrieval.documents import Document, DocumentCollection
-from repro.retrieval.sharding import PartitionedSearchEngine
+from repro.retrieval.sharding import PartitionedSearchEngine, stable_shard
 from repro.retrieval.store import (
     IndexStore,
     StaleEpochError,
@@ -25,6 +28,7 @@ from repro.retrieval.store import (
     append_epoch,
     write_store,
 )
+from tests.retrieval.search_oracle import assert_same_order
 
 PARTITIONS = 3
 PROBES = ["apple", "banana fig", "cherry grape", "durian elder apple"]
@@ -54,6 +58,40 @@ def assert_engines_identical(got, want, queries=PROBES):
         assert g.scores == w.scores, query
 
 
+def assert_stores_identical(got_path, want_path):
+    """Every stored statistic, length and posting of *got_path* equals
+    *want_path*'s, with seqs compared up to an order-preserving
+    relabelling."""
+    got, want = IndexStore(got_path), IndexStore(want_path)
+    try:
+        assert (got.num_documents, got.total_tokens) == (
+            want.num_documents,
+            want.total_tokens,
+        )
+        got_seqs = {d: got.seq_of(d) for d in got.doc_ids()}
+        want_seqs = {d: want.seq_of(d) for d in want.doc_ids()}
+        assert_same_order(got_seqs, want_seqs)
+        relabel = {got_seqs[d]: want_seqs[d] for d in got_seqs}
+        assert [row[1:] for row in got.partition_table()] == [
+            row[1:] for row in want.partition_table()
+        ]
+        for p in range(got.num_partitions):
+            assert {relabel[s]: n for s, n in got.lengths(p).items()} == (
+                want.lengths(p)
+            )
+            assert got.vocabulary(p) == want.vocabulary(p)
+            for term in want.vocabulary(p):
+                g, w = got.postings(p, term), want.postings(p, term)
+                assert [relabel[s] for s in g.ordinals] == w.ordinals, term
+                assert (g.tfs, g.collection_frequency) == (
+                    w.tfs,
+                    w.collection_frequency,
+                ), term
+    finally:
+        got.close()
+        want.close()
+
+
 class TestAppendEpoch:
     def test_append_identical_to_rewritten_store(self, tmp_path):
         docs = make_docs(18)
@@ -74,6 +112,20 @@ class TestAppendEpoch:
         assert live.epoch == 2
         assert live.collection.doc_ids == fresh.collection.doc_ids
         assert_engines_identical(live, fresh)
+        assert_stores_identical(incremental, scratch)
+
+    def test_batch_larger_than_one_id_chunk(self, tmp_path):
+        docs = make_docs(8)
+        path = tmp_path / "store.sqlite3"
+        build_store(path, docs)
+        adds = make_docs(600, prefix="n")
+        append_epoch(path, adds, ["d7"])  # 601 ids: two chunks
+        append_epoch(path, (), ["n599", "n550", "d0"])
+        removed = {"d7", "n599", "n550", "d0"}
+        final = [d for d in docs + adds if d.doc_id not in removed]
+        scratch = tmp_path / "scratch.sqlite3"
+        build_store(scratch, final)
+        assert_stores_identical(path, scratch)
 
     def test_untouched_partitions_keep_their_epoch_tag(self, tmp_path):
         path = tmp_path / "store.sqlite3"
@@ -105,6 +157,10 @@ class TestAppendEpoch:
             )
         with pytest.raises(StoreError, match="already stored"):
             append_epoch(path, [Document("d2", "a b")], ())
+        # The batch's stored rows are read in bounded IN (...) chunks; a
+        # clash past the first chunk is still caught.
+        with pytest.raises(StoreError, match="already stored: 'd5'"):
+            append_epoch(path, make_docs(600, prefix="n") + make_docs(6)[5:], ())
         # No failed attempt advanced the epoch.
         store = IndexStore(path)
         try:
@@ -125,6 +181,123 @@ class TestAppendEpoch:
         fresh = StoreBackedSearchEngine(scratch)
         assert live.collection.doc_ids == fresh.collection.doc_ids
         assert_engines_identical(live, fresh, PROBES + ["zebra"])
+        assert_stores_identical(path, scratch)
+
+    def test_reingested_document_gets_a_seq_above_every_live_one(self, tmp_path):
+        path = tmp_path / "store.sqlite3"
+        build_store(path, make_docs(10))
+        append_epoch(path, (), ["d4"])
+        append_epoch(path, [Document("d4", "fig")], ["d9"])
+        store = IndexStore(path)
+        try:
+            seqs = {d: store.seq_of(d) for d in store.doc_ids()}
+            assert seqs["d4"] == 10 == max(seqs.values())
+            assert store.next_seq == 11
+        finally:
+            store.close()
+
+
+class CountingConnection(sqlite3.Connection):
+    """Records ``total_changes`` of every connection when it closes."""
+
+    closed: list[int] = []
+
+    def close(self):
+        CountingConnection.closed.append(self.total_changes)
+        super().close()
+
+
+class TestAppendIsODelta:
+    BATCH = [Document("n0", "apple zebra yak"), Document("n1", "fig quince")]
+
+    def changes_of_append(self, tmp_path, monkeypatch, n: int) -> int:
+        path = tmp_path / f"n{n}.sqlite3"
+        build_store(path, make_docs(n))  # no warm artifacts to prune
+        real_connect = sqlite3.connect
+        monkeypatch.setattr(
+            sqlite3,
+            "connect",
+            lambda *args, **kw: real_connect(*args, factory=CountingConnection, **kw),
+        )
+        CountingConnection.closed = []
+        append_epoch(path, self.BATCH, ["d0"])
+        monkeypatch.setattr(sqlite3, "connect", real_connect)
+        (changes,) = CountingConnection.closed
+        return changes
+
+    def test_rows_written_do_not_grow_with_the_collection(
+        self, tmp_path, monkeypatch
+    ):
+        small = self.changes_of_append(tmp_path, monkeypatch, 200)
+        large = self.changes_of_append(tmp_path, monkeypatch, 2000)
+        analyzer = Analyzer()
+        pairs = {
+            (stable_shard(doc.doc_id, PARTITIONS), term)
+            for doc in self.BATCH + make_docs(1)
+            for term in analyzer.analyze(doc.full_text)
+        }
+        touched = {shard for shard, _ in pairs}
+        # documents: 1 delete + 2 inserts; meta: num_documents,
+        # total_tokens, store_epoch, next_seq; one row per touched
+        # partition and per changed (partition, term).
+        assert small == large == 3 + 4 + len(touched) + len(pairs)
+
+
+class PausingAnalyzer(Analyzer):
+    """Blocks in its first document analysis until released."""
+
+    def __init__(self):
+        super().__init__()
+        self.entered = threading.Event()
+        self.release = threading.Event()
+
+    def analyze_with_ends(self, text):
+        if not self.entered.is_set():
+            self.entered.set()
+            assert self.release.wait(10)
+        return super().analyze_with_ends(text)
+
+
+class TestConcurrentWriters:
+    def test_second_writer_waits_for_the_first(self, tmp_path):
+        path = tmp_path / "store.sqlite3"
+        docs = make_docs(12)
+        build_store(path, docs)
+        first = Document("a1", "apple zebra")
+        second = Document("b1", "banana yak")
+        epochs, errors = [], []
+
+        def write(*args, **kw):
+            try:
+                epochs.append(append_epoch(path, *args, **kw))
+            except BaseException as exc:  # surfaced by the asserts below
+                errors.append(exc)
+
+        pausing = PausingAnalyzer()
+        writer_a = threading.Thread(
+            target=write, args=([first], ["d1"]), kwargs={"analyzer": pausing}
+        )
+        writer_a.start()
+        assert pausing.entered.wait(10)  # A holds the lock, mid-analysis
+        writer_b = threading.Thread(target=write, args=([second],))
+        writer_b.start()
+        writer_b.join(0.5)
+        assert writer_b.is_alive() and not epochs  # B waits on the lock
+        pausing.release.set()
+        writer_a.join(10)
+        writer_b.join(10)
+        assert not writer_a.is_alive() and not writer_b.is_alive()
+        assert not errors
+        assert sorted(epochs) == [1, 2]
+        live = StoreBackedSearchEngine(path)
+        assert live.epoch == 2
+        assert live.search("zebra", 5).doc_ids == ["a1"]
+        assert live.search("yak", 5).doc_ids == ["b1"]
+        final = [d for d in docs if d.doc_id != "d1"] + [first, second]
+        assert live.collection.doc_ids == [d.doc_id for d in final]
+        scratch = tmp_path / "scratch.sqlite3"
+        build_store(scratch, final)
+        assert_stores_identical(path, scratch)
 
 
 class TestRefresh:

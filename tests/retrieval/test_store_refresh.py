@@ -16,6 +16,7 @@ from repro.retrieval.store import (
     append_epoch,
     write_store,
 )
+from tests.retrieval.search_oracle import assert_same_order
 
 PARTITIONS = 4
 WORDS = ["apple", "banana", "cherry", "durian", "elder", "fig", "grape"]
@@ -101,11 +102,12 @@ class TestRowsAcrossRefresh:
         assert refetched == [d.doc_id for d in docs if shard_of(d.doc_id) == 2]
         assert refetched  # the partition was not empty
 
-    def test_search_results_map_through_this_epochs_ordinals(
+    def test_search_results_keep_their_seqs_across_a_removal(
         self, engine, store_path, docs, calls
     ):
-        """A removal shifts every later ordinal; doc_ids are resolved
-        against the refreshed epoch, rows still come from the cache."""
+        """A removal moves no other document's seq, so the seq → doc_id
+        entries cached before it still resolve the refreshed epoch's
+        results, and rows still come from the cache."""
         before = engine.search("apple banana", 50)
         engine.snippet_vectors("apple banana", before)
         victim = docs[0].doc_id
@@ -116,7 +118,7 @@ class TestRowsAcrossRefresh:
         after = engine.search("apple banana", 50)
         assert victim in before and victim not in after
         assert set(after.doc_ids) == set(before.doc_ids) - {victim}
-        assert calls["doc_id_at"]  # ordinals are this epoch's
+        assert calls["doc_id_at"] == []  # every seq was resolved before
         engine.snippet_vectors("apple banana", after)
         assert {doc_id for (doc_id,) in calls["document_row"]} == {
             d for d in after.doc_ids if shard_of(d) == shard_of(victim)
@@ -143,9 +145,40 @@ class TestRowsAcrossRefresh:
         assert engine.epoch == 2
         assert engine.collection[old.doc_id] == new
         assert engine.forward_row(old.doc_id) == forward_of(new)
-        assert engine.collection.by_ordinal(len(docs) - 1) == new
+        # Re-ingested: after every live document, as a rebuild orders it.
+        store = engine.store
+        final = [d.doc_id for d in docs if d.doc_id != old.doc_id] + [new.doc_id]
+        assert_same_order(
+            {doc_id: store.seq_of(doc_id) for doc_id in final},
+            {doc_id: position for position, doc_id in enumerate(final)},
+        )
         # The view attached before the epochs still serves what it cached.
         assert collection[old.doc_id].text == old.text
+
+    def test_repeated_query_after_an_unrelated_epoch_probes_no_seq(
+        self, engine, store_path, docs, calls
+    ):
+        before = engine.search("apple banana", 50)
+        assert len(calls["doc_id_at"]) == len(before)
+        append_epoch(store_path, [doc_for(1, "zebra yak")])
+        engine.refresh()
+        del calls["doc_id_at"][:]
+        after = engine.search("apple banana", 50)
+        assert after.doc_ids == before.doc_ids
+        assert calls["doc_id_at"] == []
+
+    def test_removed_seq_is_never_reissued(self, engine, store_path, docs):
+        store = engine.store
+        last = docs[-1].doc_id
+        removed_seq = store.seq_of(last)
+        assert removed_seq == store.next_seq - 1
+        append_epoch(store_path, (), [last])
+        append_epoch(store_path, [Document("n0", "fig"), docs[-1]])
+        engine.refresh()
+        assert store.seq_of("n0") == removed_seq + 1
+        assert store.seq_of(last) == removed_seq + 2
+        assert store.doc_id_at(removed_seq) is None
+        assert store.next_seq == removed_seq + 3
 
     def test_older_view_cannot_write_into_the_new_cache(
         self, engine, store_path, docs, calls

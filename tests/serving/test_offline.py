@@ -161,10 +161,14 @@ class TestFactoryPickles:
 
         parts = tuple(partition_collection(collection, 2))
         engine = SearchEngine(collection)
-        factory = PartitionBuildFactory(parts, engine.analyzer)
+        seqs = tuple(
+            tuple(collection.ordinal(d.doc_id) for d in part) for part in parts
+        )
+        factory = PartitionBuildFactory(parts, seqs, engine.analyzer)
         clone = pickle.loads(pickle.dumps(factory))
         index, report = clone(0).build()
         assert index.num_documents == len(parts[0])
+        assert [seq for seq, _ in index.members()] == list(seqs[0])
         assert report.name == "partition0"
 
 
