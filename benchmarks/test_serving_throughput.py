@@ -15,6 +15,7 @@ the end report hot and cold latency without asserting on them.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import multiprocessing
 import random
@@ -32,12 +33,14 @@ from repro.core.optselect import OptSelect
 from repro.core.xquad import XQuAD
 from repro.experiments.offline import PartitionedFrameworkFactory
 from repro.experiments.workloads import zipf_workload
+from repro.retrieval.store import StoreBackedSearchEngine
 from repro.serving import (
     AsyncDiversificationService,
     DiversificationHTTPServer,
     DiversificationService,
     ReplicatedBackend,
     ShardedDiversificationService,
+    persist_store,
     result_payload,
 )
 
@@ -155,22 +158,27 @@ def test_replicated_kill_shard_identity_smoke(trec_workload):
     """2 shards x 2 process replicas, one replica per shard hard-killed
     after the first chunk: every answer — rankings *and* baseline scores
     — equals the fault-free reference, and the respawned replicas
-    hydrate from the donor's warm directory instead of re-mining."""
+    hydrate from the donor's index store instead of re-mining."""
     queries = zipf_workload(trec_workload, 60)
     reference = reference_batch(trec_workload, queries)
     factory = framework_factory(trec_workload)
     shards = 2
-    with tempfile.TemporaryDirectory(prefix="repro-warm-") as warm_dir:
+    with tempfile.TemporaryDirectory(prefix="repro-store-") as store_dir:
         donor = ShardedDiversificationService.from_factory(
             factory, shards, backend="inline"
         )
         donor.warm(queries)
-        donor.save_warm(warm_dir)
+        path = persist_store(
+            f"{store_dir}/index.sqlite3", factory.engine, donor
+        )
         donor.close()
 
+        engine = StoreBackedSearchEngine(path)
         backend = ReplicatedBackend(replicas=2)
         cluster = ShardedDiversificationService.from_factory(
-            factory, shards, backend=backend, warm_artifacts_dir=warm_dir
+            dataclasses.replace(factory, engine=engine),
+            shards,
+            backend=backend,
         )
         try:
             warm = cluster.warm(queries)
@@ -184,10 +192,11 @@ def test_replicated_kill_shard_identity_smoke(trec_workload):
             replica_stats = backend.replication_stats()
         finally:
             cluster.close()
+            engine.close()
     assert_same_answers(reference, served, scores=True)
     respawns = sum(s.respawns_total for s in replica_stats.values())
     assert respawns >= shards  # one kill per shard
-    assert warm.fetched == 0  # hydrated from the donor's warm directory
+    assert warm.fetched == 0  # hydrated from the donor's index store
     assert stats.served == len(queries)
     assert stats.respawns == respawns
     for shard_stats in replica_stats.values():

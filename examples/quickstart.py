@@ -130,16 +130,20 @@ def main() -> None:
     for stats in cluster.shard_stats():
         print(f"   {stats.summary()}")
 
-    # The offline phase is a disk artifact, not a ritual: save the
-    # cluster's warm state, then bring up a *process-backed* cluster —
-    # every shard in its own OS worker — that hydrates from those files
-    # instead of re-deriving the specialization lists.  On a multi-core
-    # host this is the fan-out the GIL cannot serialise; rankings are
-    # identical either way.
-    print("\n8. persisting warm state and rehydrating a process-backed "
+    # The offline phase is a disk artifact, not a ritual: persist the
+    # index and the cluster's warm state into one store file, then bring
+    # up a *process-backed* cluster — every shard in its own OS worker —
+    # over an engine attached to that store.  Each shard hydrates its
+    # specialization lists from the store's rows instead of re-deriving
+    # them.  On a multi-core host this is the fan-out the GIL cannot
+    # serialise; rankings are identical either way.
+    print("\n8. persisting index + warm state and attaching a process-backed "
           "cluster ...")
     import multiprocessing
     import tempfile
+
+    from repro.retrieval.store import StoreBackedSearchEngine
+    from repro.serving import persist_store
 
     if "fork" not in multiprocessing.get_all_start_methods():
         # Without fork the closure factory below cannot reach spawn'd
@@ -147,30 +151,31 @@ def main() -> None:
         # (see repro.experiments.offline.PartitionedFrameworkFactory).
         print("   (skipped: no fork start method on this platform)")
     else:
-        with tempfile.TemporaryDirectory(prefix="repro-warm-") as warm_dir:
-            saved = cluster.save_warm(warm_dir)
+        with tempfile.TemporaryDirectory(prefix="repro-store-") as store_dir:
+            path = persist_store(f"{store_dir}/index.sqlite3", engine, cluster)
+            stored = StoreBackedSearchEngine(path)
             process_cluster = ShardedDiversificationService.from_factory(
                 lambda shard: DiversificationFramework(
-                    engine, miner, OptSelect(), framework.config
+                    stored, miner, OptSelect(), framework.config
                 ),
-                num_shards=4,  # same shard count ⇒ per-shard files line up
+                num_shards=4,  # same shard count ⇒ per-shard rows line up
                 backend="process",
-                warm_artifacts_dir=warm_dir,
             )
             try:
                 report = process_cluster.warm(queries)
-                assert report.fetched == 0  # everything came from disk
+                assert report.fetched == 0  # everything came from the store
                 process_results = process_cluster.diversify_batch(queries)
                 assert [r.ranking for r in process_results] == [
                     cluster_results[q].ranking for q in queries
                 ]
-                print(f"   saved {saved} specialization artifacts; "
-                      f"4 worker processes hydrated them (0 fetched on "
-                      f"warm) and served identical rankings")
+                print(f"   4 worker processes attached {path.name} and "
+                      f"hydrated its warm rows (0 fetched on warm); "
+                      f"rankings identical")
                 print(f"   process cluster: "
                       f"{process_cluster.cluster_stats().summary()}")
             finally:
                 process_cluster.close()
+                stored.close()
 
     # A real front-end gets single queries, not batches: the async
     # admission layer coalesces individual submit() calls under a

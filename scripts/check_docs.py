@@ -9,9 +9,14 @@ Checks, in order:
 3. every ``python -m repro.<module>`` command mentioned in the README
    names a module that actually imports;
 4. the experiment CLIs answer ``--help`` (smoke-run, subprocess per
-   module — catches argparse regressions and import-time crashes);
-5. the ``documents`` schema table and the ``SCHEMA_VERSION`` quoted in
-   ``docs/ARCHITECTURE.md`` match the store's ``_SCHEMA_STATEMENTS``;
+   module — catches argparse regressions and import-time crashes), and
+   every ``--flag`` of a README command (joined across its ``\``
+   continuations) appears in its module's ``--help`` — a deleted flag
+   cannot outlive its code in the README;
+5. every table the store's ``_SCHEMA_STATEMENTS`` creates has a
+   ``### `table``` section in ``docs/ARCHITECTURE.md`` whose column
+   table, and any table-level clause, match the statement, and the
+   ``SCHEMA_VERSION`` quoted there matches the store's;
 6. every backticked dotted path (```repro.core.fast```,
    ```repro.retrieval.index.ImpactMemo```) in either document resolves
    by import plus ``getattr`` — a deleted symbol cannot outlive its code
@@ -44,7 +49,6 @@ REQUIRED_SNIPPETS = [
     "--backend process",
     "--partitions 4",
     "--start-method spawn",
-    "--warm-dir",
     "--store",
     "/documents",
     "REPRO_SPAWN_LANE=1",
@@ -53,7 +57,9 @@ REQUIRED_SNIPPETS = [
     "examples/quickstart.py",
 ]
 
-COMMAND_PATTERN = re.compile(r"python -m (repro(?:\.\w+)+)")
+COMMAND_PATTERN = re.compile(r"python -m (repro(?:\.\w+)+)[^\n`|]*")
+
+FLAG_PATTERN = re.compile(r"(?<![\w-])--[\w-]+")
 
 DOTTED_PATTERN = re.compile(r"`(repro(?:\.\w+)+)`")
 
@@ -63,41 +69,74 @@ def fail(message: str) -> None:
     sys.exit(1)
 
 
-def documented_columns(architecture: str, table: str) -> list[tuple[str, ...]]:
-    """``(column, type, constraints)`` rows of the markdown table under
-    the ``### `table``` heading of the architecture document."""
+def documented_columns(architecture: str, table: str) -> tuple[list, str]:
+    """``(column, type, constraints)`` rows of the first markdown table
+    under the ``### `table``` heading of the architecture document, and
+    the section's whole text."""
     _, found, section = architecture.partition(f"### `{table}`\n")
     if not found:
         fail(f"docs/ARCHITECTURE.md has no ### `{table}` schema section")
-    rows = []
-    for line in section.split("\n## ")[0].split("\n### ")[0].splitlines():
+    section = section.split("\n## ")[0].split("\n### ")[0]
+    rows: list[tuple[str, ...]] = []
+    in_table = False
+    for line in section.splitlines():
+        if not line.startswith("|"):
+            if in_table:
+                break
+            continue
+        in_table = True
         cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
         if line.startswith("| `") and len(cells) >= 3:
             rows.append((cells[0].strip("`"), cells[1], cells[2]))
-    return rows
+    return rows, section
 
 
-def check_store_schema(architecture: str) -> None:
-    """The documented ``documents`` columns are the created ones."""
+def created_table(statement: str) -> tuple[str, list, list]:
+    """``(name, [(column, type, constraints)], [table-level clauses])``
+    of one ``CREATE TABLE`` statement."""
+    name = statement.split()[2]
+    body = statement[statement.index("(") + 1:statement.rindex(")")]
+    parts, depth, start = [], 0, 0
+    for at, char in enumerate(body):
+        depth += {"(": 1, ")": -1}.get(char, 0)
+        if char == "," and depth == 0:
+            parts.append(body[start:at])
+            start = at + 1
+    parts.append(body[start:])
+    columns, clauses = [], []
+    for part in (" ".join(p.split()) for p in parts):
+        if part.startswith("PRIMARY KEY"):
+            clauses.append(part)
+        else:
+            column, kind, *constraints = part.split()
+            columns.append((column, kind, " ".join(constraints)))
+    trailer = statement[statement.rindex(")") + 1:].strip()
+    if trailer:
+        clauses.append(trailer)
+    return name, columns, clauses
+
+
+def check_store_schema(architecture: str) -> int:
+    """Every created table is documented, column for column and clause
+    for clause; returns how many tables were checked."""
     from repro.retrieval import store
 
-    (statement,) = [
-        s for s in store._SCHEMA_STATEMENTS if s.startswith("CREATE TABLE documents")
-    ]
-    body = statement[statement.index("(") + 1:statement.rindex(")")]
-    created = []
-    for column in body.split(","):
-        name, kind, *constraints = column.split()
-        created.append((name, kind, " ".join(constraints)))
-    documented = documented_columns(architecture, "documents")
-    if documented != created:
-        fail(
-            "docs/ARCHITECTURE.md `documents` table drifted from "
-            f"_SCHEMA_STATEMENTS:\n  documented {documented}\n  created    {created}"
-        )
+    for statement in store._SCHEMA_STATEMENTS:
+        name, created, clauses = created_table(statement)
+        documented, section = documented_columns(architecture, name)
+        if documented != created:
+            fail(
+                f"docs/ARCHITECTURE.md `{name}` table drifted from "
+                f"_SCHEMA_STATEMENTS:\n  documented {documented}\n"
+                f"  created    {created}"
+            )
+        for clause in clauses:
+            if f"`{clause}`" not in section:
+                fail(f"docs/ARCHITECTURE.md `{name}` section omits `{clause}`")
     version = f"`SCHEMA_VERSION = {store.SCHEMA_VERSION}`"
     if version not in architecture:
         fail(f"docs/ARCHITECTURE.md does not state {version}")
+    return len(store._SCHEMA_STATEMENTS)
 
 
 def resolves(path: str) -> bool:
@@ -146,7 +185,11 @@ def main() -> None:
             fail(f"README.md no longer mentions {snippet!r}")
 
     sys.path.insert(0, str(SRC))
-    modules = sorted(set(COMMAND_PATTERN.findall(text)))
+    commands = [
+        (match.group(1), match.group(0))
+        for match in COMMAND_PATTERN.finditer(re.sub(r"\s*\\\n\s*", " ", text))
+    ]
+    modules = sorted({module for module, _ in commands})
     if not modules:
         fail("README.md documents no `python -m repro.*` commands")
     for module in modules:
@@ -156,6 +199,7 @@ def main() -> None:
             fail(f"README references `python -m {module}` but it does "
                  f"not import: {exc}")
 
+    helps = {}
     for module in modules:
         proc = subprocess.run(
             [sys.executable, "-m", module, "--help"],
@@ -170,17 +214,26 @@ def main() -> None:
                 f"`python -m {module} --help` exited "
                 f"{proc.returncode}:\n{proc.stderr.strip()}"
             )
+        helps[module] = set(FLAG_PATTERN.findall(proc.stdout))
+    for module, command in commands:
+        unknown = sorted(set(FLAG_PATTERN.findall(command)) - helps[module])
+        if unknown:
+            fail(
+                f"README runs `{command.strip()}` but `python -m {module} "
+                f"--help` lists no {', '.join(unknown)}"
+            )
 
     architecture_text = architecture.read_text(encoding="utf-8")
-    check_store_schema(architecture_text)
+    tables = check_store_schema(architecture_text)
     dotted = check_dotted_paths(
         {"README.md": text, "docs/ARCHITECTURE.md": architecture_text}
     )
 
     print(
         f"check_docs: OK — {len(modules)} documented commands import "
-        f"and answer --help: {', '.join(modules)}; store schema table "
-        f"matches _SCHEMA_STATEMENTS; {dotted} dotted paths resolve"
+        f"and answer --help with every README flag: {', '.join(modules)}; "
+        f"{tables} store schema tables match _SCHEMA_STATEMENTS; "
+        f"{dotted} dotted paths resolve"
     )
 
 

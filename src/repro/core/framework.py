@@ -308,10 +308,10 @@ class DiversificationFramework:
 
         Returns ``{spec_query: (ResultList, {doc_id: TermVector})}`` —
         exactly what the offline phase computed.  The snapshot is a pure
-        probe (cache counters untouched) and is what
-        ``repro.retrieval.persistence.dump_warm_artifacts`` writes to
-        disk so a restarted (or freshly forked) worker can hydrate
-        instead of re-deriving the offline phase.
+        probe (cache counters untouched) and is what the index store's
+        ``warm_artifacts`` rows persist, so a restarted (or freshly
+        forked) worker can hydrate instead of re-deriving the offline
+        phase.
         """
         return dict(self._spec_cache.snapshot())
 

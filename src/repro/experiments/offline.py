@@ -26,15 +26,11 @@ paper's feasibility argument rests on, end to end:
    lists) summed across shards.  Cluster rankings are asserted
    identical to an unsharded service over the serially built engine.
 
-3. **Persistence round-trip** (``--warm-dir``) — the warmed cluster
-   saves one JSONL artifact file per shard, and a *restarted* cluster
-   hydrates them in parallel through the backend; re-warming the
-   hydrated cluster must fetch **zero** artifacts.
-
-4. **Index store** (``--store``) — the engine and every shard's warm
+3. **Index store** (``--store``) — the engine and every shard's warm
    artifacts persist into one SQLite file, which is attached, asserted
-   byte-identical to the undivided engine, and re-warmed by a
-   store-hydrated cluster that must fetch **zero** artifacts.
+   byte-identical to the undivided engine, and re-warmed by a cluster
+   over the attached engine, whose shards hydrate from the store's warm
+   rows: the re-warm must fetch **zero** artifacts.
 
 On a single-core host the parallel arms read as parity (the identity
 check is the load-bearing result there); on an N-core host the process
@@ -45,7 +41,7 @@ Run as a script::
     python -m repro.experiments.offline
     python -m repro.experiments.offline --partitions 4 --backend process
     python -m repro.experiments.offline --partitions 3 --shards 2 \\
-        --backend process --warm-dir warm --store index.sqlite3
+        --backend process --store index.sqlite3
     python -m repro.experiments.offline --backend process --start-method spawn
 """
 
@@ -117,8 +113,6 @@ class OfflineBuildResult:
     serial_warm: WarmReport        #: unsharded service over the serial engine
     cluster_warm: WarmReport       #: merged cluster warm (wall + busy)
     warm_memory: dict              #: cluster-summed warm-artifact estimate
-    hydrate_fetched: int | None    #: re-warm fetches after hydration (0 = hit)
-    hydrate_installed: int | None  #: artifacts installed from disk
     cores: int
     identity_checked: bool
     store_bytes: int | None = None           #: size of the written store file
@@ -167,7 +161,6 @@ def run_offline_build(
     start_method: str | None = None,
     seed: int = 13,
     log_name: str = "AOL",
-    warm_dir=None,
     store_path=None,
 ) -> OfflineBuildResult:
     """Run the offline pipeline serial-vs-parallel at the given sizes.
@@ -176,14 +169,11 @@ def run_offline_build(
     built partitioned engine must equal the serially built one *and*
     the single undivided engine (rankings and scores), and the sharded
     cluster's served rankings must equal the unsharded service's.  With
-    *warm_dir* the warmed cluster additionally persists its artifacts
-    and a restarted cluster re-warms from disk (``hydrate_fetched`` is
-    the number of artifacts the re-warm still had to fetch — zero when
-    hydration hit in full).  With *store_path* the pipeline additionally
-    persists the engine plus every shard's warm artifacts as one SQLite
-    index store, attaches it (timed), asserts the store-backed engine
-    byte-identical to the undivided reference, and re-warms a
-    store-hydrated cluster — which must fetch **zero** artifacts and
+    *store_path* the pipeline additionally persists the engine plus
+    every shard's warm artifacts as one SQLite index store, attaches it
+    (timed), asserts the store-backed engine byte-identical to the
+    undivided reference, and re-warms a cluster over it whose shards
+    hydrated from the store — which must fetch **zero** artifacts and
     serve rankings identical to the in-memory reference service.
     """
     if partitions <= 0:
@@ -235,13 +225,11 @@ def run_offline_build(
     # The cluster: per-shard warm over the parallel-built engine, fanned
     # out on a fresh backend of the same kind (a process backend is
     # consumed by the build and cannot restart).
-    factory = PartitionedFrameworkFactory(parallel_engine, miner, config)
     cluster = ShardedDiversificationService.from_factory(
-        factory,
+        PartitionedFrameworkFactory(parallel_engine, miner, config),
         shards,
         backend=make_backend(backend, start_method=start_method),
     )
-    hydrate_fetched = hydrate_installed = None
     store_bytes = store_write_seconds = store_attach_seconds = None
     store_warm_fetched = None
     try:
@@ -253,8 +241,6 @@ def run_offline_build(
                     f"cluster changed the ranking of {want.query!r}"
                 )
         warm_memory = cluster.warm_memory_estimate()
-        if warm_dir is not None:
-            cluster.save_warm(warm_dir)
         if store_path is not None:
             from repro.serving.offline import persist_store
 
@@ -281,7 +267,6 @@ def run_offline_build(
             PartitionedFrameworkFactory(store_engine, miner, config),
             shards,
             backend=make_backend(backend, start_method=start_method),
-            warm_store=store_path,
         )
         try:
             # Warm rows hydrated at build time: a re-warm must fetch
@@ -298,20 +283,6 @@ def run_offline_build(
             store_cluster.close()
             store_engine.close()
 
-    if warm_dir is not None:
-        restarted = ShardedDiversificationService.from_factory(
-            factory,
-            shards,
-            backend=make_backend(backend, start_method=start_method),
-        )
-        try:
-            # Explicit parallel hydration (fans out per shard through
-            # the backend); re-warming after it must fetch nothing.
-            hydrate_installed = restarted.load_warm(warm_dir)
-            hydrate_fetched = restarted.warm(queries).fetched
-        finally:
-            restarted.close()
-
     return OfflineBuildResult(
         partitions=partitions,
         shards=shards,
@@ -321,8 +292,6 @@ def run_offline_build(
         serial_warm=serial_warm,
         cluster_warm=cluster_warm,
         warm_memory=warm_memory,
-        hydrate_fetched=hydrate_fetched,
-        hydrate_installed=hydrate_installed,
         cores=os.cpu_count() or 1,
         identity_checked=True,
         store_bytes=store_bytes,
@@ -413,13 +382,6 @@ def main(argv: list[str] | None = None) -> None:
         "(default: the platform's own default)",
     )
     parser.add_argument(
-        "--warm-dir",
-        metavar="DIR",
-        default=None,
-        help="persist per-shard warm artifacts here and verify a "
-        "restarted cluster hydrates them (re-warm must fetch 0)",
-    )
-    parser.add_argument(
         "--store",
         metavar="PATH",
         default=None,
@@ -439,7 +401,6 @@ def main(argv: list[str] | None = None) -> None:
         backend=args.backend,
         start_method=args.start_method,
         log_name=args.log,
-        warm_dir=args.warm_dir,
         store_path=args.store,
     )
 
@@ -479,13 +440,6 @@ def main(argv: list[str] | None = None) -> None:
         f"{memory['vectors']} snippet vectors) across {result.shards} "
         f"shards"
     )
-    if result.hydrate_fetched is not None:
-        print(
-            f"hydrate: restarted cluster installed "
-            f"{result.hydrate_installed} artifacts from {args.warm_dir!r} "
-            f"and re-warm fetched {result.hydrate_fetched} "
-            f"({'hit in full' if result.hydrate_fetched == 0 else 'partial'})"
-        )
     if result.store_bytes is not None:
         print(
             f"store: {args.store!r} written in "

@@ -472,6 +472,11 @@ class SearchEngine:
     'd2'
     """
 
+    #: The store file the engine is attached to; ``None`` in memory.  The
+    #: serving layer appends ingest batches to it and hydrates each shard's
+    #: warm artifacts from it.
+    store_path: str | None = None
+
     def __init__(
         self,
         collection: DocumentCollection,

@@ -1,4 +1,4 @@
-"""Persistence: collections, query logs and warm artifacts as JSON lines.
+"""Persistence: collections and query logs as JSON lines.
 
 The synthetic corpus and logs are cheap to regenerate, but experiments
 that must be byte-stable across machines (or that plug in real data
@@ -7,16 +7,9 @@ greppable, diffable and append-friendly — one document or record per
 line, UTF-8.
 
 The TREC artefacts (topics, qrels, runs) already have their official
-text formats in :mod:`repro.corpus.trec`.  Besides the two raw data
-types, this module persists the *warm artifacts* of the serving layer's
-offline phase — the per-specialization result lists R_q' and their
-snippet surrogate vectors (Section 4.1).  Saving them lets a restarted
-service, or a worker process spawned by
-:class:`~repro.serving.backends.ProcessBackend`, hydrate from disk and
-serve **identical** rankings without re-deriving the offline phase:
-floats survive the JSON round-trip exactly (shortest-repr), and vectors
-are restored without renormalisation
-(:meth:`~repro.retrieval.similarity.TermVector.from_normalized`).
+text formats in :mod:`repro.corpus.trec`.  The serving layer's warm
+artifacts persist in the index store (:mod:`repro.retrieval.store`);
+this module only prices them in memory (:func:`estimate_warm_memory`).
 """
 
 from __future__ import annotations
@@ -37,10 +30,6 @@ __all__ = [
     "load_collection",
     "dump_query_log",
     "load_query_log",
-    "dump_warm_artifacts",
-    "load_warm_artifacts",
-    "encode_warm_artifact",
-    "decode_warm_artifact",
     "estimate_warm_memory",
 ]
 
@@ -130,97 +119,6 @@ def dump_query_log(log: QueryLog, path: str | Path) -> None:
             for record in log
         ),
     )
-
-
-def encode_warm_artifact(
-    spec_query: str,
-    results: ResultList,
-    vectors: Mapping[str, TermVector],
-) -> str:
-    """One warm artifact as its canonical JSON line (no newline).
-
-    Single source of truth for the on-disk shape shared by the JSONL
-    files (:func:`dump_warm_artifacts`) and the SQLite warm table
-    (:mod:`repro.retrieval.store`): floats survive via shortest-repr
-    JSON, so a decode is bit-identical to what was encoded.
-    """
-    return json.dumps(
-        {
-            "q": spec_query,
-            "results": [[r.doc_id, r.score] for r in results],
-            "vectors": {
-                doc_id: vector.weights for doc_id, vector in vectors.items()
-            },
-        },
-        ensure_ascii=False,
-    )
-
-
-def decode_warm_artifact(
-    line: str, context: str = "warm artifact"
-) -> tuple[str, tuple[ResultList, dict[str, TermVector]]]:
-    """Decode one :func:`encode_warm_artifact` line.
-
-    Returns ``(spec_query, (ResultList, {doc_id: TermVector}))``; raises
-    :class:`ValueError` prefixed with *context* (e.g. ``"path:line"``)
-    on malformed input.
-    """
-    try:
-        raw = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{context}: invalid JSON") from exc
-    try:
-        spec_query = raw["q"]
-        results = ResultList(
-            spec_query,
-            [(doc_id, float(score)) for doc_id, score in raw.get("results", ())],
-        )
-        vectors = {
-            doc_id: TermVector.from_normalized(weights)
-            for doc_id, weights in raw.get("vectors", {}).items()
-        }
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        raise ValueError(f"{context}: malformed warm artifact ({exc})") from exc
-    return spec_query, (results, vectors)
-
-
-def dump_warm_artifacts(
-    artifacts: Mapping[str, tuple[ResultList, Mapping[str, TermVector]]],
-    path: str | Path,
-) -> int:
-    """Write warm artifacts (one specialization per line) to *path*.
-
-    *artifacts* is what
-    :meth:`~repro.core.framework.DiversificationFramework.export_warm_state`
-    returns: ``{spec_query: (ResultList, {doc_id: TermVector})}``.
-    Returns the number of specializations written.
-    """
-    artifacts = dict(artifacts)
-    _write_lines(
-        path,
-        (
-            encode_warm_artifact(spec_query, results, vectors)
-            for spec_query, (results, vectors) in artifacts.items()
-        ),
-    )
-    return len(artifacts)
-
-
-def load_warm_artifacts(
-    path: str | Path,
-) -> dict[str, tuple[ResultList, dict[str, TermVector]]]:
-    """Read warm artifacts written by :func:`dump_warm_artifacts`.
-
-    The result plugs straight into
-    :meth:`~repro.core.framework.DiversificationFramework.install_warm_state`;
-    scores and vector weights are bit-identical to what was saved, so a
-    hydrated service ranks exactly like the one that warmed.
-    """
-    artifacts: dict[str, tuple[ResultList, dict[str, TermVector]]] = {}
-    for line_no, line in enumerate(_read_lines(path), start=1):
-        spec_query, payload = decode_warm_artifact(line, f"{path}:{line_no}")
-        artifacts[spec_query] = payload
-    return artifacts
 
 
 #: Estimated bytes of one boxed CPython float (64-bit build).

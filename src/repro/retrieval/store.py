@@ -55,11 +55,13 @@ from repro.retrieval.documents import Document, DocumentCollection
 from repro.retrieval.engine import (
     EngineSnapshot,
     MemoryBudget,
+    ResultList,
     SearchEngine,
     stable_shard,
 )
 from repro.retrieval.index import _INT_BYTES, PostingList
 from repro.retrieval.models import WeightingModel
+from repro.retrieval.similarity import TermVector
 from repro.retrieval.snippets import ForwardRow, SnippetExtractor
 
 __all__ = [
@@ -75,7 +77,9 @@ __all__ = [
     "StoreBackedCollection",
     "StoreBackedSearchEngine",
     "MemoryBudget",
-    "read_warm_payloads",
+    "encode_warm_artifact",
+    "decode_warm_artifact",
+    "read_warm_artifacts",
 ]
 
 #: Bump on any on-disk layout change; readers fail fast on a mismatch.
@@ -243,6 +247,55 @@ def _check_schema(path, meta: Mapping[str, str]) -> None:
         )
 
 
+def encode_warm_artifact(
+    spec_query: str,
+    results: ResultList,
+    vectors: Mapping[str, TermVector],
+) -> str:
+    """One warm artifact as the ``payload`` of its ``warm_artifacts`` row:
+    ``{"q", "results", "vectors"}`` JSON.  Floats survive via
+    shortest-repr JSON, so a decode is bit-identical to what was encoded.
+    """
+    return json.dumps(
+        {
+            "q": spec_query,
+            "results": [[r.doc_id, r.score] for r in results],
+            "vectors": {
+                doc_id: vector.weights for doc_id, vector in vectors.items()
+            },
+        },
+        ensure_ascii=False,
+    )
+
+
+def decode_warm_artifact(
+    payload: str, context: str
+) -> tuple[str, tuple[ResultList, dict[str, TermVector]]]:
+    """Decode one :func:`encode_warm_artifact` payload.
+
+    Returns ``(spec_query, (ResultList, {doc_id: TermVector}))``, vectors
+    restored without renormalisation; raises :class:`ValueError`
+    prefixed with *context* on malformed input.
+    """
+    try:
+        raw = json.loads(payload)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{context}: invalid JSON") from exc
+    try:
+        spec_query = raw["q"]
+        results = ResultList(
+            spec_query,
+            [(doc_id, float(score)) for doc_id, score in raw.get("results", ())],
+        )
+        vectors = {
+            doc_id: TermVector.from_normalized(weights)
+            for doc_id, weights in raw.get("vectors", {}).items()
+        }
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ValueError(f"{context}: malformed warm artifact ({exc})") from exc
+    return spec_query, (results, vectors)
+
+
 def write_store(
     path: str | Path,
     engine: SearchEngine,
@@ -258,10 +311,8 @@ def write_store(
     leaves a truncated store where readers attach.
 
     *warm_payloads* maps ``shard → {spec_query: payload}`` where each
-    payload is an :func:`~repro.retrieval.persistence.encode_warm_artifact`
-    line — the exact same bytes as the per-shard ``warm-shard<i>.jsonl``
-    files, so hydration from the store is bit-identical to hydration
-    from JSONL.  Returns the final path.
+    payload is an :func:`encode_warm_artifact` string.  Returns the final
+    path.
     """
     path = Path(path)
     tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
@@ -787,14 +838,6 @@ class IndexStore:
         ]
 
     # -- warm artifacts ------------------------------------------------------
-
-    def warm_shards(self) -> list[int]:
-        return [
-            row[0]
-            for row in self._fetchall(
-                "SELECT DISTINCT shard FROM warm_artifacts ORDER BY shard"
-            )
-        ]
 
     def warm_payloads(self, shard: int) -> dict[str, str]:
         return dict(
@@ -1326,15 +1369,24 @@ class StoreBackedSearchEngine(SearchEngine):
         self.store.close()
 
 
-def read_warm_payloads(
+def read_warm_artifacts(
     path: str | Path, shard: int
-) -> dict[str, str]:
-    """The stored warm payload lines for *shard* — ``{spec_query:
-    payload}`` where each payload decodes with
-    :func:`~repro.retrieval.persistence.decode_warm_artifact`.  Opens
-    and closes its own attachment, so callers need no live store."""
+) -> dict[str, tuple[ResultList, dict[str, TermVector]]]:
+    """*shard*'s stored warm artifacts, decoded — ``{spec_query:
+    (ResultList, {doc_id: TermVector})}``, ready for
+    :meth:`~repro.core.framework.DiversificationFramework.install_warm_state`.
+    Opens and closes its own attachment, so callers need no live store.
+    A malformed row raises :class:`ValueError` naming the path, the shard
+    and the row's spec query."""
     store = IndexStore(path)
     try:
-        return store.warm_payloads(shard)
+        payloads = store.warm_payloads(shard)
     finally:
         store.close()
+    artifacts = {}
+    for spec_query, payload in payloads.items():
+        decoded_query, value = decode_warm_artifact(
+            payload, f"{path}[shard={shard}] {spec_query!r}"
+        )
+        artifacts[decoded_query] = value
+    return artifacts

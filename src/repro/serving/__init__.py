@@ -21,9 +21,9 @@ grows it past one worker:
   :class:`InlineBackend` (ordered sweep, the reference),
   :class:`ThreadBackend` (GIL-bound fan-out; wins once the numpy
   kernels dominate) and :class:`ProcessBackend` (real OS processes
-  with per-worker warm state — the multi-core path).  Warm artifacts
-  persist via ``save_warm``/``load_warm`` so worker processes hydrate
-  from disk instead of re-deriving the offline phase;
+  with per-worker warm state — the multi-core path).  A shard over a
+  store-backed engine hydrates its warm artifacts from the index store,
+  so worker processes skip re-deriving the offline phase;
 * :mod:`~repro.serving.replication` — R-way shard replication over
   process workers: a :class:`ReplicaSet` per shard with routing-aware
   load balancing (round-robin / least-outstanding), optional hedged

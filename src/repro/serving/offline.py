@@ -25,13 +25,12 @@ module scales the offline phase the same way, with the same substrate:
   :class:`~repro.serving.service.WarmReport` follows.
 
 The warm half of the offline phase already fans out per-shard
-(:meth:`~repro.serving.sharded.ShardedDiversificationService.warm`) and
-persists per-partition
-(:meth:`~repro.serving.sharded.ShardedDiversificationService.save_warm`
-→ ``warm_artifacts_dir`` hydration, in parallel, on restart);
+(:meth:`~repro.serving.sharded.ShardedDiversificationService.warm`);
+:func:`persist_store` writes the engine and every shard's warm artifacts
+into one index store, from which store-backed shards hydrate on start;
 ``python -m repro.experiments.offline`` drives the whole pipeline —
-parallel build, parallel warm, persistence round-trip — end to end with
-an identity check.
+parallel build, parallel warm, store round-trip — end to end with an
+identity check.
 
 Every travelling type here pickles (collections, analyzers, indexes,
 reports), so the pipeline is spawn-safe: a
@@ -219,8 +218,8 @@ def persist_store(path, engine, cluster=None):
     backend — into a single SQLite file via
     :func:`repro.retrieval.store.write_store`.  Serving processes then
     cold-start by *attaching* the store
-    (:class:`~repro.retrieval.store.StoreBackedSearchEngine`, or
-    ``warm_store=`` on the serving factories) in O(attach) instead of
+    (:class:`~repro.retrieval.store.StoreBackedSearchEngine`; a serving
+    shard over it hydrates its warm rows) in O(attach) instead of
     re-running this pipeline.  Returns the written
     :class:`~pathlib.Path`.
     """

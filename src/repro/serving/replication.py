@@ -20,12 +20,12 @@ The moving parts, bottom-up:
   among them (``round-robin`` or ``least-outstanding``), optional hedged
   requests after a latency deadline, health checks, and burial: a dead
   or hung replica is killed, respawned through the retained factory
-  (which rehydrates from ``warm_artifacts_dir`` when configured — the
-  PR-4 warm store makes this cheap), and the request retries elsewhere.
+  (which rehydrates a store-backed shard's warm artifacts from the
+  index store), and the request retries elsewhere.
 * :class:`ReplicatedBackend` — an :class:`ExecutionBackend` whose
   ``invoke_each`` routes serving calls to one replica per shard and
-  *replicates* state-mutating calls (``warm``/``load_warm``/
-  ``invalidate``) to every replica, so caches stay in lockstep.
+  *replicates* state-mutating calls (``warm``/``invalidate``/
+  ``apply_updates``) to every replica, so caches stay in lockstep.
 
 Hedging never duplicates or reorders results: a hedge is a second copy
 of the *same* request to a second replica, and the set returns exactly
@@ -74,12 +74,13 @@ REPLICA_POLICIES = ("round-robin", "least-outstanding")
 #: advance to the new epoch, or a failover would time-travel the
 #: collection.
 REPLICATED_STATE_METHODS = frozenset(
-    {"warm", "load_warm", "invalidate", "apply_updates"}
+    {"warm", "invalidate", "apply_updates"}
 )
 
 #: Methods worth hedging: read-only serving calls where a duplicate
 #: execution is wasted work, never wrong work.  State mutators and
-#: side-effectful calls (``save_warm`` writes files) are excluded.
+#: side-effectful calls (``append_to_store`` writes the store) are
+#: excluded.
 HEDGEABLE_METHODS = frozenset(
     {"diversify", "diversify_batch", "prepare", "prepare_batch"}
 )
@@ -279,7 +280,7 @@ class ReplicaSet:
 
     ``call_all()`` is the state path: the same request to *every*
     replica in slot order, each awaited, with one respawn-and-retry per
-    slot — used for ``warm``/``load_warm``/``invalidate`` so replica
+    slot — used for ``warm``/``invalidate``/``apply_updates`` so replica
     caches never diverge.
 
     Bookkeeping invariant: ``_outstanding[r]`` counts replies replica
@@ -456,8 +457,8 @@ class ReplicaSet:
 
     def _bury(self, replica: int) -> None:
         """Kill and respawn a replica slot.  The spawn callable runs the
-        retained service factory, so a ``warm_artifacts_dir``-configured
-        cluster rehydrates the newcomer from the persisted warm store."""
+        retained service factory, so a store-backed shard rehydrates the
+        newcomer's warm artifacts from the index store."""
         try:
             self._workers[replica].close(kill=True)
         except Exception:  # pragma: no cover - corpse already gone

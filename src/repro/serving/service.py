@@ -621,47 +621,18 @@ class DiversificationService:
 
     # -- warm-state persistence ---------------------------------------------------
 
-    def save_warm(self, path) -> int:
-        """Write the framework's warm artifacts to *path* (JSON lines).
-
-        Returns how many specialization artifacts were saved.  A fresh
-        service (or a worker process on another host) can
-        :meth:`load_warm` the file and serve identical rankings without
-        re-deriving the offline phase.
-        """
-        from repro.retrieval.persistence import dump_warm_artifacts
-
-        return dump_warm_artifacts(self.framework.export_warm_state(), path)
-
-    def load_warm(self, path) -> int:
-        """Hydrate the framework's warm artifacts from *path*.
-
-        The counterpart of :meth:`save_warm`; returns how many artifacts
-        were installed (already-cached ones are left untouched).
-        """
-        from repro.retrieval.persistence import load_warm_artifacts
-
-        return self.framework.install_warm_state(load_warm_artifacts(path))
-
     def load_warm_store(self, path, shard: int = 0) -> int:
         """Hydrate warm artifacts for *shard* from an index store.
 
-        The SQLite twin of :meth:`load_warm`: reads the warm rows a
-        store-writing offline pipeline persisted for this shard and
-        installs them.  Payload lines are byte-identical to the per-shard
-        JSONL files, so hydration from either source ranks identically.
-        Returns how many artifacts were installed.
+        Reads the warm rows a store-writing offline pipeline persisted
+        for this shard (:func:`repro.retrieval.store.read_warm_artifacts`)
+        and installs them.  Returns how many artifacts were installed.
         """
-        from repro.retrieval.persistence import decode_warm_artifact
-        from repro.retrieval.store import read_warm_payloads
+        from repro.retrieval.store import read_warm_artifacts
 
-        artifacts = {}
-        for spec_query, payload in read_warm_payloads(path, shard).items():
-            decoded_query, value = decode_warm_artifact(
-                payload, f"{path}[shard={shard}] {spec_query!r}"
-            )
-            artifacts[decoded_query] = value
-        return self.framework.install_warm_state(artifacts)
+        return self.framework.install_warm_state(
+            read_warm_artifacts(path, shard)
+        )
 
     def export_warm_payloads(self) -> dict[str, str]:
         """The warm state as canonical payload lines — ``{spec_query:
@@ -670,7 +641,7 @@ class DiversificationService:
         cheaply over process boundaries, so a sharded cluster can
         collect every shard's payloads for one store write.
         """
-        from repro.retrieval.persistence import encode_warm_artifact
+        from repro.retrieval.store import encode_warm_artifact
 
         return {
             spec_query: encode_warm_artifact(spec_query, results, vectors)
@@ -730,14 +701,13 @@ class DiversificationService:
         still run every shard's cache sweep (:meth:`_after_epoch`).
         """
         engine = self.framework.engine
-        refresh = getattr(engine, "refresh", None)
-        if callable(refresh):
+        if engine.store_path is not None:
             # Store-backed: the batch was already appended to the store
             # file (see :meth:`ingest`); re-attach to it.  The store no
             # longer holds the removed rows, so the term analysis behind
             # surgical invalidation is impossible here — a conservative
             # stats_changed delta drops all warm state instead.
-            epoch = refresh()
+            epoch = engine.refresh()
             delta = EpochDelta(
                 added=tuple(doc.doc_id for doc in adds),
                 removed=tuple(removes),
@@ -768,30 +738,36 @@ class DiversificationService:
         """Coordinator entry point: make the batch durable, then apply.
 
         For a store-backed engine the batch is first appended to the
-        store file (:func:`repro.retrieval.store.append_epoch`) —
-        exactly once, here — and :meth:`apply_updates` then merely
-        refreshes; replicas receiving the broadcast refresh too, without
-        re-appending.  In-memory engines have no durable side, so this
-        is :meth:`apply_updates` directly.  Returns the epoch that
-        includes the batch.
+        store file (:meth:`append_to_store`) — exactly once, here — and
+        :meth:`apply_updates` then merely refreshes; replicas receiving
+        the broadcast refresh too, without re-appending.  In-memory
+        engines have no durable side, so this is :meth:`apply_updates`
+        directly.  Returns the epoch that includes the batch.
         """
-        store_path = self.engine_store_path()
-        if store_path is not None:
-            from repro.retrieval.store import append_epoch
-
-            append_epoch(
-                store_path,
-                add_documents,
-                remove_doc_ids,
-                analyzer=self.framework.engine.analyzer,
-            )
+        self.append_to_store(add_documents, remove_doc_ids)
         return self.apply_updates(add_documents, remove_doc_ids)
 
-    def engine_store_path(self) -> str | None:
-        """The engine's backing store file, or ``None`` when in-memory —
-        how a coordinator decides whether an ingest batch needs a
-        durable append before the apply broadcast."""
-        return getattr(self.framework.engine, "store_path", None)
+    def append_to_store(
+        self,
+        add_documents: Sequence = (),
+        remove_doc_ids: Sequence[str] = (),
+    ) -> bool:
+        """Append the batch to the engine's store file as its next epoch,
+        analysed with the engine's own analyzer; ``False`` (and nothing
+        written) when the engine is in memory.  The one durable-append
+        call site: a service's and a cluster's ingest both come here."""
+        engine = self.framework.engine
+        if engine.store_path is None:
+            return False
+        from repro.retrieval.store import append_epoch
+
+        append_epoch(
+            engine.store_path,
+            add_documents,
+            remove_doc_ids,
+            analyzer=engine.analyzer,
+        )
+        return True
 
     def current_epoch(self) -> int:
         """Epoch of the engine's currently published snapshot (0 for

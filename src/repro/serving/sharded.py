@@ -38,7 +38,6 @@ from __future__ import annotations
 import dataclasses
 import time
 from collections.abc import Callable, Iterable, Sequence
-from pathlib import Path
 
 from repro.core.cache import CacheStats
 from repro.core.framework import DiversificationFramework, DiversifiedResult
@@ -63,22 +62,15 @@ class ShardServiceFactory:
     shard: in-process backends just call it; a
     :class:`~repro.serving.backends.ProcessBackend` worker calls it
     after fork (or unpickles it first, under spawn — then
-    ``framework_factory`` itself must pickle).  ``warm_artifacts_dir``
-    optionally points at a directory written by
-    :meth:`ShardedDiversificationService.save_warm`: the freshly built
-    shard hydrates its offline artifacts from disk instead of
-    re-deriving them.  ``warm_store`` is the SQLite twin: the path of an
-    index store whose ``warm_artifacts`` table was written by the
-    offline pipeline — the shard hydrates from its rows (same payload
-    bytes as the JSONL files, so rankings are identical), which is how
-    process workers and respawned replicas cold-start in O(attach)
-    without a JSONL re-read.
+    ``framework_factory`` itself must pickle).  A shard whose engine is
+    attached to an index store hydrates its warm artifacts from that
+    store's ``warm_artifacts`` rows as it is built, so process workers
+    and respawned replicas cold-start at the store's current epoch
+    without re-deriving the offline phase.
     """
 
     framework_factory: Callable[[int], DiversificationFramework]
     result_cache_size: int = 2048
-    warm_artifacts_dir: str | None = None
-    warm_store: str | None = None
 
     def __call__(self, shard: int) -> DiversificationService:
         service = DiversificationService(
@@ -86,18 +78,10 @@ class ShardServiceFactory:
             result_cache_size=self.result_cache_size,
             name=f"shard{shard}",
         )
-        if self.warm_artifacts_dir is not None:
-            path = _warm_path(self.warm_artifacts_dir, shard)
-            if path.is_file():
-                service.load_warm(path)
-        if self.warm_store is not None and Path(self.warm_store).is_file():
-            service.load_warm_store(self.warm_store, shard)
+        store_path = service.framework.engine.store_path
+        if store_path is not None:
+            service.load_warm_store(store_path, shard)
         return service
-
-
-def _warm_path(directory: str | Path, shard: int) -> Path:
-    """Where shard *shard*'s warm artifacts live under *directory*."""
-    return Path(directory) / f"warm-shard{shard}.jsonl"
 
 
 class ShardedDiversificationService:
@@ -185,8 +169,6 @@ class ShardedDiversificationService:
         max_workers: int | None = None,
         router_seed: int = 0,
         backend: "str | ExecutionBackend | None" = None,
-        warm_artifacts_dir: "str | Path | None" = None,
-        warm_store: "str | Path | None" = None,
         replicas: int = 1,
         policy: str = "round-robin",
         hedge_after_ms: float | None = None,
@@ -200,13 +182,10 @@ class ShardedDiversificationService:
         engine and detector, or carry per-shard replicas / a
         :class:`~repro.retrieval.sharding.PartitionedSearchEngine` —
         anything ranking-identical keeps the cluster's identity
-        guarantee.  With ``warm_artifacts_dir`` (a directory written by
-        :meth:`save_warm`), every shard hydrates its offline artifacts
-        from disk as it is built.  ``warm_store`` points at an index
-        store instead (see :func:`repro.retrieval.store.write_store`):
-        shards — and replicas respawned after a crash — hydrate their
-        warm artifacts by attaching the store read-only, byte-identical
-        to the JSONL path.
+        guarantee.  A shard whose engine is a
+        :class:`~repro.retrieval.store.StoreBackedSearchEngine` hydrates
+        its warm artifacts from that store as it is built
+        (:class:`ShardServiceFactory`).
 
         ``replicas=R`` (with a ``None``/``"process"`` backend spec)
         builds a fault-tolerant cluster instead: R process workers per
@@ -214,8 +193,8 @@ class ShardedDiversificationService:
         (``"round-robin"`` or ``"least-outstanding"``), optional hedged
         requests after ``hedge_after_ms``, and automatic
         respawn-and-rehydrate — a respawned replica re-runs the factory,
-        so pair replication with ``warm_artifacts_dir`` to make the
-        rebuild hydrate from disk.  Every replica is built by the same
+        so over a store-backed engine it hydrates from the store at its
+        current epoch.  Every replica is built by the same
         deterministic factory, so results are byte-identical no matter
         which replica answers.
         """
@@ -230,16 +209,7 @@ class ShardedDiversificationService:
         )
         backend.start(
             ShardServiceFactory(
-                framework_factory,
-                result_cache_size=result_cache_size,
-                warm_artifacts_dir=(
-                    str(warm_artifacts_dir)
-                    if warm_artifacts_dir is not None
-                    else None
-                ),
-                warm_store=(
-                    str(warm_store) if warm_store is not None else None
-                ),
+                framework_factory, result_cache_size=result_cache_size
             ),
             num_shards,
         )
@@ -350,27 +320,6 @@ class ShardedDiversificationService:
             WarmReport.merge(reports), seconds=time.perf_counter() - start
         )
 
-    def save_warm(self, directory: str | Path) -> int:
-        """Persist every shard's warm artifacts under *directory*.
-
-        One JSON-lines file per shard (``warm-shard<i>.jsonl``), written
-        wherever the shard lives — a process-backed shard writes from
-        its own worker.  Returns the total number of specialization
-        artifacts saved.  A later cluster (same corpus, same shard
-        count, same router seed) hydrates via
-        ``from_factory(..., warm_artifacts_dir=directory)`` or
-        :meth:`load_warm`.
-        """
-        directory = Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
-        done = self._backend.invoke_each(
-            [
-                (shard, "save_warm", (str(_warm_path(directory, shard)),))
-                for shard in range(self.num_shards)
-            ]
-        )
-        return sum(done.values())
-
     def warm_payloads(self) -> dict[int, dict[str, str]]:
         """Every shard's warm artifacts as canonical payload lines.
 
@@ -383,25 +332,6 @@ class ShardedDiversificationService:
         """
         done = self._backend.broadcast("export_warm_payloads")
         return {shard: done[shard] for shard in range(self.num_shards)}
-
-    def load_warm(self, directory: str | Path) -> int:
-        """Hydrate shards from a :meth:`save_warm` directory.
-
-        Shards whose file is missing are skipped.  Returns the total
-        number of artifacts installed across shards.  The loads fan out
-        through the execution backend like every other per-shard call,
-        so a restarted cluster on a thread/process backend hydrates its
-        partitions *in parallel* from disk.
-        """
-        directory = Path(directory)
-        calls = [
-            (shard, "load_warm", (str(_warm_path(directory, shard)),))
-            for shard in range(self.num_shards)
-            if _warm_path(directory, shard).is_file()
-        ]
-        if not calls:
-            return 0
-        return sum(self._backend.invoke_each(calls).values())
 
     def prepare_batch(self, queries: Iterable[str]) -> dict[str, PreparedQuery]:
         """Detection + task construction, fanned out per-shard."""
@@ -478,27 +408,22 @@ class ShardedDiversificationService:
     ) -> int:
         """Coordinator entry point for one ingest batch.
 
-        When the shards serve from a store file, the batch is appended
-        to it exactly once here
-        (:func:`repro.retrieval.store.append_epoch`); the
+        When the shards serve from a store file, shard 0 appends the
+        batch to it exactly once
+        (:meth:`DiversificationService.append_to_store`, with its
+        engine's analyzer; one replica, never hedged or broadcast); the
         :meth:`apply_updates` broadcast then makes every shard — and
         every replica of every shard — serve the new epoch.  Returns the
         epoch that includes the batch.
         """
         adds = list(add_documents)
         removes = list(remove_doc_ids)
-        store_path = self._engine_store_path()
-        if store_path is not None:
-            from repro.retrieval.store import append_epoch
-
-            append_epoch(store_path, adds, removes)
-        return self.apply_updates(adds, removes)
-
-    def _engine_store_path(self) -> str | None:
         local = self._backend.local_services
         if local is not None:
-            return local[0].engine_store_path()
-        return self._backend.invoke(0, "engine_store_path")
+            local[0].append_to_store(adds, removes)
+        else:
+            self._backend.invoke(0, "append_to_store", adds, removes)
+        return self.apply_updates(adds, removes)
 
     def apply_updates(
         self,

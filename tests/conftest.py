@@ -72,12 +72,13 @@ def framework_factory(small_engine, small_miner):
     """Factory for *fresh* (cold-cache) frameworks at the standard small
     scale.  Serving tests need a new framework per test so cache counters
     start from zero; this deduplicates the per-module copies of the same
-    constructor call.  Pass ``diversifier=``/``config=`` to override the
-    defaults (reference OptSelect, :data:`STANDARD_CONFIG`)."""
+    constructor call.  Pass ``diversifier=``/``config=``/``engine=`` to
+    override the defaults (reference OptSelect, :data:`STANDARD_CONFIG`,
+    the in-memory small engine)."""
 
-    def make(diversifier=None, config=None, **kwargs):
+    def make(diversifier=None, config=None, engine=None, **kwargs):
         return DiversificationFramework(
-            small_engine,
+            engine if engine is not None else small_engine,
             small_miner,
             diversifier if diversifier is not None else OptSelect(),
             config or STANDARD_CONFIG,

@@ -328,7 +328,6 @@ class TestOfflinePipelineHarness:
             partitions=3,
             shards=2,
             backend="inline",
-            warm_dir=tmp_path / "warm",
         )
         assert result.identity_checked
         assert result.serial_build_seconds > 0
@@ -340,9 +339,6 @@ class TestOfflinePipelineHarness:
         assert build.total_bytes > 0
         assert result.cluster_warm.busy_seconds > 0
         assert result.warm_memory["total_bytes"] > 0
-        # Hydration from the persisted artifacts hit in full.
-        assert result.hydrate_installed > 0
-        assert result.hydrate_fetched == 0
         table = summarize_build(result)
         assert "partition0" in table and "total" in table
 
@@ -369,7 +365,7 @@ class TestOfflinePipelineHarness:
             framework.diversify_query(q).ranking for q in queries[:2]
         ] == [want.diversify_query(q).ranking for q in queries[:2]]
 
-    def test_cli_store_and_warm_dir(self, monkeypatch, tmp_path, capsys):
+    def test_cli_store(self, monkeypatch, tmp_path, capsys):
         from repro.experiments import offline
 
         monkeypatch.setattr(offline, "SMALL_SCALE", TINY)
@@ -377,12 +373,10 @@ class TestOfflinePipelineHarness:
             [
                 "--queries", "10", "--partitions", "3", "--shards", "2",
                 "--backend", "inline",
-                "--warm-dir", str(tmp_path / "warm"),
                 "--store", str(tmp_path / "index.sqlite3"),
             ]
         )
         out = capsys.readouterr().out
-        assert "re-warm fetched 0 (hit in full)" in out
         assert "store-hydrated cluster re-warm fetched 0 (hit in full)" in out
         assert "rankings and scores verified identical" in out
         assert (tmp_path / "index.sqlite3").stat().st_size > 0
@@ -417,7 +411,6 @@ class TestColdstartHarness:
         assert result.store_write_seconds > 0
         assert result.store_attach_seconds > 0
         assert result.store_warm_fetched == 0
-        assert result.hydrate_fetched is None  # no --warm-dir given
 
     def test_memory_budget_arm(self, workload, tmp_path):
         """A budgeted store engine behind the full pipeline: eviction

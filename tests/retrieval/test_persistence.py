@@ -98,96 +98,6 @@ class TestQueryLogRoundTrip:
             load_query_log(path)
 
 
-class TestWarmArtifactRoundTrip:
-    """Warm artifacts (spec result lists + snippet vectors) must survive
-    the disk round-trip bit-exactly: a hydrated framework has to serve
-    the *identical* rankings the warming framework served."""
-
-    @pytest.fixture()
-    def warmed(self, framework_factory, topic_queries):
-        from repro.serving.service import DiversificationService
-
-        service = DiversificationService(framework_factory())
-        service.warm(topic_queries)
-        return service
-
-    def test_dump_load_is_exact(self, tmp_path, warmed):
-        from repro.retrieval.persistence import (
-            dump_warm_artifacts,
-            load_warm_artifacts,
-        )
-
-        artifacts = warmed.framework.export_warm_state()
-        path = tmp_path / "warm.jsonl"
-        assert dump_warm_artifacts(artifacts, path) == len(artifacts)
-        loaded = load_warm_artifacts(path)
-        assert set(loaded) == set(artifacts)
-        for spec_query, (results, vectors) in artifacts.items():
-            got_results, got_vectors = loaded[spec_query]
-            assert got_results.doc_ids == results.doc_ids
-            assert got_results.scores == results.scores  # floats exact
-            assert set(got_vectors) == set(vectors)
-            for doc_id, vector in vectors.items():
-                assert got_vectors[doc_id].weights == vector.weights
-                assert got_vectors[doc_id].norm == vector.norm
-
-    def test_hydrated_service_serves_identical_rankings(
-        self, tmp_path, warmed, framework_factory, topic_queries
-    ):
-        from repro.serving.service import DiversificationService
-
-        want = [r.ranking for r in warmed.diversify_batch(topic_queries)]
-        path = tmp_path / "warm.jsonl"
-        saved = warmed.save_warm(path)
-        fresh = DiversificationService(framework_factory())
-        assert fresh.load_warm(path) == saved
-        got = [r.ranking for r in fresh.diversify_batch(topic_queries)]
-        assert got == want
-        # The offline phase never re-derived: every artifact was a hit.
-        assert fresh.framework.cache_info().misses == 0
-        # Re-warming fetches nothing either.
-        assert fresh.warm(topic_queries).fetched == 0
-
-    def test_install_skips_present_entries(self, tmp_path, warmed):
-        artifacts = warmed.framework.export_warm_state()
-        assert warmed.framework.install_warm_state(artifacts) == 0
-
-    def test_empty_artifacts(self, tmp_path):
-        from repro.retrieval.persistence import (
-            dump_warm_artifacts,
-            load_warm_artifacts,
-        )
-
-        path = tmp_path / "warm.jsonl"
-        assert dump_warm_artifacts({}, path) == 0
-        assert load_warm_artifacts(path) == {}
-
-    def test_invalid_json_reports_line(self, tmp_path):
-        from repro.retrieval.persistence import load_warm_artifacts
-
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"q": "ok", "results": [], "vectors": {}}\nnope\n')
-        with pytest.raises(ValueError, match=":2:"):
-            load_warm_artifacts(path)
-
-    def test_malformed_artifact_reports_line(self, tmp_path):
-        """Valid JSON that is not a warm artifact (missing key, wrong
-        shape) must still point at the offending line, not surface a
-        bare KeyError/TypeError."""
-        from repro.retrieval.persistence import load_warm_artifacts
-
-        path = tmp_path / "bad.jsonl"
-        path.write_text(
-            '{"q": "ok", "results": [], "vectors": {}}\n'
-            '{"results": [], "vectors": {}}\n'  # no "q"
-        )
-        with pytest.raises(ValueError, match=":2:.*malformed"):
-            load_warm_artifacts(path)
-        path.write_text('{"q": "ok", "results": [["d1"]], "vectors": {}}\n')
-        with pytest.raises(ValueError, match=":1:.*malformed"):
-            load_warm_artifacts(path)
-
-
 class TestAtomicWrites:
     """Dumpers must never leave a half-written artifact: writes go to a
     temp file that only replaces the target on success, so a crash
@@ -222,37 +132,3 @@ class TestAtomicWrites:
         with pytest.raises(RuntimeError):
             dump_collection(exploding(), path)
         assert list(tmp_path.iterdir()) == []
-
-    def test_warm_artifact_encode_decode_is_the_jsonl_line(
-        self, tmp_path, framework_factory, topic_queries
-    ):
-        """encode/decode_warm_artifact are the single source of truth:
-        the JSONL file's lines are exactly the encoded payloads (the
-        same strings the SQLite store's warm_artifacts rows hold)."""
-        from repro.retrieval.persistence import (
-            decode_warm_artifact,
-            dump_warm_artifacts,
-            encode_warm_artifact,
-        )
-        from repro.serving.service import DiversificationService
-
-        service = DiversificationService(framework_factory())
-        service.warm(topic_queries)
-        artifacts = service.framework.export_warm_state()
-        if not artifacts:
-            pytest.skip("no ambiguous queries in the small fixture log")
-        path = tmp_path / "warm.jsonl"
-        dump_warm_artifacts(artifacts, path)
-        lines = path.read_text(encoding="utf-8").splitlines()
-        assert sorted(lines) == sorted(
-            encode_warm_artifact(q, results, vectors)
-            for q, (results, vectors) in artifacts.items()
-        )
-        for line in lines:
-            spec_query, (results, vectors) = decode_warm_artifact(line)
-            want_results, want_vectors = artifacts[spec_query]
-            assert results.doc_ids == want_results.doc_ids
-            assert results.scores == want_results.scores
-            assert {d: v.weights for d, v in vectors.items()} == {
-                d: v.weights for d, v in want_vectors.items()
-            }

@@ -5,6 +5,7 @@ round trip through SQLite."""
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import pickle
 import sqlite3
@@ -12,10 +13,6 @@ import sqlite3
 import pytest
 
 from repro.retrieval.documents import Document, DocumentCollection
-from repro.retrieval.persistence import (
-    decode_warm_artifact,
-    encode_warm_artifact,
-)
 from repro.retrieval.sharding import (
     MemoryBudget,
     PartitionedSearchEngine,
@@ -29,9 +26,12 @@ from repro.retrieval.store import (
     StoreBackedSearchEngine,
     StoreError,
     append_epoch,
-    read_warm_payloads,
+    decode_warm_artifact,
+    encode_warm_artifact,
+    read_warm_artifacts,
     write_store,
 )
+from repro.serving.service import DiversificationService
 
 K = 20
 
@@ -410,35 +410,123 @@ class TestStoreBackedCollection:
 
 
 class TestWarmArtifactsInStore:
-    def test_payloads_round_trip_exactly(self, tmp_path, tiny_collection):
+    """Warm artifacts (spec result lists + snippet vectors) survive the
+    store round-trip bit-exactly: a hydrated service has to serve the
+    *identical* rankings the warming service served."""
+
+    @pytest.fixture()
+    def warmed(self, framework_factory, topic_queries):
+        service = DiversificationService(framework_factory())
+        service.warm(topic_queries)
+        return service
+
+    @pytest.fixture()
+    def warm_store(self, tmp_path, warmed):
+        """A store whose shard-0 rows are *warmed*'s artifacts."""
+        return write_store(
+            tmp_path / "warm.sqlite3",
+            warmed.framework.engine,
+            {0: warmed.export_warm_payloads()},
+        )
+
+    def test_payloads_round_trip_exactly(self, warmed, warm_store):
+        artifacts = warmed.framework.export_warm_state()
+        assert artifacts
+        loaded = read_warm_artifacts(warm_store, 0)
+        assert set(loaded) == set(artifacts)
+        for spec_query, (results, vectors) in artifacts.items():
+            got_results, got_vectors = loaded[spec_query]
+            assert got_results.doc_ids == results.doc_ids
+            assert got_results.scores == results.scores  # floats exact
+            assert set(got_vectors) == set(vectors)
+            for doc_id, vector in vectors.items():
+                assert got_vectors[doc_id].weights == vector.weights
+                assert got_vectors[doc_id].norm == vector.norm
+        assert read_warm_artifacts(warm_store, 1) == {}
+
+    def test_hydrated_service_serves_identical_rankings(
+        self, warmed, warm_store, framework_factory, topic_queries
+    ):
+        want = [r.ranking for r in warmed.diversify_batch(topic_queries)]
+        fresh = DiversificationService(framework_factory())
+        saved = len(warmed.framework.export_warm_state())
+        assert fresh.load_warm_store(warm_store, 0) == saved
+        got = [r.ranking for r in fresh.diversify_batch(topic_queries)]
+        assert got == want
+        # The offline phase never re-derived: every artifact was a hit.
+        assert fresh.framework.cache_info().misses == 0
+        # Re-warming fetches nothing either.
+        assert fresh.warm(topic_queries).fetched == 0
+
+    def test_rows_hold_the_encoded_payloads(self, warmed, warm_store):
+        """encode/decode_warm_artifact are the single source of truth:
+        each ``warm_artifacts`` row is exactly the encoded payload, a
+        ``{"q", "results", "vectors"}`` object that decodes bit-exactly."""
+        connection = sqlite3.connect(warm_store)
+        try:
+            rows = dict(
+                connection.execute(
+                    "SELECT spec_query, payload FROM warm_artifacts"
+                    " WHERE shard = 0"
+                )
+            )
+        finally:
+            connection.close()
+        assert rows == warmed.export_warm_payloads()
+        artifacts = warmed.framework.export_warm_state()
+        for spec_query, payload in rows.items():
+            assert set(json.loads(payload)) == {"q", "results", "vectors"}
+            got_query, (results, vectors) = decode_warm_artifact(
+                payload, "row"
+            )
+            assert got_query == spec_query
+            want_results, want_vectors = artifacts[spec_query]
+            assert results.doc_ids == want_results.doc_ids
+            assert results.scores == want_results.scores
+            assert {d: v.weights for d, v in vectors.items()} == {
+                d: v.weights for d, v in want_vectors.items()
+            }
+
+    def test_install_skips_present_entries(self, warmed):
+        artifacts = warmed.framework.export_warm_state()
+        assert warmed.framework.install_warm_state(artifacts) == 0
+
+    @pytest.mark.parametrize(
+        "payload, problem",
+        [
+            ("nope", "invalid JSON"),
+            ('{"results": [], "vectors": {}}', "malformed"),  # no "q"
+            ('{"q": "ok", "results": [["d1"]], "vectors": {}}', "malformed"),
+        ],
+    )
+    def test_corrupt_row_names_path_shard_and_spec(
+        self, tmp_path, tiny_collection, payload, problem
+    ):
+        """A hand-corrupted row fails with a ValueError naming the file,
+        the shard and the row's spec query, not a bare KeyError."""
         built = PartitionedSearchEngine(tiny_collection, 2)
-        results = built.search("apple computer", 3)
-        vectors = built.snippet_vectors("apple computer", results)
-        payload = encode_warm_artifact("apple computer", results, vectors)
-        path = tmp_path / "warm.sqlite3"
-        write_store(
-            path,
+        query = "apple computer"
+        results = built.search(query, 3)
+        good = encode_warm_artifact(
+            query, results, built.snippet_vectors(query, results)
+        )
+        path = write_store(
+            tmp_path / "warm.sqlite3",
             built,
-            warm_payloads={0: {"apple computer": payload}, 1: {}},
+            {1: {query: good, "apple pie": good}},
         )
-        assert read_warm_payloads(path, 0) == {"apple computer": payload}
-        assert read_warm_payloads(path, 1) == {}
-        spec_query, (loaded_results, loaded_vectors) = decode_warm_artifact(
-            read_warm_payloads(path, 0)["apple computer"]
-        )
-        assert spec_query == "apple computer"
-        assert [r.doc_id for r in loaded_results] == [
-            r.doc_id for r in results
-        ]
-        assert loaded_results.scores == results.scores
-        assert {d: v.weights for d, v in loaded_vectors.items()} == {
-            d: v.weights for d, v in vectors.items()
-        }
+        connection = sqlite3.connect(path)
+        with connection:
+            connection.execute(
+                "UPDATE warm_artifacts SET payload = ? WHERE spec_query = ?",
+                (payload, "apple pie"),
+            )
+        connection.close()
+        with pytest.raises(ValueError) as raised:
+            read_warm_artifacts(path, 1)
+        message = str(raised.value)
+        for part in (str(path), "[shard=1]", "'apple pie'", problem):
+            assert part in message
 
     def test_store_without_warm_rows_reads_empty(self, store_path):
-        store = IndexStore(store_path)
-        try:
-            assert store.warm_shards() == []
-            assert store.warm_payloads(0) == {}
-        finally:
-            store.close()
+        assert read_warm_artifacts(store_path, 0) == {}

@@ -26,8 +26,8 @@ asyncio harness in ``tests/serving/aio.py``):
   computing, delay the reply, or hang it forever.
 * :class:`FaultInjectingBackend` — a
   :class:`~repro.serving.replication.ReplicatedBackend` wired to build
-  scripted workers from the *real* service factory (so
-  ``warm_artifacts_dir`` rehydration is exercised by respawns) on the
+  scripted workers from the *real* service factory (so a store-backed
+  shard's warm rehydration is exercised by respawns) on the
   shared virtual clock, with shard fan-out forced sequential so the
   clock's advance order is deterministic.  ``spawned`` logs every
   ``(shard, replica)`` build — respawns are observable as repeats.
@@ -212,8 +212,8 @@ class FaultInjectingBackend(ReplicatedBackend):
     zero real processes.
 
     The worker provider runs the *real* service factory (so respawns
-    exercise ``warm_artifacts_dir`` rehydration exactly like a process
-    respawn would) and wraps the service in a :class:`ScriptedWorker`
+    exercise warm rehydration from the index store exactly like a
+    process respawn would) and wraps the service in a :class:`ScriptedWorker`
     driven by ``schedule``.  Shard fan-out is forced sequential: a
     thread pool racing polls on one shared clock would destroy the
     determinism this harness exists for.

@@ -6,7 +6,7 @@ every backend** — the backends may change where the work runs, never
 what is served.  The process backend additionally gets its worker
 protocol exercised: stats snapshots over the boundary, error
 propagation, per-shard breakdowns with idle shards, warm-artifact
-hydration from disk, and lifecycle edges.
+hydration from the index store, and lifecycle edges.
 """
 
 from __future__ import annotations
@@ -15,6 +15,7 @@ import multiprocessing
 
 import pytest
 
+from repro.retrieval.store import StoreBackedSearchEngine, StoreError
 from repro.serving import (
     BACKEND_NAMES,
     BackendError,
@@ -25,6 +26,7 @@ from repro.serving import (
     ThreadBackend,
     WorkerDiedError,
     make_backend,
+    persist_store,
 )
 
 NUM_SHARDS = 3
@@ -156,10 +158,12 @@ class TestProcessBackendProtocol:
         assert cluster.cluster_stats().ranked == 2
 
     def test_worker_exception_propagates(self, cluster, tmp_path):
-        with pytest.raises(FileNotFoundError):
+        with pytest.raises(StoreError):
             # Raises inside the worker; the backend must re-raise the
             # original exception type in the parent.
-            cluster.backend.invoke(0, "load_warm", str(tmp_path / "missing.jsonl"))
+            cluster.backend.invoke(
+                0, "load_warm_store", str(tmp_path / "missing.sqlite3")
+            )
 
     def test_protocol_survives_mixed_failure_batch(
         self, cluster, workload, tmp_path
@@ -171,11 +175,11 @@ class TestProcessBackendProtocol:
         from repro.serving.service import ServiceStats
 
         cluster.diversify_batch(workload)  # replies that could go stale
-        missing = str(tmp_path / "missing.jsonl")
-        with pytest.raises(FileNotFoundError):
+        missing = str(tmp_path / "missing.sqlite3")
+        with pytest.raises(StoreError):
             cluster.backend.invoke_each(
-                [(s, "load_warm" if s == 0 else "get_stats", (missing,) if s == 0 else ())
-                 for s in range(NUM_SHARDS)]
+                [(0, "load_warm_store", (missing,))]
+                + [(s, "get_stats", ()) for s in range(1, NUM_SHARDS)]
             )
         # The backend is still usable and in sync.
         done = cluster.backend.broadcast("get_stats")
@@ -225,48 +229,34 @@ class TestProcessBackendProtocol:
 
 @needs_fork
 class TestWarmPersistenceAcrossProcesses:
-    def test_cluster_save_then_hydrate_from_factory(
-        self, framework_factory, workload, reference, tmp_path
+    def test_cluster_persist_then_hydrate_from_factory(
+        self, framework_factory, small_engine, workload, reference, tmp_path
     ):
         donor = build_cluster(framework_factory, "process")
         try:
             donor.warm(workload)
-            saved = donor.save_warm(tmp_path)
-            assert saved > 0
-            assert sorted(p.name for p in tmp_path.iterdir()) == [
-                f"warm-shard{i}.jsonl" for i in range(NUM_SHARDS)
-            ]
+            path = persist_store(
+                tmp_path / "index.sqlite3", small_engine, donor
+            )
         finally:
             donor.close()
 
-        hydrated = build_cluster(
-            framework_factory, "process", warm_artifacts_dir=tmp_path
+        hydrated = ShardedDiversificationService.from_factory(
+            lambda shard: framework_factory(
+                engine=StoreBackedSearchEngine(path)
+            ),
+            num_shards=NUM_SHARDS,
+            backend="process",
         )
         try:
-            # The offline phase is already on disk: warming fetches nothing.
+            # The offline phase is already in the store: warming fetches
+            # nothing.
             report = hydrated.warm(workload)
             assert report.fetched == 0
             got = hydrated.diversify_batch(workload)
             assert [r.ranking for r in got] == reference
         finally:
             hydrated.close()
-
-    def test_load_warm_into_running_cluster(
-        self, framework_factory, workload, tmp_path
-    ):
-        donor = build_cluster(framework_factory, "inline")
-        donor.warm(workload)
-        donor.save_warm(tmp_path)
-        fresh = build_cluster(framework_factory, "process")
-        try:
-            assert fresh.load_warm(tmp_path) > 0
-            assert fresh.warm(workload).fetched == 0
-        finally:
-            fresh.close()
-
-    def test_load_warm_missing_directory_is_noop(self, framework_factory, tmp_path):
-        cluster = build_cluster(framework_factory, "inline")
-        assert cluster.load_warm(tmp_path / "nowhere") == 0
 
 
 class TestIdleShardBreakdowns:

@@ -25,16 +25,22 @@ from repro.core.framework import DiversificationFramework
 from repro.retrieval.analysis import Analyzer
 from repro.retrieval.documents import Document, DocumentCollection
 from repro.retrieval.sharding import PartitionedSearchEngine
-from repro.retrieval.store import StoreBackedSearchEngine, write_store
+from repro.retrieval.store import (
+    StoreBackedSearchEngine,
+    read_warm_artifacts,
+    write_store,
+)
 from repro.serving import (
     BACKEND_NAMES,
     AsyncDiversificationService,
     DiversificationHTTPServer,
     DiversificationService,
     ShardedDiversificationService,
+    persist_store,
 )
 
 from tests.conftest import STANDARD_CONFIG
+from tests.retrieval.test_store_epochs import assert_stores_identical
 
 from .aio import ManualClock, RecordingBackend, run
 from .faults import FaultInjectingBackend
@@ -94,9 +100,10 @@ def apply_to_docs(docs, batches):
     return docs
 
 
-def make_engine(docs, num_partitions=PARTITIONS):
+def make_engine(docs, num_partitions=PARTITIONS, analyzer=None):
     return PartitionedSearchEngine(
-        DocumentCollection(docs), num_partitions=num_partitions
+        DocumentCollection(docs), num_partitions=num_partitions,
+        analyzer=analyzer,
     )
 
 
@@ -196,6 +203,28 @@ class TestServiceIngest:
         )
         assert_results_equal(served, fresh.diversify_batch(workload))
 
+    def test_append_to_store_needs_a_store_backed_engine(
+        self, tmp_path, small_miner, initial_docs, holdout_docs
+    ):
+        """``append_to_store`` writes the store's next epoch without
+        publishing it to the serving engine; an in-memory engine has no
+        durable side, so nothing is written and it answers False."""
+        in_memory = make_service(small_miner, initial_docs)
+        assert in_memory.append_to_store(holdout_docs[:1]) is False
+        assert in_memory.current_epoch() == 0
+
+        path = tmp_path / "append.sqlite3"
+        write_store(path, make_engine(initial_docs))
+        service = DiversificationService(
+            DiversificationFramework(
+                StoreBackedSearchEngine(path), small_miner,
+                config=STANDARD_CONFIG,
+            )
+        )
+        assert service.append_to_store(holdout_docs[:1]) is True
+        assert service.current_epoch() == 0  # written, not yet published
+        assert StoreBackedSearchEngine(path).epoch == 1
+
 
 # -- sharded clusters ------------------------------------------------------------
 
@@ -226,6 +255,35 @@ class TestShardedIngest:
                 assert shard_stats.epochs_published == 1
         finally:
             cluster.close()
+
+    def test_store_append_analyses_with_the_engine_analyzer(
+        self, tmp_path, small_miner, initial_docs
+    ):
+        """The cluster's one durable append analyses added documents with
+        the shard engine's analyzer, not the stock one: the store equals a
+        from-scratch write of the final collection under that analyzer."""
+        analyzer = Analyzer(use_stemming=False)
+        added = Document("live0", "jumping oranges")
+        live = tmp_path / "live.sqlite3"
+        write_store(live, make_engine(initial_docs, analyzer=analyzer))
+        cluster = ShardedDiversificationService.from_factory(
+            lambda shard: DiversificationFramework(
+                StoreBackedSearchEngine(live, analyzer=analyzer),
+                small_miner,
+                config=STANDARD_CONFIG,
+            ),
+            num_shards=2,
+            backend="inline",
+        )
+        try:
+            assert cluster.ingest(add_documents=[added]) == 1
+        finally:
+            cluster.close()
+        scratch = tmp_path / "scratch.sqlite3"
+        write_store(
+            scratch, make_engine(initial_docs + [added], analyzer=analyzer)
+        )
+        assert_stores_identical(live, scratch)
 
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_identity_under_every_backend(
@@ -288,6 +346,51 @@ class TestReplicatedIngest:
             # The kill really forced a respawn (a fresh store attach).
             assert len(backend.spawned) > spawned_before
             assert cluster.current_epoch() == len(batches)
+        finally:
+            cluster.close()
+
+    def test_respawn_after_ingest_hydrates_no_stale_warm_rows(
+        self, tmp_path, small_miner, initial_docs, batches, workload, reference
+    ):
+        """Warm rows persisted at epoch 0 embed that epoch's N and avg_dl.
+        A stats-changing ingest prunes them from the store, so a replica
+        respawned afterwards hydrates nothing stale and still serves the
+        cold rebuild's results."""
+        engine = make_engine(initial_docs)
+        donor = ShardedDiversificationService.from_factory(
+            lambda shard: DiversificationFramework(
+                engine, small_miner, config=STANDARD_CONFIG
+            ),
+            num_shards=2,
+            backend="inline",
+        )
+        try:
+            donor.warm(set(workload))
+            store_path = persist_store(
+                tmp_path / "warm.sqlite3", engine, donor
+            )
+        finally:
+            donor.close()
+        assert read_warm_artifacts(store_path, 0)
+
+        backend = FaultInjectingBackend(replicas=2)
+        cluster = ShardedDiversificationService.from_factory(
+            lambda shard: DiversificationFramework(
+                StoreBackedSearchEngine(store_path),
+                small_miner,
+                config=STANDARD_CONFIG,
+            ),
+            num_shards=2,
+            backend=backend,
+        )
+        try:
+            for adds, removes in batches:
+                cluster.ingest(add_documents=adds, remove_doc_ids=removes)
+            for shard in range(2):
+                assert read_warm_artifacts(store_path, shard) == {}
+            backend.kill_replica(0)
+            assert_results_equal(cluster.diversify_batch(workload), reference)
+            assert backend.replication_stats()[0].respawns == (1, 0)
         finally:
             cluster.close()
 

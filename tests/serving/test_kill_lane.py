@@ -27,10 +27,12 @@ import time
 
 import pytest
 
+from repro.retrieval.store import StoreBackedSearchEngine
 from repro.serving import (
     DiversificationService,
     ReplicatedBackend,
     ShardedDiversificationService,
+    persist_store,
 )
 
 pytestmark = [
@@ -70,13 +72,10 @@ def assert_results_equal(got, want):
         assert g.baseline.scores == w.baseline.scores
 
 
-def build_cluster(framework_factory, tmp_path=None, **backend_kwargs):
+def build_cluster(factory, **backend_kwargs):
     backend = ReplicatedBackend(replicas=REPLICAS, **backend_kwargs)
     cluster = ShardedDiversificationService.from_factory(
-        lambda shard: framework_factory(),
-        num_shards=NUM_SHARDS,
-        backend=backend,
-        warm_artifacts_dir=tmp_path,
+        factory, num_shards=NUM_SHARDS, backend=backend
     )
     return cluster, backend
 
@@ -84,7 +83,7 @@ def build_cluster(framework_factory, tmp_path=None, **backend_kwargs):
 def test_sigkill_between_batches_respawns_and_keeps_identity(
     framework_factory, workload, reference
 ):
-    cluster, backend = build_cluster(framework_factory)
+    cluster, backend = build_cluster(lambda shard: framework_factory())
     try:
         quarter = max(1, len(workload) // 4)
         got = cluster.diversify_batch(workload[:quarter])
@@ -109,7 +108,7 @@ def test_sigkill_mid_request_fails_over_to_identical_results(
 ):
     """Kill pids *while* a batch is in flight from another thread — the
     failover retry must still produce the reference results."""
-    cluster, backend = build_cluster(framework_factory)
+    cluster, backend = build_cluster(lambda shard: framework_factory())
     try:
         victims = [backend.replica_pids(shard)[0] for shard in range(NUM_SHARDS)]
         results = []
@@ -132,7 +131,7 @@ def test_sigkill_mid_request_fails_over_to_identical_results(
 
 
 def test_respawn_rehydrates_from_warm_store(
-    framework_factory, workload, reference, tmp_path
+    framework_factory, small_engine, workload, reference, tmp_path
 ):
     donor = ShardedDiversificationService.from_factory(
         lambda shard: framework_factory(),
@@ -140,18 +139,20 @@ def test_respawn_rehydrates_from_warm_store(
         backend="inline",
     )
     donor.warm(workload)
-    donor.save_warm(tmp_path)
+    path = persist_store(tmp_path / "index.sqlite3", small_engine, donor)
     donor.close()
 
-    cluster, backend = build_cluster(framework_factory, tmp_path=tmp_path)
+    cluster, backend = build_cluster(
+        lambda shard: framework_factory(engine=StoreBackedSearchEngine(path))
+    )
     try:
         shard = 0
         os.kill(backend.replica_pids(shard)[0], signal.SIGKILL)
         assert_results_equal(cluster.diversify_batch(workload), reference)
         assert backend.replication_stats()[shard].respawns_total >= 1
         bucket = [q for q in set(workload) if cluster.route(q) == shard]
-        # Every replica — the respawned one included — holds the warm
-        # artifacts from disk: re-warming fetches nothing.
+        # Every replica — the respawned one included — hydrated the warm
+        # artifacts from the store: re-warming fetches nothing.
         for report in backend.invoke_replicas(shard, "warm", bucket):
             assert report.fetched == 0
     finally:

@@ -328,37 +328,6 @@ class TestHedgedRequests:
         assert backend.clock.now == before
 
 
-class TestRespawnRehydration:
-    def test_respawned_replica_rehydrates_from_warm_store(
-        self, framework_factory, workload, reference, tmp_path
-    ):
-        # Offline phase once, persisted — the respawn's hydration source.
-        donor = build_cluster(framework_factory, "inline")
-        donor.warm(workload)
-        donor.save_warm(tmp_path)
-        donor.close()
-
-        backend = FaultInjectingBackend(replicas=REPLICAS)
-        cluster = ShardedDiversificationService.from_factory(
-            lambda shard: framework_factory(),
-            num_shards=NUM_SHARDS,
-            backend=backend,
-            warm_artifacts_dir=tmp_path,
-        )
-        try:
-            shard = 0
-            bucket = [q for q in set(workload) if cluster.route(q) == shard]
-            backend.kill_replica(shard, 0)
-            assert_results_equal(cluster.diversify_batch(workload), reference)
-            assert backend.replication_stats()[shard].respawns == (1, 0)
-            # The respawned replica warmed from disk: re-warming its
-            # bucket fetches nothing from the engine.
-            for report in backend.invoke_replicas(shard, "warm", bucket):
-                assert report.fetched == 0
-        finally:
-            cluster.close()
-
-
 class TestReplicatedStatsPlumbing:
     def test_shard_stats_carry_replica_breakdowns(
         self, make_cluster, workload

@@ -1,5 +1,5 @@
 """Opt-in spawn lane: the process backend end to end under
-``start_method="spawn"`` — build, warm, diversify, persist.
+``start_method="spawn"`` — build, warm, diversify, persist to the store.
 
 Everything the fork-based process tests assert, re-asserted in the
 start method that inherits *nothing*: every worker is a fresh
@@ -26,11 +26,13 @@ from repro.core.framework import DiversificationFramework, FrameworkConfig
 from repro.experiments.offline import PartitionedFrameworkFactory
 from repro.experiments.workloads import WorkloadScale, build_trec_workload
 from repro.retrieval.sharding import PartitionedSearchEngine
+from repro.retrieval.store import StoreBackedSearchEngine
 from repro.serving import (
     DiversificationService,
     ProcessBackend,
     ShardedDiversificationService,
     build_partitioned_engine,
+    persist_store,
 )
 from tests.retrieval.search_oracle import assert_oracle
 
@@ -140,25 +142,27 @@ def test_warm_persistence_round_trip_under_spawn(
     engine, _ = build_partitioned_engine(
         collection, NUM_PARTITIONS, backend="process", start_method="spawn"
     )
-    factory = PartitionedFrameworkFactory(engine, miner, config)
-
     donor = ShardedDiversificationService.from_factory(
-        factory, NUM_SHARDS, backend=ProcessBackend(start_method="spawn")
+        PartitionedFrameworkFactory(engine, miner, config),
+        NUM_SHARDS,
+        backend=ProcessBackend(start_method="spawn"),
     )
     try:
         donor.warm(queries)
-        assert donor.save_warm(tmp_path) > 0
+        path = persist_store(tmp_path / "index.sqlite3", engine, donor)
     finally:
         donor.close()
 
+    store_engine = StoreBackedSearchEngine(path)
     restarted = ShardedDiversificationService.from_factory(
-        factory,
+        PartitionedFrameworkFactory(store_engine, miner, config),
         NUM_SHARDS,
         backend=ProcessBackend(start_method="spawn"),
-        warm_artifacts_dir=tmp_path,
     )
     try:
-        # The offline phase came off disk inside the spawned workers.
+        # The offline phase came out of the store inside the spawned
+        # workers, each of which re-attached the pickled engine.
         assert restarted.warm(queries).fetched == 0
     finally:
         restarted.close()
+        store_engine.close()

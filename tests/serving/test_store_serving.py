@@ -5,9 +5,9 @@ The identity anchor of the storage PR: a cluster whose shards hold a
 from SQLite through the LRU page cache) must serve results
 field-identical — rankings *and* baseline scores — to the same cluster
 over the fully in-memory engine, under every execution backend; warm
-artifacts hydrate from the store's ``warm_artifacts`` table instead of
-JSONL, including on replica respawn; and the page-cache counters
-surface through ``ServiceStats`` and the HTTP stats payload.
+artifacts hydrate from the store's ``warm_artifacts`` table, including
+on replica respawn; and the page-cache counters surface through
+``ServiceStats`` and the HTTP stats payload.
 """
 
 from __future__ import annotations
@@ -18,11 +18,17 @@ import pytest
 
 from repro.core.framework import DiversificationFramework
 from repro.retrieval.sharding import PartitionedSearchEngine
-from repro.retrieval.store import StoreBackedSearchEngine, write_store
+from repro.retrieval.engine import SearchEngine
+from repro.retrieval.store import (
+    StoreBackedSearchEngine,
+    read_warm_artifacts,
+    write_store,
+)
 from repro.serving import (
     BACKEND_NAMES,
     DiversificationService,
     ShardedDiversificationService,
+    ShardServiceFactory,
     persist_store,
     stats_payload,
 )
@@ -130,6 +136,35 @@ class TestWarmStoreHydration:
             donor.close()
         return path
 
+    def test_factory_hydrates_each_shard_as_it_builds(
+        self, warmed_store, small_miner
+    ):
+        """Building a shard over a store-backed engine installs exactly
+        that shard's warm rows — no warm call, no option naming the file."""
+        factory = ShardServiceFactory(
+            make_store_framework_factory(warmed_store, small_miner)
+        )
+        hydrated = 0
+        for shard in range(NUM_SHARDS):
+            service = factory(shard)
+            assert service.framework.engine.store_path == str(warmed_store)
+            held = service.framework.export_warm_state()
+            assert set(held) == set(read_warm_artifacts(warmed_store, shard))
+            hydrated += len(held)
+        assert hydrated > 0
+
+    def test_in_memory_engine_factory_does_not_hydrate(
+        self, built_engine, small_miner
+    ):
+        assert SearchEngine.store_path is None
+        assert built_engine.store_path is None
+        service = ShardServiceFactory(
+            lambda shard: DiversificationFramework(
+                built_engine, small_miner, config=STANDARD_CONFIG
+            )
+        )(0)
+        assert service.framework.export_warm_state() == {}
+
     def test_hydrated_cluster_refetches_nothing(
         self, warmed_store, small_miner, workload, reference
     ):
@@ -137,7 +172,6 @@ class TestWarmStoreHydration:
             make_store_framework_factory(warmed_store, small_miner),
             num_shards=NUM_SHARDS,
             backend="inline",
-            warm_store=warmed_store,
         )
         try:
             # Every artifact came from the store's rows: re-warming the
@@ -155,7 +189,6 @@ class TestWarmStoreHydration:
             make_store_framework_factory(warmed_store, small_miner),
             num_shards=NUM_SHARDS,
             backend=backend,
-            warm_store=warmed_store,
         )
         try:
             shard = 0
