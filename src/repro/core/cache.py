@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from typing import Generic, Iterator, TypeVar
 
@@ -134,6 +134,31 @@ class LRUCache(Generic[K, V]):
             self.hits += 1
             self._data.move_to_end(key)
             return value
+
+    def lookup(self, key: K, whole: Callable[[V], bool]) -> V | None:
+        """``get`` for a cache that also holds partial entries.
+
+        A present entry is returned and refreshes recency either way, but
+        counts as a hit only when *whole* accepts it: a partial entry is
+        a miss its caller completes.
+        """
+        with self._lock:
+            value = self._data.get(key, _MISSING)
+            if value is _MISSING:
+                self.misses += 1
+                return None
+            self._data.move_to_end(key)
+            if whole(value):
+                self.hits += 1
+            else:
+                self.misses += 1
+            return value
+
+    def peek(self, key: K) -> V | None:
+        """The value of *key*, or ``None`` — a pure probe like
+        ``__contains__``: counters and recency order are untouched."""
+        with self._lock:
+            return self._data.get(key)
 
     def put(self, key: K, value: V) -> None:
         """Insert/update *key*, evicting the LRU entry when full."""

@@ -116,6 +116,12 @@ def get_diversifier(
     return factory(**kwargs)
 
 
+def _whole(cached: tuple | None) -> bool:
+    """Whether a spec-cache entry is a whole artifact — not absent and
+    not a retained-vectors entry (``results`` ``None``)."""
+    return cached is not None and cached[0] is not None
+
+
 @dataclass(frozen=True)
 class FrameworkConfig:
     """Operating parameters of the online pipeline.
@@ -218,32 +224,57 @@ class DiversificationFramework:
             return self.detector.mine(query)
         return self.detector.detect(query)
 
-    def _cache_spec(self, spec_query: str, cached: tuple) -> None:
+    def _cache_spec(
+        self, spec_query: str, cached: tuple, held: tuple | None
+    ) -> None:
         """Insert a freshly computed artifact unless its epoch is gone.
 
         A query pinned to epoch N may finish computing an artifact after
         N+1 published and the serving layer already swept the stale
         entries; inserting then would resurrect epoch-N data.  The check
         and the put happen under the engine's epoch lock — the same lock
-        a publish holds — so either the insert lands before the publish
-        (and the sweep sees it) or the epoch comparison fails and the
-        artifact is discarded.
+        a publish and :meth:`invalidate_affected` hold — so either the
+        insert lands before the publish (and the sweep sees it) or the
+        epoch comparison fails and the artifact is discarded.  An
+        artifact completed from a retained-vectors entry (*held*) is
+        discarded too if a sweep replaced that entry meanwhile: the
+        vectors it reused may belong to a document the sweep's epoch
+        changed.
         """
         engine = self.engine
         computed_at = engine._pinned_snapshot().epoch
         with engine._epoch_lock:
-            if engine.epoch == computed_at:
-                self._spec_cache.put(spec_query, cached)
+            if engine.epoch != computed_at:
+                return
+            if held is not None and self._spec_cache.peek(spec_query) is not held:
+                return
+            self._spec_cache.put(spec_query, cached)
+
+    def _complete(
+        self, spec_query: str, results: ResultList, held: tuple | None
+    ) -> tuple[ResultList, dict]:
+        """``(R_q', its surrogate vectors)``, cached by :meth:`_cache_spec`.
+
+        *held* is what the cache held for *spec_query* — nothing, or a
+        retained-vectors entry — and only the results it has no vector
+        for are vectorised.
+        """
+        kept = held[1] if held is not None else {}
+        missing = [r for r in results if r.doc_id not in kept]
+        fresh = self.engine.snippet_vectors(spec_query, missing) if missing else {}
+        artifact = results, {
+            d: kept[d] if d in kept else fresh[d] for d in results.doc_ids
+        }
+        self._cache_spec(spec_query, artifact, held)
+        return artifact
 
     def _spec_results(self, spec_query: str) -> tuple[ResultList, dict]:
         """Step (b): the cached small list R_q' and its snippet vectors."""
-        cached = self._spec_cache.get(spec_query)
-        if cached is None:
-            results = self.engine.search(spec_query, self.config.spec_results)
-            vectors = self.engine.snippet_vectors(spec_query, results)
-            cached = (results, vectors)
-            self._cache_spec(spec_query, cached)
-        return cached
+        cached = self._spec_cache.lookup(spec_query, _whole)
+        if _whole(cached):
+            return cached
+        results = self.engine.search(spec_query, self.config.spec_results)
+        return self._complete(spec_query, results, cached)
 
     def prefetch_specializations(self, spec_queries) -> int:
         """Warm the specialization cache for *spec_queries* in one pass.
@@ -254,7 +285,8 @@ class DiversificationFramework:
         queries sharing intents pays for each artifact once.  Returns the
         number of specializations actually fetched.
         """
-        missing = [q for q in dict.fromkeys(spec_queries) if q not in self._spec_cache]
+        held = {q: self._spec_cache.peek(q) for q in dict.fromkeys(spec_queries)}
+        missing = [q for q, cached in held.items() if not _whole(cached)]
         if not missing:
             return 0
         with self.engine.pinned():
@@ -262,42 +294,65 @@ class DiversificationFramework:
                 missing, self.config.spec_results
             )
             for spec_query in missing:
-                results = fetched[spec_query]
-                vectors = self.engine.snippet_vectors(spec_query, results)
-                self._cache_spec(spec_query, (results, vectors))
+                self._complete(spec_query, fetched[spec_query], held[spec_query])
         return len(missing)
 
     def invalidate_affected(self, delta) -> int:
-        """Drop exactly the warm artifacts an epoch's delta stales.
+        """Drop exactly the warm state an epoch's delta stales.
 
-        The soundness rule: a batch that changes the collection's
-        document count or token total changes ``N`` and ``avg_dl`` and
-        therefore *every* cached score — the whole cache drops.  A
-        stats-preserving swap leaves an artifact byte-valid iff its
+        The soundness rule for a result list: a batch that changes the
+        collection's document count or token total changes ``N`` and
+        ``avg_dl`` and therefore *every* cached score — every list
+        drops.  A stats-preserving swap leaves a list byte-valid iff its
         specialization's terms are disjoint from the changed documents'
         terms (df/cf untouched) **and** none of the changed documents
-        appear in its results (relative ordinal order of survivors is
-        preserved, so tie-breaks hold).  Returns the number of artifacts
-        dropped.
+        appear in its results (relative seq order of survivors is
+        preserved, so tie-breaks hold).
+
+        A surrogate vector is derived from the specialization query and
+        its document's forward row, neither of which an epoch moves
+        unless it changed that document.  So a dropped list leaves its
+        unchanged documents' vectors behind, as a retained-vectors entry
+        (``results`` ``None``) in the same bounded cache; the next fetch
+        of that specialization re-searches and vectorises only the
+        documents it holds no vector for.  An entry left with no vector
+        goes.  ``delta=None`` (an unknown change) drops everything.
+
+        Runs under the engine's epoch lock, like :meth:`_cache_spec`.
+        Returns the number of result lists dropped.
         """
-        if delta is None or delta.stats_changed:
-            dropped = len(self._spec_cache)
-            self._spec_cache.clear()
+        with self.engine._epoch_lock:
+            if delta is None:
+                dropped = sum(_whole(c) for _, c in self._spec_cache.snapshot())
+                self._spec_cache.clear()
+                return dropped
+            changed_terms = delta.terms
+            changed_ids = delta.changed_ids
+            if not (delta.stats_changed or changed_terms or changed_ids):
+                return 0
+            analyzer = self.engine.analyzer
+            dropped = 0
+            for spec_query, (results, vectors) in self._spec_cache.snapshot():
+                stale = not changed_ids.isdisjoint(vectors)
+                if results is not None and not stale:
+                    stale = (
+                        delta.stats_changed
+                        or not changed_ids.isdisjoint(results.doc_ids)
+                        or not changed_terms.isdisjoint(analyzer.analyze(spec_query))
+                    )
+                if not stale:
+                    continue
+                dropped += results is not None
+                kept = {
+                    doc_id: vector
+                    for doc_id, vector in vectors.items()
+                    if doc_id not in changed_ids
+                }
+                if kept:
+                    self._spec_cache.put(spec_query, (None, kept))
+                else:
+                    self._spec_cache.delete(spec_query)
             return dropped
-        changed_terms = delta.terms
-        changed_ids = delta.changed_ids
-        if not changed_terms and not changed_ids:
-            return 0
-        analyzer = self.engine.analyzer
-        dropped = 0
-        for spec_query, (results, vectors) in self._spec_cache.snapshot():
-            touched = bool(set(analyzer.analyze(spec_query)) & changed_terms)
-            if not touched:
-                artifact_ids = set(results.doc_ids) | set(vectors)
-                touched = bool(artifact_ids & changed_ids)
-            if touched and self._spec_cache.delete(spec_query):
-                dropped += 1
-        return dropped
 
     def cache_info(self) -> CacheStats:
         """Hit/miss/eviction counters of the specialization cache."""
@@ -307,13 +362,26 @@ class DiversificationFramework:
         """Snapshot of the warm artifacts, LRU-oldest first.
 
         Returns ``{spec_query: (ResultList, {doc_id: TermVector})}`` —
-        exactly what the offline phase computed.  The snapshot is a pure
-        probe (cache counters untouched) and is what the index store's
-        ``warm_artifacts`` rows persist, so a restarted (or freshly
-        forked) worker can hydrate instead of re-deriving the offline
-        phase.
+        exactly what the offline phase computed; retained-vectors
+        entries (see :meth:`invalidate_affected`) are not artifacts and
+        are left out.  The snapshot is a pure probe (cache counters
+        untouched) and is what the index store's ``warm_artifacts`` rows
+        persist, so a restarted (or freshly forked) worker can hydrate
+        instead of re-deriving the offline phase.
         """
-        return dict(self._spec_cache.snapshot())
+        return {
+            spec_query: cached
+            for spec_query, cached in self._spec_cache.snapshot()
+            if _whole(cached)
+        }
+
+    def warm_memory_estimate(self) -> dict[str, int]:
+        """Estimated resident bytes of the spec cache — artifacts and
+        retained vectors alike
+        (:func:`repro.retrieval.persistence.estimate_warm_memory`)."""
+        from repro.retrieval.persistence import estimate_warm_memory
+
+        return estimate_warm_memory(self._spec_cache.snapshot())
 
     def install_warm_state(self, artifacts) -> int:
         """Load previously exported warm artifacts into the cache.
@@ -330,7 +398,7 @@ class DiversificationFramework:
         """
         installed = 0
         for spec_query, cached in dict(artifacts).items():
-            if spec_query not in self._spec_cache:
+            if not _whole(self._spec_cache.peek(spec_query)):
                 self._spec_cache.put(spec_query, tuple(cached))
                 installed += 1
         return installed

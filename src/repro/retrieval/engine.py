@@ -346,7 +346,8 @@ class BuildReport:
 
 @dataclasses.dataclass(frozen=True)
 class EpochDelta:
-    """What changed between an epoch and its predecessor.
+    """What changed between a snapshot and the one it replaced (every
+    epoch in between, for a store refresh that skipped some).
 
     Carried by the :class:`EngineSnapshot` the change produced, so every
     consumer of a publish (warm caches, result caches, stores) can
@@ -360,7 +361,8 @@ class EpochDelta:
     * ``stats_changed`` — whether the collection-global scalars (N,
       total tokens, hence avg_dl) moved.  When they did, *every* cached
       score is stale — DFR/BM25 contributions read them — and consumers
-      must invalidate everything.
+      must invalidate every score; what reads no statistic (a surrogate
+      vector of an unchanged document) stays valid.
     """
 
     added: tuple[str, ...] = ()

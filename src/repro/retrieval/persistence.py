@@ -130,10 +130,11 @@ def estimate_warm_memory(
 ) -> dict[str, int]:
     """Estimated resident bytes of warm artifacts, plus their counts.
 
-    *artifacts* is an
-    :meth:`~repro.core.framework.DiversificationFramework.export_warm_state`
-    snapshot: ``{spec_query: (ResultList, {doc_id: TermVector})}``.  Sums
-    ``sys.getsizeof`` of the real strings/dicts plus flat per-element
+    *artifacts* is ``{spec_query: (ResultList, {doc_id: TermVector})}``
+    as :meth:`~repro.core.framework.DiversificationFramework.export_warm_state`
+    returns it, or ``(spec_query, entry)`` pairs; an entry whose
+    ``ResultList`` is ``None`` (retained vectors) prices its vectors
+    only.  Sums ``sys.getsizeof`` of the real strings/dicts plus flat per-element
     prices for boxed floats — the same estimation discipline as
     :meth:`~repro.retrieval.index.InvertedIndex.memory_estimate`, so the
     offline pipeline's per-partition index footprints and per-shard warm
@@ -147,6 +148,7 @@ def estimate_warm_memory(
     vector_bytes = 0
     for spec_query, (results, vectors) in dict(artifacts).items():
         specializations += 1
+        results = results or ()  # None: a retained-vectors entry
         results_count += len(results)
         result_bytes += sys.getsizeof(spec_query)
         for result in results:

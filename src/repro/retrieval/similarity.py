@@ -111,9 +111,12 @@ class TermVector:
     # -- operations -------------------------------------------------------------
 
     def dot(self, other: "TermVector") -> float:
-        """Sparse dot product; iterates over the smaller vector."""
+        """Sparse dot product; iterates over the smaller vector, in its
+        term insertion order.  On a length tie the vector whose term
+        sequence sorts first is iterated, so the summation order — and
+        the result, bit for bit — is independent of argument order."""
         a, b = self.weights, other.weights
-        if len(b) < len(a):
+        if len(b) < len(a) or (len(b) == len(a) and list(b) < list(a)):
             a, b = b, a
         return sum(w * b[t] for t, w in a.items() if t in b)
 

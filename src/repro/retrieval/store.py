@@ -54,6 +54,7 @@ from repro.retrieval.analysis import Analyzer
 from repro.retrieval.documents import Document, DocumentCollection
 from repro.retrieval.engine import (
     EngineSnapshot,
+    EpochDelta,
     MemoryBudget,
     ResultList,
     SearchEngine,
@@ -96,7 +97,10 @@ __all__ = [
 #: v5: documents are keyed by a never-reused sequence number (``seq``,
 #: with ``next_seq`` in ``meta``); postings and each partition's member
 #: list carry seqs, so an epoch edits only the rows its batch touches.
-SCHEMA_VERSION = 5
+#: v6: an ``epoch_log`` row per appended epoch — the documents it added
+#: and removed and the ``postings`` rows it rewrote — so a refreshing
+#: reader drops exactly the pages and document rows the epochs changed.
+SCHEMA_VERSION = 6
 
 #: Default byte capacity of the shared postings page cache (per engine).
 DEFAULT_PAGE_CACHE_BYTES = 64 * 1024 * 1024
@@ -202,6 +206,12 @@ _SCHEMA_STATEMENTS = (
         payload    TEXT NOT NULL,
         PRIMARY KEY (shard, spec_query)
     ) WITHOUT ROWID""",
+    """CREATE TABLE epoch_log (
+        epoch    INTEGER PRIMARY KEY,
+        added    TEXT NOT NULL,
+        removed  TEXT NOT NULL,
+        postings TEXT NOT NULL
+    )""",
 )
 
 
@@ -429,8 +439,11 @@ def append_epoch(
     sorted), a removed one's entry dropped, an emptied row deleted.  The
     partitions a changed document hashes to (``stable_shard``) get their
     member list and statistics rewritten and are tagged with the new
-    epoch, which is what lets a refreshing reader keep the pages of
-    untouched partitions.  Nothing else is read or written.
+    epoch.  One ``epoch_log`` row records what the epoch changed: the
+    added and removed ``(doc_id, seq)`` and the ``(partition, term)``
+    of every ``postings`` row it rewrote or deleted — what lets a
+    refreshing reader drop exactly those pages and document rows and
+    keep everything else.  Nothing else is read or written.
 
     The whole append — validation included — is one ``BEGIN IMMEDIATE``
     transaction, so concurrent writers serialise on the store's write
@@ -607,6 +620,19 @@ def append_epoch(
                 doomed,
             )
 
+        terms_of: dict[int, list[str]] = {}
+        for shard, term in postings:
+            terms_of.setdefault(shard, []).append(term)
+        connection.execute(
+            "INSERT INTO epoch_log (epoch, added, removed, postings)"
+            " VALUES (?, ?, ?, ?)",
+            (
+                new_epoch,
+                json.dumps([[doc.doc_id, seq] for doc, seq, _ in new]),
+                json.dumps([[doc_id, seq] for doc_id, seq, _ in gone]),
+                json.dumps(sorted(terms_of.items()), ensure_ascii=False),
+            ),
+        )
         num_documents = int(meta["num_documents"]) + len(adds) - len(removes)
         connection.executemany(
             "UPDATE meta SET value = ? WHERE key = ?",
@@ -779,6 +805,37 @@ class IndexStore:
             raise StoreError(f"{self.path}: no partition {partition}")
         return dict(zip(_unpack_ints(row[0]), _unpack_ints(row[1])))
 
+    def changes(
+        self, after: int, upto: int
+    ) -> tuple[tuple[str, ...], tuple[str, ...], set[tuple[int, str]]]:
+        """What the epochs in (*after*, *upto*] changed, merged from
+        their ``epoch_log`` rows in epoch order: ``(added doc_ids,
+        removed doc_ids, (partition, term) keys of every postings row
+        rewritten or deleted)`` — a re-added doc_id is in both, and the
+        keys are each changed document's terms in its partition.  A
+        missing row is a :class:`StoreError`: without it a reader cannot
+        tell what to drop."""
+        rows = self._fetchall(
+            "SELECT added, removed, postings FROM epoch_log"
+            " WHERE epoch > ? AND epoch <= ? ORDER BY epoch",
+            (after, upto),
+        )
+        if len(rows) != upto - after:
+            raise StoreError(
+                f"{self.path}: epoch_log holds {len(rows)} of the "
+                f"{upto - after} rows for epochs {after + 1}..{upto}"
+            )
+        added, removed, pages = [], [], set()
+        for added_json, removed_json, postings_json in rows:
+            added.extend(doc_id for doc_id, _ in json.loads(added_json))
+            removed.extend(doc_id for doc_id, _ in json.loads(removed_json))
+            pages.update(
+                (partition, term)
+                for partition, terms in json.loads(postings_json)
+                for term in terms
+            )
+        return tuple(added), tuple(removed), pages
+
     # -- postings -----------------------------------------------------------
 
     def postings(self, partition: int, term: str) -> PostingList | None:
@@ -938,6 +995,19 @@ class PostingPageCache:
                 freed += nbytes
             self._resident -= freed
             self._evictions += len(doomed)
+            return freed
+
+    def evict_pages(self, keys: Collection[tuple[int, str]]) -> int:
+        """Drop the pages of *keys* that are resident (absent-term
+        entries included); returns the bytes freed."""
+        with self._lock:
+            freed = 0
+            for key in keys:
+                entry = self._pages.pop(key, None)
+                if entry is not None:
+                    freed += entry[1]
+                    self._evictions += 1
+            self._resident -= freed
             return freed
 
     def partition_bytes(self, partition: int) -> int:
@@ -1106,8 +1176,7 @@ class StoreBackedCollection:
     small LRU) when snippets or result mapping need them — the bulk of
     why attach is O(1) in collection size.  A row's forward-index blob
     is decoded with it and shares its LRU entry.  Entries are keyed by
-    doc_id and carry their partition so a refresh can keep those it did
-    not rewrite:
+    doc_id, so a refresh keeps every one an epoch did not change:
     *carried* is ``(doc_id, entry)`` pairs copied from the previous
     epoch's collection.
     """
@@ -1120,15 +1189,13 @@ class StoreBackedCollection:
     ) -> None:
         self._store = store
         self._num_documents = store.num_documents
-        # doc_id -> ((ForwardRow, Document), partition)
+        # doc_id -> (ForwardRow, Document)
         self._entries = LRUCache(cache_size, carried)
 
-    def cached_entries(self, partitions: Collection[int]) -> list[tuple]:
-        """The cached ``(doc_id, entry)`` pairs of documents in
-        *partitions*, least recently used first."""
-        return [
-            pair for pair in self._entries.snapshot() if pair[1][1] in partitions
-        ]
+    def cached_entries(self, changed: Collection[str]) -> list[tuple]:
+        """The cached ``(doc_id, entry)`` pairs of documents not in
+        *changed*, least recently used first."""
+        return [pair for pair in self._entries.snapshot() if pair[0] not in changed]
 
     def forward_entry(self, doc_id: str) -> tuple[ForwardRow, Document]:
         """``(forward row, document)`` of *doc_id* — one cache lookup."""
@@ -1143,11 +1210,9 @@ class StoreBackedCollection:
                 title=row[1],
                 metadata=json.loads(row[3]),
             )
-            store = self._store
-            shard = stable_shard(doc_id, store.num_partitions, store.seed)
-            entry = ((ForwardRow.decode(row[4]), document), shard)
+            entry = (ForwardRow.decode(row[4]), document)
             self._entries.put(doc_id, entry)
-        return entry[0]
+        return entry
 
     def __getitem__(self, doc_id: str) -> Document:
         return self.forward_entry(doc_id)[1]
@@ -1217,7 +1282,8 @@ class StoreBackedSearchEngine(SearchEngine):
     Live ingest reaches this engine through :meth:`refresh`, not
     ``apply_updates``: a writer appends an epoch to the store file
     (:func:`append_epoch`) and every attached engine re-snapshots from
-    it, re-paging only the partitions the append actually rewrote.
+    it, re-paging only the postings rows and documents the append
+    actually changed.
     """
 
     def __init__(
@@ -1261,41 +1327,53 @@ class StoreBackedSearchEngine(SearchEngine):
     ) -> EngineSnapshot:
         """Assemble a snapshot of the store's current epoch.
 
-        With *previous*, partitions whose stored ``epoch`` tag has not
-        advanced past the previous snapshot keep their wrapper (resident
-        lengths and postings pages stay valid — an append never edits an
-        untouched partition's rows); rewritten partitions get a fresh
-        wrapper and their pages evicted.  Cached document rows live by
-        the same rule: any added, removed or replaced document forces
-        its partition's tag forward, so the new collection view starts
-        with a *copy* of the previous one's entries in kept partitions
-        (a copy: a query still pinned to *previous* cannot write into
-        this epoch's cache).  The seq → doc_id lookup is shared by
-        every snapshot: seqs never move.
+        With *previous*, the ``epoch_log`` rows of the epochs in between
+        say what changed, and exactly that is dropped: the posting pages
+        (absent-term entries included) of the rewritten ``(partition,
+        term)`` rows are evicted, and the new collection view starts with
+        a *copy* of the previous one's cached rows minus the added and
+        removed doc_ids (a copy: a query still pinned to *previous*
+        cannot write into this epoch's cache).  Partitions whose stored
+        ``epoch`` tag has not advanced keep their wrapper and its
+        resident lengths.  The snapshot's ``delta`` is the changed
+        doc_ids, the rewritten rows' terms, and whether N or the token
+        total moved.  The seq → doc_id lookup is shared by every
+        snapshot: seqs never move.
         """
         store = self.store
         table = store.partition_table()
         if len(table) != self.num_partitions:
             raise StoreError(f"{store.path}: partition rows are missing")
+        epoch = store.store_epoch
+        num_documents = store.num_documents
+        total_tokens = store.total_tokens
         shards = range(self.num_partitions)
-        kept = set()
+        delta = EpochDelta(stats_changed=False)
+        kept, carried = set(), ()
         if previous is not None:
+            added, removed, pages = store.changes(previous.epoch, epoch)
+            self.page_cache.evict_pages(pages)
+            delta = EpochDelta(
+                added=added,
+                removed=removed,
+                terms=frozenset(term for _, term in pages),
+                stats_changed=(
+                    num_documents != previous.num_documents
+                    or total_tokens != previous.total_tokens
+                ),
+            )
             kept = {p for p in shards if table[p][0] <= previous.epoch}
-        self.page_cache.evict_partitions(set(shards) - kept)
+            carried = previous.collection.cached_entries(delta.changed_ids)
         partitions = [
             previous.partitions[p]
             if p in kept
             else StoreBackedInvertedIndex(store, p, self.page_cache, table[p][1:])
             for p in shards
         ]
-        num_documents = store.num_documents
-        total_tokens = store.total_tokens
         return EngineSnapshot(
-            epoch=store.store_epoch,
+            epoch=epoch,
             collection=StoreBackedCollection(
-                store,
-                self._document_cache_size,
-                previous.collection.cached_entries(kept) if kept else (),
+                store, self._document_cache_size, carried
             ),
             partitions=tuple(partitions),
             doc_ids=self._doc_ids,
@@ -1305,6 +1383,7 @@ class StoreBackedSearchEngine(SearchEngine):
             average_document_length=(
                 total_tokens / num_documents if num_documents else 0.0
             ),
+            delta=delta,
         )
 
     def _forward_lookup(self):
@@ -1313,6 +1392,11 @@ class StoreBackedSearchEngine(SearchEngine):
     def refresh(self) -> int:
         """Re-attach to the latest epoch published into the store.
 
+        However many epochs behind the engine is, the ``epoch_log`` rows
+        in between say what changed, and only that is dropped (see
+        :meth:`_attach_snapshot`); the published snapshot's ``delta``
+        covers every epoch skipped, so the serving layer's sweeps are as
+        exact as after an in-memory ``apply_updates``.
         Returns the (possibly unchanged) published epoch.  Raises
         :class:`StaleEpochError` if the store file moved *backwards* —
         a swapped-in older file — since serving an epoch and then

@@ -32,7 +32,6 @@ from repro.core.ambiguity import SpecializationSet
 from repro.core.cache import CacheStats, LRUCache
 from repro.core.framework import DiversificationFramework, DiversifiedResult
 from repro.core.task import DiversificationTask
-from repro.retrieval.engine import EpochDelta
 
 __all__ = [
     "PreparedQuery",
@@ -226,7 +225,7 @@ class ServiceStats:
     documents_removed: int = 0
     #: epochs this service published (or refreshed to, store-backed)
     epochs_published: int = 0
-    #: warm specialization artifacts dropped by epoch invalidation
+    #: specialization result lists dropped by epoch invalidation
     warm_invalidations: int = 0
     #: per-replica breakdown of one shard's merged stats (empty unless
     #: the shard ran replicated).  Replicas are *copies* of one shard —
@@ -655,16 +654,15 @@ class DiversificationService:
 
         Counts and prices the per-specialization result lists and
         snippet-surrogate vectors currently in the framework's spec
-        cache (:func:`repro.retrieval.persistence.estimate_warm_memory`)
+        cache, vectors retained across an epoch included
+        (:func:`repro.retrieval.persistence.estimate_warm_memory`)
         — the snippet-vector half of the offline pipeline's per-shard
         memory accounting, next to the per-partition index footprints in
         :class:`~repro.retrieval.sharding.BuildReport`.  A *method* (not
         a property) so execution backends can fetch the snapshot over a
         process boundary.
         """
-        from repro.retrieval.persistence import estimate_warm_memory
-
-        return estimate_warm_memory(self.framework.export_warm_state())
+        return self.framework.warm_memory_estimate()
 
     # -- live ingest --------------------------------------------------------------
 
@@ -681,10 +679,13 @@ class DiversificationService:
         appended to the store file
         (:meth:`~repro.retrieval.store.StoreBackedSearchEngine.refresh`)
         — the writer appends once, every attached service refreshes.
-        Either way the published delta then drives the warm
+        Either way the published snapshot's delta (for a store-backed
+        engine, read off the store's epoch log) then drives the warm
         invalidation: per-affected-specialization when the batch
-        preserved the collection statistics, wholesale when it changed
-        ``N`` or the token total (every cached score embeds both).
+        preserved the collection statistics, every result list when it
+        changed ``N`` or the token total (every cached score embeds
+        both); surrogate vectors of unchanged documents survive both
+        (:meth:`~repro.core.framework.DiversificationFramework.invalidate_affected`).
         Cached end-to-end results are swept by the same rule.  Returns
         the epoch that includes the batch.
         """
@@ -703,19 +704,12 @@ class DiversificationService:
         engine = self.framework.engine
         if engine.store_path is not None:
             # Store-backed: the batch was already appended to the store
-            # file (see :meth:`ingest`); re-attach to it.  The store no
-            # longer holds the removed rows, so the term analysis behind
-            # surgical invalidation is impossible here — a conservative
-            # stats_changed delta drops all warm state instead.
-            epoch = engine.refresh()
-            delta = EpochDelta(
-                added=tuple(doc.doc_id for doc in adds),
-                removed=tuple(removes),
-                terms=frozenset(),
-                stats_changed=True,
-            )
-            return epoch, delta
-        snapshot = engine.apply_updates(adds, removes)
+            # file (see :meth:`ingest`); re-attach, and the store's epoch
+            # log says what changed.
+            engine.refresh()
+            snapshot = engine.snapshot()
+        else:
+            snapshot = engine.apply_updates(adds, removes)
         return snapshot.epoch, snapshot.delta
 
     def _after_epoch(

@@ -72,6 +72,29 @@ class TestLRUCache:
         stats = cache.stats()
         assert stats.hits == 0 and stats.misses == 0
 
+    def test_peek_is_a_pure_probe(self):
+        cache = LRUCache(2)
+        cache.put("a", 1)
+        cache.put("b", 2)
+        assert cache.peek("a") == 1 and cache.peek("c") is None
+        stats = cache.stats()
+        assert stats.hits == 0 and stats.misses == 0
+        cache.put("c", 3)  # "a" was only peeked at: still the stalest
+        assert "a" not in cache and "b" in cache
+
+    def test_lookup_counts_a_partial_entry_as_a_miss(self):
+        cache = LRUCache(2)
+        cache.put("whole", (1, "x"))
+        cache.put("partial", (None, "x"))
+        whole = lambda value: value[0] is not None  # noqa: E731
+        assert cache.lookup("partial", whole) == (None, "x")
+        assert cache.lookup("whole", whole) == (1, "x")
+        assert cache.lookup("nope", whole) is None
+        stats = cache.stats()
+        assert (stats.hits, stats.misses) == (1, 2)
+        cache.put("c", 3)  # both were looked up; "partial" first
+        assert "partial" not in cache and "whole" in cache
+
     def test_hit_rate_before_any_lookup(self):
         assert LRUCache(1).stats().hit_rate == 0.0
 

@@ -323,7 +323,7 @@ class TestStoreSchema:
             ),
         )
         self._downgrade_to_v2(path)
-        assert SCHEMA_VERSION == 5
+        assert SCHEMA_VERSION == 6
         for attempt in (
             lambda: StoreBackedSearchEngine(path),
             lambda: append_epoch(path, make_docs(1, prefix="n")),
@@ -332,7 +332,7 @@ class TestStoreSchema:
                 attempt()
             message = str(exc_info.value)
             assert "old.sqlite3" in message
-            assert "version 2" in message and "version 5" in message
+            assert "version 2" in message and "version 6" in message
 
     def test_v3_store_is_rejected_naming_both_versions(self, tmp_path):
         path = write_store(
@@ -365,7 +365,7 @@ class TestStoreSchema:
                 attempt()
             message = str(exc_info.value)
             assert "v3.sqlite3" in message
-            assert "version 3" in message and "version 5" in message
+            assert "version 3" in message and "version 6" in message
 
     def test_window_terms_mismatch_is_a_typed_error(self, tmp_path):
         built = PartitionedSearchEngine(

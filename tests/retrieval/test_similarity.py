@@ -83,6 +83,24 @@ class TestCosine:
         v2 = TermVector({"b": 2.0, "c": 1.0})
         assert cosine(v1, v2) == pytest.approx(cosine(v2, v1))
 
+    def test_symmetry_is_exact_on_a_length_tie(self):
+        """Two 10-term vectors whose shared terms sit in different
+        insertion orders: summing over ``self`` on the tie made the two
+        argument orders round one ULP apart (0.31489519670169464 against
+        0.3148951967016946)."""
+        v1 = TermVector(
+            {"f": 9, "c": 7, "g": 1, "a": 2, "b": 4,
+             "j": 1, "e": 7, "i": 1, "k": 4, "d": 1}
+        )
+        v2 = TermVector(
+            {"a": 9, "i": 3, "d": 5, "l": 7, "b": 3,
+             "j": 9, "g": 2, "k": 5, "h": 9, "e": 3}
+        )
+        assert len(v1) == len(v2) == 10
+        assert cosine(v1, v2) == cosine(v2, v1)
+        assert v1.dot(v2) == v2.dot(v1)
+        assert delta(v1, v2) == delta(v2, v1)
+
     def test_empty_vector_similarity_zero(self):
         v = TermVector({"a": 1.0})
         empty = TermVector({})

@@ -164,9 +164,10 @@ class TestPageCache:
         self, built_engine, tmp_path, topic_queries, monkeypatch
     ):
         """A repeated query is served from the impact memo — neither the
-        store nor the page cache is touched; once an epoch rewrites one
-        partition the impacts are re-derived, from pages still resident
-        everywhere else."""
+        store nor the page cache is touched; once an epoch rewrites some
+        postings rows the impacts are re-derived, re-reading only the
+        rewritten rows the query needs: none here, since the added
+        document shares no term with it."""
         path = write_store(tmp_path / "index.sqlite3", built_engine)
         engine = StoreBackedSearchEngine(path)
         probes = []
@@ -188,15 +189,25 @@ class TestPageCache:
             assert (stats.hits, stats.misses) == (before.hits, before.misses)
 
             fresh = Document("fresh-doc", "entirely unrelated filler words")
-            rewritten = stable_shard(fresh.doc_id, 3, built_engine.seed)
+            assert terms.isdisjoint(engine.analyzer.analyze(fresh.full_text))
             append_epoch(path, [fresh])
             engine.refresh()
             del probes[:]
-            engine.search(query, K)
-            assert sorted(probes) == sorted((rewritten, t) for t in terms)
+            assert engine.search(query, K).doc_ids == first.doc_ids
+            assert probes == []
             after = engine.page_cache_info()
-            assert after.misses - stats.misses == len(terms)
-            assert after.hits - stats.hits == 2 * len(terms) > 0
+            assert after.misses == stats.misses
+            assert after.hits - stats.hits == 3 * len(terms) > 0
+
+            # An epoch that does hold a query term re-reads exactly that
+            # (partition, term) row.
+            term = sorted(terms)[0]
+            matching = Document("matching-doc", f"{term} filler")
+            rewritten = stable_shard(matching.doc_id, 3, built_engine.seed)
+            append_epoch(path, [matching])
+            engine.refresh()
+            engine.search(query, K)
+            assert probes == [(rewritten, term)]
         finally:
             engine.close()
 
@@ -288,6 +299,32 @@ class TestSchemaValidation:
         assert "0" in message
         assert str(SCHEMA_VERSION) in message
 
+    def test_v5_store_refused_by_reader_and_writer_unmodified(
+        self, tmp_path, tiny_collection
+    ):
+        path = write_store(
+            tmp_path / "v5.sqlite3", PartitionedSearchEngine(tiny_collection, 2)
+        )
+        # What a v5 writer left: no epoch log.
+        conn = sqlite3.connect(path)
+        conn.execute("DROP TABLE epoch_log")
+        conn.execute("UPDATE meta SET value = '5' WHERE key = 'schema_version'")
+        conn.commit()
+        conn.close()
+        before = path.read_bytes()
+        assert SCHEMA_VERSION == 6
+        for attempt in (
+            lambda: IndexStore(path),
+            lambda: append_epoch(path, [Document("n0", "apple")], ["banana"]),
+        ):
+            with pytest.raises(StoreError) as excinfo:
+                attempt()
+            message = str(excinfo.value)
+            assert "v5.sqlite3" in message
+            assert "version 5" in message and "version 6" in message
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["v5.sqlite3"]
+
     def test_v4_store_refused_by_reader_and_writer_unmodified(
         self, tmp_path, tiny_collection
     ):
@@ -304,7 +341,7 @@ class TestSchemaValidation:
         conn.commit()
         conn.close()
         before = path.read_bytes()
-        assert SCHEMA_VERSION == 5
+        assert SCHEMA_VERSION == 6
         for attempt in (
             lambda: IndexStore(path),
             lambda: append_epoch(path, [Document("n0", "apple")], ["banana"]),
@@ -313,7 +350,7 @@ class TestSchemaValidation:
                 attempt()
             message = str(excinfo.value)
             assert "v4.sqlite3" in message
-            assert "version 4" in message and "version 5" in message
+            assert "version 4" in message and "version 6" in message
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["v4.sqlite3"]
 

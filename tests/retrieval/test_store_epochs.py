@@ -11,6 +11,7 @@ been rolled back behind the epoch it needs.
 
 from __future__ import annotations
 
+import json
 import pickle
 import sqlite3
 import threading
@@ -90,6 +91,40 @@ def assert_stores_identical(got_path, want_path):
     finally:
         got.close()
         want.close()
+
+
+class TestEpochLog:
+    def test_one_row_per_epoch_names_its_change(self, tmp_path):
+        path = tmp_path / "log.sqlite3"
+        docs = make_docs(9)
+        build_store(path, docs)
+        connection = sqlite3.connect(path)
+        assert connection.execute("SELECT COUNT(*) FROM epoch_log").fetchone() == (0,)
+        adds = [Document("n0", "apple zebra"), Document("n1", "fig")]
+        append_epoch(path, adds, ["d2"])
+        ((epoch, added, removed, postings),) = connection.execute(
+            "SELECT epoch, added, removed, postings FROM epoch_log"
+        ).fetchall()
+        connection.close()
+        assert epoch == 1
+        assert json.loads(added) == [["n0", 9], ["n1", 10]]
+        assert json.loads(removed) == [["d2", 2]]
+        analyzer = Analyzer()
+        want: dict[int, set[str]] = {}
+        for doc in adds + [docs[2]]:
+            shard = stable_shard(doc.doc_id, PARTITIONS)
+            want.setdefault(shard, set()).update(analyzer.analyze(doc.full_text))
+        assert {p: set(terms) for p, terms in json.loads(postings)} == want
+
+        store = IndexStore(path)
+        try:
+            assert store.changes(0, 1) == (
+                ("n0", "n1"),
+                ("d2",),
+                {(p, t) for p, ts in want.items() for t in ts},
+            )
+        finally:
+            store.close()
 
 
 class TestAppendEpoch:
@@ -239,8 +274,8 @@ class TestAppendIsODelta:
         touched = {shard for shard, _ in pairs}
         # documents: 1 delete + 2 inserts; meta: num_documents,
         # total_tokens, store_epoch, next_seq; one row per touched
-        # partition and per changed (partition, term).
-        assert small == large == 3 + 4 + len(touched) + len(pairs)
+        # partition and per changed (partition, term); one epoch_log row.
+        assert small == large == 3 + 4 + len(touched) + len(pairs) + 1
 
 
 class PausingAnalyzer(Analyzer):

@@ -1,9 +1,12 @@
-"""What a store-backed engine keeps across ``refresh()``: cached document
-rows and remembered-absent terms of partitions the epochs did not
-rewrite survive; everything in a rewritten partition is re-read.  Store
-access is counted by wrapping the ``IndexStore`` methods."""
+"""What a store-backed engine keeps across ``refresh()``: everything but
+what the epochs' ``epoch_log`` rows name.  Cached document rows survive
+unless their doc_id was added or removed, and posting pages (absent-term
+entries included) unless their ``(partition, term)`` row was rewritten.
+Store access is counted by wrapping the ``IndexStore`` methods."""
 
 from __future__ import annotations
+
+import sqlite3
 
 import pytest
 
@@ -13,6 +16,7 @@ from repro.retrieval.snippets import SnippetExtractor
 from repro.retrieval.store import (
     IndexStore,
     StoreBackedSearchEngine,
+    StoreError,
     append_epoch,
     write_store,
 )
@@ -92,22 +96,24 @@ class TestRowsAcrossRefresh:
         for document in docs:
             assert lookup(document.doc_id) == (forward_of(document), document)
         assert len(calls["document_row"]) == len(docs)
-        append_epoch(store_path, [doc_for(2, "apple fig")])
+        arrival = doc_for(2, "apple fig")
+        assert any(shard_of(d.doc_id) == 2 for d in docs)
+        append_epoch(store_path, [arrival])
         engine.refresh()
         del calls["document_row"][:]
         lookup = engine._forward_lookup()
-        for document in docs:
+        for document in docs + [arrival]:
             assert lookup(document.doc_id) == (forward_of(document), document)
-        refetched = [doc_id for (doc_id,) in calls["document_row"]]
-        assert refetched == [d.doc_id for d in docs if shard_of(d.doc_id) == 2]
-        assert refetched  # the partition was not empty
+        # Not even the rewritten partition's other rows: only the arrival.
+        assert calls["document_row"] == [(arrival.doc_id,)]
 
     def test_search_results_keep_their_seqs_across_a_removal(
         self, engine, store_path, docs, calls
     ):
         """A removal moves no other document's seq, so the seq → doc_id
         entries cached before it still resolve the refreshed epoch's
-        results, and rows still come from the cache."""
+        results, and every row — the removed document's partition's
+        included — still comes from the cache."""
         before = engine.search("apple banana", 50)
         engine.snippet_vectors("apple banana", before)
         victim = docs[0].doc_id
@@ -119,10 +125,9 @@ class TestRowsAcrossRefresh:
         assert victim in before and victim not in after
         assert set(after.doc_ids) == set(before.doc_ids) - {victim}
         assert calls["doc_id_at"] == []  # every seq was resolved before
+        assert any(shard_of(d) == shard_of(victim) for d in after.doc_ids)
         engine.snippet_vectors("apple banana", after)
-        assert {doc_id for (doc_id,) in calls["document_row"]} == {
-            d for d in after.doc_ids if shard_of(d) == shard_of(victim)
-        }
+        assert calls["document_row"] == []
 
     @pytest.mark.parametrize("refresh_each_epoch", [True, False])
     def test_removed_then_readded_serves_the_new_text(
@@ -195,6 +200,75 @@ class TestRowsAcrossRefresh:
         assert len(calls["document_row"]) == 2
         assert new_view[elsewhere.doc_id] == elsewhere
         assert len(calls["document_row"]) == 2
+
+
+class TestExactRefresh:
+    def test_reader_two_epochs_behind_refetches_only_what_changed(
+        self, engine, store_path, docs, calls
+    ):
+        """Remove d, re-add d with new text, and add another document to
+        d's partition, in two epochs the reader skips: after one refresh
+        it serves exactly what a fresh attach serves, having re-read only
+        the rewritten postings rows and the changed documents' rows."""
+        query = "apple banana grape"
+        before = engine.search(query, 50)
+        engine.snippet_vectors(query, before)
+        old = next(d for d in docs if d.doc_id in before and "grape" in d.text)
+        shard = shard_of(old.doc_id)
+        new = Document(old.doc_id, "grape grape elder", title="rewritten")
+        neighbour = doc_for(shard, "apple durian banana")
+        append_epoch(store_path, (), [old.doc_id])
+        append_epoch(store_path, [new, neighbour])
+        for log in calls.values():
+            del log[:]
+
+        assert engine.refresh() == 2
+        delta = engine.snapshot().delta
+        assert delta.added == (new.doc_id, neighbour.doc_id)
+        assert delta.removed == (old.doc_id,)
+        changed_terms = {
+            term for d in (old, new, neighbour) for term in forward_of(d).terms
+        }
+        assert delta.terms == changed_terms and delta.stats_changed
+        after = engine.search(query, 50)
+        vectors = engine.snippet_vectors(query, after)
+        query_terms = set(engine.analyzer.analyze(query))
+        assert sorted(calls["postings"]) == sorted(
+            (shard, term) for term in query_terms & changed_terms
+        )
+        changed = {old.doc_id, neighbour.doc_id}
+        assert {doc_id for (doc_id,) in calls["document_row"]} == {
+            d for d in after.doc_ids if d in changed or d not in before
+        }
+        # The rewritten partition kept its unchanged members' rows.
+        assert any(
+            shard_of(d) == shard and d not in changed and d in before
+            for d in after.doc_ids
+        )
+
+        fresh = StoreBackedSearchEngine(store_path)
+        try:
+            want = fresh.search(query, 50)
+            assert [(r.doc_id, r.score) for r in after] == [
+                (r.doc_id, r.score) for r in want
+            ]
+            assert {d: list(v.weights.items()) for d, v in vectors.items()} == {
+                d: list(v.weights.items())
+                for d, v in fresh.snippet_vectors(query, want).items()
+            }
+        finally:
+            fresh.close()
+
+    def test_a_missing_log_row_is_a_store_error(self, engine, store_path):
+        append_epoch(store_path, [doc_for(0, "fig")])
+        append_epoch(store_path, [doc_for(1, "fig", prefix="other")])
+        connection = sqlite3.connect(store_path)
+        connection.execute("DELETE FROM epoch_log WHERE epoch = 1")
+        connection.commit()
+        connection.close()
+        with pytest.raises(StoreError, match="epoch_log holds 1 of the 2"):
+            engine.refresh()
+        assert engine.epoch == 0
 
 
 class TestAbsentTerms:

@@ -15,6 +15,7 @@ from __future__ import annotations
 import asyncio
 import json
 import multiprocessing
+import sys
 import threading
 import urllib.error
 import urllib.request
@@ -24,6 +25,7 @@ import pytest
 from repro.core.framework import DiversificationFramework
 from repro.retrieval.analysis import Analyzer
 from repro.retrieval.documents import Document, DocumentCollection
+from repro.retrieval.engine import ResultList
 from repro.retrieval.sharding import PartitionedSearchEngine
 from repro.retrieval.store import (
     StoreBackedSearchEngine,
@@ -224,6 +226,270 @@ class TestServiceIngest:
         assert service.append_to_store(holdout_docs[:1]) is True
         assert service.current_epoch() == 0  # written, not yet published
         assert StoreBackedSearchEngine(path).epoch == 1
+
+
+# -- what an epoch keeps: surrogate vectors of unchanged documents ---------------
+
+
+def vectors_of(artifact):
+    """An artifact's vectors with their terms in insertion order."""
+    return {d: list(v.weights.items()) for d, v in artifact[1].items()}
+
+
+class TestRetainedVectors:
+    def test_refetch_after_a_stats_change_vectorises_only_what_it_lacks(
+        self, small_miner, initial_docs, workload
+    ):
+        engine = make_engine(initial_docs)
+        framework = DiversificationFramework(
+            engine, small_miner, config=STANDARD_CONFIG
+        )
+        specs = list(
+            dict.fromkeys(
+                q for query in workload for q, _ in framework.detect(query)
+            )
+        )
+        framework.prefetch_specializations(specs)
+        before = framework.export_warm_state()
+        spec_query, (results, _) = next(
+            (q, artifact) for q, artifact in before.items() if len(artifact[0])
+        )
+        victim = next(d for d in initial_docs if d.doc_id == results.doc_ids[0])
+        rewritten = Document(victim.doc_id, victim.text + " zzqa", victim.title)
+        snapshot = engine.apply_updates(
+            [rewritten, Document("alien0", "zzqa wwxo")], [victim.doc_id]
+        )
+        delta = snapshot.delta
+        assert delta.stats_changed and victim.doc_id in delta.changed_ids
+        assert framework.invalidate_affected(delta) == len(before)
+        assert framework.export_warm_state() == {}
+        retained = {
+            q: {d for d in artifact[1] if d not in delta.changed_ids}
+            for q, artifact in before.items()
+        }
+        assert victim.doc_id in before[spec_query][1]
+        assert victim.doc_id not in retained[spec_query]
+
+        vectorised: dict[str, list[str]] = {}
+        snippet_vectors = engine.snippet_vectors
+
+        def recording(query, results):
+            vectorised.setdefault(query, []).extend(r.doc_id for r in results)
+            return snippet_vectors(query, results)
+
+        engine.snippet_vectors = recording
+        assert framework.prefetch_specializations(specs) == len(specs)
+        after = framework.export_warm_state()
+        assert victim.doc_id in after[spec_query][0]
+        for q in specs:
+            assert vectorised.get(q, []) == [
+                d for d in after[q][0].doc_ids if d not in retained[q]
+            ], q
+        assert victim.doc_id in vectorised[spec_query]
+        assert sum(map(len, vectorised.values())) < sum(
+            len(artifact[0]) for artifact in after.values()
+        )
+
+        final = apply_to_docs(
+            initial_docs,
+            [([rewritten, Document("alien0", "zzqa wwxo")], [victim.doc_id])],
+        )
+        fresh = DiversificationFramework(
+            make_engine(final), small_miner, config=STANDARD_CONFIG
+        )
+        fresh.prefetch_specializations(specs)
+        want = fresh.export_warm_state()
+        for q in specs:
+            assert after[q][0].doc_ids == want[q][0].doc_ids, q
+            assert after[q][0].scores == want[q][0].scores, q
+            assert vectors_of(after[q]) == vectors_of(want[q]), q
+        for query in dict.fromkeys(workload):
+            assert (
+                framework.diversify_query(query).ranking
+                == fresh.diversify_query(query).ranking
+            ), query
+
+    def test_a_retained_entry_is_a_spec_cache_miss(
+        self, small_miner, initial_docs, ambiguous_topic
+    ):
+        engine = make_engine(initial_docs)
+        framework = DiversificationFramework(
+            engine, small_miner, config=STANDARD_CONFIG
+        )
+        query = ambiguous_topic.query
+        framework.diversify_query(query)
+        specs = len(framework.detect(query))
+        assert specs and len(framework.export_warm_state()) == specs
+        delta = engine.apply_updates([Document("alien0", "zzqa wwxo")]).delta
+        assert framework.invalidate_affected(delta) == specs
+        stats = framework.cache_info()
+        assert stats.size == specs  # retained vectors, under the same bound
+        assert framework.warm_memory_estimate()["vectors"] > 0
+        framework.diversify_query(query)
+        after = framework.cache_info()
+        assert (after.hits, after.misses) == (stats.hits, stats.misses + specs)
+        framework.diversify_query(query)
+        assert framework.cache_info().hits == after.hits + specs
+
+    def test_a_fetch_racing_a_sweep_keeps_no_changed_vector(
+        self, small_miner, initial_docs, workload
+    ):
+        """A fetch that read a retained-vectors entry after epoch 2
+        published but before its sweep, and finishes after the sweep,
+        would cache the old vector of the document epoch 2 rewrote: it
+        is discarded instead, and the next fetch vectorises that
+        document afresh."""
+        engine = make_engine(initial_docs)
+        framework = DiversificationFramework(
+            engine, small_miner, config=STANDARD_CONFIG
+        )
+        spec_query = next(
+            q for query in workload for q, _ in framework.detect(query)
+        )
+        framework.prefetch_specializations([spec_query])
+        victim = framework.export_warm_state()[spec_query][0].doc_ids[0]
+        old = next(d for d in initial_docs if d.doc_id == victim)
+        epoch1 = engine.apply_updates([Document("alien0", "zzqa wwxo")])
+        framework.invalidate_affected(epoch1.delta)  # keeps every vector
+        rewritten = Document(victim, f"{old.text} zzqb", old.title)
+        epoch2 = engine.apply_updates([rewritten], [victim])  # not swept yet
+
+        entered, release = threading.Event(), threading.Event()
+        search_batch = engine.search_batch
+
+        def blocking(queries, k):
+            entered.set()
+            assert release.wait(10)
+            return search_batch(queries, k)
+
+        engine.search_batch = blocking
+        fetch = threading.Thread(
+            target=framework.prefetch_specializations, args=([spec_query],)
+        )
+        fetch.start()
+        assert entered.wait(10)
+        framework.invalidate_affected(epoch2.delta)  # lands mid-fetch
+        release.set()
+        fetch.join(10)
+        assert not fetch.is_alive()
+        engine.search_batch = search_batch
+
+        assert spec_query not in framework.export_warm_state()
+        framework.prefetch_specializations([spec_query])
+        results, vectors = framework.export_warm_state()[spec_query]
+        assert victim in results
+        fresh = engine.snippet_vectors(spec_query, results)
+        assert vectors_of((results, vectors)) == vectors_of((results, fresh))
+
+    def test_no_stale_vector_survives_concurrent_epochs(
+        self, small_miner, initial_docs, workload
+    ):
+        """Readers fill the spec cache while a writer re-ingests documents
+        its lists hold, with new text, every epoch.  Afterwards every
+        cached list and every cached vector — retained or not — equals
+        what the final epoch computes from scratch: no sweep let a
+        vector of a changed document ride along."""
+        engine = make_engine(initial_docs)
+        framework = DiversificationFramework(
+            engine, small_miner, config=STANDARD_CONFIG
+        )
+        queries = list(dict.fromkeys(workload))
+        for query in queries:
+            framework.diversify_query(query)
+        texts = {d.doc_id: d for d in initial_docs}
+        done = threading.Event()
+        errors = []
+
+        def read():
+            try:
+                while not done.is_set():
+                    for query in queries:
+                        framework.diversify_query(query)
+            except BaseException as exc:  # surfaced by the assert below
+                errors.append(exc)
+                done.set()
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        readers = [threading.Thread(target=read) for _ in range(4)]
+        try:
+            for reader in readers:
+                reader.start()
+            for epoch in range(1, 11):
+                held = framework.export_warm_state()
+                victim = next(
+                    d
+                    for _, (results, _) in sorted(held.items())
+                    for d in results.doc_ids
+                    if d in texts
+                ) if held else next(iter(texts))
+                old = texts.pop(victim)
+                texts[victim] = Document(victim, f"{old.text} zz{epoch}", old.title)
+                delta = engine.apply_updates(
+                    [texts[victim], Document(f"alien{epoch}", "zzqa wwxo")],
+                    [victim],
+                ).delta
+                framework.invalidate_affected(delta)
+        finally:
+            done.set()
+            for reader in readers:
+                reader.join(30)
+            sys.setswitchinterval(switch)
+        assert not any(reader.is_alive() for reader in readers)
+        assert not errors, errors
+
+        k = STANDARD_CONFIG.spec_results
+        for spec_query, (results, vectors) in framework._spec_cache.snapshot():
+            if results is not None:
+                want = engine.search(spec_query, k)
+                assert results.doc_ids == want.doc_ids, spec_query
+                assert results.scores == want.scores, spec_query
+            fresh = engine.snippet_vectors(
+                spec_query, ResultList(spec_query, [(d, 0.0) for d in vectors])
+            )
+            assert vectors_of((None, vectors)) == vectors_of((None, fresh))
+
+    def test_store_backed_swap_drops_what_the_in_memory_engine_drops(
+        self, tmp_path, small_miner, initial_docs, workload
+    ):
+        """A stats-preserving swap read off the store's epoch log is the
+        in-memory engine's delta, so both services drop the same
+        artifacts and results and keep the same vectors."""
+        path = tmp_path / "swap.sqlite3"
+        write_store(path, make_engine(initial_docs))
+        in_memory = make_service(small_miner, initial_docs)
+        stored = DiversificationService(
+            DiversificationFramework(
+                StoreBackedSearchEngine(path), small_miner,
+                config=STANDARD_CONFIG,
+            )
+        )
+        services = (in_memory, stored)
+        for service in services:
+            service.warm(set(workload))
+            service.diversify_batch(workload)
+        held = in_memory.framework.export_warm_state()
+        victim_id = next(d for _, (r, _) in held.items() for d in r.doc_ids)
+        victim = next(d for d in initial_docs if d.doc_id == victim_id)
+        length = len(Analyzer().analyze(victim.full_text))
+        swap = Document("swap0", " ".join(["qqzb"] * length))
+        for service in services:
+            assert service.ingest([swap], [victim_id]) == 1
+        deltas = [s.framework.engine.snapshot().delta for s in services]
+        assert deltas[0] == deltas[1] and not deltas[0].stats_changed
+        assert 0 < stored.stats.warm_invalidations == (
+            in_memory.stats.warm_invalidations
+        ) < len(held)
+        assert stored.framework.export_warm_state().keys() == (
+            in_memory.framework.export_warm_state().keys()
+        )
+        assert stored.warm_memory_estimate() == in_memory.warm_memory_estimate()
+        assert stored.result_cache_info() == in_memory.result_cache_info()
+        assert_results_equal(
+            stored.diversify_batch(workload), in_memory.diversify_batch(workload)
+        )
+        assert stored.result_cache_info() == in_memory.result_cache_info()
+        stored.framework.engine.close()
 
 
 # -- sharded clusters ------------------------------------------------------------
