@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Docs gate: the README must match the code it documents.
+r"""Docs gate: the README must match the code it documents.
 
 Checks, in order:
 
@@ -20,7 +20,20 @@ Checks, in order:
 6. every backticked dotted path (```repro.core.fast```,
    ```repro.retrieval.index.ImpactMemo```) in either document resolves
    by import plus ``getattr`` — a deleted symbol cannot outlive its code
-   in the docs.
+   in the docs;
+7. everything in ``src/`` has a caller (:func:`find_orphans`): every
+   module, every public top-level name and every package ``__init__``
+   re-export is read by a *caller* — a non-``__init__`` module under
+   ``src/``, ``bench/``, ``benchmarks/``, ``examples/`` or ``scripts/``,
+   a ``python -m repro.…`` command in the README, or (for names) an
+   import in the README or the ``repro`` quickstart docstring.  Tests
+   are not callers; :data:`ALLOWLIST` names the exceptions;
+8. every ``src/`` import follows the layer table at the top of
+   ``docs/ARCHITECTURE.md`` (:func:`layer_violations`): a layer imports
+   only from the layers listed above it, or a module the paragraph above
+   the table names as the exception;
+9. every ``*.md`` file named in ``src/`` exists in the repository
+   (:func:`missing_markdown`).
 
 Run from the repository root (CI runs it in the ``docs`` job)::
 
@@ -29,6 +42,7 @@ Run from the repository root (CI runs it in the ``docs`` job)::
 
 from __future__ import annotations
 
+import ast
 import importlib
 import os
 import re
@@ -62,6 +76,29 @@ COMMAND_PATTERN = re.compile(r"python -m (repro(?:\.\w+)+)[^\n`|]*")
 FLAG_PATTERN = re.compile(r"(?<![\w-])--[\w-]+")
 
 DOTTED_PATTERN = re.compile(r"`(repro(?:\.\w+)+)`")
+
+IMPORT_TEXT_PATTERN = re.compile(
+    r"from (repro(?:\.\w+)*) import (?:\(([\w\s,]+)\)|([\w ,]+))")
+
+MARKDOWN_PATTERN = re.compile(r"[\w./-]+\.md\b")
+
+PACKAGE = "repro"
+
+#: Directories whose non-``__init__`` modules are callers.  ``tests/`` is
+#: not one: code only its own tests read is dead code.
+CALLER_DIRS = ("src", "bench", "benchmarks", "examples", "scripts")
+
+#: Modules and names kept without a caller, each with its reason.
+ALLOWLIST = {
+    "repro.core.objectives":
+        "the paper-equation oracles that the selection tests compare against",
+    "repro.corpus.trec.format_run":
+        "writes the run format `python -m repro.evaluation.cli` reads; "
+        "test_cli.py builds its inputs with it",
+    "repro.corpus.trec.format_diversity_qrels":
+        "writes the qrels format `python -m repro.evaluation.cli` reads; "
+        "test_cli.py builds its inputs with it",
+}
 
 
 def fail(message: str) -> None:
@@ -172,6 +209,219 @@ def check_dotted_paths(documents: dict[str, str]) -> int:
     return len({path for path, _ in paths})
 
 
+def src_modules(root: Path) -> dict[str, Path]:
+    """Dotted name -> file of every module of the package under
+    ``root/src`` (a package under its own name, for its ``__init__``)."""
+    modules = {}
+    for path in sorted((root / "src" / PACKAGE).rglob("*.py")):
+        parts = path.relative_to(root / "src").with_suffix("").parts
+        if parts[-1] == "__init__":
+            parts = parts[:-1]
+        modules[".".join(parts)] = path
+    return modules
+
+
+class ModuleScan:
+    """What one Python file imports and reads of the package.
+
+    ``modules``: every package module it imports; ``names``: every
+    ``(module, name)`` pair it reads, through ``from m import name`` or
+    an attribute of an imported module; ``aliases``: its top-level
+    ``from m import a as b`` bindings, ``{b: (m, a)}``; ``defined``: its
+    public top-level definitions; ``local``: the names it reads itself.
+    """
+
+    def __init__(self, path: Path, known: dict[str, Path]):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        self.modules: set[str] = set()
+        self.names: set[tuple[str, str]] = set()
+        self.aliases: dict[str, tuple[str, str]] = {}
+        self.defined: set[str] = set()
+        self.local: set[str] = set()
+        bound: dict[str, str] = {}
+        top = set(map(id, tree.body))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] != PACKAGE:
+                        continue
+                    self.modules.add(alias.name)
+                    if alias.asname:
+                        bound[alias.asname] = alias.name
+                    else:
+                        bound[PACKAGE] = PACKAGE
+            elif isinstance(node, ast.ImportFrom):
+                source = node.module or ""
+                if source.split(".")[0] != PACKAGE:
+                    continue
+                self.modules.add(source)
+                for alias in node.names:
+                    target = f"{source}.{alias.name}"
+                    if target in known:
+                        self.modules.add(target)
+                        bound[alias.asname or alias.name] = target
+                    else:
+                        self.names.add((source, alias.name))
+                        if id(node) in top:
+                            self.aliases[alias.asname or alias.name] = (
+                                source, alias.name)
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                self.local.add(node.id)
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef)):
+                self.defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                self.defined.update(t.id for t in targets if isinstance(t, ast.Name))
+        self.defined = {n for n in self.defined if not n.startswith("_")}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                chain = []
+                while isinstance(node, ast.Attribute):
+                    chain.append(node.attr)
+                    node = node.value
+                if isinstance(node, ast.Name) and node.id in bound:
+                    self.read(bound[node.id], chain[::-1], known)
+
+    def read(self, module: str, attrs: list[str], known: dict[str, Path]) -> None:
+        """Record ``module.attrs[0].attrs[1]…`` as a read of the longest
+        module prefix and the attribute after it."""
+        for attr in attrs:
+            if f"{module}.{attr}" not in known:
+                self.names.add((module, attr))
+                return
+            module = f"{module}.{attr}"
+            self.modules.add(module)
+
+
+def text_imports(text: str) -> set[tuple[str, str]]:
+    """``(module, name)`` of every ``from repro… import …`` in *text*."""
+    return {
+        (module, name.split()[0])
+        for module, grouped, inline in IMPORT_TEXT_PATTERN.findall(text)
+        for name in (grouped or inline).split(",")
+        if name.strip()
+    }
+
+
+def find_orphans(root: Path, allowlist: dict[str, str] = ALLOWLIST) -> list[str]:
+    """Every package module, public top-level name and ``__init__``
+    re-export under ``root/src`` with no caller, minus *allowlist*."""
+    known = src_modules(root)
+    scans = {name: ModuleScan(path, known) for name, path in known.items()}
+    callers = [
+        ModuleScan(path, known)
+        for folder in CALLER_DIRS[1:]
+        for path in sorted((root / folder).rglob("*.py"))
+        if path.name != "__init__.py"
+    ]
+    readme = root / "README.md"
+    text = readme.read_text(encoding="utf-8") if readme.is_file() else ""
+    quickstart = ast.get_docstring(
+        ast.parse(known[PACKAGE].read_text(encoding="utf-8"))) or ""
+    documented = text_imports(text + quickstart)
+    commands = {match.group(1) for match in COMMAND_PATTERN.finditer(text)}
+    packages = {name for name, path in known.items() if path.name == "__init__.py"}
+
+    live = set(known) - packages
+    while True:
+        used_modules, used_names, used_exports = set(commands), set(), set()
+        pending = list(documented)
+        for scan in callers + [scans[name] for name in live]:
+            used_modules |= scan.modules
+            pending += scan.names
+        for name in live:
+            pending += [(name, local) for local in scans[name].local]
+        while pending:
+            key = pending.pop()
+            if key in used_names:
+                continue
+            used_names.add(key)
+            module, attr = key
+            source = scans[module].aliases.get(attr) if module in scans else None
+            if source:
+                used_modules.add(source[0])
+                pending.append(source)
+                if module in packages:
+                    used_exports.add(key)
+        still_live = {name for name in live if name in used_modules}
+        if still_live == live:
+            break
+        live = still_live
+
+    def allowed(dotted: str) -> bool:
+        return any(dotted == entry or dotted.startswith(entry + ".")
+                   for entry in allowlist)
+
+    orphans = [
+        f"{name} (module)" for name in sorted(set(known) - packages - live)
+        if not allowed(name)
+    ]
+    for name in sorted(live):
+        orphans += [
+            f"{name}.{defined}" for defined in sorted(scans[name].defined)
+            if (name, defined) not in used_names
+            and not allowed(f"{name}.{defined}")
+        ]
+    for package in sorted(packages):
+        orphans += [
+            f"{package}.{export} (re-export)"
+            for export in sorted(scans[package].aliases)
+            if (package, export) not in used_exports
+            and not allowed(f"{package}.{export}")
+        ]
+    return orphans
+
+
+def layer_violations(root: Path, architecture: str) -> list[str]:
+    """Every ``src/`` import that reaches a layer listed below the
+    importer's in the architecture layer table, except into a module
+    the paragraph above the table names."""
+    intro, _, rest = architecture.partition("| Layer | Package | Role |")
+    if not rest:
+        fail("docs/ARCHITECTURE.md has no | Layer | Package | Role | table")
+    layer = {}
+    rows = rest.strip().splitlines()[1:]
+    for index, row in enumerate(rows):
+        if not row.startswith("|"):
+            break
+        for package in re.findall(r"`(repro\.\w+)`", row.split("|")[2]):
+            layer[package] = index
+    exceptions = set(DOTTED_PATTERN.findall(intro))
+    known = src_modules(root)
+    violations = []
+    for name, path in known.items():
+        own = layer.get(".".join(name.split(".")[:2]))
+        if own is None:
+            continue
+        scan = ModuleScan(path, known)
+        for target in sorted(scan.modules):
+            other = layer.get(".".join(target.split(".")[:2]))
+            if (other is not None and other > own
+                    and not any(target == e or target.startswith(e + ".")
+                                for e in exceptions)):
+                violations.append(f"{name} imports {target}")
+    return violations
+
+
+def missing_markdown(root: Path) -> list[str]:
+    """``file: name`` for every ``*.md`` file a ``src/`` file names that
+    exists nowhere in the repository."""
+    present = {
+        path.relative_to(root).as_posix()
+        for path in root.rglob("*.md")
+        if not any(part.startswith(".") for part in path.relative_to(root).parts)
+    }
+    present |= {path.rsplit("/", 1)[-1] for path in present}
+    return [
+        f"{path.relative_to(root).as_posix()}: {name}"
+        for path in sorted((root / "src").rglob("*.py"))
+        for name in sorted(set(MARKDOWN_PATTERN.findall(path.read_text(encoding="utf-8"))))
+        if name not in present
+    ]
+
+
 def main() -> None:
     readme = ROOT / "README.md"
     architecture = ROOT / "docs" / "ARCHITECTURE.md"
@@ -228,12 +478,26 @@ def main() -> None:
     dotted = check_dotted_paths(
         {"README.md": text, "docs/ARCHITECTURE.md": architecture_text}
     )
+    orphans = find_orphans(ROOT)
+    if orphans:
+        fail("src/ code whose only callers are tests (delete it or give it "
+             "a caller):\n  " + "\n  ".join(orphans))
+    violations = layer_violations(ROOT, architecture_text)
+    if violations:
+        fail("imports against the docs/ARCHITECTURE.md layer order:\n  "
+             + "\n  ".join(violations))
+    missing = missing_markdown(ROOT)
+    if missing:
+        fail("src/ names markdown files that do not exist:\n  "
+             + "\n  ".join(missing))
 
     print(
         f"check_docs: OK — {len(modules)} documented commands import "
         f"and answer --help with every README flag: {', '.join(modules)}; "
         f"{tables} store schema tables match _SCHEMA_STATEMENTS; "
-        f"{dotted} dotted paths resolve"
+        f"{dotted} dotted paths resolve; every src/ module, name and "
+        f"re-export has a caller; imports follow the layer table; every "
+        f"markdown file src/ names exists"
     )
 
 

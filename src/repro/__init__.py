@@ -2,7 +2,8 @@
 
 Capannini, Nardini, Perego, Silvestri — PVLDB 4(7), 2011.
 
-The package is organised by subsystem (see DESIGN.md):
+The package is organised by subsystem (see docs/ARCHITECTURE.md for the
+layer table):
 
 * :mod:`repro.core` — OptSelect, xQuAD, IASelect, MMR, Algorithm 1,
   the utility measure and the end-to-end framework;
@@ -32,179 +33,42 @@ Quickstart::
     result = framework.diversify_query(corpus.topics[0].query)
 """
 
-from repro.core import (
-    AmbiguityDetector,
-    BoundedMaxHeap,
-    DiversificationFramework,
-    DiversificationTask,
-    DiversifiedResult,
-    Diversifier,
-    DiversifierStats,
-    FrameworkConfig,
-    IASelect,
-    MMR,
-    OptSelect,
-    SpecializationSet,
-    UtilityMatrix,
-    XQuAD,
-    ambiguous_query_detect,
-    default_diversifier,
-    fast_kernels_available,
-    get_diversifier,
-    harmonic_number,
-    normalized_utility,
-)
-from repro.corpus import (
-    CorpusConfig,
-    DiversityQrels,
-    DiversityTestbed,
-    DiversityTopic,
-    Subtopic,
-    SyntheticCorpus,
-    build_testbed,
-    generate_corpus,
-)
-from repro.evaluation import (
-    PAPER_CUTOFFS,
-    EvaluationReport,
-    alpha_ndcg,
-    compare_reports,
-    evaluate_run,
-    intent_aware_precision,
-    wilcoxon_signed_rank,
-)
-from repro.querylog import (
-    AOL_PROFILE,
-    MSN_PROFILE,
-    LogProfile,
-    QueryFlowGraph,
-    QueryLog,
-    QueryRecord,
-    SearchShortcutsRecommender,
-    Session,
-    SpecializationMiner,
-    generate_query_log,
-    split_by_time_gap,
-)
-from repro.retrieval import (
-    Analyzer,
-    BM25,
-    DPH,
-    Document,
-    DocumentCollection,
-    InvertedIndex,
-    PartitionedSearchEngine,
-    PorterStemmer,
-    ResultList,
-    SearchEngine,
-    TermVector,
-    cosine,
-    delta,
-    partition_collection,
-    stable_shard,
-)
-from repro.serving import (
-    AsyncDiversificationService,
-    CacheStats,
-    DiversificationService,
-    ExecutionBackend,
-    InlineBackend,
-    LRUCache,
-    PreparedQuery,
-    ProcessBackend,
-    ServiceClosed,
-    ServiceStats,
-    ShardedDiversificationService,
-    ThreadBackend,
-    WarmReport,
-    build_partitioned_engine,
-    make_backend,
-)
+from repro.core.framework import DiversificationFramework, FrameworkConfig
+from repro.core.optselect import OptSelect
+from repro.corpus.generator import CorpusConfig, generate_corpus
+from repro.corpus.trec import build_testbed
+from repro.querylog.specializations import SpecializationMiner
+from repro.querylog.synthesis import AOL_PROFILE, generate_query_log
+from repro.retrieval.documents import Document, DocumentCollection
+from repro.retrieval.engine import SearchEngine
+from repro.retrieval.models import BM25
+from repro.retrieval.similarity import TermVector, cosine
+from repro.serving.async_service import AsyncDiversificationService
+from repro.serving.offline import build_partitioned_engine
+from repro.serving.service import DiversificationService
+from repro.serving.sharded import ShardedDiversificationService
 
 __version__ = "1.0.0"
 
 __all__ = [
-    # core
-    "AmbiguityDetector",
-    "BoundedMaxHeap",
-    "DiversificationFramework",
-    "DiversificationTask",
-    "DiversifiedResult",
-    "Diversifier",
-    "DiversifierStats",
-    "FrameworkConfig",
-    "IASelect",
-    "MMR",
-    "OptSelect",
-    "SpecializationSet",
-    "UtilityMatrix",
-    "XQuAD",
-    "ambiguous_query_detect",
-    "default_diversifier",
-    "fast_kernels_available",
-    "get_diversifier",
-    "harmonic_number",
-    "normalized_utility",
-    # corpus
-    "CorpusConfig",
-    "DiversityQrels",
-    "DiversityTestbed",
-    "DiversityTopic",
-    "Subtopic",
-    "SyntheticCorpus",
-    "build_testbed",
-    "generate_corpus",
-    # evaluation
-    "PAPER_CUTOFFS",
-    "EvaluationReport",
-    "alpha_ndcg",
-    "compare_reports",
-    "evaluate_run",
-    "intent_aware_precision",
-    "wilcoxon_signed_rank",
-    # querylog
     "AOL_PROFILE",
-    "MSN_PROFILE",
-    "LogProfile",
-    "QueryFlowGraph",
-    "QueryLog",
-    "QueryRecord",
-    "SearchShortcutsRecommender",
-    "Session",
-    "SpecializationMiner",
-    "generate_query_log",
-    "split_by_time_gap",
-    # serving
     "AsyncDiversificationService",
-    "CacheStats",
-    "DiversificationService",
-    "ExecutionBackend",
-    "InlineBackend",
-    "LRUCache",
-    "PreparedQuery",
-    "ProcessBackend",
-    "ServiceClosed",
-    "ServiceStats",
-    "ShardedDiversificationService",
-    "ThreadBackend",
-    "WarmReport",
-    "make_backend",
-    # retrieval
-    "Analyzer",
     "BM25",
-    "DPH",
+    "CorpusConfig",
+    "DiversificationFramework",
+    "DiversificationService",
     "Document",
     "DocumentCollection",
-    "InvertedIndex",
-    "PartitionedSearchEngine",
-    "build_partitioned_engine",
-    "PorterStemmer",
-    "ResultList",
+    "FrameworkConfig",
+    "OptSelect",
     "SearchEngine",
+    "ShardedDiversificationService",
+    "SpecializationMiner",
     "TermVector",
+    "build_partitioned_engine",
+    "build_testbed",
     "cosine",
-    "delta",
-    "partition_collection",
-    "stable_shard",
+    "generate_corpus",
+    "generate_query_log",
     "__version__",
 ]

@@ -20,86 +20,3 @@
 * :mod:`repro.core.cache` — the bounded LRU shared by the framework,
   the search engine and the serving layer.
 """
-
-from repro.core.ambiguity import (
-    AmbiguityDetector,
-    SpecializationSet,
-    ambiguous_query_detect,
-)
-from repro.core.base import Diversifier, DiversifierStats
-from repro.core.cache import CacheStats, LRUCache
-from repro.core.framework import (
-    DiversificationFramework,
-    DiversifiedResult,
-    FrameworkConfig,
-    default_diversifier,
-    fast_kernels_available,
-    get_diversifier,
-)
-from repro.core.heaps import BoundedMaxHeap
-from repro.core.iaselect import IASelect
-from repro.core.mmr import MMR
-from repro.core.objectives import (
-    brute_force_best,
-    coverage_counts,
-    max_utility_objective,
-    ql_diversify_objective,
-    satisfies_proportionality,
-    xquad_step_score,
-)
-from repro.core.optselect import OptSelect
-from repro.core.personalized import PersonalizedDetector, UserProfile
-from repro.core.relevance import (
-    estimate_relevance,
-    minmax_relevance,
-    reciprocal_rank_relevance,
-    softmax_relevance,
-    sum_relevance,
-)
-from repro.core.task import DiversificationTask
-from repro.core.utility import (
-    UtilityMatrix,
-    harmonic_number,
-    normalized_utility,
-    utility,
-)
-from repro.core.xquad import XQuAD
-
-__all__ = [
-    "AmbiguityDetector",
-    "SpecializationSet",
-    "ambiguous_query_detect",
-    "CacheStats",
-    "LRUCache",
-    "Diversifier",
-    "DiversifierStats",
-    "DiversificationFramework",
-    "DiversifiedResult",
-    "FrameworkConfig",
-    "default_diversifier",
-    "fast_kernels_available",
-    "get_diversifier",
-    "BoundedMaxHeap",
-    "IASelect",
-    "MMR",
-    "brute_force_best",
-    "coverage_counts",
-    "max_utility_objective",
-    "ql_diversify_objective",
-    "satisfies_proportionality",
-    "xquad_step_score",
-    "OptSelect",
-    "PersonalizedDetector",
-    "UserProfile",
-    "estimate_relevance",
-    "minmax_relevance",
-    "reciprocal_rank_relevance",
-    "softmax_relevance",
-    "sum_relevance",
-    "DiversificationTask",
-    "UtilityMatrix",
-    "harmonic_number",
-    "normalized_utility",
-    "utility",
-    "XQuAD",
-]

@@ -22,10 +22,10 @@ logs could be used and easily integrated").
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 
-__all__ = ["SpecializationSet", "ambiguous_query_detect", "AmbiguityDetector"]
+__all__ = ["SpecializationSet", "ambiguous_query_detect"]
 
 
 @dataclass(frozen=True)
@@ -149,46 +149,3 @@ def ambiguous_query_detect(
         return SpecializationSet(query=query, items=())
     return SpecializationSet.from_frequencies(query, surviving)
 
-
-class AmbiguityDetector:
-    """Algorithm 1 bound to a concrete recommender and frequency function.
-
-    A small convenience wrapper so callers configure ``s`` (and an optional
-    cap on ``|S_q|``) once and reuse the detector across queries.
-    """
-
-    def __init__(
-        self,
-        recommend: Callable[[str], Sequence[str]],
-        frequency: Callable[[str], float],
-        s: float = 2.0,
-        max_specializations: int | None = None,
-    ) -> None:
-        if max_specializations is not None and max_specializations < 2:
-            raise ValueError("max_specializations must be at least 2")
-        self._recommend = recommend
-        self._frequency = frequency
-        self.s = s
-        self.max_specializations = max_specializations
-
-    def detect(self, query: str) -> SpecializationSet:
-        result = ambiguous_query_detect(
-            query, self._recommend, self._frequency, self.s
-        )
-        if result and self.max_specializations is not None:
-            result = result.top(self.max_specializations)
-        return result
-
-    def is_ambiguous(self, query: str) -> bool:
-        return bool(self.detect(query))
-
-    def detect_all(self, queries: Iterable[str]) -> dict[str, SpecializationSet]:
-        """Detect over a query stream; only ambiguous queries are kept."""
-        out: dict[str, SpecializationSet] = {}
-        for query in queries:
-            if query in out:
-                continue
-            result = self.detect(query)
-            if result:
-                out[query] = result
-        return out

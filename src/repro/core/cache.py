@@ -87,7 +87,8 @@ class LRUCache(Generic[K, V]):
     and the lock is recreated on load.  This is what lets a warmed
     framework travel across a process boundary (the
     :class:`~repro.serving.backends.ProcessBackend` worker protocol) or
-    be snapshotted to disk via ``repro.retrieval.persistence``.
+    be persisted as the index store's ``warm_artifacts`` rows
+    (:mod:`repro.retrieval.store`).
 
     >>> cache = LRUCache(2)
     >>> cache.put("a", 1); cache.put("b", 2); cache.put("c", 3)

@@ -24,6 +24,8 @@ then serve queries that only read them.
 
 from __future__ import annotations
 
+import sys
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from repro.core.ambiguity import SpecializationSet
@@ -36,6 +38,7 @@ from repro.core.task import DiversificationTask
 from repro.core.utility import UtilityMatrix
 from repro.core.xquad import XQuAD
 from repro.retrieval.engine import ResultList, SearchEngine
+from repro.retrieval.similarity import TermVector
 
 __all__ = [
     "FrameworkConfig",
@@ -122,6 +125,56 @@ def _whole(cached: tuple | None) -> bool:
     return cached is not None and cached[0] is not None
 
 
+#: Estimated bytes of one boxed CPython float (64-bit build).
+_FLOAT_BYTES = 24
+
+
+def _estimate_warm_memory(
+    artifacts: Mapping[str, tuple[ResultList, Mapping[str, TermVector]]],
+) -> dict[str, int]:
+    """Estimated resident bytes of warm artifacts, plus their counts.
+
+    *artifacts* is ``{spec_query: (ResultList, {doc_id: TermVector})}``
+    as :meth:`~repro.core.framework.DiversificationFramework.export_warm_state`
+    returns it, or ``(spec_query, entry)`` pairs; an entry whose
+    ``ResultList`` is ``None`` (retained vectors) prices its vectors
+    only.  Sums ``sys.getsizeof`` of the real strings/dicts plus flat per-element
+    prices for boxed floats — the same estimation discipline as
+    :meth:`~repro.retrieval.index.InvertedIndex.memory_estimate`, so the
+    offline pipeline's per-partition index footprints and per-shard warm
+    footprints are directly comparable.  Returns ``{"specializations",
+    "results", "vectors", "result_bytes", "vector_bytes", "total_bytes"}``.
+    """
+    specializations = 0
+    results_count = 0
+    vectors_count = 0
+    result_bytes = 0
+    vector_bytes = 0
+    for spec_query, (results, vectors) in dict(artifacts).items():
+        specializations += 1
+        results = results or ()  # None: a retained-vectors entry
+        results_count += len(results)
+        result_bytes += sys.getsizeof(spec_query)
+        for result in results:
+            # SearchResult object + its doc_id string + score float.
+            result_bytes += 64 + sys.getsizeof(result.doc_id) + _FLOAT_BYTES
+        for doc_id, vector in vectors.items():
+            vectors_count += 1
+            vector_bytes += sys.getsizeof(doc_id) + sys.getsizeof(
+                vector.weights
+            )
+            for term in vector.weights:
+                vector_bytes += sys.getsizeof(term) + _FLOAT_BYTES
+    return {
+        "specializations": specializations,
+        "results": results_count,
+        "vectors": vectors_count,
+        "result_bytes": result_bytes,
+        "vector_bytes": vector_bytes,
+        "total_bytes": result_bytes + vector_bytes,
+    }
+
+
 @dataclass(frozen=True)
 class FrameworkConfig:
     """Operating parameters of the online pipeline.
@@ -174,8 +227,7 @@ class DiversificationFramework:
     detector:
         Anything with a ``mine(query) -> SpecializationSet`` method (a
         :class:`~repro.querylog.specializations.SpecializationMiner`) or a
-        ``detect(query)`` method (an
-        :class:`~repro.core.ambiguity.AmbiguityDetector`).
+        ``detect(query) -> SpecializationSet`` method.
     diversifier:
         Algorithm instance; when omitted, :func:`default_diversifier`
         picks OptSelect — kernel-backed
@@ -377,11 +429,8 @@ class DiversificationFramework:
 
     def warm_memory_estimate(self) -> dict[str, int]:
         """Estimated resident bytes of the spec cache — artifacts and
-        retained vectors alike
-        (:func:`repro.retrieval.persistence.estimate_warm_memory`)."""
-        from repro.retrieval.persistence import estimate_warm_memory
-
-        return estimate_warm_memory(self._spec_cache.snapshot())
+        retained vectors alike (:func:`_estimate_warm_memory`)."""
+        return _estimate_warm_memory(self._spec_cache.snapshot())
 
     def install_warm_state(self, artifacts) -> int:
         """Load previously exported warm artifacts into the cache.

@@ -1,7 +1,10 @@
-"""Objective functions of the three problem formulations.
+"""The paper's equations, evaluated literally: the test oracles.
 
-These are the *evaluation* side of Section 3: given a selected set S they
-compute the value each formulation assigns to it.  The algorithms
+Eq. (1)'s utility pair by pair (:func:`utility`, :func:`normalized_utility`
+— the reference :meth:`~repro.core.utility.UtilityMatrix.build` is held
+to) and the objective functions of the three problem formulations.  The
+objectives are the *evaluation* side of Section 3: given a selected set S
+they compute the value each formulation assigns to it.  The algorithms
 themselves never call these (that would defeat the complexity analysis);
 tests and ablation benches use them to check:
 
@@ -15,11 +18,16 @@ tests and ablation benches use them to check:
 from __future__ import annotations
 
 import itertools
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from repro.core.task import DiversificationTask
+from repro.core.utility import harmonic_number
+from repro.retrieval.engine import ResultList
+from repro.retrieval.similarity import TermVector, cosine
 
 __all__ = [
+    "utility",
+    "normalized_utility",
     "ql_diversify_objective",
     "max_utility_objective",
     "xquad_step_score",
@@ -27,6 +35,51 @@ __all__ = [
     "satisfies_proportionality",
     "brute_force_best",
 ]
+
+
+def utility(
+    candidate_vector: TermVector,
+    spec_results: ResultList,
+    vectors: Mapping[str, TermVector],
+) -> float:
+    """Equation (1): raw utility of a candidate for one specialization.
+
+    ``vectors`` must contain the surrogate vector of every document in
+    *spec_results*; documents missing a vector contribute zero (they have
+    no textual evidence).
+    """
+    total = 0.0
+    for result in spec_results:
+        spec_vector = vectors.get(result.doc_id)
+        if spec_vector is None:
+            continue
+        similarity = cosine(candidate_vector, spec_vector)
+        if similarity > 0.0:
+            total += similarity / result.rank
+    return total
+
+
+def normalized_utility(
+    candidate_vector: TermVector,
+    spec_results: ResultList,
+    vectors: Mapping[str, TermVector],
+    threshold: float = 0.0,
+) -> float:
+    """Ũ of Definition 2, with the Section 5 threshold ``c`` applied.
+
+    Values below *threshold* are forced to exactly 0, as the paper does
+    ("we forced its returning value to be 0 when it is below a given
+    threshold c").
+    """
+    n = len(spec_results)
+    if n == 0:
+        return 0.0
+    value = utility(candidate_vector, spec_results, vectors) / harmonic_number(n)
+    # Floating-point safety: Ũ is mathematically in [0, 1].
+    value = min(1.0, max(0.0, value))
+    if value < threshold:
+        return 0.0
+    return value
 
 
 def ql_diversify_objective(task: DiversificationTask, selected: Iterable[str]) -> float:

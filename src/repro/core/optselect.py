@@ -22,7 +22,7 @@ Every push costs O(log k), and each document is pushed at most once per
 specialization, giving the paper's O(n·|S_q|·log k) bound (Table 1); the
 selection phase touches only the O(k·|S_q|) retained entries.
 
-Faithfulness note (DESIGN.md §5): the printed pseudocode fills the tail
+Faithfulness note: the printed pseudocode fills the tail
 of ``S`` only from ``M``.  When most candidates are useful for some
 specialization (the common case) ``M`` holds too few documents to reach
 ``k`` and the proportionality constraint would never bind.  The default

@@ -5,8 +5,7 @@ signal with "the likelihood of document d being observed given q", written
 P(d|q).  The paper does not specify how the baseline DPH score becomes a
 probability, so this module offers the standard choices and documents the
 default (min–max normalisation — monotone, bounded in [0, 1], and
-parameter free, in keeping with DPH itself).  DESIGN.md §5 records this
-decision.
+parameter free, in keeping with DPH itself).
 """
 
 from __future__ import annotations
@@ -46,7 +45,7 @@ def sum_relevance(results: ResultList) -> dict[str, float]:
     reading under which xQuAD's Eq. (5) was designed: P(d|q) is a proper
     distribution over the candidate list, so per-document differences are
     small and the λ-weighted diversity term can reorder documents.  This
-    is the framework default (DESIGN.md §5).
+    is the framework default.
 
     Negative scores (possible with DFR models on poor matches) are
     clamped to zero before normalising.

@@ -22,9 +22,11 @@ pair once; every diversification algorithm then reads it in O(1), so the
 algorithms' measured complexity (Table 2) reflects selection work, not
 similarity computation — matching the paper's setting where utilities
 come from precomputed specialization lists (Section 4.1).  It evaluates
-Eq. (1) by algebra (see :meth:`UtilityMatrix.build`); :func:`utility` and
-:func:`normalized_utility` evaluate it pair by pair and are the reference
-oracle the tests hold ``build`` to — nothing on the request path calls them.
+Eq. (1) by algebra (see :meth:`UtilityMatrix.build`);
+:func:`repro.core.objectives.utility` and
+:func:`~repro.core.objectives.normalized_utility` evaluate it pair by pair
+and are the reference oracle the tests hold ``build`` to — nothing on the
+request path calls them.
 """
 
 from __future__ import annotations
@@ -32,9 +34,9 @@ from __future__ import annotations
 from collections.abc import Iterable, Mapping
 
 from repro.retrieval.engine import ResultList
-from repro.retrieval.similarity import TermVector, cosine
+from repro.retrieval.similarity import TermVector
 
-__all__ = ["harmonic_number", "utility", "normalized_utility", "UtilityMatrix"]
+__all__ = ["harmonic_number", "UtilityMatrix"]
 
 
 def harmonic_number(n: int) -> float:
@@ -46,51 +48,6 @@ def harmonic_number(n: int) -> float:
     if n < 0:
         raise ValueError("n must be non-negative")
     return sum(1.0 / i for i in range(1, n + 1))
-
-
-def utility(
-    candidate_vector: TermVector,
-    spec_results: ResultList,
-    vectors: Mapping[str, TermVector],
-) -> float:
-    """Equation (1): raw utility of a candidate for one specialization.
-
-    ``vectors`` must contain the surrogate vector of every document in
-    *spec_results*; documents missing a vector contribute zero (they have
-    no textual evidence).
-    """
-    total = 0.0
-    for result in spec_results:
-        spec_vector = vectors.get(result.doc_id)
-        if spec_vector is None:
-            continue
-        similarity = cosine(candidate_vector, spec_vector)
-        if similarity > 0.0:
-            total += similarity / result.rank
-    return total
-
-
-def normalized_utility(
-    candidate_vector: TermVector,
-    spec_results: ResultList,
-    vectors: Mapping[str, TermVector],
-    threshold: float = 0.0,
-) -> float:
-    """Ũ of Definition 2, with the Section 5 threshold ``c`` applied.
-
-    Values below *threshold* are forced to exactly 0, as the paper does
-    ("we forced its returning value to be 0 when it is below a given
-    threshold c").
-    """
-    n = len(spec_results)
-    if n == 0:
-        return 0.0
-    value = utility(candidate_vector, spec_results, vectors) / harmonic_number(n)
-    # Floating-point safety: Ũ is mathematically in [0, 1].
-    value = min(1.0, max(0.0, value))
-    if value < threshold:
-        return 0.0
-    return value
 
 
 class UtilityMatrix:
@@ -148,7 +105,8 @@ class UtilityMatrix:
         — O(Σ nnz(R_q') + |R_q|·|S_q|·nnz(d)) instead of |R_q|·Σ|R_q'|
         cosines.  Weights are non-negative (:class:`TermVector` rejects
         others), so the non-zero cells are exactly those of the pairwise
-        :func:`normalized_utility` and values agree to a few ULP.
+        :func:`repro.core.objectives.normalized_utility` and values agree
+        to a few ULP.
         """
         cand_weights = [
             (c.doc_id, vectors[c.doc_id].weights)

@@ -1,50 +1,9 @@
 """Corpus substrate: synthetic ClueWeb-B substitute and TREC testbed.
 
-See DESIGN.md §3 for the substitution rationale: the licensed ClueWeb09-B
-collection is replaced by a generated corpus of ambiguous topics with
-Zipf-popular aspects, and the TREC diversity-task data model (topics,
-subtopics, subtopic-level qrels, run files) is implemented in full, with
-parsers accepting the real TREC files when available.
+The substitution (docs/ARCHITECTURE.md, layer table): the licensed
+ClueWeb09-B collection is replaced by a generated corpus of ambiguous
+topics with Zipf-popular aspects, and the TREC diversity-task data model
+(topics, subtopics, subtopic-level qrels, run files) is implemented in
+full, with parsers accepting the real TREC qrels and run files when
+available.
 """
-
-from repro.corpus.generator import (
-    AmbiguousTopic,
-    Aspect,
-    CorpusConfig,
-    SyntheticCorpus,
-    generate_corpus,
-)
-from repro.corpus.trec import (
-    DiversityQrels,
-    DiversityTestbed,
-    DiversityTopic,
-    Subtopic,
-    build_testbed,
-    format_diversity_qrels,
-    format_run,
-    parse_diversity_qrels,
-    parse_run,
-    parse_topics_xml,
-)
-from repro.corpus.vocabulary import LanguageModel, Vocabulary, ZipfSampler
-
-__all__ = [
-    "AmbiguousTopic",
-    "Aspect",
-    "CorpusConfig",
-    "SyntheticCorpus",
-    "generate_corpus",
-    "DiversityQrels",
-    "DiversityTestbed",
-    "DiversityTopic",
-    "Subtopic",
-    "build_testbed",
-    "format_diversity_qrels",
-    "format_run",
-    "parse_diversity_qrels",
-    "parse_run",
-    "parse_topics_xml",
-    "LanguageModel",
-    "Vocabulary",
-    "ZipfSampler",
-]

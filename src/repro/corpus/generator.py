@@ -2,7 +2,7 @@
 
 The paper evaluates on ClueWeb09-B with the 50 TREC 2009 Web-track
 diversity topics.  That collection cannot be bundled, so this module
-generates a corpus with the same *shape* (see DESIGN.md §3):
+generates a corpus with the same *shape*:
 
 * a set of **ambiguous topics** — each a short root query (e.g. the
   paper's "leopard") with 3–8 **aspects** (e.g. "leopard mac os x",

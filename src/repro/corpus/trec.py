@@ -11,14 +11,12 @@ provides:
   ground truth (each aspect becomes a subtopic, every document of that
   aspect is judged relevant to it);
 * parsers/writers for the standard file formats, so real TREC data can be
-  plugged in when available: diversity qrels (``topic subtopic doc rel``),
-  run files (``topic Q0 doc rank score tag``), and the Web-track topics
-  XML.
+  plugged in when available: diversity qrels (``topic subtopic doc rel``)
+  and run files (``topic Q0 doc rank score tag``).
 """
 
 from __future__ import annotations
 
-import re
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -32,7 +30,6 @@ __all__ = [
     "build_testbed",
     "parse_diversity_qrels",
     "format_diversity_qrels",
-    "parse_topics_xml",
     "format_run",
     "parse_run",
 ]
@@ -216,49 +213,6 @@ def format_diversity_qrels(qrels: DiversityQrels) -> str:
             for doc_id in sorted(qrels.relevant_docs(topic_id, subtopic)):
                 out.append(f"{topic_id} {subtopic} {doc_id} 1")
     return "\n".join(out) + ("\n" if out else "")
-
-
-_TOPIC_RE = re.compile(
-    r"<topic\s+number=\"(?P<number>\d+)\"(?:\s+type=\"(?P<type>[^\"]*)\")?\s*>"
-    r"(?P<body>.*?)</topic>",
-    re.DOTALL,
-)
-_QUERY_RE = re.compile(r"<query>(.*?)</query>", re.DOTALL)
-_SUBTOPIC_RE = re.compile(
-    r"<subtopic\s+number=\"(?P<number>\d+)\"(?:\s+type=\"(?P<type>[^\"]*)\")?\s*>"
-    r"(?P<body>.*?)</subtopic>",
-    re.DOTALL,
-)
-
-
-def parse_topics_xml(text: str) -> list[DiversityTopic]:
-    """Parse TREC Web-track topics XML (the ``wt09.topics`` format).
-
-    The parser is intentionally lenient (regex-based): the official files
-    are not well-formed XML documents (no single root element).
-    """
-    topics: list[DiversityTopic] = []
-    for m in _TOPIC_RE.finditer(text):
-        body = m.group("body")
-        query_match = _QUERY_RE.search(body)
-        query = query_match.group(1).strip() if query_match else ""
-        subtopics = tuple(
-            Subtopic(
-                number=int(sm.group("number")),
-                description=" ".join(sm.group("body").split()),
-                kind=sm.group("type") or "inf",
-            )
-            for sm in _SUBTOPIC_RE.finditer(body)
-        )
-        topics.append(
-            DiversityTopic(
-                topic_id=int(m.group("number")),
-                query=query,
-                subtopics=subtopics,
-                kind=m.group("type") or "ambiguous",
-            )
-        )
-    return topics
 
 
 def format_run(

@@ -1,6 +1,6 @@
 """Synthetic vocabulary and unigram language models.
 
-The corpus generator (ClueWeb-B substitute, see DESIGN.md) needs a
+The corpus generator (the ClueWeb-B substitute) needs a
 realistic lexical substrate: a Zipf-distributed vocabulary and per-topic /
 per-aspect unigram language models.  Everything is deterministic given a
 seed, so experiments are reproducible bit-for-bit.

@@ -5,51 +5,3 @@ official cutoffs, the wider intent-aware metric family, the Wilcoxon
 signed-rank test, and a runner that turns per-topic rankings into
 Table 3-style rows.
 """
-
-from repro.evaluation.metrics import (
-    METRICS,
-    alpha_ndcg,
-    average_precision,
-    err_ia,
-    ia_map,
-    ia_mrr,
-    ia_ndcg,
-    intent_aware_precision,
-    ndcg,
-    precision_at,
-    reciprocal_rank,
-    subtopic_recall,
-)
-from repro.evaluation.runner import (
-    PAPER_CUTOFFS,
-    EvaluationReport,
-    compare_reports,
-    evaluate_run,
-)
-from repro.evaluation.significance import (
-    WilcoxonResult,
-    paired_differences,
-    wilcoxon_signed_rank,
-)
-
-__all__ = [
-    "METRICS",
-    "alpha_ndcg",
-    "average_precision",
-    "err_ia",
-    "ia_map",
-    "ia_mrr",
-    "ia_ndcg",
-    "intent_aware_precision",
-    "ndcg",
-    "precision_at",
-    "reciprocal_rank",
-    "subtopic_recall",
-    "PAPER_CUTOFFS",
-    "EvaluationReport",
-    "compare_reports",
-    "evaluate_run",
-    "WilcoxonResult",
-    "paired_differences",
-    "wilcoxon_signed_rank",
-]

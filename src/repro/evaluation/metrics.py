@@ -12,11 +12,9 @@ metrics (Section 5):
 * **IA-P** (intent-aware precision, Agrawal et al., WSDM'09) —
   Σ_s P(s|q) · Precision@k restricted to subtopic ``s``.
 
-Also provided: the classic NDCG / MAP / MRR / Precision, their
-intent-aware generalisations (NDCG-IA, MAP-IA, MRR-IA — the metrics
-Agrawal et al. introduce), ERR-IA (Chapelle et al., used by later TREC
-diversity tracks) and subtopic recall (Zhai et al.) — everything a
-downstream user expects from a diversification toolkit.
+Also provided, for the ``python -m repro.evaluation.cli`` report: the
+classic NDCG and Precision, ERR-IA (Chapelle et al., used by later TREC
+diversity tracks) and subtopic recall (Zhai et al.).
 
 All metric functions share the signature ``(ranking, topic_id, qrels,
 ...)`` where *ranking* is a sequence of doc_ids (best first) and *qrels*
@@ -36,12 +34,7 @@ __all__ = [
     "alpha_ndcg",
     "intent_aware_precision",
     "precision_at",
-    "average_precision",
-    "reciprocal_rank",
     "ndcg",
-    "ia_ndcg",
-    "ia_map",
-    "ia_mrr",
     "err_ia",
     "subtopic_recall",
     "METRICS",
@@ -178,42 +171,6 @@ def precision_at(
     return hits / cutoff
 
 
-def average_precision(
-    ranking: Sequence[str],
-    topic_id: int,
-    qrels: DiversityQrels,
-    cutoff: int | None = None,
-) -> float:
-    """MAP component: AP over "relevant to any subtopic" judgements."""
-    relevant_total = len(
-        {
-            d
-            for s in qrels.subtopic_numbers(topic_id)
-            for d in qrels.relevant_docs(topic_id, s)
-        }
-    )
-    if relevant_total == 0:
-        return 0.0
-    ranking = ranking if cutoff is None else ranking[:cutoff]
-    hits = 0
-    score = 0.0
-    for i, doc_id in enumerate(ranking, start=1):
-        if qrels.is_relevant_any(topic_id, doc_id):
-            hits += 1
-            score += hits / i
-    return score / relevant_total
-
-
-def reciprocal_rank(
-    ranking: Sequence[str], topic_id: int, qrels: DiversityQrels
-) -> float:
-    """MRR component: 1 / rank of the first relevant result."""
-    for i, doc_id in enumerate(ranking, start=1):
-        if qrels.is_relevant_any(topic_id, doc_id):
-            return 1.0 / i
-    return 0.0
-
-
 def ndcg(
     ranking: Sequence[str],
     topic_id: int,
@@ -223,72 +180,6 @@ def ndcg(
     """Binary NDCG@cutoff (Järvelin & Kekäläinen) over any-subtopic
     relevance — equal to α-NDCG with α = 0."""
     return alpha_ndcg(ranking, topic_id, qrels, alpha=0.0, cutoff=cutoff)
-
-
-# -- per-subtopic projections for the IA family -------------------------------
-
-def _subtopic_ranking_metrics(
-    ranking: Sequence[str],
-    topic_id: int,
-    qrels: DiversityQrels,
-    subtopic: int,
-    cutoff: int,
-) -> tuple[float, float, float]:
-    """(NDCG, AP, RR) of *ranking* judged against one subtopic only."""
-    relevant = qrels.relevant_docs(topic_id, subtopic)
-    if not relevant:
-        return 0.0, 0.0, 0.0
-    top = ranking[:cutoff]
-    # NDCG_s
-    gains = [1.0 if d in relevant else 0.0 for d in top]
-    ideal = [1.0] * min(len(relevant), cutoff)
-    dcg, idcg = _dcg(gains), _dcg(ideal)
-    ndcg_s = dcg / idcg if idcg else 0.0
-    # AP_s
-    hits, ap = 0, 0.0
-    for i, d in enumerate(top, start=1):
-        if d in relevant:
-            hits += 1
-            ap += hits / i
-    ap_s = ap / min(len(relevant), cutoff)
-    # RR_s
-    rr_s = 0.0
-    for i, d in enumerate(top, start=1):
-        if d in relevant:
-            rr_s = 1.0 / i
-            break
-    return ndcg_s, ap_s, rr_s
-
-
-def _ia_aggregate(
-    ranking: Sequence[str],
-    topic_id: int,
-    qrels: DiversityQrels,
-    cutoff: int,
-    probabilities: Mapping[int, float] | None,
-    component: int,
-) -> float:
-    p = _subtopic_probabilities(qrels, topic_id, probabilities)
-    return sum(
-        weight
-        * _subtopic_ranking_metrics(ranking, topic_id, qrels, s, cutoff)[component]
-        for s, weight in p.items()
-    )
-
-
-def ia_ndcg(ranking, topic_id, qrels, cutoff=10, probabilities=None) -> float:
-    """NDCG-IA (Agrawal et al.): Σ_s P(s|q) · NDCG@cutoff judged on s."""
-    return _ia_aggregate(ranking, topic_id, qrels, cutoff, probabilities, 0)
-
-
-def ia_map(ranking, topic_id, qrels, cutoff=1000, probabilities=None) -> float:
-    """MAP-IA (Agrawal et al.): Σ_s P(s|q) · AP@cutoff judged on s."""
-    return _ia_aggregate(ranking, topic_id, qrels, cutoff, probabilities, 1)
-
-
-def ia_mrr(ranking, topic_id, qrels, cutoff=1000, probabilities=None) -> float:
-    """MRR-IA (Agrawal et al.): Σ_s P(s|q) · RR judged on s."""
-    return _ia_aggregate(ranking, topic_id, qrels, cutoff, probabilities, 2)
 
 
 def err_ia(

@@ -16,21 +16,3 @@ Constraint ablation :mod:`repro.experiments.ablation_constraint`  ``python -m re
 
 Shared workload builders live in :mod:`repro.experiments.workloads`.
 """
-
-from repro.experiments.workloads import (
-    PAPER_SCALE,
-    SMALL_SCALE,
-    TrecWorkload,
-    WorkloadScale,
-    build_trec_workload,
-    synthetic_task,
-)
-
-__all__ = [
-    "PAPER_SCALE",
-    "SMALL_SCALE",
-    "TrecWorkload",
-    "WorkloadScale",
-    "build_trec_workload",
-    "synthetic_task",
-]

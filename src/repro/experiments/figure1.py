@@ -13,7 +13,7 @@ Figure 1 plots the average ratio against the number of specializations
 |S_q|; the paper reports improvement factors between 5 and 10 for both
 AOL and MSN.
 
-Substitutions (DESIGN.md §3): Yahoo! BOSS is gone, so the external WSE is
+Substitutions: Yahoo! BOSS is gone, so the external WSE is
 a second engine over the same corpus with a different ranking model
 (BM25), mirroring the external/internal engine mismatch of the original
 setup.  The per-document utility is the pure coverage part of Eq. 9,

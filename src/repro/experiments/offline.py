@@ -5,7 +5,7 @@ execution backends); this harness measures the *offline* phase the
 paper's feasibility argument rests on, end to end:
 
 1. **Index build** — a synthetic corpus at the chosen scale is built
-   into a :class:`~repro.retrieval.sharding.PartitionedSearchEngine`
+   into a :class:`~repro.retrieval.engine.SearchEngine`
    twice: serially (the plain constructor, one core) and
    partition-parallel
    (:func:`~repro.serving.offline.build_partitioned_engine` over the
@@ -14,7 +14,7 @@ paper's feasibility argument rests on, end to end:
    return **identical rankings and scores** over every topic query.
    The parallel arm reports per-partition build time and estimated
    resident memory (postings, vocabulary, document tables) through a
-   merged :class:`~repro.retrieval.sharding.BuildReport` that carries
+   merged :class:`~repro.retrieval.engine.BuildReport` that carries
    both the scatter/gather wall-clock and the summed per-partition busy
    time.
 
@@ -62,8 +62,7 @@ from repro.experiments.workloads import (
     zipf_workload,
 )
 from repro.querylog.specializations import SpecializationMiner
-from repro.retrieval.engine import SearchEngine
-from repro.retrieval.sharding import BuildReport, PartitionedSearchEngine
+from repro.retrieval.engine import BuildReport, SearchEngine
 from repro.serving import (
     BACKEND_NAMES,
     DiversificationService,
@@ -194,7 +193,7 @@ def run_offline_build(
 
     # Arm 1: the serial build (the pre-PR-5 path, one core by design).
     start = time.perf_counter()
-    serial_engine = PartitionedSearchEngine(collection, partitions)
+    serial_engine = SearchEngine(collection, partitions)
     serial_build_seconds = time.perf_counter() - start
 
     # Arm 2: the partition-parallel build on the chosen backend.

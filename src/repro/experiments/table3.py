@@ -4,7 +4,7 @@ diversity testbed, sweeping the utility threshold c.
 The paper's Table 3 reports α-NDCG and IA-P at cutoffs {5, 10, 20, 100,
 1000} for the DPH baseline and the three diversifiers with
 c ∈ {0, .05, .10, .15, .20, .25, .35, .50, .75}, λ = 0.15, |R_q'| = 20.
-Headline shape claims we verify (EXPERIMENTS.md records the outcomes):
+Headline shape claims we verify:
 
 * every diversifier improves on the DPH baseline at small c;
 * OptSelect and xQuAD behave similarly, IASelect is worse (it ignores

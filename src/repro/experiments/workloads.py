@@ -197,7 +197,7 @@ class ExternalWebEngine(SearchEngine):
 
     with ``prior`` a hash-based pseudo-random value in [0, 1] — the same
     document always gets the same prior, different documents are
-    incomparable on text alone.  See DESIGN.md §3.
+    incomparable on text alone.
     """
 
     def __init__(
@@ -312,7 +312,3 @@ def zipf_workload(
     weights = [1.0 / (i + 1) for i in range(len(queries))]
     return rng.choices(queries, weights=weights, k=num_queries)
 
-
-def empty_collection() -> DocumentCollection:
-    """Convenience for tests needing an engine over nothing."""
-    return DocumentCollection()

@@ -3,53 +3,6 @@
 Implements Section 3's pipeline: the ⟨q, u, t, V, C⟩ log model, time-gap
 and Query-Flow-Graph sessionization (Boldi et al.), the Search-Shortcuts
 query recommender (Broccolo et al.), synthetic AOL/MSN-like log
-generation (see DESIGN.md §3 for the substitution), and the specialization
-miner that feeds Algorithm 1.
+generation (the substitution for the AOL/MSN logs; docs/ARCHITECTURE.md,
+layer table), and the specialization miner that feeds Algorithm 1.
 """
-
-from repro.querylog.aol import format_aol, parse_aol
-from repro.querylog.clickmodels import (
-    CascadeModel,
-    ClickModel,
-    PositionBiasedModel,
-    click_boosted_probabilities,
-)
-from repro.querylog.flowgraph import EdgeFeatures, QueryFlowGraph, is_specialization
-from repro.querylog.recommend import SearchShortcutsRecommender
-from repro.querylog.records import QueryLog, QueryRecord
-from repro.querylog.sessions import (
-    DEFAULT_SESSION_TIMEOUT,
-    Session,
-    split_by_time_gap,
-)
-from repro.querylog.specializations import MinerConfig, SpecializationMiner
-from repro.querylog.synthesis import (
-    AOL_PROFILE,
-    MSN_PROFILE,
-    LogProfile,
-    generate_query_log,
-)
-
-__all__ = [
-    "format_aol",
-    "parse_aol",
-    "CascadeModel",
-    "ClickModel",
-    "PositionBiasedModel",
-    "click_boosted_probabilities",
-    "EdgeFeatures",
-    "QueryFlowGraph",
-    "is_specialization",
-    "SearchShortcutsRecommender",
-    "QueryLog",
-    "QueryRecord",
-    "DEFAULT_SESSION_TIMEOUT",
-    "Session",
-    "split_by_time_gap",
-    "MinerConfig",
-    "SpecializationMiner",
-    "AOL_PROFILE",
-    "MSN_PROFILE",
-    "LogProfile",
-    "generate_query_log",
-]

@@ -3,7 +3,7 @@
 The paper trains its specialization miner on the AOL (~20M queries, ~650k
 users, March–May 2006) and MSN (~15M queries, one month of 2006) logs
 (Appendix B).  Neither log is redistributable, so this module generates
-logs with the same statistical shape at laptop scale (see DESIGN.md §3):
+logs with the same statistical shape at laptop scale:
 
 * **session mixture** — ambiguous sessions that start with a root query
   and refine it into aspect-specific specializations, sessions issuing a

@@ -22,7 +22,7 @@ snapshot-pinned serving (:meth:`SearchEngine.pinned`) available on
 every engine.  Beside it live the placement function
 (:func:`stable_shard`, :func:`partition_collection`), the per-partition
 build record (:class:`BuildReport`) and the enforced memory limit
-(:class:`MemoryBudget`); :mod:`repro.retrieval.sharding` re-exports them.
+(:class:`MemoryBudget`).
 """
 
 from __future__ import annotations

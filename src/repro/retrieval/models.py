@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 
-__all__ = ["WeightingModel", "DPH", "BM25", "TFIDF", "get_model"]
+__all__ = ["WeightingModel", "DPH", "BM25", "TFIDF"]
 
 _LOG2 = math.log(2.0)
 
@@ -159,25 +159,3 @@ class TFIDF(WeightingModel):
         idf = math.log(num_documents / (document_frequency or 1) + 1.0)
         return key_frequency * robertson_tf * idf
 
-
-_MODELS = {
-    "dph": DPH,
-    "bm25": BM25,
-    "tfidf": TFIDF,
-    "tf_idf": TFIDF,
-}
-
-
-def get_model(name: str, **kwargs) -> WeightingModel:
-    """Instantiate a weighting model by (case-insensitive) name.
-
-    >>> get_model("DPH").name
-    'DPH'
-    """
-    try:
-        factory = _MODELS[name.lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown weighting model {name!r}; choose from {sorted(_MODELS)}"
-        ) from None
-    return factory(**kwargs)

@@ -1,4 +1,4 @@
-"""Document similarity: sparse term vectors, cosine, and the paper's δ.
+"""Document similarity: sparse term vectors and the cosine behind the paper's δ.
 
 Equation (2) of the paper defines the document distance used by the
 utility measure::
@@ -23,7 +23,7 @@ from collections.abc import Iterable, Mapping
 
 from repro.retrieval.analysis import Analyzer
 
-__all__ = ["TermVector", "cosine", "delta"]
+__all__ = ["TermVector", "cosine"]
 
 
 class TermVector:
@@ -84,8 +84,8 @@ class TermVector:
         Re-running the constructor on a saved vector would divide by a
         norm that is only *approximately* 1.0, perturbing the weights in
         the last bits — enough to flip floating-point ties downstream.
-        Persistence (``repro.retrieval.persistence``) therefore restores
-        vectors through here, byte-identical to what was saved.
+        The index store (:mod:`repro.retrieval.store`) therefore restores
+        warm vectors through here, byte-identical to what was saved.
         """
         _require_non_negative(weights)
         vector = cls.__new__(cls)
@@ -146,7 +146,3 @@ def cosine(v1: TermVector, v2: TermVector) -> float:
     # Vectors are already unit length; clamp for floating point safety.
     return min(1.0, max(0.0, v1.dot(v2)))
 
-
-def delta(v1: TermVector, v2: TermVector) -> float:
-    """The paper's document distance δ = 1 − cosine (Equation 2)."""
-    return 1.0 - cosine(v1, v2)

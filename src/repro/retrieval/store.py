@@ -1041,7 +1041,7 @@ class StoreBackedInvertedIndex:
     Postings page in on demand through the shared
     :class:`PostingPageCache`; document lengths load lazily and can be
     dropped again by :meth:`evict` (the
-    :class:`~repro.retrieval.sharding.MemoryBudget` hook) — everything
+    :class:`~repro.retrieval.engine.MemoryBudget` hook) — everything
     pages back in transparently, so eviction never changes a result.
     """
 

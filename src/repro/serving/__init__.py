@@ -10,22 +10,22 @@ grows it past one worker:
   bounded LRU caching and per-query latency/throughput accounting;
 * :class:`~repro.serving.sharded.ShardedDiversificationService` — N
   hash-routed service shards behind the same API: queries route by the
-  process-stable :func:`~repro.retrieval.sharding.stable_shard`, the
+  process-stable :func:`~repro.retrieval.engine.stable_shard`, the
   offline and online phases fan out per-shard over a pluggable
-  execution backend, and :class:`ServiceStats` /
+  execution backend, and :class:`~repro.serving.service.ServiceStats` /
   :class:`~repro.core.cache.CacheStats` / :class:`WarmReport` merge
   into cluster-level summaries with per-shard breakdowns.  The cluster
   serves rankings identical to the unsharded service under every
   backend;
 * :mod:`~repro.serving.backends` — the execution substrates:
-  :class:`InlineBackend` (ordered sweep, the reference),
-  :class:`ThreadBackend` (GIL-bound fan-out; wins once the numpy
-  kernels dominate) and :class:`ProcessBackend` (real OS processes
+  :class:`~repro.serving.backends.InlineBackend` (ordered sweep, the reference),
+  :class:`~repro.serving.backends.ThreadBackend` (GIL-bound fan-out; wins once the numpy
+  kernels dominate) and :class:`~repro.serving.backends.ProcessBackend` (real OS processes
   with per-worker warm state — the multi-core path).  A shard over a
   store-backed engine hydrates its warm artifacts from the index store,
   so worker processes skip re-deriving the offline phase;
 * :mod:`~repro.serving.replication` — R-way shard replication over
-  process workers: a :class:`ReplicaSet` per shard with routing-aware
+  process workers: a :class:`~repro.serving.replication.ReplicaSet` per shard with routing-aware
   load balancing (round-robin / least-outstanding), optional hedged
   requests for tail control, health checks, and automatic
   respawn-and-rehydrate from the warm store on crash.  Every replica is
@@ -35,16 +35,16 @@ grows it past one worker:
 * :mod:`~repro.serving.offline` — the partition-parallel offline
   pipeline: :func:`build_partitioned_engine` builds the N inverted-index
   partitions of a
-  :class:`~repro.retrieval.sharding.PartitionedSearchEngine` on any of
+  :class:`~repro.retrieval.engine.SearchEngine` on any of
   the execution backends (ranking- and score-identical to the serial
   build) with per-partition build-time and memory accounting in a
-  mergeable :class:`~repro.retrieval.sharding.BuildReport`;
+  mergeable :class:`~repro.retrieval.engine.BuildReport`;
 * :class:`~repro.serving.async_service.AsyncDiversificationService` —
   the asyncio micro-batching front-end: single-query ``await
   submit(query)`` calls coalesce under a size/time admission window
   (bounded queue, backpressure) into batches dispatched to either
   service above on an executor, with batch-formation accounting in
-  :class:`ServiceStats`.  Results are identical to a direct
+  :class:`~repro.serving.service.ServiceStats`.  Results are identical to a direct
   ``diversify_batch`` call;
 * :class:`~repro.serving.http.DiversificationHTTPServer` — the network
   face: a stdlib-only REST front-end (``ThreadingHTTPServer`` bridging
@@ -52,9 +52,10 @@ grows it past one worker:
   paginated ``GET /results``, ``GET /health`` / ``GET /stats``
   operational surfaces and ``POST /drain`` for graceful rolling
   restarts.  Responses are field-identical to a direct
-  ``diversify_batch`` on the wrapped backend;
-* :class:`~repro.core.cache.LRUCache` (re-exported) — the bounded cache
-  shared with the framework and the search engine.
+  ``diversify_batch`` on the wrapped backend.
+
+Every cache is a :class:`~repro.core.cache.LRUCache`, the bounded cache
+shared with the framework and the search engine.
 
 Services built without an explicit diversifier inherit the framework's
 kernel default: selection-identical numpy kernels when numpy is present,
@@ -65,78 +66,24 @@ See ``examples/quickstart.py`` for the end-to-end flow and ``bench/``
 (``python3 bench/run.py --all``) for the end-to-end measurements.
 """
 
-from repro.core.cache import CacheStats, LRUCache
-from repro.serving.async_service import (
-    AsyncDiversificationService,
-    LoopClock,
-    ServiceClosed,
-)
-from repro.serving.backends import (
-    BACKEND_NAMES,
-    BackendError,
-    ExecutionBackend,
-    InlineBackend,
-    ProcessBackend,
-    ThreadBackend,
-    WorkerDiedError,
-    make_backend,
-)
-from repro.serving.http import (
-    ApiError,
-    DiversificationHTTPServer,
-    result_payload,
-    stats_payload,
-)
-from repro.serving.offline import (
-    PartitionBuildFactory,
-    build_partitioned_engine,
-    persist_store,
-)
-from repro.serving.replication import (
-    REPLICA_POLICIES,
-    ReplicaSet,
-    ReplicaSetStats,
-    ReplicaWorker,
-    ReplicatedBackend,
-)
-from repro.serving.service import (
-    DiversificationService,
-    PreparedQuery,
-    ServiceStats,
-    WarmReport,
-)
-from repro.serving.sharded import ShardedDiversificationService, ShardServiceFactory
+from repro.serving.async_service import AsyncDiversificationService
+from repro.serving.backends import BACKEND_NAMES, make_backend
+from repro.serving.http import DiversificationHTTPServer, result_payload
+from repro.serving.offline import build_partitioned_engine, persist_store
+from repro.serving.replication import ReplicatedBackend
+from repro.serving.service import DiversificationService, WarmReport
+from repro.serving.sharded import ShardedDiversificationService
 
 __all__ = [
-    "ApiError",
     "AsyncDiversificationService",
     "BACKEND_NAMES",
-    "BackendError",
-    "CacheStats",
     "DiversificationHTTPServer",
-    "ExecutionBackend",
-    "InlineBackend",
-    "LRUCache",
-    "LoopClock",
     "DiversificationService",
-    "PartitionBuildFactory",
-    "PreparedQuery",
-    "ProcessBackend",
-    "REPLICA_POLICIES",
-    "ReplicaSet",
-    "ReplicaSetStats",
-    "ReplicaWorker",
     "ReplicatedBackend",
+    "ShardedDiversificationService",
+    "WarmReport",
     "build_partitioned_engine",
+    "make_backend",
     "persist_store",
     "result_payload",
-    "ServiceClosed",
-    "stats_payload",
-    "ServiceStats",
-    "ShardServiceFactory",
-    "ShardedDiversificationService",
-    "ThreadBackend",
-    "WarmReport",
-    "WorkerDiedError",
-    "make_backend",
 ]

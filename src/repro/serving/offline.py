@@ -10,7 +10,7 @@ module scales the offline phase the same way, with the same substrate:
 * :func:`build_partitioned_engine` hash-partitions the collection once,
   then builds the N :class:`~repro.retrieval.index.DocumentIndex`
   partitions (postings plus forward rows, one analysis pass) of a
-  :class:`~repro.retrieval.sharding.PartitionedSearchEngine` *wherever
+  :class:`~repro.retrieval.engine.SearchEngine` *wherever
   the chosen* :class:`~repro.serving.backends.ExecutionBackend` *places
   them* — the calling thread, a thread pool, or real OS worker
   processes — and assembles the engine from the gathered indexes with
@@ -19,7 +19,7 @@ module scales the offline phase the same way, with the same substrate:
   it across every backend.
 * Each partition build is timed and memory-accounted where it runs,
   reported through a mergeable
-  :class:`~repro.retrieval.sharding.BuildReport` whose merged form
+  :class:`~repro.retrieval.engine.BuildReport` whose merged form
   carries both the scatter/gather wall-clock and the summed
   per-partition busy time — the exact discipline the warm fan-out's
   :class:`~repro.serving.service.WarmReport` follows.
@@ -47,13 +47,14 @@ from collections.abc import Sequence
 
 from repro.retrieval.analysis import Analyzer
 from repro.retrieval.documents import DocumentCollection
-from repro.retrieval.engine import partition_seqs, shared_analysis
-from repro.retrieval.index import DocumentIndex
-from repro.retrieval.sharding import (
+from repro.retrieval.engine import (
     BuildReport,
-    PartitionedSearchEngine,
+    SearchEngine,
     partition_collection,
+    partition_seqs,
+    shared_analysis,
 )
+from repro.retrieval.index import DocumentIndex
 from repro.retrieval.snippets import SnippetExtractor
 from repro.serving.backends import ExecutionBackend, make_backend
 
@@ -71,7 +72,7 @@ class _PartitionBuilder:
     name; this is the build phase's service — one method, ``build()``,
     which indexes the partition where the service lives and returns the
     index together with its timed, memory-estimated
-    :class:`~repro.retrieval.sharding.BuildReport`.  On a process
+    :class:`~repro.retrieval.engine.BuildReport`.  On a process
     backend both travel back to the parent as pickles, exactly like
     stats snapshots do during serving.
     """
@@ -140,8 +141,8 @@ def build_partitioned_engine(
     analyzer: Analyzer | None = None,
     snippet_extractor=None,
     seed: int = 0,
-) -> tuple[PartitionedSearchEngine, BuildReport]:
-    """Build a :class:`PartitionedSearchEngine` partition-parallel.
+) -> tuple[SearchEngine, BuildReport]:
+    """Build a :class:`SearchEngine` partition-parallel.
 
     Partitions *collection* with the same seeded router the serial
     constructor uses, builds every partition index on *backend*
@@ -150,12 +151,12 @@ def build_partitioned_engine(
     ``None`` for the default thread pool), gathers the indexes, and
     assembles the engine with collection-global statistics — validated
     document-for-document, so rankings *and scores* are identical to
-    ``PartitionedSearchEngine(collection, num_partitions, ...)`` built
+    ``SearchEngine(collection, num_partitions, ...)`` built
     serially, which is itself ranking-identical to a single undivided
     engine.
 
     Returns ``(engine, report)`` where *report* is the merged
-    :class:`~repro.retrieval.sharding.BuildReport`: ``seconds`` is the
+    :class:`~repro.retrieval.engine.BuildReport`: ``seconds`` is the
     scatter/gather wall-clock measured here, ``busy_seconds`` the
     summed per-partition build time, and ``shards`` the per-partition
     reports (zero-document partitions included, well-formed) with each
@@ -190,7 +191,7 @@ def build_partitioned_engine(
         index, report = done[shard]
         indexes.append(index)
         reports.append(report)
-    engine = PartitionedSearchEngine(
+    engine = SearchEngine(
         collection,
         num_partitions,
         model=model,

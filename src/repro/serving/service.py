@@ -655,10 +655,10 @@ class DiversificationService:
         Counts and prices the per-specialization result lists and
         snippet-surrogate vectors currently in the framework's spec
         cache, vectors retained across an epoch included
-        (:func:`repro.retrieval.persistence.estimate_warm_memory`)
+        (:meth:`~repro.core.framework.DiversificationFramework.warm_memory_estimate`)
         — the snippet-vector half of the offline pipeline's per-shard
         memory accounting, next to the per-partition index footprints in
-        :class:`~repro.retrieval.sharding.BuildReport`.  A *method* (not
+        :class:`~repro.retrieval.engine.BuildReport`.  A *method* (not
         a property) so execution backends can fetch the snapshot over a
         process boundary.
         """

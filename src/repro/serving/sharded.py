@@ -7,7 +7,7 @@ theirs: state is partitioned with deterministic placement, and the
 per-partition summaries merge back losslessly.
 
 :class:`ShardedDiversificationService` owns N shard services.  Queries
-route by :func:`~repro.retrieval.sharding.stable_shard` — the same
+route by :func:`~repro.retrieval.engine.stable_shard` — the same
 seeded, process-stable hash the retrieval layer uses to place documents
 — so a given query *always* lands on the same shard, and each shard's
 specialization cache, detection cache and result LRU hold exactly its
@@ -27,8 +27,8 @@ sweep, a thread pool, or real OS processes — and merge:
 
 Because every shard runs the same framework over the same corpus (the
 index itself may be document-partitioned via
-:class:`~repro.retrieval.sharding.PartitionedSearchEngine`, which is
-ranking-identical), the cluster serves **exactly** the rankings the
+``num_partitions`` of :class:`~repro.retrieval.engine.SearchEngine`,
+which is ranking-identical), the cluster serves **exactly** the rankings the
 unsharded service serves — under *any* backend — asserted by the test
 suite (``tests/serving/test_sharded.py``, ``test_backends.py``).
 """
@@ -41,7 +41,7 @@ from collections.abc import Callable, Iterable, Sequence
 
 from repro.core.cache import CacheStats
 from repro.core.framework import DiversificationFramework, DiversifiedResult
-from repro.retrieval.sharding import stable_shard
+from repro.retrieval.engine import stable_shard
 from repro.serving.backends import ExecutionBackend, make_backend
 from repro.serving.service import (
     DiversificationService,
@@ -102,7 +102,7 @@ class ShardedDiversificationService:
         default :class:`~repro.serving.backends.ThreadBackend` resolves
         ``None`` to ``min(num_shards, os.cpu_count())``.
     router_seed:
-        Seed of the :func:`~repro.retrieval.sharding.stable_shard`
+        Seed of the :func:`~repro.retrieval.engine.stable_shard`
         router.  Must be kept constant for the lifetime of the cluster's
         caches: changing it remaps queries to different shards (cold
         caches), though results stay correct because every shard can
@@ -179,8 +179,8 @@ class ShardedDiversificationService:
         places that shard* — in this process for ``inline``/``thread``,
         inside a worker process for ``process`` (inherited under fork;
         must pickle under spawn).  Frameworks may share a (read-only)
-        engine and detector, or carry per-shard replicas / a
-        :class:`~repro.retrieval.sharding.PartitionedSearchEngine` —
+        engine and detector, or carry per-shard replicas / a partitioned
+        :class:`~repro.retrieval.engine.SearchEngine` —
         anything ranking-identical keeps the cluster's identity
         guarantee.  A shard whose engine is a
         :class:`~repro.retrieval.store.StoreBackedSearchEngine` hydrates
@@ -552,7 +552,7 @@ class ShardedDiversificationService:
         backend) and sums component-wise — the snippet-vector half of
         the offline pipeline's memory accounting, complementing the
         per-partition index footprints in
-        :class:`~repro.retrieval.sharding.BuildReport`.
+        :class:`~repro.retrieval.engine.BuildReport`.
         """
         done = self._backend.broadcast("warm_memory_estimate")
         totals: dict[str, int] = {}

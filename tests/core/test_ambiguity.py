@@ -5,7 +5,6 @@ from __future__ import annotations
 import pytest
 
 from repro.core.ambiguity import (
-    AmbiguityDetector,
     SpecializationSet,
     ambiguous_query_detect,
 )
@@ -121,25 +120,3 @@ class TestAlgorithm1:
     def test_s_validation(self):
         with pytest.raises(ValueError):
             ambiguous_query_detect("apple", _recommend, _frequency, s=0)
-
-
-class TestAmbiguityDetector:
-    def test_detect_wraps_algorithm(self):
-        detector = AmbiguityDetector(_recommend, _frequency, s=4.0)
-        assert detector.is_ambiguous("apple")
-        assert not detector.is_ambiguous("banana")
-
-    def test_max_specializations_cap(self):
-        detector = AmbiguityDetector(
-            _recommend, _frequency, s=100.0, max_specializations=2
-        )
-        assert len(detector.detect("apple")) == 2
-
-    def test_cap_validation(self):
-        with pytest.raises(ValueError):
-            AmbiguityDetector(_recommend, _frequency, max_specializations=1)
-
-    def test_detect_all_deduplicates(self):
-        detector = AmbiguityDetector(_recommend, _frequency, s=4.0)
-        out = detector.detect_all(["apple", "apple", "banana"])
-        assert set(out) == {"apple"}

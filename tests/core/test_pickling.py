@@ -148,7 +148,7 @@ class TestStatsDataclasses:
     def test_build_report_nested(self):
         """Build reports travel back from process-backend build workers
         exactly like warm reports travel back from serving workers."""
-        from repro.retrieval.sharding import BuildReport
+        from repro.retrieval.engine import BuildReport
 
         leaf = [
             BuildReport(

@@ -9,14 +9,10 @@ from hypothesis import strategies as st
 from repro.core.ambiguity import SpecializationSet
 from repro.core.base import DiversifierStats
 from repro.core.iaselect import IASelect
+from repro.core.objectives import normalized_utility, utility
 from repro.core.optselect import OptSelect
 from repro.core.task import DiversificationTask
-from repro.core.utility import (
-    UtilityMatrix,
-    harmonic_number,
-    normalized_utility,
-    utility,
-)
+from repro.core.utility import UtilityMatrix, harmonic_number
 from repro.core.xquad import XQuAD
 from repro.retrieval.engine import ResultList
 from repro.retrieval.similarity import TermVector

@@ -14,7 +14,6 @@ from repro.corpus.trec import (
     format_run,
     parse_diversity_qrels,
     parse_run,
-    parse_topics_xml,
 )
 
 
@@ -118,34 +117,6 @@ class TestQrelsFormat:
     def test_malformed_line_raises(self):
         with pytest.raises(ValueError, match="expected 4 fields"):
             parse_diversity_qrels(["1 1 d"])
-
-
-class TestTopicsXml:
-    SAMPLE = """
-    <topic number="1" type="faceted">
-      <query>obama family tree</query>
-      <description>Find information on Obama's family.</description>
-      <subtopic number="1" type="nav">TIME photo essay</subtopic>
-      <subtopic number="2" type="inf">Where did they come from?</subtopic>
-    </topic>
-    <topic number="2">
-      <query>apple</query>
-    </topic>
-    """
-
-    def test_parse_topics(self):
-        topics = parse_topics_xml(self.SAMPLE)
-        assert len(topics) == 2
-        assert topics[0].topic_id == 1
-        assert topics[0].query == "obama family tree"
-        assert topics[0].kind == "faceted"
-        assert topics[0].num_subtopics == 2
-        assert topics[0].subtopics[0].kind == "nav"
-
-    def test_topic_without_subtopics(self):
-        topics = parse_topics_xml(self.SAMPLE)
-        assert topics[1].num_subtopics == 0
-        assert topics[1].kind == "ambiguous"
 
 
 class TestRunFormat:

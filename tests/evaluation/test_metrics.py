@@ -7,15 +7,10 @@ import pytest
 from repro.corpus.trec import DiversityQrels
 from repro.evaluation.metrics import (
     alpha_ndcg,
-    average_precision,
     err_ia,
-    ia_map,
-    ia_mrr,
-    ia_ndcg,
     intent_aware_precision,
     ndcg,
     precision_at,
-    reciprocal_rank,
     subtopic_recall,
 )
 
@@ -116,43 +111,8 @@ class TestClassicMetrics:
     def test_precision_at(self, qrels):
         assert precision_at(["d1", "x", "d4", "y"], 1, qrels, cutoff=4) == 0.5
 
-    def test_average_precision_perfect(self, qrels):
-        ranking = ["d1", "d2", "d3", "d4", "d5"]
-        assert average_precision(ranking, 1, qrels) == pytest.approx(1.0)
-
-    def test_average_precision_zero(self, qrels):
-        assert average_precision(["x", "y"], 1, qrels) == 0.0
-
-    def test_reciprocal_rank(self, qrels):
-        assert reciprocal_rank(["x", "d4"], 1, qrels) == 0.5
-        assert reciprocal_rank(["x", "y"], 1, qrels) == 0.0
-
     def test_ndcg_perfect_prefix(self, qrels):
         assert ndcg(["d1", "d2"], 1, qrels, cutoff=2) == pytest.approx(1.0)
-
-
-class TestIntentAwareFamily:
-    def test_ia_ndcg_prefers_covering_popular_intent(self, qrels):
-        probs = {1: 0.9, 2: 0.1}
-        s1_ranking = ["d1", "d2"]
-        s2_ranking = ["d4", "d5"]
-        assert ia_ndcg(s1_ranking, 1, qrels, cutoff=2, probabilities=probs) > (
-            ia_ndcg(s2_ranking, 1, qrels, cutoff=2, probabilities=probs)
-        )
-
-    def test_ia_map_bounded(self, qrels):
-        value = ia_map(["d1", "d4", "d2", "d5", "d3"], 1, qrels)
-        assert 0.0 < value <= 1.0
-
-    def test_ia_mrr_perfect_when_all_intents_hit_first(self):
-        q = DiversityQrels()
-        q.add(1, 1, "both")
-        q.add(1, 2, "both")
-        assert ia_mrr(["both"], 1, q) == pytest.approx(1.0)
-
-    def test_ia_mrr_weighted_by_first_hits(self, qrels):
-        value = ia_mrr(["d1", "d4"], 1, qrels)
-        assert value == pytest.approx(0.5 * 1.0 + 0.5 * 0.5)
 
 
 class TestErrIA:

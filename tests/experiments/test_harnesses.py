@@ -415,13 +415,13 @@ class TestColdstartHarness:
     def test_memory_budget_arm(self, workload, tmp_path):
         """A budgeted store engine behind the full pipeline: eviction
         happens and never changes a diversified ranking."""
-        from repro.retrieval.sharding import PartitionedSearchEngine
+        from repro.retrieval.engine import SearchEngine
         from repro.retrieval.store import StoreBackedSearchEngine, write_store
         from repro.serving import DiversificationService
 
         path = write_store(
             tmp_path / "cold.sqlite3",
-            PartitionedSearchEngine(workload.corpus.collection, 2),
+            SearchEngine(workload.corpus.collection, 2),
         )
         queries = [t.query for t in workload.testbed.topics]
         factory = _framework_factory(workload)

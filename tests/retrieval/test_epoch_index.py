@@ -19,8 +19,8 @@ import pytest
 
 from repro.retrieval.analysis import Analyzer
 from repro.retrieval.documents import Document, DocumentCollection
+from repro.retrieval.engine import SearchEngine
 from repro.retrieval.index import InvertedIndex
-from repro.retrieval.sharding import PartitionedSearchEngine
 
 from tests.retrieval.search_oracle import assert_same_order
 
@@ -141,7 +141,7 @@ class TestIndexRemoval:
 
 @pytest.fixture()
 def engine():
-    return PartitionedSearchEngine(
+    return SearchEngine(
         DocumentCollection(make_docs(20)), num_partitions=3
     )
 
@@ -155,7 +155,7 @@ class TestEngineEpochs:
         engine.apply_updates(add_documents=adds2, remove_doc_ids=["n1", "d0"])
         removed = {"d4", "d11", "n1", "d0"}
         final = [d for d in docs + adds1 if d.doc_id not in removed] + adds2
-        fresh = PartitionedSearchEngine(
+        fresh = SearchEngine(
             DocumentCollection(final), num_partitions=3
         )
         assert engine.epoch == 2
@@ -169,7 +169,7 @@ class TestEngineEpochs:
             add_documents=[replacement], remove_doc_ids=["d5"]
         )
         final = [d for d in docs if d.doc_id != "d5"] + [replacement]
-        fresh = PartitionedSearchEngine(
+        fresh = SearchEngine(
             DocumentCollection(final), num_partitions=3
         )
         assert engine.collection.doc_ids == fresh.collection.doc_ids
@@ -180,7 +180,7 @@ class TestEngineEpochs:
         engine.apply_updates(remove_doc_ids=["d2"])
         engine.apply_updates(add_documents=[docs[2]])
         final = [d for d in docs if d.doc_id != "d2"] + [docs[2]]
-        fresh = PartitionedSearchEngine(
+        fresh = SearchEngine(
             DocumentCollection(final), num_partitions=3
         )
         assert engine.collection.doc_ids == fresh.collection.doc_ids

@@ -20,7 +20,6 @@ from repro.retrieval.analysis import Analyzer
 from repro.retrieval.documents import Document, DocumentCollection
 from repro.retrieval.engine import SearchEngine
 from repro.retrieval.index import DocumentIndex
-from repro.retrieval.sharding import PartitionedSearchEngine
 from repro.retrieval.similarity import TermVector
 from repro.retrieval.snippets import ForwardRow, SnippetExtractor
 from repro.retrieval.store import (
@@ -120,7 +119,7 @@ class TestEngineServesTheOracle:
         if flavour == "single":
             engine = SearchEngine(collection)
         else:
-            engine = PartitionedSearchEngine(collection, num_partitions=PARTITIONS)
+            engine = SearchEngine(collection, num_partitions=PARTITIONS)
             if flavour == "store":
                 write_store(tmp_path / "s.sqlite3", engine)
                 engine = StoreBackedSearchEngine(tmp_path / "s.sqlite3")
@@ -189,7 +188,7 @@ class TestRowsFollowMutation:
 
     def test_prepare_and_publish_match_a_rebuild(self):
         docs = make_docs(30)
-        engine = PartitionedSearchEngine(
+        engine = SearchEngine(
             DocumentCollection(docs[:24]), num_partitions=PARTITIONS
         )
         before = engine.snapshot()
@@ -198,7 +197,7 @@ class TestRowsFollowMutation:
         engine.apply_updates(docs[27:] + [docs[1]], ["d24"])
         final = [d for d in docs[:24] if d.doc_id not in {"d1", "d7"}]
         final += docs[25:27] + docs[27:] + [docs[1]]
-        rebuilt = PartitionedSearchEngine(
+        rebuilt = SearchEngine(
             DocumentCollection(final), num_partitions=PARTITIONS
         )
         assert engine.collection.doc_ids == rebuilt.collection.doc_ids
@@ -223,7 +222,7 @@ class TestRowsFollowMutation:
         path = tmp_path / "live.sqlite3"
         write_store(
             path,
-            PartitionedSearchEngine(
+            SearchEngine(
                 DocumentCollection(docs[:24]), num_partitions=PARTITIONS
             ),
         )
@@ -234,7 +233,7 @@ class TestRowsFollowMutation:
         assert live.refresh() == 2
         final = [d for d in docs[:24] if d.doc_id not in {"d1", "d7"}]
         final += docs[25:27] + docs[27:] + [docs[1]]
-        rebuilt = PartitionedSearchEngine(
+        rebuilt = SearchEngine(
             DocumentCollection(final), num_partitions=PARTITIONS
         )
         assert live.collection.doc_ids == rebuilt.collection.doc_ids
@@ -246,7 +245,7 @@ class TestRowsFollowMutation:
 
 class TestRowsSurviveTransport:
     def test_pickled_partitioned_engine_serves_identical_vectors(self):
-        engine = PartitionedSearchEngine(
+        engine = SearchEngine(
             DocumentCollection(make_docs(30)), num_partitions=PARTITIONS
         )
         clone = pickle.loads(pickle.dumps(engine))
@@ -255,7 +254,7 @@ class TestRowsSurviveTransport:
         assert vectors_of(clone) == vectors_of(engine)
 
     def test_reattached_store_engine_serves_identical_vectors(self, tmp_path):
-        built = PartitionedSearchEngine(
+        built = SearchEngine(
             DocumentCollection(make_docs(30)), num_partitions=PARTITIONS
         )
         path = write_store(tmp_path / "s.sqlite3", built)
@@ -291,7 +290,7 @@ class TestRowsSurviveTransport:
         assert clone == row and clone.memory_bytes() == fresh.memory_bytes()
 
     def test_rows_share_one_string_per_term(self, tmp_path):
-        built = PartitionedSearchEngine(
+        built = SearchEngine(
             DocumentCollection(make_docs(12)), num_partitions=PARTITIONS
         )
         attached = StoreBackedSearchEngine(
@@ -318,7 +317,7 @@ class TestStoreSchema:
     def test_v2_store_is_rejected_naming_both_versions(self, tmp_path):
         path = write_store(
             tmp_path / "old.sqlite3",
-            PartitionedSearchEngine(
+            SearchEngine(
                 DocumentCollection(make_docs(6)), num_partitions=PARTITIONS
             ),
         )
@@ -337,7 +336,7 @@ class TestStoreSchema:
     def test_v3_store_is_rejected_naming_both_versions(self, tmp_path):
         path = write_store(
             tmp_path / "v3.sqlite3",
-            PartitionedSearchEngine(
+            SearchEngine(
                 DocumentCollection(make_docs(6)), num_partitions=PARTITIONS
             ),
         )
@@ -368,7 +367,7 @@ class TestStoreSchema:
             assert "version 3" in message and "version 6" in message
 
     def test_window_terms_mismatch_is_a_typed_error(self, tmp_path):
-        built = PartitionedSearchEngine(
+        built = SearchEngine(
             DocumentCollection(make_docs(12)),
             num_partitions=PARTITIONS,
             snippet_extractor=SnippetExtractor(window_terms=5),
@@ -389,7 +388,7 @@ class TestStoreSchema:
         extractor = SnippetExtractor(window_terms=5)
         path = write_store(
             tmp_path / "w5.sqlite3",
-            PartitionedSearchEngine(
+            SearchEngine(
                 DocumentCollection(docs[:12]),
                 num_partitions=PARTITIONS,
                 snippet_extractor=extractor,
@@ -397,7 +396,7 @@ class TestStoreSchema:
         )
         append_epoch(path, docs[12:], analyzer=extractor.analyzer)
         live = StoreBackedSearchEngine(path, snippet_extractor=extractor)
-        rebuilt = PartitionedSearchEngine(
+        rebuilt = SearchEngine(
             DocumentCollection(docs),
             num_partitions=PARTITIONS,
             snippet_extractor=SnippetExtractor(window_terms=5),

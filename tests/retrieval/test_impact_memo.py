@@ -22,7 +22,6 @@ from repro.retrieval.analysis import Analyzer
 from repro.retrieval.documents import Document, DocumentCollection
 from repro.retrieval.engine import SearchEngine
 from repro.retrieval.models import BM25, DPH
-from repro.retrieval.sharding import PartitionedSearchEngine
 from repro.retrieval.store import (
     StoreBackedSearchEngine,
     append_epoch,
@@ -54,13 +53,13 @@ def engine_of(flavour: str, documents, model):
     if flavour == "plain":
         yield SearchEngine(collection, model=model)
     elif flavour.startswith("partitioned"):
-        yield PartitionedSearchEngine(
+        yield SearchEngine(
             collection, int(flavour.rsplit("-", 1)[1]), model=model
         )
     else:
         with tempfile.TemporaryDirectory() as directory:
             path = Path(directory) / "index.sqlite3"
-            write_store(path, PartitionedSearchEngine(collection, 4, model=model))
+            write_store(path, SearchEngine(collection, 4, model=model))
             engine = StoreBackedSearchEngine(path, model=model)
             try:
                 yield engine
@@ -118,7 +117,7 @@ class TestSnapshotsAndMutation:
     def test_pinned_query_reads_its_own_epochs_impacts(
         self, model_name, documents, arrivals, query, k
     ):
-        engine = PartitionedSearchEngine(
+        engine = SearchEngine(
             DocumentCollection(documents), 3, model=MODELS[model_name]()
         )
         before = engine.snapshot()
@@ -210,7 +209,7 @@ def test_concurrent_searches_keep_the_memo_consistent(monkeypatch):
     enough that the memo is cleared all the time: a lost update would
     leave ``postings`` disagreeing with the lists held, or past the cap."""
     monkeypatch.setattr(index_module, "_IMPACT_MEMO_CAP", 6)
-    engine = PartitionedSearchEngine(DocumentCollection(DOCUMENTS), 2)
+    engine = SearchEngine(DocumentCollection(DOCUMENTS), 2)
     queries = ["apple", "banana cherry", "apple apple fig", "durian elder", "cherry"]
     want = {q: oracle_search(DOCUMENTS, q, 4, engine.model, ANALYZER) for q in queries}
     wrong: list[str] = []

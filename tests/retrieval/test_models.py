@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.retrieval.models import BM25, DPH, TFIDF, get_model
+from repro.retrieval.models import BM25, DPH, TFIDF
 
 COMMON = dict(
     document_frequency=10,
@@ -96,18 +96,3 @@ class TestTFIDF:
             3, 100, document_frequency=100, collection_frequency=100,
             num_documents=1000, average_document_length=100.0,
         )
-
-
-class TestRegistry:
-    def test_lookup_by_name(self):
-        assert get_model("dph").name == "DPH"
-        assert get_model("BM25").name == "BM25"
-        assert get_model("tf_idf").name == "TF_IDF"
-
-    def test_kwargs_forwarded(self):
-        model = get_model("bm25", k1=2.0)
-        assert model.k1 == 2.0
-
-    def test_unknown_name(self):
-        with pytest.raises(ValueError, match="unknown weighting model"):
-            get_model("pagerank")

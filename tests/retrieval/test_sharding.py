@@ -8,19 +8,20 @@ from __future__ import annotations
 import pytest
 
 from repro.retrieval.documents import DocumentCollection
-from repro.retrieval.engine import SearchEngine
-from repro.retrieval.index import DocumentIndex, InvertedIndex
-from repro.retrieval.sharding import (
+from repro.retrieval.engine import (
     BuildReport,
-    PartitionedSearchEngine,
+    SearchEngine,
     partition_collection,
     stable_shard,
 )
+from repro.retrieval.index import DocumentIndex, InvertedIndex
 from repro.retrieval.snippets import SnippetExtractor
 from tests.retrieval.search_oracle import assert_oracle, oracle_index
 
 
 def test_partitioned_engine_is_the_engine():
+    from repro.retrieval.sharding import PartitionedSearchEngine
+
     assert PartitionedSearchEngine is SearchEngine
 
 
@@ -82,7 +83,7 @@ class TestPartitionCollection:
 
 @pytest.fixture(scope="module")
 def partitioned_engine(small_corpus):
-    return PartitionedSearchEngine(small_corpus.collection, num_partitions=3)
+    return SearchEngine(small_corpus.collection, num_partitions=3)
 
 
 class TestPartitionedSearchEngine:
@@ -97,7 +98,7 @@ class TestPartitionedSearchEngine:
 
     @pytest.mark.parametrize("num_partitions", [1, 2, 5])
     def test_identity_across_partition_counts(self, small_corpus, num_partitions):
-        engine = PartitionedSearchEngine(
+        engine = SearchEngine(
             small_corpus.collection, num_partitions=num_partitions
         )
         assert_oracle(engine, small_corpus.collection, small_corpus.topics[0].query, 30)
@@ -126,7 +127,7 @@ class TestPartitionedSearchEngine:
 
     def test_invalid_partition_count(self, small_corpus):
         with pytest.raises(ValueError):
-            PartitionedSearchEngine(small_corpus.collection, num_partitions=0)
+            SearchEngine(small_corpus.collection, num_partitions=0)
 
 
 class TestDegeneratePartitioning:
@@ -150,7 +151,7 @@ class TestDegeneratePartitioning:
     def test_engine_identity_with_more_partitions_than_documents(
         self, tiny_collection
     ):
-        engine = PartitionedSearchEngine(
+        engine = SearchEngine(
             tiny_collection, num_partitions=len(tiny_collection) + 4
         )
         for query in ("apple", "apple fruit", "banana tropical", "computer"):
@@ -158,7 +159,7 @@ class TestDegeneratePartitioning:
 
     def test_global_statistics_match_single_index(self, tiny_collection):
         single = oracle_index(tiny_collection)
-        engine = PartitionedSearchEngine(
+        engine = SearchEngine(
             tiny_collection, num_partitions=len(tiny_collection) + 4
         )
         snapshot = engine.snapshot()
@@ -168,7 +169,7 @@ class TestDegeneratePartitioning:
         assert total_tokens == single.total_tokens
 
     def test_empty_partition_indexes_are_wellformed(self, tiny_collection):
-        engine = PartitionedSearchEngine(
+        engine = SearchEngine(
             tiny_collection, num_partitions=len(tiny_collection) + 4
         )
         empties = [p for p in engine.partitions if p.num_documents == 0]
@@ -180,11 +181,11 @@ class TestDegeneratePartitioning:
             assert index.memory_estimate()["postings_bytes"] == 0
 
     def test_empty_collection_searches_empty(self):
-        engine = PartitionedSearchEngine(DocumentCollection(), num_partitions=3)
+        engine = SearchEngine(DocumentCollection(), num_partitions=3)
         assert len(engine.search("anything", 5)) == 0
 
     def test_degenerate_build_reports_merge_wellformed(self, tiny_collection):
-        engine = PartitionedSearchEngine(
+        engine = SearchEngine(
             tiny_collection, num_partitions=len(tiny_collection) + 4
         )
         reports = engine.build_reports()
@@ -216,11 +217,11 @@ class TestPrebuiltPartitionIndexes:
 
     def test_assembled_engine_identical_to_serial(self, small_corpus):
         collection = small_corpus.collection
-        serial = PartitionedSearchEngine(collection, num_partitions=3)
+        serial = SearchEngine(collection, num_partitions=3)
         parts, indexes = self._parts_and_indexes(
             collection, 3, serial.analyzer
         )
-        assembled = PartitionedSearchEngine(
+        assembled = SearchEngine(
             collection,
             3,
             analyzer=serial.analyzer,
@@ -253,7 +254,7 @@ class TestPrebuiltPartitionIndexes:
         ]
         for indexes in (plain, rewindowed):
             with pytest.raises(ValueError, match="window_terms"):
-                PartitionedSearchEngine(
+                SearchEngine(
                     tiny_collection, 2,
                     partition_collections=parts,
                     partition_indexes=indexes,
@@ -267,7 +268,7 @@ class TestPrebuiltPartitionIndexes:
         parts = partition_collection(tiny_collection, 2)
         local = [DocumentIndex.from_collection(part) for part in parts]
         with pytest.raises(ValueError, match="collection positions"):
-            PartitionedSearchEngine(
+            SearchEngine(
                 tiny_collection, 2,
                 partition_collections=parts,
                 partition_indexes=local,
@@ -276,12 +277,12 @@ class TestPrebuiltPartitionIndexes:
     def test_partition_count_mismatch_rejected(self, tiny_collection):
         parts, indexes = self._parts_and_indexes(tiny_collection, 2, None)
         with pytest.raises(ValueError, match="partition collections"):
-            PartitionedSearchEngine(
+            SearchEngine(
                 tiny_collection, 3, partition_collections=parts,
                 partition_indexes=indexes,
             )
         with pytest.raises(ValueError, match="partition indexes"):
-            PartitionedSearchEngine(
+            SearchEngine(
                 tiny_collection, 2,
                 partition_collections=parts,
                 partition_indexes=indexes[:1],
@@ -301,7 +302,7 @@ class TestPrebuiltPartitionIndexes:
             InvertedIndex.from_collection(part, None) for part in parts
         ]
         with pytest.raises(ValueError, match="cover the collection"):
-            PartitionedSearchEngine(
+            SearchEngine(
                 tiny_collection, 2,
                 partition_collections=parts,
                 partition_indexes=indexes,
@@ -316,7 +317,7 @@ class TestPrebuiltPartitionIndexes:
         if not all(len(p) for p in parts):
             pytest.skip("hash split left a partition empty")
         with pytest.raises(ValueError, match="does not match"):
-            PartitionedSearchEngine(
+            SearchEngine(
                 tiny_collection, 2,
                 partition_collections=parts,
                 partition_indexes=list(reversed(indexes)),
@@ -385,7 +386,7 @@ class TestBuildReport:
         assert memory["vocabulary_bytes"] > 0
 
     def test_partitioned_engine_memory_sums_partitions(self, small_corpus):
-        engine = PartitionedSearchEngine(
+        engine = SearchEngine(
             small_corpus.collection, num_partitions=3
         )
         totals = engine.memory_estimate()

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.retrieval.analysis import Analyzer
-from repro.retrieval.similarity import TermVector, cosine, delta
+from repro.retrieval.similarity import TermVector, cosine
 
 
 class TestTermVector:
@@ -99,7 +98,6 @@ class TestCosine:
         assert len(v1) == len(v2) == 10
         assert cosine(v1, v2) == cosine(v2, v1)
         assert v1.dot(v2) == v2.dot(v1)
-        assert delta(v1, v2) == delta(v2, v1)
 
     def test_empty_vector_similarity_zero(self):
         v = TermVector({"a": 1.0})
@@ -110,30 +108,3 @@ class TestCosine:
     def test_clamped_to_unit(self):
         v = TermVector({"a": 1e-8, "b": 1e8})
         assert cosine(v, v) <= 1.0
-
-
-class TestDelta:
-    """δ must satisfy the paper's stated properties (Section 3.1)."""
-
-    def test_identity_of_indiscernibles(self):
-        v = TermVector({"a": 1.0, "b": 2.0})
-        assert delta(v, v) == pytest.approx(0.0)
-
-    def test_symmetric(self):
-        v1 = TermVector({"a": 1.0})
-        v2 = TermVector({"a": 1.0, "b": 1.0})
-        assert delta(v1, v2) == pytest.approx(delta(v2, v1))
-
-    def test_non_negative_and_bounded(self):
-        v1 = TermVector({"a": 1.0})
-        v2 = TermVector({"b": 1.0})
-        assert 0.0 <= delta(v1, v2) <= 1.0
-
-    def test_disjoint_vectors_distance_one(self):
-        assert delta(TermVector({"a": 1.0}), TermVector({"b": 1.0})) == 1.0
-
-    def test_analyzer_consistency(self):
-        analyzer = Analyzer()
-        v1 = TermVector.from_text("apple computers", analyzer)
-        v2 = TermVector.from_text("apple computer", analyzer)
-        assert delta(v1, v2) == pytest.approx(0.0)

@@ -13,9 +13,9 @@ import sqlite3
 import pytest
 
 from repro.retrieval.documents import Document, DocumentCollection
-from repro.retrieval.sharding import (
+from repro.retrieval.engine import (
     MemoryBudget,
-    PartitionedSearchEngine,
+    SearchEngine,
     stable_shard,
 )
 from repro.retrieval.store import (
@@ -38,7 +38,7 @@ K = 20
 
 @pytest.fixture(scope="module")
 def built_engine(small_corpus):
-    return PartitionedSearchEngine(small_corpus.collection, 3)
+    return SearchEngine(small_corpus.collection, 3)
 
 
 @pytest.fixture(scope="module")
@@ -138,6 +138,35 @@ class TestWriteAttachIdentity:
                 )
             finally:
                 clone.close()
+        finally:
+            engine.close()
+
+    def test_failed_write_preserves_previous_store(
+        self, built_engine, tmp_path, topic_queries
+    ):
+        """A writer that dies after the postings are in leaves the
+        previous store attachable and no tmp file behind."""
+        path = write_store(tmp_path / "index.sqlite3", built_engine)
+        original = path.read_bytes()
+
+        class DiskFull(RuntimeError):
+            pass
+
+        class FailingPayloads(dict):
+            def items(self):
+                raise DiskFull("warm rows never arrive")
+
+        with pytest.raises(DiskFull):
+            write_store(path, built_engine, FailingPayloads({0: {}}))
+        assert path.read_bytes() == original
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        engine = StoreBackedSearchEngine(path)
+        try:
+            assert_identical(
+                built_engine.search(topic_queries[0], K),
+                engine.search(topic_queries[0], K),
+                topic_queries[0],
+            )
         finally:
             engine.close()
 
@@ -303,7 +332,7 @@ class TestSchemaValidation:
         self, tmp_path, tiny_collection
     ):
         path = write_store(
-            tmp_path / "v5.sqlite3", PartitionedSearchEngine(tiny_collection, 2)
+            tmp_path / "v5.sqlite3", SearchEngine(tiny_collection, 2)
         )
         # What a v5 writer left: no epoch log.
         conn = sqlite3.connect(path)
@@ -329,7 +358,7 @@ class TestSchemaValidation:
         self, tmp_path, tiny_collection
     ):
         path = write_store(
-            tmp_path / "v4.sqlite3", PartitionedSearchEngine(tiny_collection, 2)
+            tmp_path / "v4.sqlite3", SearchEngine(tiny_collection, 2)
         )
         # What a v4 writer left: dense ordinals, global-ordinal maps, no
         # next_seq.
@@ -361,7 +390,7 @@ class TestSchemaValidation:
 
 class TestEmptyPartitions:
     def test_more_partitions_than_documents(self, tmp_path, tiny_collection):
-        built = PartitionedSearchEngine(tiny_collection, 8)
+        built = SearchEngine(tiny_collection, 8)
         path = tmp_path / "sparse.sqlite3"
         write_store(path, built)
         engine = StoreBackedSearchEngine(path)
@@ -541,7 +570,7 @@ class TestWarmArtifactsInStore:
     ):
         """A hand-corrupted row fails with a ValueError naming the file,
         the shard and the row's spec query, not a bare KeyError."""
-        built = PartitionedSearchEngine(tiny_collection, 2)
+        built = SearchEngine(tiny_collection, 2)
         query = "apple computer"
         results = built.search(query, 3)
         good = encode_warm_artifact(

@@ -20,7 +20,7 @@ import pytest
 
 from repro.retrieval.analysis import Analyzer
 from repro.retrieval.documents import Document, DocumentCollection
-from repro.retrieval.sharding import PartitionedSearchEngine, stable_shard
+from repro.retrieval.engine import SearchEngine, stable_shard
 from repro.retrieval.store import (
     IndexStore,
     StaleEpochError,
@@ -45,7 +45,7 @@ def make_docs(n: int, prefix: str = "d") -> list[Document]:
 
 
 def build_store(path, docs):
-    engine = PartitionedSearchEngine(
+    engine = SearchEngine(
         DocumentCollection(docs), num_partitions=PARTITIONS
     )
     write_store(path, engine)

@@ -11,7 +11,7 @@ import sqlite3
 import pytest
 
 from repro.retrieval.documents import Document, DocumentCollection
-from repro.retrieval.sharding import PartitionedSearchEngine, stable_shard
+from repro.retrieval.engine import SearchEngine, stable_shard
 from repro.retrieval.snippets import SnippetExtractor
 from repro.retrieval.store import (
     IndexStore,
@@ -57,7 +57,7 @@ def docs():
 @pytest.fixture
 def store_path(tmp_path, docs):
     path = tmp_path / "index.sqlite3"
-    write_store(path, PartitionedSearchEngine(DocumentCollection(docs), PARTITIONS))
+    write_store(path, SearchEngine(DocumentCollection(docs), PARTITIONS))
     return path
 
 

@@ -18,9 +18,9 @@ import pytest
 from repro.serving import (
     AsyncDiversificationService,
     DiversificationService,
-    ServiceClosed,
     ShardedDiversificationService,
 )
+from repro.serving.async_service import ServiceClosed
 
 from .aio import FailingBackend, ManualClock, RecordingBackend, run, settle
 

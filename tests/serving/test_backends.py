@@ -18,15 +18,17 @@ import pytest
 from repro.retrieval.store import StoreBackedSearchEngine, StoreError
 from repro.serving import (
     BACKEND_NAMES,
-    BackendError,
     DiversificationService,
-    InlineBackend,
-    ProcessBackend,
     ShardedDiversificationService,
-    ThreadBackend,
-    WorkerDiedError,
     make_backend,
     persist_store,
+)
+from repro.serving.backends import (
+    BackendError,
+    InlineBackend,
+    ProcessBackend,
+    ThreadBackend,
+    WorkerDiedError,
 )
 
 NUM_SHARDS = 3

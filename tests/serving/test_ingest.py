@@ -25,8 +25,7 @@ import pytest
 from repro.core.framework import DiversificationFramework
 from repro.retrieval.analysis import Analyzer
 from repro.retrieval.documents import Document, DocumentCollection
-from repro.retrieval.engine import ResultList
-from repro.retrieval.sharding import PartitionedSearchEngine
+from repro.retrieval.engine import ResultList, SearchEngine
 from repro.retrieval.store import (
     StoreBackedSearchEngine,
     read_warm_artifacts,
@@ -103,7 +102,7 @@ def apply_to_docs(docs, batches):
 
 
 def make_engine(docs, num_partitions=PARTITIONS, analyzer=None):
-    return PartitionedSearchEngine(
+    return SearchEngine(
         DocumentCollection(docs), num_partitions=num_partitions,
         analyzer=analyzer,
     )

@@ -3,7 +3,7 @@
 The load-bearing property mirrors the serving layer's: the execution
 backends may change *where* partitions build, never *what* gets built —
 the assembled engine's rankings and scores equal the serially
-constructed `PartitionedSearchEngine`'s and the undivided per-posting
+constructed `SearchEngine`'s and the undivided per-posting
 oracle's under every backend, and the build accounting
 (`BuildReport`) reports both clocks plus per-partition memory estimates,
 degenerate empty partitions included.
@@ -17,14 +17,13 @@ import pytest
 
 from repro.core.framework import DiversificationFramework
 from repro.retrieval.engine import SearchEngine
-from repro.retrieval.sharding import PartitionedSearchEngine
 from repro.serving import (
     BACKEND_NAMES,
     DiversificationService,
-    InlineBackend,
     ShardedDiversificationService,
     build_partitioned_engine,
 )
+from repro.serving.backends import InlineBackend
 from repro.serving.offline import PartitionBuildFactory
 from tests.retrieval.search_oracle import assert_oracle
 
@@ -42,7 +41,7 @@ def collection(small_corpus):
 
 @pytest.fixture(scope="module")
 def serial_engine(collection):
-    return PartitionedSearchEngine(collection, NUM_PARTITIONS)
+    return SearchEngine(collection, NUM_PARTITIONS)
 
 
 class TestBuildIdentity:
@@ -157,7 +156,7 @@ class TestFactoryPickles:
     def test_partition_build_factory_round_trips(self, collection):
         import pickle
 
-        from repro.retrieval.sharding import partition_collection
+        from repro.retrieval.engine import partition_collection
 
         parts = tuple(partition_collection(collection, 2))
         engine = SearchEngine(collection)

@@ -9,7 +9,7 @@ entry with a replica breakdown later merges into a cluster entry.
 
 from __future__ import annotations
 
-from repro.serving import ServiceStats
+from repro.serving.service import ServiceStats
 
 
 def make_stats(name, served=0, **counters):

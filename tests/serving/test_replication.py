@@ -23,8 +23,8 @@ from repro.serving import (
     DiversificationService,
     ReplicatedBackend,
     ShardedDiversificationService,
-    WorkerDiedError,
 )
+from repro.serving.backends import WorkerDiedError
 from .faults import (
     CRASH_BEFORE_REPLY,
     CRASH_ON_SEND,

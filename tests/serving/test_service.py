@@ -9,7 +9,8 @@ import pytest
 
 from repro.core.fast import FastIASelect, FastMMR, FastOptSelect, FastXQuAD
 from repro.core.optselect import OptSelect
-from repro.serving import DiversificationService, ServiceStats
+from repro.serving import DiversificationService
+from repro.serving.service import ServiceStats
 
 
 @pytest.fixture()

@@ -5,13 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.core.cache import CacheStats
-from repro.retrieval.sharding import stable_shard
+from repro.retrieval.engine import stable_shard
 from repro.serving import (
     DiversificationService,
-    ServiceStats,
     ShardedDiversificationService,
     WarmReport,
 )
+from repro.serving.service import ServiceStats
 
 NUM_SHARDS = 3
 

@@ -25,15 +25,15 @@ import pytest
 from repro.core.framework import DiversificationFramework, FrameworkConfig
 from repro.experiments.offline import PartitionedFrameworkFactory
 from repro.experiments.workloads import WorkloadScale, build_trec_workload
-from repro.retrieval.sharding import PartitionedSearchEngine
+from repro.retrieval.engine import SearchEngine
 from repro.retrieval.store import StoreBackedSearchEngine
 from repro.serving import (
     DiversificationService,
-    ProcessBackend,
     ShardedDiversificationService,
     build_partitioned_engine,
     persist_store,
 )
+from repro.serving.backends import ProcessBackend
 from tests.retrieval.search_oracle import assert_oracle
 
 pytestmark = [
@@ -86,7 +86,7 @@ def config():
 
 def test_partition_parallel_build_under_spawn(workload):
     collection = workload.corpus.collection
-    serial = PartitionedSearchEngine(collection, NUM_PARTITIONS)
+    serial = SearchEngine(collection, NUM_PARTITIONS)
     engine, report = build_partitioned_engine(
         collection,
         NUM_PARTITIONS,
@@ -106,7 +106,7 @@ def test_cluster_build_warm_diversify_under_spawn(workload, queries, config):
 
     reference = DiversificationService(
         DiversificationFramework(
-            PartitionedSearchEngine(collection, NUM_PARTITIONS),
+            SearchEngine(collection, NUM_PARTITIONS),
             miner,
             config=config,
         )

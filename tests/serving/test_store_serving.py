@@ -17,7 +17,6 @@ import multiprocessing
 import pytest
 
 from repro.core.framework import DiversificationFramework
-from repro.retrieval.sharding import PartitionedSearchEngine
 from repro.retrieval.engine import SearchEngine
 from repro.retrieval.store import (
     StoreBackedSearchEngine,
@@ -28,10 +27,10 @@ from repro.serving import (
     BACKEND_NAMES,
     DiversificationService,
     ShardedDiversificationService,
-    ShardServiceFactory,
     persist_store,
-    stats_payload,
 )
+from repro.serving.http import stats_payload
+from repro.serving.sharded import ShardServiceFactory
 from .faults import FaultInjectingBackend
 
 from tests.conftest import STANDARD_CONFIG
@@ -46,7 +45,7 @@ needs_fork = pytest.mark.skipif(
 
 @pytest.fixture(scope="module")
 def built_engine(small_corpus):
-    return PartitionedSearchEngine(small_corpus.collection, NUM_SHARDS)
+    return SearchEngine(small_corpus.collection, NUM_SHARDS)
 
 
 @pytest.fixture(scope="module")

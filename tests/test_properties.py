@@ -24,7 +24,7 @@ from repro.evaluation.significance import wilcoxon_signed_rank
 from repro.retrieval.analysis import Analyzer, PorterStemmer, tokenize
 from repro.retrieval.documents import Document
 from repro.retrieval.engine import ResultList
-from repro.retrieval.similarity import TermVector, cosine, delta
+from repro.retrieval.similarity import TermVector, cosine
 from repro.retrieval.snippets import ForwardRow, SnippetExtractor
 
 # ---------------------------------------------------------------------------
@@ -186,19 +186,6 @@ class TestSimilarityProperties:
         sim = cosine(v1, v2)
         assert 0.0 <= sim <= 1.0
         assert sim == cosine(v2, v1)
-
-    @given(weights)
-    def test_delta_self_zero_for_nonempty(self, w):
-        v = TermVector(w)
-        if v:
-            assert delta(v, v) < 1e-9
-
-    @given(weights, weights)
-    def test_delta_properties(self, w1, w2):
-        v1, v2 = TermVector(w1), TermVector(w2)
-        d = delta(v1, v2)
-        assert 0.0 <= d <= 1.0
-        assert d == delta(v2, v1)
 
 
 # ---------------------------------------------------------------------------
