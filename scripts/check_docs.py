@@ -185,7 +185,8 @@ def resolves(path: str) -> bool:
         try:
             obj = importlib.import_module(name)
         except ModuleNotFoundError as exc:
-            if exc.name != name:
+            # ``a.b.C.d`` fails on ``a.b.C`` (not a package), not on itself.
+            if exc.name != name and not name.startswith(f"{exc.name}."):
                 raise
             continue
         for attr in parts[cut:]:

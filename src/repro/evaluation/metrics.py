@@ -228,8 +228,9 @@ def subtopic_recall(
     return covered / len(subtopics)
 
 
-#: Name → callable registry used by the evaluation runner.  Every metric
-#: here accepts (ranking, topic_id, qrels, cutoff=...) positionally.
+#: Name → callable registry used by the evaluation CLI.  Every metric
+#: here accepts (ranking, topic_id, qrels) positionally and ``cutoff=``
+#: by keyword (α-NDCG's fourth positional parameter is ``alpha``).
 METRICS = {
     "alpha-ndcg": alpha_ndcg,
     "ia-p": intent_aware_precision,

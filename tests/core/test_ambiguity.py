@@ -120,3 +120,41 @@ class TestAlgorithm1:
     def test_s_validation(self):
         with pytest.raises(ValueError):
             ambiguous_query_detect("apple", _recommend, _frequency, s=0)
+
+    def test_threshold_is_inclusive(self):
+        # s=2.5: threshold exactly 40, the frequency of "apple fruit".
+        result = ambiguous_query_detect("apple", _recommend, _frequency, s=2.5)
+        assert set(result.queries) == {"apple iphone", "apple fruit"}
+
+    def test_repeated_recommendations_count_once(self):
+        def rec(_q):
+            return ["apple iphone", "apple iphone", "apple fruit"]
+
+        result = ambiguous_query_detect("apple", rec, _frequency, s=4.0)
+        assert len(result) == 2
+        assert result.probability("apple iphone") == pytest.approx(80 / 120)
+
+    def test_query_itself_does_not_count_toward_two_survivors(self):
+        def rec(_q):
+            return ["apple", "apple iphone"]
+
+        assert not ambiguous_query_detect("apple", rec, _frequency, s=4.0)
+
+    def test_survivors_ordered_by_probability(self):
+        result = ambiguous_query_detect("apple", _recommend, _frequency, s=10.0)
+        assert result.queries == ("apple iphone", "apple fruit", "apple tree")
+
+    def test_unseen_query_admits_every_known_candidate(self):
+        def rec(_q):
+            return ["apple tree", "apple rare", "ghost"]
+
+        result = ambiguous_query_detect("orchard", rec, _frequency, s=2.0)
+        assert result.queries == ("apple tree", "apple rare")
+        assert result.query == "orchard"
+
+    def test_top_caps_a_detected_set_to_a_distribution(self):
+        result = ambiguous_query_detect("apple", _recommend, _frequency, s=100.0)
+        capped = result.top(2)
+        assert capped.queries == ("apple iphone", "apple fruit")
+        assert sum(p for _, p in capped) == pytest.approx(1.0)
+        assert capped.probability("apple fruit") == pytest.approx(40 / 120)

@@ -251,3 +251,63 @@ class TestPipeline:
     def test_result_k_property(self, small_framework, ambiguous_topic):
         result = small_framework.diversify_query(ambiguous_topic.query)
         assert result.k == len(result.ranking)
+
+
+class TestWarmMemoryEstimate:
+    def _warmed(self, framework_factory, ambiguous_topic):
+        framework = framework_factory()
+        spec_queries = [spec for spec, _ in framework.detect(ambiguous_topic.query)]
+        framework.prefetch_specializations(spec_queries)
+        return framework
+
+    def test_cold_framework_estimates_zero(self, framework_factory):
+        assert framework_factory().warm_memory_estimate() == {
+            "specializations": 0,
+            "results": 0,
+            "vectors": 0,
+            "result_bytes": 0,
+            "vector_bytes": 0,
+            "total_bytes": 0,
+        }
+
+    def test_counts_match_the_exported_artifacts(
+        self, framework_factory, ambiguous_topic
+    ):
+        framework = self._warmed(framework_factory, ambiguous_topic)
+        artifacts = framework.export_warm_state()
+        estimate = framework.warm_memory_estimate()
+        assert estimate["specializations"] == len(artifacts) > 0
+        assert estimate["results"] == sum(len(r) for r, _ in artifacts.values())
+        assert estimate["vectors"] == sum(len(v) for _, v in artifacts.values())
+
+    def test_total_is_results_plus_vectors(
+        self, framework_factory, ambiguous_topic
+    ):
+        estimate = self._warmed(
+            framework_factory, ambiguous_topic
+        ).warm_memory_estimate()
+        assert estimate["result_bytes"] > 0 and estimate["vector_bytes"] > 0
+        assert estimate["total_bytes"] == (
+            estimate["result_bytes"] + estimate["vector_bytes"]
+        )
+
+    def test_grows_with_each_warmed_specialization(
+        self, framework_factory, ambiguous_topic
+    ):
+        framework = framework_factory()
+        spec_queries = [spec for spec, _ in framework.detect(ambiguous_topic.query)]
+        framework.prefetch_specializations(spec_queries[:1])
+        one = framework.warm_memory_estimate()
+        framework.prefetch_specializations(spec_queries)
+        every = framework.warm_memory_estimate()
+        assert one["specializations"] == 1
+        assert every["specializations"] == len(set(spec_queries))
+        assert every["total_bytes"] > one["total_bytes"]
+
+    def test_installed_state_estimates_like_its_donor(
+        self, framework_factory, ambiguous_topic
+    ):
+        donor = self._warmed(framework_factory, ambiguous_topic)
+        receiver = framework_factory()
+        receiver.install_warm_state(donor.export_warm_state())
+        assert receiver.warm_memory_estimate() == donor.warm_memory_estimate()

@@ -118,6 +118,39 @@ class TestQrelsFormat:
         with pytest.raises(ValueError, match="expected 4 fields"):
             parse_diversity_qrels(["1 1 d"])
 
+    def test_malformed_line_reports_its_line_number(self):
+        with pytest.raises(ValueError, match="qrels line 3"):
+            parse_diversity_qrels(["1 1 a 1", "", "1 1 b 1 extra"])
+
+    def test_format_is_sorted_and_marks_every_line_relevant(self):
+        qrels = DiversityQrels()
+        qrels.add(2, 1, "z")
+        qrels.add(1, 2, "b")
+        qrels.add(1, 2, "a")
+        qrels.add(1, 1, "c")
+        assert format_diversity_qrels(qrels).splitlines() == [
+            "1 1 c 1", "1 2 a 1", "1 2 b 1", "2 1 z 1",
+        ]
+
+    def test_graded_relevance_counts_as_relevant(self):
+        parsed = parse_diversity_qrels(["1 1 doc-a 2", "1 1 doc-b -1"])
+        assert parsed.relevant_docs(1, 1) == {"doc-a"}
+
+    def test_empty_qrels_format_empty(self):
+        assert format_diversity_qrels(DiversityQrels()) == ""
+        assert parse_diversity_qrels([]).num_judgements() == 0
+
+    def test_testbed_qrels_round_trip(self, small_testbed):
+        qrels = small_testbed.qrels
+        parsed = parse_diversity_qrels(format_diversity_qrels(qrels).splitlines())
+        assert parsed.topic_ids == qrels.topic_ids
+        assert parsed.num_judgements() == qrels.num_judgements()
+        for topic_id in qrels.topic_ids:
+            for subtopic in qrels.subtopic_numbers(topic_id):
+                assert parsed.relevant_docs(topic_id, subtopic) == (
+                    qrels.relevant_docs(topic_id, subtopic)
+                )
+
 
 class TestRunFormat:
     def test_round_trip(self):
@@ -139,3 +172,19 @@ class TestRunFormat:
     def test_empty_run(self):
         assert format_run({}) == ""
         assert parse_run([]) == {}
+
+    def test_format_ranks_from_one_in_list_order_and_sorts_topics(self):
+        text = format_run({7: [("b", 2.0), ("a", 1.0)], 3: [("c", 0.25)]}, tag="x")
+        assert text.splitlines() == [
+            "3 Q0 c 1 0.250000 x",
+            "7 Q0 b 1 2.000000 x",
+            "7 Q0 a 2 1.000000 x",
+        ]
+
+    def test_comments_and_blank_lines_skipped(self):
+        parsed = parse_run(["# run", "", "1 Q0 d 1 2.0 t"])
+        assert parsed == {1: [("d", 2.0)]}
+
+    def test_malformed_run_line_reports_its_line_number(self):
+        with pytest.raises(ValueError, match="run line 2"):
+            parse_run(["1 Q0 d 1 2.0 t", "1 Q0 e 2"])

@@ -6,6 +6,7 @@ import pytest
 
 from repro.corpus.trec import DiversityQrels
 from repro.evaluation.metrics import (
+    METRICS,
     alpha_ndcg,
     err_ia,
     intent_aware_precision,
@@ -138,3 +139,85 @@ class TestSubtopicRecall:
 
     def test_unjudged_topic(self, qrels):
         assert subtopic_recall(["d1"], 42, qrels) == 0.0
+
+
+class TestMetricEdges:
+    def test_alpha_one_gives_a_redundant_document_no_gain(self, qrels):
+        redundant = alpha_ndcg(["d1", "d2"], 1, qrels, alpha=1.0, cutoff=2)
+        assert redundant == alpha_ndcg(["d1", "x"], 1, qrels, alpha=1.0, cutoff=2)
+        assert redundant < alpha_ndcg(["d1", "d4"], 1, qrels, alpha=1.0, cutoff=2)
+
+    def test_precision_cutoff_validation(self, qrels):
+        with pytest.raises(ValueError):
+            precision_at(["d1"], 1, qrels, cutoff=0)
+
+    def test_precision_counts_a_short_ranking_against_the_cutoff(self, qrels):
+        assert precision_at(["d1"], 1, qrels, cutoff=4) == 0.25
+
+    def test_precision_unjudged_topic_zero(self, qrels):
+        assert precision_at(["d1", "d4"], 42, qrels) == 0.0
+
+    def test_ndcg_is_alpha_ndcg_with_alpha_zero(self, qrels):
+        ranking = ["x", "d4", "d1", "y", "d2"]
+        assert ndcg(ranking, 1, qrels, cutoff=5) == alpha_ndcg(
+            ranking, 1, qrels, alpha=0.0, cutoff=5
+        )
+
+    def test_ndcg_ignores_subtopic_novelty(self, qrels):
+        assert ndcg(["d1", "d2"], 1, qrels, cutoff=2) == ndcg(
+            ["d1", "d4"], 1, qrels, cutoff=2
+        )
+
+    def test_ia_precision_zero_probabilities_fall_back_to_uniform(self, qrels):
+        ranking = ["d1", "x", "x2", "d4"]
+        uniform = intent_aware_precision(ranking, 1, qrels, cutoff=2)
+        assert intent_aware_precision(
+            ranking, 1, qrels, cutoff=2, probabilities={1: 0.0, 2: 0.0}
+        ) == uniform
+
+    def test_ia_precision_ignores_unjudged_subtopic_probabilities(self, qrels):
+        ranking = ["d1", "d2", "d4"]
+        assert intent_aware_precision(
+            ranking, 1, qrels, cutoff=3, probabilities={1: 1.0, 2: 1.0, 7: 5.0}
+        ) == pytest.approx(intent_aware_precision(ranking, 1, qrels, cutoff=3))
+
+    def test_err_ia_exact_value(self, qrels):
+        # s1 stops at rank 1 (0.5 / 1), s2 at rank 2 (0.5 / 2); uniform P(s|q).
+        assert err_ia(["d1", "d4"], 1, qrels) == pytest.approx(
+            0.5 * 0.5 + 0.5 * 0.25
+        )
+
+    def test_err_ia_weights_subtopics_by_probability(self, qrels):
+        assert err_ia(["d4"], 1, qrels, probabilities={1: 0.9, 2: 0.1}) == (
+            pytest.approx(0.1 * 0.5)
+        )
+
+    def test_err_ia_certain_stop_counts_only_the_first_hit(self, qrels):
+        assert err_ia(["d1", "d2"], 1, qrels, max_grade_probability=1.0) == (
+            err_ia(["d1"], 1, qrels, max_grade_probability=1.0)
+        )
+
+    def test_err_ia_respects_cutoff(self, qrels):
+        assert err_ia(["x", "d1"], 1, qrels, cutoff=1) == 0.0
+
+    def test_subtopic_recall_respects_cutoff(self, qrels):
+        assert subtopic_recall(["d1", "x", "d4"], 1, qrels, cutoff=2) == 0.5
+
+
+@pytest.mark.parametrize("name", sorted(METRICS))
+class TestMetricRegistry:
+    """``python -m repro.evaluation.cli`` calls every entry as
+    ``METRICS[name](ranking, topic_id, qrels, cutoff=...)``."""
+
+    def test_accepts_a_cutoff_keyword(self, name, qrels):
+        value = METRICS[name](["d1", "x", "d4"], 1, qrels, cutoff=2)
+        assert 0.0 < value <= 1.0
+
+    def test_cutoff_truncates_the_ranking(self, name, qrels):
+        assert METRICS[name](["x", "y", "d1", "d4"], 1, qrels, cutoff=2) == 0.0
+
+    def test_empty_ranking_scores_zero(self, name, qrels):
+        assert METRICS[name]([], 1, qrels, cutoff=10) == 0.0
+
+    def test_unjudged_topic_scores_zero(self, name, qrels):
+        assert METRICS[name](["d1", "d4"], 42, qrels, cutoff=10) == 0.0

@@ -31,6 +31,15 @@ class TestRenderTable:
         text = render_table(["a", "b"], [])
         assert text.splitlines()[-1].startswith("a")
 
+    def test_exact_layout(self):
+        assert render_table(["a", "b"], [[1, 2.5]], title="T") == (
+            "T\na  b    \n1  2.500"
+        )
+
+    def test_columns_pad_to_the_widest_cell(self):
+        lines = render_table(["id", "value"], [["abcdef", 1], ["x", 22]]).splitlines()
+        assert lines == ["id      value", "abcdef  1    ", "x       22   "]
+
     def test_precision_forwarded(self):
         text = render_table(["x"], [[0.123456]], precision=2)
         assert "0.12" in text
@@ -44,6 +53,15 @@ class TestRenderSeries:
         lines = text.splitlines()
         assert lines[0].split() == ["k", "A", "B"]
         assert len(lines) == 4  # header + x in {1, 2, 3}
+
+    def test_x_values_sorted_and_precision_forwarded(self):
+        text = render_series("k", {"A": {3: 0.25, 1: 0.125}}, precision=1)
+        assert [line.split() for line in text.splitlines()] == [
+            ["k", "A"], ["1", "0.1"], ["3", "0.2"],
+        ]
+
+    def test_title_forwarded(self):
+        assert render_series("k", {"A": {1: 0.5}}, title="Fig").splitlines()[0] == "Fig"
 
     def test_missing_points_are_nan(self):
         series = {"A": {1: 0.5}, "B": {2: 0.7}}

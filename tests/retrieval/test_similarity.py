@@ -64,6 +64,24 @@ class TestTermVector:
     def test_len(self):
         assert len(TermVector({"a": 1.0, "b": 2.0})) == 2
 
+    def test_from_normalized_keeps_weights_bit_for_bit(self):
+        weights = dict(TermVector({"a": 3.0, "b": 1.0, "c": 7.0}).weights)
+        restored = TermVector.from_normalized(weights)
+        assert restored.weights == weights
+        assert list(restored.weights) == list(weights)
+        assert restored.norm == 1.0
+
+    def test_from_normalized_drops_zeros_and_flags_empty(self):
+        restored = TermVector.from_normalized({"a": 1.0, "b": 0.0})
+        assert restored.weights == {"a": 1.0}
+        empty = TermVector.from_normalized({})
+        assert empty.norm == 0.0 and not empty
+
+    def test_from_text_idf_unknown_terms_drop_without_default(self):
+        v = TermVector.from_text_idf("apple fruit", {"appl": 2.0})
+        assert set(v.weights) == {"appl"}
+        assert v.norm == 1.0
+
 
 class TestCosine:
     def test_identical_vectors(self):
@@ -98,6 +116,20 @@ class TestCosine:
         assert len(v1) == len(v2) == 10
         assert cosine(v1, v2) == cosine(v2, v1)
         assert v1.dot(v2) == v2.dot(v1)
+
+    def test_exact_value_of_a_partial_overlap(self):
+        both = TermVector({"a": 1.0, "b": 1.0})
+        assert cosine(both, TermVector({"a": 1.0})) == pytest.approx(2 ** -0.5)
+
+    def test_scale_invariant(self):
+        assert cosine(
+            TermVector({"a": 2.0, "b": 4.0}), TermVector({"a": 1.0, "b": 2.0})
+        ) == pytest.approx(1.0)
+
+    def test_texts_equal_after_analysis_are_identical(self):
+        assert cosine(
+            TermVector.from_text("Apple pie!"), TermVector.from_text("the apple PIE")
+        ) == pytest.approx(1.0)
 
     def test_empty_vector_similarity_zero(self):
         v = TermVector({"a": 1.0})

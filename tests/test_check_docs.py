@@ -116,3 +116,247 @@ def test_missing_markdown_file_is_reported(tree):
     assert check_docs.missing_markdown(tree) == [
         "src/repro/low/notes.py: DESIGN.md"
     ]
+
+
+def test_readme_module_command_keeps_the_module_but_not_its_names(tree):
+    write(tree, "README.md", "Run `python -m repro.low.orphan --fast`.\n")
+    orphans = check_docs.find_orphans(tree, allowlist={})
+    assert "repro.low.orphan (module)" not in orphans
+    assert "repro.low.orphan.helper" in orphans
+
+
+def test_reexport_the_readme_imports_is_not_reported(tree):
+    write(tree, "src/repro/low/__init__.py", "from repro.low.orphan import helper\n")
+    write(tree, "README.md", "```python\nfrom repro.low import helper\n```\n")
+    orphans = check_docs.find_orphans(tree, allowlist={})
+    assert "repro.low.helper (re-export)" not in orphans
+    assert "repro.low.orphan (module)" not in orphans
+    assert "repro.low.orphan.helper" not in orphans
+
+
+def test_reexport_the_quickstart_docstring_imports_is_not_reported(tree):
+    write(
+        tree,
+        "src/repro/__init__.py",
+        '"""The package.\n\n    from repro import helper\n"""\n\n'
+        "from repro.low.orphan import helper\n",
+    )
+    orphans = check_docs.find_orphans(tree, allowlist={})
+    assert "repro.helper (re-export)" not in orphans
+    assert "repro.low.orphan (module)" not in orphans
+
+
+def test_an_init_is_not_a_caller(tree):
+    write(tree, "src/repro/low/__init__.py", "from repro.low.orphan import helper\n")
+    orphans = check_docs.find_orphans(tree, allowlist={})
+    assert "repro.low.orphan (module)" in orphans
+    assert "repro.low.helper (re-export)" in orphans
+
+
+def test_import_inside_a_function_is_a_caller(tree):
+    write(
+        tree,
+        "src/repro/high/app.py",
+        "from repro.low.used import used_fn\n\n\n"
+        "def main():\n"
+        "    from repro.high.shared import LIMIT\n"
+        "    return used_fn() + LIMIT\n",
+    )
+    assert "repro.high.shared (module)" not in check_docs.find_orphans(
+        tree, allowlist={}
+    )
+
+
+def test_attribute_read_through_a_module_import_is_a_caller(tree):
+    write(
+        tree,
+        "scripts/tool.py",
+        "import repro.low.orphan\n\nrepro.low.orphan.helper()\n",
+    )
+    orphans = check_docs.find_orphans(tree, allowlist={})
+    assert "repro.low.orphan (module)" not in orphans
+    assert "repro.low.orphan.helper" not in orphans
+
+
+def test_aliased_module_import_is_a_caller(tree):
+    write(
+        tree,
+        "examples/demo.py",
+        "from repro.low import orphan as impl\n\nimpl.helper()\n",
+    )
+    orphans = check_docs.find_orphans(tree, allowlist={})
+    assert "repro.low.orphan (module)" not in orphans
+    assert "repro.low.orphan.helper" not in orphans
+
+
+def test_a_module_only_an_orphan_reads_is_an_orphan_too(tree):
+    write(
+        tree,
+        "src/repro/low/orphan.py",
+        "from repro.high.shared import LIMIT\n\n\n"
+        "def helper():\n    return LIMIT\n",
+    )
+    orphans = check_docs.find_orphans(tree, allowlist={})
+    assert "repro.low.orphan (module)" in orphans
+    assert "repro.high.shared (module)" in orphans
+
+
+def test_name_read_inside_its_own_module_is_not_reported(tree):
+    write(
+        tree,
+        "src/repro/low/used.py",
+        "SCALE = 2\n\n\ndef used_fn():\n    return SCALE\n",
+    )
+    assert "repro.low.used.SCALE" not in check_docs.find_orphans(
+        tree, allowlist={}
+    )
+
+
+def test_private_names_are_not_reported(tree):
+    write(
+        tree,
+        "src/repro/low/used.py",
+        "def used_fn():\n    return 1\n\n\ndef _unread():\n    return 4\n",
+    )
+    assert not any(
+        "_unread" in orphan
+        for orphan in check_docs.find_orphans(tree, allowlist={})
+    )
+
+
+def test_allowlisted_name_is_not_reported(tree):
+    write(
+        tree,
+        "src/repro/low/used.py",
+        "def used_fn():\n    return 1\n\n\ndef unread():\n    return 4\n",
+    )
+    orphans = check_docs.find_orphans(
+        tree, allowlist={"repro.low.used.unread": "an oracle the tests read"}
+    )
+    assert "repro.low.used.unread" not in orphans
+    assert "repro.low.orphan (module)" in orphans
+
+
+def test_allowlisted_module_covers_its_names(tree):
+    orphans = check_docs.find_orphans(
+        tree, allowlist={"repro.low.orphan": "a test oracle"}
+    )
+    assert not any(orphan.startswith("repro.low.orphan") for orphan in orphans)
+
+
+def test_import_from_a_package_init_is_checked_against_the_layers(tree):
+    write(tree, "src/repro/low/__init__.py", "from repro.high.app import main\n")
+    assert check_docs.layer_violations(tree, ARCHITECTURE) == [
+        "repro.low imports repro.high.app"
+    ]
+
+
+def test_lazy_import_is_checked_against_the_layers(tree):
+    write(
+        tree,
+        "src/repro/low/lazy.py",
+        "def late():\n    from repro.high import app\n    return app.main()\n",
+    )
+    assert check_docs.layer_violations(tree, ARCHITECTURE) == [
+        "repro.low.lazy imports repro.high",
+        "repro.low.lazy imports repro.high.app",
+    ]
+
+
+def test_package_outside_the_layer_table_is_not_checked(tree):
+    write(tree, "src/repro/extra/__init__.py")
+    write(tree, "src/repro/extra/glue.py", "from repro.high.app import main\n")
+    write(tree, "src/repro/low/ext.py", "from repro.extra.glue import main\n")
+    assert check_docs.layer_violations(tree, ARCHITECTURE) == []
+
+
+def test_architecture_without_a_layer_table_fails(tree):
+    with pytest.raises(SystemExit):
+        check_docs.layer_violations(tree, "# Architecture\n\nNo table.\n")
+
+
+def test_markdown_file_found_by_name_anywhere_in_the_repo(tree):
+    write(tree, "docs/guide/NOTES.md", "# Notes\n")
+    write(tree, "src/repro/low/notes.py", '"""See NOTES.md and docs/guide/NOTES.md."""\n')
+    assert check_docs.missing_markdown(tree) == []
+
+
+def test_markdown_under_a_hidden_directory_does_not_count(tree):
+    write(tree, ".github/TEMPLATE.md", "# Template\n")
+    write(tree, "src/repro/low/notes.py", '"""See TEMPLATE.md."""\n')
+    assert check_docs.missing_markdown(tree) == [
+        "src/repro/low/notes.py: TEMPLATE.md"
+    ]
+
+
+def test_text_imports_reads_inline_and_grouped_imports():
+    text = (
+        "from repro import (Alpha,\n    Beta)\n"
+        "from repro.core.fast import gamma as g, delta\n"
+        "import repro.other\n"
+    )
+    assert check_docs.text_imports(text) == {
+        ("repro", "Alpha"),
+        ("repro", "Beta"),
+        ("repro.core.fast", "gamma"),
+        ("repro.core.fast", "delta"),
+    }
+
+
+def test_resolves_modules_and_attributes():
+    assert check_docs.resolves("repro.core.fast")
+    assert check_docs.resolves("repro.retrieval.engine.SearchEngine.search")
+    assert not check_docs.resolves("repro.core.no_such_module")
+    assert not check_docs.resolves("repro.retrieval.engine.NoSuchName")
+
+
+def test_created_table_splits_columns_and_table_clauses():
+    name, columns, clauses = check_docs.created_table(
+        "CREATE TABLE IF NOT EXISTS postings ("
+        " term TEXT NOT NULL, doc INTEGER NOT NULL,"
+        " weight REAL DEFAULT (0.5),"
+        " PRIMARY KEY (term, doc)) WITHOUT ROWID"
+    )
+    assert name == "IF"
+    name, columns, clauses = check_docs.created_table(
+        "CREATE TABLE postings ("
+        " term TEXT NOT NULL, doc INTEGER NOT NULL,"
+        " weight REAL DEFAULT (0.5),"
+        " PRIMARY KEY (term, doc)) WITHOUT ROWID"
+    )
+    assert name == "postings"
+    assert columns == [
+        ("term", "TEXT", "NOT NULL"),
+        ("doc", "INTEGER", "NOT NULL"),
+        ("weight", "REAL", "DEFAULT (0.5)"),
+    ]
+    assert clauses == ["PRIMARY KEY (term, doc)", "WITHOUT ROWID"]
+
+
+def test_documented_columns_reads_the_first_table_of_the_section():
+    architecture = (
+        "## Store\n\n### `postings`\n\nOne row per match.\n\n"
+        "| Column | Type | Constraints |\n| --- | --- | --- |\n"
+        "| `term` | TEXT | NOT NULL |\n| `doc` | INTEGER | NOT NULL |\n\n"
+        "| `other` | TEXT | |\n\n### `next`\n"
+    )
+    rows, section = check_docs.documented_columns(architecture, "postings")
+    assert rows == [("term", "TEXT", "NOT NULL"), ("doc", "INTEGER", "NOT NULL")]
+    assert "### `next`" not in section
+    with pytest.raises(SystemExit):
+        check_docs.documented_columns(architecture, "absent")
+
+
+def test_repository_src_has_a_caller_for_everything():
+    assert check_docs.find_orphans(check_docs.ROOT) == []
+
+
+def test_repository_imports_follow_the_architecture_layer_table():
+    architecture = (check_docs.ROOT / "docs" / "ARCHITECTURE.md").read_text(
+        encoding="utf-8"
+    )
+    assert check_docs.layer_violations(check_docs.ROOT, architecture) == []
+
+
+def test_repository_src_names_only_markdown_files_that_exist():
+    assert check_docs.missing_markdown(check_docs.ROOT) == []

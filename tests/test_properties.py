@@ -187,6 +187,22 @@ class TestSimilarityProperties:
         assert 0.0 <= sim <= 1.0
         assert sim == cosine(v2, v1)
 
+    @given(weights.filter(bool))
+    def test_cosine_self_similarity_one_for_nonempty(self, w):
+        v = TermVector(w)
+        assert math.isclose(cosine(v, v), 1.0, rel_tol=1e-9)
+
+    @given(weights.filter(bool), st.floats(min_value=0.1, max_value=100.0))
+    def test_cosine_scale_invariant(self, w, factor):
+        scaled = TermVector({t: x * factor for t, x in w.items()})
+        assert math.isclose(cosine(TermVector(w), scaled), 1.0, rel_tol=1e-9)
+
+    @given(weights, weights)
+    def test_cosine_of_disjoint_vectors_zero(self, w1, w2):
+        left = TermVector({f"l{t}": x for t, x in w1.items()})
+        right = TermVector({f"r{t}": x for t, x in w2.items()})
+        assert cosine(left, right) == 0.0
+
 
 # ---------------------------------------------------------------------------
 # heaps
