@@ -4,18 +4,25 @@ A :class:`TaskArrays` is the dense (numpy) view of one
 :class:`~repro.core.task.DiversificationTask`:
 
 * ``doc_ids`` — the candidates of ``R_q`` in baseline-rank order;
-* ``utilities`` — the ``n × m`` matrix Ũ(d|R_q') (zero where the sparse
+* ``by_spec`` — the utilities Ũ(d|R_q') stored **spec-major**, one
+  C-contiguous ``m × n`` matrix whose row j holds specialization j's
+  utility for every candidate (zero where the sparse
   :class:`~repro.core.utility.UtilityMatrix` has no entry);
 * ``probabilities`` — the specialization distribution P(q'|q) (length m);
 * ``relevance`` — P(d|q) per candidate (length n).
+
+Spec-major is the layout the kernels read: a greedy pick's scores are
+one ``weights @ by_spec``, OptSelect's heap routing walks one contiguous
+row per specialization, and :meth:`head`'s truncation is a row slice,
+not a copy.
 
 It is built **once per task** (lazily, via
 :meth:`DiversificationTask.arrays`) and consumed by every kernel-backed
 diversifier in :mod:`repro.core.fast`, so a batch of algorithms — or the
 serving layer ranking the same task under several configurations — pays
-the densification cost a single time.  The candidate index map is hoisted
-out of the per-specialization loop, so construction is O(n·m̄) in the
-number of non-zero utilities instead of the seed's O(n·m).
+the densification cost a single time.  Construction is one pass over the
+non-zero utilities, positioned through the rank map the candidate
+:class:`~repro.retrieval.engine.ResultList` already holds.
 
 numpy is an optional dependency: importing this module without numpy
 raises ``ImportError`` with a clear message and the pure-Python
@@ -32,6 +39,7 @@ except ImportError as _exc:  # pragma: no cover - environment dependent
         "algorithms in repro.core"
     ) from _exc
 
+from itertools import chain, repeat
 from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -41,7 +49,7 @@ __all__ = ["TaskArrays"]
 
 
 class TaskArrays:
-    """Dense ``(doc_ids, U[n×m], p[m], rel[n])`` views of one task.
+    """Dense ``(doc_ids, U[m×n], p[m], rel[n])`` views of one task.
 
     Instances are read-only by convention: every kernel treats the arrays
     as constants and keeps its mutable state (coverage, residuals, taken
@@ -50,10 +58,9 @@ class TaskArrays:
 
     __slots__ = (
         "doc_ids",
-        "index_of",
         "spec_queries",
         "probabilities",
-        "utilities",
+        "by_spec",
         "relevance",
         "_vector_matrix",
         "_vector_token",
@@ -64,65 +71,76 @@ class TaskArrays:
         doc_ids: list[str],
         spec_queries: list[str],
         probabilities,
-        utilities,
+        by_spec,
         relevance,
-        index_of: dict[str, int] | None = None,
     ) -> None:
         self.doc_ids = list(doc_ids)
         self.spec_queries = list(spec_queries)
         self.probabilities = _np.asarray(probabilities, dtype=_np.float64)
-        self.utilities = _np.asarray(utilities, dtype=_np.float64)
+        self.by_spec = _np.ascontiguousarray(by_spec, dtype=_np.float64)
         self.relevance = _np.asarray(relevance, dtype=_np.float64)
-        self.index_of = index_of or {d: i for i, d in enumerate(self.doc_ids)}
         self._vector_matrix = None
         self._vector_token = None
-        if self.utilities.shape != (len(self.doc_ids), len(self.spec_queries)):
+        if self.by_spec.shape != (len(self.spec_queries), len(self.doc_ids)):
             raise ValueError(
-                f"utilities shape {self.utilities.shape} does not match "
-                f"(n={len(self.doc_ids)}, m={len(self.spec_queries)})"
+                f"by_spec shape {self.by_spec.shape} does not match "
+                f"(m={len(self.spec_queries)}, n={len(self.doc_ids)})"
             )
 
     @classmethod
     def from_task(cls, task: "DiversificationTask") -> "TaskArrays":
-        """Densify *task* in one pass over the sparse utility rows."""
+        """Densify *task* straight into the spec-major layout.
+
+        One pass over each specialization's non-zero utilities: every
+        document is placed by its baseline rank, read from the candidate
+        list's own rank map.  Utilities of documents outside ``R_q`` are
+        ignored, as the reference algorithms ignore them.
+        """
         specializations = task.specializations
-        doc_ids = task.candidates.doc_ids
+        candidates = task.candidates
+        doc_ids = candidates.doc_ids
         n, m = len(doc_ids), len(specializations)
-        # Hoisted out of the per-specialization loop: one dict for all m
-        # columns (the seed rebuilt it m times).
-        index_of = {d: i for i, d in enumerate(doc_ids)}
-        utilities = _np.zeros((n, m), dtype=_np.float64)
-        probabilities = _np.empty(m, dtype=_np.float64)
-        spec_queries: list[str] = []
-        for j, (spec, p) in enumerate(specializations):
-            spec_queries.append(spec)
-            probabilities[j] = p
-            for doc_id, value in task.utilities.useful_docs(spec).items():
-                i = index_of.get(doc_id)
-                if i is not None:
-                    utilities[i, j] = value
-        relevance = _np.array(
-            [task.relevance.get(d, 0.0) for d in doc_ids], dtype=_np.float64
+        # Reused, not rebuilt per task: doc_id -> 1-based rank.
+        rank_get = candidates._rank_by_id.get
+        rows = [task.utilities.useful_docs(spec) for spec, _p in specializations]
+        sizes = [len(row) for row in rows]
+        total = sum(sizes)
+        ranks = _np.fromiter(
+            chain.from_iterable(map(rank_get, row, repeat(0)) for row in rows),
+            _np.intp,
+            total,
+        )
+        values = _np.fromiter(
+            chain.from_iterable(row.values() for row in rows), _np.float64, total
+        )
+        # Row j's cell for rank r is j·n + r − 1 of the flat matrix.
+        cells = ranks + _np.repeat(_np.arange(m) * n - 1, sizes)
+        if _np.count_nonzero(ranks) < total:  # rank 0: not a candidate
+            inside = ranks > 0
+            cells, values = cells[inside], values[inside]
+        by_spec = _np.zeros((m, n), dtype=_np.float64)
+        by_spec.put(cells, values)
+        relevance = _np.fromiter(
+            map(task.relevance.get, doc_ids, repeat(0.0)), _np.float64, n
         )
         return cls(
             doc_ids=doc_ids,
-            spec_queries=spec_queries,
-            probabilities=probabilities,
-            utilities=utilities,
+            spec_queries=[spec for spec, _p in specializations],
+            probabilities=[p for _spec, p in specializations],
+            by_spec=by_spec,
             relevance=relevance,
-            index_of=index_of,
         )
 
     # -- shape ----------------------------------------------------------------
 
     @property
     def n(self) -> int:
-        """|R_q| — number of candidates (matrix rows)."""
+        """|R_q| — number of candidates (matrix columns)."""
         return len(self.doc_ids)
 
     @property
     def m(self) -> int:
-        """|S_q| — number of specializations (matrix columns)."""
+        """|S_q| — number of specializations (matrix rows)."""
         return len(self.spec_queries)
 
     def head(self, m: int) -> "TaskArrays":
@@ -131,7 +149,8 @@ class TaskArrays:
         Mirrors :meth:`SpecializationSet.top` exactly — including its
         pure-Python renormalisation sum — so kernel-backed diversifiers
         that truncate ``S_q`` to k specializations see bit-identical
-        probabilities to their reference implementations.
+        probabilities to their reference implementations.  The utility
+        rows are a view of the first *m* rows, still C-contiguous.
         """
         if m >= self.m:
             return self
@@ -141,9 +160,8 @@ class TaskArrays:
             doc_ids=self.doc_ids,
             spec_queries=self.spec_queries[:m],
             probabilities=[p / total for p in kept],
-            utilities=self.utilities[:, :m],
+            by_spec=self.by_spec[:m],
             relevance=self.relevance,
-            index_of=self.index_of,
         )
 
     # -- candidate-candidate similarity (MMR) -----------------------------------

@@ -8,17 +8,23 @@ the paper's largest Table 2 cells (|R_q| = 100k, k = 1000) take tens of
 minutes in the interpreter, so this module provides drop-in variants
 built on the shared dense layer:
 
-* :class:`~repro.core.arrays.TaskArrays` — the ``(doc_ids, U[n×m],
+* :class:`~repro.core.arrays.TaskArrays` — the ``(doc_ids, U[m×n],
   p[m], rel[n])`` view built once per task (``task.arrays()``);
 * :mod:`repro.core.kernels` — the common numpy selection kernels.
 
 The asymptotics are unchanged (the paper's point survives vectorisation —
-OptSelect still wins by ~k/log k); only the constant shrinks by ~50×.
+OptSelect still wins by ~k/log k); only the constant shrinks.  The
+``select_scaling`` workload of ``bench/`` measures the kernels at Table 2
+scale; its traced split (``select.xquad_over_optselect``) is the paper's
+gap as the kernels realise it.
 
 **Selection-identical guarantee.**  Every ``Fast*`` class reproduces its
 reference implementation's ranking *exactly*, including tie breaks
-(baseline rank everywhere; earlier-insertion-wins in the bounded-heap
-phase).  The test suite asserts equality on randomised tasks.  That
+(baseline rank everywhere — decided in the reference's own arithmetic
+inside a rounding window, see :mod:`repro.core.kernels`;
+earlier-insertion-wins in the bounded-heap phase).  The test suite
+asserts equality on randomised tasks and on candidates that share
+identical utility rows.  That
 guarantee is what lets these classes be the library **default**: when
 numpy is importable, :func:`repro.core.framework.default_diversifier`
 returns :class:`FastOptSelect`, so a framework or serving layer built
@@ -65,9 +71,9 @@ def _truncated_arrays(task: DiversificationTask, k: int) -> TaskArrays:
 class FastXQuAD(Diversifier):
     """Vectorised xQuAD; selection-identical to :class:`~repro.core.xquad.XQuAD`.
 
-    Ties are broken by baseline rank exactly as in the reference: scores
-    are compared in candidate order and ``argmax`` returns the first
-    (lowest-rank) maximiser.
+    Ties are broken by baseline rank exactly as in the reference: a pick
+    whose best score has a rival within rounding is re-decided in the
+    reference's arithmetic, first (lowest-rank) maximiser winning.
     """
 
     name = "xQuAD-fast"
@@ -77,7 +83,7 @@ class FastXQuAD(Diversifier):
         stats = DiversifierStats()
         arrays = _truncated_arrays(task, k)
         picks = kernels.xquad_select(arrays, task.lambda_, k)
-        stats.marginal_updates = arrays.utilities.size * len(picks)
+        stats.marginal_updates = arrays.by_spec.size * len(picks)
         stats.operations = stats.marginal_updates
         stats.selected = len(picks)
         self.last_stats = stats
@@ -87,8 +93,9 @@ class FastXQuAD(Diversifier):
 class FastIASelect(Diversifier):
     """Vectorised IASelect; selection-identical to the reference.
 
-    The reference breaks zero-gain ties by baseline rank; ``argmax`` over
-    candidate order reproduces that.
+    The reference breaks ties (zero-gain ones included) by baseline rank;
+    the kernel decides near-ties in the reference's arithmetic and takes
+    an all-zero tail in baseline order.
     """
 
     name = "IASelect-fast"
@@ -98,7 +105,7 @@ class FastIASelect(Diversifier):
         stats = DiversifierStats()
         arrays = _truncated_arrays(task, k)
         picks = kernels.iaselect_select(arrays, k)
-        stats.marginal_updates = arrays.utilities.size * len(picks)
+        stats.marginal_updates = arrays.by_spec.size * len(picks)
         stats.operations = stats.marginal_updates
         stats.selected = len(picks)
         self.last_stats = stats
@@ -140,7 +147,8 @@ class FastOptSelect(OptSelect):
 
     Overrides the two O(n·|S_q|) stages of Algorithm 2 — the Eq. 9 pass
     and the heap routing — with dense kernels, and inherits the
-    selection phase unchanged.  :func:`kernels.bounded_retention`
+    selection phase unchanged.  :func:`kernels.overall_utilities` computes
+    the reference's own Eq. 9 values and :func:`kernels.bounded_retention`
     replicates :class:`~repro.core.heaps.BoundedMaxHeap`'s
     earlier-insertion-wins tie rule, so the retained pools (and hence
     the final ranking) match the reference exactly.
@@ -153,41 +161,42 @@ class FastOptSelect(OptSelect):
         # truncates only the heap phase), so the kernel runs on the
         # untruncated arrays.
         arrays = task.arrays()
-        overall = kernels.overall_utilities(arrays, task.lambda_)
         stats.marginal_updates += arrays.n * max(1, len(specializations))
-        return dict(zip(arrays.doc_ids, overall.tolist()))
+        return kernels.overall_utilities(arrays, task.lambda_)
 
     def _build_pools(self, task, specializations, overall, k, stats):
         arrays = _truncated_arrays(task, k)
-        utilities = arrays.utilities
-        doc_ids = arrays.doc_ids
-        rank_of = task.candidates.rank_of
-
         useful_mask = _np.zeros(arrays.n, dtype=bool)
-        spec_pools: dict[str, list[str]] = {}
+        spec_pools: dict[str, list[tuple[float, int]]] = {}
         pushes = 0
-        for j, (spec, p) in enumerate(specializations):
-            column = utilities[:, j]
-            positive = column > 0.0
+        for row, (spec, p) in zip(arrays.by_spec, specializations):
+            positive = row > 0.0
             offered = _np.nonzero(positive)[0]
             useful_mask |= positive
             pushes += len(offered)
             capacity = math.floor(k * p) + 1
-            retained = kernels.bounded_retention(column, capacity, offered)
-            docs = [doc_ids[i] for i in retained]
-            docs.sort(key=lambda d: (-overall[d], rank_of(d)))
-            spec_pools[spec] = docs
+            retained = kernels.bounded_retention(row, capacity, offered)
+            spec_pools[spec] = _ranked(overall, retained)
 
         not_useful = _np.nonzero(~useful_mask)[0]
         pushes += len(not_useful)
-        overall_values = _np.array([overall[doc_ids[i]] for i in not_useful])
-        retained = kernels.bounded_retention(overall_values, k)
-        general_pool = [doc_ids[not_useful[i]] for i in retained]
-        general_pool.sort(key=lambda d: (-overall[d], rank_of(d)))
+        retained = kernels.bounded_retention(overall[not_useful], k)
+        general_pool = _ranked(overall, not_useful[retained])
 
         stats.heap_pushes = pushes
         stats.operations = stats.heap_pushes
         return spec_pools, general_pool
+
+
+def _ranked(overall, positions) -> list[tuple[float, int]]:
+    """``(−Ũ(d|q), position)`` pairs of ascending *positions*, best first.
+
+    A stable sort keeps equal overall utilities in position (baseline)
+    order — the reference's ``sorted`` on the same pairs.
+    """
+    keys = -overall[positions]
+    order = _np.argsort(keys, kind="stable")
+    return list(zip(keys[order].tolist(), positions[order].tolist()))
 
 
 def get_fast_diversifier(name: str, **kwargs) -> Diversifier:

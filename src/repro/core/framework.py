@@ -226,8 +226,7 @@ class DiversificationFramework:
         The search engine producing ``R_q`` and the ``R_q'`` lists.
     detector:
         Anything with a ``mine(query) -> SpecializationSet`` method (a
-        :class:`~repro.querylog.specializations.SpecializationMiner`) or a
-        ``detect(query) -> SpecializationSet`` method.
+        :class:`~repro.querylog.specializations.SpecializationMiner`).
     diversifier:
         Algorithm instance; when omitted, :func:`default_diversifier`
         picks OptSelect — kernel-backed
@@ -272,9 +271,7 @@ class DiversificationFramework:
 
     def detect(self, query: str) -> SpecializationSet:
         """Step (a): Algorithm 1 via the configured detector."""
-        if hasattr(self.detector, "mine"):
-            return self.detector.mine(query)
-        return self.detector.detect(query)
+        return self.detector.mine(query)
 
     def _cache_spec(
         self, spec_query: str, cached: tuple, held: tuple | None

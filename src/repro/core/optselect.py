@@ -75,35 +75,36 @@ class OptSelect(Diversifier):
         spec_pools, general_pool = self._build_pools(
             task, specializations, overall, k, stats
         )
-        rank_of = task.candidates.rank_of
 
+        # The selection phase works on candidate positions (baseline rank
+        # − 1); pools hold (−Ũ(d|q), position) pairs, best first.
         # Lines 07-09: guarantee every non-empty specialization one slot,
         # most probable specialization first.
-        selected: list[str] = []
-        chosen: set[str] = set()
-        consumed = {spec: 0 for spec, _ in specializations}
+        selected: list[int] = []
+        chosen: set[int] = set()
+        consumed: dict[str, int] = {}
         for spec, _p in specializations:
             pool = spec_pools[spec]
-            i = consumed[spec]
+            i = 0
             while i < len(pool) and len(selected) < k:
-                doc_id = pool[i]
+                position = pool[i][1]
                 i += 1
-                if doc_id not in chosen:
-                    chosen.add(doc_id)
-                    selected.append(doc_id)
+                if position not in chosen:
+                    chosen.add(position)
+                    selected.append(position)
                     break
             consumed[spec] = i
 
         if self.strict_paper_pseudocode:
-            for doc_id in general_pool:
+            for _key, position in general_pool:
                 if len(selected) >= k:
                     break
-                if doc_id not in chosen:
-                    chosen.add(doc_id)
-                    selected.append(doc_id)
+                if position not in chosen:
+                    chosen.add(position)
+                    selected.append(position)
         else:
             self._fill_proportionally(
-                task,
+                task.n,
                 specializations,
                 spec_pools,
                 consumed,
@@ -111,8 +112,6 @@ class OptSelect(Diversifier):
                 selected,
                 chosen,
                 k,
-                overall,
-                rank_of,
             )
 
         # The returned SERP keeps the *selection order* of Algorithm 2:
@@ -125,7 +124,8 @@ class OptSelect(Diversifier):
         # Table 3 rank cutoffs).
         stats.selected = len(selected)
         self.last_stats = stats
-        return selected
+        results = task.candidates.results
+        return [results[position].doc_id for position in selected]
 
     # -- overridable O(n·|S_q|) stages --------------------------------------------
     #
@@ -136,11 +136,11 @@ class OptSelect(Diversifier):
 
     def _overall_utilities(
         self, task: DiversificationTask, specializations, stats: DiversifierStats
-    ) -> dict[str, float]:
-        """Eq. 9 per candidate: one pass, n·|S_q| utility lookups."""
-        overall: dict[str, float] = {}
+    ) -> list[float]:
+        """Eq. 9 per candidate position: one pass, n·|S_q| utility lookups."""
+        overall: list[float] = []
         for result in task.candidates:
-            overall[result.doc_id] = task.overall_utility(result.doc_id)
+            overall.append(task.overall_utility(result.doc_id))
             stats.marginal_updates += max(1, len(specializations))
         return overall
 
@@ -148,10 +148,10 @@ class OptSelect(Diversifier):
         self,
         task: DiversificationTask,
         specializations,
-        overall: dict[str, float],
+        overall: list[float],
         k: int,
         stats: DiversifierStats,
-    ) -> tuple[dict[str, list[str]], list[str]]:
+    ) -> tuple[dict[str, list[tuple[float, int]]], list[tuple[float, int]]]:
         """Algorithm 2 lines 02-06: route candidates into bounded heaps.
 
         Specialization heaps retain by per-specialization utility
@@ -162,79 +162,74 @@ class OptSelect(Diversifier):
         08 and 11 pop "d with the max Ũ(d|q)".  At most Σ(⌊kP⌋+1) + k =
         O(k) entries total.
         """
-        general = BoundedMaxHeap(k)
-        spec_heaps: dict[str, BoundedMaxHeap[str]] = {
+        general: BoundedMaxHeap[int] = BoundedMaxHeap(k)
+        spec_heaps: dict[str, BoundedMaxHeap[int]] = {
             spec: BoundedMaxHeap(math.floor(k * p) + 1)
             for spec, p in specializations
         }
         utilities = task.utilities
-        for result in task.candidates:
-            doc_id = result.doc_id
+        for position, result in enumerate(task.candidates):
             useful = False
             for spec, _ in specializations:
-                value = utilities.value(doc_id, spec)
+                value = utilities.value(result.doc_id, spec)
                 if value > 0.0:
-                    spec_heaps[spec].push(doc_id, value)
+                    spec_heaps[spec].push(position, value)
                     useful = True
             if not useful:
-                general.push(doc_id, overall[doc_id])
+                general.push(position, overall[position])
         stats.heap_pushes = general.pushes + sum(
             heap.pushes for heap in spec_heaps.values()
         )
         stats.operations = stats.heap_pushes
 
-        rank_of = task.candidates.rank_of
-        spec_pools: dict[str, list[str]] = {}
-        for spec, _p in specializations:
-            docs = [doc_id for doc_id, _v in spec_heaps[spec].drain()]
-            docs.sort(key=lambda d: (-overall[d], rank_of(d)))
-            spec_pools[spec] = docs
-        general_pool = [doc_id for doc_id, _v in general.drain()]
-        general_pool.sort(key=lambda d: (-overall[d], rank_of(d)))
+        spec_pools = {
+            spec: sorted((-overall[i], i) for i, _v in spec_heaps[spec].drain())
+            for spec, _p in specializations
+        }
+        general_pool = sorted((-overall[i], i) for i, _v in general.drain())
         return spec_pools, general_pool
 
     # -- proportional fill --------------------------------------------------------
 
     @staticmethod
     def _fill_proportionally(
-        task: DiversificationTask,
+        n: int,
         specializations,
-        spec_pools: dict[str, list[str]],
+        spec_pools: dict[str, list[tuple[float, int]]],
         consumed: dict[str, int],
-        general_pool: list[str],
-        selected: list[str],
-        chosen: set[str],
+        general_pool: list[tuple[float, int]],
+        selected: list[int],
+        chosen: set[int],
         k: int,
-        overall: dict[str, float],
-        rank_of,
     ) -> None:
         """Drain specialization pools up to quota, then M, then baseline.
 
         Entries across all pools are merged best-overall-utility-first
         while respecting each specialization's quota ``⌊k·P⌋ + 1``,
         realising the proportional-coverage constraint of MaxUtility
-        Diversify(k).
+        Diversify(k).  A document in several pools is charged to the one
+        whose specialization *name* sorts first (the last sort key).
         """
         quota = {spec: math.floor(k * p) + 1 for spec, p in specializations}
         taken = dict(consumed)  # phase-1 picks count against their spec
 
-        merged: list[tuple[float, int, str, str | None]] = []
-        for spec, _p in specializations:
-            for doc_id in spec_pools[spec][consumed[spec] :]:
-                merged.append((-overall[doc_id], rank_of(doc_id), doc_id, spec))
-        for doc_id in general_pool:
-            merged.append((-overall[doc_id], rank_of(doc_id), doc_id, None))
+        merged: list[tuple[float, int, str | None]] = [
+            (key, position, spec)
+            for spec, _p in specializations
+            for key, position in spec_pools[spec][consumed[spec] :]
+        ]
+        merged += [(key, position, None) for key, position in general_pool]
         merged.sort()
 
-        for _neg_score, _rank, doc_id, spec in merged:
+        for _key, position, spec in merged:
             if len(selected) >= k:
                 break
-            if doc_id in chosen:
+            if position in chosen:
                 continue
             if spec is not None and taken[spec] >= quota[spec]:
                 continue
-            chosen.add(doc_id)
-            selected.append(doc_id)
+            chosen.add(position)
+            selected.append(position)
             if spec is not None:
                 taken[spec] += 1
 
@@ -242,9 +237,9 @@ class OptSelect(Diversifier):
         # top up from the baseline ranking so |S| = k like the paper's
         # evaluated runs.
         if len(selected) < k:
-            for result in task.candidates:
+            for position in range(n):
                 if len(selected) >= k:
                     break
-                if result.doc_id not in chosen:
-                    chosen.add(result.doc_id)
-                    selected.append(result.doc_id)
+                if position not in chosen:
+                    chosen.add(position)
+                    selected.append(position)

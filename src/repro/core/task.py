@@ -121,10 +121,12 @@ class DiversificationTask:
                = (1−λ)·|S_q|·P(d|q) + λ·Σ_{q'} P(q'|q)·Ũ(d|R_q')
         """
         lam = self.lambda_
-        coverage = sum(
-            p_spec * self.utilities.value(doc_id, spec)
-            for spec, p_spec in self.specializations
-        )
+        # One rounding per product and per add, left to right (built-in
+        # ``sum`` compensates on Python >= 3.12):
+        # repro.core.kernels.overall_utilities repeats this arithmetic.
+        coverage = 0.0
+        for spec, p_spec in self.specializations:
+            coverage += p_spec * self.utilities.value(doc_id, spec)
         return (1.0 - lam) * len(self.specializations) * self.relevance_of(
             doc_id
         ) + lam * coverage

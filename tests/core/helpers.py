@@ -111,9 +111,9 @@ def random_task(seed: int) -> tuple[DiversificationTask, int]:
         # over 1/2/4/8 specializations, bounded selection depth — so all
         # scores are exactly representable and both implementations
         # compute bit-identical floats.  Ties are then decided purely by
-        # the documented baseline-rank rule, not by floating-point
-        # summation-order noise (which no implementation pair can agree
-        # on for mathematically-tied-but-differently-summed scores).
+        # the documented baseline-rank rule.  (Ties only up to rounding —
+        # a group member ranked with |S_q| > k — are decided by the
+        # kernels' rounding window, in the reference's arithmetic.)
         n = rng.randint(5, 40)
         num_specs = rng.choice((1, 2, 4, 8))
         k = rng.randint(1, 20)

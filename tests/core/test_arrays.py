@@ -9,28 +9,38 @@ from repro.core.arrays import TaskArrays
 from repro.experiments.workloads import synthetic_task
 from repro.retrieval.similarity import TermVector
 
-from .helpers import random_task, two_intent_task
+from .helpers import build_task, random_task, two_intent_task
 
 
 class TestFromTask:
-    def test_shapes_and_index(self):
+    def test_shapes_and_layout(self):
         task = synthetic_task(40, num_specs=5, seed=3)
         arrays = task.arrays()
         assert arrays.n == 40 and arrays.m == 5
-        assert arrays.utilities.shape == (40, 5)
+        assert arrays.by_spec.shape == (5, 40)
+        assert arrays.by_spec.flags.c_contiguous
         assert arrays.doc_ids == task.candidates.doc_ids
-        assert all(
-            arrays.index_of[d] == i for i, d in enumerate(arrays.doc_ids)
-        )
 
     def test_values_match_sparse_matrix(self):
         task = synthetic_task(30, num_specs=4, seed=8)
         arrays = task.arrays()
         for i, doc_id in enumerate(arrays.doc_ids):
             for j, spec in enumerate(arrays.spec_queries):
-                assert arrays.utilities[i, j] == task.utilities.value(
+                assert arrays.by_spec[j, i] == task.utilities.value(
                     doc_id, spec
                 )
+
+    def test_utilities_outside_candidates_ignored(self):
+        """A utility row may name documents outside R_q; like the
+        reference algorithms, densify skips them."""
+        task = build_task(
+            {"q a": {"d1": 0.5, "elsewhere": 0.9}, "q b": {"d0": 0.25}},
+            {"q a": 1.0, "q b": 1.0},
+            [("d0", 2.0), ("d1", 1.0)],
+        )
+        arrays = task.arrays()
+        assert arrays.spec_queries == ["q a", "q b"]
+        assert arrays.by_spec.tolist() == [[0.0, 0.5], [0.25, 0.0]]
 
     def test_probabilities_and_relevance(self):
         task = two_intent_task()
@@ -54,8 +64,8 @@ class TestFromTask:
 
     def test_with_threshold_rebuilds_arrays(self):
         task = synthetic_task(20, num_specs=3, seed=1)
-        dense = task.arrays().utilities
-        rethresholded = task.with_threshold(0.8).arrays().utilities
+        dense = task.arrays().by_spec
+        rethresholded = task.with_threshold(0.8).arrays().by_spec
         assert (rethresholded > 0).sum() < (dense > 0).sum()
 
     def test_shape_mismatch_rejected(self):
@@ -64,7 +74,7 @@ class TestFromTask:
                 doc_ids=["d1", "d2"],
                 spec_queries=["s"],
                 probabilities=[1.0],
-                utilities=np.zeros((3, 1)),
+                by_spec=np.zeros((1, 3)),
                 relevance=np.zeros(2),
             )
 
@@ -79,7 +89,9 @@ class TestHead:
         assert head.spec_queries == [spec for spec, _ in top]
         # Bit-identical to SpecializationSet.top's pure-Python division.
         assert head.probabilities.tolist() == [p for _, p in top]
-        assert head.utilities.shape == (25, 3)
+        assert head.by_spec.shape == (3, 25)
+        assert head.by_spec.flags.c_contiguous
+        assert np.shares_memory(head.by_spec, arrays.by_spec)
 
     def test_noop_when_small_enough(self):
         arrays = synthetic_task(10, num_specs=3, seed=2).arrays()

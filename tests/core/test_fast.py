@@ -12,6 +12,13 @@ hand-built exact tie, k above every n, and one task ranked three times
 in a row by the same instance.  A failing case is fully reproducible
 from its id — ``task<seed>`` is ``random_task(seed)``, ``group<seed>``
 is ``_group(seed)``.
+
+:class:`TestTieContract` pins the tie rule where a BLAS mat-vec breaks it
+first: candidates sharing bit-identical utility rows
+(:func:`duplicate_row_task`), so every greedy pick among them is an exact
+tie the reference decides by baseline rank, plus |S_q| > k truncation,
+the strict-pseudocode mode, a document in two OptSelect pools, the fill's
+spec-name charge order and the all-zero-gain tail.
 """
 
 from __future__ import annotations
@@ -23,6 +30,7 @@ import numpy as np
 import pytest
 
 from repro.core import kernels
+from repro.core.ambiguity import SpecializationSet
 from repro.core.fast import (
     FastIASelect,
     FastMMR,
@@ -58,40 +66,21 @@ PAIRS = [
 ]
 
 
-def _exactness_safe(task, k: int) -> bool:
-    """Whether *task* keeps the exact-arithmetic tie guarantee under *k*.
-
-    ``random_task``'s binary regime guarantees bitwise-reproducible ties
-    only while every u·p term stays exactly representable.  Truncating
-    the specialization set (when ``min(k, n)`` < |S_q|) renormalizes the
-    uniform powers-of-two probabilities to values like 1/7, after which
-    mathematically tied scores are summation-order noise — a regime no
-    two reduction orders can agree on (see the contract note in
-    ``repro.core.kernels``).  A group shares one k, so a member drawn for
-    a smaller k may cross that line; such members are redrawn.
-    """
-    arrays = task.arrays()
-    binary = set(np.unique(arrays.utilities)) <= {0.0, 0.5}
-    return not binary or arrays.m <= min(k, arrays.n)
-
-
 def _own_k(seed: int):
     task, k = random_task(seed)
     return [task], k
 
 
 def _group(base_seed: int):
-    """A ragged group: independent random tasks under one shared k."""
+    """A ragged group: independent random tasks under one shared k.
+
+    A member drawn for a smaller k may rank here with |S_q| > k, whose
+    renormalised probabilities (1/7, …) turn ``random_task``'s exact
+    binary ties into ties only up to rounding; the kernels must decide
+    those exactly as the reference does too.
+    """
     draws = [random_task(1000 * base_seed + j) for j in range(GROUP_SIZE)]
-    k = max(k for _, k in draws)
-    tasks = []
-    for j, (task, _) in enumerate(draws):
-        bump = 0
-        while not _exactness_safe(task, k):
-            bump += 1
-            task, _ = random_task(1000 * base_seed + j + 101 * bump)
-        tasks.append(task)
-    return tasks, k
+    return [task for task, _ in draws], max(k for _, k in draws)
 
 
 def _empty_spec_task(n: int = 8):
@@ -196,6 +185,132 @@ class TestRandomizedEquivalence:
         assert FastIASelect().diversify(task, 10) == IASelect().diversify(
             task, 10
         )
+
+
+#: Duplicate-row sweep: each chunk is one test id of this many seeds.
+DUPLICATE_ROW_CHUNKS = range(5)
+DUPLICATE_ROW_SEEDS_PER_CHUNK = 100
+
+
+def duplicate_row_task(seed: int):
+    """Candidates tied on baseline score, each carrying one of 3 utility rows.
+
+    Two candidates with the same row have bit-identical reference scores
+    at every pick, so the reference decides between them by baseline
+    rank alone.  A kernel that scores them through a BLAS mat-vec can
+    round them one ULP apart depending on where their rows sit; this is
+    the regime that catches it.
+    """
+    rng = random.Random(seed)
+    specs = [f"q s{j}" for j in range(rng.randint(2, 9))]
+    rows = [
+        {spec: rng.random() for spec in specs if rng.random() < 0.7}
+        for _ in range(3)
+    ]
+    n = rng.randint(3, 40)
+    scores = [(f"d{i:02d}", 1.0) for i in range(n)]
+    utilities: dict[str, dict[str, float]] = {spec: {} for spec in specs}
+    for doc_id, _ in scores:
+        for spec, value in rng.choice(rows).items():
+            utilities[spec][doc_id] = value
+    probabilities = {spec: rng.uniform(0.05, 1.0) for spec in specs}
+    task = build_task(utilities, probabilities, scores, lambda_=rng.random())
+    return task, rng.randint(1, n)
+
+
+class TestTieContract:
+    """Ties are decided the way the references decide them."""
+
+    @pytest.mark.parametrize(
+        ("fast_cls", "reference_cls"),
+        PAIRS[:3],
+        ids=[reference.__name__ for _, reference in PAIRS[:3]],
+    )
+    @pytest.mark.parametrize("chunk", DUPLICATE_ROW_CHUNKS)
+    def test_identical_rows_rank_like_the_reference(
+        self, chunk, fast_cls, reference_cls
+    ):
+        first = chunk * DUPLICATE_ROW_SEEDS_PER_CHUNK
+        diverged = []
+        for seed in range(first, first + DUPLICATE_ROW_SEEDS_PER_CHUNK):
+            task, k = duplicate_row_task(seed)
+            if fast_cls().diversify(task, k) != reference_cls().diversify(task, k):
+                diverged.append(seed)
+        assert diverged == [], f"duplicate_row_task seeds {diverged}"
+
+    @pytest.mark.parametrize("seed", range(0, 400, 40))
+    def test_more_specializations_than_k(self, seed):
+        """|S_q| > k: every kernel ranks on the truncated ``head(k)``."""
+        task, _ = duplicate_row_task(seed)
+        k = len(task.specializations) - 1
+        assert task.arrays().head(k).m == k
+        for fast_cls, reference_cls in PAIRS[:3]:
+            assert fast_cls().diversify(task, k) == reference_cls().diversify(
+                task, k
+            ), fast_cls.__name__
+
+    @pytest.mark.parametrize("seed", range(0, 400, 40))
+    def test_strict_paper_pseudocode(self, seed):
+        task, k = duplicate_row_task(seed)
+        fast = FastOptSelect(strict_paper_pseudocode=True)
+        reference = OptSelect(strict_paper_pseudocode=True)
+        assert fast.diversify(task, k) == reference.diversify(task, k)
+
+    def test_document_in_two_pools(self):
+        """One document heads both specialization pools; ranked once."""
+        scores = [(f"d{i}", 1.0) for i in range(6)]
+        utilities = {
+            "q a": {"d0": 0.5, "d1": 0.9, "d2": 0.4},
+            "q b": {"d1": 0.9, "d3": 0.5, "d4": 0.4},
+        }
+        task = build_task(utilities, {"q b": 3.0, "q a": 2.0}, scores)
+        for k in range(1, 7):
+            got = FastOptSelect().diversify(task, k)
+            assert got == OptSelect().diversify(task, k)
+            assert got[0] == "d1" and len(set(got)) == len(got) == k
+
+    def test_fill_charges_the_spec_whose_name_sorts_first(self):
+        """A document pooled under two specs counts against the one whose
+        name sorts first (the last key of the merged sort), not the more
+        probable one — and with "q a"'s quota of 2 spent, its third entry
+        waits for the baseline top-up."""
+        specializations = SpecializationSet.from_frequencies(
+            "q", {"q b": 3.0, "q a": 1.0}
+        )
+        k = 4  # quotas: "q b" 4, "q a" 2
+        spec_pools = {
+            "q b": [(-0.9, 0), (-0.3, 3)],
+            "q a": [(-0.9, 0), (-0.5, 1), (-0.4, 2)],
+        }
+        selected: list[int] = []
+        OptSelect._fill_proportionally(
+            5,
+            specializations,
+            spec_pools,
+            {"q b": 0, "q a": 0},
+            [],
+            selected,
+            set(),
+            k,
+        )
+        assert selected == [0, 1, 3, 2]
+
+    def test_all_zero_gain_tail_in_baseline_order(self):
+        """Once every remaining gain is an exact 0 the rest of the ranking
+        is the baseline order, for the greedy references and kernels."""
+        scores = [(f"d{i}", 6.0 - i) for i in range(6)]
+        utilities = {
+            "q s0": {"d0": 0.5, "d3": 1.0, "d5": 0.25},
+            "q s1": {"d1": 0.5, "d3": 1.0},
+        }
+        task = build_task(utilities, {"q s0": 1.0, "q s1": 1.0}, scores)
+        want = ["d3", "d0", "d1", "d2", "d4", "d5"]
+        assert IASelect().diversify(task, 6) == want
+        assert FastIASelect().diversify(task, 6) == want
+        novelty_only = task.with_lambda(1.0)
+        assert XQuAD().diversify(novelty_only, 6) == want
+        assert FastXQuAD().diversify(novelty_only, 6) == want
+        assert kernels.iaselect_select(task.arrays(), 4) == [3, 0, 1, 2]
 
 
 class TestFastBehaviour:

@@ -140,12 +140,12 @@ class TestPipeline:
         result = small_framework.diversify_query(ambiguous_topic.query)
         assert set(result.ranking) <= set(result.baseline.doc_ids)
 
-    def test_detection_via_detector_protocol(self, small_engine):
-        class FakeDetector:
-            def detect(self, query):
+    def test_empty_specializations_are_not_diversified(self, small_engine):
+        class FakeMiner:
+            def mine(self, query):
                 return SpecializationSet(query=query, items=())
 
-        framework = DiversificationFramework(small_engine, FakeDetector())
+        framework = DiversificationFramework(small_engine, FakeMiner())
         result = framework.diversify_query("whatever")
         assert not result.diversified
 

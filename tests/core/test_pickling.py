@@ -88,7 +88,7 @@ class TestTask:
         assert loaded._arrays is None  # not shipped
         rebuilt = loaded.arrays()  # lazily rebuilt on demand
         numpy.testing.assert_array_equal(rebuilt.relevance, arrays.relevance)
-        numpy.testing.assert_array_equal(rebuilt.utilities, arrays.utilities)
+        numpy.testing.assert_array_equal(rebuilt.by_spec, arrays.by_spec)
 
     def test_selection_identical_after_roundtrip(self):
         from repro.core.optselect import OptSelect

@@ -305,7 +305,8 @@ class TestEq9Oracle:
         overall = OptSelect()._overall_utilities(
             task, task.specializations, DiversifierStats()
         )
-        assert [overall["d"], overall["other"]] == pytest.approx(
+        # Indexed by candidate position: "d" is first, "other" second.
+        assert overall == pytest.approx(
             self.expected[lambda_], rel=1e-15, abs=1e-15
         )
 
