@@ -10,11 +10,15 @@ specialization in memory, so both the
 instead of the seed's unbounded dicts.
 
 The counters (hits / misses / evictions) feed the framework's
-``cache_info()`` and the serving layer's throughput reports.
+``cache_info()`` and the serving layer's throughput reports, and
+:class:`Rollup` is the one rule by which such part reports — per cache,
+shard, replica or index partition — combine into a whole.
 """
 
 from __future__ import annotations
 
+import copy
+import dataclasses
 import threading
 from collections import OrderedDict
 from collections.abc import Callable, Iterable
@@ -23,15 +27,87 @@ from typing import Generic, Iterator, TypeVar
 
 K = TypeVar("K")
 V = TypeVar("V")
+R = TypeVar("R", bound="Rollup")
 
-__all__ = ["CacheStats", "LRUCache"]
+__all__ = ["CacheStats", "LRUCache", "Rollup"]
 
 _MISSING = object()
 
 
+def _values(f: dataclasses.Field, parts: list) -> list:
+    return [getattr(part, f.name) for part in parts]
+
+
+def _concat(f: dataclasses.Field, parts: list, name: str | None):
+    pooled = f.default_factory()  # a bounded deque keeps its bound
+    for values in _values(f, parts):
+        pooled.extend(values)
+    return pooled
+
+
+def _add_buckets(f: dataclasses.Field, parts: list, name: str | None) -> dict:
+    buckets: dict = {}
+    for histogram in _values(f, parts):
+        for bucket, count in histogram.items():
+            buckets[bucket] = buckets.get(bucket, 0) + count
+    return buckets
+
+
+# Field ``metadata`` naming a roll-up rule (see Rollup).
+MAX = {"rollup": lambda f, parts, name: max(_values(f, parts), default=0)}
+CONCAT = {"rollup": _concat}
+BUCKETS = {"rollup": _add_buckets}
+BUSY = {
+    "rollup": lambda f, parts, name: sum(p.busy_seconds or p.seconds for p in parts)
+}
+PARTS = {"rollup": lambda f, parts, name: tuple(parts)}
+PART_COPIES = {"rollup": lambda f, parts, name: tuple(map(copy.deepcopy, parts))}
+EMPTY = {"rollup": lambda f, parts, name: f.default}
+
+
+def named(default: str) -> dict:
+    """Rule of a ``name`` field: ``merge``'s *name*, else *default*."""
+    return {"rollup": lambda f, parts, name: default if name is None else name}
+
+
+class Rollup:
+    """Base of the report dataclasses that roll parts up into a whole.
+
+    ``merge`` combines each field by the rule its ``metadata`` names:
+    :data:`MAX` takes the largest; :data:`CONCAT` pools samples into the
+    field's (bounded) default; :data:`BUCKETS` adds ``{bucket: count}``
+    histograms; :data:`BUSY` sums ``busy_seconds or seconds``;
+    :data:`PARTS` keeps the parts as the breakdown and
+    :data:`PART_COPIES` deep copies of them (a snapshot of mutable
+    parts); :data:`EMPTY` leaves the default; :func:`named` labels the
+    whole.  Every other field sums.  A merged report merges again by the
+    same rule, so roll-ups nest.
+    """
+
+    @classmethod
+    def merge(cls: type[R], parts: Iterable[R], name: str | None = None) -> R:
+        """One report for all of *parts* (any iterable); an empty input
+        yields a well-formed zeroed report."""
+        parts = list(parts)
+        merged = {}
+        for f in dataclasses.fields(cls):
+            rule = f.metadata.get("rollup")
+            merged[f.name] = rule(f, parts, name) if rule else sum(_values(f, parts))
+        return cls(**merged)
+
+
 @dataclass(frozen=True)
-class CacheStats:
-    """Snapshot of one cache's counters."""
+class CacheStats(Rollup):
+    """Snapshot of one cache's counters.
+
+    Every field sums under :meth:`~Rollup.merge`: capacity, occupancy
+    and traffic are additive across the disjoint caches of a cluster, so
+    a merged ``hit_rate`` is the traffic-weighted cluster hit rate.
+
+    >>> a = CacheStats(maxsize=2, size=1, hits=3, misses=1, evictions=0)
+    >>> CacheStats.merge([a, a]).hits
+    6
+    """
 
     maxsize: int
     size: int
@@ -44,28 +120,6 @@ class CacheStats:
         """Hits over lookups; 0.0 before the first lookup."""
         lookups = self.hits + self.misses
         return self.hits / lookups if lookups else 0.0
-
-    @classmethod
-    def merge(cls, stats: Iterable["CacheStats"]) -> "CacheStats":
-        """Aggregate many caches into one cluster-level snapshot.
-
-        Every field sums: the sharded serving layer holds one cache per
-        shard, and capacity, occupancy and traffic counters are all
-        additive across disjoint shards.  ``hit_rate`` of the merged
-        snapshot is then the traffic-weighted cluster hit rate.
-
-        >>> a = CacheStats(maxsize=2, size=1, hits=3, misses=1, evictions=0)
-        >>> CacheStats.merge([a, a]).hits
-        6
-        """
-        stats = list(stats)
-        return cls(
-            maxsize=sum(s.maxsize for s in stats),
-            size=sum(s.size for s in stats),
-            hits=sum(s.hits for s in stats),
-            misses=sum(s.misses for s in stats),
-            evictions=sum(s.evictions for s in stats),
-        )
 
 
 class LRUCache(Generic[K, V]):

@@ -202,14 +202,17 @@ class FrameworkConfig:
 
 @dataclass
 class DiversifiedResult:
-    """Outcome of one query: the final ranking plus full provenance."""
+    """Outcome of one query: the served answer, not its provenance.
+
+    The task behind a ranking (every candidate's surrogate vector and
+    utility row) is not kept; :meth:`DiversificationFramework.build_task`
+    rebuilds it."""
 
     query: str
     ranking: list[str]
     diversified: bool
     baseline: ResultList
     specializations: SpecializationSet
-    task: DiversificationTask | None = None
     algorithm: str = ""
 
     @property
@@ -532,7 +535,6 @@ class DiversificationFramework:
             diversified=True,
             baseline=task.candidates,
             specializations=specializations,
-            task=task,
             algorithm=self.diversifier.name,
         )
 

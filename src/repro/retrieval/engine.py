@@ -36,6 +36,7 @@ from array import array
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 
+from repro.core.cache import BUSY, PARTS, Rollup, named
 from repro.retrieval.analysis import Analyzer
 from repro.retrieval.documents import Document, DocumentCollection
 from repro.retrieval.index import DocumentIndex, ImpactMemo, InvertedIndex
@@ -234,7 +235,7 @@ class MemoryBudget:
 
 
 @dataclasses.dataclass(frozen=True)
-class BuildReport:
+class BuildReport(Rollup):
     """What building one index partition produced and what it costs to hold.
 
     ``seconds`` is the build wall-clock of this partition (of the whole
@@ -249,6 +250,11 @@ class BuildReport:
     ``num_partitions > len(collection)`` regime — contributes a
     well-formed all-zero report carrying its name, exactly like a
     zero-query shard in a merged :class:`ServiceStats`.
+
+    Merging sums the counters and byte estimates (overlapping
+    vocabularies are priced per partition, as each holds them resident)
+    and ``seconds``, which the parallel build overwrites with its
+    scatter/gather wall-clock; ``shards`` keeps the per-partition inputs.
     """
 
     documents: int
@@ -261,9 +267,11 @@ class BuildReport:
     documents_bytes: int = 0
     vector_count: int = 0
     vector_bytes: int = 0
-    name: str = ""
-    busy_seconds: float = 0.0
-    shards: tuple["BuildReport", ...] = ()
+    name: str = dataclasses.field(default="", metadata=named("total"))
+    busy_seconds: float = dataclasses.field(default=0.0, metadata=BUSY)
+    shards: tuple["BuildReport", ...] = dataclasses.field(
+        default=(), metadata=PARTS
+    )
 
     @property
     def total_bytes(self) -> int:
@@ -291,40 +299,6 @@ class BuildReport:
             vocabulary_bytes=memory["vocabulary_bytes"],
             documents_bytes=memory["documents_bytes"],
             name=name,
-        )
-
-    @classmethod
-    def merge(
-        cls, reports: Iterable["BuildReport"], name: str = "total"
-    ) -> "BuildReport":
-        """Collection-level view of per-partition builds.
-
-        Counters and byte estimates sum (partitions hold disjoint
-        documents; overlapping vocabularies are priced per partition,
-        which is what each one actually holds resident).  ``seconds``
-        sums to total build-busy time and ``busy_seconds`` records the
-        same sum explicitly — a caller that measured the scatter/gather
-        wall-clock (the parallel build pipeline does) overwrites
-        ``seconds`` with it, so both times stay readable.  The inputs
-        are kept in ``shards`` for per-partition reporting; an empty
-        input yields a valid zeroed report.
-        """
-        reports = list(reports)
-        busy = sum(r.busy_seconds or r.seconds for r in reports)
-        return cls(
-            documents=sum(r.documents for r in reports),
-            terms=sum(r.terms for r in reports),
-            postings=sum(r.postings for r in reports),
-            tokens=sum(r.tokens for r in reports),
-            seconds=sum(r.seconds for r in reports),
-            postings_bytes=sum(r.postings_bytes for r in reports),
-            vocabulary_bytes=sum(r.vocabulary_bytes for r in reports),
-            documents_bytes=sum(r.documents_bytes for r in reports),
-            vector_count=sum(r.vector_count for r in reports),
-            vector_bytes=sum(r.vector_bytes for r in reports),
-            name=name,
-            busy_seconds=busy,
-            shards=tuple(reports),
         )
 
     def summary(self) -> str:

@@ -925,17 +925,6 @@ class PageCacheStats:
         total = self.hits + self.misses
         return self.hits / total if total else 0.0
 
-    def merge(self, other: "PageCacheStats") -> "PageCacheStats":
-        """Component-wise sum — for rolling shard stats into a cluster."""
-        return PageCacheStats(
-            capacity_bytes=self.capacity_bytes + other.capacity_bytes,
-            resident_bytes=self.resident_bytes + other.resident_bytes,
-            pages=self.pages + other.pages,
-            hits=self.hits + other.hits,
-            misses=self.misses + other.misses,
-            evictions=self.evictions + other.evictions,
-        )
-
 
 class PostingPageCache:
     """A byte-bounded, thread-safe LRU over paged-in posting lists.

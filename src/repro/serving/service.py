@@ -22,14 +22,14 @@ the serving benchmark drive end-to-end.
 
 from __future__ import annotations
 
-import copy
 import time
 from collections import deque
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from repro.core.ambiguity import SpecializationSet
-from repro.core.cache import CacheStats, LRUCache
+from repro.core.cache import BUCKETS, BUSY, CONCAT, EMPTY, MAX, PART_COPIES, PARTS
+from repro.core.cache import CacheStats, LRUCache, Rollup, named
 from repro.core.framework import DiversificationFramework, DiversifiedResult
 from repro.core.task import DiversificationTask
 
@@ -59,7 +59,7 @@ class PreparedQuery:
 
 
 @dataclass(frozen=True)
-class WarmReport:
+class WarmReport(Rollup):
     """What one offline :meth:`DiversificationService.warm` pass did.
 
     ``name`` labels the service that warmed (the shard id when the
@@ -75,6 +75,10 @@ class WarmReport:
     times — larger than the wall-clock when shards warmed concurrently
     (thread/process backends), smaller when the fan-out added routing or
     merge overhead around sequential shards (inline backend).
+
+    Merging sums the counters (shards warm disjoint query partitions)
+    and ``seconds``, which a caller that measured the fan-out overwrites
+    with the wall-clock.
     """
 
     queries: int
@@ -82,9 +86,9 @@ class WarmReport:
     specializations: int
     fetched: int
     seconds: float
-    name: str = ""
-    shards: tuple["WarmReport", ...] = ()
-    busy_seconds: float = 0.0
+    name: str = field(default="", metadata=named("cluster"))
+    shards: tuple["WarmReport", ...] = field(default=(), metadata=PARTS)
+    busy_seconds: float = field(default=0.0, metadata=BUSY)
 
     def summary(self) -> str:
         label = f"[{self.name}] " if self.name else ""
@@ -96,35 +100,6 @@ class WarmReport:
         if self.busy_seconds:
             text += f" busy={self.busy_seconds:.3f}"
         return text
-
-    @classmethod
-    def merge(
-        cls, reports: Iterable["WarmReport"], name: str = "cluster"
-    ) -> "WarmReport":
-        """Cluster-level view of per-shard warm passes.
-
-        Counters sum (shards warm disjoint query partitions).
-        ``seconds`` sums too — total shard-busy time — and
-        ``busy_seconds`` records that same sum explicitly, so a caller
-        that measured the fan-out (the sharded service does) can
-        overwrite ``seconds`` with the wall-clock while the summed
-        per-shard time stays readable next to it.  The inputs are kept
-        in ``shards`` for per-shard reporting.  Accepts any iterable
-        (including a generator); an empty input yields a valid zeroed
-        report.
-        """
-        reports = list(reports)
-        busy = sum(r.busy_seconds or r.seconds for r in reports)
-        return cls(
-            queries=sum(r.queries for r in reports),
-            ambiguous=sum(r.ambiguous for r in reports),
-            specializations=sum(r.specializations for r in reports),
-            fetched=sum(r.fetched for r in reports),
-            seconds=sum(r.seconds for r in reports),
-            name=name,
-            shards=tuple(reports),
-            busy_seconds=busy,
-        )
 
 
 def _percentile(sorted_values: Sequence[float], q: float) -> float:
@@ -160,9 +135,13 @@ def _percentile(sorted_values: Sequence[float], q: float) -> float:
 #: percentile report; counters stay exact forever, the sample slides.
 LATENCY_SAMPLE_SIZE = 4096
 
+#: The ServiceStats fields copied from an engine's ``page_cache_info()``
+#: (``page_hits`` from its ``hits``, and so on).
+PAGE_FIELDS = ("page_hits", "page_misses", "page_evictions", "page_resident_bytes")
+
 
 @dataclass
-class ServiceStats:
+class ServiceStats(Rollup):
     """Online-path counters: volumes, cache effectiveness, latencies.
 
     Counters are exact over the service's lifetime; ``latencies_ms`` is
@@ -170,7 +149,13 @@ class ServiceStats:
     long-running service does not grow with traffic).  ``name`` labels
     the owning service in summaries (the shard id inside a sharded
     deployment); :meth:`merge` rolls per-shard stats into one
-    cluster-level instance.
+    cluster-level instance by the rules declared on the fields.  It sums
+    ``seconds`` to total shard-busy time; a caller that measured the
+    fan-out (the sharded service does) overwrites it with the wall-clock
+    before deriving ``throughput_qps``.  ``shards`` keeps deep copies of
+    the inputs — a snapshot later traffic does not mutate, one entry per
+    shard, idle ones included.  Merging is not synchronised against
+    concurrent writers: read stats between batches for exact numbers.
 
     The batch-formation fields (``batch_sizes`` / ``wait_ms`` /
     ``queue_depth_peak``) belong to the micro-batching front-end
@@ -188,18 +173,22 @@ class ServiceStats:
     #: merged instances only: summed per-shard busy seconds, kept next to
     #: the cluster wall-clock the merging caller writes into ``seconds``
     #: (can exceed it when shards overlap; zero on leaf stats).
-    busy_seconds: float = 0.0
+    busy_seconds: float = field(default=0.0, metadata=BUSY)
     latencies_ms: deque[float] = field(
-        default_factory=lambda: deque(maxlen=LATENCY_SAMPLE_SIZE)
+        default_factory=lambda: deque(maxlen=LATENCY_SAMPLE_SIZE),
+        metadata=CONCAT,
     )
-    name: str = ""         #: label in summaries (shard id when sharded)
+    #: label in summaries (shard id when sharded)
+    name: str = field(default="", metadata=named("cluster"))
     #: histogram of dispatched batch sizes: {size: count of batches}
-    batch_sizes: dict[int, int] = field(default_factory=dict)
+    batch_sizes: dict[int, int] = field(default_factory=dict, metadata=BUCKETS)
     #: sliding sample of per-request queue waits (enqueue → batch close)
     wait_ms: deque[float] = field(
-        default_factory=lambda: deque(maxlen=LATENCY_SAMPLE_SIZE)
+        default_factory=lambda: deque(maxlen=LATENCY_SAMPLE_SIZE),
+        metadata=CONCAT,
     )
-    queue_depth_peak: int = 0  #: deepest the admission queue ever ran
+    #: deepest the admission queue ever ran
+    queue_depth_peak: int = field(default=0, metadata=MAX)
     #: -- replicated serving (zero without a ReplicatedBackend) ----------
     #: hedge copies of a request this replica received
     hedges_fired: int = 0
@@ -219,24 +208,27 @@ class ServiceStats:
     #: estimated bytes of postings resident in the page cache
     page_resident_bytes: int = 0
     #: -- live ingest (zero until apply_updates runs) --------------------
+    # Every shard (and replica) applies every ingest batch to its own
+    # engine copy, so these three agree across a merge's inputs — max,
+    # not sum, is the cluster-level truth.
     #: documents added across every published epoch
-    documents_ingested: int = 0
+    documents_ingested: int = field(default=0, metadata=MAX)
     #: documents removed across every published epoch
-    documents_removed: int = 0
+    documents_removed: int = field(default=0, metadata=MAX)
     #: epochs this service published (or refreshed to, store-backed)
-    epochs_published: int = 0
+    epochs_published: int = field(default=0, metadata=MAX)
     #: specialization result lists dropped by epoch invalidation
     warm_invalidations: int = 0
     #: per-replica breakdown of one shard's merged stats (empty unless
     #: the shard ran replicated).  Replicas are *copies* of one shard —
     #: not partitions of the cluster — so they get their own slot
     #: instead of reusing ``shards``; see :meth:`merge_replicas`.
-    replicas: tuple["ServiceStats", ...] = ()
+    replicas: tuple["ServiceStats", ...] = field(default=(), metadata=EMPTY)
     #: per-shard breakdown of a merged instance (empty on leaf stats).
     #: Every shard of the merging cluster contributes exactly one entry,
     #: including shards that served zero queries — their entries are
     #: well-formed zeroed stats carrying the shard name.
-    shards: tuple["ServiceStats", ...] = ()
+    shards: tuple["ServiceStats", ...] = field(default=(), metadata=PART_COPIES)
 
     def record(self, latency_ms: float, diversified: bool) -> None:
         self.ranked += 1
@@ -284,87 +276,14 @@ class ServiceStats:
         return self.served / self.seconds if self.seconds > 0 else 0.0
 
     @classmethod
-    def merge(
-        cls, stats: Iterable["ServiceStats"], name: str = "cluster"
-    ) -> "ServiceStats":
-        """Roll per-shard stats into one cluster-level ``ServiceStats``.
-
-        Counters sum across shards (their query partitions are
-        disjoint), latency and wait samples concatenate into one bounded
-        sliding sample, batch-size histograms add up, queue depth peaks
-        take the max, and ``seconds`` sums to total shard-busy time.
-        When the shards ran concurrently the cluster wall-clock is
-        shorter than that sum; callers that measured the fan-out
-        themselves (the sharded service does) should overwrite
-        ``seconds`` with the measured wall-clock before deriving
-        ``throughput_qps``.  An empty input yields a valid zeroed
-        summary.  Deep copies of the inputs are kept in ``shards`` (like
-        :meth:`WarmReport.merge`, whose reports are immutable) so
-        per-shard breakdowns survive the roll-up as a *snapshot*: a
-        shard serving more traffic after the merge does not mutate an
-        already-taken cluster summary, and a shard that served zero
-        queries still contributes its well-formed zeroed entry.  Like
-        all stats accounting in this module, merging is not
-        synchronised against concurrent writers — read stats between
-        batches (as the harnesses do) for exact numbers.
-        """
-        stats = list(stats)
-        merged = cls(
-            served=sum(s.served for s in stats),
-            ranked=sum(s.ranked for s in stats),
-            diversified=sum(s.diversified for s in stats),
-            batches=sum(s.batches for s in stats),
-            seconds=sum(s.seconds for s in stats),
-            busy_seconds=sum(s.busy_seconds or s.seconds for s in stats),
-            name=name,
-            queue_depth_peak=max((s.queue_depth_peak for s in stats), default=0),
-            hedges_fired=sum(s.hedges_fired for s in stats),
-            hedges_won=sum(s.hedges_won for s in stats),
-            respawns=sum(s.respawns for s in stats),
-            failovers=sum(s.failovers for s in stats),
-            page_hits=sum(s.page_hits for s in stats),
-            page_misses=sum(s.page_misses for s in stats),
-            page_evictions=sum(s.page_evictions for s in stats),
-            page_resident_bytes=sum(s.page_resident_bytes for s in stats),
-            # Every shard (and replica) applies every ingest batch to its
-            # own engine copy, so the batch counters agree across inputs
-            # — max, not sum, is the cluster-level truth.  Dropped warm
-            # artifacts live in per-shard caches and are genuinely
-            # additive.
-            documents_ingested=max(
-                (s.documents_ingested for s in stats), default=0
-            ),
-            documents_removed=max(
-                (s.documents_removed for s in stats), default=0
-            ),
-            epochs_published=max(
-                (s.epochs_published for s in stats), default=0
-            ),
-            warm_invalidations=sum(s.warm_invalidations for s in stats),
-            shards=tuple(copy.deepcopy(s) for s in stats),
-        )
-        for s in stats:
-            merged.latencies_ms.extend(s.latencies_ms)
-            merged.wait_ms.extend(s.wait_ms)
-            for size, count in s.batch_sizes.items():
-                merged.batch_sizes[size] = merged.batch_sizes.get(size, 0) + count
-        return merged
-
-    @classmethod
     def merge_replicas(
         cls, stats: Iterable["ServiceStats"], name: str = ""
     ) -> "ServiceStats":
-        """Roll one shard's per-replica stats into a shard-level entry.
-
-        Counter semantics are exactly :meth:`merge` — replicas of one
-        shard, like shards of one cluster, sum their counters and pool
-        their samples — but the input snapshots land in ``replicas``
-        instead of ``shards``: replicas are interchangeable copies, not
-        partitions, and keeping the slots distinct lets a shard entry
-        with a replica breakdown nest cleanly inside a later
-        cluster-level :meth:`merge`.  Zero-traffic replicas contribute
-        well-formed zeroed entries, mirroring idle shards.
-        """
+        """Roll one shard's per-replica stats into a shard-level entry:
+        :meth:`merge`, with the input snapshots in ``replicas`` instead of
+        ``shards`` — replicas are interchangeable copies, not partitions,
+        and the distinct slot lets the entry nest inside a cluster merge.
+        Zero-traffic replicas contribute well-formed zeroed entries."""
         merged = cls.merge(stats, name=name)
         merged.replicas, merged.shards = merged.shards, ()
         return merged
@@ -814,10 +733,8 @@ class DiversificationService:
         )
         if callable(page_cache_info):
             info = page_cache_info()
-            self.stats.page_hits = info.hits
-            self.stats.page_misses = info.misses
-            self.stats.page_evictions = info.evictions
-            self.stats.page_resident_bytes = info.resident_bytes
+            for name in PAGE_FIELDS:
+                setattr(self.stats, name, getattr(info, name.removeprefix("page_")))
         return self.stats
 
     def invalidate(self) -> None:

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import dataclasses
 import time
+from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
 
 from repro.core.cache import CacheStats
@@ -44,6 +45,7 @@ from repro.core.framework import DiversificationFramework, DiversifiedResult
 from repro.retrieval.engine import stable_shard
 from repro.serving.backends import ExecutionBackend, make_backend
 from repro.serving.service import (
+    PAGE_FIELDS,
     DiversificationService,
     PreparedQuery,
     ServiceStats,
@@ -138,8 +140,7 @@ class ShardedDiversificationService:
                 raise ValueError("at least one shard service is required")
             for i, service in enumerate(services):
                 if not service.name:
-                    service.name = f"shard{i}"
-                    service.stats.name = service.name
+                    service.rename(f"shard{i}")
             if backend.started:
                 raise ValueError(
                     "pass either pre-built services or a started backend, "
@@ -418,11 +419,7 @@ class ShardedDiversificationService:
         """
         adds = list(add_documents)
         removes = list(remove_doc_ids)
-        local = self._backend.local_services
-        if local is not None:
-            local[0].append_to_store(adds, removes)
-        else:
-            self._backend.invoke(0, "append_to_store", adds, removes)
+        self._backend.invoke(0, "append_to_store", adds, removes)
         return self.apply_updates(adds, removes)
 
     def apply_updates(
@@ -459,21 +456,13 @@ class ShardedDiversificationService:
     def current_epoch(self) -> int:
         """The epoch every shard serves (shards advance in lockstep —
         probe shard 0)."""
-        local = self._backend.local_services
-        if local is not None:
-            return local[0].current_epoch()
         return self._backend.invoke(0, "current_epoch")
 
     # -- maintenance & cluster summaries -----------------------------------------
 
     def invalidate(self) -> None:
         """Drop every shard's cached results and detections."""
-        local = self._backend.local_services
-        if local is not None:
-            for service in local:
-                service.invalidate()
-        else:
-            self._backend.broadcast("invalidate")
+        self._backend.broadcast("invalidate")
 
     def shard_stats(self) -> list[ServiceStats]:
         """Per-shard online stats, in shard order.
@@ -481,43 +470,25 @@ class ShardedDiversificationService:
         In-process shards return their live objects; process-backed
         shards ship snapshots over the boundary.  Every shard appears —
         one that served zero queries contributes a well-formed zeroed
-        entry carrying its name.
-        """
-        local = self._backend.local_services
-        if local is not None:
-            # get_stats() (not .stats) so store-backed shards refresh
-            # their page-cache counters into the returned live objects.
-            return [service.get_stats() for service in local]
-        if self._backend.replicas > 1:
-            return self._replicated_shard_stats()
-        done = self._backend.broadcast("get_stats")
-        return [done[shard] for shard in range(self.num_shards)]
-
-    def _replicated_shard_stats(self) -> list[ServiceStats]:
-        """Per-shard entries carrying per-replica breakdowns.
-
-        Each replica ships its own :class:`ServiceStats` snapshot over
-        the boundary; the routing-layer counters (hedges, respawns,
-        failovers — events a worker cannot see from inside) are stamped
-        onto the replica entries from the backend's
-        ``replication_stats()``, then the replicas roll up into one
-        shard-level entry via :meth:`ServiceStats.merge_replicas`.  A
-        respawned replica's snapshot restarts from zero — its pre-crash
-        traffic died with the old process — while the routing counters
-        accumulate per *slot*, so ``respawns`` stays visible even though
-        the serving counters reset.
+        entry carrying its name.  A replicated shard's entry rolls up its
+        replicas' snapshots (:meth:`ServiceStats.merge_replicas`), each
+        stamped with its slot's routing counters — hedges, respawns,
+        failovers, which a worker cannot see from inside and which
+        survive a respawn that resets the serving counters.
         """
         replication = self._backend.replication_stats()
         entries = []
         for shard in range(self.num_shards):
+            # get_stats() (not .stats) so store-backed shards refresh
+            # their page-cache counters into the returned objects.
             replica_stats = self._backend.invoke_replicas(shard, "get_stats")
-            routing = replication.get(shard)
-            if routing is not None:
-                for replica, snapshot in enumerate(replica_stats):
-                    snapshot.hedges_fired = routing.hedges_fired[replica]
-                    snapshot.hedges_won = routing.hedges_won[replica]
-                    snapshot.respawns = routing.respawns[replica]
-                    snapshot.failovers = routing.failovers[replica]
+            if len(replica_stats) == 1:
+                entries.extend(replica_stats)
+                continue
+            routing = replication[shard]
+            for replica, snapshot in enumerate(replica_stats):
+                for counter in ("hedges_fired", "hedges_won", "respawns", "failovers"):
+                    setattr(snapshot, counter, getattr(routing, counter)[replica])
             entries.append(
                 ServiceStats.merge_replicas(replica_stats, name=f"shard{shard}")
             )
@@ -533,10 +504,19 @@ class ShardedDiversificationService:
         ``busy_seconds`` keeps the summed per-shard busy time next to
         it.  The per-shard breakdown (one entry per shard, zero-query
         shards included) is kept in the merged instance's ``shards``
-        tuple.
+        tuple.  In-process shards that share one engine share its page
+        cache, which then counts once; process workers and replicas each
+        hold their own engine copy, whose counters sum.
         """
-        merged = ServiceStats.merge(self.shard_stats())
+        entries = self.shard_stats()
+        merged = ServiceStats.merge(entries)
         merged.seconds = self._online_seconds
+        local = self._backend.local_services
+        if local is not None:
+            engines = {id(s.framework.engine): e for s, e in zip(local, entries)}
+            pages = ServiceStats.merge(engines.values())
+            for name in PAGE_FIELDS:
+                setattr(merged, name, getattr(pages, name))
         return merged
 
     def get_stats(self) -> ServiceStats:
@@ -554,27 +534,20 @@ class ShardedDiversificationService:
         per-partition index footprints in
         :class:`~repro.retrieval.engine.BuildReport`.
         """
-        done = self._backend.broadcast("warm_memory_estimate")
-        totals: dict[str, int] = {}
-        for shard in range(self.num_shards):
-            for key, value in done[shard].items():
-                totals[key] = totals.get(key, 0) + value
-        return totals
+        totals: Counter[str] = Counter()
+        for estimate in self._backend.broadcast("warm_memory_estimate").values():
+            totals.update(estimate)
+        return dict(totals)
 
     def _merged_cache_info(self, method: str) -> CacheStats:
-        """Merge one cache-info getter across shards — directly for
-        in-process shards, over the backend for process-backed ones.
-        Replicated shards contribute every replica's cache (each holds
-        its own copy of the shard's partition)."""
-        local = self._backend.local_services
-        if local is not None:
-            return CacheStats.merge(getattr(s, method)() for s in local)
-        if self._backend.replicas > 1:
-            infos = []
-            for shard in range(self.num_shards):
-                infos.extend(self._backend.invoke_replicas(shard, method))
-            return CacheStats.merge(infos)
-        return CacheStats.merge(self._backend.broadcast(method).values())
+        """Merge one cache-info getter across shards.  Replicated shards
+        contribute every replica's cache (each holds its own copy of the
+        shard's partition)."""
+        return CacheStats.merge(
+            info
+            for shard in range(self.num_shards)
+            for info in self._backend.invoke_replicas(shard, method)
+        )
 
     def spec_cache_info(self) -> CacheStats:
         """Cluster-merged specialization-cache counters."""

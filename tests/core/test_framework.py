@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 import sys
 
 import pytest
@@ -126,7 +127,9 @@ class TestPipeline:
         assert result.diversified
         assert result.algorithm == "OptSelect"
         assert len(result.ranking) == small_framework.config.k
-        assert result.task is not None
+        assert small_framework.build_task(
+            result.query, result.specializations
+        ) is not None
         assert len(result.specializations) >= 2
 
     def test_unambiguous_query_returns_baseline(self, small_framework):
@@ -139,6 +142,15 @@ class TestPipeline:
     ):
         result = small_framework.diversify_query(ambiguous_topic.query)
         assert set(result.ranking) <= set(result.baseline.doc_ids)
+
+    def test_result_is_an_answer_not_its_task(self, small_framework, small_corpus):
+        """Results fill the result caches and cross process boundaries;
+        the task behind one (every candidate's surrogate vector and
+        utility row) is several times the answer and is not kept."""
+        for topic in small_corpus.topics:
+            result = small_framework.diversify_query(topic.query)
+            assert result.diversified
+            assert len(pickle.dumps(result)) < 8 * 1024
 
     def test_empty_specializations_are_not_diversified(self, small_engine):
         class FakeMiner:
@@ -221,7 +233,8 @@ class TestPipeline:
         )
         result = framework.diversify_query(ambiguous_topic.query)
         assert result.diversified
-        assert result.task.vectors
+        task = framework.build_task(result.query, result.specializations)
+        assert task.vectors
 
     def test_threshold_flows_into_matrix(
         self, small_engine, small_miner, ambiguous_topic
@@ -232,7 +245,8 @@ class TestPipeline:
             config=FrameworkConfig(k=5, candidates=50, spec_results=5, threshold=0.4),
         )
         result = framework.diversify_query(ambiguous_topic.query)
-        assert result.task.utilities.threshold == 0.4
+        task = framework.build_task(result.query, result.specializations)
+        assert task.utilities.threshold == 0.4
 
     def test_algorithms_produce_different_rankings_sometimes(
         self, framework_factory, small_corpus

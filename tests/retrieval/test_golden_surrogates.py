@@ -66,6 +66,7 @@ def compute_golden() -> dict:
         baseline = engine.search(query, TOP)
         vectors = engine.snippet_vectors(query, baseline)
         result = framework.diversify_query(query)
+        task = framework.build_task(query, result.specializations)
         out[query] = {
             "baseline": [[r.doc_id, r.score] for r in baseline],
             "vectors": {
@@ -73,7 +74,7 @@ def compute_golden() -> dict:
                 for doc_id, vector in vectors.items()
             },
             "diversified": [
-                [doc_id, result.task.overall_utility(doc_id)]
+                [doc_id, task.overall_utility(doc_id)]
                 for doc_id in result.ranking
             ],
         }

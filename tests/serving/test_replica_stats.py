@@ -4,12 +4,23 @@ Satellite of the replication PR, mirroring the PR-5 idle-shard pins:
 the new counters (hedges fired/won, respawns, failovers) and the
 per-replica breakdown must survive every merge shape — empty inputs,
 generators, zero-traffic replicas — and nest correctly when a shard
-entry with a replica breakdown later merges into a cluster entry.
+entry with a replica breakdown later merges into a cluster entry.  The
+nesting holds for every report type that merges by the same roll-up
+rule (``repro.core.cache.Rollup``), checked as a property.
 """
 
 from __future__ import annotations
 
-from repro.serving.service import ServiceStats
+import dataclasses
+from collections import deque
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core.cache import CacheStats
+from repro.retrieval.engine import BuildReport
+from repro.serving.service import LATENCY_SAMPLE_SIZE, ServiceStats, WarmReport
 
 
 def make_stats(name, served=0, **counters):
@@ -104,27 +115,103 @@ class TestMergeReplicas:
         assert merged.replicas[0].served == 1
         assert merged.replicas[0].respawns == 0
 
-    def test_nests_inside_a_cluster_merge(self):
-        shard0 = ServiceStats.merge_replicas(
-            [make_stats("shard0/r0", served=4, respawns=1),
-             make_stats("shard0/r1", served=2)],
-            name="shard0",
-        )
-        shard1 = ServiceStats.merge_replicas(
-            [make_stats("shard1/r0"), make_stats("shard1/r1", failovers=3)],
-            name="shard1",
-        )
-        cluster = ServiceStats.merge([shard0, shard1])
-        assert cluster.served == 6
-        assert cluster.respawns == 1
-        assert cluster.failovers == 3
-        assert [s.name for s in cluster.shards] == ["shard0", "shard1"]
-        # The nested replica breakdowns survive the deep copy.
-        assert [r.name for r in cluster.shards[0].replicas] == [
-            "shard0/r0", "shard0/r1",
+
+# -- the roll-up rule, on every report type that uses it --------------------
+
+counts = st.integers(min_value=0, max_value=10_000)
+clocks = st.floats(min_value=0.0, max_value=100.0, allow_nan=False)
+samples = st.lists(clocks, max_size=5)
+
+
+def leaf(cls, **fields):
+    """A part report with every counter drawn and the given extras."""
+    return st.builds(
+        cls,
+        **{
+            f.name: clocks if f.type == "float" else counts
+            for f in dataclasses.fields(cls)
+            if f.type in ("int", "float")
+        },
+        **fields,
+    )
+
+
+names = st.text("abc", min_size=1, max_size=3)
+LEAVES = {
+    CacheStats: leaf(CacheStats),
+    WarmReport: leaf(WarmReport, name=names),
+    BuildReport: leaf(BuildReport, name=names),
+    ServiceStats: leaf(
+        ServiceStats,
+        name=names,
+        latencies_ms=samples.map(lambda xs: deque(xs, maxlen=LATENCY_SAMPLE_SIZE)),
+        wait_ms=samples.map(lambda xs: deque(xs, maxlen=LATENCY_SAMPLE_SIZE)),
+        batch_sizes=st.dictionaries(st.integers(1, 8), st.integers(1, 5)),
+    ),
+}
+BREAKDOWN = {"name", "shards", "replicas"}
+
+
+def rolled_up_fields(report) -> dict:
+    return {
+        f.name: getattr(report, f.name)
+        for f in dataclasses.fields(report)
+        if f.name not in BREAKDOWN
+    }
+
+
+def assert_same_roll_up(got, want):
+    __tracebackhide__ = True
+    for name, value in rolled_up_fields(want).items():
+        if isinstance(value, float):
+            assert getattr(got, name) == pytest.approx(value), name
+        else:
+            assert getattr(got, name) == value, name
+
+
+@st.composite
+def grouped_parts(draw):
+    cls = draw(st.sampled_from(list(LEAVES)))
+    groups = draw(st.lists(st.lists(LEAVES[cls], max_size=4), max_size=4))
+    return cls, groups
+
+
+class TestRollupRule:
+    @settings(max_examples=60, deadline=None)
+    @given(grouped_parts())
+    def test_nested_merge_equals_the_flat_merge(self, drawn):
+        """Merging groups of parts, then the group reports, gives the
+        merge of all the parts — a shard's replica roll-up nests inside
+        the cluster roll-up — and each level keeps its own breakdown."""
+        cls, groups = drawn
+        # A shard entry rolls its replicas up into their own slot.
+        inner = getattr(cls, "merge_replicas", cls.merge)
+        group_reports = [
+            inner(group, name=f"g{i}") for i, group in enumerate(groups)
         ]
-        assert len(cluster.shards[1].replicas) == 2
-        assert cluster.replicas == ()  # cluster level has shards, not replicas
+        nested = cls.merge(group_reports, name="nested")
+        flat = cls.merge([part for group in groups for part in group])
+        assert_same_roll_up(nested, flat)
+        if cls is CacheStats:
+            return
+        assert nested.name == "nested"
+        assert [s.name for s in nested.shards] == [
+            f"g{i}" for i in range(len(groups))
+        ]
+        if cls is ServiceStats:
+            assert nested.replicas == ()
+            assert [
+                [r.name for r in shard.replicas] for shard in nested.shards
+            ] == [[part.name for part in group] for group in groups]
+
+    @pytest.mark.parametrize("cls", list(LEAVES))
+    def test_empty_merge_is_a_wellformed_zeroed_report(self, cls):
+        merged = cls.merge([])
+        for name, value in rolled_up_fields(merged).items():
+            assert not value, name
+        if cls is not CacheStats:
+            assert merged.name == ("total" if cls is BuildReport else "cluster")
+            assert merged.summary()
 
 
 class TestSummaryReporting:

@@ -363,6 +363,22 @@ class TestReplicatedStatsPlumbing:
         assert len(merged.shards) == NUM_SHARDS
         assert all(len(s.replicas) == REPLICAS for s in merged.shards)
 
+    def test_single_replica_shards_report_like_process_shards(
+        self, make_cluster, workload
+    ):
+        """With one copy per shard there is no replica breakdown and no
+        stamping: a shard's entry is its worker's own snapshot."""
+        schedule = FaultSchedule().at(0, 0, 0, Fault(CRASH_ON_SEND))
+        cluster, backend = make_cluster(schedule, replicas=1)
+        cluster.diversify_batch(workload)
+        assert backend.replication_stats()[0].respawns == (1,)
+        per_shard = cluster.shard_stats()
+        assert [s.name for s in per_shard] == [
+            f"shard{i}/r0" for i in range(NUM_SHARDS)
+        ]
+        assert all(s.replicas == () and s.respawns == 0 for s in per_shard)
+        assert sum(s.served for s in per_shard) == len(workload)
+
     def test_cache_info_merges_across_replicas(self, make_cluster, workload):
         cluster, backend = make_cluster()
         cluster.warm(workload)

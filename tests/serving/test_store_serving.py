@@ -245,3 +245,31 @@ class TestPageCacheStatsSurface:
         stats = service.get_stats()
         assert stats.page_hits == stats.page_misses == 0
         assert "pages=" not in stats.summary()
+
+    @pytest.mark.parametrize("backend", ["inline", "thread"])
+    def test_shared_engine_pages_count_once_per_cluster(
+        self, store_path, small_miner, small_corpus, backend
+    ):
+        engine = StoreBackedSearchEngine(store_path)
+        cluster = ShardedDiversificationService.from_factory(
+            lambda shard: DiversificationFramework(
+                engine, small_miner, config=STANDARD_CONFIG
+            ),
+            num_shards=NUM_SHARDS,
+            backend=backend,
+        )
+        try:
+            cluster.diversify_batch(
+                [topic.query for topic in small_corpus.topics]
+            )
+            stats = cluster.cluster_stats()
+        finally:
+            cluster.close()
+        info = engine.page_cache_info()
+        assert info.misses > 0
+        assert (stats.page_hits, stats.page_misses, stats.page_evictions) == (
+            info.hits, info.misses, info.evictions,
+        )
+        assert stats.page_resident_bytes == info.resident_bytes
+        # Each shard entry still reports the engine it reads from.
+        assert [s.page_misses for s in stats.shards] == [info.misses] * NUM_SHARDS
