@@ -19,8 +19,11 @@ Checks, in order:
    ``SCHEMA_VERSION`` quoted there matches the store's;
 6. every backticked dotted path (```repro.core.fast```,
    ```repro.retrieval.index.ImpactMemo```) in either document resolves
-   by import plus ``getattr`` — a deleted symbol cannot outlive its code
-   in the docs;
+   by import plus ``getattr``, and so does every backticked
+   ```Class.member``` (a call's arguments allowed) whose ``Class`` is a
+   public class in ``src/``: a method, property, class attribute or
+   dataclass field counts (:func:`unresolved_members`) — a deleted
+   symbol cannot outlive its code in the docs;
 7. everything in ``src/`` has a caller (:func:`find_orphans`): every
    module, every public top-level name and every package ``__init__``
    re-export is read by a *caller* — a non-``__init__`` module under
@@ -43,6 +46,7 @@ Run from the repository root (CI runs it in the ``docs`` job)::
 from __future__ import annotations
 
 import ast
+import dataclasses
 import importlib
 import os
 import re
@@ -76,6 +80,8 @@ COMMAND_PATTERN = re.compile(r"python -m (repro(?:\.\w+)+)[^\n`|]*")
 FLAG_PATTERN = re.compile(r"(?<![\w-])--[\w-]+")
 
 DOTTED_PATTERN = re.compile(r"`(repro(?:\.\w+)+)`")
+
+MEMBER_PATTERN = re.compile(r"`([A-Z]\w*)\.(\w+)(?:\([^`]*\))?`")
 
 IMPORT_TEXT_PATTERN = re.compile(
     r"from (repro(?:\.\w+)*) import (?:\(([\w\s,]+)\)|([\w ,]+))")
@@ -197,17 +203,65 @@ def resolves(path: str) -> bool:
     return False
 
 
+def public_classes(root: Path) -> dict[str, list[str]]:
+    """Name -> defining modules of every public top-level class of the
+    package under ``root/src``."""
+    classes: dict[str, list[str]] = {}
+    for module, path in src_modules(root).items():
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                classes.setdefault(node.name, []).append(module)
+    return classes
+
+
+def has_member(cls: type, member: str) -> bool:
+    """A method, property, class attribute or dataclass field of *cls*."""
+    return hasattr(cls, member) or (
+        dataclasses.is_dataclass(cls)
+        and member in {field.name for field in dataclasses.fields(cls)}
+    )
+
+
+def unresolved_members(
+    documents: dict[str, str], root: Path = ROOT
+) -> tuple[int, list[str]]:
+    """``(checked, dead)``: how many distinct backticked ``Class.member``
+    names in *documents* name a public ``src/`` class, and those of them
+    no class of that name has."""
+    classes = public_classes(root)
+    names = {
+        (match.group(1), match.group(2), name)
+        for name, text in documents.items()
+        for match in MEMBER_PATTERN.finditer(text)
+        if match.group(1) in classes
+    }
+    dead = sorted(
+        f"{name}: `{cls}.{member}`"
+        for cls, member, name in names
+        if not any(
+            has_member(getattr(importlib.import_module(module), cls), member)
+            for module in classes[cls]
+        )
+    )
+    return len({(cls, member) for cls, member, _ in names}), dead
+
+
 def check_dotted_paths(documents: dict[str, str]) -> int:
-    """Every backticked ``repro.…`` path in *documents* resolves."""
+    """Every backticked ``repro.…`` path and ``Class.member`` name in
+    *documents* resolves; returns how many were checked."""
     paths = {
         (path, name)
         for name, text in documents.items()
         for path in DOTTED_PATTERN.findall(text)
     }
     dead = sorted(f"{name}: `{path}`" for path, name in paths if not resolves(path))
-    if dead:
-        fail("dotted paths that no longer resolve:\n  " + "\n  ".join(dead))
-    return len({path for path, _ in paths})
+    members, dead_members = unresolved_members(documents)
+    if dead or dead_members:
+        fail(
+            "dotted paths and Class.member names that no longer resolve:\n  "
+            + "\n  ".join(dead + dead_members)
+        )
+    return len({path for path, _ in paths}) + members
 
 
 def src_modules(root: Path) -> dict[str, Path]:
@@ -496,8 +550,9 @@ def main() -> None:
         f"check_docs: OK — {len(modules)} documented commands import "
         f"and answer --help with every README flag: {', '.join(modules)}; "
         f"{tables} store schema tables match _SCHEMA_STATEMENTS; "
-        f"{dotted} dotted paths resolve; every src/ module, name and "
-        f"re-export has a caller; imports follow the layer table; every "
+        f"{dotted} dotted paths and Class.member names resolve; every "
+        f"src/ module, name and re-export has a caller; imports follow the "
+        f"layer table; every "
         f"markdown file src/ names exists"
     )
 

@@ -17,9 +17,12 @@ single node is simply the one-partition case.  Every posting carries its
 document's collection-wide *sequence number*, assigned at indexing and
 never moved, so an epoch edits only what it changed.  Everything a query
 reads lives in one immutable, epoch-versioned :class:`EngineSnapshot`, which
-is what makes live ingest (:meth:`SearchEngine.apply_updates`) and
-snapshot-pinned serving (:meth:`SearchEngine.pinned`) available on
-every engine.  Beside it live the placement function
+is what makes snapshot-pinned serving (:meth:`SearchEngine.pinned`)
+available on every engine.  An engine built here in memory is read-only:
+the collection changes only through a store
+(:func:`repro.retrieval.store.append_epoch`), whose attached
+:class:`~repro.retrieval.store.StoreBackedSearchEngine` re-snapshots on
+``refresh()``.  Beside it live the placement function
 (:func:`stable_shard`, :func:`partition_collection`), the per-partition
 build record (:class:`BuildReport`) and the enforced memory limit
 (:class:`MemoryBudget`).
@@ -109,18 +112,6 @@ class ResultList:
     def rank_of(self, doc_id: str) -> int:
         """1-based rank of *doc_id*; raises ``KeyError`` if absent."""
         return self._rank_by_id[doc_id]
-
-    def score_of(self, doc_id: str, default: float = 0.0) -> float:
-        rank = self._rank_by_id.get(doc_id)
-        if rank is None:
-            return default
-        return self.results[rank - 1].score
-
-    def truncate(self, k: int) -> "ResultList":
-        """A new list holding only the top *k* results."""
-        return ResultList(
-            self.query, [(r.doc_id, r.score) for r in self.results[:k]]
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"ResultList(query={self.query!r}, n={len(self)})"
@@ -367,14 +358,13 @@ class EngineSnapshot:
     reads that epoch's impacts, and a publish starts with none.
 
     Partitions post *sequence numbers*: ``doc_ids`` resolves one to its
-    doc_id, and ``next_seq`` is the number the next added document gets.
+    doc_id.
     """
 
     epoch: int
     collection: DocumentCollection
     partitions: tuple[InvertedIndex, ...]
     doc_ids: Mapping[int, str]
-    next_seq: int
     num_documents: int
     total_tokens: int
     average_document_length: float
@@ -410,10 +400,12 @@ class SearchEngine:
     statistics, the ranking — scores included — is the same for every
     partition count.
 
-    Every read goes through one published :class:`EngineSnapshot`;
-    :meth:`apply_updates` (or :meth:`prepare_epoch` + :meth:`publish`)
-    ingests a batch as the next epoch, and :meth:`pinned` keeps a
-    thread's reads on one epoch while a publish lands.
+    Every read goes through one published :class:`EngineSnapshot`, and
+    :meth:`pinned` keeps a thread's reads on one epoch while a publish
+    lands.  This engine never publishes one itself: it serves the
+    collection it was built over.  A store-backed engine
+    (:class:`~repro.retrieval.store.StoreBackedSearchEngine`) publishes
+    each epoch appended to its store when it refreshes.
 
     Parameters
     ----------
@@ -526,12 +518,18 @@ class SearchEngine:
                         f"({self.snippets.window_terms}): its forward rows "
                         "serve the surrogates"
                     )
-        self._snapshot = self._assemble_snapshot(
-            0,
-            collection,
-            partition_indexes,
-            {seq: doc.doc_id for seq, doc in enumerate(collection)},
-            len(collection),
+        num_documents = sum(p.num_documents for p in partition_indexes)
+        total_tokens = sum(p.total_tokens for p in partition_indexes)
+        self._snapshot = EngineSnapshot(
+            epoch=0,
+            collection=collection,
+            partitions=tuple(partition_indexes),
+            doc_ids={seq: doc.doc_id for seq, doc in enumerate(collection)},
+            num_documents=num_documents,
+            total_tokens=total_tokens,
+            average_document_length=(
+                total_tokens / num_documents if num_documents else 0.0
+            ),
         )
 
     def _configure(
@@ -554,32 +552,6 @@ class SearchEngine:
         self._partition_touched = [0] * num_partitions
         self._pin = _Pin()
         self._epoch_lock = threading.RLock()
-
-    @staticmethod
-    def _assemble_snapshot(
-        epoch: int,
-        collection: DocumentCollection,
-        partition_indexes: Sequence[InvertedIndex],
-        doc_ids: dict[int, str],
-        next_seq: int,
-        delta: EpochDelta | None = None,
-    ) -> EngineSnapshot:
-        """Freeze one epoch's views plus its collection-global statistics."""
-        num_documents = sum(p.num_documents for p in partition_indexes)
-        total_tokens = sum(p.total_tokens for p in partition_indexes)
-        return EngineSnapshot(
-            epoch=epoch,
-            collection=collection,
-            partitions=tuple(partition_indexes),
-            doc_ids=doc_ids,
-            next_seq=next_seq,
-            num_documents=num_documents,
-            total_tokens=total_tokens,
-            average_document_length=(
-                total_tokens / num_documents if num_documents else 0.0
-            ),
-            delta=delta or EpochDelta((), (), frozenset(), False),
-        )
 
     @property
     def model(self) -> WeightingModel:
@@ -766,163 +738,6 @@ class SearchEngine:
             for r in results
         }
 
-    def snippet_vectors_batch(
-        self, batch: Mapping[str, ResultList]
-    ) -> dict[str, dict[str, TermVector]]:
-        """Surrogate vectors for many ``{query: ResultList}`` pairs.
-
-        The batched counterpart of :meth:`snippet_vectors` — the serving
-        layer vectorises every specialization list of a query batch in
-        one call.
-        """
-        return {
-            query: self.snippet_vectors(query, results)
-            for query, results in batch.items()
-        }
-
-    # -- live ingest ---------------------------------------------------------------
-
-    def prepare_epoch(
-        self,
-        add_documents: Sequence[Document] = (),
-        remove_doc_ids: Sequence[str] = (),
-    ) -> EngineSnapshot:
-        """Build — off to the side — the snapshot the next epoch publishes.
-
-        Pure with respect to the published snapshot: only the partitions
-        actually touched by the batch are copied and mutated
-        (:meth:`~repro.retrieval.index.InvertedIndex.remove_document` /
-        :meth:`~repro.retrieval.index.InvertedIndex.index_document`);
-        untouched partitions are shared structurally with the current
-        epoch.  Added documents take the next sequence numbers in batch
-        order; no other document's number moves.  The resulting snapshot
-        is identical — global statistics, rankings, scores — to a
-        from-scratch build over the final collection (survivors in their
-        original order, added documents appended in batch order), and its
-        sequence numbers are that build's ordinals up to an
-        order-preserving relabelling, which is the identity gate every
-        ingest test asserts.  Runs on any thread; serving is undisturbed
-        until :meth:`publish`.
-        """
-        with self._epoch_lock:
-            return self._prepare_epoch_locked(add_documents, remove_doc_ids)
-
-    def _prepare_epoch_locked(
-        self,
-        add_documents: Sequence[Document],
-        remove_doc_ids: Sequence[str],
-    ) -> EngineSnapshot:
-        current = self._snapshot
-        adds = list(add_documents)
-        removes = list(remove_doc_ids)
-        if not adds and not removes:
-            raise ValueError("an epoch must change the collection")
-        removed: set[str] = set()
-        for doc_id in removes:
-            if doc_id in removed:
-                raise ValueError(f"duplicate removal: {doc_id!r}")
-            if doc_id not in current.collection:
-                raise ValueError(f"cannot remove unknown doc_id: {doc_id!r}")
-            removed.add(doc_id)
-        fresh: set[str] = set()
-        for document in adds:
-            if document.doc_id in fresh:
-                raise ValueError(f"duplicate doc_id in batch: {document.doc_id!r}")
-            if document.doc_id in current.collection and (
-                document.doc_id not in removed
-            ):
-                raise ValueError(f"duplicate doc_id: {document.doc_id!r}")
-            fresh.add(document.doc_id)
-
-        adds_by_shard: dict[int, list[Document]] = {}
-        for document in adds:
-            shard = stable_shard(document.doc_id, self.num_partitions, self.seed)
-            adds_by_shard.setdefault(shard, []).append(document)
-        removes_by_shard: dict[int, list[str]] = {}
-        for doc_id in removes:
-            shard = stable_shard(doc_id, self.num_partitions, self.seed)
-            removes_by_shard.setdefault(shard, []).append(doc_id)
-
-        collection = DocumentCollection(
-            [d for d in current.collection if d.doc_id not in removed] + adds
-        )
-        partitions = list(current.partitions)
-        seq_of = {
-            document.doc_id: current.next_seq + offset
-            for offset, document in enumerate(adds)
-        }
-        doc_ids = dict(current.doc_ids)
-        # Every term a changed document holds, read off the forward rows.
-        changed_terms: set[str] = set()
-        for shard in sorted(set(adds_by_shard) | set(removes_by_shard)):
-            index = partitions[shard].copy()
-            for doc_id in removes_by_shard.get(shard, ()):
-                changed_terms.update(index.forward_row(doc_id).terms)
-                del doc_ids[index.remove_document(doc_id)]
-            for document in adds_by_shard.get(shard, ()):
-                seq = index.index_document(document, seq_of[document.doc_id])
-                doc_ids[seq] = document.doc_id
-                changed_terms.update(index.forward_row(document.doc_id).terms)
-            partitions[shard] = index
-        prepared = self._assemble_snapshot(
-            current.epoch + 1,
-            collection,
-            partitions,
-            doc_ids,
-            current.next_seq + len(adds),
-        )
-        stats_changed = (
-            prepared.num_documents != current.num_documents
-            or prepared.total_tokens != current.total_tokens
-        )
-        return dataclasses.replace(
-            prepared,
-            delta=EpochDelta(
-                added=tuple(d.doc_id for d in adds),
-                removed=tuple(removes),
-                terms=frozenset(changed_terms),
-                stats_changed=stats_changed,
-            ),
-        )
-
-    def publish(self, prepared: EngineSnapshot) -> int:
-        """Atomically publish *prepared* as the current epoch.
-
-        One reference assignment under the epoch lock: queries pinned to
-        the previous snapshot finish on it untouched, queries arriving
-        after this line see the new epoch in full — there is no state in
-        between.  Refuses a stale preparation (another publish won the
-        race).  Returns the published epoch id.
-        """
-        with self._epoch_lock:
-            if prepared.epoch != self._snapshot.epoch + 1:
-                raise ValueError(
-                    f"stale epoch preparation: prepared epoch "
-                    f"{prepared.epoch} cannot follow published epoch "
-                    f"{self._snapshot.epoch}"
-                )
-            self._snapshot = prepared
-        return prepared.epoch
-
-    def apply_updates(
-        self,
-        add_documents: Sequence[Document] = (),
-        remove_doc_ids: Sequence[str] = (),
-    ) -> EngineSnapshot:
-        """Prepare and publish the next epoch in one call.
-
-        The convenience path for callers without a separate background
-        preparer; serialised against concurrent updates by the epoch
-        lock.  Returns the published snapshot (its ``delta`` drives the
-        serving layer's surgical warm invalidation).
-        """
-        with self._epoch_lock:
-            prepared = self._prepare_epoch_locked(
-                add_documents, remove_doc_ids
-            )
-            self.publish(prepared)
-        return prepared
-
     # -- accounting -------------------------------------------------------------
 
     def set_memory_budget(
@@ -994,18 +809,6 @@ class SearchEngine:
         totals["postings_bytes"] += memo_bytes
         totals["total_bytes"] += memo_bytes
         return dict(totals)
-
-    def build_reports(self) -> list[BuildReport]:
-        """Per-partition :class:`BuildReport` snapshots of the held indexes.
-
-        Build *seconds* are zero — this probes an already-built engine;
-        the parallel build pipeline times each partition where it builds
-        and reports through the same type.
-        """
-        return [
-            BuildReport.from_index(index, 0.0, name=f"partition{shard}")
-            for shard, index in enumerate(self.partitions)
-        ]
 
     def __getstate__(self) -> dict:
         # The pin is thread-local and the epoch lock process-local;

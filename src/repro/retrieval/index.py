@@ -16,8 +16,6 @@ hundred thousand documents.
 
 from __future__ import annotations
 
-import bisect
-import copy
 import itertools
 import sys
 import threading
@@ -123,10 +121,7 @@ class InvertedIndex:
 
     Documents are keyed by **sequence number** (the ordinal of a
     posting): assigned once when a document is indexed, never shifted,
-    never reused.  Removal leaves a hole instead of renumbering, so it
-    touches only the removed document's own postings, and a document
-    indexed later always sorts after every live one — the same relative
-    order a from-scratch build over the survivors would give.
+    never reused, and ascending in indexing order.
 
     Parameters
     ----------
@@ -188,55 +183,6 @@ class InvertedIndex:
                 postings = self._postings[term] = PostingList()
             postings.append(seq, tf)
         return seq
-
-    def _terms_of(self, doc_id: str) -> Iterable[str]:
-        """Terms whose postings may hold *doc_id* (all, without rows)."""
-        return list(self._postings)
-
-    def remove_document(self, doc_id: str) -> int:
-        """Remove *doc_id* and refresh every derived statistic.
-
-        Only posting lists holding the document are edited; every other
-        document keeps its sequence number.  Terms whose last posting was
-        the removed document leave the vocabulary.  Returns the removed
-        document's sequence number, which is never assigned again.
-        """
-        seq = self._ordinal_by_id.pop(doc_id, None)
-        if seq is None:
-            raise ValueError(f"doc_id not indexed: {doc_id!r}")
-        for term in self._terms_of(doc_id):
-            postings = self._postings[term]
-            at = bisect.bisect_left(postings.ordinals, seq)
-            if at == len(postings.ordinals) or postings.ordinals[at] != seq:
-                continue
-            if len(postings.ordinals) == 1:
-                del self._postings[term]
-                continue
-            del postings.ordinals[at]
-            postings.collection_frequency -= postings.tfs.pop(at)
-        del self._doc_ids[seq]
-        self._total_tokens -= self._doc_lengths.pop(seq)
-        return seq
-
-    def copy(self) -> "InvertedIndex":
-        """An independent deep copy (shared analyzer, copied postings).
-
-        The epoch-swap mutates a *copy* of each affected partition while
-        the published snapshot keeps serving the original, so the copy
-        must share no mutable structure with its source.
-        """
-        clone = copy.copy(self)
-        clone._doc_lengths = dict(self._doc_lengths)
-        clone._doc_ids = dict(self._doc_ids)
-        clone._ordinal_by_id = dict(self._ordinal_by_id)
-        clone._postings = {}
-        for term, postings in self._postings.items():
-            copied = PostingList()
-            copied.ordinals = list(postings.ordinals)
-            copied.tfs = list(postings.tfs)
-            copied.collection_frequency = postings.collection_frequency
-            clone._postings[term] = copied
-        return clone
 
     @classmethod
     def from_collection(
@@ -365,10 +311,7 @@ class DocumentIndex(InvertedIndex):
     (:meth:`~repro.retrieval.snippets.SnippetExtractor.analyse_document`);
     the postings are counted from the row's terms and the row is kept by
     doc_id, so surrogates are built at query time without re-analysing
-    document text, and a removal reads the removed document's terms off
-    its row.  Rows follow documents through :meth:`remove_document` and
-    :meth:`copy` — an incrementally maintained index holds the rows a
-    from-scratch build would.
+    document text.
     """
 
     def __init__(self, extractor: SnippetExtractor | None = None) -> None:
@@ -381,19 +324,6 @@ class DocumentIndex(InvertedIndex):
         seq = self.index_terms(document.doc_id, row.terms, seq)
         self._rows[document.doc_id] = row
         return seq
-
-    def _terms_of(self, doc_id: str) -> Iterable[str]:
-        return set(self._rows[doc_id].terms)
-
-    def remove_document(self, doc_id: str) -> int:
-        seq = super().remove_document(doc_id)
-        del self._rows[doc_id]
-        return seq
-
-    def copy(self) -> "DocumentIndex":
-        clone = super().copy()
-        clone._rows = dict(self._rows)  # rows are immutable: shared
-        return clone
 
     def forward_row(self, doc_id: str) -> ForwardRow:
         return self._rows[doc_id]

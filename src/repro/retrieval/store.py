@@ -346,7 +346,9 @@ def write_store(
                 "model": engine.model.name,
                 "store_epoch": snapshot.epoch,
                 "window_terms": engine.snippets.window_terms,
-                "next_seq": snapshot.next_seq,
+                # An in-memory engine is a fresh build: seqs are the
+                # collection positions.
+                "next_seq": len(collection),
             }
             connection.executemany(
                 "INSERT INTO meta (key, value) VALUES (?, ?)",
@@ -1268,11 +1270,14 @@ class StoreBackedSearchEngine(SearchEngine):
     instead of silently serving old data — a *newer* store is fine, the
     respawn simply rehydrates to the latest published epoch.
 
-    Live ingest reaches this engine through :meth:`refresh`, not
-    ``apply_updates``: a writer appends an epoch to the store file
-    (:func:`append_epoch`) and every attached engine re-snapshots from
-    it, re-paging only the postings rows and documents the append
-    actually changed.
+    This is the one engine whose collection changes while it serves: a
+    writer appends an epoch to the store file (:func:`append_epoch`) and
+    every attached engine re-snapshots from it on :meth:`refresh`,
+    re-paging only the postings rows and documents the append actually
+    changed.  A snapshot keeps its epoch's statistics, memoised impacts
+    and cached pages and rows; a read that misses those reads the
+    store's current rows, so a query pinned to an epoch a later append
+    superseded is isolated only as far as its caches reach.
     """
 
     def __init__(
@@ -1366,7 +1371,6 @@ class StoreBackedSearchEngine(SearchEngine):
             ),
             partitions=tuple(partitions),
             doc_ids=self._doc_ids,
-            next_seq=store.next_seq,
             num_documents=num_documents,
             total_tokens=total_tokens,
             average_document_length=(
@@ -1384,8 +1388,10 @@ class StoreBackedSearchEngine(SearchEngine):
         However many epochs behind the engine is, the ``epoch_log`` rows
         in between say what changed, and only that is dropped (see
         :meth:`_attach_snapshot`); the published snapshot's ``delta``
-        covers every epoch skipped, so the serving layer's sweeps are as
-        exact as after an in-memory ``apply_updates``.
+        covers every epoch skipped, so the serving layer's sweeps drop
+        exactly what those epochs changed.  Idempotent under the epoch
+        lock: engines that share this one (in-process shards) may all
+        call it, and only the first advances.
         Returns the (possibly unchanged) published epoch.  Raises
         :class:`StaleEpochError` if the store file moved *backwards* —
         a swapped-in older file — since serving an epoch and then

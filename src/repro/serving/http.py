@@ -43,16 +43,19 @@ Endpoints (base URL ``http://<host>:<port>``):
     results (``limit``/``offset``, or keyset ``cursor`` from the
     previous page's ``next_cursor``).
 ``POST /documents``
-    Live ingest: body is one document object (``{"doc_id", "text",
-    "title"?, "metadata"?}``) or a batch ``{"documents": [...],
-    "remove": [...]}``.  The whole body is applied as ONE epoch — the
-    response names the epoch that includes the change, and every query
-    served afterwards sees either the previous epoch or this one, never
-    a half-applied batch.  Errors: ``404`` removing an unknown doc_id,
-    ``409`` duplicate doc_id.
+    Live ingest into a store-backed service: body is one document object
+    (``{"doc_id", "text", "title"?, "metadata"?}``) or a batch
+    ``{"documents": [...], "remove": [...]}``.  The whole body is
+    appended to the store as ONE epoch — the response names the epoch
+    that includes the change, and every query served afterwards sees
+    either the previous epoch or this one, never a half-applied batch.
+    Errors: ``404`` ``unknown_document`` removing an unknown doc_id,
+    ``409`` ``conflict`` duplicate doc_id, ``409`` ``read_only`` when the
+    service's engine is in memory (it serves the collection it was built
+    over; only a store ingests).
 ``DELETE /documents/{id}``
     Remove one document (an epoch of its own); responds with the epoch
-    that excludes it.
+    that excludes it.  Errors as for ``POST /documents``.
 ``GET /health``
     Liveness plus the currently published ``epoch`` and per-shard
     replica health when the cluster runs a
@@ -84,7 +87,7 @@ from urllib.parse import parse_qs, unquote, urlsplit
 from repro.core.framework import DiversifiedResult
 from repro.retrieval.documents import Document
 from repro.serving.async_service import AsyncDiversificationService, ServiceClosed
-from repro.serving.service import ServiceStats
+from repro.serving.service import ReadOnlyError, ServiceStats
 
 __all__ = [
     "ApiError",
@@ -523,7 +526,7 @@ class DiversificationHTTPServer:
                 epoch = self.service.ingest(
                     add_documents=documents, remove_doc_ids=removals
                 )
-            except ValueError as exc:
+            except (ReadOnlyError, ValueError) as exc:
                 raise _ingest_error(exc) from None
         return {
             "epoch": epoch,
@@ -539,7 +542,7 @@ class DiversificationHTTPServer:
         with self._ingest_lock:
             try:
                 epoch = self.service.ingest(remove_doc_ids=[doc_id])
-            except ValueError as exc:
+            except (ReadOnlyError, ValueError) as exc:
                 raise _ingest_error(exc) from None
         return {"epoch": epoch, "ingested": 0, "removed": 1}
 
@@ -709,9 +712,11 @@ def _validate_document(raw) -> Document:
     return Document(doc_id, text, title=title, metadata=metadata)
 
 
-def _ingest_error(exc: ValueError) -> ApiError:
+def _ingest_error(exc: ReadOnlyError | ValueError) -> ApiError:
     """Map serving-layer ingest rejections onto documented HTTP errors."""
     message = str(exc)
+    if isinstance(exc, ReadOnlyError):
+        return ApiError(409, "read_only", message)
     if "unknown doc_id" in message:
         return ApiError(404, "unknown_document", message)
     if "duplicate" in message or "already stored" in message:

@@ -34,11 +34,22 @@ from repro.core.framework import DiversificationFramework, DiversifiedResult
 from repro.core.task import DiversificationTask
 
 __all__ = [
+    "ReadOnlyError",
     "PreparedQuery",
     "WarmReport",
     "ServiceStats",
     "DiversificationService",
 ]
+
+
+class ReadOnlyError(RuntimeError):
+    """Ingest into a service whose engine is in memory.
+
+    Only a store changes a serving collection: the batch is appended to
+    the store file and every attached engine refreshes.  An engine built
+    in memory serves the collection it was built over.
+    """
+
 
 @dataclass
 class PreparedQuery:
@@ -590,58 +601,37 @@ class DiversificationService:
         add_documents: Sequence = (),
         remove_doc_ids: Sequence[str] = (),
     ) -> int:
-        """Apply one ingest batch and publish the next epoch.
+        """Serve an ingest batch that is already in the store, and
+        publish the epoch that holds it.
 
-        In-memory engines prepare-and-publish the epoch here
-        (:meth:`~repro.retrieval.engine.SearchEngine.apply_updates`);
-        store-backed engines re-attach to the epoch a coordinator already
-        appended to the store file
+        The engine re-attaches to the epoch a coordinator appended to
+        the store file
         (:meth:`~repro.retrieval.store.StoreBackedSearchEngine.refresh`)
-        — the writer appends once, every attached service refreshes.
-        Either way the published snapshot's delta (for a store-backed
-        engine, read off the store's epoch log) then drives the warm
-        invalidation: per-affected-specialization when the batch
-        preserved the collection statistics, every result list when it
-        changed ``N`` or the token total (every cached score embeds
-        both); surrogate vectors of unchanged documents survive both
+        — the writer appends once, every attached service refreshes;
+        services sharing one engine find it current after the first.
+        The published snapshot's delta, read off the store's epoch log,
+        then drives the warm invalidation: per-affected-specialization
+        when the batch preserved the collection statistics, every
+        result list when it changed ``N`` or the token total (every
+        cached score embeds both); surrogate vectors of unchanged
+        documents survive both
         (:meth:`~repro.core.framework.DiversificationFramework.invalidate_affected`).
-        Cached end-to-end results are swept by the same rule.  Returns
-        the epoch that includes the batch.
+        Cached end-to-end results are swept by the same rule.  The batch
+        itself only feeds the ingest counters.  Returns the epoch that
+        includes the batch; :class:`ReadOnlyError` on an in-memory
+        engine.
         """
-        adds = list(add_documents)
-        removes = list(remove_doc_ids)
-        epoch, delta = self._advance_engine(adds, removes)
-        return self._after_epoch(epoch, delta, len(adds), len(removes))
-
-    def _advance_engine(self, adds: list, removes: list[str]):
-        """Make the engine serve the batch; returns ``(epoch, delta)``.
-
-        Split out of :meth:`apply_updates` so a sharded cluster whose
-        shard services *share* one engine object can advance it once and
-        still run every shard's cache sweep (:meth:`_after_epoch`).
-        """
+        self._store_path()
         engine = self.framework.engine
-        if engine.store_path is not None:
-            # Store-backed: the batch was already appended to the store
-            # file (see :meth:`ingest`); re-attach, and the store's epoch
-            # log says what changed.
-            engine.refresh()
-            snapshot = engine.snapshot()
-        else:
-            snapshot = engine.apply_updates(adds, removes)
-        return snapshot.epoch, snapshot.delta
-
-    def _after_epoch(
-        self, epoch: int, delta, added: int, removed: int
-    ) -> int:
-        """Cache sweeps + counters for one published epoch."""
-        dropped = self.framework.invalidate_affected(delta)
-        self._sweep_results(delta)
-        self.stats.documents_ingested += added
-        self.stats.documents_removed += removed
+        engine.refresh()
+        snapshot = engine.snapshot()
+        dropped = self.framework.invalidate_affected(snapshot.delta)
+        self._sweep_results(snapshot.delta)
+        self.stats.documents_ingested += len(add_documents)
+        self.stats.documents_removed += len(remove_doc_ids)
         self.stats.epochs_published += 1
         self.stats.warm_invalidations += dropped
-        return epoch
+        return snapshot.epoch
 
     def ingest(
         self,
@@ -650,12 +640,12 @@ class DiversificationService:
     ) -> int:
         """Coordinator entry point: make the batch durable, then apply.
 
-        For a store-backed engine the batch is first appended to the
-        store file (:meth:`append_to_store`) — exactly once, here — and
-        :meth:`apply_updates` then merely refreshes; replicas receiving
-        the broadcast refresh too, without re-appending.  In-memory
-        engines have no durable side, so this is :meth:`apply_updates`
-        directly.  Returns the epoch that includes the batch.
+        The batch is appended to the engine's store file
+        (:meth:`append_to_store`) — exactly once, here — and
+        :meth:`apply_updates` then refreshes; replicas receiving the
+        broadcast refresh too, without re-appending.  Returns the epoch
+        that includes the batch; :class:`ReadOnlyError` on an in-memory
+        engine, with nothing changed.
         """
         self.append_to_store(add_documents, remove_doc_ids)
         return self.apply_updates(add_documents, remove_doc_ids)
@@ -664,23 +654,31 @@ class DiversificationService:
         self,
         add_documents: Sequence = (),
         remove_doc_ids: Sequence[str] = (),
-    ) -> bool:
+    ) -> None:
         """Append the batch to the engine's store file as its next epoch,
-        analysed with the engine's own analyzer; ``False`` (and nothing
-        written) when the engine is in memory.  The one durable-append
+        analysed with the engine's own analyzer.  The one durable-append
         call site: a service's and a cluster's ingest both come here."""
-        engine = self.framework.engine
-        if engine.store_path is None:
-            return False
         from repro.retrieval.store import append_epoch
 
         append_epoch(
-            engine.store_path,
+            self._store_path(),
             add_documents,
             remove_doc_ids,
-            analyzer=engine.analyzer,
+            analyzer=self.framework.engine.analyzer,
         )
-        return True
+
+    def _store_path(self) -> str:
+        """The engine's store file, where every change to the collection
+        goes; :class:`ReadOnlyError` when the engine is in memory."""
+        path = self.framework.engine.store_path
+        if path is None:
+            raise ReadOnlyError(
+                "this service's engine is in memory and read-only: write "
+                "it to a store with repro.serving.offline.persist_store "
+                "and serve a StoreBackedSearchEngine attached to that "
+                "file to ingest documents"
+            )
+        return path
 
     def current_epoch(self) -> int:
         """Epoch of the engine's currently published snapshot (0 for

@@ -409,13 +409,14 @@ class ShardedDiversificationService:
     ) -> int:
         """Coordinator entry point for one ingest batch.
 
-        When the shards serve from a store file, shard 0 appends the
-        batch to it exactly once
+        Shard 0 appends the batch to the shards' store file exactly once
         (:meth:`DiversificationService.append_to_store`, with its
         engine's analyzer; one replica, never hedged or broadcast); the
         :meth:`apply_updates` broadcast then makes every shard — and
         every replica of every shard — serve the new epoch.  Returns the
-        epoch that includes the batch.
+        epoch that includes the batch; shards over in-memory engines
+        raise :class:`~repro.serving.service.ReadOnlyError` from shard 0
+        before anything changes.
         """
         adds = list(add_documents)
         removes = list(remove_doc_ids)
@@ -427,30 +428,19 @@ class ShardedDiversificationService:
         add_documents: Sequence = (),
         remove_doc_ids: Sequence[str] = (),
     ) -> int:
-        """Apply an (already durable) ingest batch on every shard.
+        """Serve an (already durable) ingest batch on every shard.
 
-        Each shard applies the batch to its own engine copy and sweeps
-        its caches; replicated backends route this to *every* replica
-        (it is in ``REPLICATED_STATE_METHODS``), so no failover can
-        time-travel the collection.  In-process shards commonly *share*
-        one engine object — the engine advances once and every shard
-        still runs its own cache sweep.  Returns the published epoch.
+        Each shard refreshes its engine to the store's latest epoch and
+        sweeps its caches; replicated backends route this to *every*
+        replica (it is in ``REPLICATED_STATE_METHODS``), so no failover
+        can time-travel the collection.  Shards that share one engine
+        object advance it once — the first refresh publishes the epoch,
+        the rest find it current — and each still runs its own sweep.
+        Returns the published epoch.
         """
-        adds = list(add_documents)
-        removes = list(remove_doc_ids)
-        local = self._backend.local_services
-        if local is not None:
-            epochs = []
-            advanced: dict[int, tuple[int, object]] = {}
-            for service in local:
-                key = id(service.framework.engine)
-                if key not in advanced:
-                    advanced[key] = service._advance_engine(adds, removes)
-                epoch, delta = advanced[key]
-                service._after_epoch(epoch, delta, len(adds), len(removes))
-                epochs.append(epoch)
-            return max(epochs)
-        done = self._backend.broadcast("apply_updates", adds, removes)
+        done = self._backend.broadcast(
+            "apply_updates", list(add_documents), list(remove_doc_ids)
+        )
         return max(done[shard] for shard in range(self.num_shards))
 
     def current_epoch(self) -> int:

@@ -21,17 +21,9 @@ class TestResultList:
         with pytest.raises(ValueError):
             ResultList("q", [("a", 1.0), ("a", 0.5)])
 
-    def test_contains_and_score_of(self):
+    def test_contains(self):
         rl = ResultList("q", [("a", 2.0)])
         assert "a" in rl and "b" not in rl
-        assert rl.score_of("a") == 2.0
-        assert rl.score_of("b", default=-1.0) == -1.0
-
-    def test_truncate(self):
-        rl = ResultList("q", [("a", 3.0), ("b", 2.0), ("c", 1.0)])
-        top = rl.truncate(2)
-        assert top.doc_ids == ["a", "b"]
-        assert top.rank_of("b") == 2
 
     def test_iteration_and_len(self):
         rl = ResultList("q", [("a", 1.0), ("b", 0.5)])
@@ -158,12 +150,3 @@ class TestBatchAPIs:
         assert "banana" in vectors["banana"].weights
         assert vectors["apple"].weights != vectors["banana"].weights
         assert vectors["apple"] is not engine.forward_row("d").whole_vector()
-
-    def test_snippet_vectors_batch(self, tiny_collection):
-        engine = SearchEngine(tiny_collection)
-        batch = engine.search_batch(["apple", "fruit"], k=4)
-        vectors = engine.snippet_vectors_batch(batch)
-        assert set(vectors) == {"apple", "fruit"}
-        for query, results in batch.items():
-            assert set(vectors[query]) == set(results.doc_ids)
-            assert vectors[query] == engine.snippet_vectors(query, results)

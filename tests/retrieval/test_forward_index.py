@@ -1,8 +1,8 @@
 """The forward index under mutation and transport.
 
 The rows that serve the surrogates are built once per document and then
-travel: through ``remove_document`` and epoch copies, into pickles, into
-the store's ``documents.forward`` column and back.  Wherever they end up,
+travel: into pickles, into the store's ``documents.forward`` column and
+back, and across the store's epochs.  Wherever they end up,
 they must be the rows a from-scratch build of the final collection holds
 — and the surrogate vectors served from them must be the vectors of the
 re-analysed snippet text (``SnippetExtractor.extract``, the oracle).
@@ -29,7 +29,6 @@ from repro.retrieval.store import (
     append_epoch,
     write_store,
 )
-from tests.retrieval.search_oracle import assert_same_order
 
 PARTITIONS = 3
 PROBES = ["apple running", "banana fig relational", "cherry", "the of"]
@@ -157,65 +156,17 @@ class TestEngineServesTheOracle:
 
 
 class TestRowsFollowMutation:
-    def test_index_and_remove_document_match_a_rebuild(self):
+    def test_index_document_matches_a_rebuild(self):
         docs = make_docs(12)
         index = DocumentIndex.from_collection(DocumentCollection(docs[:9]))
-        snapshot = index.copy()
-        index.remove_document("d2")
-        index.index_document(docs[9])
-        index.remove_document("d0")
-        index.index_document(docs[2])  # re-ingest: moves to the end
-        index.index_document(docs[10])
-        final = [d for d in docs[:9] if d.doc_id not in {"d2", "d0"}]
-        final += [docs[9], docs[2], docs[10]]
-        rebuilt = DocumentIndex.from_collection(DocumentCollection(final))
-        for document in final:
-            assert index.forward_row(document.doc_id) == rebuilt.forward_row(
-                document.doc_id
-            )
-            assert index.forward_row(document.doc_id).starts == (
-                rebuilt.forward_row(document.doc_id).starts
-            )
-        assert_same_order(
-            {d.doc_id: index.ordinal(d.doc_id) for d in final},
-            {d.doc_id: rebuilt.ordinal(d.doc_id) for d in final},
-        )
-        # The copy taken before the mutations still holds the old rows.
-        assert snapshot.num_documents == 9
-        assert snapshot.forward_row("d2") == DocumentIndex.from_collection(
-            DocumentCollection([docs[2]])
-        ).forward_row("d2")
-
-    def test_prepare_and_publish_match_a_rebuild(self):
-        docs = make_docs(30)
-        engine = SearchEngine(
-            DocumentCollection(docs[:24]), num_partitions=PARTITIONS
-        )
-        before = engine.snapshot()
-        prepared = engine.prepare_epoch(docs[24:27], ["d1", "d7"])
-        engine.publish(prepared)
-        engine.apply_updates(docs[27:] + [docs[1]], ["d24"])
-        final = [d for d in docs[:24] if d.doc_id not in {"d1", "d7"}]
-        final += docs[25:27] + docs[27:] + [docs[1]]
-        rebuilt = SearchEngine(
-            DocumentCollection(final), num_partitions=PARTITIONS
-        )
-        assert engine.collection.doc_ids == rebuilt.collection.doc_ids
-        assert rows_of(engine) == rows_of(rebuilt)
-        assert starts_of(engine) == starts_of(rebuilt)
-        assert vectors_of(engine) == vectors_of(rebuilt)
-        # The delta's terms are read off the rows: every term of every
-        # changed document.
-        assert prepared.delta.terms == {
-            term
-            for document in docs[24:27] + [docs[1], docs[7]]
-            for term in engine.analyzer.analyze(document.full_text)
-        }
-        # A reader pinned to the old epoch still reads the old rows.
-        with engine.pinned(before):
-            assert engine.forward_row("d7") == rows_of(
-                SearchEngine(DocumentCollection([docs[7]]))
-            )["d7"]
+        for document in docs[9:]:
+            index.index_document(document)
+        rebuilt = DocumentIndex.from_collection(DocumentCollection(docs))
+        for document in docs:
+            row = index.forward_row(document.doc_id)
+            assert row == rebuilt.forward_row(document.doc_id)
+            assert row.starts == rebuilt.forward_row(document.doc_id).starts
+        assert index.members() == rebuilt.members()
 
     def test_append_epoch_and_refresh_match_a_rebuild(self, tmp_path):
         docs = make_docs(30)
@@ -228,6 +179,7 @@ class TestRowsFollowMutation:
         )
         live = StoreBackedSearchEngine(path)
         warmed = vectors_of(live)  # fill the document LRU before the appends
+        before = live.snapshot()
         append_epoch(path, docs[24:27], ["d1", "d7"])
         append_epoch(path, docs[27:] + [docs[1]], ["d24"])
         assert live.refresh() == 2
@@ -241,6 +193,18 @@ class TestRowsFollowMutation:
         assert starts_of(live) == starts_of(rebuilt)
         assert vectors_of(live) == vectors_of(rebuilt) != warmed
         assert vectors_of(live) == oracle_vectors_of(live)
+        # The delta's terms are read off the rows: every term of every
+        # changed document.
+        assert live.snapshot().delta.terms == {
+            term
+            for document in docs[24:] + [docs[1], docs[7]]
+            for term in live.analyzer.analyze(document.full_text)
+        }
+        # A reader pinned to the old epoch still reads the old rows.
+        with live.pinned(before):
+            assert live.forward_row("d7") == rows_of(
+                SearchEngine(DocumentCollection([docs[7]]))
+            )["d7"]
 
 
 class TestRowsSurviveTransport:

@@ -188,7 +188,10 @@ class TestDegeneratePartitioning:
         engine = SearchEngine(
             tiny_collection, num_partitions=len(tiny_collection) + 4
         )
-        reports = engine.build_reports()
+        reports = [
+            BuildReport.from_index(index, 0.0, name=f"partition{shard}")
+            for shard, index in enumerate(engine.partitions)
+        ]
         merged = BuildReport.merge(reports)
         assert merged.documents == len(tiny_collection)
         assert len(merged.shards) == engine.num_partitions

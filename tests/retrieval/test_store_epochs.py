@@ -186,6 +186,8 @@ class TestAppendEpoch:
             append_epoch(path)
         with pytest.raises(StoreError, match="cannot remove unknown doc_id"):
             append_epoch(path, (), ["ghost"])
+        with pytest.raises(StoreError, match="duplicate removal"):
+            append_epoch(path, (), ["d1", "d1"])
         with pytest.raises(StoreError, match="duplicate doc_id in batch"):
             append_epoch(
                 path, [Document("x", "a b"), Document("x", "c d")], ()
@@ -218,6 +220,29 @@ class TestAppendEpoch:
         assert_engines_identical(live, fresh, PROBES + ["zebra"])
         assert_stores_identical(path, scratch)
 
+    def test_term_leaves_the_vocabulary_with_its_last_posting(self, tmp_path):
+        path = tmp_path / "store.sqlite3"
+        docs = [Document("a", "apple banana"), Document("b", "banana zebra")]
+        build_store(path, docs)
+        engine = StoreBackedSearchEngine(path)
+        try:
+            assert engine.search("zebra", 5).doc_ids == ["b"]
+            append_epoch(path, (), ["b"])
+            engine.refresh()
+            assert len(engine.search("zebra", 5)) == 0
+            assert engine.search("banana", 5).doc_ids == ["a"]
+        finally:
+            engine.close()
+        scratch = tmp_path / "scratch.sqlite3"
+        build_store(scratch, docs[:1])
+        assert_stores_identical(path, scratch)
+        store = IndexStore(path)
+        try:
+            vocabulary = {t for p in range(PARTITIONS) for t in store.vocabulary(p)}
+        finally:
+            store.close()
+        assert "zebra" not in vocabulary and "banana" in vocabulary
+
     def test_reingested_document_gets_a_seq_above_every_live_one(self, tmp_path):
         path = tmp_path / "store.sqlite3"
         build_store(path, make_docs(10))
@@ -228,6 +253,21 @@ class TestAppendEpoch:
             seqs = {d: store.seq_of(d) for d in store.doc_ids()}
             assert seqs["d4"] == 10 == max(seqs.values())
             assert store.next_seq == 11
+        finally:
+            store.close()
+
+    def test_removed_seq_is_never_reissued(self, tmp_path):
+        path = tmp_path / "store.sqlite3"
+        build_store(path, make_docs(4))
+        append_epoch(path, (), ["d3"])
+        append_epoch(path, [Document("n0", "apple")], ())
+        append_epoch(path, (), ["n0"])
+        append_epoch(path, [Document("d3", "fig")], ())
+        store = IndexStore(path)
+        try:
+            seqs = {d: store.seq_of(d) for d in store.doc_ids()}
+            assert seqs == {"d0": 0, "d1": 1, "d2": 2, "d3": 5}
+            assert store.next_seq == 6
         finally:
             store.close()
 

@@ -1,20 +1,25 @@
 """Live ingest through the serving layer: epoch-consistent serving.
 
-The serving-side half of the live-ingest identity gate: after any
-interleaved sequence of ingest batches and queries, a service (single,
-sharded under any backend, replicated through a respawn, or fronted by
-HTTP) must serve results field-identical — rankings *and* baseline
-scores — to a cold service built from scratch over the final
-collection.  The concurrency half is snapshot isolation: a query in
-flight when an epoch publishes returns results consistent with exactly
-one epoch, and its (now stale) result never re-enters the caches.
+Ingest goes through a store: the batch is appended to the store file and
+every attached engine refreshes.  The serving-side half of the
+live-ingest identity gate: after any interleaved sequence of ingest
+batches and queries, a store-backed service (single, sharded under any
+backend, replicated through a respawn, or fronted by HTTP) must serve
+results field-identical — rankings *and* baseline scores — to a cold
+in-memory service built from scratch over the final collection.  The
+concurrency half is snapshot isolation: a query in flight when an epoch
+publishes returns results consistent with exactly one epoch, and its
+(now stale) result never re-enters the caches.  An in-memory service is
+read-only and says so with a typed error.
 """
 
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import json
 import multiprocessing
+import pickle
 import sys
 import threading
 import urllib.error
@@ -25,9 +30,10 @@ import pytest
 from repro.core.framework import DiversificationFramework
 from repro.retrieval.analysis import Analyzer
 from repro.retrieval.documents import Document, DocumentCollection
-from repro.retrieval.engine import ResultList, SearchEngine
+from repro.retrieval.engine import EpochDelta, ResultList, SearchEngine
 from repro.retrieval.store import (
     StoreBackedSearchEngine,
+    append_epoch,
     read_warm_artifacts,
     write_store,
 )
@@ -39,6 +45,7 @@ from repro.serving import (
     ShardedDiversificationService,
     persist_store,
 )
+from repro.serving.service import ReadOnlyError
 
 from tests.conftest import STANDARD_CONFIG
 from tests.retrieval.test_store_epochs import assert_stores_identical
@@ -50,11 +57,6 @@ from .test_http import error_code, get, post
 PARTITIONS = 3
 NUM_SHARDS = 3
 HOLDOUT = 8
-
-needs_fork = pytest.mark.skipif(
-    "fork" not in multiprocessing.get_all_start_methods(),
-    reason="process-backend tests rely on fork inheriting the fixtures",
-)
 
 
 # -- corpus split and identity helpers -------------------------------------------
@@ -109,11 +111,38 @@ def make_engine(docs, num_partitions=PARTITIONS, analyzer=None):
 
 
 def make_service(miner, docs, num_partitions=PARTITIONS):
+    """An in-memory service: the cold reference, and read-only."""
     return DiversificationService(
         DiversificationFramework(
             make_engine(docs, num_partitions), miner, config=STANDARD_CONFIG
         )
     )
+
+
+def make_store_engine(path, docs, num_partitions=PARTITIONS, analyzer=None):
+    """Write *docs* as the store at *path* and attach an engine to it."""
+    write_store(path, make_engine(docs, num_partitions, analyzer=analyzer))
+    return StoreBackedSearchEngine(path, analyzer=analyzer)
+
+
+def make_live_service(path, miner, docs, num_partitions=PARTITIONS):
+    """A service that ingests: its engine is attached to a store at *path*
+    holding *docs*."""
+    return DiversificationService(
+        DiversificationFramework(
+            make_store_engine(path, docs, num_partitions),
+            miner,
+            config=STANDARD_CONFIG,
+        )
+    )
+
+
+def publish(engine, adds=(), removes=()):
+    """Append one epoch to *engine*'s store and refresh onto it; returns
+    the published snapshot."""
+    append_epoch(engine.store_path, adds, removes, analyzer=engine.analyzer)
+    engine.refresh()
+    return engine.snapshot()
 
 
 @pytest.fixture(scope="module")
@@ -142,16 +171,43 @@ def assert_results_equal(got, want):
         assert g.baseline.scores == w.baseline.scores
 
 
+def publish_rebuilt(engine, docs, adds, removed):
+    """Publish *docs* on the in-memory *engine* as its next epoch, built
+    from scratch, with the delta of the batch that produced them (*adds*
+    and the *removed* documents).  A pinned query keeps its whole
+    snapshot; returns the delta."""
+    current = engine.snapshot()
+    fresh = make_engine(docs, engine.num_partitions).snapshot()
+    delta = EpochDelta(
+        added=tuple(d.doc_id for d in adds),
+        removed=tuple(d.doc_id for d in removed),
+        terms=frozenset(
+            term
+            for document in adds + removed
+            for term in engine.analyzer.analyze(document.full_text)
+        ),
+        stats_changed=(fresh.num_documents, fresh.total_tokens)
+        != (current.num_documents, current.total_tokens),
+    )
+    with engine._epoch_lock:
+        engine._snapshot = dataclasses.replace(
+            fresh, epoch=current.epoch + 1, delta=delta
+        )
+    return delta
+
+
 # -- single service --------------------------------------------------------------
 
 
 class TestServiceIngest:
     @pytest.mark.parametrize("num_partitions", [PARTITIONS, 1])
     def test_ingest_identical_to_cold_rebuild(
-        self, small_miner, initial_docs, batches, workload, reference,
-        num_partitions,
+        self, tmp_path, small_miner, initial_docs, batches, workload,
+        reference, num_partitions,
     ):
-        service = make_service(small_miner, initial_docs, num_partitions)
+        service = make_live_service(
+            tmp_path / "live.sqlite3", small_miner, initial_docs, num_partitions
+        )
         service.warm(set(workload))
         service.diversify_batch(workload)  # serve (and cache) epoch 0
         for index, (adds, removes) in enumerate(batches):
@@ -167,12 +223,14 @@ class TestServiceIngest:
         assert stats.documents_removed == sum(len(r) for _, r in batches)
 
     def test_balanced_alien_swap_keeps_warm_state(
-        self, small_miner, initial_docs, workload
+        self, tmp_path, small_miner, initial_docs, workload
     ):
         """A stats-preserving swap whose vocabulary is disjoint from the
         query space invalidates nothing: zero warm drops, and cached
         end-to-end results keep serving as hits."""
-        service = make_service(small_miner, initial_docs)
+        service = make_live_service(
+            tmp_path / "live.sqlite3", small_miner, initial_docs
+        )
         service.warm(set(workload))
         alien = Document("alien0", "zzqa wwxo vvrt")
         service.ingest(add_documents=[alien])  # N changed: wholesale drop
@@ -204,27 +262,69 @@ class TestServiceIngest:
         )
         assert_results_equal(served, fresh.diversify_batch(workload))
 
-    def test_append_to_store_needs_a_store_backed_engine(
+    def test_append_to_store_writes_without_publishing(
         self, tmp_path, small_miner, initial_docs, holdout_docs
     ):
         """``append_to_store`` writes the store's next epoch without
-        publishing it to the serving engine; an in-memory engine has no
-        durable side, so nothing is written and it answers False."""
-        in_memory = make_service(small_miner, initial_docs)
-        assert in_memory.append_to_store(holdout_docs[:1]) is False
-        assert in_memory.current_epoch() == 0
-
+        publishing it to the serving engine."""
         path = tmp_path / "append.sqlite3"
-        write_store(path, make_engine(initial_docs))
-        service = DiversificationService(
-            DiversificationFramework(
-                StoreBackedSearchEngine(path), small_miner,
-                config=STANDARD_CONFIG,
-            )
-        )
-        assert service.append_to_store(holdout_docs[:1]) is True
+        service = make_live_service(path, small_miner, initial_docs)
+        assert service.append_to_store(holdout_docs[:1]) is None
         assert service.current_epoch() == 0  # written, not yet published
         assert StoreBackedSearchEngine(path).epoch == 1
+
+
+class TestReadOnly:
+    """An in-memory engine serves the collection it was built over: every
+    ingest entry point refuses with one typed error naming the way to a
+    store, and changes nothing."""
+
+    def test_every_entry_point_raises_read_only(
+        self, small_miner, initial_docs, holdout_docs, workload
+    ):
+        service = make_service(small_miner, initial_docs)
+        before = service.diversify_batch(workload)
+        calls = (
+            lambda: service.ingest(holdout_docs[:1]),
+            lambda: service.ingest(remove_doc_ids=[initial_docs[0].doc_id]),
+            lambda: service.append_to_store(holdout_docs[:1]),
+            lambda: service.apply_updates(holdout_docs[:1]),
+        )
+        for call in calls:
+            with pytest.raises(ReadOnlyError, match="persist_store") as excinfo:
+                call()
+        assert service.current_epoch() == 0
+        assert service.get_stats().epochs_published == 0
+        assert_results_equal(service.diversify_batch(workload), before)
+        # A process-backed cluster re-raises it from shard 0: it pickles.
+        clone = pickle.loads(pickle.dumps(excinfo.value))
+        assert type(clone) is ReadOnlyError
+        assert str(clone) == str(excinfo.value)
+
+    @pytest.mark.parametrize("backend", BACKEND_NAMES)
+    def test_cluster_raises_it_from_shard_zero(
+        self, small_miner, initial_docs, holdout_docs, backend
+    ):
+        if backend == "process" and "fork" not in (
+            multiprocessing.get_all_start_methods()
+        ):
+            pytest.skip("no fork on this platform")
+        cluster = ShardedDiversificationService.from_factory(
+            lambda shard: DiversificationFramework(
+                make_engine(initial_docs), small_miner, config=STANDARD_CONFIG
+            ),
+            num_shards=2,
+            backend=backend,
+        )
+        try:
+            with pytest.raises(ReadOnlyError, match="persist_store"):
+                cluster.ingest(add_documents=holdout_docs[:1])
+            with pytest.raises(ReadOnlyError, match="persist_store"):
+                cluster.apply_updates(add_documents=holdout_docs[:1])
+            assert cluster.current_epoch() == 0
+            assert cluster.cluster_stats().epochs_published == 0
+        finally:
+            cluster.close()
 
 
 # -- what an epoch keeps: surrogate vectors of unchanged documents ---------------
@@ -237,9 +337,9 @@ def vectors_of(artifact):
 
 class TestRetainedVectors:
     def test_refetch_after_a_stats_change_vectorises_only_what_it_lacks(
-        self, small_miner, initial_docs, workload
+        self, tmp_path, small_miner, initial_docs, workload
     ):
-        engine = make_engine(initial_docs)
+        engine = make_store_engine(tmp_path / "live.sqlite3", initial_docs)
         framework = DiversificationFramework(
             engine, small_miner, config=STANDARD_CONFIG
         )
@@ -255,8 +355,10 @@ class TestRetainedVectors:
         )
         victim = next(d for d in initial_docs if d.doc_id == results.doc_ids[0])
         rewritten = Document(victim.doc_id, victim.text + " zzqa", victim.title)
-        snapshot = engine.apply_updates(
-            [rewritten, Document("alien0", "zzqa wwxo")], [victim.doc_id]
+        snapshot = publish(
+            engine,
+            [rewritten, Document("alien0", "zzqa wwxo")],
+            [victim.doc_id],
         )
         delta = snapshot.delta
         assert delta.stats_changed and victim.doc_id in delta.changed_ids
@@ -309,9 +411,9 @@ class TestRetainedVectors:
             ), query
 
     def test_a_retained_entry_is_a_spec_cache_miss(
-        self, small_miner, initial_docs, ambiguous_topic
+        self, tmp_path, small_miner, initial_docs, ambiguous_topic
     ):
-        engine = make_engine(initial_docs)
+        engine = make_store_engine(tmp_path / "live.sqlite3", initial_docs)
         framework = DiversificationFramework(
             engine, small_miner, config=STANDARD_CONFIG
         )
@@ -319,7 +421,7 @@ class TestRetainedVectors:
         framework.diversify_query(query)
         specs = len(framework.detect(query))
         assert specs and len(framework.export_warm_state()) == specs
-        delta = engine.apply_updates([Document("alien0", "zzqa wwxo")]).delta
+        delta = publish(engine, [Document("alien0", "zzqa wwxo")]).delta
         assert framework.invalidate_affected(delta) == specs
         stats = framework.cache_info()
         assert stats.size == specs  # retained vectors, under the same bound
@@ -331,14 +433,14 @@ class TestRetainedVectors:
         assert framework.cache_info().hits == after.hits + specs
 
     def test_a_fetch_racing_a_sweep_keeps_no_changed_vector(
-        self, small_miner, initial_docs, workload
+        self, tmp_path, small_miner, initial_docs, workload
     ):
         """A fetch that read a retained-vectors entry after epoch 2
         published but before its sweep, and finishes after the sweep,
         would cache the old vector of the document epoch 2 rewrote: it
         is discarded instead, and the next fetch vectorises that
         document afresh."""
-        engine = make_engine(initial_docs)
+        engine = make_store_engine(tmp_path / "live.sqlite3", initial_docs)
         framework = DiversificationFramework(
             engine, small_miner, config=STANDARD_CONFIG
         )
@@ -348,10 +450,10 @@ class TestRetainedVectors:
         framework.prefetch_specializations([spec_query])
         victim = framework.export_warm_state()[spec_query][0].doc_ids[0]
         old = next(d for d in initial_docs if d.doc_id == victim)
-        epoch1 = engine.apply_updates([Document("alien0", "zzqa wwxo")])
+        epoch1 = publish(engine, [Document("alien0", "zzqa wwxo")])
         framework.invalidate_affected(epoch1.delta)  # keeps every vector
         rewritten = Document(victim, f"{old.text} zzqb", old.title)
-        epoch2 = engine.apply_updates([rewritten], [victim])  # not swept yet
+        epoch2 = publish(engine, [rewritten], [victim])  # not swept yet
 
         entered, release = threading.Event(), threading.Event()
         search_batch = engine.search_batch
@@ -387,7 +489,10 @@ class TestRetainedVectors:
         its lists hold, with new text, every epoch.  Afterwards every
         cached list and every cached vector — retained or not — equals
         what the final epoch computes from scratch: no sweep let a
-        vector of a changed document ride along."""
+        vector of a changed document ride along.  Each epoch is a
+        from-scratch build swapped in (:func:`publish_rebuilt`): this
+        gates the framework's sweeps, and a store-backed snapshot is
+        not isolated from a concurrent append yet."""
         engine = make_engine(initial_docs)
         framework = DiversificationFramework(
             engine, small_miner, config=STANDARD_CONFIG
@@ -396,6 +501,7 @@ class TestRetainedVectors:
         for query in queries:
             framework.diversify_query(query)
         texts = {d.doc_id: d for d in initial_docs}
+        docs = list(initial_docs)
         done = threading.Event()
         errors = []
 
@@ -424,10 +530,9 @@ class TestRetainedVectors:
                 ) if held else next(iter(texts))
                 old = texts.pop(victim)
                 texts[victim] = Document(victim, f"{old.text} zz{epoch}", old.title)
-                delta = engine.apply_updates(
-                    [texts[victim], Document(f"alien{epoch}", "zzqa wwxo")],
-                    [victim],
-                ).delta
+                adds = [texts[victim], Document(f"alien{epoch}", "zzqa wwxo")]
+                docs = [d for d in docs if d.doc_id != victim] + adds
+                delta = publish_rebuilt(engine, docs, adds, [old])
                 framework.invalidate_affected(delta)
         finally:
             done.set()
@@ -448,71 +553,100 @@ class TestRetainedVectors:
             )
             assert vectors_of((None, vectors)) == vectors_of((None, fresh))
 
-    def test_store_backed_swap_drops_what_the_in_memory_engine_drops(
+    def test_store_backed_swap_drops_what_the_oracle_delta_drops(
         self, tmp_path, small_miner, initial_docs, workload
     ):
         """A stats-preserving swap read off the store's epoch log is the
-        in-memory engine's delta, so both services drop the same
-        artifacts and results and keep the same vectors."""
-        path = tmp_path / "swap.sqlite3"
-        write_store(path, make_engine(initial_docs))
-        in_memory = make_service(small_miner, initial_docs)
-        stored = DiversificationService(
-            DiversificationFramework(
-                StoreBackedSearchEngine(path), small_miner,
-                config=STANDARD_CONFIG,
-            )
+        oracle's delta: the two changed doc_ids and the union of their
+        analysed terms, computed here.  A twin service swept by that
+        oracle delta drops the same artifacts and results and keeps the
+        same vectors, and both serve the cold rebuild's results."""
+        stored = make_live_service(
+            tmp_path / "swap.sqlite3", small_miner, initial_docs
         )
-        services = (in_memory, stored)
+        twin = make_live_service(
+            tmp_path / "twin.sqlite3", small_miner, initial_docs
+        )
+        services = (stored, twin)
         for service in services:
             service.warm(set(workload))
             service.diversify_batch(workload)
-        held = in_memory.framework.export_warm_state()
+        held = stored.framework.export_warm_state()
         victim_id = next(d for _, (r, _) in held.items() for d in r.doc_ids)
         victim = next(d for d in initial_docs if d.doc_id == victim_id)
-        length = len(Analyzer().analyze(victim.full_text))
+        analyzer = Analyzer()
+        length = len(analyzer.analyze(victim.full_text))
         swap = Document("swap0", " ".join(["qqzb"] * length))
+        oracle = EpochDelta(
+            added=(swap.doc_id,),
+            removed=(victim_id,),
+            terms=frozenset(
+                term
+                for document in (victim, swap)
+                for term in analyzer.analyze(document.full_text)
+            ),
+            stats_changed=False,
+        )
+        twin_engine = twin.framework.engine
+        published = twin_engine.snapshot
+        twin_engine.snapshot = lambda: dataclasses.replace(
+            published(), delta=oracle
+        )
         for service in services:
             assert service.ingest([swap], [victim_id]) == 1
-        deltas = [s.framework.engine.snapshot().delta for s in services]
-        assert deltas[0] == deltas[1] and not deltas[0].stats_changed
+        assert stored.framework.engine.snapshot().delta == oracle
         assert 0 < stored.stats.warm_invalidations == (
-            in_memory.stats.warm_invalidations
+            twin.stats.warm_invalidations
         ) < len(held)
         assert stored.framework.export_warm_state().keys() == (
-            in_memory.framework.export_warm_state().keys()
+            twin.framework.export_warm_state().keys()
         )
-        assert stored.warm_memory_estimate() == in_memory.warm_memory_estimate()
-        assert stored.result_cache_info() == in_memory.result_cache_info()
-        assert_results_equal(
-            stored.diversify_batch(workload), in_memory.diversify_batch(workload)
-        )
-        assert stored.result_cache_info() == in_memory.result_cache_info()
-        stored.framework.engine.close()
+        assert stored.warm_memory_estimate() == twin.warm_memory_estimate()
+        assert stored.result_cache_info() == twin.result_cache_info()
+        cold = make_service(
+            small_miner, apply_to_docs(initial_docs, [([swap], [victim_id])])
+        ).diversify_batch(workload)
+        assert_results_equal(stored.diversify_batch(workload), cold)
+        assert_results_equal(twin.diversify_batch(workload), cold)
+        assert stored.result_cache_info() == twin.result_cache_info()
+        for service in services:
+            service.framework.engine.close()
 
 
 # -- sharded clusters ------------------------------------------------------------
 
 
 class TestShardedIngest:
+    @pytest.mark.parametrize("backend", ["inline", "thread"])
     def test_shared_engine_advances_once(
-        self, small_miner, initial_docs, holdout_docs
+        self, tmp_path, small_miner, initial_docs, holdout_docs, monkeypatch,
+        backend,
     ):
         """In-process shards share one engine object: an ingest batch
-        publishes ONE epoch, while every shard still sweeps its caches
-        and counts the batch."""
-        engine = make_engine(initial_docs)
+        publishes ONE epoch — the first shard's refresh attaches it, the
+        others find the engine current, also when the shards refresh
+        concurrently on threads — while every shard still sweeps its
+        caches and counts the batch."""
+        engine = make_store_engine(tmp_path / "shared.sqlite3", initial_docs)
+        attaches = []
+        attach = engine._attach_snapshot
+        monkeypatch.setattr(
+            engine,
+            "_attach_snapshot",
+            lambda previous: attaches.append(previous) or attach(previous),
+        )
         cluster = ShardedDiversificationService.from_factory(
             lambda shard: DiversificationFramework(
                 engine, small_miner, config=STANDARD_CONFIG
             ),
             num_shards=NUM_SHARDS,
-            backend="inline",
+            backend=backend,
         )
         try:
             epoch = cluster.ingest(add_documents=holdout_docs[:2])
             assert epoch == 1
             assert cluster.current_epoch() == 1
+            assert len(attaches) == 1
             stats = cluster.cluster_stats()
             assert stats.epochs_published == 1  # max-merged, not summed
             assert stats.documents_ingested == 2
@@ -552,15 +686,20 @@ class TestShardedIngest:
 
     @pytest.mark.parametrize("backend", BACKEND_NAMES)
     def test_identity_under_every_backend(
-        self, small_miner, initial_docs, batches, workload, reference, backend
+        self, tmp_path, small_miner, initial_docs, batches, workload,
+        reference, backend,
     ):
         if backend == "process" and "fork" not in (
             multiprocessing.get_all_start_methods()
         ):
             pytest.skip("no fork on this platform")
+        store_path = tmp_path / "cluster.sqlite3"
+        write_store(store_path, make_engine(initial_docs))
         cluster = ShardedDiversificationService.from_factory(
             lambda shard: DiversificationFramework(
-                make_engine(initial_docs), small_miner, config=STANDARD_CONFIG
+                StoreBackedSearchEngine(store_path),
+                small_miner,
+                config=STANDARD_CONFIG,
             ),
             num_shards=NUM_SHARDS,
             backend=backend,
@@ -665,7 +804,7 @@ class TestReplicatedIngest:
 
 class TestPublishRace:
     def test_in_flight_query_serves_exactly_one_epoch(
-        self, small_miner, initial_docs, topic_queries
+        self, tmp_path, small_miner, initial_docs, topic_queries
     ):
         """A query mid-flight when an epoch publishes returns results
         consistent with the epoch it pinned — and its stale result is
@@ -677,7 +816,9 @@ class TestPublishRace:
             small_miner, list(initial_docs) + [alien]
         ).diversify(target)
 
-        service = make_service(small_miner, initial_docs)
+        service = make_live_service(
+            tmp_path / "race.sqlite3", small_miner, initial_docs
+        )
         engine = service.framework.engine
         original = engine.search
         entered, release = threading.Event(), threading.Event()
@@ -717,10 +858,12 @@ class TestPublishRace:
 
 class TestAsyncEpochConsistency:
     def test_each_window_serves_one_epoch(
-        self, small_miner, initial_docs, holdout_docs, topic_queries
+        self, tmp_path, small_miner, initial_docs, holdout_docs, topic_queries
     ):
         queries = topic_queries[:3]
-        service = make_service(small_miner, initial_docs)
+        service = make_live_service(
+            tmp_path / "async.sqlite3", small_miner, initial_docs
+        )
         backend = RecordingBackend(service)
         ref_epoch0 = make_service(
             small_miner, initial_docs
@@ -775,10 +918,13 @@ def delete(url: str) -> tuple[int, dict]:
 
 
 @pytest.fixture()
-def ingest_server(small_miner, initial_docs):
-    service = make_service(small_miner, initial_docs)
+def ingest_server(tmp_path, small_miner, initial_docs):
+    service = make_live_service(
+        tmp_path / "http.sqlite3", small_miner, initial_docs
+    )
     with DiversificationHTTPServer(service) as srv:
         yield srv
+    service.framework.engine.close()
 
 
 class TestHTTPIngest:
@@ -833,3 +979,22 @@ class TestHTTPIngest:
         assert (status, error_code(body)) == (422, "invalid_document")
         status, body = get(f"{url}/documents")
         assert status == 405
+
+    def test_in_memory_service_answers_read_only(
+        self, small_miner, initial_docs, holdout_docs
+    ):
+        """An in-memory service is read-only: both write endpoints answer
+        409 ``read_only`` naming the way to a store, and the epoch stays."""
+        service = make_service(small_miner, initial_docs)
+        with DiversificationHTTPServer(service) as srv:
+            url = srv.base_url
+            doc = holdout_docs[0]
+            status, body = post(
+                f"{url}/documents", {"doc_id": doc.doc_id, "text": doc.text}
+            )
+            assert (status, error_code(body)) == (409, "read_only")
+            assert "persist_store" in body["error"]["message"]
+            status, body = delete(f"{url}/documents/{initial_docs[0].doc_id}")
+            assert (status, error_code(body)) == (409, "read_only")
+            status, health = get(f"{url}/health")
+            assert (status, health["epoch"]) == (200, 0)

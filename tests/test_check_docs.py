@@ -1,5 +1,6 @@
-"""Tests for the caller, layer-order and markdown rules of
-``scripts/check_docs.py``, each over a tiny package tree in ``tmp_path``."""
+"""Tests for the caller, layer-order, markdown and ``Class.member`` rules
+of ``scripts/check_docs.py``: the tree rules each over a tiny package
+tree in ``tmp_path``, the name rules over this repository's classes."""
 
 from __future__ import annotations
 
@@ -308,6 +309,71 @@ def test_resolves_modules_and_attributes():
     assert check_docs.resolves("repro.retrieval.engine.SearchEngine.search")
     assert not check_docs.resolves("repro.core.no_such_module")
     assert not check_docs.resolves("repro.retrieval.engine.NoSuchName")
+
+
+def test_class_members_of_src_classes_resolve():
+    checked, dead = check_docs.unresolved_members(
+        {
+            "README.md": (
+                "`SearchEngine.search` (a method), `SearchEngine.epoch`"
+                " (a property), `SearchEngine.store_path` (a class"
+                " attribute), `EngineSnapshot.doc_ids` (a dataclass field"
+                " without a default), `StoreBackedSearchEngine.pinned` (an"
+                " inherited method), `SnippetExtractor.extract(query, doc_id,"
+                " text, title)` (a call) and `Table.column` (no src/ class)"
+            ),
+        }
+    )
+    assert (checked, dead) == (6, [])
+
+
+def test_deleted_class_member_is_reported():
+    checked, dead = check_docs.unresolved_members(
+        {
+            "README.md": "`SearchEngine.search` and `SearchEngine.apply_updates()`",
+            "docs/ARCHITECTURE.md": "`DiversificationService._advance_engine`",
+        }
+    )
+    assert checked == 3
+    assert dead == [
+        "README.md: `SearchEngine.apply_updates`",
+        "docs/ARCHITECTURE.md: `DiversificationService._advance_engine`",
+    ]
+
+
+def test_public_classes_are_the_top_level_public_ones(tree):
+    write(
+        tree,
+        "src/repro/low/shapes.py",
+        "class Shape:\n    class Inner:\n        pass\n\n\n"
+        "class _Hidden:\n    pass\n\n\n"
+        "def factory():\n    class Local:\n        pass\n",
+    )
+    write(tree, "src/repro/high/shapes.py", "class Shape:\n    pass\n")
+    assert check_docs.public_classes(tree) == {
+        "Shape": ["repro.high.shapes", "repro.low.shapes"]
+    }
+
+
+def test_a_dead_class_member_fails_the_dotted_path_check(capsys):
+    documents = {"README.md": "`repro.retrieval.engine` and `SearchEngine.search`"}
+    assert check_docs.check_dotted_paths(documents) == 2
+    with pytest.raises(SystemExit):
+        check_docs.check_dotted_paths(
+            {"docs/ARCHITECTURE.md": "`SearchEngine.prepare_epoch`"}
+        )
+    assert "docs/ARCHITECTURE.md: `SearchEngine.prepare_epoch`" in (
+        capsys.readouterr().out
+    )
+
+
+def test_repository_docs_name_only_class_members_that_exist():
+    documents = {
+        name: (check_docs.ROOT / name).read_text(encoding="utf-8")
+        for name in ("README.md", "docs/ARCHITECTURE.md")
+    }
+    checked, dead = check_docs.unresolved_members(documents)
+    assert checked > 0 and dead == []
 
 
 def test_created_table_splits_columns_and_table_clauses():
