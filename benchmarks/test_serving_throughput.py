@@ -1,7 +1,7 @@
 """Serving-layer checks on a realistic Zipf-repeating query stream.
 
 Every serving strategy — the batched service, sharded clusters, the
-process and replicated backends, the async and HTTP front-ends, each
+process backend (one and two replicas per shard), the async and HTTP front-ends, each
 kernel-backed diversifier — may change *how* a stream is served, never
 *what* is served.  Each test below drives one strategy over the same 60–100-query
 Zipf stream and asserts its results identical to the per-query or
@@ -38,7 +38,7 @@ from repro.serving import (
     AsyncDiversificationService,
     DiversificationHTTPServer,
     DiversificationService,
-    ReplicatedBackend,
+    ProcessBackend,
     ShardedDiversificationService,
     persist_store,
     result_payload,
@@ -174,7 +174,7 @@ def test_replicated_kill_shard_identity_smoke(trec_workload):
         donor.close()
 
         engine = StoreBackedSearchEngine(path)
-        backend = ReplicatedBackend(replicas=2)
+        backend = ProcessBackend(replicas=2)
         cluster = ShardedDiversificationService.from_factory(
             dataclasses.replace(factory, engine=engine),
             shards,

@@ -11,9 +11,8 @@
 * :mod:`repro.core.framework` — the end-to-end pipeline.
 * :mod:`repro.core.arrays` / :mod:`repro.core.kernels` /
   :mod:`repro.core.fast` — the dense task representation and the
-  kernel-backed (numpy) variants of all four diversifiers; imported
-  lazily so numpy stays optional.  When numpy is present the framework
-  and serving layer *default* onto the fast kernels
+  kernel-backed (numpy) variants of all four diversifiers.  The
+  framework and serving layer *default* onto the fast kernels
   (:func:`~repro.core.framework.default_diversifier`); the kernels are
   selection-identical to the references, so the default changes speed,
   never rankings.

@@ -23,24 +23,14 @@ serving layer ranking the same task under several configurations — pays
 the densification cost a single time.  Construction is one pass over the
 non-zero utilities, positioned through the rank map the candidate
 :class:`~repro.retrieval.engine.ResultList` already holds.
-
-numpy is an optional dependency: importing this module without numpy
-raises ``ImportError`` with a clear message and the pure-Python
-algorithms keep working.
 """
 
 from __future__ import annotations
 
-try:
-    import numpy as _np
-except ImportError as _exc:  # pragma: no cover - environment dependent
-    raise ImportError(
-        "repro.core.arrays requires numpy; install it or use the pure-Python "
-        "algorithms in repro.core"
-    ) from _exc
-
 from itertools import chain, repeat
 from typing import TYPE_CHECKING
+
+import numpy as _np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.core.task import DiversificationTask

@@ -140,7 +140,7 @@ class LRUCache(Generic[K, V]):
     The cache pickles: entries, recency order and counters round-trip,
     and the lock is recreated on load.  This is what lets a warmed
     framework travel across a process boundary (the
-    :class:`~repro.serving.backends.ProcessBackend` worker protocol) or
+    :class:`~repro.serving.replication.ProcessBackend` worker protocol) or
     be persisted as the index store's ``warm_artifacts`` rows
     (:mod:`repro.retrieval.store`).
 

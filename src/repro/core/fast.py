@@ -25,16 +25,12 @@ inside a rounding window, see :mod:`repro.core.kernels`;
 earlier-insertion-wins in the bounded-heap phase).  The test suite
 asserts equality on randomised tasks and on candidates that share
 identical utility rows.  That
-guarantee is what lets these classes be the library **default**: when
-numpy is importable, :func:`repro.core.framework.default_diversifier`
-returns :class:`FastOptSelect`, so a framework or serving layer built
-without an explicit diversifier runs on the kernels.  The instrumented
-pure-Python references remain what the complexity experiments (Tables 1
-and 2) measure, and what the default falls back to without numpy.
-
-numpy is an optional dependency: importing this module without numpy
-installed raises ``ImportError`` with a clear message, and the rest of
-the library is unaffected.
+guarantee is what lets these classes be the library **default**:
+:func:`repro.core.framework.default_diversifier` returns
+:class:`FastOptSelect`, so a framework or serving layer built without an
+explicit diversifier runs on the kernels.  The instrumented pure-Python
+references remain what the complexity experiments (Tables 1 and 2)
+measure, chosen there with ``use_fast=False``.
 """
 
 from __future__ import annotations

@@ -45,39 +45,19 @@ __all__ = [
     "DiversifiedResult",
     "DiversificationFramework",
     "get_diversifier",
-    "fast_kernels_available",
     "default_diversifier",
 ]
 
 
-def fast_kernels_available() -> bool:
-    """Whether the numpy-backed kernels (:mod:`repro.core.fast`) import.
-
-    The kernels are selection-identical to the pure-Python references, so
-    when this returns True the framework and serving layer default onto
-    them; when numpy is absent everything falls back to the references
-    with no behaviour change beyond speed.
-    """
-    try:
-        import repro.core.fast  # noqa: F401 - probe only
-    except ImportError:
-        return False
-    return True
-
-
 def default_diversifier(use_fast: bool | None = None) -> Diversifier:
-    """The framework's default algorithm: OptSelect, kernel-backed if possible.
+    """The framework's default algorithm: OptSelect on the numpy kernels.
 
-    ``use_fast=None`` (the default) auto-detects numpy and returns
-    :class:`~repro.core.fast.FastOptSelect` when available, else the pure
-    Python :class:`~repro.core.optselect.OptSelect`.  ``True`` demands
-    the kernels (raising ``ImportError`` without numpy), ``False`` pins
-    the instrumented reference.  Both variants produce identical
-    rankings.
+    ``use_fast=None`` (the default) or ``True`` returns
+    :class:`~repro.core.fast.FastOptSelect`; ``False`` pins the
+    instrumented pure-Python :class:`~repro.core.optselect.OptSelect`.
+    Both variants produce identical rankings.
     """
-    if use_fast is None:
-        use_fast = fast_kernels_available()
-    if use_fast:
+    if use_fast or use_fast is None:
         from repro.core.fast import FastOptSelect
 
         return FastOptSelect()
@@ -91,16 +71,14 @@ def get_diversifier(
 
     ``use_fast`` selects the implementation: ``False`` (default) returns
     the instrumented pure-Python reference — what the complexity
-    experiments measure — ``True`` the numpy kernel-backed variant from
-    :mod:`repro.core.fast`, and ``None`` auto-detects numpy.  Either way
-    the ranking is identical; only the constant factor changes.
+    experiments measure — and ``True`` or ``None`` the numpy
+    kernel-backed variant from :mod:`repro.core.fast`.  Either way the
+    ranking is identical; only the constant factor changes.
 
     >>> get_diversifier("xquad").name
     'xQuAD'
     """
-    if use_fast is None:
-        use_fast = fast_kernels_available()
-    if use_fast:
+    if use_fast or use_fast is None:
         from repro.core.fast import get_fast_diversifier
 
         return get_fast_diversifier(name, **kwargs)
@@ -233,12 +211,12 @@ class DiversificationFramework:
     diversifier:
         Algorithm instance; when omitted, :func:`default_diversifier`
         picks OptSelect — kernel-backed
-        (:class:`~repro.core.fast.FastOptSelect`) when numpy is present,
-        the pure-Python reference otherwise.  Both are selection-identical.
+        (:class:`~repro.core.fast.FastOptSelect`) unless ``use_fast`` is
+        ``False``.  Both are selection-identical.
     use_fast:
         Only consulted when *diversifier* is omitted: ``None`` (default)
-        auto-detects numpy, ``True`` requires the fast kernels,
-        ``False`` pins the pure-Python reference.
+        or ``True`` uses the numpy kernels, ``False`` pins the
+        pure-Python reference.
     config:
         Pipeline parameters.
     spec_cache_size:

@@ -21,20 +21,14 @@ left-to-right arithmetic, and the first maximiser wins.  Eq. 9
 outright, and the bounded-retention kernel replicates
 :class:`~repro.core.heaps.BoundedMaxHeap`'s earlier-insertion-wins rule
 with a stable argsort.  That contract is what allows the kernel-backed
-diversifiers to be the framework-wide *default* whenever numpy is
-present (:func:`repro.core.framework.default_diversifier`): swapping the
+diversifiers to be the framework-wide *default*
+(:func:`repro.core.framework.default_diversifier`): swapping the
 kernels in or out changes latency, never a served ranking.
 """
 
 from __future__ import annotations
 
-try:
-    import numpy as _np
-except ImportError as _exc:  # pragma: no cover - environment dependent
-    raise ImportError(
-        "repro.core.kernels requires numpy; install it or use the "
-        "pure-Python algorithms in repro.core"
-    ) from _exc
+import numpy as _np
 
 from repro.core.arrays import TaskArrays
 

@@ -83,9 +83,8 @@ class DiversificationTask:
         )
 
     def __getstate__(self) -> dict:
-        # The dense view is a per-process memo over numpy arrays: heavy
-        # on the wire and useless in a worker without numpy.  Receivers
-        # rebuild it lazily on first kernel use.
+        # The dense view is a per-process memo over numpy arrays, heavy
+        # on the wire.  Receivers rebuild it lazily on first kernel use.
         state = dict(self.__dict__)
         state["_arrays"] = None
         return state

@@ -20,18 +20,18 @@ grows it past one worker:
 * :mod:`~repro.serving.backends` — the execution substrates:
   :class:`~repro.serving.backends.InlineBackend` (ordered sweep, the reference),
   :class:`~repro.serving.backends.ThreadBackend` (GIL-bound fan-out; wins once the numpy
-  kernels dominate) and :class:`~repro.serving.backends.ProcessBackend` (real OS processes
-  with per-worker warm state — the multi-core path).  A shard over a
-  store-backed engine hydrates its warm artifacts from the index store,
-  so worker processes skip re-deriving the offline phase;
-* :mod:`~repro.serving.replication` — R-way shard replication over
-  process workers: a :class:`~repro.serving.replication.ReplicaSet` per shard with routing-aware
-  load balancing (round-robin / least-outstanding), optional hedged
-  requests for tail control, health checks, and automatic
-  respawn-and-rehydrate from the warm store on crash.  Every replica is
-  built by the same deterministic factory, so results stay
-  byte-identical no matter which replica answers — including
-  mid-benchmark kills;
+  kernels dominate) and ``"process"``;
+* :mod:`~repro.serving.replication` — the process backend,
+  :class:`~repro.serving.replication.ProcessBackend`: R OS worker
+  processes per shard (one by default) with per-worker warm state — the
+  multi-core path.  A :class:`~repro.serving.replication.ReplicaSet` per
+  shard routes among its replicas (round-robin / least-outstanding),
+  optionally hedges requests for tail control, and respawns and
+  rehydrates a worker that dies.  A shard over a store-backed engine
+  hydrates its warm artifacts from the index store, so worker processes
+  skip re-deriving the offline phase.  Every replica is built by the
+  same deterministic factory, so results stay byte-identical no matter
+  which replica answers — including mid-benchmark kills;
 * :mod:`~repro.serving.offline` — the partition-parallel offline
   pipeline: :func:`build_partitioned_engine` builds the N inverted-index
   partitions of a
@@ -58,9 +58,8 @@ Every cache is a :class:`~repro.core.cache.LRUCache`, the bounded cache
 shared with the framework and the search engine.
 
 Services built without an explicit diversifier inherit the framework's
-kernel default: selection-identical numpy kernels when numpy is present,
-the pure-Python references otherwise (see
-:func:`repro.core.framework.default_diversifier`).
+default: the numpy kernels, selection-identical to the pure-Python
+references (see :func:`repro.core.framework.default_diversifier`).
 
 See ``examples/quickstart.py`` for the end-to-end flow and ``bench/``
 (``python3 bench/run.py --all``) for the end-to-end measurements.
@@ -70,7 +69,7 @@ from repro.serving.async_service import AsyncDiversificationService
 from repro.serving.backends import BACKEND_NAMES, make_backend
 from repro.serving.http import DiversificationHTTPServer, result_payload
 from repro.serving.offline import build_partitioned_engine, persist_store
-from repro.serving.replication import ReplicatedBackend
+from repro.serving.replication import ProcessBackend
 from repro.serving.service import DiversificationService, WarmReport
 from repro.serving.sharded import ShardedDiversificationService
 
@@ -79,7 +78,7 @@ __all__ = [
     "BACKEND_NAMES",
     "DiversificationHTTPServer",
     "DiversificationService",
-    "ReplicatedBackend",
+    "ProcessBackend",
     "ShardedDiversificationService",
     "WarmReport",
     "build_partitioned_engine",

@@ -98,7 +98,7 @@ class AsyncDiversificationService:
         :class:`~repro.serving.service.DiversificationService` or a
         :class:`~repro.serving.sharded.ShardedDiversificationService`
         (running on any execution backend, including
-        :class:`~repro.serving.backends.ProcessBackend`: its worker
+        :class:`~repro.serving.replication.ProcessBackend`: its worker
         protocol is serialized internally, so dispatching from the
         event loop's executor threads is safe).  The backend's own
         dedup/caching make results identical to a direct batched call

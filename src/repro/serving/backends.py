@@ -13,14 +13,12 @@ out three ways:
 * :class:`ThreadBackend` — the PR-2 behaviour: a lazily created
   ``ThreadPoolExecutor``.  Pays off once the numpy kernels (which
   release the GIL) dominate; parity otherwise.
-* :class:`ProcessBackend` — real OS processes, one pipe-driven worker
-  owning one or more shards.  Each worker *builds its own* shard
-  services from a factory (under ``fork`` the factory is inherited, so
-  closures work; under ``spawn``/``forkserver`` it must pickle), then
-  answers addressed calls ``(shard, method, args)`` until stopped.
-  Results, stats snapshots and warm reports travel back as pickles —
-  which is why the core types (``FrameworkConfig``, specialization sets,
-  tasks, ``LRUCache``, the stats dataclasses) all round-trip cleanly.
+* :class:`~repro.serving.replication.ProcessBackend` — real OS
+  processes: R pipe-driven workers per shard (one by default), each
+  building its own shard service from a factory, with failover and
+  respawn when a worker dies.  It lives in
+  :mod:`repro.serving.replication`, the only module that starts worker
+  processes.
 
 A backend is a shard-addressed RPC surface, not a pool: ``start()``
 builds the shard services, ``invoke_each()`` runs a list of
@@ -32,8 +30,6 @@ owns routing and merging; backends own *where the work runs*.
 from __future__ import annotations
 
 import os
-import threading
-import traceback
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Sequence
 from concurrent.futures import ThreadPoolExecutor
@@ -44,7 +40,6 @@ __all__ = [
     "ExecutionBackend",
     "InlineBackend",
     "ThreadBackend",
-    "ProcessBackend",
     "BACKEND_NAMES",
     "make_backend",
 ]
@@ -59,13 +54,14 @@ class BackendError(RuntimeError):
 
 
 class WorkerDiedError(BackendError):
-    """A worker process/replica died (crash, kill, or hung past its
-    deadline) while it still owed work.
+    """A worker process died (crash, kill, or hung past its deadline)
+    while it still owed work.
 
     Subclasses :class:`BackendError` so existing callers that catch the
-    broad class keep working; carries enough structure — the shards the
-    worker owned, its replica index, and the OS exit code when known —
-    for respawn logic (and tests) to react without parsing the message.
+    broad class keep working; carries enough structure — the one shard
+    the worker served (as ``shards``, a 1-tuple), its replica slot, and
+    the OS exit code when known — for respawn logic (and tests) to react
+    without parsing the message.
     """
 
     def __init__(
@@ -83,7 +79,7 @@ class WorkerDiedError(BackendError):
 
     @property
     def shard(self) -> int | None:
-        """The first (often only) shard the dead worker owned."""
+        """The shard the dead worker served."""
         return self.shards[0] if self.shards else None
 
 
@@ -116,29 +112,29 @@ class ExecutionBackend(ABC):
 
         The sharded service uses this to keep its zero-copy paths (and
         its ``services`` property) on in-process backends; against a
-        :class:`ProcessBackend` every interaction goes through
-        :meth:`invoke_each`.
+        :class:`~repro.serving.replication.ProcessBackend` every
+        interaction goes through :meth:`invoke_each`.
         """
         return None
 
     @property
     def replicas(self) -> int:
-        """Copies of each shard service this backend runs (1 unless the
-        backend replicates — see ``repro.serving.replication``)."""
+        """Copies of each shard service this backend runs (1 unless a
+        process backend was built with ``replicas=R``)."""
         return 1
 
     def invoke_replicas(self, shard: int, method: str, *args) -> list:
         """Run one call on *every* replica of a shard, primary first.
 
-        The single-replica default is just :meth:`invoke` in a list; the
-        replicated backend overrides this so the sharded service can
+        The in-process default is just :meth:`invoke` in a list; the
+        process backend overrides this so the sharded service can
         collect per-replica stats and cache info.
         """
         return [self.invoke(shard, method, *args)]
 
     def replication_stats(self) -> dict:
         """Routing-layer counters per shard (hedges, respawns,
-        failovers) — empty unless the backend replicates."""
+        failovers) — empty on in-process backends."""
         return {}
 
     @abstractmethod
@@ -168,7 +164,7 @@ class ExecutionBackend(ABC):
     def close(self) -> None:
         """Release execution resources (idempotent).  In-process backends
         stay usable afterwards (they fall back to inline sweeps);
-        a closed :class:`ProcessBackend` is gone for good."""
+        a closed process backend is gone for good."""
 
     def _require_started(self) -> None:
         if not self.started:
@@ -274,312 +270,6 @@ class ThreadBackend(_LocalBackend):
             self._pool = None
 
 
-# ---------------------------------------------------------------------------
-# Process backend
-# ---------------------------------------------------------------------------
-
-def check_factory_pickles(service_factory, method: str) -> None:
-    """Fail fast when *method* needs a picklable factory and this one
-    is not — naming the factory protocol instead of letting a raw
-    ``PicklingError`` traceback surface from inside a worker.
-
-    The probe walks the whole object graph (that is what makes it
-    reliable — multiprocessing will pickle the same graph into each
-    worker moments later) but streams into a discarding sink, so a
-    factory closing over a large workload costs one CPU pass, not a
-    resident copy of its serialized bytes.
-    """
-    import pickle
-
-    class _NullSink:
-        def write(self, data) -> int:
-            return len(data)
-
-    try:
-        pickle.Pickler(_NullSink(), pickle.HIGHEST_PROTOCOL).dump(
-            service_factory
-        )
-    except Exception as exc:
-        if type(service_factory).__name__ == "ShardServiceFactory":
-            detail = (
-                "the ShardServiceFactory's framework_factory must "
-                "itself pickle (a module-level callable or a "
-                "picklable dataclass, not a closure/lambda)"
-            )
-        else:
-            detail = (
-                "pass a picklable factory — e.g. a "
-                "ShardServiceFactory wrapping a module-level "
-                "framework factory"
-            )
-        raise BackendError(
-            f"service factory {service_factory!r} does not pickle, "
-            f"but start method {method!r} builds each worker in a "
-            f"fresh interpreter; {detail}, or use "
-            f"start_method='fork' where the platform offers it "
-            f"(pickle error: {exc})"
-        ) from exc
-
-
-def _worker_main(conn, service_factory, shard_ids) -> None:
-    """Worker body: build the owned shards, then serve addressed calls.
-
-    Protocol (all over one duplex pipe, strictly request/reply in order):
-
-    * handshake: ``("ready", None)`` or ``("failed", message)``;
-    * request  : ``(shard, method, args)``; ``None`` means stop;
-    * reply    : ``("ok", result)`` or ``("err", (exception, traceback))``.
-    """
-    try:
-        services = {shard: service_factory(shard) for shard in shard_ids}
-    except BaseException as exc:  # noqa: BLE001 - must reach the parent
-        try:
-            conn.send(("failed", f"{type(exc).__name__}: {exc}"))
-        finally:
-            conn.close()
-        return
-    conn.send(("ready", None))
-    while True:
-        try:
-            message = conn.recv()
-        except (EOFError, OSError):
-            break
-        if message is None:
-            break
-        shard, method, args = message
-        try:
-            result = getattr(services[shard], method)(*args)
-            conn.send(("ok", result))
-        except BaseException as exc:  # noqa: BLE001 - ship it back instead
-            payload = (exc, traceback.format_exc())
-            try:
-                conn.send(("err", payload))
-            except Exception:
-                # The exception itself would not pickle; degrade to repr.
-                conn.send(
-                    ("err", (BackendError(f"{type(exc).__name__}: {exc}"),
-                             traceback.format_exc()))
-                )
-    conn.close()
-
-
-class ProcessBackend(ExecutionBackend):
-    """Shard services in real OS processes — the multi-core fan-out.
-
-    ``start()`` spawns ``min(num_shards, max_workers)`` long-lived
-    workers; shards are assigned round-robin, and each worker builds its
-    own services with the factory, so per-shard warm state (spec caches,
-    result LRUs, stats) lives — and stays — in the worker.  Calls are
-    pipelined: one request per addressed worker goes out before any
-    reply is awaited, so a batch fan-out keeps every core busy.
-
-    Parameters
-    ----------
-    max_workers:
-        Cap on worker processes.  Defaults to one worker per shard (the
-        OS scheduler multiplexes them onto the available cores).
-    start_method:
-        ``multiprocessing`` start method, honoured exactly when given
-        (``"fork"``, ``"spawn"``, ``"forkserver"``; a method the
-        platform does not offer fails at :meth:`start`).  ``None`` uses
-        the *platform default* — ``fork`` on Linux, ``spawn`` on macOS
-        and Windows — instead of forcing ``fork`` wherever it exists:
-        forking a multi-threaded parent is unsafe and emits
-        ``DeprecationWarning`` on Python 3.12+, so the platform's own
-        judgement is the sane default.  Under ``fork`` the factory and
-        its closed-over workload are inherited for free; under
-        ``spawn``/``forkserver`` the factory must pickle, which
-        :meth:`start` verifies *before* spawning anything so a closure
-        factory fails fast with a clear message instead of a raw pickle
-        traceback out of a half-started worker.
-    """
-
-    name = "process"
-
-    def __init__(
-        self,
-        max_workers: int | None = None,
-        start_method: str | None = None,
-    ) -> None:
-        super().__init__()
-        self._max_workers = max_workers
-        self._start_method = start_method
-        self._resolved_start_method: str | None = None
-        self._workers: list = []          # mp.Process, worker order
-        self._conns: list = []            # parent end of each worker pipe
-        self._worker_of: dict[int, int] = {}  # shard -> worker index
-        self._owned: list[list[int]] = []     # worker index -> its shards
-        self._lock = threading.Lock()
-        self._closed = False
-        self._broken = False  # a worker died mid-batch; replies may be lost
-
-    @property
-    def start_method(self) -> str | None:
-        """The effective start method: the explicit one before
-        :meth:`start`, the resolved one (platform default when ``None``
-        was given) afterwards."""
-        return self._resolved_start_method or self._start_method
-
-    def _check_factory_pickles(self, service_factory, method: str) -> None:
-        check_factory_pickles(service_factory, method)
-
-    def start(self, service_factory: Callable[[int], object], num_shards: int) -> None:
-        import multiprocessing as mp
-
-        if num_shards <= 0:
-            raise ValueError("num_shards must be positive")
-        if self.started or self._closed:
-            raise BackendError("ProcessBackend cannot be restarted")
-        if self._start_method is not None:
-            if self._start_method not in mp.get_all_start_methods():
-                raise BackendError(
-                    f"start method {self._start_method!r} is not available "
-                    f"on this platform (offers: "
-                    f"{mp.get_all_start_methods()})"
-                )
-            ctx = mp.get_context(self._start_method)
-        else:
-            ctx = mp.get_context()  # the platform default, not forced fork
-        self._resolved_start_method = ctx.get_start_method()
-        if self._resolved_start_method != "fork":
-            self._check_factory_pickles(
-                service_factory, self._resolved_start_method
-            )
-        workers = min(num_shards, max(1, self._max_workers or num_shards))
-        owned: list[list[int]] = [[] for _ in range(workers)]
-        for shard in range(num_shards):
-            owned[shard % workers].append(shard)
-            self._worker_of[shard] = shard % workers
-        self._owned = owned
-        for index, shard_ids in enumerate(owned):
-            parent_conn, child_conn = ctx.Pipe()
-            process = ctx.Process(
-                target=_worker_main,
-                args=(child_conn, service_factory, shard_ids),
-                name=f"repro-shard-worker-{index}",
-                daemon=True,
-            )
-            process.start()
-            child_conn.close()
-            self._workers.append(process)
-            self._conns.append(parent_conn)
-        # Fail fast: a factory that cannot build (or cannot reach) the
-        # worker surfaces here, not on the first real call.
-        for index, conn in enumerate(self._conns):
-            status, detail = self._recv(index, conn)
-            if status != "ready":
-                message = detail if status == "failed" else f"unexpected {status!r}"
-                self.close()
-                raise BackendError(
-                    f"worker {index} failed to build its shard services: {message}"
-                )
-        self._num_shards = num_shards
-
-    def _dead_worker_error(self, index: int, exc: BaseException) -> WorkerDiedError:
-        code = self._workers[index].exitcode
-        shards = self._owned[index] if index < len(self._owned) else ()
-        named = f" (shards {list(shards)})" if shards else ""
-        return WorkerDiedError(
-            f"shard worker {index}{named} died (exitcode={code}) — "
-            "its shard state is lost; rebuild the cluster",
-            shards=shards,
-            exitcode=code,
-        )
-
-    def _recv(self, index: int, conn) -> tuple:
-        try:
-            return conn.recv()
-        except (EOFError, OSError) as exc:
-            raise self._dead_worker_error(index, exc) from exc
-
-    def _send(self, index: int, message) -> None:
-        try:
-            self._conns[index].send(message)
-        except (BrokenPipeError, OSError) as exc:
-            self._broken = True
-            raise self._dead_worker_error(index, exc) from exc
-
-    def invoke_each(self, calls: Sequence[ShardCall]) -> dict[int, object]:
-        self._require_started()
-        if self._closed:
-            raise BackendError("ProcessBackend is closed")
-        if self._broken:
-            raise BackendError(
-                "ProcessBackend lost a worker mid-batch; rebuild the cluster"
-            )
-        results: dict[int, object] = {}
-        with self._lock:
-            # Pipeline: every worker gets its requests before any reply
-            # is read, so distinct workers run their shards concurrently.
-            per_worker: dict[int, list[ShardCall]] = {}
-            for call in calls:
-                shard = call[0]
-                if shard not in self._worker_of:
-                    raise BackendError(f"unknown shard {shard}")
-                per_worker.setdefault(self._worker_of[shard], []).append(call)
-            # One request outstanding per worker: every worker gets its
-            # first request up front (distinct workers compute
-            # concurrently), and each follow-up is sent only after the
-            # previous reply has been drained.  A worker serves its
-            # shards sequentially anyway, so this loses no parallelism —
-            # and it makes the protocol immune to pipe-buffer deadlock
-            # (send-everything-first can block the parent on a full
-            # request buffer while the worker blocks on a full reply
-            # buffer nobody is reading).
-            for index, worker_calls in per_worker.items():
-                self._send(index, worker_calls[0])
-            # Drain *every* expected reply before surfacing a failure:
-            # leaving a reply buffered would desync the request/reply
-            # protocol and hand the next batch stale data.  Only a dead
-            # worker aborts the drain — its pipe is gone, other pipes
-            # may still hold replies, so the backend poisons itself.
-            failure: tuple[BaseException, BackendError] | None = None
-            for index, worker_calls in per_worker.items():
-                conn = self._conns[index]
-                for position, (shard, method, _args) in enumerate(worker_calls):
-                    try:
-                        status, payload = self._recv(index, conn)
-                    except BackendError:
-                        self._broken = True
-                        raise
-                    if position + 1 < len(worker_calls):
-                        self._send(index, worker_calls[position + 1])
-                    if status == "ok":
-                        results[shard] = payload
-                    elif failure is None:
-                        exc, tb = payload
-                        failure = (
-                            exc,
-                            BackendError(
-                                f"shard {shard} ({method}) failed in "
-                                f"worker {index}:\n{tb}"
-                            ),
-                        )
-            if failure is not None:
-                raise failure[0] from failure[1]
-        return results
-
-    def close(self) -> None:
-        if self._closed:
-            return
-        self._closed = True
-        with self._lock:
-            for conn in self._conns:
-                try:
-                    conn.send(None)
-                except (OSError, BrokenPipeError):
-                    pass
-            for process in self._workers:
-                process.join(timeout=10)
-                if process.is_alive():  # pragma: no cover - stuck worker
-                    process.terminate()
-                    process.join(timeout=5)
-            for conn in self._conns:
-                conn.close()
-            self._workers = []
-            self._conns = []
-
-
 #: The built-in backend names, in "most deterministic first" order.
 BACKEND_NAMES = ("inline", "thread", "process")
 
@@ -595,72 +285,69 @@ def make_backend(
     """Resolve a backend spec — a name, an instance, or ``None``.
 
     ``None`` yields the default :class:`ThreadBackend` (the PR-2
-    behaviour).  An instance passes through untouched, so callers can
-    hand in a pre-configured :class:`ProcessBackend` (custom start
-    method, worker cap) or anything else satisfying the protocol.
-    ``start_method`` configures a :class:`ProcessBackend` built here by
-    name; combining it with any other spec is an error rather than a
-    silent no-op.
+    behaviour), or a process backend when ``replicas > 1``.  An instance
+    passes through untouched, so callers can hand in a pre-configured
+    backend or anything else satisfying the protocol.
 
-    ``replicas > 1`` builds a ``ReplicatedBackend`` — R process workers
-    per shard with failover and respawn (see
-    ``repro.serving.replication``).  Replication only makes sense over
-    process workers (in-process shards share one interpreter, so a
-    "crash" would take every replica with it), so it is valid with
-    ``backend`` of ``None`` or ``"process"`` only; ``policy`` and
-    ``hedge_after_ms`` tune its routing and are rejected without it.
+    ``"process"`` builds a
+    :class:`~repro.serving.replication.ProcessBackend` with ``replicas``
+    workers per shard; ``start_method``, ``policy`` and
+    ``hedge_after_ms`` configure it.  ``max_workers`` sizes the thread
+    pool and is refused with ``"process"`` (which runs one worker per
+    shard replica), as ``start_method`` and replication are refused
+    elsewhere — a contradiction is an error, not a silent no-op.
+    Replication needs process workers: in-process shards share one
+    interpreter, so a "crash" would take every replica with it.
     """
-    if start_method is not None and backend != "process" and replicas <= 1:
-        raise ValueError(
-            f"start_method={start_method!r} only applies to the "
-            f"'process' backend, not {backend!r}"
-        )
-    if replicas > 1:
-        if isinstance(backend, ExecutionBackend):
+    if backend is None:
+        backend = "process" if replicas > 1 else "thread"
+    if isinstance(backend, str) and backend.lower() == "process":
+        if max_workers is not None:
             raise ValueError(
-                "replicas=N configures a backend built here by name; "
-                "pass a configured ReplicatedBackend instance instead"
+                "max_workers sizes the thread backend's pool; the "
+                "'process' backend runs one worker per shard replica"
             )
-        if backend not in (None, "process", "replicated"):
-            raise ValueError(
-                f"replicas={replicas} requires process workers (backend "
-                f"None or 'process', got {backend!r}): in-process shards "
-                "share one interpreter, so replication could not survive "
-                "a crash"
-            )
-        from repro.serving.replication import ReplicatedBackend
+        from repro.serving.replication import ProcessBackend
 
-        return ReplicatedBackend(
+        return ProcessBackend(
             replicas=replicas,
             policy=policy,
             hedge_after_ms=hedge_after_ms,
             start_method=start_method,
         )
+    if isinstance(backend, ExecutionBackend) and replicas > 1:
+        raise ValueError(
+            f"replicas={replicas} configures a backend built here by "
+            f"name, not the instance {backend!r}; pass "
+            f"ProcessBackend(replicas={replicas}) instead"
+        )
+    if start_method is not None:
+        raise ValueError(
+            f"start_method={start_method!r} only applies to the "
+            f"'process' backend, not {backend!r}"
+        )
+    if replicas > 1:
+        raise ValueError(
+            f"replicas={replicas} requires process workers (backend "
+            f"None or 'process', got {backend!r}): in-process shards "
+            "share one interpreter, so replication could not survive "
+            "a crash"
+        )
     if hedge_after_ms is not None:
         raise ValueError("hedge_after_ms requires replicas > 1")
     if policy != "round-robin":
         raise ValueError(f"policy={policy!r} requires replicas > 1")
-    if backend is None:
-        return ThreadBackend(max_workers=max_workers)
     if isinstance(backend, ExecutionBackend):
         return backend
-    if isinstance(backend, str):
-        names = {
-            "inline": InlineBackend,
-            "thread": ThreadBackend,
-            "process": ProcessBackend,
-        }
-        try:
-            factory = names[backend.lower()]
-        except KeyError:
-            raise ValueError(
-                f"unknown backend {backend!r}; choose from {sorted(names)}"
-            ) from None
-        if factory is InlineBackend:
-            return InlineBackend()
-        if factory is ProcessBackend:
-            return ProcessBackend(
-                max_workers=max_workers, start_method=start_method
-            )
-        return factory(max_workers=max_workers)
-    raise TypeError(f"backend must be a name or ExecutionBackend, got {backend!r}")
+    if not isinstance(backend, str):
+        raise TypeError(
+            f"backend must be a name or ExecutionBackend, got {backend!r}"
+        )
+    name = backend.lower()
+    if name == "inline":
+        return InlineBackend()
+    if name == "thread":
+        return ThreadBackend(max_workers=max_workers)
+    raise ValueError(
+        f"unknown backend {backend!r}; choose from {sorted(BACKEND_NAMES)}"
+    )

@@ -1,6 +1,6 @@
 """HTTP serving surface: a stdlib REST front-end over the async service.
 
-Every layer below this one — batched kernels, sharded/replicated
+Every layer below this one — batched kernels, sharded/process
 backends, asyncio micro-batching — still terminates in a Python call.
 This module gives the reproduction a *network* path, in the style of the
 Paper-Scanner API reference (SNIPPETS.md): a documented base URL,
@@ -20,7 +20,7 @@ native asyncio deployment would form.  The wrapped backend is anything
 the async service accepts — a single
 :class:`~repro.serving.service.DiversificationService` or a
 :class:`~repro.serving.sharded.ShardedDiversificationService` on any
-execution backend, including the replicated one.
+execution backend, including the process one.
 
 A reply leaves in one flush of a buffered writer, on a socket with
 ``TCP_NODELAY`` set, so a keep-alive round trip costs its work rather
@@ -52,14 +52,18 @@ Endpoints (base URL ``http://<host>:<port>``):
     Errors: ``404`` ``unknown_document`` removing an unknown doc_id,
     ``409`` ``conflict`` duplicate doc_id, ``409`` ``read_only`` when the
     service's engine is in memory (it serves the collection it was built
-    over; only a store ingests).
+    over; only a store ingests), ``503`` ``write_unconfirmed`` when the
+    worker appending the batch died before confirming it: the batch may
+    or may not be in the store, and every shard already serves whichever
+    epoch the store holds — read ``GET /health``'s ``epoch`` before
+    resending.
 ``DELETE /documents/{id}``
     Remove one document (an epoch of its own); responds with the epoch
     that excludes it.  Errors as for ``POST /documents``.
 ``GET /health``
     Liveness plus the currently published ``epoch`` and per-shard
     replica health when the cluster runs a
-    :class:`~repro.serving.replication.ReplicatedBackend`.
+    :class:`~repro.serving.replication.ProcessBackend`.
 ``GET /stats``
     Merged :class:`~repro.serving.service.ServiceStats` /
     :class:`~repro.core.cache.CacheStats` / replication + ingest
@@ -87,6 +91,7 @@ from urllib.parse import parse_qs, unquote, urlsplit
 from repro.core.framework import DiversifiedResult
 from repro.retrieval.documents import Document
 from repro.serving.async_service import AsyncDiversificationService, ServiceClosed
+from repro.serving.backends import WorkerDiedError
 from repro.serving.service import ReadOnlyError, ServiceStats
 
 __all__ = [
@@ -526,7 +531,7 @@ class DiversificationHTTPServer:
                 epoch = self.service.ingest(
                     add_documents=documents, remove_doc_ids=removals
                 )
-            except (ReadOnlyError, ValueError) as exc:
+            except (ReadOnlyError, ValueError, WorkerDiedError) as exc:
                 raise _ingest_error(exc) from None
         return {
             "epoch": epoch,
@@ -542,7 +547,7 @@ class DiversificationHTTPServer:
         with self._ingest_lock:
             try:
                 epoch = self.service.ingest(remove_doc_ids=[doc_id])
-            except (ReadOnlyError, ValueError) as exc:
+            except (ReadOnlyError, ValueError, WorkerDiedError) as exc:
                 raise _ingest_error(exc) from None
         return {"epoch": epoch, "ingested": 0, "removed": 1}
 
@@ -712,11 +717,17 @@ def _validate_document(raw) -> Document:
     return Document(doc_id, text, title=title, metadata=metadata)
 
 
-def _ingest_error(exc: ReadOnlyError | ValueError) -> ApiError:
+def _ingest_error(exc: ReadOnlyError | ValueError | WorkerDiedError) -> ApiError:
     """Map serving-layer ingest rejections onto documented HTTP errors."""
     message = str(exc)
     if isinstance(exc, ReadOnlyError):
         return ApiError(409, "read_only", message)
+    if isinstance(exc, WorkerDiedError):
+        return ApiError(
+            503, "write_unconfirmed",
+            f"{message}; the batch may be in the store: read GET /health's "
+            "epoch before resending",
+        )
     if "unknown doc_id" in message:
         return ApiError(404, "unknown_document", message)
     if "duplicate" in message or "already stored" in message:

@@ -34,7 +34,7 @@ identity check.
 
 Every travelling type here pickles (collections, analyzers, indexes,
 reports), so the pipeline is spawn-safe: a
-:class:`~repro.serving.backends.ProcessBackend` with
+:class:`~repro.serving.replication.ProcessBackend` with
 ``start_method="spawn"`` builds partitions in fresh interpreters, and
 the opt-in spawn test lane pins it.
 """

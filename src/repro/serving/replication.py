@@ -1,19 +1,19 @@
-"""R-way shard replication: routing, hedging, respawn-and-rehydrate.
+"""Shard services in OS worker processes: the process backend.
 
-``ProcessBackend`` runs exactly one worker per shard, so a crash kills
-the pipe and poisons the cluster.  This module keeps the same
-shard-addressed RPC surface but puts a :class:`ReplicaSet` in front of
-each shard — R interchangeable workers, every one built by the *same*
-deterministic factory, so the cluster's identity anchor extends across
-failures: results are byte-identical no matter which replica answers,
-including mid-benchmark kills.
+:class:`ProcessBackend` is the multi-core execution backend, and this
+module is the only code that starts worker processes.  It puts a
+:class:`ReplicaSet` in front of each shard — R interchangeable workers
+(one by default), every one built by the *same* deterministic factory,
+so the cluster's identity anchor extends across failures: results are
+byte-identical no matter which replica answers, including
+mid-benchmark kills.
 
 The moving parts, bottom-up:
 
 * :class:`ReplicaWorker` — the minimal worker surface the routing layer
   needs (``send``/``poll``/``recv``/``alive``/``close``).  The real
-  implementation is :class:`ProcessReplicaWorker` (one OS process per
-  replica, speaking ``ProcessBackend``'s exact wire protocol); the
+  implementation is :class:`ProcessReplicaWorker`: one OS process
+  serving one shard over a duplex pipe (:func:`_worker_main`); the
   deterministic fault-injection harness in ``tests/serving/faults.py``
   substitutes scripted in-process workers through ``worker_provider``.
 * :class:`ReplicaSet` — one shard's replicas plus the policy that picks
@@ -21,11 +21,12 @@ The moving parts, bottom-up:
   requests after a latency deadline, health checks, and burial: a dead
   or hung replica is killed, respawned through the retained factory
   (which rehydrates a store-backed shard's warm artifacts from the
-  index store), and the request retries elsewhere.
-* :class:`ReplicatedBackend` — an :class:`ExecutionBackend` whose
-  ``invoke_each`` routes serving calls to one replica per shard and
-  *replicates* state-mutating calls (``warm``/``invalidate``/
-  ``apply_updates``) to every replica, so caches stay in lockstep.
+  index store), and an idempotent request retries on a fresh worker.
+* :class:`ProcessBackend` — an :class:`ExecutionBackend` that starts
+  every worker before awaiting any handshake, routes serving calls to
+  one replica per shard and *replicates* state-mutating calls
+  (``warm``/``invalidate``/``apply_updates``) to every replica, so
+  caches stay in lockstep.
 
 Hedging never duplicates or reorders results: a hedge is a second copy
 of the *same* request to a second replica, and the set returns exactly
@@ -38,10 +39,12 @@ replicas at exact virtual-clock points with zero real sleeps.
 from __future__ import annotations
 
 import os
+import pickle
 import threading
+import traceback
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Sequence
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 from time import monotonic
 
@@ -50,19 +53,18 @@ from repro.serving.backends import (
     ExecutionBackend,
     ShardCall,
     WorkerDiedError,
-    _worker_main,
-    check_factory_pickles,
 )
 
 __all__ = [
     "REPLICA_POLICIES",
     "REPLICATED_STATE_METHODS",
     "HEDGEABLE_METHODS",
+    "UNREPEATABLE_METHODS",
     "ReplicaWorker",
     "ProcessReplicaWorker",
     "ReplicaSetStats",
     "ReplicaSet",
-    "ReplicatedBackend",
+    "ProcessBackend",
 ]
 
 #: Routing policies a ReplicaSet understands.
@@ -85,18 +87,111 @@ HEDGEABLE_METHODS = frozenset(
     {"diversify", "diversify_batch", "prepare", "prepare_batch"}
 )
 
+#: Methods whose effect outlives the worker.  Once one has been
+#: delivered, a worker death leaves it unknown whether the effect
+#: committed, so it is never resent: ``append_to_store`` sent twice
+#: would append its epoch twice.
+UNREPEATABLE_METHODS = frozenset({"append_to_store"})
+
+#: One worker request: (service method name, positional args).
+Request = tuple[str, tuple]
+
+
+def check_factory_pickles(service_factory, method: str) -> None:
+    """Fail fast when *method* needs a picklable factory and this one
+    is not — naming the factory protocol instead of letting a raw
+    ``PicklingError`` traceback surface from inside a worker.
+
+    The probe walks the whole object graph (that is what makes it
+    reliable — multiprocessing will pickle the same graph into each
+    worker moments later) but streams into a discarding sink, so a
+    factory closing over a large workload costs one CPU pass, not a
+    resident copy of its serialized bytes.
+    """
+
+    class _NullSink:
+        def write(self, data) -> int:
+            return len(data)
+
+    try:
+        pickle.Pickler(_NullSink(), pickle.HIGHEST_PROTOCOL).dump(
+            service_factory
+        )
+    except Exception as exc:
+        if type(service_factory).__name__ == "ShardServiceFactory":
+            detail = (
+                "the ShardServiceFactory's framework_factory must "
+                "itself pickle (a module-level callable or a "
+                "picklable dataclass, not a closure/lambda)"
+            )
+        else:
+            detail = (
+                "pass a picklable factory — e.g. a "
+                "ShardServiceFactory wrapping a module-level "
+                "framework factory"
+            )
+        raise BackendError(
+            f"service factory {service_factory!r} does not pickle, "
+            f"but start method {method!r} builds each worker in a "
+            f"fresh interpreter; {detail}, or use "
+            f"start_method='fork' where the platform offers it "
+            f"(pickle error: {exc})"
+        ) from exc
+
+
+def _worker_main(conn, service_factory, shard: int) -> None:
+    """Worker body: build one shard's service, then serve its calls.
+
+    Protocol (all over one duplex pipe, strictly request/reply in order):
+
+    * handshake: ``("ready", None)`` or ``("failed", message)``;
+    * request  : ``(method, args)``; ``None`` means stop;
+    * reply    : ``("ok", result)`` or ``("err", (exception, traceback))``.
+    """
+    try:
+        service = service_factory(shard)
+    except BaseException as exc:  # noqa: BLE001 - must reach the parent
+        try:
+            conn.send(("failed", f"{type(exc).__name__}: {exc}"))
+        finally:
+            conn.close()
+        return
+    conn.send(("ready", None))
+    while True:
+        try:
+            message = conn.recv()
+        except (EOFError, OSError):
+            break
+        if message is None:
+            break
+        method, args = message
+        try:
+            result = getattr(service, method)(*args)
+            conn.send(("ok", result))
+        except BaseException as exc:  # noqa: BLE001 - ship it back instead
+            payload = (exc, traceback.format_exc())
+            try:
+                conn.send(("err", payload))
+            except Exception:
+                # The exception itself would not pickle; degrade to repr.
+                conn.send(
+                    ("err", (BackendError(f"{type(exc).__name__}: {exc}"),
+                             traceback.format_exc()))
+                )
+    conn.close()
+
 
 class ReplicaWorker(ABC):
     """One replica of one shard, behind a pipe-like request/reply surface.
 
     The contract mirrors a ``multiprocessing`` pipe end: ``send`` ships a
-    ``(shard, method, args)`` request, ``poll(timeout)`` waits for the
-    *next* reply (FIFO — replies come back in request order), ``recv``
-    returns it as ``("ok", result)`` or ``("err", (exc, tb))``.  A dead
-    worker raises :class:`WorkerDiedError` from ``send``/``recv`` and
-    reports ``poll`` ready (so the router reaches the ``recv`` that
-    surfaces the death).  ``poll`` owns all waiting — scripted workers
-    advance a virtual clock there instead of sleeping.
+    ``(method, args)`` request, ``poll(timeout)`` waits for the *next*
+    reply (FIFO — replies come back in request order), ``recv`` returns
+    it as ``("ok", result)`` or ``("err", (exc, tb))``.  A dead worker
+    raises :class:`WorkerDiedError` from ``send``/``recv`` and reports
+    ``poll`` ready (so the router reaches the ``recv`` that surfaces the
+    death).  ``poll`` owns all waiting — scripted workers advance a
+    virtual clock there instead of sleeping.
     """
 
     def __init__(self, shard: int, replica: int) -> None:
@@ -112,8 +207,12 @@ class ReplicaWorker(ABC):
         """OS pid when the replica is a real process, else ``None``."""
         return None
 
+    def wait_ready(self) -> None:
+        """Block until the replica has built its service; a no-op for
+        workers that are ready when constructed."""
+
     @abstractmethod
-    def send(self, request: ShardCall) -> None:
+    def send(self, request: Request) -> None:
         """Ship a request; raises :class:`WorkerDiedError` if dead."""
 
     @abstractmethod
@@ -134,12 +233,11 @@ class ReplicaWorker(ABC):
 
 
 class ProcessReplicaWorker(ReplicaWorker):
-    """One replica = one OS process owning one shard service.
+    """One replica = one OS process serving one shard (:func:`_worker_main`).
 
-    Reuses ``ProcessBackend``'s worker body (handshake, addressed calls,
-    pickled replies) with a single-shard ownership list, then renames the
-    worker's service to ``shard<i>/r<j>`` so per-replica stats stay
-    attributable once their snapshots cross the process boundary.
+    The constructor starts the process and returns at once; the build
+    handshake is awaited by :meth:`wait_ready`, so a backend can start
+    every worker before it waits for any of them.
     """
 
     def __init__(self, shard: int, replica: int, ctx, service_factory) -> None:
@@ -147,13 +245,15 @@ class ProcessReplicaWorker(ReplicaWorker):
         parent_conn, child_conn = ctx.Pipe()
         self._process = ctx.Process(
             target=_worker_main,
-            args=(child_conn, service_factory, [shard]),
+            args=(child_conn, service_factory, shard),
             name=f"repro-replica-s{shard}r{replica}",
             daemon=True,
         )
         self._process.start()
         child_conn.close()
         self._conn = parent_conn
+
+    def wait_ready(self) -> None:
         try:
             status, detail = self._conn.recv()
         except (EOFError, OSError) as exc:
@@ -164,27 +264,23 @@ class ProcessReplicaWorker(ReplicaWorker):
             raise BackendError(
                 f"{self.label} failed to build its shard service: {message}"
             )
-        try:
-            # A service without rename() answers "err"; it just keeps its
-            # own label, which only blurs stats attribution, not results.
-            self._conn.send((shard, "rename", (self.label,)))
-            self._conn.recv()
-        except (EOFError, BrokenPipeError, OSError) as exc:
-            raise self._died("died during startup") from exc
 
     def _died(self, what: str) -> WorkerDiedError:
+        # The pipe closed, so the process is exiting: reap it for its code.
+        self._process.join(timeout=1.0)
+        code = self._process.exitcode
         return WorkerDiedError(
-            f"{self.label} {what} (exitcode={self._process.exitcode})",
+            f"{self.label} {what} (exitcode={code})",
             shards=(self.shard,),
             replica=self.replica,
-            exitcode=self._process.exitcode,
+            exitcode=code,
         )
 
     @property
     def pid(self) -> int | None:
         return self._process.pid
 
-    def send(self, request: ShardCall) -> None:
+    def send(self, request: Request) -> None:
         try:
             self._conn.send(request)
         except (BrokenPipeError, OSError) as exc:
@@ -274,14 +370,20 @@ class ReplicaSet:
     once ``hedge_after_s`` elapses without an answer.  Any replica death
     or hang along the way counts a failover, buries the replica (kill +
     respawn through the retained factory), and retries the request on
-    another; the attempt budget is generous because every respawn yields
-    a fresh, serviceable worker, but finite so a systematically crashing
-    fleet surfaces as :class:`WorkerDiedError` instead of a livelock.
+    another — unless the request was delivered and is in
+    :data:`UNREPEATABLE_METHODS`, which raises :class:`WorkerDiedError`
+    instead.  The attempt budget is generous because every respawn
+    yields a fresh, serviceable worker, but finite so a systematically
+    crashing fleet surfaces as :class:`WorkerDiedError` instead of a
+    livelock.
 
     ``call_all()`` is the state path: the same request to *every*
     replica in slot order, each awaited, with one respawn-and-retry per
     slot — used for ``warm``/``invalidate``/``apply_updates`` so replica
     caches never diverge.
+
+    The constructor starts the replicas and returns; :meth:`wait_ready`
+    awaits their build handshakes, and a respawn awaits its own.
 
     Bookkeeping invariant: ``_outstanding[r]`` counts replies replica
     *r* still owes (its pipe is strictly FIFO).  A replica is only
@@ -302,16 +404,9 @@ class ReplicaSet:
         poll_interval_s: float = 0.005,
         clock: Callable[[], float] = monotonic,
     ) -> None:
-        if replicas < 1:
-            raise ValueError("replicas must be positive")
-        if policy not in REPLICA_POLICIES:
-            raise ValueError(
-                f"unknown policy {policy!r}; choose from {REPLICA_POLICIES}"
-            )
-        if hedge_after_s is not None and replicas < 2:
-            raise ValueError("hedged requests need at least 2 replicas")
         self.shard = shard
         self._spawn = spawn
+        self._lock = threading.Lock()  # one request/reply exchange at a time
         self._policy = policy
         self._hedge_after_s = hedge_after_s
         self._hang_timeout_s = hang_timeout_s
@@ -335,6 +430,12 @@ class ReplicaSet:
     def workers(self) -> tuple[ReplicaWorker, ...]:
         return tuple(self._workers)
 
+    def wait_ready(self) -> None:
+        """Await every replica's build handshake (the constructor only
+        starts them)."""
+        for worker in self._workers:
+            worker.wait_ready()
+
     def stats(self) -> ReplicaSetStats:
         return ReplicaSetStats(
             shard=self.shard,
@@ -349,56 +450,67 @@ class ReplicaSet:
 
     def call(self, method: str, args: tuple) -> object:
         """Run one request on one replica, failing over until it lands."""
-        request: ShardCall = (self.shard, method, args)
-        budget = 2 * self.replicas + 4
-        for _attempt in range(budget):
-            replica = self._select()
-            worker = self._workers[replica]
-            try:
-                worker.send(request)
-            except WorkerDiedError:
-                self.failovers[replica] += 1
-                self._bury(replica)
-                continue
-            self._outstanding[replica] += 1
-            self._owed_since[replica] = self._clock()
-            self.requests[replica] += 1
-            try:
-                return self._await_reply(replica, request, method)
-            except WorkerDiedError:
-                self.failovers[replica] += 1
-                continue
-        raise WorkerDiedError(
-            f"shard {self.shard}: no replica could answer {method!r} "
-            f"after {budget} attempts — replicas keep dying",
-            shards=(self.shard,),
-        )
+        with self._lock:
+            request: Request = (method, args)
+            budget = 2 * self.replicas + 4
+            for _attempt in range(budget):
+                replica = self._select()
+                worker = self._workers[replica]
+                try:
+                    worker.send(request)
+                except WorkerDiedError:
+                    self.failovers[replica] += 1
+                    self._bury(replica)
+                    continue
+                self._outstanding[replica] += 1
+                self._owed_since[replica] = self._clock()
+                self.requests[replica] += 1
+                try:
+                    return self._await_reply(replica, request, method)
+                except WorkerDiedError as exc:
+                    self.failovers[replica] += 1
+                    if method in UNREPEATABLE_METHODS:
+                        raise WorkerDiedError(
+                            f"shard {self.shard}: {method!r} was delivered and "
+                            f"its worker died before replying ({exc}); it is "
+                            "not resent, because its effect may have committed",
+                            shards=(self.shard,),
+                            replica=replica,
+                            exitcode=exc.exitcode,
+                        ) from exc
+                    continue
+            raise WorkerDiedError(
+                f"shard {self.shard}: no replica could answer {method!r} "
+                f"after {budget} attempts — replicas keep dying",
+                shards=(self.shard,),
+            )
 
     def call_all(self, method: str, args: tuple) -> list:
         """Run one request on *every* replica (slot order); one
         respawn-and-retry per slot, then the failure propagates."""
-        request: ShardCall = (self.shard, method, args)
-        results = []
-        for replica in range(self.replicas):
-            for attempt in (0, 1):
-                if not self._workers[replica].alive():
-                    self._bury(replica)
-                if self._outstanding[replica]:
-                    self._drain(replica)
-                worker = self._workers[replica]
-                try:
-                    worker.send(request)
-                    self._outstanding[replica] += 1
-                    self._owed_since[replica] = self._clock()
-                    results.append(self._receive(replica, method))
-                    break
-                except WorkerDiedError:
-                    if attempt:
-                        raise
-                    self.failovers[replica] += 1
-                    if self._workers[replica] is worker:
+        with self._lock:
+            request: Request = (method, args)
+            results = []
+            for replica in range(self.replicas):
+                for attempt in (0, 1):
+                    if not self._workers[replica].alive():
                         self._bury(replica)
-        return results
+                    if self._outstanding[replica]:
+                        self._drain(replica)
+                    worker = self._workers[replica]
+                    try:
+                        worker.send(request)
+                        self._outstanding[replica] += 1
+                        self._owed_since[replica] = self._clock()
+                        results.append(self._receive(replica, method))
+                        break
+                    except WorkerDiedError:
+                        if attempt:
+                            raise
+                        self.failovers[replica] += 1
+                        if self._workers[replica] is worker:
+                            self._bury(replica)
+            return results
 
     def kill(self, replica: int | None = None) -> int:
         """Chaos hook: hard-kill a replica (default: the one the router
@@ -463,7 +575,9 @@ class ReplicaSet:
             self._workers[replica].close(kill=True)
         except Exception:  # pragma: no cover - corpse already gone
             pass
-        self._workers[replica] = self._spawn(replica)
+        worker = self._spawn(replica)
+        worker.wait_ready()
+        self._workers[replica] = worker
         self.respawns[replica] += 1
         self._outstanding[replica] = 0
 
@@ -485,7 +599,7 @@ class ReplicaSet:
 
     # -- reply plumbing ----------------------------------------------------
 
-    def _await_reply(self, primary: int, request: ShardCall, method: str) -> object:
+    def _await_reply(self, primary: int, request: Request, method: str) -> object:
         """Wait for the primary's reply, hedging onto a second replica
         once the deadline passes.  Exactly one reply is returned; the
         loser's stays owed (drained later)."""
@@ -572,32 +686,56 @@ class ReplicaSet:
         )
 
 
-class ReplicatedBackend(ExecutionBackend):
-    """An :class:`ExecutionBackend` running R replicas of every shard.
+class ProcessBackend(ExecutionBackend):
+    """Shard services in OS processes — the multi-core fan-out.
 
-    ``start()`` retains the factory (respawns re-run it) and builds one
-    :class:`ReplicaSet` per shard.  ``invoke_each`` fans out across
-    shards on a thread pool (each shard's set is touched by one thread
-    per batch; sets are not shared across concurrent batches) and
-    routes each call: state mutators in :data:`REPLICATED_STATE_METHODS`
-    go to every replica via ``call_all`` (first replica's result is
-    returned — the replicas are identical, so the copies' results are
-    too), everything else to one replica via ``call``.
+    ``start()`` retains the factory (respawns re-run it), builds one
+    :class:`ReplicaSet` of ``replicas`` workers per shard, and starts
+    every worker process before awaiting any build handshake, so the
+    shards build concurrently.  Per-shard warm state (spec caches,
+    result LRUs, stats) lives — and stays — in the workers.
+    ``invoke_each`` fans out across shards on a thread pool (each
+    shard's set is touched by one thread per batch; sets are not shared
+    across concurrent batches) and routes each call: state mutators in
+    :data:`REPLICATED_STATE_METHODS` go to every replica via
+    ``call_all`` (first replica's result is returned — the replicas are
+    identical, so the copies' results are too), everything else to one
+    replica via ``call``.  A worker that dies is respawned and the call
+    retried, at any replica count; see :class:`ReplicaSet`.
 
-    ``worker_provider(factory, shard, replica) -> ReplicaWorker``
-    substitutes the worker implementation — the deterministic fault
-    harness injects scripted in-process workers there; ``clock`` feeds
-    the routing layer's notion of time for the same reason.  Defaults
-    spawn real processes under the platform's ``multiprocessing`` start
-    method (``start_method`` overrides, with the same fail-fast pickle
-    probe as ``ProcessBackend``).
+    Parameters
+    ----------
+    replicas:
+        Workers per shard.  ``1`` (the default) is one process per
+        shard; more adds failover targets and enables ``policy``
+        routing and ``hedge_after_ms`` hedged requests.
+    start_method:
+        ``multiprocessing`` start method, honoured exactly when given
+        (``"fork"``, ``"spawn"``, ``"forkserver"``; a method the
+        platform does not offer fails at :meth:`start`).  ``None`` uses
+        the *platform default* — ``fork`` on Linux, ``spawn`` on macOS
+        and Windows — instead of forcing ``fork`` wherever it exists:
+        forking a multi-threaded parent is unsafe and emits
+        ``DeprecationWarning`` on Python 3.12+, so the platform's own
+        judgement is the sane default.  Under ``fork`` the factory and
+        its closed-over workload are inherited for free; under
+        ``spawn``/``forkserver`` the factory must pickle, which
+        :meth:`start` verifies *before* spawning anything so a closure
+        factory fails fast with a clear message instead of a raw pickle
+        traceback out of a half-started worker.
+    worker_provider, clock, parallel:
+        Test seams: ``worker_provider(factory, shard, replica) ->
+        ReplicaWorker`` substitutes the worker implementation (the
+        deterministic fault harness injects scripted in-process workers
+        there), ``clock`` feeds the routing layer's notion of time, and
+        ``parallel=False`` keeps the shard fan-out on the calling thread.
     """
 
-    name = "replicated"
+    name = "process"
 
     def __init__(
         self,
-        replicas: int = 2,
+        replicas: int = 1,
         policy: str = "round-robin",
         hedge_after_ms: float | None = None,
         hang_timeout_s: float = 30.0,
@@ -617,7 +755,7 @@ class ReplicatedBackend(ExecutionBackend):
                 f"unknown policy {policy!r}; choose from {REPLICA_POLICIES}"
             )
         if hedge_after_ms is not None and replicas < 2:
-            raise ValueError("hedged requests need at least 2 replicas")
+            raise ValueError("hedge_after_ms needs replicas >= 2")
         self._replica_count = replicas
         self._policy = policy
         self._hedge_after_s = (
@@ -626,6 +764,7 @@ class ReplicatedBackend(ExecutionBackend):
         self._hang_timeout_s = hang_timeout_s
         self._poll_interval_s = poll_interval_s
         self._start_method = start_method
+        self._resolved_start_method: str | None = None
         self._worker_provider = worker_provider
         self._clock = clock or monotonic
         self._parallel = parallel
@@ -641,14 +780,17 @@ class ReplicatedBackend(ExecutionBackend):
         return self._replica_count
 
     @property
-    def policy(self) -> str:
-        return self._policy
+    def start_method(self) -> str | None:
+        """The effective start method: the explicit one before
+        :meth:`start`, the resolved one (platform default when ``None``
+        was given) afterwards."""
+        return self._resolved_start_method or self._start_method
 
     def start(self, service_factory: Callable[[int], object], num_shards: int) -> None:
         if num_shards <= 0:
             raise ValueError("num_shards must be positive")
         if self.started or self._closed:
-            raise BackendError("ReplicatedBackend cannot be restarted")
+            raise BackendError("ProcessBackend cannot be restarted")
         self._factory = service_factory
         if self._worker_provider is None:
             import multiprocessing as mp
@@ -662,21 +804,30 @@ class ReplicatedBackend(ExecutionBackend):
                     )
                 ctx = mp.get_context(self._start_method)
             else:
-                ctx = mp.get_context()
-            if ctx.get_start_method() != "fork":
-                check_factory_pickles(service_factory, ctx.get_start_method())
+                ctx = mp.get_context()  # the platform default, not forced fork
+            self._resolved_start_method = ctx.get_start_method()
+            if self._resolved_start_method != "fork":
+                check_factory_pickles(service_factory, self._resolved_start_method)
             self._ctx = ctx
-        for shard in range(num_shards):
-            self._sets[shard] = ReplicaSet(
-                shard,
-                spawn=self._spawner(shard),
-                replicas=self._replica_count,
-                policy=self._policy,
-                hedge_after_s=self._hedge_after_s,
-                hang_timeout_s=self._hang_timeout_s,
-                poll_interval_s=self._poll_interval_s,
-                clock=self._clock,
-            )
+        try:
+            for shard in range(num_shards):
+                self._sets[shard] = ReplicaSet(
+                    shard,
+                    spawn=self._spawner(shard),
+                    replicas=self._replica_count,
+                    policy=self._policy,
+                    hedge_after_s=self._hedge_after_s,
+                    hang_timeout_s=self._hang_timeout_s,
+                    poll_interval_s=self._poll_interval_s,
+                    clock=self._clock,
+                )
+            # Every worker is building by now; a factory that cannot
+            # build surfaces here, not on the first real call.
+            for replica_set in self._sets.values():
+                replica_set.wait_ready()
+        except BaseException:
+            self.close()
+            raise
         self._num_shards = num_shards
 
     def _spawner(self, shard: int) -> Callable[[int], ReplicaWorker]:
@@ -690,7 +841,7 @@ class ReplicatedBackend(ExecutionBackend):
     def invoke_each(self, calls: Sequence[ShardCall]) -> dict[int, object]:
         self._require_started()
         if self._closed:
-            raise BackendError("ReplicatedBackend is closed")
+            raise BackendError("ProcessBackend is closed")
         for call in calls:
             if call[0] not in self._sets:
                 raise BackendError(f"unknown shard {call[0]}")
@@ -707,9 +858,12 @@ class ReplicatedBackend(ExecutionBackend):
                 if self._pool is None:
                     self._pool = ThreadPoolExecutor(
                         max_workers=min(len(self._sets), os.cpu_count() or 1),
-                        thread_name_prefix="repro-replicated",
+                        thread_name_prefix="repro-process",
                     )
             futures = {call[0]: self._pool.submit(run, call) for call in calls}
+            # Let every shard finish before surfacing a failure, so no
+            # call is still running when the caller sends the next one.
+            wait(futures.values())
             return {shard: future.result() for shard, future in futures.items()}
         return {call[0]: run(call) for call in calls}
 

@@ -200,7 +200,7 @@ class ServiceStats(Rollup):
     )
     #: deepest the admission queue ever ran
     queue_depth_peak: int = field(default=0, metadata=MAX)
-    #: -- replicated serving (zero without a ReplicatedBackend) ----------
+    #: -- process workers (zero on in-process backends) ------------------
     #: hedge copies of a request this replica received
     hedges_fired: int = 0
     #: hedge copies that answered before the primary
@@ -392,10 +392,8 @@ class DiversificationService:
         self.stats = ServiceStats(name=name)
 
     def rename(self, name: str) -> None:
-        """Relabel the service and its stats.  The replicated backend
-        stamps ``shard<i>/r<j>`` onto each replica it builds, so the
-        per-replica snapshots stay attributable after they cross the
-        process boundary."""
+        """Relabel the service and its stats (the sharded service names
+        unnamed shards ``shard<i>``)."""
         self.name = name
         self.stats.name = name
 

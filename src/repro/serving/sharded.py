@@ -14,7 +14,8 @@ specialization cache, detection cache and result LRU hold exactly its
 partition of the query space.  The offline phase (``warm``) and the
 online phase (``diversify_batch``) fan out per-shard over a pluggable
 :class:`~repro.serving.backends.ExecutionBackend` — an ordered inline
-sweep, a thread pool, or real OS processes — and merge:
+sweep, a thread pool, or OS worker processes (R replicas per shard,
+one by default) — and merge:
 
 * results re-assemble in request order (routing is per-query, the batch
   contract is unchanged);
@@ -43,7 +44,7 @@ from collections.abc import Callable, Iterable, Sequence
 from repro.core.cache import CacheStats
 from repro.core.framework import DiversificationFramework, DiversifiedResult
 from repro.retrieval.engine import stable_shard
-from repro.serving.backends import ExecutionBackend, make_backend
+from repro.serving.backends import ExecutionBackend, WorkerDiedError, make_backend
 from repro.serving.service import (
     PAGE_FIELDS,
     DiversificationService,
@@ -54,6 +55,9 @@ from repro.serving.service import (
 
 __all__ = ["ShardedDiversificationService", "ShardServiceFactory"]
 
+#: The per-replica-slot counters only the routing layer sees.
+_ROUTING_COUNTERS = ("hedges_fired", "hedges_won", "respawns", "failovers")
+
 
 @dataclasses.dataclass(frozen=True)
 class ShardServiceFactory:
@@ -62,7 +66,7 @@ class ShardServiceFactory:
 
     An instance travels to wherever the execution backend places the
     shard: in-process backends just call it; a
-    :class:`~repro.serving.backends.ProcessBackend` worker calls it
+    :class:`~repro.serving.replication.ProcessBackend` worker calls it
     after fork (or unpickles it first, under spawn — then
     ``framework_factory`` itself must pickle).  A shard whose engine is
     attached to an index store hydrates its warm artifacts from that
@@ -97,12 +101,13 @@ class ShardedDiversificationService:
         labelled ``shard0 … shardN-1`` so their stats stay attributable
         in merged reports.  Pass ``None`` (and use :meth:`from_factory`)
         for backends that build the services themselves — a
-        :class:`~repro.serving.backends.ProcessBackend` constructs each
+        :class:`~repro.serving.replication.ProcessBackend` constructs each
         shard inside its worker process.
     max_workers:
-        Fan-out width hint for backends built from a name/default.  The
-        default :class:`~repro.serving.backends.ThreadBackend` resolves
-        ``None`` to ``min(num_shards, os.cpu_count())``.
+        Pool width of a :class:`~repro.serving.backends.ThreadBackend`
+        built from a name/default; ``None`` resolves to
+        ``min(num_shards, os.cpu_count())``.  Refused with
+        ``"process"``, which runs one worker per shard replica.
     router_seed:
         Seed of the :func:`~repro.retrieval.engine.stable_shard`
         router.  Must be kept constant for the lifetime of the cluster's
@@ -188,14 +193,13 @@ class ShardedDiversificationService:
         its warm artifacts from that store as it is built
         (:class:`ShardServiceFactory`).
 
-        ``replicas=R`` (with a ``None``/``"process"`` backend spec)
-        builds a fault-tolerant cluster instead: R process workers per
-        shard behind a ``ReplicatedBackend``, with ``policy`` routing
-        (``"round-robin"`` or ``"least-outstanding"``), optional hedged
-        requests after ``hedge_after_ms``, and automatic
-        respawn-and-rehydrate — a respawned replica re-runs the factory,
-        so over a store-backed engine it hydrates from the store at its
-        current epoch.  Every replica is built by the same
+        ``replicas=R`` (with a ``None``/``"process"`` backend spec) runs
+        R process workers per shard instead of one, with ``policy``
+        routing (``"round-robin"`` or ``"least-outstanding"``) and
+        optional hedged requests after ``hedge_after_ms``.  At any R a
+        dead worker is respawned and rehydrated — it re-runs the
+        factory, so over a store-backed engine it hydrates from the
+        store at its current epoch.  Every replica is built by the same
         deterministic factory, so results are byte-identical no matter
         which replica answers.
         """
@@ -232,7 +236,7 @@ class ShardedDiversificationService:
         """The shard services, in shard order (read-only view).
 
         Only available on in-process backends; shards driven by a
-        :class:`~repro.serving.backends.ProcessBackend` live in worker
+        :class:`~repro.serving.replication.ProcessBackend` live in worker
         processes — use :meth:`shard_stats` / :meth:`cluster_stats` /
         the cache-info methods, which fetch snapshots over the boundary.
         """
@@ -354,10 +358,9 @@ class ShardedDiversificationService:
     def cached(self, query: str) -> DiversifiedResult | None:
         """The owning shard's result-cache entry for *query*, or ``None``.
 
-        Only in-process shards are probed.  On a process or replicated
-        backend a probe would cost a pipe round trip, and every miss a
-        second one, so it answers ``None`` and the query takes the batched
-        path.
+        Only in-process shards are probed.  On a process backend a probe
+        would cost a pipe round trip, and every miss a second one, so it
+        answers ``None`` and the query takes the batched path.
         """
         local = self._backend.local_services
         if local is None:
@@ -417,10 +420,23 @@ class ShardedDiversificationService:
         epoch that includes the batch; shards over in-memory engines
         raise :class:`~repro.serving.service.ReadOnlyError` from shard 0
         before anything changes.
+
+        A worker that dies after taking the append may have committed
+        it, and its respawn attaches the store at whatever epoch the
+        store holds.  So the :class:`~repro.serving.backends.WorkerDiedError`
+        is raised only after an empty :meth:`apply_updates` broadcast
+        has brought every shard and replica to the store's epoch (a
+        refresh that finds nothing new changes nothing).  The batch's
+        documents stay out of the ingest document counters, which count
+        acknowledged batches.
         """
         adds = list(add_documents)
         removes = list(remove_doc_ids)
-        self._backend.invoke(0, "append_to_store", adds, removes)
+        try:
+            self._backend.invoke(0, "append_to_store", adds, removes)
+        except WorkerDiedError:
+            self.apply_updates()
+            raise
         return self.apply_updates(adds, removes)
 
     def apply_updates(
@@ -431,7 +447,7 @@ class ShardedDiversificationService:
         """Serve an (already durable) ingest batch on every shard.
 
         Each shard refreshes its engine to the store's latest epoch and
-        sweeps its caches; replicated backends route this to *every*
+        sweeps its caches; the process backend routes this to *every*
         replica (it is in ``REPLICATED_STATE_METHODS``), so no failover
         can time-travel the collection.  Shards that share one engine
         object advance it once — the first refresh publishes the epoch,
@@ -458,13 +474,15 @@ class ShardedDiversificationService:
         """Per-shard online stats, in shard order.
 
         In-process shards return their live objects; process-backed
-        shards ship snapshots over the boundary.  Every shard appears —
-        one that served zero queries contributes a well-formed zeroed
-        entry carrying its name.  A replicated shard's entry rolls up its
-        replicas' snapshots (:meth:`ServiceStats.merge_replicas`), each
-        stamped with its slot's routing counters — hedges, respawns,
-        failovers, which a worker cannot see from inside and which
-        survive a respawn that resets the serving counters.
+        shards ship snapshots over the boundary.  Every shard appears,
+        named ``shard<i>`` — one that served zero queries contributes a
+        well-formed zeroed entry.  A process-backed shard's snapshots
+        are stamped with their slots' routing counters — hedges,
+        respawns, failovers, which a worker cannot see from inside and
+        which survive a respawn that resets the serving counters.  With
+        R > 1 replicas the entry rolls them up
+        (:meth:`ServiceStats.merge_replicas`), each named
+        ``shard<i>/r<j>``.
         """
         replication = self._backend.replication_stats()
         entries = []
@@ -472,13 +490,20 @@ class ShardedDiversificationService:
             # get_stats() (not .stats) so store-backed shards refresh
             # their page-cache counters into the returned objects.
             replica_stats = self._backend.invoke_replicas(shard, "get_stats")
+            routing = replication.get(shard)
+            if routing is not None:
+                replica_stats = [
+                    dataclasses.replace(snapshot, **{
+                        counter: getattr(routing, counter)[replica]
+                        for counter in _ROUTING_COUNTERS
+                    })
+                    for replica, snapshot in enumerate(replica_stats)
+                ]
             if len(replica_stats) == 1:
                 entries.extend(replica_stats)
                 continue
-            routing = replication[shard]
             for replica, snapshot in enumerate(replica_stats):
-                for counter in ("hedges_fired", "hedges_won", "respawns", "failovers"):
-                    setattr(snapshot, counter, getattr(routing, counter)[replica])
+                snapshot.name = f"shard{shard}/r{replica}"
             entries.append(
                 ServiceStats.merge_replicas(replica_stats, name=f"shard{shard}")
             )

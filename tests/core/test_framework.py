@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import pickle
-import sys
 
 import pytest
 
@@ -12,7 +11,6 @@ from repro.core.framework import (
     DiversificationFramework,
     FrameworkConfig,
     default_diversifier,
-    fast_kernels_available,
     get_diversifier,
 )
 from repro.core.iaselect import IASelect
@@ -39,14 +37,12 @@ class TestGetDiversifier:
             get_diversifier("pagerank")
 
     def test_use_fast_returns_kernel_variant(self):
-        pytest.importorskip("numpy")
         from repro.core.fast import FastOptSelect, FastXQuAD
 
         assert type(get_diversifier("optselect", use_fast=True)) is FastOptSelect
         assert type(get_diversifier("xquad", use_fast=True)) is FastXQuAD
 
     def test_use_fast_auto_detects(self):
-        pytest.importorskip("numpy")
         from repro.core.fast import FastOptSelect
 
         assert type(get_diversifier("optselect", use_fast=None)) is FastOptSelect
@@ -54,14 +50,11 @@ class TestGetDiversifier:
 
 class TestFastKernelDefaults:
     def test_default_is_fast_when_numpy_present(self):
-        pytest.importorskip("numpy")
         from repro.core.fast import FastOptSelect
 
-        assert fast_kernels_available()
         assert type(default_diversifier()) is FastOptSelect
 
     def test_framework_inherits_fast_default(self, small_engine, small_miner):
-        pytest.importorskip("numpy")
         from repro.core.fast import FastOptSelect
 
         framework = DiversificationFramework(small_engine, small_miner)
@@ -73,25 +66,10 @@ class TestFastKernelDefaults:
         )
         assert type(framework.diversifier) is OptSelect
 
-    def test_fallback_without_numpy(self, monkeypatch):
-        """Simulate a numpy-less interpreter: blocking the fast module
-        in sys.modules makes its import raise, and the default must fall
-        back to the pure-Python reference."""
-        monkeypatch.setitem(sys.modules, "repro.core.fast", None)
-        assert not fast_kernels_available()
-        assert type(default_diversifier()) is OptSelect
-        assert type(get_diversifier("optselect", use_fast=None)) is OptSelect
-
-    def test_use_fast_true_without_numpy_raises(self, monkeypatch):
-        monkeypatch.setitem(sys.modules, "repro.core.fast", None)
-        with pytest.raises(ImportError):
-            default_diversifier(use_fast=True)
-
     def test_fast_default_framework_matches_reference_rankings(
         self, small_engine, small_miner, framework_factory, standard_config,
         small_corpus
     ):
-        pytest.importorskip("numpy")
         fast = DiversificationFramework(
             small_engine, small_miner, config=standard_config
         )

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import pickle
 
+import numpy
 import pytest
 
 from repro.core.ambiguity import SpecializationSet
@@ -81,7 +82,6 @@ class TestTask:
                 )
 
     def test_task_drops_dense_memo_and_rebuilds(self):
-        numpy = pytest.importorskip("numpy")
         task = synthetic_task(16, num_specs=3)
         arrays = task.arrays()  # build the memo
         loaded = roundtrip(task)

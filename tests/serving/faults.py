@@ -1,4 +1,4 @@
-"""Deterministic fault injection for the replicated serving layer.
+"""Deterministic fault injection for the process backend's routing layer.
 
 The replication tests need to pin exact failover paths — "the primary
 crashes on its first request", "the primary hangs, the hedge fires at
@@ -25,7 +25,7 @@ asyncio harness in ``tests/serving/aio.py``):
   with a virtual ready-time; faults crash the worker before/after
   computing, delay the reply, or hang it forever.
 * :class:`FaultInjectingBackend` — a
-  :class:`~repro.serving.replication.ReplicatedBackend` wired to build
+  :class:`~repro.serving.replication.ProcessBackend` wired to build
   scripted workers from the *real* service factory (so a store-backed
   shard's warm rehydration is exercised by respawns) on the
   shared virtual clock, with shard fan-out forced sequential so the
@@ -39,8 +39,8 @@ import traceback
 from collections import deque
 from dataclasses import dataclass
 
-from repro.serving.backends import ShardCall, WorkerDiedError
-from repro.serving.replication import ReplicatedBackend, ReplicaWorker
+from repro.serving.backends import WorkerDiedError
+from repro.serving.replication import ProcessBackend, ReplicaWorker, Request
 
 __all__ = [
     "CRASH_ON_SEND",
@@ -155,10 +155,10 @@ class ScriptedWorker(ReplicaWorker):
             replica=self.replica,
         )
 
-    def send(self, request: ShardCall) -> None:
+    def send(self, request: Request) -> None:
         if self._dead:
             raise self._died()
-        _shard, method, args = request
+        method, args = request
         fault = self._schedule.take(self.shard, self.replica, self.calls)
         self.calls += 1
         if fault is not None and fault.kind == CRASH_ON_SEND:
@@ -206,8 +206,8 @@ class ScriptedWorker(ReplicaWorker):
         self._dead = True
 
 
-class FaultInjectingBackend(ReplicatedBackend):
-    """A replicated backend whose workers are scripted and whose time is
+class FaultInjectingBackend(ProcessBackend):
+    """A process backend whose workers are scripted and whose time is
     virtual — every failover path at exact clock points, zero sleeps,
     zero real processes.
 
@@ -244,7 +244,5 @@ class FaultInjectingBackend(ReplicatedBackend):
 
     def _make_worker(self, factory, shard: int, replica: int) -> ScriptedWorker:
         service = factory(shard)
-        if hasattr(service, "rename"):
-            service.rename(f"shard{shard}/r{replica}")
         self.spawned.append((shard, replica))
         return ScriptedWorker(shard, replica, service, self.schedule, self.clock)

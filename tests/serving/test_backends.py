@@ -6,12 +6,17 @@ every backend** — the backends may change where the work runs, never
 what is served.  The process backend additionally gets its worker
 protocol exercised: stats snapshots over the boundary, error
 propagation, per-shard breakdowns with idle shards, warm-artifact
-hydration from the index store, and lifecycle edges.
+hydration from the index store, lifecycle edges, and a worker death
+mid-call.
 """
 
 from __future__ import annotations
 
 import multiprocessing
+import os
+import signal
+import sys
+import threading
 
 import pytest
 
@@ -26,10 +31,10 @@ from repro.serving import (
 from repro.serving.backends import (
     BackendError,
     InlineBackend,
-    ProcessBackend,
     ThreadBackend,
     WorkerDiedError,
 )
+from repro.serving.replication import ProcessBackend
 
 NUM_SHARDS = 3
 
@@ -54,6 +59,10 @@ class _EchoService:
 
     def ping(self, value: int) -> tuple[int, int]:
         return (self.shard, value * 2)
+
+    def append_to_store(self) -> None:
+        """A store write whose worker dies before it can reply."""
+        os.kill(os.getpid(), signal.SIGKILL)
 
 
 def _echo_factory(shard: int) -> _EchoService:
@@ -201,23 +210,6 @@ class TestProcessBackendProtocol:
         with pytest.raises(BackendError):
             cluster.diversify_batch(workload)
 
-    @pytest.mark.parametrize("max_workers", [1, 2])
-    def test_worker_cap_round_robins_shards(self, framework_factory, workload,
-                                            reference, max_workers):
-        """Fewer workers than shards: one worker owns several shards and
-        its pipe carries several requests per batch — the interleaved
-        send/recv must stay deadlock-free and order-correct."""
-        backend = ProcessBackend(max_workers=max_workers)
-        cluster = build_cluster(framework_factory, backend)
-        try:
-            cluster.warm(workload)
-            got = cluster.diversify_batch(workload)
-            assert [r.ranking for r in got] == reference
-            stats = cluster.shard_stats()
-            assert sum(s.served for s in stats) == len(workload)
-        finally:
-            cluster.close()
-
     def test_factory_failure_fails_fast(self):
         def broken(shard):
             raise RuntimeError("no corpus here")
@@ -339,7 +331,7 @@ class TestStartMethods:
         with pytest.raises(BackendError, match="does not pickle"):
             backend.start(lambda shard: captured, 2)
         # Failed fast: no worker was ever spawned.
-        assert backend._workers == []
+        assert backend.replication_stats() == {}
         assert not backend.started
 
     @needs_spawn
@@ -438,13 +430,30 @@ class TestBackendConstruction:
     def test_make_backend_replication_validation(self):
         with pytest.raises(ValueError, match="requires process workers"):
             make_backend("thread", replicas=2)
+        with pytest.raises(ValueError, match="built here by name"):
+            make_backend(ProcessBackend(), replicas=2)
         with pytest.raises(ValueError, match="hedge_after_ms"):
             make_backend("process", hedge_after_ms=5)
         with pytest.raises(ValueError, match="policy"):
             make_backend(None, policy="least-outstanding")
         backend = make_backend(None, replicas=2)
-        assert backend.name == "replicated"
+        assert backend.name == "process"
         assert backend.replicas == 2
+
+    def test_process_backend_is_the_one_replica_set(self):
+        backend = make_backend("process")
+        assert isinstance(backend, ProcessBackend)
+        assert backend.name == "process"
+        assert backend.replicas == 1
+        assert isinstance(make_backend("process", replicas=3), ProcessBackend)
+        with pytest.raises(ValueError, match="unknown backend"):
+            make_backend("replicated")
+
+    def test_make_backend_rejects_max_workers_for_process(self):
+        with pytest.raises(ValueError, match="max_workers"):
+            make_backend("process", max_workers=2)
+        with pytest.raises(ValueError, match="max_workers"):
+            build_cluster(lambda: None, "process", max_workers=2)
 
     def test_single_replica_backends_expose_replica_protocol(self):
         backend = InlineBackend()
@@ -456,8 +465,9 @@ class TestBackendConstruction:
 
 @needs_fork
 class TestWorkerDiedError:
-    """A dead worker surfaces as a *typed* error naming its shards —
-    the satellite fix the respawn logic (and callers) react to."""
+    """A worker that dies owing a call it must not resend surfaces as a
+    *typed* error naming its shard; the backend respawns the worker and
+    keeps serving."""
 
     @pytest.fixture()
     def backend(self):
@@ -466,30 +476,57 @@ class TestWorkerDiedError:
         yield backend
         backend.close()
 
-    def _kill_worker(self, backend, index):
-        import os
-        import signal
-
-        os.kill(backend._workers[index].pid, signal.SIGKILL)
-        backend._workers[index].join(timeout=5)
-
     def test_dead_worker_raises_typed_error_naming_shards(self, backend):
-        self._kill_worker(backend, 0)
+        pid = backend.replica_pids(0)[0]
         with pytest.raises(WorkerDiedError) as excinfo:
-            backend.invoke(0, "ping", 1)
+            backend.invoke(0, "append_to_store")
         err = excinfo.value
         assert isinstance(err, BackendError)  # old catch sites keep working
         assert err.shard == 0
         assert err.shards == (0,)
-        assert err.exitcode is not None
+        assert err.exitcode == -signal.SIGKILL
         assert "died" in str(err)
-        assert "shards [0]" in str(err)
+        assert "shard 0" in str(err)
+        # Not poisoned: shard 0 runs on a respawned worker.
+        assert backend.invoke(0, "ping", 1) == (0, 2)
+        assert backend.replica_pids(0)[0] != pid
+        assert backend.replication_stats()[0].respawns == (1,)
 
-    def test_backend_poisons_itself_after_a_death(self, backend):
-        self._kill_worker(backend, 0)
-        with pytest.raises(WorkerDiedError):
-            backend.invoke(0, "ping", 1)
-        # The surviving worker's pipe is intact, but replies may be
-        # lost mid-batch — the backend refuses further traffic.
-        with pytest.raises(BackendError, match="lost a worker"):
-            backend.invoke(1, "ping", 1)
+    def test_killed_worker_is_respawned_for_the_next_call(self, backend):
+        pid = backend.replica_pids(1)[0]
+        backend.kill_replica(1)
+        assert backend.invoke(1, "ping", 4) == (1, 8)
+        assert backend.replica_pids(1)[0] != pid
+        assert backend.invoke(0, "ping", 1) == (0, 2)
+
+
+@needs_fork
+def test_concurrent_callers_on_one_shard_get_their_own_replies():
+    """Threads sharing one shard's worker (the async front-end's
+    executor does this): every reply reaches the thread that sent its
+    request, because the shard's pipe carries one exchange at a time."""
+    backend = ProcessBackend(start_method="fork")
+    backend.start(_echo_factory, 1)
+    wrong = []
+
+    def hammer(offset):
+        for value in range(offset, offset + 40):
+            if backend.invoke(0, "ping", value) != (0, 2 * value):
+                wrong.append(value)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [
+            threading.Thread(target=hammer, args=(1000 * i,), daemon=True)
+            for i in range(4)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+    finally:
+        sys.setswitchinterval(interval)
+        backend.close()
+    assert wrong == []

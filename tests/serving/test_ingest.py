@@ -32,6 +32,7 @@ from repro.retrieval.analysis import Analyzer
 from repro.retrieval.documents import Document, DocumentCollection
 from repro.retrieval.engine import EpochDelta, ResultList, SearchEngine
 from repro.retrieval.store import (
+    IndexStore,
     StoreBackedSearchEngine,
     append_epoch,
     read_warm_artifacts,
@@ -45,13 +46,14 @@ from repro.serving import (
     ShardedDiversificationService,
     persist_store,
 )
+from repro.serving.backends import WorkerDiedError
 from repro.serving.service import ReadOnlyError
 
 from tests.conftest import STANDARD_CONFIG
 from tests.retrieval.test_store_epochs import assert_stores_identical
 
 from .aio import ManualClock, RecordingBackend, run
-from .faults import FaultInjectingBackend
+from .faults import CRASH_BEFORE_REPLY, Fault, FaultInjectingBackend, FaultSchedule
 from .test_http import error_code, get, post
 
 PARTITIONS = 3
@@ -753,6 +755,50 @@ class TestReplicatedIngest:
         finally:
             cluster.close()
 
+    @pytest.mark.parametrize("replicas", [1, 2])
+    def test_append_is_not_resent_after_its_worker_dies(
+        self, tmp_path, small_miner, initial_docs, replicas
+    ):
+        """An append whose worker dies before replying may already be
+        durable, so it is not resent: the store gains exactly one epoch
+        and the death surfaces as ``WorkerDiedError``.  The batch moves
+        one stored document (remove, then add it back), which a resend
+        would repeat as a second epoch.  Before the error surfaces, every
+        shard and every replica is brought to the store's epoch, so the
+        cluster never serves two epochs at once."""
+        store_path = tmp_path / "ingest.sqlite3"
+        write_store(store_path, make_engine(initial_docs))
+        # Shard 0's round-robin pick for its first call is replica 0.
+        schedule = FaultSchedule().at(0, 0, 0, Fault(CRASH_BEFORE_REPLY))
+        backend = FaultInjectingBackend(replicas=replicas, schedule=schedule)
+        cluster = ShardedDiversificationService.from_factory(
+            lambda shard: DiversificationFramework(
+                StoreBackedSearchEngine(store_path),
+                small_miner,
+                config=STANDARD_CONFIG,
+            ),
+            num_shards=2,
+            backend=backend,
+        )
+        doc = initial_docs[3]
+        try:
+            with pytest.raises(WorkerDiedError) as excinfo:
+                cluster.ingest(add_documents=[doc], remove_doc_ids=[doc.doc_id])
+            assert backend.broadcast("current_epoch") == {0: 1, 1: 1}
+            for shard in range(2):
+                assert backend.invoke_replicas(shard, "current_epoch") == (
+                    [1] * replicas
+                )
+        finally:
+            cluster.close()
+        assert excinfo.value.shard == 0
+        assert "append_to_store" in str(excinfo.value)
+        store = IndexStore(store_path)
+        try:
+            assert store.store_epoch == 1
+        finally:
+            store.close()
+
     def test_respawn_after_ingest_hydrates_no_stale_warm_rows(
         self, tmp_path, small_miner, initial_docs, batches, workload, reference
     ):
@@ -979,6 +1025,30 @@ class TestHTTPIngest:
         assert (status, error_code(body)) == (422, "invalid_document")
         status, body = get(f"{url}/documents")
         assert status == 405
+
+    def test_unconfirmed_write_answers_503(
+        self, ingest_server, holdout_docs, monkeypatch
+    ):
+        """A write whose appending worker died may or may not be in the
+        store: both write endpoints answer 503 ``write_unconfirmed``
+        pointing at ``GET /health``, not a generic 500."""
+
+        def died(*args, **kwargs):
+            raise WorkerDiedError(
+                "shard 0: 'append_to_store' was delivered and its worker died",
+                shards=(0,),
+            )
+
+        monkeypatch.setattr(ingest_server.service, "ingest", died)
+        url = ingest_server.base_url
+        doc = holdout_docs[0]
+        status, body = post(
+            f"{url}/documents", {"doc_id": doc.doc_id, "text": doc.text}
+        )
+        assert (status, error_code(body)) == (503, "write_unconfirmed")
+        assert "GET /health" in body["error"]["message"]
+        status, body = delete(f"{url}/documents/{doc.doc_id}")
+        assert (status, error_code(body)) == (503, "write_unconfirmed")
 
     def test_in_memory_service_answers_read_only(
         self, small_miner, initial_docs, holdout_docs

@@ -2,8 +2,8 @@
 
 The deterministic fault-injection suite (``test_replication.py``) pins
 every failover path with scripted workers; this lane re-asserts the
-acceptance scenario with nothing faked — a :class:`ReplicatedBackend`
-running real OS processes, SIGKILL delivered mid-benchmark (including
+acceptance scenario with nothing faked — a :class:`ProcessBackend`
+with two replicas per shard running real OS processes, SIGKILL delivered mid-benchmark (including
 while requests are in flight from another thread), results compared
 field-for-field against the fault-free inline reference.
 
@@ -30,7 +30,7 @@ import pytest
 from repro.retrieval.store import StoreBackedSearchEngine
 from repro.serving import (
     DiversificationService,
-    ReplicatedBackend,
+    ProcessBackend,
     ShardedDiversificationService,
     persist_store,
 )
@@ -73,7 +73,7 @@ def assert_results_equal(got, want):
 
 
 def build_cluster(factory, **backend_kwargs):
-    backend = ReplicatedBackend(replicas=REPLICAS, **backend_kwargs)
+    backend = ProcessBackend(replicas=REPLICAS, **backend_kwargs)
     cluster = ShardedDiversificationService.from_factory(
         factory, num_shards=NUM_SHARDS, backend=backend
     )

@@ -1,4 +1,4 @@
-"""Replicated serving under scripted faults: every failover path, pinned.
+"""The process backend under scripted faults: every failover path, pinned.
 
 The identity anchor extends to failures: every replica of a shard is
 built by the same deterministic factory, so the cluster must serve
@@ -21,7 +21,7 @@ import pytest
 
 from repro.serving import (
     DiversificationService,
-    ReplicatedBackend,
+    ProcessBackend,
     ShardedDiversificationService,
 )
 from repro.serving.backends import WorkerDiedError
@@ -33,6 +33,8 @@ from .faults import (
     Fault,
     FaultInjectingBackend,
     FaultSchedule,
+    ScriptedWorker,
+    VirtualClock,
 )
 
 NUM_SHARDS = 3
@@ -162,6 +164,30 @@ class TestFaultFreeReplication:
         assert counters["respawns"] == 0
 
 
+def test_start_launches_every_worker_before_any_handshake():
+    """Shards build concurrently: ``start`` constructs every replica of
+    every shard before it waits for the first one to be ready."""
+    events = []
+
+    class RecordingWorker(ScriptedWorker):
+        def wait_ready(self):
+            events.append(("ready", self.shard, self.replica))
+
+    def provider(factory, shard, replica):
+        events.append(("spawn", shard, replica))
+        return RecordingWorker(
+            shard, replica, factory(shard), FaultSchedule(), VirtualClock()
+        )
+
+    backend = ProcessBackend(replicas=2, worker_provider=provider)
+    backend.start(lambda shard: object(), 3)
+    try:
+        kinds = [kind for kind, _shard, _replica in events]
+        assert kinds == ["spawn"] * 6 + ["ready"] * 6
+    finally:
+        backend.close()
+
+
 class TestCrashFailover:
     def test_crash_on_send_fails_over_and_respawns(
         self, make_cluster, workload, reference
@@ -189,6 +215,25 @@ class TestCrashFailover:
         for stats in backend.replication_stats().values():
             assert stats.failovers == (1, 0)
             assert stats.respawns == (1, 0)
+
+    def test_single_worker_crash_mid_batch_keeps_identity(
+        self, make_cluster, workload, reference
+    ):
+        """One worker per shard, the default process backend: a worker
+        that dies inside ``diversify_batch`` is respawned and the batch
+        retried, so the cluster keeps serving the reference instead of
+        refusing traffic."""
+        schedule = FaultSchedule()
+        for shard in range(NUM_SHARDS):
+            schedule.at(shard, 0, 0, Fault(CRASH_BEFORE_REPLY))
+        cluster, backend = make_cluster(schedule, replicas=1)
+        half = len(workload) // 2
+        got = cluster.diversify_batch(workload[:half])
+        got += cluster.diversify_batch(workload[half:])
+        assert_results_equal(got, reference)
+        for stats in backend.replication_stats().values():
+            assert stats.failovers == (1,)
+            assert stats.respawns == (1,)
 
     def test_mid_benchmark_kill_keeps_identity(
         self, make_cluster, workload, reference
@@ -366,17 +411,19 @@ class TestReplicatedStatsPlumbing:
     def test_single_replica_shards_report_like_process_shards(
         self, make_cluster, workload
     ):
-        """With one copy per shard there is no replica breakdown and no
-        stamping: a shard's entry is its worker's own snapshot."""
+        """With one copy per shard there is no replica breakdown: a
+        shard's entry is its worker's own snapshot, named ``shard<i>``,
+        stamped with the slot's routing counters."""
         schedule = FaultSchedule().at(0, 0, 0, Fault(CRASH_ON_SEND))
         cluster, backend = make_cluster(schedule, replicas=1)
         cluster.diversify_batch(workload)
         assert backend.replication_stats()[0].respawns == (1,)
         per_shard = cluster.shard_stats()
         assert [s.name for s in per_shard] == [
-            f"shard{i}/r0" for i in range(NUM_SHARDS)
+            f"shard{i}" for i in range(NUM_SHARDS)
         ]
-        assert all(s.replicas == () and s.respawns == 0 for s in per_shard)
+        assert all(s.replicas == () for s in per_shard)
+        assert [s.respawns for s in per_shard] == [1] + [0] * (NUM_SHARDS - 1)
         assert sum(s.served for s in per_shard) == len(workload)
 
     def test_cache_info_merges_across_replicas(self, make_cluster, workload):
@@ -431,7 +478,7 @@ class TestProcessReplication:
     def test_identity_across_kills_with_real_workers(
         self, framework_factory, workload, reference
     ):
-        backend = ReplicatedBackend(replicas=2)
+        backend = ProcessBackend(replicas=2)
         cluster = build_cluster(framework_factory, backend, num_shards=2)
         try:
             assert_results_equal(cluster.diversify_batch(workload), reference)
@@ -458,7 +505,7 @@ class TestProcessReplication:
             framework_factory, None, num_shards=2, replicas=2
         )
         try:
-            assert cluster.backend.name == "replicated"
+            assert cluster.backend.name == "process"
             assert cluster.backend.replicas == 2
             assert_results_equal(cluster.diversify_batch(workload), reference)
         finally:

@@ -33,7 +33,7 @@ from repro.serving import (
     build_partitioned_engine,
     persist_store,
 )
-from repro.serving.backends import ProcessBackend
+from repro.serving.replication import ProcessBackend
 from tests.retrieval.search_oracle import assert_oracle
 
 pytestmark = [
