@@ -47,7 +47,8 @@ grows it past one worker:
   :class:`~repro.serving.service.ServiceStats`.  Results are identical to a direct
   ``diversify_batch`` call;
 * :class:`~repro.serving.http.DiversificationHTTPServer` — the network
-  face: a stdlib-only REST front-end (``ThreadingHTTPServer`` bridging
+  face: a stdlib-only REST front-end (``ThreadingHTTPServer`` handler
+  threads answer result-cache hits themselves and bridge only misses
   into the async service's admission windows) with ``POST /diversify``,
   paginated ``GET /results``, ``GET /health`` / ``GET /stats``
   operational surfaces and ``POST /drain`` for graceful rolling

@@ -10,8 +10,10 @@ layer:
 * callers ``await submit(query)`` — one awaitable per request, resolved
   with exactly the :class:`~repro.core.framework.DiversifiedResult` a
   direct ``diversify_batch`` call would have produced;
-* a result-cache hit (``backend.cached(query)``) is answered at once:
-  the window exists to batch misses, and a hit has nothing to batch;
+* a result-cache hit is answered at once by :meth:`serve_cached`, the
+  one hit rule: the window exists to batch misses, and a hit has
+  nothing to batch.  It is synchronous and thread-safe, so the HTTP
+  handler threads answer hits with it without entering the event loop;
 * the other requests land in a **bounded** queue (full queue =
   backpressure: the submit blocks, or fails fast once the service is
   stopping);
@@ -40,6 +42,7 @@ equal the sequential batched path's.
 from __future__ import annotations
 
 import asyncio
+import threading
 import time
 from collections.abc import Iterable
 from concurrent.futures import Executor
@@ -156,6 +159,10 @@ class AsyncDiversificationService:
         self._queue: asyncio.Queue[_Pending] | None = None
         self._runner: asyncio.Task | None = None
         self._closing: asyncio.Event | None = None
+        #: Guards ``stats.served`` (written from the loop and from the
+        #: threads calling :meth:`serve_cached`) and orders every hit
+        #: against the ``_closing.set()`` that starts a stop.
+        self._lock = threading.Lock()
 
     # -- lifecycle ---------------------------------------------------------------
 
@@ -189,7 +196,8 @@ class AsyncDiversificationService:
         runner = self._runner
         if runner is None:
             return
-        self._closing.set()
+        with self._lock:
+            self._closing.set()
         if drain:
             await self._queue.join()
         if self._runner is runner:
@@ -257,22 +265,38 @@ class AsyncDiversificationService:
 
     # -- submission --------------------------------------------------------------
 
+    def serve_cached(self, query: str) -> DiversifiedResult | None:
+        """The backend's result-cache entry for *query*, or ``None``.
+
+        The one hit rule.  A hit counts in ``stats.served`` here; a miss
+        is left to the admission window.  Synchronous and thread-safe:
+        :meth:`submit` calls it on the loop, and the HTTP handler threads
+        call it directly.  Raises :class:`ServiceClosed` before start and
+        once a stop has begun, so every hit it answered is already in the
+        ``served_total`` a drain reports.
+        """
+        with self._lock:
+            if not self.running:
+                raise ServiceClosed("service is not running; use `async with` "
+                                    "or call start() first")
+            if self._closing.is_set():
+                raise ServiceClosed("service is stopping")
+            result = self.backend.cached(query)
+            if result is not None:
+                self.stats.served += 1
+            return result
+
     async def submit(self, query: str) -> DiversifiedResult:
         """Admit one query; resolves when its batch has been served.
 
+        A result-cache hit resolves at once (:meth:`serve_cached`).
         Blocks (asynchronously) while the admission queue is full.  A
         submit waiting on that backpressure when the service stops is
         failed with :class:`ServiceClosed` instead of hanging.
         """
-        if not self.running:
-            raise ServiceClosed("service is not running; use `async with` "
-                                "or call start() first")
-        if self._closing.is_set():
-            raise ServiceClosed("service is stopping")
         # The window exists to batch misses; a hit has nothing to wait for.
-        result = self.backend.cached(query)
+        result = self.serve_cached(query)
         if result is not None:
-            self.stats.served += 1
             return result
         loop = asyncio.get_running_loop()
         item = _Pending(query, loop.create_future(), self._clock.now())
@@ -437,7 +461,8 @@ class AsyncDiversificationService:
             for item, result in zip(live, results):
                 if not item.future.done():
                     item.future.set_result(result)
-            self.stats.served += len(live)
+            with self._lock:
+                self.stats.served += len(live)
             self.stats.batches += 1
         finally:
             for _ in batch:

@@ -12,11 +12,13 @@ makes the server a faithful measurement harness — what the
 this code and the serving stack, nothing else.
 
 Architecture: a :class:`~http.server.ThreadingHTTPServer` accepts
-connections (one handler thread per in-flight request) and bridges into
-a dedicated asyncio event loop running an
-:class:`~repro.serving.async_service.AsyncDiversificationService`, so
-concurrent HTTP clients coalesce into the same admission windows a
-native asyncio deployment would form.  The wrapped backend is anything
+connections (one handler thread per in-flight request) in front of an
+:class:`~repro.serving.async_service.AsyncDiversificationService` on a
+dedicated asyncio event loop.  The handler thread answers result-cache
+hits itself (``serve_cached``: one locked LRU read, no thread hand-off);
+only the misses cross into the event loop, where concurrent HTTP
+clients coalesce into the same admission windows a native asyncio
+deployment would form.  The wrapped backend is anything
 the async service accepts — a single
 :class:`~repro.serving.service.DiversificationService` or a
 :class:`~repro.serving.sharded.ShardedDiversificationService` on any
@@ -261,8 +263,10 @@ class DiversificationHTTPServer:
         The backend: a :class:`DiversificationService` or a
         :class:`ShardedDiversificationService` (any execution backend).
         The server wraps it in an
-        :class:`AsyncDiversificationService`, so concurrent HTTP clients
-        coalesce into admission windows exactly like native submitters.
+        :class:`AsyncDiversificationService`.  Result-cache hits are
+        answered on the handler thread; misses from concurrent HTTP
+        clients coalesce into admission windows exactly like native
+        submitters.
     host / port:
         Bind address.  ``port=0`` (the default) picks an ephemeral port;
         read it back from :attr:`address` / :attr:`base_url`.
@@ -407,21 +411,40 @@ class DiversificationHTTPServer:
         return self._draining
 
     def serve(self, queries: list[str], timeout_s: float) -> list[DiversifiedResult]:
-        """Bridge one HTTP request into the async admission layer.
+        """Answer one HTTP request's queries, in request order.
 
-        Runs ``submit_many`` on the server's event loop and waits up to
-        *timeout_s*.  Maps the serving-layer failure modes onto the
-        documented error codes: draining/stopped → 503, timeout → 503
-        (the coroutine is cancelled, so its queue slots free), anything
-        else propagates as a 500.
+        Result-cache hits are answered on this handler thread
+        (``front.serve_cached``); only the misses cross into the event
+        loop, as one ``submit_many`` waited on up to *timeout_s*.  Maps
+        the serving-layer failure modes onto the documented error codes:
+        draining/stopped → 503, timeout → 503 (the coroutine is
+        cancelled, so its queue slots free), anything else propagates as
+        a 500.
         """
         if self._draining:
             raise ApiError(503, "draining", "service is draining; retry elsewhere")
+        try:
+            results = [self.front.serve_cached(query) for query in queries]
+            misses = [q for q, result in zip(queries, results) if result is None]
+            if misses:
+                ranked = iter(self._serve_misses(misses, timeout_s))
+                results = [
+                    next(ranked) if result is None else result
+                    for result in results
+                ]
+        except ServiceClosed as exc:
+            raise ApiError(503, "draining", str(exc)) from None
+        self._record(queries, results)
+        return results
+
+    def _serve_misses(
+        self, queries: list[str], timeout_s: float
+    ) -> list[DiversifiedResult]:
         future = asyncio.run_coroutine_threadsafe(
             self.front.submit_many(queries), self._loop
         )
         try:
-            results = future.result(timeout_s)
+            return future.result(timeout_s)
         except FutureTimeoutError:
             future.cancel()
             raise ApiError(
@@ -429,10 +452,6 @@ class DiversificationHTTPServer:
                 "timeout",
                 f"request did not complete within {timeout_s:g}s",
             ) from None
-        except ServiceClosed as exc:
-            raise ApiError(503, "draining", str(exc)) from None
-        self._record(queries, results)
-        return results
 
     def _record(self, queries: list[str], results: list[DiversifiedResult]) -> None:
         """Append served results to the recent-results ring, in request

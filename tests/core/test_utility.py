@@ -395,39 +395,75 @@ class TestCentroidIdentity:
                 data.draw(st.lists(doc_lists, min_size=1, max_size=3))
             )
         }
-        matrix, oracle = assert_build_matches_oracle(
-            candidates, spec_results, vectors
-        )
+        assert_build_and_oracle_rank_alike(candidates, spec_results, vectors)
 
-        # The two evaluations may order two candidates differently only
-        # where their utilities are within the bound of each other (a
-        # mathematical tie rounded two ways); everywhere else every
-        # algorithm must pick the same documents in the same order.
-        for spec in spec_results:
-            ours, theirs = matrix.useful_docs(spec), oracle.useful_docs(spec)
-            if not all(
-                (ours[a] < ours[b]) == (theirs[a] < theirs[b])
-                for a in ours
-                for b in ours
-            ):
-                return
-        specializations = SpecializationSet.from_frequencies(
-            "q", {spec: j + 1 for j, spec in enumerate(spec_results)}
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="IASelect first-gain tie: d6's utility under 'q s2' is one "
+        "ulp apart between build and the oracle, so IASelect picks d3 first "
+        "on one and d6 on the other (ROADMAP 12(a))",
+    )
+    def test_recorded_iaselect_first_gain_tie(self):
+        """The instance the property test above once drew (ROADMAP 12(a)):
+        with unit weights IASelect's first gains of d3 and d6 are both
+        exactly 1/4, which the two evaluations round apart."""
+        vectors = {
+            "d3": TermVector({"a": 1.0}),
+            "d6": TermVector({"a": 1.0, "b": 1.0, "c": 1.0, "d": 1.0}),
+        }
+        candidates = ResultList(
+            "q", [(d, float(4 - i)) for i, d in enumerate(["d0", "d6", "d1", "d3"])]
         )
-        for algorithm in (OptSelect(), XQuAD(), IASelect()):
-            rankings = [
-                algorithm.diversify(
-                    DiversificationTask.create(
-                        query="q",
-                        candidates=candidates,
-                        specializations=specializations,
-                        utilities=utilities,
-                    ),
-                    k=3,
-                )
-                for utilities in (matrix, oracle)
-            ]
-            assert rankings[0] == rankings[1]
+        spec_results = {
+            f"q s{j}": ResultList(
+                f"q s{j}", [(d, float(len(ids) - i)) for i, d in enumerate(ids)]
+            )
+            for j, ids in enumerate(
+                [
+                    [],
+                    ["d0", "d1", "d2", "d7", "d6", "d4"],
+                    ["d0", "d7", "d3", "d1", "d6", "d2"],
+                ]
+            )
+        }
+        assert_build_and_oracle_rank_alike(candidates, spec_results, vectors)
+
+
+def assert_build_and_oracle_rank_alike(candidates, spec_results, vectors):
+    """``build`` matches the pairwise oracle value by value, and every
+    algorithm ranks the same on both matrices."""
+    matrix, oracle = assert_build_matches_oracle(candidates, spec_results, vectors)
+
+    # The two evaluations may order two candidates differently only
+    # where their utilities are within the bound of each other (a
+    # mathematical tie rounded two ways); everywhere else every
+    # algorithm must pick the same documents in the same order.
+    for spec in spec_results:
+        ours, theirs = matrix.useful_docs(spec), oracle.useful_docs(spec)
+        if not all(
+            (ours[a] < ours[b]) == (theirs[a] < theirs[b])
+            for a in ours
+            for b in ours
+        ):
+            return
+    specializations = SpecializationSet.from_frequencies(
+        "q", {spec: j + 1 for j, spec in enumerate(spec_results)}
+    )
+    for algorithm in (OptSelect(), XQuAD(), IASelect()):
+        rankings = [
+            algorithm.diversify(
+                DiversificationTask.create(
+                    query="q",
+                    candidates=candidates,
+                    specializations=specializations,
+                    utilities=utilities,
+                ),
+                k=3,
+            )
+            for utilities in (matrix, oracle)
+        ]
+        assert rankings[0] == rankings[1]
 
 
 class TestMergedVectorMap:

@@ -11,6 +11,7 @@ from __future__ import annotations
 import asyncio
 import multiprocessing
 import random
+import sys
 import threading
 
 import pytest
@@ -289,6 +290,86 @@ class TestCacheHits:
             cluster.close()
         assert [r.ranking for r in results] == [r.ranking for r in reference]
         assert front.batch_sizes == {len(queries): 1}
+
+    def test_probe_before_start_and_after_stop_raises(self, service, topic_queries):
+        service.diversify_batch(topic_queries[:1])
+        front = AsyncDiversificationService(service)
+        with pytest.raises(ServiceClosed):
+            front.serve_cached(topic_queries[0])
+
+        async def scenario():
+            async with front:
+                assert front.serve_cached(topic_queries[0]) is not None
+                assert front.serve_cached(topic_queries[1]) is None
+
+        run(scenario())
+        with pytest.raises(ServiceClosed):
+            front.serve_cached(topic_queries[0])
+        # The miss is left uncounted: the window it would have joined counts it.
+        assert front.stats.served == 1
+
+    def test_served_is_exact_with_threads_probing_while_the_loop_serves(
+        self, service, topic_queries
+    ):
+        """``stats.served`` is written by probing threads and by the loop's
+        dispatch at once; no increment may be lost."""
+        hot, cold = topic_queries[0], topic_queries[1:4]
+        primed = service.diversify_batch([hot])[0]
+        front = AsyncDiversificationService(
+            HotOnlyBackend(service, hot), max_batch_size=2, max_wait_s=0
+        )
+        threads, probes = 4, 500
+        go = threading.Event()
+        answered = [0] * threads
+
+        def hammer(index: int) -> None:
+            go.wait(timeout=10)
+            for _ in range(probes):
+                answered[index] += front.serve_cached(hot) is primed
+
+        async def scenario() -> int:
+            misses = 0
+            async with front:
+                workers = [
+                    threading.Thread(target=hammer, args=(i,))
+                    for i in range(threads)
+                ]
+                for worker in workers:
+                    worker.start()
+                go.set()
+                while True:
+                    results = await front.submit_many(cold)
+                    assert [r.query for r in results] == cold
+                    misses += len(cold)
+                    if not any(worker.is_alive() for worker in workers):
+                        return misses
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # as many thread switches as possible
+        try:
+            misses = run(scenario())
+        finally:
+            sys.setswitchinterval(interval)
+        assert answered == [probes] * threads
+        assert front.stats.served == threads * probes + misses
+        assert sum(
+            size * count for size, count in front.stats.batch_sizes.items()
+        ) == misses
+
+
+class HotOnlyBackend:
+    """Delegate whose ``cached`` knows one query only: every other query
+    crosses the admission window however often it was served."""
+
+    def __init__(self, inner, hot: str) -> None:
+        self.inner = inner
+        self.hot = hot
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+    def cached(self, query):
+        return self.inner.cached(query) if query == self.hot else None
 
 
 class GatedBackend:

@@ -607,6 +607,151 @@ class TestConcurrencyAndDrain:
             assert second["served_total"] == report["served_total"]
 
 
+# -- result-cache hits on the handler thread -------------------------------------
+
+
+def _batched(stats: dict) -> int:
+    """Requests a ``/stats`` block's batch-size histogram has seen."""
+    return sum(
+        int(size) * count
+        for size, count in stats["formation"]["batch_sizes"].items()
+    )
+
+
+def _wait_for(predicate, timeout_s: float = 10.0) -> bool:
+    deadline = time.monotonic() + timeout_s
+    while not predicate():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.001)
+    return True
+
+
+class TestHitsSkipTheLoop:
+    """A result-cache hit is answered on the handler thread: only misses
+    are sent to the event loop."""
+
+    def test_hit_answers_while_the_event_loop_is_blocked(
+        self, server, reference, topic_queries
+    ):
+        hot = topic_queries[0]
+        server.service.diversify_batch([hot])  # a result-cache hit from here on
+        parked, release = threading.Event(), threading.Event()
+
+        def park() -> None:
+            parked.set()
+            release.wait(timeout=30)
+
+        server._loop.call_soon_threadsafe(park)
+        assert parked.wait(timeout=10)
+        try:
+            status, body = post(
+                server.base_url + "/diversify", {"query": hot, "timeout_ms": 2000}
+            )
+        finally:
+            release.set()
+        assert status == 200
+        assert body == reference[hot]
+
+    def test_mixed_request_keeps_order_and_counts_each_query_once(
+        self, server, reference, topic_queries
+    ):
+        hit_a, miss, hit_b = topic_queries[:3]
+        server.service.diversify_batch([hit_a, hit_b])
+        _, before = get(server.base_url + "/stats")
+        status, body = post(
+            server.base_url + "/diversify", {"queries": [hit_a, miss, hit_b]}
+        )
+        _, after = get(server.base_url + "/stats")
+        assert status == 200
+        assert body["results"] == [reference[q] for q in (hit_a, miss, hit_b)]
+        result_before = before["caches"]["result"]
+        result_after = after["caches"]["result"]
+        assert result_after["hits"] - result_before["hits"] == 2
+        assert result_after["misses"] - result_before["misses"] == 1
+        assert after["front"]["served"] - before["front"]["served"] == 3
+        assert _batched(after["front"]) - _batched(before["front"]) == 1
+        assert after["backend"]["served"] - before["backend"]["served"] == 1
+        _, page = get(server.base_url + "/results")
+        assert [item["query"] for item in page["items"][-3:]] == [hit_a, miss, hit_b]
+
+    def test_hits_racing_drain_are_counted_or_refused(
+        self, framework_factory, reference, topic_queries
+    ):
+        service = DiversificationService(framework_factory())
+        service.warm(topic_queries)
+        hot, cold = topic_queries[:3], topic_queries[3]
+        service.diversify_batch(hot)
+        backend = GateBackend(service)
+        with DiversificationHTTPServer(backend) as srv:
+            url = srv.base_url + "/diversify"
+            # A gated miss holds the drain open in the middle of its flush.
+            missed: list[tuple[int, dict]] = []
+            misser = threading.Thread(
+                target=lambda: missed.append(post(url, {"query": cold}))
+            )
+            misser.start()
+            assert backend.entered.wait(timeout=10)
+
+            outcomes: list[list[tuple[int, dict]]] = [[] for _ in hot]
+
+            def client(index: int) -> None:
+                """Send one hit after another until one is refused."""
+                connection = http.client.HTTPConnection(*srv.address, timeout=30)
+                try:
+                    while True:
+                        connection.request(
+                            "POST", "/diversify",
+                            body=json.dumps({"query": hot[index]}),
+                            headers={"Content-Type": "application/json"},
+                        )
+                        response = connection.getresponse()
+                        outcomes[index].append(
+                            (response.status, json.loads(response.read()))
+                        )
+                        if response.status != 200:
+                            return
+                finally:
+                    connection.close()
+
+            clients = [
+                threading.Thread(target=client, args=(i,)) for i in range(len(hot))
+            ]
+            for thread in clients:
+                thread.start()
+            assert _wait_for(lambda: all(len(o) >= 5 for o in outcomes))
+
+            drained: list[tuple[int, dict]] = []
+            drainer = threading.Thread(
+                target=lambda: drained.append(post(srv.base_url + "/drain"))
+            )
+            drainer.start()
+            assert _wait_for(lambda: srv.draining)
+            # Draining has begun (the miss still holds it open): a hit that
+            # arrives now is refused, not answered from the cache.
+            status, body = post(url, {"query": hot[0]})
+            assert status == 503
+            assert error_code(body) == "draining"
+
+            backend.gate.set()
+            for thread in clients + [misser, drainer]:
+                thread.join(timeout=30)
+                assert not thread.is_alive()
+
+        assert missed[0] == (200, reference[cold])
+        for query, outcome in zip(hot, outcomes):
+            *answered, (last_status, last_body) = outcome
+            assert last_status == 503
+            assert error_code(last_body) == "draining"
+            assert answered and all(
+                status == 200 and body == reference[query]
+                for status, body in answered
+            )
+        status, report = drained[0]
+        assert status == 200
+        assert report["served_total"] == 1 + sum(len(o) - 1 for o in outcomes)
+
+
 # -- request ids and the access log ----------------------------------------------
 
 
