@@ -9,8 +9,11 @@ serving layer's warm artifacts — written by the offline pipeline
 (:func:`append_epoch`), and attached **read-only** by any number of
 serving processes (:class:`IndexStore`).  The database follows the
 paged-store recipe common to the storage designs surveyed in PAPERS.md:
-WAL journal, ``synchronous=NORMAL``, a ``busy_timeout`` so concurrent
-readers never fail spuriously.
+WAL journal, a ``busy_timeout`` so concurrent readers never fail
+spuriously.  ``synchronous=NORMAL`` holds only for :func:`write_store`'s
+connection: the setting is per connection, and :func:`append_epoch`
+opens its own, which runs a WAL file at SQLite's default ``FULL`` (each
+epoch's commit is synced before it returns).
 
 On top of the store sit three pieces:
 

@@ -24,6 +24,27 @@ the async service accepts — a single
 :class:`~repro.serving.sharded.ShardedDiversificationService` on any
 execution backend, including the process one.
 
+A request's header block is read by :func:`read_headers`, not by the
+stdlib's ``email``-based parser: one bounded ``readline`` per line, the
+stdlib's limits kept (a line over ``MAX_HEADER_LINE`` = 65,536 bytes,
+or more than ``MAX_HEADERS`` = 100 lines counting the blank one that
+ends the block, answers ``431``), names matched case-insensitively and
+the first occurrence of a name winning, as ``Message.get`` does.  It
+refuses framing the server cannot honour, each refusal closing the
+connection: ``400 bad_length`` for two ``Content-Length`` values that
+differ, ``501 unsupported_transfer_encoding`` for any
+``Transfer-Encoding``, ``400 bad_header`` for a line without a colon,
+with an empty or space-padded name, or starting with SP/HTAB (obs-fold).
+
+A hit's reply is encoded once: a memo of up to ``ring_size`` entries
+maps a query to the result ``serve_cached`` answered and its encoded
+payload, and serves those bytes only while the service still answers
+that very object (``is``) — a result an ingest sweep replaced, or the
+result LRU evicted and recomputed, is encoded afresh.  Misses are
+encoded per request and never enter the memo.  A batch reply splices
+the per-result bytes into ``{"results": [...]}``, byte-identical to
+encoding the whole dict.
+
 A reply leaves in one flush of a buffered writer, on a socket with
 ``TCP_NODELAY`` set, so a keep-alive round trip costs its work rather
 than a delayed-ACK timer.  Every reply carries an ``X-Request-Id`` (the
@@ -68,8 +89,8 @@ Endpoints (base URL ``http://<host>:<port>``):
     :class:`~repro.serving.replication.ProcessBackend`.
 ``GET /stats``
     Merged :class:`~repro.serving.service.ServiceStats` /
-    :class:`~repro.core.cache.CacheStats` / replication + ingest
-    counters as JSON.
+    :class:`~repro.core.cache.CacheStats` (the reply memo's under
+    ``caches.reply``) / replication + ingest counters as JSON.
 ``POST /drain``
     Graceful rolling-restart shutdown: stop admitting, flush the
     in-flight admission windows, report drained counts.  Idempotent;
@@ -90,6 +111,7 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from urllib.parse import parse_qs, unquote, urlsplit
 
+from repro.core.cache import LRUCache
 from repro.core.framework import DiversifiedResult
 from repro.retrieval.documents import Document
 from repro.serving.async_service import AsyncDiversificationService, ServiceClosed
@@ -99,6 +121,8 @@ from repro.serving.service import ReadOnlyError, ServiceStats
 __all__ = [
     "ApiError",
     "DiversificationHTTPServer",
+    "Headers",
+    "read_headers",
     "result_payload",
     "stats_payload",
     "MAX_PAGE_LIMIT",
@@ -124,6 +148,12 @@ MAX_TIMEOUT_MS = threading.TIMEOUT_MAX * 1000.0
 #: client's next request.  A client slower than this (slow-loris) has its
 #: connection closed unanswered, freeing the handler thread.
 READ_TIMEOUT_S = 60.0
+
+#: The stdlib's header limits (``http.client``'s ``_MAXLINE`` and
+#: ``_MAXHEADERS``): a longer line, or more lines counting the blank one
+#: that ends the block, answers 431.
+MAX_HEADER_LINE = 65536
+MAX_HEADERS = 100
 
 #: A client's ``X-Request-Id`` is echoed only when it matches this; any
 #: other value (too long, spaces, header syntax) is replaced.
@@ -157,6 +187,70 @@ class ApiError(Exception):
         self.status = status
         self.code = code
         self.message = message
+
+
+class Headers(dict):
+    """A request's header fields: lower-cased name → first value.
+
+    Lookups fold the name's case, so ``get``, ``[]`` and ``in`` answer
+    as ``email.message.Message`` does for a block whose names are unique
+    up to case, and as its ``get`` does for the first of repeated ones.
+    """
+
+    __slots__ = ()
+
+    def get(self, name: str, default=None):
+        return dict.get(self, name.lower(), default)
+
+    def __getitem__(self, name: str) -> str:
+        return dict.__getitem__(self, name.lower())
+
+    def __contains__(self, name: str) -> bool:
+        return dict.__contains__(self, name.lower())
+
+
+def read_headers(rfile) -> Headers:
+    """Read one header block from *rfile*, up to its blank line.
+
+    Each line is one bounded ``readline``, decoded as ISO-8859-1; the
+    value loses its leading SP/HTAB and its line ending, nothing else.
+    Raises :class:`ApiError` — 431 past :data:`MAX_HEADER_LINE` or
+    :data:`MAX_HEADERS`; 400 ``bad_header`` for a line with no colon, a
+    name that is empty or padded with whitespace, or an obs-fold
+    continuation; 400 ``bad_length`` for ``Content-Length`` values that
+    differ; 501 for any ``Transfer-Encoding`` (bodies are read by their
+    declared length only).  End of stream ends the block, as in the
+    stdlib.
+    """
+    headers = Headers()
+    lines = 0
+    while True:
+        line = rfile.readline(MAX_HEADER_LINE + 1)
+        if len(line) > MAX_HEADER_LINE:
+            raise ApiError(
+                431, "header_line_too_long",
+                f"a header line exceeds {MAX_HEADER_LINE} bytes",
+            )
+        lines += 1
+        if lines > MAX_HEADERS:
+            raise ApiError(
+                431, "too_many_headers", f"more than {MAX_HEADERS} header lines"
+            )
+        if line in (b"\r\n", b"\n", b""):
+            return headers
+        name, colon, value = line.decode("iso-8859-1").rstrip("\r\n").partition(":")
+        if not colon or not name or name[0] in " \t" or name[-1] in " \t":
+            raise ApiError(400, "bad_header", f"malformed header line {line[:80]!r}")
+        name = name.lower()
+        value = value.lstrip(" \t")
+        if name == "transfer-encoding":
+            raise ApiError(
+                501, "unsupported_transfer_encoding",
+                "Transfer-Encoding is not supported; send a Content-Length",
+            )
+        first = headers.setdefault(name, value)
+        if first != value and name == "content-length":
+            raise ApiError(400, "bad_length", "conflicting Content-Length values")
 
 
 def result_payload(result: DiversifiedResult) -> dict:
@@ -243,6 +337,10 @@ def stats_payload(stats: ServiceStats) -> dict:
     return payload
 
 
+def _encode(payload: dict) -> bytes:
+    return json.dumps(payload).encode("utf-8")
+
+
 def _cache_payload(info) -> dict:
     return {
         "maxsize": info.maxsize,
@@ -277,7 +375,8 @@ class DiversificationHTTPServer:
         serving path at once; excess answers ``429`` immediately instead
         of queueing without bound — open-loop load sheds here.
     ring_size:
-        Capacity of the recent-results ring behind ``GET /results``.
+        Capacity of the recent-results ring behind ``GET /results``,
+        and of the memo of encoded hit replies.
     default_timeout_s:
         Per-request serving timeout when the body names none.
 
@@ -323,6 +422,9 @@ class DiversificationHTTPServer:
         self._httpd: ThreadingHTTPServer | None = None
         self.front: AsyncDiversificationService | None = None
         self._ring: deque[dict] = deque(maxlen=ring_size)
+        #: query → (the hit result served, its encoded payload).
+        self._replies: LRUCache[str, tuple[DiversifiedResult, bytes]] = \
+            LRUCache(ring_size)
         self._ring_lock = threading.Lock()
         self._seq = 0
         # next() on a count is one C call, atomic across handler threads.
@@ -410,12 +512,14 @@ class DiversificationHTTPServer:
     def draining(self) -> bool:
         return self._draining
 
-    def serve(self, queries: list[str], timeout_s: float) -> list[DiversifiedResult]:
-        """Answer one HTTP request's queries, in request order.
+    def serve(self, queries: list[str], timeout_s: float) -> list[bytes]:
+        """Answer one HTTP request's queries, in request order, each as
+        its encoded :func:`result_payload`.
 
         Result-cache hits are answered on this handler thread
-        (``front.serve_cached``); only the misses cross into the event
-        loop, as one ``submit_many`` waited on up to *timeout_s*.  Maps
+        (``front.serve_cached``) and encoded through the reply memo; only
+        the misses cross into the event loop, as one ``submit_many``
+        waited on up to *timeout_s*.  Maps
         the serving-layer failure modes onto the documented error codes:
         draining/stopped → 503, timeout → 503 (the coroutine is
         cancelled, so its queue slots free), anything else propagates as
@@ -424,18 +528,33 @@ class DiversificationHTTPServer:
         if self._draining:
             raise ApiError(503, "draining", "service is draining; retry elsewhere")
         try:
-            results = [self.front.serve_cached(query) for query in queries]
-            misses = [q for q, result in zip(queries, results) if result is None]
+            hits = [self.front.serve_cached(query) for query in queries]
+            results = hits
+            misses = [q for q, result in zip(queries, hits) if result is None]
             if misses:
                 ranked = iter(self._serve_misses(misses, timeout_s))
                 results = [
                     next(ranked) if result is None else result
-                    for result in results
+                    for result in hits
                 ]
         except ServiceClosed as exc:
             raise ApiError(503, "draining", str(exc)) from None
         self._record(queries, results)
-        return results
+        return [
+            self._encode_hit(query, result) if hit is not None
+            else _encode(result_payload(result))
+            for query, result, hit in zip(queries, results, hits)
+        ]
+
+    def _encode_hit(self, query: str, result: DiversifiedResult) -> bytes:
+        """The encoded payload of a hit: the memo's bytes while they were
+        encoded from this very *result*, else encoded now and memoised."""
+        entry = self._replies.lookup(query, lambda entry: entry[0] is result)
+        if entry is not None and entry[0] is result:
+            return entry[1]
+        body = _encode(result_payload(result))
+        self._replies.put(query, (result, body))
+        return body
 
     def _serve_misses(
         self, queries: list[str], timeout_s: float
@@ -491,7 +610,7 @@ class DiversificationHTTPServer:
 
     # -- endpoint bodies ---------------------------------------------------------
 
-    def handle_diversify(self, body: dict) -> dict:
+    def handle_diversify(self, body: dict) -> bytes:
         queries, single = _validate_diversify(body, self.max_inflight)
         timeout_s = _validate_timeout(body, self.default_timeout_s)
         if not self.acquire_slots(len(queries)):
@@ -501,13 +620,13 @@ class DiversificationHTTPServer:
                 f"more than {self.max_inflight} queries in flight; retry later",
             )
         try:
-            results = self.serve(queries, timeout_s)
+            bodies = self.serve(queries, timeout_s)
         finally:
             self.release_slots(len(queries))
-        payloads = [result_payload(result) for result in results]
         if single:
-            return payloads[0]
-        return {"results": payloads}
+            return bodies[0]
+        # The bytes json.dumps({"results": payloads}) would produce.
+        return b'{"results": [' + b", ".join(bodies) + b"]}"
 
     def handle_results(self, params: dict) -> dict:
         limit = _int_param(params, "limit", DEFAULT_PAGE_LIMIT, 1, MAX_PAGE_LIMIT)
@@ -607,6 +726,7 @@ class DiversificationHTTPServer:
             "caches": {
                 "specialization": _cache_payload(self.service.spec_cache_info()),
                 "result": _cache_payload(self.service.result_cache_info()),
+                "reply": _cache_payload(self._replies.stats()),
             },
             "ring": {
                 "size": len(self._ring),
@@ -785,6 +905,23 @@ def _int_param(params: dict, name: str, default: int, low: int, high: int | None
     return value
 
 
+def _http_version(version: str) -> tuple[int, int] | None:
+    """``(major, minor)`` of an ``HTTP/x.y`` word, or ``None`` when it
+    is malformed (RFC 2145: two decimal integers, leading zeros ignored,
+    each of at most 10 digits)."""
+    if not version.startswith("HTTP/"):
+        return None
+    parts = version[len("HTTP/"):].split(".")
+    if len(parts) != 2 or not all(
+        part.isdigit() and len(part) <= 10 for part in parts
+    ):
+        return None
+    try:
+        return int(parts[0]), int(parts[1])
+    except ValueError:  # a non-ASCII digit such as '²'
+        return None
+
+
 def _make_handler(api: DiversificationHTTPServer):
     """Bind the handler class to one server instance (the ``api``)."""
 
@@ -801,6 +938,73 @@ def _make_handler(api: DiversificationHTTPServer):
         #: Socket timeout of every read; the stdlib's handle_one_request
         #: closes a connection whose read times out.
         timeout = READ_TIMEOUT_S
+
+        def parse_request(self) -> bool:
+            """The stdlib's request-line rules, then :func:`read_headers`.
+
+            The request line is judged as CPython 3.11 judges it: 400 for
+            a malformed version or line, 505 for HTTP/2+, GET only for a
+            two-word (HTTP/0.9) line, and a leading ``//`` collapsed to
+            ``/``.  Its ``Connection`` and ``Expect: 100-continue``
+            handling follows (this handler speaks HTTP/1.1, so the
+            stdlib's ``protocol_version`` checks always hold and are
+            left out).  A refusal from the header reader is answered in
+            JSON and closes the connection: the rest of the block is
+            unread.
+            """
+            self._started = time.perf_counter()
+            self.command = None  # set in case of error on the first line
+            self.request_version = self.default_request_version
+            self.close_connection = True
+            requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
+            self.requestline = requestline
+            words = requestline.split()
+            if not words:
+                return False
+            if len(words) >= 3:  # enough to determine protocol version
+                version = words[-1]
+                number = _http_version(version)
+                if number is None:
+                    self.send_error(400, f"Bad request version ({version!r})")
+                    return False
+                if number >= (1, 1):
+                    self.close_connection = False
+                if number >= (2, 0):
+                    self.send_error(
+                        505, f"Invalid HTTP version ({version.split('/', 1)[1]})"
+                    )
+                    return False
+                self.request_version = version
+            if not 2 <= len(words) <= 3:
+                self.send_error(400, f"Bad request syntax ({requestline!r})")
+                return False
+            command, path = words[:2]
+            if len(words) == 2:
+                self.close_connection = True
+                if command != "GET":
+                    self.send_error(400, f"Bad HTTP/0.9 request type ({command!r})")
+                    return False
+            self.command, self.path = command, path
+            # gh-87389: a path starting with '//' reads as a scheme-less
+            # absolute URI to a client (an open redirect); reduce it.
+            if path.startswith("//"):
+                self.path = "/" + path.lstrip("/")
+            try:
+                self.headers = read_headers(self.rfile)
+            except ApiError as error:
+                self.close_connection = True
+                self._request_id = api.request_id(None)
+                self._error(error)
+                return False
+            conntype = self.headers.get("Connection", "").lower()
+            if conntype == "close":
+                self.close_connection = True
+            elif conntype == "keep-alive":
+                self.close_connection = False
+            expect = self.headers.get("Expect", "").lower()
+            if expect == "100-continue" and self.request_version >= "HTTP/1.1":
+                return self.handle_expect_100()
+            return True
 
         def handle_expect_100(self) -> bool:
             # The interim reply must reach the client now: it is waiting
@@ -819,8 +1023,8 @@ def _make_handler(api: DiversificationHTTPServer):
 
         # -- plumbing ------------------------------------------------------------
 
-        def _reply(self, status: int, payload: dict) -> None:
-            body = json.dumps(payload).encode("utf-8")
+        def _reply(self, status: int, payload: dict | bytes) -> None:
+            body = payload if isinstance(payload, bytes) else _encode(payload)
             self.send_response(status)
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(body)))
@@ -884,7 +1088,6 @@ def _make_handler(api: DiversificationHTTPServer):
                     from None
 
         def _dispatch(self, method: str) -> None:
-            self._started = time.perf_counter()
             self._request_id = api.request_id(self.headers.get("X-Request-Id"))
             url = urlsplit(self.path)
             params = parse_qs(url.query)

@@ -11,11 +11,13 @@ until the test opens it, so no scenario depends on scheduler luck.
 from __future__ import annotations
 
 import http.client
+import io
 import json
 import logging
 import re
 import socket
 import statistics
+import sys
 import threading
 import time
 import urllib.error
@@ -37,6 +39,7 @@ from repro.serving.http import (
     MAX_BODY_BYTES,
     MAX_PAGE_LIMIT,
     MAX_TIMEOUT_MS,
+    read_headers,
 )
 
 
@@ -71,6 +74,41 @@ def post(url: str, body: dict | bytes | None = None) -> tuple[int, dict]:
 
 def error_code(body: dict) -> str:
     return body["error"]["code"]
+
+
+def post_raw(server, body: dict) -> tuple[int, bytes]:
+    """``POST /diversify`` on a fresh connection; the reply's raw bytes."""
+    connection = http.client.HTTPConnection(*server.address, timeout=30)
+    try:
+        connection.request(
+            "POST", "/diversify", body=json.dumps(body),
+            headers={"Content-Type": "application/json"},
+        )
+        response = connection.getresponse()
+        return response.status, response.read()
+    finally:
+        connection.close()
+
+
+def exchange(server, raw: bytes) -> bytes:
+    """Send *raw* on a fresh connection; everything the server sends back
+    until it closes the connection (a socket timeout if it never does)."""
+    chunks = []
+    with socket.create_connection(server.address, timeout=5) as sock:
+        sock.sendall(raw)
+        try:
+            while chunk := sock.recv(65536):
+                chunks.append(chunk)
+        except ConnectionResetError:
+            pass  # closed with the request's tail unread: the reply came first
+    return b"".join(chunks)
+
+
+def only_reply(stream: bytes) -> tuple[int, bytes, bytes]:
+    """``(status, head, body)`` of the one reply *stream* holds."""
+    assert len(re.findall(rb"(?m)^HTTP/1\.[01] \d{3} ", stream)) == 1, stream
+    head, _, body = stream.partition(b"\r\n\r\n")
+    return int(head.split(b" ", 2)[1]), head, body
 
 
 class GateBackend:
@@ -339,6 +377,216 @@ class TestSlowClients:
             assert time.perf_counter() - started < 5
         status, body = get(impatient_server.base_url + "/health")
         assert (status, body["status"]) == (200, "ok")
+
+
+# -- the header reader -----------------------------------------------------------
+
+
+class TestHeaderLimits:
+    """The stdlib's limits, kept: a 65,536-byte line and 100 lines (the
+    blank one that ends the block counted).  No blank line follows the
+    offending one, so the refusal cannot have waited for the block's end."""
+
+    HEAD = b"GET /health HTTP/1.1\r\nHost: test\r\n"
+
+    def test_header_line_over_the_limit_is_431(self, server):
+        line = b"X-Long: " + b"a" * (65_537 - len(b"X-Long: \r\n")) + b"\r\n"
+        assert len(line) == 65_537
+        status, _, _ = only_reply(exchange(server, self.HEAD + line))
+        assert status == 431
+
+    def test_more_than_100_header_lines_is_431(self, server):
+        lines = b"".join(b"X-H%d: v\r\n" % i for i in range(100))
+        status, _, _ = only_reply(exchange(server, self.HEAD + lines))
+        assert status == 431  # 101 header lines, Host included
+
+    def test_block_at_the_limits_is_served(self, server):
+        lines = b"".join(b"X-H%d: v\r\n" % i for i in range(97))
+        line = b"X-Long: " + b"a" * (65_536 - len(b"X-Long: \r\n")) + b"\r\n"
+        with socket.create_connection(server.address, timeout=10) as sock:
+            sock.sendall(self.HEAD + lines + line + b"\r\n")
+            response = http.client.HTTPResponse(sock)
+            response.begin()  # Host, 97 + 1 lines and the blank one = 100
+            assert response.status == 200
+            assert json.loads(response.read())["status"] == "ok"
+
+
+class TestRequestLine:
+    """The request line is judged by CPython 3.11's rules."""
+
+    @pytest.mark.parametrize(
+        "line, status",
+        [
+            (b"GET /health HTTP/1.1", 200),
+            (b"GET //health HTTP/1.1", 200),  # a leading // reduces to /
+            (b"GET /health HTTP/1.0", 200),
+            (b"GET /health HTTP/2.0", 505),
+            (b"GET /health HTTP/1", 400),
+            (b"GET /health HTTP/1.\xb2", 400),
+            (b"GET /health HTTP/1.1 extra", 400),
+            (b"POST /health", 400),  # HTTP/0.9 knows only GET
+        ],
+    )
+    def test_status_of_request_line(self, server, line, status):
+        stream = exchange(server, line + b"\r\nConnection: close\r\n\r\n")
+        if status == 200:
+            assert only_reply(stream)[0] == 200
+        else:
+            # A refused line leaves the request at HTTP/0.9, which the
+            # stdlib answers with no status line: the code is in the page.
+            assert not stream.startswith(b"HTTP/")
+            assert b"Error code: %d" % status in stream
+
+    def test_http_09_get_is_answered_without_a_status_line(self, server):
+        stream = exchange(server, b"GET /health\r\n\r\n")
+        assert json.loads(stream)["status"] == "ok"
+
+
+class TestRefusedFraming:
+    """Framing the server cannot honour is refused before any body is
+    read, and the connection closes: nothing the client sent after the
+    offending line can be taken for a next request."""
+
+    HEAD = b"POST /diversify HTTP/1.1\r\nHost: test\r\nContent-Type: application/json\r\n"
+
+    @pytest.fixture()
+    def body(self, topic_queries) -> bytes:
+        return json.dumps({"query": topic_queries[0]}).encode("utf-8")
+
+    def _refusal(self, server, raw: bytes) -> tuple[int, str]:
+        status, head, body = only_reply(exchange(server, raw))
+        assert b"\r\nConnection: close" in head
+        return status, error_code(json.loads(body))
+
+    def test_conflicting_content_lengths_are_400(self, server, body):
+        raw = self.HEAD + b"Content-Length: %d\r\nContent-Length: %d\r\n\r\n" % (
+            len(body), len(body) + 1
+        )
+        assert self._refusal(server, raw + body) == (400, "bad_length")
+
+    def test_repeated_equal_content_length_is_served(
+        self, server, reference, topic_queries, body
+    ):
+        raw = self.HEAD + b"Content-Length: %d\r\n" % len(body) * 2
+        with socket.create_connection(server.address, timeout=10) as sock:
+            sock.sendall(raw + b"Connection: close\r\n\r\n" + body)
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            assert response.status == 200
+            assert json.loads(response.read()) == reference[topic_queries[0]]
+
+    def test_transfer_encoding_is_501(self, server, body):
+        chunked = b"%x\r\n%s\r\n0\r\n\r\n" % (len(body), body)
+        raw = self.HEAD + b"Transfer-Encoding: chunked\r\n\r\n" + chunked
+        assert self._refusal(server, raw) == (501, "unsupported_transfer_encoding")
+
+    def test_header_line_without_colon_is_400(self, server, body):
+        raw = self.HEAD + b"Content-Length: %d\r\nno colon here\r\n\r\n" % len(body)
+        assert self._refusal(server, raw + body) == (400, "bad_header")
+
+    def test_obs_fold_continuation_is_400(self, server, body):
+        raw = self.HEAD + b"Content-Length: %d\r\nX-Note: one\r\n two\r\n\r\n" % (
+            len(body)
+        )
+        assert self._refusal(server, raw + body) == (400, "bad_header")
+
+
+# -- the reply memo --------------------------------------------------------------
+
+
+class TestReplyMemo:
+    """A hit's encoded reply is memoised: served while the service answers
+    the same result object, and byte-identical to encoding it afresh."""
+
+    def test_replies_are_the_bytes_of_result_payload(self, server, topic_queries):
+        queries = topic_queries[:3] + topic_queries[:1]
+        for _ in range(3):  # misses, then hits that fill and use the memo
+            _, single = post_raw(server, {"query": queries[0]})
+            _, batch = post_raw(server, {"queries": queries})
+            results = [server.service.cached(query) for query in queries]
+            assert single == json.dumps(result_payload(results[0])).encode("utf-8")
+            assert batch == json.dumps(
+                {"results": [result_payload(result) for result in results]}
+            ).encode("utf-8")
+        _, stats = get(server.base_url + "/stats")
+        assert stats["caches"]["reply"]["hits"] > 0
+
+    def test_memo_holds_hits_only_and_is_bounded_by_ring_size(
+        self, framework_factory, topic_queries
+    ):
+        assert len(topic_queries) > 2
+        service = DiversificationService(framework_factory())
+        with DiversificationHTTPServer(service, ring_size=2) as srv:
+            post(srv.base_url + "/diversify", {"queries": topic_queries})
+            _, cold = get(srv.base_url + "/stats")
+            for _ in range(2):
+                post(srv.base_url + "/diversify", {"queries": topic_queries})
+            _, hot = get(srv.base_url + "/stats")
+        assert cold["caches"]["reply"]["size"] == 0  # every query missed
+        reply = hot["caches"]["reply"]
+        assert (reply["size"], reply["maxsize"]) == (2, 2)
+        assert reply["evictions"] > 0
+
+    def test_concurrent_hits_under_churn_stay_byte_identical(
+        self, framework_factory, reference, topic_queries
+    ):
+        """More client threads than cores, a short switch interval, a
+        memo smaller than the query set and result-cache invalidations
+        mid-run: every reply is still the encoding of its own query's
+        result, and the memo stays within its bound."""
+        want = {q: json.dumps(reference[q]).encode("utf-8") for q in topic_queries}
+        wrong: list[str] = []
+        service = DiversificationService(framework_factory())
+
+        def client(offset: int) -> None:
+            connection = http.client.HTTPConnection(*srv.address, timeout=30)
+            try:
+                for i in range(40):
+                    query = topic_queries[(offset + i) % len(topic_queries)]
+                    connection.request(
+                        "POST", "/diversify", body=json.dumps({"query": query}),
+                        headers={"Content-Type": "application/json"},
+                    )
+                    if connection.getresponse().read() != want[query]:
+                        wrong.append(query)
+            finally:
+                connection.close()
+
+        interval = sys.getswitchinterval()
+        with DiversificationHTTPServer(service, ring_size=2) as srv:
+            threads = [threading.Thread(target=client, args=(k,)) for k in range(6)]
+            sys.setswitchinterval(1e-5)
+            try:
+                for thread in threads:
+                    thread.start()
+                for _ in range(5):
+                    time.sleep(0.01)
+                    service.invalidate()
+                for thread in threads:
+                    thread.join(timeout=60)
+            finally:
+                sys.setswitchinterval(interval)
+            assert not any(thread.is_alive() for thread in threads)
+            _, stats = get(srv.base_url + "/stats")
+        assert wrong == []
+        reply = stats["caches"]["reply"]
+        assert reply["size"] <= 2 and reply["hits"] > 0
+
+    def test_a_replaced_result_is_encoded_afresh(self, server, topic_queries):
+        query = topic_queries[0]
+        post_raw(server, {"query": query})
+        _, before = post_raw(server, {"query": query})  # memoised
+        stale = server.service.cached(query)
+        server.service.invalidate()
+        post_raw(server, {"query": query})  # recomputed: a new object
+        _, after = post_raw(server, {"query": query})
+        fresh = server.service.cached(query)
+        assert fresh is not stale
+        assert after == json.dumps(result_payload(fresh)).encode("utf-8")
+        assert after == before  # the same answer, encoded from the new object
+        _, stats = get(server.base_url + "/stats")
+        reply = stats["caches"]["reply"]
+        assert (reply["hits"], reply["misses"]) == (0, 2)  # fill, then stale
 
 
 # -- GET /results ----------------------------------------------------------------
@@ -898,5 +1146,92 @@ def test_fuzzed_diversify_bodies_never_5xx(
         queries = [sent["query"]] if "query" in sent else sent["queries"]
         want = [result_payload(r) for r in direct.diversify_batch(queries)]
         assert body == (want[0] if "query" in sent else {"results": want})
+
+    check()
+
+
+# -- hostile header blocks: the stdlib's reading, or a 4xx; never a 5xx ----------
+
+
+TCHAR = "!#$%&'*+-.^_`|~0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+#: field-value characters: HTAB, SP, VCHAR and obs-text.
+FIELD_CHARS = "\t" + "".join(map(chr, range(0x20, 0x7F))) + "".join(
+    map(chr, range(0x80, 0x100))
+)
+#: Names the reader answers for, never refuses; the framing ones have
+#: their own tests.
+field_names = (
+    st.sampled_from(["Host", "Connection", "Expect", "X-Request-Id", "Accept"])
+    | st.text(alphabet=TCHAR, min_size=1, max_size=10)
+).filter(lambda name: name.lower() not in {"content-length", "transfer-encoding"})
+header_fields = st.lists(
+    st.tuples(
+        field_names,
+        st.sampled_from([":", ": ", ":\t", ":  "]),
+        st.text(alphabet=FIELD_CHARS, max_size=16),
+    ),
+    max_size=12,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(fields=header_fields, tail=st.binary(max_size=8))
+def test_reader_answers_as_the_stdlib_parser(fields, tail):
+    """On a well-formed block, ``get`` answers what ``email`` does for
+    every name in any case, the first of repeated names winning, and the
+    reader stops at the blank line exactly as the stdlib does."""
+    block = b"".join(
+        f"{name}{colon}{value}\r\n".encode("latin-1")
+        for name, colon, value in fields
+    ) + b"\r\n"
+    ours, theirs = io.BytesIO(block + tail), io.BytesIO(block + tail)
+    got, want = read_headers(ours), http.client.parse_headers(theirs)
+    for name, _, _ in fields + [("X-Absent", "", "")]:
+        for spelling in (name, name.lower(), name.upper()):
+            assert got.get(spelling) == want.get(spelling), spelling
+            assert (spelling in got) == (spelling in want)
+    assert ours.read() == theirs.read() == tail
+
+
+#: Lines a hostile or broken client sends; each is one line (no CR/LF
+#: inside), so the block ends only at the blank line the test appends.
+hostile_lines = st.sampled_from(
+    [
+        b"Host: test", b"Connection: close", b"Connection: keep-alive",
+        b"Expect: 100-continue", b"X-Request-Id: abc", b"X-Request-Id: \xff",
+        b"Content-Length: 3", b"Content-Length: -1", b"Content-Length:",
+        b"  folded", b"\tfolded", b"no colon", b": empty name",
+        b"Name : padded", b"X-A:", b"X-B: \xff\xfe", b"From nobody",
+    ]
+) | st.binary(min_size=1, max_size=24).filter(
+    lambda line: b"\r" not in line and b"\n" not in line
+)
+
+
+def test_fuzzed_header_blocks_never_5xx(server, topic_queries):
+    body = json.dumps({"query": topic_queries[0]}).encode("utf-8")
+
+    @settings(
+        max_examples=150,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(lines=st.lists(hostile_lines, max_size=8))
+    def check(lines: list[bytes]) -> None:
+        raw = (
+            b"POST /diversify HTTP/1.1\r\n"
+            + b"".join(line + b"\r\n" for line in lines)
+            + b"Content-Length: %d\r\n\r\n" % len(body)
+            + body
+        )
+        # A socket timeout here is a handler left waiting on the client.
+        with socket.create_connection(server.address, timeout=10) as sock:
+            sock.sendall(raw)
+            response = http.client.HTTPResponse(sock)
+            response.begin()
+            payload = json.loads(response.read())
+        assert response.status < 500, (raw[:200], payload)
+        if response.status != 200:
+            assert 400 <= response.status < 500 and error_code(payload)
 
     check()

@@ -45,6 +45,7 @@ from repro.serving import (
     DiversificationService,
     ShardedDiversificationService,
     persist_store,
+    result_payload,
 )
 from repro.serving.backends import WorkerDiedError
 from repro.serving.service import ReadOnlyError
@@ -54,7 +55,7 @@ from tests.retrieval.test_store_epochs import assert_stores_identical
 
 from .aio import ManualClock, RecordingBackend, run
 from .faults import CRASH_BEFORE_REPLY, Fault, FaultInjectingBackend, FaultSchedule
-from .test_http import error_code, get, post
+from .test_http import error_code, get, post, post_raw
 
 PARTITIONS = 3
 NUM_SHARDS = 3
@@ -1068,3 +1069,25 @@ class TestHTTPIngest:
             assert (status, error_code(body)) == (409, "read_only")
             status, health = get(f"{url}/health")
             assert (status, health["epoch"]) == (200, 0)
+
+    def test_hit_after_an_ingest_serves_the_new_result(
+        self, ingest_server, holdout_docs, workload
+    ):
+        """The reply memo serves a hit's bytes only while the service
+        answers the result they were encoded from: after a stats-changing
+        ingest (N and the mean length move every score), a hit carries
+        the new result."""
+        query = workload[0]
+        post_raw(ingest_server, {"query": query})
+        _, before = post_raw(ingest_server, {"query": query})  # memoised hit
+        doc = holdout_docs[0]
+        status, _ = post(
+            f"{ingest_server.base_url}/documents",
+            {"doc_id": doc.doc_id, "text": doc.text},
+        )
+        assert status == 200
+        post_raw(ingest_server, {"query": query})
+        _, after = post_raw(ingest_server, {"query": query})
+        result = ingest_server.service.cached(query)
+        assert after == json.dumps(result_payload(result)).encode("utf-8")
+        assert after != before
