@@ -1,8 +1,8 @@
 """Serving-layer checks on a realistic Zipf-repeating query stream.
 
 Every serving strategy — the batched service, sharded clusters, the
-process backend (one and two replicas per shard), the async and HTTP front-ends, each
-kernel-backed diversifier — may change *how* a stream is served, never
+process backend (one worker per shard, killed and respawned), the async
+and HTTP front-ends, each kernel-backed diversifier — may change *how* a stream is served, never
 *what* is served.  Each test below drives one strategy over the same 60–100-query
 Zipf stream and asserts its results identical to the per-query or
 sequential-batch reference, plus the accounting that proves the strategy
@@ -154,11 +154,11 @@ def test_process_backend_identity_smoke(trec_workload):
 
 
 @needs_fork
-def test_replicated_kill_shard_identity_smoke(trec_workload):
-    """2 shards x 2 process replicas, one replica per shard hard-killed
-    after the first chunk: every answer — rankings *and* baseline scores
-    — equals the fault-free reference, and the respawned replicas
-    hydrate from the donor's index store instead of re-mining."""
+def test_process_kill_shard_identity_smoke(trec_workload):
+    """2 shards, one process worker each, every worker hard-killed after
+    the first chunk: every answer — rankings *and* baseline scores —
+    equals the fault-free reference, and the respawned workers hydrate
+    from the donor's index store instead of re-mining."""
     queries = zipf_workload(trec_workload, 60)
     reference = reference_batch(trec_workload, queries)
     factory = framework_factory(trec_workload)
@@ -174,7 +174,7 @@ def test_replicated_kill_shard_identity_smoke(trec_workload):
         donor.close()
 
         engine = StoreBackedSearchEngine(path)
-        backend = ProcessBackend(replicas=2)
+        backend = ProcessBackend()
         cluster = ShardedDiversificationService.from_factory(
             dataclasses.replace(factory, engine=engine),
             shards,
@@ -187,20 +187,20 @@ def test_replicated_kill_shard_identity_smoke(trec_workload):
                 served.extend(cluster.diversify_batch(queries[start:start + 15]))
                 if index == 0:
                     for shard in range(shards):
-                        backend.kill_replica(shard)
+                        backend.kill_worker(shard)
             stats = cluster.cluster_stats()
-            replica_stats = backend.replication_stats()
+            worker_stats = backend.replication_stats()
         finally:
             cluster.close()
             engine.close()
     assert_same_answers(reference, served, scores=True)
-    respawns = sum(s.respawns_total for s in replica_stats.values())
+    respawns = sum(s["respawns"] for s in worker_stats.values())
     assert respawns >= shards  # one kill per shard
     assert warm.fetched == 0  # hydrated from the donor's index store
-    assert stats.served == len(queries)
+    # The killed workers' serving counters died with them: only the
+    # chunks served after the kill are counted.
+    assert stats.served == len(queries) - 15
     assert stats.respawns == respawns
-    for shard_stats in replica_stats.values():
-        assert len(shard_stats.requests) == 2
 
 
 def test_async_front_end_open_loop_identity(trec_workload):

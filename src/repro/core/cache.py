@@ -12,7 +12,7 @@ instead of the seed's unbounded dicts.
 The counters (hits / misses / evictions) feed the framework's
 ``cache_info()`` and the serving layer's throughput reports, and
 :class:`Rollup` is the one rule by which such part reports — per cache,
-shard, replica or index partition — combine into a whole.
+shard or index partition — combine into a whole.
 """
 
 from __future__ import annotations
@@ -62,7 +62,6 @@ BUSY = {
 }
 PARTS = {"rollup": lambda f, parts, name: tuple(parts)}
 PART_COPIES = {"rollup": lambda f, parts, name: tuple(map(copy.deepcopy, parts))}
-EMPTY = {"rollup": lambda f, parts, name: f.default}
 
 
 def named(default: str) -> dict:
@@ -79,9 +78,8 @@ class Rollup:
     histograms; :data:`BUSY` sums ``busy_seconds or seconds``;
     :data:`PARTS` keeps the parts as the breakdown and
     :data:`PART_COPIES` deep copies of them (a snapshot of mutable
-    parts); :data:`EMPTY` leaves the default; :func:`named` labels the
-    whole.  Every other field sums.  A merged report merges again by the
-    same rule, so roll-ups nest.
+    parts); :func:`named` labels the whole.  Every other field sums.  A
+    merged report merges again by the same rule, so roll-ups nest.
     """
 
     @classmethod

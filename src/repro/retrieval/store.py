@@ -31,7 +31,7 @@ On top of the store sit three pieces:
   statistic as exact integers (tf, document lengths, df, cf, N, tokens), so
   rankings *and scores* are byte-identical to the in-memory build.  The
   engine pickles as just its store path plus configuration: process
-  workers and respawned replicas rehydrate in O(attach), not O(rebuild).
+  workers and respawned workers rehydrate in O(attach), not O(rebuild).
 
 Combined with :class:`~repro.retrieval.engine.MemoryBudget`, the
 store-backed engine turns ``memory_estimate()`` into an *enforced*
@@ -123,7 +123,7 @@ class StaleEpochError(StoreError):
     """A store is behind the epoch the attacher requires.
 
     Raised when attaching with ``expected_epoch`` and the store's
-    published ``store_epoch`` is older — e.g. a respawned replica whose
+    published ``store_epoch`` is older — e.g. a respawned worker whose
     attach recipe remembers the epoch it was serving, pointed at a store
     file that was rolled back or never received the appends.  Carries
     both epochs so operators see exactly how far behind the file is.
@@ -1266,7 +1266,7 @@ class StoreBackedSearchEngine(SearchEngine):
     division, scores are byte-identical to the in-memory build.
 
     Pickles as its store path plus configuration and re-attaches on
-    unpickle, so spawn-method process workers and respawned replicas
+    unpickle, so spawn-method process workers and respawned ones
     hydrate in O(attach) instead of shipping (or rebuilding) the index.
     The recipe remembers the epoch the donor was serving, so a respawn
     pointed at a rolled-back store fails fast (:class:`StaleEpochError`)

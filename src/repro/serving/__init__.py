@@ -22,16 +22,15 @@ grows it past one worker:
   :class:`~repro.serving.backends.ThreadBackend` (GIL-bound fan-out; wins once the numpy
   kernels dominate) and ``"process"``;
 * :mod:`~repro.serving.replication` — the process backend,
-  :class:`~repro.serving.replication.ProcessBackend`: R OS worker
-  processes per shard (one by default) with per-worker warm state — the
-  multi-core path.  A :class:`~repro.serving.replication.ReplicaSet` per
-  shard routes among its replicas (round-robin / least-outstanding),
-  optionally hedges requests for tail control, and respawns and
-  rehydrates a worker that dies.  A shard over a store-backed engine
-  hydrates its warm artifacts from the index store, so worker processes
-  skip re-deriving the offline phase.  Every replica is built by the
-  same deterministic factory, so results stay byte-identical no matter
-  which replica answers — including mid-benchmark kills;
+  :class:`~repro.serving.replication.ProcessBackend`: one OS worker
+  process per shard with its own warm state — the multi-core path.  A
+  :class:`~repro.serving.replication.ShardWorker` per shard respawns and
+  rehydrates a worker that dies and retries a repeatable call on the
+  new one.  A shard over a store-backed engine hydrates its warm
+  artifacts from the index store, so worker processes skip re-deriving
+  the offline phase.  Every worker is built by the same deterministic
+  factory, so results stay byte-identical across respawns — including
+  mid-benchmark kills;
 * :mod:`~repro.serving.offline` — the partition-parallel offline
   pipeline: :func:`build_partitioned_engine` builds the N inverted-index
   partitions of a

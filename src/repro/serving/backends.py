@@ -14,9 +14,9 @@ out three ways:
   ``ThreadPoolExecutor``.  Pays off once the numpy kernels (which
   release the GIL) dominate; parity otherwise.
 * :class:`~repro.serving.replication.ProcessBackend` — real OS
-  processes: R pipe-driven workers per shard (one by default), each
-  building its own shard service from a factory, with failover and
-  respawn when a worker dies.  It lives in
+  processes: one pipe-driven worker per shard, building its shard
+  service from a factory, respawned (and the call retried) when it
+  dies.  It lives in
   :mod:`repro.serving.replication`, the only module that starts worker
   processes.
 
@@ -59,9 +59,9 @@ class WorkerDiedError(BackendError):
 
     Subclasses :class:`BackendError` so existing callers that catch the
     broad class keep working; carries enough structure — the one shard
-    the worker served (as ``shards``, a 1-tuple), its replica slot, and
-    the OS exit code when known — for respawn logic (and tests) to react
-    without parsing the message.
+    the worker served (as ``shards``, a 1-tuple) and the OS exit code
+    when known — for respawn logic (and tests) to react without parsing
+    the message.
     """
 
     def __init__(
@@ -69,12 +69,10 @@ class WorkerDiedError(BackendError):
         message: str,
         *,
         shards: Sequence[int] = (),
-        replica: int | None = None,
         exitcode: int | None = None,
     ) -> None:
         super().__init__(message)
         self.shards = tuple(shards)
-        self.replica = replica
         self.exitcode = exitcode
 
     @property
@@ -117,24 +115,9 @@ class ExecutionBackend(ABC):
         """
         return None
 
-    @property
-    def replicas(self) -> int:
-        """Copies of each shard service this backend runs (1 unless a
-        process backend was built with ``replicas=R``)."""
-        return 1
-
-    def invoke_replicas(self, shard: int, method: str, *args) -> list:
-        """Run one call on *every* replica of a shard, primary first.
-
-        The in-process default is just :meth:`invoke` in a list; the
-        process backend overrides this so the sharded service can
-        collect per-replica stats and cache info.
-        """
-        return [self.invoke(shard, method, *args)]
-
-    def replication_stats(self) -> dict:
-        """Routing-layer counters per shard (hedges, respawns,
-        failovers) — empty on in-process backends."""
+    def replication_stats(self) -> dict[int, dict[str, int]]:
+        """``{shard: {"respawns": n, "failovers": m}}`` for shards whose
+        worker can die and be respawned — empty on in-process backends."""
         return {}
 
     @abstractmethod
@@ -278,65 +261,37 @@ def make_backend(
     backend: "str | ExecutionBackend | None",
     max_workers: int | None = None,
     start_method: str | None = None,
-    replicas: int = 1,
-    policy: str = "round-robin",
-    hedge_after_ms: float | None = None,
 ) -> ExecutionBackend:
     """Resolve a backend spec — a name, an instance, or ``None``.
 
     ``None`` yields the default :class:`ThreadBackend` (the PR-2
-    behaviour), or a process backend when ``replicas > 1``.  An instance
-    passes through untouched, so callers can hand in a pre-configured
-    backend or anything else satisfying the protocol.
+    behaviour).  An instance passes through untouched, so callers can
+    hand in a pre-configured backend or anything else satisfying the
+    protocol.
 
     ``"process"`` builds a
-    :class:`~repro.serving.replication.ProcessBackend` with ``replicas``
-    workers per shard; ``start_method``, ``policy`` and
-    ``hedge_after_ms`` configure it.  ``max_workers`` sizes the thread
-    pool and is refused with ``"process"`` (which runs one worker per
-    shard replica), as ``start_method`` and replication are refused
-    elsewhere — a contradiction is an error, not a silent no-op.
-    Replication needs process workers: in-process shards share one
-    interpreter, so a "crash" would take every replica with it.
+    :class:`~repro.serving.replication.ProcessBackend` with
+    ``start_method``.  ``max_workers`` sizes the thread pool and is
+    refused with ``"process"`` (which runs one worker per shard), as
+    ``start_method`` is refused elsewhere — a contradiction is an error,
+    not a silent no-op.
     """
     if backend is None:
-        backend = "process" if replicas > 1 else "thread"
+        backend = "thread"
     if isinstance(backend, str) and backend.lower() == "process":
         if max_workers is not None:
             raise ValueError(
                 "max_workers sizes the thread backend's pool; the "
-                "'process' backend runs one worker per shard replica"
+                "'process' backend runs one worker per shard"
             )
         from repro.serving.replication import ProcessBackend
 
-        return ProcessBackend(
-            replicas=replicas,
-            policy=policy,
-            hedge_after_ms=hedge_after_ms,
-            start_method=start_method,
-        )
-    if isinstance(backend, ExecutionBackend) and replicas > 1:
-        raise ValueError(
-            f"replicas={replicas} configures a backend built here by "
-            f"name, not the instance {backend!r}; pass "
-            f"ProcessBackend(replicas={replicas}) instead"
-        )
+        return ProcessBackend(start_method=start_method)
     if start_method is not None:
         raise ValueError(
             f"start_method={start_method!r} only applies to the "
             f"'process' backend, not {backend!r}"
         )
-    if replicas > 1:
-        raise ValueError(
-            f"replicas={replicas} requires process workers (backend "
-            f"None or 'process', got {backend!r}): in-process shards "
-            "share one interpreter, so replication could not survive "
-            "a crash"
-        )
-    if hedge_after_ms is not None:
-        raise ValueError("hedge_after_ms requires replicas > 1")
-    if policy != "round-robin":
-        raise ValueError(f"policy={policy!r} requires replicas > 1")
     if isinstance(backend, ExecutionBackend):
         return backend
     if not isinstance(backend, str):

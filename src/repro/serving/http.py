@@ -84,13 +84,14 @@ Endpoints (base URL ``http://<host>:<port>``):
     Remove one document (an epoch of its own); responds with the epoch
     that excludes it.  Errors as for ``POST /documents``.
 ``GET /health``
-    Liveness plus the currently published ``epoch`` and per-shard
-    replica health when the cluster runs a
-    :class:`~repro.serving.replication.ProcessBackend`.
+    Liveness plus the currently published ``epoch`` and, when the
+    cluster runs a :class:`~repro.serving.replication.ProcessBackend`,
+    each shard's worker under ``workers`` (``alive``, ``pid``,
+    ``respawns``).
 ``GET /stats``
     Merged :class:`~repro.serving.service.ServiceStats` /
     :class:`~repro.core.cache.CacheStats` (the reply memo's under
-    ``caches.reply``) / replication + ingest counters as JSON.
+    ``caches.reply``) / worker respawn + ingest counters as JSON.
 ``POST /drain``
     Graceful rolling-restart shutdown: stop admitting, flush the
     in-flight admission windows, report drained counts.  Idempotent;
@@ -284,8 +285,8 @@ def result_payload(result: DiversifiedResult) -> dict:
 def stats_payload(stats: ServiceStats) -> dict:
     """One :class:`ServiceStats` (leaf or merged) as a JSON-able dict.
 
-    Nested breakdowns (``shards`` with their ``replicas``) serialise
-    recursively — they are bounded snapshots, not live objects.
+    The ``shards`` breakdown serialises recursively — its entries are
+    bounded snapshots, not live objects.
     """
     payload = {
         "name": stats.name,
@@ -312,8 +313,6 @@ def stats_payload(stats: ServiceStats) -> dict:
             "queue_depth_peak": stats.queue_depth_peak,
         },
         "replication": {
-            "hedges_fired": stats.hedges_fired,
-            "hedges_won": stats.hedges_won,
             "respawns": stats.respawns,
             "failovers": stats.failovers,
         },
@@ -332,8 +331,6 @@ def stats_payload(stats: ServiceStats) -> dict:
     }
     if stats.shards:
         payload["shards"] = [stats_payload(s) for s in stats.shards]
-    if stats.replicas:
-        payload["replicas"] = [stats_payload(s) for s in stats.replicas]
     return payload
 
 
@@ -710,8 +707,8 @@ class DiversificationHTTPServer:
             payload["execution_backend"] = getattr(backend, "name", "?")
             health = getattr(backend, "health", None)
             if callable(health):
-                payload["replicas"] = {
-                    str(shard): entries for shard, entries in health().items()
+                payload["workers"] = {
+                    str(shard): entry for shard, entry in health().items()
                 }
         else:
             payload["kind"] = "single"
@@ -948,12 +945,13 @@ def _make_handler(api: DiversificationHTTPServer):
             ``/``.  Its ``Connection`` and ``Expect: 100-continue``
             handling follows (this handler speaks HTTP/1.1, so the
             stdlib's ``protocol_version`` checks always hold and are
-            left out).  A refusal from the header reader is answered in
-            JSON and closes the connection: the rest of the block is
-            unread.
+            left out).  Every refusal is answered in JSON and closes the
+            connection: the rest of the block is unread.  A line whose
+            version is refused is answered with an HTTP/1.1 status line;
+            a line without a version gets HTTP/0.9's bare body.
             """
             self._started = time.perf_counter()
-            self.command = None  # set in case of error on the first line
+            self.command = self.path = None  # in case the first line is refused
             self.request_version = self.default_request_version
             self.close_connection = True
             requestline = str(self.raw_requestline, "iso-8859-1").rstrip("\r\n")
@@ -964,26 +962,30 @@ def _make_handler(api: DiversificationHTTPServer):
             if len(words) >= 3:  # enough to determine protocol version
                 version = words[-1]
                 number = _http_version(version)
-                if number is None:
-                    self.send_error(400, f"Bad request version ({version!r})")
-                    return False
-                if number >= (1, 1):
-                    self.close_connection = False
-                if number >= (2, 0):
-                    self.send_error(
-                        505, f"Invalid HTTP version ({version.split('/', 1)[1]})"
-                    )
-                    return False
+                if number is None or number >= (2, 0):
+                    # A refused version is answered in the one we speak.
+                    self.request_version = self.protocol_version
+                    if number is None:
+                        return self._refuse(ApiError(
+                            400, "bad_request_line",
+                            f"bad request version ({version!r})",
+                        ))
+                    return self._refuse(ApiError(
+                        505, "http_version_not_supported",
+                        f"invalid HTTP version ({version.split('/', 1)[1]})",
+                    ))
+                self.close_connection = number < (1, 1)
                 self.request_version = version
             if not 2 <= len(words) <= 3:
-                self.send_error(400, f"Bad request syntax ({requestline!r})")
-                return False
+                return self._refuse(ApiError(
+                    400, "bad_request_line", f"bad request syntax ({requestline!r})"
+                ))
             command, path = words[:2]
-            if len(words) == 2:
-                self.close_connection = True
-                if command != "GET":
-                    self.send_error(400, f"Bad HTTP/0.9 request type ({command!r})")
-                    return False
+            if len(words) == 2 and command != "GET":
+                return self._refuse(ApiError(
+                    400, "bad_request_line",
+                    f"bad HTTP/0.9 request type ({command!r})",
+                ))
             self.command, self.path = command, path
             # gh-87389: a path starting with '//' reads as a scheme-less
             # absolute URI to a client (an open redirect); reduce it.
@@ -992,10 +994,7 @@ def _make_handler(api: DiversificationHTTPServer):
             try:
                 self.headers = read_headers(self.rfile)
             except ApiError as error:
-                self.close_connection = True
-                self._request_id = api.request_id(None)
-                self._error(error)
-                return False
+                return self._refuse(error)
             conntype = self.headers.get("Connection", "").lower()
             if conntype == "close":
                 self.close_connection = True
@@ -1005,6 +1004,14 @@ def _make_handler(api: DiversificationHTTPServer):
             if expect == "100-continue" and self.request_version >= "HTTP/1.1":
                 return self.handle_expect_100()
             return True
+
+        def _refuse(self, error: ApiError) -> bool:
+            """Answer a request refused while parsing; the connection
+            closes, because what follows the refused part is unread."""
+            self.close_connection = True
+            self._request_id = api.request_id(None)
+            self._error(error)
+            return False
 
         def handle_expect_100(self) -> bool:
             # The interim reply must reach the client now: it is waiting
@@ -1017,8 +1024,8 @@ def _make_handler(api: DiversificationHTTPServer):
             pass  # _reply logs each request once, with its bytes and ms
 
         def log_message(self, format, *args):  # noqa: A002 - stdlib name
-            # Only the stdlib's own errors (an unparseable request line, a
-            # read timeout) still arrive here.
+            # Only the stdlib's own errors (a request line over the limit,
+            # an unsupported method, a read timeout) still arrive here.
             _LOG.info("%s " + format, self.address_string(), *args)
 
         # -- plumbing ------------------------------------------------------------

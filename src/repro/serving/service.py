@@ -28,7 +28,7 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 
 from repro.core.ambiguity import SpecializationSet
-from repro.core.cache import BUCKETS, BUSY, CONCAT, EMPTY, MAX, PART_COPIES, PARTS
+from repro.core.cache import BUCKETS, BUSY, CONCAT, MAX, PART_COPIES, PARTS
 from repro.core.cache import CacheStats, LRUCache, Rollup, named
 from repro.core.framework import DiversificationFramework, DiversifiedResult
 from repro.core.task import DiversificationTask
@@ -124,7 +124,7 @@ def _percentile(sorted_values: Sequence[float], q: float) -> float:
     sample answers every ``q`` with itself, and ``q`` outside ``[0, 1]``
     clamps to the extremes.  The earlier nearest-rank implementation
     rounded the position (with banker's rounding, so p50 of two samples
-    fell on the *lower* one) — merged shard/replica samples crossed the
+    fell on the *lower* one) — merged shard samples crossed the
     interpolation thresholds in order-dependent ways; this form is
     order-independent given the sort.
     """
@@ -201,13 +201,9 @@ class ServiceStats(Rollup):
     #: deepest the admission queue ever ran
     queue_depth_peak: int = field(default=0, metadata=MAX)
     #: -- process workers (zero on in-process backends) ------------------
-    #: hedge copies of a request this replica received
-    hedges_fired: int = 0
-    #: hedge copies that answered before the primary
-    hedges_won: int = 0
-    #: times this replica slot was respawned after a crash or hang
+    #: times this shard's worker was respawned after a crash or hang
     respawns: int = 0
-    #: requests retried on another replica after this one died mid-call
+    #: calls whose worker died or hung mid-call (retried unless unrepeatable)
     failovers: int = 0
     #: -- postings page cache (zero on fully in-memory engines) ----------
     #: pages served from the store-backed engine's page cache
@@ -219,9 +215,9 @@ class ServiceStats(Rollup):
     #: estimated bytes of postings resident in the page cache
     page_resident_bytes: int = 0
     #: -- live ingest (zero until apply_updates runs) --------------------
-    # Every shard (and replica) applies every ingest batch to its own
-    # engine copy, so these three agree across a merge's inputs — max,
-    # not sum, is the cluster-level truth.
+    # Every shard applies every ingest batch to its own engine copy, so
+    # these three agree across a merge's inputs — max, not sum, is the
+    # cluster-level truth.
     #: documents added across every published epoch
     documents_ingested: int = field(default=0, metadata=MAX)
     #: documents removed across every published epoch
@@ -230,11 +226,6 @@ class ServiceStats(Rollup):
     epochs_published: int = field(default=0, metadata=MAX)
     #: specialization result lists dropped by epoch invalidation
     warm_invalidations: int = 0
-    #: per-replica breakdown of one shard's merged stats (empty unless
-    #: the shard ran replicated).  Replicas are *copies* of one shard —
-    #: not partitions of the cluster — so they get their own slot
-    #: instead of reusing ``shards``; see :meth:`merge_replicas`.
-    replicas: tuple["ServiceStats", ...] = field(default=(), metadata=EMPTY)
     #: per-shard breakdown of a merged instance (empty on leaf stats).
     #: Every shard of the merging cluster contributes exactly one entry,
     #: including shards that served zero queries — their entries are
@@ -286,19 +277,6 @@ class ServiceStats(Rollup):
         """Served queries per second of service wall-clock."""
         return self.served / self.seconds if self.seconds > 0 else 0.0
 
-    @classmethod
-    def merge_replicas(
-        cls, stats: Iterable["ServiceStats"], name: str = ""
-    ) -> "ServiceStats":
-        """Roll one shard's per-replica stats into a shard-level entry:
-        :meth:`merge`, with the input snapshots in ``replicas`` instead of
-        ``shards`` — replicas are interchangeable copies, not partitions,
-        and the distinct slot lets the entry nest inside a cluster merge.
-        Zero-traffic replicas contribute well-formed zeroed entries."""
-        merged = cls.merge(stats, name=name)
-        merged.replicas, merged.shards = merged.shards, ()
-        return merged
-
     def summary(self) -> str:
         label = f"[{self.name}] " if self.name else ""
         text = (
@@ -334,19 +312,8 @@ class ServiceStats(Rollup):
                 f"removed={self.documents_removed} "
                 f"warm_invalidated={self.warm_invalidations}"
             )
-        if (
-            self.replicas
-            or self.hedges_fired
-            or self.hedges_won
-            or self.respawns
-            or self.failovers
-        ):
-            if self.replicas:
-                text += f" replicas={len(self.replicas)}"
-            text += (
-                f" hedges={self.hedges_fired}/{self.hedges_won} "
-                f"respawns={self.respawns} failovers={self.failovers}"
-            )
+        if self.respawns or self.failovers:
+            text += f" respawns={self.respawns} failovers={self.failovers}"
         return text
 
 
@@ -640,7 +607,7 @@ class DiversificationService:
 
         The batch is appended to the engine's store file
         (:meth:`append_to_store`) — exactly once, here — and
-        :meth:`apply_updates` then refreshes; replicas receiving the
+        :meth:`apply_updates` then refreshes; other shards receiving the
         broadcast refresh too, without re-appending.  Returns the epoch
         that includes the batch; :class:`ReadOnlyError` on an in-memory
         engine, with nothing changed.

@@ -14,8 +14,7 @@ specialization cache, detection cache and result LRU hold exactly its
 partition of the query space.  The offline phase (``warm``) and the
 online phase (``diversify_batch``) fan out per-shard over a pluggable
 :class:`~repro.serving.backends.ExecutionBackend` — an ordered inline
-sweep, a thread pool, or OS worker processes (R replicas per shard,
-one by default) — and merge:
+sweep, a thread pool, or one OS worker process per shard — and merge:
 
 * results re-assemble in request order (routing is per-query, the batch
   contract is unchanged);
@@ -55,9 +54,6 @@ from repro.serving.service import (
 
 __all__ = ["ShardedDiversificationService", "ShardServiceFactory"]
 
-#: The per-replica-slot counters only the routing layer sees.
-_ROUTING_COUNTERS = ("hedges_fired", "hedges_won", "respawns", "failovers")
-
 
 @dataclasses.dataclass(frozen=True)
 class ShardServiceFactory:
@@ -70,8 +66,8 @@ class ShardServiceFactory:
     after fork (or unpickles it first, under spawn — then
     ``framework_factory`` itself must pickle).  A shard whose engine is
     attached to an index store hydrates its warm artifacts from that
-    store's ``warm_artifacts`` rows as it is built, so process workers
-    and respawned replicas cold-start at the store's current epoch
+    store's ``warm_artifacts`` rows as it is built, so process workers,
+    respawned ones included, cold-start at the store's current epoch
     without re-deriving the offline phase.
     """
 
@@ -107,7 +103,7 @@ class ShardedDiversificationService:
         Pool width of a :class:`~repro.serving.backends.ThreadBackend`
         built from a name/default; ``None`` resolves to
         ``min(num_shards, os.cpu_count())``.  Refused with
-        ``"process"``, which runs one worker per shard replica.
+        ``"process"``, which runs one worker per shard.
     router_seed:
         Seed of the :func:`~repro.retrieval.engine.stable_shard`
         router.  Must be kept constant for the lifetime of the cluster's
@@ -175,9 +171,6 @@ class ShardedDiversificationService:
         max_workers: int | None = None,
         router_seed: int = 0,
         backend: "str | ExecutionBackend | None" = None,
-        replicas: int = 1,
-        policy: str = "round-robin",
-        hedge_after_ms: float | None = None,
     ) -> "ShardedDiversificationService":
         """Build *num_shards* shards from ``framework_factory(shard_id)``.
 
@@ -185,33 +178,20 @@ class ShardedDiversificationService:
         places that shard* — in this process for ``inline``/``thread``,
         inside a worker process for ``process`` (inherited under fork;
         must pickle under spawn).  Frameworks may share a (read-only)
-        engine and detector, or carry per-shard replicas / a partitioned
+        engine and detector, or carry per-shard copies / a partitioned
         :class:`~repro.retrieval.engine.SearchEngine` —
         anything ranking-identical keeps the cluster's identity
         guarantee.  A shard whose engine is a
         :class:`~repro.retrieval.store.StoreBackedSearchEngine` hydrates
         its warm artifacts from that store as it is built
-        (:class:`ShardServiceFactory`).
-
-        ``replicas=R`` (with a ``None``/``"process"`` backend spec) runs
-        R process workers per shard instead of one, with ``policy``
-        routing (``"round-robin"`` or ``"least-outstanding"``) and
-        optional hedged requests after ``hedge_after_ms``.  At any R a
-        dead worker is respawned and rehydrated — it re-runs the
-        factory, so over a store-backed engine it hydrates from the
-        store at its current epoch.  Every replica is built by the same
-        deterministic factory, so results are byte-identical no matter
-        which replica answers.
+        (:class:`ShardServiceFactory`).  On the process backend a dead
+        worker is respawned by re-running the factory, so over a
+        store-backed engine it hydrates from the store at its current
+        epoch.
         """
         if num_shards <= 0:
             raise ValueError("num_shards must be positive")
-        backend = make_backend(
-            backend,
-            max_workers=max_workers,
-            replicas=replicas,
-            policy=policy,
-            hedge_after_ms=hedge_after_ms,
-        )
+        backend = make_backend(backend, max_workers=max_workers)
         backend.start(
             ShardServiceFactory(
                 framework_factory, result_cache_size=result_cache_size
@@ -414,9 +394,9 @@ class ShardedDiversificationService:
 
         Shard 0 appends the batch to the shards' store file exactly once
         (:meth:`DiversificationService.append_to_store`, with its
-        engine's analyzer; one replica, never hedged or broadcast); the
-        :meth:`apply_updates` broadcast then makes every shard — and
-        every replica of every shard — serve the new epoch.  Returns the
+        engine's analyzer; never resent or broadcast); the
+        :meth:`apply_updates` broadcast then makes every shard serve the
+        new epoch.  Returns the
         epoch that includes the batch; shards over in-memory engines
         raise :class:`~repro.serving.service.ReadOnlyError` from shard 0
         before anything changes.
@@ -425,7 +405,7 @@ class ShardedDiversificationService:
         it, and its respawn attaches the store at whatever epoch the
         store holds.  So the :class:`~repro.serving.backends.WorkerDiedError`
         is raised only after an empty :meth:`apply_updates` broadcast
-        has brought every shard and replica to the store's epoch (a
+        has brought every shard to the store's epoch (a
         refresh that finds nothing new changes nothing).  The batch's
         documents stay out of the ingest document counters, which count
         acknowledged batches.
@@ -447,9 +427,9 @@ class ShardedDiversificationService:
         """Serve an (already durable) ingest batch on every shard.
 
         Each shard refreshes its engine to the store's latest epoch and
-        sweeps its caches; the process backend routes this to *every*
-        replica (it is in ``REPLICATED_STATE_METHODS``), so no failover
-        can time-travel the collection.  Shards that share one engine
+        sweeps its caches, and a respawned worker attaches the store at
+        that epoch, so no failover can time-travel the collection.
+        Shards that share one engine
         object advance it once — the first refresh publishes the epoch,
         the rest find it current — and each still runs its own sweep.
         Returns the published epoch.
@@ -476,37 +456,19 @@ class ShardedDiversificationService:
         In-process shards return their live objects; process-backed
         shards ship snapshots over the boundary.  Every shard appears,
         named ``shard<i>`` — one that served zero queries contributes a
-        well-formed zeroed entry.  A process-backed shard's snapshots
-        are stamped with their slots' routing counters — hedges,
-        respawns, failovers, which a worker cannot see from inside and
-        which survive a respawn that resets the serving counters.  With
-        R > 1 replicas the entry rolls them up
-        (:meth:`ServiceStats.merge_replicas`), each named
-        ``shard<i>/r<j>``.
+        well-formed zeroed entry.  A process-backed shard's snapshot is
+        stamped with its worker's ``respawns`` and ``failovers``, which a
+        worker cannot see from inside and which survive a respawn that
+        resets the serving counters.
         """
-        replication = self._backend.replication_stats()
-        entries = []
-        for shard in range(self.num_shards):
-            # get_stats() (not .stats) so store-backed shards refresh
-            # their page-cache counters into the returned objects.
-            replica_stats = self._backend.invoke_replicas(shard, "get_stats")
-            routing = replication.get(shard)
-            if routing is not None:
-                replica_stats = [
-                    dataclasses.replace(snapshot, **{
-                        counter: getattr(routing, counter)[replica]
-                        for counter in _ROUTING_COUNTERS
-                    })
-                    for replica, snapshot in enumerate(replica_stats)
-                ]
-            if len(replica_stats) == 1:
-                entries.extend(replica_stats)
-                continue
-            for replica, snapshot in enumerate(replica_stats):
-                snapshot.name = f"shard{shard}/r{replica}"
-            entries.append(
-                ServiceStats.merge_replicas(replica_stats, name=f"shard{shard}")
-            )
+        # get_stats() (not .stats) so store-backed shards refresh their
+        # page-cache counters into the returned objects.
+        entries = [
+            self._backend.invoke(shard, "get_stats")
+            for shard in range(self.num_shards)
+        ]
+        for shard, counters in self._backend.replication_stats().items():
+            entries[shard] = dataclasses.replace(entries[shard], **counters)
         return entries
 
     def cluster_stats(self) -> ServiceStats:
@@ -520,8 +482,8 @@ class ShardedDiversificationService:
         it.  The per-shard breakdown (one entry per shard, zero-query
         shards included) is kept in the merged instance's ``shards``
         tuple.  In-process shards that share one engine share its page
-        cache, which then counts once; process workers and replicas each
-        hold their own engine copy, whose counters sum.
+        cache, which then counts once; process workers each hold their
+        own engine copy, whose counters sum.
         """
         entries = self.shard_stats()
         merged = ServiceStats.merge(entries)
@@ -555,13 +517,10 @@ class ShardedDiversificationService:
         return dict(totals)
 
     def _merged_cache_info(self, method: str) -> CacheStats:
-        """Merge one cache-info getter across shards.  Replicated shards
-        contribute every replica's cache (each holds its own copy of the
-        shard's partition)."""
+        """Merge one cache-info getter across shards."""
         return CacheStats.merge(
-            info
+            self._backend.invoke(shard, method)
             for shard in range(self.num_shards)
-            for info in self._backend.invoke_replicas(shard, method)
         )
 
     def spec_cache_info(self) -> CacheStats:

@@ -462,7 +462,7 @@ class TestStaleAttach:
         assert clone.epoch == 1
         assert_engines_identical(clone, engine, PROBES + ["zebra"])
         # Roll the store back behind the pickled floor: rehydration (the
-        # replica-respawn path) must fail with the typed error instead
+        # worker-respawn path) must fail with the typed error instead
         # of silently serving the older collection.
         build_store(path, docs)
         with pytest.raises(StaleEpochError) as excinfo:

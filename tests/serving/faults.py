@@ -1,36 +1,36 @@
-"""Deterministic fault injection for the process backend's routing layer.
+"""Deterministic fault injection for the process backend's failover.
 
-The replication tests need to pin exact failover paths — "the primary
-crashes on its first request", "the primary hangs, the hedge fires at
-t=50ms and wins" — which real processes cannot script without races.
-This harness substitutes the :class:`~repro.serving.replication`
-layer's worker and clock seams (the same manual-time idiom as the
-asyncio harness in ``tests/serving/aio.py``):
+The failover tests need to pin exact paths — "the worker crashes on its
+first request", "the worker hangs and is buried after the hang budget"
+— which real processes cannot script without races.  This harness
+substitutes the :class:`~repro.serving.replication` layer's worker
+seam (the same manual-time idiom as the asyncio harness in
+``tests/serving/aio.py``):
 
-* :class:`VirtualClock` — the routing layer's only notion of time.  It
-  advances exclusively inside :meth:`ScriptedWorker.poll`, the one
-  place the real system waits, so every hedge deadline and hang timeout
-  fires at an exact, reproducible virtual instant with zero sleeps.
+* :class:`VirtualClock` — the scripted workers' only notion of time.
+  It advances exclusively inside :meth:`ScriptedWorker.poll`, the one
+  place the real system waits, so every hang timeout fires at an exact,
+  reproducible virtual instant with zero sleeps.
 * :class:`Fault` / :class:`FaultSchedule` — script what goes wrong and
-  precisely where: keyed by ``(shard, replica slot, nth request to that
-  worker incarnation)``, plus sticky per-slot faults for
-  "this replica always crashes" scenarios.  A respawned worker starts
-  a fresh incarnation (its request counter restarts at 0), mirroring a
-  real respawned process.
+  precisely where: keyed by ``(shard, nth request to that worker
+  incarnation)``, plus sticky per-shard faults for "this shard's worker
+  always crashes" scenarios.  A respawned worker starts a fresh
+  incarnation (its request counter restarts at 0), mirroring a real
+  respawned process.
 * :class:`ScriptedWorker` — a real in-process
   :class:`~repro.serving.service.DiversificationService` behind the
-  :class:`~repro.serving.replication.ReplicaWorker` pipe surface.  The
-  reply is computed eagerly on ``send`` (the service is deterministic,
-  so *when* it runs cannot change *what* it answers) and queued FIFO
-  with a virtual ready-time; faults crash the worker before/after
-  computing, delay the reply, or hang it forever.
+  :class:`~repro.serving.replication.Worker` pipe surface.  The reply is
+  computed eagerly on ``send`` (the service is deterministic, so *when*
+  it runs cannot change *what* it answers) and queued FIFO with a
+  virtual ready-time; faults crash the worker before/after computing,
+  delay the reply, or hang it forever.
 * :class:`FaultInjectingBackend` — a
   :class:`~repro.serving.replication.ProcessBackend` wired to build
   scripted workers from the *real* service factory (so a store-backed
-  shard's warm rehydration is exercised by respawns) on the
-  shared virtual clock, with shard fan-out forced sequential so the
-  clock's advance order is deterministic.  ``spawned`` logs every
-  ``(shard, replica)`` build — respawns are observable as repeats.
+  shard's warm rehydration is exercised by respawns) on one shared
+  virtual clock, with shard fan-out forced sequential so the clock's
+  advance order is deterministic.  ``spawned`` logs the shard of every
+  worker build — respawns are observable as repeats.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from repro.serving.backends import WorkerDiedError
-from repro.serving.replication import ProcessBackend, ReplicaWorker, Request
+from repro.serving.replication import ProcessBackend, Request, Worker
 
 __all__ = [
     "CRASH_ON_SEND",
@@ -96,37 +96,37 @@ class Fault:
 class FaultSchedule:
     """Faults addressed to exact points in the request stream.
 
-    ``at(shard, replica, call_index, fault)`` arms a one-shot fault for
-    the ``call_index``-th request the addressed worker *incarnation*
-    receives (0-based; consumed when it fires, so the respawned
-    replacement worker — whose counter restarts at 0 — is healthy
-    unless separately scripted).  ``always(shard, replica, fault)``
-    arms a sticky fault that hits every request to that slot, across
-    respawns — the "this replica is cursed" scenario.  One-shot faults
-    take precedence over sticky ones at the same point.
+    ``at(shard, call_index, fault)`` arms a one-shot fault for the
+    ``call_index``-th request the shard's worker *incarnation* receives
+    (0-based; consumed when it fires, so the respawned replacement —
+    whose counter restarts at 0 — is healthy unless separately
+    scripted).  ``always(shard, fault)`` arms a sticky fault that hits
+    every request to that shard, across respawns — the "this worker is
+    cursed" scenario.  One-shot faults take precedence over sticky ones
+    at the same point.
     """
 
     def __init__(self) -> None:
-        self._at: dict[tuple[int, int, int], Fault] = {}
-        self._always: dict[tuple[int, int], Fault] = {}
+        self._at: dict[tuple[int, int], Fault] = {}
+        self._always: dict[int, Fault] = {}
 
-    def at(self, shard: int, replica: int, call_index: int, fault: Fault) -> "FaultSchedule":
-        self._at[(shard, replica, call_index)] = fault
+    def at(self, shard: int, call_index: int, fault: Fault) -> "FaultSchedule":
+        self._at[(shard, call_index)] = fault
         return self
 
-    def always(self, shard: int, replica: int, fault: Fault) -> "FaultSchedule":
-        self._always[(shard, replica)] = fault
+    def always(self, shard: int, fault: Fault) -> "FaultSchedule":
+        self._always[shard] = fault
         return self
 
-    def take(self, shard: int, replica: int, call_index: int) -> Fault | None:
-        fault = self._at.pop((shard, replica, call_index), None)
+    def take(self, shard: int, call_index: int) -> Fault | None:
+        fault = self._at.pop((shard, call_index), None)
         if fault is None:
-            fault = self._always.get((shard, replica))
+            fault = self._always.get(shard)
         return fault
 
 
-class ScriptedWorker(ReplicaWorker):
-    """A real shard service behind the replica-worker pipe surface.
+class ScriptedWorker(Worker):
+    """A real shard service behind the worker pipe surface.
 
     Requests are answered by ``service`` immediately inside ``send`` —
     determinism means execution timing cannot affect results — and the
@@ -139,8 +139,8 @@ class ScriptedWorker(ReplicaWorker):
     ready, exactly like a real worker's EOF-able pipe.
     """
 
-    def __init__(self, shard, replica, service, schedule, clock) -> None:
-        super().__init__(shard, replica)
+    def __init__(self, shard, service, schedule, clock) -> None:
+        super().__init__(shard)
         self.service = service
         self._schedule = schedule
         self._clock = clock
@@ -149,17 +149,13 @@ class ScriptedWorker(ReplicaWorker):
         self.calls = 0  #: requests this incarnation has received
 
     def _died(self) -> WorkerDiedError:
-        return WorkerDiedError(
-            f"{self.label} is dead",
-            shards=(self.shard,),
-            replica=self.replica,
-        )
+        return WorkerDiedError(f"{self.label} is dead", shards=(self.shard,))
 
     def send(self, request: Request) -> None:
         if self._dead:
             raise self._died()
         method, args = request
-        fault = self._schedule.take(self.shard, self.replica, self.calls)
+        fault = self._schedule.take(self.shard, self.calls)
         self.calls += 1
         if fault is not None and fault.kind == CRASH_ON_SEND:
             self._dead = True
@@ -221,28 +217,19 @@ class FaultInjectingBackend(ProcessBackend):
 
     def __init__(
         self,
-        replicas: int = 2,
         schedule: FaultSchedule | None = None,
-        policy: str = "round-robin",
-        hedge_after_ms: float | None = None,
         hang_timeout_s: float = 1.0,
-        poll_interval_s: float = 0.01,
     ) -> None:
         self.clock = VirtualClock()
         self.schedule = schedule or FaultSchedule()
-        self.spawned: list[tuple[int, int]] = []  #: every worker build
+        self.spawned: list[int] = []  #: the shard of every worker build
         super().__init__(
-            replicas=replicas,
-            policy=policy,
-            hedge_after_ms=hedge_after_ms,
             hang_timeout_s=hang_timeout_s,
-            poll_interval_s=poll_interval_s,
             worker_provider=self._make_worker,
-            clock=self.clock,
             parallel=False,
         )
 
-    def _make_worker(self, factory, shard: int, replica: int) -> ScriptedWorker:
+    def _make_worker(self, factory, shard: int) -> ScriptedWorker:
         service = factory(shard)
-        self.spawned.append((shard, replica))
-        return ScriptedWorker(shard, replica, service, self.schedule, self.clock)
+        self.spawned.append(shard)
+        return ScriptedWorker(shard, service, self.schedule, self.clock)

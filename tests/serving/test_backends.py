@@ -427,27 +427,23 @@ class TestBackendConstruction:
         assert "backend=inline" in repr(cluster)
         assert f"shards={NUM_SHARDS}" in repr(cluster)
 
-    def test_make_backend_replication_validation(self):
-        with pytest.raises(ValueError, match="requires process workers"):
-            make_backend("thread", replicas=2)
-        with pytest.raises(ValueError, match="built here by name"):
-            make_backend(ProcessBackend(), replicas=2)
-        with pytest.raises(ValueError, match="hedge_after_ms"):
-            make_backend("process", hedge_after_ms=5)
-        with pytest.raises(ValueError, match="policy"):
-            make_backend(None, policy="least-outstanding")
-        backend = make_backend(None, replicas=2)
-        assert backend.name == "process"
-        assert backend.replicas == 2
-
-    def test_process_backend_is_the_one_replica_set(self):
-        backend = make_backend("process")
-        assert isinstance(backend, ProcessBackend)
-        assert backend.name == "process"
-        assert backend.replicas == 1
-        assert isinstance(make_backend("process", replicas=3), ProcessBackend)
-        with pytest.raises(ValueError, match="unknown backend"):
-            make_backend("replicated")
+    @pytest.mark.parametrize(
+        "option",
+        [{"replicas": 2}, {"policy": "least-outstanding"}, {"hedge_after_ms": 5}],
+        ids=["replicas", "policy", "hedge_after_ms"],
+    )
+    def test_replica_set_options_are_gone(self, framework_factory, option):
+        """The process backend runs one worker per shard: the options
+        of the replica set it replaced are refused everywhere, not
+        accepted as no-ops."""
+        with pytest.raises(TypeError):
+            make_backend("process", **option)
+        with pytest.raises(TypeError):
+            ProcessBackend(**option)
+        with pytest.raises(TypeError):
+            ShardedDiversificationService.from_factory(
+                lambda shard: framework_factory(), 2, backend="process", **option
+            )
 
     def test_make_backend_rejects_max_workers_for_process(self):
         with pytest.raises(ValueError, match="max_workers"):
@@ -455,12 +451,10 @@ class TestBackendConstruction:
         with pytest.raises(ValueError, match="max_workers"):
             build_cluster(lambda: None, "process", max_workers=2)
 
-    def test_single_replica_backends_expose_replica_protocol(self):
+    def test_in_process_backends_report_no_worker_counters(self):
         backend = InlineBackend()
-        assert backend.replicas == 1
-        assert backend.replication_stats() == {}
         backend.adopt([_EchoService(0)])
-        assert backend.invoke_replicas(0, "ping", 2) == [(0, 4)]
+        assert backend.replication_stats() == {}
 
 
 @needs_fork
@@ -477,7 +471,7 @@ class TestWorkerDiedError:
         backend.close()
 
     def test_dead_worker_raises_typed_error_naming_shards(self, backend):
-        pid = backend.replica_pids(0)[0]
+        pid = backend.worker_pid(0)
         with pytest.raises(WorkerDiedError) as excinfo:
             backend.invoke(0, "append_to_store")
         err = excinfo.value
@@ -489,14 +483,14 @@ class TestWorkerDiedError:
         assert "shard 0" in str(err)
         # Not poisoned: shard 0 runs on a respawned worker.
         assert backend.invoke(0, "ping", 1) == (0, 2)
-        assert backend.replica_pids(0)[0] != pid
-        assert backend.replication_stats()[0].respawns == (1,)
+        assert backend.worker_pid(0) != pid
+        assert backend.replication_stats()[0] == {"respawns": 1, "failovers": 1}
 
     def test_killed_worker_is_respawned_for_the_next_call(self, backend):
-        pid = backend.replica_pids(1)[0]
-        backend.kill_replica(1)
+        pid = backend.worker_pid(1)
+        backend.kill_worker(1)
         assert backend.invoke(1, "ping", 4) == (1, 8)
-        assert backend.replica_pids(1)[0] != pid
+        assert backend.worker_pid(1) != pid
         assert backend.invoke(0, "ping", 1) == (0, 2)
 
 

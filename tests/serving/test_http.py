@@ -14,6 +14,7 @@ import http.client
 import io
 import json
 import logging
+import multiprocessing
 import re
 import socket
 import statistics
@@ -424,18 +425,29 @@ class TestRequestLine:
             (b"GET /health HTTP/1", 400),
             (b"GET /health HTTP/1.\xb2", 400),
             (b"GET /health HTTP/1.1 extra", 400),
+            (b"GET /health HTTP/3.0", 505),
+            (b"GET /health HTTPS/1.1", 400),
+            (b"GET /health HTTP/12345678901.1", 400),  # > 10 digits
+            (b"GET /a b HTTP/1.1", 400),  # a good version, four words
             (b"POST /health", 400),  # HTTP/0.9 knows only GET
+            (b"GET", 400),  # one word: no version to answer in
         ],
     )
     def test_status_of_request_line(self, server, line, status):
         stream = exchange(server, line + b"\r\nConnection: close\r\n\r\n")
         if status == 200:
             assert only_reply(stream)[0] == 200
-        else:
-            # A refused line leaves the request at HTTP/0.9, which the
-            # stdlib answers with no status line: the code is in the page.
+            return
+        code = {400: "bad_request_line", 505: "http_version_not_supported"}
+        if len(line.split()) < 3:
+            # HTTP/0.9 has no status line: the refusal is the bare body.
             assert not stream.startswith(b"HTTP/")
-            assert b"Error code: %d" % status in stream
+            assert error_code(json.loads(stream)) == code[status]
+        else:
+            got, head, body = only_reply(stream)
+            assert (got, head[:9]) == (status, b"HTTP/1.1 ")
+            assert b"\r\nConnection: close" in head
+            assert error_code(json.loads(body)) == code[status]
 
     def test_http_09_get_is_answered_without_a_status_line(self, server):
         stream = exchange(server, b"GET /health\r\n\r\n")
@@ -679,6 +691,9 @@ class TestResultsPagination:
 
 # -- GET /health and GET /stats --------------------------------------------------
 
+#: The top-level `/stats` blocks.
+STATS_KEYS = {"front", "backend", "caches", "ring", "inflight", "draining"}
+
 
 class TestHealthAndStats:
     def test_health_single_service(self, server):
@@ -720,15 +735,58 @@ class TestHealthAndStats:
         client can see, so it has to show up here first."""
         post(server.base_url + "/diversify", {"queries": topic_queries[:1]})
         _, body = get(server.base_url + "/stats")
-        assert set(body) == {
-            "front", "backend", "caches", "ring", "inflight", "draining",
-        }
+        assert set(body) == STATS_KEYS
         for stats in (body["front"], body["backend"]):
             assert set(stats) == {
                 "name", "served", "ranked", "diversified", "batches",
                 "seconds", "busy_seconds", "throughput_qps", "latency",
                 "formation", "replication", "page_cache", "ingest",
             }
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the process cluster relies on fork inheriting the fixtures",
+    )
+    def test_process_cluster_reports_a_killed_worker(
+        self, framework_factory, topic_queries
+    ):
+        """One worker per shard: a worker killed between requests is
+        respawned by the next request, and `/health` and `/stats` show
+        it."""
+        cluster = ShardedDiversificationService.from_factory(
+            lambda shard: framework_factory(), num_shards=2, backend="process"
+        )
+        killed = 1
+        try:
+            with DiversificationHTTPServer(cluster) as srv:
+                _, before = get(srv.base_url + "/health")
+                cluster.backend.kill_worker(killed)
+                status, _ = post(
+                    srv.base_url + "/diversify", {"queries": topic_queries}
+                )
+                assert status == 200
+                _, health = get(srv.base_url + "/health")
+                status, stats = get(srv.base_url + "/stats")
+        finally:
+            cluster.close()
+        assert health["execution_backend"] == "process"
+        assert set(health["workers"]) == {"0", "1"}
+        for entry in health["workers"].values():
+            assert set(entry) == {"alive", "pid", "respawns"}
+            assert entry["alive"] is True
+        assert health["workers"]["0"]["respawns"] == 0
+        assert health["workers"]["0"]["pid"] == before["workers"]["0"]["pid"]
+        assert health["workers"]["1"]["respawns"] == 1
+        assert health["workers"]["1"]["pid"] != before["workers"]["1"]["pid"]
+        assert status == 200
+        assert set(stats) == STATS_KEYS
+        # Found dead before dispatch: a respawn, not a failed-over call.
+        per_shard = [s["replication"] for s in stats["backend"]["shards"]]
+        assert per_shard == [
+            {"respawns": 0, "failovers": 0},
+            {"respawns": 1, "failovers": 0},
+        ]
+        assert stats["backend"]["replication"] == {"respawns": 1, "failovers": 0}
 
 
 # -- concurrency, shedding, drain ------------------------------------------------

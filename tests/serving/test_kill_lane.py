@@ -1,17 +1,18 @@
-"""Opt-in kill lane: real process replicas under real ``os.kill``.
+"""Opt-in kill lane: real process workers under real ``os.kill``.
 
 The deterministic fault-injection suite (``test_replication.py``) pins
 every failover path with scripted workers; this lane re-asserts the
 acceptance scenario with nothing faked — a :class:`ProcessBackend`
-with two replicas per shard running real OS processes, SIGKILL delivered mid-benchmark (including
-while requests are in flight from another thread), results compared
-field-for-field against the fault-free inline reference.
+with one worker per shard running real OS processes, SIGKILL
+delivered mid-benchmark (including while requests are in flight from
+another thread), results compared field-for-field against the
+fault-free inline reference.
 
 Signal delivery makes timing genuinely racy, which is the point: the
-routing layer must serve identical results *whenever* the kill lands —
-before dispatch (health sweep buries the corpse), between send and
-reply (failover retries the in-flight request), or after the reply
-drained.  Because the raciness is real, the lane is **opt-in** like the
+failover must serve identical results *whenever* the kill lands —
+before dispatch (the next call respawns the corpse), between send and
+reply (the in-flight request is retried on a respawned worker), or
+after the reply arrived.  Because the raciness is real, the lane is **opt-in** like the
 spawn lane: it runs only with ``REPRO_KILL_LANE=1``::
 
     REPRO_KILL_LANE=1 PYTHONPATH=src python -m pytest tests/serving/test_kill_lane.py -q
@@ -47,7 +48,6 @@ pytestmark = [
 ]
 
 NUM_SHARDS = 2
-REPLICAS = 2
 
 
 @pytest.fixture(scope="module")
@@ -72,8 +72,8 @@ def assert_results_equal(got, want):
         assert g.baseline.scores == w.baseline.scores
 
 
-def build_cluster(factory, **backend_kwargs):
-    backend = ProcessBackend(replicas=REPLICAS, **backend_kwargs)
+def build_cluster(factory):
+    backend = ProcessBackend()
     cluster = ShardedDiversificationService.from_factory(
         factory, num_shards=NUM_SHARDS, backend=backend
     )
@@ -88,15 +88,12 @@ def test_sigkill_between_batches_respawns_and_keeps_identity(
         quarter = max(1, len(workload) // 4)
         got = cluster.diversify_batch(workload[:quarter])
         for shard in range(NUM_SHARDS):
-            os.kill(backend.replica_pids(shard)[0], signal.SIGKILL)
-        # Several follow-up batches: round-robin is guaranteed to route
-        # back onto the killed slot, whether the corpse is noticed by
-        # the health sweep or by a failed dispatch.
+            os.kill(backend.worker_pid(shard), signal.SIGKILL)
         for start in range(quarter, len(workload), quarter):
             got += cluster.diversify_batch(workload[start:start + quarter])
         assert_results_equal(got, reference)
         stats = backend.replication_stats()
-        assert sum(s.respawns_total for s in stats.values()) >= NUM_SHARDS
+        assert sum(s["respawns"] for s in stats.values()) >= NUM_SHARDS
         merged = cluster.cluster_stats()
         assert merged.respawns >= NUM_SHARDS
     finally:
@@ -110,7 +107,7 @@ def test_sigkill_mid_request_fails_over_to_identical_results(
     failover retry must still produce the reference results."""
     cluster, backend = build_cluster(lambda shard: framework_factory())
     try:
-        victims = [backend.replica_pids(shard)[0] for shard in range(NUM_SHARDS)]
+        victims = [backend.worker_pid(shard) for shard in range(NUM_SHARDS)]
         results = []
 
         def serve():
@@ -147,13 +144,12 @@ def test_respawn_rehydrates_from_warm_store(
     )
     try:
         shard = 0
-        os.kill(backend.replica_pids(shard)[0], signal.SIGKILL)
+        os.kill(backend.worker_pid(shard), signal.SIGKILL)
         assert_results_equal(cluster.diversify_batch(workload), reference)
-        assert backend.replication_stats()[shard].respawns_total >= 1
+        assert backend.replication_stats()[shard]["respawns"] >= 1
         bucket = [q for q in set(workload) if cluster.route(q) == shard]
-        # Every replica — the respawned one included — hydrated the warm
-        # artifacts from the store: re-warming fetches nothing.
-        for report in backend.invoke_replicas(shard, "warm", bucket):
-            assert report.fetched == 0
+        # The respawned worker hydrated the warm artifacts from the
+        # store: re-warming fetches nothing.
+        assert backend.invoke(shard, "warm", bucket).fetched == 0
     finally:
         cluster.close()

@@ -1,11 +1,9 @@
-"""ServiceStats merge semantics for the replication counters.
+"""ServiceStats merge semantics for the process workers' counters.
 
-Satellite of the replication PR, mirroring the PR-5 idle-shard pins:
-the new counters (hedges fired/won, respawns, failovers) and the
-per-replica breakdown must survive every merge shape — empty inputs,
-generators, zero-traffic replicas — and nest correctly when a shard
-entry with a replica breakdown later merges into a cluster entry.  The
-nesting holds for every report type that merges by the same roll-up
+Mirroring the idle-shard pins: the worker counters (respawns,
+failovers) must survive every merge shape — empty inputs, generators —
+and a merged report must merge again to the flat merge of its parts.
+The nesting holds for every report type that merges by the same roll-up
 rule (``repro.core.cache.Rollup``), checked as a property.
 """
 
@@ -32,14 +30,10 @@ class TestMergeReplicationCounters:
     def test_merge_sums_the_new_counters(self):
         merged = ServiceStats.merge(
             [
-                make_stats("a", served=3, hedges_fired=2, hedges_won=1,
-                           respawns=1, failovers=2),
-                make_stats("b", served=5, hedges_fired=1, hedges_won=0,
-                           respawns=0, failovers=1),
+                make_stats("a", served=3, respawns=1, failovers=2),
+                make_stats("b", served=5, respawns=0, failovers=1),
             ]
         )
-        assert merged.hedges_fired == 3
-        assert merged.hedges_won == 1
         assert merged.respawns == 1
         assert merged.failovers == 3
         assert merged.served == 8
@@ -52,68 +46,22 @@ class TestMergeReplicationCounters:
         assert merged.failovers == 4
         assert len(merged.shards) == 4
 
-    def test_empty_merge_is_a_wellformed_zeroed_summary(self):
-        merged = ServiceStats.merge([])
-        assert merged.hedges_fired == 0
-        assert merged.hedges_won == 0
-        assert merged.respawns == 0
-        assert merged.failovers == 0
-        assert merged.replicas == ()
-        assert merged.shards == ()
-        assert "respawns" not in merged.summary()  # zeros stay quiet
-
-    def test_empty_merge_replicas_is_wellformed(self):
-        merged = ServiceStats.merge_replicas([], name="shard0")
-        assert merged.name == "shard0"
-        assert merged.replicas == ()
-        assert merged.shards == ()
-        assert merged.served == 0
-
-
-class TestMergeReplicas:
-    def test_breakdown_lands_in_replicas_not_shards(self):
-        merged = ServiceStats.merge_replicas(
-            [
-                make_stats("shard0/r0", served=7, respawns=1),
-                make_stats("shard0/r1", served=3, hedges_won=2),
-            ],
-            name="shard0",
-        )
-        assert merged.name == "shard0"
-        assert merged.shards == ()
-        assert [r.name for r in merged.replicas] == ["shard0/r0", "shard0/r1"]
-        assert merged.served == 10
-        assert merged.respawns == 1
-        assert merged.hedges_won == 2
-
-    def test_accepts_a_generator(self):
-        merged = ServiceStats.merge_replicas(
-            (make_stats(f"shard1/r{i}", served=i) for i in range(3)),
-            name="shard1",
-        )
-        assert len(merged.replicas) == 3
-        assert merged.served == 3
-
-    def test_zero_traffic_replica_contributes_zeroed_entry(self):
-        busy = make_stats("shard2/r0", served=9)
-        busy.latencies_ms.extend([1.0, 2.0])
-        idle = make_stats("shard2/r1")
-        merged = ServiceStats.merge_replicas([busy, idle], name="shard2")
-        assert len(merged.replicas) == 2
-        zeroed = merged.replicas[1]
-        assert zeroed.name == "shard2/r1"
-        assert zeroed.served == 0
-        assert zeroed.ranked == 0
-        assert list(zeroed.latencies_ms) == []
-        assert zeroed.summary().startswith("[shard2/r1]")
-
-    def test_breakdown_is_a_snapshot(self):
-        leaf = make_stats("shard0/r0", served=1)
-        merged = ServiceStats.merge_replicas([leaf], name="shard0")
+    def test_shard_breakdown_is_a_snapshot(self):
+        """A merged report keeps copies of its parts: counters bumped on
+        a part afterwards do not leak into the earlier report."""
+        leaf = make_stats("shard0", served=1, respawns=1)
+        merged = ServiceStats.merge([leaf], name="cluster")
         leaf.served = 100
         leaf.respawns = 50
-        assert merged.replicas[0].served == 1
-        assert merged.replicas[0].respawns == 0
+        assert (merged.shards[0].served, merged.shards[0].respawns) == (1, 1)
+        assert (merged.served, merged.respawns) == (1, 1)
+
+    def test_empty_merge_is_a_wellformed_zeroed_summary(self):
+        merged = ServiceStats.merge([])
+        assert merged.respawns == 0
+        assert merged.failovers == 0
+        assert merged.shards == ()
+        assert "respawns" not in merged.summary()  # zeros stay quiet
 
 
 # -- the roll-up rule, on every report type that uses it --------------------
@@ -149,7 +97,7 @@ LEAVES = {
         batch_sizes=st.dictionaries(st.integers(1, 8), st.integers(1, 5)),
     ),
 }
-BREAKDOWN = {"name", "shards", "replicas"}
+BREAKDOWN = {"name", "shards"}
 
 
 def rolled_up_fields(report) -> dict:
@@ -181,13 +129,10 @@ class TestRollupRule:
     @given(grouped_parts())
     def test_nested_merge_equals_the_flat_merge(self, drawn):
         """Merging groups of parts, then the group reports, gives the
-        merge of all the parts — a shard's replica roll-up nests inside
-        the cluster roll-up — and each level keeps its own breakdown."""
+        merge of all the parts, and each level keeps its own breakdown."""
         cls, groups = drawn
-        # A shard entry rolls its replicas up into their own slot.
-        inner = getattr(cls, "merge_replicas", cls.merge)
         group_reports = [
-            inner(group, name=f"g{i}") for i, group in enumerate(groups)
+            cls.merge(group, name=f"g{i}") for i, group in enumerate(groups)
         ]
         nested = cls.merge(group_reports, name="nested")
         flat = cls.merge([part for group in groups for part in group])
@@ -198,11 +143,9 @@ class TestRollupRule:
         assert [s.name for s in nested.shards] == [
             f"g{i}" for i in range(len(groups))
         ]
-        if cls is ServiceStats:
-            assert nested.replicas == ()
-            assert [
-                [r.name for r in shard.replicas] for shard in nested.shards
-            ] == [[part.name for part in group] for group in groups]
+        assert [
+            [part.name for part in shard.shards] for shard in nested.shards
+        ] == [[part.name for part in group] for group in groups]
 
     @pytest.mark.parametrize("cls", list(LEAVES))
     def test_empty_merge_is_a_wellformed_zeroed_report(self, cls):
@@ -216,22 +159,13 @@ class TestRollupRule:
 
 class TestSummaryReporting:
     def test_summary_reports_the_fault_counters(self):
-        stats = make_stats("cluster", served=10, hedges_fired=4,
-                           hedges_won=2, respawns=3, failovers=1)
+        stats = make_stats("cluster", served=10, respawns=3, failovers=1)
         summary = stats.summary()
-        assert "hedges=4/2" in summary
         assert "respawns=3" in summary
         assert "failovers=1" in summary
-
-    def test_summary_reports_replica_count(self):
-        merged = ServiceStats.merge_replicas(
-            [make_stats("shard0/r0"), make_stats("shard0/r1")], name="shard0"
-        )
-        assert "replicas=2" in merged.summary()
 
     def test_fault_free_summary_stays_unchanged(self):
         stats = make_stats("svc", served=5)
         summary = stats.summary()
-        assert "hedges" not in summary
         assert "respawns" not in summary
-        assert "replicas" not in summary
+        assert "failovers" not in summary

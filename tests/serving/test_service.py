@@ -221,10 +221,10 @@ class TestPercentileInterpolation:
             assert merged.percentile_ms(q) == pytest.approx(expected)
             assert reversed_merge.percentile_ms(q) == pytest.approx(expected)
 
-    def test_merged_replica_wait_samples(self):
+    def test_merged_wait_samples(self):
         front_a, front_b = ServiceStats(), ServiceStats()
         front_a.record_formation(2, [9.0, 1.0], queue_depth=0)
         front_b.record_formation(2, [5.0, 3.0], queue_depth=0)
-        merged = ServiceStats.merge_replicas([front_a, front_b])
+        merged = ServiceStats.merge([front_a, front_b])
         assert merged.wait_percentile_ms(0.5) == pytest.approx(4.0)
         assert merged.wait_percentile_ms(1.0) == 9.0

@@ -6,7 +6,7 @@ from SQLite through the LRU page cache) must serve results
 field-identical — rankings *and* baseline scores — to the same cluster
 over the fully in-memory engine, under every execution backend; warm
 artifacts hydrate from the store's ``warm_artifacts`` table, including
-on replica respawn; and the page-cache counters surface through
+on worker respawn; and the page-cache counters surface through
 ``ServiceStats`` and the HTTP stats payload.
 """
 
@@ -180,10 +180,10 @@ class TestWarmStoreHydration:
         finally:
             cluster.close()
 
-    def test_respawned_replica_rehydrates_from_store(
+    def test_respawned_worker_rehydrates_from_store(
         self, warmed_store, small_miner, workload, reference
     ):
-        backend = FaultInjectingBackend(replicas=2)
+        backend = FaultInjectingBackend()
         cluster = ShardedDiversificationService.from_factory(
             make_store_framework_factory(warmed_store, small_miner),
             num_shards=NUM_SHARDS,
@@ -192,13 +192,12 @@ class TestWarmStoreHydration:
         try:
             shard = 0
             bucket = [q for q in set(workload) if cluster.route(q) == shard]
-            backend.kill_replica(shard, 0)
+            backend.kill_worker(shard)
             assert_results_equal(cluster.diversify_batch(workload), reference)
-            assert backend.replication_stats()[shard].respawns == (1, 0)
-            # The respawned replica's factory re-attached the store and
+            assert backend.replication_stats()[shard]["respawns"] == 1
+            # The respawned worker's factory re-attached the store and
             # hydrated its warm rows: nothing is refetched.
-            for report in backend.invoke_replicas(shard, "warm", bucket):
-                assert report.fetched == 0
+            assert backend.invoke(shard, "warm", bucket).fetched == 0
         finally:
             cluster.close()
 
