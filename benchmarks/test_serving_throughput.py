@@ -209,7 +209,7 @@ def test_async_front_end_open_loop_identity(trec_workload):
     still get the sequential batch's rankings.  The front counts every
     request; the batch-size histogram and the backend count the requests
     that reached ``diversify_batch``; the rest were result-cache hits
-    answered before the window, and the result LRU counted each."""
+    answered without queueing, and the result LRU counted each."""
     queries = zipf_workload(trec_workload, 60)
     distinct = len(set(queries))
     backend = DiversificationService(make_framework(trec_workload))
@@ -220,9 +220,7 @@ def test_async_front_end_open_loop_identity(trec_workload):
         arrivals.append(t)
 
     async def drive():
-        async with AsyncDiversificationService(
-            backend, max_batch_size=16, max_wait_s=0.002
-        ) as front:
+        async with AsyncDiversificationService(backend, max_batch_size=16) as front:
             await front.warm(queries)
 
             async def client(query, at):

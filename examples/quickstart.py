@@ -178,15 +178,13 @@ def main() -> None:
                 stored.close()
 
     # A real front-end gets single queries, not batches: the async
-    # admission layer coalesces individual submit() calls under a
-    # size/time window and dispatches them to the cluster — the served
-    # rankings stay identical to the direct batched call.
+    # admission layer dispatches each submit() as soon as its batcher is
+    # free, batched with whatever queued meanwhile — the served rankings
+    # stay identical to the direct batched call.
     print("\n9. the same traffic as single async submits, micro-batched ...")
 
     async def serve_async():
-        async with AsyncDiversificationService(
-            cluster, max_batch_size=4, max_wait_s=0.002
-        ) as front:
+        async with AsyncDiversificationService(cluster, max_batch_size=4) as front:
             return await asyncio.gather(
                 *(front.submit(q) for q in queries * 2)
             ), front.stats

@@ -23,7 +23,10 @@ Checks, in order:
    ```Class.member``` (a call's arguments allowed) whose ``Class`` is a
    public class in ``src/``: a method, property, class attribute or
    dataclass field counts (:func:`unresolved_members`) — a deleted
-   symbol cannot outlive its code in the docs;
+   symbol cannot outlive its code in the docs.  In every fenced
+   ``python`` block, each keyword passed to a public ``src/`` class is a
+   parameter of its constructor (:func:`dead_keywords`) — a deleted
+   keyword cannot outlive its code either;
 7. everything in ``src/`` has a caller (:func:`find_orphans`): every
    module, every public top-level name and every package ``__init__``
    re-export is read by a *caller* — a non-``__init__`` module under
@@ -48,6 +51,7 @@ from __future__ import annotations
 import ast
 import dataclasses
 import importlib
+import inspect
 import os
 import re
 import subprocess
@@ -82,6 +86,8 @@ FLAG_PATTERN = re.compile(r"(?<![\w-])--[\w-]+")
 DOTTED_PATTERN = re.compile(r"`(repro(?:\.\w+)+)`")
 
 MEMBER_PATTERN = re.compile(r"`([A-Z]\w*)\.(\w+)(?:\([^`]*\))?`")
+
+FENCED_PYTHON_PATTERN = re.compile(r"^```python\n(.*?)^```", re.S | re.M)
 
 IMPORT_TEXT_PATTERN = re.compile(
     r"from (repro(?:\.\w+)*) import (?:\(([\w\s,]+)\)|([\w ,]+))")
@@ -246,9 +252,51 @@ def unresolved_members(
     return len({(cls, member) for cls, member, _ in names}), dead
 
 
+def accepts(cls: type, keyword: str) -> bool:
+    """Whether constructing *cls* takes *keyword*."""
+    parameters = inspect.signature(cls).parameters.values()
+    return any(
+        parameter.name == keyword or parameter.kind is parameter.VAR_KEYWORD
+        for parameter in parameters
+    )
+
+
+def dead_keywords(
+    documents: dict[str, str], root: Path = ROOT
+) -> tuple[int, list[str]]:
+    """``(checked, dead)``: how many distinct ``(class, keyword)`` pairs
+    the fenced Python blocks of *documents* pass to a public ``src/``
+    class's constructor, and those no class of that name accepts."""
+    classes = public_classes(root)
+    calls = set()
+    for name, text in documents.items():
+        for block in FENCED_PYTHON_PATTERN.findall(text):
+            for node in ast.walk(ast.parse(block)):
+                if not isinstance(node, ast.Call):
+                    continue
+                func = node.func
+                cls = getattr(func, "id", None) or getattr(func, "attr", None)
+                if cls in classes:
+                    calls |= {
+                        (cls, keyword.arg, name)
+                        for keyword in node.keywords
+                        if keyword.arg is not None
+                    }
+    dead = sorted(
+        f"{name}: `{cls}({keyword}=...)`"
+        for cls, keyword, name in calls
+        if not any(
+            accepts(getattr(importlib.import_module(module), cls), keyword)
+            for module in classes[cls]
+        )
+    )
+    return len({(cls, keyword) for cls, keyword, _ in calls}), dead
+
+
 def check_dotted_paths(documents: dict[str, str]) -> int:
     """Every backticked ``repro.…`` path and ``Class.member`` name in
-    *documents* resolves; returns how many were checked."""
+    *documents* resolves, and every constructor keyword of their Python
+    blocks exists; returns how many were checked."""
     paths = {
         (path, name)
         for name, text in documents.items()
@@ -256,12 +304,14 @@ def check_dotted_paths(documents: dict[str, str]) -> int:
     }
     dead = sorted(f"{name}: `{path}`" for path, name in paths if not resolves(path))
     members, dead_members = unresolved_members(documents)
-    if dead or dead_members:
+    keywords, dead_kwargs = dead_keywords(documents)
+    if dead or dead_members or dead_kwargs:
         fail(
-            "dotted paths and Class.member names that no longer resolve:\n  "
-            + "\n  ".join(dead + dead_members)
+            "dotted paths, Class.member names and constructor keywords "
+            "that no longer resolve:\n  "
+            + "\n  ".join(dead + dead_members + dead_kwargs)
         )
-    return len({path for path, _ in paths}) + members
+    return len({path for path, _ in paths}) + members + keywords
 
 
 def src_modules(root: Path) -> dict[str, Path]:
@@ -550,7 +600,8 @@ def main() -> None:
         f"check_docs: OK — {len(modules)} documented commands import "
         f"and answer --help with every README flag: {', '.join(modules)}; "
         f"{tables} store schema tables match _SCHEMA_STATEMENTS; "
-        f"{dotted} dotted paths and Class.member names resolve; every "
+        f"{dotted} dotted paths, Class.member names and constructor "
+        f"keywords resolve; every "
         f"src/ module, name and re-export has a caller; imports follow the "
         f"layer table; every "
         f"markdown file src/ names exists"

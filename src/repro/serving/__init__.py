@@ -39,16 +39,17 @@ grows it past one worker:
   build) with per-partition build-time and memory accounting in a
   mergeable :class:`~repro.retrieval.engine.BuildReport`;
 * :class:`~repro.serving.async_service.AsyncDiversificationService` —
-  the asyncio micro-batching front-end: single-query ``await
-  submit(query)`` calls coalesce under a size/time admission window
-  (bounded queue, backpressure) into batches dispatched to either
-  service above on an executor, with batch-formation accounting in
+  the asyncio micro-batching front-end: a single-query ``await
+  submit(query)`` is dispatched as soon as the batcher is free, batched
+  with whatever queued meanwhile (bounded queue, backpressure), to either
+  service above on the loop's default executor, with batch-formation
+  accounting in
   :class:`~repro.serving.service.ServiceStats`.  Results are identical to a direct
   ``diversify_batch`` call;
 * :class:`~repro.serving.http.DiversificationHTTPServer` — the network
   face: a stdlib-only REST front-end (``ThreadingHTTPServer`` handler
   threads answer result-cache hits themselves and bridge only misses
-  into the async service's admission windows) with ``POST /diversify``,
+  into the async service's batcher) with ``POST /diversify``,
   paginated ``GET /results``, ``GET /health`` / ``GET /stats``
   operational surfaces and ``POST /drain`` for graceful rolling
   restarts.  Responses are field-identical to a direct

@@ -11,17 +11,18 @@ layer:
   with exactly the :class:`~repro.core.framework.DiversifiedResult` a
   direct ``diversify_batch`` call would have produced;
 * a result-cache hit is answered at once by :meth:`serve_cached`, the
-  one hit rule: the window exists to batch misses, and a hit has
+  one hit rule: the batcher exists to batch misses, and a hit has
   nothing to batch.  It is synchronous and thread-safe, so the HTTP
   handler threads answer hits with it without entering the event loop;
 * the other requests land in a **bounded** queue (full queue =
   backpressure: the submit blocks, or fails fast once the service is
   stopping);
-* a single batcher task coalesces requests under a two-sided window —
-  close when ``max_batch_size`` requests have gathered or ``max_wait_s``
-  has passed since the first one arrived, whichever comes first;
-* each closed batch is dispatched to the backend's ``diversify_batch``
-  on an executor so the event loop keeps accepting traffic while the
+* a single batcher task dispatches as soon as it is free: it takes the
+  first queued request plus whatever else is already queued, up to
+  ``max_batch_size``.  No timer holds a request back; under load, a
+  batch is what queued while the previous one ran;
+* each batch runs the backend's ``diversify_batch`` on the event loop's
+  default executor so the loop keeps accepting traffic while the
   (GIL-releasing numpy kernels aside, CPU-bound) ranking runs;
 * per-request futures resolve in request order within the batch, and
   batch-formation accounting (batch-size histogram, queue-wait sample,
@@ -29,13 +30,12 @@ layer:
   next to the usual counters.  ``stats.served`` counts every request;
   the histogram (like the backend's own ``served``) counts only those
   that reached ``diversify_batch``, so ``served`` minus the histogram's
-  request total is the number of hits answered before the window.
+  request total is the number of hits answered without queueing.
 
-Timing is injected through a small clock protocol (:class:`LoopClock`)
-so the admission window can be driven by a *manual* clock in tests —
-every window/backpressure/cancellation behaviour is asserted
-deterministically in ``tests/serving/test_async_service.py`` without a
-single real sleep, including open-loop traffic whose every result must
+``tests/serving/test_async_service.py`` asserts every batching,
+backpressure and cancellation behaviour without a real sleep: a test
+holds the batcher by gating an in-flight batch, so what queues behind it
+is exactly the next batch, and open-loop traffic's every result must
 equal the sequential batched path's.
 """
 
@@ -45,7 +45,6 @@ import asyncio
 import threading
 import time
 from collections.abc import Iterable
-from concurrent.futures import Executor
 from dataclasses import dataclass
 
 from repro.core.framework import DiversifiedResult
@@ -53,7 +52,6 @@ from repro.serving.service import ServiceStats, WarmReport
 
 __all__ = [
     "AsyncDiversificationService",
-    "LoopClock",
     "ServiceClosed",
 ]
 
@@ -61,22 +59,6 @@ __all__ = [
 class ServiceClosed(RuntimeError):
     """Raised to submitters whose request cannot be served because the
     service is stopping (or was never started)."""
-
-
-class LoopClock:
-    """Default clock: the running event loop's time and real sleeps.
-
-    Anything with ``now() -> float`` and ``async sleep(seconds)`` can
-    stand in — the deterministic test harness substitutes a manually
-    advanced clock so admission windows close exactly when a test says
-    so.
-    """
-
-    def now(self) -> float:
-        return asyncio.get_running_loop().time()
-
-    async def sleep(self, seconds: float) -> None:
-        await asyncio.sleep(seconds)
 
 
 @dataclass
@@ -90,7 +72,7 @@ class _Pending:
 
 
 class AsyncDiversificationService:
-    """Coalesce single-query submits into windowed batches.
+    """Coalesce single-query submits into batches of what is queued.
 
     Parameters
     ----------
@@ -107,22 +89,15 @@ class AsyncDiversificationService:
         dedup/caching make results identical to a direct batched call
         over the same queries.
     max_batch_size:
-        Close the window as soon as this many requests have gathered.
-    max_wait_s:
-        Close the window this long after its *first* request arrived,
-        even if the batch is not full.  ``0`` disables the timer: a
-        batch is whatever is already queued when the batcher looks.
+        The most queued requests one batch takes.
     max_pending:
         Bound of the admission queue.  When it is full, ``submit``
         blocks until the batcher drains — backpressure instead of
         unbounded buffering.
-    executor:
-        Where batches run.  ``None`` uses the event loop's default
-        thread pool.  Ignored when ``inline=True``, which runs the
-        backend call directly on the event loop — only sensible for
-        tests and tiny workloads, but perfectly deterministic.
-    clock:
-        The time source for the admission window (see :class:`LoopClock`).
+    inline:
+        Run the backend call directly on the event loop instead of the
+        loop's default thread pool — only sensible for tests and tiny
+        workloads, but perfectly deterministic.
     name:
         Label for ``stats`` summaries.
 
@@ -134,28 +109,20 @@ class AsyncDiversificationService:
         self,
         backend,
         max_batch_size: int = 32,
-        max_wait_s: float = 0.005,
         max_pending: int = 1024,
-        executor: Executor | None = None,
         inline: bool = False,
-        clock=None,
         name: str = "async",
     ) -> None:
         if max_batch_size <= 0:
             raise ValueError("max_batch_size must be positive")
-        if max_wait_s < 0:
-            raise ValueError("max_wait_s must be non-negative")
         if max_pending <= 0:
             raise ValueError("max_pending must be positive")
         self.backend = backend
         self.max_batch_size = max_batch_size
-        self.max_wait_s = max_wait_s
         self.max_pending = max_pending
         self.name = name
         self.stats = ServiceStats(name=name)
-        self._executor = executor
         self._inline = inline
-        self._clock = clock if clock is not None else LoopClock()
         self._queue: asyncio.Queue[_Pending] | None = None
         self._runner: asyncio.Task | None = None
         self._closing: asyncio.Event | None = None
@@ -185,10 +152,9 @@ class AsyncDiversificationService:
         """Stop accepting requests and shut the batcher down.
 
         With ``drain=True`` (the default) every request already accepted
-        into the queue is still batched and resolved first — the open
-        admission window closes immediately rather than waiting out
-        ``max_wait_s``.  Submitters blocked on backpressure, and any
-        requests still queued with ``drain=False``, are failed with
+        into the queue is still batched and resolved first.  Submitters
+        blocked on backpressure, and any requests still queued or in
+        flight with ``drain=False``, are failed with
         :class:`ServiceClosed`.  Idempotent, including *concurrent*
         stops: overlapping callers share one shutdown instead of
         cancelling a runner another stop already tore down.
@@ -269,7 +235,7 @@ class AsyncDiversificationService:
         """The backend's result-cache entry for *query*, or ``None``.
 
         The one hit rule.  A hit counts in ``stats.served`` here; a miss
-        is left to the admission window.  Synchronous and thread-safe:
+        is left to the batch that serves it.  Synchronous and thread-safe:
         :meth:`submit` calls it on the loop, and the HTTP handler threads
         call it directly.  Raises :class:`ServiceClosed` before start and
         once a stop has begun, so every hit it answered is already in the
@@ -294,12 +260,12 @@ class AsyncDiversificationService:
         submit waiting on that backpressure when the service stops is
         failed with :class:`ServiceClosed` instead of hanging.
         """
-        # The window exists to batch misses; a hit has nothing to wait for.
+        # The batcher exists to batch misses; a hit has nothing to wait for.
         result = self.serve_cached(query)
         if result is not None:
             return result
         loop = asyncio.get_running_loop()
-        item = _Pending(query, loop.create_future(), self._clock.now())
+        item = _Pending(query, loop.create_future(), time.perf_counter())
         if not self._queue.full():
             # Fast path: space available, admit without yielding (so the
             # queue-depth sample sees the burst before the batcher drains).
@@ -340,83 +306,18 @@ class AsyncDiversificationService:
         if self._inline:
             return self.backend.warm(queries)
         return await asyncio.get_running_loop().run_in_executor(
-            self._executor, self.backend.warm, queries
+            None, self.backend.warm, queries
         )
 
     # -- batch formation ---------------------------------------------------------
 
-    def _fill(self, batch: list[_Pending]) -> None:
-        """Greedily move already-queued requests into *batch*."""
-        while len(batch) < self.max_batch_size:
-            try:
-                batch.append(self._queue.get_nowait())
-            except asyncio.QueueEmpty:
-                return
-
-    async def _reap(self, getter: asyncio.Task, batch: list[_Pending]) -> None:
-        """Cancel a pending queue-get; keep its item if it won the race."""
-        getter.cancel()
-        try:
-            item = await getter
-        except (asyncio.CancelledError, asyncio.QueueEmpty):
-            return
-        batch.append(item)
-
-    async def _await_window(self, batch: list[_Pending]) -> None:
-        """Gather requests until the batch fills, ``max_wait_s`` passes
-        (measured from the first request), or the service starts
-        stopping."""
-        deadline = asyncio.ensure_future(self._clock.sleep(self.max_wait_s))
-        closing = asyncio.ensure_future(self._closing.wait())
-        getter: asyncio.Future | None = None
-        try:
-            while len(batch) < self.max_batch_size:
-                getter = asyncio.ensure_future(self._queue.get())
-                done, _ = await asyncio.wait(
-                    {getter, deadline, closing},
-                    return_when=asyncio.FIRST_COMPLETED,
-                )
-                if getter in done:
-                    batch.append(getter.result())
-                    self._fill(batch)
-                else:
-                    await self._reap(getter, batch)
-                getter = None
-                if deadline in done or closing in done:
-                    return
-        finally:
-            if getter is not None:
-                # The wait itself was interrupted (batcher cancelled):
-                # keep the item if the get had already won, else put the
-                # get out of its misery so it cannot consume one later.
-                getter.cancel()
-                if getter.done() and not getter.cancelled():
-                    batch.append(getter.result())
-            for task in (deadline, closing):
-                if not task.done():
-                    task.cancel()
-            await asyncio.gather(deadline, closing, return_exceptions=True)
-
     async def _run(self) -> None:
+        """Take the first queued request plus whatever else is already
+        queued, up to ``max_batch_size``, and dispatch it; repeat."""
         while True:
-            first = await self._queue.get()
-            batch = [first]
-            try:
-                self._fill(batch)
-                if (
-                    len(batch) < self.max_batch_size
-                    and self.max_wait_s > 0
-                    and not self._closing.is_set()
-                ):
-                    await self._await_window(batch)
-            except asyncio.CancelledError:
-                # Stopped without drain while the window was open: the
-                # batch's requests were already dequeued, so the queue
-                # sweep in stop() cannot see them — fail them here.
-                self._reject(batch, ServiceClosed("service stopped"))
-                for _ in batch:
-                    self._queue.task_done()
-                raise
+            batch = [await self._queue.get()]
+            while len(batch) < self.max_batch_size and not self._queue.empty():
+                batch.append(self._queue.get_nowait())
             await self._dispatch(batch)
 
     # -- dispatch ----------------------------------------------------------------
@@ -427,9 +328,9 @@ class AsyncDiversificationService:
                 item.future.set_exception(exc)
 
     async def _dispatch(self, batch: list[_Pending]) -> None:
-        """Serve one closed batch and resolve its futures."""
+        """Serve one batch and resolve its futures."""
         try:
-            closed_at = self._clock.now()
+            dispatched_at = time.perf_counter()
             # A caller that cancelled its submit no longer needs a
             # result; its query is dropped unless another live request
             # shares it (the backend dedups those anyway).
@@ -438,7 +339,7 @@ class AsyncDiversificationService:
                 return
             self.stats.record_formation(
                 len(live),
-                ((closed_at - item.enqueued_at) * 1000.0 for item in live),
+                ((dispatched_at - item.enqueued_at) * 1000.0 for item in live),
                 self._queue.qsize(),
             )
             queries = [item.query for item in live]
@@ -448,7 +349,7 @@ class AsyncDiversificationService:
                     results = self.backend.diversify_batch(queries)
                 else:
                     results = await asyncio.get_running_loop().run_in_executor(
-                        self._executor, self.backend.diversify_batch, queries
+                        None, self.backend.diversify_batch, queries
                     )
             except asyncio.CancelledError:
                 self._reject(live, ServiceClosed("service stopped mid-batch"))
@@ -479,5 +380,5 @@ class AsyncDiversificationService:
         return (
             f"AsyncDiversificationService(name={self.name!r}, {state}, "
             f"max_batch_size={self.max_batch_size}, "
-            f"max_wait_s={self.max_wait_s}, max_pending={self.max_pending})"
+            f"max_pending={self.max_pending})"
         )

@@ -16,10 +16,10 @@ connections (one handler thread per in-flight request) in front of an
 :class:`~repro.serving.async_service.AsyncDiversificationService` on a
 dedicated asyncio event loop.  The handler thread answers result-cache
 hits itself (``serve_cached``: one locked LRU read, no thread hand-off);
-only the misses cross into the event loop, where concurrent HTTP
-clients coalesce into the same admission windows a native asyncio
-deployment would form.  The wrapped backend is anything
-the async service accepts — a single
+only the misses cross into the event loop, where a miss is dispatched as
+soon as the batcher is free and misses from concurrent HTTP clients
+that queued meanwhile share a batch, as native asyncio submitters do.
+The wrapped backend is anything the async service accepts — a single
 :class:`~repro.serving.service.DiversificationService` or a
 :class:`~repro.serving.sharded.ShardedDiversificationService` on any
 execution backend, including the process one.
@@ -93,8 +93,8 @@ Endpoints (base URL ``http://<host>:<port>``):
     :class:`~repro.core.cache.CacheStats` (the reply memo's under
     ``caches.reply``) / worker respawn + ingest counters as JSON.
 ``POST /drain``
-    Graceful rolling-restart shutdown: stop admitting, flush the
-    in-flight admission windows, report drained counts.  Idempotent;
+    Graceful rolling-restart shutdown: stop admitting, flush the queued
+    and in-flight batches, report drained counts.  Idempotent;
     read endpoints keep answering afterwards.
 """
 
@@ -358,15 +358,12 @@ class DiversificationHTTPServer:
         The backend: a :class:`DiversificationService` or a
         :class:`ShardedDiversificationService` (any execution backend).
         The server wraps it in an
-        :class:`AsyncDiversificationService`.  Result-cache hits are
-        answered on the handler thread; misses from concurrent HTTP
-        clients coalesce into admission windows exactly like native
-        submitters.
+        :class:`AsyncDiversificationService` with its default batch and
+        queue bounds.  Result-cache hits are answered on the handler
+        thread; misses go to its batcher exactly like native submitters.
     host / port:
         Bind address.  ``port=0`` (the default) picks an ephemeral port;
         read it back from :attr:`address` / :attr:`base_url`.
-    max_batch_size / max_wait_s / max_pending:
-        The admission window, passed through to the async front-end.
     max_inflight:
         Bound on requests (queries, not connections) admitted into the
         serving path at once; excess answers ``429`` immediately instead
@@ -389,9 +386,6 @@ class DiversificationHTTPServer:
         host: str = "127.0.0.1",
         port: int = 0,
         *,
-        max_batch_size: int = 32,
-        max_wait_s: float = 0.002,
-        max_pending: int = 1024,
         max_inflight: int = 256,
         ring_size: int = 512,
         default_timeout_s: float = 30.0,
@@ -405,12 +399,6 @@ class DiversificationHTTPServer:
         self.service = service
         self._host = host
         self._port = port
-        self._front_kwargs = dict(
-            max_batch_size=max_batch_size,
-            max_wait_s=max_wait_s,
-            max_pending=max_pending,
-            name="http",
-        )
         self.max_inflight = max_inflight
         self.default_timeout_s = default_timeout_s
         self._loop: asyncio.AbstractEventLoop | None = None
@@ -439,24 +427,23 @@ class DiversificationHTTPServer:
     # -- lifecycle ---------------------------------------------------------------
 
     def start(self) -> "DiversificationHTTPServer":
-        """Start the event loop, the async front-end, and the listener."""
+        """Bind the listener, then start the event loop, the async
+        front-end and the accept thread.  Binding first means a refused
+        address raises before any thread or task exists."""
         if self._httpd is not None or self._closed:
             raise RuntimeError("server cannot be (re)started")
+        self._httpd = _Listener((self._host, self._port), _make_handler(self))
         self._loop = asyncio.new_event_loop()
         self._loop_thread = threading.Thread(
             target=self._loop.run_forever, name="repro-http-loop", daemon=True
         )
         self._loop_thread.start()
-        self.front = AsyncDiversificationService(
-            self.service, **self._front_kwargs
-        )
+        self.front = AsyncDiversificationService(self.service, name="http")
 
         async def _start_front():
             self.front.start()
 
         asyncio.run_coroutine_threadsafe(_start_front(), self._loop).result(10)
-        handler = _make_handler(self)
-        self._httpd = _Listener((self._host, self._port), handler)
         self._server_thread = threading.Thread(
             target=self._httpd.serve_forever,
             name="repro-http-server",
@@ -697,9 +684,7 @@ class DiversificationHTTPServer:
             "status": status,
             "running": bool(self.front is not None and self.front.running),
         }
-        current_epoch = getattr(self.service, "current_epoch", None)
-        if callable(current_epoch):
-            payload["epoch"] = current_epoch()
+        payload["epoch"] = self.service.current_epoch()
         backend = getattr(self.service, "backend", None)
         if backend is not None and hasattr(backend, "num_shards"):
             payload["kind"] = "sharded"

@@ -170,9 +170,11 @@ class ServiceStats(Rollup):
 
     The batch-formation fields (``batch_sizes`` / ``wait_ms`` /
     ``queue_depth_peak``) belong to the micro-batching front-end
-    (:class:`~repro.serving.async_service.AsyncDiversificationService`):
-    how large its admission windows actually got, how long requests sat
-    in the queue before their batch closed, and how deep the queue ran.
+    (:class:`~repro.serving.async_service.AsyncDiversificationService`),
+    which dispatches a batch as soon as its batcher is free: how large
+    the batches that queued behind a running one got, how long requests
+    sat in the queue before their batch was dispatched, and how deep the
+    queue ran.
     They stay zero/empty on services that receive pre-formed batches.
     """
 
@@ -441,8 +443,8 @@ class DiversificationService:
 
         A hit counts in the result LRU's ``hits``; a miss is left for the
         ``diversify_batch`` that follows to count.  :attr:`stats` is not
-        touched.  The async front-end answers hits with this before its
-        admission window.
+        touched.  The async front-end answers hits with this before they
+        would queue for its batcher.
         """
         return self._result_cache.hit(query)
 

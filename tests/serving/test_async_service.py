@@ -1,18 +1,23 @@
 """Deterministic tests for the async micro-batching front-end.
 
-Every window/backpressure/cancellation behaviour is driven by the manual
-clock and event harness in :mod:`tests.serving.aio` — no real timers, so
-each scenario runs exactly the interleaving it constructs.  One
-integration test at the end exercises the real clock + executor path.
+The front-end has no timer: the batcher takes what is queued when it is
+free.  So every batching/backpressure/cancellation behaviour is driven by
+the event harness in :mod:`tests.serving.aio` and by :class:`GatedBackend`,
+which holds a batch in flight while the next one queues behind it — no
+real sleeps, so each scenario runs exactly the interleaving it
+constructs.  One integration test at the end exercises the executor path
+under real open-loop traffic.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import multiprocessing
 import random
 import sys
 import threading
+import types
 
 import pytest
 
@@ -21,13 +26,14 @@ from repro.serving import (
     DiversificationService,
     ShardedDiversificationService,
 )
+from repro.serving import async_service
 from repro.serving.async_service import ServiceClosed
 
-from .aio import FailingBackend, ManualClock, RecordingBackend, run, settle
+from .aio import FailingBackend, RecordingBackend, run, settle
 
-#: Admission window used by the manual-clock scenarios (value is
-#: arbitrary: the clock only moves when a test advances it).
-WINDOW = 0.005
+#: The query of the batch a held front keeps in flight (no corpus topic,
+#: so it never collides with a query a test submits behind it).
+OPENER = "held opener"
 
 needs_fork = pytest.mark.skipif(
     "fork" not in multiprocessing.get_all_start_methods(),
@@ -45,23 +51,71 @@ def backend(service):
     return RecordingBackend(service)
 
 
-def make_front(backend, clock, **kwargs):
-    """An inline (event-loop-dispatched) front-end under a manual clock."""
+def make_front(backend, **kwargs):
+    """An inline (event-loop-dispatched) front-end."""
     kwargs.setdefault("max_batch_size", 10)
-    kwargs.setdefault("max_wait_s", WINDOW)
-    return AsyncDiversificationService(backend, inline=True, clock=clock, **kwargs)
+    return AsyncDiversificationService(backend, inline=True, **kwargs)
 
 
-class TestWindow:
-    def test_full_batch_dispatches_without_the_clock(self, backend, topic_queries):
+@pytest.fixture()
+def gated(service):
+    return GatedBackend(service)
+
+
+@contextlib.asynccontextmanager
+async def holding(gated, **kwargs):
+    """A running executor-dispatched front over *gated* whose first batch,
+    :data:`OPENER` alone, is in flight behind the gate: whatever is
+    submitted next queues behind it.  Yields ``(front, opener_task)``;
+    the gate opens on the way out, before the front drains."""
+    async with AsyncDiversificationService(gated, **kwargs) as front:
+        try:
+            opener = asyncio.create_task(front.submit(OPENER))
+            await settle()
+            assert not opener.done()
+            yield front, opener
+        finally:
+            gated.gate.set()
+
+
+class TestBatching:
+    def test_lone_submit_resolves_without_a_timer(self, backend, topic_queries):
         async def scenario():
-            clock = ManualClock()
-            async with make_front(backend, clock, max_batch_size=3) as front:
+            async with make_front(backend) as front:
+                task = asyncio.create_task(front.submit(topic_queries[0]))
+                await settle()  # nothing to wait for: no clock, no advance
+                assert task.done()
+                return task.result()
+
+        assert run(scenario()).query == topic_queries[0]
+        assert backend.batches == [topic_queries[:1]]
+
+    def test_misses_queued_behind_an_in_flight_batch_form_one_batch(
+        self, gated, topic_queries
+    ):
+        behind = topic_queries[:4]
+
+        async def scenario():
+            async with holding(gated) as (front, opener):
+                tasks = [asyncio.create_task(front.submit(q)) for q in behind]
+                await settle()
+                assert not any(task.done() for task in tasks)
+                gated.gate.set()
+                await opener
+                return await asyncio.gather(*tasks)
+
+        results = run(scenario())
+        assert [r.query for r in results] == behind
+        assert gated.batches == [[OPENER], behind]
+
+    def test_full_batch_dispatches_at_once(self, backend, topic_queries):
+        async def scenario():
+            async with make_front(backend, max_batch_size=3) as front:
                 tasks = [
                     asyncio.create_task(front.submit(q))
                     for q in topic_queries[:3]
                 ]
-                await settle()  # size limit hit: no advance() needed
+                await settle()
                 assert all(task.done() for task in tasks)
                 return [task.result() for task in tasks]
 
@@ -69,68 +123,28 @@ class TestWindow:
         assert backend.batches == [topic_queries[:3]]
         assert [r.query for r in results] == topic_queries[:3]
 
-    def test_window_closes_on_deadline(self, backend, topic_queries):
-        async def scenario():
-            clock = ManualClock()
-            async with make_front(backend, clock) as front:
-                tasks = [
-                    asyncio.create_task(front.submit(q))
-                    for q in topic_queries[:3]
-                ]
-                await settle()
-                # Partial batch: the window is open, nothing resolves.
-                assert not any(task.done() for task in tasks)
-                assert backend.batches == []
-                await clock.advance(WINDOW)
-                assert all(task.done() for task in tasks)
-
-        run(scenario())
-        assert backend.batches == [topic_queries[:3]]
-
-    def test_late_arrivals_join_the_open_window(self, backend, topic_queries):
-        async def scenario():
-            clock = ManualClock()
-            async with make_front(backend, clock) as front:
-                first = [
-                    asyncio.create_task(front.submit(q))
-                    for q in topic_queries[:2]
-                ]
-                await clock.advance(WINDOW / 2)
-                assert not any(task.done() for task in first)
-                late = asyncio.create_task(front.submit(topic_queries[2]))
-                await clock.advance(WINDOW / 2)  # first request's deadline
-                assert all(task.done() for task in first + [late])
-
-        run(scenario())
-        assert backend.batches == [topic_queries[:3]]
-
     def test_batches_split_at_max_size(self, backend, topic_queries):
         queries = topic_queries[:5]
 
         async def scenario():
-            clock = ManualClock()
-            async with make_front(backend, clock, max_batch_size=2) as front:
+            async with make_front(backend, max_batch_size=2) as front:
                 tasks = [asyncio.create_task(front.submit(q)) for q in queries]
                 await settle()
-                # Two full batches dispatched eagerly; the odd one out
-                # waits for its window.
-                assert [task.done() for task in tasks] == [True] * 4 + [False]
-                await clock.advance(WINDOW)
-                assert tasks[4].done()
+                # Two full batches, then the odd one out on its own.
+                assert all(task.done() for task in tasks)
 
         run(scenario())
         assert [len(b) for b in backend.batches] == [2, 2, 1]
         assert backend.served_queries == queries
 
-    def test_zero_wait_is_greedy(self, backend, topic_queries):
+    def test_queued_burst_is_one_batch(self, backend, topic_queries):
         async def scenario():
-            clock = ManualClock()
-            async with make_front(backend, clock, max_wait_s=0) as front:
+            async with make_front(backend) as front:
                 tasks = [
                     asyncio.create_task(front.submit(q))
                     for q in topic_queries[:4]
                 ]
-                await settle()  # no timer exists to wait for
+                await settle()  # all four queued before the batcher woke
                 assert all(task.done() for task in tasks)
 
         run(scenario())
@@ -155,7 +169,7 @@ class TestIdentity:
     ):
         rng = random.Random(seed)
         workload = rng.choices(topic_queries, k=24)  # repeats included
-        # Slice the arrival stream into random windows.
+        # Slice the arrival stream into random bursts.
         chunks, rest = [], list(workload)
         while rest:
             size = rng.randint(1, 6)
@@ -163,15 +177,13 @@ class TestIdentity:
             rest = rest[size:]
 
         async def scenario():
-            clock = ManualClock()
-            async with make_front(any_backend, clock, max_batch_size=4) as front:
+            async with make_front(any_backend, max_batch_size=4) as front:
                 tasks = []
                 for chunk in chunks:
                     tasks.extend(
                         asyncio.create_task(front.submit(q)) for q in chunk
                     )
                     await settle()
-                    await clock.advance(WINDOW)
                 return await asyncio.gather(*tasks)
 
         results = run(scenario())
@@ -183,18 +195,17 @@ class TestIdentity:
             assert got.query == want.query
             assert got.ranking == want.ranking
 
-    def test_duplicates_in_one_window_share_a_result(
+    def test_duplicates_in_one_batch_share_a_result(
         self, backend, topic_queries
     ):
         query = topic_queries[0]
 
         async def scenario():
-            clock = ManualClock()
-            async with make_front(backend, clock) as front:
+            async with make_front(backend) as front:
                 tasks = [
                     asyncio.create_task(front.submit(query)) for _ in range(3)
                 ]
-                await clock.advance(WINDOW)
+                await settle()
                 return [task.result() for task in tasks]
 
         first, second, third = run(scenario())
@@ -205,8 +216,7 @@ class TestIdentity:
         workload = topic_queries + list(reversed(topic_queries))
 
         async def scenario():
-            clock = ManualClock()
-            async with make_front(backend, clock, max_wait_s=0) as front:
+            async with make_front(backend) as front:
                 return await front.submit_many(workload)
 
         results = run(scenario())
@@ -214,7 +224,7 @@ class TestIdentity:
 
 
 class TestCacheHits:
-    """``submit`` answers a result-cache hit itself: the window exists to
+    """``submit`` answers a result-cache hit itself: the batcher exists to
     batch misses, and a hit has nothing to batch."""
 
     @pytest.fixture(params=["single", "sharded"])
@@ -225,24 +235,20 @@ class TestCacheHits:
             lambda shard: framework_factory(), num_shards=2, backend="inline"
         )
 
-    def test_hit_resolves_while_a_window_is_open(
+    def test_hit_resolves_while_a_batch_is_in_flight(
         self, in_process, topic_queries
     ):
-        hot, cold = topic_queries[0], topic_queries[1]
+        hot = topic_queries[0]
         primed = in_process.diversify_batch([hot])[0]
+        gated = GatedBackend(in_process)
 
         async def scenario():
-            clock = ManualClock()
-            async with make_front(in_process, clock) as front:
-                miss = asyncio.create_task(front.submit(cold))
-                await settle()
-                assert not miss.done()  # its window is open
+            async with holding(gated) as (front, miss):
                 hit = asyncio.create_task(front.submit(hot))
                 await settle()
                 assert hit.done() and not miss.done()
-                assert clock.now() == 0.0
-                await clock.advance(WINDOW)
-                assert miss.done()
+                gated.gate.set()
+                await miss
                 return hit.result(), front.stats
 
         result, front = run(scenario())
@@ -257,11 +263,12 @@ class TestCacheHits:
         assert (info.hits, info.misses) == (1, 2)
 
     @needs_fork
-    def test_process_cluster_hits_cross_the_window(
+    def test_process_cluster_hits_are_batched(
         self, framework_factory, topic_queries
     ):
         """A probe of a worker's cache would cost a pipe round trip, so a
-        process-backed cluster reports no hits and batches every request."""
+        process-backed cluster reports no hits: its hits queue behind an
+        in-flight batch like misses and are batched."""
         queries = topic_queries[:3]
         reference = DiversificationService(framework_factory()).diversify_batch(
             queries
@@ -272,24 +279,25 @@ class TestCacheHits:
         try:
             cluster.diversify_batch(queries)  # every query is cached now
             assert cluster.cached(queries[0]) is None
+            gated = GatedBackend(cluster)
 
             async def scenario():
-                clock = ManualClock()
-                async with make_front(cluster, clock) as front:
+                async with holding(gated) as (front, opener):
                     tasks = [
                         asyncio.create_task(front.submit(q)) for q in queries
                     ]
                     await settle()
                     assert not any(task.done() for task in tasks)
-                    await clock.advance(WINDOW)
-                    return [task.result() for task in tasks], front.stats
+                    gated.gate.set()
+                    await opener
+                    return await asyncio.gather(*tasks), front.stats
 
             results, front = run(scenario())
             assert cluster.result_cache_info().hits == len(queries)
         finally:
             cluster.close()
         assert [r.ranking for r in results] == [r.ranking for r in reference]
-        assert front.batch_sizes == {len(queries): 1}
+        assert front.batch_sizes == {1: 1, len(queries): 1}
 
     def test_probe_before_start_and_after_stop_raises(self, service, topic_queries):
         service.diversify_batch(topic_queries[:1])
@@ -305,7 +313,7 @@ class TestCacheHits:
         run(scenario())
         with pytest.raises(ServiceClosed):
             front.serve_cached(topic_queries[0])
-        # The miss is left uncounted: the window it would have joined counts it.
+        # The miss is left uncounted: the batch that would serve it counts it.
         assert front.stats.served == 1
 
     def test_served_is_exact_with_threads_probing_while_the_loop_serves(
@@ -316,7 +324,7 @@ class TestCacheHits:
         hot, cold = topic_queries[0], topic_queries[1:4]
         primed = service.diversify_batch([hot])[0]
         front = AsyncDiversificationService(
-            HotOnlyBackend(service, hot), max_batch_size=2, max_wait_s=0
+            HotOnlyBackend(service, hot), max_batch_size=2
         )
         threads, probes = 4, 500
         go = threading.Event()
@@ -359,7 +367,7 @@ class TestCacheHits:
 
 class HotOnlyBackend:
     """Delegate whose ``cached`` knows one query only: every other query
-    crosses the admission window however often it was served."""
+    is batched however often it was served."""
 
     def __init__(self, inner, hot: str) -> None:
         self.inner = inner
@@ -372,33 +380,31 @@ class HotOnlyBackend:
         return self.inner.cached(query) if query == self.hot else None
 
 
-class GatedBackend:
-    """Delegate whose dispatch blocks on a controllable event — lets a
-    test hold the batcher mid-dispatch while the queue backs up."""
+class GatedBackend(RecordingBackend):
+    """Recording delegate whose dispatch blocks on a controllable event —
+    lets a test hold the batcher mid-dispatch while the queue backs up.
+    A batch is recorded once the gate lets it through; ``cached`` is the
+    inner service's."""
 
     def __init__(self, inner) -> None:
-        self.inner = inner
+        super().__init__(inner)
         self.gate = threading.Event()
 
     def diversify_batch(self, queries):
         assert self.gate.wait(timeout=15.0), "test never opened the gate"
-        return self.inner.diversify_batch(queries)
+        return super().diversify_batch(queries)
 
     def cached(self, query):
-        return None
-
-    def warm(self, queries):
-        return self.inner.warm(queries)
+        return self.inner.cached(query)
 
 
 class TestBackpressure:
-    def test_full_queue_blocks_submit_until_dispatch_drains(self, service):
-        gated = GatedBackend(service)
+    def test_full_queue_blocks_submit_until_dispatch_drains(self, service, gated):
         queries = ["q0", "q1", "q2", "q3"]
 
         async def scenario():
             front = AsyncDiversificationService(
-                gated, max_batch_size=1, max_wait_s=0, max_pending=2
+                gated, max_batch_size=1, max_pending=2
             )
             try:
                 front.start()
@@ -419,12 +425,10 @@ class TestBackpressure:
         run(scenario())
         assert service.stats.served == len(queries)
 
-    def test_stop_fails_submitters_blocked_on_backpressure(self, service):
-        gated = GatedBackend(service)
-
+    def test_stop_fails_submitters_blocked_on_backpressure(self, gated):
         async def scenario():
             front = AsyncDiversificationService(
-                gated, max_batch_size=1, max_wait_s=0, max_pending=1
+                gated, max_batch_size=1, max_pending=1
             )
             try:
                 front.start()
@@ -446,32 +450,33 @@ class TestBackpressure:
 
 class TestCancellation:
     def test_cancelled_request_is_dropped_from_the_batch(
-        self, backend, topic_queries
+        self, gated, topic_queries
     ):
         keep, drop = topic_queries[0], topic_queries[1]
 
         async def scenario():
-            clock = ManualClock()
-            async with make_front(backend, clock) as front:
+            async with holding(gated) as (front, opener):
                 kept = asyncio.create_task(front.submit(keep))
                 doomed = asyncio.create_task(front.submit(drop))
                 await settle()
                 doomed.cancel()
                 await settle()
-                await clock.advance(WINDOW)
-                assert kept.done() and doomed.cancelled()
-                return kept.result()
+                gated.gate.set()
+                await opener
+                result = await kept
+                assert doomed.cancelled()
+                return result
 
         result = run(scenario())
         assert result.query == keep
-        assert backend.batches == [[keep]]  # the cancelled query never ran
+        # The cancelled query never ran.
+        assert gated.batches == [[OPENER], [keep]]
 
-    def test_fully_cancelled_window_skips_the_backend(
-        self, backend, topic_queries
+    def test_fully_cancelled_batch_skips_the_backend(
+        self, gated, topic_queries
     ):
         async def scenario():
-            clock = ManualClock()
-            async with make_front(backend, clock) as front:
+            async with holding(gated) as (front, opener):
                 tasks = [
                     asyncio.create_task(front.submit(q))
                     for q in topic_queries[:2]
@@ -480,36 +485,34 @@ class TestCancellation:
                 for task in tasks:
                     task.cancel()
                 await settle()
-                await clock.advance(WINDOW)
                 assert all(task.cancelled() for task in tasks)
+                gated.gate.set()
+                await opener
                 # The service survives: a fresh submit still works.
-                follow_up = asyncio.create_task(front.submit(topic_queries[0]))
-                await settle()
-                await clock.advance(WINDOW)
-                return await follow_up
+                return await front.submit(topic_queries[0])
 
         result = run(scenario())
         assert result.query == topic_queries[0]
-        assert backend.batches == [[topic_queries[0]]]
+        assert gated.batches == [[OPENER], [topic_queries[0]]]
 
     def test_shared_query_survives_one_cancellation(
-        self, backend, topic_queries
+        self, gated, topic_queries
     ):
         query = topic_queries[0]
 
         async def scenario():
-            clock = ManualClock()
-            async with make_front(backend, clock) as front:
+            async with holding(gated) as (front, opener):
                 kept = asyncio.create_task(front.submit(query))
                 doomed = asyncio.create_task(front.submit(query))
                 await settle()
                 doomed.cancel()
-                await clock.advance(WINDOW)
+                gated.gate.set()
+                await opener
                 return await kept
 
         result = run(scenario())
         assert result.query == query
-        assert backend.batches == [[query]]
+        assert gated.batches == [[OPENER], [query]]
 
 
 class TestErrors:
@@ -517,8 +520,7 @@ class TestErrors:
         failing = FailingBackend()
 
         async def scenario():
-            clock = ManualClock()
-            async with make_front(failing, clock, max_wait_s=0) as front:
+            async with make_front(failing) as front:
                 tasks = [
                     asyncio.create_task(front.submit(q))
                     for q in topic_queries[:2]
@@ -553,8 +555,7 @@ class TestErrors:
         flaky = FlakyBackend()
 
         async def scenario():
-            clock = ManualClock()
-            async with make_front(flaky, clock, max_wait_s=0) as front:
+            async with make_front(flaky) as front:
                 with pytest.raises(RuntimeError, match="transient"):
                     await front.submit(query)
                 return await front.submit(query)
@@ -567,36 +568,39 @@ class TestErrors:
 class TestLifecycle:
     def test_submit_before_start_raises(self, backend):
         async def scenario():
-            front = make_front(backend, ManualClock())
+            front = make_front(backend)
             with pytest.raises(ServiceClosed):
                 await front.submit("anything")
 
         run(scenario())
 
-    def test_stop_drains_the_open_window_immediately(
-        self, backend, topic_queries
+    def test_stop_drains_the_queue_behind_an_in_flight_batch(
+        self, gated, topic_queries
     ):
         async def scenario():
-            clock = ManualClock()
-            front = make_front(backend, clock)
+            front = AsyncDiversificationService(gated)
             front.start()
+            opener = asyncio.create_task(front.submit(OPENER))
+            await settle()
             tasks = [
                 asyncio.create_task(front.submit(q)) for q in topic_queries[:3]
             ]
             await settle()
-            assert not any(task.done() for task in tasks)
-            # No advance(): stop() must flush the window itself.
-            await front.stop(drain=True)
-            assert all(task.done() for task in tasks)
+            stop = asyncio.create_task(front.stop(drain=True))
+            await settle()
+            assert not any(task.done() for task in [opener, *tasks])
+            gated.gate.set()
+            await stop
+            assert all(task.done() for task in [opener, *tasks])
             with pytest.raises(ServiceClosed):
                 await front.submit(topic_queries[0])
 
         run(scenario())
-        assert backend.batches == [topic_queries[:3]]
+        assert gated.batches == [[OPENER], topic_queries[:3]]
 
     def test_context_manager_starts_and_stops(self, backend):
         async def scenario():
-            front = make_front(backend, ManualClock())
+            front = make_front(backend)
             assert not front.running
             async with front:
                 assert front.running
@@ -606,8 +610,7 @@ class TestLifecycle:
 
     def test_restart_after_stop(self, backend, topic_queries):
         async def scenario():
-            clock = ManualClock()
-            front = make_front(backend, clock, max_wait_s=0)
+            front = make_front(backend)
             front.start()
             first = await front.submit(topic_queries[0])
             await front.stop()
@@ -620,32 +623,34 @@ class TestLifecycle:
         assert first.query == topic_queries[0]
         assert second.query == topic_queries[1]
 
-    def test_stop_without_drain_fails_the_open_window(
-        self, backend, topic_queries
+    def test_stop_without_drain_fails_the_in_flight_batch(
+        self, gated, topic_queries
     ):
-        """Requests already dequeued into an open admission window have
-        left the queue, so a non-draining stop cannot sweep them there —
-        they must still be failed, not abandoned to hang forever."""
+        """Requests already dequeued into an in-flight batch have left
+        the queue, so a non-draining stop cannot sweep them there — they
+        must still be failed, not abandoned to hang forever."""
 
         async def scenario():
-            clock = ManualClock()
-            front = make_front(backend, clock)
+            front = AsyncDiversificationService(gated, max_batch_size=2)
             front.start()
-            tasks = [
-                asyncio.create_task(front.submit(q)) for q in topic_queries[:2]
-            ]
-            await settle()  # both requests are inside the open window
-            assert not any(task.done() for task in tasks)
-            await front.stop(drain=False)
-            outcomes = await asyncio.gather(*tasks, return_exceptions=True)
-            assert all(isinstance(o, ServiceClosed) for o in outcomes)
+            try:
+                tasks = [
+                    asyncio.create_task(front.submit(q))
+                    for q in topic_queries[:3]
+                ]
+                await settle()  # two in flight behind the gate, one queued
+                assert not any(task.done() for task in tasks)
+                await front.stop(drain=False)
+                outcomes = await asyncio.gather(*tasks, return_exceptions=True)
+                assert all(isinstance(o, ServiceClosed) for o in outcomes)
+            finally:
+                gated.gate.set()
 
         run(scenario())
-        assert backend.batches == []  # nothing was ever dispatched
 
     def test_stop_is_idempotent(self, backend):
         async def scenario():
-            front = make_front(backend, ManualClock())
+            front = make_front(backend)
             front.start()
             await front.stop()
             await front.stop()
@@ -655,8 +660,6 @@ class TestLifecycle:
     def test_invalid_parameters(self, backend):
         with pytest.raises(ValueError):
             AsyncDiversificationService(backend, max_batch_size=0)
-        with pytest.raises(ValueError):
-            AsyncDiversificationService(backend, max_wait_s=-1)
         with pytest.raises(ValueError):
             AsyncDiversificationService(backend, max_pending=0)
 
@@ -672,13 +675,9 @@ class TestStopRaces:
     failure.
     """
 
-    def test_concurrent_stops_during_drain(self, service):
-        gated = GatedBackend(service)
-
+    def test_concurrent_stops_during_drain(self, gated):
         async def scenario():
-            front = AsyncDiversificationService(
-                gated, max_batch_size=1, max_wait_s=0
-            )
+            front = AsyncDiversificationService(gated, max_batch_size=1)
             front.start()
             task = asyncio.create_task(front.submit("q0"))
             await settle()  # q0 is inside the gated dispatch
@@ -694,15 +693,14 @@ class TestStopRaces:
 
         run(scenario())
 
-    def test_late_putters_are_failed_not_hung(self, service):
+    def test_late_putters_are_failed_not_hung(self, gated):
         """Two submitters blocked on a full queue: the stop-side sweep
         wakes them, their items land *after* the first sweep pass, and
         both must still be failed with ServiceClosed."""
-        gated = GatedBackend(service)
 
         async def scenario():
             front = AsyncDiversificationService(
-                gated, max_batch_size=1, max_wait_s=0, max_pending=1
+                gated, max_batch_size=1, max_pending=1
             )
             try:
                 front.start()
@@ -725,7 +723,7 @@ class TestStopRaces:
         self, backend, topic_queries
     ):
         async def scenario():
-            front = make_front(backend, ManualClock(), max_wait_s=0)
+            front = make_front(backend)
             front.start()
             await front.submit_many(topic_queries[:3])
             report = await front.drain()
@@ -743,42 +741,50 @@ class TestStopRaces:
 
 
 class TestStats:
-    def test_formation_accounting_is_exact_under_the_manual_clock(
-        self, backend, topic_queries
+    def test_formation_accounting_is_exact(
+        self, gated, topic_queries, monkeypatch
     ):
-        async def scenario():
-            clock = ManualClock()
-            async with make_front(backend, clock) as front:
-                early = asyncio.create_task(front.submit(topic_queries[0]))
-                await clock.advance(0.002)
-                late = asyncio.create_task(front.submit(topic_queries[1]))
-                await clock.advance(0.003)  # the opener's 5ms window ends
-                await asyncio.gather(early, late)
-                stats = front.stats
-                assert stats.batch_sizes == {2: 1}
-                assert stats.mean_batch_size == 2.0
-                # Queue waits, per the manual clock: the opener waited the
-                # whole 5ms window, the late joiner the remaining 3ms.
-                assert sorted(stats.wait_ms) == pytest.approx([3.0, 5.0])
-                assert stats.mean_wait_ms == pytest.approx(4.0)
-                assert stats.wait_percentile_ms(1.0) == pytest.approx(5.0)
-                assert stats.served == 2
-                assert stats.batches == 1
-                assert "batch mean=2.0" in stats.summary()
-                assert "depth peak=" in stats.summary()
+        # The front's one time source, stepped by hand so waits are exact.
+        now = [0.0]
+        monkeypatch.setattr(
+            async_service, "time", types.SimpleNamespace(perf_counter=lambda: now[0])
+        )
 
-        run(scenario())
+        async def scenario():
+            async with holding(gated) as (front, opener):  # queued at 0ms
+                now[0] = 0.002
+                early = asyncio.create_task(front.submit(topic_queries[0]))
+                await settle()
+                now[0] = 0.003
+                late = asyncio.create_task(front.submit(topic_queries[1]))
+                await settle()
+                now[0] = 0.005  # the opener's batch returns
+                gated.gate.set()
+                await asyncio.gather(opener, early, late)
+                return front.stats
+
+        stats = run(scenario())
+        assert stats.batch_sizes == {1: 1, 2: 1}
+        assert stats.mean_batch_size == 1.5
+        # Queue waits: the opener was dispatched at once, the two behind
+        # it until its batch returned at 5ms.
+        assert sorted(stats.wait_ms) == pytest.approx([0.0, 2.0, 3.0])
+        assert stats.mean_wait_ms == pytest.approx(5.0 / 3)
+        assert stats.wait_percentile_ms(1.0) == pytest.approx(3.0)
+        assert stats.queue_depth_peak == 2
+        assert stats.served == 3
+        assert stats.batches == 2
+        assert "batch mean=1.5" in stats.summary()
+        assert "depth peak=2" in stats.summary()
 
     def test_queue_depth_peak_tracks_burst_size(self, backend, topic_queries):
         async def scenario():
-            clock = ManualClock()
-            async with make_front(backend, clock) as front:
+            async with make_front(backend) as front:
                 tasks = [
                     asyncio.create_task(front.submit(q))
                     for q in topic_queries[:3]
                 ]
                 await settle()
-                await clock.advance(WINDOW)
                 await asyncio.gather(*tasks)
                 # All three puts landed before the batcher first drained.
                 assert front.stats.queue_depth_peak == 3
@@ -795,8 +801,8 @@ class TestStats:
         assert sharded_front.backend_stats().name == "cluster"
 
 
-class TestRealClockIntegration:
-    """One end-to-end pass over the real clock + executor path."""
+class TestExecutorIntegration:
+    """One end-to-end pass over the executor path under open-loop traffic."""
 
     def test_open_loop_traffic_matches_direct_batch(
         self, service, framework_factory, topic_queries
@@ -805,7 +811,7 @@ class TestRealClockIntegration:
 
         async def scenario():
             async with AsyncDiversificationService(
-                service, max_batch_size=4, max_wait_s=0.01
+                service, max_batch_size=4
             ) as front:
                 await front.warm(topic_queries)
                 return await front.submit_many(workload)

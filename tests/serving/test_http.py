@@ -913,6 +913,22 @@ class TestConcurrencyAndDrain:
             assert second["served_total"] == report["served_total"]
 
 
+class TestStart:
+    def test_refused_bind_leaves_no_thread_behind(self, framework_factory):
+        service = DiversificationService(framework_factory())
+        with socket.socket() as taken:
+            taken.bind(("127.0.0.1", 0))
+            taken.listen()
+            port = taken.getsockname()[1]
+            with pytest.raises(OSError):
+                with DiversificationHTTPServer(service, port=port):
+                    pass  # pragma: no cover - the bind must fail
+        assert not [
+            thread for thread in threading.enumerate()
+            if thread.name == "repro-http-loop"
+        ]
+
+
 # -- result-cache hits on the handler thread -------------------------------------
 
 

@@ -53,7 +53,7 @@ from repro.serving.service import ReadOnlyError
 from tests.conftest import STANDARD_CONFIG
 from tests.retrieval.test_store_epochs import assert_stores_identical
 
-from .aio import ManualClock, RecordingBackend, run
+from .aio import RecordingBackend, run, settle
 from .faults import (
     CRASH_BEFORE_REPLY,
     CRASH_ON_SEND,
@@ -941,15 +941,28 @@ class TestPublishRace:
 # -- async front-end: each admitted batch sees one epoch -------------------------
 
 
+class TurnstileBackend(RecordingBackend):
+    """Recording delegate whose every dispatch waits for one turn the
+    test grants: the batcher is held between two batches on purpose."""
+
+    def __init__(self, inner) -> None:
+        super().__init__(inner)
+        self.turns = threading.Semaphore(0)
+
+    def diversify_batch(self, queries):
+        assert self.turns.acquire(timeout=15.0), "test granted no turn"
+        return super().diversify_batch(queries)
+
+
 class TestAsyncEpochConsistency:
-    def test_each_window_serves_one_epoch(
+    def test_each_batch_serves_one_epoch(
         self, tmp_path, small_miner, initial_docs, holdout_docs, topic_queries
     ):
         queries = topic_queries[:3]
         service = make_live_service(
             tmp_path / "async.sqlite3", small_miner, initial_docs
         )
-        backend = RecordingBackend(service)
+        backend = TurnstileBackend(service)
         ref_epoch0 = make_service(
             small_miner, initial_docs
         ).diversify_batch(queries)
@@ -958,31 +971,25 @@ class TestAsyncEpochConsistency:
         ).diversify_batch(queries)
 
         async def scenario():
-            clock = ManualClock()
-            front = AsyncDiversificationService(
-                backend,
-                inline=True,
-                clock=clock,
-                max_batch_size=10,
-                max_wait_s=0.005,
-            )
-            async with front:
-                first = [
-                    asyncio.create_task(front.submit(q)) for q in queries
-                ]
-                await clock.advance(0.005)
-                assert all(task.done() for task in first)
-                # The publish lands between admission windows.
-                assert service.ingest(add_documents=holdout_docs[:2]) == 1
-                second = [
-                    asyncio.create_task(front.submit(q)) for q in queries
-                ]
-                await clock.advance(0.005)
-                assert all(task.done() for task in second)
-                return (
-                    [task.result() for task in first],
-                    [task.result() for task in second],
-                )
+            async with AsyncDiversificationService(backend) as front:
+                try:
+                    first = [
+                        asyncio.create_task(front.submit(q)) for q in queries
+                    ]
+                    await settle()  # one batch, waiting for its turn
+                    second = [
+                        asyncio.create_task(front.submit(q)) for q in queries
+                    ]
+                    await settle()  # queued behind it
+                    backend.turns.release()
+                    got_first = await asyncio.gather(*first)
+                    # The publish lands while the second batch, already
+                    # dispatched, waits for its turn.
+                    assert service.ingest(add_documents=holdout_docs[:2]) == 1
+                    backend.turns.release()
+                    return got_first, await asyncio.gather(*second)
+                finally:
+                    backend.turns.release(2)
 
         got_first, got_second = run(scenario())
         assert backend.batches == [queries, queries]

@@ -376,6 +376,43 @@ def test_repository_docs_name_only_class_members_that_exist():
     assert checked > 0 and dead == []
 
 
+def test_dead_constructor_keyword_is_reported():
+    readme = (
+        "Prose `AsyncDiversificationService(service, linger_s=0.002)` "
+        "outside a block is not checked.\n\n"
+        "```python\n"
+        "front = AsyncDiversificationService(\n"
+        "    service, max_batch_size=16, linger_s=0.002\n"
+        ")\n"
+        "engine = repro.SearchEngine(collection, num_partitions=2)\n"
+        "table = Table(anything=1)  # no src/ class: not checked\n"
+        "server = DiversificationHTTPServer(service, **options)\n"
+        "```\n"
+    )
+    checked, dead = check_docs.dead_keywords({"README.md": readme})
+    assert checked == 3
+    assert dead == ["README.md: `AsyncDiversificationService(linger_s=...)`"]
+
+
+def test_a_dead_keyword_fails_the_dotted_path_check(capsys):
+    block = "```python\nSearchEngine(collection, {}=1)\n```\n"
+    assert check_docs.check_dotted_paths(
+        {"README.md": block.format("num_partitions")}
+    ) == 1
+    with pytest.raises(SystemExit):
+        check_docs.check_dotted_paths({"README.md": block.format("shards")})
+    assert "README.md: `SearchEngine(shards=...)`" in capsys.readouterr().out
+
+
+def test_repository_docs_pass_only_keywords_constructors_take():
+    documents = {
+        name: (check_docs.ROOT / name).read_text(encoding="utf-8")
+        for name in ("README.md", "docs/ARCHITECTURE.md")
+    }
+    checked, dead = check_docs.dead_keywords(documents)
+    assert checked > 0 and dead == []
+
+
 def test_created_table_splits_columns_and_table_clauses():
     name, columns, clauses = check_docs.created_table(
         "CREATE TABLE IF NOT EXISTS postings ("
