@@ -213,10 +213,13 @@ class LRUCache(Generic[K, V]):
         with self._lock:
             return self._data.get(key)
 
-    def put(self, key: K, value: V) -> None:
-        """Insert/update *key*, evicting the LRU entry when full."""
+    def put(self, key: K, value: V, refresh: bool = True) -> None:
+        """Insert/update *key*, evicting the LRU entry when full.
+
+        An update with ``refresh=False`` keeps the key's place in the
+        recency order (an upgrade that is not a use)."""
         with self._lock:
-            if key in self._data:
+            if key in self._data and refresh:
                 self._data.move_to_end(key)
             self._data[key] = value
             if len(self._data) > self.maxsize:

@@ -25,7 +25,7 @@ then serve queries that only read them.
 from __future__ import annotations
 
 import sys
-from collections.abc import Mapping
+from collections.abc import Container, Mapping
 from dataclasses import dataclass, field
 
 from repro.core.ambiguity import SpecializationSet
@@ -97,10 +97,15 @@ def get_diversifier(
     return factory(**kwargs)
 
 
-def _whole(cached: tuple | None) -> bool:
-    """Whether a spec-cache entry is a whole artifact — not absent and
-    not a retained-vectors entry (``results`` ``None``)."""
-    return cached is not None and cached[0] is not None
+def _serves(cached: tuple | None, candidates: Container[str] = ()) -> bool:
+    """Whether a spec-cache entry serves a caller holding *candidates*'
+    own vectors without computing anything: its result list is present
+    and each result has a vector or is a candidate.  With no candidates
+    this is a whole artifact."""
+    if cached is None or cached[0] is None:
+        return False
+    results, vectors = cached
+    return all(d in vectors or d in candidates for d in results.doc_ids)
 
 
 #: Estimated bytes of one boxed CPython float (64-bit build).
@@ -242,10 +247,12 @@ class DiversificationFramework:
         self.config = config or FrameworkConfig()
         # Offline side structures (Section 4.1): specialization result
         # lists and their surrogate vectors, built once per specialization
-        # and served from a bounded LRU (spec_query → (ResultList,
-        # {doc_id → TermVector})).
-        self._spec_cache: LRUCache[str, tuple[ResultList, dict]] = LRUCache(
-            spec_cache_size
+        # and served from a bounded LRU (spec_query → (ResultList | None,
+        # {doc_id → TermVector})).  An entry may lack the vectors of
+        # results a direct query's candidates shadowed (see _serves); the
+        # list is None when an epoch dropped it and only vectors remain.
+        self._spec_cache: LRUCache[str, tuple[ResultList | None, dict]] = (
+            LRUCache(spec_cache_size)
         )
 
     # -- pipeline pieces ---------------------------------------------------------
@@ -255,7 +262,11 @@ class DiversificationFramework:
         return self.detector.mine(query)
 
     def _cache_spec(
-        self, spec_query: str, cached: tuple, held: tuple | None
+        self,
+        spec_query: str,
+        cached: tuple,
+        held: tuple | None,
+        refresh: bool = True,
     ) -> None:
         """Insert a freshly computed artifact unless its epoch is gone.
 
@@ -266,10 +277,11 @@ class DiversificationFramework:
         a publish and :meth:`invalidate_affected` hold — so either the
         insert lands before the publish (and the sweep sees it) or the
         epoch comparison fails and the artifact is discarded.  An
-        artifact completed from a retained-vectors entry (*held*) is
-        discarded too if a sweep replaced that entry meanwhile: the
-        vectors it reused may belong to a document the sweep's epoch
-        changed.
+        artifact completed from a held entry (*held*: partial or
+        retained vectors) is discarded too if a sweep replaced that
+        entry meanwhile: the vectors it reused may belong to a document
+        the sweep's epoch changed.  ``refresh=False`` keeps the entry's
+        place in the recency order (:meth:`export_warm_state`).
         """
         engine = self.engine
         computed_at = engine._pinned_snapshot().epoch
@@ -278,33 +290,59 @@ class DiversificationFramework:
                 return
             if held is not None and self._spec_cache.peek(spec_query) is not held:
                 return
-            self._spec_cache.put(spec_query, cached)
+            self._spec_cache.put(spec_query, cached, refresh)
 
     def _complete(
-        self, spec_query: str, results: ResultList, held: tuple | None
+        self,
+        spec_query: str,
+        results: ResultList,
+        held: tuple | None,
+        candidates: Container[str] = (),
+        refresh: bool = True,
     ) -> tuple[ResultList, dict]:
         """``(R_q', its surrogate vectors)``, cached by :meth:`_cache_spec`.
 
-        *held* is what the cache held for *spec_query* — nothing, or a
-        retained-vectors entry — and only the results it has no vector
-        for are vectorised.
+        *held* is what the cache held for *spec_query* — nothing, a
+        partial entry, or a retained-vectors entry — and only the results
+        it has no vector for are vectorised, less those in *candidates*:
+        :meth:`build_task` merges the candidates' own vectors first, so a
+        q'-biased vector of a candidate is never read.  The entry may
+        therefore lack them; a later caller without those candidates
+        completes it (:meth:`_spec_results`).
         """
         kept = held[1] if held is not None else {}
-        missing = [r for r in results if r.doc_id not in kept]
+        missing = [
+            r for r in results if r.doc_id not in kept and r.doc_id not in candidates
+        ]
         fresh = self.engine.snippet_vectors(spec_query, missing) if missing else {}
         artifact = results, {
-            d: kept[d] if d in kept else fresh[d] for d in results.doc_ids
+            d: kept[d] if d in kept else fresh[d]
+            for d in results.doc_ids
+            if d in kept or d in fresh
         }
-        self._cache_spec(spec_query, artifact, held)
+        self._cache_spec(spec_query, artifact, held, refresh)
         return artifact
 
-    def _spec_results(self, spec_query: str) -> tuple[ResultList, dict]:
-        """Step (b): the cached small list R_q' and its snippet vectors."""
-        cached = self._spec_cache.lookup(spec_query, _whole)
-        if _whole(cached):
+    def _spec_results(
+        self, spec_query: str, candidates: Container[str] = ()
+    ) -> tuple[ResultList, dict]:
+        """Step (b): the cached small list R_q' and its snippet vectors.
+
+        *candidates* are the doc_ids whose vectors the caller already
+        holds (the query's R_q); with none, every result gets a vector.
+        A lookup is a hit when the entry serves this caller as it is
+        (:func:`_serves`); any other lookup completes the entry,
+        re-searching only when it holds no result list.
+        """
+        cached = self._spec_cache.lookup(
+            spec_query, lambda entry: _serves(entry, candidates)
+        )
+        if _serves(cached, candidates):
             return cached
-        results = self.engine.search(spec_query, self.config.spec_results)
-        return self._complete(spec_query, results, cached)
+        results = None if cached is None else cached[0]
+        if results is None:
+            results = self.engine.search(spec_query, self.config.spec_results)
+        return self._complete(spec_query, results, cached, candidates)
 
     def prefetch_specializations(self, spec_queries) -> int:
         """Warm the specialization cache for *spec_queries* in one pass.
@@ -312,19 +350,22 @@ class DiversificationFramework:
         The serving layer's offline ``warm()`` phase and the batch path
         both funnel through here: engine lookups for specializations
         missing from the cache are batched (deduplicated) so a batch of
-        queries sharing intents pays for each artifact once.  Returns the
-        number of specializations actually fetched.
+        queries sharing intents pays for each artifact once, and a
+        partial entry is completed on the list it holds.  Every
+        specialization ends with a whole artifact.  Returns the number
+        of specializations actually fetched or completed.
         """
         held = {q: self._spec_cache.peek(q) for q in dict.fromkeys(spec_queries)}
-        missing = [q for q, cached in held.items() if not _whole(cached)]
+        missing = [q for q, cached in held.items() if not _serves(cached)]
         if not missing:
             return 0
+        unlisted = [q for q in missing if held[q] is None or held[q][0] is None]
         with self.engine.pinned():
-            fetched = self.engine.search_batch(
-                missing, self.config.spec_results
-            )
+            fetched = self.engine.search_batch(unlisted, self.config.spec_results)
             for spec_query in missing:
-                self._complete(spec_query, fetched[spec_query], held[spec_query])
+                cached = held[spec_query]
+                results = fetched[spec_query] if spec_query in fetched else cached[0]
+                self._complete(spec_query, results, cached)
         return len(missing)
 
     def invalidate_affected(self, delta) -> int:
@@ -346,14 +387,17 @@ class DiversificationFramework:
         (``results`` ``None``) in the same bounded cache; the next fetch
         of that specialization re-searches and vectorises only the
         documents it holds no vector for.  An entry left with no vector
-        goes.  ``delta=None`` (an unknown change) drops everything.
+        goes — so does a dropped partial entry whose every vector was
+        shadowed.  ``delta=None`` (an unknown change) drops everything.
 
         Runs under the engine's epoch lock, like :meth:`_cache_spec`.
         Returns the number of result lists dropped.
         """
         with self.engine._epoch_lock:
             if delta is None:
-                dropped = sum(_whole(c) for _, c in self._spec_cache.snapshot())
+                dropped = sum(
+                    c[0] is not None for _, c in self._spec_cache.snapshot()
+                )
                 self._spec_cache.clear()
                 return dropped
             changed_terms = delta.terms
@@ -391,19 +435,29 @@ class DiversificationFramework:
     def export_warm_state(self) -> dict:
         """Snapshot of the warm artifacts, LRU-oldest first.
 
-        Returns ``{spec_query: (ResultList, {doc_id: TermVector})}`` —
-        exactly what the offline phase computed; retained-vectors
-        entries (see :meth:`invalidate_affected`) are not artifacts and
-        are left out.  The snapshot is a pure probe (cache counters
-        untouched) and is what the index store's ``warm_artifacts`` rows
-        persist, so a restarted (or freshly forked) worker can hydrate
-        instead of re-deriving the offline phase.
+        Returns ``{spec_query: (ResultList, {doc_id: TermVector})}`` with
+        a vector for every result — exactly what the offline phase
+        computes.  A partial entry (one a direct query left without the
+        vectors its candidates shadowed) is completed under one engine
+        pin and kept completed, in its place in the recency order;
+        retained-vectors entries (see :meth:`invalidate_affected`) are
+        not artifacts and are left out.  The cache counters are
+        untouched.  The snapshot is what the index store's
+        ``warm_artifacts`` rows persist, so a restarted (or freshly
+        forked) worker can hydrate instead of re-deriving the offline
+        phase.
         """
-        return {
-            spec_query: cached
-            for spec_query, cached in self._spec_cache.snapshot()
-            if _whole(cached)
-        }
+        exported = {}
+        with self.engine.pinned():
+            for spec_query, cached in self._spec_cache.snapshot():
+                if cached[0] is None:
+                    continue
+                if not _serves(cached):
+                    cached = self._complete(
+                        spec_query, cached[0], cached, refresh=False
+                    )
+                exported[spec_query] = cached
+        return exported
 
     def warm_memory_estimate(self) -> dict[str, int]:
         """Estimated resident bytes of the spec cache — artifacts and
@@ -413,9 +467,10 @@ class DiversificationFramework:
     def install_warm_state(self, artifacts) -> int:
         """Load previously exported warm artifacts into the cache.
 
-        Entries already present are left untouched (their recency and
-        the counters are not distorted); returns how many artifacts were
-        actually installed.  The inverse of :meth:`export_warm_state`.
+        Whole entries already present are left untouched (their recency
+        and the counters are not distorted); a partial or
+        retained-vectors entry is replaced.  Returns how many artifacts
+        were actually installed.  The inverse of :meth:`export_warm_state`.
 
         The cache stays bounded: installing more artifacts than
         ``spec_cache_size`` evicts the earliest-installed ones, exactly
@@ -425,7 +480,7 @@ class DiversificationFramework:
         """
         installed = 0
         for spec_query, cached in dict(artifacts).items():
-            if not _whole(self._spec_cache.peek(spec_query)):
+            if not _serves(self._spec_cache.peek(spec_query)):
                 self._spec_cache.put(spec_query, tuple(cached))
                 installed += 1
         return installed
@@ -437,10 +492,11 @@ class DiversificationFramework:
         candidates = self.engine.search(query, self.config.candidates)
         if not len(candidates):
             return None
-        vectors = dict(self.engine.snippet_vectors(query, candidates))
+        own = self.engine.snippet_vectors(query, candidates)
+        vectors = dict(own)
         spec_results: dict[str, ResultList] = {}
         for spec_query, _p in specializations:
-            results, spec_vectors = self._spec_results(spec_query)
+            results, spec_vectors = self._spec_results(spec_query, own)
             spec_results[spec_query] = results
             for doc_id, vector in spec_vectors.items():
                 vectors.setdefault(doc_id, vector)

@@ -17,6 +17,10 @@ from repro.core.iaselect import IASelect
 from repro.core.mmr import MMR
 from repro.core.optselect import OptSelect
 from repro.core.xquad import XQuAD
+from repro.retrieval.engine import EpochDelta
+from repro.retrieval.similarity import TermVector
+from repro.retrieval.store import write_store
+from repro.serving.service import DiversificationService
 
 
 class TestGetDiversifier:
@@ -303,3 +307,268 @@ class TestWarmMemoryEstimate:
         receiver = framework_factory()
         receiver.install_warm_state(donor.export_warm_state())
         assert receiver.warm_memory_estimate() == donor.warm_memory_estimate()
+
+
+# -- build_task vectorises only the R_q' results its candidates do not shadow ---
+
+
+@pytest.fixture()
+def vectorised(small_engine):
+    """Every ``small_engine.snippet_vectors`` call while the test runs, as
+    ``[(query, [doc_id, ...]), ...]``."""
+    calls = []
+    snippet_vectors = small_engine.snippet_vectors
+
+    def recording(query, results):
+        calls.append((query, [r.doc_id for r in results]))
+        return snippet_vectors(query, results)
+
+    small_engine.snippet_vectors = recording
+    yield calls
+    del small_engine.snippet_vectors
+
+
+@pytest.fixture(scope="module")
+def ambiguous_queries(small_corpus, small_miner):
+    return [
+        topic.query
+        for topic in small_corpus.topics
+        if small_miner.is_ambiguous(topic.query)
+    ]
+
+
+def spec_queries_of(framework, queries):
+    return list(
+        dict.fromkeys(s for q in queries for s, _ in framework.detect(q))
+    )
+
+
+def vectors_of(vectors):
+    """A vector map with its keys and every vector's terms in order."""
+    return [(d, list(v.weights.items())) for d, v in vectors.items()]
+
+
+def partial_entries(framework):
+    return [
+        spec
+        for spec, (results, vectors) in framework._spec_cache.snapshot()
+        if results is not None and len(vectors) < len(results)
+    ]
+
+
+class TestShadowedSurrogates:
+    """A candidate's q-biased vector shadows its q'-biased one in
+    ``build_task``'s merge, so a cold query vectorises only the R_q'
+    results outside R_q, and the cache entry it leaves may lack the rest
+    until a caller without those candidates, or an export, completes it."""
+
+    def test_a_cold_task_vectorises_only_results_outside_r_q(
+        self, framework_factory, ambiguous_topic, vectorised
+    ):
+        framework = framework_factory()
+        query = ambiguous_topic.query
+        specializations = framework.detect(query)
+        task = framework.build_task(query, specializations)
+        candidates = set(task.candidates.doc_ids)
+        (first, own), *rest = vectorised
+        assert (first, own) == (query, task.candidates.doc_ids)
+        by_spec = dict(rest)
+        assert len(by_spec) == len(rest)  # each specialization at most once
+        results = {
+            spec: framework._spec_cache.peek(spec)[0]
+            for spec, _ in specializations
+        }
+        for spec, spec_results in results.items():
+            assert by_spec.get(spec, []) == [
+                d for d in spec_results.doc_ids if d not in candidates
+            ], spec
+        assert sum(map(len, by_spec.values())) < sum(map(len, results.values()))
+        assert partial_entries(framework)
+
+    @pytest.mark.parametrize("algorithm", [OptSelect, XQuAD, IASelect, MMR])
+    def test_cold_and_prewarmed_frameworks_build_the_same_task(
+        self, framework_factory, ambiguous_queries, algorithm
+    ):
+        """One cold framework answers every query in turn, so later
+        queries also meet entries earlier ones left partial."""
+        cold = framework_factory(diversifier=algorithm())
+        warm = framework_factory(diversifier=algorithm())
+        warm.prefetch_specializations(spec_queries_of(warm, ambiguous_queries))
+        k = cold.config.k
+        for query in ambiguous_queries:
+            specializations = cold.detect(query)
+            got = cold.build_task(query, specializations)
+            want = warm.build_task(query, specializations)
+            assert vectors_of(got.vectors) == vectors_of(want.vectors), query
+            for spec in want.utilities.specializations:
+                assert got.utilities.useful_docs(spec) == (
+                    want.utilities.useful_docs(spec)
+                ), (query, spec)
+            assert cold.diversifier.diversify(got, k) == (
+                warm.diversifier.diversify(want, k)
+            ), query
+        assert warm.cache_info().misses == 0
+
+    def test_a_second_query_vectorises_what_the_first_skipped_and_it_needs(
+        self, framework_factory, ambiguous_topic, small_corpus, vectorised
+    ):
+        framework = framework_factory()
+        query = ambiguous_topic.query
+        specializations = framework.detect(query)
+        first = framework.build_task(query, specializations)
+        held = {
+            spec: framework._spec_cache.peek(spec) for spec, _ in specializations
+        }
+        k = framework.config.candidates
+
+        def needs_of(other):
+            candidates = set(framework.engine.search(other, k).doc_ids)
+            return {
+                spec: [
+                    d
+                    for d in results.doc_ids
+                    if d not in vectors and d not in candidates
+                ]
+                for spec, (results, vectors) in held.items()
+            }
+
+        other = next(
+            topic.query
+            for topic in small_corpus.topics
+            if any(needs_of(topic.query).values())
+        )
+        needs = needs_of(other)
+        vectorised.clear()
+        misses = framework.cache_info().misses
+        second = framework.build_task(other, specializations)
+        (_, own), *rest = vectorised
+        assert own == second.candidates.doc_ids
+        by_spec = dict(rest)
+        skipped = set(first.candidates.doc_ids)
+        for spec, docs in needs.items():
+            assert by_spec.get(spec, []) == docs, spec
+            assert set(docs) <= skipped
+            entry = framework._spec_cache.peek(spec)
+            assert entry[0] is held[spec][0]  # the held list, not a re-search
+            assert all(held[spec][1][d] is entry[1][d] for d in held[spec][1])
+        assert framework.cache_info().misses - misses == sum(
+            bool(docs) for docs in needs.values()
+        )
+
+    def test_export_after_direct_queries_equals_a_fresh_prefetch(
+        self, framework_factory, ambiguous_queries, tmp_path
+    ):
+        direct = framework_factory()
+        for query in ambiguous_queries:
+            direct.diversify_query(query)
+        partial = partial_entries(direct)
+        assert len(partial) > 1
+        # A whole entry behind partial ones: completing them at export
+        # must not move them past it.
+        direct.prefetch_specializations(partial[:1])
+        order, stats = list(direct._spec_cache), direct.cache_info()
+        exported = direct.export_warm_state()
+        assert list(direct._spec_cache) == order  # recency untouched
+        assert direct.cache_info() == stats
+        assert not partial_entries(direct)  # completed in place
+        fresh = framework_factory()
+        fresh.prefetch_specializations(spec_queries_of(fresh, ambiguous_queries))
+        want = fresh.export_warm_state()
+        assert exported.keys() == want.keys()
+        for spec, (results, vectors) in exported.items():
+            assert results.doc_ids == want[spec][0].doc_ids, spec
+            assert results.scores == want[spec][0].scores, spec
+            assert vectors_of(vectors) == vectors_of(want[spec][1]), spec
+
+        store = write_store(
+            tmp_path / "warm.sqlite3",
+            direct.engine,
+            {0: DiversificationService(direct).export_warm_payloads()},
+        )
+        shard = DiversificationService(framework_factory())
+        assert shard.load_warm_store(store, 0) == len(exported)
+        assert shard.warm(ambiguous_queries).fetched == 0
+        got = shard.diversify_batch(ambiguous_queries)
+        assert shard.framework.cache_info().misses == 0
+        assert [r.ranking for r in got] == [
+            direct.diversify_query(q).ranking for q in ambiguous_queries
+        ]
+
+    def test_install_replaces_a_partial_entry(
+        self, framework_factory, ambiguous_topic
+    ):
+        query = ambiguous_topic.query
+        donor = framework_factory()
+        donor.prefetch_specializations(spec_queries_of(donor, [query]))
+        receiver = framework_factory()
+        receiver.build_task(query, receiver.detect(query))
+        partial = partial_entries(receiver)
+        assert partial
+        artifacts = donor.export_warm_state()
+        assert receiver.install_warm_state(artifacts) == len(partial)
+        for spec in partial:
+            assert receiver._spec_cache.peek(spec) == artifacts[spec]
+        assert not partial_entries(receiver)
+
+    def test_invalidate_drops_what_it_drops_on_whole_entries(
+        self, framework_factory, ambiguous_topic, small_engine
+    ):
+        query = ambiguous_topic.query
+        probe = framework_factory()
+        task = probe.build_task(query, probe.detect(query))
+        spec = partial_entries(probe)[0]
+        results, vectors = probe._spec_cache.peek(spec)
+        shadowed = next(d for d in results.doc_ids if d not in vectors)
+        spec_terms = frozenset(small_engine.analyzer.analyze(spec))
+        deltas = [
+            EpochDelta(added=(shadowed,), removed=(shadowed,), stats_changed=False),
+            EpochDelta(added=("alien0",), terms=spec_terms, stats_changed=False),
+            EpochDelta(added=(task.candidates.doc_ids[-1],)),
+            None,
+        ]
+        for delta in deltas:
+            partial = framework_factory()
+            partial.build_task(query, partial.detect(query))
+            whole = framework_factory()
+            whole.prefetch_specializations(spec_queries_of(whole, [query]))
+            assert partial.invalidate_affected(delta) == (
+                whole.invalidate_affected(delta)
+            ), delta
+            lists = [
+                {s for s, (r, _) in f._spec_cache.snapshot() if r is not None}
+                for f in (partial, whole)
+            ]
+            assert lists[0] == lists[1], delta
+            kept = dict(whole._spec_cache.snapshot())
+            for s, (_, held) in partial._spec_cache.snapshot():
+                assert held.items() <= kept[s][1].items(), (delta, s)
+
+    def test_an_empty_surrogate_vector_counts_as_present(
+        self, framework_factory, ambiguous_topic, vectorised
+    ):
+        framework = framework_factory()
+        spec = framework.detect(ambiguous_topic.query).items[0][0]
+        framework.prefetch_specializations([spec])
+        results, vectors = framework._spec_cache.peek(spec)
+        doc, dropped = results.doc_ids[0], results.doc_ids[-1]
+        empty = TermVector({})
+        assert not empty and doc != dropped
+        framework._spec_cache.put(
+            spec,
+            (
+                results,
+                {d: empty if d == doc else v for d, v in vectors.items() if d != dropped},
+            ),
+        )
+        vectorised.clear()
+        assert framework._spec_results(spec)[1][doc] is empty  # completed
+        assert vectorised == [(spec, [dropped])]
+        vectorised.clear()
+        hits = framework.cache_info().hits
+        assert framework._spec_results(spec)[1][doc] is empty
+        assert framework.cache_info().hits == hits + 1
+        assert framework.prefetch_specializations([spec]) == 0
+        assert framework.export_warm_state()[spec][1][doc] is empty
+        assert framework.invalidate_affected(EpochDelta(added=("alien0",))) == 1
+        assert framework._spec_cache.peek(spec)[1][doc] is empty  # retained
+        assert vectorised == []

@@ -467,7 +467,7 @@ def assert_build_and_oracle_rank_alike(candidates, spec_results, vectors):
 
 
 class TestMergedVectorMap:
-    """What ``build`` is handed today, written down (ROADMAP item 1b)."""
+    """What ``build`` is handed today, written down (ROADMAP item 3)."""
 
     def test_framework_keeps_the_candidates_vector(
         self, small_framework, small_engine, ambiguous_topic
