@@ -20,12 +20,18 @@ and :meth:`DiversificationFramework.prefetch_specializations` lets the
 serving layer (:mod:`repro.serving`) realise the offline phase explicitly
 — warm the artifacts for an expected workload in one batched engine pass,
 then serve queries that only read them.
+
+A second bounded LRU keeps each query's own candidate surrogate vectors,
+tagged with the epoch they are valid at: a surrogate reads the query and
+the document's text, never N or avg_dl, so a repeated query after an
+ingest epoch vectorises only the candidates that epoch added or changed
+(:meth:`DiversificationFramework.build_task`).
 """
 
 from __future__ import annotations
 
 import sys
-from collections.abc import Container, Mapping
+from collections.abc import Container, Iterable, Mapping
 from dataclasses import dataclass, field
 
 from repro.core.ambiguity import SpecializationSet
@@ -108,12 +114,21 @@ def _serves(cached: tuple | None, candidates: Container[str] = ()) -> bool:
     return all(d in vectors or d in candidates for d in results.doc_ids)
 
 
+def _unchanged(vectors: dict, changed_ids: frozenset[str]) -> dict:
+    """*vectors* less those of *changed_ids*; the same map when it holds
+    none of them."""
+    if changed_ids.isdisjoint(vectors):
+        return vectors
+    return {d: v for d, v in vectors.items() if d not in changed_ids}
+
+
 #: Estimated bytes of one boxed CPython float (64-bit build).
 _FLOAT_BYTES = 24
 
 
 def _estimate_warm_memory(
     artifacts: Mapping[str, tuple[ResultList, Mapping[str, TermVector]]],
+    candidate_vectors: Iterable[Mapping[str, TermVector]] = (),
 ) -> dict[str, int]:
     """Estimated resident bytes of warm artifacts, plus their counts.
 
@@ -121,7 +136,9 @@ def _estimate_warm_memory(
     as :meth:`~repro.core.framework.DiversificationFramework.export_warm_state`
     returns it, or ``(spec_query, entry)`` pairs; an entry whose
     ``ResultList`` is ``None`` (retained vectors) prices its vectors
-    only.  Sums ``sys.getsizeof`` of the real strings/dicts plus flat per-element
+    only.  Each map in *candidate_vectors* (a query's retained candidate
+    vectors) is priced into the vector counts too.  Sums
+    ``sys.getsizeof`` of the real strings/dicts plus flat per-element
     prices for boxed floats — the same estimation discipline as
     :meth:`~repro.retrieval.index.InvertedIndex.memory_estimate`, so the
     offline pipeline's per-partition index footprints and per-shard warm
@@ -133,6 +150,7 @@ def _estimate_warm_memory(
     vectors_count = 0
     result_bytes = 0
     vector_bytes = 0
+    vector_maps = list(candidate_vectors)
     for spec_query, (results, vectors) in dict(artifacts).items():
         specializations += 1
         results = results or ()  # None: a retained-vectors entry
@@ -141,6 +159,8 @@ def _estimate_warm_memory(
         for result in results:
             # SearchResult object + its doc_id string + score float.
             result_bytes += 64 + sys.getsizeof(result.doc_id) + _FLOAT_BYTES
+        vector_maps.append(vectors)
+    for vectors in vector_maps:
         for doc_id, vector in vectors.items():
             vectors_count += 1
             vector_bytes += sys.getsizeof(doc_id) + sys.getsizeof(
@@ -229,7 +249,10 @@ class DiversificationFramework:
         snippet vectors per mined specialization).  The seed kept these
         in unbounded dicts; a bounded LRU keeps the online memory
         footprint constant under heavy traffic while still realising the
-        paper's compute-once argument for the hot specializations.
+        paper's compute-once argument for the hot specializations.  It
+        also bounds the store of queries' candidate vectors, to as many
+        vectors as the spec cache can hold
+        (``spec_cache_size * spec_results // candidates`` queries).
     """
 
     def __init__(
@@ -254,6 +277,18 @@ class DiversificationFramework:
         self._spec_cache: LRUCache[str, tuple[ResultList | None, dict]] = (
             LRUCache(spec_cache_size)
         )
+        # Each query's own candidate surrogate vectors (query → (epoch,
+        # {doc_id → TermVector})), exactly those of its last candidate
+        # list, reused only by a read pinned to the tagged epoch; see
+        # build_task and invalidate_affected.
+        self._candidate_vectors: LRUCache[str, tuple[int, dict]] = LRUCache(
+            max(
+                1,
+                spec_cache_size
+                * self.config.spec_results
+                // self.config.candidates,
+            )
+        )
 
     # -- pipeline pieces ---------------------------------------------------------
 
@@ -261,36 +296,38 @@ class DiversificationFramework:
         """Step (a): Algorithm 1 via the configured detector."""
         return self.detector.mine(query)
 
-    def _cache_spec(
+    def _put_current(
         self,
-        spec_query: str,
-        cached: tuple,
-        held: tuple | None,
+        cache: LRUCache,
+        key: str,
+        value: tuple,
+        held: tuple | None = None,
         refresh: bool = True,
     ) -> None:
-        """Insert a freshly computed artifact unless its epoch is gone.
+        """Insert a freshly computed entry unless its epoch is gone.
 
-        A query pinned to epoch N may finish computing an artifact after
-        N+1 published and the serving layer already swept the stale
-        entries; inserting then would resurrect epoch-N data.  The check
-        and the put happen under the engine's epoch lock — the same lock
-        a publish and :meth:`invalidate_affected` hold — so either the
-        insert lands before the publish (and the sweep sees it) or the
-        epoch comparison fails and the artifact is discarded.  An
-        artifact completed from a held entry (*held*: partial or
-        retained vectors) is discarded too if a sweep replaced that
-        entry meanwhile: the vectors it reused may belong to a document
-        the sweep's epoch changed.  ``refresh=False`` keeps the entry's
-        place in the recency order (:meth:`export_warm_state`).
+        The one insert guard of the spec cache and the candidate-vector
+        store.  A query pinned to epoch N may finish computing an entry
+        after N+1 published and the serving layer already swept the
+        stale entries; inserting then would resurrect epoch-N data.  The
+        check and the put happen under the engine's epoch lock — the
+        same lock a publish and :meth:`invalidate_affected` hold — so
+        either the insert lands before the publish (and the sweep sees
+        it) or the epoch comparison fails and the entry is discarded.
+        An entry completed from a held one (*held*: a partial or
+        retained-vectors spec entry) is discarded too if a sweep
+        replaced that entry meanwhile: the vectors it reused may belong
+        to a document the sweep's epoch changed.  ``refresh=False`` keeps
+        the entry's place in the recency order (:meth:`export_warm_state`).
         """
         engine = self.engine
         computed_at = engine._pinned_snapshot().epoch
         with engine._epoch_lock:
             if engine.epoch != computed_at:
                 return
-            if held is not None and self._spec_cache.peek(spec_query) is not held:
+            if held is not None and cache.peek(key) is not held:
                 return
-            self._spec_cache.put(spec_query, cached, refresh)
+            cache.put(key, value, refresh)
 
     def _complete(
         self,
@@ -300,7 +337,7 @@ class DiversificationFramework:
         candidates: Container[str] = (),
         refresh: bool = True,
     ) -> tuple[ResultList, dict]:
-        """``(R_q', its surrogate vectors)``, cached by :meth:`_cache_spec`.
+        """``(R_q', its surrogate vectors)``, cached by :meth:`_put_current`.
 
         *held* is what the cache held for *spec_query* — nothing, a
         partial entry, or a retained-vectors entry — and only the results
@@ -320,7 +357,7 @@ class DiversificationFramework:
             for d in results.doc_ids
             if d in kept or d in fresh
         }
-        self._cache_spec(spec_query, artifact, held, refresh)
+        self._put_current(self._spec_cache, spec_query, artifact, held, refresh)
         return artifact
 
     def _spec_results(
@@ -347,11 +384,13 @@ class DiversificationFramework:
     def prefetch_specializations(self, spec_queries) -> int:
         """Warm the specialization cache for *spec_queries* in one pass.
 
-        The serving layer's offline ``warm()`` phase and the batch path
-        both funnel through here: engine lookups for specializations
-        missing from the cache are batched (deduplicated) so a batch of
-        queries sharing intents pays for each artifact once, and a
-        partial entry is completed on the list it holds.  Every
+        The serving layer's offline ``warm()`` phase funnels through
+        here (the online batch path does not: it fetches each
+        specialization in :meth:`build_task`, once its candidates are
+        known): engine lookups for specializations missing from the
+        cache are batched (deduplicated) so queries sharing intents pay
+        for each artifact once, and a partial entry is completed on the
+        list it holds.  Every
         specialization ends with a whole artifact.  Returns the number
         of specializations actually fetched or completed.
         """
@@ -390,7 +429,13 @@ class DiversificationFramework:
         goes — so does a dropped partial entry whose every vector was
         shadowed.  ``delta=None`` (an unknown change) drops everything.
 
-        Runs under the engine's epoch lock, like :meth:`_cache_spec`.
+        The candidate-vector store is swept in the same call by the same
+        rule: each query's entry loses the vectors of the changed
+        doc_ids, goes when that leaves it empty, and is re-tagged with
+        the published epoch, which is what lets a read pinned to that
+        epoch reuse it (:meth:`build_task`).  ``delta=None`` clears it.
+
+        Runs under the engine's epoch lock, like :meth:`_put_current`.
         Returns the number of result lists dropped.
         """
         with self.engine._epoch_lock:
@@ -399,9 +444,17 @@ class DiversificationFramework:
                     c[0] is not None for _, c in self._spec_cache.snapshot()
                 )
                 self._spec_cache.clear()
+                self._candidate_vectors.clear()
                 return dropped
             changed_terms = delta.terms
             changed_ids = delta.changed_ids
+            epoch = self.engine.epoch
+            for query, (_, vectors) in self._candidate_vectors.snapshot():
+                kept = _unchanged(vectors, changed_ids)
+                if kept:
+                    self._candidate_vectors.put(query, (epoch, kept), refresh=False)
+                else:
+                    self._candidate_vectors.delete(query)
             if not (delta.stats_changed or changed_terms or changed_ids):
                 return 0
             analyzer = self.engine.analyzer
@@ -417,11 +470,7 @@ class DiversificationFramework:
                 if not stale:
                     continue
                 dropped += results is not None
-                kept = {
-                    doc_id: vector
-                    for doc_id, vector in vectors.items()
-                    if doc_id not in changed_ids
-                }
+                kept = _unchanged(vectors, changed_ids)
                 if kept:
                     self._spec_cache.put(spec_query, (None, kept))
                 else:
@@ -461,8 +510,12 @@ class DiversificationFramework:
 
     def warm_memory_estimate(self) -> dict[str, int]:
         """Estimated resident bytes of the spec cache — artifacts and
-        retained vectors alike (:func:`_estimate_warm_memory`)."""
-        return _estimate_warm_memory(self._spec_cache.snapshot())
+        retained vectors alike — and of the queries' retained candidate
+        vectors, which count as vectors only (:func:`_estimate_warm_memory`)."""
+        return _estimate_warm_memory(
+            self._spec_cache.snapshot(),
+            (vectors for _, (_, vectors) in self._candidate_vectors.snapshot()),
+        )
 
     def install_warm_state(self, artifacts) -> int:
         """Load previously exported warm artifacts into the cache.
@@ -485,21 +538,54 @@ class DiversificationFramework:
                 installed += 1
         return installed
 
+    def _candidate_surrogates(
+        self, query: str, candidates: ResultList, epoch: int
+    ) -> dict[str, TermVector]:
+        """The q-biased surrogate vectors of *candidates*, in their order.
+
+        A surrogate reads the query and its document's text, never N or
+        avg_dl, so an epoch that did not change a document leaves its
+        vector valid.  The query's entry in the candidate-vector store
+        holds the vectors of its last candidate list, tagged with the
+        epoch they are valid at; a read pinned to *epoch* reuses them
+        only when the tag is *epoch* (the sweep re-tags what it keeps)
+        and vectorises the rest.  The result then replaces the entry
+        through :meth:`_put_current`, so the store holds exactly each
+        query's last candidate list.  Reads ``peek``: no counter moves.
+        """
+        held = self._candidate_vectors.peek(query)
+        kept = held[1] if held is not None and held[0] == epoch else {}
+        missing = [r for r in candidates if r.doc_id not in kept]
+        fresh = self.engine.snippet_vectors(query, missing) if missing else {}
+        own = fresh if not kept else {
+            d: kept[d] if d in kept else fresh[d] for d in candidates.doc_ids
+        }
+        self._put_current(self._candidate_vectors, query, (epoch, own))
+        return own
+
     def build_task(
         self, query: str, specializations: SpecializationSet
     ) -> DiversificationTask | None:
-        """Steps (b)+(c) inputs: retrieve, vectorise and score utilities."""
-        candidates = self.engine.search(query, self.config.candidates)
-        if not len(candidates):
-            return None
-        own = self.engine.snippet_vectors(query, candidates)
-        vectors = dict(own)
-        spec_results: dict[str, ResultList] = {}
-        for spec_query, _p in specializations:
-            results, spec_vectors = self._spec_results(spec_query, own)
-            spec_results[spec_query] = results
-            for doc_id, vector in spec_vectors.items():
-                vectors.setdefault(doc_id, vector)
+        """Steps (b)+(c) inputs: retrieve, vectorise and score utilities.
+
+        Runs pinned to one engine snapshot.  The candidates' q-biased
+        surrogate vectors come from :meth:`_candidate_surrogates`, which
+        vectorises only those this query's retained entry lacks; the
+        R_q' lists come from the spec cache (:meth:`_spec_results`),
+        which skips the results these candidates shadow.
+        """
+        with self.engine.pinned() as snapshot:
+            candidates = self.engine.search(query, self.config.candidates)
+            if not len(candidates):
+                return None
+            own = self._candidate_surrogates(query, candidates, snapshot.epoch)
+            vectors = dict(own)
+            spec_results: dict[str, ResultList] = {}
+            for spec_query, _p in specializations:
+                results, spec_vectors = self._spec_results(spec_query, own)
+                spec_results[spec_query] = results
+                for doc_id, vector in spec_vectors.items():
+                    vectors.setdefault(doc_id, vector)
         matrix = UtilityMatrix.build(
             candidates,
             spec_results,

@@ -11,13 +11,14 @@ that split explicit on top of
   query workload and prefetch every mined specialization's artifacts
   into the framework's bounded LRU, batching the engine lookups;
 * :meth:`diversify` / :meth:`diversify_batch` are the online phase:
-  bounded result caching, deduplicated detection, one batched
-  specialization prefetch per batch, and per-query latency accounting.
+  bounded result caching, deduplicated detection, specializations
+  fetched through the framework's cache as each task needs them, and
+  per-query latency accounting.
 
 ``diversify_batch`` is the throughput entry point: a batch of Q queries
 with U distinct queries runs U pipelines instead of Q, and all U share
-one specialization prefetch — which is what the Table 2/3 harnesses and
-the serving benchmark drive end-to-end.
+each specialization's one search — which is what the Table 2/3 harnesses
+and the serving benchmark drive end-to-end.
 """
 
 from __future__ import annotations
@@ -409,20 +410,20 @@ class DiversificationService:
     def prepare_batch(self, queries: Iterable[str]) -> dict[str, PreparedQuery]:
         """Detection + task construction for a batch, amortised.
 
-        Detection runs once per distinct query; the specialization
-        artifacts of the whole batch are prefetched in one deduplicated
-        engine pass before any task is built.  Returns
+        Detection runs once per distinct query, and each task is built
+        by :meth:`~repro.core.framework.DiversificationFramework.build_task`,
+        which fetches each specialization through the spec cache: a
+        specialization the batch shares is searched once, and a later
+        query completes the held list without re-searching.  Nothing is
+        prefetched before a query's candidates are known (that is
+        :meth:`warm`'s offline phase), so no candidate gets a q'-biased
+        vector its own q-biased one shadows.  Returns
         ``{query: PreparedQuery}`` over the distinct queries.  The
         experiment harnesses use this to build per-topic tasks through
         the same code path the online system exercises.
         """
         distinct = list(dict.fromkeys(queries))
         detected = {query: self._detect(query) for query in distinct}
-        self.framework.prefetch_specializations(
-            spec
-            for specializations in detected.values()
-            for spec, _ in specializations
-        )
         prepared: dict[str, PreparedQuery] = {}
         for query in distinct:
             specializations = detected[query]
@@ -457,8 +458,9 @@ class DiversificationService:
 
         Duplicate queries in the batch (and queries cached from earlier
         calls) share one :class:`DiversifiedResult` instance; only the
-        distinct uncached queries run the pipeline, after a single
-        batched specialization prefetch.
+        distinct uncached queries run the pipeline, each fetching its
+        specializations through the framework's spec cache as
+        :meth:`prepare_batch` does.
         """
         start = time.perf_counter()
         queries = list(queries)
@@ -476,11 +478,6 @@ class DiversificationService:
         # query in the batch reads the same epoch even when an ingest
         # publishes mid-batch (inner pins inherit this one).
         with self.framework.engine.pinned():
-            self.framework.prefetch_specializations(
-                spec
-                for specializations in detected.values()
-                for spec, _ in specializations
-            )
             for query in to_rank:
                 ranked_at = time.perf_counter()
                 result = self.framework.diversify_detected(

@@ -17,9 +17,10 @@ from repro.core.iaselect import IASelect
 from repro.core.mmr import MMR
 from repro.core.optselect import OptSelect
 from repro.core.xquad import XQuAD
+from repro.experiments.workloads import PAPER_SCALE
 from repro.retrieval.engine import EpochDelta
 from repro.retrieval.similarity import TermVector
-from repro.retrieval.store import write_store
+from repro.retrieval.store import read_warm_artifacts, write_store
 from repro.serving.service import DiversificationService
 
 
@@ -572,3 +573,119 @@ class TestShadowedSurrogates:
         assert framework.invalidate_affected(EpochDelta(added=("alien0",))) == 1
         assert framework._spec_cache.peek(spec)[1][doc] is empty  # retained
         assert vectorised == []
+
+
+# -- a query's own candidate vectors, kept for its next read ---------------------
+
+
+class TestCandidateVectors:
+    """``build_task`` keeps each query's candidate vectors, tagged with
+    their epoch, in a store bounded to the vectors the spec cache can
+    hold; the serving-side epoch tests are in ``tests/serving/test_ingest.py``."""
+
+    def test_a_repeated_read_vectorises_no_candidate(
+        self, framework_factory, ambiguous_topic, vectorised
+    ):
+        framework = framework_factory()
+        query = ambiguous_topic.query
+        specializations = framework.detect(query)
+        first = framework.build_task(query, specializations)
+        epoch, held = framework._candidate_vectors.peek(query)
+        assert epoch == framework.engine.epoch
+        assert list(held) == first.candidates.doc_ids
+        assert all(held[d] is first.vectors[d] for d in held)
+        vectorised.clear()
+        stats = framework.cache_info()
+        second = framework.build_task(query, specializations)
+        assert [q for q, _ in vectorised] == []  # every spec entry serves it too
+        assert vectors_of(second.vectors) == vectors_of(first.vectors)
+        assert framework.cache_info().hits == stats.hits + len(specializations)
+        assert framework.cache_info().misses == stats.misses
+
+    @pytest.mark.parametrize("spec_cache_size", [1, 16, 4096])
+    def test_the_store_holds_no_more_vectors_than_the_spec_cache(
+        self, framework_factory, ambiguous_queries, spec_cache_size
+    ):
+        config = FrameworkConfig(k=10, candidates=12, spec_results=10)
+        framework = framework_factory(config=config, spec_cache_size=spec_cache_size)
+        bound = max(1, spec_cache_size * config.spec_results // config.candidates)
+        assert framework._candidate_vectors.maxsize == bound
+        queries = ambiguous_queries * 2
+        for query in queries:
+            framework.build_task(query, framework.detect(query))
+        entries = framework._candidate_vectors.snapshot()
+        assert len(entries) == min(bound, len(set(queries)))
+        assert [q for q, _ in entries] == list(
+            dict.fromkeys(reversed(queries))
+        )[: len(entries)][::-1]  # the most recently read queries
+        held = sum(len(vectors) for _, (_, vectors) in entries)
+        assert held <= max(config.candidates, spec_cache_size * config.spec_results)
+
+    def test_bench_and_paper_scale_bounds(self, framework_factory):
+        for config, bound in [
+            (FrameworkConfig(k=20, candidates=30, spec_results=8), 1092),
+            (FrameworkConfig(k=100, candidates=PAPER_SCALE.candidates), 204),
+        ]:
+            assert framework_factory(config=config)._candidate_vectors.maxsize == bound
+
+    def test_an_unknown_change_empties_the_store(
+        self, framework_factory, ambiguous_queries
+    ):
+        framework = framework_factory()
+        for query in ambiguous_queries:
+            framework.build_task(query, framework.detect(query))
+        assert len(framework._candidate_vectors) == len(ambiguous_queries)
+        framework.invalidate_affected(None)
+        assert len(framework._candidate_vectors) == 0
+
+    def test_a_sweep_drops_changed_vectors_and_retags(
+        self, framework_factory, ambiguous_topic
+    ):
+        framework = framework_factory()
+        query = ambiguous_topic.query
+        task = framework.build_task(query, framework.detect(query))
+        changed = task.candidates.doc_ids[0]
+        framework.invalidate_affected(
+            EpochDelta(added=(changed,), removed=(changed,), stats_changed=False)
+        )
+        epoch, held = framework._candidate_vectors.peek(query)
+        assert epoch == framework.engine.epoch
+        assert list(held) == task.candidates.doc_ids[1:]
+        framework._candidate_vectors.put(query, (epoch, {changed: task.vectors[changed]}))
+        framework.invalidate_affected(EpochDelta(removed=(changed,)))
+        assert framework._candidate_vectors.peek(query) is None  # left empty
+
+    def test_warm_state_never_sees_candidate_vectors(
+        self, framework_factory, ambiguous_queries, tmp_path
+    ):
+        """Export, its store rows and install are the spec cache's alone;
+        the memory estimate prices the candidate vectors as vectors."""
+        served = framework_factory()
+        for query in ambiguous_queries:
+            served.build_task(query, served.detect(query))
+        bare = framework_factory()
+        for query in ambiguous_queries:
+            bare.build_task(query, bare.detect(query))
+        bare._candidate_vectors.clear()
+        assert len(served._candidate_vectors) == len(ambiguous_queries)
+        payloads = DiversificationService(served).export_warm_payloads()
+        assert payloads == DiversificationService(bare).export_warm_payloads()
+        assert not set(payloads) & set(ambiguous_queries)
+        store = write_store(
+            tmp_path / "warm.sqlite3", served.engine, {0: payloads}
+        )
+        rows = read_warm_artifacts(store, 0)
+        assert rows.keys() == payloads.keys()
+        receiver = framework_factory()
+        assert receiver.install_warm_state(rows) == len(rows)
+        assert len(receiver._candidate_vectors) == 0
+
+        with_candidates = served.warm_memory_estimate()
+        without = bare.warm_memory_estimate()
+        candidate_vectors = sum(
+            len(v) for _, (_, v) in served._candidate_vectors.snapshot()
+        )
+        assert with_candidates["vectors"] == without["vectors"] + candidate_vectors
+        assert with_candidates["specializations"] == without["specializations"]
+        assert with_candidates["results"] == without["results"]
+        assert with_candidates["vector_bytes"] > without["vector_bytes"]

@@ -16,10 +16,12 @@ read-only and says so with a typed error.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import dataclasses
 import json
 import multiprocessing
 import pickle
+import random
 import sys
 import threading
 import urllib.error
@@ -621,6 +623,269 @@ class TestRetainedVectors:
         assert stored.result_cache_info() == twin.result_cache_info()
         for service in services:
             service.framework.engine.close()
+
+
+# -- what an epoch keeps: a query's own candidate vectors ------------------------
+
+
+#: Short candidate lists, so an added document pushes an unchanged one out.
+SHORT_CONFIG = dataclasses.replace(STANDARD_CONFIG, candidates=12)
+
+
+@contextlib.contextmanager
+def recording_vectors(engine):
+    """Every ``engine.snippet_vectors`` call in the block, as
+    ``[(query, [doc_id, ...]), ...]``."""
+    calls = []
+    snippet_vectors = engine.snippet_vectors
+
+    def recording(query, results):
+        calls.append((query, [r.doc_id for r in results]))
+        return snippet_vectors(query, results)
+
+    engine.snippet_vectors = recording
+    try:
+        yield calls
+    finally:
+        del engine.snippet_vectors
+
+
+def own_vectorised(calls, query):
+    """The doc_ids vectorised with *query*'s own bias."""
+    return [d for q, docs in calls if q == query for d in docs]
+
+
+def task_vectors(task):
+    """A task's vector map: keys in order, each vector's terms in order."""
+    return [(d, list(v.weights.items())) for d, v in task.vectors.items()]
+
+
+def strong_documents(query, base, count):
+    """Documents that enter *query*'s top candidates: the query three
+    times over 40 words of *base*, a document already about it."""
+    words = base.text.split()
+    return [
+        Document(f"strong{i}", " ".join([query] * 3 + words[i:i + 40]))
+        for i in range(count)
+    ]
+
+
+class TestCandidateVectors:
+    def test_a_repeated_read_after_an_epoch_vectorises_only_new_candidates(
+        self, tmp_path, small_miner, initial_docs, ambiguous_topic
+    ):
+        engine = make_store_engine(tmp_path / "live.sqlite3", initial_docs)
+        framework = DiversificationFramework(engine, small_miner, config=SHORT_CONFIG)
+        service = DiversificationService(framework)
+        query = ambiguous_topic.query
+        before = service.diversify(query).baseline.doc_ids
+        held = framework._candidate_vectors.peek(query)
+        assert held[0] == 0 and list(held[1]) == before
+        removed = before[3]
+        top = next(d for d in initial_docs if d.doc_id == before[0])
+        epoch = service.ingest(strong_documents(query, top, 2), [removed])
+        retagged = framework._candidate_vectors.peek(query)
+        assert retagged[0] == epoch
+        assert list(retagged[1]) == [d for d in before if d != removed]
+
+        with recording_vectors(engine) as calls:
+            after = service.diversify(query).baseline.doc_ids
+        new = [d for d in after if d not in before]
+        assert {"strong0", "strong1"} <= set(new)
+        assert own_vectorised(calls, query) == new
+        fell_out = set(before) - set(after) - {removed}
+        assert fell_out  # an unchanged candidate left the list ...
+        epoch_now, vectors = framework._candidate_vectors.peek(query)
+        assert epoch_now == epoch
+        assert list(vectors) == after  # ... and left the entry with it
+        for d in after:
+            if d in before:
+                assert vectors[d] is held[1][d]
+        fresh = engine.snippet_vectors(query, ResultList(query, [(d, 0.0) for d in after]))
+        assert vectors_of((None, vectors)) == vectors_of((None, fresh))
+        engine.close()
+
+    def test_seeded_ingest_reads_equal_fresh_builds(
+        self, tmp_path, small_miner, initial_docs, holdout_docs, workload
+    ):
+        """Reads repeated across a seeded sequence of epochs — one removes
+        a candidate, a later one re-adds its doc_id with other text, and
+        one rewrites a candidate in place — build the task a fresh
+        framework builds on the same epoch (keys, order and floats of
+        every vector) and serve what a cold rebuild serves."""
+        rng = random.Random(43)
+        engine = make_store_engine(tmp_path / "live.sqlite3", initial_docs)
+        framework = DiversificationFramework(engine, small_miner, config=SHORT_CONFIG)
+        service = DiversificationService(framework)
+        queries = [q for q in dict.fromkeys(workload) if framework.detect(q)][:3]
+        first = service.diversify_batch(queries)
+        victim = next(d for d in initial_docs if d.doc_id == first[0].baseline.doc_ids[1])
+        rewritten = next(
+            d for d in initial_docs if d.doc_id == first[1].baseline.doc_ids[2]
+        )
+        pool = list(holdout_docs)
+        live = list(initial_docs)
+        reused = 0
+        for step in range(6):
+            adds = [pool.pop(rng.randrange(len(pool)))]
+            protected = {victim.doc_id, rewritten.doc_id}
+            removes = rng.sample(
+                [d.doc_id for d in live if d.doc_id not in protected], 1
+            )
+            if step == 1:
+                removes.append(victim.doc_id)
+            if step == 3:
+                adds.append(
+                    Document(victim.doc_id, f"{queries[0]} {victim.text} zzqb", victim.title)
+                )
+            if step == 4:
+                adds.append(
+                    Document(rewritten.doc_id, f"{rewritten.text} zzqc", rewritten.title)
+                )
+                removes.append(rewritten.doc_id)
+            service.ingest(adds, removes)
+            live = apply_to_docs(live, [(adds, removes)])
+            fresh = DiversificationFramework(engine, small_miner, config=SHORT_CONFIG)
+            with recording_vectors(engine) as calls:
+                tasks = {
+                    q: framework.build_task(q, framework.detect(q)) for q in queries
+                }
+            for query, task in tasks.items():
+                reused += len(task.candidates) - len(own_vectorised(calls, query))
+                want = fresh.build_task(query, fresh.detect(query))
+                assert task_vectors(task) == task_vectors(want), (step, query)
+            cold = DiversificationService(
+                DiversificationFramework(
+                    make_engine(live), small_miner, config=SHORT_CONFIG
+                )
+            )
+            assert_results_equal(
+                service.diversify_batch(queries), cold.diversify_batch(queries)
+            )
+        assert reused > 0
+        engine.close()
+
+    def test_a_read_pinned_to_the_previous_epoch_recomputes(
+        self, small_miner, initial_docs, ambiguous_topic
+    ):
+        engine = make_engine(initial_docs)
+        framework = DiversificationFramework(engine, small_miner, config=SHORT_CONFIG)
+        query = ambiguous_topic.query
+        specializations = framework.detect(query)
+        framework.build_task(query, specializations)
+        old = engine.snapshot()
+        adds = [Document("alien0", "zzqa wwxo")]
+        delta = publish_rebuilt(engine, list(initial_docs) + adds, adds, [])
+        framework.invalidate_affected(delta)
+        entry = framework._candidate_vectors.peek(query)
+        assert entry[0] == old.epoch + 1
+        with engine.pinned(old):
+            with recording_vectors(engine) as calls:
+                task = framework.build_task(query, specializations)
+            fresh = engine.snippet_vectors(query, task.candidates)
+        assert own_vectorised(calls, query) == task.candidates.doc_ids
+        assert vectors_of((None, {d: task.vectors[d] for d in fresh})) == (
+            vectors_of((None, fresh))
+        )
+        assert framework._candidate_vectors.peek(query) is entry  # not inserted
+
+    def test_a_read_between_refresh_and_sweep_recomputes(
+        self, tmp_path, small_miner, initial_docs, ambiguous_topic
+    ):
+        """Epoch 1 rewrites a candidate.  A read after ``refresh()``
+        published it but before the sweep must not reuse the old vector
+        of that candidate: its tagged entry is still epoch 0's."""
+        engine = make_store_engine(tmp_path / "live.sqlite3", initial_docs)
+        framework = DiversificationFramework(engine, small_miner, config=SHORT_CONFIG)
+        query = ambiguous_topic.query
+        specializations = framework.detect(query)
+        candidates = framework.build_task(query, specializations).candidates
+        old = next(d for d in initial_docs if d.doc_id == candidates.doc_ids[0])
+        new = Document(old.doc_id, f"{old.text} zzqb", old.title)
+        snapshot = publish(engine, [new], [old.doc_id])  # not swept yet
+        with recording_vectors(engine) as calls:
+            task = framework.build_task(query, specializations)
+        assert own_vectorised(calls, query) == task.candidates.doc_ids
+        assert old.doc_id in task.candidates.doc_ids
+        fresh = engine.snippet_vectors(query, task.candidates)
+        assert vectors_of((None, {d: task.vectors[d] for d in fresh})) == (
+            vectors_of((None, fresh))
+        )
+        framework.invalidate_affected(snapshot.delta)
+        with recording_vectors(engine) as calls:
+            again = framework.build_task(query, specializations)
+        assert own_vectorised(calls, query) == [old.doc_id]
+        assert task_vectors(again) == task_vectors(task)
+        engine.close()
+
+    @pytest.mark.xfail(
+        strict=True,
+        raises=AssertionError,
+        reason="ROADMAP item 14: no cached result or vector survives an epoch "
+        "that changed its inputs. A read pinned to the new epoch between "
+        "refresh() and the sweeps ranks on the old epoch's spec lists, and "
+        "its result enters the result cache after the sweep",
+    )
+    def test_a_read_between_refresh_and_sweep_caches_no_stale_result(
+        self, tmp_path, small_miner, initial_docs, ambiguous_topic
+    ):
+        service = make_live_service(
+            tmp_path / "live.sqlite3", small_miner, initial_docs
+        )
+        framework, engine = service.framework, service.framework.engine
+        query = ambiguous_topic.query
+        service.warm([query])
+        service.append_to_store([Document("alien0", "zzqa wwxo")])
+
+        published, sweep = threading.Event(), threading.Event()
+        invalidate_affected = framework.invalidate_affected
+
+        def gated(delta):
+            published.set()
+            assert sweep.wait(10)
+            return invalidate_affected(delta)
+
+        framework.invalidate_affected = gated
+        ingest = threading.Thread(target=service.apply_updates)
+        ingest.start()
+        assert published.wait(10)
+
+        used = {}
+        spec_results = framework._spec_results
+        cache_result = service._cache_result
+
+        def recording(spec_query, candidates=()):
+            entry = spec_results(spec_query, candidates)
+            used[spec_query] = entry[0]
+            return entry
+
+        def after_the_sweep(query, result):
+            sweep.set()
+            ingest.join(10)
+            cache_result(query, result)
+
+        framework._spec_results = recording
+        service._cache_result = after_the_sweep
+        try:
+            service.diversify(query)
+        finally:
+            sweep.set()
+            ingest.join(10)
+            del framework._spec_results, framework.invalidate_affected
+            del service._cache_result
+        assert not ingest.is_alive() and used
+        k = framework.config.spec_results
+        current = {
+            spec: [(r.doc_id, r.score) for r in engine.search(spec, k)]
+            for spec in used
+        }
+        stale = [
+            spec
+            for spec, results in used.items()
+            if [(r.doc_id, r.score) for r in results] != current[spec]
+        ]
+        assert service._result_cache.peek(query) is None or not stale, stale
+        engine.close()
 
 
 # -- sharded clusters ------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 import statistics
 
@@ -11,6 +12,8 @@ from repro.core.fast import FastIASelect, FastMMR, FastOptSelect, FastXQuAD
 from repro.core.optselect import OptSelect
 from repro.serving import DiversificationService
 from repro.serving.service import ServiceStats
+
+from tests.conftest import STANDARD_CONFIG
 
 
 @pytest.fixture()
@@ -148,14 +151,68 @@ class TestPrepare:
         prep = service.prepare(ambiguous_topic.query)
         assert prep.ambiguous and prep.task is not None
 
-    def test_prepare_batch_prefetches_once(self, service, topic_queries):
-        service.prepare_batch(topic_queries)
+    @pytest.mark.parametrize("candidates", [STANDARD_CONFIG.candidates, 12])
+    def test_prepare_batch_searches_each_specialization_once(
+        self, framework_factory, topic_queries, candidates
+    ):
+        """Each distinct specialization of the batch is searched once,
+        and no R_q' result gets a q'-biased vector that every query
+        ranking under that specialization shadows with its own q-biased
+        one: the vectorised set is exactly the results outside the
+        candidates of some query that needs them, each built once."""
+        service = DiversificationService(
+            framework_factory(
+                config=dataclasses.replace(STANDARD_CONFIG, candidates=candidates)
+            )
+        )
+        framework = service.framework
+        engine = framework.engine
+        config = framework.config
+        users: dict[str, list[str]] = {}
+        for query in topic_queries:
+            for spec, _ in framework.detect(query):
+                users.setdefault(spec, []).append(query)
+        needed = {}
+        for spec, queries in users.items():
+            shadowing = set.intersection(
+                *(set(engine.search(q, config.candidates).doc_ids) for q in queries)
+            )
+            needed[spec] = sorted(
+                d
+                for d in engine.search(spec, config.spec_results).doc_ids
+                if d not in shadowing
+            )
+        searched: dict[str, int] = {}
+        vectorised: dict[str, list[str]] = {}
+        search, snippet_vectors = engine.search, engine.snippet_vectors
+
+        def counting(query, k=1000):
+            searched[query] = searched.get(query, 0) + 1
+            return search(query, k)
+
+        def recording(query, results):
+            if query in users:
+                vectorised.setdefault(query, []).extend(r.doc_id for r in results)
+            return snippet_vectors(query, results)
+
+        engine.search, engine.snippet_vectors = counting, recording
+        try:
+            prepared = service.prepare_batch(topic_queries)
+        finally:
+            del engine.search, engine.snippet_vectors
+        assert users and any(p.task is not None for p in prepared.values())
+        assert {spec: searched.get(spec, 0) for spec in users} == dict.fromkeys(
+            users, 1
+        )
+        assert {s: sorted(v) for s, v in vectorised.items()} == {
+            s: d for s, d in needed.items() if d
+        }
+        assert sum(map(len, needed.values())) < sum(
+            len(engine.search(spec, config.spec_results)) for spec in users
+        )  # something was shadowed
         info = service.spec_cache_info()
-        # Every artifact was fetched by the batched prefetch, then read
-        # back by task construction: no misses beyond the prefetch pass.
-        assert info.size > 0
-        assert info.hits >= info.size
-        assert info.misses == 0
+        assert info.size == len(users)
+        assert info.misses == len(users)
 
 
 class TestPercentileInterpolation:
