@@ -38,8 +38,12 @@ Checks, in order:
    ``docs/ARCHITECTURE.md`` (:func:`layer_violations`): a layer imports
    only from the layers listed above it, or a module the paragraph above
    the table names as the exception;
-9. every ``*.md`` file named in ``src/`` exists in the repository
-   (:func:`missing_markdown`).
+9. no ``src/`` module outside ``repro.retrieval`` reads the engine's
+   private epoch state, ``_epoch_lock`` or ``_pinned_snapshot``
+   (:func:`private_epoch_reads`): a caller gets its epoch from
+   ``engine.pinned()`` or ``engine.epoch``;
+10. every ``*.md`` file named in ``src/`` exists in the repository
+    (:func:`missing_markdown`).
 
 Run from the repository root (CI runs it in the ``docs`` job)::
 
@@ -510,6 +514,25 @@ def layer_violations(root: Path, architecture: str) -> list[str]:
     return violations
 
 
+#: The engine's private epoch state, read only inside ``repro.retrieval``.
+PRIVATE_EPOCH_STATE = ("_epoch_lock", "_pinned_snapshot")
+
+
+def private_epoch_reads(root: Path) -> list[str]:
+    """``module:line reads attribute`` for every read of
+    :data:`PRIVATE_EPOCH_STATE` in a ``src/`` module outside
+    ``repro.retrieval``."""
+    reads = []
+    for name, path in src_modules(root).items():
+        if name == "repro.retrieval" or name.startswith("repro.retrieval."):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in PRIVATE_EPOCH_STATE:
+                reads.append(f"{name}:{node.lineno} reads {node.attr}")
+    return sorted(reads)
+
+
 def missing_markdown(root: Path) -> list[str]:
     """``file: name`` for every ``*.md`` file a ``src/`` file names that
     exists nowhere in the repository."""
@@ -591,6 +614,11 @@ def main() -> None:
     if violations:
         fail("imports against the docs/ARCHITECTURE.md layer order:\n  "
              + "\n  ".join(violations))
+    private = private_epoch_reads(ROOT)
+    if private:
+        fail("src/ reads the engine's private epoch state outside "
+             "repro.retrieval (use engine.pinned() or engine.epoch):\n  "
+             + "\n  ".join(private))
     missing = missing_markdown(ROOT)
     if missing:
         fail("src/ names markdown files that do not exist:\n  "
@@ -603,7 +631,8 @@ def main() -> None:
         f"{dotted} dotted paths, Class.member names and constructor "
         f"keywords resolve; every "
         f"src/ module, name and re-export has a caller; imports follow the "
-        f"layer table; every "
+        f"layer table; only repro.retrieval reads the engine's private "
+        f"epoch state; every "
         f"markdown file src/ names exists"
     )
 

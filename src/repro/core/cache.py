@@ -13,6 +13,10 @@ The counters (hits / misses / evictions) feed the framework's
 ``cache_info()`` and the serving layer's throughput reports, and
 :class:`Rollup` is the one rule by which such part reports — per cache,
 shard or index partition — combine into a whole.
+
+What the framework and the service derive from an engine epoch is
+cached as an *epoch-tagged* tuple, ``(epoch, ...)``, reused only at that
+epoch; :func:`put_tagged` and :func:`sweep_tagged` are its rules.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ K = TypeVar("K")
 V = TypeVar("V")
 R = TypeVar("R", bound="Rollup")
 
-__all__ = ["CacheStats", "LRUCache", "Rollup"]
+__all__ = ["CacheStats", "LRUCache", "Rollup", "put_tagged", "sweep_tagged"]
 
 _MISSING = object()
 
@@ -173,16 +177,16 @@ class LRUCache(Generic[K, V]):
             self._data.move_to_end(key)
             return value
 
-    def hit(self, key: K) -> V | None:
-        """``get`` for a caller that falls back to ``get`` on a miss.
+    def hit(self, key: K, whole: Callable[[V], bool]) -> V | None:
+        """``lookup`` for a caller that falls back to ``lookup`` on a miss.
 
-        A hit is counted and refreshes recency exactly as in ``get``; a
-        miss returns ``None`` uncounted, so the later ``get`` counts it
-        once.
+        An entry *whole* accepts is counted as a hit and refreshes
+        recency exactly as in ``lookup``; anything else returns ``None``
+        uncounted, so the later ``lookup`` counts the miss once.
         """
         with self._lock:
             value = self._data.get(key, _MISSING)
-            if value is _MISSING:
+            if value is _MISSING or not whole(value):
                 return None
             self.hits += 1
             self._data.move_to_end(key)
@@ -302,3 +306,39 @@ class LRUCache(Generic[K, V]):
             f"LRUCache(maxsize={self.maxsize}, size={len(self)}, "
             f"hits={self.hits}, misses={self.misses})"
         )
+
+
+def put_tagged(cache: LRUCache, key, entry: tuple) -> None:
+    """Put the epoch-tagged *entry* unless *key* holds a newer tag.
+
+    No lock: a put that loses a race leaves an older tag behind, which
+    costs the next reader a recompute and nothing else.  A put is not a
+    use, so a present key keeps its recency (the read before it moved
+    it)."""
+    held = cache.peek(key)
+    if held is None or held[0] <= entry[0]:
+        cache.put(key, entry, refresh=False)
+
+
+def sweep_tagged(
+    cache: LRUCache, delta, rewrite: Callable[[object, tuple], tuple | None]
+) -> None:
+    """Carry an epoch-tagged cache over the epoch *delta* published.
+
+    An entry tagged ``delta.base`` becomes ``(delta.epoch, *fields)``,
+    where *rewrite* returns the fields after the tag the delta leaves
+    valid (``None`` drops it); an entry tagged ``delta.epoch`` stays, so
+    a second sweep for one delta does nothing; any other tag drops, and
+    ``delta=None`` drops everything."""
+    if delta is None:
+        cache.clear()
+        return
+    for key, entry in cache.snapshot():
+        if entry[0] == delta.base:
+            fields = rewrite(key, entry)
+            if fields is not None:
+                put_tagged(cache, key, (delta.epoch, *fields))
+                continue
+        elif entry[0] == delta.epoch:
+            continue
+        cache.delete(key)

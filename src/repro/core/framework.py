@@ -21,11 +21,15 @@ serving layer (:mod:`repro.serving`) realise the offline phase explicitly
 — warm the artifacts for an expected workload in one batched engine pass,
 then serve queries that only read them.
 
-A second bounded LRU keeps each query's own candidate surrogate vectors,
-tagged with the epoch they are valid at: a surrogate reads the query and
-the document's text, never N or avg_dl, so a repeated query after an
-ingest epoch vectorises only the candidates that epoch added or changed
-(:meth:`DiversificationFramework.build_task`).
+A second bounded LRU keeps each query's own candidate surrogate vectors:
+a surrogate reads the query and the document's text, never N or avg_dl,
+so a repeated query after an ingest epoch vectorises only the candidates
+that epoch added or changed (:meth:`DiversificationFramework.build_task`).
+
+Both caches hold entries tagged with the epoch they were computed at,
+reused only by a read pinned to that epoch;
+:meth:`DiversificationFramework.invalidate_affected` re-tags what an
+epoch leaves valid (:func:`~repro.core.cache.sweep_tagged`).
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from dataclasses import dataclass, field
 
 from repro.core.ambiguity import SpecializationSet
 from repro.core.base import Diversifier
-from repro.core.cache import CacheStats, LRUCache
+from repro.core.cache import CacheStats, LRUCache, put_tagged, sweep_tagged
 from repro.core.iaselect import IASelect
 from repro.core.mmr import MMR
 from repro.core.optselect import OptSelect
@@ -103,14 +107,22 @@ def get_diversifier(
     return factory(**kwargs)
 
 
-def _serves(cached: tuple | None, candidates: Container[str] = ()) -> bool:
-    """Whether a spec-cache entry serves a caller holding *candidates*'
-    own vectors without computing anything: its result list is present
-    and each result has a vector or is a candidate.  With no candidates
-    this is a whole artifact."""
-    if cached is None or cached[0] is None:
+def _held(cached: tuple | None, epoch: int) -> tuple | None:
+    """*cached* if it is tagged *epoch*, else ``None``."""
+    return cached if cached is not None and cached[0] == epoch else None
+
+
+def _serves(
+    cached: tuple | None, epoch: int, candidates: Container[str] = ()
+) -> bool:
+    """Whether a spec-cache entry serves a caller pinned to *epoch* and
+    holding *candidates*' own vectors without computing anything: it is
+    tagged *epoch*, its result list is present and each result has a
+    vector or is a candidate.  With no candidates this is a whole
+    artifact."""
+    if _held(cached, epoch) is None or cached[1] is None:
         return False
-    results, vectors = cached
+    _, results, vectors = cached
     return all(d in vectors or d in candidates for d in results.doc_ids)
 
 
@@ -127,17 +139,16 @@ _FLOAT_BYTES = 24
 
 
 def _estimate_warm_memory(
-    artifacts: Mapping[str, tuple[ResultList, Mapping[str, TermVector]]],
-    candidate_vectors: Iterable[Mapping[str, TermVector]] = (),
+    spec_entries: Iterable[tuple[str, tuple]],
+    candidate_vectors: Iterable[Mapping[str, TermVector]],
 ) -> dict[str, int]:
     """Estimated resident bytes of warm artifacts, plus their counts.
 
-    *artifacts* is ``{spec_query: (ResultList, {doc_id: TermVector})}``
-    as :meth:`~repro.core.framework.DiversificationFramework.export_warm_state`
-    returns it, or ``(spec_query, entry)`` pairs; an entry whose
-    ``ResultList`` is ``None`` (retained vectors) prices its vectors
-    only.  Each map in *candidate_vectors* (a query's retained candidate
-    vectors) is priced into the vector counts too.  Sums
+    *spec_entries* are the spec cache's ``(spec_query, (epoch,
+    ResultList | None, {doc_id: TermVector}))`` pairs; an entry without
+    a list (retained vectors) prices its vectors only.  Each map in
+    *candidate_vectors* (a query's retained candidate vectors) is priced
+    into the vector counts too.  Sums
     ``sys.getsizeof`` of the real strings/dicts plus flat per-element
     prices for boxed floats — the same estimation discipline as
     :meth:`~repro.retrieval.index.InvertedIndex.memory_estimate`, so the
@@ -151,7 +162,7 @@ def _estimate_warm_memory(
     result_bytes = 0
     vector_bytes = 0
     vector_maps = list(candidate_vectors)
-    for spec_query, (results, vectors) in dict(artifacts).items():
+    for spec_query, (_, results, vectors) in spec_entries:
         specializations += 1
         results = results or ()  # None: a retained-vectors entry
         results_count += len(results)
@@ -270,25 +281,19 @@ class DiversificationFramework:
         self.config = config or FrameworkConfig()
         # Offline side structures (Section 4.1): specialization result
         # lists and their surrogate vectors, built once per specialization
-        # and served from a bounded LRU (spec_query → (ResultList | None,
-        # {doc_id → TermVector})).  An entry may lack the vectors of
+        # and served from a bounded LRU (spec_query → (epoch, ResultList |
+        # None, {doc_id → TermVector})).  An entry may lack the vectors of
         # results a direct query's candidates shadowed (see _serves); the
         # list is None when an epoch dropped it and only vectors remain.
-        self._spec_cache: LRUCache[str, tuple[ResultList | None, dict]] = (
-            LRUCache(spec_cache_size)
-        )
+        self._spec_cache: LRUCache[str, tuple[int, ResultList | None, dict]]
+        self._spec_cache = LRUCache(spec_cache_size)
         # Each query's own candidate surrogate vectors (query → (epoch,
         # {doc_id → TermVector})), exactly those of its last candidate
-        # list, reused only by a read pinned to the tagged epoch; see
-        # build_task and invalidate_affected.
-        self._candidate_vectors: LRUCache[str, tuple[int, dict]] = LRUCache(
-            max(
-                1,
-                spec_cache_size
-                * self.config.spec_results
-                // self.config.candidates,
-            )
-        )
+        # list.  Both caches reuse an entry only at the epoch it is
+        # tagged with; see build_task and invalidate_affected.
+        bound = spec_cache_size * self.config.spec_results // self.config.candidates
+        self._candidate_vectors: LRUCache[str, tuple[int, dict]]
+        self._candidate_vectors = LRUCache(max(1, bound))
 
     # -- pipeline pieces ---------------------------------------------------------
 
@@ -296,90 +301,60 @@ class DiversificationFramework:
         """Step (a): Algorithm 1 via the configured detector."""
         return self.detector.mine(query)
 
-    def _put_current(
-        self,
-        cache: LRUCache,
-        key: str,
-        value: tuple,
-        held: tuple | None = None,
-        refresh: bool = True,
-    ) -> None:
-        """Insert a freshly computed entry unless its epoch is gone.
-
-        The one insert guard of the spec cache and the candidate-vector
-        store.  A query pinned to epoch N may finish computing an entry
-        after N+1 published and the serving layer already swept the
-        stale entries; inserting then would resurrect epoch-N data.  The
-        check and the put happen under the engine's epoch lock — the
-        same lock a publish and :meth:`invalidate_affected` hold — so
-        either the insert lands before the publish (and the sweep sees
-        it) or the epoch comparison fails and the entry is discarded.
-        An entry completed from a held one (*held*: a partial or
-        retained-vectors spec entry) is discarded too if a sweep
-        replaced that entry meanwhile: the vectors it reused may belong
-        to a document the sweep's epoch changed.  ``refresh=False`` keeps
-        the entry's place in the recency order (:meth:`export_warm_state`).
-        """
-        engine = self.engine
-        computed_at = engine._pinned_snapshot().epoch
-        with engine._epoch_lock:
-            if engine.epoch != computed_at:
-                return
-            if held is not None and cache.peek(key) is not held:
-                return
-            cache.put(key, value, refresh)
-
     def _complete(
         self,
         spec_query: str,
+        epoch: int,
         results: ResultList,
         held: tuple | None,
         candidates: Container[str] = (),
-        refresh: bool = True,
-    ) -> tuple[ResultList, dict]:
-        """``(R_q', its surrogate vectors)``, cached by :meth:`_put_current`.
+    ) -> tuple[int, ResultList, dict]:
+        """The spec-cache entry ``(epoch, R_q', its surrogate vectors)``,
+        put by :func:`~repro.core.cache.put_tagged`.
 
-        *held* is what the cache held for *spec_query* — nothing, a
-        partial entry, or a retained-vectors entry — and only the results
-        it has no vector for are vectorised, less those in *candidates*:
-        :meth:`build_task` merges the candidates' own vectors first, so a
-        q'-biased vector of a candidate is never read.  The entry may
-        therefore lack them; a later caller without those candidates
-        completes it (:meth:`_spec_results`).
+        *held* is what the cache held for *spec_query* at *epoch* —
+        nothing, a partial entry, or a retained-vectors entry — and only
+        the results it has no vector for are vectorised, less those in
+        *candidates*: :meth:`build_task` merges the candidates' own
+        vectors first, so a q'-biased vector of a candidate is never
+        read.  The entry may therefore lack them; a later caller without
+        those candidates completes it (:meth:`_spec_results`).
         """
-        kept = held[1] if held is not None else {}
+        kept = held[2] if held is not None else {}
         missing = [
             r for r in results if r.doc_id not in kept and r.doc_id not in candidates
         ]
         fresh = self.engine.snippet_vectors(spec_query, missing) if missing else {}
-        artifact = results, {
+        entry = epoch, results, {
             d: kept[d] if d in kept else fresh[d]
             for d in results.doc_ids
             if d in kept or d in fresh
         }
-        self._put_current(self._spec_cache, spec_query, artifact, held, refresh)
-        return artifact
+        put_tagged(self._spec_cache, spec_query, entry)
+        return entry
 
     def _spec_results(
-        self, spec_query: str, candidates: Container[str] = ()
+        self, spec_query: str, epoch: int, candidates: Container[str] = ()
     ) -> tuple[ResultList, dict]:
-        """Step (b): the cached small list R_q' and its snippet vectors.
+        """Step (b): the cached small list R_q' and its snippet vectors,
+        for a read pinned to *epoch*.
 
         *candidates* are the doc_ids whose vectors the caller already
         holds (the query's R_q); with none, every result gets a vector.
         A lookup is a hit when the entry serves this caller as it is
-        (:func:`_serves`); any other lookup completes the entry,
-        re-searching only when it holds no result list.
+        (:func:`_serves`); any other lookup completes the entry it holds
+        at *epoch*, re-searching only when that holds no result list.
         """
         cached = self._spec_cache.lookup(
-            spec_query, lambda entry: _serves(entry, candidates)
+            spec_query, lambda entry: _serves(entry, epoch, candidates)
         )
-        if _serves(cached, candidates):
-            return cached
-        results = None if cached is None else cached[0]
+        if _serves(cached, epoch, candidates):
+            return cached[1:]
+        held = _held(cached, epoch)
+        results = None if held is None else held[1]
         if results is None:
             results = self.engine.search(spec_query, self.config.spec_results)
-        return self._complete(spec_query, results, cached, candidates)
+        return self._complete(spec_query, epoch, results, held, candidates)[1:]
 
     def prefetch_specializations(self, spec_queries) -> int:
         """Warm the specialization cache for *spec_queries* in one pass.
@@ -390,92 +365,79 @@ class DiversificationFramework:
         known): engine lookups for specializations missing from the
         cache are batched (deduplicated) so queries sharing intents pay
         for each artifact once, and a partial entry is completed on the
-        list it holds.  Every
-        specialization ends with a whole artifact.  Returns the number
-        of specializations actually fetched or completed.
+        list it holds.  Every specialization ends with a whole artifact.
+        Returns the number of specializations fetched or completed.
         """
-        held = {q: self._spec_cache.peek(q) for q in dict.fromkeys(spec_queries)}
-        missing = [q for q, cached in held.items() if not _serves(cached)]
-        if not missing:
-            return 0
-        unlisted = [q for q in missing if held[q] is None or held[q][0] is None]
-        with self.engine.pinned():
+        with self.engine.pinned() as snapshot:
+            epoch = snapshot.epoch
+            held = {
+                q: _held(self._spec_cache.peek(q), epoch)
+                for q in dict.fromkeys(spec_queries)
+            }
+            missing = [q for q, cached in held.items() if not _serves(cached, epoch)]
+            unlisted = [q for q in missing if held[q] is None or held[q][1] is None]
             fetched = self.engine.search_batch(unlisted, self.config.spec_results)
             for spec_query in missing:
                 cached = held[spec_query]
-                results = fetched[spec_query] if spec_query in fetched else cached[0]
-                self._complete(spec_query, results, cached)
+                results = fetched[spec_query] if spec_query in fetched else cached[1]
+                self._complete(spec_query, epoch, results, cached)
         return len(missing)
 
     def invalidate_affected(self, delta) -> int:
-        """Drop exactly the warm state an epoch's delta stales.
+        """Carry the warm state over the epoch *delta* published, by
+        :func:`~repro.core.cache.sweep_tagged`'s tag rule; no lock is
+        needed, since a read reuses an entry only at its tag's epoch.
 
-        The soundness rule for a result list: a batch that changes the
-        collection's document count or token total changes ``N`` and
-        ``avg_dl`` and therefore *every* cached score — every list
-        drops.  A stats-preserving swap leaves a list byte-valid iff its
+        What a spec entry tagged ``delta.base`` keeps: a batch that
+        changes the document count or token total changes ``N`` and
+        ``avg_dl``, hence *every* cached score — every list drops.  A
+        stats-preserving swap leaves a list byte-valid iff its
         specialization's terms are disjoint from the changed documents'
         terms (df/cf untouched) **and** none of the changed documents
-        appear in its results (relative seq order of survivors is
-        preserved, so tie-breaks hold).
-
-        A surrogate vector is derived from the specialization query and
-        its document's forward row, neither of which an epoch moves
-        unless it changed that document.  So a dropped list leaves its
-        unchanged documents' vectors behind, as a retained-vectors entry
-        (``results`` ``None``) in the same bounded cache; the next fetch
-        of that specialization re-searches and vectorises only the
-        documents it holds no vector for.  An entry left with no vector
-        goes — so does a dropped partial entry whose every vector was
-        shadowed.  ``delta=None`` (an unknown change) drops everything.
-
-        The candidate-vector store is swept in the same call by the same
-        rule: each query's entry loses the vectors of the changed
-        doc_ids, goes when that leaves it empty, and is re-tagged with
-        the published epoch, which is what lets a read pinned to that
-        epoch reuse it (:meth:`build_task`).  ``delta=None`` clears it.
-
-        Runs under the engine's epoch lock, like :meth:`_put_current`.
-        Returns the number of result lists dropped.
+        appear in its results (survivors keep their relative seq order,
+        so tie-breaks hold).  A surrogate vector reads the query and its
+        document's forward row, which no epoch moves unless it changed
+        that document: a dropped list leaves its unchanged documents'
+        vectors behind as a retained-vectors entry (``results``
+        ``None``), and the next fetch vectorises only what that lacks.
+        A candidate-vector entry likewise loses the changed doc_ids'
+        vectors.  An entry left with no vector goes.  ``delta=None`` (an
+        unknown change) drops everything.  Returns the number of result
+        lists dropped.
         """
-        with self.engine._epoch_lock:
-            if delta is None:
-                dropped = sum(
-                    c[0] is not None for _, c in self._spec_cache.snapshot()
-                )
-                self._spec_cache.clear()
-                self._candidate_vectors.clear()
-                return dropped
-            changed_terms = delta.terms
-            changed_ids = delta.changed_ids
-            epoch = self.engine.epoch
-            for query, (_, vectors) in self._candidate_vectors.snapshot():
-                kept = _unchanged(vectors, changed_ids)
-                if kept:
-                    self._candidate_vectors.put(query, (epoch, kept), refresh=False)
-                else:
-                    self._candidate_vectors.delete(query)
-            if not (delta.stats_changed or changed_terms or changed_ids):
-                return 0
-            analyzer = self.engine.analyzer
-            dropped = 0
-            for spec_query, (results, vectors) in self._spec_cache.snapshot():
-                stale = not changed_ids.isdisjoint(vectors)
-                if results is not None and not stale:
-                    stale = (
-                        delta.stats_changed
-                        or not changed_ids.isdisjoint(results.doc_ids)
-                        or not changed_terms.isdisjoint(analyzer.analyze(spec_query))
-                    )
-                if not stale:
-                    continue
-                dropped += results is not None
-                kept = _unchanged(vectors, changed_ids)
-                if kept:
-                    self._spec_cache.put(spec_query, (None, kept))
-                else:
-                    self._spec_cache.delete(spec_query)
+        if delta is None:
+            dropped = sum(e[1] is not None for _, e in self._spec_cache.snapshot())
+            self._spec_cache.clear()
+            self._candidate_vectors.clear()
             return dropped
+        changed_terms = delta.terms
+        changed_ids = delta.changed_ids
+        analyze = self.engine.analyzer.analyze
+        dropped = 0
+
+        def spec_entry(spec_query: str, entry: tuple) -> tuple | None:
+            nonlocal dropped
+            _, results, vectors = entry
+            stale = not changed_ids.isdisjoint(vectors)
+            if results is not None and not stale:
+                stale = (
+                    delta.stats_changed
+                    or not changed_ids.isdisjoint(results.doc_ids)
+                    or not changed_terms.isdisjoint(analyze(spec_query))
+                )
+            if not stale:
+                return results, vectors
+            dropped += results is not None
+            kept = _unchanged(vectors, changed_ids)
+            return (None, kept) if kept else None
+
+        def candidate_entry(query: str, entry: tuple) -> tuple | None:
+            kept = _unchanged(entry[1], changed_ids)
+            return (kept,) if kept else None
+
+        sweep_tagged(self._spec_cache, delta, spec_entry)
+        sweep_tagged(self._candidate_vectors, delta, candidate_entry)
+        return dropped
 
     def cache_info(self) -> CacheStats:
         """Hit/miss/eviction counters of the specialization cache."""
@@ -486,26 +448,24 @@ class DiversificationFramework:
 
         Returns ``{spec_query: (ResultList, {doc_id: TermVector})}`` with
         a vector for every result — exactly what the offline phase
-        computes.  A partial entry (one a direct query left without the
-        vectors its candidates shadowed) is completed under one engine
-        pin and kept completed, in its place in the recency order;
-        retained-vectors entries (see :meth:`invalidate_affected`) are
-        not artifacts and are left out.  The cache counters are
-        untouched.  The snapshot is what the index store's
-        ``warm_artifacts`` rows persist, so a restarted (or freshly
-        forked) worker can hydrate instead of re-deriving the offline
-        phase.
+        computes — for the entries of the epoch the export is pinned to.
+        A partial entry (one a direct query left without the vectors its
+        candidates shadowed) is completed and kept completed, in its
+        place in the recency order; retained-vectors entries are not
+        artifacts and are left out.  The cache counters are untouched.
+        The snapshot is what the index store's ``warm_artifacts`` rows
+        persist, so a restarted (or freshly forked) worker can hydrate
+        instead of re-deriving the offline phase.
         """
         exported = {}
-        with self.engine.pinned():
+        with self.engine.pinned() as snapshot:
+            epoch = snapshot.epoch
             for spec_query, cached in self._spec_cache.snapshot():
-                if cached[0] is None:
+                if _held(cached, epoch) is None or cached[1] is None:
                     continue
-                if not _serves(cached):
-                    cached = self._complete(
-                        spec_query, cached[0], cached, refresh=False
-                    )
-                exported[spec_query] = cached
+                if not _serves(cached, epoch):
+                    cached = self._complete(spec_query, epoch, cached[1], cached)
+                exported[spec_query] = cached[1:]
         return exported
 
     def warm_memory_estimate(self) -> dict[str, int]:
@@ -520,10 +480,12 @@ class DiversificationFramework:
     def install_warm_state(self, artifacts) -> int:
         """Load previously exported warm artifacts into the cache.
 
-        Whole entries already present are left untouched (their recency
-        and the counters are not distorted); a partial or
-        retained-vectors entry is replaced.  Returns how many artifacts
-        were actually installed.  The inverse of :meth:`export_warm_state`.
+        Each is tagged with the published epoch (``append_epoch``
+        deletes the ``warm_artifacts`` rows an epoch stales).  Whole
+        entries already present at that epoch are left untouched (their
+        recency and the counters are not distorted); any other entry is
+        replaced.  Returns how many artifacts were installed.  The
+        inverse of :meth:`export_warm_state`.
 
         The cache stays bounded: installing more artifacts than
         ``spec_cache_size`` evicts the earliest-installed ones, exactly
@@ -531,10 +493,11 @@ class DiversificationFramework:
         count (an export never exceeds the donor's bound) when the
         "re-warm fetches nothing" guarantee must hold in full.
         """
+        epoch = self.engine.epoch
         installed = 0
-        for spec_query, cached in dict(artifacts).items():
-            if not _serves(self._spec_cache.peek(spec_query)):
-                self._spec_cache.put(spec_query, tuple(cached))
+        for spec_query, (results, vectors) in dict(artifacts).items():
+            if not _serves(self._spec_cache.peek(spec_query), epoch):
+                put_tagged(self._spec_cache, spec_query, (epoch, results, vectors))
                 installed += 1
         return installed
 
@@ -546,21 +509,21 @@ class DiversificationFramework:
         A surrogate reads the query and its document's text, never N or
         avg_dl, so an epoch that did not change a document leaves its
         vector valid.  The query's entry in the candidate-vector store
-        holds the vectors of its last candidate list, tagged with the
-        epoch they are valid at; a read pinned to *epoch* reuses them
-        only when the tag is *epoch* (the sweep re-tags what it keeps)
-        and vectorises the rest.  The result then replaces the entry
-        through :meth:`_put_current`, so the store holds exactly each
-        query's last candidate list.  Reads ``peek``: no counter moves.
+        holds the vectors of its last candidate list; a read pinned to
+        *epoch* reuses them only when the entry is tagged *epoch* (the
+        sweep re-tags what it keeps), vectorises the rest, and replaces
+        the entry.  The store's own counters are read by nothing.
         """
-        held = self._candidate_vectors.peek(query)
-        kept = held[1] if held is not None and held[0] == epoch else {}
+        held = _held(
+            self._candidate_vectors.lookup(query, lambda e: e[0] == epoch), epoch
+        )
+        kept = held[1] if held is not None else {}
         missing = [r for r in candidates if r.doc_id not in kept]
         fresh = self.engine.snippet_vectors(query, missing) if missing else {}
         own = fresh if not kept else {
             d: kept[d] if d in kept else fresh[d] for d in candidates.doc_ids
         }
-        self._put_current(self._candidate_vectors, query, (epoch, own))
+        put_tagged(self._candidate_vectors, query, (epoch, own))
         return own
 
     def build_task(
@@ -575,14 +538,15 @@ class DiversificationFramework:
         which skips the results these candidates shadow.
         """
         with self.engine.pinned() as snapshot:
+            epoch = snapshot.epoch
             candidates = self.engine.search(query, self.config.candidates)
             if not len(candidates):
                 return None
-            own = self._candidate_surrogates(query, candidates, snapshot.epoch)
+            own = self._candidate_surrogates(query, candidates, epoch)
             vectors = dict(own)
             spec_results: dict[str, ResultList] = {}
             for spec_query, _p in specializations:
-                results, spec_vectors = self._spec_results(spec_query, own)
+                results, spec_vectors = self._spec_results(spec_query, epoch, own)
                 spec_results[spec_query] = results
                 for doc_id, vector in spec_vectors.items():
                     vectors.setdefault(doc_id, vector)

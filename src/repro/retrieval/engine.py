@@ -327,13 +327,17 @@ class EpochDelta:
       total tokens, hence avg_dl) moved.  When they did, *every* cached
       score is stale — DFR/BM25 contributions read them — and consumers
       must invalidate every score; what reads no statistic (a surrogate
-      vector of an unchanged document) stays valid.
+      vector of an unchanged document) stays valid;
+    * ``base`` / ``epoch`` — the epoch the change starts from and the
+      one it produced (what a cache sweep re-tags with).
     """
 
     added: tuple[str, ...] = ()
     removed: tuple[str, ...] = ()
     terms: frozenset[str] = frozenset()
     stats_changed: bool = True
+    base: int = 0
+    epoch: int = 0
 
     @property
     def changed_ids(self) -> frozenset[str]:

@@ -1333,9 +1333,10 @@ class StoreBackedSearchEngine(SearchEngine):
         cannot write into this epoch's cache).  Partitions whose stored
         ``epoch`` tag has not advanced keep their wrapper and its
         resident lengths.  The snapshot's ``delta`` is the changed
-        doc_ids, the rewritten rows' terms, and whether N or the token
-        total moved.  The seq → doc_id lookup is shared by every
-        snapshot: seqs never move.
+        doc_ids, the rewritten rows' terms, whether N or the token total
+        moved, and the two epochs (from *previous*'s to this one; a
+        first attach names its own epoch twice).  The seq → doc_id
+        lookup is shared by every snapshot: seqs never move.
         """
         store = self.store
         table = store.partition_table()
@@ -1345,7 +1346,7 @@ class StoreBackedSearchEngine(SearchEngine):
         num_documents = store.num_documents
         total_tokens = store.total_tokens
         shards = range(self.num_partitions)
-        delta = EpochDelta(stats_changed=False)
+        delta = EpochDelta(stats_changed=False, base=epoch, epoch=epoch)
         kept, carried = set(), ()
         if previous is not None:
             added, removed, pages = store.changes(previous.epoch, epoch)
@@ -1358,6 +1359,8 @@ class StoreBackedSearchEngine(SearchEngine):
                     num_documents != previous.num_documents
                     or total_tokens != previous.total_tokens
                 ),
+                base=previous.epoch,
+                epoch=epoch,
             )
             kept = {p for p in shards if table[p][0] <= previous.epoch}
             carried = previous.collection.cached_entries(delta.changed_ids)

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from repro.core.ambiguity import SpecializationSet
 from repro.core.cache import BUCKETS, BUSY, CONCAT, MAX, PART_COPIES, PARTS
 from repro.core.cache import CacheStats, LRUCache, Rollup, named
+from repro.core.cache import put_tagged, sweep_tagged
 from repro.core.framework import DiversificationFramework, DiversifiedResult
 from repro.core.task import DiversificationTask
 
@@ -328,8 +329,8 @@ class DiversificationService:
     framework:
         The configured pipeline (engine + detector + diversifier).
     result_cache_size:
-        Bound of the query → :class:`DiversifiedResult` LRU.  The cache
-        key is the query string alone, so mutate the framework's
+        Bound of the query → ``(epoch, DiversifiedResult)`` LRU.  The
+        cache key is the query string alone, so mutate the framework's
         diversifier/config only via a fresh service (or call
         :meth:`invalidate`).
     name:
@@ -351,8 +352,8 @@ class DiversificationService:
     ) -> None:
         self.framework = framework
         self.name = name
-        self._result_cache: LRUCache[str, DiversifiedResult] = LRUCache(
-            result_cache_size
+        self._result_cache: LRUCache[str, tuple[int, DiversifiedResult]] = (
+            LRUCache(result_cache_size)
         )
         # Detection is deterministic per query, so warm() and the online
         # path share one cache: a warmed query never re-runs Algorithm 1.
@@ -440,14 +441,17 @@ class DiversificationService:
     # -- online phase ------------------------------------------------------------
 
     def cached(self, query: str) -> DiversifiedResult | None:
-        """The result-cache entry for *query*, or ``None``; runs nothing.
+        """The result cached for *query* at the published epoch, or
+        ``None``; runs nothing.
 
         A hit counts in the result LRU's ``hits``; a miss is left for the
         ``diversify_batch`` that follows to count.  :attr:`stats` is not
         touched.  The async front-end answers hits with this before they
         would queue for its batcher.
         """
-        return self._result_cache.hit(query)
+        epoch = self.framework.engine.epoch
+        entry = self._result_cache.hit(query, lambda e: e[0] == epoch)
+        return None if entry is None else entry[1]
 
     def diversify(self, query: str) -> DiversifiedResult:
         """Serve one query (cache → pipeline)."""
@@ -465,19 +469,19 @@ class DiversificationService:
         start = time.perf_counter()
         queries = list(queries)
         by_query: dict[str, DiversifiedResult] = {}
-        to_rank: list[str] = []
-        for query in dict.fromkeys(queries):
-            cached = self._result_cache.get(query)
-            if cached is None:
-                to_rank.append(query)
-            else:
-                by_query[query] = cached
-
-        detected = {query: self._detect(query) for query in to_rank}
-        # One engine pin around the whole compute phase: every uncached
-        # query in the batch reads the same epoch even when an ingest
-        # publishes mid-batch (inner pins inherit this one).
-        with self.framework.engine.pinned():
+        # One engine pin around the whole batch: every query in it reads
+        # the same epoch even when an ingest publishes mid-batch (inner
+        # pins inherit this one), cached results included.
+        with self.framework.engine.pinned() as snapshot:
+            epoch = snapshot.epoch
+            to_rank: list[str] = []
+            for query in dict.fromkeys(queries):
+                cached = self._result_cache.lookup(query, lambda e: e[0] == epoch)
+                if cached is None or cached[0] != epoch:
+                    to_rank.append(query)
+                else:
+                    by_query[query] = cached[1]
+            detected = {query: self._detect(query) for query in to_rank}
             for query in to_rank:
                 ranked_at = time.perf_counter()
                 result = self.framework.diversify_detected(
@@ -487,7 +491,7 @@ class DiversificationService:
                     (time.perf_counter() - ranked_at) * 1000.0,
                     result.diversified,
                 )
-                self._cache_result(query, result)
+                put_tagged(self._result_cache, query, (epoch, result))
                 by_query[query] = result
 
         results = [by_query[query] for query in queries]
@@ -495,22 +499,6 @@ class DiversificationService:
         self.stats.served += len(queries)
         self.stats.seconds += time.perf_counter() - start
         return results
-
-    def _cache_result(self, query: str, result: DiversifiedResult) -> None:
-        """Insert into the result cache unless the engine has moved past
-        the epoch this result was computed at.
-
-        Without the epoch check an in-flight query pinned to epoch N can
-        re-insert its (now stale) result *after* epoch N+1's sweep
-        already cleared the cache — the same refill race the spec cache
-        guards against.  The check-and-put runs under the engine's epoch
-        lock so no publish can slip between the comparison and the put.
-        """
-        engine = self.framework.engine
-        computed_at = engine._pinned_snapshot().epoch
-        with engine._epoch_lock:
-            if engine.epoch == computed_at:
-                self._result_cache.put(query, result)
 
     # -- warm-state persistence ---------------------------------------------------
 
@@ -574,16 +562,18 @@ class DiversificationService:
         — the writer appends once, every attached service refreshes;
         services sharing one engine find it current after the first.
         The published snapshot's delta, read off the store's epoch log,
-        then drives the warm invalidation: per-affected-specialization
+        then carries the warm state over: per-affected-specialization
         when the batch preserved the collection statistics, every
         result list when it changed ``N`` or the token total (every
         cached score embeds both); surrogate vectors of unchanged
         documents survive both
         (:meth:`~repro.core.framework.DiversificationFramework.invalidate_affected`).
-        Cached end-to-end results are swept by the same rule.  The batch
-        itself only feeds the ingest counters.  Returns the epoch that
-        includes the batch; :class:`ReadOnlyError` on an in-memory
-        engine.
+        Cached end-to-end results follow the same tag rule.  No lock
+        spans the refresh and the sweeps: no read at the new epoch
+        reuses an entry until a sweep re-tags it, and a second sweep for
+        one delta changes nothing.  The batch itself only feeds the
+        ingest counters.  Returns the epoch that includes the batch;
+        :class:`ReadOnlyError` on an in-memory engine.
         """
         self._store_path()
         engine = self.framework.engine
@@ -650,38 +640,34 @@ class DiversificationService:
         return self.framework.engine.epoch
 
     def _sweep_results(self, delta) -> None:
-        """Drop cached end-to-end results an epoch's delta stales.
+        """Carry cached end-to-end results over the epoch *delta*
+        published, by :func:`~repro.core.cache.sweep_tagged`'s tag rule.
 
-        Same soundness rule as the framework's warm sweep: a
-        stats-changing batch stales every score, so everything drops; a
-        stats-preserving swap keeps a result iff the changed documents'
-        terms are disjoint from the query *and* from every specialization
-        it ranked under (a changed document matching any of those terms
-        could alter candidates, spec lists, or utilities) and no changed
-        document appears in its ranking or baseline.  Detections are
-        never swept — Algorithm 1 reads the query-log model, not the
-        collection.
+        A result tagged ``delta.base`` drops when the batch changed the
+        collection statistics (every score embeds them); after a
+        stats-preserving swap it stays iff the changed documents' terms
+        are disjoint from the query *and* from every specialization it
+        ranked under, and no changed document is in its ranking or
+        baseline.  Detections are never swept — Algorithm 1 reads the
+        query-log model, not the collection.
         """
-        if delta is None or delta.stats_changed:
-            self._result_cache.clear()
-            return
-        changed_terms = delta.terms
-        changed_ids = delta.changed_ids
-        if not changed_terms and not changed_ids:
-            return
-        analyzer = self.framework.engine.analyzer
-        for query, result in self._result_cache.snapshot():
-            terms = set(analyzer.analyze(query))
+        analyze = self.framework.engine.analyzer.analyze
+        changed_ids = frozenset() if delta is None else delta.changed_ids
+
+        def kept(query: str, entry: tuple) -> tuple | None:
+            result = entry[1]
+            if (
+                delta.stats_changed
+                or not changed_ids.isdisjoint(result.ranking)
+                or not changed_ids.isdisjoint(result.baseline.doc_ids)
+            ):
+                return None
+            terms = set(analyze(query))
             for spec_query, _p in result.specializations:
-                terms.update(analyzer.analyze(spec_query))
-            touched = bool(terms & changed_terms)
-            if not touched:
-                result_ids = set(result.ranking) | set(
-                    result.baseline.doc_ids
-                )
-                touched = bool(result_ids & changed_ids)
-            if touched:
-                self._result_cache.delete(query)
+                terms.update(analyze(spec_query))
+            return None if terms & delta.terms else (result,)
+
+        sweep_tagged(self._result_cache, delta, kept)
 
     # -- maintenance -------------------------------------------------------------
 

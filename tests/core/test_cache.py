@@ -8,7 +8,8 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.core.cache import LRUCache
+from repro.core.cache import LRUCache, put_tagged, sweep_tagged
+from repro.retrieval.engine import EpochDelta
 
 
 class TestLRUCache:
@@ -58,8 +59,9 @@ class TestLRUCache:
         cache = LRUCache(2)
         cache.put("a", 1)
         cache.put("b", 2)
-        assert cache.hit("a") == 1  # refresh "a"; "b" is now stalest
-        assert cache.hit("nope") is None
+        assert cache.hit("a", bool) == 1  # refresh "a"; "b" is now stalest
+        assert cache.hit("nope", bool) is None
+        assert cache.hit("b", lambda value: value > 2) is None  # not whole
         stats = cache.stats()
         assert (stats.hits, stats.misses) == (1, 0)
         cache.put("c", 3)
@@ -117,6 +119,43 @@ class TestLRUCache:
     def test_invalid_maxsize(self):
         with pytest.raises(ValueError):
             LRUCache(0)
+
+
+class TestEpochTagged:
+    def test_a_put_never_replaces_a_newer_tag_and_is_not_a_use(self):
+        cache = LRUCache(2)
+        put_tagged(cache, "a", (1, "a1"))
+        put_tagged(cache, "b", (1, "b1"))
+        put_tagged(cache, "a", (0, "a0"))  # older: refused
+        put_tagged(cache, "a", (2, "a2"))  # newer: replaces, keeps its place
+        assert cache.snapshot() == [("a", (2, "a2")), ("b", (1, "b1"))]
+        assert cache.stats().hits == cache.stats().misses == 0
+
+    def test_a_sweep_retags_base_keeps_published_and_drops_the_rest(self):
+        cache = LRUCache(8)
+        for key, entry in [
+            ("kept", (3, "x")),
+            ("emptied", (3, "")),
+            ("current", (4, "y")),
+            ("older", (2, "z")),
+            ("newer", (5, "w")),
+        ]:
+            cache.put(key, entry)
+        current = cache.peek("current")
+        rewritten = []
+
+        def rewrite(key, entry):
+            rewritten.append(key)
+            return (entry[1].upper(),) if entry[1] else None
+
+        sweep_tagged(cache, EpochDelta(base=3, epoch=4), rewrite)
+        assert rewritten == ["kept", "emptied"]
+        assert cache.snapshot() == [("kept", (4, "X")), ("current", (4, "y"))]
+        assert cache.peek("current") is current
+        sweep_tagged(cache, EpochDelta(base=3, epoch=4), rewrite)
+        assert rewritten == ["kept", "emptied"]  # a second sweep does nothing
+        sweep_tagged(cache, None, rewrite)
+        assert len(cache) == 0
 
 
 class TestLRUCacheConcurrency:

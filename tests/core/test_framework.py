@@ -152,13 +152,14 @@ class TestPipeline:
         )
         framework.diversify_query(ambiguous_topic.query)
         specializations = framework.detect(ambiguous_topic.query)
+        epoch = framework.engine.epoch
         first = {
-            spec: framework._spec_results(spec)[0]
+            spec: framework._spec_results(spec, epoch)[0]
             for spec, _ in specializations
         }
         framework.diversify_query(ambiguous_topic.query)
         for spec, results in first.items():
-            assert framework._spec_results(spec)[0] is results
+            assert framework._spec_results(spec, epoch)[0] is results
 
     def test_cache_info_counts_hits_and_misses(
         self, small_engine, small_miner, ambiguous_topic
@@ -352,7 +353,7 @@ def vectors_of(vectors):
 def partial_entries(framework):
     return [
         spec
-        for spec, (results, vectors) in framework._spec_cache.snapshot()
+        for spec, (_, results, vectors) in framework._spec_cache.snapshot()
         if results is not None and len(vectors) < len(results)
     ]
 
@@ -375,10 +376,11 @@ class TestShadowedSurrogates:
         assert (first, own) == (query, task.candidates.doc_ids)
         by_spec = dict(rest)
         assert len(by_spec) == len(rest)  # each specialization at most once
-        results = {
-            spec: framework._spec_cache.peek(spec)[0]
-            for spec, _ in specializations
+        entries = {
+            spec: framework._spec_cache.peek(spec) for spec, _ in specializations
         }
+        assert {entry[0] for entry in entries.values()} == {framework.engine.epoch}
+        results = {spec: entry[1] for spec, entry in entries.items()}
         for spec, spec_results in results.items():
             assert by_spec.get(spec, []) == [
                 d for d in spec_results.doc_ids if d not in candidates
@@ -430,7 +432,7 @@ class TestShadowedSurrogates:
                     for d in results.doc_ids
                     if d not in vectors and d not in candidates
                 ]
-                for spec, (results, vectors) in held.items()
+                for spec, (_, results, vectors) in held.items()
             }
 
         other = next(
@@ -450,8 +452,9 @@ class TestShadowedSurrogates:
             assert by_spec.get(spec, []) == docs, spec
             assert set(docs) <= skipped
             entry = framework._spec_cache.peek(spec)
-            assert entry[0] is held[spec][0]  # the held list, not a re-search
-            assert all(held[spec][1][d] is entry[1][d] for d in held[spec][1])
+            assert entry[0] == held[spec][0]  # the same epoch's entry
+            assert entry[1] is held[spec][1]  # the held list, not a re-search
+            assert all(held[spec][2][d] is entry[2][d] for d in held[spec][2])
         assert framework.cache_info().misses - misses == sum(
             bool(docs) for docs in needs.values()
         )
@@ -508,7 +511,9 @@ class TestShadowedSurrogates:
         artifacts = donor.export_warm_state()
         assert receiver.install_warm_state(artifacts) == len(partial)
         for spec in partial:
-            assert receiver._spec_cache.peek(spec) == artifacts[spec]
+            assert receiver._spec_cache.peek(spec) == (
+                receiver.engine.epoch, *artifacts[spec]
+            )
         assert not partial_entries(receiver)
 
     def test_invalidate_drops_what_it_drops_on_whole_entries(
@@ -518,7 +523,7 @@ class TestShadowedSurrogates:
         probe = framework_factory()
         task = probe.build_task(query, probe.detect(query))
         spec = partial_entries(probe)[0]
-        results, vectors = probe._spec_cache.peek(spec)
+        _, results, vectors = probe._spec_cache.peek(spec)
         shadowed = next(d for d in results.doc_ids if d not in vectors)
         spec_terms = frozenset(small_engine.analyzer.analyze(spec))
         deltas = [
@@ -536,13 +541,13 @@ class TestShadowedSurrogates:
                 whole.invalidate_affected(delta)
             ), delta
             lists = [
-                {s for s, (r, _) in f._spec_cache.snapshot() if r is not None}
+                {s for s, (_, r, _) in f._spec_cache.snapshot() if r is not None}
                 for f in (partial, whole)
             ]
             assert lists[0] == lists[1], delta
             kept = dict(whole._spec_cache.snapshot())
-            for s, (_, held) in partial._spec_cache.snapshot():
-                assert held.items() <= kept[s][1].items(), (delta, s)
+            for s, (_, _, held) in partial._spec_cache.snapshot():
+                assert held.items() <= kept[s][2].items(), (delta, s)
 
     def test_an_empty_surrogate_vector_counts_as_present(
         self, framework_factory, ambiguous_topic, vectorised
@@ -550,28 +555,29 @@ class TestShadowedSurrogates:
         framework = framework_factory()
         spec = framework.detect(ambiguous_topic.query).items[0][0]
         framework.prefetch_specializations([spec])
-        results, vectors = framework._spec_cache.peek(spec)
+        epoch, results, vectors = framework._spec_cache.peek(spec)
         doc, dropped = results.doc_ids[0], results.doc_ids[-1]
         empty = TermVector({})
         assert not empty and doc != dropped
         framework._spec_cache.put(
             spec,
             (
+                epoch,
                 results,
                 {d: empty if d == doc else v for d, v in vectors.items() if d != dropped},
             ),
         )
         vectorised.clear()
-        assert framework._spec_results(spec)[1][doc] is empty  # completed
+        assert framework._spec_results(spec, epoch)[1][doc] is empty  # completed
         assert vectorised == [(spec, [dropped])]
         vectorised.clear()
         hits = framework.cache_info().hits
-        assert framework._spec_results(spec)[1][doc] is empty
+        assert framework._spec_results(spec, epoch)[1][doc] is empty
         assert framework.cache_info().hits == hits + 1
         assert framework.prefetch_specializations([spec]) == 0
         assert framework.export_warm_state()[spec][1][doc] is empty
         assert framework.invalidate_affected(EpochDelta(added=("alien0",))) == 1
-        assert framework._spec_cache.peek(spec)[1][doc] is empty  # retained
+        assert framework._spec_cache.peek(spec)[2][doc] is empty  # retained
         assert vectorised == []
 
 

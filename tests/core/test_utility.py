@@ -479,8 +479,9 @@ class TestMergedVectorMap:
         task = small_framework.build_task(query, small_framework.detect(query))
         own = small_engine.snippet_vectors(query, task.candidates)
         differing = 0
+        epoch = small_framework.engine.epoch
         for spec in task.utilities.specializations:
-            _, spec_vectors = small_framework._spec_results(spec)
+            _, spec_vectors = small_framework._spec_results(spec, epoch)
             for doc_id, spec_vector in spec_vectors.items():
                 if doc_id in own:
                     assert task.vectors[doc_id].weights == own[doc_id].weights
@@ -491,7 +492,7 @@ class TestMergedVectorMap:
         rebuilt = UtilityMatrix.build(
             task.candidates,
             {
-                spec: small_framework._spec_results(spec)[0]
+                spec: small_framework._spec_results(spec, epoch)[0]
                 for spec in task.utilities.specializations
             },
             task.vectors,

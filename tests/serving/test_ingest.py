@@ -9,8 +9,8 @@ results field-identical — rankings *and* baseline scores — to a cold
 in-memory service built from scratch over the final collection.  The
 concurrency half is snapshot isolation: a query in flight when an epoch
 publishes returns results consistent with exactly one epoch, and its
-(now stale) result never re-enters the caches.  An in-memory service is
-read-only and says so with a typed error.
+(now stale) result is never served at a later epoch.  An in-memory
+service is read-only and says so with a typed error.
 """
 
 from __future__ import annotations
@@ -200,11 +200,11 @@ def publish_rebuilt(engine, docs, adds, removed):
         ),
         stats_changed=(fresh.num_documents, fresh.total_tokens)
         != (current.num_documents, current.total_tokens),
+        base=current.epoch,
+        epoch=current.epoch + 1,
     )
     with engine._epoch_lock:
-        engine._snapshot = dataclasses.replace(
-            fresh, epoch=current.epoch + 1, delta=delta
-        )
+        engine._snapshot = dataclasses.replace(fresh, epoch=delta.epoch, delta=delta)
     return delta
 
 
@@ -447,11 +447,12 @@ class TestRetainedVectors:
     def test_a_fetch_racing_a_sweep_keeps_no_changed_vector(
         self, tmp_path, small_miner, initial_docs, workload
     ):
-        """A fetch that read a retained-vectors entry after epoch 2
-        published but before its sweep, and finishes after the sweep,
-        would cache the old vector of the document epoch 2 rewrote: it
-        is discarded instead, and the next fetch vectorises that
-        document afresh."""
+        """A fetch pinned to epoch 2, published but not swept yet, finds
+        a retained-vectors entry still tagged epoch 1 and reuses none of
+        its vectors: it vectorises every result afresh, the document
+        epoch 2 rewrote included, so the entry it puts after the sweep
+        landed mid-fetch carries no old vector and serves the next
+        fetch."""
         engine = make_store_engine(tmp_path / "live.sqlite3", initial_docs)
         framework = DiversificationFramework(
             engine, small_miner, config=STANDARD_CONFIG
@@ -487,8 +488,9 @@ class TestRetainedVectors:
         assert not fetch.is_alive()
         engine.search_batch = search_batch
 
-        assert spec_query not in framework.export_warm_state()
-        framework.prefetch_specializations([spec_query])
+        raced = framework._spec_cache.peek(spec_query)
+        assert raced[0] == epoch2.epoch and victim in raced[1]
+        assert framework.prefetch_specializations([spec_query]) == 0
         results, vectors = framework.export_warm_state()[spec_query]
         assert victim in results
         fresh = engine.snippet_vectors(spec_query, results)
@@ -497,18 +499,22 @@ class TestRetainedVectors:
     def test_no_stale_vector_survives_concurrent_epochs(
         self, small_miner, initial_docs, workload
     ):
-        """Readers fill the spec cache while a writer re-ingests documents
-        its lists hold, with new text, every epoch.  Afterwards every
-        cached list and every cached vector — retained or not — equals
-        what the final epoch computes from scratch: no sweep let a
-        vector of a changed document ride along.  Each epoch is a
-        from-scratch build swapped in (:func:`publish_rebuilt`): this
-        gates the framework's sweeps, and a store-backed snapshot is
-        not isolated from a concurrent append yet."""
+        """Readers fill the framework's caches and the result cache while
+        a writer re-ingests documents the spec lists hold, with new text,
+        every epoch.  Afterwards no entry is tagged past the final epoch,
+        and every list, vector and result — retained or not — of an entry
+        tagged with it (what a read reuses) equals what the final epoch
+        computes from scratch: no sweep let a vector of a changed
+        document ride along, and no put let a stale entry pass for a
+        current one.  Each epoch is a from-scratch build swapped in
+        (:func:`publish_rebuilt`): this gates the caches' sweeps, and a
+        store-backed snapshot is not isolated from a concurrent append
+        yet."""
         engine = make_engine(initial_docs)
         framework = DiversificationFramework(
             engine, small_miner, config=STANDARD_CONFIG
         )
+        service = DiversificationService(framework)
         queries = list(dict.fromkeys(workload))
         for query in queries:
             framework.diversify_query(query)
@@ -517,18 +523,21 @@ class TestRetainedVectors:
         done = threading.Event()
         errors = []
 
-        def read():
+        def read(serve):
             try:
                 while not done.is_set():
                     for query in queries:
-                        framework.diversify_query(query)
+                        serve(query)
             except BaseException as exc:  # surfaced by the assert below
                 errors.append(exc)
                 done.set()
 
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
-        readers = [threading.Thread(target=read) for _ in range(4)]
+        readers = [
+            threading.Thread(target=read, args=(serve,))
+            for serve in [framework.diversify_query, service.diversify] * 2
+        ]
         try:
             for reader in readers:
                 reader.start()
@@ -546,6 +555,7 @@ class TestRetainedVectors:
                 docs = [d for d in docs if d.doc_id != victim] + adds
                 delta = publish_rebuilt(engine, docs, adds, [old])
                 framework.invalidate_affected(delta)
+                service._sweep_results(delta)
         finally:
             done.set()
             for reader in readers:
@@ -555,7 +565,12 @@ class TestRetainedVectors:
         assert not errors, errors
 
         k = STANDARD_CONFIG.spec_results
-        for spec_query, (results, vectors) in framework._spec_cache.snapshot():
+        current = 0
+        for spec_query, (tag, results, vectors) in framework._spec_cache.snapshot():
+            assert tag <= engine.epoch, spec_query
+            if tag != engine.epoch:
+                continue  # never reused: a read is pinned to the final epoch
+            current += 1
             if results is not None:
                 want = engine.search(spec_query, k)
                 assert results.doc_ids == want.doc_ids, spec_query
@@ -564,6 +579,19 @@ class TestRetainedVectors:
                 spec_query, ResultList(spec_query, [(d, 0.0) for d in vectors])
             )
             assert vectors_of((None, vectors)) == vectors_of((None, fresh))
+        assert current
+        for query, (tag, vectors) in framework._candidate_vectors.snapshot():
+            assert tag <= engine.epoch, query
+            if tag == engine.epoch:
+                fresh = engine.snippet_vectors(
+                    query, ResultList(query, [(d, 0.0) for d in vectors])
+                )
+                assert vectors_of((None, vectors)) == vectors_of((None, fresh))
+        cold = make_service(small_miner, docs)
+        for query, (tag, result) in service._result_cache.snapshot():
+            assert tag <= engine.epoch, query
+            if tag == engine.epoch:
+                assert_results_equal([result], cold.diversify_batch([query]))
 
     def test_store_backed_swap_drops_what_the_oracle_delta_drops(
         self, tmp_path, small_miner, initial_docs, workload
@@ -598,6 +626,8 @@ class TestRetainedVectors:
                 for term in analyzer.analyze(document.full_text)
             ),
             stats_changed=False,
+            base=0,
+            epoch=1,
         )
         twin_engine = twin.framework.engine
         published = twin_engine.snapshot
@@ -787,14 +817,17 @@ class TestCandidateVectors:
         assert vectors_of((None, {d: task.vectors[d] for d in fresh})) == (
             vectors_of((None, fresh))
         )
-        assert framework._candidate_vectors.peek(query) is entry  # not inserted
+        held = framework._candidate_vectors.peek(query)
+        assert held is entry and held[0] > old.epoch  # an older tag never replaces it
 
     def test_a_read_between_refresh_and_sweep_recomputes(
         self, tmp_path, small_miner, initial_docs, ambiguous_topic
     ):
         """Epoch 1 rewrites a candidate.  A read after ``refresh()``
         published it but before the sweep must not reuse the old vector
-        of that candidate: its tagged entry is still epoch 0's."""
+        of that candidate: its tagged entry is still epoch 0's.  The
+        entry that read puts is tagged epoch 1, so the sweep leaves it
+        alone and the next read vectorises nothing."""
         engine = make_store_engine(tmp_path / "live.sqlite3", initial_docs)
         framework = DiversificationFramework(engine, small_miner, config=SHORT_CONFIG)
         query = ambiguous_topic.query
@@ -814,21 +847,16 @@ class TestCandidateVectors:
         framework.invalidate_affected(snapshot.delta)
         with recording_vectors(engine) as calls:
             again = framework.build_task(query, specializations)
-        assert own_vectorised(calls, query) == [old.doc_id]
+        assert own_vectorised(calls, query) == []  # the window read's entry
         assert task_vectors(again) == task_vectors(task)
         engine.close()
 
-    @pytest.mark.xfail(
-        strict=True,
-        raises=AssertionError,
-        reason="ROADMAP item 14: no cached result or vector survives an epoch "
-        "that changed its inputs. A read pinned to the new epoch between "
-        "refresh() and the sweeps ranks on the old epoch's spec lists, and "
-        "its result enters the result cache after the sweep",
-    )
     def test_a_read_between_refresh_and_sweep_caches_no_stale_result(
         self, tmp_path, small_miner, initial_docs, ambiguous_topic
     ):
+        """A read pinned to the new epoch between ``refresh()`` and the
+        sweeps, whose result is cached after them, ranked on no spec
+        list of the old epoch: an entry tagged with it is not reused."""
         service = make_live_service(
             tmp_path / "live.sqlite3", small_miner, initial_docs
         )
@@ -852,27 +880,28 @@ class TestCandidateVectors:
 
         used = {}
         spec_results = framework._spec_results
-        cache_result = service._cache_result
+        diversify_detected = framework.diversify_detected
 
-        def recording(spec_query, candidates=()):
-            entry = spec_results(spec_query, candidates)
+        def recording(spec_query, epoch, candidates=()):
+            entry = spec_results(spec_query, epoch, candidates)
             used[spec_query] = entry[0]
             return entry
 
-        def after_the_sweep(query, result):
+        def after_the_sweep(query, specializations):
+            result = diversify_detected(query, specializations)
             sweep.set()
             ingest.join(10)
-            cache_result(query, result)
+            return result  # the service caches it now
 
         framework._spec_results = recording
-        service._cache_result = after_the_sweep
+        framework.diversify_detected = after_the_sweep
         try:
             service.diversify(query)
         finally:
             sweep.set()
             ingest.join(10)
             del framework._spec_results, framework.invalidate_affected
-            del service._cache_result
+            del framework.diversify_detected
         assert not ingest.is_alive() and used
         k = framework.config.spec_results
         current = {
@@ -886,6 +915,106 @@ class TestCandidateVectors:
         ]
         assert service._result_cache.peek(query) is None or not stale, stale
         engine.close()
+
+
+# -- one tag rule for every cache of derived state -------------------------------
+
+
+class TestEpochTags:
+    def test_a_read_pinned_to_an_older_epoch_ranks_on_its_lists(
+        self, small_miner, initial_docs, ambiguous_topic
+    ):
+        """Epoch 1 adds a document to a spec list and to the query's
+        candidates, so a read at epoch 1 leaves a spec entry without its
+        shadowed vector.  A read pinned to epoch 0 afterwards reuses no
+        entry of epoch 1: it builds epoch 0's task, and never asks epoch 0
+        for a document it does not hold."""
+        engine = make_engine(initial_docs)
+        framework = DiversificationFramework(engine, small_miner, config=SHORT_CONFIG)
+        query = ambiguous_topic.query
+        specializations = framework.detect(query)
+        old = engine.snapshot()
+        want = framework.build_task(query, specializations)
+        spec_query = specializations.items[0][0]
+        top = next(d for d in initial_docs if d.doc_id == want.candidates.doc_ids[0])
+        joiner = Document("alien0", " ".join([spec_query] * 3 + top.text.split()[:40]))
+        delta = publish_rebuilt(engine, list(initial_docs) + [joiner], [joiner], [])
+        framework.invalidate_affected(delta)
+        current = framework.build_task(query, specializations)
+        assert joiner.doc_id in current.candidates.doc_ids
+        with engine.pinned(old):
+            got = framework.build_task(query, specializations)
+        tag, results, vectors = framework._spec_cache.peek(spec_query)
+        assert tag == delta.epoch and joiner.doc_id in results
+        assert joiner.doc_id not in vectors  # shadowed by its candidate vector
+        assert got.candidates.doc_ids == want.candidates.doc_ids
+        assert task_vectors(got) == task_vectors(want)
+        for spec in want.utilities.specializations:
+            assert got.utilities.useful_docs(spec) == want.utilities.useful_docs(spec)
+        k = framework.config.k
+        assert framework.diversifier.diversify(got, k) == (
+            framework.diversifier.diversify(want, k)
+        )
+
+    def test_cached_serves_nothing_between_refresh_and_sweep(
+        self, tmp_path, small_miner, initial_docs, ambiguous_topic
+    ):
+        """A stats-preserving swap with vocabulary disjoint from the query
+        space keeps every cached result, but only once the sweep re-tagged
+        it: between ``refresh()`` and the sweep the cached result is the
+        previous epoch's, and ``cached()`` answers ``None``."""
+        service = make_live_service(
+            tmp_path / "live.sqlite3", small_miner, initial_docs
+        )
+        engine = service.framework.engine
+        query = ambiguous_topic.query
+        alien = Document("alien0", "zzqa wwxo vvrt")
+        service.ingest(add_documents=[alien])
+        result = service.diversify(query)
+        assert service.cached(query) is result
+        length = len(Analyzer().analyze(alien.full_text))
+        swap = Document("alien1", " ".join(["qqzb"] * length))
+        service.append_to_store([swap], [alien.doc_id])
+        engine.refresh()
+        assert not engine.snapshot().delta.stats_changed
+        hits = service.result_cache_info().hits
+        assert service.cached(query) is None
+        assert service.result_cache_info().hits == hits
+        service.apply_updates([swap], [alien.doc_id])
+        assert service.cached(query) is result
+        engine.close()
+
+    def test_a_second_sweep_for_one_delta_keeps_what_the_first_tagged(
+        self, tmp_path, small_miner, initial_docs, workload
+    ):
+        """A shard re-sync runs ``apply_updates``' sweeps again for the
+        delta it already applied: every spec, candidate-vector and result
+        entry at the published epoch stays, the very same object."""
+        service = make_live_service(
+            tmp_path / "live.sqlite3", small_miner, initial_docs
+        )
+        framework = service.framework
+        queries = list(dict.fromkeys(workload))
+        service.diversify_batch(queries)
+        epoch = service.ingest(add_documents=[Document("alien0", "zzqa wwxo")])
+        assert framework.engine.snapshot().delta.stats_changed
+        service.diversify_batch(queries)
+        caches = (
+            framework._spec_cache,
+            framework._candidate_vectors,
+            service._result_cache,
+        )
+        before = [cache.snapshot() for cache in caches]
+        assert all(before)
+        invalidations = service.stats.warm_invalidations
+        assert service.apply_updates() == epoch
+        for cache, held in zip(caches, before):
+            after = cache.snapshot()
+            assert [key for key, _ in after] == [key for key, _ in held]
+            assert all(a is b for (_, a), (_, b) in zip(after, held))
+        assert service.stats.warm_invalidations == invalidations
+        assert {entry[0] for held in before for _, entry in held} == {epoch}
+        framework.engine.close()
 
 
 # -- sharded clusters ------------------------------------------------------------
@@ -1158,7 +1287,8 @@ class TestPublishRace:
     ):
         """A query mid-flight when an epoch publishes returns results
         consistent with the epoch it pinned — and its stale result is
-        refused by the cache, so the next serve computes the new epoch."""
+        cached tagged with that epoch, so the next serve computes the new
+        epoch."""
         target = topic_queries[0]
         alien = Document("racer", "zzqa zzqa zzqa")
         ref_epoch0 = make_service(small_miner, initial_docs).diversify(target)
@@ -1198,7 +1328,7 @@ class TestPublishRace:
 
         # The in-flight query saw epoch 0, entirely.
         assert_results_equal([result_box["got"]], [ref_epoch0])
-        # Its stale result was refused by the cache: re-serving computes
+        # Its stale result is not served at epoch 1: re-serving computes
         # epoch 1 (N changed, so even an identical ranking has new scores).
         assert_results_equal([service.diversify(target)], [ref_epoch1])
 

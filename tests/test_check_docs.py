@@ -1,6 +1,7 @@
-"""Tests for the caller, layer-order, markdown and ``Class.member`` rules
-of ``scripts/check_docs.py``: the tree rules each over a tiny package
-tree in ``tmp_path``, the name rules over this repository's classes."""
+"""Tests for the caller, layer-order, private-epoch-state, markdown and
+``Class.member`` rules of ``scripts/check_docs.py``: the tree rules each
+over a tiny package tree in ``tmp_path``, the name rules over this
+repository's classes."""
 
 from __future__ import annotations
 
@@ -104,6 +105,27 @@ def test_layer_order_violation_is_reported(tree):
     write(tree, "src/repro/low/fine.py", "from repro.high.shared import LIMIT\n")
     assert check_docs.layer_violations(tree, ARCHITECTURE) == [
         "repro.low.bad imports repro.high.app"
+    ]
+
+
+def test_private_epoch_state_read_outside_retrieval_is_reported(tree):
+    assert check_docs.private_epoch_reads(tree) == []
+    write(
+        tree,
+        "src/repro/retrieval/engine.py",
+        "def pinned(engine):\n    return engine._pinned_snapshot()\n",
+    )
+    write(
+        tree,
+        "src/repro/high/cache.py",
+        "def put(engine, cache, key, value):\n"
+        "    with engine._epoch_lock:\n"
+        "        if engine._pinned_snapshot().epoch == engine.epoch:\n"
+        "            cache[key] = value\n",
+    )
+    assert check_docs.private_epoch_reads(tree) == [
+        "repro.high.cache:2 reads _epoch_lock",
+        "repro.high.cache:3 reads _pinned_snapshot",
     ]
 
 
@@ -459,6 +481,10 @@ def test_repository_imports_follow_the_architecture_layer_table():
         encoding="utf-8"
     )
     assert check_docs.layer_violations(check_docs.ROOT, architecture) == []
+
+
+def test_repository_src_reads_private_epoch_state_only_in_retrieval():
+    assert check_docs.private_epoch_reads(check_docs.ROOT) == []
 
 
 def test_repository_src_names_only_markdown_files_that_exist():
