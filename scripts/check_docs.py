@@ -43,7 +43,11 @@ Checks, in order:
    (:func:`private_epoch_reads`): a caller gets its epoch from
    ``engine.pinned()`` or ``engine.epoch``;
 10. every ``*.md`` file named in ``src/`` exists in the repository
-    (:func:`missing_markdown`).
+    (:func:`missing_markdown`);
+11. every execution backend the README, ``docs/ARCHITECTURE.md`` or a
+    CI workflow names (``--backend NAME``, ``backend="NAME"``) is in
+    ``repro.serving.backends.BACKEND_NAMES`` (:func:`unknown_backends`)
+    — a deleted backend cannot outlive its code in a documented command.
 
 Run from the repository root (CI runs it in the ``docs`` job)::
 
@@ -533,6 +537,37 @@ def private_epoch_reads(root: Path) -> list[str]:
     return sorted(reads)
 
 
+#: A backend a document names: ``--backend NAME`` or ``backend="NAME"``.
+BACKEND_PATTERN = re.compile(
+    r"""--backend[ =]+([A-Za-z]\w*)|\bbackend\s*=\s*["'](\w+)["']"""
+)
+
+
+def unknown_backends(root: Path, names) -> list[str]:
+    """``file:line names backend 'x'`` for every backend README.md,
+    docs/ARCHITECTURE.md or a ``.github/workflows`` YAML file names that
+    is not in *names*."""
+    paths = [
+        root / "README.md",
+        root / "docs" / "ARCHITECTURE.md",
+        *sorted((root / ".github" / "workflows").glob("*.y*ml")),
+    ]
+    found = []
+    for path in paths:
+        if not path.is_file():
+            continue
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for lineno, line in enumerate(lines, 1):
+            for match in BACKEND_PATTERN.finditer(line):
+                name = match.group(1) or match.group(2)
+                if name not in names:
+                    found.append(
+                        f"{path.relative_to(root).as_posix()}:{lineno} "
+                        f"names backend {name!r}"
+                    )
+    return found
+
+
 def missing_markdown(root: Path) -> list[str]:
     """``file: name`` for every ``*.md`` file a ``src/`` file names that
     exists nowhere in the repository."""
@@ -623,6 +658,12 @@ def main() -> None:
     if missing:
         fail("src/ names markdown files that do not exist:\n  "
              + "\n  ".join(missing))
+    from repro.serving.backends import BACKEND_NAMES
+
+    unknown = unknown_backends(ROOT, BACKEND_NAMES)
+    if unknown:
+        fail(f"docs or CI name a backend outside {BACKEND_NAMES}:\n  "
+             + "\n  ".join(unknown))
 
     print(
         f"check_docs: OK — {len(modules)} documented commands import "
@@ -633,7 +674,8 @@ def main() -> None:
         f"src/ module, name and re-export has a caller; imports follow the "
         f"layer table; only repro.retrieval reads the engine's private "
         f"epoch state; every "
-        f"markdown file src/ names exists"
+        f"markdown file src/ names exists; every backend the docs and CI "
+        f"name is one of {', '.join(BACKEND_NAMES)}"
     )
 
 

@@ -44,7 +44,6 @@ from repro.retrieval.engine import SearchEngine
 from repro.retrieval.models import BM25
 from repro.retrieval.similarity import TermVector, cosine
 from repro.serving.async_service import AsyncDiversificationService
-from repro.serving.offline import build_partitioned_engine
 from repro.serving.service import DiversificationService
 from repro.serving.sharded import ShardedDiversificationService
 
@@ -65,7 +64,6 @@ __all__ = [
     "ShardedDiversificationService",
     "SpecializationMiner",
     "TermVector",
-    "build_partitioned_engine",
     "build_testbed",
     "cosine",
     "generate_corpus",

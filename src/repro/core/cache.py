@@ -235,18 +235,24 @@ class LRUCache(Generic[K, V]):
         with self._lock:
             self._data.clear()
 
-    def delete(self, key: K) -> bool:
-        """Drop one entry if present; returns whether it was there.
+    def swap(self, changes: Iterable[tuple[K, V, V | None]]) -> None:
+        """Apply ``(key, old, new)`` changes in one pass under the lock.
 
-        Counters are untouched — a targeted invalidation (the epoch
-        publish path drops exactly the affected warm artifacts) is
+        While *key* still holds the object *old*, it is replaced by
+        *new* in place, keeping its recency, or dropped when *new* is
+        ``None``; a key that has moved on since *old* was read is left
+        alone.  Counters are untouched — a targeted invalidation (the
+        epoch publish path drops exactly the affected warm artifacts) is
         neither a miss nor an eviction.
         """
         with self._lock:
-            if key in self._data:
-                del self._data[key]
-                return True
-            return False
+            data = self._data
+            for key, old, new in changes:
+                if data.get(key, _MISSING) is old:
+                    if new is None:
+                        del data[key]
+                    else:
+                        data[key] = new
 
     def snapshot(self) -> list[tuple[K, V]]:
         """Every ``(key, value)`` pair, least-recently-used first.
@@ -329,16 +335,23 @@ def sweep_tagged(
     where *rewrite* returns the fields after the tag the delta leaves
     valid (``None`` drops it); an entry tagged ``delta.epoch`` stays, so
     a second sweep for one delta does nothing; any other tag drops, and
-    ``delta=None`` drops everything."""
+    ``delta=None`` drops everything.
+
+    Every carried entry is computed from one snapshot, outside any lock,
+    and the carries and drops then land in one :meth:`LRUCache.swap`: an
+    entry replaced meanwhile (a put, another sweep) keeps its newer
+    value."""
     if delta is None:
         cache.clear()
         return
+    changes = []
     for key, entry in cache.snapshot():
         if entry[0] == delta.base:
             fields = rewrite(key, entry)
-            if fields is not None:
-                put_tagged(cache, key, (delta.epoch, *fields))
-                continue
+            new = None if fields is None else (delta.epoch, *fields)
         elif entry[0] == delta.epoch:
             continue
-        cache.delete(key)
+        else:
+            new = None
+        changes.append((key, entry, new))
+    cache.swap(changes)

@@ -23,9 +23,8 @@ the collection changes only through a store
 (:func:`repro.retrieval.store.append_epoch`), whose attached
 :class:`~repro.retrieval.store.StoreBackedSearchEngine` re-snapshots on
 ``refresh()``.  Beside it live the placement function
-(:func:`stable_shard`, :func:`partition_collection`), the per-partition
-build record (:class:`BuildReport`) and the enforced memory limit
-(:class:`MemoryBudget`).
+(:func:`stable_shard`, :func:`partition_collection`) and the enforced
+memory limit (:class:`MemoryBudget`).
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ from array import array
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 
-from repro.core.cache import BUSY, PARTS, Rollup, named
 from repro.retrieval.analysis import Analyzer
 from repro.retrieval.documents import Document, DocumentCollection
 from repro.retrieval.index import DocumentIndex, ImpactMemo, InvertedIndex
@@ -52,7 +50,6 @@ __all__ = [
     "ResultList",
     "stable_shard",
     "partition_collection",
-    "BuildReport",
     "EpochDelta",
     "EngineSnapshot",
     "MemoryBudget",
@@ -225,87 +222,6 @@ class MemoryBudget:
         )
 
 
-@dataclasses.dataclass(frozen=True)
-class BuildReport(Rollup):
-    """What building one index partition produced and what it costs to hold.
-
-    ``seconds`` is the build wall-clock of this partition (of the whole
-    scatter/gather, on a merged report — then ``busy_seconds`` keeps the
-    summed per-partition build time, which can exceed the wall-clock
-    when partitions build concurrently).  The byte fields are the
-    *estimated* resident footprint of the partition's index
-    (:meth:`~repro.retrieval.index.InvertedIndex.memory_estimate`);
-    ``vector_count``/``vector_bytes`` account the snippet-vector warm
-    artifacts once the offline pipeline's warm stage has run (zero at
-    build time).  A zero-document partition — the degenerate
-    ``num_partitions > len(collection)`` regime — contributes a
-    well-formed all-zero report carrying its name, exactly like a
-    zero-query shard in a merged :class:`ServiceStats`.
-
-    Merging sums the counters and byte estimates (overlapping
-    vocabularies are priced per partition, as each holds them resident)
-    and ``seconds``, which the parallel build overwrites with its
-    scatter/gather wall-clock; ``shards`` keeps the per-partition inputs.
-    """
-
-    documents: int
-    terms: int
-    postings: int
-    tokens: int
-    seconds: float
-    postings_bytes: int = 0
-    vocabulary_bytes: int = 0
-    documents_bytes: int = 0
-    vector_count: int = 0
-    vector_bytes: int = 0
-    name: str = dataclasses.field(default="", metadata=named("total"))
-    busy_seconds: float = dataclasses.field(default=0.0, metadata=BUSY)
-    shards: tuple["BuildReport", ...] = dataclasses.field(
-        default=(), metadata=PARTS
-    )
-
-    @property
-    def total_bytes(self) -> int:
-        """Estimated resident bytes: index components plus warm vectors."""
-        return (
-            self.postings_bytes
-            + self.vocabulary_bytes
-            + self.documents_bytes
-            + self.vector_bytes
-        )
-
-    @classmethod
-    def from_index(
-        cls, index: InvertedIndex, seconds: float, name: str = ""
-    ) -> "BuildReport":
-        """Report for one freshly built partition index."""
-        memory = index.memory_estimate()
-        return cls(
-            documents=index.num_documents,
-            terms=index.num_terms,
-            postings=index.num_postings,
-            tokens=index.total_tokens,
-            seconds=seconds,
-            postings_bytes=memory["postings_bytes"],
-            vocabulary_bytes=memory["vocabulary_bytes"],
-            documents_bytes=memory["documents_bytes"],
-            name=name,
-        )
-
-    def summary(self) -> str:
-        label = f"[{self.name}] " if self.name else ""
-        text = (
-            f"{label}documents={self.documents} terms={self.terms} "
-            f"postings={self.postings} seconds={self.seconds:.3f}"
-        )
-        if self.busy_seconds and abs(self.busy_seconds - self.seconds) > 1e-9:
-            text += f" busy={self.busy_seconds:.3f}"
-        text += f" est_memory={self.total_bytes / 1e6:.2f}MB"
-        if self.vector_count:
-            text += f" vectors={self.vector_count}"
-        return text
-
-
 # -- epochs ------------------------------------------------------------------------
 
 
@@ -393,7 +309,7 @@ class SearchEngine:
 
     Documents are hash-partitioned into ``num_partitions`` independent
     :class:`~repro.retrieval.index.DocumentIndex` instances (one by
-    default; each buildable on its own worker), but scoring is
+    default), but scoring is
     *collection-global*: per-term document/collection frequencies are
     summed across partitions, document count and average length are
     global, and every posting is accumulated under the global ``(score
@@ -424,16 +340,6 @@ class SearchEngine:
     analyzer / snippet_extractor:
         Shared analysis pipeline (stemming + stopwords by default) and
         the surrogate extractor built over it.
-    partition_collections / partition_indexes:
-        Pre-built partitions (keyword-only) — the partition-parallel
-        offline pipeline (:func:`repro.serving.offline.build_partitioned_engine`)
-        builds them on an execution backend and assembles the engine
-        here.  They are validated document-for-document against the
-        placement, so an assembled engine is exactly the engine this
-        constructor would have built.  The indexes must be
-        :class:`~repro.retrieval.index.DocumentIndex` instances built
-        with this engine's ``window_terms``: the forward rows that serve
-        the surrogates travel inside them.
 
     >>> coll = DocumentCollection([
     ...     Document("d1", "apple iphone store prices"),
@@ -457,77 +363,19 @@ class SearchEngine:
         analyzer: Analyzer | None = None,
         snippet_extractor: SnippetExtractor | None = None,
         seed: int = 0,
-        *,
-        partition_collections: Sequence[DocumentCollection] | None = None,
-        partition_indexes: Sequence[InvertedIndex] | None = None,
     ) -> None:
         self._configure(num_partitions, seed, model, analyzer, snippet_extractor)
-        if partition_collections is None:
-            partition_collections = partition_collection(
-                collection, num_partitions, seed
-            )
-        else:
-            partition_collections = list(partition_collections)
-            if len(partition_collections) != num_partitions:
-                raise ValueError(
-                    f"expected {num_partitions} partition collections, "
-                    f"got {len(partition_collections)}"
-                )
-            # Global statistics are summed from the partitions, so an
-            # injection that does not cover the collection exactly once
-            # (stale snapshot, subset, duplicate placement) would serve
-            # silently wrong scores — refuse it here instead.
-            covered = [
-                document.doc_id
-                for part in partition_collections
-                for document in part
-            ]
-            if len(covered) != len(collection) or set(covered) != set(
-                collection.doc_ids
-            ):
-                raise ValueError(
-                    "partition collections do not cover the collection "
-                    "exactly once (missing, extra or duplicated documents)"
-                )
-        seqs = partition_seqs(collection, partition_collections)
-        if partition_indexes is None:
-            partition_indexes = [
-                DocumentIndex.from_collection(part, self.snippets, seqs=part_seqs)
-                for part, part_seqs in zip(partition_collections, seqs)
-            ]
-        else:
-            partition_indexes = list(partition_indexes)
-            if len(partition_indexes) != num_partitions:
-                raise ValueError(
-                    f"expected {num_partitions} partition indexes, "
-                    f"got {len(partition_indexes)}"
-                )
-            for shard, (part, part_seqs, index) in enumerate(
-                zip(partition_collections, seqs, partition_indexes)
-            ):
-                if list(index.members()) != list(zip(part_seqs, part.doc_ids)):
-                    raise ValueError(
-                        f"partition index {shard} does not match its "
-                        "partition collection (documents, their order or "
-                        "their seqs, the collection positions, differ)"
-                    )
-                extractor = getattr(index, "extractor", None)
-                if (
-                    extractor is None
-                    or extractor.window_terms != self.snippets.window_terms
-                ):
-                    raise ValueError(
-                        f"partition index {shard} must be a DocumentIndex "
-                        "built with this engine's window_terms "
-                        f"({self.snippets.window_terms}): its forward rows "
-                        "serve the surrogates"
-                    )
-        num_documents = sum(p.num_documents for p in partition_indexes)
-        total_tokens = sum(p.total_tokens for p in partition_indexes)
+        parts = partition_collection(collection, num_partitions, seed)
+        indexes = [
+            DocumentIndex.from_collection(part, self.snippets, seqs=part_seqs)
+            for part, part_seqs in zip(parts, partition_seqs(collection, parts))
+        ]
+        num_documents = sum(p.num_documents for p in indexes)
+        total_tokens = sum(p.total_tokens for p in indexes)
         self._snapshot = EngineSnapshot(
             epoch=0,
             collection=collection,
-            partitions=tuple(partition_indexes),
+            partitions=tuple(indexes),
             doc_ids={seq: doc.doc_id for seq, doc in enumerate(collection)},
             num_documents=num_documents,
             total_tokens=total_tokens,

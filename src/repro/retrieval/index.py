@@ -265,8 +265,7 @@ class InvertedIndex:
         inside posting lists and length tables — an *estimate* of the
         CPython heap footprint, not an exact accounting (small interned
         ints are shared, dict load factors vary), but computed the same
-        way for every partition, which is what the partition-parallel
-        build's per-partition memory report needs.
+        way for every partition, so partitions compare.
 
         Returns ``{"postings_bytes", "vocabulary_bytes",
         "documents_bytes", "total_bytes"}``.

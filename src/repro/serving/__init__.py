@@ -17,27 +17,22 @@ grows it past one worker:
   into cluster-level summaries with per-shard breakdowns.  The cluster
   serves rankings identical to the unsharded service under every
   backend;
-* :mod:`~repro.serving.backends` — the execution substrates:
-  :class:`~repro.serving.backends.InlineBackend` (ordered sweep, the reference),
-  :class:`~repro.serving.backends.ThreadBackend` (GIL-bound fan-out; wins once the numpy
-  kernels dominate) and ``"process"``;
+* :mod:`~repro.serving.backends` — the two execution substrates:
+  :class:`~repro.serving.backends.InlineBackend` (ordered sweep on the
+  calling thread; the default and the reference) and ``"process"``;
 * :mod:`~repro.serving.replication` — the process backend,
   :class:`~repro.serving.replication.ProcessBackend`: one OS worker
   process per shard with its own warm state — the multi-core path.  A
   :class:`~repro.serving.replication.ShardWorker` per shard respawns and
-  rehydrates a worker that dies and retries a repeatable call on the
-  new one.  A shard over a store-backed engine hydrates its warm
-  artifacts from the index store, so worker processes skip re-deriving
-  the offline phase.  Every worker is built by the same deterministic
-  factory, so results stay byte-identical across respawns — including
-  mid-benchmark kills;
-* :mod:`~repro.serving.offline` — the partition-parallel offline
-  pipeline: :func:`build_partitioned_engine` builds the N inverted-index
-  partitions of a
-  :class:`~repro.retrieval.engine.SearchEngine` on any of
-  the execution backends (ranking- and score-identical to the serial
-  build) with per-partition build-time and memory accounting in a
-  mergeable :class:`~repro.retrieval.engine.BuildReport`;
+  rehydrates a worker that dies, retries a repeatable call on the new
+  one, and keeps the shard's serving counters across respawns.  A shard
+  over a store-backed engine hydrates its warm artifacts from the index
+  store, so worker processes skip re-deriving the offline phase.  Every
+  worker is built by the same deterministic factory, so results stay
+  byte-identical across respawns — including mid-benchmark kills;
+* :func:`~repro.serving.offline.persist_store` — the offline phase's
+  last step: the serially built engine plus every shard's warm
+  artifacts written into one index store;
 * :class:`~repro.serving.async_service.AsyncDiversificationService` —
   the asyncio micro-batching front-end: a single-query ``await
   submit(query)`` is dispatched as soon as the batcher is free, batched
@@ -69,7 +64,7 @@ See ``examples/quickstart.py`` for the end-to-end flow and ``bench/``
 from repro.serving.async_service import AsyncDiversificationService
 from repro.serving.backends import BACKEND_NAMES, make_backend
 from repro.serving.http import DiversificationHTTPServer, result_payload
-from repro.serving.offline import build_partitioned_engine, persist_store
+from repro.serving.offline import persist_store
 from repro.serving.replication import ProcessBackend
 from repro.serving.service import DiversificationService, WarmReport
 from repro.serving.sharded import ShardedDiversificationService
@@ -82,7 +77,6 @@ __all__ = [
     "ProcessBackend",
     "ShardedDiversificationService",
     "WarmReport",
-    "build_partitioned_engine",
     "make_backend",
     "persist_store",
     "result_payload",

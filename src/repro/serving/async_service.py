@@ -82,8 +82,8 @@ class AsyncDiversificationService:
         and ``get_stats()`` — a
         :class:`~repro.serving.service.DiversificationService` or a
         :class:`~repro.serving.sharded.ShardedDiversificationService`
-        (running on any execution backend, including
-        :class:`~repro.serving.replication.ProcessBackend`: its worker
+        on either execution backend (the inline default, or
+        :class:`~repro.serving.replication.ProcessBackend`, whose worker
         protocol is serialized internally, so dispatching from the
         event loop's executor threads is safe).  The backend's own
         dedup/caching make results identical to a direct batched call

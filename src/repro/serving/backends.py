@@ -1,45 +1,39 @@
-"""Pluggable execution backends for the sharded serving layer.
+"""Execution backends for the sharded serving layer.
 
-PR 2 measured the N-shard cluster at ~1.00x over one shard: the fan-out
-ran on a thread pool, and the pure-Python pipeline is GIL-bound, so N
-shards took turns on one core.  This module makes the *execution
-substrate* a first-class, swappable object so the same
-:class:`~repro.serving.sharded.ShardedDiversificationService` can fan
-out three ways:
+A backend decides *where* each shard's service runs; the
+:class:`~repro.serving.sharded.ShardedDiversificationService` owns
+routing and merging.  There are two:
 
-* :class:`InlineBackend` — an ordered sweep on the calling thread.  Zero
-  overhead, fully deterministic; the reference the identity tests
-  compare everything against.
-* :class:`ThreadBackend` — the PR-2 behaviour: a lazily created
-  ``ThreadPoolExecutor``.  Pays off once the numpy kernels (which
-  release the GIL) dominate; parity otherwise.
-* :class:`~repro.serving.replication.ProcessBackend` — real OS
-  processes: one pipe-driven worker per shard, building its shard
-  service from a factory, respawned (and the call retried) when it
-  dies.  It lives in
-  :mod:`repro.serving.replication`, the only module that starts worker
-  processes.
+* :class:`InlineBackend` (the default) — every shard service in this
+  process, called in order on the calling thread.  Zero overhead, fully
+  deterministic; the reference the identity tests compare everything
+  against, and the faster path for a lone miss.
+* :class:`~repro.serving.replication.ProcessBackend` — one OS worker
+  process per shard, building its shard service from a factory,
+  respawned (and the call retried) when it dies.  The multi-core path
+  for batches.  It lives in :mod:`repro.serving.replication`, the only
+  module that starts worker processes.
+
+There is no thread pool: the pure-Python pipeline is GIL-bound, and on
+two cores one ran every probed batch slower than inline
+(docs/ARCHITECTURE.md, "Two backends and one index build").
 
 A backend is a shard-addressed RPC surface, not a pool: ``start()``
 builds the shard services, ``invoke_each()`` runs a list of
 ``(shard, method, args)`` calls and returns ``{shard: result}``, and
-``close()`` releases whatever the backend holds.  The sharded service
-owns routing and merging; backends own *where the work runs*.
+``close()`` releases whatever the backend holds.
 """
 
 from __future__ import annotations
 
-import os
 from abc import ABC, abstractmethod
 from collections.abc import Callable, Sequence
-from concurrent.futures import ThreadPoolExecutor
 
 __all__ = [
     "BackendError",
     "WorkerDiedError",
     "ExecutionBackend",
     "InlineBackend",
-    "ThreadBackend",
     "BACKEND_NAMES",
     "make_backend",
 ]
@@ -120,6 +114,14 @@ class ExecutionBackend(ABC):
         worker can die and be respawned — empty on in-process backends."""
         return {}
 
+    def worker_counters(self) -> dict[int, dict[str, float]]:
+        """``{shard: {counter: total}}`` that the parent keeps for shards
+        whose worker can die: the :meth:`replication_stats` pair plus
+        the serving counters summed over every worker the shard has
+        had — empty on in-process backends, whose services keep their
+        own."""
+        return {}
+
     @abstractmethod
     def start(self, service_factory: Callable[[int], object], num_shards: int) -> None:
         """Build *num_shards* shard services via ``service_factory``."""
@@ -145,9 +147,9 @@ class ExecutionBackend(ABC):
         )
 
     def close(self) -> None:
-        """Release execution resources (idempotent).  In-process backends
-        stay usable afterwards (they fall back to inline sweeps);
-        a closed process backend is gone for good."""
+        """Release execution resources (idempotent).  The inline backend
+        holds none and stays usable; a closed process backend is gone
+        for good."""
 
     def _require_started(self) -> None:
         if not self.started:
@@ -164,8 +166,11 @@ class ExecutionBackend(ABC):
         return f"{type(self).__name__}({state})"
 
 
-class _LocalBackend(ExecutionBackend):
-    """Shared machinery of the backends whose services live in-process."""
+class InlineBackend(ExecutionBackend):
+    """Shard services in this process, called in order on the calling
+    thread — the reference every other backend is compared against."""
+
+    name = "inline"
 
     def __init__(self) -> None:
         super().__init__()
@@ -174,116 +179,45 @@ class _LocalBackend(ExecutionBackend):
     def start(self, service_factory: Callable[[int], object], num_shards: int) -> None:
         if num_shards <= 0:
             raise ValueError("num_shards must be positive")
-        self.adopt([service_factory(shard) for shard in range(num_shards)])
-
-    def adopt(self, services: Sequence[object]) -> None:
-        """Attach already-built shard services (the pre-backend
-        construction path of ``ShardedDiversificationService``)."""
-        services = list(services)
-        if not services:
-            raise ValueError("at least one shard service is required")
         if self.started:
-            raise BackendError(f"{type(self).__name__} is already started")
-        self._services = services
-        self._num_shards = len(services)
+            raise BackendError("InlineBackend is already started")
+        self._services = [service_factory(shard) for shard in range(num_shards)]
+        self._num_shards = num_shards
 
     @property
     def local_services(self):
         return tuple(self._services) if self.started else None
 
-    def _call(self, shard: int, method: str, args: tuple) -> object:
-        return getattr(self._services[shard], method)(*args)
-
-
-class InlineBackend(_LocalBackend):
-    """Ordered sequential sweep on the calling thread — the reference."""
-
-    name = "inline"
-
     def invoke_each(self, calls: Sequence[ShardCall]) -> dict[int, object]:
         self._require_started()
-        return {shard: self._call(shard, method, args) for shard, method, args in calls}
-
-
-class ThreadBackend(_LocalBackend):
-    """Thread-pool fan-out over in-process shard services.
-
-    ``max_workers`` defaults to ``min(num_shards, os.cpu_count())`` at
-    start time — on a single-core host the fan-out degenerates to an
-    ordered sweep (no pool overhead), which is the right call for the
-    GIL-bound pure-Python pipeline; the numpy kernels release the GIL
-    inside their matmuls, so wider pools pay off as task sizes grow.
-    """
-
-    name = "thread"
-
-    def __init__(self, max_workers: int | None = None) -> None:
-        super().__init__()
-        self._max_workers = max_workers
-        self._pool: ThreadPoolExecutor | None = None
-
-    @property
-    def max_workers(self) -> int:
-        if self._max_workers is not None:
-            return max(1, self._max_workers)
-        shards = self._num_shards or 1
-        return max(1, min(shards, os.cpu_count() or 1))
-
-    def invoke_each(self, calls: Sequence[ShardCall]) -> dict[int, object]:
-        self._require_started()
-        if self.max_workers == 1 or len(calls) <= 1:
-            return {
-                shard: self._call(shard, method, args)
-                for shard, method, args in calls
-            }
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.max_workers,
-                thread_name_prefix="repro-shard",
-            )
-        futures = {
-            shard: self._pool.submit(self._call, shard, method, args)
+        return {
+            shard: getattr(self._services[shard], method)(*args)
             for shard, method, args in calls
         }
-        return {shard: future.result() for shard, future in futures.items()}
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
 
 
 #: The built-in backend names, in "most deterministic first" order.
-BACKEND_NAMES = ("inline", "thread", "process")
+BACKEND_NAMES = ("inline", "process")
 
 
 def make_backend(
     backend: "str | ExecutionBackend | None",
-    max_workers: int | None = None,
     start_method: str | None = None,
 ) -> ExecutionBackend:
     """Resolve a backend spec — a name, an instance, or ``None``.
 
-    ``None`` yields the default :class:`ThreadBackend` (the PR-2
-    behaviour).  An instance passes through untouched, so callers can
-    hand in a pre-configured backend or anything else satisfying the
-    protocol.
+    ``None`` yields the default :class:`InlineBackend`.  An instance
+    passes through untouched, so callers can hand in a pre-configured
+    backend or anything else satisfying the protocol.
 
     ``"process"`` builds a
     :class:`~repro.serving.replication.ProcessBackend` with
-    ``start_method``.  ``max_workers`` sizes the thread pool and is
-    refused with ``"process"`` (which runs one worker per shard), as
-    ``start_method`` is refused elsewhere — a contradiction is an error,
-    not a silent no-op.
+    ``start_method``, which is refused with any other backend — a
+    contradiction is an error, not a silent no-op.
     """
     if backend is None:
-        backend = "thread"
+        backend = "inline"
     if isinstance(backend, str) and backend.lower() == "process":
-        if max_workers is not None:
-            raise ValueError(
-                "max_workers sizes the thread backend's pool; the "
-                "'process' backend runs one worker per shard"
-            )
         from repro.serving.replication import ProcessBackend
 
         return ProcessBackend(start_method=start_method)
@@ -298,11 +232,8 @@ def make_backend(
         raise TypeError(
             f"backend must be a name or ExecutionBackend, got {backend!r}"
         )
-    name = backend.lower()
-    if name == "inline":
+    if backend.lower() == "inline":
         return InlineBackend()
-    if name == "thread":
-        return ThreadBackend(max_workers=max_workers)
     raise ValueError(
-        f"unknown backend {backend!r}; choose from {sorted(BACKEND_NAMES)}"
+        f"unknown backend {backend!r}; choose from {list(BACKEND_NAMES)}"
     )

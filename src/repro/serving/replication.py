@@ -42,11 +42,13 @@ from repro.serving.backends import (
 )
 
 __all__ = [
+    "COUNTERS",
     "UNREPEATABLE_METHODS",
     "Worker",
     "ProcessWorker",
     "ShardWorker",
     "ProcessBackend",
+    "answer",
 ]
 
 #: Methods whose effect outlives the worker.  Once one has been
@@ -62,6 +64,11 @@ ATTEMPTS = 6
 
 #: One worker request: (service method name, positional args).
 Request = tuple[str, tuple]
+
+#: The serving counters a shard's parent keeps across respawns: each
+#: reply carries the worker's running totals, and a respawn folds the
+#: dead worker's last totals into the shard's.
+COUNTERS = ("served", "ranked", "diversified", "batches", "seconds")
 
 
 def check_factory_pickles(service_factory, method: str) -> None:
@@ -106,6 +113,20 @@ def check_factory_pickles(service_factory, method: str) -> None:
         ) from exc
 
 
+def answer(service, method: str, args: tuple) -> tuple:
+    """A worker's reply to one request: ``("ok", result, counters)`` or
+    ``("err", (exception, traceback), counters)``, where *counters* are
+    the service's :data:`COUNTERS` totals after the call (``None`` for a
+    service without ``stats``)."""
+    try:
+        reply = ("ok", getattr(service, method)(*args))
+    except BaseException as exc:  # noqa: BLE001 - ship it back instead
+        reply = ("err", (exc, traceback.format_exc()))
+    stats = getattr(service, "stats", None)
+    counters = None if stats is None else [getattr(stats, n) for n in COUNTERS]
+    return (*reply, counters)
+
+
 def _worker_main(conn, service_factory, shard: int) -> None:
     """Worker body: build one shard's service, then serve its calls.
 
@@ -113,7 +134,7 @@ def _worker_main(conn, service_factory, shard: int) -> None:
 
     * handshake: ``("ready", None)`` or ``("failed", message)``;
     * request  : ``(method, args)``; ``None`` means stop;
-    * reply    : ``("ok", result)`` or ``("err", (exception, traceback))``.
+    * reply    : :func:`answer`'s triple.
     """
     try:
         service = service_factory(shard)
@@ -131,20 +152,15 @@ def _worker_main(conn, service_factory, shard: int) -> None:
             break
         if message is None:
             break
-        method, args = message
+        status, payload, counters = answer(service, *message)
         try:
-            result = getattr(service, method)(*args)
-            conn.send(("ok", result))
-        except BaseException as exc:  # noqa: BLE001 - ship it back instead
-            payload = (exc, traceback.format_exc())
-            try:
-                conn.send(("err", payload))
-            except Exception:
-                # The exception itself would not pickle; degrade to repr.
-                conn.send(
-                    ("err", (BackendError(f"{type(exc).__name__}: {exc}"),
-                             traceback.format_exc()))
-                )
+            conn.send((status, payload, counters))
+        except Exception as exc:
+            # The result or the exception would not pickle; degrade to repr.
+            if status == "err":
+                exc = payload[0]
+            error = BackendError(f"{type(exc).__name__}: {exc}")
+            conn.send(("err", (error, traceback.format_exc()), counters))
     conn.close()
 
 
@@ -154,7 +170,7 @@ class Worker(ABC):
     The contract mirrors a ``multiprocessing`` pipe end: ``send`` ships a
     ``(method, args)`` request, ``poll(timeout)`` waits for the *next*
     reply (FIFO — replies come back in request order), ``recv`` returns
-    it as ``("ok", result)`` or ``("err", (exc, tb))``.  A dead worker
+    it as :func:`answer` built it.  A dead worker
     raises :class:`WorkerDiedError` from ``send``/``recv`` and reports
     ``poll`` ready (so the caller reaches the ``recv`` that surfaces the
     death).  ``poll`` owns all waiting — scripted workers advance a
@@ -299,8 +315,9 @@ class ShardWorker:
     delivered and is in :data:`UNREPEATABLE_METHODS`, which raises
     :class:`WorkerDiedError` instead.
 
-    ``respawns`` and ``failovers`` count across respawns: the shard is
-    the stable identity, not the process behind it.  The constructor
+    ``respawns``, ``failovers`` and :attr:`counters` count across
+    respawns: the shard is the stable identity, not the process behind
+    it.  The constructor
     starts the worker and returns, so a backend can start every worker
     before it awaits any build handshake; a respawn awaits its own.
     """
@@ -319,6 +336,9 @@ class ShardWorker:
         self._owed = False  # an attempt left the worker owing its reply
         self.respawns = 0
         self.failovers = 0
+        # (totals of the workers respawned away, the current worker's),
+        # swapped as one pair so a reader never sees half a respawn.
+        self._totals = ([0] * len(COUNTERS), [0] * len(COUNTERS))
 
     def call(self, method: str, args: tuple) -> object:
         """Run one request, respawning the worker until it lands."""
@@ -350,6 +370,13 @@ class ShardWorker:
                 shards=(self.shard,),
             )
 
+    @property
+    def counters(self) -> dict[str, float]:
+        """:data:`COUNTERS` summed over every worker this shard has had,
+        as of each one's last reply."""
+        dead, live = self._totals
+        return {name: d + l for name, d, l in zip(COUNTERS, dead, live)}
+
     def close(self) -> None:
         try:
             self.worker.close()
@@ -369,6 +396,8 @@ class ShardWorker:
         self.worker = worker
         self._owed = False
         self.respawns += 1
+        dead, live = self._totals
+        self._totals = ([d + l for d, l in zip(dead, live)], [0] * len(COUNTERS))
 
     def _receive(self, method: str) -> object:
         """The worker's reply, waiting up to the hang budget."""
@@ -379,8 +408,10 @@ class ShardWorker:
                 f"{self._hang_timeout_s:g}s (hung)",
                 shards=(self.shard,),
             )
-        status, payload = worker.recv()
+        status, payload, counters = worker.recv()
         self._owed = False
+        if counters is not None:
+            self._totals = (self._totals[0], counters)
         if status == "ok":
             return payload
         # A service-level error is deterministic — a respawned worker
@@ -539,6 +570,13 @@ class ProcessBackend(ExecutionBackend):
     def replication_stats(self) -> dict[int, dict[str, int]]:
         return {
             shard: {"respawns": sw.respawns, "failovers": sw.failovers}
+            for shard, sw in sorted(self._shards.items())
+        }
+
+    def worker_counters(self) -> dict[int, dict[str, float]]:
+        stats = self.replication_stats()
+        return {
+            shard: {**stats[shard], **sw.counters}
             for shard, sw in sorted(self._shards.items())
         }
 

@@ -86,7 +86,7 @@ class WarmReport(Rollup):
     fan-out wall-clock on a merged cluster report), while
     ``busy_seconds`` on a merged report is the *sum* of per-shard busy
     times — larger than the wall-clock when shards warmed concurrently
-    (thread/process backends), smaller when the fan-out added routing or
+    (process backend), smaller when the fan-out added routing or
     merge overhead around sequential shards (inline backend).
 
     Merging sums the counters (shards warm disjoint query partitions)
@@ -159,7 +159,11 @@ class ServiceStats(Rollup):
 
     Counters are exact over the service's lifetime; ``latencies_ms`` is
     a sliding sample of the most recent ranked queries (bounded, so a
-    long-running service does not grow with traffic).  ``name`` labels
+    long-running service does not grow with traffic).  On the process
+    backend the parent keeps ``served``, ``ranked``, ``diversified``,
+    ``batches`` and ``seconds`` per shard, so they stay exact across a
+    worker respawn; every other field, the latency and wait samples
+    included, is the current worker's and restarts with it.  ``name`` labels
     the owning service in summaries (the shard id inside a sharded
     deployment); :meth:`merge` rolls per-shard stats into one
     cluster-level instance by the rules declared on the fields.  It sums
@@ -362,12 +366,6 @@ class DiversificationService:
         )
         self.stats = ServiceStats(name=name)
 
-    def rename(self, name: str) -> None:
-        """Relabel the service and its stats (the sharded service names
-        unnamed shards ``shard<i>``)."""
-        self.name = name
-        self.stats.name = name
-
     def _detect(self, query: str) -> SpecializationSet:
         specializations = self._detect_cache.get(query)
         if specializations is None:
@@ -539,8 +537,8 @@ class DiversificationService:
         cache, vectors retained across an epoch included
         (:meth:`~repro.core.framework.DiversificationFramework.warm_memory_estimate`)
         — the snippet-vector half of the offline pipeline's per-shard
-        memory accounting, next to the per-partition index footprints in
-        :class:`~repro.retrieval.engine.BuildReport`.  A *method* (not
+        memory accounting, next to the index's own
+        :meth:`~repro.retrieval.engine.SearchEngine.memory_estimate`.  A *method* (not
         a property) so execution backends can fetch the snapshot over a
         process boundary.
         """

@@ -14,7 +14,7 @@ specialization cache, detection cache and result LRU hold exactly its
 partition of the query space.  The offline phase (``warm``) and the
 online phase (``diversify_batch``) fan out per-shard over a pluggable
 :class:`~repro.serving.backends.ExecutionBackend` — an ordered inline
-sweep, a thread pool, or one OS worker process per shard — and merge:
+sweep or one OS worker process per shard — and merge:
 
 * results re-assemble in request order (routing is per-query, the batch
   contract is unchanged);
@@ -89,33 +89,20 @@ class ShardServiceFactory:
 class ShardedDiversificationService:
     """N hash-routed :class:`DiversificationService` shards behind one API.
 
+    Build a cluster with :meth:`from_factory`, which starts the backend
+    that builds every shard; the constructor only wraps an already
+    started backend.
+
     Parameters
     ----------
-    services:
-        The shard services, in shard order, when they are built by the
-        caller (the in-process path).  Shards without a ``name`` are
-        labelled ``shard0 … shardN-1`` so their stats stay attributable
-        in merged reports.  Pass ``None`` (and use :meth:`from_factory`)
-        for backends that build the services themselves — a
-        :class:`~repro.serving.replication.ProcessBackend` constructs each
-        shard inside its worker process.
-    max_workers:
-        Pool width of a :class:`~repro.serving.backends.ThreadBackend`
-        built from a name/default; ``None`` resolves to
-        ``min(num_shards, os.cpu_count())``.  Refused with
-        ``"process"``, which runs one worker per shard.
+    backend:
+        A started :class:`~repro.serving.backends.ExecutionBackend`.
     router_seed:
         Seed of the :func:`~repro.retrieval.engine.stable_shard`
         router.  Must be kept constant for the lifetime of the cluster's
         caches: changing it remaps queries to different shards (cold
         caches), though results stay correct because every shard can
         answer any query.
-    backend:
-        Where per-shard calls execute: a name (``"inline"``,
-        ``"thread"``, ``"process"``), an
-        :class:`~repro.serving.backends.ExecutionBackend` instance, or
-        ``None`` for the default thread pool.  Rankings are identical
-        under every backend; only the parallelism substrate changes.
 
     >>> cluster = ShardedDiversificationService.from_factory(  # doctest: +SKIP
     ...     lambda shard: DiversificationFramework(engine, miner),
@@ -127,37 +114,9 @@ class ShardedDiversificationService:
     >>> print(cluster.cluster_stats().summary())               # doctest: +SKIP
     """
 
-    def __init__(
-        self,
-        services: Sequence[DiversificationService] | None = None,
-        max_workers: int | None = None,
-        router_seed: int = 0,
-        backend: "str | ExecutionBackend | None" = None,
-    ) -> None:
-        backend = make_backend(backend, max_workers=max_workers)
-        if services is not None:
-            services = list(services)
-            if not services:
-                raise ValueError("at least one shard service is required")
-            for i, service in enumerate(services):
-                if not service.name:
-                    service.rename(f"shard{i}")
-            if backend.started:
-                raise ValueError(
-                    "pass either pre-built services or a started backend, "
-                    "not both"
-                )
-            if not hasattr(backend, "adopt"):
-                raise ValueError(
-                    f"{type(backend).__name__} builds its own services; "
-                    "construct the cluster via from_factory()"
-                )
-            backend.adopt(services)
-        elif not backend.started:
-            raise ValueError(
-                "no services given and the backend is not started; "
-                "use from_factory()"
-            )
+    def __init__(self, backend: ExecutionBackend, router_seed: int = 0) -> None:
+        if not backend.started:
+            raise ValueError("the backend is not started; use from_factory()")
         self._backend = backend
         self.router_seed = router_seed
         self._online_seconds = 0.0
@@ -168,16 +127,21 @@ class ShardedDiversificationService:
         framework_factory: Callable[[int], DiversificationFramework],
         num_shards: int,
         result_cache_size: int = 2048,
-        max_workers: int | None = None,
         router_seed: int = 0,
         backend: "str | ExecutionBackend | None" = None,
     ) -> "ShardedDiversificationService":
         """Build *num_shards* shards from ``framework_factory(shard_id)``.
 
+        *backend* is where per-shard calls execute: ``"inline"`` (the
+        default, also ``None``), ``"process"``, or an unstarted
+        :class:`~repro.serving.backends.ExecutionBackend` instance.
+        Rankings are identical under every backend; only the
+        parallelism substrate changes.
+
         The factory is called once per shard, *wherever the backend
-        places that shard* — in this process for ``inline``/``thread``,
-        inside a worker process for ``process`` (inherited under fork;
-        must pickle under spawn).  Frameworks may share a (read-only)
+        places that shard* — in this process for ``inline``, inside a
+        worker process for ``process`` (inherited under fork; must
+        pickle under spawn).  Frameworks may share a (read-only)
         engine and detector, or carry per-shard copies / a partitioned
         :class:`~repro.retrieval.engine.SearchEngine` —
         anything ranking-identical keeps the cluster's identity
@@ -191,14 +155,14 @@ class ShardedDiversificationService:
         """
         if num_shards <= 0:
             raise ValueError("num_shards must be positive")
-        backend = make_backend(backend, max_workers=max_workers)
+        backend = make_backend(backend)
         backend.start(
             ShardServiceFactory(
                 framework_factory, result_cache_size=result_cache_size
             ),
             num_shards,
         )
-        return cls(backend=backend, router_seed=router_seed)
+        return cls(backend, router_seed=router_seed)
 
     # -- routing -----------------------------------------------------------------
 
@@ -227,12 +191,6 @@ class ShardedDiversificationService:
                 " / cluster_stats() / spec_cache_info() for snapshots"
             )
         return local
-
-    def _shard_names(self) -> list[str]:
-        local = self._backend.local_services
-        if local is not None:
-            return [service.name for service in local]
-        return [f"shard{i}" for i in range(self.num_shards)]
 
     def route(self, query: str) -> int:
         """Shard id owning *query* — stable across processes/restarts."""
@@ -282,8 +240,8 @@ class ShardedDiversificationService:
         carries *both* clocks, labelled: ``seconds`` is the cluster
         wall-clock measured here around routing + fan-out + merge, and
         ``busy_seconds`` is the summed per-shard busy time — which
-        exceeds the wall-clock when shards overlap (thread/process
-        backends) and falls short of it under the inline backend, where
+        exceeds the wall-clock when shards overlap (the process
+        backend) and falls short of it under the inline backend, where
         the wall-clock additionally pays for routing and merging.
         Neither number is ever silently substituted for the other.
         """
@@ -296,9 +254,8 @@ class ShardedDiversificationService:
                 if bucket
             ]
         )
-        names = self._shard_names()
         reports = [
-            done.get(shard) or WarmReport(0, 0, 0, 0, 0.0, name=names[shard])
+            done.get(shard) or WarmReport(0, 0, 0, 0, 0.0, name=f"shard{shard}")
             for shard in range(self.num_shards)
         ]
         return dataclasses.replace(
@@ -457,9 +414,12 @@ class ShardedDiversificationService:
         shards ship snapshots over the boundary.  Every shard appears,
         named ``shard<i>`` — one that served zero queries contributes a
         well-formed zeroed entry.  A process-backed shard's snapshot is
-        stamped with its worker's ``respawns`` and ``failovers``, which a
-        worker cannot see from inside and which survive a respawn that
-        resets the serving counters.
+        stamped with the counters its parent keeps
+        (:meth:`~repro.serving.backends.ExecutionBackend.worker_counters`):
+        ``respawns`` and ``failovers``, which a worker cannot see from
+        inside, and ``served``/``ranked``/``diversified``/``batches``/
+        ``seconds`` summed over every worker the shard has had, so they
+        stay exact across a respawn.
         """
         # get_stats() (not .stats) so store-backed shards refresh their
         # page-cache counters into the returned objects.
@@ -467,7 +427,7 @@ class ShardedDiversificationService:
             self._backend.invoke(shard, "get_stats")
             for shard in range(self.num_shards)
         ]
-        for shard, counters in self._backend.replication_stats().items():
+        for shard, counters in self._backend.worker_counters().items():
             entries[shard] = dataclasses.replace(entries[shard], **counters)
         return entries
 
@@ -508,8 +468,7 @@ class ShardedDiversificationService:
         every shard (snapshots cross the process boundary on a process
         backend) and sums component-wise — the snippet-vector half of
         the offline pipeline's memory accounting, complementing the
-        per-partition index footprints in
-        :class:`~repro.retrieval.engine.BuildReport`.
+        index's own :meth:`~repro.retrieval.engine.SearchEngine.memory_estimate`.
         """
         totals: Counter[str] = Counter()
         for estimate in self._backend.broadcast("warm_memory_estimate").values():

@@ -7,6 +7,8 @@ Tests must treat these as read-only.
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.core.framework import DiversificationFramework, FrameworkConfig
@@ -53,6 +55,37 @@ def small_miner(small_log):
 
 #: The standard small-scale config shared by framework/serving tests.
 STANDARD_CONFIG = FrameworkConfig(k=10, candidates=80, spec_results=10)
+
+
+def run_on_threads(calls) -> list:
+    """Run every zero-argument callable on its own thread, released
+    together through a barrier; return the results in order and re-raise
+    the first failure.  The concurrent-caller cover for shards that
+    share one in-process engine."""
+    calls = list(calls)
+    start = threading.Barrier(len(calls))
+    results: list = [None] * len(calls)
+    errors: list = []
+
+    def run(i, call):
+        start.wait()
+        try:
+            results[i] = call()
+        except BaseException as exc:  # noqa: BLE001 - re-raised below
+            errors.append(exc)
+
+    threads = [
+        threading.Thread(target=run, args=(i, call), daemon=True)
+        for i, call in enumerate(calls)
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+    assert not any(thread.is_alive() for thread in threads)
+    if errors:
+        raise errors[0]
+    return results
 
 
 @pytest.fixture(scope="session")

@@ -157,6 +157,123 @@ class TestEpochTagged:
         sweep_tagged(cache, None, rewrite)
         assert len(cache) == 0
 
+    def test_a_sweep_keeps_the_recency_of_what_it_carries(self):
+        cache = LRUCache(3)
+        for key in ("a", "b", "c"):
+            cache.put(key, (3, key))
+        cache.get("a")  # recency: b, c, a
+        sweep_tagged(cache, EpochDelta(base=3, epoch=4), lambda k, e: (e[1],))
+        assert list(cache) == ["b", "c", "a"]
+        cache.put("d", (4, "d"))  # "b" is still the stalest
+        assert "b" not in cache and "a" in cache
+
+    def test_a_put_during_the_rewrite_survives_the_sweep(self):
+        """The rewrite runs outside the lock; a newer entry put for the
+        key meanwhile is not overwritten by the stale carry."""
+        cache = LRUCache(4)
+        cache.put("a", (3, "old"))
+
+        def rewrite(key, entry):
+            put_tagged(cache, key, (5, "newer"))
+            return (entry[1],)
+
+        sweep_tagged(cache, EpochDelta(base=3, epoch=4), rewrite)
+        assert cache.peek("a") == (5, "newer")
+
+    def test_a_key_replaced_before_its_drop_is_kept(self):
+        """A drop lands only on the entry the sweep snapshotted."""
+        cache = LRUCache(4)
+        cache.put("carried", (3, "x"))
+        cache.put("stale", (1, "y"))
+
+        def rewrite(key, entry):
+            cache.put("stale", (4, "fresh"), refresh=False)
+            return (entry[1],)
+
+        sweep_tagged(cache, EpochDelta(base=3, epoch=4), rewrite)
+        assert cache.snapshot() == [("carried", (4, "x")), ("stale", (4, "fresh"))]
+
+    def test_the_rewrite_runs_outside_the_lock(self):
+        """A rewrite that reads the cache it sweeps must not deadlock."""
+        cache = LRUCache(4)
+        cache.put("a", (3, "x"))
+        cache.put("b", (3, "y"))
+        sweep = threading.Thread(
+            target=sweep_tagged,
+            args=(
+                cache,
+                EpochDelta(base=3, epoch=4),
+                lambda key, entry: (cache.peek(key)[1],),
+            ),
+            daemon=True,
+        )
+        sweep.start()
+        sweep.join(10)
+        assert not sweep.is_alive()
+        assert cache.snapshot() == [("a", (4, "x")), ("b", (4, "y"))]
+
+
+class TestSwap:
+    """``LRUCache.swap``: compare-and-set by identity, in one pass."""
+
+    def test_replaces_in_place_keeping_recency(self):
+        cache = LRUCache(3)
+        old = (1, "a")
+        cache.put("a", old)
+        cache.put("b", (1, "b"))
+        cache.swap([("a", old, (2, "a"))])
+        assert cache.snapshot() == [("a", (2, "a")), ("b", (1, "b"))]
+        cache.put("c", 3)
+        cache.put("d", 4)  # "a" kept its place as the stalest
+        assert "a" not in cache and "b" in cache
+
+    def test_drops_when_new_is_none(self):
+        cache = LRUCache(3)
+        old = (1, "a")
+        cache.put("a", old)
+        cache.put("b", (1, "b"))
+        cache.swap([("a", old, None)])
+        assert cache.snapshot() == [("b", (1, "b"))]
+
+    def test_a_key_that_moved_on_is_left_alone(self):
+        """Identity, not equality: an equal value put since the snapshot
+        is a different entry, neither replaced nor dropped."""
+        cache = LRUCache(3)
+        old = (1, ["a"])
+        cache.put("a", old)
+        cache.put("b", (1, "b"))
+        stale_b = cache.peek("b")
+        cache.put("a", (1, ["a"]))
+        cache.put("b", (1, "b2"))
+        cache.swap([("a", old, (2, "a")), ("b", stale_b, None)])
+        assert cache.snapshot() == [("a", (1, ["a"])), ("b", (1, "b2"))]
+
+    def test_an_evicted_or_cleared_key_is_not_resurrected(self):
+        cache = LRUCache(1)
+        old = (1, "a")
+        cache.put("a", old)
+        cache.put("b", (1, "b"))  # evicts "a"
+        cache.swap([("a", old, (2, "a"))])
+        assert cache.snapshot() == [("b", (1, "b"))]
+        held = cache.peek("b")
+        cache.clear()
+        cache.swap([("b", held, (2, "b"))])
+        assert len(cache) == 0
+
+    def test_counters_are_untouched(self):
+        cache = LRUCache(2)
+        old = (1, "a")
+        cache.put("a", old)
+        cache.get("a")
+        cache.get("missing")
+        before = cache.stats()
+        cache.swap([("a", old, None), ("missing", None, (1, "m"))])
+        after = cache.stats()
+        assert (after.hits, after.misses, after.evictions) == (
+            before.hits, before.misses, before.evictions,
+        )
+        assert after.size == 0
+
 
 class TestLRUCacheConcurrency:
     """Hammer a shared cache from a thread pool.

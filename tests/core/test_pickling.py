@@ -145,30 +145,10 @@ class TestStatsDataclasses:
         assert loaded.busy_seconds == pytest.approx(0.2)
         assert [r.name for r in loaded.shards] == ["shard0", "shard1"]
 
-    def test_build_report_nested(self):
-        """Build reports travel back from process-backend build workers
-        exactly like warm reports travel back from serving workers."""
-        from repro.retrieval.engine import BuildReport
-
-        leaf = [
-            BuildReport(
-                documents=5, terms=9, postings=12, tokens=30, seconds=0.2,
-                postings_bytes=1024, vocabulary_bytes=512,
-                documents_bytes=256, name=f"partition{i}",
-            )
-            for i in range(2)
-        ]
-        merged = BuildReport.merge(leaf)
-        loaded = roundtrip(merged)
-        assert loaded == merged
-        assert loaded.busy_seconds == pytest.approx(0.4)
-        assert loaded.total_bytes == merged.total_bytes
-        assert [r.name for r in loaded.shards] == ["partition0", "partition1"]
-
     def test_inverted_index_roundtrip_scores_identically(self, small_corpus):
-        """The parallel build ships whole partition indexes across the
-        process boundary; an unpickled index must score byte-identically
-        (postings, lengths, statistics all intact)."""
+        """A spawn-started process worker receives its engine, partition
+        indexes included, by pickle; an unpickled index must score
+        byte-identically (postings, lengths, statistics all intact)."""
         import pickle
 
         from repro.retrieval.engine import SearchEngine
@@ -187,13 +167,8 @@ class TestStatsDataclasses:
         )
         engine = SearchEngine(small_corpus.collection)
         donor_results = engine.search(small_corpus.topics[0].query, 20)
-        shipped = pickle.loads(pickle.dumps(engine.partitions[0]))
-        assembled = SearchEngine(
-            small_corpus.collection,
-            snippet_extractor=engine.snippets,
-            partition_indexes=[shipped],
-        )
-        clone_results = assembled.search(small_corpus.topics[0].query, 20)
+        shipped = pickle.loads(pickle.dumps(engine))
+        clone_results = shipped.search(small_corpus.topics[0].query, 20)
         assert donor_results.doc_ids == clone_results.doc_ids
         assert donor_results.scores == clone_results.scores
 

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import multiprocessing
+
 import pytest
 
 from repro.experiments.ablation_constraint import (
@@ -234,13 +236,13 @@ class TestThroughputBackendsAndRecords:
     workload's Zipf stream: each serves what the in-process service
     serves."""
 
-    def test_backend_throughput_inline_vs_thread(self, workload):
+    def test_backend_throughput_inline_vs_process(self, workload):
         from repro.experiments.workloads import zipf_workload
         from repro.serving import ShardedDiversificationService
 
         queries = zipf_workload(workload, 20)
         served = {}
-        for backend in ("inline", "thread"):
+        for backend in ("inline", "process"):
             cluster = ShardedDiversificationService.from_factory(
                 _framework_factory(workload), 2, backend=backend
             )
@@ -254,7 +256,7 @@ class TestThroughputBackendsAndRecords:
                 cluster.close()
             assert stats.served == 20
             assert stats.ranked == len(set(queries))
-        assert served["inline"] == served["thread"]
+        assert served["inline"] == served["process"]
         assert [q for q, _ in served["inline"]] == queries
 
     def test_backend_throughput_validates_arguments(self, workload):
@@ -266,7 +268,7 @@ class TestThroughputBackendsAndRecords:
         with pytest.raises(ValueError):
             ShardedDiversificationService.from_factory(factory, 2, backend="gpu")
         with pytest.raises(ValueError):
-            make_backend("thread", start_method="spawn")
+            make_backend("inline", start_method="spawn")
 
     def test_http_throughput_end_to_end(self, workload):
         import json
@@ -330,13 +332,12 @@ class TestOfflinePipelineHarness:
             backend="inline",
         )
         assert result.identity_checked
-        assert result.serial_build_seconds > 0
-        build = result.build_report
-        assert len(build.shards) == 3
-        assert build.documents == len(workload.corpus.collection)
-        assert build.seconds > 0
-        assert build.busy_seconds > 0
-        assert build.total_bytes > 0
+        assert result.build_seconds > 0
+        assert len(result.partition_sizes) == 3
+        assert sum(
+            size["documents"] for size in result.partition_sizes
+        ) == len(workload.corpus.collection)
+        assert result.index_bytes > 0
         assert result.cluster_warm.busy_seconds > 0
         assert result.warm_memory["total_bytes"] > 0
         table = summarize_build(result)
@@ -380,6 +381,37 @@ class TestOfflinePipelineHarness:
         assert "store-hydrated cluster re-warm fetched 0 (hit in full)" in out
         assert "rankings and scores verified identical" in out
         assert (tmp_path / "index.sqlite3").stat().st_size > 0
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(),
+        reason="the process-backed warm inherits the workload under fork",
+    )
+    def test_process_backed_warm_round_trips_the_store(self, workload, tmp_path):
+        """What CI's offline smoke runs: serial build, process-backed
+        warm, store written, attached and re-warmed with 0 fetched."""
+        from repro.experiments.offline import run_offline_build
+
+        result = run_offline_build(
+            workload,
+            num_queries=15,
+            partitions=2,
+            shards=2,
+            backend="process",
+            store_path=tmp_path / "index.sqlite3",
+        )
+        assert result.identity_checked
+        assert result.backend == "process"
+        assert len(result.cluster_warm.shards) == 2
+        assert result.cluster_warm.busy_seconds > 0
+        assert result.store_warm_fetched == 0
+
+    def test_the_thread_backend_is_refused(self, workload):
+        from repro.experiments.offline import main, run_offline_build
+
+        with pytest.raises(ValueError, match="inline"):
+            run_offline_build(workload, backend="thread")
+        with pytest.raises(SystemExit):
+            main(["--backend", "thread"])
 
     def test_cli_rejects_save_stats(self, tmp_path):
         from repro.experiments.offline import main

@@ -1,7 +1,6 @@
 """Tests for index partitioning: the hash router, collection
-partitioning, the ranking-identity of the partitioned engine, and the
-build accounting (`BuildReport`, memory estimates, pre-built partition
-injection) behind the partition-parallel offline pipeline."""
+partitioning, the ranking-identity of the partitioned engine, and its
+memory estimates."""
 
 from __future__ import annotations
 
@@ -9,13 +8,11 @@ import pytest
 
 from repro.retrieval.documents import DocumentCollection
 from repro.retrieval.engine import (
-    BuildReport,
     SearchEngine,
     partition_collection,
     stable_shard,
 )
-from repro.retrieval.index import DocumentIndex, InvertedIndex
-from repro.retrieval.snippets import SnippetExtractor
+from repro.retrieval.index import InvertedIndex
 from tests.retrieval.search_oracle import assert_oracle, oracle_index
 
 
@@ -184,199 +181,8 @@ class TestDegeneratePartitioning:
         engine = SearchEngine(DocumentCollection(), num_partitions=3)
         assert len(engine.search("anything", 5)) == 0
 
-    def test_degenerate_build_reports_merge_wellformed(self, tiny_collection):
-        engine = SearchEngine(
-            tiny_collection, num_partitions=len(tiny_collection) + 4
-        )
-        reports = [
-            BuildReport.from_index(index, 0.0, name=f"partition{shard}")
-            for shard, index in enumerate(engine.partitions)
-        ]
-        merged = BuildReport.merge(reports)
-        assert merged.documents == len(tiny_collection)
-        assert len(merged.shards) == engine.num_partitions
-        for report in merged.shards:
-            if report.documents == 0:
-                assert report.terms == report.postings == report.tokens == 0
-                assert report.postings_bytes == 0
-                assert report.summary().startswith(f"[{report.name}]")
 
-
-class TestPrebuiltPartitionIndexes:
-    """The injection path the partition-parallel build assembles through."""
-
-    def _parts_and_indexes(self, collection, num_partitions, analyzer):
-        parts = partition_collection(collection, num_partitions)
-        extractor = SnippetExtractor(analyzer=analyzer)
-        indexes = [
-            DocumentIndex.from_collection(
-                part,
-                extractor,
-                seqs=[collection.ordinal(d.doc_id) for d in part],
-            )
-            for part in parts
-        ]
-        return parts, indexes
-
-    def test_assembled_engine_identical_to_serial(self, small_corpus):
-        collection = small_corpus.collection
-        serial = SearchEngine(collection, num_partitions=3)
-        parts, indexes = self._parts_and_indexes(
-            collection, 3, serial.analyzer
-        )
-        assembled = SearchEngine(
-            collection,
-            3,
-            analyzer=serial.analyzer,
-            partition_collections=parts,
-            partition_indexes=indexes,
-        )
-        for topic in small_corpus.topics:
-            want = serial.search(topic.query, 30)
-            got = assembled.search(topic.query, 30)
-            assert want.doc_ids == got.doc_ids
-            assert want.scores == got.scores
-
-    def test_indexes_without_matching_forward_rows_rejected(
-        self, tiny_collection
-    ):
-        """The forward rows travel inside the injected indexes: a plain
-        inverted index has none, and rows windowed differently would
-        serve different surrogates than a serial build."""
-        parts = partition_collection(tiny_collection, 2)
-        seqs = [[tiny_collection.ordinal(d.doc_id) for d in p] for p in parts]
-        plain = [
-            InvertedIndex.from_collection(part, seqs=part_seqs)
-            for part, part_seqs in zip(parts, seqs)
-        ]
-        rewindowed = [
-            DocumentIndex.from_collection(
-                part, SnippetExtractor(window_terms=5), seqs=part_seqs
-            )
-            for part, part_seqs in zip(parts, seqs)
-        ]
-        for indexes in (plain, rewindowed):
-            with pytest.raises(ValueError, match="window_terms"):
-                SearchEngine(
-                    tiny_collection, 2,
-                    partition_collections=parts,
-                    partition_indexes=indexes,
-                )
-
-    def test_indexes_numbered_apart_from_the_collection_rejected(
-        self, tiny_collection
-    ):
-        """Partitions post collection-wide sequence numbers: an index
-        numbered from 0 on its own would collide with its neighbours."""
-        parts = partition_collection(tiny_collection, 2)
-        local = [DocumentIndex.from_collection(part) for part in parts]
-        with pytest.raises(ValueError, match="collection positions"):
-            SearchEngine(
-                tiny_collection, 2,
-                partition_collections=parts,
-                partition_indexes=local,
-            )
-
-    def test_partition_count_mismatch_rejected(self, tiny_collection):
-        parts, indexes = self._parts_and_indexes(tiny_collection, 2, None)
-        with pytest.raises(ValueError, match="partition collections"):
-            SearchEngine(
-                tiny_collection, 3, partition_collections=parts,
-                partition_indexes=indexes,
-            )
-        with pytest.raises(ValueError, match="partition indexes"):
-            SearchEngine(
-                tiny_collection, 2,
-                partition_collections=parts,
-                partition_indexes=indexes[:1],
-            )
-
-    def test_partitions_not_covering_collection_rejected(
-        self, tiny_collection
-    ):
-        """A subset injection must fail loudly: global statistics are
-        summed from the partitions, so a partial cover would silently
-        rank over a partial corpus."""
-        parts = partition_collection(tiny_collection, 2)
-        victim = max(range(2), key=lambda i: len(parts[i]))
-        partial = DocumentCollection(list(parts[victim])[:-1])
-        parts[victim] = partial
-        indexes = [
-            InvertedIndex.from_collection(part, None) for part in parts
-        ]
-        with pytest.raises(ValueError, match="cover the collection"):
-            SearchEngine(
-                tiny_collection, 2,
-                partition_collections=parts,
-                partition_indexes=indexes,
-            )
-
-    def test_mismatched_index_contents_rejected(self, tiny_collection):
-        parts = partition_collection(tiny_collection, 2)
-        # Swap the two indexes: documents no longer match their partition.
-        indexes = [
-            InvertedIndex.from_collection(part, None) for part in parts
-        ]
-        if not all(len(p) for p in parts):
-            pytest.skip("hash split left a partition empty")
-        with pytest.raises(ValueError, match="does not match"):
-            SearchEngine(
-                tiny_collection, 2,
-                partition_collections=parts,
-                partition_indexes=list(reversed(indexes)),
-            )
-
-
-class TestBuildReport:
-    def test_from_index_counts(self, tiny_collection):
-        index = InvertedIndex.from_collection(tiny_collection)
-        report = BuildReport.from_index(index, 0.5, name="partition0")
-        assert report.documents == len(tiny_collection)
-        assert report.terms == index.num_terms
-        assert report.postings == index.num_postings
-        assert report.tokens == index.total_tokens
-        assert report.seconds == 0.5
-        memory = index.memory_estimate()
-        assert report.postings_bytes == memory["postings_bytes"]
-        assert report.vocabulary_bytes == memory["vocabulary_bytes"]
-        assert report.total_bytes == memory["total_bytes"]
-
-    def test_merge_sums_and_keeps_shards(self, tiny_collection):
-        parts = partition_collection(tiny_collection, 3)
-        reports = [
-            BuildReport.from_index(
-                InvertedIndex.from_collection(part), 0.25, name=f"partition{i}"
-            )
-            for i, part in enumerate(parts)
-        ]
-        merged = BuildReport.merge(reports)
-        assert merged.documents == len(tiny_collection)
-        assert merged.postings == sum(r.postings for r in reports)
-        assert merged.seconds == pytest.approx(0.75)
-        assert merged.busy_seconds == pytest.approx(0.75)
-        assert merged.total_bytes == sum(r.total_bytes for r in reports)
-        assert merged.shards == tuple(reports)
-        assert merged.name == "total"
-
-    def test_merge_empty_input(self):
-        merged = BuildReport.merge([])
-        assert merged.documents == 0
-        assert merged.total_bytes == 0
-        assert merged.shards == ()
-        assert merged.summary()  # renders without dividing by anything
-
-    def test_summary_labels_wall_and_busy(self):
-        leaf = BuildReport(10, 5, 20, 40, 0.5, name="partition0")
-        assert "busy=" not in leaf.summary()
-        import dataclasses
-
-        merged = dataclasses.replace(
-            BuildReport.merge([leaf, leaf]), seconds=0.6
-        )
-        text = merged.summary()
-        assert "seconds=0.600" in text
-        assert "busy=1.000" in text
-
+class TestMemoryEstimate:
     def test_memory_estimate_components_sum(self, tiny_collection):
         index = InvertedIndex.from_collection(tiny_collection)
         memory = index.memory_estimate()

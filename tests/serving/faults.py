@@ -35,12 +35,11 @@ seam (the same manual-time idiom as the asyncio harness in
 
 from __future__ import annotations
 
-import traceback
 from collections import deque
 from dataclasses import dataclass
 
 from repro.serving.backends import WorkerDiedError
-from repro.serving.replication import ProcessBackend, Request, Worker
+from repro.serving.replication import ProcessBackend, Request, Worker, answer
 
 __all__ = [
     "CRASH_ON_SEND",
@@ -160,10 +159,7 @@ class ScriptedWorker(Worker):
         if fault is not None and fault.kind == CRASH_ON_SEND:
             self._dead = True
             raise self._died()
-        try:
-            reply = ("ok", getattr(self.service, method)(*args))
-        except Exception as exc:  # mirror _worker_main: ship it back
-            reply = ("err", (exc, traceback.format_exc()))
+        reply = answer(self.service, method, args)  # what _worker_main sends
         if fault is None:
             self._queue.append((self._clock(), reply))
         elif fault.kind == CRASH_BEFORE_REPLY:

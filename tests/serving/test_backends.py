@@ -1,4 +1,4 @@
-"""Tests for the pluggable execution backends (inline/thread/process).
+"""Tests for the execution backends (inline/process).
 
 The load-bearing property is the acceptance criterion of the backend
 refactor: the sharded cluster serves **byte-identical rankings under
@@ -31,7 +31,6 @@ from repro.serving import (
 from repro.serving.backends import (
     BackendError,
     InlineBackend,
-    ThreadBackend,
     WorkerDiedError,
 )
 from repro.serving.replication import ProcessBackend
@@ -378,19 +377,26 @@ class TestStartMethods:
 
     def test_make_backend_rejects_start_method_elsewhere(self):
         with pytest.raises(ValueError, match="start_method"):
-            make_backend("thread", start_method="spawn")
+            make_backend("inline", start_method="spawn")
         with pytest.raises(ValueError, match="start_method"):
             make_backend(None, start_method="spawn")
 
 
 class TestBackendConstruction:
     def test_make_backend_names(self):
+        assert BACKEND_NAMES == ("inline", "process")
         assert isinstance(make_backend("inline"), InlineBackend)
-        assert isinstance(make_backend("thread"), ThreadBackend)
         assert isinstance(make_backend("process"), ProcessBackend)
-        assert isinstance(make_backend(None), ThreadBackend)
+        assert isinstance(make_backend(None), InlineBackend)
         passthrough = InlineBackend()
         assert make_backend(passthrough) is passthrough
+
+    def test_thread_backend_is_gone(self):
+        with pytest.raises(ValueError) as excinfo:
+            make_backend("thread")
+        message = str(excinfo.value)
+        assert "'thread'" in message
+        assert "inline" in message and "process" in message
 
     def test_make_backend_rejects_unknown(self):
         with pytest.raises(ValueError, match="unknown backend"):
@@ -398,29 +404,28 @@ class TestBackendConstruction:
         with pytest.raises(TypeError):
             make_backend(42)
 
-    def test_process_backend_requires_from_factory(self, framework_factory):
-        services = [DiversificationService(framework_factory())]
+    def test_unstarted_process_backend_requires_from_factory(self):
         with pytest.raises(ValueError, match="from_factory"):
-            ShardedDiversificationService(services, backend="process")
+            ShardedDiversificationService(ProcessBackend())
 
-    def test_local_backend_cannot_adopt_twice(self, framework_factory):
+    def test_inline_backend_cannot_start_twice(self):
         backend = InlineBackend()
-        backend.adopt([DiversificationService(framework_factory())])
+        backend.start(_echo_factory, 1)
         with pytest.raises(BackendError):
-            backend.adopt([DiversificationService(framework_factory())])
+            backend.start(_echo_factory, 1)
 
-    def test_unstarted_backend_without_services_rejected(self):
+    def test_unstarted_backend_rejected(self):
         with pytest.raises(ValueError, match="not started"):
-            ShardedDiversificationService(backend="inline")
+            ShardedDiversificationService(InlineBackend())
 
     def test_invoke_before_start_raises(self):
         with pytest.raises(BackendError):
             InlineBackend().invoke(0, "get_stats")
 
-    def test_thread_backend_defaults_match_old_fanout(self, framework_factory):
+    def test_default_backend_is_inline(self, framework_factory):
         cluster = build_cluster(framework_factory, None)
-        assert cluster.backend.name == "thread"
-        assert cluster.backend.max_workers >= 1
+        assert isinstance(cluster.backend, InlineBackend)
+        assert cluster.backend.name == "inline"
 
     def test_repr_names_backend(self, framework_factory):
         cluster = build_cluster(framework_factory, "inline")
@@ -429,13 +434,18 @@ class TestBackendConstruction:
 
     @pytest.mark.parametrize(
         "option",
-        [{"replicas": 2}, {"policy": "least-outstanding"}, {"hedge_after_ms": 5}],
-        ids=["replicas", "policy", "hedge_after_ms"],
+        [
+            {"replicas": 2},
+            {"policy": "least-outstanding"},
+            {"hedge_after_ms": 5},
+            {"max_workers": 2},
+        ],
+        ids=["replicas", "policy", "hedge_after_ms", "max_workers"],
     )
     def test_replica_set_options_are_gone(self, framework_factory, option):
         """The process backend runs one worker per shard: the options
-        of the replica set it replaced are refused everywhere, not
-        accepted as no-ops."""
+        of the replica set it replaced, and the deleted thread pool's
+        width, are refused everywhere, not accepted as no-ops."""
         with pytest.raises(TypeError):
             make_backend("process", **option)
         with pytest.raises(TypeError):
@@ -445,16 +455,50 @@ class TestBackendConstruction:
                 lambda shard: framework_factory(), 2, backend="process", **option
             )
 
-    def test_make_backend_rejects_max_workers_for_process(self):
-        with pytest.raises(ValueError, match="max_workers"):
-            make_backend("process", max_workers=2)
-        with pytest.raises(ValueError, match="max_workers"):
-            build_cluster(lambda: None, "process", max_workers=2)
-
     def test_in_process_backends_report_no_worker_counters(self):
         backend = InlineBackend()
-        backend.adopt([_EchoService(0)])
+        backend.start(_echo_factory, 1)
         assert backend.replication_stats() == {}
+        assert backend.worker_counters() == {}
+
+    @pytest.mark.parametrize(
+        "module, name",
+        [
+            ("repro.serving", "ThreadBackend"),
+            ("repro.serving.backends", "ThreadBackend"),
+            ("repro.serving", "build_partitioned_engine"),
+            ("repro.serving.offline", "PartitionBuildFactory"),
+            ("repro.retrieval.engine", "BuildReport"),
+        ],
+    )
+    def test_deleted_scale_out_paths_stay_deleted(self, module, name):
+        """The thread pool and the partition-parallel build lost to
+        inline and the serial build; neither comes back as an alias."""
+        import importlib
+
+        assert not hasattr(importlib.import_module(module), name)
+
+    @pytest.mark.parametrize(
+        "keyword", ["partition_collections", "partition_indexes"]
+    )
+    def test_search_engine_builds_its_own_partitions(
+        self, small_corpus, keyword
+    ):
+        from repro.retrieval.engine import SearchEngine
+
+        with pytest.raises(TypeError, match=keyword):
+            SearchEngine(small_corpus.collection, 2, **{keyword: ()})
+
+    def test_a_cluster_is_built_one_way(self, framework_factory):
+        """``from_factory`` names the shards; nothing renames them."""
+        assert not hasattr(DiversificationService, "rename")
+        cluster = build_cluster(framework_factory, "inline")
+        try:
+            assert [s.name for s in cluster.services] == [
+                f"shard{i}" for i in range(NUM_SHARDS)
+            ]
+        finally:
+            cluster.close()
 
 
 @needs_fork

@@ -714,7 +714,7 @@ class TestHealthAndStats:
                 assert status == 200
                 assert body["kind"] == "sharded"
                 assert body["shards"] == 2
-                assert body["execution_backend"] == "thread"
+                assert body["execution_backend"] == "inline"
         finally:
             cluster.close()
 

@@ -52,7 +52,7 @@ from repro.serving import (
 from repro.serving.backends import WorkerDiedError
 from repro.serving.service import ReadOnlyError
 
-from tests.conftest import STANDARD_CONFIG
+from tests.conftest import STANDARD_CONFIG, run_on_threads
 from tests.retrieval.test_store_epochs import assert_stores_identical
 
 from .aio import RecordingBackend, run, settle
@@ -1021,16 +1021,16 @@ class TestEpochTags:
 
 
 class TestShardedIngest:
-    @pytest.mark.parametrize("backend", ["inline", "thread"])
+    @pytest.mark.parametrize("fanout", ["inline", "thread"])
     def test_shared_engine_advances_once(
         self, tmp_path, small_miner, initial_docs, holdout_docs, monkeypatch,
-        backend,
+        fanout,
     ):
         """In-process shards share one engine object: an ingest batch
         publishes ONE epoch — the first shard's refresh attaches it, the
         others find the engine current, also when the shards refresh
-        concurrently on threads — while every shard still sweeps its
-        caches and counts the batch."""
+        concurrently, each on its own thread — while every shard still
+        sweeps its caches and counts the batch."""
         engine = make_store_engine(tmp_path / "shared.sqlite3", initial_docs)
         attaches = []
         attach = engine._attach_snapshot
@@ -1044,10 +1044,17 @@ class TestShardedIngest:
                 engine, small_miner, config=STANDARD_CONFIG
             ),
             num_shards=NUM_SHARDS,
-            backend=backend,
         )
         try:
-            epoch = cluster.ingest(add_documents=holdout_docs[:2])
+            if fanout == "inline":
+                epoch = cluster.ingest(add_documents=holdout_docs[:2])
+            else:
+                adds = holdout_docs[:2]
+                cluster.services[0].append_to_store(adds)
+                epoch = max(run_on_threads(
+                    lambda shard=shard: shard.apply_updates(adds)
+                    for shard in cluster.services
+                ))
             assert epoch == 1
             assert cluster.current_epoch() == 1
             assert len(attaches) == 1

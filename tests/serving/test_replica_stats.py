@@ -17,7 +17,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cache import CacheStats
-from repro.retrieval.engine import BuildReport
 from repro.serving.service import LATENCY_SAMPLE_SIZE, ServiceStats, WarmReport
 
 
@@ -88,7 +87,6 @@ names = st.text("abc", min_size=1, max_size=3)
 LEAVES = {
     CacheStats: leaf(CacheStats),
     WarmReport: leaf(WarmReport, name=names),
-    BuildReport: leaf(BuildReport, name=names),
     ServiceStats: leaf(
         ServiceStats,
         name=names,
@@ -153,7 +151,7 @@ class TestRollupRule:
         for name, value in rolled_up_fields(merged).items():
             assert not value, name
         if cls is not CacheStats:
-            assert merged.name == ("total" if cls is BuildReport else "cluster")
+            assert merged.name == "cluster"
             assert merged.summary()
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import multiprocessing
 import random
+import types
 
 import pytest
 
@@ -24,7 +25,7 @@ from repro.serving import (
     ShardedDiversificationService,
 )
 from repro.serving.backends import BackendError, WorkerDiedError
-from repro.serving.replication import ATTEMPTS
+from repro.serving.replication import ATTEMPTS, COUNTERS, answer
 from .faults import (
     CRASH_BEFORE_REPLY,
     CRASH_ON_SEND,
@@ -111,6 +112,45 @@ def target(cluster, workload, shard):
 class _EchoService:
     def ping(self, value):
         return value * 2
+
+
+class _CountingService:
+    """A service whose only stats are the :data:`COUNTERS` a call bumps."""
+
+    def __init__(self):
+        self.stats = types.SimpleNamespace(**{name: 0 for name in COUNTERS})
+
+    def serve(self, n):
+        self.stats.served += n
+        self.stats.seconds += 0.5
+        return n
+
+    def fail(self):
+        self.stats.batches += 1
+        raise KeyError("no such query")
+
+
+class TestAnswer:
+    """``answer`` builds every worker reply: status, payload and the
+    service's counter totals *after* the call, success or error."""
+
+    def test_ok_carries_the_totals_after_the_call(self):
+        service = _CountingService()
+        assert answer(service, "serve", (3,)) == ("ok", 3, [3, 0, 0, 0, 0.5])
+        assert answer(service, "serve", (2,)) == ("ok", 2, [5, 0, 0, 0, 1.0])
+
+    def test_err_carries_the_exception_and_the_totals(self):
+        status, (exc, tb), counters = answer(_CountingService(), "fail", ())
+        assert status == "err"
+        assert isinstance(exc, KeyError)
+        assert "no such query" in tb
+        assert counters == [0, 0, 0, 1, 0]
+
+    def test_a_service_without_stats_sends_none(self):
+        assert answer(_EchoService(), "ping", (4,)) == ("ok", 8, None)
+        status, (exc, _), counters = answer(_EchoService(), "nope", ())
+        assert status == "err" and isinstance(exc, AttributeError)
+        assert counters is None
 
 
 class TestFaultFreeReplication:
@@ -412,7 +452,7 @@ class TestWorkerStatsPlumbing:
     ):
         """A shard's entry is its worker's own snapshot, named
         ``shard<i>``, stamped with the shard's respawn and failover
-        counters (which survive the respawn that reset the rest)."""
+        counters, which the worker cannot see from inside."""
         schedule = FaultSchedule().at(0, 0, Fault(CRASH_ON_SEND))
         cluster, backend = make_cluster(schedule)
         cluster.diversify_batch(workload)
@@ -423,6 +463,97 @@ class TestWorkerStatsPlumbing:
         assert [s.respawns for s in per_shard] == [1] + [0] * (NUM_SHARDS - 1)
         assert [s.failovers for s in per_shard] == [1] + [0] * (NUM_SHARDS - 1)
         assert sum(s.served for s in per_shard) == len(workload)
+
+    def test_serving_counters_survive_a_respawn(
+        self, make_cluster, framework_factory, workload
+    ):
+        """The parent keeps each shard's serving counters: killing every
+        worker mid-run loses none of them, and they equal those of an
+        inline cluster that dropped its caches at the kill (a respawned
+        worker starts with empty caches)."""
+        cluster, backend = make_cluster()
+        inline = build_cluster(framework_factory, "inline")
+        half = len(workload) // 2
+        cluster.diversify_batch(workload[:half])
+        inline.diversify_batch(workload[:half])
+        for shard in range(NUM_SHARDS):
+            backend.kill_worker(shard)
+        inline.invalidate()
+        cluster.diversify_batch(workload[half:])
+        inline.diversify_batch(workload[half:])
+        got, want = cluster.cluster_stats(), inline.cluster_stats()
+        assert got.respawns == NUM_SHARDS
+        assert got.served == len(workload)
+        for name in ("served", "ranked", "diversified", "batches"):
+            assert getattr(got, name) == getattr(want, name), name
+            assert [getattr(s, name) for s in got.shards] == [
+                getattr(s, name) for s in want.shards
+            ], name
+        assert got.busy_seconds > 0
+
+    @pytest.mark.parametrize("kind", [CRASH_BEFORE_REPLY, HANG])
+    def test_a_reply_lost_with_its_worker_is_counted_once(
+        self, make_cluster, framework_factory, workload, kind
+    ):
+        """A worker that ran a batch but died (or hung) before replying
+        never reported it: the retry on its replacement is the one count,
+        as on an inline cluster that dropped its caches there."""
+        half = len(workload) // 2
+        schedule = FaultSchedule()
+        for shard in range(NUM_SHARDS):
+            schedule.at(shard, 1, Fault(kind))
+        cluster, backend = make_cluster(schedule)
+        inline = build_cluster(framework_factory, "inline")
+        cluster.diversify_batch(workload[:half])
+        inline.diversify_batch(workload[:half])
+        inline.invalidate()
+        cluster.diversify_batch(workload[half:])
+        inline.diversify_batch(workload[half:])
+        got, want = cluster.shard_stats(), inline.shard_stats()
+        assert [s.respawns for s in got] == [1] * NUM_SHARDS
+        for name in ("served", "ranked", "diversified", "batches"):
+            assert [getattr(s, name) for s in got] == [
+                getattr(s, name) for s in want
+            ], name
+
+    def test_counters_survive_repeated_respawns_of_one_shard(
+        self, make_cluster, workload
+    ):
+        cluster, backend = make_cluster()
+        query = target(cluster, workload, 0)
+        for _ in range(3):
+            cluster.diversify(query)
+            backend.kill_worker(0)
+        cluster.diversify(query)
+        shard = cluster.shard_stats()[0]
+        assert shard.respawns == 3
+        assert shard.served == 4
+        # Every incarnation starts cold, so each ranked the query anew.
+        assert shard.ranked == 4
+        assert backend.worker_counters()[0]["served"] == 4
+
+    def test_busy_seconds_never_shrink_across_a_respawn(
+        self, make_cluster, workload
+    ):
+        cluster, backend = make_cluster()
+        cluster.diversify_batch(workload)
+        before = [s.seconds for s in cluster.shard_stats()]
+        assert all(seconds > 0 for seconds in before)
+        for shard in range(NUM_SHARDS):
+            backend.kill_worker(shard)
+        after = [s.seconds for s in cluster.shard_stats()]
+        assert after == pytest.approx(before)
+        cluster.diversify_batch(workload)
+        grown = [s.seconds for s in cluster.shard_stats()]
+        assert all(g > b for g, b in zip(grown, before))
+
+    def test_worker_counters_start_at_zero(self, make_cluster):
+        _, backend = make_cluster()
+        zero = {name: 0 for name in COUNTERS}
+        assert backend.worker_counters() == {
+            shard: {"respawns": 0, "failovers": 0, **zero}
+            for shard in range(NUM_SHARDS)
+        }
 
     def test_health_shows_a_killed_worker_until_the_next_call(
         self, make_cluster, workload

@@ -72,21 +72,6 @@ class TestIdentity:
             assert a.query == b.query
             assert a.ranking == b.ranking
 
-    def test_identity_with_thread_pool(
-        self, framework_factory, single, workload
-    ):
-        cluster = ShardedDiversificationService.from_factory(
-            lambda shard: framework_factory(),
-            num_shards=NUM_SHARDS,
-            max_workers=NUM_SHARDS,
-        )
-        try:
-            sharded = cluster.diversify_batch(workload)
-            for a, b in zip(single.diversify_batch(workload), sharded):
-                assert a.ranking == b.ranking
-        finally:
-            cluster.close()
-
     def test_duplicates_share_one_result(self, cluster, workload):
         query = workload[0]
         results = cluster.diversify_batch([query, query, query])
@@ -163,7 +148,7 @@ class TestMergedStats:
     def test_inline_warm_wall_covers_busy(self, framework_factory, workload):
         """Only under the *inline* backend do shards provably run inside
         the measured window, so wall >= summed busy is an invariant
-        there (a thread-pool cluster on a multi-core host legitimately
+        there (a process-backed cluster on a multi-core host legitimately
         shows busy > wall — that is the point of keeping both)."""
         cluster = ShardedDiversificationService.from_factory(
             lambda shard: framework_factory(),
@@ -212,18 +197,6 @@ class TestConstruction:
         assert [s.stats.name for s in cluster.services] == [
             f"shard{i}" for i in range(NUM_SHARDS)
         ]
-
-    def test_explicit_names_kept(self, framework_factory):
-        services = [
-            DiversificationService(framework_factory(), name="eu-west"),
-            DiversificationService(framework_factory()),
-        ]
-        cluster = ShardedDiversificationService(services)
-        assert [s.name for s in cluster.services] == ["eu-west", "shard1"]
-
-    def test_requires_services(self):
-        with pytest.raises(ValueError):
-            ShardedDiversificationService([])
 
     def test_from_factory_validates_count(self, framework_factory):
         with pytest.raises(ValueError):

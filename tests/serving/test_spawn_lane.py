@@ -1,10 +1,10 @@
 """Opt-in spawn lane: the process backend end to end under
-``start_method="spawn"`` — build, warm, diversify, persist to the store.
+``start_method="spawn"`` — warm, diversify, persist to the store.
 
 Everything the fork-based process tests assert, re-asserted in the
 start method that inherits *nothing*: every worker is a fresh
-interpreter, so the whole travelling surface (factories, collections,
-engines, miners, frameworks, reports) must pickle — the ROADMAP's
+interpreter, so the whole travelling surface (factories, engines,
+miners, frameworks, reports) must pickle — the ROADMAP's
 "spawn-safe process workers end to end" candidate step, pinned.
 
 Spawning an interpreter per worker (plus pickling a full workload into
@@ -30,11 +30,9 @@ from repro.retrieval.store import StoreBackedSearchEngine
 from repro.serving import (
     DiversificationService,
     ShardedDiversificationService,
-    build_partitioned_engine,
     persist_store,
 )
 from repro.serving.replication import ProcessBackend
-from tests.retrieval.search_oracle import assert_oracle
 
 pytestmark = [
     pytest.mark.skipif(
@@ -84,39 +82,17 @@ def config():
     )
 
 
-def test_partition_parallel_build_under_spawn(workload):
-    collection = workload.corpus.collection
-    serial = SearchEngine(collection, NUM_PARTITIONS)
-    engine, report = build_partitioned_engine(
-        collection,
-        NUM_PARTITIONS,
-        backend="process",
-        start_method="spawn",
-    )
-    for topic in workload.testbed.topics:
-        assert_oracle(serial, collection, topic.query, 20)
-        assert_oracle(engine, collection, topic.query, 20)
-    assert report.documents == len(collection)
-    assert all(r.seconds > 0 for r in report.shards)
-
-
 def test_cluster_build_warm_diversify_under_spawn(workload, queries, config):
     collection = workload.corpus.collection
     miner = workload.miner("AOL")
 
+    engine = SearchEngine(collection, NUM_PARTITIONS)
     reference = DiversificationService(
-        DiversificationFramework(
-            SearchEngine(collection, NUM_PARTITIONS),
-            miner,
-            config=config,
-        )
+        DiversificationFramework(engine, miner, config=config)
     )
     reference.warm(queries)
     want = [r.ranking for r in reference.diversify_batch(queries)]
 
-    engine, _ = build_partitioned_engine(
-        collection, NUM_PARTITIONS, backend="process", start_method="spawn"
-    )
     cluster = ShardedDiversificationService.from_factory(
         PartitionedFrameworkFactory(engine, miner, config),
         NUM_SHARDS,
@@ -139,9 +115,7 @@ def test_warm_persistence_round_trip_under_spawn(
 ):
     collection = workload.corpus.collection
     miner = workload.miner("AOL")
-    engine, _ = build_partitioned_engine(
-        collection, NUM_PARTITIONS, backend="process", start_method="spawn"
-    )
+    engine = SearchEngine(collection, NUM_PARTITIONS)
     donor = ShardedDiversificationService.from_factory(
         PartitionedFrameworkFactory(engine, miner, config),
         NUM_SHARDS,

@@ -33,7 +33,7 @@ from repro.serving.http import stats_payload
 from repro.serving.sharded import ShardServiceFactory
 from .faults import FaultInjectingBackend
 
-from tests.conftest import STANDARD_CONFIG
+from tests.conftest import STANDARD_CONFIG, run_on_threads
 
 NUM_SHARDS = 2
 
@@ -245,22 +245,31 @@ class TestPageCacheStatsSurface:
         assert stats.page_hits == stats.page_misses == 0
         assert "pages=" not in stats.summary()
 
-    @pytest.mark.parametrize("backend", ["inline", "thread"])
+    @pytest.mark.parametrize("fanout", ["inline", "thread"])
     def test_shared_engine_pages_count_once_per_cluster(
-        self, store_path, small_miner, small_corpus, backend
+        self, store_path, small_miner, small_corpus, fanout
     ):
+        """Shards sharing one store-backed engine share its page cache,
+        which the cluster counts once — also when the shards fault pages
+        in concurrently, each on its own thread."""
         engine = StoreBackedSearchEngine(store_path)
         cluster = ShardedDiversificationService.from_factory(
             lambda shard: DiversificationFramework(
                 engine, small_miner, config=STANDARD_CONFIG
             ),
             num_shards=NUM_SHARDS,
-            backend=backend,
         )
+        queries = [topic.query for topic in small_corpus.topics]
         try:
-            cluster.diversify_batch(
-                [topic.query for topic in small_corpus.topics]
-            )
+            if fanout == "inline":
+                cluster.diversify_batch(queries)
+            else:
+                run_on_threads(
+                    lambda shard=shard, bucket=bucket: shard.diversify_batch(bucket)
+                    for shard, bucket in zip(
+                        cluster.services, cluster.partition(queries)
+                    )
+                )
             stats = cluster.cluster_stats()
         finally:
             cluster.close()

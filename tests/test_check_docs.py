@@ -1,5 +1,5 @@
-"""Tests for the caller, layer-order, private-epoch-state, markdown and
-``Class.member`` rules of ``scripts/check_docs.py``: the tree rules each
+"""Tests for the caller, layer-order, private-epoch-state, markdown,
+backend-name and ``Class.member`` rules of ``scripts/check_docs.py``: the tree rules each
 over a tiny package tree in ``tmp_path``, the name rules over this
 repository's classes."""
 
@@ -139,6 +139,68 @@ def test_missing_markdown_file_is_reported(tree):
     assert check_docs.missing_markdown(tree) == [
         "src/repro/low/notes.py: DESIGN.md"
     ]
+
+
+def test_unknown_backend_in_docs_or_ci_is_reported(tree):
+    write(
+        tree,
+        "README.md",
+        "python -m repro.experiments.offline --backend process\n"
+        "cluster = from_factory(factory, 2, backend='inline')\n"
+        "python -m repro.experiments.offline --backend thread\n",
+    )
+    write(tree, "docs/ARCHITECTURE.md", 'from_factory(f, 2, backend="thread")\n')
+    write(
+        tree,
+        ".github/workflows/ci.yml",
+        "run: python -m repro.experiments.offline --backend=gpu\n",
+    )
+    assert check_docs.unknown_backends(tree, ("inline", "process")) == [
+        "README.md:3 names backend 'thread'",
+        "docs/ARCHITECTURE.md:1 names backend 'thread'",
+        ".github/workflows/ci.yml:1 names backend 'gpu'",
+    ]
+
+
+def test_known_backends_and_missing_files_pass(tree):
+    assert check_docs.unknown_backends(tree, ("inline", "process")) == []
+    write(tree, "README.md", "--backend inline, backend=\"process\"\n")
+    assert check_docs.unknown_backends(tree, ("inline", "process")) == []
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "python -m repro.experiments.offline --backend thread",
+        "python -m repro.experiments.offline --backend=thread --shards 2",
+        'ShardedDiversificationService.from_factory(f, 2, backend="thread")',
+        "make_backend(backend = 'thread')",
+    ],
+    ids=["flag", "flag-equals", "double-quoted", "single-quoted"],
+)
+def test_every_spelling_of_a_backend_is_read(tree, line):
+    write(tree, ".github/workflows/ci.yml", f"run: {line}\n")
+    assert check_docs.unknown_backends(tree, ("inline", "process")) == [
+        ".github/workflows/ci.yml:1 names backend 'thread'"
+    ]
+
+
+def test_prose_about_threads_names_no_backend(tree):
+    write(
+        tree,
+        "README.md",
+        "The inline backend needs no thread pool.\n"
+        "Concurrent refreshes run on `threading.Thread`s.\n"
+        'backend_name = "thread"\n'
+        "--backend-file thread.json\n",
+    )
+    assert check_docs.unknown_backends(tree, ("inline", "process")) == []
+
+
+def test_this_repository_names_only_real_backends():
+    from repro.serving.backends import BACKEND_NAMES
+
+    assert check_docs.unknown_backends(check_docs.ROOT, BACKEND_NAMES) == []
 
 
 def test_readme_module_command_keeps_the_module_but_not_its_names(tree):
