@@ -193,11 +193,12 @@ class LRUCache(Generic[K, V]):
             return value
 
     def lookup(self, key: K, whole: Callable[[V], bool]) -> V | None:
-        """``get`` for a cache that also holds partial entries.
+        """``get`` for a cache whose entries a caller may not use as
+        they are (one tagged with another epoch).
 
         A present entry is returned and refreshes recency either way, but
-        counts as a hit only when *whole* accepts it: a partial entry is
-        a miss its caller completes.
+        counts as a hit only when *whole* accepts it: any other entry is
+        a miss its caller recomputes.
         """
         with self._lock:
             value = self._data.get(key, _MISSING)

@@ -21,21 +21,21 @@ serving layer (:mod:`repro.serving`) realise the offline phase explicitly
 — warm the artifacts for an expected workload in one batched engine pass,
 then serve queries that only read them.
 
-A second bounded LRU keeps each query's own candidate surrogate vectors:
-a surrogate reads the query and the document's text, never N or avg_dl,
-so a repeated query after an ingest epoch vectorises only the candidates
-that epoch added or changed (:meth:`DiversificationFramework.build_task`).
-
-Both caches hold entries tagged with the epoch they were computed at,
-reused only by a read pinned to that epoch;
+The spec cache holds each list tagged with the epoch it was searched
+at, reused only by a read pinned to that epoch;
 :meth:`DiversificationFramework.invalidate_affected` re-tags what an
-epoch leaves valid (:func:`~repro.core.cache.sweep_tagged`).
+epoch leaves valid (:func:`~repro.core.cache.sweep_tagged`).  The
+surrogate vectors behind Eq. 1 live in a second bounded LRU, one memo
+keyed by ``(query, seq)``: a surrogate reads the query and one document
+version's text, never N or avg_dl, and a sequence number names one
+version for good, so an entry is never stale and no epoch sweeps it
+(:meth:`DiversificationFramework.build_task`).
 """
 
 from __future__ import annotations
 
 import sys
-from collections.abc import Container, Iterable, Mapping
+from collections.abc import Container, Iterable
 from dataclasses import dataclass, field
 
 from repro.core.ambiguity import SpecializationSet
@@ -107,82 +107,54 @@ def get_diversifier(
     return factory(**kwargs)
 
 
-def _held(cached: tuple | None, epoch: int) -> tuple | None:
-    """*cached* if it is tagged *epoch*, else ``None``."""
-    return cached if cached is not None and cached[0] == epoch else None
-
-
-def _serves(
-    cached: tuple | None, epoch: int, candidates: Container[str] = ()
-) -> bool:
-    """Whether a spec-cache entry serves a caller pinned to *epoch* and
-    holding *candidates*' own vectors without computing anything: it is
-    tagged *epoch*, its result list is present and each result has a
-    vector or is a candidate.  With no candidates this is a whole
-    artifact."""
-    if _held(cached, epoch) is None or cached[1] is None:
-        return False
-    _, results, vectors = cached
-    return all(d in vectors or d in candidates for d in results.doc_ids)
-
-
-def _unchanged(vectors: dict, changed_ids: frozenset[str]) -> dict:
-    """*vectors* less those of *changed_ids*; the same map when it holds
-    none of them."""
-    if changed_ids.isdisjoint(vectors):
-        return vectors
-    return {d: v for d, v in vectors.items() if d not in changed_ids}
-
-
 #: Estimated bytes of one boxed CPython float (64-bit build).
 _FLOAT_BYTES = 24
+#: Estimated bytes of one int above the small-int cache, plus its list slot.
+_SEQ_BYTES = 36
+#: A TermVector object: two slots plus the GC header.
+_VECTOR_BYTES = 48
 
 
 def _estimate_warm_memory(
     spec_entries: Iterable[tuple[str, tuple]],
-    candidate_vectors: Iterable[Mapping[str, TermVector]],
+    vectors: Iterable[TermVector],
 ) -> dict[str, int]:
     """Estimated resident bytes of warm artifacts, plus their counts.
 
     *spec_entries* are the spec cache's ``(spec_query, (epoch,
-    ResultList | None, {doc_id: TermVector}))`` pairs; an entry without
-    a list (retained vectors) prices its vectors only.  Each map in
-    *candidate_vectors* (a query's retained candidate vectors) is priced
-    into the vector counts too.  Sums
+    ResultList))`` pairs and *vectors* the surrogate memo's values.  Sums
     ``sys.getsizeof`` of the real strings/dicts plus flat per-element
-    prices for boxed floats — the same estimation discipline as
+    prices for boxed floats and ints — the same estimation discipline as
     :meth:`~repro.retrieval.index.InvertedIndex.memory_estimate`, so the
     offline pipeline's per-partition index footprints and per-shard warm
-    footprints are directly comparable.  Returns ``{"specializations",
-    "results", "vectors", "result_bytes", "vector_bytes", "total_bytes"}``.
+    footprints are directly comparable.  A vector is priced once however
+    many keys share it, as its object, dict and floats: its term strings
+    are the forward index's (as in
+    :meth:`~repro.retrieval.snippets.ForwardRow.memory_bytes`).  Returns
+    ``{"specializations", "results", "vectors", "result_bytes",
+    "vector_bytes", "total_bytes"}``, ``vectors`` counting distinct ones.
     """
     specializations = 0
     results_count = 0
-    vectors_count = 0
     result_bytes = 0
-    vector_bytes = 0
-    vector_maps = list(candidate_vectors)
-    for spec_query, (_, results, vectors) in spec_entries:
+    for spec_query, (_, results) in spec_entries:
         specializations += 1
-        results = results or ()  # None: a retained-vectors entry
         results_count += len(results)
         result_bytes += sys.getsizeof(spec_query)
         for result in results:
-            # SearchResult object + its doc_id string + score float.
-            result_bytes += 64 + sys.getsizeof(result.doc_id) + _FLOAT_BYTES
-        vector_maps.append(vectors)
-    for vectors in vector_maps:
-        for doc_id, vector in vectors.items():
-            vectors_count += 1
-            vector_bytes += sys.getsizeof(doc_id) + sys.getsizeof(
-                vector.weights
+            # SearchResult object + its doc_id string + score float + seq.
+            result_bytes += (
+                64 + sys.getsizeof(result.doc_id) + _FLOAT_BYTES + _SEQ_BYTES
             )
-            for term in vector.weights:
-                vector_bytes += sys.getsizeof(term) + _FLOAT_BYTES
+    distinct = {id(vector): vector for vector in vectors}.values()
+    vector_bytes = sum(
+        _VECTOR_BYTES + sys.getsizeof(v.weights) + _FLOAT_BYTES * len(v.weights)
+        for v in distinct
+    )
     return {
         "specializations": specializations,
         "results": results_count,
-        "vectors": vectors_count,
+        "vectors": len(distinct),
         "result_bytes": result_bytes,
         "vector_bytes": vector_bytes,
         "total_bytes": result_bytes + vector_bytes,
@@ -256,14 +228,14 @@ class DiversificationFramework:
     config:
         Pipeline parameters.
     spec_cache_size:
-        Bound on the specialization artifact cache (result list +
-        snippet vectors per mined specialization).  The seed kept these
-        in unbounded dicts; a bounded LRU keeps the online memory
-        footprint constant under heavy traffic while still realising the
-        paper's compute-once argument for the hot specializations.  It
-        also bounds the store of queries' candidate vectors, to as many
-        vectors as the spec cache can hold
-        (``spec_cache_size * spec_results // candidates`` queries).
+        Bound on the specialization cache (one result list per mined
+        specialization).  The seed kept these in unbounded dicts; a
+        bounded LRU keeps the online memory footprint constant under
+        heavy traffic while still realising the paper's compute-once
+        argument for the hot specializations.  It also bounds the
+        surrogate memo, to ``2 * spec_cache_size * spec_results``
+        vectors: those of as many specialization lists, and as many
+        again for the queries' own candidates.
     """
 
     def __init__(
@@ -280,20 +252,18 @@ class DiversificationFramework:
         self.diversifier = diversifier or default_diversifier(use_fast)
         self.config = config or FrameworkConfig()
         # Offline side structures (Section 4.1): specialization result
-        # lists and their surrogate vectors, built once per specialization
-        # and served from a bounded LRU (spec_query → (epoch, ResultList |
-        # None, {doc_id → TermVector})).  An entry may lack the vectors of
-        # results a direct query's candidates shadowed (see _serves); the
-        # list is None when an epoch dropped it and only vectors remain.
-        self._spec_cache: LRUCache[str, tuple[int, ResultList | None, dict]]
+        # lists, searched once per specialization and served from a
+        # bounded LRU (spec_query → (epoch, ResultList)) under the tag rule.
+        self._spec_cache: LRUCache[str, tuple[int, ResultList]]
         self._spec_cache = LRUCache(spec_cache_size)
-        # Each query's own candidate surrogate vectors (query → (epoch,
-        # {doc_id → TermVector})), exactly those of its last candidate
-        # list.  Both caches reuse an entry only at the epoch it is
-        # tagged with; see build_task and invalidate_affected.
-        bound = spec_cache_size * self.config.spec_results // self.config.candidates
-        self._candidate_vectors: LRUCache[str, tuple[int, dict]]
-        self._candidate_vectors = LRUCache(max(1, bound))
+        # Every surrogate vector, R_q's and R_q''s alike: (query, seq) →
+        # TermVector.  The engine never reissues a seq, so an entry is
+        # true at every epoch; nothing sweeps it and eviction is its only
+        # way out.
+        self._surrogates: LRUCache[tuple[str, int], TermVector]
+        self._surrogates = LRUCache(
+            2 * spec_cache_size * self.config.spec_results
+        )
 
     # -- pipeline pieces ---------------------------------------------------------
 
@@ -301,60 +271,55 @@ class DiversificationFramework:
         """Step (a): Algorithm 1 via the configured detector."""
         return self.detector.mine(query)
 
-    def _complete(
-        self,
-        spec_query: str,
-        epoch: int,
-        results: ResultList,
-        held: tuple | None,
-        candidates: Container[str] = (),
-    ) -> tuple[int, ResultList, dict]:
-        """The spec-cache entry ``(epoch, R_q', its surrogate vectors)``,
-        put by :func:`~repro.core.cache.put_tagged`.
+    def _vectors(
+        self, query: str, results: ResultList, shadowed: Container[str] = ()
+    ) -> dict[str, TermVector]:
+        """The *query*-biased surrogate vectors of *results* outside
+        *shadowed*, in rank order: each from the memo when its ``(query,
+        seq)`` was built before, else vectorised in one engine call at the
+        pinned snapshot and memoised — unless the engine built it from
+        another version than *seq* names, which is used but not kept."""
+        if len(results.seqs) != len(results):
+            raise ValueError(f"result list for {results.query!r} carries no seqs")
+        memo = self._surrogates
+        vectors: dict[str, TermVector] = {}
+        missing = []
+        for result, seq in zip(results, results.seqs):
+            if result.doc_id in shadowed:
+                continue
+            vector = vectors[result.doc_id] = memo.get((query, seq))
+            if vector is None:
+                missing.append((result, seq))
+        if missing:
+            built = self.engine.versioned_vectors(query, [r for r, _ in missing])
+            for result, seq in missing:
+                version, vector = built[result.doc_id]
+                vectors[result.doc_id] = vector
+                if version == seq:
+                    memo.put((query, seq), vector)
+        return vectors
 
-        *held* is what the cache held for *spec_query* at *epoch* —
-        nothing, a partial entry, or a retained-vectors entry — and only
-        the results it has no vector for are vectorised, less those in
-        *candidates*: :meth:`build_task` merges the candidates' own
-        vectors first, so a q'-biased vector of a candidate is never
-        read.  The entry may therefore lack them; a later caller without
-        those candidates completes it (:meth:`_spec_results`).
-        """
-        kept = held[2] if held is not None else {}
-        missing = [
-            r for r in results if r.doc_id not in kept and r.doc_id not in candidates
-        ]
-        fresh = self.engine.snippet_vectors(spec_query, missing) if missing else {}
-        entry = epoch, results, {
-            d: kept[d] if d in kept else fresh[d]
-            for d in results.doc_ids
-            if d in kept or d in fresh
-        }
-        put_tagged(self._spec_cache, spec_query, entry)
-        return entry
+    def _memoised(self, spec_query: str, results: ResultList) -> bool:
+        """Whether the memo holds a vector for every result: the list is
+        a whole artifact."""
+        return all((spec_query, seq) in self._surrogates for seq in results.seqs)
 
-    def _spec_results(
-        self, spec_query: str, epoch: int, candidates: Container[str] = ()
-    ) -> tuple[ResultList, dict]:
-        """Step (b): the cached small list R_q' and its snippet vectors,
-        for a read pinned to *epoch*.
+    def _held(self, spec_query: str, epoch: int) -> ResultList | None:
+        """The list the spec cache holds for *spec_query* tagged *epoch*,
+        if any; a probe, so counters and recency are untouched."""
+        cached = self._spec_cache.peek(spec_query)
+        return cached[1] if cached is not None and cached[0] == epoch else None
 
-        *candidates* are the doc_ids whose vectors the caller already
-        holds (the query's R_q); with none, every result gets a vector.
-        A lookup is a hit when the entry serves this caller as it is
-        (:func:`_serves`); any other lookup completes the entry it holds
-        at *epoch*, re-searching only when that holds no result list.
-        """
-        cached = self._spec_cache.lookup(
-            spec_query, lambda entry: _serves(entry, epoch, candidates)
-        )
-        if _serves(cached, epoch, candidates):
-            return cached[1:]
-        held = _held(cached, epoch)
-        results = None if held is None else held[1]
-        if results is None:
-            results = self.engine.search(spec_query, self.config.spec_results)
-        return self._complete(spec_query, epoch, results, held, candidates)[1:]
+    def _spec_results(self, spec_query: str, epoch: int) -> ResultList:
+        """Step (b): the cached small list R_q' for a read pinned to
+        *epoch*; a lookup is a hit when the cache holds the list tagged
+        *epoch*, and a miss searches and puts it."""
+        cached = self._spec_cache.lookup(spec_query, lambda e: e[0] == epoch)
+        if cached is not None and cached[0] == epoch:
+            return cached[1]
+        results = self.engine.search(spec_query, self.config.spec_results)
+        put_tagged(self._spec_cache, spec_query, (epoch, results))
+        return results
 
     def prefetch_specializations(self, spec_queries) -> int:
         """Warm the specialization cache for *spec_queries* in one pass.
@@ -364,79 +329,66 @@ class DiversificationFramework:
         specialization in :meth:`build_task`, once its candidates are
         known): engine lookups for specializations missing from the
         cache are batched (deduplicated) so queries sharing intents pay
-        for each artifact once, and a partial entry is completed on the
-        list it holds.  Every specialization ends with a whole artifact.
-        Returns the number of specializations fetched or completed.
+        for each artifact once, and every result of every list gets its
+        vector in the memo — a whole artifact.  Returns the number of
+        specializations searched or completed.
         """
         with self.engine.pinned() as snapshot:
             epoch = snapshot.epoch
-            held = {
-                q: _held(self._spec_cache.peek(q), epoch)
-                for q in dict.fromkeys(spec_queries)
-            }
-            missing = [q for q, cached in held.items() if not _serves(cached, epoch)]
-            unlisted = [q for q in missing if held[q] is None or held[q][1] is None]
-            fetched = self.engine.search_batch(unlisted, self.config.spec_results)
-            for spec_query in missing:
-                cached = held[spec_query]
-                results = fetched[spec_query] if spec_query in fetched else cached[1]
-                self._complete(spec_query, epoch, results, cached)
-        return len(missing)
+            lists = {q: self._held(q, epoch) for q in dict.fromkeys(spec_queries)}
+            fetched = self.engine.search_batch(
+                [q for q, results in lists.items() if results is None],
+                self.config.spec_results,
+            )
+            for spec_query, results in fetched.items():
+                put_tagged(self._spec_cache, spec_query, (epoch, results))
+                lists[spec_query] = results
+            incomplete = [
+                q
+                for q, results in lists.items()
+                if q in fetched or not self._memoised(q, results)
+            ]
+            for spec_query in incomplete:
+                self._vectors(spec_query, lists[spec_query])
+        return len(incomplete)
 
     def invalidate_affected(self, delta) -> int:
-        """Carry the warm state over the epoch *delta* published, by
+        """Carry the spec cache over the epoch *delta* published, by
         :func:`~repro.core.cache.sweep_tagged`'s tag rule; no lock is
-        needed, since a read reuses an entry only at its tag's epoch.
+        needed, since a read reuses a list only at its tag's epoch.
 
-        What a spec entry tagged ``delta.base`` keeps: a batch that
-        changes the document count or token total changes ``N`` and
-        ``avg_dl``, hence *every* cached score — every list drops.  A
+        What a list tagged ``delta.base`` keeps: a batch that changes
+        the document count or token total changes ``N`` and ``avg_dl``,
+        hence *every* cached score — every list drops.  A
         stats-preserving swap leaves a list byte-valid iff its
         specialization's terms are disjoint from the changed documents'
         terms (df/cf untouched) **and** none of the changed documents
         appear in its results (survivors keep their relative seq order,
-        so tie-breaks hold).  A surrogate vector reads the query and its
-        document's forward row, which no epoch moves unless it changed
-        that document: a dropped list leaves its unchanged documents'
-        vectors behind as a retained-vectors entry (``results``
-        ``None``), and the next fetch vectorises only what that lacks.
-        A candidate-vector entry likewise loses the changed doc_ids'
-        vectors.  An entry left with no vector goes.  ``delta=None`` (an
-        unknown change) drops everything.  Returns the number of result
-        lists dropped.
+        so tie-breaks hold).  ``delta=None`` (an unknown change) drops
+        every list.  The surrogate memo is left alone: a changed
+        document is a new seq.  Returns the number of lists dropped.
         """
         if delta is None:
-            dropped = sum(e[1] is not None for _, e in self._spec_cache.snapshot())
+            dropped = len(self._spec_cache)
             self._spec_cache.clear()
-            self._candidate_vectors.clear()
             return dropped
-        changed_terms = delta.terms
         changed_ids = delta.changed_ids
         analyze = self.engine.analyzer.analyze
         dropped = 0
 
-        def spec_entry(spec_query: str, entry: tuple) -> tuple | None:
+        def keep(spec_query: str, entry: tuple) -> tuple | None:
             nonlocal dropped
-            _, results, vectors = entry
-            stale = not changed_ids.isdisjoint(vectors)
-            if results is not None and not stale:
-                stale = (
-                    delta.stats_changed
-                    or not changed_ids.isdisjoint(results.doc_ids)
-                    or not changed_terms.isdisjoint(analyze(spec_query))
-                )
-            if not stale:
-                return results, vectors
-            dropped += results is not None
-            kept = _unchanged(vectors, changed_ids)
-            return (None, kept) if kept else None
+            results = entry[1]
+            if (
+                delta.stats_changed
+                or not changed_ids.isdisjoint(results.doc_ids)
+                or not delta.terms.isdisjoint(analyze(spec_query))
+            ):
+                dropped += 1
+                return None
+            return (results,)
 
-        def candidate_entry(query: str, entry: tuple) -> tuple | None:
-            kept = _unchanged(entry[1], changed_ids)
-            return (kept,) if kept else None
-
-        sweep_tagged(self._spec_cache, delta, spec_entry)
-        sweep_tagged(self._candidate_vectors, delta, candidate_entry)
+        sweep_tagged(self._spec_cache, delta, keep)
         return dropped
 
     def cache_info(self) -> CacheStats:
@@ -448,44 +400,43 @@ class DiversificationFramework:
 
         Returns ``{spec_query: (ResultList, {doc_id: TermVector})}`` with
         a vector for every result — exactly what the offline phase
-        computes — for the entries of the epoch the export is pinned to.
-        A partial entry (one a direct query left without the vectors its
-        candidates shadowed) is completed and kept completed, in its
-        place in the recency order; retained-vectors entries are not
-        artifacts and are left out.  The cache counters are untouched.
-        The snapshot is what the index store's ``warm_artifacts`` rows
-        persist, so a restarted (or freshly forked) worker can hydrate
-        instead of re-deriving the offline phase.
+        computes — for the lists of the epoch the export is pinned to;
+        a vector the memo lacks (one a direct query's candidates
+        shadowed) is built and memoised.  The spec cache's counters and
+        recency order are untouched.  The snapshot is what the index
+        store's ``warm_artifacts`` rows persist, so a restarted (or
+        freshly forked) worker can hydrate instead of re-deriving the
+        offline phase.
         """
         exported = {}
         with self.engine.pinned() as snapshot:
-            epoch = snapshot.epoch
-            for spec_query, cached in self._spec_cache.snapshot():
-                if _held(cached, epoch) is None or cached[1] is None:
-                    continue
-                if not _serves(cached, epoch):
-                    cached = self._complete(spec_query, epoch, cached[1], cached)
-                exported[spec_query] = cached[1:]
+            for spec_query, (tag, results) in self._spec_cache.snapshot():
+                if tag == snapshot.epoch:
+                    exported[spec_query] = (
+                        results,
+                        self._vectors(spec_query, results),
+                    )
         return exported
 
     def warm_memory_estimate(self) -> dict[str, int]:
-        """Estimated resident bytes of the spec cache — artifacts and
-        retained vectors alike — and of the queries' retained candidate
-        vectors, which count as vectors only (:func:`_estimate_warm_memory`)."""
+        """Estimated resident bytes of the spec cache's lists and of the
+        surrogate memo's distinct vectors (:func:`_estimate_warm_memory`)."""
         return _estimate_warm_memory(
             self._spec_cache.snapshot(),
-            (vectors for _, (_, vectors) in self._candidate_vectors.snapshot()),
+            (vector for _, vector in self._surrogates.snapshot()),
         )
 
     def install_warm_state(self, artifacts) -> int:
-        """Load previously exported warm artifacts into the cache.
+        """Load previously exported warm artifacts into the caches.
 
-        Each is tagged with the published epoch (``append_epoch``
-        deletes the ``warm_artifacts`` rows an epoch stales).  Whole
-        entries already present at that epoch are left untouched (their
-        recency and the counters are not distorted); any other entry is
-        replaced.  Returns how many artifacts were installed.  The
-        inverse of :meth:`export_warm_state`.
+        Each list is tagged with the published epoch (``append_epoch``
+        deletes the ``warm_artifacts`` rows an epoch stales) and its
+        vectors are memoised under the seqs it carries, the ones the
+        exporting search returned.  A whole artifact already present at
+        that epoch is left untouched (its recency and the counters are
+        not distorted); any other list is replaced.  Returns how many
+        artifacts were installed.  The inverse of
+        :meth:`export_warm_state`.
 
         The cache stays bounded: installing more artifacts than
         ``spec_cache_size`` evicts the earliest-installed ones, exactly
@@ -493,61 +444,47 @@ class DiversificationFramework:
         count (an export never exceeds the donor's bound) when the
         "re-warm fetches nothing" guarantee must hold in full.
         """
-        epoch = self.engine.epoch
         installed = 0
-        for spec_query, (results, vectors) in dict(artifacts).items():
-            if not _serves(self._spec_cache.peek(spec_query), epoch):
-                put_tagged(self._spec_cache, spec_query, (epoch, results, vectors))
+        with self.engine.pinned() as snapshot:
+            epoch = snapshot.epoch
+            for spec_query, (results, vectors) in dict(artifacts).items():
+                held = self._held(spec_query, epoch)
+                if held is not None and self._memoised(spec_query, held):
+                    continue
+                put_tagged(self._spec_cache, spec_query, (epoch, results))
+                for doc_id, seq in zip(results.doc_ids, results.seqs):
+                    self._surrogates.put((spec_query, seq), vectors[doc_id])
                 installed += 1
         return installed
-
-    def _candidate_surrogates(
-        self, query: str, candidates: ResultList, epoch: int
-    ) -> dict[str, TermVector]:
-        """The q-biased surrogate vectors of *candidates*, in their order.
-
-        A surrogate reads the query and its document's text, never N or
-        avg_dl, so an epoch that did not change a document leaves its
-        vector valid.  The query's entry in the candidate-vector store
-        holds the vectors of its last candidate list; a read pinned to
-        *epoch* reuses them only when the entry is tagged *epoch* (the
-        sweep re-tags what it keeps), vectorises the rest, and replaces
-        the entry.  The store's own counters are read by nothing.
-        """
-        held = _held(
-            self._candidate_vectors.lookup(query, lambda e: e[0] == epoch), epoch
-        )
-        kept = held[1] if held is not None else {}
-        missing = [r for r in candidates if r.doc_id not in kept]
-        fresh = self.engine.snippet_vectors(query, missing) if missing else {}
-        own = fresh if not kept else {
-            d: kept[d] if d in kept else fresh[d] for d in candidates.doc_ids
-        }
-        put_tagged(self._candidate_vectors, query, (epoch, own))
-        return own
 
     def build_task(
         self, query: str, specializations: SpecializationSet
     ) -> DiversificationTask | None:
         """Steps (b)+(c) inputs: retrieve, vectorise and score utilities.
 
-        Runs pinned to one engine snapshot.  The candidates' q-biased
-        surrogate vectors come from :meth:`_candidate_surrogates`, which
-        vectorises only those this query's retained entry lacks; the
-        R_q' lists come from the spec cache (:meth:`_spec_results`),
-        which skips the results these candidates shadow.
+        Runs pinned to one engine snapshot.  The candidates get their
+        q-biased surrogate vectors and each R_q' (from the spec cache,
+        :meth:`_spec_results`) the q'-biased vectors of its results
+        outside R_q: a candidate's own vector shadows any other in the
+        merge, so none is built for it.  Every vector comes from the memo
+        when its ``(query, seq)`` was built before (:meth:`_vectors`), so
+        a repeated read after an epoch vectorises only the documents the
+        epoch added or rewrote.  ``task.vectors`` holds the candidates in
+        rank order, then each specialization's other results in rank
+        order.
         """
         with self.engine.pinned() as snapshot:
             epoch = snapshot.epoch
             candidates = self.engine.search(query, self.config.candidates)
             if not len(candidates):
                 return None
-            own = self._candidate_surrogates(query, candidates, epoch)
+            own = self._vectors(query, candidates)
             vectors = dict(own)
             spec_results: dict[str, ResultList] = {}
             for spec_query, _p in specializations:
-                results, spec_vectors = self._spec_results(spec_query, epoch, own)
+                results = self._spec_results(spec_query, epoch)
                 spec_results[spec_query] = results
+                spec_vectors = self._vectors(spec_query, results, own)
                 for doc_id, vector in spec_vectors.items():
                     vectors.setdefault(doc_id, vector)
         matrix = UtilityMatrix.build(

@@ -258,7 +258,8 @@ class ExternalWebEngine(SearchEngine):
                 if doc_id not in matched:
                     mixed.append((doc_id, w * self._prior(doc_id) * 0.999))
         mixed.sort(key=lambda item: (-item[1], item[0]))
-        return ResultList(query, mixed[:k])
+        top = mixed[:k]
+        return ResultList(query, top, [self.seq_of(doc_id) for doc_id, _ in top])
 
 
 def build_trec_workload(

@@ -69,6 +69,10 @@ class SearchResult:
 class ResultList:
     """An ordered result list ``R_q`` for a query.
 
+    A list :meth:`SearchEngine.search` returns also carries each result's
+    sequence number, in rank order, as ``seqs`` (empty on a list built by
+    hand): the key under which the framework memoises its surrogates.
+
     >>> rl = ResultList("apple", [("d1", 2.0), ("d2", 1.5)])
     >>> rl[0].doc_id, rl[0].rank
     ('d1', 1)
@@ -76,8 +80,14 @@ class ResultList:
     2
     """
 
-    def __init__(self, query: str, scored: Iterable[tuple[str, float]]) -> None:
+    def __init__(
+        self,
+        query: str,
+        scored: Iterable[tuple[str, float]],
+        seqs: Sequence[int] = (),
+    ) -> None:
         self.query = query
+        self.seqs = seqs
         self.results: list[SearchResult] = [
             SearchResult(doc_id=doc_id, score=score, rank=i + 1)
             for i, (doc_id, score) in enumerate(scored)
@@ -278,7 +288,11 @@ class EngineSnapshot:
     reads that epoch's impacts, and a publish starts with none.
 
     Partitions post *sequence numbers*: ``doc_ids`` resolves one to its
-    doc_id.
+    doc_id.  A seq names one document version for good: no snapshot of
+    an engine maps it to another document or another text, since an
+    epoch gives each document it adds — a rewrite included — the next
+    seq never issued.  Derived state keyed by seq (the framework's
+    surrogate memo) is therefore true at every epoch.
     """
 
     epoch: int
@@ -468,7 +482,7 @@ class SearchEngine:
             raise ValueError("k must be positive")
         terms = self.analyzer.analyze(query)
         if not terms:
-            return ResultList(query, [])
+            return ResultList(query, [], [])
         state, memo = self._index_state()
         accumulators: dict[int, float] = {}
         for key in Counter(terms).items():
@@ -486,7 +500,11 @@ class SearchEngine:
             k, accumulators.items(), key=lambda item: (-item[1], item[0])
         )
         doc_ids = state.doc_ids
-        return ResultList(query, [(doc_ids[seq], score) for seq, score in top])
+        return ResultList(
+            query,
+            [(doc_ids[seq], score) for seq, score in top],
+            [seq for seq, _ in top],
+        )
 
     def _index_state(self) -> tuple[EngineSnapshot, ImpactMemo]:
         """The snapshot one search reads, and that snapshot's memo.
@@ -551,17 +569,17 @@ class SearchEngine:
         document = self.collection[doc_id]
         return self.snippets.extract(query, doc_id, document.text, document.title)
 
-    def _forward_lookup(self) -> Callable[[str], tuple[ForwardRow, Document]]:
-        """A ``doc_id -> (forward row, document)`` lookup over one
+    def _forward_lookup(self) -> Callable[[str], tuple[ForwardRow, Document, int]]:
+        """A ``doc_id -> (forward row, document, seq)`` lookup over one
         snapshot: rows and documents of one epoch, each row read from
-        the partition its document hashes to."""
+        the partition its document hashes to, and the seq they are of."""
         snapshot = self._pinned_snapshot()
         partitions, collection = snapshot.partitions, snapshot.collection
         num_partitions, seed = self.num_partitions, self.seed
 
-        def lookup(doc_id: str) -> tuple[ForwardRow, Document]:
-            shard = stable_shard(doc_id, num_partitions, seed)
-            return partitions[shard].forward_row(doc_id), collection[doc_id]
+        def lookup(doc_id: str) -> tuple[ForwardRow, Document, int]:
+            part = partitions[stable_shard(doc_id, num_partitions, seed)]
+            return part.forward_row(doc_id), collection[doc_id], part.ordinal(doc_id)
 
         return lookup
 
@@ -569,8 +587,30 @@ class SearchEngine:
         """The forward-index row of *doc_id* (its text, analysed once)."""
         return self._forward_lookup()(doc_id)[0]
 
+    def seq_of(self, doc_id: str) -> int:
+        """The seq of the version of *doc_id* the pinned snapshot reads;
+        ``KeyError`` when it holds none."""
+        return self._forward_lookup()(doc_id)[2]
+
+    def versioned_vectors(
+        self, query: str, results: Iterable[SearchResult]
+    ) -> dict[str, tuple[int, TermVector]]:
+        """Each result's surrogate vector (as :meth:`snippet_vectors`)
+        with the seq of the row it was built from: in memory the seq
+        :meth:`search` returned at the same pin, while a store-backed read
+        that misses a superseded snapshot's caches can read another
+        version (:class:`~repro.retrieval.store.StoreBackedSearchEngine`)."""
+        query_terms = set(self.analyzer.analyze(query))
+        lookup = self._forward_lookup()
+        surrogate_vector = self.snippets.surrogate_vector
+        built = {}
+        for r in results:
+            row, document, seq = lookup(r.doc_id)
+            built[r.doc_id] = (seq, surrogate_vector(query_terms, row, document))
+        return built
+
     def snippet_vectors(
-        self, query: str, results: ResultList
+        self, query: str, results: Iterable[SearchResult]
     ) -> dict[str, TermVector]:
         """Term vectors of the surrogates of every result in *results*.
 
@@ -582,12 +622,9 @@ class SearchEngine:
         A document whose surrogate is the whole document gets the same
         shared vector on every call.
         """
-        query_terms = set(self.analyzer.analyze(query))
-        lookup = self._forward_lookup()
-        surrogate_vector = self.snippets.surrogate_vector
         return {
-            r.doc_id: surrogate_vector(query_terms, *lookup(r.doc_id))
-            for r in results
+            doc_id: vector
+            for doc_id, (_, vector) in self.versioned_vectors(query, results).items()
         }
 
     # -- accounting -------------------------------------------------------------

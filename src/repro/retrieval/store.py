@@ -103,7 +103,9 @@ __all__ = [
 #: v6: an ``epoch_log`` row per appended epoch — the documents it added
 #: and removed and the ``postings`` rows it rewrote — so a refreshing
 #: reader drops exactly the pages and document rows the epochs changed.
-SCHEMA_VERSION = 6
+#: v7: a ``warm_artifacts`` payload carries each result's seq, the key
+#: its vector is memoised under, so a reader installs it as written.
+SCHEMA_VERSION = 7
 
 #: Default byte capacity of the shared postings page cache (per engine).
 DEFAULT_PAGE_CACHE_BYTES = 64 * 1024 * 1024
@@ -266,13 +268,16 @@ def encode_warm_artifact(
     vectors: Mapping[str, TermVector],
 ) -> str:
     """One warm artifact as the ``payload`` of its ``warm_artifacts`` row:
-    ``{"q", "results", "vectors"}`` JSON.  Floats survive via
-    shortest-repr JSON, so a decode is bit-identical to what was encoded.
+    ``{"q", "results", "vectors"}`` JSON, each result as ``[doc_id,
+    score, seq]``.  Floats survive via shortest-repr JSON, so a decode is
+    bit-identical to what was encoded.
     """
     return json.dumps(
         {
             "q": spec_query,
-            "results": [[r.doc_id, r.score] for r in results],
+            "results": [
+                [r.doc_id, r.score, seq] for r, seq in zip(results, results.seqs)
+            ],
             "vectors": {
                 doc_id: vector.weights for doc_id, vector in vectors.items()
             },
@@ -296,9 +301,11 @@ def decode_warm_artifact(
         raise ValueError(f"{context}: invalid JSON") from exc
     try:
         spec_query = raw["q"]
+        rows = raw.get("results", ())
         results = ResultList(
             spec_query,
-            [(doc_id, float(score)) for doc_id, score in raw.get("results", ())],
+            [(doc_id, float(score)) for doc_id, score, _ in rows],
+            [int(seq) for _, _, seq in rows],
         )
         vectors = {
             doc_id: TermVector.from_normalized(weights)
@@ -616,7 +623,7 @@ def append_epoch(
             ):
                 raw = json.loads(payload)
                 spec_terms = set(analyzer.analyze(raw["q"]))
-                result_ids = {doc_id for doc_id, _ in raw.get("results", ())}
+                result_ids = {row[0] for row in raw.get("results", ())}
                 if spec_terms & changed_terms or result_ids & changed_ids:
                     doomed.append((shard_key, spec_query))
             connection.executemany(
@@ -1183,7 +1190,7 @@ class StoreBackedCollection:
     ) -> None:
         self._store = store
         self._num_documents = store.num_documents
-        # doc_id -> (ForwardRow, Document)
+        # doc_id -> (ForwardRow, Document, seq)
         self._entries = LRUCache(cache_size, carried)
 
     def cached_entries(self, changed: Collection[str]) -> list[tuple]:
@@ -1191,8 +1198,9 @@ class StoreBackedCollection:
         *changed*, least recently used first."""
         return [pair for pair in self._entries.snapshot() if pair[0] not in changed]
 
-    def forward_entry(self, doc_id: str) -> tuple[ForwardRow, Document]:
-        """``(forward row, document)`` of *doc_id* — one cache lookup."""
+    def forward_entry(self, doc_id: str) -> tuple[ForwardRow, Document, int]:
+        """``(forward row, document, seq)`` of *doc_id* — one cache
+        lookup; the seq is the stored version the row and document are."""
         entry = self._entries.get(doc_id)
         if entry is None:
             row = self._store.document_row(doc_id)
@@ -1204,7 +1212,7 @@ class StoreBackedCollection:
                 title=row[1],
                 metadata=json.loads(row[3]),
             )
-            entry = (ForwardRow.decode(row[4]), document)
+            entry = (ForwardRow.decode(row[4]), document, row[0])
             self._entries.put(doc_id, entry)
         return entry
 

@@ -412,8 +412,8 @@ class DiversificationService:
         Detection runs once per distinct query, and each task is built
         by :meth:`~repro.core.framework.DiversificationFramework.build_task`,
         which fetches each specialization through the spec cache: a
-        specialization the batch shares is searched once, and a later
-        query completes the held list without re-searching.  Nothing is
+        specialization the batch shares is searched once, and each
+        surrogate vector is built once per ``(query, seq)``.  Nothing is
         prefetched before a query's candidates are known (that is
         :meth:`warm`'s offline phase), so no candidate gets a q'-biased
         vector its own q-biased one shadows.  Returns
@@ -532,9 +532,9 @@ class DiversificationService:
     def warm_memory_estimate(self) -> dict[str, int]:
         """Estimated resident bytes of the held warm artifacts.
 
-        Counts and prices the per-specialization result lists and
-        snippet-surrogate vectors currently in the framework's spec
-        cache, vectors retained across an epoch included
+        Counts and prices the per-specialization result lists in the
+        framework's spec cache and the distinct snippet-surrogate vectors
+        in its memo
         (:meth:`~repro.core.framework.DiversificationFramework.warm_memory_estimate`)
         — the snippet-vector half of the offline pipeline's per-shard
         memory accounting, next to the index's own
@@ -563,8 +563,8 @@ class DiversificationService:
         then carries the warm state over: per-affected-specialization
         when the batch preserved the collection statistics, every
         result list when it changed ``N`` or the token total (every
-        cached score embeds both); surrogate vectors of unchanged
-        documents survive both
+        cached score embeds both); surrogate vectors need no sweep, since
+        a changed document takes a new seq
         (:meth:`~repro.core.framework.DiversificationFramework.invalidate_affected`).
         Cached end-to-end results follow the same tag rule.  No lock
         spans the refresh and the sweeps: no read at the new epoch

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pickle
+import tracemalloc
 
 import pytest
 
@@ -18,7 +19,7 @@ from repro.core.mmr import MMR
 from repro.core.optselect import OptSelect
 from repro.core.xquad import XQuAD
 from repro.experiments.workloads import PAPER_SCALE
-from repro.retrieval.engine import EpochDelta
+from repro.retrieval.engine import EpochDelta, ResultList
 from repro.retrieval.similarity import TermVector
 from repro.retrieval.store import read_warm_artifacts, write_store
 from repro.serving.service import DiversificationService
@@ -154,12 +155,12 @@ class TestPipeline:
         specializations = framework.detect(ambiguous_topic.query)
         epoch = framework.engine.epoch
         first = {
-            spec: framework._spec_results(spec, epoch)[0]
+            spec: framework._spec_results(spec, epoch)
             for spec, _ in specializations
         }
         framework.diversify_query(ambiguous_topic.query)
         for spec, results in first.items():
-            assert framework._spec_results(spec, epoch)[0] is results
+            assert framework._spec_results(spec, epoch) is results
 
     def test_cache_info_counts_hits_and_misses(
         self, small_engine, small_miner, ambiguous_topic
@@ -251,6 +252,42 @@ class TestPipeline:
         assert result.k == len(result.ranking)
 
 
+@pytest.fixture(scope="module")
+def ambiguous_queries(small_corpus, small_miner):
+    return [
+        topic.query
+        for topic in small_corpus.topics
+        if small_miner.is_ambiguous(topic.query)
+    ]
+
+
+def spec_queries_of(framework, queries):
+    return list(
+        dict.fromkeys(s for q in queries for s, _ in framework.detect(q))
+    )
+
+
+def vectors_of(vectors):
+    """A vector map with its keys and every vector's terms in order."""
+    return [(d, list(v.weights.items())) for d, v in vectors.items()]
+
+
+def memoised(framework):
+    """The surrogate memo's ``(query, seq)`` keys."""
+    return {key for key, _ in framework._surrogates.snapshot()}
+
+
+def incomplete_lists(framework):
+    """Specializations whose cached list has a result the memo holds no
+    vector for (one a direct query's candidates shadowed)."""
+    keys = memoised(framework)
+    return [
+        spec
+        for spec, (_, results) in framework._spec_cache.snapshot()
+        if any((spec, seq) not in keys for seq in results.seqs)
+    ]
+
+
 class TestWarmMemoryEstimate:
     def _warmed(self, framework_factory, ambiguous_topic):
         framework = framework_factory()
@@ -276,7 +313,9 @@ class TestWarmMemoryEstimate:
         estimate = framework.warm_memory_estimate()
         assert estimate["specializations"] == len(artifacts) > 0
         assert estimate["results"] == sum(len(r) for r, _ in artifacts.values())
-        assert estimate["vectors"] == sum(len(v) for _, v in artifacts.values())
+        assert estimate["vectors"] == len(
+            {id(v) for _, vectors in artifacts.values() for v in vectors.values()}
+        )
 
     def test_total_is_results_plus_vectors(
         self, framework_factory, ambiguous_topic
@@ -310,59 +349,68 @@ class TestWarmMemoryEstimate:
         receiver.install_warm_state(donor.export_warm_state())
         assert receiver.warm_memory_estimate() == donor.warm_memory_estimate()
 
+    def test_vector_bytes_are_what_the_memos_vectors_allocate(
+        self, framework_factory, ambiguous_queries
+    ):
+        """Each distinct vector is priced once — a whole-document vector
+        is shared by every query that meets its document — as its
+        object, dict and floats: the term strings are the forward
+        index's.  The estimate holds within 25% of what rebuilding those
+        vectors allocates (term strings shared, floats fresh)."""
+        framework = framework_factory()
+        framework.prefetch_specializations(
+            spec_queries_of(framework, ambiguous_queries)
+        )
+        for query in ambiguous_queries:
+            framework.build_task(query, framework.detect(query))
+        (query, seq), shared = framework._surrogates.snapshot()[0]
+        framework._surrogates.put((query + " again", seq), shared)
+        held = [vector for _, vector in framework._surrogates.snapshot()]
+        distinct = list({id(v): v for v in held}.values())
+        assert len(distinct) == len(held) - 1
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            copies = [
+                TermVector.from_normalized(
+                    {term: weight + 0.0 for term, weight in v.weights.items()}
+                )
+                for v in distinct
+            ]
+            measured = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(copies) == len(distinct)
+        estimate = framework.warm_memory_estimate()
+        assert estimate["vectors"] == len(distinct)
+        assert 0.75 * measured <= estimate["vector_bytes"] <= 1.25 * measured
+
 
 # -- build_task vectorises only the R_q' results its candidates do not shadow ---
 
 
 @pytest.fixture()
 def vectorised(small_engine):
-    """Every ``small_engine.snippet_vectors`` call while the test runs, as
-    ``[(query, [doc_id, ...]), ...]``."""
+    """Every ``small_engine.versioned_vectors`` call (the framework's one
+    vectorisation) while the test runs, as ``[(query, [doc_id, ...]),
+    ...]``."""
     calls = []
-    snippet_vectors = small_engine.snippet_vectors
+    versioned_vectors = small_engine.versioned_vectors
 
     def recording(query, results):
         calls.append((query, [r.doc_id for r in results]))
-        return snippet_vectors(query, results)
+        return versioned_vectors(query, results)
 
-    small_engine.snippet_vectors = recording
+    small_engine.versioned_vectors = recording
     yield calls
-    del small_engine.snippet_vectors
-
-
-@pytest.fixture(scope="module")
-def ambiguous_queries(small_corpus, small_miner):
-    return [
-        topic.query
-        for topic in small_corpus.topics
-        if small_miner.is_ambiguous(topic.query)
-    ]
-
-
-def spec_queries_of(framework, queries):
-    return list(
-        dict.fromkeys(s for q in queries for s, _ in framework.detect(q))
-    )
-
-
-def vectors_of(vectors):
-    """A vector map with its keys and every vector's terms in order."""
-    return [(d, list(v.weights.items())) for d, v in vectors.items()]
-
-
-def partial_entries(framework):
-    return [
-        spec
-        for spec, (_, results, vectors) in framework._spec_cache.snapshot()
-        if results is not None and len(vectors) < len(results)
-    ]
+    del small_engine.versioned_vectors
 
 
 class TestShadowedSurrogates:
     """A candidate's q-biased vector shadows its q'-biased one in
     ``build_task``'s merge, so a cold query vectorises only the R_q'
-    results outside R_q, and the cache entry it leaves may lack the rest
-    until a caller without those candidates, or an export, completes it."""
+    results outside R_q, and the memo lacks the rest until a caller
+    without those candidates, or an export, builds them."""
 
     def test_a_cold_task_vectorises_only_results_outside_r_q(
         self, framework_factory, ambiguous_topic, vectorised
@@ -379,21 +427,29 @@ class TestShadowedSurrogates:
         entries = {
             spec: framework._spec_cache.peek(spec) for spec, _ in specializations
         }
-        assert {entry[0] for entry in entries.values()} == {framework.engine.epoch}
+        assert {tag for tag, _ in entries.values()} == {framework.engine.epoch}
         results = {spec: entry[1] for spec, entry in entries.items()}
         for spec, spec_results in results.items():
             assert by_spec.get(spec, []) == [
                 d for d in spec_results.doc_ids if d not in candidates
             ], spec
         assert sum(map(len, by_spec.values())) < sum(map(len, results.values()))
-        assert partial_entries(framework)
+        assert incomplete_lists(framework)
+        assert memoised(framework) == {
+            (query, seq) for seq in task.candidates.seqs
+        } | {
+            (spec, seq)
+            for spec, spec_results in results.items()
+            for d, seq in zip(spec_results.doc_ids, spec_results.seqs)
+            if d not in candidates
+        }
 
     @pytest.mark.parametrize("algorithm", [OptSelect, XQuAD, IASelect, MMR])
     def test_cold_and_prewarmed_frameworks_build_the_same_task(
         self, framework_factory, ambiguous_queries, algorithm
     ):
         """One cold framework answers every query in turn, so later
-        queries also meet entries earlier ones left partial."""
+        queries also meet lists earlier ones left incomplete."""
         cold = framework_factory(diversifier=algorithm())
         warm = framework_factory(diversifier=algorithm())
         warm.prefetch_specializations(spec_queries_of(warm, ambiguous_queries))
@@ -422,6 +478,7 @@ class TestShadowedSurrogates:
         held = {
             spec: framework._spec_cache.peek(spec) for spec, _ in specializations
         }
+        built = dict(framework._surrogates.snapshot())
         k = framework.config.candidates
 
         def needs_of(other):
@@ -429,10 +486,10 @@ class TestShadowedSurrogates:
             return {
                 spec: [
                     d
-                    for d in results.doc_ids
-                    if d not in vectors and d not in candidates
+                    for d, seq in zip(results.doc_ids, results.seqs)
+                    if (spec, seq) not in built and d not in candidates
                 ]
-                for spec, (_, results, vectors) in held.items()
+                for spec, (_, results) in held.items()
             }
 
         other = next(
@@ -442,7 +499,7 @@ class TestShadowedSurrogates:
         )
         needs = needs_of(other)
         vectorised.clear()
-        misses = framework.cache_info().misses
+        stats = framework.cache_info()
         second = framework.build_task(other, specializations)
         (_, own), *rest = vectorised
         assert own == second.candidates.doc_ids
@@ -451,13 +508,12 @@ class TestShadowedSurrogates:
         for spec, docs in needs.items():
             assert by_spec.get(spec, []) == docs, spec
             assert set(docs) <= skipped
-            entry = framework._spec_cache.peek(spec)
-            assert entry[0] == held[spec][0]  # the same epoch's entry
-            assert entry[1] is held[spec][1]  # the held list, not a re-search
-            assert all(held[spec][2][d] is entry[2][d] for d in held[spec][2])
-        assert framework.cache_info().misses - misses == sum(
-            bool(docs) for docs in needs.values()
-        )
+            assert framework._spec_cache.peek(spec) is held[spec]  # no re-search
+        for key, vector in built.items():
+            assert framework._surrogates.peek(key) is vector
+        after = framework.cache_info()
+        assert after.misses == stats.misses
+        assert after.hits == stats.hits + len(specializations)
 
     def test_export_after_direct_queries_equals_a_fresh_prefetch(
         self, framework_factory, ambiguous_queries, tmp_path
@@ -465,16 +521,13 @@ class TestShadowedSurrogates:
         direct = framework_factory()
         for query in ambiguous_queries:
             direct.diversify_query(query)
-        partial = partial_entries(direct)
-        assert len(partial) > 1
-        # A whole entry behind partial ones: completing them at export
-        # must not move them past it.
-        direct.prefetch_specializations(partial[:1])
+        incomplete = incomplete_lists(direct)
+        assert len(incomplete) > 1
         order, stats = list(direct._spec_cache), direct.cache_info()
         exported = direct.export_warm_state()
         assert list(direct._spec_cache) == order  # recency untouched
         assert direct.cache_info() == stats
-        assert not partial_entries(direct)  # completed in place
+        assert not incomplete_lists(direct)  # the memo now holds the rest
         fresh = framework_factory()
         fresh.prefetch_specializations(spec_queries_of(fresh, ambiguous_queries))
         want = fresh.export_warm_state()
@@ -498,33 +551,45 @@ class TestShadowedSurrogates:
             direct.diversify_query(q).ranking for q in ambiguous_queries
         ]
 
-    def test_install_replaces_a_partial_entry(
+    def test_install_completes_an_incomplete_list(
         self, framework_factory, ambiguous_topic
     ):
+        """Installed lists carry the seqs the donor's search returned,
+        and their vectors are memoised under them."""
         query = ambiguous_topic.query
         donor = framework_factory()
         donor.prefetch_specializations(spec_queries_of(donor, [query]))
         receiver = framework_factory()
         receiver.build_task(query, receiver.detect(query))
-        partial = partial_entries(receiver)
-        assert partial
+        incomplete = incomplete_lists(receiver)
+        assert incomplete
         artifacts = donor.export_warm_state()
-        assert receiver.install_warm_state(artifacts) == len(partial)
-        for spec in partial:
-            assert receiver._spec_cache.peek(spec) == (
-                receiver.engine.epoch, *artifacts[spec]
-            )
-        assert not partial_entries(receiver)
+        assert receiver.install_warm_state(artifacts) == len(incomplete)
+        for spec in incomplete:
+            tag, results = receiver._spec_cache.peek(spec)
+            assert tag == receiver.engine.epoch
+            assert results.doc_ids == artifacts[spec][0].doc_ids
+            assert results.scores == artifacts[spec][0].scores
+            assert results.seqs == artifacts[spec][0].seqs
+            for d, seq in zip(results.doc_ids, results.seqs):
+                assert receiver._surrogates.peek((spec, seq)) is artifacts[spec][1][d]
+        assert not incomplete_lists(receiver)
+        assert receiver.install_warm_state(artifacts) == 0
 
-    def test_invalidate_drops_what_it_drops_on_whole_entries(
+    def test_invalidate_drops_the_same_lists_and_never_touches_the_memo(
         self, framework_factory, ambiguous_topic, small_engine
     ):
         query = ambiguous_topic.query
         probe = framework_factory()
         task = probe.build_task(query, probe.detect(query))
-        spec = partial_entries(probe)[0]
-        _, results, vectors = probe._spec_cache.peek(spec)
-        shadowed = next(d for d in results.doc_ids if d not in vectors)
+        spec = incomplete_lists(probe)[0]
+        keys = memoised(probe)
+        _, results = probe._spec_cache.peek(spec)
+        shadowed = next(
+            d
+            for d, seq in zip(results.doc_ids, results.seqs)
+            if (spec, seq) not in keys
+        )
         spec_terms = frozenset(small_engine.analyzer.analyze(spec))
         deltas = [
             EpochDelta(added=(shadowed,), removed=(shadowed,), stats_changed=False),
@@ -537,17 +602,12 @@ class TestShadowedSurrogates:
             partial.build_task(query, partial.detect(query))
             whole = framework_factory()
             whole.prefetch_specializations(spec_queries_of(whole, [query]))
+            memo = [f._surrogates.snapshot() for f in (partial, whole)]
             assert partial.invalidate_affected(delta) == (
                 whole.invalidate_affected(delta)
             ), delta
-            lists = [
-                {s for s, (_, r, _) in f._spec_cache.snapshot() if r is not None}
-                for f in (partial, whole)
-            ]
-            assert lists[0] == lists[1], delta
-            kept = dict(whole._spec_cache.snapshot())
-            for s, (_, _, held) in partial._spec_cache.snapshot():
-                assert held.items() <= kept[s][2].items(), (delta, s)
+            assert list(partial._spec_cache) == list(whole._spec_cache), delta
+            assert [f._surrogates.snapshot() for f in (partial, whole)] == memo
 
     def test_an_empty_surrogate_vector_counts_as_present(
         self, framework_factory, ambiguous_topic, vectorised
@@ -555,125 +615,135 @@ class TestShadowedSurrogates:
         framework = framework_factory()
         spec = framework.detect(ambiguous_topic.query).items[0][0]
         framework.prefetch_specializations([spec])
-        epoch, results, vectors = framework._spec_cache.peek(spec)
-        doc, dropped = results.doc_ids[0], results.doc_ids[-1]
+        epoch, results = framework._spec_cache.peek(spec)
+        doc, key = results.doc_ids[0], (spec, results.seqs[0])
         empty = TermVector({})
-        assert not empty and doc != dropped
-        framework._spec_cache.put(
-            spec,
-            (
-                epoch,
-                results,
-                {d: empty if d == doc else v for d, v in vectors.items() if d != dropped},
-            ),
-        )
+        assert not empty
+        framework._surrogates.put(key, empty)
         vectorised.clear()
-        assert framework._spec_results(spec, epoch)[1][doc] is empty  # completed
-        assert vectorised == [(spec, [dropped])]
-        vectorised.clear()
-        hits = framework.cache_info().hits
-        assert framework._spec_results(spec, epoch)[1][doc] is empty
-        assert framework.cache_info().hits == hits + 1
+        assert framework._vectors(spec, results)[doc] is empty
         assert framework.prefetch_specializations([spec]) == 0
         assert framework.export_warm_state()[spec][1][doc] is empty
         assert framework.invalidate_affected(EpochDelta(added=("alien0",))) == 1
-        assert framework._spec_cache.peek(spec)[2][doc] is empty  # retained
+        assert framework._surrogates.peek(key) is empty
         assert vectorised == []
 
 
-# -- a query's own candidate vectors, kept for its next read ---------------------
+# -- one memo for every surrogate vector, keyed by (query, seq) -------------------
 
 
-class TestCandidateVectors:
-    """``build_task`` keeps each query's candidate vectors, tagged with
-    their epoch, in a store bounded to the vectors the spec cache can
-    hold; the serving-side epoch tests are in ``tests/serving/test_ingest.py``."""
+class TestSurrogateMemo:
+    """``build_task`` reuses a vector iff its ``(query, seq)`` was built
+    before; nothing sweeps the memo, eviction bounds it.  The serving-side
+    epoch tests are in ``tests/serving/test_ingest.py``."""
 
-    def test_a_repeated_read_vectorises_no_candidate(
+    def test_a_repeated_read_vectorises_nothing(
         self, framework_factory, ambiguous_topic, vectorised
     ):
         framework = framework_factory()
         query = ambiguous_topic.query
         specializations = framework.detect(query)
         first = framework.build_task(query, specializations)
-        epoch, held = framework._candidate_vectors.peek(query)
-        assert epoch == framework.engine.epoch
-        assert list(held) == first.candidates.doc_ids
-        assert all(held[d] is first.vectors[d] for d in held)
+        for d, seq in zip(first.candidates.doc_ids, first.candidates.seqs):
+            assert framework._surrogates.peek((query, seq)) is first.vectors[d]
         vectorised.clear()
         stats = framework.cache_info()
         second = framework.build_task(query, specializations)
-        assert [q for q, _ in vectorised] == []  # every spec entry serves it too
-        assert vectors_of(second.vectors) == vectors_of(first.vectors)
+        assert vectorised == []
+        assert list(second.vectors) == list(first.vectors)
+        assert all(second.vectors[d] is v for d, v in first.vectors.items())
         assert framework.cache_info().hits == stats.hits + len(specializations)
         assert framework.cache_info().misses == stats.misses
 
-    @pytest.mark.parametrize("spec_cache_size", [1, 16, 4096])
-    def test_the_store_holds_no_more_vectors_than_the_spec_cache(
+    @pytest.mark.parametrize("spec_cache_size", [1, 4, 4096])
+    def test_the_memo_holds_twice_what_the_spec_lists_hold(
         self, framework_factory, ambiguous_queries, spec_cache_size
     ):
         config = FrameworkConfig(k=10, candidates=12, spec_results=10)
-        framework = framework_factory(config=config, spec_cache_size=spec_cache_size)
-        bound = max(1, spec_cache_size * config.spec_results // config.candidates)
-        assert framework._candidate_vectors.maxsize == bound
         queries = ambiguous_queries * 2
-        for query in queries:
-            framework.build_task(query, framework.detect(query))
-        entries = framework._candidate_vectors.snapshot()
-        assert len(entries) == min(bound, len(set(queries)))
-        assert [q for q, _ in entries] == list(
-            dict.fromkeys(reversed(queries))
-        )[: len(entries)][::-1]  # the most recently read queries
-        held = sum(len(vectors) for _, (_, vectors) in entries)
-        assert held <= max(config.candidates, spec_cache_size * config.spec_results)
+
+        def served(size):
+            framework = framework_factory(config=config, spec_cache_size=size)
+            for query in queries:
+                framework.build_task(query, framework.detect(query))
+            return framework
+
+        built = len(served(10**6)._surrogates)
+        framework = served(spec_cache_size)
+        bound = 2 * spec_cache_size * config.spec_results
+        assert framework._surrogates.maxsize == bound
+        assert len(framework._surrogates) == min(bound, built)
+        assert (framework._surrogates.stats().evictions > 0) == (bound < built)
 
     def test_bench_and_paper_scale_bounds(self, framework_factory):
         for config, bound in [
-            (FrameworkConfig(k=20, candidates=30, spec_results=8), 1092),
-            (FrameworkConfig(k=100, candidates=PAPER_SCALE.candidates), 204),
+            (FrameworkConfig(k=20, candidates=30, spec_results=8), 65_536),
+            (FrameworkConfig(k=100, candidates=PAPER_SCALE.candidates), 163_840),
         ]:
-            assert framework_factory(config=config)._candidate_vectors.maxsize == bound
+            assert framework_factory(config=config)._surrogates.maxsize == bound
 
-    def test_an_unknown_change_empties_the_store(
-        self, framework_factory, ambiguous_queries
+    @pytest.mark.parametrize("change", ["unknown", "rewrite", "removal"])
+    def test_no_invalidation_touches_the_memo(
+        self, framework_factory, ambiguous_queries, vectorised, change
     ):
         framework = framework_factory()
-        for query in ambiguous_queries:
-            framework.build_task(query, framework.detect(query))
-        assert len(framework._candidate_vectors) == len(ambiguous_queries)
-        framework.invalidate_affected(None)
-        assert len(framework._candidate_vectors) == 0
+        tasks = {
+            query: framework.build_task(query, framework.detect(query))
+            for query in ambiguous_queries
+        }
+        changed = tasks[ambiguous_queries[0]].candidates.doc_ids[0]
+        delta = {
+            "unknown": None,
+            "rewrite": EpochDelta(
+                added=(changed,), removed=(changed,), stats_changed=False
+            ),
+            "removal": EpochDelta(removed=(changed,)),
+        }[change]
+        held = framework._surrogates.snapshot()
+        assert framework.invalidate_affected(delta) > 0
+        assert framework._surrogates.snapshot() == held
+        vectorised.clear()
+        for query, task in tasks.items():
+            again = framework.build_task(query, framework.detect(query))
+            assert vectors_of(again.vectors) == vectors_of(task.vectors), query
+        assert vectorised == []  # the same snapshot: every (query, seq) built
 
-    def test_a_sweep_drops_changed_vectors_and_retags(
+    def test_a_specialization_that_analyses_to_nothing_has_no_results(
         self, framework_factory, ambiguous_topic
     ):
         framework = framework_factory()
         query = ambiguous_topic.query
-        task = framework.build_task(query, framework.detect(query))
-        changed = task.candidates.doc_ids[0]
-        framework.invalidate_affected(
-            EpochDelta(added=(changed,), removed=(changed,), stats_changed=False)
+        spec = framework.detect(query).items[0][0]
+        specializations = SpecializationSet.from_frequencies(
+            query, {spec: 3, "the of and": 1}
         )
-        epoch, held = framework._candidate_vectors.peek(query)
-        assert epoch == framework.engine.epoch
-        assert list(held) == task.candidates.doc_ids[1:]
-        framework._candidate_vectors.put(query, (epoch, {changed: task.vectors[changed]}))
-        framework.invalidate_affected(EpochDelta(removed=(changed,)))
-        assert framework._candidate_vectors.peek(query) is None  # left empty
+        task = framework.build_task(query, specializations)
+        assert task is not None
+        _, empty = framework._spec_cache.peek("the of and")
+        assert (len(empty), empty.seqs) == (0, [])
+        want = framework_factory().build_task(
+            query, SpecializationSet.from_frequencies(query, {spec: 1})
+        )
+        assert vectors_of(task.vectors) == vectors_of(want.vectors)
+
+    def test_a_list_without_seqs_is_refused(self, framework_factory, ambiguous_topic):
+        framework = framework_factory()
+        query = ambiguous_topic.query
+        results = framework.engine.search(query, 5)
+        by_hand = ResultList(query, zip(results.doc_ids, results.scores))
+        with pytest.raises(ValueError, match="carries no seqs"):
+            framework._vectors(query, by_hand)
 
     def test_warm_state_never_sees_candidate_vectors(
         self, framework_factory, ambiguous_queries, tmp_path
     ):
-        """Export, its store rows and install are the spec cache's alone;
-        the memory estimate prices the candidate vectors as vectors."""
+        """Export, its store rows and install are the spec lists' alone;
+        the memory estimate prices every distinct vector the memo holds."""
         served = framework_factory()
         for query in ambiguous_queries:
             served.build_task(query, served.detect(query))
         bare = framework_factory()
-        for query in ambiguous_queries:
-            bare.build_task(query, bare.detect(query))
-        bare._candidate_vectors.clear()
-        assert len(served._candidate_vectors) == len(ambiguous_queries)
+        bare.prefetch_specializations(spec_queries_of(bare, ambiguous_queries))
         payloads = DiversificationService(served).export_warm_payloads()
         assert payloads == DiversificationService(bare).export_warm_payloads()
         assert not set(payloads) & set(ambiguous_queries)
@@ -684,14 +754,15 @@ class TestCandidateVectors:
         assert rows.keys() == payloads.keys()
         receiver = framework_factory()
         assert receiver.install_warm_state(rows) == len(rows)
-        assert len(receiver._candidate_vectors) == 0
+        assert {query for query, _ in memoised(receiver)} == set(rows)
+        assert memoised(receiver) == memoised(bare)
 
         with_candidates = served.warm_memory_estimate()
         without = bare.warm_memory_estimate()
-        candidate_vectors = sum(
-            len(v) for _, (_, v) in served._candidate_vectors.snapshot()
+        assert with_candidates["vectors"] == len(
+            {id(v) for _, v in served._surrogates.snapshot()}
         )
-        assert with_candidates["vectors"] == without["vectors"] + candidate_vectors
+        assert with_candidates["vectors"] > without["vectors"]
         assert with_candidates["specializations"] == without["specializations"]
         assert with_candidates["results"] == without["results"]
         assert with_candidates["vector_bytes"] > without["vector_bytes"]

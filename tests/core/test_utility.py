@@ -481,7 +481,8 @@ class TestMergedVectorMap:
         differing = 0
         epoch = small_framework.engine.epoch
         for spec in task.utilities.specializations:
-            _, spec_vectors = small_framework._spec_results(spec, epoch)
+            results = small_framework._spec_results(spec, epoch)
+            spec_vectors = small_framework._vectors(spec, results)
             for doc_id, spec_vector in spec_vectors.items():
                 if doc_id in own:
                     assert task.vectors[doc_id].weights == own[doc_id].weights
@@ -492,7 +493,7 @@ class TestMergedVectorMap:
         rebuilt = UtilityMatrix.build(
             task.candidates,
             {
-                spec: small_framework._spec_results(spec, epoch)[0]
+                spec: small_framework._spec_results(spec, epoch)
                 for spec in task.utilities.specializations
             },
             task.vectors,

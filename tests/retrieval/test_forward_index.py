@@ -286,7 +286,7 @@ class TestStoreSchema:
             ),
         )
         self._downgrade_to_v2(path)
-        assert SCHEMA_VERSION == 6
+        assert SCHEMA_VERSION == 7
         for attempt in (
             lambda: StoreBackedSearchEngine(path),
             lambda: append_epoch(path, make_docs(1, prefix="n")),
@@ -295,7 +295,7 @@ class TestStoreSchema:
                 attempt()
             message = str(exc_info.value)
             assert "old.sqlite3" in message
-            assert "version 2" in message and "version 6" in message
+            assert "version 2" in message and "version 7" in message
 
     def test_v3_store_is_rejected_naming_both_versions(self, tmp_path):
         path = write_store(
@@ -328,7 +328,7 @@ class TestStoreSchema:
                 attempt()
             message = str(exc_info.value)
             assert "v3.sqlite3" in message
-            assert "version 3" in message and "version 6" in message
+            assert "version 3" in message and "version 7" in message
 
     def test_window_terms_mismatch_is_a_typed_error(self, tmp_path):
         built = SearchEngine(

@@ -328,6 +328,40 @@ class TestSchemaValidation:
         assert "0" in message
         assert str(SCHEMA_VERSION) in message
 
+    def test_v6_store_refused_by_reader_and_writer_unmodified(
+        self, tmp_path, tiny_collection
+    ):
+        built = SearchEngine(tiny_collection, 2)
+        query = "apple computer"
+        results = built.search(query, 3)
+        # What a v6 writer left: warm payloads whose results carry no seq.
+        payload = json.loads(
+            encode_warm_artifact(
+                query, results, built.snippet_vectors(query, results)
+            )
+        )
+        payload["results"] = [row[:2] for row in payload["results"]]
+        path = write_store(
+            tmp_path / "v6.sqlite3", built, {0: {query: json.dumps(payload)}}
+        )
+        conn = sqlite3.connect(path)
+        conn.execute("UPDATE meta SET value = '6' WHERE key = 'schema_version'")
+        conn.commit()
+        conn.close()
+        before = path.read_bytes()
+        assert SCHEMA_VERSION == 7
+        for attempt in (
+            lambda: IndexStore(path),
+            lambda: append_epoch(path, [Document("n0", "apple")], ["banana"]),
+        ):
+            with pytest.raises(StoreError) as excinfo:
+                attempt()
+            message = str(excinfo.value)
+            assert "v6.sqlite3" in message
+            assert "version 6" in message and "version 7" in message
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["v6.sqlite3"]
+
     def test_v5_store_refused_by_reader_and_writer_unmodified(
         self, tmp_path, tiny_collection
     ):
@@ -341,7 +375,7 @@ class TestSchemaValidation:
         conn.commit()
         conn.close()
         before = path.read_bytes()
-        assert SCHEMA_VERSION == 6
+        assert SCHEMA_VERSION == 7
         for attempt in (
             lambda: IndexStore(path),
             lambda: append_epoch(path, [Document("n0", "apple")], ["banana"]),
@@ -350,7 +384,7 @@ class TestSchemaValidation:
                 attempt()
             message = str(excinfo.value)
             assert "v5.sqlite3" in message
-            assert "version 5" in message and "version 6" in message
+            assert "version 5" in message and "version 7" in message
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["v5.sqlite3"]
 
@@ -370,7 +404,7 @@ class TestSchemaValidation:
         conn.commit()
         conn.close()
         before = path.read_bytes()
-        assert SCHEMA_VERSION == 6
+        assert SCHEMA_VERSION == 7
         for attempt in (
             lambda: IndexStore(path),
             lambda: append_epoch(path, [Document("n0", "apple")], ["banana"]),
@@ -379,7 +413,7 @@ class TestSchemaValidation:
                 attempt()
             message = str(excinfo.value)
             assert "v4.sqlite3" in message
-            assert "version 4" in message and "version 6" in message
+            assert "version 4" in message and "version 7" in message
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["v4.sqlite3"]
 
@@ -549,6 +583,7 @@ class TestWarmArtifactsInStore:
             want_results, want_vectors = artifacts[spec_query]
             assert results.doc_ids == want_results.doc_ids
             assert results.scores == want_results.scores
+            assert results.seqs == want_results.seqs
             assert {d: v.weights for d, v in vectors.items()} == {
                 d: v.weights for d, v in want_vectors.items()
             }
@@ -563,6 +598,8 @@ class TestWarmArtifactsInStore:
             ("nope", "invalid JSON"),
             ('{"results": [], "vectors": {}}', "malformed"),  # no "q"
             ('{"q": "ok", "results": [["d1"]], "vectors": {}}', "malformed"),
+            # A v6 row: a result without its seq.
+            ('{"q": "ok", "results": [["d1", 1.0]], "vectors": {}}', "malformed"),
         ],
     )
     def test_corrupt_row_names_path_shard_and_spec(

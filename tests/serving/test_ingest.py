@@ -32,7 +32,14 @@ import pytest
 from repro.core.framework import DiversificationFramework
 from repro.retrieval.analysis import Analyzer
 from repro.retrieval.documents import Document, DocumentCollection
-from repro.retrieval.engine import EpochDelta, ResultList, SearchEngine
+from repro.retrieval.engine import (
+    EngineSnapshot,
+    EpochDelta,
+    ResultList,
+    SearchEngine,
+    partition_collection,
+)
+from repro.retrieval.index import DocumentIndex
 from repro.retrieval.store import (
     IndexStore,
     StoreBackedSearchEngine,
@@ -186,10 +193,35 @@ def assert_results_equal(got, want):
 def publish_rebuilt(engine, docs, adds, removed):
     """Publish *docs* on the in-memory *engine* as its next epoch, built
     from scratch, with the delta of the batch that produced them (*adds*
-    and the *removed* documents).  A pinned query keeps its whole
-    snapshot; returns the delta."""
+    and the *removed* documents).  Numbered as ``append_epoch`` numbers
+    a store: a survivor keeps its seq and each added document takes the
+    next seq never issued, so a seq names one document version for good
+    (what the framework's surrogate memo is keyed by); the engine keeps
+    the next seq to issue.  A pinned query keeps its whole snapshot;
+    returns the delta."""
     current = engine.snapshot()
-    fresh = make_engine(docs, engine.num_partitions).snapshot()
+    next_seq = getattr(engine, "next_rebuilt_seq", max(current.doc_ids) + 1)
+    added = {d.doc_id for d in adds}
+    kept = {d: seq for seq, d in current.doc_ids.items() if d not in added}
+    seq_of = {}
+    for document in docs:
+        if document.doc_id in kept:
+            seq_of[document.doc_id] = kept[document.doc_id]
+        else:
+            seq_of[document.doc_id] = next_seq
+            next_seq += 1
+    engine.next_rebuilt_seq = next_seq
+    collection = DocumentCollection(docs)
+    partitions = tuple(
+        DocumentIndex.from_collection(
+            part, engine.snippets, seqs=[seq_of[d.doc_id] for d in part]
+        )
+        for part in partition_collection(
+            collection, engine.num_partitions, engine.seed
+        )
+    )
+    num_documents = sum(p.num_documents for p in partitions)
+    total_tokens = sum(p.total_tokens for p in partitions)
     delta = EpochDelta(
         added=tuple(d.doc_id for d in adds),
         removed=tuple(d.doc_id for d in removed),
@@ -198,13 +230,22 @@ def publish_rebuilt(engine, docs, adds, removed):
             for document in adds + removed
             for term in engine.analyzer.analyze(document.full_text)
         ),
-        stats_changed=(fresh.num_documents, fresh.total_tokens)
+        stats_changed=(num_documents, total_tokens)
         != (current.num_documents, current.total_tokens),
         base=current.epoch,
         epoch=current.epoch + 1,
     )
     with engine._epoch_lock:
-        engine._snapshot = dataclasses.replace(fresh, epoch=delta.epoch, delta=delta)
+        engine._snapshot = EngineSnapshot(
+            epoch=delta.epoch,
+            collection=collection,
+            partitions=partitions,
+            doc_ids={seq: doc_id for doc_id, seq in seq_of.items()},
+            num_documents=num_documents,
+            total_tokens=total_tokens,
+            average_document_length=total_tokens / num_documents,
+            delta=delta,
+        )
     return delta
 
 
@@ -339,7 +380,7 @@ class TestReadOnly:
             cluster.close()
 
 
-# -- what an epoch keeps: surrogate vectors of unchanged documents ---------------
+# -- what an epoch keeps: every surrogate vector, keyed by (query, seq) ----------
 
 
 def vectors_of(artifact):
@@ -347,7 +388,7 @@ def vectors_of(artifact):
     return {d: list(v.weights.items()) for d, v in artifact[1].items()}
 
 
-class TestRetainedVectors:
+class TestVectorsOutliveLists:
     def test_refetch_after_a_stats_change_vectorises_only_what_it_lacks(
         self, tmp_path, small_miner, initial_docs, workload
     ):
@@ -384,13 +425,13 @@ class TestRetainedVectors:
         assert victim.doc_id not in retained[spec_query]
 
         vectorised: dict[str, list[str]] = {}
-        snippet_vectors = engine.snippet_vectors
+        versioned_vectors = engine.versioned_vectors
 
         def recording(query, results):
             vectorised.setdefault(query, []).extend(r.doc_id for r in results)
-            return snippet_vectors(query, results)
+            return versioned_vectors(query, results)
 
-        engine.snippet_vectors = recording
+        engine.versioned_vectors = recording
         assert framework.prefetch_specializations(specs) == len(specs)
         after = framework.export_warm_state()
         assert victim.doc_id in after[spec_query][0]
@@ -422,7 +463,7 @@ class TestRetainedVectors:
                 == fresh.diversify_query(query).ranking
             ), query
 
-    def test_a_retained_entry_is_a_spec_cache_miss(
+    def test_a_dropped_list_is_a_spec_cache_miss(
         self, tmp_path, small_miner, initial_docs, ambiguous_topic
     ):
         engine = make_store_engine(tmp_path / "live.sqlite3", initial_docs)
@@ -436,7 +477,7 @@ class TestRetainedVectors:
         delta = publish(engine, [Document("alien0", "zzqa wwxo")]).delta
         assert framework.invalidate_affected(delta) == specs
         stats = framework.cache_info()
-        assert stats.size == specs  # retained vectors, under the same bound
+        assert stats.size == 0  # the lists go; their vectors stay memoised
         assert framework.warm_memory_estimate()["vectors"] > 0
         framework.diversify_query(query)
         after = framework.cache_info()
@@ -448,11 +489,10 @@ class TestRetainedVectors:
         self, tmp_path, small_miner, initial_docs, workload
     ):
         """A fetch pinned to epoch 2, published but not swept yet, finds
-        a retained-vectors entry still tagged epoch 1 and reuses none of
-        its vectors: it vectorises every result afresh, the document
-        epoch 2 rewrote included, so the entry it puts after the sweep
-        landed mid-fetch carries no old vector and serves the next
-        fetch."""
+        only a list tagged epoch 1 and searches: the document epoch 2
+        rewrote comes back under its new seq, so it is vectorised afresh
+        and no vector of its old version is read; the list it puts after
+        the sweep landed mid-fetch serves the next fetch."""
         engine = make_store_engine(tmp_path / "live.sqlite3", initial_docs)
         framework = DiversificationFramework(
             engine, small_miner, config=STANDARD_CONFIG
@@ -502,14 +542,14 @@ class TestRetainedVectors:
         """Readers fill the framework's caches and the result cache while
         a writer re-ingests documents the spec lists hold, with new text,
         every epoch.  Afterwards no entry is tagged past the final epoch,
-        and every list, vector and result — retained or not — of an entry
-        tagged with it (what a read reuses) equals what the final epoch
-        computes from scratch: no sweep let a vector of a changed
-        document ride along, and no put let a stale entry pass for a
-        current one.  Each epoch is a from-scratch build swapped in
-        (:func:`publish_rebuilt`): this gates the caches' sweeps, and a
-        store-backed snapshot is not isolated from a concurrent append
-        yet."""
+        every list and result of an entry tagged with it (what a read
+        reuses) equals what the final epoch computes from scratch, and
+        so does every memoised vector of a seq the final epoch holds: a
+        changed document took a new seq, and no put let a stale entry
+        pass for a current one.  Each epoch is a from-scratch build
+        swapped in (:func:`publish_rebuilt`): this gates the caches'
+        sweeps, and a store-backed snapshot is not isolated from a
+        concurrent append yet."""
         engine = make_engine(initial_docs)
         framework = DiversificationFramework(
             engine, small_miner, config=STANDARD_CONFIG
@@ -566,27 +606,26 @@ class TestRetainedVectors:
 
         k = STANDARD_CONFIG.spec_results
         current = 0
-        for spec_query, (tag, results, vectors) in framework._spec_cache.snapshot():
+        for spec_query, (tag, results) in framework._spec_cache.snapshot():
             assert tag <= engine.epoch, spec_query
             if tag != engine.epoch:
                 continue  # never reused: a read is pinned to the final epoch
             current += 1
-            if results is not None:
-                want = engine.search(spec_query, k)
-                assert results.doc_ids == want.doc_ids, spec_query
-                assert results.scores == want.scores, spec_query
-            fresh = engine.snippet_vectors(
-                spec_query, ResultList(spec_query, [(d, 0.0) for d in vectors])
-            )
-            assert vectors_of((None, vectors)) == vectors_of((None, fresh))
+            want = engine.search(spec_query, k)
+            assert results.doc_ids == want.doc_ids, spec_query
+            assert results.scores == want.scores, spec_query
+            assert results.seqs == want.seqs, spec_query
         assert current
-        for query, (tag, vectors) in framework._candidate_vectors.snapshot():
-            assert tag <= engine.epoch, query
-            if tag == engine.epoch:
-                fresh = engine.snippet_vectors(
-                    query, ResultList(query, [(d, 0.0) for d in vectors])
-                )
-                assert vectors_of((None, vectors)) == vectors_of((None, fresh))
+        live = engine.snapshot().doc_ids
+        checked = 0
+        for (query, seq), vector in framework._surrogates.snapshot():
+            if seq not in live:
+                continue  # a version only a read pinned before it reaches
+            doc_id = live[seq]
+            fresh = engine.snippet_vectors(query, ResultList(query, [(doc_id, 0.0)]))
+            assert vectors_of((None, {doc_id: vector})) == vectors_of((None, fresh))
+            checked += 1
+        assert checked
         cold = make_service(small_miner, docs)
         for query, (tag, result) in service._result_cache.snapshot():
             assert tag <= engine.epoch, query
@@ -655,7 +694,7 @@ class TestRetainedVectors:
             service.framework.engine.close()
 
 
-# -- what an epoch keeps: a query's own candidate vectors ------------------------
+# -- the memo's rule along epochs: reused iff its (query, seq) was built -----------
 
 
 #: Short candidate lists, so an added document pushes an unchanged one out.
@@ -664,25 +703,39 @@ SHORT_CONFIG = dataclasses.replace(STANDARD_CONFIG, candidates=12)
 
 @contextlib.contextmanager
 def recording_vectors(engine):
-    """Every ``engine.snippet_vectors`` call in the block, as
-    ``[(query, [doc_id, ...]), ...]``."""
+    """Every ``engine.versioned_vectors`` call (the framework's one
+    vectorisation) in the block, as ``[(query, [doc_id, ...]), ...]``."""
     calls = []
-    snippet_vectors = engine.snippet_vectors
+    versioned_vectors = engine.versioned_vectors
 
     def recording(query, results):
         calls.append((query, [r.doc_id for r in results]))
-        return snippet_vectors(query, results)
+        return versioned_vectors(query, results)
 
-    engine.snippet_vectors = recording
+    engine.versioned_vectors = recording
     try:
         yield calls
     finally:
-        del engine.snippet_vectors
+        del engine.versioned_vectors
 
 
 def own_vectorised(calls, query):
     """The doc_ids vectorised with *query*'s own bias."""
     return [d for q, docs in calls if q == query for d in docs]
+
+
+def unbuilt(keys, query, results, shadowed=()):
+    """The doc_ids of *results* outside *shadowed* whose ``(query, seq)``
+    is not among the memo *keys*: what the memo's rule vectorises."""
+    return [
+        d
+        for d, seq in zip(results.doc_ids, results.seqs)
+        if d not in shadowed and (query, seq) not in keys
+    ]
+
+
+def memo_keys(framework):
+    return {key for key, _ in framework._surrogates.snapshot()}
 
 
 def task_vectors(task):
@@ -700,7 +753,7 @@ def strong_documents(query, base, count):
     ]
 
 
-class TestCandidateVectors:
+class TestSurrogateMemo:
     def test_a_repeated_read_after_an_epoch_vectorises_only_new_candidates(
         self, tmp_path, small_miner, initial_docs, ambiguous_topic
     ):
@@ -708,30 +761,27 @@ class TestCandidateVectors:
         framework = DiversificationFramework(engine, small_miner, config=SHORT_CONFIG)
         service = DiversificationService(framework)
         query = ambiguous_topic.query
-        before = service.diversify(query).baseline.doc_ids
-        held = framework._candidate_vectors.peek(query)
-        assert held[0] == 0 and list(held[1]) == before
-        removed = before[3]
-        top = next(d for d in initial_docs if d.doc_id == before[0])
-        epoch = service.ingest(strong_documents(query, top, 2), [removed])
-        retagged = framework._candidate_vectors.peek(query)
-        assert retagged[0] == epoch
-        assert list(retagged[1]) == [d for d in before if d != removed]
+        before = service.diversify(query).baseline
+        seqs = dict(zip(before.doc_ids, before.seqs))
+        held = {d: framework._surrogates.peek((query, s)) for d, s in seqs.items()}
+        assert None not in held.values()
+        removed = before.doc_ids[3]
+        top = next(d for d in initial_docs if d.doc_id == before.doc_ids[0])
+        memo = framework._surrogates.snapshot()
+        service.ingest(strong_documents(query, top, 2), [removed])
+        assert framework._surrogates.snapshot() == memo  # nothing swept
 
         with recording_vectors(engine) as calls:
-            after = service.diversify(query).baseline.doc_ids
-        new = [d for d in after if d not in before]
+            after = service.diversify(query).baseline
+        new = [d for d in after.doc_ids if d not in seqs]
         assert {"strong0", "strong1"} <= set(new)
         assert own_vectorised(calls, query) == new
-        fell_out = set(before) - set(after) - {removed}
-        assert fell_out  # an unchanged candidate left the list ...
-        epoch_now, vectors = framework._candidate_vectors.peek(query)
-        assert epoch_now == epoch
-        assert list(vectors) == after  # ... and left the entry with it
-        for d in after:
-            if d in before:
-                assert vectors[d] is held[1][d]
-        fresh = engine.snippet_vectors(query, ResultList(query, [(d, 0.0) for d in after]))
+        vectors = {}
+        for d, seq in zip(after.doc_ids, after.seqs):
+            vectors[d] = framework._surrogates.peek((query, seq))
+            if d in seqs:  # an unchanged document keeps its seq and vector
+                assert seq == seqs[d] and vectors[d] is held[d]
+        fresh = engine.snippet_vectors(query, after)
         assert vectors_of((None, vectors)) == vectors_of((None, fresh))
         engine.close()
 
@@ -740,9 +790,11 @@ class TestCandidateVectors:
     ):
         """Reads repeated across a seeded sequence of epochs — one removes
         a candidate, a later one re-adds its doc_id with other text, and
-        one rewrites a candidate in place — build the task a fresh
-        framework builds on the same epoch (keys, order and floats of
-        every vector) and serve what a cold rebuild serves."""
+        one rewrites a candidate in place — build the task a cold
+        framework builds over a from-scratch build of the same collection
+        (keys, order and floats of every vector), vectorise exactly the
+        results whose ``(query, seq)`` the memo lacks, and serve what a
+        cold rebuild serves."""
         rng = random.Random(43)
         engine = make_store_engine(tmp_path / "live.sqlite3", initial_docs)
         framework = DiversificationFramework(engine, small_miner, config=SHORT_CONFIG)
@@ -775,59 +827,145 @@ class TestCandidateVectors:
                 removes.append(rewritten.doc_id)
             service.ingest(adds, removes)
             live = apply_to_docs(live, [(adds, removes)])
-            fresh = DiversificationFramework(engine, small_miner, config=SHORT_CONFIG)
-            with recording_vectors(engine) as calls:
-                tasks = {
-                    q: framework.build_task(q, framework.detect(q)) for q in queries
-                }
-            for query, task in tasks.items():
-                reused += len(task.candidates) - len(own_vectorised(calls, query))
-                want = fresh.build_task(query, fresh.detect(query))
-                assert task_vectors(task) == task_vectors(want), (step, query)
-            cold = DiversificationService(
-                DiversificationFramework(
-                    make_engine(live), small_miner, config=SHORT_CONFIG
-                )
+            cold = DiversificationFramework(
+                make_engine(live), small_miner, config=SHORT_CONFIG
             )
+            for query in queries:
+                specializations = framework.detect(query)
+                keys = memo_keys(framework)
+                with recording_vectors(engine) as calls:
+                    task = framework.build_task(query, specializations)
+                candidates = task.candidates
+                want_calls = [(query, unbuilt(keys, query, candidates))] + [
+                    (spec, unbuilt(keys, spec, results, candidates))
+                    for spec, results in (
+                        (spec, framework._spec_cache.peek(spec)[1])
+                        for spec, _ in specializations
+                    )
+                ]
+                assert calls == [c for c in want_calls if c[1]], (step, query)
+                reused += len(candidates) - len(own_vectorised(calls, query))
+                want = cold.build_task(query, specializations)
+                assert task_vectors(task) == task_vectors(want), (step, query)
             assert_results_equal(
-                service.diversify_batch(queries), cold.diversify_batch(queries)
+                service.diversify_batch(queries),
+                DiversificationService(cold).diversify_batch(queries),
             )
         assert reused > 0
         engine.close()
 
-    def test_a_read_pinned_to_the_previous_epoch_recomputes(
+    def test_a_rewrite_leaves_each_pin_its_own_version(
+        self, tmp_path, small_miner, initial_docs, ambiguous_topic
+    ):
+        """After a rewrite, with no sweep in between, a read pinned to the
+        previous snapshot gets the old version's vector (memoised under
+        the old seq) and a read at the new epoch the new one (built
+        under the new seq), each equal to ``snippet_vectors`` under its
+        own pin."""
+        engine = make_store_engine(tmp_path / "live.sqlite3", initial_docs)
+        framework = DiversificationFramework(engine, small_miner, config=SHORT_CONFIG)
+        query = ambiguous_topic.query
+        specializations = framework.detect(query)
+        first = framework.build_task(query, specializations)
+        old = engine.snapshot()
+        victim = first.candidates.doc_ids[0]
+        text = next(d for d in initial_docs if d.doc_id == victim)
+        rewrite = Document(victim, f"{query} zzqb {text.text}", text.title)
+        publish(engine, [rewrite], [victim])
+        tasks, pinned = {}, {}
+        for snapshot in (old, engine.snapshot()):
+            with engine.pinned(snapshot):
+                with recording_vectors(engine) as calls:
+                    task = tasks[snapshot.epoch] = framework.build_task(
+                        query, specializations
+                    )
+                pinned[snapshot.epoch] = engine.snippet_vectors(
+                    query, task.candidates
+                )[victim]
+            position = task.candidates.doc_ids.index(victim)
+            seq = task.candidates.seqs[position]
+            assert framework._surrogates.peek((query, seq)) is task.vectors[victim]
+            assert own_vectorised(calls, query) == (
+                [] if snapshot is old else [victim]
+            )
+        assert tasks[old.epoch].vectors[victim] is first.vectors[victim]
+        versions = [list(v.weights.items()) for v in pinned.values()]
+        assert versions[0] != versions[1]
+        assert [
+            list(task.vectors[victim].weights.items()) for task in tasks.values()
+        ] == versions
+        engine.close()
+
+    def test_a_stale_pin_that_misses_its_caches_memoises_no_other_version(
+        self, tmp_path, small_miner, initial_docs, ambiguous_topic
+    ):
+        """A read pinned to a superseded store snapshot whose page cache
+        is cold reads the store's current postings, so it meets a
+        rewritten candidate under its new seq while its own document
+        cache still holds the old row.  The vector it builds from that
+        row is served to it but not memoised under the new seq: after
+        ``refresh()`` the read equals a cold build of the new
+        collection."""
+        query = ambiguous_topic.query
+        reference = make_engine(initial_docs)
+        victim = reference.search(query, SHORT_CONFIG.candidates).doc_ids[0]
+        old_doc = next(d for d in initial_docs if d.doc_id == victim)
+        rewrite = Document(victim, f"{query} zzqb {old_doc.text}", old_doc.title)
+        engine = make_store_engine(tmp_path / "live.sqlite3", initial_docs)
+        framework = DiversificationFramework(engine, small_miner, config=SHORT_CONFIG)
+        specializations = framework.detect(query)
+        old = engine.snapshot()
+        engine.forward_row(victim)  # the old row, cached by the old snapshot
+        # Another handle publishes the rewrite; this engine has not refreshed.
+        append_epoch(engine.store_path, [rewrite], [victim], analyzer=engine.analyzer)
+        engine.page_cache.clear()
+        new_seq = engine.store.seq_of(victim)
+        with engine.pinned(old):
+            stale = framework.build_task(query, specializations)
+        position = stale.candidates.doc_ids.index(victim)
+        assert stale.candidates.seqs[position] == new_seq  # the gap happened
+        assert (query, new_seq) not in memo_keys(framework)
+
+        engine.refresh()
+        framework.invalidate_affected(engine.snapshot().delta)
+        task = framework.build_task(query, specializations)
+        live = apply_to_docs(initial_docs, [([rewrite], [victim])])
+        cold = DiversificationFramework(make_engine(live), small_miner, config=SHORT_CONFIG)
+        assert task_vectors(task) == task_vectors(
+            cold.build_task(query, specializations)
+        )
+        engine.close()
+
+    def test_a_read_pinned_to_the_previous_epoch_reuses_its_vectors(
         self, small_miner, initial_docs, ambiguous_topic
     ):
         engine = make_engine(initial_docs)
         framework = DiversificationFramework(engine, small_miner, config=SHORT_CONFIG)
         query = ambiguous_topic.query
         specializations = framework.detect(query)
-        framework.build_task(query, specializations)
+        first = framework.build_task(query, specializations)
         old = engine.snapshot()
         adds = [Document("alien0", "zzqa wwxo")]
         delta = publish_rebuilt(engine, list(initial_docs) + adds, adds, [])
         framework.invalidate_affected(delta)
-        entry = framework._candidate_vectors.peek(query)
-        assert entry[0] == old.epoch + 1
         with engine.pinned(old):
             with recording_vectors(engine) as calls:
                 task = framework.build_task(query, specializations)
             fresh = engine.snippet_vectors(query, task.candidates)
-        assert own_vectorised(calls, query) == task.candidates.doc_ids
+        assert calls == []  # every (query, seq) of epoch 0 was built
+        assert task_vectors(task) == task_vectors(first)
         assert vectors_of((None, {d: task.vectors[d] for d in fresh})) == (
             vectors_of((None, fresh))
         )
-        held = framework._candidate_vectors.peek(query)
-        assert held is entry and held[0] > old.epoch  # an older tag never replaces it
 
-    def test_a_read_between_refresh_and_sweep_recomputes(
+    def test_a_read_between_refresh_and_sweep_vectorises_only_new_versions(
         self, tmp_path, small_miner, initial_docs, ambiguous_topic
     ):
         """Epoch 1 rewrites a candidate.  A read after ``refresh()``
-        published it but before the sweep must not reuse the old vector
-        of that candidate: its tagged entry is still epoch 0's.  The
-        entry that read puts is tagged epoch 1, so the sweep leaves it
-        alone and the next read vectorises nothing."""
+        published it but before the sweep meets the rewrite under its
+        new seq and vectorises it, not the old version's vector; the
+        sweep leaves the memo alone, so the next read vectorises
+        nothing."""
         engine = make_store_engine(tmp_path / "live.sqlite3", initial_docs)
         framework = DiversificationFramework(engine, small_miner, config=SHORT_CONFIG)
         query = ambiguous_topic.query
@@ -836,10 +974,12 @@ class TestCandidateVectors:
         old = next(d for d in initial_docs if d.doc_id == candidates.doc_ids[0])
         new = Document(old.doc_id, f"{old.text} zzqb", old.title)
         snapshot = publish(engine, [new], [old.doc_id])  # not swept yet
+        keys = memo_keys(framework)
         with recording_vectors(engine) as calls:
             task = framework.build_task(query, specializations)
-        assert own_vectorised(calls, query) == task.candidates.doc_ids
         assert old.doc_id in task.candidates.doc_ids
+        assert own_vectorised(calls, query) == unbuilt(keys, query, task.candidates)
+        assert old.doc_id in own_vectorised(calls, query)
         fresh = engine.snippet_vectors(query, task.candidates)
         assert vectors_of((None, {d: task.vectors[d] for d in fresh})) == (
             vectors_of((None, fresh))
@@ -847,7 +987,7 @@ class TestCandidateVectors:
         framework.invalidate_affected(snapshot.delta)
         with recording_vectors(engine) as calls:
             again = framework.build_task(query, specializations)
-        assert own_vectorised(calls, query) == []  # the window read's entry
+        assert calls == []
         assert task_vectors(again) == task_vectors(task)
         engine.close()
 
@@ -882,10 +1022,9 @@ class TestCandidateVectors:
         spec_results = framework._spec_results
         diversify_detected = framework.diversify_detected
 
-        def recording(spec_query, epoch, candidates=()):
-            entry = spec_results(spec_query, epoch, candidates)
-            used[spec_query] = entry[0]
-            return entry
+        def recording(spec_query, epoch):
+            used[spec_query] = results = spec_results(spec_query, epoch)
+            return results
 
         def after_the_sweep(query, specializations):
             result = diversify_detected(query, specializations)
@@ -925,10 +1064,10 @@ class TestEpochTags:
         self, small_miner, initial_docs, ambiguous_topic
     ):
         """Epoch 1 adds a document to a spec list and to the query's
-        candidates, so a read at epoch 1 leaves a spec entry without its
-        shadowed vector.  A read pinned to epoch 0 afterwards reuses no
-        entry of epoch 1: it builds epoch 0's task, and never asks epoch 0
-        for a document it does not hold."""
+        candidates, so a read at epoch 1 leaves the memo without its
+        shadowed q'-biased vector.  A read pinned to epoch 0 afterwards
+        reuses no list of epoch 1: it builds epoch 0's task, and never
+        asks epoch 0 for a document it does not hold."""
         engine = make_engine(initial_docs)
         framework = DiversificationFramework(engine, small_miner, config=SHORT_CONFIG)
         query = ambiguous_topic.query
@@ -944,9 +1083,10 @@ class TestEpochTags:
         assert joiner.doc_id in current.candidates.doc_ids
         with engine.pinned(old):
             got = framework.build_task(query, specializations)
-        tag, results, vectors = framework._spec_cache.peek(spec_query)
+        tag, results = framework._spec_cache.peek(spec_query)
         assert tag == delta.epoch and joiner.doc_id in results
-        assert joiner.doc_id not in vectors  # shadowed by its candidate vector
+        seq = results.seqs[results.rank_of(joiner.doc_id) - 1]
+        assert (spec_query, seq) not in framework._surrogates  # shadowed
         assert got.candidates.doc_ids == want.candidates.doc_ids
         assert task_vectors(got) == task_vectors(want)
         for spec in want.utilities.specializations:
@@ -988,8 +1128,8 @@ class TestEpochTags:
         self, tmp_path, small_miner, initial_docs, workload
     ):
         """A shard re-sync runs ``apply_updates``' sweeps again for the
-        delta it already applied: every spec, candidate-vector and result
-        entry at the published epoch stays, the very same object."""
+        delta it already applied: every spec and result entry at the
+        published epoch stays, the very same object, as does the memo."""
         service = make_live_service(
             tmp_path / "live.sqlite3", small_miner, initial_docs
         )
@@ -999,13 +1139,10 @@ class TestEpochTags:
         epoch = service.ingest(add_documents=[Document("alien0", "zzqa wwxo")])
         assert framework.engine.snapshot().delta.stats_changed
         service.diversify_batch(queries)
-        caches = (
-            framework._spec_cache,
-            framework._candidate_vectors,
-            service._result_cache,
-        )
+        caches = (framework._spec_cache, service._result_cache)
         before = [cache.snapshot() for cache in caches]
         assert all(before)
+        memo = framework._surrogates.snapshot()
         invalidations = service.stats.warm_invalidations
         assert service.apply_updates() == epoch
         for cache, held in zip(caches, before):
@@ -1014,6 +1151,7 @@ class TestEpochTags:
             assert all(a is b for (_, a), (_, b) in zip(after, held))
         assert service.stats.warm_invalidations == invalidations
         assert {entry[0] for held in before for _, entry in held} == {epoch}
+        assert framework._surrogates.snapshot() == memo
         framework.engine.close()
 
 

@@ -184,7 +184,7 @@ class TestPrepare:
             )
         searched: dict[str, int] = {}
         vectorised: dict[str, list[str]] = {}
-        search, snippet_vectors = engine.search, engine.snippet_vectors
+        search, versioned_vectors = engine.search, engine.versioned_vectors
 
         def counting(query, k=1000):
             searched[query] = searched.get(query, 0) + 1
@@ -193,13 +193,13 @@ class TestPrepare:
         def recording(query, results):
             if query in users:
                 vectorised.setdefault(query, []).extend(r.doc_id for r in results)
-            return snippet_vectors(query, results)
+            return versioned_vectors(query, results)
 
-        engine.search, engine.snippet_vectors = counting, recording
+        engine.search, engine.versioned_vectors = counting, recording
         try:
             prepared = service.prepare_batch(topic_queries)
         finally:
-            del engine.search, engine.snippet_vectors
+            del engine.search, engine.versioned_vectors
         assert users and any(p.task is not None for p in prepared.values())
         assert {spec: searched.get(spec, 0) for spec in users} == dict.fromkeys(
             users, 1
