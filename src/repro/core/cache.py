@@ -16,7 +16,8 @@ shard or index partition — combine into a whole.
 
 What the framework and the service derive from an engine epoch is
 cached as an *epoch-tagged* tuple, ``(epoch, ...)``, reused only at that
-epoch; :func:`put_tagged` and :func:`sweep_tagged` are its rules.
+epoch (:func:`put_tagged`); a publish drops every entry tagged before it
+(:meth:`LRUCache.discard`).
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ K = TypeVar("K")
 V = TypeVar("V")
 R = TypeVar("R", bound="Rollup")
 
-__all__ = ["CacheStats", "LRUCache", "Rollup", "put_tagged", "sweep_tagged"]
+__all__ = ["CacheStats", "LRUCache", "Rollup", "put_tagged"]
 
 _MISSING = object()
 
@@ -196,9 +197,10 @@ class LRUCache(Generic[K, V]):
         """``get`` for a cache whose entries a caller may not use as
         they are (one tagged with another epoch).
 
-        A present entry is returned and refreshes recency either way, but
-        counts as a hit only when *whole* accepts it: any other entry is
-        a miss its caller recomputes.
+        A present entry refreshes recency either way, but only one
+        *whole* accepts is returned and counted as a hit: any other
+        entry returns ``None`` and counts as a miss its caller
+        recomputes.
         """
         with self._lock:
             value = self._data.get(key, _MISSING)
@@ -208,9 +210,9 @@ class LRUCache(Generic[K, V]):
             self._data.move_to_end(key)
             if whole(value):
                 self.hits += 1
-            else:
-                self.misses += 1
-            return value
+                return value
+            self.misses += 1
+            return None
 
     def peek(self, key: K) -> V | None:
         """The value of *key*, or ``None`` — a pure probe like
@@ -236,24 +238,20 @@ class LRUCache(Generic[K, V]):
         with self._lock:
             self._data.clear()
 
-    def swap(self, changes: Iterable[tuple[K, V, V | None]]) -> None:
-        """Apply ``(key, old, new)`` changes in one pass under the lock.
+    def discard(self, doomed: Callable[[V], bool]) -> int:
+        """Drop every entry *doomed* accepts, in one pass under the lock;
+        returns how many were dropped.
 
-        While *key* still holds the object *old*, it is replaced by
-        *new* in place, keeping its recency, or dropped when *new* is
-        ``None``; a key that has moved on since *old* was read is left
-        alone.  Counters are untouched — a targeted invalidation (the
-        epoch publish path drops exactly the affected warm artifacts) is
-        neither a miss nor an eviction.
+        Counters and the recency order are untouched: dropping what an
+        epoch left behind is neither a miss nor an eviction.  *doomed*
+        runs under the lock, so it must be cheap (a tag comparison).
         """
         with self._lock:
             data = self._data
-            for key, old, new in changes:
-                if data.get(key, _MISSING) is old:
-                    if new is None:
-                        del data[key]
-                    else:
-                        data[key] = new
+            keys = [key for key, value in data.items() if doomed(value)]
+            for key in keys:
+                del data[key]
+            return len(keys)
 
     def snapshot(self) -> list[tuple[K, V]]:
         """Every ``(key, value)`` pair, least-recently-used first.
@@ -326,33 +324,3 @@ def put_tagged(cache: LRUCache, key, entry: tuple) -> None:
     if held is None or held[0] <= entry[0]:
         cache.put(key, entry, refresh=False)
 
-
-def sweep_tagged(
-    cache: LRUCache, delta, rewrite: Callable[[object, tuple], tuple | None]
-) -> None:
-    """Carry an epoch-tagged cache over the epoch *delta* published.
-
-    An entry tagged ``delta.base`` becomes ``(delta.epoch, *fields)``,
-    where *rewrite* returns the fields after the tag the delta leaves
-    valid (``None`` drops it); an entry tagged ``delta.epoch`` stays, so
-    a second sweep for one delta does nothing; any other tag drops, and
-    ``delta=None`` drops everything.
-
-    Every carried entry is computed from one snapshot, outside any lock,
-    and the carries and drops then land in one :meth:`LRUCache.swap`: an
-    entry replaced meanwhile (a put, another sweep) keeps its newer
-    value."""
-    if delta is None:
-        cache.clear()
-        return
-    changes = []
-    for key, entry in cache.snapshot():
-        if entry[0] == delta.base:
-            fields = rewrite(key, entry)
-            new = None if fields is None else (delta.epoch, *fields)
-        elif entry[0] == delta.epoch:
-            continue
-        else:
-            new = None
-        changes.append((key, entry, new))
-    cache.swap(changes)

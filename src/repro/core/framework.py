@@ -23,12 +23,12 @@ then serve queries that only read them.
 
 The spec cache holds each list tagged with the epoch it was searched
 at, reused only by a read pinned to that epoch;
-:meth:`DiversificationFramework.invalidate_affected` re-tags what an
-epoch leaves valid (:func:`~repro.core.cache.sweep_tagged`).  The
-surrogate vectors behind Eq. 1 live in a second bounded LRU, one memo
-keyed by ``(query, seq)``: a surrogate reads the query and one document
-version's text, never N or avg_dl, and a sequence number names one
-version for good, so an entry is never stale and no epoch sweeps it
+:meth:`DiversificationFramework.drop_before` frees the lists a publish
+left behind.  The surrogate vectors behind Eq. 1 live in a second
+bounded LRU, one memo keyed by ``(query, seq)``: a surrogate reads the
+query and one document version's text, never N or avg_dl, and a
+sequence number names one version for good, so an entry is never stale
+and no epoch drops it
 (:meth:`DiversificationFramework.build_task`).
 """
 
@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 
 from repro.core.ambiguity import SpecializationSet
 from repro.core.base import Diversifier
-from repro.core.cache import CacheStats, LRUCache, put_tagged, sweep_tagged
+from repro.core.cache import CacheStats, LRUCache, put_tagged
 from repro.core.iaselect import IASelect
 from repro.core.mmr import MMR
 from repro.core.optselect import OptSelect
@@ -315,7 +315,7 @@ class DiversificationFramework:
         *epoch*; a lookup is a hit when the cache holds the list tagged
         *epoch*, and a miss searches and puts it."""
         cached = self._spec_cache.lookup(spec_query, lambda e: e[0] == epoch)
-        if cached is not None and cached[0] == epoch:
+        if cached is not None:
             return cached[1]
         results = self.engine.search(spec_query, self.config.spec_results)
         put_tagged(self._spec_cache, spec_query, (epoch, results))
@@ -352,44 +352,14 @@ class DiversificationFramework:
                 self._vectors(spec_query, lists[spec_query])
         return len(incomplete)
 
-    def invalidate_affected(self, delta) -> int:
-        """Carry the spec cache over the epoch *delta* published, by
-        :func:`~repro.core.cache.sweep_tagged`'s tag rule; no lock is
-        needed, since a read reuses a list only at its tag's epoch.
-
-        What a list tagged ``delta.base`` keeps: a batch that changes
-        the document count or token total changes ``N`` and ``avg_dl``,
-        hence *every* cached score — every list drops.  A
-        stats-preserving swap leaves a list byte-valid iff its
-        specialization's terms are disjoint from the changed documents'
-        terms (df/cf untouched) **and** none of the changed documents
-        appear in its results (survivors keep their relative seq order,
-        so tie-breaks hold).  ``delta=None`` (an unknown change) drops
-        every list.  The surrogate memo is left alone: a changed
-        document is a new seq.  Returns the number of lists dropped.
-        """
-        if delta is None:
-            dropped = len(self._spec_cache)
-            self._spec_cache.clear()
-            return dropped
-        changed_ids = delta.changed_ids
-        analyze = self.engine.analyzer.analyze
-        dropped = 0
-
-        def keep(spec_query: str, entry: tuple) -> tuple | None:
-            nonlocal dropped
-            results = entry[1]
-            if (
-                delta.stats_changed
-                or not changed_ids.isdisjoint(results.doc_ids)
-                or not delta.terms.isdisjoint(analyze(spec_query))
-            ):
-                dropped += 1
-                return None
-            return (results,)
-
-        sweep_tagged(self._spec_cache, delta, keep)
-        return dropped
+    def drop_before(self, epoch: int) -> int:
+        """Drop every spec list tagged before the published *epoch*, and
+        return how many: one rule for every ingest, since almost every
+        batch moves ``N`` or ``avg_dl`` and with them every cached score.
+        The drop only frees memory: a read reuses a list only at its
+        tag's epoch.  The surrogate memo is left alone, since a changed
+        document is a new seq."""
+        return self._spec_cache.discard(lambda entry: entry[0] < epoch)
 
     def cache_info(self) -> CacheStats:
         """Hit/miss/eviction counters of the specialization cache."""

@@ -50,7 +50,6 @@ __all__ = [
     "ResultList",
     "stable_shard",
     "partition_collection",
-    "EpochDelta",
     "EngineSnapshot",
     "MemoryBudget",
     "SearchEngine",
@@ -236,41 +235,6 @@ class MemoryBudget:
 
 
 @dataclasses.dataclass(frozen=True)
-class EpochDelta:
-    """What changed between a snapshot and the one it replaced (every
-    epoch in between, for a store refresh that skipped some).
-
-    Carried by the :class:`EngineSnapshot` the change produced, so every
-    consumer of a publish (warm caches, result caches, stores) can
-    decide *surgically* what it must invalidate instead of flushing
-    wholesale:
-
-    * ``added`` / ``removed`` — the doc_ids the epoch ingested/dropped
-      (a re-ingested id appears in both);
-    * ``terms`` — the union of analysed terms of every changed document,
-      i.e. every term whose df/cf could differ from the previous epoch;
-    * ``stats_changed`` — whether the collection-global scalars (N,
-      total tokens, hence avg_dl) moved.  When they did, *every* cached
-      score is stale — DFR/BM25 contributions read them — and consumers
-      must invalidate every score; what reads no statistic (a surrogate
-      vector of an unchanged document) stays valid;
-    * ``base`` / ``epoch`` — the epoch the change starts from and the
-      one it produced (what a cache sweep re-tags with).
-    """
-
-    added: tuple[str, ...] = ()
-    removed: tuple[str, ...] = ()
-    terms: frozenset[str] = frozenset()
-    stats_changed: bool = True
-    base: int = 0
-    epoch: int = 0
-
-    @property
-    def changed_ids(self) -> frozenset[str]:
-        return frozenset(self.added) | frozenset(self.removed)
-
-
-@dataclasses.dataclass(frozen=True)
 class EngineSnapshot:
     """One immutable, epoch-versioned view of the engine's index.
 
@@ -281,11 +245,9 @@ class EngineSnapshot:
     the next epoch is a single reference assignment on the engine; the
     previous snapshot keeps serving every query already pinned to it.
 
-    ``delta`` describes the change that produced this snapshot (empty
-    for epoch 0 / a fresh build), which is what the serving layer's
-    per-affected-specialization warm invalidation reads.  ``impacts`` is
-    the snapshot's own impact memo: a query pinned to an older epoch
-    reads that epoch's impacts, and a publish starts with none.
+    ``impacts`` is the snapshot's own impact memo: a query pinned to an
+    older epoch reads that epoch's impacts, and a publish starts with
+    none.
 
     Partitions post *sequence numbers*: ``doc_ids`` resolves one to its
     doc_id.  A seq names one document version for good: no snapshot of
@@ -302,7 +264,6 @@ class EngineSnapshot:
     num_documents: int
     total_tokens: int
     average_document_length: float
-    delta: EpochDelta = EpochDelta((), (), frozenset(), False)
     impacts: ImpactMemo = dataclasses.field(
         default_factory=ImpactMemo, compare=False, repr=False
     )

@@ -57,7 +57,6 @@ from repro.retrieval.analysis import Analyzer
 from repro.retrieval.documents import Document, DocumentCollection
 from repro.retrieval.engine import (
     EngineSnapshot,
-    EpochDelta,
     MemoryBudget,
     ResultList,
     SearchEngine,
@@ -463,12 +462,8 @@ def append_epoch(
     attaching mid-append sees either the old epoch complete or the new
     epoch complete — never a half-applied batch.
 
-    Stored warm artifacts are pruned by the same soundness rule the
-    serving layer applies: a batch that changes the collection's
-    document count or token total stales *every* cached score (``N`` and
-    ``avg_dl`` feed each one), so all rows drop; a stats-preserving swap
-    drops only rows whose specialization terms or result documents
-    intersect the change.
+    Every stored warm artifact is deleted, by the rule the serving
+    layer applies to its caches: an epoch drops every cached score.
 
     *analyzer* must be the pipeline the serving engines use (defaults to
     the stock :class:`Analyzer`): the added documents are analysed here,
@@ -607,30 +602,10 @@ def append_epoch(
                 ),
             )
 
+        connection.execute("DELETE FROM warm_artifacts")
         tokens_delta = sum(len(r.terms) for _, _, r in new) - sum(
             len(r.terms) for _, _, r in gone
         )
-        if len(adds) != len(removes) or tokens_delta:  # N or avg_dl moved
-            connection.execute("DELETE FROM warm_artifacts")
-        else:
-            changed_terms = {
-                term for _, _, row in gone + new for term in row.terms
-            }
-            changed_ids = removed | added
-            doomed = []
-            for shard_key, spec_query, payload in connection.execute(
-                "SELECT shard, spec_query, payload FROM warm_artifacts"
-            ):
-                raw = json.loads(payload)
-                spec_terms = set(analyzer.analyze(raw["q"]))
-                result_ids = {row[0] for row in raw.get("results", ())}
-                if spec_terms & changed_terms or result_ids & changed_ids:
-                    doomed.append((shard_key, spec_query))
-            connection.executemany(
-                "DELETE FROM warm_artifacts"
-                " WHERE shard = ? AND spec_query = ?",
-                doomed,
-            )
 
         terms_of: dict[int, list[str]] = {}
         for shard, term in postings:
@@ -1340,11 +1315,8 @@ class StoreBackedSearchEngine(SearchEngine):
         removed doc_ids (a copy: a query still pinned to *previous*
         cannot write into this epoch's cache).  Partitions whose stored
         ``epoch`` tag has not advanced keep their wrapper and its
-        resident lengths.  The snapshot's ``delta`` is the changed
-        doc_ids, the rewritten rows' terms, whether N or the token total
-        moved, and the two epochs (from *previous*'s to this one; a
-        first attach names its own epoch twice).  The seq → doc_id
-        lookup is shared by every snapshot: seqs never move.
+        resident lengths.  The seq → doc_id lookup is shared by every
+        snapshot: seqs never move.
         """
         store = self.store
         table = store.partition_table()
@@ -1354,24 +1326,12 @@ class StoreBackedSearchEngine(SearchEngine):
         num_documents = store.num_documents
         total_tokens = store.total_tokens
         shards = range(self.num_partitions)
-        delta = EpochDelta(stats_changed=False, base=epoch, epoch=epoch)
         kept, carried = set(), ()
         if previous is not None:
             added, removed, pages = store.changes(previous.epoch, epoch)
             self.page_cache.evict_pages(pages)
-            delta = EpochDelta(
-                added=added,
-                removed=removed,
-                terms=frozenset(term for _, term in pages),
-                stats_changed=(
-                    num_documents != previous.num_documents
-                    or total_tokens != previous.total_tokens
-                ),
-                base=previous.epoch,
-                epoch=epoch,
-            )
             kept = {p for p in shards if table[p][0] <= previous.epoch}
-            carried = previous.collection.cached_entries(delta.changed_ids)
+            carried = previous.collection.cached_entries({*added, *removed})
         partitions = [
             previous.partitions[p]
             if p in kept
@@ -1390,7 +1350,6 @@ class StoreBackedSearchEngine(SearchEngine):
             average_document_length=(
                 total_tokens / num_documents if num_documents else 0.0
             ),
-            delta=delta,
         )
 
     def _forward_lookup(self):
@@ -1401,11 +1360,9 @@ class StoreBackedSearchEngine(SearchEngine):
 
         However many epochs behind the engine is, the ``epoch_log`` rows
         in between say what changed, and only that is dropped (see
-        :meth:`_attach_snapshot`); the published snapshot's ``delta``
-        covers every epoch skipped, so the serving layer's sweeps drop
-        exactly what those epochs changed.  Idempotent under the epoch
-        lock: engines that share this one (in-process shards) may all
-        call it, and only the first advances.
+        :meth:`_attach_snapshot`).  Idempotent under the epoch lock:
+        engines that share this one (in-process shards) may all call
+        it, and only the first advances.
         Returns the (possibly unchanged) published epoch.  Raises
         :class:`StaleEpochError` if the store file moved *backwards* —
         a swapped-in older file — since serving an epoch and then

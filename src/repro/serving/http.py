@@ -39,7 +39,7 @@ with an empty or space-padded name, or starting with SP/HTAB (obs-fold).
 A hit's reply is encoded once: a memo of up to ``ring_size`` entries
 maps a query to the result ``serve_cached`` answered and its encoded
 payload, and serves those bytes only while the service still answers
-that very object (``is``) — a result an ingest sweep replaced, or the
+that very object (``is``) — a result an ingest epoch replaced, or the
 result LRU evicted and recomputed, is encoded afresh.  Misses are
 encoded per request and never enter the memo.  A batch reply splices
 the per-result bytes into ``{"results": [...]}``, byte-identical to
@@ -534,7 +534,7 @@ class DiversificationHTTPServer:
         """The encoded payload of a hit: the memo's bytes while they were
         encoded from this very *result*, else encoded now and memoised."""
         entry = self._replies.lookup(query, lambda entry: entry[0] is result)
-        if entry is not None and entry[0] is result:
+        if entry is not None:
             return entry[1]
         body = _encode(result_payload(result))
         self._replies.put(query, (result, body))

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 from repro.core.ambiguity import SpecializationSet
 from repro.core.cache import BUCKETS, BUSY, CONCAT, MAX, PART_COPIES, PARTS
 from repro.core.cache import CacheStats, LRUCache, Rollup, named
-from repro.core.cache import put_tagged, sweep_tagged
+from repro.core.cache import put_tagged
 from repro.core.framework import DiversificationFramework, DiversifiedResult
 from repro.core.task import DiversificationTask
 
@@ -475,7 +475,7 @@ class DiversificationService:
             to_rank: list[str] = []
             for query in dict.fromkeys(queries):
                 cached = self._result_cache.lookup(query, lambda e: e[0] == epoch)
-                if cached is None or cached[0] != epoch:
+                if cached is None:
                     to_rank.append(query)
                 else:
                     by_query[query] = cached[1]
@@ -559,31 +559,29 @@ class DiversificationService:
         (:meth:`~repro.retrieval.store.StoreBackedSearchEngine.refresh`)
         — the writer appends once, every attached service refreshes;
         services sharing one engine find it current after the first.
-        The published snapshot's delta, read off the store's epoch log,
-        then carries the warm state over: per-affected-specialization
-        when the batch preserved the collection statistics, every
-        result list when it changed ``N`` or the token total (every
-        cached score embeds both); surrogate vectors need no sweep, since
-        a changed document takes a new seq
-        (:meth:`~repro.core.framework.DiversificationFramework.invalidate_affected`).
-        Cached end-to-end results follow the same tag rule.  No lock
-        spans the refresh and the sweeps: no read at the new epoch
-        reuses an entry until a sweep re-tags it, and a second sweep for
-        one delta changes nothing.  The batch itself only feeds the
-        ingest counters.  Returns the epoch that includes the batch;
-        :class:`ReadOnlyError` on an in-memory engine.
+        Every spec list and cached end-to-end result tagged before the
+        published epoch is then dropped
+        (:meth:`~repro.core.framework.DiversificationFramework.drop_before`);
+        surrogate vectors stay, since a changed document takes a new
+        seq, and so do detections, since Algorithm 1 reads the query-log
+        model, not the collection.  No lock spans the refresh and the
+        drops: a read reuses an entry only at its tag's epoch, so the
+        drops only free memory, and a second drop for one epoch removes
+        nothing.  The batch itself only feeds the ingest counters.
+        Returns the epoch that includes the batch; :class:`ReadOnlyError`
+        on an in-memory engine.
         """
         self._store_path()
         engine = self.framework.engine
         engine.refresh()
-        snapshot = engine.snapshot()
-        dropped = self.framework.invalidate_affected(snapshot.delta)
-        self._sweep_results(snapshot.delta)
+        epoch = engine.epoch
+        dropped = self.framework.drop_before(epoch)
+        self._result_cache.discard(lambda entry: entry[0] < epoch)
         self.stats.documents_ingested += len(add_documents)
         self.stats.documents_removed += len(remove_doc_ids)
         self.stats.epochs_published += 1
         self.stats.warm_invalidations += dropped
-        return snapshot.epoch
+        return epoch
 
     def ingest(
         self,
@@ -636,36 +634,6 @@ class DiversificationService:
         """Epoch of the engine's currently published snapshot (0 for
         engines that never ingested)."""
         return self.framework.engine.epoch
-
-    def _sweep_results(self, delta) -> None:
-        """Carry cached end-to-end results over the epoch *delta*
-        published, by :func:`~repro.core.cache.sweep_tagged`'s tag rule.
-
-        A result tagged ``delta.base`` drops when the batch changed the
-        collection statistics (every score embeds them); after a
-        stats-preserving swap it stays iff the changed documents' terms
-        are disjoint from the query *and* from every specialization it
-        ranked under, and no changed document is in its ranking or
-        baseline.  Detections are never swept — Algorithm 1 reads the
-        query-log model, not the collection.
-        """
-        analyze = self.framework.engine.analyzer.analyze
-        changed_ids = frozenset() if delta is None else delta.changed_ids
-
-        def kept(query: str, entry: tuple) -> tuple | None:
-            result = entry[1]
-            if (
-                delta.stats_changed
-                or not changed_ids.isdisjoint(result.ranking)
-                or not changed_ids.isdisjoint(result.baseline.doc_ids)
-            ):
-                return None
-            terms = set(analyze(query))
-            for spec_query, _p in result.specializations:
-                terms.update(analyze(spec_query))
-            return None if terms & delta.terms else (result,)
-
-        sweep_tagged(self._result_cache, delta, kept)
 
     # -- maintenance -------------------------------------------------------------
 

@@ -384,11 +384,11 @@ class ShardedDiversificationService:
         """Serve an (already durable) ingest batch on every shard.
 
         Each shard refreshes its engine to the store's latest epoch and
-        sweeps its caches, and a respawned worker attaches the store at
-        that epoch, so no failover can time-travel the collection.
-        Shards that share one engine
-        object advance it once — the first refresh publishes the epoch,
-        the rest find it current — and each still runs its own sweep.
+        drops what its caches hold of older epochs, and a respawned
+        worker attaches the store at that epoch, so no failover can
+        time-travel the collection.  Shards that share one engine object
+        advance it once — the first refresh publishes the epoch, the
+        rest find it current — and each still drops from its own caches.
         Returns the published epoch.
         """
         done = self._backend.broadcast(

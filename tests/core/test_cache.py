@@ -8,8 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.core.cache import LRUCache, put_tagged, sweep_tagged
-from repro.retrieval.engine import EpochDelta
+from repro.core.cache import LRUCache, put_tagged
 
 
 class TestLRUCache:
@@ -89,13 +88,26 @@ class TestLRUCache:
         cache.put("whole", (1, "x"))
         cache.put("partial", (None, "x"))
         whole = lambda value: value[0] is not None  # noqa: E731
-        assert cache.lookup("partial", whole) == (None, "x")
+        assert cache.lookup("partial", whole) is None
         assert cache.lookup("whole", whole) == (1, "x")
         assert cache.lookup("nope", whole) is None
         stats = cache.stats()
         assert (stats.hits, stats.misses) == (1, 2)
         cache.put("c", 3)  # both were looked up; "partial" first
         assert "partial" not in cache and "whole" in cache
+
+    def test_a_stale_tag_is_a_miss_until_a_put_tagged_replaces_it(self):
+        """The caller's read of an epoch-tagged cache: ``lookup`` answers
+        ``None`` for an entry of another epoch, so the caller recomputes
+        and puts; the next read at that epoch is a hit on the new entry."""
+        cache = LRUCache(2)
+        cache.put("q", (1, "old"))
+        current = lambda entry: entry[0] == 2  # noqa: E731
+        assert cache.lookup("q", current) is None
+        put_tagged(cache, "q", (2, "new"))
+        assert cache.lookup("q", current) == (2, "new")
+        stats = cache.stats()
+        assert (stats.hits, stats.misses, stats.size) == (1, 1, 1)
 
     def test_hit_rate_before_any_lookup(self):
         assert LRUCache(1).stats().hit_rate == 0.0
@@ -131,148 +143,116 @@ class TestEpochTagged:
         assert cache.snapshot() == [("a", (2, "a2")), ("b", (1, "b1"))]
         assert cache.stats().hits == cache.stats().misses == 0
 
-    def test_a_sweep_retags_base_keeps_published_and_drops_the_rest(self):
-        cache = LRUCache(8)
-        for key, entry in [
-            ("kept", (3, "x")),
-            ("emptied", (3, "")),
-            ("current", (4, "y")),
-            ("older", (2, "z")),
-            ("newer", (5, "w")),
-        ]:
-            cache.put(key, entry)
-        current = cache.peek("current")
-        rewritten = []
-
-        def rewrite(key, entry):
-            rewritten.append(key)
-            return (entry[1].upper(),) if entry[1] else None
-
-        sweep_tagged(cache, EpochDelta(base=3, epoch=4), rewrite)
-        assert rewritten == ["kept", "emptied"]
-        assert cache.snapshot() == [("kept", (4, "X")), ("current", (4, "y"))]
-        assert cache.peek("current") is current
-        sweep_tagged(cache, EpochDelta(base=3, epoch=4), rewrite)
-        assert rewritten == ["kept", "emptied"]  # a second sweep does nothing
-        sweep_tagged(cache, None, rewrite)
-        assert len(cache) == 0
-
-    def test_a_sweep_keeps_the_recency_of_what_it_carries(self):
-        cache = LRUCache(3)
-        for key in ("a", "b", "c"):
-            cache.put(key, (3, key))
-        cache.get("a")  # recency: b, c, a
-        sweep_tagged(cache, EpochDelta(base=3, epoch=4), lambda k, e: (e[1],))
-        assert list(cache) == ["b", "c", "a"]
-        cache.put("d", (4, "d"))  # "b" is still the stalest
-        assert "b" not in cache and "a" in cache
-
-    def test_a_put_during_the_rewrite_survives_the_sweep(self):
-        """The rewrite runs outside the lock; a newer entry put for the
-        key meanwhile is not overwritten by the stale carry."""
+    def test_a_discard_drops_older_tags_only_and_is_not_a_use(self):
+        """The publish drop: every entry tagged before the published
+        epoch goes; one tagged with it (or put at a newer epoch) stays,
+        in its place, and no counter moves."""
         cache = LRUCache(4)
-        cache.put("a", (3, "old"))
-
-        def rewrite(key, entry):
-            put_tagged(cache, key, (5, "newer"))
-            return (entry[1],)
-
-        sweep_tagged(cache, EpochDelta(base=3, epoch=4), rewrite)
-        assert cache.peek("a") == (5, "newer")
-
-    def test_a_key_replaced_before_its_drop_is_kept(self):
-        """A drop lands only on the entry the sweep snapshotted."""
-        cache = LRUCache(4)
-        cache.put("carried", (3, "x"))
-        cache.put("stale", (1, "y"))
-
-        def rewrite(key, entry):
-            cache.put("stale", (4, "fresh"), refresh=False)
-            return (entry[1],)
-
-        sweep_tagged(cache, EpochDelta(base=3, epoch=4), rewrite)
-        assert cache.snapshot() == [("carried", (4, "x")), ("stale", (4, "fresh"))]
-
-    def test_the_rewrite_runs_outside_the_lock(self):
-        """A rewrite that reads the cache it sweeps must not deadlock."""
-        cache = LRUCache(4)
-        cache.put("a", (3, "x"))
-        cache.put("b", (3, "y"))
-        sweep = threading.Thread(
-            target=sweep_tagged,
-            args=(
-                cache,
-                EpochDelta(base=3, epoch=4),
-                lambda key, entry: (cache.peek(key)[1],),
-            ),
-            daemon=True,
-        )
-        sweep.start()
-        sweep.join(10)
-        assert not sweep.is_alive()
-        assert cache.snapshot() == [("a", (4, "x")), ("b", (4, "y"))]
-
-
-class TestSwap:
-    """``LRUCache.swap``: compare-and-set by identity, in one pass."""
-
-    def test_replaces_in_place_keeping_recency(self):
-        cache = LRUCache(3)
-        old = (1, "a")
-        cache.put("a", old)
-        cache.put("b", (1, "b"))
-        cache.swap([("a", old, (2, "a"))])
-        assert cache.snapshot() == [("a", (2, "a")), ("b", (1, "b"))]
-        cache.put("c", 3)
-        cache.put("d", 4)  # "a" kept its place as the stalest
-        assert "a" not in cache and "b" in cache
-
-    def test_drops_when_new_is_none(self):
-        cache = LRUCache(3)
-        old = (1, "a")
-        cache.put("a", old)
-        cache.put("b", (1, "b"))
-        cache.swap([("a", old, None)])
-        assert cache.snapshot() == [("b", (1, "b"))]
-
-    def test_a_key_that_moved_on_is_left_alone(self):
-        """Identity, not equality: an equal value put since the snapshot
-        is a different entry, neither replaced nor dropped."""
-        cache = LRUCache(3)
-        old = (1, ["a"])
-        cache.put("a", old)
-        cache.put("b", (1, "b"))
-        stale_b = cache.peek("b")
-        cache.put("a", (1, ["a"]))
-        cache.put("b", (1, "b2"))
-        cache.swap([("a", old, (2, "a")), ("b", stale_b, None)])
-        assert cache.snapshot() == [("a", (1, ["a"])), ("b", (1, "b2"))]
-
-    def test_an_evicted_or_cleared_key_is_not_resurrected(self):
-        cache = LRUCache(1)
-        old = (1, "a")
-        cache.put("a", old)
-        cache.put("b", (1, "b"))  # evicts "a"
-        cache.swap([("a", old, (2, "a"))])
-        assert cache.snapshot() == [("b", (1, "b"))]
-        held = cache.peek("b")
-        cache.clear()
-        cache.swap([("b", held, (2, "b"))])
-        assert len(cache) == 0
-
-    def test_counters_are_untouched(self):
-        cache = LRUCache(2)
-        old = (1, "a")
-        cache.put("a", old)
+        for key, tag in [("a", 4), ("b", 3), ("c", 5), ("d", 2)]:
+            cache.put(key, (tag, key))
         cache.get("a")
-        cache.get("missing")
+        cache.get("missing")  # recency: b, c, d, a
         before = cache.stats()
-        cache.swap([("a", old, None), ("missing", None, (1, "m"))])
+        assert cache.discard(lambda entry: entry[0] < 4) == 2
+        assert cache.snapshot() == [("c", (5, "c")), ("a", (4, "a"))]
         after = cache.stats()
         assert (after.hits, after.misses, after.evictions) == (
             before.hits, before.misses, before.evictions,
         )
-        assert after.size == 0
+        assert cache.discard(lambda entry: entry[0] < 4) == 0  # once per epoch
+        cache.put("e", (4, "e"))
+        cache.put("f", (4, "f"))
+        cache.put("g", (4, "g"))  # "c" is still the stalest
+        assert "c" not in cache and "a" in cache
+
+
+class TestDiscard:
+    """``LRUCache.discard``: the one drop a publish makes, under the lock."""
+
+    def test_an_empty_cache_drops_nothing(self):
+        cache = LRUCache(2)
+        assert cache.discard(lambda entry: True) == 0
+        assert len(cache) == 0
+
+    def test_counters_are_untouched_when_every_entry_goes(self):
+        cache = LRUCache(2)
+        for key in "abc":
+            cache.put(key, (1, key))  # evicts "a"
+        cache.get("b")
+        cache.get("a")
+        before = cache.stats()
+        assert cache.discard(lambda entry: entry[0] < 2) == 2
+        after = cache.stats()
+        assert (after.hits, after.misses, after.evictions) == (1, 1, 1)
+        assert (after.hits, after.misses, after.evictions) == (
+            before.hits, before.misses, before.evictions,
+        )
+        assert (after.size, after.maxsize) == (0, 2)
+
+    def test_survivors_keep_their_recency(self):
+        cache = LRUCache(4)
+        for key, tag in [("a", 2), ("b", 1), ("c", 2), ("d", 1)]:
+            cache.put(key, (tag, key))
+        cache.get("a")  # recency: b, c, d, a
+        cache.discard(lambda entry: entry[0] < 2)
+        assert list(cache) == ["c", "a"]
+        for key in "xyz":
+            cache.put(key, (2, key))  # the third put evicts "c", not "a"
+        assert "c" not in cache and "a" in cache
+
+    def test_a_drop_frees_room_without_an_eviction(self):
+        cache = LRUCache(3)
+        for key in "abc":
+            cache.put(key, (1, key))
+        assert cache.discard(lambda entry: entry[0] < 2) == 3
+        for key in "xyz":
+            cache.put(key, (2, key))
+        assert cache.stats().evictions == 0
+        assert list(cache) == ["x", "y", "z"]
+
+    def test_the_predicate_reads_each_value_once(self):
+        cache = LRUCache(4)
+        for key, tag in [("a", 1), ("b", 2), ("c", 3)]:
+            cache.put(key, (tag, key))
+        seen = []
+        assert cache.discard(lambda entry: seen.append(entry) or entry[0] == 2) == 1
+        assert seen == [(1, "a"), (2, "b"), (3, "c")]
+        assert cache.snapshot() == [("a", (1, "a")), ("c", (3, "c"))]
+
+    def test_a_dropped_key_reads_as_a_plain_miss(self):
+        cache = LRUCache(2)
+        cache.put("q", (1, "old"))
+        cache.discard(lambda entry: entry[0] < 2)
+        assert cache.lookup("q", lambda entry: True) is None
+        assert cache.peek("q") is None
+        assert cache.stats().misses == 1
+
+    def test_puts_at_the_new_epoch_racing_drops_all_survive(self):
+        """Writers put entries tagged with the published epoch while
+        drops for that epoch run: no drop takes one of them, and every
+        older entry is gone once the last drop has run."""
+        cache = LRUCache(256)
+        for key in range(64):
+            cache.put(("old", key), (1, key))
+        start = threading.Barrier(3)
+
+        def writer(offset: int) -> None:
+            start.wait()
+            for key in range(offset, 128, 2):
+                put_tagged(cache, ("new", key), (2, key))
+
+        def dropper() -> int:
+            start.wait()
+            return sum(cache.discard(lambda entry: entry[0] < 2) for _ in range(50))
+
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            writes = [pool.submit(writer, offset) for offset in (0, 1)]
+            dropped = pool.submit(dropper)
+            for write in writes:
+                write.result(timeout=30)
+            assert dropped.result(timeout=30) == 64
+        assert sorted(cache) == [("new", key) for key in range(128)]
+        assert cache.stats().evictions == 0
 
 
 class TestLRUCacheConcurrency:

@@ -19,7 +19,7 @@ from repro.core.mmr import MMR
 from repro.core.optselect import OptSelect
 from repro.core.xquad import XQuAD
 from repro.experiments.workloads import PAPER_SCALE
-from repro.retrieval.engine import EpochDelta, ResultList
+from repro.retrieval.engine import ResultList
 from repro.retrieval.similarity import TermVector
 from repro.retrieval.store import read_warm_artifacts, write_store
 from repro.serving.service import DiversificationService
@@ -576,38 +576,23 @@ class TestShadowedSurrogates:
         assert not incomplete_lists(receiver)
         assert receiver.install_warm_state(artifacts) == 0
 
-    def test_invalidate_drops_the_same_lists_and_never_touches_the_memo(
-        self, framework_factory, ambiguous_topic, small_engine
+    def test_a_drop_takes_the_same_lists_and_never_touches_the_memo(
+        self, framework_factory, ambiguous_topic
     ):
+        """A partial list (one whose candidates shadowed vectors) and a
+        whole one drop alike; the memo keeps every vector."""
         query = ambiguous_topic.query
-        probe = framework_factory()
-        task = probe.build_task(query, probe.detect(query))
-        spec = incomplete_lists(probe)[0]
-        keys = memoised(probe)
-        _, results = probe._spec_cache.peek(spec)
-        shadowed = next(
-            d
-            for d, seq in zip(results.doc_ids, results.seqs)
-            if (spec, seq) not in keys
-        )
-        spec_terms = frozenset(small_engine.analyzer.analyze(spec))
-        deltas = [
-            EpochDelta(added=(shadowed,), removed=(shadowed,), stats_changed=False),
-            EpochDelta(added=("alien0",), terms=spec_terms, stats_changed=False),
-            EpochDelta(added=(task.candidates.doc_ids[-1],)),
-            None,
-        ]
-        for delta in deltas:
-            partial = framework_factory()
-            partial.build_task(query, partial.detect(query))
-            whole = framework_factory()
-            whole.prefetch_specializations(spec_queries_of(whole, [query]))
-            memo = [f._surrogates.snapshot() for f in (partial, whole)]
-            assert partial.invalidate_affected(delta) == (
-                whole.invalidate_affected(delta)
-            ), delta
-            assert list(partial._spec_cache) == list(whole._spec_cache), delta
-            assert [f._surrogates.snapshot() for f in (partial, whole)] == memo
+        partial = framework_factory()
+        partial.build_task(query, partial.detect(query))
+        assert incomplete_lists(partial)
+        whole = framework_factory()
+        whole.prefetch_specializations(spec_queries_of(whole, [query]))
+        memo = [f._surrogates.snapshot() for f in (partial, whole)]
+        held = len(partial._spec_cache)
+        for framework in (partial, whole):
+            assert framework.drop_before(framework.engine.epoch + 1) == held
+            assert len(framework._spec_cache) == 0
+        assert [f._surrogates.snapshot() for f in (partial, whole)] == memo
 
     def test_an_empty_surrogate_vector_counts_as_present(
         self, framework_factory, ambiguous_topic, vectorised
@@ -624,7 +609,7 @@ class TestShadowedSurrogates:
         assert framework._vectors(spec, results)[doc] is empty
         assert framework.prefetch_specializations([spec]) == 0
         assert framework.export_warm_state()[spec][1][doc] is empty
-        assert framework.invalidate_affected(EpochDelta(added=("alien0",))) == 1
+        assert framework.drop_before(framework.engine.epoch + 1) == 1
         assert framework._surrogates.peek(key) is empty
         assert vectorised == []
 
@@ -682,31 +667,58 @@ class TestSurrogateMemo:
         ]:
             assert framework_factory(config=config)._surrogates.maxsize == bound
 
-    @pytest.mark.parametrize("change", ["unknown", "rewrite", "removal"])
-    def test_no_invalidation_touches_the_memo(
-        self, framework_factory, ambiguous_queries, vectorised, change
+    def test_no_drop_touches_the_memo(
+        self, framework_factory, ambiguous_queries, vectorised
     ):
         framework = framework_factory()
         tasks = {
             query: framework.build_task(query, framework.detect(query))
             for query in ambiguous_queries
         }
-        changed = tasks[ambiguous_queries[0]].candidates.doc_ids[0]
-        delta = {
-            "unknown": None,
-            "rewrite": EpochDelta(
-                added=(changed,), removed=(changed,), stats_changed=False
-            ),
-            "removal": EpochDelta(removed=(changed,)),
-        }[change]
         held = framework._surrogates.snapshot()
-        assert framework.invalidate_affected(delta) > 0
+        assert framework.drop_before(framework.engine.epoch + 1) > 0
         assert framework._surrogates.snapshot() == held
         vectorised.clear()
         for query, task in tasks.items():
             again = framework.build_task(query, framework.detect(query))
             assert vectors_of(again.vectors) == vectors_of(task.vectors), query
         assert vectorised == []  # the same snapshot: every (query, seq) built
+
+    def test_a_drop_at_the_current_epoch_keeps_every_list(
+        self, framework_factory, ambiguous_queries
+    ):
+        """``drop_before`` of the epoch the lists were searched at drops
+        none of them: each stays, the same object, and the next read of
+        every specialization is a hit."""
+        framework = framework_factory()
+        for query in ambiguous_queries:
+            framework.build_task(query, framework.detect(query))
+        held = framework._spec_cache.snapshot()
+        assert held
+        stats = framework.cache_info()
+        assert framework.drop_before(framework.engine.epoch) == 0
+        after = framework._spec_cache.snapshot()
+        assert [key for key, _ in after] == [key for key, _ in held]
+        assert all(a is b for (_, a), (_, b) in zip(after, held))
+        for query in ambiguous_queries:
+            framework.build_task(query, framework.detect(query))
+        assert framework.cache_info().misses == stats.misses
+
+    def test_a_drop_counts_only_the_lists_tagged_before_its_epoch(
+        self, framework_factory, ambiguous_queries
+    ):
+        framework = framework_factory()
+        for query in ambiguous_queries:
+            framework.build_task(query, framework.detect(query))
+        cache = framework._spec_cache
+        epoch = framework.engine.epoch
+        keys = list(cache)
+        newer = set(keys[::2])
+        for key in newer:
+            cache.put(key, (epoch + 1, cache.peek(key)[1]), refresh=False)
+        assert framework.drop_before(epoch + 1) == len(keys) - len(newer)
+        assert list(cache) == [key for key in keys if key in newer]
+        assert framework.drop_before(epoch + 1) == 0
 
     def test_a_specialization_that_analyses_to_nothing_has_no_results(
         self, framework_factory, ambiguous_topic

@@ -21,7 +21,7 @@ import pytest
 
 from repro.retrieval.analysis import Analyzer
 from repro.retrieval.documents import Document, DocumentCollection
-from repro.retrieval.engine import SearchEngine
+from repro.retrieval.engine import SearchEngine, stable_shard
 from repro.retrieval.index import InvertedIndex
 from repro.retrieval.store import (
     StoreBackedSearchEngine,
@@ -114,36 +114,68 @@ class TestEngineEpochs:
         assert engine.collection.doc_ids == fresh.collection.doc_ids
         assert_engines_identical(engine, fresh, PROBES)
 
-    def test_delta_describes_the_batch(self, engine):
-        victim = engine.collection["d7"]
-        publish(engine, [Document("n0", "zebra yak")], ["d7"])
-        delta = engine.snapshot().delta
-        assert delta.added == ("n0",)
-        assert delta.removed == ("d7",)
-        assert delta.stats_changed  # token totals moved
-        assert delta.terms == {"zebra", "yak"} | set(
-            Analyzer().analyze(victim.full_text)
+    def test_a_refresh_over_two_epochs_evicts_their_pages_and_carries_the_rest(
+        self, engine, monkeypatch
+    ):
+        """One refresh over two logged epochs evicts the pages both name,
+        in one pass, and carries every cached document row but the
+        changed doc_ids'."""
+        victim = engine.collection["d3"]
+        for doc_id in ("d1", "d5"):
+            engine.collection[doc_id]
+        evicted = []
+        evict_pages = engine.page_cache.evict_pages
+        monkeypatch.setattr(
+            engine.page_cache,
+            "evict_pages",
+            lambda keys: evicted.append(set(keys)) or evict_pages(keys),
         )
-        assert delta.changed_ids == frozenset({"n0", "d7"})
-
-    def test_a_refresh_over_two_epochs_merges_their_deltas(self, engine):
         append_epoch(engine.store_path, [Document("n0", "zebra")], ["d3"])
         append_epoch(engine.store_path, [Document("n1", "yak")], ["n0"])
         assert engine.refresh() == 2
-        delta = engine.snapshot().delta
-        assert delta.added == ("n0", "n1")
-        assert delta.removed == ("d3", "n0")
-        assert {"zebra", "yak"} <= delta.terms
-        assert delta.changed_ids == frozenset({"n0", "n1", "d3"})
+        analyze = Analyzer().analyze
+        assert evicted == [
+            {(stable_shard("n0", 3), "zebra"), (stable_shard("n1", 3), "yak")}
+            | {(stable_shard("d3", 3), t) for t in analyze(victim.full_text)}
+        ]
+        carried = engine.snapshot().collection.cached_entries(())
+        assert {doc_id for doc_id, _ in carried} == {"d1", "d5"}
 
-    def test_balanced_swap_reports_stats_unchanged(self, engine):
-        # Replace a doc with one of the same analysed length: N and
-        # total_tokens are preserved, so cached scores stay valid and
-        # the delta says so.
+    def test_a_same_token_count_swap_publishes_like_any_epoch(
+        self, engine, monkeypatch
+    ):
+        """A swap that keeps N and the token total is no special case: the
+        refresh evicts both documents' pages, carries the other cached
+        rows, and the engine equals a rebuild of the new collection."""
+        docs = make_docs(20)
         old = engine.collection["d0"]
-        length = len(Analyzer().analyze(old.full_text))
-        publish(engine, [Document("swap0", " ".join(["zebra"] * length))], ["d0"])
-        assert not engine.snapshot().delta.stats_changed
+        engine.collection["d2"]
+        analyze = Analyzer().analyze
+        swap = Document("swap0", " ".join(["zebra"] * len(analyze(old.full_text))))
+        before = engine.snapshot()
+        evicted = []
+        evict_pages = engine.page_cache.evict_pages
+        monkeypatch.setattr(
+            engine.page_cache,
+            "evict_pages",
+            lambda keys: evicted.append(set(keys)) or evict_pages(keys),
+        )
+        assert publish(engine, [swap], ["d0"]) == 1
+        after = engine.snapshot()
+        assert (after.num_documents, after.total_tokens) == (
+            before.num_documents, before.total_tokens,
+        )
+        assert evicted == [
+            {(stable_shard("swap0", 3), "zebra")}
+            | {(stable_shard("d0", 3), t) for t in analyze(old.full_text)}
+        ]
+        carried = after.collection.cached_entries(())
+        assert {doc_id for doc_id, _ in carried} == {"d2"}
+        fresh = SearchEngine(
+            DocumentCollection([d for d in docs if d.doc_id != "d0"] + [swap]),
+            num_partitions=3,
+        )
+        assert_engines_identical(engine, fresh, PROBES + ["zebra"])
 
     def test_a_refused_append_publishes_nothing(self, engine):
         before = engine.search("apple", k=20)

@@ -182,6 +182,11 @@ class TestRowsFollowMutation:
         before = live.snapshot()
         append_epoch(path, docs[24:27], ["d1", "d7"])
         append_epoch(path, docs[27:] + [docs[1]], ["d24"])
+        evicted = []
+        evict_pages = live.page_cache.evict_pages
+        live.page_cache.evict_pages = lambda keys: (
+            evicted.append(set(keys)) or evict_pages(keys)
+        )
         assert live.refresh() == 2
         final = [d for d in docs[:24] if d.doc_id not in {"d1", "d7"}]
         final += docs[25:27] + docs[27:] + [docs[1]]
@@ -193,9 +198,9 @@ class TestRowsFollowMutation:
         assert starts_of(live) == starts_of(rebuilt)
         assert vectors_of(live) == vectors_of(rebuilt) != warmed
         assert vectors_of(live) == oracle_vectors_of(live)
-        # The delta's terms are read off the rows: every term of every
+        # The evicted pages are read off the rows: every term of every
         # changed document.
-        assert live.snapshot().delta.terms == {
+        assert {term for _, term in evicted[0]} == {
             term
             for document in docs[24:] + [docs[1], docs[7]]
             for term in live.analyzer.analyze(document.full_text)

@@ -631,5 +631,40 @@ class TestWarmArtifactsInStore:
         for part in (str(path), "[shard=1]", "'apple pie'", problem):
             assert part in message
 
+    def test_a_same_token_count_swap_deletes_every_row(self, tmp_path, warmed):
+        """An epoch that keeps N and the token total, and whose one
+        added document shares no term with any stored specialization or
+        result, still deletes every shard's rows: each epoch drops every
+        cached score."""
+        engine = warmed.framework.engine
+        payloads = warmed.export_warm_payloads()
+        path = write_store(
+            tmp_path / "warm.sqlite3", engine, {0: payloads, 1: payloads}
+        )
+        victim = engine.collection[engine.collection.doc_ids[-1]]
+        length = len(engine.analyzer.analyze(victim.full_text))
+        swap = Document("swap0", " ".join(["qqzb"] * length))
+        store = IndexStore(path)
+        try:
+            before = (store.num_documents, store.total_tokens)
+        finally:
+            store.close()
+        assert append_epoch(
+            path, [swap], [victim.doc_id], analyzer=engine.analyzer
+        ) == 1
+        store = IndexStore(path)
+        try:
+            assert (store.num_documents, store.total_tokens) == before
+        finally:
+            store.close()
+        assert read_warm_artifacts(path, 0) == read_warm_artifacts(path, 1) == {}
+
+    def test_a_refused_append_keeps_every_row(self, warmed, warm_store):
+        held = read_warm_artifacts(warm_store, 0).keys()
+        assert held
+        with pytest.raises(StoreError, match="cannot remove unknown doc_id"):
+            append_epoch(warm_store, [Document("n0", "zebra")], ["ghost"])
+        assert read_warm_artifacts(warm_store, 0).keys() == held
+
     def test_store_without_warm_rows_reads_empty(self, store_path):
         assert read_warm_artifacts(store_path, 0) == {}

@@ -222,14 +222,16 @@ class TestExactRefresh:
         for log in calls.values():
             del log[:]
 
+        evicted = []
+        evict_pages = engine.page_cache.evict_pages
+        engine.page_cache.evict_pages = lambda keys: (
+            evicted.append(set(keys)) or evict_pages(keys)
+        )
         assert engine.refresh() == 2
-        delta = engine.snapshot().delta
-        assert delta.added == (new.doc_id, neighbour.doc_id)
-        assert delta.removed == (old.doc_id,)
         changed_terms = {
             term for d in (old, new, neighbour) for term in forward_of(d).terms
         }
-        assert delta.terms == changed_terms and delta.stats_changed
+        assert evicted == [{(shard, term) for term in changed_terms}]
         after = engine.search(query, 50)
         vectors = engine.snippet_vectors(query, after)
         query_terms = set(engine.analyzer.analyze(query))

@@ -34,7 +34,6 @@ from repro.retrieval.analysis import Analyzer
 from repro.retrieval.documents import Document, DocumentCollection
 from repro.retrieval.engine import (
     EngineSnapshot,
-    EpochDelta,
     ResultList,
     SearchEngine,
     partition_collection,
@@ -190,15 +189,14 @@ def assert_results_equal(got, want):
         assert g.baseline.scores == w.baseline.scores
 
 
-def publish_rebuilt(engine, docs, adds, removed):
+def publish_rebuilt(engine, docs, adds):
     """Publish *docs* on the in-memory *engine* as its next epoch, built
-    from scratch, with the delta of the batch that produced them (*adds*
-    and the *removed* documents).  Numbered as ``append_epoch`` numbers
-    a store: a survivor keeps its seq and each added document takes the
-    next seq never issued, so a seq names one document version for good
-    (what the framework's surrogate memo is keyed by); the engine keeps
-    the next seq to issue.  A pinned query keeps its whole snapshot;
-    returns the delta."""
+    from scratch; *adds* are the documents the batch added.  Numbered as
+    ``append_epoch`` numbers a store: a survivor keeps its seq and each
+    added document takes the next seq never issued, so a seq names one
+    document version for good (what the framework's surrogate memo is
+    keyed by); the engine keeps the next seq to issue.  A pinned query
+    keeps its whole snapshot; returns the published epoch."""
     current = engine.snapshot()
     next_seq = getattr(engine, "next_rebuilt_seq", max(current.doc_ids) + 1)
     added = {d.doc_id for d in adds}
@@ -222,31 +220,17 @@ def publish_rebuilt(engine, docs, adds, removed):
     )
     num_documents = sum(p.num_documents for p in partitions)
     total_tokens = sum(p.total_tokens for p in partitions)
-    delta = EpochDelta(
-        added=tuple(d.doc_id for d in adds),
-        removed=tuple(d.doc_id for d in removed),
-        terms=frozenset(
-            term
-            for document in adds + removed
-            for term in engine.analyzer.analyze(document.full_text)
-        ),
-        stats_changed=(num_documents, total_tokens)
-        != (current.num_documents, current.total_tokens),
-        base=current.epoch,
-        epoch=current.epoch + 1,
-    )
     with engine._epoch_lock:
         engine._snapshot = EngineSnapshot(
-            epoch=delta.epoch,
+            epoch=current.epoch + 1,
             collection=collection,
             partitions=partitions,
             doc_ids={seq: doc_id for doc_id, seq in seq_of.items()},
             num_documents=num_documents,
             total_tokens=total_tokens,
             average_document_length=total_tokens / num_documents,
-            delta=delta,
         )
-    return delta
+    return current.epoch + 1
 
 
 # -- single service --------------------------------------------------------------
@@ -275,45 +259,88 @@ class TestServiceIngest:
         assert stats.documents_ingested == sum(len(a) for a, _ in batches)
         assert stats.documents_removed == sum(len(r) for _, r in batches)
 
-    def test_balanced_alien_swap_keeps_warm_state(
+    def test_a_same_token_count_swap_drops_every_list_and_result(
         self, tmp_path, small_miner, initial_docs, workload
     ):
-        """A stats-preserving swap whose vocabulary is disjoint from the
-        query space invalidates nothing: zero warm drops, and cached
-        end-to-end results keep serving as hits."""
+        """An epoch that keeps N and the token total (one document out,
+        one of the same analysed length in) still drops every spec list
+        and cached result, and the next read equals a cold rebuild."""
         service = make_live_service(
             tmp_path / "live.sqlite3", small_miner, initial_docs
         )
         service.warm(set(workload))
         alien = Document("alien0", "zzqa wwxo vvrt")
-        service.ingest(add_documents=[alien])  # N changed: wholesale drop
-        assert service.stats.warm_invalidations > 0
+        service.ingest(add_documents=[alien])
         service.diversify_batch(workload)  # refill every cache at epoch 1
+        lists = service.spec_cache_info().size
+        results = service.result_cache_info()
+        assert lists and results.size == len(set(workload))
         invalidations = service.stats.warm_invalidations
-        hits_before = service.result_cache_info().hits
-        misses_before = service.result_cache_info().misses
-
         length = len(Analyzer().analyze(alien.full_text))
         swap = Document("alien1", " ".join(["qqzb"] * length))
-        epoch = service.ingest(
-            add_documents=[swap], remove_doc_ids=[alien.doc_id]
-        )
-        assert epoch == 2
-        # The surgical path fired: no warm artifact was dropped ...
-        assert service.stats.warm_invalidations == invalidations
+        engine = service.framework.engine
+
+        def stats():
+            snapshot = engine.snapshot()
+            return snapshot.num_documents, snapshot.total_tokens
+
+        before = stats()
+        assert service.ingest([swap], [alien.doc_id]) == 2
+        assert stats() == before
+        assert service.stats.warm_invalidations == invalidations + lists
+        assert service.spec_cache_info().size == 0
+        assert service.result_cache_info().size == 0
         served = service.diversify_batch(workload)
-        # ... and every result survived the sweep to serve from cache:
-        # one hit per distinct query, not a single new miss.
-        assert (
-            service.result_cache_info().hits
-            == hits_before + len(set(workload))
+        assert service.result_cache_info().misses == (
+            results.misses + len(set(workload))
         )
-        assert service.result_cache_info().misses == misses_before
         fresh = make_service(
             small_miner,
             apply_to_docs(initial_docs, [([alien], []), ([swap], ["alien0"])]),
         )
         assert_results_equal(served, fresh.diversify_batch(workload))
+        engine.close()
+
+    def test_warm_invalidations_sum_the_lists_each_epoch_drops(
+        self, tmp_path, small_miner, initial_docs, batches, workload
+    ):
+        service = make_live_service(
+            tmp_path / "live.sqlite3", small_miner, initial_docs
+        )
+        dropped = 0
+        for epoch, (adds, removes) in enumerate(batches, start=1):
+            service.diversify_batch(workload)
+            held = service.spec_cache_info().size
+            assert held
+            assert service.ingest(adds, removes) == epoch
+            dropped += held
+            assert service.stats.warm_invalidations == dropped
+            assert service.spec_cache_info().size == 0
+        assert service.stats.epochs_published == len(batches)
+        service.framework.engine.close()
+
+    def test_an_epoch_drop_moves_no_cache_counter(
+        self, tmp_path, small_miner, initial_docs, holdout_docs, workload
+    ):
+        """The drop frees the caches without counting a hit, a miss or
+        an eviction in either of them."""
+        service = make_live_service(
+            tmp_path / "live.sqlite3", small_miner, initial_docs
+        )
+        service.diversify_batch(workload)
+
+        def counters():
+            return [
+                (info.hits, info.misses, info.evictions)
+                for info in (service.spec_cache_info(), service.result_cache_info())
+            ]
+
+        before = counters()
+        service.ingest(add_documents=holdout_docs[:1])
+        assert counters() == before
+        assert service.spec_cache_info().size == 0
+        assert service.result_cache_info().size == 0
+        service.framework.engine.close()
 
     def test_append_to_store_writes_without_publishing(
         self, tmp_path, small_miner, initial_docs, holdout_docs
@@ -413,12 +440,11 @@ class TestVectorsOutliveLists:
             [rewritten, Document("alien0", "zzqa wwxo")],
             [victim.doc_id],
         )
-        delta = snapshot.delta
-        assert delta.stats_changed and victim.doc_id in delta.changed_ids
-        assert framework.invalidate_affected(delta) == len(before)
+        assert framework.drop_before(snapshot.epoch) == len(before)
         assert framework.export_warm_state() == {}
+        changed_ids = {victim.doc_id, "alien0"}
         retained = {
-            q: {d for d in artifact[1] if d not in delta.changed_ids}
+            q: {d for d in artifact[1] if d not in changed_ids}
             for q, artifact in before.items()
         }
         assert victim.doc_id in before[spec_query][1]
@@ -474,8 +500,8 @@ class TestVectorsOutliveLists:
         framework.diversify_query(query)
         specs = len(framework.detect(query))
         assert specs and len(framework.export_warm_state()) == specs
-        delta = publish(engine, [Document("alien0", "zzqa wwxo")]).delta
-        assert framework.invalidate_affected(delta) == specs
+        epoch = publish(engine, [Document("alien0", "zzqa wwxo")]).epoch
+        assert framework.drop_before(epoch) == specs
         stats = framework.cache_info()
         assert stats.size == 0  # the lists go; their vectors stay memoised
         assert framework.warm_memory_estimate()["vectors"] > 0
@@ -485,14 +511,14 @@ class TestVectorsOutliveLists:
         framework.diversify_query(query)
         assert framework.cache_info().hits == after.hits + specs
 
-    def test_a_fetch_racing_a_sweep_keeps_no_changed_vector(
+    def test_a_fetch_racing_a_drop_keeps_no_changed_vector(
         self, tmp_path, small_miner, initial_docs, workload
     ):
-        """A fetch pinned to epoch 2, published but not swept yet, finds
-        only a list tagged epoch 1 and searches: the document epoch 2
-        rewrote comes back under its new seq, so it is vectorised afresh
-        and no vector of its old version is read; the list it puts after
-        the sweep landed mid-fetch serves the next fetch."""
+        """A fetch pinned to epoch 2, published but not dropped yet,
+        finds only a list tagged epoch 1 and searches: the document epoch
+        2 rewrote comes back under its new seq, so it is vectorised
+        afresh and no vector of its old version is read; the list it puts
+        after the drop landed mid-fetch serves the next fetch."""
         engine = make_store_engine(tmp_path / "live.sqlite3", initial_docs)
         framework = DiversificationFramework(
             engine, small_miner, config=STANDARD_CONFIG
@@ -504,9 +530,9 @@ class TestVectorsOutliveLists:
         victim = framework.export_warm_state()[spec_query][0].doc_ids[0]
         old = next(d for d in initial_docs if d.doc_id == victim)
         epoch1 = publish(engine, [Document("alien0", "zzqa wwxo")])
-        framework.invalidate_affected(epoch1.delta)  # keeps every vector
+        framework.drop_before(epoch1.epoch)  # keeps every vector
         rewritten = Document(victim, f"{old.text} zzqb", old.title)
-        epoch2 = publish(engine, [rewritten], [victim])  # not swept yet
+        epoch2 = publish(engine, [rewritten], [victim])  # not dropped yet
 
         entered, release = threading.Event(), threading.Event()
         search_batch = engine.search_batch
@@ -522,7 +548,7 @@ class TestVectorsOutliveLists:
         )
         fetch.start()
         assert entered.wait(10)
-        framework.invalidate_affected(epoch2.delta)  # lands mid-fetch
+        framework.drop_before(epoch2.epoch)  # lands mid-fetch
         release.set()
         fetch.join(10)
         assert not fetch.is_alive()
@@ -548,7 +574,7 @@ class TestVectorsOutliveLists:
         changed document took a new seq, and no put let a stale entry
         pass for a current one.  Each epoch is a from-scratch build
         swapped in (:func:`publish_rebuilt`): this gates the caches'
-        sweeps, and a store-backed snapshot is not isolated from a
+        drops, and a store-backed snapshot is not isolated from a
         concurrent append yet."""
         engine = make_engine(initial_docs)
         framework = DiversificationFramework(
@@ -593,9 +619,9 @@ class TestVectorsOutliveLists:
                 texts[victim] = Document(victim, f"{old.text} zz{epoch}", old.title)
                 adds = [texts[victim], Document(f"alien{epoch}", "zzqa wwxo")]
                 docs = [d for d in docs if d.doc_id != victim] + adds
-                delta = publish_rebuilt(engine, docs, adds, [old])
-                framework.invalidate_affected(delta)
-                service._sweep_results(delta)
+                published = publish_rebuilt(engine, docs, adds)
+                framework.drop_before(published)
+                service._result_cache.discard(lambda e: e[0] < published)
         finally:
             done.set()
             for reader in readers:
@@ -631,67 +657,6 @@ class TestVectorsOutliveLists:
             assert tag <= engine.epoch, query
             if tag == engine.epoch:
                 assert_results_equal([result], cold.diversify_batch([query]))
-
-    def test_store_backed_swap_drops_what_the_oracle_delta_drops(
-        self, tmp_path, small_miner, initial_docs, workload
-    ):
-        """A stats-preserving swap read off the store's epoch log is the
-        oracle's delta: the two changed doc_ids and the union of their
-        analysed terms, computed here.  A twin service swept by that
-        oracle delta drops the same artifacts and results and keeps the
-        same vectors, and both serve the cold rebuild's results."""
-        stored = make_live_service(
-            tmp_path / "swap.sqlite3", small_miner, initial_docs
-        )
-        twin = make_live_service(
-            tmp_path / "twin.sqlite3", small_miner, initial_docs
-        )
-        services = (stored, twin)
-        for service in services:
-            service.warm(set(workload))
-            service.diversify_batch(workload)
-        held = stored.framework.export_warm_state()
-        victim_id = next(d for _, (r, _) in held.items() for d in r.doc_ids)
-        victim = next(d for d in initial_docs if d.doc_id == victim_id)
-        analyzer = Analyzer()
-        length = len(analyzer.analyze(victim.full_text))
-        swap = Document("swap0", " ".join(["qqzb"] * length))
-        oracle = EpochDelta(
-            added=(swap.doc_id,),
-            removed=(victim_id,),
-            terms=frozenset(
-                term
-                for document in (victim, swap)
-                for term in analyzer.analyze(document.full_text)
-            ),
-            stats_changed=False,
-            base=0,
-            epoch=1,
-        )
-        twin_engine = twin.framework.engine
-        published = twin_engine.snapshot
-        twin_engine.snapshot = lambda: dataclasses.replace(
-            published(), delta=oracle
-        )
-        for service in services:
-            assert service.ingest([swap], [victim_id]) == 1
-        assert stored.framework.engine.snapshot().delta == oracle
-        assert 0 < stored.stats.warm_invalidations == (
-            twin.stats.warm_invalidations
-        ) < len(held)
-        assert stored.framework.export_warm_state().keys() == (
-            twin.framework.export_warm_state().keys()
-        )
-        assert stored.warm_memory_estimate() == twin.warm_memory_estimate()
-        assert stored.result_cache_info() == twin.result_cache_info()
-        cold = make_service(
-            small_miner, apply_to_docs(initial_docs, [([swap], [victim_id])])
-        ).diversify_batch(workload)
-        assert_results_equal(stored.diversify_batch(workload), cold)
-        assert_results_equal(twin.diversify_batch(workload), cold)
-        assert stored.result_cache_info() == twin.result_cache_info()
-        for service in services:
-            service.framework.engine.close()
 
 
 # -- the memo's rule along epochs: reused iff its (query, seq) was built -----------
@@ -857,7 +822,7 @@ class TestSurrogateMemo:
     def test_a_rewrite_leaves_each_pin_its_own_version(
         self, tmp_path, small_miner, initial_docs, ambiguous_topic
     ):
-        """After a rewrite, with no sweep in between, a read pinned to the
+        """After a rewrite, with no drop in between, a read pinned to the
         previous snapshot gets the old version's vector (memoised under
         the old seq) and a read at the new epoch the new one (built
         under the new seq), each equal to ``snippet_vectors`` under its
@@ -927,7 +892,7 @@ class TestSurrogateMemo:
         assert (query, new_seq) not in memo_keys(framework)
 
         engine.refresh()
-        framework.invalidate_affected(engine.snapshot().delta)
+        framework.drop_before(engine.epoch)
         task = framework.build_task(query, specializations)
         live = apply_to_docs(initial_docs, [([rewrite], [victim])])
         cold = DiversificationFramework(make_engine(live), small_miner, config=SHORT_CONFIG)
@@ -946,8 +911,7 @@ class TestSurrogateMemo:
         first = framework.build_task(query, specializations)
         old = engine.snapshot()
         adds = [Document("alien0", "zzqa wwxo")]
-        delta = publish_rebuilt(engine, list(initial_docs) + adds, adds, [])
-        framework.invalidate_affected(delta)
+        framework.drop_before(publish_rebuilt(engine, list(initial_docs) + adds, adds))
         with engine.pinned(old):
             with recording_vectors(engine) as calls:
                 task = framework.build_task(query, specializations)
@@ -958,14 +922,13 @@ class TestSurrogateMemo:
             vectors_of((None, fresh))
         )
 
-    def test_a_read_between_refresh_and_sweep_vectorises_only_new_versions(
+    def test_a_read_between_refresh_and_drop_vectorises_only_new_versions(
         self, tmp_path, small_miner, initial_docs, ambiguous_topic
     ):
         """Epoch 1 rewrites a candidate.  A read after ``refresh()``
-        published it but before the sweep meets the rewrite under its
-        new seq and vectorises it, not the old version's vector; the
-        sweep leaves the memo alone, so the next read vectorises
-        nothing."""
+        published it but before the drop meets the rewrite under its new
+        seq and vectorises it, not the old version's vector; the drop
+        leaves the memo alone, so the next read vectorises nothing."""
         engine = make_store_engine(tmp_path / "live.sqlite3", initial_docs)
         framework = DiversificationFramework(engine, small_miner, config=SHORT_CONFIG)
         query = ambiguous_topic.query
@@ -973,7 +936,7 @@ class TestSurrogateMemo:
         candidates = framework.build_task(query, specializations).candidates
         old = next(d for d in initial_docs if d.doc_id == candidates.doc_ids[0])
         new = Document(old.doc_id, f"{old.text} zzqb", old.title)
-        snapshot = publish(engine, [new], [old.doc_id])  # not swept yet
+        snapshot = publish(engine, [new], [old.doc_id])  # not dropped yet
         keys = memo_keys(framework)
         with recording_vectors(engine) as calls:
             task = framework.build_task(query, specializations)
@@ -984,19 +947,19 @@ class TestSurrogateMemo:
         assert vectors_of((None, {d: task.vectors[d] for d in fresh})) == (
             vectors_of((None, fresh))
         )
-        framework.invalidate_affected(snapshot.delta)
+        framework.drop_before(snapshot.epoch)
         with recording_vectors(engine) as calls:
             again = framework.build_task(query, specializations)
         assert calls == []
         assert task_vectors(again) == task_vectors(task)
         engine.close()
 
-    def test_a_read_between_refresh_and_sweep_caches_no_stale_result(
+    def test_a_read_between_refresh_and_drop_caches_no_stale_result(
         self, tmp_path, small_miner, initial_docs, ambiguous_topic
     ):
         """A read pinned to the new epoch between ``refresh()`` and the
-        sweeps, whose result is cached after them, ranked on no spec
-        list of the old epoch: an entry tagged with it is not reused."""
+        drops, whose result is cached after them, ranked on no spec list
+        of the old epoch: an entry tagged with it is not reused."""
         service = make_live_service(
             tmp_path / "live.sqlite3", small_miner, initial_docs
         )
@@ -1005,15 +968,15 @@ class TestSurrogateMemo:
         service.warm([query])
         service.append_to_store([Document("alien0", "zzqa wwxo")])
 
-        published, sweep = threading.Event(), threading.Event()
-        invalidate_affected = framework.invalidate_affected
+        published, dropped = threading.Event(), threading.Event()
+        drop_before = framework.drop_before
 
-        def gated(delta):
+        def gated(epoch):
             published.set()
-            assert sweep.wait(10)
-            return invalidate_affected(delta)
+            assert dropped.wait(10)
+            return drop_before(epoch)
 
-        framework.invalidate_affected = gated
+        framework.drop_before = gated
         ingest = threading.Thread(target=service.apply_updates)
         ingest.start()
         assert published.wait(10)
@@ -1026,20 +989,20 @@ class TestSurrogateMemo:
             used[spec_query] = results = spec_results(spec_query, epoch)
             return results
 
-        def after_the_sweep(query, specializations):
+        def after_the_drop(query, specializations):
             result = diversify_detected(query, specializations)
-            sweep.set()
+            dropped.set()
             ingest.join(10)
             return result  # the service caches it now
 
         framework._spec_results = recording
-        framework.diversify_detected = after_the_sweep
+        framework.diversify_detected = after_the_drop
         try:
             service.diversify(query)
         finally:
-            sweep.set()
+            dropped.set()
             ingest.join(10)
-            del framework._spec_results, framework.invalidate_affected
+            del framework._spec_results, framework.drop_before
             del framework.diversify_detected
         assert not ingest.is_alive() and used
         k = framework.config.spec_results
@@ -1077,14 +1040,14 @@ class TestEpochTags:
         spec_query = specializations.items[0][0]
         top = next(d for d in initial_docs if d.doc_id == want.candidates.doc_ids[0])
         joiner = Document("alien0", " ".join([spec_query] * 3 + top.text.split()[:40]))
-        delta = publish_rebuilt(engine, list(initial_docs) + [joiner], [joiner], [])
-        framework.invalidate_affected(delta)
+        epoch = publish_rebuilt(engine, list(initial_docs) + [joiner], [joiner])
+        framework.drop_before(epoch)
         current = framework.build_task(query, specializations)
         assert joiner.doc_id in current.candidates.doc_ids
         with engine.pinned(old):
             got = framework.build_task(query, specializations)
         tag, results = framework._spec_cache.peek(spec_query)
-        assert tag == delta.epoch and joiner.doc_id in results
+        assert tag == epoch and joiner.doc_id in results
         seq = results.seqs[results.rank_of(joiner.doc_id) - 1]
         assert (spec_query, seq) not in framework._surrogates  # shadowed
         assert got.candidates.doc_ids == want.candidates.doc_ids
@@ -1096,40 +1059,37 @@ class TestEpochTags:
             framework.diversifier.diversify(want, k)
         )
 
-    def test_cached_serves_nothing_between_refresh_and_sweep(
+    def test_cached_serves_nothing_between_refresh_and_drop(
         self, tmp_path, small_miner, initial_docs, ambiguous_topic
     ):
-        """A stats-preserving swap with vocabulary disjoint from the query
-        space keeps every cached result, but only once the sweep re-tagged
-        it: between ``refresh()`` and the sweep the cached result is the
-        previous epoch's, and ``cached()`` answers ``None``."""
+        """Between ``refresh()`` and the drop the cached result is still
+        held, tagged with the previous epoch, and ``cached()`` answers
+        ``None``: the tag rule, not the drop, keeps reads current.  The
+        drop then frees it."""
         service = make_live_service(
             tmp_path / "live.sqlite3", small_miner, initial_docs
         )
         engine = service.framework.engine
         query = ambiguous_topic.query
-        alien = Document("alien0", "zzqa wwxo vvrt")
-        service.ingest(add_documents=[alien])
         result = service.diversify(query)
         assert service.cached(query) is result
-        length = len(Analyzer().analyze(alien.full_text))
-        swap = Document("alien1", " ".join(["qqzb"] * length))
-        service.append_to_store([swap], [alien.doc_id])
+        alien = Document("alien0", "zzqa wwxo vvrt")
+        service.append_to_store([alien])
         engine.refresh()
-        assert not engine.snapshot().delta.stats_changed
         hits = service.result_cache_info().hits
         assert service.cached(query) is None
         assert service.result_cache_info().hits == hits
-        service.apply_updates([swap], [alien.doc_id])
-        assert service.cached(query) is result
+        assert service._result_cache.peek(query) == (0, result)
+        service.apply_updates([alien])
+        assert service._result_cache.peek(query) is None
         engine.close()
 
-    def test_a_second_sweep_for_one_delta_keeps_what_the_first_tagged(
+    def test_a_second_drop_for_one_epoch_keeps_what_is_current(
         self, tmp_path, small_miner, initial_docs, workload
     ):
-        """A shard re-sync runs ``apply_updates``' sweeps again for the
-        delta it already applied: every spec and result entry at the
-        published epoch stays, the very same object, as does the memo."""
+        """A shard re-sync runs ``apply_updates``' drops again for the
+        epoch it already published: every spec and result entry at that
+        epoch stays, the very same object, as does the memo."""
         service = make_live_service(
             tmp_path / "live.sqlite3", small_miner, initial_docs
         )
@@ -1137,7 +1097,6 @@ class TestEpochTags:
         queries = list(dict.fromkeys(workload))
         service.diversify_batch(queries)
         epoch = service.ingest(add_documents=[Document("alien0", "zzqa wwxo")])
-        assert framework.engine.snapshot().delta.stats_changed
         service.diversify_batch(queries)
         caches = (framework._spec_cache, service._result_cache)
         before = [cache.snapshot() for cache in caches]
@@ -1168,7 +1127,7 @@ class TestShardedIngest:
         publishes ONE epoch — the first shard's refresh attaches it, the
         others find the engine current, also when the shards refresh
         concurrently, each on its own thread — while every shard still
-        sweeps its caches and counts the batch."""
+        drops from its caches and counts the batch."""
         engine = make_store_engine(tmp_path / "shared.sqlite3", initial_docs)
         attaches = []
         attach = engine._attach_snapshot
@@ -1201,6 +1160,35 @@ class TestShardedIngest:
             assert stats.documents_ingested == 2
             for shard_stats in cluster.shard_stats():
                 assert shard_stats.epochs_published == 1
+        finally:
+            cluster.close()
+
+    def test_every_shard_drops_its_own_lists_and_results(
+        self, tmp_path, small_miner, initial_docs, holdout_docs, workload
+    ):
+        """Shards over one shared engine each drop their own caches on an
+        ingest, and the cluster's ``warm_invalidations`` sums what every
+        shard dropped."""
+        engine = make_store_engine(tmp_path / "shared.sqlite3", initial_docs)
+        cluster = ShardedDiversificationService.from_factory(
+            lambda shard: DiversificationFramework(
+                engine, small_miner, config=STANDARD_CONFIG
+            ),
+            num_shards=NUM_SHARDS,
+            backend="inline",
+        )
+        try:
+            cluster.diversify_batch(workload)
+            held = [shard.spec_cache_info().size for shard in cluster.services]
+            assert sum(map(bool, held)) > 1
+            assert cluster.result_cache_info().size
+            assert cluster.ingest(add_documents=holdout_docs[:1]) == 1
+            assert cluster.spec_cache_info().size == 0
+            assert cluster.result_cache_info().size == 0
+            assert [
+                stats.warm_invalidations for stats in cluster.shard_stats()
+            ] == held
+            assert cluster.cluster_stats().warm_invalidations == sum(held)
         finally:
             cluster.close()
 
