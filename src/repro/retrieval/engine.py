@@ -580,8 +580,8 @@ class SearchEngine:
         Each vector equals ``TermVector.from_terms(analyze(snippet(query,
         doc_id).text))`` but is built from the forward index: the query
         is analysed once per call and document text is not re-analysed.
-        A document whose surrogate is the whole document gets the same
-        shared vector on every call.
+        A query whose selection is the document's own order gets the one
+        vector the row kept for that selection.
         """
         return {
             doc_id: vector

@@ -34,7 +34,7 @@ class TermVector:
 
     Vectors are immutable by contract: nothing writes ``weights`` after
     construction, and the engines hand one object to many requests (a
-    document that fits its surrogate budget whole has a single vector).
+    document's document-order surrogate has a single vector).
 
     >>> v = TermVector({"apple": 2.0, "fruit": 1.0})
     >>> round(v.norm, 6)

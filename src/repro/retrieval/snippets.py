@@ -20,7 +20,9 @@ index time, into a :class:`ForwardRow`;
 :meth:`SnippetExtractor.surrogate_vector` then answers
 ``TermVector.from_terms(analyze(extract(...).text))`` for any query from
 the row, which is the path the search engines serve (``extract`` is its
-reference oracle).
+reference oracle).  The surrogate a query gets when it takes the windows
+in document order is the same for every such query, so the row keeps it
+(:class:`OrderedSurrogate`).
 """
 
 from __future__ import annotations
@@ -31,12 +33,13 @@ import sys
 from array import array
 from bisect import bisect_right
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from repro.retrieval.analysis import Analyzer
 from repro.retrieval.documents import Document
 from repro.retrieval.similarity import TermVector
 
-__all__ = ["Snippet", "ForwardRow", "SnippetExtractor"]
+__all__ = ["Snippet", "OrderedSurrogate", "ForwardRow", "SnippetExtractor"]
 
 _SENTENCE_RE = re.compile(r"[^.!?\n]+[.!?\n]?")
 
@@ -50,6 +53,15 @@ class Snippet:
 
     def __len__(self) -> int:
         return len(self.text)
+
+
+class OrderedSurrogate(NamedTuple):
+    """A document's surrogate when its windows are taken in document
+    order: the ``(piece, take)`` selection :meth:`SnippetExtractor.extract`
+    then makes, and that selection's vector."""
+
+    selection: list[tuple[int, int]]  # (piece, characters kept), in order
+    vector: TermVector
 
 
 class ForwardRow:
@@ -72,9 +84,15 @@ class ForwardRow:
       sliced out of the document instead of re-split from it; ``-1`` for
       a window that is not a verbatim substring of the text (its tokens
       were re-joined across tabs or repeated spaces).
+
+    Beside them it holds one piece of derived state, ``ordered``: the
+    document-order :class:`OrderedSurrogate`, kept by
+    :meth:`SnippetExtractor.surrogate_vector` the first time a query
+    takes that selection, ``None`` until then.  It is not encoded,
+    pickled or compared.
     """
 
-    __slots__ = ("terms", "ends", "bounds", "lengths", "starts", "_whole")
+    __slots__ = ("terms", "ends", "bounds", "lengths", "starts", "ordered")
 
     def __init__(self, terms, ends, bounds, lengths, starts) -> None:
         self.terms: tuple[str, ...] = tuple(map(sys.intern, terms))
@@ -82,19 +100,10 @@ class ForwardRow:
         self.bounds = array("I", bounds)
         self.lengths = array("I", lengths)
         self.starts = array("i", starts)
-        self._whole: TermVector | None = None
+        self.ordered: OrderedSurrogate | None = None
 
     def _lists(self) -> tuple:
         return self.terms, self.ends, self.bounds, self.lengths, self.starts
-
-    def whole_vector(self) -> TermVector:
-        """The vector of all the row's terms: the surrogate, for any query,
-        of a document that fits ``max_chars`` whole.  Built on first use and
-        shared from then on (derived: not stored, pickled or compared)."""
-        vector = self._whole
-        if vector is None:
-            vector = self._whole = TermVector.from_terms(self.terms)
-        return vector
 
     def encode(self) -> bytes:
         """The row as the store's ``documents.forward`` blob."""
@@ -110,11 +119,15 @@ class ForwardRow:
 
     def memory_bytes(self) -> int:
         """Resident bytes of the row's own containers (not its shared,
-        interned term strings), plus the whole vector once it is built."""
+        interned term strings), plus its document-order surrogate once
+        it is kept."""
         size = sum(map(sys.getsizeof, self._lists())) + 80  # + object, six slots
-        if self._whole is not None:  # the vector, its dict and boxed floats
-            weights = self._whole.weights
-            size += 48 + sys.getsizeof(weights) + 24 * len(weights)
+        if self.ordered is not None:  # its tuple, selection pairs, vector
+            selection, vector = self.ordered
+            weights = vector.weights
+            size += sys.getsizeof(self.ordered) + sys.getsizeof(selection)
+            size += 56 * len(selection) + 48 + sys.getsizeof(weights)
+            size += 24 * len(weights)  # boxed floats
         return size
 
     def __eq__(self, other: object) -> bool:
@@ -239,55 +252,88 @@ class SnippetExtractor:
         Equals ``TermVector.from_terms(analyze(extract(query, doc_id,
         text, title).text))`` — same terms, same order, same floats — for
         ``query_terms = set(analyze(query))`` and ``row =
-        analyse_document(document)``.  A document that fits ``max_chars``
-        whole gets the row's shared :meth:`~ForwardRow.whole_vector`.
-        Otherwise windows are scored, budgeted and ordered by the rules
-        of :meth:`extract` over the stored terms and lengths, and the
-        only text read is the stretch of a cut piece between its last
-        whole kept term and the cut, sliced at the piece's stored offset.
+        analyse_document(document)``.  Windows are scored, budgeted and
+        ordered by the rules of :meth:`extract` over the stored terms and
+        lengths (a document that fits ``max_chars`` skips the scoring:
+        it keeps every piece whole).  When that selection is the row's
+        document-order one, ``row.ordered``, its shared vector is
+        returned: the vector is a function of the selection alone, so a
+        row served under another ``max_chars`` stays exact.  Otherwise the
+        selection is counted, and the only text read is the stretch of a
+        cut piece between its last whole kept term and the cut, sliced at
+        the piece's stored offset.  Counted once either way: the first
+        count of the document-order selection is kept in ``row.ordered``.
         """
         terms, bounds, lengths = row.terms, row.bounds, row.lengths
         title = document.title
         windows = len(lengths) - 1
         # Title, windows and one joining space each (none leads a
         # surrogate without a title): every score order takes them whole.
-        if sum(lengths) + windows - (not title) <= self.max_chars:
-            return row.whole_vector()
+        fits = sum(lengths) + windows - (not title) <= self.max_chars
+        if fits:
+            selection = list(enumerate(lengths))
+        else:
+            scored = []
+            high = bounds[1]
+            for position in range(windows):
+                low, high = high, bounds[position + 2]
+                window = terms[low:high]
+                coverage = matches = 0
+                for term in query_terms:
+                    occurrences = window.count(term)
+                    if occurrences:
+                        coverage += 1
+                        matches += occurrences
+                score = self._score(coverage, matches, high - low, position)
+                scored.append((-score, position + 1))
+            scored.sort()
+            selection = self._select(scored, lengths, title)
+        ordered = row.ordered
+        if ordered is not None:
+            if selection == ordered.selection:
+                return ordered.vector
+            return self._count(selection, row, document)
+        vector = self._count(selection, row, document)
+        # Document order keeps pieces 0, 1, 2, ...: a gap rules it out.
+        in_order = enumerate(range(1, windows + 1))
+        if fits or (
+            selection[-1][0] == len(selection) - 1
+            and selection == self._select(in_order, lengths, title)
+        ):
+            row.ordered = OrderedSurrogate(selection, vector)
+        return vector
 
-        scored = []
-        high = bounds[1]
-        for position in range(windows):
-            low, high = high, bounds[position + 2]
-            window = terms[low:high]
-            coverage = matches = 0
-            for term in query_terms:
-                occurrences = window.count(term)
-                if occurrences:
-                    coverage += 1
-                    matches += occurrences
-            score = self._score(coverage, matches, high - low, position)
-            scored.append((-score, position))
-        scored.sort()
+    def _select(self, ranked, lengths, title: str) -> list[tuple[int, int]]:
+        """Replay :meth:`extract`'s budget over the windows *ranked*
+        (``(rank key, piece number)`` pairs, best first): ``(piece,
+        characters of it kept)`` for the title and each kept window, in
+        document order."""
         title_take = min(lengths[0], self.max_chars) if title else 0
         budget = self.max_chars - title_take
-        chosen: list[tuple[int, int]] = []  # (piece, characters of it kept)
-        for _, position in scored:
+        selection = [(0, title_take)]
+        for _, piece in ranked:
             if budget <= 0:
                 break
-            take = min(lengths[position + 1], budget)
-            chosen.append((position + 1, take))
+            take = min(lengths[piece], budget)
+            selection.append((piece, take))
             budget -= take + 1
-        chosen.sort()
+        selection.sort()
         if title and budget < 0:
             # Title, windows and their joining spaces came to one over
             # max_chars: the final cut drops the last character of the
             # last piece in document order.
-            piece, take = chosen[-1]
-            chosen[-1] = (piece, take - 1)
+            piece, take = selection[-1]
+            selection[-1] = (piece, take - 1)
+        return selection
 
+    def _count(
+        self, selection: list[tuple[int, int]], row: ForwardRow, document: Document
+    ) -> TermVector:
+        """The vector of the surrogate that keeps *selection* of *row*."""
+        terms, bounds, lengths = row.terms, row.bounds, row.lengths
         counts: dict[str, int] = {}
         count, ends = counts.get, row.ends
-        for piece, take in [(0, title_take), *chosen]:
+        for piece, take in selection:
             low, high = bounds[piece], bounds[piece + 1]
             cut: list[str] = []  # terms of the token the cut splits, if any
             if take < lengths[piece]:
@@ -295,7 +341,7 @@ class SnippetExtractor:
                 resume = ends[high - 1] if high > low else 0
                 if take > resume:
                     start = row.starts[piece]
-                    source = document.text if piece else title
+                    source = document.text if piece else document.title
                     if start < 0:  # not verbatim in the text: re-split for it
                         source, start = self._windows(source)[piece - 1], 0
                     cut = self.analyzer.analyze(source[start + resume:start + take])

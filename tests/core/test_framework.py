@@ -352,8 +352,8 @@ class TestWarmMemoryEstimate:
     def test_vector_bytes_are_what_the_memos_vectors_allocate(
         self, framework_factory, ambiguous_queries
     ):
-        """Each distinct vector is priced once — a whole-document vector
-        is shared by every query that meets its document — as its
+        """Each distinct vector is priced once — a document-order vector
+        is shared by every query whose windows keep that order — as its
         object, dict and floats: the term strings are the forward
         index's.  The estimate holds within 25% of what rebuilding those
         vectors allocates (term strings shared, floats fresh)."""
@@ -363,11 +363,18 @@ class TestWarmMemoryEstimate:
         )
         for query in ambiguous_queries:
             framework.build_task(query, framework.detect(query))
+
+        def distinct_held():
+            held = [vector for _, vector in framework._surrogates.snapshot()]
+            return held, list({id(v): v for v in held}.values())
+
+        held, distinct = distinct_held()
         (query, seq), shared = framework._surrogates.snapshot()[0]
         framework._surrogates.put((query + " again", seq), shared)
-        held = [vector for _, vector in framework._surrogates.snapshot()]
-        distinct = list({id(v): v for v in held}.values())
-        assert len(distinct) == len(held) - 1
+        more, distinct_after = distinct_held()
+        assert len(more) == len(held) + 1
+        assert len(distinct_after) == len(distinct)
+        distinct = distinct_after
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]

@@ -113,7 +113,8 @@ class TestBatchAPIs:
 
     def test_whole_fit_documents_share_one_vector(self, tiny_collection):
         # A document that fits max_chars has one surrogate whatever the
-        # query: the engine hands out the row's vector, not a rebuilt copy.
+        # query: the engine hands out the row's document-order vector,
+        # kept by the first query, not a rebuilt copy.
         engine = SearchEngine(tiny_collection)
         by_query = {
             query: engine.snippet_vectors(query, engine.search(query))
@@ -126,6 +127,7 @@ class TestBatchAPIs:
             assert len(document.full_text) <= engine.snippets.max_chars
             vector = by_query["apple"][doc_id]
             assert by_query["fruit"][doc_id] is vector
+            assert vector is engine.forward_row(doc_id).ordered.vector
             assert list(vector.weights.items()) == list(
                 TermVector.from_terms(
                     engine.forward_row(doc_id).terms
@@ -149,4 +151,8 @@ class TestBatchAPIs:
         assert "appl" in vectors["apple"].weights
         assert "banana" in vectors["banana"].weights
         assert vectors["apple"].weights != vectors["banana"].weights
-        assert vectors["apple"] is not engine.forward_row("d").whole_vector()
+        # "apple" takes the windows as the document orders them, so it
+        # gets the row's shared vector; "banana" jumps to the last one.
+        shared = engine.forward_row("d").ordered.vector
+        assert vectors["apple"] is shared
+        assert vectors["banana"] is not shared

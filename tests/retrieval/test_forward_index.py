@@ -242,21 +242,42 @@ class TestRowsSurviveTransport:
         moved = [starts[0] + 1, *starts[1:]]
         assert ForwardRow(terms, ends, bounds, lengths, moved) != row
 
-    def test_the_whole_vector_is_derived_state(self):
-        # Built lazily, shared, priced — and not part of the row's identity
-        # or of what travels.
-        row = SnippetExtractor().analyse_document(make_docs(1)[0])
-        fresh = ForwardRow.decode(row.encode())
+    def test_the_document_order_surrogate_is_derived_state(self):
+        # Kept by the first query that takes it, shared, priced once — and
+        # not part of the row's identity or of what travels: a decoded or
+        # unpickled row keeps its own on first use.
+        extractor = SnippetExtractor()
+        document = make_docs(1)[0]
+        index = DocumentIndex(extractor)
+        index.index_document(document)
+        row = index.forward_row(document.doc_id)
+        assert row.ordered is None
         before = row.memory_bytes()
-        vector = row.whole_vector()
-        assert row.whole_vector() is vector
-        assert list(vector.weights.items()) == list(
-            TermVector.from_terms(row.terms).weights.items()
-        )
+        # The empty query scores windows by position alone: it takes
+        # them in document order.
+        vector = extractor.surrogate_vector(set(), row, document)
+        selection, kept = row.ordered
+        assert kept is vector
+        assert extractor.surrogate_vector(set(), row, document) is vector
         assert row.memory_bytes() - before > 24 * len(vector)
-        assert row == fresh and row.encode() == fresh.encode()
+        oracle = TermVector.from_terms(
+            extractor.analyzer.analyze(
+                extractor.extract("", "d", document.text, document.title).text
+            )
+        )
+        assert list(vector.weights.items()) == list(oracle.weights.items())
+        fresh = ForwardRow.decode(row.encode())
         clone = pickle.loads(pickle.dumps(row))
-        assert clone == row and clone.memory_bytes() == fresh.memory_bytes()
+        assert clone.memory_bytes() == fresh.memory_bytes()
+        for travelled in (fresh, clone):
+            assert travelled == row and travelled.encode() == row.encode()
+            assert travelled.ordered is None
+            before = travelled.memory_bytes()
+            served = extractor.surrogate_vector(set(), travelled, document)
+            assert travelled.memory_bytes() - before > 24 * len(vector)
+            assert travelled.ordered.selection == selection
+            assert served is travelled.ordered.vector and served is not vector
+            assert list(served.weights.items()) == list(vector.weights.items())
 
     def test_rows_share_one_string_per_term(self, tmp_path):
         built = SearchEngine(

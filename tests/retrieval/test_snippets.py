@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.retrieval.documents import Document, DocumentCollection
 from repro.retrieval.engine import SearchEngine
@@ -246,8 +248,9 @@ class TestPieceOffsets:
     )
     def test_the_fit_boundary(self, title, text):
         # fit: the length of the whole surrogate.  At fit and above every
-        # query gets the row's one shared vector; at fit - 1 (with a title
-        # that is the one-over final cut) something is dropped.
+        # query gets the row's one shared vector, the whole document's;
+        # at fit - 1 (with a title that is the one-over final cut)
+        # something is dropped, even in document order.
         whole = SnippetExtractor(max_chars=10_000, window_terms=4)
         fit = len(whole.extract("", "d", text, title).text)
         document = Document("d", text, title)
@@ -256,13 +259,18 @@ class TestPieceOffsets:
                 continue
             extractor = SnippetExtractor(max_chars=max_chars, window_terms=4)
             row = extractor.analyse_document(document)
+            in_order, _ = extract_selection(extractor, "", text, title, True)
+            kept_whole = in_order == list(enumerate(row.lengths))
+            assert kept_whole == (max_chars >= fit)
             for query in ("relational", "tanks ponies", ""):
                 oracle, forward = surrogate_pair(extractor, query, text, title)
                 assert_same_vector(oracle, forward)
                 served = extractor.surrogate_vector(
                     set(extractor.analyzer.analyze(query)), row, document
                 )
-                assert (served is row.whole_vector()) == (max_chars >= fit)
+                if kept_whole:
+                    assert served is row.ordered.vector
+                    assert_same_vector(TermVector.from_terms(row.terms), served)
 
     def test_the_query_path_never_re_splits_single_spaced_text(self, monkeypatch):
         words = "apple banana cherry relational running fig leopards ponies".split()
@@ -290,10 +298,160 @@ class TestPieceOffsets:
         monkeypatch.setattr(SnippetExtractor, "_windows", no_splitting)
         everything = engine.search(" ".join(words), k=100)
         assert len(everything) == len(documents)
-        cut = 0
+        counted = 0
         for query in queries:
             served = engine.snippet_vectors(query, everything)
             for doc_id, vector in served.items():
                 assert_same_vector(expected[query][doc_id], vector)
-                cut += vector is not engine.forward_row(doc_id).whole_vector()
-        assert cut  # the test would be vacuous if every document fit
+                ordered = engine.forward_row(doc_id).ordered
+                counted += ordered is None or vector is not ordered.vector
+        # The test would be vacuous if every surrogate were the shared one.
+        assert counted
+
+
+# -- the document-order surrogate --------------------------------------------------
+
+
+def extract_selection(extractor, query, text, title, document_order=False):
+    """The ``(piece, characters kept)`` pairs ``extract`` keeps, title
+    first, re-derived from its text loop — with the query's window scores,
+    or with the windows taken in document order — and the text they join
+    to."""
+    analyzer = extractor.analyzer
+    query_terms = set(analyzer.analyze(query))
+    windows = extractor._windows(text)
+    ranked = []
+    for position, window in enumerate(windows):
+        terms = analyzer.analyze(window)
+        coverage = len(query_terms.intersection(terms))
+        matches = sum(term in query_terms for term in terms)
+        score = extractor._score(coverage, matches, len(terms), position)
+        ranked.append((0.0 if document_order else -score, position))
+    ranked.sort()
+    title_take = min(len(title.strip()), extractor.max_chars) if title else 0
+    budget = extractor.max_chars - title_take
+    chosen = []
+    for _, position in ranked:
+        if budget <= 0:
+            break
+        take = min(len(windows[position]), budget)
+        chosen.append((position + 1, take))
+        budget -= take + 1
+    chosen.sort()
+    pieces = [title.strip()[:title_take]] if title else []
+    pieces += [windows[piece - 1][:take] for piece, take in chosen]
+    joined = " ".join(pieces)
+    over = len(joined) - extractor.max_chars
+    if over > 0:  # the final cut shortens the last piece
+        piece, take = chosen[-1]
+        chosen[-1] = (piece, take - over)
+    return [(0, title_take), *chosen], joined[: extractor.max_chars]
+
+
+# Words whose cuts turn stopwords into terms and back, whose lower-casing
+# is longer (İ) or ASCII from non-ASCII (K, the Kelvin sign); separators
+# that make sentence windows, and tabs and double spaces that re-joined
+# token windows do not reproduce (``starts == -1``).
+_WORDS = [
+    "tanks", "ponies", "graze", "relational", "running", "leopards", "the",
+    "there", "their", "of", "a", "İstanbul", "aİb", "\u212aelvin", "straße",
+]
+_SEPARATORS = [" ", " ", " ", "  ", "\t", ". ", "! ", "\n", ", "]
+texts = st.lists(
+    st.tuples(st.sampled_from(_WORDS), st.sampled_from(_SEPARATORS)), max_size=40
+).map(lambda pairs: "".join(word + sep for word, sep in pairs))
+titles = st.one_of(
+    st.sampled_from(["", " ", "  padded  "]),
+    st.lists(st.sampled_from(_WORDS), min_size=1, max_size=4).map(" ".join),
+)
+
+
+@st.composite
+def documents_and_queries(draw):
+    """A document, a query mostly of its own words (so it re-ranks its
+    windows), and two budgets around the document's length."""
+    text, title = draw(texts), draw(titles)
+    words = text.split() or _WORDS
+    query = " ".join(draw(st.lists(st.sampled_from(words), max_size=3)))
+    budgets = st.integers(min_value=1, max_value=len(title) + len(text) + 2)
+    return Document("d", text, title), query, draw(budgets), draw(budgets)
+
+
+class TestDocumentOrderSurrogate:
+    @settings(max_examples=500, deadline=None)
+    @given(documents_and_queries(), st.integers(min_value=1, max_value=8))
+    def test_served_vector_is_the_oracle_and_shared_iff_in_document_order(
+        self, case, window_terms
+    ):
+        # The row is served under max_chars, then other_chars, then
+        # max_chars again: whichever budget first takes its document-order
+        # selection keeps that one, and every later serve, under either
+        # budget, must stay exact.
+        document, query, max_chars, other_chars = case
+        text, title = document.text, document.title
+        first = SnippetExtractor(max_chars=max_chars, window_terms=window_terms)
+        other = SnippetExtractor(max_chars=other_chars, window_terms=window_terms)
+        row = first.analyse_document(document)
+        for serving in (first, other, first):
+            kept = row.ordered
+            oracle, forward = surrogate_pair(serving, query, text, title)
+            served = serving.surrogate_vector(
+                set(serving.analyzer.analyze(query)), row, document
+            )
+            assert_same_vector(oracle, forward)
+            assert_same_vector(oracle, served)
+            selection, joined = extract_selection(serving, query, text, title)
+            assert joined == serving.extract(query, "d", text, title).text
+            if kept is not None:
+                assert row.ordered is kept
+                assert (served is kept.vector) == (selection == kept.selection)
+            elif selection == extract_selection(serving, "", text, title, True)[0]:
+                assert row.ordered == (selection, served)
+                assert served is row.ordered.vector
+            else:
+                assert row.ordered is None
+
+    def test_the_same_pieces_cut_elsewhere_are_not_the_document_order(self):
+        # Document order keeps all of window 1 and cuts window 2; "pie"
+        # ranks window 2 first, keeps it whole and cuts window 1.
+        text = "apple orchards ripen early. pie."
+        extractor = SnippetExtractor(max_chars=len("apple orchards ripen early.") + 2)
+        document = Document("d", text)
+        row = extractor.analyse_document(document)
+        oracle, served = surrogate_pair(extractor, "pie", text)
+        assert extract_selection(extractor, "pie", text, "")[0] == [
+            (0, 0), (1, 24), (2, 4)
+        ]
+        assert_same_vector(oracle, served)
+        assert_same_vector(oracle, extractor.surrogate_vector({"pie"}, row, document))
+        assert row.ordered is None  # not the document order: nothing kept
+        shared = extractor.surrogate_vector({"appl"}, row, document)
+        assert row.ordered == ([(0, 0), (1, 27), (2, 1)], shared)
+        assert extractor.surrogate_vector({"pie"}, row, document) is not shared
+        assert extractor.surrogate_vector({"appl"}, row, document) is shared
+
+    def test_a_row_that_arrives_bare_counts_each_surrogate_once(self, monkeypatch):
+        # A row decoded from the store or unpickled has no document-order
+        # surrogate: its first serves count their selection once, whether
+        # or not it is the document order, and the document-order count is
+        # kept for the serves after it.
+        text = "apple orchards ripen early. pie."
+        extractor = SnippetExtractor(max_chars=len("apple orchards ripen early.") + 2)
+        document = Document("d", text)
+        row = ForwardRow.decode(extractor.analyse_document(document).encode())
+        counted = []
+        count = SnippetExtractor._count
+
+        def spy(self, selection, row, document):
+            counted.append(list(selection))
+            return count(self, selection, row, document)
+
+        monkeypatch.setattr(SnippetExtractor, "_count", spy)
+        for query, calls in (({"pie"}, 1), ({"pie"}, 2), ({"appl"}, 3), ({"appl"}, 3)):
+            extractor.surrogate_vector(query, row, document)
+            assert len(counted) == calls
+        assert counted == [
+            [(0, 0), (1, 24), (2, 4)],
+            [(0, 0), (1, 24), (2, 4)],
+            [(0, 0), (1, 27), (2, 1)],
+        ]
