@@ -28,8 +28,9 @@ left behind.  The surrogate vectors behind Eq. 1 live in a second
 bounded LRU, one memo keyed by ``(query, seq)``: a surrogate reads the
 query and one document version's text, never N or avg_dl, and a
 sequence number names one version for good, so an entry is never stale
-and no epoch drops it
-(:meth:`DiversificationFramework.build_task`).
+and no epoch drops it.  A third, the utility memo, keeps each ``(query,
+spec_query)`` pair's centroid and cells under the seqs they read, and so
+is never stale either (:meth:`DiversificationFramework.build_task`).
 """
 
 from __future__ import annotations
@@ -45,7 +46,7 @@ from repro.core.iaselect import IASelect
 from repro.core.mmr import MMR
 from repro.core.optselect import OptSelect
 from repro.core.task import DiversificationTask
-from repro.core.utility import UtilityMatrix
+from repro.core.utility import UtilityMatrix, UtilityMemo
 from repro.core.xquad import XQuAD
 from repro.retrieval.engine import ResultList, SearchEngine
 from repro.retrieval.similarity import TermVector
@@ -118,11 +119,13 @@ _VECTOR_BYTES = 48
 def _estimate_warm_memory(
     spec_entries: Iterable[tuple[str, tuple]],
     vectors: Iterable[TermVector],
+    utilities: Iterable[tuple],
 ) -> dict[str, int]:
     """Estimated resident bytes of warm artifacts, plus their counts.
 
     *spec_entries* are the spec cache's ``(spec_query, (epoch,
-    ResultList))`` pairs and *vectors* the surrogate memo's values.  Sums
+    ResultList))`` pairs, *vectors* the surrogate memo's values and
+    *utilities* the utility memo's ``(key, centroid, cells)`` entries.  Sums
     ``sys.getsizeof`` of the real strings/dicts plus flat per-element
     prices for boxed floats and ints — the same estimation discipline as
     :meth:`~repro.retrieval.index.InvertedIndex.memory_estimate`, so the
@@ -130,9 +133,14 @@ def _estimate_warm_memory(
     footprints are directly comparable.  A vector is priced once however
     many keys share it, as its object, dict and floats: its term strings
     are the forward index's (as in
-    :meth:`~repro.retrieval.snippets.ForwardRow.memory_bytes`).  Returns
-    ``{"specializations", "results", "vectors", "result_bytes",
-    "vector_bytes", "total_bytes"}``, ``vectors`` counting distinct ones.
+    :meth:`~repro.retrieval.snippets.ForwardRow.memory_bytes`).  A
+    utility entry is priced as its tuples (the key's origins included),
+    its centroid's dict and floats, and its cells' dict and floats: the
+    centroid's terms are the forward index's, and the origins' queries
+    and seqs the spec lists' and candidates'.  Returns
+    ``{"specializations", "results", "vectors", "utilities",
+    "result_bytes", "vector_bytes", "utility_bytes", "total_bytes"}``,
+    ``vectors`` counting distinct ones.
     """
     specializations = 0
     results_count = 0
@@ -151,13 +159,29 @@ def _estimate_warm_memory(
         _VECTOR_BYTES + sys.getsizeof(v.weights) + _FLOAT_BYTES * len(v.weights)
         for v in distinct
     )
+    entries = 0
+    utility_bytes = 0
+    for entry in utilities:
+        key, centroid, cells = entry
+        entries += 1
+        utility_bytes += (
+            sys.getsizeof(entry)
+            + sys.getsizeof(key)
+            + sum(sys.getsizeof(origin) for origin in key)
+            + sys.getsizeof(centroid)
+            + _FLOAT_BYTES * len(centroid)
+            + sys.getsizeof(cells)
+            + _FLOAT_BYTES * len(cells)
+        )
     return {
         "specializations": specializations,
         "results": results_count,
         "vectors": len(distinct),
+        "utilities": entries,
         "result_bytes": result_bytes,
         "vector_bytes": vector_bytes,
-        "total_bytes": result_bytes + vector_bytes,
+        "utility_bytes": utility_bytes,
+        "total_bytes": result_bytes + vector_bytes + utility_bytes,
     }
 
 
@@ -235,7 +259,8 @@ class DiversificationFramework:
         argument for the hot specializations.  It also bounds the
         surrogate memo, to ``2 * spec_cache_size * spec_results``
         vectors: those of as many specialization lists, and as many
-        again for the queries' own candidates.
+        again for the queries' own candidates.  The utility memo holds
+        as many ``(query, spec_query)`` entries.
     """
 
     def __init__(
@@ -264,6 +289,11 @@ class DiversificationFramework:
         self._surrogates = LRUCache(
             2 * spec_cache_size * self.config.spec_results
         )
+        # Eq. (1) per (query, spec_query): (list key, centroid, {candidate
+        # seq: raw Ũ}), keyed by surrogate-memo keys, so equally never
+        # stale (repro.core.utility.UtilityMemo).
+        self._utilities: LRUCache[tuple[str, str], tuple]
+        self._utilities = LRUCache(spec_cache_size)
 
     # -- pipeline pieces ---------------------------------------------------------
 
@@ -272,31 +302,45 @@ class DiversificationFramework:
         return self.detector.mine(query)
 
     def _vectors(
-        self, query: str, results: ResultList, shadowed: Container[str] = ()
+        self,
+        query: str,
+        results: ResultList,
+        shadowed: Container[str] = (),
+        origins: dict | None = None,
     ) -> dict[str, TermVector]:
         """The *query*-biased surrogate vectors of *results* outside
         *shadowed*, in rank order: each from the memo when its ``(query,
         seq)`` was built before, else vectorised in one engine call at the
         pinned snapshot and memoised — unless the engine built it from
-        another version than *seq* names, which is used but not kept."""
+        another version than *seq* names, which is used but not kept.
+        Each vector's memo key, or ``None`` for one not kept, is
+        ``setdefault`` into *origins* (:class:`UtilityMemo`)."""
         if len(results.seqs) != len(results):
             raise ValueError(f"result list for {results.query!r} carries no seqs")
+        if origins is None:
+            origins = {}
         memo = self._surrogates
         vectors: dict[str, TermVector] = {}
         missing = []
         for result, seq in zip(results, results.seqs):
             if result.doc_id in shadowed:
                 continue
-            vector = vectors[result.doc_id] = memo.get((query, seq))
+            key = (query, seq)
+            vector = vectors[result.doc_id] = memo.get(key)
             if vector is None:
-                missing.append((result, seq))
+                missing.append((result, key))
+            else:
+                origins.setdefault(result.doc_id, key)
         if missing:
             built = self.engine.versioned_vectors(query, [r for r, _ in missing])
-            for result, seq in missing:
+            for result, key in missing:
                 version, vector = built[result.doc_id]
                 vectors[result.doc_id] = vector
-                if version == seq:
-                    memo.put((query, seq), vector)
+                if version == key[1]:
+                    memo.put(key, vector)
+                else:
+                    key = None
+                origins.setdefault(result.doc_id, key)
         return vectors
 
     def _memoised(self, spec_query: str, results: ResultList) -> bool:
@@ -389,11 +433,13 @@ class DiversificationFramework:
         return exported
 
     def warm_memory_estimate(self) -> dict[str, int]:
-        """Estimated resident bytes of the spec cache's lists and of the
-        surrogate memo's distinct vectors (:func:`_estimate_warm_memory`)."""
+        """Estimated resident bytes of the spec cache's lists, of the
+        surrogate memo's distinct vectors and of the utility memo's
+        centroids and cells (:func:`_estimate_warm_memory`)."""
         return _estimate_warm_memory(
             self._spec_cache.snapshot(),
             (vector for _, vector in self._surrogates.snapshot()),
+            (entry for _, entry in self._utilities.snapshot()),
         )
 
     def install_warm_state(self, artifacts) -> int:
@@ -441,20 +487,25 @@ class DiversificationFramework:
         a repeated read after an epoch vectorises only the documents the
         epoch added or rewrote.  ``task.vectors`` holds the candidates in
         rank order, then each specialization's other results in rank
-        order.
+        order.  Likewise each ``(query, spec_query)`` pair's centroid and
+        cells come from the utility memo while the memo keys of what they
+        read are unchanged (:class:`~repro.core.utility.UtilityMemo`), so
+        that read also dots only the candidates the epoch added or
+        rewrote, and sums only the centroids of lists it changed.
         """
+        origins: dict[str, tuple[str, int] | None] = {}
         with self.engine.pinned() as snapshot:
             epoch = snapshot.epoch
             candidates = self.engine.search(query, self.config.candidates)
             if not len(candidates):
                 return None
-            own = self._vectors(query, candidates)
+            own = self._vectors(query, candidates, origins=origins)
             vectors = dict(own)
             spec_results: dict[str, ResultList] = {}
             for spec_query, _p in specializations:
                 results = self._spec_results(spec_query, epoch)
                 spec_results[spec_query] = results
-                spec_vectors = self._vectors(spec_query, results, own)
+                spec_vectors = self._vectors(spec_query, results, own, origins)
                 for doc_id, vector in spec_vectors.items():
                     vectors.setdefault(doc_id, vector)
         matrix = UtilityMatrix.build(
@@ -462,6 +513,7 @@ class DiversificationFramework:
             spec_results,
             vectors,
             threshold=self.config.threshold,
+            memo=UtilityMemo(self._utilities, query, origins),
         )
         task = DiversificationTask.create(
             query=query,

@@ -26,17 +26,21 @@ Eq. (1) by algebra (see :meth:`UtilityMatrix.build`);
 :func:`repro.core.objectives.utility` and
 :func:`~repro.core.objectives.normalized_utility` evaluate it pair by pair
 and are the reference oracle the tests hold ``build`` to — nothing on the
-request path calls them.
+request path calls them.  A :class:`UtilityMemo` lets ``build`` reuse, on
+a later read of the same query, every centroid and cell whose inputs that
+read left unchanged.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
+from typing import NamedTuple
 
+from repro.core.cache import LRUCache
 from repro.retrieval.engine import ResultList
 from repro.retrieval.similarity import TermVector
 
-__all__ = ["harmonic_number", "UtilityMatrix"]
+__all__ = ["harmonic_number", "UtilityMatrix", "UtilityMemo"]
 
 
 def harmonic_number(n: int) -> float:
@@ -48,6 +52,45 @@ def harmonic_number(n: int) -> float:
     if n < 0:
         raise ValueError("n must be non-negative")
     return sum(1.0 / i for i in range(1, n + 1))
+
+
+class UtilityMemo(NamedTuple):
+    """What one read of *query* lends :meth:`UtilityMatrix.build` to reuse.
+
+    ``entries`` maps ``(query, spec_query)`` to ``(key, centroid, cells)``:
+    the list key the centroid c_q′ was summed for, c_q′ itself, and the
+    raw Ũ (before the clamp and the threshold) of each candidate seq
+    dotted against it.  ``origins`` names this read's vectors: each
+    doc_id's surrogate-memo key ``(biasing query, seq)``, or ``None`` for
+    a vector built from another version than its seq, which no memo keeps.
+
+    A list's key is its results' origins in rank order.  Positions fix
+    the ranks and H_n, and an origin fixes its vector, shadowed or not (a
+    seq names one document version), so a matching key reproduces c_q′
+    at any epoch, and a cell keyed by the candidate's seq reproduces its
+    dot.  A key or a candidate with a ``None`` origin is computed for this
+    read and not stored.
+    """
+
+    entries: LRUCache
+    query: str
+    origins: Mapping[str, tuple[str, int] | None]
+
+
+def _centroid(
+    results: ResultList, vectors: Mapping[str, TermVector]
+) -> dict[str, float]:
+    """c_q′ = Σ d̂′ / (rank(d′) · H_n) over the results that have a vector."""
+    h = harmonic_number(len(results))
+    centroid: dict[str, float] = {}
+    for result in results:
+        spec_vector = vectors.get(result.doc_id)
+        if spec_vector is None:
+            continue
+        scale = 1.0 / (result.rank * h)
+        for term, weight in spec_vector.weights.items():
+            centroid[term] = centroid.get(term, 0.0) + weight * scale
+    return centroid
 
 
 class UtilityMatrix:
@@ -91,6 +134,7 @@ class UtilityMatrix:
         spec_results: Mapping[str, ResultList],
         vectors: Mapping[str, TermVector],
         threshold: float = 0.0,
+        memo: UtilityMemo | None = None,
     ) -> "UtilityMatrix":
         """Compute Ũ for every candidate against every specialization list.
 
@@ -107,34 +151,53 @@ class UtilityMatrix:
         others), so the non-zero cells are exactly those of the pairwise
         :func:`repro.core.objectives.normalized_utility` and values agree
         to a few ULP.
+
+        With a *memo* (:class:`UtilityMemo`), a list whose key matches
+        its entry reuses the entry's centroid and every cell it holds;
+        only the other cells are dotted, and a read that dots any stores
+        its list's entry with exactly its own candidates' cells, so a
+        changed key replaces the entry.  Reused values are this method's
+        own floats, so the matrix is bit-identical either way.
         """
-        cand_weights = [
-            (c.doc_id, vectors[c.doc_id].weights)
-            for c in candidates
-            if c.doc_id in vectors
-        ]
+        origins = memo.origins if memo is not None else {}
+        cand_weights = []  # (doc_id, weights, the seq its cells are kept under)
+        for c in candidates:
+            vector = vectors.get(c.doc_id)
+            if vector is not None:
+                origin = origins.get(c.doc_id)
+                cand_weights.append((c.doc_id, vector.weights, origin and origin[1]))
         # Summation order (rank order, then each vector's term insertion
         # order) fixes the last bits: docs/ARCHITECTURE.md, "floating-point
         # contract".  Changing it means regenerating the golden file.
         values: dict[str, dict[str, float]] = {}
         for spec, results in spec_results.items():
-            h = harmonic_number(len(results))
-            centroid: dict[str, float] = {}
-            for result in results:
-                spec_vector = vectors.get(result.doc_id)
-                if spec_vector is None:
-                    continue
-                scale = 1.0 / (result.rank * h)
-                for term, weight in spec_vector.weights.items():
-                    centroid[term] = centroid.get(term, 0.0) + weight * scale
+            key = entry = None
+            if memo is not None:
+                key = tuple(origins.get(r.doc_id) for r in results)
+                entry = memo.entries.get((memo.query, spec))
+            if entry is not None and entry[0] == key:
+                _, centroid, cells = entry
+            else:
+                centroid, cells = _centroid(results, vectors), {}
             row = values[spec] = {}
-            for doc_id, weights in cand_weights:
-                total = 0.0
-                for term, weight in weights.items():
-                    if term in centroid:
-                        total += weight * centroid[term]
+            dotted = {}
+            for doc_id, weights, seq in cand_weights:
+                total = cells.get(seq)
+                if total is None:
+                    total = 0.0
+                    for term, weight in weights.items():
+                        if term in centroid:
+                            total += weight * centroid[term]
+                    if seq is not None:
+                        dotted[seq] = total
                 if total > 0:
                     row[doc_id] = min(1.0, total)
+            if dotted and None not in key:
+                if cells:  # keep this read's candidates' cells, no others
+                    dotted.update(
+                        (s, cells[s]) for _, _, s in cand_weights if s in cells
+                    )
+                memo.entries.put((memo.query, spec), (key, centroid, dotted))
         return cls(values, candidates.doc_ids, threshold=threshold)
 
     # -- access ------------------------------------------------------------------

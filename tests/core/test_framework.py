@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import pickle
+import random
 import tracemalloc
 
 import pytest
 
+from repro.core import utility as utility_module
 from repro.core.ambiguity import SpecializationSet
+from repro.core.cache import LRUCache
 from repro.core.framework import (
     DiversificationFramework,
     FrameworkConfig,
@@ -17,11 +20,17 @@ from repro.core.framework import (
 from repro.core.iaselect import IASelect
 from repro.core.mmr import MMR
 from repro.core.optselect import OptSelect
+from repro.core.utility import UtilityMatrix, UtilityMemo
 from repro.core.xquad import XQuAD
 from repro.experiments.workloads import PAPER_SCALE
-from repro.retrieval.engine import ResultList
+from repro.retrieval.documents import Document, DocumentCollection
+from repro.retrieval.engine import ResultList, SearchEngine
 from repro.retrieval.similarity import TermVector
-from repro.retrieval.store import read_warm_artifacts, write_store
+from repro.retrieval.store import (
+    StoreBackedSearchEngine,
+    read_warm_artifacts,
+    write_store,
+)
 from repro.serving.service import DiversificationService
 
 
@@ -300,8 +309,10 @@ class TestWarmMemoryEstimate:
             "specializations": 0,
             "results": 0,
             "vectors": 0,
+            "utilities": 0,
             "result_bytes": 0,
             "vector_bytes": 0,
+            "utility_bytes": 0,
             "total_bytes": 0,
         }
 
@@ -326,6 +337,24 @@ class TestWarmMemoryEstimate:
         assert estimate["result_bytes"] > 0 and estimate["vector_bytes"] > 0
         assert estimate["total_bytes"] == (
             estimate["result_bytes"] + estimate["vector_bytes"]
+        )
+
+    def test_a_read_adds_its_utility_entries_to_the_total(
+        self, framework_factory, ambiguous_topic
+    ):
+        framework = self._warmed(framework_factory, ambiguous_topic)
+        warmed = framework.warm_memory_estimate()
+        assert warmed["utilities"] == warmed["utility_bytes"] == 0
+        query = ambiguous_topic.query
+        framework.build_task(query, framework.detect(query))
+        estimate = framework.warm_memory_estimate()
+        assert estimate["utilities"] == len(framework._utilities) > 0
+        assert estimate["result_bytes"] > 0 and estimate["vector_bytes"] > 0
+        assert estimate["utility_bytes"] > 0
+        assert estimate["total_bytes"] == (
+            estimate["result_bytes"]
+            + estimate["vector_bytes"]
+            + estimate["utility_bytes"]
         )
 
     def test_grows_with_each_warmed_specialization(
@@ -391,6 +420,37 @@ class TestWarmMemoryEstimate:
         estimate = framework.warm_memory_estimate()
         assert estimate["vectors"] == len(distinct)
         assert 0.75 * measured <= estimate["vector_bytes"] <= 1.25 * measured
+
+    def test_utility_bytes_are_what_the_memos_entries_allocate(
+        self, framework_factory, ambiguous_queries
+    ):
+        """Each utility entry is priced as its tuples, its centroid's
+        dict and floats and its cells' dict and floats; within 25% of
+        what rebuilding the entries allocates (terms, queries and seqs
+        shared, floats and tuples fresh)."""
+        framework = framework_factory()
+        for query in ambiguous_queries:
+            framework.build_task(query, framework.detect(query))
+        entries = [entry for _, entry in framework._utilities.snapshot()]
+        assert entries
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            copies = [
+                (
+                    tuple((bias, seq) for bias, seq in key),
+                    {term: weight + 0.0 for term, weight in centroid.items()},
+                    {seq: value + 0.0 for seq, value in cells.items()},
+                )
+                for key, centroid, cells in entries
+            ]
+            measured = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert len(copies) == len(entries)
+        estimate = framework.warm_memory_estimate()
+        assert estimate["utilities"] == len(entries)
+        assert 0.75 * measured <= estimate["utility_bytes"] <= 1.25 * measured
 
 
 # -- build_task vectorises only the R_q' results its candidates do not shadow ---
@@ -785,3 +845,246 @@ class TestSurrogateMemo:
         assert with_candidates["specializations"] == without["specializations"]
         assert with_candidates["results"] == without["results"]
         assert with_candidates["vector_bytes"] > without["vector_bytes"]
+
+
+# -- one utility memo entry per (query, spec_query), keyed by what it read -------
+
+
+@pytest.fixture()
+def centroids(monkeypatch):
+    """The spec query of every centroid ``UtilityMatrix.build`` sums while
+    the test runs."""
+    calls = []
+    centroid = utility_module._centroid
+
+    def recording(results, vectors):
+        calls.append(results.query)
+        return centroid(results, vectors)
+
+    monkeypatch.setattr(utility_module, "_centroid", recording)
+    return calls
+
+
+def nonzero(matrix):
+    """Which cells of *matrix* are stored, in order."""
+    return {spec: list(row) for spec, row in matrix._by_spec.items()}
+
+
+#: The surrogates of the hand-made reads of "q", by memo key.
+SURROGATES = {
+    ("q", 1): "apple pie crust",
+    ("q", 2): "apple cider press",
+    ("q", 3): "pie chart data",
+    ("q", 4): "cider vinegar apple",
+    ("q", 10): "apple orchard tour",
+    ("s", 2): "cider press apple orchard",
+    ("s", 10): "apple orchard cider",
+    ("s", 11): "pie crust butter",
+    ("s", 12): "apple pie recipe apple",
+    ("r", 11): "butter crust flaky",
+    ("r", 20): "chart data plot",
+    ("r", 21): "pie chart pie",
+}
+
+
+def hand_read(entries, candidate_seqs, lists, threshold=0.0):
+    """One read of "q" through ``build`` with *entries* as its memo, with
+    the framework's merge: a candidate's vector is q-biased and shadows
+    any other, else the first list holding a document lends its own.
+    Returns ``(matrix, origins, cold)``, *cold* building the same inputs
+    without the memo."""
+
+    def result_list(query, seqs):
+        return ResultList(query, [(f"d{seq}", 1.0) for seq in seqs], seqs)
+
+    candidates = result_list("q", candidate_seqs)
+    origins = {f"d{seq}": ("q", seq) for seq in candidate_seqs}
+    spec_results = {}
+    for spec, seqs in lists.items():
+        spec_results[spec] = result_list(spec, seqs)
+        for seq in seqs:
+            origins.setdefault(f"d{seq}", (spec, seq))
+    vectors = {
+        doc_id: TermVector.from_terms(SURROGATES[origin].split())
+        for doc_id, origin in origins.items()
+    }
+    memo = UtilityMemo(entries, "q", origins)
+    matrix = UtilityMatrix.build(
+        candidates, spec_results, vectors, threshold=threshold, memo=memo
+    )
+    return matrix, origins, lambda: UtilityMatrix.build(
+        candidates, spec_results, vectors, threshold=threshold
+    )
+
+
+FIRST_READ = ([1, 2, 3, 4], {"r": [20, 21], "s": [10, 2, 11]})
+
+
+class TestUtilityMemo:
+    """``build`` reuses a centroid iff its list's key — its results'
+    surrogate-memo keys in rank order — is the entry's, and a cell iff
+    the entry holds its candidate's seq; a read that dots a cell stores
+    its list's entry with its own candidates' cells only."""
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.4])
+    @pytest.mark.parametrize(
+        "candidate_seqs, lists, summed",
+        [
+            pytest.param(*FIRST_READ, [], id="unchanged"),
+            pytest.param(
+                [1, 2, 3, 4], {"r": [20, 21], "s": [11, 2, 10]}, ["s"], id="reorders"
+            ),
+            pytest.param(
+                [1, 2, 3, 4, 10], FIRST_READ[1], ["s"], id="gains-a-shadowed-doc"
+            ),
+            pytest.param([1, 3, 4], FIRST_READ[1], ["s"], id="loses-a-shadowed-doc"),
+            pytest.param(
+                [1, 2, 3, 4],
+                {"r": [20, 21], "s": [10, 2, 11, 12]},
+                ["s"],
+                id="changes-length",
+            ),
+            pytest.param([1, 2, 3, 4], {"r": [20, 21], "s": []}, ["s"], id="empties"),
+            pytest.param(
+                [1, 2, 3, 4],
+                {"r": [20, 11], "s": [10, 2, 11]},
+                ["r", "s"],
+                id="borrows-another-lists-vector",
+            ),
+        ],
+    )
+    def test_a_second_read_equals_a_cold_build_and_replaces_changed_entries(
+        self, centroids, candidate_seqs, lists, summed, threshold
+    ):
+        entries = LRUCache(8)
+        matrix, _, cold = hand_read(entries, *FIRST_READ, threshold)
+        assert centroids == ["r", "s"]
+        assert matrix._by_spec == cold()._by_spec
+        assert any(row for row in matrix._by_spec.values())
+        centroids.clear()
+        matrix, origins, cold = hand_read(entries, candidate_seqs, lists, threshold)
+        assert centroids == summed
+        assert matrix._by_spec == cold()._by_spec
+        assert nonzero(matrix) == nonzero(cold())
+        assert len(entries) == len(lists)
+        for spec, seqs in lists.items():
+            key, _, cells = entries.peek(("q", spec))
+            assert key == tuple(origins[f"d{seq}"] for seq in seqs)
+            if spec in summed:  # a changed key keeps no cell of the old one
+                assert list(cells) == candidate_seqs
+
+    def test_an_empty_list_is_an_entry_too(self, centroids):
+        entries = LRUCache(8)
+        for _ in range(2):
+            matrix, _, _ = hand_read(entries, [1, 2], {"s": []})
+            assert matrix._by_spec == {"s": {}}
+        assert centroids == ["s"]
+        assert entries.peek(("q", "s"))[2] == {1: 0.0, 2: 0.0}
+
+    def test_a_vector_no_memo_keeps_is_used_and_not_stored(self, centroids):
+        """A ``None`` origin (a vector built from another version than its
+        seq) is read for this matrix only: its list's centroid and its
+        candidate's cells are not stored, and a stored cell of its seq is
+        not reused."""
+        entries = LRUCache(8)
+        hand_read(entries, *FIRST_READ)
+        centroids.clear()
+        candidates = ResultList("q", [("d1", 1.0), ("d2", 1.0)], [1, 2])
+        spec_results = {"s": ResultList("s", [("d2", 1.0), ("d10", 1.0)], [2, 10])}
+        other = TermVector.from_terms("apple cider".split())
+        vectors = {
+            "d1": TermVector.from_terms(SURROGATES["q", 1].split()),
+            "d2": other,
+            "d10": TermVector.from_terms(SURROGATES["s", 10].split()),
+        }
+        origins = {"d1": ("q", 1), "d2": None, "d10": ("s", 10)}
+        stored = entries.snapshot()
+        matrix = UtilityMatrix.build(
+            candidates, spec_results, vectors, memo=UtilityMemo(entries, "q", origins)
+        )
+        assert centroids == ["s"]
+        assert entries.snapshot() == stored
+        assert matrix._by_spec == UtilityMatrix.build(
+            candidates, spec_results, vectors
+        )._by_spec
+
+    @pytest.mark.parametrize("threshold", [0.0, 0.1])
+    def test_seeded_ingest_reads_equal_cold_builds(
+        self, tmp_path, small_corpus, small_miner, centroids, threshold
+    ):
+        """Reads repeated across a seeded sequence of add/remove epochs on
+        a store-backed service: every read's matrix is a cold ``build`` of
+        its own inputs, bit for bit, and the memo spares some centroids
+        but not all."""
+        collection = small_corpus.collection
+        docs = [collection[doc_id] for doc_id in collection.doc_ids]
+        live, pool = {d.doc_id: d for d in docs[:-8]}, docs[-8:]
+        write_store(
+            tmp_path / "live.sqlite3",
+            SearchEngine(DocumentCollection(list(live.values()))),
+        )
+        engine = StoreBackedSearchEngine(tmp_path / "live.sqlite3")
+        config = FrameworkConfig(
+            k=10, candidates=12, spec_results=10, threshold=threshold
+        )
+        framework = DiversificationFramework(engine, small_miner, config=config)
+        service = DiversificationService(framework)
+        topics = [topic.query for topic in small_corpus.topics]
+        queries = [query for query in topics if framework.detect(query)][:3]
+        rng = random.Random(49)
+        lists = summed = 0
+        for step in range(6):
+            for query in queries:
+                specializations = framework.detect(query)
+                centroids.clear()
+                task = framework.build_task(query, specializations)
+                summed += len(centroids)
+                spec_results = {
+                    spec: framework._spec_cache.peek(spec)[1]
+                    for spec, _ in specializations
+                }
+                cold = UtilityMatrix.build(
+                    task.candidates, spec_results, task.vectors, threshold=threshold
+                )
+                assert task.utilities._by_spec == cold._by_spec, (step, query)
+                assert nonzero(task.utilities) == nonzero(cold), (step, query)
+                lists += len(spec_results)
+            query = queries[step % len(queries)]
+            words = live[task.candidates.doc_ids[0]].text.split()
+            adds = [
+                pool.pop(rng.randrange(len(pool))),
+                Document(f"strong{step}", " ".join([query] * 3 + words[:40])),
+            ]
+            removes = rng.sample(sorted(live), 1)
+            service.ingest(adds, removes)
+            del live[removes[0]]
+            live.update((d.doc_id, d) for d in adds)
+        assert 0 < summed < lists
+        assert len(framework._utilities) <= framework._utilities.maxsize
+        engine.close()
+
+    def test_a_repeated_read_sums_no_centroid(
+        self, framework_factory, ambiguous_topic, centroids
+    ):
+        framework = framework_factory()
+        query = ambiguous_topic.query
+        specializations = framework.detect(query)
+        first = framework.build_task(query, specializations)
+        assert sorted(centroids) == sorted(spec for spec, _ in specializations)
+        centroids.clear()
+        second = framework.build_task(query, specializations)
+        assert centroids == []
+        assert second.utilities._by_spec == first.utilities._by_spec
+
+    def test_the_memo_holds_one_entry_per_pair_up_to_the_spec_cache_bound(
+        self, framework_factory, ambiguous_queries
+    ):
+        framework = framework_factory(spec_cache_size=3)
+        pairs = set()
+        for query in ambiguous_queries:
+            specializations = framework.detect(query)
+            framework.build_task(query, specializations)
+            pairs.update((query, spec) for spec, _ in specializations)
+        assert framework._utilities.maxsize == 3
+        assert len(framework._utilities) == min(3, len(pairs)) > 0
+        assert set(framework._utilities) <= pairs

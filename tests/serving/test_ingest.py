@@ -30,6 +30,7 @@ import urllib.request
 import pytest
 
 from repro.core.framework import DiversificationFramework
+from repro.core.utility import UtilityMatrix, _centroid
 from repro.retrieval.analysis import Analyzer
 from repro.retrieval.documents import Document, DocumentCollection
 from repro.retrieval.engine import (
@@ -570,9 +571,10 @@ class TestVectorsOutliveLists:
         every epoch.  Afterwards no entry is tagged past the final epoch,
         every list and result of an entry tagged with it (what a read
         reuses) equals what the final epoch computes from scratch, and
-        so does every memoised vector of a seq the final epoch holds: a
-        changed document took a new seq, and no put let a stale entry
-        pass for a current one.  Each epoch is a from-scratch build
+        so does every memoised vector of a seq the final epoch holds, and
+        every utility centroid and cell whose seqs it holds: a changed
+        document took a new seq, and no put let a stale entry pass for a
+        current one.  Each epoch is a from-scratch build
         swapped in (:func:`publish_rebuilt`): this gates the caches'
         drops, and a store-backed snapshot is not isolated from a
         concurrent append yet."""
@@ -650,6 +652,33 @@ class TestVectorsOutliveLists:
             doc_id = live[seq]
             fresh = engine.snippet_vectors(query, ResultList(query, [(doc_id, 0.0)]))
             assert vectors_of((None, {doc_id: vector})) == vectors_of((None, fresh))
+            checked += 1
+        assert checked
+
+        def fresh_vector(query, seq):
+            doc_id = live[seq]
+            results = ResultList(query, [(doc_id, 0.0)])
+            return engine.snippet_vectors(query, results)[doc_id]
+
+        checked = 0
+        for (query, spec), (key, centroid, cells) in framework._utilities.snapshot():
+            if not all(seq in live for _, seq in key):
+                continue  # a list only a read pinned before it reaches
+            results = ResultList(spec, [(live[seq], 0.0) for _, seq in key])
+            vectors = {live[seq]: fresh_vector(bias, seq) for bias, seq in key}
+            assert _centroid(results, vectors) == centroid, (query, spec)
+            for seq, total in cells.items():
+                if seq not in live:
+                    continue
+                candidate = ResultList(query, [(live[seq], 0.0)])
+                want = UtilityMatrix.build(
+                    candidate,
+                    {spec: results},
+                    {**vectors, live[seq]: fresh_vector(query, seq)},
+                )
+                assert want.value(live[seq], spec) == (
+                    min(1.0, total) if total > 0 else 0.0
+                ), (query, spec, seq)
             checked += 1
         assert checked
         cold = make_service(small_miner, docs)
@@ -899,6 +928,56 @@ class TestSurrogateMemo:
         assert task_vectors(task) == task_vectors(
             cold.build_task(query, specializations)
         )
+        engine.close()
+
+    def test_a_stale_pin_stores_no_utility_that_read_another_version(
+        self, tmp_path, small_miner, initial_docs, ambiguous_topic
+    ):
+        """The same gap: the stale read's centroids and cells that read
+        the old row's vector are served to it and not stored, so the
+        utility memo holds nothing under the new seq, and the read after
+        ``refresh()`` scores what a cold build of the new collection
+        scores.  The victim is the candidate in the fewest spec lists, so
+        the lists without it store their centroids."""
+        query = ambiguous_topic.query
+        reference = make_engine(initial_docs)
+        specializations = small_miner.mine(query)
+        spec_lists = [
+            reference.search(spec, SHORT_CONFIG.spec_results)
+            for spec, _ in specializations
+        ]
+        victim = min(
+            reference.search(query, SHORT_CONFIG.candidates).doc_ids,
+            key=lambda d: sum(d in results for results in spec_lists),
+        )
+        old_doc = next(d for d in initial_docs if d.doc_id == victim)
+        rewrite = Document(victim, f"{query} zzqb {old_doc.text}", old_doc.title)
+        engine = make_store_engine(tmp_path / "live.sqlite3", initial_docs)
+        framework = DiversificationFramework(engine, small_miner, config=SHORT_CONFIG)
+        old = engine.snapshot()
+        engine.forward_row(victim)
+        append_epoch(engine.store_path, [rewrite], [victim], analyzer=engine.analyzer)
+        engine.page_cache.clear()
+        new_seq = engine.store.seq_of(victim)
+        with engine.pinned(old):
+            stale = framework.build_task(query, specializations)
+        position = stale.candidates.doc_ids.index(victim)
+        assert stale.candidates.seqs[position] == new_seq  # the gap happened
+        assert stale.utilities.row(victim)  # the old row's vector was scored
+        entries = [entry for _, entry in framework._utilities.snapshot()]
+        assert entries
+        for key, _, cells in entries:
+            assert new_seq not in cells
+            assert (query, new_seq) not in key
+
+        engine.refresh()
+        framework.drop_before(engine.epoch)
+        task = framework.build_task(query, specializations)
+        live = apply_to_docs(initial_docs, [([rewrite], [victim])])
+        cold = DiversificationFramework(make_engine(live), small_miner, config=SHORT_CONFIG)
+        want = cold.build_task(query, specializations)
+        assert task.utilities._by_spec == want.utilities._by_spec
+        assert task.utilities.row(victim) != stale.utilities.row(victim)
         engine.close()
 
     def test_a_read_pinned_to_the_previous_epoch_reuses_its_vectors(
